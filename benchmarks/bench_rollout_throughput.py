@@ -5,8 +5,12 @@ cost of BQSched's pre-training phase — across the vectorized execution spine
 at ``num_envs ∈ {1, 4, 8, 16, 32, 64}`` (quick profile: ``{1, 8}``), against
 a *seed-equivalent scalar baseline*: ``num_envs=1`` with the legacy AoS
 snapshot path forced (no :class:`~repro.encoder.SnapshotArrays`) and the
-simulator's cross-session feature-row cache bypassed, i.e. the hot path as it
-stood before the structure-of-arrays overhaul.
+simulator's cross-session feature-row cache bypassed, i.e. the env/simulator
+hot path as it stood before the structure-of-arrays overhaul.  The policy
+forward of that cell is no longer seed-equivalent: every sampling forward,
+one snapshot included, now runs the tape-free float32 kernel, so the
+reference cell got ~1.5x faster (631 -> 973 steps/s on the reference
+container) and every ratio against it shrank accordingly.
 
 Methodology: the host this runs on is shared and noisy, so every repeat
 measures *all* cells back to back (interleaved) and each cell reports the
@@ -18,8 +22,9 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_rollout_throughput.py
     REPRO_BENCH_PROFILING=1 PYTHONPATH=src python benchmarks/bench_rollout_throughput.py
 
-The issue target for the overhaul is >= 10x the seed scalar baseline at
-``num_envs=64``; the measured curve is recorded honestly either way, and the
+The issue target for the overhaul was >= 10x the seed scalar baseline at
+``num_envs=64`` (7.3x was measured against the tensor-forward scalar cell);
+the measured curve is recorded honestly either way, and the
 exit code only gates on the regression floor (a level the curve clears with
 margin on the reference container) so CI stays stable under machine noise.
 """
@@ -49,10 +54,12 @@ from repro.nn.backend import available_backends, resolve_backend
 #: Scaling grid per effort profile (quick keeps CI smoke runs short).
 ENV_GRID = {"quick": [1, 8], "full": [1, 4, 8, 16, 32, 64]}
 
-#: Regression floor on the top-cell speedup vs the seed-equivalent scalar
-#: baseline (exit-code gate; deliberately below the measured median so CI
-#: does not flap on shared-host noise).
-REGRESSION_FLOOR = {"quick": 2.0, "full": 4.0}
+#: Regression floor on the top-cell speedup vs the scalar reference cell
+#: (exit-code gate; deliberately below the measured median so CI does not
+#: flap on shared-host noise).  Base, BLAS pinned to one thread on the
+#: reference container: quick ``envs_8`` 3492 / 1249 steps/s = 2.8x, full
+#: ``envs_64`` 4081 / 973 steps/s = 4.2x (``envs_32`` 4.4x).
+REGRESSION_FLOOR = {"quick": 1.5, "full": 2.5}
 
 #: The tentpole goal from the issue, reported against the measured curve.
 ISSUE_TARGET = 10.0

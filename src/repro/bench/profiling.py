@@ -4,7 +4,8 @@ Two complementary views of where rollout/serving time goes:
 
 * :class:`SectionTimers` — coarse wall-clock accounting over named sections
   (``with timers.section("rollouts"): ...``), cheap enough to stay on in any
-  benchmark.
+  benchmark.  It lives in :mod:`repro.timing` (the trainers use it too) and
+  is re-exported here.
 * :func:`profile_call` — a cProfile pass over one callable, reduced to the
   top functions by cumulative time so the JSON stays reviewable.
 
@@ -22,10 +23,10 @@ import cProfile
 import os
 import pstats
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
+from ..timing import SectionTimers
 from .reporting import write_json_report
 
 __all__ = [
@@ -46,33 +47,6 @@ def profiling_enabled() -> bool:
     """Whether the current benchmark run should collect cProfile data."""
     value = os.environ.get(PROFILING_ENV, "").strip().lower()
     return value not in ("", "0", "false", "no", "off")
-
-
-class SectionTimers:
-    """Accumulating wall-clock timers over named benchmark sections."""
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Time one pass through ``name`` (accumulates across passes)."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._totals[name] = self._totals.get(name, 0.0) + elapsed
-            self._calls[name] = self._calls.get(name, 0) + 1
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """Sections sorted by total seconds, heaviest first."""
-        ordered = sorted(self._totals.items(), key=lambda item: -item[1])
-        return {
-            name: {"seconds": total, "calls": float(self._calls[name])}
-            for name, total in ordered
-        }
 
 
 def profile_call(fn: Callable[[], _T], top: int = 30) -> tuple[_T, dict[str, Any]]:

@@ -215,12 +215,15 @@ class SchedulerConfig:
     #: default) disables the term entirely.
     fairness_weight: float = 0.0
     evaluation_rounds: int = 5
-    #: Inference backend for the sampling-path forwards (rollout collection,
-    #: evaluation, serving): ``"numpy-ref"`` (default), ``"numpy-cached"``
-    #: (incremental cross-step caching, bit-identical) or ``"torch"``
-    #: (optional compiled path; degrades to numpy-ref with a warning when
-    #: torch is missing).  Resolved against :mod:`repro.nn.backend` when the
-    #: scheduler is built, so unknown names fail there with the full list.
+    #: Inference backend for every sampling forward — ``serve()``,
+    #: ``schedule()``, validation and rollout collection, one snapshot or a
+    #: lock-step stack — which all run the backend's tape-free float32
+    #: forward (learning never routes through a backend): ``"numpy-ref"``
+    #: (default), ``"numpy-cached"`` (incremental cross-step caching,
+    #: bit-identical) or ``"torch"`` (optional compiled path; degrades to
+    #: numpy-ref with a warning when torch is missing).  Resolved against
+    #: :mod:`repro.nn.backend` when the scheduler is built, so unknown names
+    #: fail there with the full list.
     inference_backend: str = "numpy-ref"
     #: Training path for the PPO-family trainers and the performance model:
     #: ``"tape"`` (default, the define-by-run autograd) or ``"fused"`` (the

@@ -29,6 +29,11 @@ class QueryClusters:
             raise SchedulingError("clustering produced no clusters")
         self.assignments = np.asarray(assignments, dtype=np.int64)
         self._members = [list(order) for order in intra_orders]
+        #: ``(num_clusters, n)`` boolean membership matrix (cluster pooling).
+        self.membership = np.zeros((len(self._members), len(self.assignments)), dtype=bool)
+        for cluster_id, members in enumerate(self._members):
+            self.membership[cluster_id, members] = True
+        self._sizes = self.membership.sum(axis=1)
 
     @property
     def num_clusters(self) -> int:
@@ -47,6 +52,24 @@ class QueryClusters:
 
     def sizes(self) -> list[int]:
         return [len(members) for members in self._members]
+
+    def pool(self, per_query: np.ndarray, pending: np.ndarray) -> np.ndarray:
+        """Mean-pool member rows into cluster tokens, one batched GEMM.
+
+        ``per_query`` is ``(batch, n, dim)`` and ``pending`` the ``(batch, n)``
+        boolean pending column of each snapshot; returns ``(batch,
+        num_clusters, dim)``.  A cluster pools its pending members when any
+        remain and all of its members once fully drained, so its token stays
+        well-defined.
+        """
+        live = self.membership[None, :, :] & pending[:, None, :]
+        counts = live.sum(axis=2, dtype=per_query.dtype)
+        drained_rows, drained_clusters = np.nonzero(counts == 0)
+        live[drained_rows, drained_clusters] = self.membership[drained_clusters]
+        counts[drained_rows, drained_clusters] = self._sizes[drained_clusters]
+        pooled = live.astype(per_query.dtype) @ per_query
+        pooled /= counts[:, :, None]
+        return pooled
 
     def __repr__(self) -> str:
         return f"QueryClusters(num_clusters={self.num_clusters}, sizes={self.sizes()})"

@@ -16,10 +16,13 @@ import numpy as np
 
 from ..encoder import BatchedStateRepresentation, SchedulingSnapshot, StateEncoder, StateRepresentation
 from ..exceptions import SchedulingError
-from ..nn import MLP, Module, Tensor, fastinfer, masked_log_softmax, no_grad, stack
-from ..nn.backend import InferenceBackend
+from ..nn import MLP, Module, Tensor, fastinfer, masked_log_softmax, stack
+from ..nn.backend import InferenceBackend, NumpyRefBackend
 
 __all__ = ["ActorCriticNetwork", "PolicyDecision"]
+
+#: What ``backend=None`` means on the sampling entry points (stateless).
+_REFERENCE_BACKEND = NumpyRefBackend()
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,28 @@ class ActorCriticNetwork(Module):
     # ------------------------------------------------------------------ #
     # Acting and evaluation
     # ------------------------------------------------------------------ #
+    def heads_arrays(
+        self,
+        per_query: np.ndarray,
+        global_state: np.ndarray,
+        snapshots: list[SchedulingSnapshot],
+        clusters=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tape-free ``(logits, values)`` of shapes ``(batch, action_dim)`` and ``(batch,)``.
+
+        The head code shared by every inference backend; in cluster mode the
+        per-query rows are mean-pooled into cluster tokens first.
+        """
+        batch = per_query.shape[0]
+        if clusters is not None:
+            pending = np.zeros(per_query.shape[:2], dtype=bool)
+            for row, snapshot in zip(pending, snapshots):
+                row[snapshot.pending_ids] = True
+            per_query = clusters.pool(per_query, pending)
+        logits = fastinfer.mlp_forward(self.policy_head, per_query).reshape(batch, -1)
+        values = fastinfer.mlp_forward(self.value_head, global_state).reshape(batch)
+        return logits, values
+
     def act(
         self,
         plan_embeddings: np.ndarray,
@@ -156,33 +181,17 @@ class ActorCriticNetwork(Module):
         clusters=None,
         backend: InferenceBackend | None = None,
     ) -> PolicyDecision:
-        """Sample (or greedily pick) an action without building a gradient tape.
+        """Sample (or greedily pick) one action: :meth:`act_batch` with B=1.
 
-        ``backend`` may provide the whole scalar forward
-        (:meth:`~repro.nn.backend.InferenceBackend.scalar_forward`); backends
-        that return ``None`` — including both NumPy backends — keep the
-        reference tensor forward below, so the default path is unchanged.
+        The forward is the backend's tape-free float32 single-snapshot entry
+        point (:meth:`~repro.nn.backend.InferenceBackend.scalar_forward`);
+        ``backend=None`` is the reference backend.  The draw consumes ``rng``
+        exactly as a one-row :meth:`act_batch` does.
         """
-        forward = (
-            backend.scalar_forward(self, plan_embeddings, snapshot, mask, clusters=clusters)
-            if backend is not None
-            else None
-        )
-        if forward is not None:
-            log_probs, value = forward
-        else:
-            with no_grad():
-                representation = self.representation(plan_embeddings, snapshot)
-                logits = self.action_logits(representation, snapshot, clusters=clusters)
-                log_probs = masked_log_softmax(logits, mask).data
-                value = float(self.state_value(representation).data[0])
-        if greedy:
-            action = int(np.argmax(log_probs))
-        else:
-            probs = np.exp(log_probs)
-            probs = probs / probs.sum()
-            action = int(rng.choice(len(probs), p=probs))
-        return PolicyDecision(action=action, log_prob=float(log_probs[action]), value=value)
+        if backend is None:
+            backend = _REFERENCE_BACKEND
+        logits, values = backend.scalar_forward(self, plan_embeddings, snapshot, clusters=clusters)
+        return self._sample(logits, values, np.asarray(mask, dtype=bool)[None, :], rng, greedy)[0]
 
     def evaluate_action(
         self,
@@ -218,44 +227,34 @@ class ActorCriticNetwork(Module):
         """Sample one action per snapshot from a single stacked forward pass.
 
         ``masks`` is the ``(batch, action_dim)`` stack of per-env action masks.
-        Sampling consumes ``rng`` once per snapshot, in order, mirroring the
-        sequential :meth:`act` calls it replaces.  The whole forward runs on
-        the tape-free NumPy inference path — rollouts never differentiate.
-
-        ``backend`` swaps the encoder forward (and optionally the heads) for
-        an :class:`~repro.nn.backend.InferenceBackend` implementation;
-        ``None`` is the reference path.  Sampling itself (masked softmax,
-        the inverse-CDF draw) is shared below, so RNG consumption is
-        identical across backends.
+        Sampling consumes ``rng`` once per call (one uniform per snapshot, in
+        order).  The whole forward runs on the tape-free float32 inference
+        path of ``backend`` (``None`` is the reference backend) — sampling
+        never differentiates.  Sampling itself is shared across backends, so
+        RNG consumption is identical no matter which one runs the forward.
         """
-        batch = len(snapshots)
-        masks = np.asarray(masks, dtype=bool)
         if backend is None:
-            per_query, global_state = self.state_encoder.encode_batch_arrays(plan_embeddings, snapshots)
-            heads = None
-        else:
-            per_query, global_state = backend.encode_batch(self.state_encoder, plan_embeddings, snapshots)
-            heads = backend.heads_batch(self, per_query, global_state, snapshots, clusters=clusters)
-        if heads is not None:
-            logits, values = heads
-        elif clusters is None:
-            logits = fastinfer.mlp_forward(self.policy_head, per_query).reshape(batch, -1)
-        else:
-            pooled = np.empty((batch, clusters.num_clusters, per_query.shape[2]), dtype=per_query.dtype)
-            for index, snapshot in enumerate(snapshots):
-                for cluster_id, members in enumerate(_cluster_member_indices(clusters, snapshot)):
-                    pooled[index, cluster_id] = per_query[index][members].mean(axis=0)
-            logits = fastinfer.mlp_forward(self.policy_head, pooled).reshape(batch, -1)
+            backend = _REFERENCE_BACKEND
+        per_query, global_state = backend.encode_batch(self.state_encoder, plan_embeddings, snapshots)
+        logits, values = backend.heads_batch(self, per_query, global_state, snapshots, clusters=clusters)
+        return self._sample(logits, values, np.asarray(masks, dtype=bool), rng, greedy)
+
+    @staticmethod
+    def _sample(
+        logits: np.ndarray, values: np.ndarray, masks: np.ndarray, rng: np.random.Generator, greedy: bool
+    ) -> list[PolicyDecision]:
+        """Masked log-softmax, then greedy argmax or one inverse-CDF draw per row.
+
+        A row whose mask allows nothing raises (never an argmax over masked logits).
+        """
         log_probs = fastinfer.masked_log_softmax_array(logits, masks)
-        if heads is None:
-            values = fastinfer.mlp_forward(self.value_head, global_state).reshape(batch)
         if greedy:
             actions = np.argmax(log_probs, axis=1)
         else:
             probs = np.exp(log_probs)
             probs = probs / probs.sum(axis=1, keepdims=True)
             cdf = np.cumsum(probs, axis=1)
-            uniforms = rng.random(batch)
+            uniforms = rng.random(len(logits))
             # Clamp the inverse-CDF count into each row's unmasked range:
             # float32 rounding can leave cdf[-1] slightly below 1 (count
             # overflows into the masked zero-probability tail), and a uniform

@@ -12,7 +12,8 @@ execution spine: rollouts are collected from a
 lockstep with one batched policy forward per decision round, and the PPO
 update evaluates each minibatch with a single stacked forward/backward
 instead of one encoder pass per transition.  ``num_envs=1`` keeps the
-original sequential code path bit-for-bit.
+sequential per-transition updates; its rollouts sample through the same
+tape-free forward as the lock-step collector, one snapshot at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from ..config import PPOConfig
 from ..nn import Adam, Tensor, chained_sum, clip_grad_norm, concatenate, fastgrad, where
 from ..nn.backend import InferenceBackend
+from ..timing import SectionTimers
 from .env import SchedulingEnv
 from .policy import ActorCriticNetwork
 from .rollout import RolloutBuffer, Transition
@@ -72,7 +74,7 @@ class PPOTrainer:
         self.eval_env = eval_env or env
         self.config = config
         #: Inference backend for the *sampling* forwards (rollout collection
-        #: and evaluation).  ``None`` keeps the reference paths; the learning
+        #: and evaluation).  ``None`` is the reference backend; the learning
         #: updates below never route through a backend.
         self.inference_backend = backend
         if training_path not in ("tape", "fused"):
@@ -92,10 +94,6 @@ class PPOTrainer:
         self._total_steps = 0
         self._updates_since_aux = 0
         self._round_counter = 0
-        # Imported lazily: repro.bench pulls in the benchmark harness (which
-        # itself imports repro.core), so a module-level import would cycle.
-        from ..bench.profiling import SectionTimers
-
         #: Wall-clock breakdown of training phases ("rollout", "update",
         #: "aux", plus the nested "optimizer" slice of each update).
         self.timers = SectionTimers()
@@ -136,8 +134,7 @@ class PPOTrainer:
         """Sample ``num_episodes`` complete scheduling rounds with the current policy.
 
         Dispatches to the vectorized collector when ``num_envs > 1``; the
-        sequential path below is untouched so ``num_envs=1`` stays
-        seed-for-seed identical to the original implementation.
+        sequential path below samples one snapshot at a time.
         """
         if self.vectorized:
             return self._collect_rollouts_vectorized(num_episodes)

@@ -181,9 +181,11 @@ class StateEncoder(Module):
             raise ValueError("plan embeddings and snapshots must cover the same queries")
         run_features = np.empty((batch, num_queries, featurizer.feature_dim), dtype=np.float64)
         all_arrays = all(isinstance(snapshot, SnapshotArrays) for snapshot in snapshots)
-        if all_arrays:
+        if all_arrays and batch > 1:
             featurizer.featurize_arrays_stack(snapshots, out=run_features)
         else:
+            # One snapshot (every serving decision) skips the stacking copies:
+            # each plane of the stacked featurizer is bit-identical to this.
             for index, snapshot in enumerate(snapshots):
                 if isinstance(snapshot, SnapshotArrays):
                     featurizer.featurize_arrays(snapshot, out=run_features[index])
@@ -255,8 +257,9 @@ class StateEncoder(Module):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free twin of :meth:`encode_batch` returning plain arrays.
 
-        Used by action *sampling* during vectorized rollouts, where no
-        gradient is ever needed and the autograd tensor overhead dominates
+        Used by every action-*sampling* forward (serving and sequential
+        rollouts with one snapshot, lock-step rollouts with a stack), where
+        no gradient is ever needed and the autograd tensor overhead dominates
         the arithmetic.  Sampling also tolerates reduced precision, so the
         whole forward runs in float32 (the optimizer and every learning-path
         forward stay float64).  BatchNorm running statistics are updated as
@@ -266,29 +269,26 @@ class StateEncoder(Module):
             plan_embeddings, snapshots, input_dtype=np.float32
         )
         batch, num_queries = run_features.shape[0], run_features.shape[1]
-        pooled_all = pooled_all.astype(np.float32)
-        pooled_running = pooled_running.astype(np.float32)
-        tokens = fastinfer.mlp_forward(self.query_mlp, inputs)
-        super_tokens = np.broadcast_to(
-            self.super_query.data.astype(np.float32).reshape(1, 1, -1),
-            (batch, 1, self.super_query.data.shape[1]),
-        )
-        sequence = np.concatenate([tokens, super_tokens], axis=1)
+        state_dim = self.config.state_dim
+        # Assembled by slice assignment into preallocated float32 buffers
+        # (the casts happen on assignment): no broadcast views, no
+        # concatenate temporaries, same values.
+        sequence = np.empty((batch, num_queries + 1, state_dim), dtype=np.float32)
+        sequence[:, :num_queries] = fastinfer.mlp_forward(self.query_mlp, inputs)
+        sequence[:, num_queries] = self.super_query.data
         encoded = fastinfer.attention_encoder_forward_batched(self.attention, sequence) if self.use_attention else sequence
-        encoded_queries = encoded[:, :num_queries]
         encoded_super = encoded[:, num_queries]
 
-        global_state = fastinfer.mlp_forward(
-            self.global_mlp, np.concatenate([encoded_super, pooled_all], axis=1)
-        )
-        broadcast_super = np.broadcast_to(encoded_super[:, None, :], encoded_queries.shape)
-        broadcast_pool = np.broadcast_to(
-            pooled_running[:, None, :], (batch, num_queries, pooled_running.shape[1])
-        )
-        per_query = fastinfer.mlp_forward(
-            self.query_out_mlp,
-            np.concatenate([encoded_queries, broadcast_super, broadcast_pool], axis=2),
-        )
+        global_in = np.empty((batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
+        global_in[:, :state_dim] = encoded_super
+        global_in[:, state_dim:] = pooled_all
+        global_state = fastinfer.mlp_forward(self.global_mlp, global_in)
+
+        query_in = np.empty((batch, num_queries, 2 * state_dim + pooled_running.shape[1]), dtype=np.float32)
+        query_in[:, :, :state_dim] = encoded[:, :num_queries]
+        query_in[:, :, state_dim : 2 * state_dim] = encoded_super[:, None, :]
+        query_in[:, :, 2 * state_dim :] = pooled_running[:, None, :]
+        per_query = fastinfer.mlp_forward(self.query_out_mlp, query_in)
         return per_query, global_state
 
     @staticmethod

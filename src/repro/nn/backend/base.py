@@ -1,12 +1,14 @@
-"""Pluggable inference backends for the sampling hot path.
+"""Pluggable inference backends for the sampling forward.
 
-Action *sampling* (rollout collection, greedy serving) never differentiates,
-so the forward pass behind it is swappable: anything that produces the same
-per-query/global representations and head outputs can drive the policy.  An
-:class:`InferenceBackend` packages one such implementation behind a small
-protocol, and a registry maps names (``numpy-ref``, ``numpy-cached``,
-``torch``) to factories so the choice threads through configuration instead
-of code.
+Action *sampling* (rollout collection, validation, greedy serving) never
+differentiates, so the forward pass behind it is swappable: anything that
+produces the same per-query/global representations and head outputs can
+drive the policy.  An :class:`InferenceBackend` packages one such
+implementation behind a small protocol, and a registry maps names
+(``numpy-ref``, ``numpy-cached``, ``torch``) to factories so the choice
+threads through configuration instead of code.  Every sampling forward —
+one snapshot or a lock-step stack — runs the resolved backend's tape-free
+float32 forward; there is no autograd inference path to fall back to.
 
 The *learning* path (PPO/PPG updates, auxiliary phases) always runs the
 autograd tensor forward and is never routed through a backend — backends are
@@ -15,22 +17,22 @@ strictly about how fast the policy can be *queried*, not trained.
 Hook shape
 ----------
 The protocol hooks at the encoder level to keep the dependency direction
-``core -> nn`` intact:
+``core -> nn`` intact.  Every hook does the work (none returns ``None``); a
+subclass overrides only the stages it accelerates:
 
 ``encode_batch(encoder, plan_embeddings, snapshots)``
-    Replaces :meth:`StateEncoder.encode_batch_arrays` on the vectorized
-    sampling path.  Must return the same ``(per_query, global_state)``
-    float32 arrays (bit-identical for the NumPy backends).
+    The stacked ``(per_query, global_state)`` float32 representations
+    (bit-identical to :meth:`StateEncoder.encode_batch_arrays` for the NumPy
+    backends).
 ``heads_batch(policy, per_query, global_state, snapshots, clusters)``
-    Optionally computes ``(logits, values)`` from the representations; a
-    ``None`` return means "use the shared fastinfer head code" (what the
-    NumPy reference backend does).
-``scalar_forward(policy, plan_embeddings, snapshot, mask, clusters)``
-    Optionally computes ``(log_probs, value)`` for a single snapshot (the
-    sequential / serving path); ``None`` falls back to the tensor forward.
+    ``(logits, values)`` from the representations; the base implementation
+    is the policy's shared head code (cluster pooling included).
+``scalar_forward(policy, plan_embeddings, snapshot, clusters)``
+    ``(logits, values)`` for a single snapshot (serving, evaluation,
+    sequential rollouts): ``encode_batch`` + ``heads_batch`` at ``B=1``.
 
-Sampling proper — masked softmax, the inverse-CDF draw, the
-:class:`~repro.core.policy.PolicyDecision` construction — stays in
+Sampling proper — masked log-softmax, greedy argmax, the inverse-CDF draw,
+the :class:`~repro.core.policy.PolicyDecision` construction — stays in
 ``policy.py`` and is shared by every backend, so RNG consumption is
 identical no matter which backend runs the forward.
 """
@@ -67,10 +69,13 @@ class BackendUnavailableError(RuntimeError):
 class InferenceBackend:
     """Base class: the reference semantics every backend must preserve.
 
-    The default hook implementations delegate straight to the shared
-    tape-free NumPy forwards, so a subclass only overrides the stages it
-    accelerates.  Implementations may keep cross-call caches; :meth:`reset`
-    must drop them (used between unrelated workloads and in tests).
+    The default hook implementations are the shared tape-free NumPy
+    forwards, so a subclass only overrides the stages it accelerates.  All
+    three hooks are mandatory parts of the protocol: serving and sequential
+    sampling call :meth:`scalar_forward`, lock-step rollouts call
+    :meth:`encode_batch` + :meth:`heads_batch`.  Implementations may keep
+    cross-call caches; :meth:`reset` must drop them (used between unrelated
+    workloads and in tests).
     """
 
     name = "base"
@@ -103,27 +108,24 @@ class InferenceBackend:
         global_state: np.ndarray,
         snapshots: list[Any],
         clusters: Any = None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Optional ``(logits, values)`` from the stacked representations.
-
-        ``None`` routes the caller to the shared fastinfer head code.
-        """
-        return None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logits, values)`` from the stacked representations."""
+        return policy.heads_arrays(per_query, global_state, snapshots, clusters=clusters)
 
     def scalar_forward(
         self,
         policy: Any,
         plan_embeddings: np.ndarray,
         snapshot: Any,
-        mask: np.ndarray,
         clusters: Any = None,
-    ) -> tuple[np.ndarray, float] | None:
-        """Optional ``(log_probs, value)`` for one snapshot.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logits, values)`` of shapes ``(1, action_dim)`` and ``(1,)`` for one snapshot.
 
-        ``None`` routes the caller to the scalar tensor forward (the
-        reference path for sequential rollouts and serving).
+        The single-snapshot entry point (serving, evaluation, sequential
+        rollouts): the batched forward with ``B=1``.
         """
-        return None
+        per_query, global_state = self.encode_batch(policy.state_encoder, plan_embeddings, [snapshot])
+        return self.heads_batch(policy, per_query, global_state, [snapshot], clusters=clusters)
 
     def reset(self) -> None:
         """Drop all cross-call caches (no-op for stateless backends)."""

@@ -487,10 +487,9 @@ class NumpyCachedBackend(InferenceBackend):
         global_state: np.ndarray,
         snapshots: list[Any],
         clusters: Any = None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         if clusters is not None:
-            # Cluster pooling is per-snapshot Python work; keep the shared path.
-            return None
+            return super().heads_batch(policy, per_query, global_state, snapshots, clusters=clusters)
         batch, n = per_query.shape[0], per_query.shape[1]
         logits = self._mlp_into("policy_head", policy.policy_head, per_query.reshape(batch * n, -1))
         values = self._mlp_into("value_head", policy.value_head, global_state)

@@ -400,11 +400,10 @@ class TorchBackend(InferenceBackend):
         global_state: np.ndarray,
         snapshots: list[Any],
         clusters: Any = None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         if clusters is not None:
-            # Cluster pooling is per-snapshot Python work on NumPy arrays;
-            # the shared fastinfer path handles it.
-            return None
+            # Cluster pooling runs on NumPy arrays; the shared head code handles it.
+            return super().heads_batch(policy, per_query, global_state, snapshots, clusters=clusters)
         torch = self._torch
         self._refresh_heads(policy)
         with torch.no_grad():
@@ -413,28 +412,6 @@ class TorchBackend(InferenceBackend):
                 torch.from_numpy(np.ascontiguousarray(global_state, dtype=np.float32)),
             )
         return logits.numpy(), values.numpy()
-
-    def scalar_forward(
-        self,
-        policy: Any,
-        plan_embeddings: np.ndarray,
-        snapshot: Any,
-        mask: np.ndarray,
-        clusters: Any = None,
-    ) -> tuple[np.ndarray, float] | None:
-        if clusters is not None:
-            return None
-        per_query, global_state = self.encode_batch(
-            policy.state_encoder, plan_embeddings, [snapshot]
-        )
-        heads = self.heads_batch(policy, per_query, global_state, [snapshot], None)
-        if heads is None:  # pragma: no cover - clusters handled above
-            return None
-        logits, values = heads
-        log_probs = fastinfer.masked_log_softmax_array(
-            logits[0], np.asarray(mask, dtype=bool)
-        )
-        return log_probs, float(values[0])
 
 
 register_backend(TorchBackend.name, TorchBackend)

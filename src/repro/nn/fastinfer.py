@@ -134,8 +134,10 @@ def batch_norm_forward(norm: BatchNorm, x: np.ndarray) -> np.ndarray:
             mu = x.sum(axis=1, keepdims=True) * inv_count
             centered = x - mu
             var = (centered * centered).sum(axis=1, keepdims=True) * inv_count
-            batch_mean = mu.reshape(x.shape[0], -1).mean(axis=0, dtype=np.float64)
-            batch_var = var.reshape(x.shape[0], -1).mean(axis=0, dtype=np.float64)
+            # ``sum / count`` is what ``ndarray.mean`` evaluates (same float64
+            # accumulation, same divide), minus its Python-level wrapper.
+            batch_mean = np.add.reduce(mu.reshape(x.shape[0], -1), axis=0, dtype=np.float64) / x.shape[0]
+            batch_var = np.add.reduce(var.reshape(x.shape[0], -1), axis=0, dtype=np.float64) / x.shape[0]
             norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * batch_mean
             norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * batch_var
         else:
@@ -238,9 +240,10 @@ def attention_forward_batched(
     queries = qkv[:, :, 0].transpose(0, 2, 1, 3)
     keys = qkv[:, :, 1].transpose(0, 2, 1, 3)
     values = qkv[:, :, 2].transpose(0, 2, 1, 3)
-    scores = (queries @ keys.transpose(0, 1, 3, 2)) * (1.0 / float(np.sqrt(head_dim)))
+    scores = queries @ keys.transpose(0, 1, 3, 2)
+    scores *= 1.0 / float(np.sqrt(head_dim))
     if bias is not None:
-        scores = scores + np.asarray(bias, dtype=x.dtype)[None, None, :, :]
+        scores += np.asarray(bias, dtype=x.dtype)[None, None, :, :]
     # Softmax reductions over a 2-D view of the same contiguous rows: the
     # last-axis max/sum see identical element sequences, so results match the
     # 4-D form bit for bit while skipping the high-rank reduce overhead.

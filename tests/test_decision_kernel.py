@@ -1,0 +1,174 @@
+"""The single-snapshot sampling forward: the batched tape-free kernel at B=1.
+
+``ActorCriticNetwork.act`` no longer runs an autograd forward; the tape
+(``evaluate_action``) is the parity oracle here, not a fallback.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro.core.clustering import cluster_queries
+from repro.core.policy import _cluster_member_indices
+from repro.nn import Adam, no_grad
+
+
+def build_scheduler(workload_name: str, norm: str, num_clusters: int | None) -> tuple[BQSched, object]:
+    config = BQSchedConfig(seed=0)
+    config.encoder.norm = norm
+    workload = make_workload(workload_name, scale_factor=1.0, seed=0)
+    scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config)
+    if num_clusters is not None:
+        n = len(scheduler.batch)
+        gains = np.random.default_rng(7).random((n, n))
+        scheduler.clusters = cluster_queries(scheduler.batch, gains, num_clusters, knowledge=scheduler.knowledge)
+    return scheduler, scheduler._build_env(backend=scheduler.engine)
+
+
+def mid_episode(env, steps: int):
+    """``(snapshot, mask)`` pairs along one episode driven by a fixed, policy-free rule."""
+    snapshot = env.reset(round_id=3)
+    pairs = []
+    for step in range(steps):
+        mask = env.action_mask()
+        pairs.append((snapshot, mask))
+        allowed = np.flatnonzero(mask)
+        result = env.step(int(allowed[step % len(allowed)]))
+        if result.done:
+            break
+        snapshot = result.snapshot
+    return pairs
+
+
+class TestTapeParity:
+    @pytest.mark.parametrize("norm", ["batch", "layer"])
+    @pytest.mark.parametrize(
+        "workload_name, num_clusters", [("tpch", None), ("tpch", 8), ("tpcds", None), ("tpcds", 40)]
+    )
+    def test_act_matches_the_tape_oracle(self, workload_name, num_clusters, norm):
+        scheduler, env = build_scheduler(workload_name, norm, num_clusters)
+        policy, plan, clusters = scheduler.policy, scheduler.plan_embeddings, env.clusters
+        assert len(scheduler.batch) == {"tpch": 22, "tpcds": 99}[workload_name]
+        pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
+        for soa, mask in pairs[len(pairs) // 3 :: 3]:
+            for snapshot in (soa, soa.to_snapshot()):
+                decision = policy.act(
+                    plan, snapshot, mask, np.random.default_rng(0), greedy=True,
+                    clusters=clusters, backend=scheduler.inference_backend,
+                )
+                with no_grad():
+                    log_prob, _, value, full = policy.evaluate_action(
+                        plan, snapshot, decision.action, mask, clusters=clusters
+                    )
+                assert decision.action == int(np.argmax(full.data))
+                assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
+                assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+
+    def test_sampled_act_is_a_one_row_act_batch(self):
+        """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        policy, plan = scheduler.policy, scheduler.plan_embeddings
+        for snapshot, mask in mid_episode(env, steps=6):
+            single = policy.act(plan, snapshot, mask, np.random.default_rng(11))
+            row = policy.act_batch(plan, [snapshot], mask[None, :], np.random.default_rng(11))[0]
+            assert single == row
+            assert mask[single.action]
+
+
+class TestClusterPooling:
+    def reference(self, clusters, per_query, snapshot):
+        """The per-cluster loop the tape path still runs."""
+        return np.stack([per_query[members].mean(axis=0) for members in _cluster_member_indices(clusters, snapshot)])
+
+    def test_vectorised_pooling_matches_the_per_cluster_loop(self):
+        _, env = build_scheduler("tpcds", "batch", 40)
+        clusters = env.clusters
+        assert max(clusters.sizes()) > 1
+        per_query = np.random.default_rng(1).normal(size=(99, 48)).astype(np.float32)
+        pairs = mid_episode(env, steps=30)
+        snapshots = [pairs[0][0], pairs[len(pairs) // 2][0], pairs[-1][0]]
+        pending = np.zeros((len(snapshots), 99), dtype=bool)
+        for row, snapshot in zip(pending, snapshots):
+            row[snapshot.pending_ids] = True
+        pooled = clusters.pool(np.stack([per_query] * len(snapshots)), pending)
+        assert pooled.shape == (len(snapshots), clusters.num_clusters, 48)
+        for index, snapshot in enumerate(snapshots):
+            np.testing.assert_allclose(pooled[index], self.reference(clusters, per_query, snapshot), atol=1e-5)
+
+    def test_drained_and_single_pending_clusters(self):
+        _, env = build_scheduler("tpch", "batch", 8)
+        clusters = env.clusters
+        big = int(np.argmax(clusters.sizes()))
+        other = next(c for c in range(clusters.num_clusters) if c != big and len(clusters.members(c)) > 1)
+        pending = np.ones((1, 22), dtype=bool)
+        pending[0, clusters.members(big)] = False  # fully drained: pools every member
+        pending[0, clusters.members(other)[1:]] = False  # one pending member left: pools only it
+        per_query = np.random.default_rng(2).normal(size=(1, 22, 48)).astype(np.float32)
+        pooled = clusters.pool(per_query, pending)[0]
+        np.testing.assert_allclose(pooled[big], per_query[0][clusters.members(big)].mean(axis=0), atol=1e-6)
+        np.testing.assert_allclose(pooled[other], per_query[0][clusters.members(other)[0]], atol=1e-6)
+
+        snapshot = SimpleNamespace(pending_ids=np.flatnonzero(pending[0]).tolist())
+        np.testing.assert_allclose(pooled, self.reference(clusters, per_query[0], snapshot), atol=1e-5)
+
+
+class TestParameterRefresh:
+    """The float32 parameter casts follow the installed arrays; a stale cast fails these."""
+
+    def setup_case(self):
+        scheduler, env = build_scheduler("tpch", "layer", None)
+        snapshot, mask = mid_episode(env, steps=5)[-1]
+        return scheduler, snapshot, mask
+
+    def assert_tracks_tape(self, scheduler, snapshot, mask):
+        policy, plan = scheduler.policy, scheduler.plan_embeddings
+        decision = policy.act(plan, snapshot, mask, np.random.default_rng(0), greedy=True)
+        with no_grad():
+            log_prob, _, value, _ = policy.evaluate_action(plan, snapshot, decision.action, mask)
+        assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
+        assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+        return decision
+
+    def test_refreshes_after_adam_step(self):
+        scheduler, snapshot, mask = self.setup_case()
+        policy, plan = scheduler.policy, scheduler.plan_embeddings
+        before = self.assert_tracks_tape(scheduler, snapshot, mask)
+        optimizer = Adam(policy.parameters(), lr=0.05)
+        log_prob, _, value, _ = policy.evaluate_action(plan, snapshot, before.action, mask)
+        optimizer.zero_grad()
+        ((value * value).sum() - log_prob).backward()
+        optimizer.step()
+        after = self.assert_tracks_tape(scheduler, snapshot, mask)
+        assert abs(after.value - before.value) > 1e-3
+
+    def test_refreshes_after_load_state_dict(self):
+        scheduler, snapshot, mask = self.setup_case()
+        before = self.assert_tracks_tape(scheduler, snapshot, mask)
+        state = {name: value * 1.5 for name, value in scheduler.policy.state_dict().items()}
+        scheduler.policy.load_state_dict(state)
+        after = self.assert_tracks_tape(scheduler, snapshot, mask)
+        assert abs(after.value - before.value) > 1e-3
+
+
+class TestDegenerateInputsAreLoud:
+    def test_all_false_mask_raises(self):
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        snapshot = env.reset(round_id=0)
+        nothing_allowed = np.zeros(env.action_dim, dtype=bool)
+        for greedy in (True, False):
+            with pytest.raises(ValueError, match="at least one unmasked"):
+                scheduler.policy.act(
+                    scheduler.plan_embeddings, snapshot, nothing_allowed, np.random.default_rng(0), greedy=greedy
+                )
+
+    def test_plan_embedding_row_mismatch_raises(self):
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        snapshot = env.reset(round_id=0)
+        with pytest.raises(ValueError, match="cover the same queries"):
+            scheduler.policy.act(
+                scheduler.plan_embeddings[:-1], snapshot, env.action_mask(), np.random.default_rng(0), greedy=True
+            )

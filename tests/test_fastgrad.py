@@ -560,15 +560,22 @@ class TestEndToEndFusedTraining:
         assert behavior_digest(tape) == behavior_digest(fused)
 
     def test_sequential_digests_pinned(self):
-        """The num_envs=1 legacy path is bit-for-bit unchanged.
+        """The num_envs=1 path is pinned: any drift in the sequential rollout
+        or update arithmetic breaks these.
 
-        Digests captured on the pre-``chained_sum`` / pre-in-place-optimizer
-        tree; any drift in the sequential update arithmetic breaks these.
+        Re-pinned once (the deliberate re-pin ROADMAP item 2 allows) when the
+        tensor inference forward was deleted: sequential rollouts now sample
+        with the shared inverse-CDF draw on the float32 tape-free log-probs
+        (``act`` is ``act_batch`` at B=1) instead of ``rng.choice`` on the
+        float64 tape forward, so the sampled trajectories — and with them the
+        trained weights — differ.  The update arithmetic itself is unchanged;
+        the previous digests were captured on the pre-``chained_sum`` /
+        pre-in-place-optimizer tree.
         """
         pinned = {
-            "ppo": "e84ab8547ecf9f429dd1bece8e02a77a7eaafedfe94ce52f6d572dbd9d70239d",
-            "ppg": "5c97df0fb0ec62e74848250e150dc8cedcacf44bdc72d6a1e4e81a9e8a4fef2d",
-            "iq-ppo": "e7cb3ba2848514502a5376b63edd543f6cbe894dcc899dc81146ffd9f3d61e3e",
+            "ppo": "d54a15be5dfda9b2800947712c5489b8f86be832029cc0ef780bb00d873e753a",
+            "ppg": "9bf06d619d6ea79d1e6b204443ef54ab5222061938da32beec2a0f8c66f1c670",
+            "iq-ppo": "65cf042539859dd329604cc7cbea3e92553b1e780ce2df14f6b738ccd4c55856",
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)

@@ -158,7 +158,7 @@ class TestBatchedPolicyForwards:
                 np.testing.assert_allclose(full.data[index], row.data, atol=1e-10)
 
     def test_act_batch_matches_scalar_act(self, sim_setup, sim_env):
-        """The float32 sampling path must agree with the scalar tensor path."""
+        """Stacked rows must agree with the same kernel run one snapshot at a time."""
         rng = np.random.default_rng(3)
         snapshots, masks = self._snapshots(sim_env, rng)
         policy = sim_setup.policy
