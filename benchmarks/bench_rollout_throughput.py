@@ -49,7 +49,6 @@ from repro.bench import (
     write_profile_json,
 )
 from repro.core import BQSched
-from repro.nn.backend import available_backends, resolve_backend
 
 #: Scaling grid per effort profile (quick keeps CI smoke runs short).
 ENV_GRID = {"quick": [1, 8], "full": [1, 4, 8, 16, 32, 64]}
@@ -91,20 +90,12 @@ def seed_equivalent_feature_rows(scheduler: BQSched) -> Iterator[None]:
         del simulator.__dict__["cached_feature_row"]
 
 
-def build_trainer(scheduler: BQSched, num_envs: int, legacy: bool = False, backend: str | None = None):
-    """A rollout trainer; ``legacy`` forces the seed's AoS snapshot path.
-
-    ``backend`` routes the sampling forward through a named inference backend
-    (strict resolution: an unavailable backend raises instead of silently
-    measuring ``numpy-ref``).
-    """
+def build_trainer(scheduler: BQSched, num_envs: int, legacy: bool = False):
+    """A rollout trainer; ``legacy`` forces the seed's AoS snapshot path."""
     sim_env = scheduler._build_env(backend=scheduler.simulator)
     if legacy:
         sim_env._snapshot_arrays = lambda: None
-    trainer = scheduler._make_trainer(sim_env, num_envs=num_envs)
-    if backend is not None:
-        trainer.inference_backend = resolve_backend(backend, scheduler.policy, strict=True)
-    return trainer
+    return scheduler._make_trainer(sim_env, num_envs=num_envs)
 
 
 def run_trial(scheduler: BQSched, trainer, episodes: int, legacy: bool) -> tuple[float, int]:
@@ -132,39 +123,19 @@ def main() -> int:
     parser.add_argument("--min-episodes", type=int, default=4 if profile.name == "quick" else 8,
                         help="episodes per trial for small env counts")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default="all",
-                        choices=tuple(available_backends()) + ("all",),
-                        help="extra inference-backend cells at the top env count "
-                             "('all' measures every available backend)")
     args = parser.parse_args()
 
     timers = SectionTimers()
     with timers.section("prepare"):
         scheduler = build_scheduler(seed=args.seed)
 
-    backend_names = list(available_backends()) if args.backend == "all" else [args.backend]
-    extra_backends = []
-    for name in backend_names:
-        if name == "numpy-ref":
-            continue  # the plain envs_N cells already measure the default backend
-        try:
-            resolve_backend(name, scheduler.policy, strict=True)
-        except Exception as exc:  # noqa: BLE001 - unavailable/unsupported: skip, don't fail
-            print(f"skipping backend cell {name!r}: {exc}")
-            continue
-        extra_backends.append(name)
-
     cells: dict[str, dict] = {"legacy_scalar": {"num_envs": 1, "legacy": True}}
     for num_envs in grid:
         cells[f"envs_{num_envs}"] = {"num_envs": num_envs, "legacy": False}
-    for name in extra_backends:
-        cells[f"envs_{grid[-1]}_{name}"] = {"num_envs": grid[-1], "legacy": False, "backend": name}
     with timers.section("warmup"):
         for cell in cells.values():
             cell["episodes"] = max(cell["num_envs"], args.min_episodes)
-            cell["trainer"] = build_trainer(
-                scheduler, cell["num_envs"], legacy=cell["legacy"], backend=cell.get("backend")
-            )
+            cell["trainer"] = build_trainer(scheduler, cell["num_envs"], legacy=cell["legacy"])
             run_trial(scheduler, cell["trainer"], max(2, cell["num_envs"]), cell["legacy"])
             cell["rates"] = []
 
@@ -183,7 +154,6 @@ def main() -> int:
         speedup = rate / baseline
         payload_cells[key] = {
             "num_envs": cell["num_envs"],
-            "backend": cell.get("backend", "legacy" if cell["legacy"] else "numpy-ref"),
             "episodes": cell["episodes"],
             "steps": cell["steps"],
             "steps_per_sec": rate,
@@ -207,16 +177,6 @@ def main() -> int:
         f"top cell {top_key}: {speedup:.2f}x vs seed-equivalent scalar "
         f"(issue target >= {ISSUE_TARGET:.0f}x, regression floor >= {floor:.1f}x): {verdict}"
     )
-    backend_speedups = {}
-    top_rate = payload_cells[top_key]["steps_per_sec"]
-    for name in extra_backends:
-        backend_rate = payload_cells[f"{top_key}_{name}"]["steps_per_sec"]
-        backend_speedups[name] = backend_rate / top_rate
-        print(
-            f"backend {name!r} at num_envs={grid[-1]}: "
-            f"{backend_speedups[name]:.2f}x vs numpy-ref"
-        )
-
     if profiling_enabled():
         trainer = cells[top_key]["trainer"]
         episodes = cells[top_key]["episodes"]
@@ -234,7 +194,6 @@ def main() -> int:
         {
             "steps_per_episode": steps_per_episode,
             "cells": payload_cells,
-            "backend_speedups_vs_ref": backend_speedups,
             "top_cell_speedup": speedup,
             "issue_target_speedup": ISSUE_TARGET,
             "regression_floor_speedup": floor,

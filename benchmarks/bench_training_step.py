@@ -7,7 +7,7 @@ tape and the tape-free fused kernels of :mod:`repro.nn.fastgrad`, over a
 (state_dim=48, two attention layers, 22 TPC-H-sized queries).
 
 Minibatches are assembled outside the timed region from synthetic snapshot
-streams (the same evolving-session generator as ``bench_nn_inference``) with
+streams (an evolving-session generator, :class:`_SyntheticSession`) with
 ``old_log_probs`` taken from the policy itself, so the clipped-surrogate
 ratios sit near 1 as they do early in real training.  Each timed pass is one
 full update: ``zero_grad``, forward+backward, ``clip_grad_norm``,
@@ -31,9 +31,8 @@ from repro.bench import get_profile, print_table, write_json_report
 from repro.config import EncoderConfig
 from repro.core.policy import ActorCriticNetwork
 from repro.encoder import RunStateFeaturizer, StateEncoder
+from repro.encoder.run_state import SnapshotArrays
 from repro.nn import Adam, Tensor, clip_grad_norm, fastgrad, no_grad, where
-
-from bench_nn_inference import _SyntheticSession
 
 #: (minibatch_size, num_envs) cells per effort profile.  The minibatch is
 #: drawn across the envs' decision steps, so num_envs controls snapshot
@@ -46,6 +45,48 @@ GRID = {
 NUM_QUERIES = 22
 NUM_CONFIGS = 3
 PLAN_DIM = 32
+
+#: Concurrent-query cap of the synthetic round (mirrors the TPC-H scenarios:
+#: 4 connections over ~22 queries).
+MAX_RUNNING = 4
+
+
+class _SyntheticSession:
+    """Evolving per-query state for one env: queries start, run and finish."""
+
+    def __init__(self, num_queries: int, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.status = np.zeros(num_queries, dtype=np.int64)  # 0 pending
+        self.started_at = np.zeros(num_queries, dtype=np.float64)
+        self.time = 0.0
+
+    def step(self) -> None:
+        """Advance one decision step: start/finish queries, move the clock."""
+        self.time += float(self.rng.uniform(0.3, 0.8))
+        running = np.flatnonzero(self.status == 1)
+        if running.size and self.rng.uniform() < 0.35:
+            row = int(running[np.argmin(self.started_at[running])])
+            self.status[row] = 2
+            running = np.flatnonzero(self.status == 1)
+        pending = np.flatnonzero(self.status == 0)
+        if pending.size and running.size < MAX_RUNNING:
+            row = int(pending[0])
+            self.status[row] = 1
+            self.started_at[row] = self.time
+
+    def snapshot(self, num_configs: int) -> SnapshotArrays:
+        n = self.status.shape[0]
+        running = self.status == 1
+        return SnapshotArrays(
+            time=self.time,
+            status=self.status.copy(),
+            config_index=np.where(running, np.arange(n) % num_configs, -1),
+            elapsed=np.where(running, self.time - self.started_at, 0.0),
+            expected_time=1.0 + (np.arange(n) % 7).astype(np.float64),
+            available=np.ones(n, dtype=bool),
+            time_to_available=np.zeros(n, dtype=np.float64),
+            attempts=np.zeros(n, dtype=np.int64),
+        )
 CLIP_EPSILON = 0.2
 VALUE_COEF = 0.5
 ENTROPY_COEF = 0.01

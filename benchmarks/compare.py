@@ -48,7 +48,6 @@ TOLERANCE_OVERRIDES: dict[str, float] = {
 SKIP_SUBSTRINGS = (
     "seconds",
     "steps_per_sec",
-    "ms_per_step",
     "ms_per_update",
     "updates_per_sec",
     "throughput",

@@ -215,16 +215,6 @@ class SchedulerConfig:
     #: default) disables the term entirely.
     fairness_weight: float = 0.0
     evaluation_rounds: int = 5
-    #: Inference backend for every sampling forward — ``serve()``,
-    #: ``schedule()``, validation and rollout collection, one snapshot or a
-    #: lock-step stack — which all run the backend's tape-free float32
-    #: forward (learning never routes through a backend): ``"numpy-ref"``
-    #: (default), ``"numpy-cached"`` (incremental cross-step caching,
-    #: bit-identical) or ``"torch"`` (optional compiled path; degrades to
-    #: numpy-ref with a warning when torch is missing).  Resolved against
-    #: :mod:`repro.nn.backend` when the scheduler is built, so unknown names
-    #: fail there with the full list.
-    inference_backend: str = "numpy-ref"
     #: Training path for the PPO-family trainers and the performance model:
     #: ``"tape"`` (default, the define-by-run autograd) or ``"fused"`` (the
     #: tape-free analytic kernels in :mod:`repro.nn.fastgrad`; gradients
@@ -243,10 +233,6 @@ class SchedulerConfig:
         _require(self.slo_penalty >= 0, "slo_penalty must be >= 0")
         _require(self.fairness_weight >= 0, "fairness_weight must be >= 0")
         _require(self.evaluation_rounds >= 1, "evaluation_rounds must be >= 1")
-        _require(
-            isinstance(self.inference_backend, str) and bool(self.inference_backend),
-            "inference_backend must be a non-empty backend name",
-        )
         _require(
             self.training_path in ("tape", "fused"),
             "training_path must be 'tape' or 'fused'",

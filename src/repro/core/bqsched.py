@@ -41,7 +41,6 @@ from ..config import AdmissionPolicy, AutoscalePolicy, BQSchedConfig, RetryPolic
 from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, ExecutionLog, FailureProfile, INSTANCE_FEATURE_DIM
 from ..encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot, StateEncoder
 from ..exceptions import SchedulingError
-from ..nn.backend import resolve_backend
 from ..perf import PerformanceModel, SimulatedCluster
 from ..plans import PlanFeaturizer
 from ..runtime import ControlPlane, ExecutionRuntime, ServiceReport, TenantClass
@@ -54,7 +53,7 @@ from .gain import build_gain_matrix
 from .iq_ppo import IQPPOTrainer
 from .knowledge import ExternalKnowledge
 from .masking import AdaptiveMask
-from .policy import ActorCriticNetwork
+from .policy import DECISION_KERNEL, ActorCriticNetwork
 from .ppg import PPGTrainer
 from .ppo import PPOTrainer, TrainingHistory
 from .simulator import LearnedSimulator
@@ -141,13 +140,9 @@ class RLSchedulerBase(BaseScheduler):
             rng=self.rng,
         )
         self.env = self._build_env(backend=self.engine)
-        # Resolved once against the registry: unknown names fail loudly here,
-        # unavailable/unsupported backends degrade to numpy-ref with a
-        # warning.  Every sampling forward (rollouts, greedy serving,
-        # evaluation) routes through this backend; learning never does.
-        self.inference_backend = resolve_backend(
-            self.config.scheduler.inference_backend, self.policy
-        )
+        #: The decision kernel every sampling forward runs (a plain attribute
+        #: the performance ledger reads; not a knob).
+        self.inference_backend = DECISION_KERNEL
         self.trainer: PPOTrainer | None = None
         self.timings: dict[str, float] = {}
         self._prepared = False
@@ -209,7 +204,6 @@ class RLSchedulerBase(BaseScheduler):
             config=ppo_config,
             seed=self.config.seed,
             eval_env=self.env,
-            backend=self.inference_backend,
             training_path=self.config.scheduler.training_path,
         )
 
@@ -365,7 +359,6 @@ class RLSchedulerBase(BaseScheduler):
             self.rng,
             greedy=True,
             clusters=env.clusters,
-            backend=self.inference_backend,
         )
         return decision.action
 
@@ -443,7 +436,6 @@ class RLSchedulerBase(BaseScheduler):
                     action_mask,
                     self.rng,
                     greedy=True,
-                    backend=self.inference_backend,
                 )
                 step = env.step(decision.action)
                 snapshot, done = step.snapshot, step.done

@@ -529,7 +529,6 @@ class SchedulingEnv:
         if status_raw is None or self._soa_config_slots is None:
             return None
         now = session.current_time
-        row_version = getattr(session, "soa_row_version", None)
         running = _SOA_IS_RUNNING[status_raw]
         config_index = np.where(running, self._soa_config_slots, _SOA_CONFIG_BASE[status_raw])
         elapsed = np.where(running, now - session.soa_submit_time, 0.0)
@@ -556,8 +555,6 @@ class SchedulingEnv:
             attempts=session.soa_attempts.copy(),
             instance_context_array=self._instance_context_array(),
             instance_health_array=self._instance_health_array(),
-            state_key=session,
-            row_version=row_version.copy() if row_version is not None else None,
             priority=priority,
             deadline_slack=deadline_slack,
         )

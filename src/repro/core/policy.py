@@ -17,12 +17,13 @@ import numpy as np
 from ..encoder import BatchedStateRepresentation, SchedulingSnapshot, StateEncoder, StateRepresentation
 from ..exceptions import SchedulingError
 from ..nn import MLP, Module, Tensor, fastinfer, masked_log_softmax, stack
-from ..nn.backend import InferenceBackend, NumpyRefBackend
+from ..nn.backend import DecisionKernel
 
-__all__ = ["ActorCriticNetwork", "PolicyDecision"]
+__all__ = ["ActorCriticNetwork", "PolicyDecision", "DECISION_KERNEL"]
 
-#: What ``backend=None`` means on the sampling entry points (stateless).
-_REFERENCE_BACKEND = NumpyRefBackend()
+#: The one (stateless) tape-free forward behind :meth:`ActorCriticNetwork.act`
+#: and :meth:`~ActorCriticNetwork.act_batch`.
+DECISION_KERNEL = DecisionKernel()
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ class ActorCriticNetwork(Module):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free ``(logits, values)`` of shapes ``(batch, action_dim)`` and ``(batch,)``.
 
-        The head code shared by every inference backend; in cluster mode the
-        per-query rows are mean-pooled into cluster tokens first.
+        The head code of the decision kernel; in cluster mode the per-query
+        rows are mean-pooled into cluster tokens first.
         """
         batch = per_query.shape[0]
         if clusters is not None:
@@ -179,18 +180,14 @@ class ActorCriticNetwork(Module):
         rng: np.random.Generator,
         greedy: bool = False,
         clusters=None,
-        backend: InferenceBackend | None = None,
     ) -> PolicyDecision:
         """Sample (or greedily pick) one action: :meth:`act_batch` with B=1.
 
-        The forward is the backend's tape-free float32 single-snapshot entry
-        point (:meth:`~repro.nn.backend.InferenceBackend.scalar_forward`);
-        ``backend=None`` is the reference backend.  The draw consumes ``rng``
-        exactly as a one-row :meth:`act_batch` does.
+        The forward is the tape-free float32 decision kernel
+        (:meth:`~repro.nn.backend.DecisionKernel.scalar_forward`).  The draw
+        consumes ``rng`` exactly as a one-row :meth:`act_batch` does.
         """
-        if backend is None:
-            backend = _REFERENCE_BACKEND
-        logits, values = backend.scalar_forward(self, plan_embeddings, snapshot, clusters=clusters)
+        logits, values = DECISION_KERNEL.scalar_forward(self, plan_embeddings, snapshot, clusters=clusters)
         return self._sample(logits, values, np.asarray(mask, dtype=bool)[None, :], rng, greedy)[0]
 
     def evaluate_action(
@@ -222,21 +219,17 @@ class ActorCriticNetwork(Module):
         rng: np.random.Generator,
         greedy: bool = False,
         clusters=None,
-        backend: InferenceBackend | None = None,
     ) -> list[PolicyDecision]:
         """Sample one action per snapshot from a single stacked forward pass.
 
         ``masks`` is the ``(batch, action_dim)`` stack of per-env action masks.
         Sampling consumes ``rng`` once per call (one uniform per snapshot, in
-        order).  The whole forward runs on the tape-free float32 inference
-        path of ``backend`` (``None`` is the reference backend) — sampling
-        never differentiates.  Sampling itself is shared across backends, so
-        RNG consumption is identical no matter which one runs the forward.
+        order).  The whole forward runs on the tape-free float32 decision
+        kernel (:class:`~repro.nn.backend.DecisionKernel`) — sampling never
+        differentiates.
         """
-        if backend is None:
-            backend = _REFERENCE_BACKEND
-        per_query, global_state = backend.encode_batch(self.state_encoder, plan_embeddings, snapshots)
-        logits, values = backend.heads_batch(self, per_query, global_state, snapshots, clusters=clusters)
+        per_query, global_state = DECISION_KERNEL.encode_batch(self.state_encoder, plan_embeddings, snapshots)
+        logits, values = DECISION_KERNEL.heads_batch(self, per_query, global_state, snapshots, clusters=clusters)
         return self._sample(logits, values, np.asarray(masks, dtype=bool), rng, greedy)
 
     @staticmethod

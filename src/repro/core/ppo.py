@@ -25,7 +25,6 @@ import numpy as np
 
 from ..config import PPOConfig
 from ..nn import Adam, Tensor, chained_sum, clip_grad_norm, concatenate, fastgrad, where
-from ..nn.backend import InferenceBackend
 from ..timing import SectionTimers
 from .env import SchedulingEnv
 from .policy import ActorCriticNetwork
@@ -65,7 +64,6 @@ class PPOTrainer:
         config: PPOConfig,
         seed: int = 0,
         eval_env: SchedulingEnv | None = None,
-        backend: InferenceBackend | None = None,
         training_path: str = "tape",
     ) -> None:
         self.policy = policy
@@ -73,10 +71,6 @@ class PPOTrainer:
         self.env = env
         self.eval_env = eval_env or env
         self.config = config
-        #: Inference backend for the *sampling* forwards (rollout collection
-        #: and evaluation).  ``None`` is the reference backend; the learning
-        #: updates below never route through a backend.
-        self.inference_backend = backend
         if training_path not in ("tape", "fused"):
             raise ValueError(f"training_path must be 'tape' or 'fused', got {training_path!r}")
         #: ``"tape"`` runs updates through the autograd tape; ``"fused"``
@@ -153,7 +147,6 @@ class PPOTrainer:
                     self.rng,
                     greedy=False,
                     clusters=clusters,
-                    backend=self.inference_backend,
                 )
                 step = self.env.step(decision.action)
                 buffer.add(
@@ -204,7 +197,6 @@ class PPOTrainer:
                 self.rng,
                 greedy=False,
                 clusters=clusters,
-                backend=self.inference_backend,
             )
             steps = vec.step_many(active, [d.action for d in decisions])
             still_active: list[int] = []
@@ -413,7 +405,6 @@ class PPOTrainer:
                     self.rng,
                     greedy=greedy,
                     clusters=clusters,
-                    backend=self.inference_backend,
                 )
                 step = self.eval_env.step(decision.action)
                 snapshot = step.snapshot

@@ -45,65 +45,30 @@ class SessionStateArrays:
     instant of the most recent (current) submission, meaningful while the
     query is running.  Sessions mutate these in place, so NumPy slice views
     handed to tenants stay live for free.
-
-    ``row_version`` stamps every row with the value of a monotonic
-    per-session counter at its last mutation.  Incremental inference caches
-    (:mod:`repro.nn.backend`) compare stamped copies across decision steps to
-    find the rows whose features may have changed; mutations that bypass the
-    ``mark_*`` transitions (e.g. the runtime's failed-attempt counters) must
-    call :meth:`touch` so dependent rows invalidate.
     """
 
-    __slots__ = ("status", "submit_time", "row_version", "_version")
+    __slots__ = ("status", "submit_time")
 
     def __init__(self, num_queries: int) -> None:
         self.status = np.zeros(num_queries, dtype=np.int8)
         self.submit_time = np.zeros(num_queries, dtype=np.float64)
-        self.row_version = np.zeros(num_queries, dtype=np.int64)
-        self._version = 0
 
     @property
     def num_queries(self) -> int:
         return int(self.status.shape[0])
 
-    @property
-    def version(self) -> int:
-        """Value of the monotonic mutation counter (0 = never mutated)."""
-        return self._version
-
-    def touch(self, query_id: int) -> None:
-        """Stamp ``query_id`` as mutated without changing its status.
-
-        For observable per-query state that lives *outside* these columns
-        (failed-attempt counters, retry availability) but still feeds the
-        featurizer: bumping the row version keeps incremental inference
-        caches honest.
-        """
-        self._version += 1
-        self.row_version[query_id] = self._version
-
     def mark_running(self, query_id: int, submit_time: float) -> None:
         self.status[query_id] = SOA_RUNNING
         self.submit_time[query_id] = submit_time
-        self._version += 1
-        self.row_version[query_id] = self._version
 
     def mark_pending(self, query_id: int) -> None:
         self.status[query_id] = SOA_PENDING
-        self._version += 1
-        self.row_version[query_id] = self._version
 
     def mark_finished(self, query_id: int) -> None:
         self.status[query_id] = SOA_FINISHED
-        self._version += 1
-        self.row_version[query_id] = self._version
 
     def mark_failed(self, query_id: int) -> None:
         self.status[query_id] = SOA_FAILED
-        self._version += 1
-        self.row_version[query_id] = self._version
 
     def mark_deferred(self, query_id: int) -> None:
         self.status[query_id] = SOA_DEFERRED
-        self._version += 1
-        self.row_version[query_id] = self._version

@@ -178,8 +178,6 @@ class SnapshotArrays:
         "instance_health_array",
         "priority",
         "deadline_slack",
-        "state_key",
-        "row_version",
         "_infos",
         "_pending_ids",
         "_unarrived_ids",
@@ -200,8 +198,6 @@ class SnapshotArrays:
         attempts: np.ndarray,
         instance_context_array: np.ndarray | None = None,
         instance_health_array: np.ndarray | None = None,
-        state_key: object | None = None,
-        row_version: np.ndarray | None = None,
         priority: float = 0.0,
         deadline_slack: float = 0.0,
     ) -> None:
@@ -217,14 +213,6 @@ class SnapshotArrays:
         self.instance_health_array = instance_health_array
         self.priority = priority
         self.deadline_slack = deadline_slack
-        #: Identity of the live session this snapshot was taken from, plus a
-        #: captured copy of its per-row mutation stamps.  Incremental
-        #: inference backends (:mod:`repro.nn.backend`) key their per-session
-        #: caches on ``state_key`` and diff ``row_version`` across steps to
-        #: find the rows to re-project; ``None`` (the default) simply opts a
-        #: snapshot out of cross-step caching.
-        self.state_key = state_key
-        self.row_version = row_version
         self._infos: tuple[QueryRuntimeInfo, ...] | None = None
         self._pending_ids: list[int] | None = None
         self._unarrived_ids: list[int] | None = None

@@ -1,0 +1,66 @@
+"""The decision kernel: the one tape-free forward behind action sampling.
+
+Action *sampling* (rollout collection, validation, greedy serving) never
+differentiates, so every ``act`` / ``act_batch`` runs the batched float32
+NumPy forward of :mod:`repro.nn.fastinfer` — one snapshot is the stack at
+``B=1``.  The *learning* path (PPO/PPG updates, auxiliary phases) runs the
+autograd tape or the fused :mod:`repro.nn.fastgrad` kernels and never comes
+through here.
+
+Sampling proper — masked log-softmax, greedy argmax, the inverse-CDF draw —
+lives in :mod:`repro.core.policy`.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (encoder imports nn)
+    from ..encoder.state import StateEncoder
+
+__all__ = ["DecisionKernel"]
+
+
+class DecisionKernel:
+    """Stateless ``(logits, values)`` forward for one snapshot or a stack.
+
+    This is not an extension point: there is one implementation and no
+    subclass.  It stays a class, rather than three lines inside
+    ``ActorCriticNetwork``, only because the performance ledger
+    (``benchmarks/ledger``) reads ``BQSched.inference_backend`` and times
+    these three methods on its class as the ``nn.backend_forward`` span;
+    folding it into the policy needs a ledger-only rename first.
+    """
+
+    def encode_batch(
+        self,
+        encoder: "StateEncoder",
+        plan_embeddings: np.ndarray,
+        snapshots: list[Any],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(per_query, global_state)`` float32 representations."""
+        return encoder.encode_batch_arrays(plan_embeddings, snapshots)
+
+    def heads_batch(
+        self,
+        policy: Any,
+        per_query: np.ndarray,
+        global_state: np.ndarray,
+        snapshots: list[Any],
+        clusters: Any = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logits, values)`` from the stacked representations (cluster pooling included)."""
+        return policy.heads_arrays(per_query, global_state, snapshots, clusters=clusters)
+
+    def scalar_forward(
+        self,
+        policy: Any,
+        plan_embeddings: np.ndarray,
+        snapshot: Any,
+        clusters: Any = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(logits, values)`` of shapes ``(1, action_dim)`` and ``(1,)``: the two above at ``B=1``."""
+        per_query, global_state = self.encode_batch(policy.state_encoder, plan_embeddings, [snapshot])
+        return self.heads_batch(policy, per_query, global_state, [snapshot], clusters=clusters)

@@ -32,7 +32,6 @@ __all__ = [
     "attention_encoder_forward_batched",
     "masked_log_softmax_array",
     "fast_inference_reason",
-    "supports_fast_inference",
 ]
 
 
@@ -289,11 +288,10 @@ def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: f
 def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
     """Why ``encoder`` cannot run on the tape-free fast path, or ``None``.
 
-    The capability check behind every NumPy inference backend
-    (:mod:`repro.nn.backend`): each attention block's norms must be one of
-    the kinds the fast forwards replicate bit-for-bit.  Returning the reason
-    (instead of a bare bool) lets callers warn instead of silently falling
-    back to the tensor path.
+    Each attention block's norms must be one of the kinds the fast forwards
+    replicate bit-for-bit.  Returning the reason (instead of a bare bool)
+    lets the one caller (``ConcurrentPredictionModel``) warn instead of
+    silently falling back to the tensor path.
     """
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
@@ -304,8 +302,3 @@ def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
                     "path only replicates LayerNorm and BatchNorm"
                 )
     return None
-
-
-def supports_fast_inference(encoder: AttentionEncoder) -> bool:
-    """Whether every block of ``encoder`` uses a norm the fast path covers."""
-    return fast_inference_reason(encoder) is None

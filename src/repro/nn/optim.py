@@ -4,12 +4,12 @@ The update loops run *in place* over per-parameter scratch buffers: one
 ``step()`` allocates exactly one fresh array per parameter — the new
 ``param.data`` itself.  That final allocation is deliberate, not an
 oversight: the inference fast paths (``fastinfer._F32_CACHE``, the fused
-QKV cache, the ``numpy-cached`` backend) detect parameter updates by array
-*identity*, so ``param.data`` must be replaced, never mutated.  Every
-in-place expression mirrors the original out-of-place arithmetic operation
-for operation (scalar multiplies commute, ``a + b`` is IEEE-commutative),
-so the results are bit-identical to the historical implementations —
-pinned by ``tests/test_optim_inplace.py``.
+QKV cache) detect parameter updates by array *identity*, so
+``param.data`` must be replaced, never mutated.  Every in-place expression
+mirrors the original out-of-place arithmetic operation for operation
+(scalar multiplies commute, ``a + b`` is IEEE-commutative), so the results
+are bit-identical to the historical implementations — pinned by
+``tests/test_optim_inplace.py``.
 """
 
 from __future__ import annotations

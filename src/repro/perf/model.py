@@ -54,9 +54,9 @@ class ConcurrentPredictionModel(Module):
     def _fast_path_ok(self) -> bool:
         """Capability check for the tape-free inference paths (warns once).
 
-        Delegates to the same per-backend reason check the inference-backend
-        registry uses; an encoder the fast path cannot replicate falls back
-        to the tensor forward *audibly* instead of silently running orders of
+        An encoder the fast path cannot replicate
+        (:func:`~repro.nn.fastinfer.fast_inference_reason`) falls back to the
+        tensor forward *audibly* instead of silently running orders of
         magnitude slower in the rollout hot loop.
         """
         if not self.use_attention:

@@ -3,9 +3,7 @@
 The runtime turns the repo's engine↔scheduler coupling from a pull-style
 single-batch loop into an event-queue architecture:
 
-* :class:`EventQueue` orders future events (streaming query arrivals);
-  :class:`CalendarEventQueue` is a drop-in sharded-bucket variant with
-  bit-identical pop order.
+* :class:`EventQueue` orders future events (streaming query arrivals).
 * :class:`ExecutionRuntime` advances the shared backend session (fluid
   engine or learned simulator) to the next completion-or-arrival event and
   dispatches it to the tenant that owns the query.
@@ -41,7 +39,7 @@ from .events import (
     QueryTimeout,
     RuntimeEvent,
 )
-from .queue import CalendarEventQueue, EventQueue
+from .queue import EventQueue
 from .report import ClassReport, ServiceReport, TenantReport
 from .runtime import ExecutionRuntime, RuntimeTenant, TenantSession
 
@@ -57,7 +55,6 @@ __all__ = [
     "AutoscalePolicy",
     "RetryPolicy",
     "RuntimeEvent",
-    "CalendarEventQueue",
     "EventQueue",
     "AdmissionController",
     "ControlPlane",

@@ -6,17 +6,6 @@ the same instant are delivered in the order they were scheduled (tenant
 registration order, then query index).  Determinism matters — the whole
 reproduction is seed-for-seed reproducible and the runtime must not
 introduce ordering noise.
-
-Two implementations share the same API and the same ``(time, insertion
-order)`` total order:
-
-* :class:`EventQueue` — a plain binary heap; the default.
-* :class:`CalendarEventQueue` — a calendar (sharded-bucket) queue that
-  partitions the timeline into fixed-width buckets, each holding its own
-  small heap.  With many scheduled events (large streaming rounds, dense
-  retry backoffs) per-operation heap depth shrinks to the bucket's
-  occupancy; pop order is bit-identical to the binary heap (verified by
-  digest in ``tests/test_hotpath.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +16,7 @@ from typing import Iterable
 from ..exceptions import SchedulingError
 from .events import RuntimeEvent
 
-__all__ = ["EventQueue", "CalendarEventQueue"]
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
@@ -92,92 +81,3 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-
-class CalendarEventQueue:
-    """Calendar (sharded-bucket) event queue, API-compatible with
-    :class:`EventQueue`.
-
-    The timeline is partitioned into fixed-width buckets keyed by
-    ``floor(time / bucket_width)``; each bucket is a small heap of
-    ``(time, insertion order, event)`` and a second heap orders the bucket
-    keys.  Because buckets partition disjoint time ranges, the earliest
-    entry of the earliest non-empty bucket is the global minimum, and the
-    shared insertion counter preserves the exact ``(time, insertion
-    order)`` total order of the binary-heap queue.
-    """
-
-    def __init__(self, bucket_width: float = 1.0) -> None:
-        if bucket_width <= 0:
-            raise SchedulingError(f"bucket width must be > 0, got {bucket_width}")
-        self._width = float(bucket_width)
-        self._buckets: dict[int, list[tuple[float, int, RuntimeEvent]]] = {}
-        self._keys: list[int] = []
-        self._counter = 0
-        self._size = 0
-
-    def push(self, event: RuntimeEvent) -> None:
-        if event.time < 0:
-            raise SchedulingError(f"event time must be >= 0, got {event.time}")
-        key = int(event.time // self._width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = []
-            self._buckets[key] = bucket
-            heapq.heappush(self._keys, key)
-        heapq.heappush(bucket, (event.time, self._counter, event))
-        self._counter += 1
-        self._size += 1
-
-    def extend(self, events: Iterable[RuntimeEvent]) -> None:
-        """Bulk-schedule events (same tie-breaking as repeated pushes)."""
-        for event in events:
-            self.push(event)
-
-    def _head_bucket(self) -> "list[tuple[float, int, RuntimeEvent]] | None":
-        """Earliest non-empty bucket, discarding stale keys along the way."""
-        while self._keys:
-            bucket = self._buckets.get(self._keys[0])
-            if bucket:
-                return bucket
-            stale = heapq.heappop(self._keys)
-            self._buckets.pop(stale, None)
-        return None
-
-    def peek(self) -> RuntimeEvent | None:
-        """The earliest event without removing it (``None`` when empty)."""
-        bucket = self._head_bucket()
-        return bucket[0][2] if bucket else None
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest event (``None`` when empty)."""
-        bucket = self._head_bucket()
-        return bucket[0][0] if bucket else None
-
-    def pop(self) -> RuntimeEvent:
-        bucket = self._head_bucket()
-        if bucket is None:
-            raise SchedulingError("cannot pop from an empty event queue")
-        event = heapq.heappop(bucket)[2]
-        self._size -= 1
-        if not bucket:
-            key = heapq.heappop(self._keys)
-            del self._buckets[key]
-        return event
-
-    def pop_due(self, now: float) -> RuntimeEvent | None:
-        """Pop the earliest event if it is due at ``now`` (one find-min)."""
-        bucket = self._head_bucket()
-        if bucket is None or bucket[0][0] > now:
-            return None
-        return self.pop()
-
-    def clear(self) -> None:
-        self._buckets.clear()
-        self._keys.clear()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0

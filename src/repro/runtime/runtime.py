@@ -57,7 +57,7 @@ from .events import (
     QueryTimeout,
     RuntimeEvent,
 )
-from .queue import CalendarEventQueue, EventQueue
+from .queue import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dbms.faults import FailureProfile
@@ -109,7 +109,6 @@ class ExecutionRuntime:
         backend: Any,
         retry: RetryPolicy | None = None,
         faults: "FailureProfile | None" = None,
-        event_queue: "EventQueue | CalendarEventQueue | None" = None,
         control: "ControlPlane | None" = None,
     ) -> None:
         self.backend = backend
@@ -127,12 +126,8 @@ class ExecutionRuntime:
         self._tenants: dict[str, _TenantState] = {}
         self._offsets: list[int] = []
         self._order: list[str] = []
-        #: Scheduled-event queue; callers may inject a
-        #: :class:`~repro.runtime.CalendarEventQueue` — pop order is
-        #: bit-identical, only the per-operation cost profile changes.
-        self.events: "EventQueue | CalendarEventQueue" = (
-            event_queue if event_queue is not None else EventQueue()
-        )
+        #: Scheduled-event queue.
+        self.events = EventQueue()
         self._shared: Any = None
         #: Submissions so far per *global* query id (1-based after the first
         #: submit); strictly monotonic — attempt numbers are never reused, so
@@ -681,14 +676,11 @@ class TenantSession:
         # without state arrays (e.g. test doubles) leave these ``None`` and
         # the environment falls back to the AoS snapshot path.
         shared_arrays = getattr(shared, "state_arrays", None)
-        self._soa_state_arrays = shared_arrays
-        self._soa_offset = state.offset
         if shared_arrays is not None:
             offset = state.offset
             count = len(state.batch)
             self.soa_status: "np.ndarray | None" = shared_arrays.status[offset : offset + count]
             self.soa_submit_time: "np.ndarray | None" = shared_arrays.submit_time[offset : offset + count]
-            self.soa_row_version: "np.ndarray | None" = shared_arrays.row_version[offset : offset + count]
             self.soa_attempts: "np.ndarray | None" = np.zeros(count, dtype=np.int64)
             if arrival_times is None:
                 self.soa_available_at: "np.ndarray | None" = np.zeros(count, dtype=np.float64)
@@ -697,7 +689,6 @@ class TenantSession:
         else:
             self.soa_status = None
             self.soa_submit_time = None
-            self.soa_row_version = None
             self.soa_attempts = None
             self.soa_available_at = None
 
@@ -924,15 +915,8 @@ class TenantSession:
         self._failure_counts[event.query_id] = self._failure_counts.get(event.query_id, 0) + 1
         if self.soa_attempts is not None:
             self.soa_attempts[event.query_id] += 1
-            # Attempt counters live outside the shared state arrays, so the
-            # mark_* transitions never stamp them; touch the row explicitly
-            # or incremental inference caches would serve stale features.
-            if self._soa_state_arrays is not None:
-                self._soa_state_arrays.touch(self._soa_offset + event.query_id)
         if self.soa_available_at is not None and event.will_retry:
             self.soa_available_at[event.query_id] = event.retry_at if event.retry_at is not None else 0.0
-            if self._soa_state_arrays is not None:
-                self._soa_state_arrays.touch(self._soa_offset + event.query_id)
         if event.reason == FAILURE_TIMEOUT:
             self.num_timeouts += 1
         if event.will_retry:

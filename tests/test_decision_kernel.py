@@ -6,14 +6,19 @@
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro.config import EncoderConfig
 from repro.core.clustering import cluster_queries
-from repro.core.policy import _cluster_member_indices
+from repro.core.policy import ActorCriticNetwork, _cluster_member_indices
+from repro.encoder import RunStateFeaturizer, StateEncoder
+from repro.encoder.run_state import SnapshotArrays
 from repro.nn import Adam, no_grad
 
 
@@ -44,29 +49,103 @@ def mid_episode(env, steps: int):
     return pairs
 
 
-class TestTapeParity:
-    @pytest.mark.parametrize("norm", ["batch", "layer"])
-    @pytest.mark.parametrize(
-        "workload_name, num_clusters", [("tpch", None), ("tpch", 8), ("tpcds", None), ("tpcds", 40)]
+class Case(NamedTuple):
+    """A policy plus the ``(snapshots, (B, action_dim) masks)`` stacks to decide on."""
+
+    policy: ActorCriticNetwork
+    plan: np.ndarray
+    clusters: object
+    stacks: list
+
+
+def facade_case(workload_name: str, num_clusters: int | None, norm: str) -> Case:
+    """Mid-episode snapshots of a full-size workload, each as SoA and as its AoS view."""
+    scheduler, env = build_scheduler(workload_name, norm, num_clusters)
+    assert len(scheduler.batch) == {"tpch": 22, "tpcds": 99}[workload_name]
+    pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
+    stacks = [
+        ([view], mask[None, :]) for soa, mask in pairs[len(pairs) // 3 :: 3] for view in (soa, soa.to_snapshot())
+    ]
+    return Case(scheduler.policy, scheduler.plan_embeddings, env.clusters, stacks)
+
+
+TOY_CONFIGS = 3
+
+
+def toy_arrays(status: list[int], time: float) -> SnapshotArrays:
+    """A hand-built SoA snapshot (status codes: 0 pending, 1 running, 2 finished)."""
+    codes = np.asarray(status, dtype=np.int64)
+    n = codes.shape[0]
+    running = codes == 1
+    return SnapshotArrays(
+        time=time,
+        status=codes,
+        config_index=np.where(running, np.arange(n) % TOY_CONFIGS, -1),
+        elapsed=np.where(running, 0.5 * time, 0.0),
+        expected_time=1.0 + np.arange(n, dtype=np.float64),
+        available=np.ones(n, dtype=bool),
+        time_to_available=np.zeros(n, dtype=np.float64),
+        attempts=np.zeros(n, dtype=np.int64),
     )
-    def test_act_matches_the_tape_oracle(self, workload_name, num_clusters, norm):
-        scheduler, env = build_scheduler(workload_name, norm, num_clusters)
-        policy, plan, clusters = scheduler.policy, scheduler.plan_embeddings, env.clusters
-        assert len(scheduler.batch) == {"tpch": 22, "tpcds": 99}[workload_name]
-        pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
-        for soa, mask in pairs[len(pairs) // 3 :: 3]:
-            for snapshot in (soa, soa.to_snapshot()):
-                decision = policy.act(
-                    plan, snapshot, mask, np.random.default_rng(0), greedy=True,
-                    clusters=clusters, backend=scheduler.inference_backend,
-                )
+
+
+def edge_case(
+    stacks: list[list[SnapshotArrays]], allowed: list[int] | slice = slice(None), use_attention: bool = True
+) -> Case:
+    """A small fresh policy over hand-built stacks; ``allowed`` indexes the unmasked actions (default all)."""
+    num_queries = stacks[0][0].num_queries
+    rng = np.random.default_rng(7)
+    config = EncoderConfig(state_dim=24, state_heads=2, state_layers=2)
+    encoder = StateEncoder(16, RunStateFeaturizer(num_configs=TOY_CONFIGS), config, rng, use_attention=use_attention)
+    policy = ActorCriticNetwork(encoder, TOY_CONFIGS, rng)
+    plan = np.random.default_rng(8).normal(size=(num_queries, 16))
+    mask = np.zeros(num_queries * TOY_CONFIGS, dtype=bool)
+    mask[allowed] = True
+    return Case(policy, plan, None, [(stack, np.stack([mask] * len(stack))) for stack in stacks])
+
+
+#: Shapes the full-size episodes never reach; each is one ``edge_case(...)`` call.
+EDGE_SHAPES = {
+    "single-query-batch": lambda: edge_case([[toy_arrays([0], 0.0)], [toy_arrays([1], 1.0)], [toy_arrays([2], 2.5)]]),
+    "single-pending-among-finished": lambda: edge_case(
+        [[toy_arrays([2, 2, 0, 2], 4.0)], [toy_arrays([2, 2, 1, 2], 5.0)]]
+    ),
+    "no-attention-encoder": lambda: edge_case(
+        [[toy_arrays([0, 0, 0], 0.0)], [toy_arrays([1, 0, 0], 1.0)]], use_attention=False
+    ),
+    "every-action-allowed-mask": lambda: edge_case([[toy_arrays([0, 1, 0, 2], 1.0)]]),
+    "single-allowed-action-mask": lambda: edge_case([[toy_arrays([0, 1, 0, 2], 1.0)]], allowed=[7]),
+    "fresh-and-mid-episode-stack": lambda: edge_case(
+        [[toy_arrays([1, 0, 0], 1.0), toy_arrays([1, 1, 2], 4.0), toy_arrays([0, 0, 0], 0.0)]]
+    ),
+}
+
+
+class TestTapeParity:
+    @pytest.mark.parametrize(
+        "build_case",
+        [
+            pytest.param(partial(facade_case, workload, num_clusters, norm), id=f"{workload}-{num_clusters}-{norm}")
+            for norm in ("batch", "layer")
+            for workload, num_clusters in (("tpch", None), ("tpch", 8), ("tpcds", None), ("tpcds", 40))
+        ]
+        + [pytest.param(build, id=name) for name, build in EDGE_SHAPES.items()],
+    )
+    def test_act_matches_the_tape_oracle(self, build_case):
+        """``act`` (B=1) and ``act_batch`` (the whole stack) both decide what the tape decides."""
+        policy, plan, clusters, stacks = build_case()
+        for snapshots, masks in stacks:
+            stacked = policy.act_batch(plan, snapshots, masks, np.random.default_rng(0), greedy=True, clusters=clusters)
+            for snapshot, mask, from_stack in zip(snapshots, masks, stacked):
+                single = policy.act(plan, snapshot, mask, np.random.default_rng(0), greedy=True, clusters=clusters)
                 with no_grad():
                     log_prob, _, value, full = policy.evaluate_action(
-                        plan, snapshot, decision.action, mask, clusters=clusters
+                        plan, snapshot, single.action, mask, clusters=clusters
                     )
-                assert decision.action == int(np.argmax(full.data))
-                assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
-                assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+                for decision in (single, from_stack):
+                    assert decision.action == int(np.argmax(full.data))
+                    assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
+                    assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
 
     def test_sampled_act_is_a_one_row_act_batch(self):
         """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""

@@ -1,9 +1,9 @@
 """Digest-pinned parity suite for the hot-path overhaul (ISSUE 7).
 
-The structure-of-arrays snapshot fast path, the calendar event queue and the
-vectorized featurizer must be *bit-identical* to the original AoS/heapq
-implementations.  This module pins sha256 digests of four reference scenarios
-(closed batch, streaming arrivals, cluster placement, fault-injected rounds)
+The structure-of-arrays snapshot fast path, the bulk-scheduling event queue
+and the vectorized featurizer must be *bit-identical* to the original
+AoS/heapq implementations.  This module pins sha256 digests of four
+reference scenarios (closed batch, streaming arrivals, cluster placement, fault-injected rounds)
 captured from the pre-refactor tree: each digest hashes, per decision step,
 the snapshot time, the reward, the full feature matrix bytes, the action
 mask bytes and the instance context/health — plus the final round log.
@@ -41,7 +41,7 @@ from repro.core import (
 )
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
-from repro.runtime import CalendarEventQueue, EventQueue, ExecutionRuntime, QueryArrival
+from repro.runtime import EventQueue, ExecutionRuntime, QueryArrival
 
 # --------------------------------------------------------------------------- #
 # Reference scenarios
@@ -278,8 +278,8 @@ def test_soa_snapshot_matches_aos(scenario: str) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Event-queue parity — bulk extend and the calendar queue must reproduce the
-# exact (time, insertion order) pop sequence of the plain binary heap.
+# Event-queue parity — bulk extend and pop_due must reproduce the exact
+# (time, insertion order) pop sequence of repeated push/pop.
 # --------------------------------------------------------------------------- #
 
 
@@ -302,116 +302,10 @@ def test_event_queue_extend_matches_push() -> None:
     extended.extend(events[50:])
     assert len(pushed) == len(extended) == len(events)
     while pushed:
-        assert extended.pop() is pushed.pop()
-    assert not extended
-
-
-@pytest.mark.parametrize("bucket_width", [0.3, 1.0, 7.5])
-def test_calendar_queue_matches_heapq(bucket_width: float) -> None:
-    events = _synthetic_events(300, seed=2)
-    heap = EventQueue()
-    calendar = CalendarEventQueue(bucket_width=bucket_width)
-    rng = np.random.default_rng(3)
-    cursor = 0
-    while cursor < len(events) or heap:
-        if cursor < len(events) and (not heap or rng.random() < 0.6):
-            take = int(rng.integers(1, 6))
-            chunk = events[cursor : cursor + take]
-            cursor += take
-            if rng.random() < 0.5:
-                for event in chunk:
-                    heap.push(event)
-                    calendar.push(event)
-            else:
-                heap.extend(chunk)
-                calendar.extend(chunk)
-        else:
-            assert calendar.peek_time() == heap.peek_time()
-            assert calendar.peek() is heap.peek()
-            if rng.random() < 0.5:
-                assert calendar.pop() is heap.pop()
-            else:
-                now = heap.peek_time()
-                assert now is not None
-                due = rng.random() < 0.5
-                probe = now if due else now - 1e-9
-                assert calendar.pop_due(probe) is heap.pop_due(probe)
-                if not due:  # nothing was due: drain one for progress
-                    assert calendar.pop() is heap.pop()
-        assert len(calendar) == len(heap)
-        assert bool(calendar) == bool(heap)
-    assert calendar.peek() is None and calendar.peek_time() is None
-    assert calendar.pop_due(1e9) is None
-    with pytest.raises(Exception):
-        calendar.pop()
-
-
-# --------------------------------------------------------------------------- #
-# Runtime on the calendar queue — full scheduled-event scenarios (streaming
-# arrivals; retries, timeout checks and outage recoveries) must reproduce the
-# pinned heapq digests bit-for-bit.
-# --------------------------------------------------------------------------- #
-
-
-def _make_streaming_calendar() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, tuple[int, ...]]:
-    batch, config, space = _base()
-    engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    knowledge = ExternalKnowledge.from_probes(engine, batch, space)
-    arrivals = [(i % 7) * 0.9 for i in range(len(batch))]
-    runtime = ExecutionRuntime(engine, event_queue=CalendarEventQueue(bucket_width=0.75))
-    env = SchedulingEnv(
-        batch=batch,
-        backend=runtime.register("env", batch, arrivals=arrivals),
-        scheduler_config=config.scheduler,
-        config_space=space,
-        knowledge=knowledge,
-        mask=AdaptiveMask.unmasked(len(batch), len(space)),
-    )
-    featurizer = RunStateFeaturizer(
-        num_configs=len(space), arrival_channel=True, failure_channel=True
-    )
-    return env, FIFOScheduler(), featurizer, (0, 1)
-
-
-def _make_faulted_calendar() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, tuple[int, ...]]:
-    batch, config, space = _base()
-    probe_engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    knowledge = ExternalKnowledge.from_probes(probe_engine, batch, space)
-    engine = DatabaseEngine(
-        DBMSProfile.dbms_x(),
-        seed=0,
-        faults=FailureProfile(error_rate=0.25, outages=(OutageWindow(0, 4.0, 2.0),)),
-    )
-    runtime = ExecutionRuntime(
-        engine,
-        retry=RetryPolicy(max_attempts=3, backoff=0.5),
-        event_queue=CalendarEventQueue(bucket_width=2.0),
-    )
-    env = SchedulingEnv(
-        batch=batch,
-        backend=runtime.register("env", batch),
-        scheduler_config=config.scheduler,
-        config_space=space,
-        knowledge=knowledge,
-        mask=AdaptiveMask.unmasked(len(batch), len(space)),
-    )
-    featurizer = RunStateFeaturizer(
-        num_configs=len(space), arrival_channel=True, failure_channel=True
-    )
-    return env, FIFOScheduler(), featurizer, (0, 1)
-
-
-@pytest.mark.parametrize(
-    "scenario,make",
-    [("streaming", _make_streaming_calendar), ("faulted", _make_faulted_calendar)],
-)
-def test_calendar_queue_runtime_matches_pinned_digests(scenario: str, make) -> None:
-    env, scheduler, featurizer, rounds = make()
-    for round_id in rounds:
-        step_digest, log_digest = _run_round_digest(env, scheduler, featurizer, round_id)
-        assert (step_digest, log_digest) == _PINNED[(scenario, round_id)], (
-            f"{scenario} round {round_id} on the calendar queue diverged from the heapq digest"
-        )
+        head_time = extended.peek_time()
+        assert extended.pop_due(head_time - 1e-9) is None  # earliest event still in the future
+        assert extended.pop_due(head_time) is pushed.pop()
+    assert not extended and extended.pop_due(1e9) is None
 
 
 if __name__ == "__main__":

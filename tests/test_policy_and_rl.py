@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,20 @@ def test_trainer_evaluation_matches_heuristic_interface(rl_setup):
     fifo = FIFOScheduler().evaluate(env, rounds=2)
     # an untrained policy should still complete rounds within a sane factor
     assert evaluation.mean < 5 * fifo.mean
+
+
+def test_rollout_buffer_does_not_reach_the_live_session(rl_setup):
+    """Stored transitions hold arrays only: a buffer (or a PPG/IQ-PPO aux buffer
+    that outlives many rollouts) must not keep whole engine sessions alive."""
+    policy, plan_embeddings, env, config = rl_setup
+    buffer = PPOTrainer(policy, plan_embeddings, env, config.ppo, seed=0).collect_rollouts(1)
+    frontier = [t.snapshot for t in buffer.transitions()]
+    assert frontier and env.session is not None
+    seen: set[int] = set()
+    while frontier:
+        obj = frontier.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        frontier.extend(gc.get_referents(obj))
+    assert id(env.session) not in seen
