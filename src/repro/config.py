@@ -157,13 +157,11 @@ class ClusteringConfig:
     enabled: bool = False
     num_clusters: int = 100
     intra_cluster_order: str = "mcf"
-    min_overlap: float = 0.05
     gain_model_hidden: int = 32
 
     def __post_init__(self) -> None:
         _require(self.num_clusters >= 1, "num_clusters must be >= 1")
         _require(self.intra_cluster_order in ("fifo", "mcf"), "intra_cluster_order must be 'fifo' or 'mcf'")
-        _require(0 <= self.min_overlap <= 1, "min_overlap must be in [0, 1]")
 
 
 @dataclass
@@ -173,7 +171,6 @@ class SimulatorConfig:
     hidden_dim: int = 48
     learning_rate: float = 1e-3
     epochs: int = 20
-    batch_size: int = 64
     gamma_regression: float = 0.1
     use_attention: bool = True
     use_multitask: bool = True

@@ -32,6 +32,7 @@ simulator pre-training.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import replace
 
@@ -261,7 +262,6 @@ class RLSchedulerBase(BaseScheduler):
                     config=self.config.simulator,
                     seed=self.config.seed,
                     instance_speeds=self.engine.speed_factors(),
-                    training_path=self.config.scheduler.training_path,
                 )
                 self.perf_model.train_from_log(self.history_log)
                 self.simulator = SimulatedCluster.for_cluster(self.perf_model, self.engine)
@@ -273,7 +273,6 @@ class RLSchedulerBase(BaseScheduler):
                     config_space=self.config_space,
                     config=self.config.simulator,
                     seed=self.config.seed,
-                    training_path=self.config.scheduler.training_path,
                 )
                 simulator.train_from_log(self.history_log)
                 self.simulator = simulator
@@ -302,6 +301,11 @@ class RLSchedulerBase(BaseScheduler):
         """
         if not self._prepared:
             self.prepare(history_rounds=history_rounds)
+        # The tape updates below free each minibatch's graph through the cyclic
+        # collector, so their peak RSS depends on the collector's state on
+        # entry (measured at n=99: 1.1 GB from a fresh collection, 1.6-1.8 GB
+        # otherwise).  Start them from the same state whatever ran before.
+        gc.collect()
 
         self._best_score = float("inf")
         self._best_state = None

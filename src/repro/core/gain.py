@@ -19,10 +19,16 @@ import numpy as np
 
 from ..dbms import ExecutionLog
 from ..exceptions import SchedulingError
-from ..nn import Adam, MLP, Module, Tensor, mse_loss
+from ..nn import Adam, MLP, Module, Tensor, fastgrad, no_grad
 from ..workloads import BatchQuerySet
 
 __all__ = ["compute_scheduling_gains", "GainModel", "build_gain_matrix"]
+
+#: Observed pairs per Adam step of :meth:`GainModel.fit`.
+GAIN_BATCH_SIZE = 32
+
+#: Pairs per forward of :meth:`GainModel.predict_pairs`.
+COMPLETION_BLOCK = 1024
 
 
 def compute_scheduling_gains(log: ExecutionLog, batch: BatchQuerySet) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +72,10 @@ class GainModel(Module):
     """Symmetric MLP predicting the scheduling gain of a query pair.
 
     Symmetry is enforced by evaluating the MLP on both orderings of the pair
-    and summing, exactly as in the paper.
+    and summing, exactly as in the paper.  :meth:`forward` / :meth:`predict`
+    score one pair on the autograd tensors; fitting and matrix completion run
+    whole batches of pairs through the tape-free ``fastgrad`` MLP kernels,
+    with both orderings of every pair stacked as ``2B`` rows.
     """
 
     def __init__(self, plan_embedding_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -78,6 +87,36 @@ class GainModel(Module):
         reverse_pair = Tensor(np.concatenate([embedding_j, embedding_i]))
         return (self.net(forward_pair) + self.net(reverse_pair)).reshape(1)
 
+    def _forward_pairs(
+        self, embeddings: np.ndarray, rows: np.ndarray, cols: np.ndarray, arena: fastgrad.Arena
+    ) -> tuple[np.ndarray, list]:
+        """Gains of the pairs ``(rows[k], cols[k])`` and the MLP backward context."""
+        count, dim = len(rows), embeddings.shape[1]
+        stacked = arena.empty((2 * count, 2 * dim))
+        stacked[:count, :dim] = stacked[count:, dim:] = embeddings[rows]
+        stacked[:count, dim:] = stacked[count:, :dim] = embeddings[cols]
+        outputs, ctx = fastgrad.mlp_forward(self.net, stacked, arena)
+        return outputs[:count, 0] + outputs[count:, 0], ctx
+
+    def minibatch_step(
+        self,
+        embeddings: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        targets: np.ndarray,
+        arena: fastgrad.Arena,
+    ) -> float:
+        """Accumulate the gradients of the mean squared error over one minibatch.
+
+        Equals the tape gradient of the mean of ``(self.forward(e_i, e_j) -
+        g_ij) ** 2`` over the same pairs; returns that mean loss.
+        """
+        predictions, ctx = self._forward_pairs(embeddings, rows, cols, arena)
+        residual = predictions - targets
+        g_pair = residual * (2.0 / len(rows))
+        fastgrad.mlp_backward(self.net, ctx, np.tile(g_pair, 2)[:, None], arena, need_input_grad=False)
+        return float(np.mean(residual * residual))
+
     def fit(
         self,
         embeddings: np.ndarray,
@@ -87,31 +126,48 @@ class GainModel(Module):
         learning_rate: float = 1e-2,
         seed: int = 0,
     ) -> list[float]:
-        """Fit the model to the observed entries of the gain matrix."""
-        pairs = [(i, j) for i in range(gains.shape[0]) for j in range(i + 1, gains.shape[0]) if observed[i, j]]
-        if not pairs:
+        """Fit the model to the observed entries of the gain matrix.
+
+        Shuffled minibatches of :data:`GAIN_BATCH_SIZE` pairs, one Adam step
+        each; returns the mean per-pair loss of every epoch.
+        """
+        pairs = np.argwhere(np.triu(observed, k=1))
+        if not len(pairs):
             raise SchedulingError("gain model needs at least one observed pair to fit")
         optimizer = Adam(self.parameters(), lr=learning_rate)
         rng = np.random.default_rng(seed)
+        arena = fastgrad.Arena()
         losses = []
         for _ in range(epochs):
             rng.shuffle(pairs)
-            epoch_losses = []
-            for i, j in pairs:
-                prediction = self.forward(embeddings[i], embeddings[j])
-                loss = mse_loss(prediction, np.array([gains[i, j]]))
+            epoch_loss = 0.0
+            for start in range(0, len(pairs), GAIN_BATCH_SIZE):
+                rows, cols = pairs[start : start + GAIN_BATCH_SIZE].T
                 optimizer.zero_grad()
-                loss.backward()
+                epoch_loss += len(rows) * self.minibatch_step(embeddings, rows, cols, gains[rows, cols], arena)
                 optimizer.step()
-                epoch_losses.append(float(loss.data))
-            losses.append(float(np.mean(epoch_losses)))
+                arena.reset()
+            losses.append(epoch_loss / len(pairs))
         return losses
 
     def predict(self, embedding_i: np.ndarray, embedding_j: np.ndarray) -> float:
-        from ..nn import no_grad
-
         with no_grad():
             return float(self.forward(embedding_i, embedding_j).data[0])
+
+    def predict_pairs(self, embeddings: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Predicted gains of the pairs ``(rows[k], cols[k])``, tape-free.
+
+        Runs blocks of :data:`COMPLETION_BLOCK` pairs through one recycled
+        arena: all O(n^2) pairs of a large batch in a single forward is a
+        >15 MB working set, which shows up as the process's peak RSS.
+        """
+        arena = fastgrad.Arena()
+        predictions = np.empty(len(rows))
+        for start in range(0, len(rows), COMPLETION_BLOCK):
+            block = slice(start, start + COMPLETION_BLOCK)
+            predictions[block] = self._forward_pairs(embeddings, rows[block], cols[block], arena)[0]
+            arena.reset()
+        return predictions
 
 
 def build_gain_matrix(
@@ -132,11 +188,7 @@ def build_gain_matrix(
         return gains
     model = GainModel(plan_embeddings.shape[1], hidden_dim, np.random.default_rng(seed))
     model.fit(plan_embeddings, gains, observed, epochs=epochs, seed=seed)
+    rows, cols = np.nonzero(np.triu(~observed, k=1))
     completed = gains.copy()
-    n = len(batch)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not observed[i, j]:
-                value = model.predict(plan_embeddings[i], plan_embeddings[j])
-                completed[i, j] = completed[j, i] = value
+    completed[rows, cols] = completed[cols, rows] = model.predict_pairs(plan_embeddings, rows, cols)
     return completed

@@ -53,7 +53,6 @@ class LearnedSimulator:
         config_space: ConfigurationSpace,
         config: SimulatorConfig,
         seed: int = 0,
-        training_path: str = "tape",
     ) -> None:
         self.batch = batch
         self.plan_embeddings = plan_embeddings
@@ -68,7 +67,6 @@ class LearnedSimulator:
             config_space=config_space,
             config=config,
             seed=seed,
-            training_path=training_path,
         )
         # Fresh-submission feature rows keyed (query_id, config_index),
         # shared across the sessions of every episode.  A row bakes in the

@@ -20,7 +20,6 @@ fit order — is bit-identical to the historical single-engine
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 from ..config import SimulatorConfig
 from ..dbms import ConfigurationSpace, ExecutionLog
 from ..exceptions import SimulationError
-from ..nn import Adam, cross_entropy, fastgrad, no_grad
+from ..nn import Adam, fastgrad
 from ..workloads import BatchQuerySet
 from .features import MIN_REMAINING, PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE
 from .model import ConcurrentPredictionModel, SimulatorMetrics
@@ -67,10 +66,7 @@ class PerformanceModel:
         config: SimulatorConfig,
         seed: int = 0,
         instance_speeds: Sequence[float] = (),
-        training_path: str = "tape",
     ) -> None:
-        if training_path not in ("tape", "fused"):
-            raise ValueError("training_path must be 'tape' or 'fused'")
         self.batch = batch
         self.knowledge = knowledge
         self.config_space = config_space
@@ -91,31 +87,7 @@ class PerformanceModel:
         )
         self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
         self._rng = rng
-        self.training_path = training_path
-        self._fused_checked = False
-        self._fused_reason: str | None = None
-        self._arena: fastgrad.Arena | None = None
-
-    def _use_fused_fit(self) -> bool:
-        """Whether ``fit`` should run the tape-free fused kernels.
-
-        Resolved once per model; an unsupported architecture falls back to
-        the tape with a single audible warning.
-        """
-        if self.training_path != "fused":
-            return False
-        if not self._fused_checked:
-            self._fused_checked = True
-            self._fused_reason = fastgrad.perfmodel_training_reason(self.model)
-            if self._fused_reason is not None:
-                warnings.warn(
-                    f"training_path='fused' falling back to the tape: {self._fused_reason}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            else:
-                self._arena = fastgrad.Arena()
-        return self._fused_reason is None
+        self._arena = fastgrad.Arena()
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -183,46 +155,23 @@ class PerformanceModel:
         return self.evaluate_examples(examples)
 
     def fit(self, examples: list[PredictionExample], epochs: int) -> None:
-        if not examples:
-            return
+        """Per-example Adam steps over shuffled ``examples`` (tape-free kernels)."""
         order = list(range(len(examples)))
-        if self._use_fused_fit():
-            assert self._arena is not None
-            for _ in range(epochs):
-                self._rng.shuffle(order)
-                for index in order:
-                    example = examples[index]
-                    self.optimizer.zero_grad()
-                    fastgrad.perfmodel_example_step(
-                        self.model,
-                        example.features,
-                        example.earliest_index,
-                        (
-                            example.earliest_remaining / TIME_SCALE
-                            if self.config.use_multitask
-                            else None
-                        ),
-                        self.config.gamma_regression,
-                        self._arena,
-                    )
-                    self.optimizer.step()
-                    self._arena.reset()
-            return
         for _ in range(epochs):
             self._rng.shuffle(order)
             for index in order:
                 example = examples[index]
-                logits, times = self.model(example.features)
-                classification = cross_entropy(logits, example.earliest_index)
-                target = example.earliest_remaining / TIME_SCALE
-                prediction = times[example.earliest_index]
-                regression = (prediction - target) ** 2
-                loss = classification
-                if self.config.use_multitask:
-                    loss = loss + self.config.gamma_regression * regression
                 self.optimizer.zero_grad()
-                loss.backward()
+                fastgrad.perfmodel_example_step(
+                    self.model,
+                    example.features,
+                    example.earliest_index,
+                    example.earliest_remaining / TIME_SCALE if self.config.use_multitask else None,
+                    self.config.gamma_regression,
+                    self._arena,
+                )
                 self.optimizer.step()
+                self._arena.reset()
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -233,13 +182,12 @@ class PerformanceModel:
             return SimulatorMetrics(accuracy=float("nan"), mse=float("nan"), num_examples=0)
         correct = 0
         squared_errors = []
-        with no_grad():
-            for example in examples:
-                logits, times = self.model(example.features)
-                predicted_index = int(np.argmax(logits.data))
-                correct += int(predicted_index == example.earliest_index)
-                predicted_time = float(times.data[predicted_index])
-                squared_errors.append((predicted_time - example.earliest_remaining / TIME_SCALE) ** 2)
+        for example in examples:
+            logits, times = self.model.predict(example.features)
+            predicted_index = int(np.argmax(logits))
+            correct += int(predicted_index == example.earliest_index)
+            predicted_time = float(times[predicted_index])
+            squared_errors.append((predicted_time - example.earliest_remaining / TIME_SCALE) ** 2)
         return SimulatorMetrics(
             accuracy=correct / len(examples),
             mse=float(np.mean(squared_errors)),

@@ -585,9 +585,11 @@ class TestEndToEndFusedTraining:
             )
 
     def test_perfmodel_fused_fit_matches_tape(self):
-        from repro.perf.perfmodel import PredictionExample
+        from repro.nn import cross_entropy
+        from repro.perf.features import TIME_SCALE
+        from repro.perf.perfmodel import PerformanceModel, PredictionExample
 
-        def build(training_path):
+        def build():
             config = BQSchedConfig.small(seed=0)
             config.scheduler.num_connections = 3
             workload = make_workload("tpch", scale_factor=1.0, seed=0)
@@ -598,8 +600,6 @@ class TestEndToEndFusedTraining:
             rng = np.random.default_rng(0)
             queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)
             plan_embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
-            from repro.perf.perfmodel import PerformanceModel
-
             return PerformanceModel(
                 batch=batch,
                 plan_embeddings=plan_embeddings,
@@ -607,7 +607,6 @@ class TestEndToEndFusedTraining:
                 config_space=config_space,
                 config=config.simulator,
                 seed=0,
-                training_path=training_path,
             )
 
         def fake_examples(model, count=6):
@@ -625,13 +624,26 @@ class TestEndToEndFusedTraining:
                 )
             return examples
 
-        tape = build("tape")
-        fused = build("fused")
-        tape.fit(fake_examples(tape), epochs=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fused.fit(fake_examples(fused), epochs=2)
-        assert fused._fused_reason is None
+        def tape_fit(perf, examples, epochs):
+            """The per-example autograd loop ``PerformanceModel.fit`` replaced."""
+            order = list(range(len(examples)))
+            for _ in range(epochs):
+                perf._rng.shuffle(order)
+                for index in order:
+                    example = examples[index]
+                    logits, times = perf.model(example.features)
+                    loss = cross_entropy(logits, example.earliest_index)
+                    if perf.config.use_multitask:
+                        residual = times[example.earliest_index] - example.earliest_remaining / TIME_SCALE
+                        loss = loss + perf.config.gamma_regression * residual**2
+                    perf.optimizer.zero_grad()
+                    loss.backward()
+                    perf.optimizer.step()
+
+        tape = build()
+        fused = build()
+        tape_fit(tape, fake_examples(tape), epochs=2)
+        fused.fit(fake_examples(fused), epochs=2)
         for (name, a), (_, b) in zip(
             sorted(tape.model.state_dict().items()), sorted(fused.model.state_dict().items())
         ):

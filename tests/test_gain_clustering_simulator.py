@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import SimulatorConfig
 from repro.core import (
     AdaptiveMask,
@@ -16,8 +17,10 @@ from repro.core import (
     cluster_queries,
     compute_scheduling_gains,
 )
+from repro.core.gain import GAIN_BATCH_SIZE
 from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
+from repro.nn import Adam, chained_sum, fastgrad, mse_loss
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,35 @@ def plan_embeddings(tpch_workload, tpch_batch, small_config):
 
     queryformer = QueryFormer(PlanFeaturizer(tpch_workload.catalog), small_config.encoder, np.random.default_rng(0))
     return PlanEmbeddingCache(queryformer).embeddings_for(tpch_batch)
+
+
+def _upper_pairs(observed):
+    n = observed.shape[0]
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if observed[i, j]]
+
+
+def _reference_fit(model, embeddings, gains, observed, epochs=30, learning_rate=1e-2, seed=0):
+    """The per-pair autograd loop ``GainModel.fit`` replaced: one Adam step per observed pair."""
+    pairs = _upper_pairs(observed)
+    optimizer = Adam(model.parameters(), lr=learning_rate)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        rng.shuffle(pairs)
+        for i, j in pairs:
+            loss = mse_loss(model.forward(embeddings[i], embeddings[j]), np.array([gains[i, j]]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+
+
+def _observed_mse(model, embeddings, gains, observed):
+    errors = [model.predict(embeddings[i], embeddings[j]) - gains[i, j] for i, j in _upper_pairs(observed)]
+    return float(np.mean(np.square(errors)))
+
+
+def _random_gains(n, rng):
+    gains = rng.normal(0, 0.1, size=(n, n))
+    return (gains + gains.T) / 2
 
 
 class TestSchedulingGain:
@@ -69,10 +101,73 @@ class TestSchedulingGain:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_build_gain_matrix_fills_unobserved(self, history_log, tpch_batch, plan_embeddings):
+        """One batched completion == the per-pair ``predict`` loop it replaced."""
         completed = build_gain_matrix(history_log, tpch_batch, plan_embeddings, hidden_dim=16, epochs=2)
-        _, observed = compute_scheduling_gains(history_log, tpch_batch)
-        np.testing.assert_allclose(completed, completed.T, atol=1e-9)
-        assert completed.shape == observed.shape
+        gains, observed = compute_scheduling_gains(history_log, tpch_batch)
+        assert observed.any() and not observed[np.triu_indices(len(tpch_batch), k=1)].all()
+        model = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
+        model.fit(plan_embeddings, gains, observed, epochs=2, seed=0)
+        np.testing.assert_array_equal(completed, completed.T)
+        np.testing.assert_array_equal(completed[observed], gains[observed])
+        np.testing.assert_array_equal(np.diag(completed), 0.0)
+        for i, j in _upper_pairs(~observed):
+            assert abs(completed[i, j] - model.predict(plan_embeddings[i], plan_embeddings[j])) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["single", "ragged_tail", "repeated_pair"])
+    def test_minibatch_step_gradients_match_tape(self, plan_embeddings, case):
+        n = plan_embeddings.shape[0]
+        every = _upper_pairs(np.ones((n, n), dtype=bool))
+        tail = every[len(every) - len(every) % GAIN_BATCH_SIZE :]
+        assert 1 < len(tail) < GAIN_BATCH_SIZE
+        pairs = {"single": [(0, 1)], "ragged_tail": tail, "repeated_pair": [(0, 1), (2, 3), (0, 1)]}[case]
+        gains = _random_gains(n, np.random.default_rng(1))
+        model = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
+
+        losses = [
+            mse_loss(model.forward(plan_embeddings[i], plan_embeddings[j]), np.array([gains[i, j]])) for i, j in pairs
+        ]
+        mean_loss = chained_sum(losses) * (1.0 / len(pairs))
+        model.zero_grad()
+        mean_loss.backward()
+        tape_grads = [parameter.grad.copy() for parameter in model.parameters()]
+
+        model.zero_grad()
+        rows, cols = np.array(pairs).T
+        fused_loss = model.minibatch_step(plan_embeddings, rows, cols, gains[rows, cols], fastgrad.Arena())
+        assert abs(fused_loss - float(mean_loss.data)) <= 1e-12
+        for parameter, expected in zip(model.parameters(), tape_grads):
+            assert np.max(np.abs(parameter.grad - expected)) <= 1e-12
+
+    def test_fit_needs_an_observed_pair_and_handles_exactly_one(self, plan_embeddings):
+        n = plan_embeddings.shape[0]
+        gains = _random_gains(n, np.random.default_rng(2))
+        observed = np.zeros((n, n), dtype=bool)
+        model = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
+        with pytest.raises(SchedulingError):
+            model.fit(plan_embeddings, gains, observed)
+        observed[3, 7] = observed[7, 3] = True
+        losses = model.fit(plan_embeddings, gains, observed, epochs=200)
+        assert len(losses) == 200 and losses[-1] < losses[0]
+        assert model.predict(plan_embeddings[3], plan_embeddings[7]) == pytest.approx(gains[3, 7], abs=0.01)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_minibatched_fit_is_no_worse_than_per_pair_loop_at_158_queries(self, seed):
+        """Fit quality on the large-query-set ``prepare(2)`` data (the ledger's clustered workload)."""
+        workload = make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=seed)
+        scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=seed), BQSchedConfig(seed=seed))
+        scheduler.use_simulator = False  # only the gain fit and the clustering are under test
+        scheduler.prepare(history_rounds=2)
+        assert len(scheduler.batch) == 158 and scheduler.clusters.num_clusters == 100
+
+        embeddings = scheduler.plan_embeddings
+        gains, observed = compute_scheduling_gains(scheduler.history_log, scheduler.batch)
+        hidden = scheduler.config.clustering.gain_model_hidden
+        fitted = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+        fitted.fit(embeddings, gains, observed, seed=seed)
+        reference = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+        _reference_fit(reference, embeddings, gains, observed, seed=seed)
+        fitted_mse = _observed_mse(fitted, embeddings, gains, observed)
+        assert fitted_mse <= _observed_mse(reference, embeddings, gains, observed)
 
 
 class TestClustering:
