@@ -132,7 +132,7 @@ def build_minibatch(policy, plan, minibatch_size: int, num_envs: int, seed: int)
 
 
 def tape_update(policy, plan, batch, optimizer) -> None:
-    """One tape-path update, the ``PPOTrainer._update_batched`` expressions."""
+    """One update on the autograd tape: this benchmark's own reference cell (no trainer runs it)."""
     optimizer.zero_grad()
     log_probs, entropies, values, _ = policy.evaluate_actions_batch(
         plan, batch["snapshots"], batch["actions"], batch["masks"]

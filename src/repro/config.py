@@ -89,19 +89,19 @@ class PPOConfig:
     (``N_ppo`` in Algorithm 1); ``beta_clone`` weighs the behaviour-cloning KL
     term of the IQ-PPO auxiliary objective.
 
-    ``num_envs`` selects the rollout engine: ``1`` (default) keeps the
-    original sequential, seed-for-seed reproducible path, while ``N > 1``
-    collects episodes from N lockstep environments driven by one batched
-    policy forward per decision round, and switches the PPO update (plus the
-    PPG / IQ-PPO auxiliary phases) to whole-minibatch batched
-    forward/backward passes.
+    ``num_envs`` selects only the rollout engine: ``1`` (default) samples one
+    snapshot at a time from a single environment, seed-for-seed reproducible,
+    while ``N > 1`` collects episodes from N lockstep environments driven by
+    one batched policy forward per decision round.  The PPO update and the
+    PPG / IQ-PPO auxiliary phases are the same stacked minibatch steps
+    (:mod:`repro.nn.fastgrad`) whichever engine filled the buffer.
 
     Note: the :class:`~repro.core.bqsched.RLSchedulerBase` facade upgrades
     its *simulator pre-training* phase to
     ``RLSchedulerBase.pretrain_num_envs`` lockstep envs by default even at
     ``num_envs=1`` (pre-training steps are free, so the speedup is pure
-    win); set ``scheduler.pretrain_num_envs = 1`` to force fully sequential,
-    legacy-identical pre-training.  Direct ``PPOTrainer`` use always honours
+    win); set ``scheduler.pretrain_num_envs = 1`` to force sequential
+    pre-training rollouts.  Direct ``PPOTrainer`` use always honours
     ``num_envs`` exactly.
     """
 
@@ -212,13 +212,6 @@ class SchedulerConfig:
     #: default) disables the term entirely.
     fairness_weight: float = 0.0
     evaluation_rounds: int = 5
-    #: Training path for the PPO-family trainers and the performance model:
-    #: ``"tape"`` (default, the define-by-run autograd) or ``"fused"`` (the
-    #: tape-free analytic kernels in :mod:`repro.nn.fastgrad`; gradients
-    #: match the tape to float64 rounding).  Unsupported module
-    #: configurations fall back to the tape with a one-time
-    #: ``RuntimeWarning`` naming the reason.
-    training_path: str = "tape"
 
     def __post_init__(self) -> None:
         _require(self.num_connections >= 1, "num_connections must be >= 1")
@@ -230,10 +223,6 @@ class SchedulerConfig:
         _require(self.slo_penalty >= 0, "slo_penalty must be >= 0")
         _require(self.fairness_weight >= 0, "fairness_weight must be >= 0")
         _require(self.evaluation_rounds >= 1, "evaluation_rounds must be >= 1")
-        _require(
-            self.training_path in ("tape", "fused"),
-            "training_path must be 'tape' or 'fused'",
-        )
 
     @property
     def num_configurations(self) -> int:

@@ -32,7 +32,6 @@ simulator pre-training.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import replace
 
@@ -42,6 +41,7 @@ from ..config import AdmissionPolicy, AutoscalePolicy, BQSchedConfig, RetryPolic
 from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, ExecutionLog, FailureProfile, INSTANCE_FEATURE_DIM
 from ..encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot, StateEncoder
 from ..exceptions import SchedulingError
+from ..nn import fastgrad
 from ..perf import PerformanceModel, SimulatedCluster
 from ..plans import PlanFeaturizer
 from ..runtime import ControlPlane, ExecutionRuntime, ServiceReport, TenantClass
@@ -77,7 +77,7 @@ class RLSchedulerBase(BaseScheduler):
     #: Simulator pre-training steps cost nothing on the real DBMS, so it runs
     #: N lockstep envs by default (capped by the per-update episode budget —
     #: extra envs beyond that would never start an episode).  Set to 1 on an
-    #: instance to restore fully sequential, legacy-identical pre-training.
+    #: instance for sequential pre-training rollouts.
     pretrain_num_envs = 4
 
     def __init__(
@@ -145,6 +145,10 @@ class RLSchedulerBase(BaseScheduler):
         #: the performance ledger reads; not a knob).
         self.inference_backend = DECISION_KERNEL
         self.trainer: PPOTrainer | None = None
+        #: One pool for the update temporaries of every trainer this scheduler
+        #: builds: the pre-trainer and the fine-tune trainer run one after the
+        #: other over the same minibatch shapes.
+        self._update_arena = fastgrad.Arena()
         self.timings: dict[str, float] = {}
         self._prepared = False
 
@@ -205,7 +209,7 @@ class RLSchedulerBase(BaseScheduler):
             config=ppo_config,
             seed=self.config.seed,
             eval_env=self.env,
-            training_path=self.config.scheduler.training_path,
+            arena=self._update_arena,
         )
 
     # ------------------------------------------------------------------ #
@@ -301,11 +305,6 @@ class RLSchedulerBase(BaseScheduler):
         """
         if not self._prepared:
             self.prepare(history_rounds=history_rounds)
-        # The tape updates below free each minibatch's graph through the cyclic
-        # collector, so their peak RSS depends on the collector's state on
-        # entry (measured at n=99: 1.1 GB from a fresh collection, 1.6-1.8 GB
-        # otherwise).  Start them from the same state whatever ran before.
-        gc.collect()
 
         self._best_score = float("inf")
         self._best_state = None

@@ -53,23 +53,45 @@ class QueryClusters:
     def sizes(self) -> list[int]:
         return [len(members) for members in self._members]
 
-    def pool(self, per_query: np.ndarray, pending: np.ndarray) -> np.ndarray:
-        """Mean-pool member rows into cluster tokens, one batched GEMM.
+    def pending_flags(self, snapshots: list) -> np.ndarray:
+        """The ``(batch, n)`` boolean pending column of each snapshot."""
+        pending = np.zeros((len(snapshots), len(self.assignments)), dtype=bool)
+        for row, snapshot in zip(pending, snapshots):
+            row[snapshot.pending_ids] = True
+        return pending
 
-        ``per_query`` is ``(batch, n, dim)`` and ``pending`` the ``(batch, n)``
-        boolean pending column of each snapshot; returns ``(batch,
-        num_clusters, dim)``.  A cluster pools its pending members when any
-        remain and all of its members once fully drained, so its token stays
-        well-defined.
+    def _live_members(self, pending: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """``(batch, num_clusters, n)`` pooled-member flags and their per-cluster counts.
+
+        ``pending`` is the ``(batch, n)`` boolean pending column of each
+        snapshot.  A cluster pools its pending members when any remain and all
+        of its members once fully drained, so its token stays well-defined.
         """
         live = self.membership[None, :, :] & pending[:, None, :]
-        counts = live.sum(axis=2, dtype=per_query.dtype)
+        counts = live.sum(axis=2, dtype=dtype)
         drained_rows, drained_clusters = np.nonzero(counts == 0)
         live[drained_rows, drained_clusters] = self.membership[drained_clusters]
         counts[drained_rows, drained_clusters] = self._sizes[drained_clusters]
+        return live, counts
+
+    def pool(self, per_query: np.ndarray, pending: np.ndarray) -> np.ndarray:
+        """Mean-pool member rows into cluster tokens, one batched GEMM.
+
+        ``per_query`` is ``(batch, n, dim)``; returns ``(batch, num_clusters, dim)``.
+        """
+        live, counts = self._live_members(pending, per_query.dtype)
         pooled = live.astype(per_query.dtype) @ per_query
         pooled /= counts[:, :, None]
         return pooled
+
+    def pool_weights(self, pending: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the ``(batch, num_clusters, n)`` matrix whose GEMM is :meth:`pool`.
+
+        Each row sums to one; the fused update kernels multiply by it going
+        forward and by its transpose going back.
+        """
+        live, counts = self._live_members(pending, out.dtype)
+        return np.divide(live, counts[:, :, None], out=out)
 
     def __repr__(self) -> str:
         return f"QueryClusters(num_clusters={self.num_clusters}, sizes={self.sizes()})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, chained_sum, clip_grad_norm, fastgrad, kl_divergence
+from ..nn import fastgrad
 from .ppo import PPOTrainer
 from .rollout import RolloutBuffer
 
@@ -25,80 +25,27 @@ class IQPPOTrainer(PPOTrainer):
     algorithm = "iq-ppo"
 
     def auxiliary_phase(self, buffer: RolloutBuffer) -> float:
-        """Optimise L_joint = L_aux + beta_clone * KL(pi_old || pi_new)."""
-        if self.vectorized:
-            return self._auxiliary_phase_batched(buffer)
+        """Optimise L_joint = L_aux + beta_clone * KL(pi_old || pi_new), one stacked step per epoch."""
+        self._require_transitions(buffer, "auxiliary_phase()")
         transitions = buffer.sample_with_aux(self.config.minibatch_size, self.rng)
         if not transitions:
             return 0.0
-        old_log_probs = self._snapshot_old_policy(transitions)
+        snapshots, masks = self._stack(transitions)
+        old_log_probs = self._snapshot_old_policy(snapshots, masks)
         time_scale = self.policy.state_encoder.run_state_featurizer.time_scale
-        losses = []
-        for _ in range(self.config.aux_epochs):
-            batch_losses = []
-            for transition, old in zip(transitions, old_log_probs):
-                predicted, new_log_probs = self.policy.evaluate_auxiliary(
-                    self.plan_embeddings,
-                    transition.snapshot,
-                    transition.aux_query_id,
-                    transition.mask,
-                    clusters=self.env.clusters,
-                )
-                target = Tensor(np.array(transition.aux_target / time_scale))
-                aux_loss = (predicted - target) ** 2 * 0.5
-                clone = kl_divergence(old, new_log_probs)
-                batch_losses.append(aux_loss + self.config.beta_clone * clone)
-            total = chained_sum(batch_losses) * (1.0 / len(batch_losses))
-            self.optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-            self.optimizer.step()
-            losses.append(float(total.data))
-        return float(np.mean(losses))
-
-    def _auxiliary_phase_batched(self, buffer: RolloutBuffer) -> float:
-        """The auxiliary phase with one stacked forward/backward per epoch."""
-        transitions = buffer.sample_with_aux(self.config.minibatch_size, self.rng)
-        if not transitions:
-            return 0.0
-        old_log_probs = np.stack(self._snapshot_old_policy(transitions), axis=0)
-        time_scale = self.policy.state_encoder.run_state_featurizer.time_scale
-        snapshots = [t.snapshot for t in transitions]
         query_ids = np.array([t.aux_query_id for t in transitions], dtype=np.int64)
-        masks = np.stack([t.mask for t in transitions], axis=0)
-        if self._use_fused_updates():
-            losses = []
-            for _ in range(self.config.aux_epochs):
-                self.optimizer.zero_grad()
-                total = fastgrad.iq_ppo_aux_step(
-                    self.policy,
-                    self.plan_embeddings,
-                    snapshots,
-                    query_ids,
-                    masks,
-                    old_log_probs=old_log_probs,
-                    time_targets=np.array([t.aux_target / time_scale for t in transitions]),
-                    beta_clone=self.config.beta_clone,
-                    arena=self._arena,
-                )
-                with self.timers.section("optimizer"):
-                    clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-                    self.optimizer.step()
-                self._arena.reset()
-                losses.append(total)
-            return float(np.mean(losses))
-        targets = Tensor(np.array([t.aux_target / time_scale for t in transitions]))
-        losses = []
-        for _ in range(self.config.aux_epochs):
-            predicted, new_log_probs = self.policy.evaluate_auxiliary_batch(
-                self.plan_embeddings, snapshots, query_ids, masks, clusters=self.env.clusters
+        time_targets = np.array([t.aux_target / time_scale for t in transitions])
+        return self._auxiliary_epochs(
+            lambda: fastgrad.iq_ppo_aux_step(
+                self.policy,
+                self.plan_embeddings,
+                snapshots,
+                query_ids,
+                masks,
+                old_log_probs=old_log_probs,
+                time_targets=time_targets,
+                beta_clone=self.config.beta_clone,
+                arena=self.arena,
+                clusters=self.env.clusters,
             )
-            aux_loss = ((predicted - targets) ** 2).mean() * 0.5
-            clone = kl_divergence(old_log_probs, new_log_probs)
-            total = aux_loss + self.config.beta_clone * clone
-            self.optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-            self.optimizer.step()
-            losses.append(float(total.data))
-        return float(np.mean(losses))
+        )

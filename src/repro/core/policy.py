@@ -164,10 +164,7 @@ class ActorCriticNetwork(Module):
         """
         batch = per_query.shape[0]
         if clusters is not None:
-            pending = np.zeros(per_query.shape[:2], dtype=bool)
-            for row, snapshot in zip(pending, snapshots):
-                row[snapshot.pending_ids] = True
-            per_query = clusters.pool(per_query, pending)
+            per_query = clusters.pool(per_query, clusters.pending_flags(snapshots))
         logits = fastinfer.mlp_forward(self.policy_head, per_query).reshape(batch, -1)
         values = fastinfer.mlp_forward(self.value_head, global_state).reshape(batch)
         return logits, values

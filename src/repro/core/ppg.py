@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, chained_sum, clip_grad_norm, fastgrad, kl_divergence, masked_log_softmax
+from ..nn import fastgrad
 from .ppo import PPOTrainer
 from .rollout import RolloutBuffer
 
@@ -25,84 +25,27 @@ class PPGTrainer(PPOTrainer):
     algorithm = "ppg"
 
     def auxiliary_phase(self, buffer: RolloutBuffer) -> float:
-        """Fit the auxiliary head to GAE value targets on off-policy data."""
-        if self.vectorized:
-            return self._auxiliary_phase_batched(buffer)
-        transitions = buffer.sample(self.config.minibatch_size, self.rng)
-        if not transitions:
-            return 0.0
-        old_log_probs = self._snapshot_old_policy(transitions)
-        clusters = self.env.clusters
-        losses = []
-        for _ in range(self.config.aux_epochs):
-            batch_losses = []
-            for transition, old in zip(transitions, old_log_probs):
-                representation = self.policy.representation(self.plan_embeddings, transition.snapshot)
-                predicted = self.policy.auxiliary_times(representation)
-                # PPG's auxiliary target is the state value; we predict it from
-                # the super-query channel by averaging the per-query head.
-                value_prediction = predicted.mean()
-                target = Tensor(np.array(transition.value_target))
-                aux_loss = (value_prediction - target) ** 2 * 0.5
-                logits = self.policy.action_logits(representation, transition.snapshot, clusters=clusters)
-                new_log_probs = masked_log_softmax(logits, transition.mask)
-                clone = kl_divergence(old, new_log_probs)
-                batch_losses.append(aux_loss + self.config.beta_clone * clone)
-            total = chained_sum(batch_losses) * (1.0 / len(batch_losses))
-            self.optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-            self.optimizer.step()
-            losses.append(float(total.data))
-        return float(np.mean(losses))
+        """Fit the auxiliary head to GAE value targets on off-policy data.
 
-    def _auxiliary_phase_batched(self, buffer: RolloutBuffer) -> float:
-        """The auxiliary phase with one stacked forward/backward per epoch.
-
-        The objective is the per-sample mean of ``aux + beta * clone``, the
-        same quantity the sequential loop accumulates term by term.
+        PPG's auxiliary target is the state value, predicted as the mean of
+        the per-query head; each epoch is one stacked step on the per-sample
+        mean of ``aux + beta_clone * KL(pi_old || pi_new)``.
         """
+        self._require_transitions(buffer, "auxiliary_phase()")
         transitions = buffer.sample(self.config.minibatch_size, self.rng)
-        if not transitions:
-            return 0.0
-        old_log_probs = np.stack(self._snapshot_old_policy(transitions), axis=0)
-        clusters = self.env.clusters
-        snapshots = [t.snapshot for t in transitions]
-        masks = np.stack([t.mask for t in transitions], axis=0)
-        if self._use_fused_updates():
-            losses = []
-            for _ in range(self.config.aux_epochs):
-                self.optimizer.zero_grad()
-                total = fastgrad.ppg_aux_step(
-                    self.policy,
-                    self.plan_embeddings,
-                    snapshots,
-                    masks,
-                    old_log_probs=old_log_probs,
-                    value_targets=np.array([t.value_target for t in transitions]),
-                    beta_clone=self.config.beta_clone,
-                    arena=self._arena,
-                )
-                with self.timers.section("optimizer"):
-                    clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-                    self.optimizer.step()
-                self._arena.reset()
-                losses.append(total)
-            return float(np.mean(losses))
-        targets = Tensor(np.array([t.value_target for t in transitions]))
-        losses = []
-        for _ in range(self.config.aux_epochs):
-            representation = self.policy.encode_batch(self.plan_embeddings, snapshots)
-            predicted = self.policy.auxiliary_times_batch(representation)
-            value_predictions = predicted.mean(axis=-1)
-            aux_loss = ((value_predictions - targets) ** 2).mean() * 0.5
-            logits = self.policy.action_logits_batch(representation, snapshots, clusters=clusters)
-            new_log_probs = masked_log_softmax(logits, masks)
-            clone = kl_divergence(old_log_probs, new_log_probs)
-            total = aux_loss + self.config.beta_clone * clone
-            self.optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-            self.optimizer.step()
-            losses.append(float(total.data))
-        return float(np.mean(losses))
+        snapshots, masks = self._stack(transitions)
+        old_log_probs = self._snapshot_old_policy(snapshots, masks)
+        value_targets = np.array([t.value_target for t in transitions])
+        return self._auxiliary_epochs(
+            lambda: fastgrad.ppg_aux_step(
+                self.policy,
+                self.plan_embeddings,
+                snapshots,
+                masks,
+                old_log_probs=old_log_probs,
+                value_targets=value_targets,
+                beta_clone=self.config.beta_clone,
+                arena=self.arena,
+                clusters=self.env.clusters,
+            )
+        )

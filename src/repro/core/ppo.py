@@ -6,25 +6,24 @@ GAE advantages, and optimises the clipped surrogate objective plus a value
 loss and an entropy bonus.  PPG and IQ-PPO subclass it and add their
 respective auxiliary phases.
 
-With ``PPOConfig.num_envs > 1`` the trainer switches to the vectorized
-execution spine: rollouts are collected from a
-:class:`~repro.core.vecenv.VectorSchedulingEnv` stepping N sessions in
-lockstep with one batched policy forward per decision round, and the PPO
-update evaluates each minibatch with a single stacked forward/backward
-instead of one encoder pass per transition.  ``num_envs=1`` keeps the
-sequential per-transition updates; its rollouts sample through the same
-tape-free forward as the lock-step collector, one snapshot at a time.
+``PPOConfig.num_envs`` selects only the rollout engine: ``1`` samples one
+snapshot at a time from ``env``, ``N > 1`` steps N sessions of a
+:class:`~repro.core.vecenv.VectorSchedulingEnv` in lockstep with one batched
+policy forward per decision round.  Every update, whatever collected its
+buffer, is the stacked minibatch step of :mod:`repro.nn.fastgrad`: one
+tape-free forward + analytic backward per minibatch, its temporaries drawn
+from a :class:`~repro.nn.fastgrad.Arena`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import PPOConfig
-from ..nn import Adam, Tensor, chained_sum, clip_grad_norm, concatenate, fastgrad, where
+from ..exceptions import ConfigurationError
+from ..nn import Adam, clip_grad_norm, fastgrad
 from ..timing import SectionTimers
 from .env import SchedulingEnv
 from .policy import ActorCriticNetwork
@@ -64,22 +63,20 @@ class PPOTrainer:
         config: PPOConfig,
         seed: int = 0,
         eval_env: SchedulingEnv | None = None,
-        training_path: str = "tape",
+        arena: fastgrad.Arena | None = None,
     ) -> None:
+        reason = fastgrad.fused_training_reason(policy)
+        if reason is not None:
+            raise ConfigurationError(f"the fused update kernels cannot train this policy: {reason}")
         self.policy = policy
         self.plan_embeddings = plan_embeddings
         self.env = env
         self.eval_env = eval_env or env
         self.config = config
-        if training_path not in ("tape", "fused"):
-            raise ValueError(f"training_path must be 'tape' or 'fused', got {training_path!r}")
-        #: ``"tape"`` runs updates through the autograd tape; ``"fused"``
-        #: uses the tape-free analytic kernels in :mod:`repro.nn.fastgrad`
-        #: (batched spine only), falling back audibly when unsupported.
-        self.training_path = training_path
-        self._fused_checked = False
-        self._fused_reason: str | None = None
-        self._arena: fastgrad.Arena | None = None
+        #: Pool behind every minibatch-sized temporary of the updates.  Trainers
+        #: that never update at the same time (pre-training, then fine-tuning)
+        #: share one, so its buffers are paid for once.
+        self.arena = arena if arena is not None else fastgrad.Arena()
         self.rng = np.random.default_rng(seed)
         self.optimizer = Adam(policy.parameters(), lr=config.learning_rate)
         self.history = TrainingHistory()
@@ -92,33 +89,9 @@ class PPOTrainer:
         #: "aux", plus the nested "optimizer" slice of each update).
         self.timers = SectionTimers()
 
-    def _use_fused_updates(self) -> bool:
-        """Whether this update should run the fused training path.
-
-        First call resolves the support gate; an unsupported configuration
-        warns once (``RuntimeWarning`` naming the reason, in the style of
-        ``fastinfer.why_slow``) and every later call falls back silently.
-        """
-        if self.training_path != "fused":
-            return False
-        if not self._fused_checked:
-            self._fused_checked = True
-            self._fused_reason = fastgrad.fused_training_reason(
-                self.policy, clusters=self.env.clusters
-            )
-            if self._fused_reason is not None:
-                warnings.warn(
-                    f"training_path='fused' falling back to the tape: {self._fused_reason}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            else:
-                self._arena = fastgrad.Arena()
-        return self._fused_reason is None
-
     @property
     def vectorized(self) -> bool:
-        """Whether rollouts and updates use the batched execution spine."""
+        """Whether rollouts come from the lockstep vector engine."""
         return self.num_envs > 1
 
     # ------------------------------------------------------------------ #
@@ -234,133 +207,90 @@ class PPOTrainer:
     # Optimisation
     # ------------------------------------------------------------------ #
     def update(self, buffer: RolloutBuffer) -> dict[str, float]:
-        """One PPO update over the collected buffer.
-
-        Vectorized trainers evaluate each minibatch with a single stacked
-        forward/backward; the sequential path below (``num_envs=1``) is the
-        original per-transition implementation.
-        """
-        if self.vectorized:
-            return self._update_batched(buffer)
-        if self.training_path == "fused" and not self._fused_checked:
-            self._fused_checked = True
-            self._fused_reason = "sequential (num_envs=1) updates always use the tape path"
-            warnings.warn(
-                f"training_path='fused' falling back to the tape: {self._fused_reason}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        """One PPO update: ``epochs_per_update`` stacked minibatch steps over ``buffer``."""
+        self._require_transitions(buffer, "update()")
         buffer.normalized_advantages()
-        clusters = self.env.clusters
         policy_losses, value_losses = [], []
         for _ in range(self.config.epochs_per_update):
             batch = buffer.sample(self.config.minibatch_size, self.rng)
-            losses = []
-            for transition in batch:
-                log_prob, entropy, value, _ = self.policy.evaluate_action(
-                    self.plan_embeddings,
-                    transition.snapshot,
-                    transition.action,
-                    transition.mask,
-                    clusters=clusters,
-                )
-                ratio = (log_prob - transition.log_prob).exp()
-                advantage = transition.advantage
-                surrogate1 = ratio * advantage
-                surrogate2 = ratio.clip(1.0 - self.config.clip_epsilon, 1.0 + self.config.clip_epsilon) * advantage
-                # -min(s1, s2) expressed as max(-s1, -s2) so the tape stays simple.
-                clip_term = concatenate(
-                    [(surrogate1 * -1.0).reshape(1), (surrogate2 * -1.0).reshape(1)], axis=0
-                ).max()
-                value_error = value.reshape(1) - Tensor(np.array([transition.value_target]))
-                value_loss = (value_error * value_error).sum() * 0.5
-                loss = clip_term + self.config.value_coef * value_loss - self.config.entropy_coef * entropy
-                losses.append(loss)
-                policy_losses.append(float(clip_term.data))
-                value_losses.append(float(value_loss.data))
-            # One tape node for the whole minibatch mean; the sequential
-            # accumulation order inside chained_sum keeps the result (and the
-            # backward) bit-identical to the historical per-element chain.
-            total = chained_sum(losses) * (1.0 / len(losses))
+            snapshots, masks = self._stack(batch)
             self.optimizer.zero_grad()
-            total.backward()
-            with self.timers.section("optimizer"):
-                clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-                self.optimizer.step()
-        return {
-            "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
-            "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
-        }
-
-    def _update_batched(self, buffer: RolloutBuffer) -> dict[str, float]:
-        """One PPO update where every minibatch is a single batched forward.
-
-        Computes the same per-sample clipped-surrogate, value and entropy
-        terms as the sequential path, but over ``(batch, ...)`` tensors: the
-        encoder runs once per minibatch instead of once per transition.
-        """
-        buffer.normalized_advantages()
-        clusters = self.env.clusters
-        use_fused = self._use_fused_updates()
-        policy_losses, value_losses = [], []
-        for _ in range(self.config.epochs_per_update):
-            batch = buffer.sample(self.config.minibatch_size, self.rng)
-            snapshots = [t.snapshot for t in batch]
-            actions = np.array([t.action for t in batch], dtype=np.int64)
-            masks = np.stack([t.mask for t in batch], axis=0)
-            if use_fused:
-                self.optimizer.zero_grad()
-                policy_loss_value, value_loss_value = fastgrad.ppo_minibatch_step(
-                    self.policy,
-                    self.plan_embeddings,
-                    snapshots,
-                    actions,
-                    masks,
-                    old_log_probs=np.array([t.log_prob for t in batch]),
-                    advantages=np.array([t.advantage for t in batch]),
-                    value_targets=np.array([t.value_target for t in batch]),
-                    clip_epsilon=self.config.clip_epsilon,
-                    value_coef=self.config.value_coef,
-                    entropy_coef=self.config.entropy_coef,
-                    arena=self._arena,
-                )
-                with self.timers.section("optimizer"):
-                    clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-                    self.optimizer.step()
-                self._arena.reset()
-                policy_losses.append(policy_loss_value)
-                value_losses.append(value_loss_value)
-                continue
-            old_log_probs = Tensor(np.array([t.log_prob for t in batch]))
-            advantages = Tensor(np.array([t.advantage for t in batch]))
-            value_targets = Tensor(np.array([t.value_target for t in batch]))
-            log_probs, entropies, values, _ = self.policy.evaluate_actions_batch(
-                self.plan_embeddings, snapshots, actions, masks, clusters=clusters
+            policy_loss, value_loss = fastgrad.ppo_minibatch_step(
+                self.policy,
+                self.plan_embeddings,
+                snapshots,
+                np.array([t.action for t in batch], dtype=np.int64),
+                masks,
+                old_log_probs=np.array([t.log_prob for t in batch]),
+                advantages=np.array([t.advantage for t in batch]),
+                value_targets=np.array([t.value_target for t in batch]),
+                clip_epsilon=self.config.clip_epsilon,
+                value_coef=self.config.value_coef,
+                entropy_coef=self.config.entropy_coef,
+                arena=self.arena,
+                clusters=self.env.clusters,
             )
-            ratio = (log_probs - old_log_probs).exp()
-            surrogate1 = ratio * advantages
-            surrogate2 = ratio.clip(1.0 - self.config.clip_epsilon, 1.0 + self.config.clip_epsilon) * advantages
-            clipped = where(surrogate1.data <= surrogate2.data, surrogate1, surrogate2)
-            policy_loss = (clipped * -1.0).mean()
-            value_error = values - value_targets
-            value_loss = (value_error * value_error).mean() * 0.5
-            entropy = entropies.mean()
-            loss = policy_loss + self.config.value_coef * value_loss - self.config.entropy_coef * entropy
-            self.optimizer.zero_grad()
-            loss.backward()
-            with self.timers.section("optimizer"):
-                clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
-                self.optimizer.step()
-            policy_losses.append(float(policy_loss.data))
-            value_losses.append(float(value_loss.data))
-        return {
-            "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
-            "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
-        }
+            self._apply_gradients(policy_loss + value_loss)
+            policy_losses.append(policy_loss)
+            value_losses.append(value_loss)
+        return {"policy_loss": float(np.mean(policy_losses)), "value_loss": float(np.mean(value_losses))}
+
+    @staticmethod
+    def _require_transitions(buffer: RolloutBuffer, caller: str) -> None:
+        if len(buffer) == 0:
+            raise ValueError(f"{caller} needs at least one finished episode, but the rollout buffer holds 0 transitions")
+
+    @staticmethod
+    def _stack(transitions: list[Transition]) -> tuple[list, np.ndarray]:
+        """Snapshots and the stacked ``(batch, action_dim)`` masks of one minibatch."""
+        masks = np.stack([t.mask for t in transitions], axis=0)
+        unmasked = masks.any(axis=1)
+        if not unmasked.all():
+            index = int(np.argmin(unmasked))
+            raise ValueError(
+                f"transition {index} of the minibatch (simulated time {transitions[index].time:g}) "
+                "has an all-False action mask: it allows no action to take a log-probability of"
+            )
+        return [t.snapshot for t in transitions], masks
+
+    def _apply_gradients(self, loss: float) -> None:
+        """Clip and apply the gradients one fused step accumulated, then recycle the arena.
+
+        A non-finite loss or gradient norm raises before the optimizer can
+        write it into the weights.
+        """
+        with self.timers.section("optimizer"):
+            grad_norm = clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
+            if not (np.isfinite(loss) and np.isfinite(grad_norm)):
+                culprit = next(
+                    (
+                        name
+                        for name, param in self.policy.named_parameters()
+                        if param.grad is not None and not np.isfinite(param.grad).all()
+                    ),
+                    None,
+                )
+                raise FloatingPointError(
+                    f"{self.algorithm} step produced loss {loss!r} and gradient norm {grad_norm!r}; "
+                    f"first parameter with a non-finite gradient: {culprit}"
+                )
+            self.optimizer.step()
+        self.arena.reset()
 
     def auxiliary_phase(self, buffer: RolloutBuffer) -> float:
         """Hook overridden by PPG / IQ-PPO; plain PPO has no auxiliary phase."""
         return 0.0
+
+    def _auxiliary_epochs(self, step) -> float:
+        """Run ``aux_epochs`` optimizer steps of ``step()`` (one fused forward + backward
+        returning its loss) and return the mean loss."""
+        losses = []
+        for _ in range(self.config.aux_epochs):
+            self.optimizer.zero_grad()
+            total = step()
+            self._apply_gradients(total)
+            losses.append(total)
+        return float(np.mean(losses))
 
     # ------------------------------------------------------------------ #
     # Training loop
@@ -415,35 +345,15 @@ class PPOTrainer:
     # ------------------------------------------------------------------ #
     # Shared auxiliary utilities
     # ------------------------------------------------------------------ #
-    def _snapshot_old_policy(self, transitions: list[Transition]) -> list[np.ndarray]:
-        """Log-probabilities of the current policy before an auxiliary phase starts.
+    def _snapshot_old_policy(self, snapshots: list, masks: np.ndarray) -> np.ndarray:
+        """``(batch, action_dim)`` log-probabilities of the policy before an auxiliary phase starts.
 
         The auxiliary objectives of PPG and IQ-PPO include a behaviour-cloning
         term ``KL(π_old || π_new)``; π_old is the policy at the moment the
         auxiliary phase begins (Algorithm 1, line 6).
         """
-        from ..nn import no_grad
-
-        clusters = self.env.clusters
-        if self.vectorized:
-            with no_grad():
-                _, _, _, log_probs = self.policy.evaluate_actions_batch(
-                    self.plan_embeddings,
-                    [t.snapshot for t in transitions],
-                    np.array([t.action for t in transitions], dtype=np.int64),
-                    np.stack([t.mask for t in transitions], axis=0),
-                    clusters=clusters,
-                )
-            return [np.array(row, copy=True) for row in log_probs.data]
-        snapshots: list[np.ndarray] = []
-        with no_grad():
-            for transition in transitions:
-                _, _, _, log_probs = self.policy.evaluate_action(
-                    self.plan_embeddings,
-                    transition.snapshot,
-                    transition.action,
-                    transition.mask,
-                    clusters=clusters,
-                )
-                snapshots.append(np.array(log_probs.data, copy=True))
-        return snapshots
+        log_probs = fastgrad.policy_log_probs(
+            self.policy, self.plan_embeddings, snapshots, masks, self.arena, clusters=self.env.clusters
+        )
+        self.arena.reset()
+        return log_probs

@@ -5,7 +5,7 @@ of those frameworks that BQSched actually needs so the reproduction has no
 binary dependencies.
 """
 
-from .tensor import Tensor, chained_sum, concatenate, no_grad, stack, where
+from .tensor import Tensor, concatenate, no_grad, stack, where
 from .functional import (
     cross_entropy,
     entropy,
@@ -36,7 +36,6 @@ from . import backend
 
 __all__ = [
     "Tensor",
-    "chained_sum",
     "concatenate",
     "stack",
     "where",

@@ -22,10 +22,12 @@ Layered like ``fastinfer``:
   ``StateEncoder.encode_batch``;
 * trainer steps — :func:`ppo_minibatch_step`, :func:`ppg_aux_step`,
   :func:`iq_ppo_aux_step` and :func:`perfmodel_example_step` fuse the loss
-  forward + backward of one optimizer step;
+  forward + backward of one optimizer step (query- or cluster-level
+  actions); :func:`policy_log_probs` is their forward alone;
 * a ``why_slow``-style gate — :func:`fused_training_reason` /
   :func:`perfmodel_training_reason` return a human-readable reason when a
-  module configuration is not covered, so callers can fall back audibly.
+  module configuration is not covered.  These kernels are the only update
+  path, so callers raise on a reason instead of falling back.
 
 Gradient-ownership contract: gradients written into ``Parameter.grad`` are
 always freshly-owned arrays (or disjoint views of one), never arena buffers,
@@ -62,9 +64,11 @@ __all__ = [
     "masked_log_softmax_backward",
     "encode_state_batch",
     "encode_state_batch_backward",
+    "action_logits_forward",
+    "action_logits_backward",
     "fused_training_reason",
-    "supports_fused_training",
     "perfmodel_training_reason",
+    "policy_log_probs",
     "ppo_minibatch_step",
     "ppg_aux_step",
     "iq_ppo_aux_step",
@@ -80,27 +84,41 @@ class Arena:
     buffer to the pool.  Callers reset once per optimizer step, after the
     gradients have been consumed — saved activations live in arena buffers,
     parameter gradients never do (see the module docstring contract).
+    ``release(buf)`` hands one buffer back before the reset: backward-only
+    scratch, and a saved activation whose backward has run, are dead within
+    the step, so the next layer's backward reuses them instead of growing
+    the pool.
     """
 
     def __init__(self) -> None:
-        self._free: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
-        self._used: list[tuple[tuple[tuple[int, ...], np.dtype], np.ndarray]] = []
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._used: dict[int, np.ndarray] = {}
 
-    def empty(self, shape: Sequence[int], dtype: "np.dtype | type" = np.float64) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype))
-        pool = self._free.get(key)
-        buf = pool.pop() if pool else np.empty(key[0], dtype=key[1])
-        self._used.append((key, buf))
+    def empty(self, shape: Sequence[int]) -> np.ndarray:
+        shape = tuple(shape)
+        pool = self._free.get(shape)
+        buf = pool.pop() if pool else np.empty(shape)
+        self._used[id(buf)] = buf
         return buf
 
+    def release(self, buf: np.ndarray) -> None:
+        """Return ``buf`` (exactly as :meth:`empty` handed it out) to the pool now."""
+        self._free.setdefault(buf.shape, []).append(self._used.pop(id(buf)))
+
     def reset(self) -> None:
-        for key, buf in self._used:
-            self._free.setdefault(key, []).append(buf)
+        for buf in self._used.values():
+            self._free.setdefault(buf.shape, []).append(buf)
         self._used.clear()
 
     @property
     def num_buffers(self) -> int:
         return len(self._used) + sum(len(pool) for pool in self._free.values())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the pool, outstanding and free."""
+        outstanding = sum(buf.nbytes for buf in self._used.values())
+        return outstanding + sum(buf.nbytes for pool in self._free.values() for buf in pool)
 
 
 def _accum(param: Parameter, grad: np.ndarray) -> None:
@@ -196,14 +214,15 @@ def mlp_backward(
     for index in range(len(blocks) - 1, -1, -1):
         linear, act = blocks[index]
         x, y = ctx[index]
+        scratch = None if act is None else arena.empty(y.shape)
         if act == "tanh":
-            d = np.multiply(y, y, out=arena.empty(y.shape))
+            d = np.multiply(y, y, out=scratch)
             np.subtract(1.0, d, out=d)
             g = np.multiply(g, d, out=d)
         elif act == "relu":
-            g = np.multiply(g, y > 0, out=arena.empty(y.shape))
+            g = np.multiply(g, y > 0, out=scratch)
         elif act == "sigmoid":
-            d = np.subtract(1.0, y, out=arena.empty(y.shape))
+            d = np.subtract(1.0, y, out=scratch)
             d *= y
             g = np.multiply(g, d, out=d)
         if g.ndim > 2:
@@ -216,6 +235,8 @@ def mlp_backward(
             _accum(linear.bias, gf.sum(axis=0))
         if index > 0 or need_input_grad:
             g = (gf @ linear.weight.data.T).reshape(x.shape)
+        if scratch is not None:
+            arena.release(scratch)
     return g if need_input_grad else None
 
 
@@ -316,6 +337,13 @@ def _norm_backward(norm: Any, ctx: tuple, g: np.ndarray) -> np.ndarray:
 # Multi-head attention (fused QKV)
 # --------------------------------------------------------------------------- #
 
+def _split_heads(qkv: np.ndarray, heads: int) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(B, H, T, head_dim)`` query / key / value views of a fused ``(B, T, 3D)`` buffer."""
+    batch, tokens, width = qkv.shape
+    split = qkv.reshape(batch, tokens, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
+    return split[0], split[1], split[2]
+
+
 def mha_forward(
     attention: MultiHeadAttention,
     x: np.ndarray,
@@ -332,49 +360,60 @@ def mha_forward(
     qkv = arena.empty((batch, tokens, 3 * model_dim))
     np.matmul(x, qkv_weight, out=qkv)
     qkv += qkv_bias
-    qkv5 = qkv.reshape(batch, tokens, 3, heads, head_dim)
-    queries = qkv5[:, :, 0].transpose(0, 2, 1, 3)
-    keys = qkv5[:, :, 1].transpose(0, 2, 1, 3)
-    values = qkv5[:, :, 2].transpose(0, 2, 1, 3)
+    queries, keys, values = _split_heads(qkv, heads)
     scale = 1.0 / np.sqrt(head_dim)
-    scores = (queries @ keys.transpose(0, 1, 3, 2)) * scale
+    # The (B, H, T, T) softmax is the update's largest tensor: built in place
+    # in one arena buffer, which mha_backward hands back as soon as it is dead.
+    weights = arena.empty((batch, heads, tokens, tokens))
+    np.matmul(queries, keys.transpose(0, 1, 3, 2), out=weights)
+    weights *= scale
     if bias is not None:
-        scores = scores + np.asarray(bias, dtype=np.float64)[None, None, :, :]
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted, out=shifted)
+        weights += np.asarray(bias, dtype=np.float64)[None, None, :, :]
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     mixed = (weights @ values).transpose(0, 2, 1, 3).reshape(batch, tokens, model_dim)
     out = arena.empty(x.shape)
     np.matmul(mixed, attention.out_proj.weight.data, out=out)
     out += attention.out_proj.bias.data
-    return out, (x2, queries, keys, values, weights, mixed, scale)
+    return out, (x2, qkv, weights, mixed, scale)
 
 
 def mha_backward(
     attention: MultiHeadAttention, ctx: tuple, g: np.ndarray, arena: Arena
 ) -> np.ndarray:
-    x2, queries, keys, values, weights, mixed, scale = ctx
+    x2, qkv, weights, mixed, scale = ctx
     batch, tokens, model_dim = g.shape
-    heads, head_dim = attention.num_heads, attention.head_dim
+    heads = attention.num_heads
+    queries, keys, values = _split_heads(qkv, heads)
     g2 = g.reshape(batch * tokens, model_dim)
     mixed2 = mixed.reshape(batch * tokens, model_dim)
     _accum(attention.out_proj.weight, mixed2.T @ g2)
     _accum(attention.out_proj.bias, g2.sum(axis=0))
     g_mixed = (g2 @ attention.out_proj.weight.data.T).reshape(
-        batch, tokens, heads, head_dim
+        batch, tokens, heads, attention.head_dim
     ).transpose(0, 2, 1, 3)
-    g_weights = g_mixed @ values.swapaxes(-1, -2)
+    g_scores = np.matmul(g_mixed, values.swapaxes(-1, -2), out=arena.empty(weights.shape))
     g_values = weights.swapaxes(-1, -2) @ g_mixed
-    # Softmax backward: P * (g - <g, P>); the additive bias (if any) is a
+    # Softmax backward: P * (g - <g, P>), in place over the incoming gradient
+    # with one sample of scratch for <g, P>; the additive bias (if any) is a
     # constant, so g_scores flows straight through to the QKV projections.
-    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    product = arena.empty(weights.shape[1:])
+    for g_row, p_row in zip(g_scores, weights):
+        np.multiply(g_row, p_row, out=product)
+        g_row -= product.sum(axis=-1, keepdims=True)
+    arena.release(product)
+    g_scores *= weights
+    arena.release(weights)
     g_scores *= scale
     g_queries = g_scores @ keys
     g_keys = g_scores.swapaxes(-1, -2) @ queries
-    g_qkv = arena.empty((batch, tokens, 3, heads, head_dim))
-    g_qkv[:, :, 0] = g_queries.transpose(0, 2, 1, 3)
-    g_qkv[:, :, 1] = g_keys.transpose(0, 2, 1, 3)
-    g_qkv[:, :, 2] = g_values.transpose(0, 2, 1, 3)
+    arena.release(g_scores)
+    # q, k and v are dead: the gradient of the fused projection reuses their buffer.
+    arena.release(qkv)
+    g_qkv = arena.empty(qkv.shape)
+    for part, grad in zip(_split_heads(g_qkv, heads), (g_queries, g_keys, g_values)):
+        part[...] = grad
     gf = g_qkv.reshape(batch * tokens, 3 * model_dim)
     g_weight = x2.T @ gf
     g_bias = gf.sum(axis=0)
@@ -384,7 +423,9 @@ def mha_backward(
         _accum(proj.weight, g_weight[:, sl])
         _accum(proj.bias, g_bias[sl])
     qkv_weight, _ = fastinfer._fused_qkv(attention)
-    return (gf @ qkv_weight.T).reshape(batch, tokens, model_dim)
+    g_x = (gf @ qkv_weight.T).reshape(batch, tokens, model_dim)
+    arena.release(g_qkv)
+    return g_x
 
 
 # --------------------------------------------------------------------------- #
@@ -582,14 +623,13 @@ def _encoder_reason(encoder: Any) -> "str | None":
     return None
 
 
-def fused_training_reason(policy: Any, clusters: Any = None) -> "str | None":
-    """Why the fused training path cannot run for this policy (None = it can).
+def fused_training_reason(policy: Any) -> "str | None":
+    """Why the fused update kernels cannot train this policy (None = they can).
 
-    The training counterpart of ``fastinfer.fast_inference_reason``: callers
-    treat a non-None reason as "fall back to the tape, audibly".
+    The training counterpart of ``fastinfer.fast_inference_reason``.  There is
+    no other update path, so trainers turn a non-None reason into a
+    ``ConfigurationError`` at construction.
     """
-    if clusters is not None:
-        return "cluster-level action pooling is not covered by the fused path"
     encoder = policy.state_encoder
     if getattr(encoder, "use_attention", True):
         reason = _encoder_reason(encoder.attention)
@@ -604,10 +644,6 @@ def fused_training_reason(policy: Any, clusters: Any = None) -> "str | None":
         if reason:
             return reason
     return None
-
-
-def supports_fused_training(policy: Any, clusters: Any = None) -> bool:
-    return fused_training_reason(policy, clusters=clusters) is None
 
 
 def perfmodel_training_reason(model: Any) -> "str | None":
@@ -629,6 +665,54 @@ def perfmodel_training_reason(model: Any) -> "str | None":
 # Trainer-level fused steps
 # --------------------------------------------------------------------------- #
 
+def action_logits_forward(
+    policy: Any, per_query: np.ndarray, snapshots: list, clusters: Any, arena: Arena
+) -> "tuple[np.ndarray, tuple]":
+    """Flat ``(batch, action_dim)`` policy logits from the per-query rows.
+
+    With ``clusters`` the rows are first mean-pooled into cluster tokens by
+    ``QueryClusters.pool_weights``' ``(batch, num_clusters, n)`` matrix; the
+    backward of that GEMM is its transpose.
+    """
+    batch = per_query.shape[0]
+    weights = None
+    if clusters is not None:
+        weights = clusters.pool_weights(
+            clusters.pending_flags(snapshots),
+            out=arena.empty((batch, clusters.num_clusters, per_query.shape[1])),
+        )
+        per_query = np.matmul(weights, per_query, out=arena.empty(weights.shape[:2] + per_query.shape[2:]))
+    logits3, head_ctx = mlp_forward(policy.policy_head, per_query, arena)
+    return logits3.reshape(batch, -1), (head_ctx, weights, logits3.shape)
+
+
+def action_logits_backward(policy: Any, ctx: tuple, g_logits: np.ndarray, arena: Arena) -> np.ndarray:
+    """Gradient w.r.t. the per-query rows (a freshly owned array)."""
+    head_ctx, weights, shape = ctx
+    g_tokens = mlp_backward(policy.policy_head, head_ctx, g_logits.reshape(shape), arena)
+    return g_tokens if weights is None else weights.transpose(0, 2, 1) @ g_tokens
+
+
+def policy_log_probs(
+    policy: Any,
+    plan_embeddings: np.ndarray,
+    snapshots: list,
+    masks: np.ndarray,
+    arena: Arena,
+    clusters: Any = None,
+) -> np.ndarray:
+    """Full ``(batch, action_dim)`` masked log-probabilities, forward only.
+
+    The float64 forward of the step functions below without their backward:
+    what the auxiliary phases snapshot as ``pi_old`` before they start.
+    """
+    per_query, _, _ = encode_state_batch(
+        policy.state_encoder, plan_embeddings, snapshots, arena, need_global=False
+    )
+    logits, _ = action_logits_forward(policy, per_query, snapshots, clusters, arena)
+    return masked_log_softmax_forward(logits, masks)[0]
+
+
 def ppo_minibatch_step(
     policy: Any,
     plan_embeddings: np.ndarray,
@@ -642,6 +726,7 @@ def ppo_minibatch_step(
     value_coef: float,
     entropy_coef: float,
     arena: Arena,
+    clusters: Any = None,
 ) -> "tuple[float, float]":
     """One fused PPO minibatch forward + backward.
 
@@ -657,9 +742,7 @@ def ppo_minibatch_step(
     per_query, global_state, enc_ctx = encode_state_batch(
         encoder, plan_embeddings, snapshots, arena, need_global=True
     )
-    num_queries = per_query.shape[1]
-    logits3, ph_ctx = mlp_forward(policy.policy_head, per_query, arena)
-    logits = logits3.reshape(batch, num_queries * policy.num_configs)
+    logits, logits_ctx = action_logits_forward(policy, per_query, snapshots, clusters, arena)
     log_probs, softmax = masked_log_softmax_forward(logits, masks)
     taken = log_probs[rows, actions]
     probs = softmax
@@ -687,20 +770,33 @@ def ppo_minibatch_step(
     g_log_probs = (entropy_coef * inv_b) * (probs * (log_probs + 1.0))
     g_log_probs[rows, actions] += g_taken
     g_logits = masked_log_softmax_backward(softmax, g_log_probs)
-    g_per_query = mlp_backward(
-        policy.policy_head, ph_ctx, g_logits.reshape(batch, num_queries, policy.num_configs), arena
-    )
+    g_per_query = action_logits_backward(policy, logits_ctx, g_logits, arena)
     g_values = (value_coef * inv_b) * value_error
     g_global = mlp_backward(policy.value_head, vh_ctx, g_values.reshape(batch, 1), arena)
     encode_state_batch_backward(encoder, enc_ctx, g_per_query, g_global, arena)
     return policy_loss, value_loss
 
 
-def _clone_backward_setup(
-    old_log_probs: np.ndarray, beta_clone: float, batch: int
-) -> np.ndarray:
-    """d/d new_log_probs of ``beta * mean((p_old * (old - new)).sum(-1))``."""
-    return (-beta_clone / batch) * np.exp(old_log_probs)
+def _clone_step(
+    policy: Any,
+    per_query: np.ndarray,
+    snapshots: list,
+    masks: np.ndarray,
+    old_log_probs: np.ndarray,
+    beta_clone: float,
+    clusters: Any,
+    arena: Arena,
+) -> "tuple[float, np.ndarray]":
+    """Behaviour-cloning term ``beta * mean(KL(pi_old || pi_new))`` of both aux phases.
+
+    Returns the weighted term and its gradient w.r.t. the per-query rows.
+    """
+    logits, logits_ctx = action_logits_forward(policy, per_query, snapshots, clusters, arena)
+    new_log_probs, softmax = masked_log_softmax_forward(logits, masks)
+    p_old = np.exp(old_log_probs)
+    clone = float((p_old * (old_log_probs - new_log_probs)).sum(axis=-1).mean())
+    g_logits = masked_log_softmax_backward(softmax, (-beta_clone / len(snapshots)) * p_old)
+    return beta_clone * clone, action_logits_backward(policy, logits_ctx, g_logits, arena)
 
 
 def ppg_aux_step(
@@ -712,6 +808,7 @@ def ppg_aux_step(
     value_targets: np.ndarray,
     beta_clone: float,
     arena: Arena,
+    clusters: Any = None,
 ) -> float:
     """One fused PPG auxiliary epoch step (aux value distillation + clone).
 
@@ -728,27 +825,17 @@ def ppg_aux_step(
     predicted = predicted3.reshape(batch, num_queries)
     inv_n = 1.0 / num_queries
     value_predictions = predicted.sum(axis=-1) * inv_n
-    logits3, ph_ctx = mlp_forward(policy.policy_head, per_query, arena)
-    logits = logits3.reshape(batch, num_queries * policy.num_configs)
-    new_log_probs, softmax = masked_log_softmax_forward(logits, masks)
-
     aux_error = value_predictions - value_targets
     aux_loss = 0.5 * float((aux_error * aux_error).mean())
-    p_old = np.exp(old_log_probs)
-    clone = float((p_old * (old_log_probs - new_log_probs)).sum(axis=-1).mean())
-    total = aux_loss + beta_clone * clone
-
-    inv_b = 1.0 / batch
-    g_vp = aux_error * inv_b
-    g_predicted = np.broadcast_to((g_vp * inv_n)[:, None, None], (batch, num_queries, 1))
-    g_per_query = mlp_backward(policy.aux_head, ah_ctx, g_predicted, arena)
-    g_new_log_probs = _clone_backward_setup(old_log_probs, beta_clone, batch)
-    g_logits = masked_log_softmax_backward(softmax, g_new_log_probs)
-    g_per_query += mlp_backward(
-        policy.policy_head, ph_ctx, g_logits.reshape(batch, num_queries, policy.num_configs), arena
+    clone, g_per_query = _clone_step(
+        policy, per_query, snapshots, masks, old_log_probs, beta_clone, clusters, arena
     )
+
+    g_vp = aux_error * (1.0 / batch)
+    g_predicted = np.broadcast_to((g_vp * inv_n)[:, None, None], (batch, num_queries, 1))
+    g_per_query += mlp_backward(policy.aux_head, ah_ctx, g_predicted, arena)
     encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
-    return total
+    return aux_loss + clone
 
 
 def iq_ppo_aux_step(
@@ -761,6 +848,7 @@ def iq_ppo_aux_step(
     time_targets: np.ndarray,
     beta_clone: float,
     arena: Arena,
+    clusters: Any = None,
 ) -> float:
     """One fused IQ-PPO auxiliary step (finish-time regression + clone)."""
     batch = len(snapshots)
@@ -773,30 +861,19 @@ def iq_ppo_aux_step(
     num_queries = per_query.shape[1]
     times3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
     times = times3.reshape(batch, num_queries)
-    picked = times[rows, query_ids]
-    logits3, ph_ctx = mlp_forward(policy.policy_head, per_query, arena)
-    logits = logits3.reshape(batch, num_queries * policy.num_configs)
-    new_log_probs, softmax = masked_log_softmax_forward(logits, masks)
-
-    aux_error = picked - time_targets
+    aux_error = times[rows, query_ids] - time_targets
     aux_loss = 0.5 * float((aux_error * aux_error).mean())
-    p_old = np.exp(old_log_probs)
-    clone = float((p_old * (old_log_probs - new_log_probs)).sum(axis=-1).mean())
-    total = aux_loss + beta_clone * clone
+    clone, g_per_query = _clone_step(
+        policy, per_query, snapshots, masks, old_log_probs, beta_clone, clusters, arena
+    )
 
-    inv_b = 1.0 / batch
     g_times = np.zeros((batch, num_queries))
-    g_times[rows, query_ids] = aux_error * inv_b
-    g_per_query = mlp_backward(
+    g_times[rows, query_ids] = aux_error * (1.0 / batch)
+    g_per_query += mlp_backward(
         policy.aux_head, ah_ctx, g_times.reshape(batch, num_queries, 1), arena
     )
-    g_new_log_probs = _clone_backward_setup(old_log_probs, beta_clone, batch)
-    g_logits = masked_log_softmax_backward(softmax, g_new_log_probs)
-    g_per_query += mlp_backward(
-        policy.policy_head, ph_ctx, g_logits.reshape(batch, num_queries, policy.num_configs), arena
-    )
     encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
-    return total
+    return aux_loss + clone
 
 
 def perfmodel_example_step(

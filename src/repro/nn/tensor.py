@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "chained_sum", "concatenate", "stack", "where"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "concatenate", "stack", "where"]
 
 
 _GRAD_ENABLED = True
@@ -493,36 +493,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(grad: np.ndarray):
         return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
-
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
-
-
-def chained_sum(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum same-shaped tensors in one tape node.
-
-    Replaces ``t0 + t1 + ... + tn`` chains (one tape node *per element*) with
-    a single node.  The forward accumulates sequentially left-to-right, the
-    same binary-add order as the chain — not NumPy's pairwise ``sum`` — so
-    results are bit-identical to the historical chained expression.
-    """
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("chained_sum needs at least one tensor")
-    shape = tensors[0].shape
-    for tensor in tensors[1:]:
-        if tensor.shape != shape:
-            raise ValueError(f"chained_sum shape mismatch: {tensor.shape} vs {shape}")
-    data = tensors[0].data
-    for tensor in tensors[1:]:
-        data = data + tensor.data
-
-    def backward(grad: np.ndarray):
-        return tuple(grad for _ in tensors)
 
     requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires)

@@ -1,29 +1,32 @@
-"""Correctness pins for the tape-free fused training path (``repro.nn.fastgrad``).
+"""Correctness pins for the tape-free fused training kernels (``repro.nn.fastgrad``).
 
-Three layers of evidence, as the fused path promises:
+The kernels are the only update path of the trainers; the autograd tape lives
+on here as the reference they are checked against:
 
 1. kernel-level: every fused forward/backward matches the autograd tape at
    ``atol=1e-9`` in float64 *and* passes a central-finite-difference
    gradcheck of its own analytic gradients;
 2. trainer-level: the fused PPO / PPG-aux / IQ-PPO-aux / performance-model
    steps accumulate the same parameter gradients as the tape expressions
-   they replace (including which parameters keep ``grad is None``);
-3. end-to-end: fixed-seed fused training produces policies behaviorally
-   identical to tape training (same greedy decisions, same makespans), and
-   the legacy ``num_envs=1`` sequential path stays digest-pinned bit-for-bit
-   across the ``chained_sum`` / in-place-optimizer rewrites.
+   they replaced (including which parameters keep ``grad is None``), at
+   query and at cluster granularity, on lock-step and on sequentially
+   collected buffers;
+3. end-to-end: fixed-seed training produces policies behaviorally identical
+   to the in-test tape trainers (same greedy decisions, same makespans),
+   ``num_envs=1`` training stays digest-pinned, and the facade trains with
+   ``Tensor.backward`` patched to raise.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_close, numeric_gradient, stateless
-from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import PPOConfig
 from repro.core import (
     ActorCriticNetwork,
@@ -32,8 +35,11 @@ from repro.core import (
     IQPPOTrainer,
     PPGTrainer,
     PPOTrainer,
+    QueryClusters,
     SchedulingEnv,
 )
+from repro.exceptions import ConfigurationError
+from repro.core.rollout import RolloutBuffer
 from repro.dbms import ConfigurationSpace
 from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, StateEncoder
 from repro.nn import (
@@ -45,8 +51,10 @@ from repro.nn import (
     Tensor,
     cross_entropy,
     fastgrad,
+    clip_grad_norm,
     kl_divergence,
     masked_log_softmax,
+    no_grad,
     where,
 )
 from repro.plans import PlanFeaturizer
@@ -317,15 +325,61 @@ class TestFusedKernels:
         third = arena.empty((4, 3))
         assert third is not first
         assert arena.num_buffers == 2
+        # Scratch handed back inside a step is reused before the reset.
+        arena.release(third)
+        assert arena.empty((4, 3)) is third
+        assert arena.num_buffers == 2
+
+    def test_attention_backward_hands_its_buffers_back(self, rng, arena):
+        """The pool holds one softmax per layer plus ONE gradient (not one per
+        layer), and a second step allocates nothing."""
+        encoder = AttentionEncoder(model_dim=4, num_heads=2, num_layers=3, rng=rng, norm="layer")
+        x = rng.normal(size=(2, 5, 4))
+
+        def step():
+            out, ctx = fastgrad.attention_encoder_forward(encoder, x, arena)
+            fastgrad.attention_encoder_backward(encoder, ctx, np.ones_like(out), arena)
+            arena.reset()
+
+        step()
+        assert len(arena._free[(2, 2, 5, 5)]) == 3 + 1
+        held, count = arena.nbytes, arena.num_buffers
+        step()
+        assert (arena.nbytes, arena.num_buffers) == (held, count)
+
+    def test_cluster_pooling_matches_pool_and_gradcheck(self, rng, arena):
+        """Pooling forward == ``QueryClusters.pool``; its backward passes a
+        central-difference check, drained cluster included."""
+        clusters = QueryClusters(np.array([0, 0, 1, 2, 2, 2]), [[0, 1], [2], [3, 4, 5]])
+        # Row 0 drains cluster 2 (pools all of 3, 4, 5); row 1 drains cluster 0.
+        snapshots = [SimpleNamespace(pending_ids=[0, 2]), SimpleNamespace(pending_ids=[2, 4, 5])]
+        policy = SimpleNamespace(policy_head=MLP([4, 5, 2], rng, activation="tanh"))
+        per_query = rng.normal(size=(2, 6, 4))
+        w = rng.normal(size=(2, 3 * 2))
+
+        logits, ctx = fastgrad.action_logits_forward(policy, per_query, snapshots, clusters, arena)
+        pooled = clusters.pool(per_query, clusters.pending_flags(snapshots))
+        np.testing.assert_allclose(pooled[0, 2], per_query[0, 3:].mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(pooled[1, 0], per_query[1, :2].mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(pooled[1, 2], per_query[1, 4:].mean(axis=0), atol=1e-15)
+        expected = policy.policy_head(Tensor(pooled)).data.reshape(2, -1)
+        assert np.max(np.abs(logits - expected)) <= ATOL
+        analytic = fastgrad.action_logits_backward(policy, ctx, w, arena)
+
+        def probe():
+            out, _ = fastgrad.action_logits_forward(policy, per_query, snapshots, clusters, arena)
+            arena.reset()
+            return float((out * w).sum())
+
+        assert_gradients_close(analytic, numeric_gradient(probe, per_query), label="per_query")
 
 
 # ------------------------------------------------------------------ #
-# Trainer-level: fused steps vs the tape expressions they replace
+# Trainer-level: fused steps vs the tape expressions they replaced
 # ------------------------------------------------------------------ #
-def build_trainer(trainer_cls, num_envs=2, training_path="tape"):
+def build_trainer(trainer_cls, num_envs=2, clustered=False):
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 3
-    config.scheduler.training_path = training_path
     config.ppo = PPOConfig(
         rollouts_per_update=2 if num_envs > 1 else 1,
         epochs_per_update=2,
@@ -349,6 +403,11 @@ def build_trainer(trainer_cls, num_envs=2, training_path="tape"):
         rng,
     )
     policy = ActorCriticNetwork(encoder, len(config_space), rng, head_hidden=16)
+    clusters = (
+        QueryClusters(np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3]), [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9]])
+        if clustered
+        else None
+    )
     env = SchedulingEnv(
         batch,
         engine,
@@ -356,10 +415,133 @@ def build_trainer(trainer_cls, num_envs=2, training_path="tape"):
         config_space,
         knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(config_space)),
+        clusters=clusters,
     )
-    return trainer_cls(
-        policy, plan_embeddings, env, config.ppo, seed=0, training_path=training_path
+    return trainer_cls(policy, plan_embeddings, env, config.ppo, seed=0)
+
+
+#: The update inputs the facade can produce beyond ``build_trainer``'s default
+#: (lock-step collection, query-level actions).
+TRAINER_MODES = {
+    "sequential": {"num_envs": 1},
+    "clustered": {"num_envs": 2, "clustered": True},
+    "clustered-sequential": {"num_envs": 1, "clustered": True},
+}
+
+
+def collect(trainer):
+    """One update's worth of rollouts, advantages normalised; clustered runs
+    must contain a drained cluster (``pool``'s all-members fallback)."""
+    buffer = trainer.collect_rollouts(trainer.config.rollouts_per_update)
+    buffer.normalized_advantages()
+    clusters = trainer.env.clusters
+    if clusters is not None:
+        live = np.stack([clusters.membership & clusters.pending_flags([t.snapshot])[0] for t in buffer.transitions()])
+        assert (~live.any(axis=2)).any() and live.any(axis=2).any()
+    return buffer
+
+
+def tape_ppo_losses(trainer, batch):
+    """The clipped-surrogate objective on the autograd tape: ``(loss, policy_loss, value_loss)``."""
+    config = trainer.config
+    log_probs, entropies, values, _ = trainer.policy.evaluate_actions_batch(
+        trainer.plan_embeddings,
+        [t.snapshot for t in batch],
+        np.array([t.action for t in batch], dtype=np.int64),
+        np.stack([t.mask for t in batch], axis=0),
+        clusters=trainer.env.clusters,
     )
+    advantages = Tensor(np.array([t.advantage for t in batch]))
+    ratio = (log_probs - Tensor(np.array([t.log_prob for t in batch]))).exp()
+    surrogate1 = ratio * advantages
+    surrogate2 = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * advantages
+    clipped = where(surrogate1.data <= surrogate2.data, surrogate1, surrogate2)
+    policy_loss = (clipped * -1.0).mean()
+    value_error = values - Tensor(np.array([t.value_target for t in batch]))
+    value_loss = (value_error * value_error).mean() * 0.5
+    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropies.mean()
+    return loss, policy_loss, value_loss
+
+
+def tape_old_log_probs(trainer, transitions):
+    with no_grad():
+        _, _, _, log_probs = trainer.policy.evaluate_actions_batch(
+            trainer.plan_embeddings,
+            [t.snapshot for t in transitions],
+            np.array([t.action for t in transitions], dtype=np.int64),
+            np.stack([t.mask for t in transitions], axis=0),
+            clusters=trainer.env.clusters,
+        )
+    return np.array(log_probs.data, copy=True)
+
+
+def tape_ppg_aux_loss(trainer, transitions, old_log_probs):
+    policy = trainer.policy
+    snapshots = [t.snapshot for t in transitions]
+    representation = policy.encode_batch(trainer.plan_embeddings, snapshots)
+    value_predictions = policy.auxiliary_times_batch(representation).mean(axis=-1)
+    targets = Tensor(np.array([t.value_target for t in transitions]))
+    aux_loss = ((value_predictions - targets) ** 2).mean() * 0.5
+    logits = policy.action_logits_batch(representation, snapshots, clusters=trainer.env.clusters)
+    new_log_probs = masked_log_softmax(logits, np.stack([t.mask for t in transitions], axis=0))
+    return aux_loss + trainer.config.beta_clone * kl_divergence(old_log_probs, new_log_probs)
+
+
+def tape_iq_aux_loss(trainer, transitions, old_log_probs):
+    time_scale = trainer.policy.state_encoder.run_state_featurizer.time_scale
+    predicted, new_log_probs = trainer.policy.evaluate_auxiliary_batch(
+        trainer.plan_embeddings,
+        [t.snapshot for t in transitions],
+        np.array([t.aux_query_id for t in transitions], dtype=np.int64),
+        np.stack([t.mask for t in transitions], axis=0),
+        clusters=trainer.env.clusters,
+    )
+    targets = Tensor(np.array([t.aux_target / time_scale for t in transitions]))
+    aux_loss = ((predicted - targets) ** 2).mean() * 0.5
+    return aux_loss + trainer.config.beta_clone * kl_divergence(old_log_probs, new_log_probs)
+
+
+def use_tape_updates(trainer):
+    """Swap a trainer's update and auxiliary phase for the tape loops they replaced.
+
+    Same sampling, same rng consumption, same optimizer: only the gradients
+    come from ``Tensor.backward`` instead of the fused kernels.
+    """
+    config = trainer.config
+
+    def step(loss):
+        trainer.optimizer.zero_grad()
+        loss.backward()
+        clip_grad_norm(trainer.policy.parameters(), config.max_grad_norm)
+        trainer.optimizer.step()
+
+    def update(buffer):
+        buffer.normalized_advantages()
+        policy_losses, value_losses = [], []
+        for _ in range(config.epochs_per_update):
+            loss, policy_loss, value_loss = tape_ppo_losses(trainer, buffer.sample(config.minibatch_size, trainer.rng))
+            step(loss)
+            policy_losses.append(float(policy_loss.data))
+            value_losses.append(float(value_loss.data))
+        return {"policy_loss": float(np.mean(policy_losses)), "value_loss": float(np.mean(value_losses))}
+
+    def auxiliary_phase(buffer):
+        if isinstance(trainer, IQPPOTrainer):
+            transitions, aux_loss = buffer.sample_with_aux(config.minibatch_size, trainer.rng), tape_iq_aux_loss
+        else:
+            transitions, aux_loss = buffer.sample(config.minibatch_size, trainer.rng), tape_ppg_aux_loss
+        old_log_probs = tape_old_log_probs(trainer, transitions)
+        losses = []
+        for _ in range(config.aux_epochs):
+            total = aux_loss(trainer, transitions, old_log_probs)
+            step(total)
+            losses.append(float(total.data))
+        return float(np.mean(losses))
+
+    trainer.update = update
+    if type(trainer) is not PPOTrainer:
+        trainer.auxiliary_phase = auxiliary_phase
+    return trainer
 
 
 def policy_digest(policy) -> str:
@@ -393,46 +575,42 @@ def behavior_digest(trainer, rounds=2) -> str:
 
 class TestFusedTrainerSteps:
     def test_ppo_minibatch_step_matches_tape(self, arena):
-        trainer = build_trainer(PPOTrainer)
-        buffer = trainer.collect_rollouts(trainer.config.rollouts_per_update)
-        buffer.normalized_advantages()
-        batch = buffer.sample(trainer.config.minibatch_size, np.random.default_rng(7))
-        snapshots = [t.snapshot for t in batch]
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        masks = np.stack([t.mask for t in batch], axis=0)
-        old_log_probs = np.array([t.log_prob for t in batch])
-        advantages = np.array([t.advantage for t in batch])
-        value_targets = np.array([t.value_target for t in batch])
+        self.check_ppo_minibatch_step(arena)
+
+    def test_ppg_aux_step_matches_tape(self, arena):
+        self.check_ppg_aux_step(arena)
+
+    def test_iq_ppo_aux_step_matches_tape(self, arena):
+        self.check_iq_ppo_aux_step(arena)
+
+    @pytest.mark.parametrize("mode", ["sequential", "clustered", "clustered-sequential"])
+    @pytest.mark.parametrize("step", ["ppo_minibatch_step", "ppg_aux_step", "iq_ppo_aux_step"])
+    def test_step_matches_tape_on_every_update_input(self, arena, step, mode):
+        getattr(self, f"check_{step}")(arena, **TRAINER_MODES[mode])
+
+    @staticmethod
+    def check_ppo_minibatch_step(arena, **mode):
+        trainer = build_trainer(PPOTrainer, **mode)
+        batch = collect(trainer).sample(trainer.config.minibatch_size, np.random.default_rng(7))
+        snapshots, masks = trainer._stack(batch)
         policy = trainer.policy
 
         policy.zero_grad()
-        log_probs, entropies, values, _ = policy.evaluate_actions_batch(
-            trainer.plan_embeddings, snapshots, actions, masks, clusters=None
-        )
-        ratio = (log_probs - Tensor(old_log_probs)).exp()
-        surrogate1 = ratio * Tensor(advantages)
-        surrogate2 = ratio.clip(
-            1.0 - trainer.config.clip_epsilon, 1.0 + trainer.config.clip_epsilon
-        ) * Tensor(advantages)
-        clipped = where(surrogate1.data <= surrogate2.data, surrogate1, surrogate2)
-        policy_loss = (clipped * -1.0).mean()
-        value_error = values - Tensor(value_targets)
-        value_loss = (value_error * value_error).mean() * 0.5
-        loss = (
-            policy_loss
-            + trainer.config.value_coef * value_loss
-            - trainer.config.entropy_coef * entropies.mean()
-        )
+        loss, policy_loss, value_loss = tape_ppo_losses(trainer, batch)
         loss.backward()
         expected = tape_grads(policy)
 
         policy.zero_grad()
         fused_pl, fused_vl = fastgrad.ppo_minibatch_step(
-            policy, trainer.plan_embeddings, snapshots, actions, masks,
-            old_log_probs=old_log_probs, advantages=advantages,
-            value_targets=value_targets, clip_epsilon=trainer.config.clip_epsilon,
+            policy, trainer.plan_embeddings, snapshots,
+            np.array([t.action for t in batch], dtype=np.int64), masks,
+            old_log_probs=np.array([t.log_prob for t in batch]),
+            advantages=np.array([t.advantage for t in batch]),
+            value_targets=np.array([t.value_target for t in batch]),
+            clip_epsilon=trainer.config.clip_epsilon,
             value_coef=trainer.config.value_coef,
             entropy_coef=trainer.config.entropy_coef, arena=arena,
+            clusters=trainer.env.clusters,
         )
         assert abs(fused_pl - float(policy_loss.data)) <= ATOL
         assert abs(fused_vl - float(value_loss.data)) <= ATOL
@@ -440,70 +618,54 @@ class TestFusedTrainerSteps:
         # The aux head is untouched by the PPO objective on both paths.
         assert all(p.grad is None for p in policy.aux_head.parameters())
 
-    def test_ppg_aux_step_matches_tape(self, arena):
-        trainer = build_trainer(PPGTrainer)
-        buffer = trainer.collect_rollouts(trainer.config.rollouts_per_update)
-        buffer.normalized_advantages()
-        transitions = buffer.sample(trainer.config.minibatch_size, np.random.default_rng(3))
+    @staticmethod
+    def check_ppg_aux_step(arena, **mode):
+        trainer = build_trainer(PPGTrainer, **mode)
+        transitions = collect(trainer).sample(trainer.config.minibatch_size, np.random.default_rng(3))
+        snapshots, masks = trainer._stack(transitions)
         policy = trainer.policy
-        old = np.stack(trainer._snapshot_old_policy(transitions), axis=0)
-        snapshots = [t.snapshot for t in transitions]
-        masks = np.stack([t.mask for t in transitions], axis=0)
-        value_targets = np.array([t.value_target for t in transitions])
+        old = trainer._snapshot_old_policy(snapshots, masks)
+        assert np.max(np.abs(old - tape_old_log_probs(trainer, transitions))) <= ATOL
 
         policy.zero_grad()
-        representation = policy.encode_batch(trainer.plan_embeddings, snapshots)
-        predicted = policy.auxiliary_times_batch(representation)
-        value_predictions = predicted.mean(axis=-1)
-        aux_loss = ((value_predictions - Tensor(value_targets)) ** 2).mean() * 0.5
-        logits = policy.action_logits_batch(representation, snapshots, clusters=None)
-        new_log_probs = masked_log_softmax(logits, masks)
-        clone = kl_divergence(old, new_log_probs)
-        total = aux_loss + trainer.config.beta_clone * clone
+        total = tape_ppg_aux_loss(trainer, transitions, old)
         total.backward()
         expected = tape_grads(policy)
 
         policy.zero_grad()
         fused_total = fastgrad.ppg_aux_step(
             policy, trainer.plan_embeddings, snapshots, masks,
-            old_log_probs=old, value_targets=value_targets,
-            beta_clone=trainer.config.beta_clone, arena=arena,
+            old_log_probs=old, value_targets=np.array([t.value_target for t in transitions]),
+            beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
         )
         assert abs(fused_total - float(total.data)) <= ATOL
         assert_grads_match(expected, policy)
         # The value path receives no gradient from the aux objective.
         assert all(p.grad is None for p in policy.value_head.parameters())
 
-    def test_iq_ppo_aux_step_matches_tape(self, arena):
-        trainer = build_trainer(IQPPOTrainer)
-        buffer = trainer.collect_rollouts(trainer.config.rollouts_per_update)
-        buffer.normalized_advantages()
-        transitions = buffer.sample_with_aux(
+    @staticmethod
+    def check_iq_ppo_aux_step(arena, **mode):
+        trainer = build_trainer(IQPPOTrainer, **mode)
+        transitions = collect(trainer).sample_with_aux(
             trainer.config.minibatch_size, np.random.default_rng(5)
         )
+        snapshots, masks = trainer._stack(transitions)
         policy = trainer.policy
-        old = np.stack(trainer._snapshot_old_policy(transitions), axis=0)
+        old = trainer._snapshot_old_policy(snapshots, masks)
         time_scale = policy.state_encoder.run_state_featurizer.time_scale
-        snapshots = [t.snapshot for t in transitions]
-        query_ids = np.array([t.aux_query_id for t in transitions], dtype=np.int64)
-        masks = np.stack([t.mask for t in transitions], axis=0)
-        targets = np.array([t.aux_target / time_scale for t in transitions])
 
         policy.zero_grad()
-        predicted, new_log_probs = policy.evaluate_auxiliary_batch(
-            trainer.plan_embeddings, snapshots, query_ids, masks, clusters=None
-        )
-        aux_loss = ((predicted - Tensor(targets)) ** 2).mean() * 0.5
-        clone = kl_divergence(old, new_log_probs)
-        total = aux_loss + trainer.config.beta_clone * clone
+        total = tape_iq_aux_loss(trainer, transitions, old)
         total.backward()
         expected = tape_grads(policy)
 
         policy.zero_grad()
         fused_total = fastgrad.iq_ppo_aux_step(
-            policy, trainer.plan_embeddings, snapshots, query_ids, masks,
-            old_log_probs=old, time_targets=targets,
-            beta_clone=trainer.config.beta_clone, arena=arena,
+            policy, trainer.plan_embeddings, snapshots,
+            np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
+            old_log_probs=old,
+            time_targets=np.array([t.aux_target / time_scale for t in transitions]),
+            beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
         )
         assert abs(fused_total - float(total.data)) <= ATOL
         assert_grads_match(expected, policy)
@@ -538,18 +700,22 @@ class TestFusedTrainerSteps:
 
 
 # ------------------------------------------------------------------ #
-# End-to-end: fused training is behaviorally pinned against the tape
+# End-to-end: training is behaviorally pinned against the tape
 # ------------------------------------------------------------------ #
+def forbid_tape_backward(monkeypatch):
+    def backward(self, *args, **kwargs):
+        raise AssertionError("Tensor.backward ran inside a policy update")
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+
+
 class TestEndToEndFusedTraining:
     @pytest.mark.parametrize("trainer_cls", [PPOTrainer, PPGTrainer, IQPPOTrainer])
     def test_fused_training_behaviorally_matches_tape(self, trainer_cls):
-        tape = build_trainer(trainer_cls, num_envs=2, training_path="tape")
-        fused = build_trainer(trainer_cls, num_envs=2, training_path="fused")
+        tape = use_tape_updates(build_trainer(trainer_cls, num_envs=2))
+        fused = build_trainer(trainer_cls, num_envs=2)
         tape.train(num_updates=2, eval_every=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fused.train(num_updates=2, eval_every=0)
-        assert fused._fused_reason is None and fused._arena is not None
+        fused.train(num_updates=2, eval_every=0)
 
         tape_state = tape.policy.state_dict()
         fused_state = fused.policy.state_dict()
@@ -560,22 +726,24 @@ class TestEndToEndFusedTraining:
         assert behavior_digest(tape) == behavior_digest(fused)
 
     def test_sequential_digests_pinned(self):
-        """The num_envs=1 path is pinned: any drift in the sequential rollout
-        or update arithmetic breaks these.
+        """``num_envs=1`` training is pinned: any drift in the sequential
+        rollout or in the update arithmetic breaks these.
 
-        Re-pinned once (the deliberate re-pin ROADMAP item 2 allows) when the
-        tensor inference forward was deleted: sequential rollouts now sample
-        with the shared inverse-CDF draw on the float32 tape-free log-probs
-        (``act`` is ``act_batch`` at B=1) instead of ``rng.choice`` on the
-        float64 tape forward, so the sampled trajectories — and with them the
-        trained weights — differ.  The update arithmetic itself is unchanged;
-        the previous digests were captured on the pre-``chained_sum`` /
-        pre-in-place-optimizer tree.
+        Re-pinned (ROADMAP item 2 re-pin rule) when the per-transition tape
+        update was deleted: a sequentially collected buffer is now updated by
+        the same stacked minibatch step as a lock-step one.  The objective is
+        the same per-sample mean; what moves the weights is BatchNorm seeing
+        the minibatch as one ``(B, n, d)`` stack (one running-statistics
+        update per step, from the mean of the per-state statistics) instead
+        of B separate states, plus summation order.  The rollouts themselves
+        are untouched.  Previous pins, captured when the tensor inference
+        forward was deleted: ppo ``d54a15be…``, ppg ``9bf06d61…``, iq-ppo
+        ``65cf0425…``.
         """
         pinned = {
-            "ppo": "d54a15be5dfda9b2800947712c5489b8f86be832029cc0ef780bb00d873e753a",
-            "ppg": "9bf06d619d6ea79d1e6b204443ef54ab5222061938da32beec2a0f8c66f1c670",
-            "iq-ppo": "65cf042539859dd329604cc7cbea3e92553b1e780ce2df14f6b738ccd4c55856",
+            "ppo": "ca5fc6638dd79c9a20f335f9943e9a4fa575c715eed4f6bbe739bd8cb3476f23",
+            "ppg": "4de6be4cea224e4eed38e570bedb13db359b711763a36fffee7d22199d090ae4",
+            "iq-ppo": "2d57a89aae604b2c06282ffed318816d8c381c52ea2aaf56a1aee1a4c256b252",
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)
@@ -583,6 +751,31 @@ class TestEndToEndFusedTraining:
             assert policy_digest(trainer.policy) == pinned[trainer_cls.algorithm], (
                 f"{trainer_cls.algorithm}: sequential training digest drifted"
             )
+
+    @pytest.mark.parametrize("trainer_cls", [PPGTrainer, IQPPOTrainer])
+    @pytest.mark.parametrize("mode", ["sequential", "clustered"])
+    def test_update_and_aux_phase_never_touch_the_tape(self, monkeypatch, trainer_cls, mode):
+        forbid_tape_backward(monkeypatch)
+        trainer = build_trainer(trainer_cls, **TRAINER_MODES[mode])
+        history = trainer.train(num_updates=1, eval_every=0)  # aux_every=1: update + aux phase
+        assert np.isfinite(history.policy_losses[0]) and np.isfinite(history.value_losses[0])
+        assert np.isfinite(history.aux_losses[0]) and history.aux_losses[0] != 0.0
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_facade_train_is_tape_free(self, monkeypatch, clustered):
+        forbid_tape_backward(monkeypatch)
+        config = BQSchedConfig.small(seed=0)
+        config.ppo.aux_every = 1
+        config.clustering.enabled = clustered
+        config.clustering.num_clusters = 8
+        scheduler = BQSched(
+            make_workload("tpch", scale_factor=1.0, seed=0), DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config
+        )
+        history = scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        assert (scheduler.clusters is not None) == clustered
+        assert scheduler.trainer.arena is scheduler._update_arena
+        assert np.isfinite(history.policy_losses[-1]) and np.isfinite(history.aux_losses[-1])
+        assert scheduler.schedule(round_id=0).makespan > 0
 
     def test_perfmodel_fused_fit_matches_tape(self):
         from repro.nn import cross_entropy
@@ -654,41 +847,19 @@ class TestEndToEndFusedTraining:
 
 
 # ------------------------------------------------------------------ #
-# Fallback gates
+# Gates: unsupported architectures and degenerate update inputs are loud
 # ------------------------------------------------------------------ #
 class TestFusedFallbacks:
-    def test_invalid_training_path_rejected(self):
-        with pytest.raises(ValueError):
-            build_trainer(PPOTrainer, training_path="jit")
+    """There is no fallback any more: what the kernels cannot do raises."""
 
-    def test_config_validates_training_path(self):
-        from repro.config import SchedulerConfig
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(training_path="neither")
-
-    def test_sequential_fused_warns_and_falls_back(self):
-        trainer = build_trainer(PPOTrainer, num_envs=1, training_path="fused")
-        with pytest.warns(RuntimeWarning, match="falling back to the tape"):
-            trainer.train(num_updates=1, eval_every=0)
-        assert trainer._fused_reason is not None
-        assert trainer._arena is None
-
-    def test_unsupported_policy_warns_and_falls_back(self):
-        trainer = build_trainer(PPOTrainer, num_envs=2, training_path="fused")
+    def test_unsupported_policy_raises_configuration_error(self):
+        trainer = build_trainer(PPOTrainer)
         # Knock out a bias so the support gate rejects the policy head.
         list(trainer.policy.policy_head.net)[0].bias = None
         reason = fastgrad.fused_training_reason(trainer.policy)
         assert reason is not None and "bias" in reason
-        with pytest.warns(RuntimeWarning, match="falling back to the tape"):
-            trainer.train(num_updates=1, eval_every=0)
-        assert trainer._arena is None
-
-    def test_clusters_not_covered(self):
-        trainer = build_trainer(PPOTrainer, num_envs=2)
-        reason = fastgrad.fused_training_reason(trainer.policy, clusters=object())
-        assert reason is not None and "cluster" in reason
+        with pytest.raises(ConfigurationError, match="policy_head has a bias-free linear layer"):
+            PPOTrainer(trainer.policy, trainer.plan_embeddings, trainer.env, trainer.config)
 
     def test_perfmodel_gate_rejects_missing_bias(self, rng):
         from repro.perf.model import ConcurrentPredictionModel
@@ -699,7 +870,44 @@ class TestFusedFallbacks:
         assert fastgrad.perfmodel_training_reason(model) == "input_proj has no bias"
 
     def test_trainer_timers_record_phases(self):
-        trainer = build_trainer(PPOTrainer, num_envs=2, training_path="fused")
+        trainer = build_trainer(PPOTrainer, num_envs=2)
         trainer.train(num_updates=1, eval_every=0)
         timings = trainer.timers.as_dict()
         assert {"rollout", "update", "optimizer"} <= set(timings)
+
+    @pytest.mark.parametrize("trainer_cls", [PPOTrainer, PPGTrainer, IQPPOTrainer])
+    def test_empty_buffer_is_rejected_by_name(self, trainer_cls):
+        trainer = build_trainer(trainer_cls)
+        empty = RolloutBuffer()
+        with pytest.raises(ValueError, match=r"update\(\) needs at least one finished episode"):
+            trainer.update(empty)
+        if trainer_cls is not PPOTrainer:
+            with pytest.raises(ValueError, match=r"auxiliary_phase\(\) needs at least one finished episode"):
+                trainer.auxiliary_phase(empty)
+
+    def test_all_false_mask_row_names_the_transition(self):
+        trainer = build_trainer(PPGTrainer)
+        buffer = trainer.collect_rollouts(1)
+        transitions = buffer.transitions()
+        trainer.config.minibatch_size = len(transitions)  # every transition is in the minibatch
+        transitions[3].mask = np.zeros_like(transitions[3].mask)
+        for phase in (trainer.update, trainer.auxiliary_phase):
+            with pytest.raises(ValueError, match=r"transition \d+ of the minibatch .* all-False action mask"):
+                phase(buffer)
+
+    def test_non_finite_step_names_the_parameter_and_keeps_the_weights(self):
+        trainer = build_trainer(PPOTrainer)
+        buffer = trainer.collect_rollouts(1)
+        weight = list(trainer.policy.value_head.net)[0].weight
+        weight.data = np.full_like(weight.data, np.nan)
+        before = {name: param.data for name, param in trainer.policy.named_parameters()}
+        with pytest.raises(FloatingPointError, match=r"loss nan .* first parameter with a non-finite gradient: (\S+)$") as info:
+            trainer.update(buffer)
+        finite = {
+            name: param.grad is None or bool(np.isfinite(param.grad).all())
+            for name, param in trainer.policy.named_parameters()
+        }
+        culprit = info.value.args[0].rsplit(" ", 1)[1]
+        assert culprit == next(name for name, ok in finite.items() if not ok)
+        # The optimizer never ran: every parameter still holds the array it had.
+        assert all(param.data is before[name] for name, param in trainer.policy.named_parameters())

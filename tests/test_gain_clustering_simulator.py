@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.gain import GAIN_BATCH_SIZE
 from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
-from repro.nn import Adam, chained_sum, fastgrad, mse_loss
+from repro.nn import Adam, fastgrad, mse_loss
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ class TestSchedulingGain:
         losses = [
             mse_loss(model.forward(plan_embeddings[i], plan_embeddings[j]), np.array([gains[i, j]])) for i, j in pairs
         ]
-        mean_loss = chained_sum(losses) * (1.0 / len(pairs))
+        mean_loss = sum(losses[1:], losses[0]) * (1.0 / len(pairs))
         model.zero_grad()
         mean_loss.backward()
         tape_grads = [parameter.grad.copy() for parameter in model.parameters()]
