@@ -6,11 +6,12 @@ at ``num_envs ∈ {1, 4, 8, 16, 32, 64}`` (quick profile: ``{1, 8}``), against
 a *seed-equivalent scalar baseline*: ``num_envs=1`` with the legacy AoS
 snapshot path forced (no :class:`~repro.encoder.SnapshotArrays`) and the
 simulator's cross-session feature-row cache bypassed, i.e. the env/simulator
-hot path as it stood before the structure-of-arrays overhaul.  The policy
-forward of that cell is no longer seed-equivalent: every sampling forward,
-one snapshot included, now runs the tape-free float32 kernel, so the
-reference cell got ~1.5x faster (631 -> 973 steps/s on the reference
-container) and every ratio against it shrank accordingly.
+hot path as it stood before the structure-of-arrays overhaul.  Those two are
+all that separates ``legacy_scalar`` from ``envs_1``: both cells are the one
+lock-step collector at width 1, and every sampling forward, one snapshot
+included, runs the tape-free float32 kernel — which made the reference cell
+~1.5x faster (631 -> 973 steps/s on the reference container) and shrank
+every ratio against it accordingly.
 
 Methodology: the host this runs on is shared and noisy, so every repeat
 measures *all* cells back to back (interleaved) and each cell reports the

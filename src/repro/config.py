@@ -89,20 +89,15 @@ class PPOConfig:
     (``N_ppo`` in Algorithm 1); ``beta_clone`` weighs the behaviour-cloning KL
     term of the IQ-PPO auxiliary objective.
 
-    ``num_envs`` selects only the rollout engine: ``1`` (default) samples one
-    snapshot at a time from a single environment, seed-for-seed reproducible,
-    while ``N > 1`` collects episodes from N lockstep environments driven by
-    one batched policy forward per decision round.  The PPO update and the
-    PPG / IQ-PPO auxiliary phases are the same stacked minibatch steps
-    (:mod:`repro.nn.fastgrad`) whichever engine filled the buffer.
-
-    Note: the :class:`~repro.core.bqsched.RLSchedulerBase` facade upgrades
-    its *simulator pre-training* phase to
-    ``RLSchedulerBase.pretrain_num_envs`` lockstep envs by default even at
-    ``num_envs=1`` (pre-training steps are free, so the speedup is pure
-    win); set ``scheduler.pretrain_num_envs = 1`` to force sequential
-    pre-training rollouts.  Direct ``PPOTrainer`` use always honours
-    ``num_envs`` exactly.
+    ``num_envs`` is the width of the rollout: episodes are collected from
+    that many lockstep environments (the trainer's own plus ``num_envs - 1``
+    clones), driven by one batched policy forward per decision round.  Any
+    width is seed-for-seed reproducible; ``1`` (default) visits one episode
+    at a time, which is what fine-tuning on the real DBMS wants.  The facade's
+    *simulator pre-training* collects from at least 4 lockstep environments
+    (capped by ``rollouts_per_update``) whatever this is set to, since
+    simulated steps cost nothing on the DBMS; direct ``PPOTrainer`` use
+    honours ``num_envs`` exactly.
     """
 
     learning_rate: float = 3e-4

@@ -64,6 +64,11 @@ __all__ = ["RLSchedulerBase", "BQSched", "LSchedScheduler"]
 
 _ALGORITHMS = {"ppo": PPOTrainer, "ppg": PPGTrainer, "iq-ppo": IQPPOTrainer}
 
+#: Simulator pre-training steps cost nothing on the real DBMS, so it collects
+#: from at least this many lockstep envs (capped by the per-update episode
+#: budget: extra envs beyond that would never start an episode).
+_PRETRAIN_NUM_ENVS = 4
+
 
 class RLSchedulerBase(BaseScheduler):
     """Shared machinery of the RL-based schedulers (BQSched and LSched)."""
@@ -74,11 +79,6 @@ class RLSchedulerBase(BaseScheduler):
     use_clustering = False
     use_simulator = False
     use_attention_state = True
-    #: Simulator pre-training steps cost nothing on the real DBMS, so it runs
-    #: N lockstep envs by default (capped by the per-update episode budget —
-    #: extra envs beyond that would never start an episode).  Set to 1 on an
-    #: instance for sequential pre-training rollouts.
-    pretrain_num_envs = 4
 
     def __init__(
         self,
@@ -169,21 +169,14 @@ class RLSchedulerBase(BaseScheduler):
             config.seed = seed
         return cls(workload, engine, config)
 
-    def _build_env(self, backend) -> SchedulingEnv:
-        if self._cluster_backend(backend):
-            return ClusterSchedulingEnv(
-                batch=self.batch,
-                backend=backend,
-                scheduler_config=self.config.scheduler,
-                config_space=self.config_space,
-                knowledge=self.knowledge,
-                mask=self.mask,
-                clusters=self.clusters,
-                strategy_name=self.name,
-            )
-        return SchedulingEnv(
+    def _build_env(self, backend, **overrides) -> SchedulingEnv:
+        """The one place an environment is built: a fleet backend gets the
+        placement-aware env.  ``overrides`` replace the scheduler's own
+        components (another batch with its knowledge and mask, another
+        connection count, a strategy label)."""
+        env_cls = ClusterSchedulingEnv if self._cluster_backend(backend) else SchedulingEnv
+        components = dict(
             batch=self.batch,
-            backend=backend,
             scheduler_config=self.config.scheduler,
             config_space=self.config_space,
             knowledge=self.knowledge,
@@ -191,6 +184,8 @@ class RLSchedulerBase(BaseScheduler):
             clusters=self.clusters,
             strategy_name=self.name,
         )
+        components.update(overrides)
+        return env_cls(backend=backend, **components)
 
     @staticmethod
     def _cluster_backend(backend) -> bool:
@@ -317,7 +312,7 @@ class RLSchedulerBase(BaseScheduler):
             sim_env = self._build_env(backend=self.simulator)
             pretrain_envs = max(
                 self.config.ppo.num_envs,
-                min(self.pretrain_num_envs, self.config.ppo.rollouts_per_update),
+                min(_PRETRAIN_NUM_ENVS, self.config.ppo.rollouts_per_update),
             )
             pretrainer = self._make_trainer(sim_env, num_envs=pretrain_envs)
             pretrainer.train(pretrain_updates, eval_every=0)
@@ -417,16 +412,7 @@ class RLSchedulerBase(BaseScheduler):
             if self.use_masking
             else AdaptiveMask.unmasked(len(batch), len(self.config_space))
         )
-        env_cls = ClusterSchedulingEnv if self._cluster_backend(engine) else SchedulingEnv
-        env = env_cls(
-            batch=batch,
-            backend=engine,
-            scheduler_config=self.config.scheduler,
-            config_space=self.config_space,
-            knowledge=knowledge,
-            mask=mask,
-            strategy_name=self.name,
-        )
+        env = self._build_env(engine, batch=batch, knowledge=knowledge, mask=mask, clusters=None)
         evaluation = StrategyEvaluation(strategy=self.name)
         for offset in range(rounds):
             snapshot = env.reset(round_id=base_round_id + offset)
@@ -535,7 +521,6 @@ class RLSchedulerBase(BaseScheduler):
             runtime = ExecutionRuntime(self.engine, faults=faults, control=control)
         else:
             runtime = ExecutionRuntime(self.engine, retry=retry, faults=faults)
-        env_cls = ClusterSchedulingEnv if self._cluster_backend(self.engine) else SchedulingEnv
         envs = []
         classes = tuple(tenant_classes) if tenant_classes else ()
         for index in range(num_tenants):
@@ -544,15 +529,7 @@ class RLSchedulerBase(BaseScheduler):
                 f"tenant-{index}", self.batch, arrivals=arrivals, tenant_class=tenant_class
             )
             envs.append(
-                env_cls(
-                    batch=self.batch,
-                    backend=tenant,
-                    scheduler_config=scheduler_config,
-                    config_space=self.config_space,
-                    knowledge=self.knowledge,
-                    mask=self.mask,
-                    strategy_name=f"{self.name}/serve",
-                )
+                self._build_env(tenant, scheduler_config=scheduler_config, strategy_name=f"{self.name}/serve")
             )
         round_id = round_id if round_id is not None else service.base_round_id
         for env in envs:

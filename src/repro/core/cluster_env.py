@@ -107,6 +107,7 @@ class ClusterSchedulingEnv(SchedulingEnv):
         clusters=None,
         strategy_name: str = "rl",
         arrivals: "ArrivalProcess | Sequence[float] | None" = None,
+        tenant_class=None,
     ) -> None:
         self.num_instances = _backend_num_instances(backend)
         super().__init__(
@@ -119,6 +120,7 @@ class ClusterSchedulingEnv(SchedulingEnv):
             clusters=clusters,
             strategy_name=strategy_name,
             arrivals=arrivals,
+            tenant_class=tenant_class,
         )
 
     # ------------------------------------------------------------------ #

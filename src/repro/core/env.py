@@ -189,6 +189,7 @@ class SchedulingEnv:
         self.clusters = clusters
         self.strategy_name = strategy_name
         self.arrivals = arrivals
+        self.tenant_class = tenant_class
         if isinstance(backend, RuntimeTenant):
             if arrivals is not None:
                 raise SchedulingError("arrivals are configured when registering the runtime tenant")
@@ -220,6 +221,30 @@ class SchedulingEnv:
     def runtime(self) -> ExecutionRuntime:
         """The event-driven runtime this environment schedules through."""
         return self._tenant.runtime
+
+    def clone(self) -> "SchedulingEnv":
+        """A fresh environment built from everything this one was built with.
+
+        The components (batch, backend, knowledge, mask, clusters, arrivals,
+        tenant class) are shared; the clone registers its own single-tenant
+        runtime, so its rounds are independent of this environment's.  An
+        environment bound to a shared-runtime tenant cannot be cloned: the
+        clones would fight over one tenant's round.
+        """
+        if isinstance(self.backend, RuntimeTenant):
+            raise SchedulingError("cannot clone an environment bound to a shared runtime tenant")
+        return type(self)(
+            batch=self.batch,
+            backend=self.backend,
+            scheduler_config=self.scheduler_config,
+            config_space=self.config_space,
+            knowledge=self.knowledge,
+            mask=self.mask,
+            clusters=self.clusters,
+            strategy_name=self.strategy_name,
+            arrivals=self.arrivals,
+            tenant_class=self.tenant_class,
+        )
 
     # ------------------------------------------------------------------ #
     # Action space

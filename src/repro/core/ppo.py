@@ -6,11 +6,12 @@ GAE advantages, and optimises the clipped surrogate objective plus a value
 loss and an entropy bonus.  PPG and IQ-PPO subclass it and add their
 respective auxiliary phases.
 
-``PPOConfig.num_envs`` selects only the rollout engine: ``1`` samples one
-snapshot at a time from ``env``, ``N > 1`` steps N sessions of a
-:class:`~repro.core.vecenv.VectorSchedulingEnv` in lockstep with one batched
-policy forward per decision round.  Every update, whatever collected its
-buffer, is the stacked minibatch step of :mod:`repro.nn.fastgrad`: one
+``PPOConfig.num_envs`` is the width of the one rollout engine: ``env`` plus
+``num_envs - 1`` clones step in lockstep as a
+:class:`~repro.core.vecenv.VectorSchedulingEnv`, with one batched policy
+forward per decision round (at width 1 that is ``env`` alone, and the buffer
+is what a one-snapshot-at-a-time loop would collect, bit for bit).  Every
+update is the stacked minibatch step of :mod:`repro.nn.fastgrad`: one
 tape-free forward + analytic backward per minibatch, its temporaries drawn
 from a :class:`~repro.nn.fastgrad.Arena`.
 """
@@ -80,8 +81,8 @@ class PPOTrainer:
         self.rng = np.random.default_rng(seed)
         self.optimizer = Adam(policy.parameters(), lr=config.learning_rate)
         self.history = TrainingHistory()
-        self.num_envs = max(1, config.num_envs)
-        self.vec_env = VectorSchedulingEnv.from_template(env, self.num_envs) if self.num_envs > 1 else None
+        #: ``env`` itself plus ``num_envs - 1`` clones: the width of every rollout.
+        self.vec_env = VectorSchedulingEnv.from_template(env, config.num_envs)
         self._total_steps = 0
         self._updates_since_aux = 0
         self._round_counter = 0
@@ -89,60 +90,11 @@ class PPOTrainer:
         #: "aux", plus the nested "optimizer" slice of each update).
         self.timers = SectionTimers()
 
-    @property
-    def vectorized(self) -> bool:
-        """Whether rollouts come from the lockstep vector engine."""
-        return self.num_envs > 1
-
     # ------------------------------------------------------------------ #
     # Rollout collection
     # ------------------------------------------------------------------ #
     def collect_rollouts(self, num_episodes: int) -> RolloutBuffer:
         """Sample ``num_episodes`` complete scheduling rounds with the current policy.
-
-        Dispatches to the vectorized collector when ``num_envs > 1``; the
-        sequential path below samples one snapshot at a time.
-        """
-        if self.vectorized:
-            return self._collect_rollouts_vectorized(num_episodes)
-        buffer = RolloutBuffer(gamma=self.config.gamma, gae_lambda=self.config.gae_lambda)
-        clusters = self.env.clusters
-        for _ in range(num_episodes):
-            snapshot = self.env.reset(round_id=self._round_counter)
-            self._round_counter += 1
-            done = False
-            while not done:
-                mask = self.env.action_mask()
-                decision = self.policy.act(
-                    self.plan_embeddings,
-                    snapshot,
-                    mask,
-                    self.rng,
-                    greedy=False,
-                    clusters=clusters,
-                )
-                step = self.env.step(decision.action)
-                buffer.add(
-                    Transition(
-                        snapshot=snapshot,
-                        action=decision.action,
-                        log_prob=decision.log_prob,
-                        value=decision.value,
-                        reward=step.reward,
-                        done=step.done,
-                        mask=mask,
-                        time=snapshot.time,
-                    )
-                )
-                snapshot = step.snapshot
-                done = step.done
-                self._total_steps += 1
-            result = self.env.result()
-            buffer.finish_episode(result.round_log, result.makespan)
-        return buffer
-
-    def _collect_rollouts_vectorized(self, num_episodes: int) -> RolloutBuffer:
-        """Collect ``num_episodes`` episodes from N lockstep environments.
 
         Every decision round runs ONE batched policy forward over the active
         sub-envs' snapshots and stacked action masks; finished sub-envs are

@@ -1,7 +1,8 @@
 """Vectorized scheduling environment: N independent sessions in lockstep.
 
-:class:`VectorSchedulingEnv` drives N :class:`~repro.core.env.SchedulingEnv`
-instances over the same batch query set and backend.  Sub-envs share the
+:class:`VectorSchedulingEnv` drives N >= 1 :class:`~repro.core.env.SchedulingEnv`
+instances over the same batch query set and backend; it is what every
+rollout is collected from, ``N = 1`` included.  Sub-envs share the
 immutable components (batch, configuration space, knowledge, mask, clusters)
 but each owns its live session, so episodes progress independently.  The
 vector env exposes stacked action masks — one ``(k, action_dim)`` boolean
@@ -10,7 +11,7 @@ pass (:meth:`ActorCriticNetwork.act_batch`) instead of N sequential ones.
 
 Episodes finish at different step counts, so callers track the set of
 *active* sub-env indices and shrink the stacked calls as sessions complete
-(see :meth:`PPOTrainer._collect_rollouts_vectorized`).
+(see :meth:`PPOTrainer.collect_rollouts`).
 """
 
 from __future__ import annotations
@@ -43,37 +44,17 @@ class VectorSchedulingEnv:
 
     @classmethod
     def from_template(cls, env: SchedulingEnv, num_envs: int) -> "VectorSchedulingEnv":
-        """Clone ``env`` into ``num_envs`` sub-envs sharing its components.
+        """``env`` itself plus ``num_envs - 1`` clones of it (:meth:`SchedulingEnv.clone`).
 
         The backend is shared too: every session it opens is an independent
         object, so concurrent rounds do not interfere (this holds for both the
         real :class:`~repro.dbms.DatabaseEngine` and the learned simulator).
-        Each sub-env wraps the backend in its own single-tenant runtime, so a
-        template whose backend is already a shared-runtime tenant cannot be
-        cloned (the clones would fight over one tenant's round).
+        Width 1 needs no clone, so an environment bound to a shared-runtime
+        tenant (which cannot be cloned) still makes a vector env of one.
         """
         if num_envs < 1:
             raise SchedulingError("num_envs must be >= 1")
-        from ..runtime import RuntimeTenant
-
-        if isinstance(env.backend, RuntimeTenant):
-            raise SchedulingError("cannot clone an environment bound to a shared runtime tenant")
-        env_cls = type(env)
-        envs = [
-            env_cls(
-                batch=env.batch,
-                backend=env.backend,
-                scheduler_config=env.scheduler_config,
-                config_space=env.config_space,
-                knowledge=env.knowledge,
-                mask=env.mask,
-                clusters=env.clusters,
-                strategy_name=env.strategy_name,
-                arrivals=env.arrivals,
-            )
-            for _ in range(num_envs)
-        ]
-        return cls(envs)
+        return cls([env] + [env.clone() for _ in range(num_envs - 1)])
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -100,15 +81,6 @@ class VectorSchedulingEnv:
         """Start a new round in sub-env ``index`` and return its snapshot."""
         return self.envs[index].reset(round_id=round_id, strategy=strategy)
 
-    def reset_all(self, round_ids: Sequence[int] | None = None) -> list[SchedulingSnapshot]:
-        """Start a new round in every sub-env; ``round_ids`` aligns by index."""
-        if round_ids is not None and len(round_ids) != self.num_envs:
-            raise SchedulingError("round_ids must provide one id per sub-env")
-        return [
-            env.reset(round_id=None if round_ids is None else round_ids[i])
-            for i, env in enumerate(self.envs)
-        ]
-
     def masks_for(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Stacked boolean action masks ``(k, action_dim)`` for ``indices``.
 
@@ -116,10 +88,6 @@ class VectorSchedulingEnv:
         """
         selected = range(self.num_envs) if indices is None else indices
         return np.stack([self.envs[i].action_mask() for i in selected], axis=0)
-
-    def step_at(self, index: int, action: int) -> StepResult:
-        """Apply one decision in sub-env ``index``."""
-        return self.envs[index].step(action)
 
     def step_many(self, indices: Sequence[int], actions: Sequence[int]) -> list[StepResult]:
         """Apply one decision per listed sub-env (aligned by position).

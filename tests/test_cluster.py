@@ -629,7 +629,7 @@ class TestClusterFacade:
     def test_vectorized_training_on_cluster(self, trained):
         vec = VectorSchedulingEnv.from_template(trained.env, 2)
         assert all(isinstance(env, ClusterSchedulingEnv) for env in vec.envs)
-        snaps = vec.reset_all(round_ids=[300, 301])
+        snaps = [vec.reset_at(index, round_id=300 + index) for index in range(2)]
         masks = vec.masks_for()
         assert masks.shape == (2, trained.env.action_dim)
         decisions = trained.policy.act_batch(

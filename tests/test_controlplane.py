@@ -29,7 +29,14 @@ from repro.config import (
     SchedulerConfig,
     ServiceConfig,
 )
-from repro.core import AdaptiveMask, ExternalKnowledge, LSchedScheduler, SchedulingEnv
+from repro.core import (
+    AdaptiveMask,
+    ClusterSchedulingEnv,
+    ExternalKnowledge,
+    LSchedScheduler,
+    SchedulingEnv,
+    VectorSchedulingEnv,
+)
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE
 from repro.encoder import RunStateFeaturizer, SchedulingSnapshot
@@ -557,6 +564,40 @@ class TestRewardShaping:
         assert self._run_round(replace(config.scheduler, fairness_weight=0.1), plain) == (
             self._run_round(config.scheduler, plain)
         )
+
+
+    @pytest.mark.parametrize("fleet", [None, ("x", "y")])
+    def test_clone_carries_the_tenant_class(self, fleet):
+        """A clone observes and is charged like its template (lock-step sub-envs
+        of one trainer must not disagree on the SLO channel or the shaping)."""
+        from dataclasses import replace
+
+        config = replace(BQSchedConfig.small(seed=0).scheduler, slo_penalty=5.0)
+        batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
+        backend = Cluster.from_names(list(fleet), seed=0) if fleet else DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        space = ConfigurationSpace(config)
+        template = (ClusterSchedulingEnv if fleet else SchedulingEnv)(
+            batch=batch,
+            backend=backend,
+            scheduler_config=config,
+            config_space=space,
+            knowledge=ExternalKnowledge.from_probes(backend, batch, space),
+            # An impossible SLO makes every completion a miss.
+            tenant_class=TenantClass("interactive", priority=2.0, latency_slo=1e-6, deadline=60.0),
+        )
+        first, clone = VectorSchedulingEnv.from_template(template, 2).envs
+        assert first is template and type(clone) is type(template) and clone is not template
+        rewards = []
+        for env in (template, clone):
+            snapshot = env.reset(round_id=0)
+            assert (snapshot.priority, snapshot.deadline_slack) == (2.0, 60.0)
+            total, done = 0.0, False
+            while not done:
+                step = env.step(int(np.flatnonzero(env.action_mask())[0]))
+                total, done = total + step.reward, step.done
+            rewards.append(total)
+            assert total < -5.0 * len(batch)  # every miss was charged
+        assert rewards[0] == rewards[1]
 
 
 class TestArrivalEdges:

@@ -5,9 +5,9 @@ Covers the four layers of the vectorized execution spine:
 * ``VectorSchedulingEnv`` (lockstep stepping, stacked action masks);
 * batched state encoding and batched policy forwards vs their scalar twins;
 * ``RolloutBuffer`` interleaved-episode bookkeeping and GAE;
-* ``PPOTrainer`` dispatch — the ``num_envs=1`` path must stay bit-identical
-  to the legacy sequential implementation, and the batched PPO update must
-  match the per-transition update numerically.
+* ``PPOTrainer`` rollouts and updates — the lock-step collector at
+  ``num_envs=1`` must stay bit-identical to the sequential loop kept here as
+  the oracle, and the update must not depend on the collection width.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from repro.core import (
     Transition,
     VectorSchedulingEnv,
 )
-from repro.dbms import QueryExecutionRecord, RoundLog, RunningParameters
+from repro.dbms import Cluster, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.encoder import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot
 from repro.exceptions import SchedulingError
 from repro.nn import no_grad
+from repro.runtime import ExecutionRuntime
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,35 @@ def sim_env(sim_setup):
     return sim_setup._build_env(backend=sim_setup.simulator)
 
 
+#: Workload rows of the width-1 parity table: ``make_workload`` arguments and the
+#: fleet (``None`` for a single engine).  TPC-H n=22, TPC-DS n=99, TPC-DS n=158
+#: (which turns gain clustering on by itself) and TPC-H on a three-instance fleet.
+PARITY_WORKLOADS = {
+    "h22": ({"benchmark": "tpch"}, None),
+    "ds99": ({"benchmark": "tpcds"}, None),
+    "ds158c": ({"benchmark": "tpcds", "query_scale": 1.6}, None),
+    "fleet": ({"benchmark": "tpch"}, ("x", "x", "z")),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_scheduler():
+    """Prepared schedulers for :data:`PARITY_WORKLOADS`, built once per row."""
+    built: dict[str, BQSched] = {}
+
+    def get(name: str) -> BQSched:
+        if name not in built:
+            arguments, fleet = PARITY_WORKLOADS[name]
+            workload = make_workload(scale_factor=1.0, seed=0, **arguments)
+            engine = Cluster.from_names(list(fleet), seed=0) if fleet else DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+            config = BQSchedConfig.small(seed=0)
+            config.simulator.epochs = 2
+            built[name] = BQSched(workload, engine, config).prepare(history_rounds=2)
+        return built[name]
+
+    return get
+
+
 # --------------------------------------------------------------------- #
 # VectorSchedulingEnv
 # --------------------------------------------------------------------- #
@@ -66,6 +96,7 @@ class TestVectorSchedulingEnv:
         assert all(env.batch is sim_env.batch for env in vec.envs)
         assert all(env.backend is sim_env.backend for env in vec.envs)
         assert len({id(env) for env in vec.envs}) == 3
+        assert vec.envs[0] is sim_env  # the template itself, then its clones
 
     def test_rejects_empty_and_bad_counts(self, sim_env):
         with pytest.raises(SchedulingError):
@@ -75,7 +106,8 @@ class TestVectorSchedulingEnv:
 
     def test_mask_stacking_matches_sub_envs(self, sim_env):
         vec = VectorSchedulingEnv.from_template(sim_env, 4)
-        vec.reset_all(round_ids=[0, 1, 2, 3])
+        for index in range(4):
+            vec.reset_at(index, round_id=index)
         masks = vec.masks_for()
         assert masks.shape == (4, sim_env.action_dim)
         assert masks.dtype == bool
@@ -84,7 +116,7 @@ class TestVectorSchedulingEnv:
         # Desynchronise env 1 and re-stack a subset: rows must track each
         # env's own pending set.
         action = int(np.flatnonzero(masks[1])[0])
-        vec.step_at(1, action)
+        vec.envs[1].step(action)
         subset = vec.masks_for([1, 3])
         np.testing.assert_array_equal(subset[0], vec.envs[1].action_mask())
         np.testing.assert_array_equal(subset[1], vec.envs[3].action_mask())
@@ -93,9 +125,10 @@ class TestVectorSchedulingEnv:
     def test_lockstep_steps_match_sequential_steps(self, sim_setup, sim_env):
         """The batched-advance lockstep path must reproduce per-env stepping."""
         vec = VectorSchedulingEnv.from_template(sim_env, 2)
-        seq = VectorSchedulingEnv.from_template(sim_env, 2)
-        vec.reset_all(round_ids=[7, 8])
-        seq.reset_all(round_ids=[7, 8])
+        seq = VectorSchedulingEnv.from_template(sim_env.clone(), 2)  # shares no env with ``vec``
+        for index, round_id in enumerate([7, 8]):
+            vec.reset_at(index, round_id=round_id)
+            seq.reset_at(index, round_id=round_id)
         rng = np.random.default_rng(0)
         for _ in range(5):
             masks = vec.masks_for()
@@ -109,7 +142,8 @@ class TestVectorSchedulingEnv:
 
     def test_step_many_validates_alignment(self, sim_env):
         vec = VectorSchedulingEnv.from_template(sim_env, 2)
-        vec.reset_all()
+        for index in range(2):
+            vec.reset_at(index)
         with pytest.raises(SchedulingError):
             vec.step_many([0, 1], [0])
 
@@ -281,11 +315,12 @@ class TestInterleavedRolloutBuffer:
 
 
 # --------------------------------------------------------------------- #
-# Trainer dispatch and parity
+# Trainer parity
 # --------------------------------------------------------------------- #
 class TestTrainerParity:
     def _legacy_collect(self, trainer, num_episodes):
-        """A literal re-implementation of the pre-refactor sequential loop."""
+        """The sequential one-snapshot-at-a-time collector, kept as the oracle
+        the lock-step collector at width 1 is compared against."""
         buffer = RolloutBuffer(gamma=trainer.config.gamma, gae_lambda=trainer.config.gae_lambda)
         clusters = trainer.env.clusters
         for _ in range(num_episodes):
@@ -322,13 +357,20 @@ class TestTrainerParity:
             seed=scheduler.config.seed,
         )
 
-    def test_num_envs_1_is_bit_identical_to_legacy_loop(self, sim_setup, sim_env):
-        new_path = self._make_trainer(sim_setup, sim_env, num_envs=1)
-        legacy = self._make_trainer(sim_setup, sim_setup._build_env(backend=sim_setup.simulator), num_envs=1)
-        assert not new_path.vectorized and new_path.vec_env is None
-        got = new_path.collect_rollouts(2)
-        expected = self._legacy_collect(legacy, 2)
-        assert len(got) == len(expected)
+    @pytest.mark.parametrize("backend", ["engine", "simulator"], ids=["eng", "sim"])
+    @pytest.mark.parametrize("workload", list(PARITY_WORKLOADS))
+    def test_num_envs_1_is_bit_identical_to_legacy_loop(self, parity_scheduler, workload, backend):
+        """The lock-step collector at width 1 against the sequential oracle, on every
+        backend the facade can build (fleet: ``Cluster`` / ``SimulatedCluster``)."""
+        scheduler = parity_scheduler(workload)
+        assert (scheduler.clusters is not None) == (workload == "ds158c")
+        target = scheduler.engine if backend == "engine" else scheduler.simulator
+        new_path = self._make_trainer(scheduler, scheduler._build_env(backend=target), num_envs=1)
+        legacy = self._make_trainer(scheduler, scheduler._build_env(backend=target), num_envs=1)
+        assert new_path.vec_env.num_envs == 1 and new_path.vec_env.envs[0] is new_path.env
+        got = new_path.collect_rollouts(3)
+        expected = self._legacy_collect(legacy, 3)
+        assert len(got) == len(expected) > 0
         assert got.episode_makespans() == expected.episode_makespans()
         for a, b in zip(got.transitions(), expected.transitions()):
             assert a.action == b.action
@@ -337,7 +379,23 @@ class TestTrainerParity:
             assert a.reward == b.reward
             assert a.advantage == b.advantage
             assert a.value_target == b.value_target
+            assert a.aux_query_id == b.aux_query_id
+            assert a.aux_target == b.aux_target
+            assert a.time == b.time
             np.testing.assert_array_equal(a.mask, b.mask)
+
+    def test_num_envs_1_trains_on_a_runtime_tenant_and_wider_refuses(self, sim_setup):
+        """Width 1 holds the trainer's own env, so a tenant-bound env collects;
+        any wider needs clones, which would fight over the tenant's round."""
+        def tenant_env():
+            tenant = ExecutionRuntime(sim_setup.engine).register("solo", sim_setup.batch)
+            return sim_setup._build_env(backend=tenant)
+
+        trainer = self._make_trainer(sim_setup, tenant_env(), num_envs=1)
+        buffer = trainer.collect_rollouts(2)
+        assert len(buffer.episodes) == 2 and len(buffer) == 2 * len(sim_setup.batch)
+        with pytest.raises(SchedulingError, match="shared runtime tenant"):
+            self._make_trainer(sim_setup, tenant_env(), num_envs=2)
 
     def test_batched_update_matches_scalar_update(self, sim_setup, sim_env):
         scalar_trainer = self._make_trainer(sim_setup, sim_env, num_envs=1)
@@ -362,7 +420,7 @@ class TestTrainerParity:
 
     def test_vectorized_collection_fills_episode_budget(self, sim_setup, sim_env):
         trainer = self._make_trainer(sim_setup, sim_env, num_envs=4)
-        assert trainer.vectorized and trainer.vec_env.num_envs == 4
+        assert trainer.vec_env.num_envs == 4 and trainer.vec_env.envs[0] is trainer.env
         for budget in (2, 4, 7):
             buffer = trainer.collect_rollouts(budget)
             assert len(buffer.episodes) == budget
@@ -448,19 +506,31 @@ class TestFacadeWiring:
         config.ppo.rollouts_per_update = 4
         scheduler = LSchedScheduler(workload, engine, config)
         trainer = scheduler._make_trainer(scheduler.env, num_envs=4)
-        assert trainer.vectorized
+        assert trainer.vec_env.num_envs == 4
         assert trainer.config.num_envs == 4
         # The facade config object itself is untouched by the override.
         assert scheduler.config.ppo.num_envs == 1
 
-    def test_pretrain_env_count_capped_by_episode_budget(self):
+    def test_pretrain_env_count_capped_by_episode_budget(self, monkeypatch):
+        """Pre-training widens to 4 lockstep envs, but there is no point spinning up
+        envs that never start an episode; a wider ``num_envs`` is honoured."""
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         config = BQSchedConfig.small(seed=0)
-        config.ppo.rollouts_per_update = 1
-        scheduler = BQSched(workload, engine, config)
-        cap = max(
-            scheduler.config.ppo.num_envs,
-            min(scheduler.pretrain_num_envs, scheduler.config.ppo.rollouts_per_update),
-        )
-        assert cap == 1  # no point spinning up envs that never start an episode
+        config.simulator.epochs = 1
+        scheduler = BQSched(workload, engine, config).prepare(history_rounds=1)
+        widths = []
+        make_trainer = scheduler._make_trainer
+
+        def recording(env, num_envs=None):
+            trainer = make_trainer(env, num_envs=num_envs)
+            widths.append(trainer.vec_env.num_envs)
+            return trainer
+
+        monkeypatch.setattr(scheduler, "_make_trainer", recording)
+        for rollouts_per_update, num_envs, expected in [(1, 1, 1), (2, 1, 2), (6, 1, 4), (6, 5, 5)]:
+            scheduler.config.ppo.rollouts_per_update = rollouts_per_update
+            scheduler.config.ppo.num_envs = num_envs
+            widths.clear()
+            scheduler.train(num_updates=0, pretrain_updates=1, keep_best=False)
+            assert widths == [expected, num_envs]  # the pre-trainer, then the fine-tune trainer
