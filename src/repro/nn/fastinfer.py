@@ -289,9 +289,8 @@ def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
     """Why ``encoder`` cannot run on the tape-free fast path, or ``None``.
 
     Each attention block's norms must be one of the kinds the fast forwards
-    replicate bit-for-bit.  Returning the reason (instead of a bare bool)
-    lets the one caller (``ConcurrentPredictionModel``) warn instead of
-    silently falling back to the tensor path.
+    replicate bit-for-bit; ``ConcurrentPredictionModel.__init__`` names the
+    reason in the ``ConfigurationError`` it raises.
     """
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]

@@ -1,20 +1,23 @@
 """Gradient-descent optimisers for :class:`repro.nn.layers.Module` parameters.
 
-The update loops run *in place* over per-parameter scratch buffers: one
-``step()`` allocates exactly one fresh array per parameter — the new
-``param.data`` itself.  That final allocation is deliberate, not an
-oversight: the inference fast paths (``fastinfer._F32_CACHE``, the fused
-QKV cache) detect parameter updates by array *identity*, so
-``param.data`` must be replaced, never mutated.  Every in-place expression
-mirrors the original out-of-place arithmetic operation for operation
-(scalar multiplies commute, ``a + b`` is IEEE-commutative), so the results
-are bit-identical to the historical implementations — pinned by
-``tests/test_optim_inplace.py``.
+``Adam.step`` gathers every ``param.grad`` into one flat slab, runs the update
+as fourteen in-place ufunc passes over flat moment and scratch slabs, and
+installs ``param.data`` as reshaped views of **one fresh result slab per
+step**.  Fresh on purpose: the inference fast paths (``fastinfer._F32_CACHE``,
+the fused QKV cache) detect updates by array *identity*, so ``param.data`` is
+replaced, never mutated, and no slab aliases it across steps — it is
+re-gathered whenever a caller rebinds it (``Module.load_state_dict``, the
+keep-best restore).  Every pass mirrors the historical per-parameter
+arithmetic operation for operation (scalar multiplies commute, ``a + b`` is
+IEEE-commutative, elementwise operations do not care how elements are
+partitioned into arrays), so results are bit-identical — pinned by
+``tests/test_optim_inplace.py``.  ``SGD`` still updates one array at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import groupby
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -49,12 +52,6 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self._scratch: "list[np.ndarray] | None" = None
-
-    def _scratch_buffers(self) -> "list[np.ndarray]":
-        if self._scratch is None:
-            self._scratch = [np.empty_like(p.data) for p in self.parameters]
-        return self._scratch
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -71,6 +68,12 @@ class SGD(Optimizer):
         super().__init__(parameters, lr)
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._scratch: "list[np.ndarray] | None" = None
+
+    def _scratch_buffers(self) -> "list[np.ndarray]":
+        if self._scratch is None:
+            self._scratch = [np.empty_like(p.data) for p in self.parameters]
+        return self._scratch
 
     def step(self) -> None:
         scratch = self._scratch_buffers()
@@ -101,45 +104,74 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch2: "list[np.ndarray] | None" = None
+        # Parameter i owns elements [_offsets[i], _offsets[i + 1]) of every slab.
+        self._offsets = [0, *np.cumsum([p.data.size for p in self.parameters]).tolist()]
+        total = self._offsets[-1]
+        self._m, self._v = np.zeros(total), np.zeros(total)
+        self._grad, self._scratch = np.empty(total), np.empty(total)
+        # Last step's result slab and the views of it that step installed as
+        # ``param.data`` (``None`` for a parameter it skipped).
+        self._data = np.empty(0)
+        self._installed: "list[np.ndarray | None]" = [None] * len(self.parameters)
+
+    def _runs(self) -> "list[tuple[int, int]]":
+        """Maximal ``[first, last)`` index ranges of parameters that have a gradient."""
+        runs, first = [], 0
+        for has_grad, group in groupby(self.parameters, key=lambda param: param.grad is not None):
+            last = first + len(list(group))
+            if has_grad:
+                runs.append((first, last))
+            first = last
+        return runs
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        one_minus_beta1 = 1.0 - self.beta1
-        one_minus_beta2 = 1.0 - self.beta2
-        buf1_list = self._scratch_buffers()
-        if self._scratch2 is None:
-            self._scratch2 = [np.empty_like(p.data) for p in self.parameters]
-        for param, m, v, buf1, buf2 in zip(
-            self.parameters, self._m, self._v, buf1_list, self._scratch2
-        ):
-            if param.grad is None:
-                continue
-            if self.weight_decay:
-                np.multiply(param.data, self.weight_decay, out=buf1)
-                np.add(param.grad, buf1, out=buf1)
-                grad = buf1
+        params, offsets, installed = self.parameters, self._offsets, self._installed
+        # Fresh slab on purpose: the inference caches key off param.data identity.
+        result = np.empty(offsets[-1])
+        fresh: "list[np.ndarray | None]" = [None] * len(params)
+        for first, last in self._runs():
+            run = slice(offsets[first], offsets[last])
+            grad, buf, m, v = self._grad[run], self._scratch[run], self._m[run], self._v[run]
+            np.concatenate([p.grad.ravel() for p in params[first:last]], out=grad)
+            if all(params[i].data is installed[i] for i in range(first, last)):
+                data = self._data[run]
             else:
-                grad = param.grad
+                # First step, or the caller rebound param.data since the last one.
+                data = np.concatenate([p.data.ravel() for p in params[first:last]])
+            if self.weight_decay:
+                np.multiply(data, self.weight_decay, out=buf)
+                grad += buf
             m *= self.beta1
-            np.multiply(grad, one_minus_beta1, out=buf2)
-            m += buf2
+            np.multiply(grad, 1.0 - self.beta1, out=buf)
+            m += buf
             v *= self.beta2
-            np.square(grad, out=buf2)
-            buf2 *= one_minus_beta2
-            v += buf2
-            # buf2 <- lr * m_hat, buf1 <- sqrt(v_hat) + eps; same op-for-op
+            np.square(grad, out=buf)
+            buf *= 1.0 - self.beta2
+            v += buf
+            # buf <- lr * m_hat, grad <- sqrt(v_hat) + eps; same op-for-op
             # arithmetic as `lr * (m / bias1) / (sqrt(v / bias2) + eps)`.
-            np.divide(m, bias1, out=buf2)
-            buf2 *= self.lr
-            np.divide(v, bias2, out=buf1)
-            np.sqrt(buf1, out=buf1)
-            buf1 += self.eps
-            buf2 /= buf1
-            # Fresh array on purpose — identity-keyed inference caches key
-            # off param.data, so it must be replaced rather than mutated.
-            param.data = param.data - buf2
+            np.divide(m, bias1, out=buf)
+            buf *= self.lr
+            np.divide(v, bias2, out=grad)
+            np.sqrt(grad, out=grad)
+            grad += self.eps
+            buf /= grad
+            np.subtract(data, buf, out=result[run])
+            for i in range(first, last):
+                fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)
+        self._data = result
+        self._installed = fresh
+
+    def state_dict(self) -> dict[str, Any]:
+        """The step count and copies of the two flat moment slabs."""
+        return {"step": self._step_count, "m": self._m.copy(), "v": self._v.copy()}
+
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` output into an optimiser over same-sized parameters."""
+        m, v = (np.asarray(state[key], dtype=np.float64) for key in ("m", "v"))
+        if m.shape != self._m.shape or v.shape != self._v.shape:
+            raise ValueError(f"Adam state holds {m.size} and {v.size} moment elements, the parameters {self._m.size}")
+        self._step_count, self._m[:], self._v[:] = int(state["step"]), m, v

@@ -9,12 +9,12 @@ influence of the concurrent queries.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import AttentionEncoder, Linear, MLP, Module, Tensor, fastinfer, no_grad
+from ..exceptions import ConfigurationError
+from ..nn import AttentionEncoder, Linear, MLP, Module, Tensor, fastinfer
 
 __all__ = ["ConcurrentPredictionModel", "SimulatorMetrics"]
 
@@ -47,32 +47,11 @@ class ConcurrentPredictionModel(Module):
         self.input_proj = Linear(feature_dim, hidden_dim, rng)
         if use_attention:
             self.encoder = AttentionEncoder(hidden_dim, num_heads, 1, rng, norm="layer")
+            reason = fastinfer.fast_inference_reason(self.encoder)
+            if reason is not None:
+                raise ConfigurationError(f"ConcurrentPredictionModel has no tape-free forward: {reason}")
         self.classifier = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
         self.regressor = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
-        self._warned_slow_path = False
-
-    def _fast_path_ok(self) -> bool:
-        """Capability check for the tape-free inference paths (warns once).
-
-        An encoder the fast path cannot replicate
-        (:func:`~repro.nn.fastinfer.fast_inference_reason`) falls back to the
-        tensor forward *audibly* instead of silently running orders of
-        magnitude slower in the rollout hot loop.
-        """
-        if not self.use_attention:
-            return True
-        reason = fastinfer.fast_inference_reason(self.encoder)
-        if reason is None:
-            return True
-        if not self._warned_slow_path:  # pragma: no cover - simulator uses LayerNorm
-            warnings.warn(
-                f"ConcurrentPredictionModel falling back to the tensor forward ({reason}); "
-                "simulator advances will be much slower",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._warned_slow_path = True
-        return False
 
     def forward(self, features: np.ndarray) -> tuple[Tensor, Tensor]:
         """Return ``(class_logits, remaining_times)`` for ``(k, feature_dim)`` inputs."""
@@ -90,10 +69,6 @@ class ConcurrentPredictionModel(Module):
         is what keeps the simulator's ``advance`` cheap when N vectorized
         environments each advance their own session every decision round.
         """
-        if not self._fast_path_ok():
-            with no_grad():  # pragma: no cover - the simulator always uses LayerNorm
-                logits, times = self.forward(features)
-            return logits.data, times.data
         tokens = np.tanh(fastinfer.linear_forward(self.input_proj, features))
         if self.use_attention:
             tokens = fastinfer.attention_encoder_forward(self.encoder, tokens)
@@ -112,9 +87,6 @@ class ConcurrentPredictionModel(Module):
         the sequential path's dynamics exactly.
         """
         groups, k = features.shape[0], features.shape[1]
-        if not self._fast_path_ok():
-            rows = [self.predict(features[g]) for g in range(groups)]  # pragma: no cover
-            return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
         tokens = np.tanh(fastinfer.linear_forward(self.input_proj, features))
         if self.use_attention:
             tokens = fastinfer.attention_encoder_forward_batched(self.encoder, tokens)

@@ -156,6 +156,8 @@ class PerformanceModel:
 
     def fit(self, examples: list[PredictionExample], epochs: int) -> None:
         """Per-example Adam steps over shuffled ``examples`` (tape-free kernels)."""
+        multitask, gamma = self.config.use_multitask, self.config.gamma_regression
+        targets = [example.earliest_remaining / TIME_SCALE if multitask else None for example in examples]
         order = list(range(len(examples)))
         for _ in range(epochs):
             self._rng.shuffle(order)
@@ -163,12 +165,7 @@ class PerformanceModel:
                 example = examples[index]
                 self.optimizer.zero_grad()
                 fastgrad.perfmodel_example_step(
-                    self.model,
-                    example.features,
-                    example.earliest_index,
-                    example.earliest_remaining / TIME_SCALE if self.config.use_multitask else None,
-                    self.config.gamma_regression,
-                    self._arena,
+                    self.model, example.features, example.earliest_index, targets[index], gamma, self._arena
                 )
                 self.optimizer.step()
                 self._arena.reset()

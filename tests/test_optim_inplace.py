@@ -1,10 +1,11 @@
 """Bit-parity of the in-place optimiser steps vs the historical implementations.
 
-The scratch-buffer rewrites of ``SGD.step``/``Adam.step``/``clip_grad_norm``
-must produce *bit-identical* parameter trajectories (every expression was
-rewritten operation for operation), and must keep installing a fresh
-``param.data`` array each step because the inference fast paths key their
-caches off array identity.
+The scratch-buffer ``SGD.step``/``clip_grad_norm`` and the flat-slab
+``Adam.step`` must produce *bit-identical* parameter trajectories (every
+expression was rewritten operation for operation, and elementwise IEEE
+arithmetic does not care how elements are partitioned into arrays), and must
+keep installing a fresh ``param.data`` array each step because the inference
+fast paths key their caches off array identity.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import EncoderConfig
+from repro.core.policy import ActorCriticNetwork
+from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.nn import SGD, Adam, clip_grad_norm
 from repro.nn.layers import Parameter
+from repro.perf.model import ConcurrentPredictionModel
 
 
 def reference_clip_grad_norm(parameters, max_norm):
@@ -100,6 +105,15 @@ def assert_bitwise_equal(a, b, label):
     assert a.tobytes() == b.tobytes(), f"{label}: arrays differ bitwise"
 
 
+def assert_adam_matches_reference(new, ref, label):
+    """Parameters and both moments of the slab ``Adam`` equal the per-parameter oracle's."""
+    for index, (p_new, p_ref) in enumerate(zip(new.parameters, ref.parameters)):
+        assert_bitwise_equal(p_new.data, p_ref.data, f"{label} {p_new.name}")
+        span = slice(new._offsets[index], new._offsets[index + 1])
+        assert_bitwise_equal(new._m[span], ref._m[index].ravel(), f"{label} first moment {index}")
+        assert_bitwise_equal(new._v[span], ref._v[index].ravel(), f"{label} second moment {index}")
+
+
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_sgd_bit_parity(momentum):
     rng = np.random.default_rng(0)
@@ -132,12 +146,7 @@ def test_adam_bit_parity(weight_decay):
         set_grads(params_ref, grad_rng_b, skip_index=skip)
         new.step()
         ref.step()
-        for p_new, p_ref in zip(params_new, params_ref):
-            assert_bitwise_equal(p_new.data, p_ref.data, f"adam step {step} {p_new.name}")
-        for m_new, m_ref in zip(new._m, ref._m):
-            assert_bitwise_equal(m_new, m_ref, f"adam step {step} first moment")
-        for v_new, v_ref in zip(new._v, ref._v):
-            assert_bitwise_equal(v_new, v_ref, f"adam step {step} second moment")
+        assert_adam_matches_reference(new, ref, f"adam step {step}")
 
 
 def test_clip_grad_norm_bit_parity():
@@ -182,4 +191,136 @@ def test_step_skips_none_grads_without_touching_param():
     frozen = params[0].data
     optimizer.step()
     assert params[0].data is frozen
-    assert np.all(optimizer._m[0] == 0.0)
+    assert np.all(optimizer._m[: optimizer._offsets[1]] == 0.0)
+
+
+def _simulator_parameters():
+    model = ConcurrentPredictionModel(feature_dim=38, hidden_dim=48, rng=np.random.default_rng(8))
+    return model, 26, 25_634
+
+
+def _policy_parameters():
+    config = EncoderConfig()
+    rng = np.random.default_rng(9)
+    encoder = StateEncoder(config.plan_embedding_dim, RunStateFeaturizer(8), config, rng)
+    return ActorCriticNetwork(encoder, 8, rng), 57, 66_794
+
+
+@pytest.mark.parametrize("build", [_simulator_parameters, _policy_parameters], ids=["simulator", "policy"])
+def test_adam_bit_parity_on_real_parameter_sets(build):
+    """50 steps over the default-size simulator model and policy, keep-best restore included."""
+    module, num_arrays, num_elements = build()
+    params_new = list(module.parameters())
+    assert (len(params_new), sum(p.data.size for p in params_new)) == (num_arrays, num_elements)
+    params_ref = clone_params(params_new)
+    new, ref = Adam(params_new, lr=1e-3), ReferenceAdam(params_ref, lr=1e-3)
+    grad_rng_a, grad_rng_b = np.random.default_rng(10), np.random.default_rng(10)
+    best = module.state_dict()
+    for step in range(50):
+        if step == 20:
+            best = module.state_dict()
+        if step == 35:
+            # The keep-best restore rebinds every param.data between two steps.
+            module.load_state_dict(best)
+            for p_ref, value in zip(params_ref, best.values()):
+                p_ref.data = value.copy()
+        set_grads(params_new, grad_rng_a)
+        set_grads(params_ref, grad_rng_b)
+        new.step()
+        ref.step()
+        assert_adam_matches_reference(new, ref, f"step {step}")
+
+
+def test_adam_none_grad_in_the_middle_splits_the_slab_into_two_runs():
+    rng = np.random.default_rng(11)
+    params_new = make_params(rng)
+    params_ref = clone_params(params_new)
+    new, ref = Adam(params_new, lr=3e-3), ReferenceAdam(params_ref, lr=3e-3)
+    grad_rng_a, grad_rng_b = np.random.default_rng(12), np.random.default_rng(12)
+    frozen = params_new[2].data
+    for step in range(4):
+        set_grads(params_new, grad_rng_a, skip_index=2)
+        set_grads(params_ref, grad_rng_b, skip_index=2)
+        assert new._runs() == [(0, 2), (3, 4)]
+        new.step()
+        ref.step()
+        assert params_new[2].data is frozen
+        assert_adam_matches_reference(new, ref, f"step {step}")
+    assert np.all(new._m[new._offsets[2] : new._offsets[3]] == 0.0)
+    assert np.all(new._v[new._offsets[2] : new._offsets[3]] == 0.0)
+    # The skipped parameter joins later steps with its moments still at zero.
+    set_grads(params_new, grad_rng_a)
+    set_grads(params_ref, grad_rng_b)
+    new.step()
+    ref.step()
+    assert params_new[2].data is not frozen
+    assert_adam_matches_reference(new, ref, "rejoined")
+
+
+def test_adam_gathers_non_contiguous_grads():
+    """``mha_backward`` installs column slices of one fused QKV gradient."""
+    rng = np.random.default_rng(13)
+    params_new = make_params(rng, shapes=((6, 4), (6, 4), (6, 4), (4,), (4,), (4,)))
+    params_ref = clone_params(params_new)
+    new, ref = Adam(params_new, lr=3e-3), ReferenceAdam(params_ref, lr=3e-3)
+    for step in range(3):
+        g_weight, g_bias = rng.normal(size=(6, 12)), rng.normal(size=12)
+        for params in (params_new, params_ref):
+            for index in range(3):
+                sl = slice(4 * index, 4 * (index + 1))
+                params[index].grad, params[3 + index].grad = g_weight[:, sl], g_bias[sl]
+        assert not params_new[0].grad.flags.c_contiguous
+        new.step()
+        ref.step()
+        assert_adam_matches_reference(new, ref, f"step {step}")
+
+
+def test_adam_step_leaves_held_param_data_reading_the_old_values():
+    rng = np.random.default_rng(14)
+    params = make_params(rng)
+    optimizer = Adam(params, lr=1e-2)
+    for _ in range(3):
+        held = [p.data for p in params]
+        copies = [p.data.copy() for p in params]
+        set_grads(params, rng)
+        optimizer.step()
+        for array, copy, param in zip(held, copies, params):
+            assert_bitwise_equal(array, copy, "held reference")
+            assert not np.shares_memory(array, param.data)
+
+
+def test_adam_state_dict_resumes_bit_identically():
+    rng = np.random.default_rng(15)
+    params_whole = make_params(rng)
+    params_first = clone_params(params_whole)
+    grads = [[rng.normal(size=p.data.shape) for p in params_whole] for _ in range(7)]
+
+    def run(optimizer, steps):
+        for step_grads in steps:
+            for param, grad in zip(optimizer.parameters, step_grads):
+                param.grad = grad.copy()
+            optimizer.step()
+
+    whole = Adam(params_whole, lr=3e-3, weight_decay=0.01)
+    run(whole, grads)
+    first = Adam(params_first, lr=3e-3, weight_decay=0.01)
+    run(first, grads[:4])
+    state = first.state_dict()
+    resumed = Adam(clone_params(params_first), lr=3e-3, weight_decay=0.01)
+    resumed.load_state_dict(state)
+    run(first, grads[4:5])  # the saved state is a copy, not a view of the live moments
+    run(resumed, grads[4:])
+    assert resumed.state_dict()["step"] == 7
+    for p_resumed, p_whole in zip(resumed.parameters, params_whole):
+        assert_bitwise_equal(p_resumed.data, p_whole.data, f"resumed {p_whole.name}")
+    assert_bitwise_equal(resumed._m, whole._m, "resumed first moment")
+    assert_bitwise_equal(resumed._v, whole._v, "resumed second moment")
+
+
+def test_adam_load_state_dict_rejects_a_wrong_sized_slab():
+    rng = np.random.default_rng(16)
+    state = Adam(make_params(rng), lr=1e-3).state_dict()
+    other = Adam(make_params(rng, shapes=((4, 3), (3,))), lr=1e-3)
+    with pytest.raises(ValueError, match=r"holds 42 and 42 moment elements, the parameters 15"):
+        other.load_state_dict(state)
+    assert other.state_dict()["step"] == 0

@@ -29,8 +29,8 @@ from repro.core import (
     SchedulingEnv,
     cluster_instance_count,
 )
-from repro.exceptions import SimulationError
-from repro.nn import no_grad
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.nn import Activation, AttentionEncoder, no_grad
 from repro.perf import (
     ConcurrentPredictionModel,
     PerformanceEstimator,
@@ -220,6 +220,19 @@ class TestPredictionParity:
         ref_logits, ref_times = model.predict(features[0])
         np.testing.assert_array_equal(logits[0], ref_logits)
         np.testing.assert_array_equal(times[0], ref_times)
+
+    def test_encoder_without_a_tape_free_forward_is_refused(self, monkeypatch):
+        """``predict`` has no tape fallback, so construction names what the kernels lack."""
+
+        def encoder_with_foreign_norm(*args, **kwargs):
+            encoder = AttentionEncoder(*args, **kwargs)
+            encoder._modules["block_0"].norm2 = Activation("identity")
+            return encoder
+
+        monkeypatch.setattr("repro.perf.model.AttentionEncoder", encoder_with_foreign_norm)
+        with pytest.raises(ConfigurationError, match="block 0 norm2 is Activation"):
+            ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0))
+        ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0), use_attention=False)
 
 
 # --------------------------------------------------------------------- #
