@@ -89,6 +89,12 @@ class PPOConfig:
     (``N_ppo`` in Algorithm 1); ``beta_clone`` weighs the behaviour-cloning KL
     term of the IQ-PPO auxiliary objective.
 
+    ``epochs_per_update`` is the number of optimizer steps of one ``update()``,
+    each on *one* freshly sampled minibatch of at most ``minibatch_size``
+    transitions (``RolloutBuffer.sample``), not a pass over the buffer: at the
+    defaults an update draws 4 x 64 of the 396 transitions four 99-query
+    rollouts hold.
+
     ``num_envs`` is the width of the rollout: episodes are collected from
     that many lockstep environments (the trainer's own plus ``num_envs - 1``
     clones), driven by one batched policy forward per decision round.  Any

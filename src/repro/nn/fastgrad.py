@@ -2,11 +2,15 @@
 
 The training twin of :mod:`repro.nn.fastinfer`.  Where ``fastinfer`` removes
 the autograd tape from *inference*, this module removes it from *training*:
-each kernel runs the whole-minibatch stacked forward as a flat sequence of
-fused NumPy ops, saves only the activations its hand-derived backward needs
-(in preallocated :class:`Arena` buffers), and the matching ``*_backward``
-accumulates analytic gradients directly into ``Parameter.grad`` — no
-per-op closures, no tape walk, no per-primitive temporaries.
+each kernel runs the stacked forward as a flat sequence of fused NumPy ops,
+saves only the activations its hand-derived backward needs (in preallocated
+:class:`Arena` buffers), and the matching ``*_backward`` accumulates analytic
+gradients directly into ``Parameter.grad`` — no per-op closures, no tape
+walk, no per-primitive temporaries.  A policy step takes its minibatch as
+consecutive *slabs* of samples (forward, loss terms and backward of one slab,
+then the next: :func:`_encoded_slabs`), so what is live at once is one slab's
+activations, not the minibatch's; the whole-minibatch step is the same loop
+with one slab.
 
 Every kernel replicates the tape's forward expression order (``sum * (1/n)``
 means, shift-by-max softmax, centered-square variances), so forwards agree
@@ -23,7 +27,7 @@ Layered like ``fastinfer``:
 * trainer steps — :func:`ppo_minibatch_step`, :func:`ppg_aux_step`,
   :func:`iq_ppo_aux_step` and :func:`perfmodel_example_step` fuse the loss
   forward + backward of one optimizer step (query- or cluster-level
-  actions); :func:`policy_log_probs` is their forward alone;
+  actions); :func:`policy_log_probs` is the policy steps' forward alone;
 * a ``why_slow``-style gate — :func:`fused_training_reason` /
   :func:`perfmodel_training_reason` return a human-readable reason when a
   module configuration is not covered.  These kernels are the only update
@@ -31,11 +35,11 @@ Layered like ``fastinfer``:
 
 Gradient-ownership contract: gradients written into ``Parameter.grad`` are
 always freshly-owned arrays (or disjoint views of one), never arena buffers,
-because the arena recycles its buffers at :meth:`Arena.reset` while grads
-must survive until the optimizer step (and are scaled in place by
-``clip_grad_norm``).  Parameters that receive no gradient flow keep
-``grad is None`` — exactly like the tape — so ``Adam`` skips them instead
-of decaying their moments.
+because the arena recycles its buffers at :meth:`Arena.reset` — after every
+slab — while grads accumulate across slabs and must survive until the
+optimizer step (and are scaled in place by ``clip_grad_norm``).  Parameters
+that receive no gradient flow keep ``grad is None`` — exactly like the tape
+— so ``Adam`` skips them instead of decaying their moments.
 """
 
 from __future__ import annotations
@@ -77,17 +81,20 @@ __all__ = [
 
 
 class Arena:
-    """A recycling pool of preallocated float64 buffers for one training step.
+    """A recycling pool of preallocated float64 buffers, sized by one slab of a step.
 
     ``empty(shape)`` hands out a buffer (reusing a previously returned one of
     the same shape when available); ``reset()`` returns every outstanding
-    buffer to the pool.  Callers reset once per optimizer step, after the
-    gradients have been consumed — saved activations live in arena buffers,
-    parameter gradients never do (see the module docstring contract).
+    buffer to the pool.  Saved activations live in arena buffers, parameter
+    gradients never do (see the module docstring contract).  The policy
+    steps reset the arena themselves, after the backward of every slab, so
+    their callers hold no arena buffer when a step returns; callers of the
+    bare kernels (the gain-model and simulator fits) reset once per optimizer
+    step, after the gradients have been taken.
     ``release(buf)`` hands one buffer back before the reset: backward-only
     scratch, and a saved activation whose backward has run, are dead within
-    the step, so the next layer's backward reuses them instead of growing
-    the pool.
+    the slab, so the next layer's backward reuses them and the pool holds one
+    attention gradient instead of one per layer.
     """
 
     def __init__(self) -> None:
@@ -258,12 +265,17 @@ def layer_norm_forward(norm: LayerNorm, x: np.ndarray, arena: Arena) -> "tuple[n
     return out, (x_hat, 1.0 / denom, inv_n, -1, True)
 
 
-def batch_norm_forward(norm: BatchNorm, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
+def batch_norm_forward(
+    norm: BatchNorm, x: np.ndarray, arena: Arena, stats: "dict | None" = None
+) -> "tuple[np.ndarray, tuple]":
     """BatchNorm (2-D axis-0 / 3-D per-element token axis-1), train or eval.
 
     Replicates the tape forward including the running-statistics side
     effects, so a fused training run drifts the running stats exactly like
-    the tape path does.
+    the tape path does.  A caller that runs one minibatch as several slabs
+    passes ``stats``: the per-sample ``(mu, var)`` rows are collected under
+    ``norm`` and the caller makes the ONE update of the optimizer step from
+    all of them (:func:`_update_running_stats`).
     """
     axis = 1 if x.ndim == 3 else 0
     train = norm.training and x.shape[axis] > 1
@@ -272,14 +284,11 @@ def batch_norm_forward(norm: BatchNorm, x: np.ndarray, arena: Arena) -> "tuple[n
         mu = x.sum(axis=axis, keepdims=True) * inv_n
         centered = x - mu
         var = (centered * centered).sum(axis=axis, keepdims=True) * inv_n
-        if x.ndim == 3:
-            batch_mean = mu.reshape(x.shape[0], -1).mean(axis=0)
-            batch_var = var.reshape(x.shape[0], -1).mean(axis=0)
+        rows = (mu.reshape(-1, x.shape[-1]), var.reshape(-1, x.shape[-1]))
+        if stats is None:
+            _update_running_stats(norm, *rows)
         else:
-            batch_mean = mu.reshape(-1)
-            batch_var = var.reshape(-1)
-        norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * batch_mean
-        norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * batch_var
+            stats.setdefault(norm, []).append(rows)
         inv_count: "float | None" = inv_n
     else:
         shape = (1, 1, -1) if x.ndim == 3 else (1, -1)
@@ -293,6 +302,15 @@ def batch_norm_forward(norm: BatchNorm, x: np.ndarray, arena: Arena) -> "tuple[n
     np.multiply(x_hat, norm.gamma.data, out=out)
     out += norm.beta.data
     return out, (x_hat, 1.0 / denom, inv_count, axis, train)
+
+
+def _update_running_stats(norm: BatchNorm, mean_rows: np.ndarray, var_rows: np.ndarray) -> None:
+    """One running-statistics update from the mean of the per-sample ``(mu, var)`` rows.
+
+    A 2-D input has one row: the batch statistic itself.
+    """
+    norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * mean_rows.mean(axis=0)
+    norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * var_rows.mean(axis=0)
 
 
 def _norm_backward_common(
@@ -321,11 +339,13 @@ def batch_norm_backward(norm: BatchNorm, ctx: tuple, g: np.ndarray) -> np.ndarra
     return _norm_backward_common(norm, ctx, g)
 
 
-def _norm_forward(norm: Any, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
+def _norm_forward(
+    norm: Any, x: np.ndarray, arena: Arena, stats: "dict | None" = None
+) -> "tuple[np.ndarray, tuple]":
     if isinstance(norm, LayerNorm):
         return layer_norm_forward(norm, x, arena)
     if isinstance(norm, BatchNorm):
-        return batch_norm_forward(norm, x, arena)
+        return batch_norm_forward(norm, x, arena, stats)
     raise TypeError(f"unsupported norm {type(norm).__name__}")
 
 
@@ -362,8 +382,8 @@ def mha_forward(
     qkv += qkv_bias
     queries, keys, values = _split_heads(qkv, heads)
     scale = 1.0 / np.sqrt(head_dim)
-    # The (B, H, T, T) softmax is the update's largest tensor: built in place
-    # in one arena buffer, which mha_backward hands back as soon as it is dead.
+    # The (B, H, T, T) softmax is the slab's largest tensor: built in place in
+    # one arena buffer instead of three temporaries.
     weights = arena.empty((batch, heads, tokens, tokens))
     np.matmul(queries, keys.transpose(0, 1, 3, 2), out=weights)
     weights *= scale
@@ -433,14 +453,18 @@ def mha_backward(
 # --------------------------------------------------------------------------- #
 
 def _attention_block_forward(
-    block: AttentionBlock, x: np.ndarray, arena: Arena, bias: "np.ndarray | None" = None
+    block: AttentionBlock,
+    x: np.ndarray,
+    arena: Arena,
+    bias: "np.ndarray | None" = None,
+    stats: "dict | None" = None,
 ) -> "tuple[np.ndarray, tuple]":
     att_out, mha_ctx = mha_forward(block.attention, x, arena, bias=bias)
     pre1 = x + att_out
-    normed1, n1_ctx = _norm_forward(block.norm1, pre1, arena)
+    normed1, n1_ctx = _norm_forward(block.norm1, pre1, arena, stats)
     ff_out, ff_ctx = mlp_forward(block.feedforward, normed1, arena)
     pre2 = normed1 + ff_out
-    out, n2_ctx = _norm_forward(block.norm2, pre2, arena)
+    out, n2_ctx = _norm_forward(block.norm2, pre2, arena, stats)
     return out, (mha_ctx, n1_ctx, ff_ctx, n2_ctx)
 
 
@@ -455,12 +479,17 @@ def _attention_block_backward(
 
 
 def attention_encoder_forward(
-    encoder: AttentionEncoder, x: np.ndarray, arena: Arena, bias: "np.ndarray | None" = None
+    encoder: AttentionEncoder,
+    x: np.ndarray,
+    arena: Arena,
+    bias: "np.ndarray | None" = None,
+    stats: "dict | None" = None,
 ) -> "tuple[np.ndarray, list]":
+    """``stats`` defers the BatchNorm running statistics, see :func:`batch_norm_forward`."""
     ctx = []
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
-        x, block_ctx = _attention_block_forward(block, x, arena, bias=bias)
+        x, block_ctx = _attention_block_forward(block, x, arena, bias=bias, stats=stats)
         ctx.append(block_ctx)
     return x, ctx
 
@@ -518,13 +547,15 @@ def encode_state_batch(
     snapshots: list,
     arena: Arena,
     need_global: bool = True,
+    stats: "dict | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray | None, tuple]":
     """Fused twin of ``StateEncoder.encode_batch``.
 
     Returns ``(per_query, global_state, ctx)``.  When ``need_global`` is
     False the global MLP forward is skipped entirely (its output receives no
     gradient in the PPG/IQ-PPO aux phases and the MLP is stateless, so
-    skipping it is unobservable).
+    skipping it is unobservable).  ``stats`` defers the BatchNorm running
+    statistics, see :func:`batch_norm_forward`.
     """
     inputs, run_features, pooled_all, pooled_running = encoder._batch_inputs(
         plan_embeddings, snapshots
@@ -536,7 +567,7 @@ def encode_state_batch(
     sequence[:, :num_queries] = tokens
     sequence[:, num_queries] = encoder.super_query.data.reshape(1, -1)
     if encoder.use_attention:
-        encoded, att_ctx = attention_encoder_forward(encoder.attention, sequence, arena)
+        encoded, att_ctx = attention_encoder_forward(encoder.attention, sequence, arena, stats=stats)
     else:
         encoded, att_ctx = sequence, None
     encoded_queries = encoded[:, :num_queries]
@@ -693,6 +724,65 @@ def action_logits_backward(policy: Any, ctx: tuple, g_logits: np.ndarray, arena:
     return g_tokens if weights is None else weights.transpose(0, 2, 1) @ g_tokens
 
 
+#: Arena bytes one slab of a policy step may keep live.  The steps below run a
+#: minibatch as consecutive slabs of ``_SLAB_BYTES // _sample_bytes(...)``
+#: samples: 8 at paper size (n=99, minibatch 64), the whole minibatch when
+#: the inputs are small.
+_SLAB_BYTES = 16 * 2**20
+
+
+def _sample_bytes(policy: Any, num_queries: int) -> int:
+    """Arena bytes one sample of a policy step keeps live, read off the model's shape.
+
+    Per token, the float64 rows the forward saves (MLP block outputs, the
+    sequence and its gradient, per layer the fused QKV, the attention output
+    and the two norm outputs); per layer one ``(heads, tokens, tokens)``
+    softmax, plus the one gradient of that shape the backward holds at a time.
+    """
+    encoder = policy.state_encoder
+    width = encoder.super_query.data.shape[1]
+
+    def saved(mlp: MLP) -> int:
+        return sum(linear.weight.data.shape[1] for linear, _ in _mlp_blocks(mlp))
+
+    query_out_in = _mlp_blocks(encoder.query_out_mlp)[0][0].weight.data.shape[0]
+    row = saved(encoder.query_mlp) + 2 * width + query_out_in + saved(encoder.query_out_mlp)
+    row += saved(policy.policy_head) + saved(policy.aux_head)
+    maps = 0
+    if encoder.use_attention:
+        blocks = [encoder.attention._modules[f"block_{index}"] for index in range(encoder.attention.num_layers)]
+        row += sum(6 * width + saved(block.feedforward) for block in blocks)
+        maps = (len(blocks) + 1) * blocks[0].attention.num_heads
+    tokens = num_queries + 1
+    return 8 * tokens * (row + maps * tokens)
+
+
+def _encoded_slabs(policy: Any, plan_embeddings: np.ndarray, snapshots: list, arena: Arena, need_global: bool):
+    """Cut the samples of one policy step into consecutive slabs and encode each.
+
+    Yields ``(rows, per_query, global_state, enc_ctx)``: the slice of samples
+    to take through loss terms and backward, and :func:`encode_state_batch`
+    of their snapshots.  Samples are independent in the forward; what couples
+    them is kept whole: callers weigh every slab by the whole-batch
+    ``1 / batch`` so the gradients ``_accum`` adds up are the minibatch
+    gradient (ragged last slab included), and each norm's running statistics
+    get ONE update, after the last slab, from all ``batch`` per-sample rows.
+    The arena is reset after every slab, so it grows to one slab and the
+    caller holds no arena buffer afterwards.
+    """
+    batch = len(snapshots)
+    size = min(batch, max(1, _SLAB_BYTES // _sample_bytes(policy, len(plan_embeddings))))
+    stats: dict = {}
+    for start in range(0, batch, size):
+        rows = slice(start, start + size)
+        yield rows, *encode_state_batch(
+            policy.state_encoder, plan_embeddings, snapshots[rows], arena, need_global=need_global, stats=stats
+        )
+        arena.reset()
+    for norm, slabs in stats.items():
+        _update_running_stats(norm, *(np.concatenate(part) for part in zip(*slabs)))
+
+
 def policy_log_probs(
     policy: Any,
     plan_embeddings: np.ndarray,
@@ -706,11 +796,11 @@ def policy_log_probs(
     The float64 forward of the step functions below without their backward:
     what the auxiliary phases snapshot as ``pi_old`` before they start.
     """
-    per_query, _, _ = encode_state_batch(
-        policy.state_encoder, plan_embeddings, snapshots, arena, need_global=False
-    )
-    logits, _ = action_logits_forward(policy, per_query, snapshots, clusters, arena)
-    return masked_log_softmax_forward(logits, masks)[0]
+    log_probs = []
+    for rows, per_query, _, _ in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+        logits, _ = action_logits_forward(policy, per_query, snapshots[rows], clusters, arena)
+        log_probs.append(masked_log_softmax_forward(logits, masks[rows])[0])
+    return np.concatenate(log_probs)
 
 
 def ppo_minibatch_step(
@@ -728,7 +818,7 @@ def ppo_minibatch_step(
     arena: Arena,
     clusters: Any = None,
 ) -> "tuple[float, float]":
-    """One fused PPO minibatch forward + backward.
+    """One fused PPO minibatch forward + backward, slab by slab.
 
     Accumulates gradients into the policy parameters (the caller zeroes
     grads before and clips/steps after) and returns
@@ -736,45 +826,45 @@ def ppo_minibatch_step(
     gradient, matching the tape (its ``grad`` stays ``None``).
     """
     batch = len(snapshots)
-    rows = np.arange(batch)
     actions = np.asarray(actions, dtype=np.int64)
     encoder = policy.state_encoder
-    per_query, global_state, enc_ctx = encode_state_batch(
-        encoder, plan_embeddings, snapshots, arena, need_global=True
-    )
-    logits, logits_ctx = action_logits_forward(policy, per_query, snapshots, clusters, arena)
-    log_probs, softmax = masked_log_softmax_forward(logits, masks)
-    taken = log_probs[rows, actions]
-    probs = softmax
-    values3, vh_ctx = mlp_forward(policy.value_head, global_state, arena)
-    values = values3.reshape(batch)
-
-    ratio = np.exp(taken - old_log_probs)
-    surrogate1 = ratio * advantages
-    clipped_ratio = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
-    surrogate2 = clipped_ratio * advantages
-    choose1 = surrogate1 <= surrogate2
-    clipped = np.where(choose1, surrogate1, surrogate2)
-    policy_loss = -float(clipped.mean())
-    value_error = values - value_targets
-    value_loss = 0.5 * float((value_error * value_error).mean())
-
     inv_b = 1.0 / batch
-    # d/d ratio of the clipped surrogate: through surrogate1 where it is the
-    # min, through surrogate2 only where the clip is inactive.
-    in_range = (ratio >= 1.0 - clip_epsilon) & (ratio <= 1.0 + clip_epsilon)
-    g_ratio = np.where(choose1, advantages, advantages * in_range) * (-inv_b)
-    g_taken = g_ratio * ratio
-    # Entropy bonus: d/d log_probs of -c_e * mean(-(p * lp).sum()) with
-    # p = exp(lp) gives +c_e/B * p * (lp + 1).
-    g_log_probs = (entropy_coef * inv_b) * (probs * (log_probs + 1.0))
-    g_log_probs[rows, actions] += g_taken
-    g_logits = masked_log_softmax_backward(softmax, g_log_probs)
-    g_per_query = action_logits_backward(policy, logits_ctx, g_logits, arena)
-    g_values = (value_coef * inv_b) * value_error
-    g_global = mlp_backward(policy.value_head, vh_ctx, g_values.reshape(batch, 1), arena)
-    encode_state_batch_backward(encoder, enc_ctx, g_per_query, g_global, arena)
-    return policy_loss, value_loss
+    surrogate = squared_error = 0.0
+    for rows, per_query, global_state, enc_ctx in _encoded_slabs(
+        policy, plan_embeddings, snapshots, arena, need_global=True
+    ):
+        slab_actions, slab_advantages = actions[rows], advantages[rows]
+        index = np.arange(len(slab_actions))
+        logits, logits_ctx = action_logits_forward(policy, per_query, snapshots[rows], clusters, arena)
+        log_probs, softmax = masked_log_softmax_forward(logits, masks[rows])
+        taken = log_probs[index, slab_actions]
+        values3, vh_ctx = mlp_forward(policy.value_head, global_state, arena)
+        values = values3.reshape(-1)
+
+        ratio = np.exp(taken - old_log_probs[rows])
+        surrogate1 = ratio * slab_advantages
+        clipped_ratio = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
+        surrogate2 = clipped_ratio * slab_advantages
+        choose1 = surrogate1 <= surrogate2
+        surrogate += float(np.where(choose1, surrogate1, surrogate2).sum())
+        value_error = values - value_targets[rows]
+        squared_error += float((value_error * value_error).sum())
+
+        # d/d ratio of the clipped surrogate: through surrogate1 where it is the
+        # min, through surrogate2 only where the clip is inactive.
+        in_range = (ratio >= 1.0 - clip_epsilon) & (ratio <= 1.0 + clip_epsilon)
+        g_ratio = np.where(choose1, slab_advantages, slab_advantages * in_range) * (-inv_b)
+        g_taken = g_ratio * ratio
+        # Entropy bonus: d/d log_probs of -c_e * mean(-(p * lp).sum()) with
+        # p = exp(lp) gives +c_e/B * p * (lp + 1).
+        g_log_probs = (entropy_coef * inv_b) * (softmax * (log_probs + 1.0))
+        g_log_probs[index, slab_actions] += g_taken
+        g_logits = masked_log_softmax_backward(softmax, g_log_probs)
+        g_per_query = action_logits_backward(policy, logits_ctx, g_logits, arena)
+        g_values = (value_coef * inv_b) * value_error
+        g_global = mlp_backward(policy.value_head, vh_ctx, g_values.reshape(-1, 1), arena)
+        encode_state_batch_backward(encoder, enc_ctx, g_per_query, g_global, arena)
+    return -(surrogate / batch), 0.5 * (squared_error / batch)
 
 
 def _clone_step(
@@ -784,19 +874,21 @@ def _clone_step(
     masks: np.ndarray,
     old_log_probs: np.ndarray,
     beta_clone: float,
+    batch: int,
     clusters: Any,
     arena: Arena,
 ) -> "tuple[float, np.ndarray]":
-    """Behaviour-cloning term ``beta * mean(KL(pi_old || pi_new))`` of both aux phases.
+    """Behaviour-cloning term ``beta * mean(KL(pi_old || pi_new))`` of both aux phases, for one slab.
 
-    Returns the weighted term and its gradient w.r.t. the per-query rows.
+    Returns the slab's sum of ``KL(pi_old || pi_new)`` and the gradient of the
+    term (a mean over the whole ``batch``) w.r.t. the per-query rows.
     """
     logits, logits_ctx = action_logits_forward(policy, per_query, snapshots, clusters, arena)
     new_log_probs, softmax = masked_log_softmax_forward(logits, masks)
     p_old = np.exp(old_log_probs)
-    clone = float((p_old * (old_log_probs - new_log_probs)).sum(axis=-1).mean())
-    g_logits = masked_log_softmax_backward(softmax, (-beta_clone / len(snapshots)) * p_old)
-    return beta_clone * clone, action_logits_backward(policy, logits_ctx, g_logits, arena)
+    divergence = float((p_old * (old_log_probs - new_log_probs)).sum(axis=-1).sum())
+    g_logits = masked_log_softmax_backward(softmax, (-beta_clone / batch) * p_old)
+    return divergence, action_logits_backward(policy, logits_ctx, g_logits, arena)
 
 
 def ppg_aux_step(
@@ -810,32 +902,31 @@ def ppg_aux_step(
     arena: Arena,
     clusters: Any = None,
 ) -> float:
-    """One fused PPG auxiliary epoch step (aux value distillation + clone).
+    """One fused PPG auxiliary epoch step (aux value distillation + clone), slab by slab.
 
     Value head and global MLP receive no gradient (their grads stay None),
     matching the tape where the aux loss never touches the value path.
     """
     batch = len(snapshots)
     encoder = policy.state_encoder
-    per_query, _, enc_ctx = encode_state_batch(
-        encoder, plan_embeddings, snapshots, arena, need_global=False
-    )
-    num_queries = per_query.shape[1]
-    predicted3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
-    predicted = predicted3.reshape(batch, num_queries)
-    inv_n = 1.0 / num_queries
-    value_predictions = predicted.sum(axis=-1) * inv_n
-    aux_error = value_predictions - value_targets
-    aux_loss = 0.5 * float((aux_error * aux_error).mean())
-    clone, g_per_query = _clone_step(
-        policy, per_query, snapshots, masks, old_log_probs, beta_clone, clusters, arena
-    )
+    squared_error = divergence = 0.0
+    for rows, per_query, _, enc_ctx in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+        size, num_queries = per_query.shape[:2]
+        predicted3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
+        inv_n = 1.0 / num_queries
+        value_predictions = predicted3.reshape(size, num_queries).sum(axis=-1) * inv_n
+        aux_error = value_predictions - value_targets[rows]
+        squared_error += float((aux_error * aux_error).sum())
+        slab_divergence, g_per_query = _clone_step(
+            policy, per_query, snapshots[rows], masks[rows], old_log_probs[rows], beta_clone, batch, clusters, arena
+        )
+        divergence += slab_divergence
 
-    g_vp = aux_error * (1.0 / batch)
-    g_predicted = np.broadcast_to((g_vp * inv_n)[:, None, None], (batch, num_queries, 1))
-    g_per_query += mlp_backward(policy.aux_head, ah_ctx, g_predicted, arena)
-    encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
-    return aux_loss + clone
+        g_vp = aux_error * (1.0 / batch)
+        g_predicted = np.broadcast_to((g_vp * inv_n)[:, None, None], (size, num_queries, 1))
+        g_per_query += mlp_backward(policy.aux_head, ah_ctx, g_predicted, arena)
+        encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
+    return 0.5 * (squared_error / batch) + beta_clone * (divergence / batch)
 
 
 def iq_ppo_aux_step(
@@ -850,30 +941,27 @@ def iq_ppo_aux_step(
     arena: Arena,
     clusters: Any = None,
 ) -> float:
-    """One fused IQ-PPO auxiliary step (finish-time regression + clone)."""
+    """One fused IQ-PPO auxiliary step (finish-time regression + clone), slab by slab."""
     batch = len(snapshots)
-    rows = np.arange(batch)
     query_ids = np.asarray(query_ids, dtype=np.int64)
     encoder = policy.state_encoder
-    per_query, _, enc_ctx = encode_state_batch(
-        encoder, plan_embeddings, snapshots, arena, need_global=False
-    )
-    num_queries = per_query.shape[1]
-    times3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
-    times = times3.reshape(batch, num_queries)
-    aux_error = times[rows, query_ids] - time_targets
-    aux_loss = 0.5 * float((aux_error * aux_error).mean())
-    clone, g_per_query = _clone_step(
-        policy, per_query, snapshots, masks, old_log_probs, beta_clone, clusters, arena
-    )
+    squared_error = divergence = 0.0
+    for rows, per_query, _, enc_ctx in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+        size, num_queries = per_query.shape[:2]
+        index = np.arange(size)
+        times3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
+        aux_error = times3.reshape(size, num_queries)[index, query_ids[rows]] - time_targets[rows]
+        squared_error += float((aux_error * aux_error).sum())
+        slab_divergence, g_per_query = _clone_step(
+            policy, per_query, snapshots[rows], masks[rows], old_log_probs[rows], beta_clone, batch, clusters, arena
+        )
+        divergence += slab_divergence
 
-    g_times = np.zeros((batch, num_queries))
-    g_times[rows, query_ids] = aux_error * (1.0 / batch)
-    g_per_query += mlp_backward(
-        policy.aux_head, ah_ctx, g_times.reshape(batch, num_queries, 1), arena
-    )
-    encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
-    return aux_loss + clone
+        g_times = np.zeros((size, num_queries))
+        g_times[index, query_ids[rows]] = aux_error * (1.0 / batch)
+        g_per_query += mlp_backward(policy.aux_head, ah_ctx, g_times.reshape(size, num_queries, 1), arena)
+        encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
+    return 0.5 * (squared_error / batch) + beta_clone * (divergence / batch)
 
 
 def perfmodel_example_step(

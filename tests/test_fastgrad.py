@@ -19,6 +19,7 @@ on here as the reference they are checked against:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from types import SimpleNamespace
 
@@ -91,6 +92,16 @@ def assert_grads_match(expected, module, atol=ATOL):
             assert worst <= atol, f"{name}: grads differ by {worst:.3e}"
 
 
+def modules_of(module, kind):
+    """Every ``kind`` instance in the module tree."""
+    stack = [module]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            yield node
+        stack.extend(node._modules.values())
+
+
 def clear_qkv_caches(module):
     """Drop identity-keyed fused-QKV caches.
 
@@ -98,12 +109,8 @@ def clear_qkv_caches(module):
     finite-difference probes below perturb the arrays *in place*, so the
     cache must be invalidated by hand between probe evaluations.
     """
-    stack = [module]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, MultiHeadAttention):
-            node._fastinfer_qkv = None
-        stack.extend(node._modules.values())
+    for attention in modules_of(module, MultiHeadAttention):
+        attention._fastinfer_qkv = None
 
 
 def fused_param_gradcheck(module, fused_loss, eps=1e-6, atol=1e-6, rtol=1e-4):
@@ -377,9 +384,10 @@ class TestFusedKernels:
 # ------------------------------------------------------------------ #
 # Trainer-level: fused steps vs the tape expressions they replaced
 # ------------------------------------------------------------------ #
-def build_trainer(trainer_cls, num_envs=2, clustered=False):
+def build_trainer(trainer_cls, num_envs=2, clustered=False, norm="batch"):
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 3
+    config.encoder.norm = norm
     config.ppo = PPOConfig(
         rollouts_per_update=2 if num_envs > 1 else 1,
         epochs_per_update=2,
@@ -439,6 +447,61 @@ def collect(trainer):
         live = np.stack([clusters.membership & clusters.pending_flags([t.snapshot])[0] for t in buffer.transitions()])
         assert (~live.any(axis=2)).any() and live.any(axis=2).any()
     return buffer
+
+
+@contextlib.contextmanager
+def slabs_of(samples, trainer):
+    """Shrink fastgrad's byte budget so the trainer's policy steps run ``samples`` at a time."""
+    sample_bytes = fastgrad._sample_bytes(trainer.policy, len(trainer.plan_embeddings))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastgrad, "_SLAB_BYTES", samples * sample_bytes)
+        yield
+
+
+def fused_outcome(trainer, step, slab=None):
+    """``(losses, gradients, BatchNorm running statistics)`` of one fused ``step()``.
+
+    Gradients start from zero and the running statistics from where they
+    stood, so two outcomes are comparable; ``slab`` runs the step that many
+    samples at a time.  The gradients are left on the policy.
+    """
+    policy = trainer.policy
+    policy.zero_grad()
+    with stateless(policy), slabs_of(slab, trainer) if slab else contextlib.nullcontext():
+        losses = np.atleast_1d(step())
+        running = [(norm.running_mean.copy(), norm.running_var.copy()) for norm in modules_of(policy, BatchNorm)]
+    return losses, tape_grads(policy), running
+
+
+def assert_slabs_match_whole(whole, slabbed):
+    """The whole-minibatch step is the oracle of the slab loop: same gradient up to
+    summation order, bit-identical running statistics."""
+    (whole_losses, whole_grads, whole_running), (losses, grads, running) = whole, slabbed
+    # The policy loss is a sum of O(1) advantage terms that cancel to ~1e-8.
+    assert np.all(np.abs(losses - whole_losses) <= 1e-12 * np.maximum(1.0, np.abs(whole_losses)))
+    assert grads.keys() == whole_grads.keys()
+    scale = max(float(np.max(np.abs(g))) for g in whole_grads.values() if g is not None)
+    for name, expected in whole_grads.items():
+        assert (expected is None) == (grads[name] is None), f"{name}: None mismatch"
+        if expected is not None:
+            worst = float(np.max(np.abs(grads[name] - expected)))
+            assert worst <= 1e-12 * scale, f"{name}: slab gradient differs by {worst:.3e}"
+    assert len(running) == len(whole_running)
+    for (mean, var), (whole_mean, whole_var) in zip(running, whole_running):
+        assert np.array_equal(mean, whole_mean) and np.array_equal(var, whole_var)
+
+
+def fused_losses(trainer, step, slab=None):
+    """Losses of one fused ``step()``, its gradients left on the policy.
+
+    With ``slab`` the step is run that many samples at a time, after the
+    one-slab run it is checked against.
+    """
+    outcome = fused_outcome(trainer, step)
+    if slab:
+        whole, outcome = outcome, fused_outcome(trainer, step, slab)
+        assert_slabs_match_whole(whole, outcome)
+    return outcome[0]
 
 
 def tape_ppo_losses(trainer, batch):
@@ -573,6 +636,21 @@ def behavior_digest(trainer, rounds=2) -> str:
     return digest.hexdigest()
 
 
+def ppo_step(trainer, batch, arena):
+    snapshots, masks = trainer._stack(batch)
+    return fastgrad.ppo_minibatch_step(
+        trainer.policy, trainer.plan_embeddings, snapshots,
+        np.array([t.action for t in batch], dtype=np.int64), masks,
+        old_log_probs=np.array([t.log_prob for t in batch]),
+        advantages=np.array([t.advantage for t in batch]),
+        value_targets=np.array([t.value_target for t in batch]),
+        clip_epsilon=trainer.config.clip_epsilon,
+        value_coef=trainer.config.value_coef,
+        entropy_coef=trainer.config.entropy_coef, arena=arena,
+        clusters=trainer.env.clusters,
+    )
+
+
 class TestFusedTrainerSteps:
     def test_ppo_minibatch_step_matches_tape(self, arena):
         self.check_ppo_minibatch_step(arena)
@@ -588,11 +666,34 @@ class TestFusedTrainerSteps:
     def test_step_matches_tape_on_every_update_input(self, arena, step, mode):
         getattr(self, f"check_{step}")(arena, **TRAINER_MODES[mode])
 
+    @pytest.mark.parametrize("norm", ["batch", "layer"])
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("step", ["ppo_minibatch_step", "ppg_aux_step", "iq_ppo_aux_step"])
+    def test_slabs_match_the_whole_minibatch_step(self, arena, step, clustered, norm):
+        """B=8 as slabs of 3 + 3 + 2 (ragged last slab) against the one-slab step and the tape."""
+        getattr(self, f"check_{step}")(arena, slab=3, clustered=clustered, norm=norm)
+
+    def test_arena_is_sized_by_the_slab_not_the_minibatch(self, rng):
+        held = []
+        for minibatch in (4, 8):
+            trainer = build_trainer(PPOTrainer)
+            batch = collect(trainer).sample(minibatch, rng)
+            arena = fastgrad.Arena()
+            with slabs_of(2, trainer):
+                ppo_step(trainer, batch, arena)
+            held.append((arena.nbytes, arena.num_buffers))
+            # Per slab, as in test_attention_backward_hands_its_buffers_back:
+            # one softmax per layer plus ONE gradient, whatever the minibatch.
+            encoder = trainer.policy.state_encoder.config
+            tokens = len(trainer.plan_embeddings) + 1
+            assert len(arena._free[(2, encoder.state_heads, tokens, tokens)]) == encoder.state_layers + 1
+            assert not arena._used
+        assert held[0] == held[1]
+
     @staticmethod
-    def check_ppo_minibatch_step(arena, **mode):
+    def check_ppo_minibatch_step(arena, slab=None, **mode):
         trainer = build_trainer(PPOTrainer, **mode)
         batch = collect(trainer).sample(trainer.config.minibatch_size, np.random.default_rng(7))
-        snapshots, masks = trainer._stack(batch)
         policy = trainer.policy
 
         policy.zero_grad()
@@ -600,18 +701,7 @@ class TestFusedTrainerSteps:
         loss.backward()
         expected = tape_grads(policy)
 
-        policy.zero_grad()
-        fused_pl, fused_vl = fastgrad.ppo_minibatch_step(
-            policy, trainer.plan_embeddings, snapshots,
-            np.array([t.action for t in batch], dtype=np.int64), masks,
-            old_log_probs=np.array([t.log_prob for t in batch]),
-            advantages=np.array([t.advantage for t in batch]),
-            value_targets=np.array([t.value_target for t in batch]),
-            clip_epsilon=trainer.config.clip_epsilon,
-            value_coef=trainer.config.value_coef,
-            entropy_coef=trainer.config.entropy_coef, arena=arena,
-            clusters=trainer.env.clusters,
-        )
+        fused_pl, fused_vl = fused_losses(trainer, lambda: ppo_step(trainer, batch, arena), slab)
         assert abs(fused_pl - float(policy_loss.data)) <= ATOL
         assert abs(fused_vl - float(value_loss.data)) <= ATOL
         assert_grads_match(expected, policy)
@@ -619,32 +709,37 @@ class TestFusedTrainerSteps:
         assert all(p.grad is None for p in policy.aux_head.parameters())
 
     @staticmethod
-    def check_ppg_aux_step(arena, **mode):
+    def check_ppg_aux_step(arena, slab=None, **mode):
         trainer = build_trainer(PPGTrainer, **mode)
         transitions = collect(trainer).sample(trainer.config.minibatch_size, np.random.default_rng(3))
         snapshots, masks = trainer._stack(transitions)
         policy = trainer.policy
         old = trainer._snapshot_old_policy(snapshots, masks)
         assert np.max(np.abs(old - tape_old_log_probs(trainer, transitions))) <= ATOL
+        if slab:
+            with slabs_of(slab, trainer):
+                assert np.array_equal(trainer._snapshot_old_policy(snapshots, masks), old)
 
         policy.zero_grad()
         total = tape_ppg_aux_loss(trainer, transitions, old)
         total.backward()
         expected = tape_grads(policy)
 
-        policy.zero_grad()
-        fused_total = fastgrad.ppg_aux_step(
-            policy, trainer.plan_embeddings, snapshots, masks,
-            old_log_probs=old, value_targets=np.array([t.value_target for t in transitions]),
-            beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
-        )
+        def step():
+            return fastgrad.ppg_aux_step(
+                policy, trainer.plan_embeddings, snapshots, masks,
+                old_log_probs=old, value_targets=np.array([t.value_target for t in transitions]),
+                beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
+            )
+
+        (fused_total,) = fused_losses(trainer, step, slab)
         assert abs(fused_total - float(total.data)) <= ATOL
         assert_grads_match(expected, policy)
         # The value path receives no gradient from the aux objective.
         assert all(p.grad is None for p in policy.value_head.parameters())
 
     @staticmethod
-    def check_iq_ppo_aux_step(arena, **mode):
+    def check_iq_ppo_aux_step(arena, slab=None, **mode):
         trainer = build_trainer(IQPPOTrainer, **mode)
         transitions = collect(trainer).sample_with_aux(
             trainer.config.minibatch_size, np.random.default_rng(5)
@@ -659,14 +754,16 @@ class TestFusedTrainerSteps:
         total.backward()
         expected = tape_grads(policy)
 
-        policy.zero_grad()
-        fused_total = fastgrad.iq_ppo_aux_step(
-            policy, trainer.plan_embeddings, snapshots,
-            np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
-            old_log_probs=old,
-            time_targets=np.array([t.aux_target / time_scale for t in transitions]),
-            beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
-        )
+        def step():
+            return fastgrad.iq_ppo_aux_step(
+                policy, trainer.plan_embeddings, snapshots,
+                np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
+                old_log_probs=old,
+                time_targets=np.array([t.aux_target / time_scale for t in transitions]),
+                beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
+            )
+
+        (fused_total,) = fused_losses(trainer, step, slab)
         assert abs(fused_total - float(total.data)) <= ATOL
         assert_grads_match(expected, policy)
 
