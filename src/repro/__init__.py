@@ -11,14 +11,14 @@ batch query set end-to-end:
 
 Quickstart::
 
-    from repro import BQSched, DatabaseEngine, DBMSProfile, make_workload
+    from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 
     workload = make_workload("tpcds", scale_factor=1.0, seed=0)
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    scheduler = BQSched.from_workload(workload, engine, seed=0)
-    scheduler.train(num_episodes=50)
-    result = scheduler.schedule(workload.batch_query_set())
-    print(result.makespan)
+    scheduler = BQSched(workload, engine, BQSchedConfig(seed=0))
+    scheduler.prepare(history_rounds=3)   # logs, adaptive mask, learned simulator
+    scheduler.train(num_updates=10)       # simulator pre-training + DBMS fine-tuning
+    print(scheduler.schedule(round_id=0).makespan)
 """
 
 from .version import __version__

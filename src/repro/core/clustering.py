@@ -6,13 +6,24 @@ agglomerative clustering over the gain matrix, and the RL scheduler then
 picks *clusters* instead of individual queries.  Inside a cluster, queries
 are submitted back-to-back (ordered by a simple heuristic), which is safe
 precisely because intra-cluster gains are high.
+
+The linkage is an in-repo NumPy kernel, so NumPy is the package's only
+run-time dependency: :func:`_average_linkage` merges the closest pair of the
+dense distance matrix ``n - 1`` times (Lance-Williams update for ``average``)
+and :func:`_cut` takes the lowest cut that leaves at most ``num_clusters``
+clusters.  On tie-free input the labels *and their numbering* equal SciPy's
+``fcluster(linkage(squareform(d), "average"), k, "maxclust") - 1``
+(``tests/test_gain_clustering_simulator.py`` keeps SciPy as the oracle).  The
+numbering matters: a cluster's label is its index in the policy's action
+layout, so a relabelled partition would move every clustered run digest.
+Under exact ties the first row-major minimum wins, where SciPy's answer
+depends on its nearest-neighbour-chain order; the result is deterministic
+and still a valid cut, but need not be SciPy's.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from ..exceptions import SchedulingError
 from ..workloads import BatchQuerySet
@@ -115,6 +126,10 @@ def cluster_queries(
         raise SchedulingError(f"gain matrix shape {gain_matrix.shape} does not match batch size {n}")
     if not 1 <= num_clusters <= n:
         raise SchedulingError(f"num_clusters must be in [1, {n}], got {num_clusters}")
+    finite = np.isfinite(gain_matrix)
+    if not finite.all():
+        i, j = (int(index) for index in np.argwhere(~finite)[0])
+        raise SchedulingError(f"gain matrix is not finite: entry ({i}, {j}) is {gain_matrix[i, j]}")
 
     if num_clusters == n:
         assignments = np.arange(n)
@@ -122,15 +137,10 @@ def cluster_queries(
         symmetric = (gain_matrix + gain_matrix.T) / 2.0
         distance = symmetric.max() - symmetric
         np.fill_diagonal(distance, 0.0)
-        condensed = squareform(distance, checks=False)
-        tree = linkage(condensed, method="average")
-        assignments = fcluster(tree, t=num_clusters, criterion="maxclust") - 1
+        assignments = _cut(*_average_linkage(distance), num_clusters)
 
-    cluster_ids = sorted(set(int(c) for c in assignments))
-    remap = {cluster: index for index, cluster in enumerate(cluster_ids)}
-    assignments = np.array([remap[int(c)] for c in assignments], dtype=np.int64)
-
-    members: list[list[int]] = [[] for _ in range(len(cluster_ids))]
+    # Either branch numbers the clusters 0..k-1 with none skipped.
+    members: list[list[int]] = [[] for _ in range(int(assignments.max()) + 1)]
     for query in batch:
         members[assignments[query.query_id]].append(query.query_id)
 
@@ -139,6 +149,78 @@ def cluster_queries(
         ordered = _order_members(cluster_members, knowledge, intra_cluster_order)
         intra_orders.append(ordered)
     return QueryClusters(assignments=assignments, intra_orders=intra_orders)
+
+
+def _average_linkage(distance: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Average-linkage tree of a symmetric distance matrix: ``(children, heights)``.
+
+    Merge ``k`` (in ascending height) joins ``children[k]`` into cluster
+    ``n + k``; leaves are ``0..n-1`` and the smaller id is the left child.
+    """
+    n = len(distance)
+    dist = np.array(distance, dtype=np.float64)
+    np.fill_diagonal(dist, np.inf)
+    size = np.ones(n)
+    pairs = []
+    heights = np.empty(n - 1)
+    for step in range(n - 1):
+        # First row-major minimum of a symmetric matrix, so i < j; slot j
+        # becomes the merged cluster and slot i is retired.  The infinite
+        # diagonal keeps ``merged[i]`` and ``merged[j]`` infinite.
+        i, j = divmod(int(dist.argmin()), n)
+        pairs.append((i, j))
+        heights[step] = dist[i, j]
+        merged = (size[i] * dist[i] + size[j] * dist[j]) / (size[i] + size[j])
+        dist[j] = dist[:, j] = merged
+        dist[i] = dist[:, i] = np.inf
+        size[j] += size[i]
+
+    order = np.argsort(heights, kind="stable")
+    parent = list(range(2 * n - 1))
+    children = []
+    for step, merge in enumerate(order.tolist()):
+        roots = []
+        for node in pairs[merge]:
+            while parent[node] != node:
+                node = parent[node]
+            parent[node] = n + step
+            roots.append(node)
+        children.append((min(roots), max(roots)))
+    return children, heights[order]
+
+
+def _cut(children: list[tuple[int, int]], heights: np.ndarray, num_clusters: int) -> np.ndarray:
+    """Labels ``0..k-1`` of the lowest cut with ``k <= num_clusters`` clusters.
+
+    ``heights`` ascend and a merge never precedes its children, so the cut
+    keeps exactly the merges at or below the ``(n - num_clusters)``-th height.
+    Numbering follows SciPy's walk from the root: the first node at or below
+    the cutoff leads a new cluster, internal children are descended left then
+    right, and a node's leaf children are labelled only after both return.
+    """
+    n = len(children) + 1
+    cutoff = heights[n - num_clusters - 1]
+    labels = np.empty(n, dtype=np.int64)
+    stack, visited = [2 * n - 2], set()
+    count, leader = 0, -1
+    while stack:
+        node = stack[-1]
+        if leader == -1 and heights[node - n] <= cutoff:
+            leader = node
+            count += 1
+        pending = [child for child in children[node - n] if child >= n and child not in visited]
+        if pending:
+            visited.add(pending[0])
+            stack.append(pending[0])
+            continue
+        for child in children[node - n]:
+            if child < n:
+                count += leader == -1  # a leaf under no leader is its own cluster
+                labels[child] = count
+        if leader == node:
+            leader = -1
+        stack.pop()
+    return labels - 1
 
 
 def _order_members(members: list[int], knowledge: ExternalKnowledge | None, order: str) -> list[int]:

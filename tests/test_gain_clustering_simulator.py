@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import SimulatorConfig
@@ -17,6 +20,7 @@ from repro.core import (
     cluster_queries,
     compute_scheduling_gains,
 )
+from repro.core.clustering import _average_linkage
 from repro.core.gain import GAIN_BATCH_SIZE
 from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
@@ -204,6 +208,107 @@ class TestClustering:
         for cluster_id in range(clusters.num_clusters):
             for qid in clusters.members(cluster_id):
                 assert clusters.cluster_of(qid) == cluster_id
+
+    def test_all_equal_gains_give_one_cluster(self, tpch_batch):
+        n = len(tpch_batch)
+        for k in (1, 5, n - 1):
+            assert cluster_queries(tpch_batch, np.full((n, n), 0.25), num_clusters=k).num_clusters == 1
+
+    def test_exact_ties_are_deterministic_and_a_valid_cut(self, tpch_batch):
+        n = len(tpch_batch)
+        block, group = np.arange(n) // 4, np.arange(n) // 8  # six blocks in three groups: three tied gain levels
+        gains = 1.0 + (block[:, None] == block[None, :]) + (group[:, None] == group[None, :])
+        children, heights = _average_linkage(_distance(gains))
+        tree_leaves = _leaf_sets(children, n)
+        for k in (1, 2, 3, 5, 6, 9, n - 1):
+            labels = cluster_queries(tpch_batch, gains, num_clusters=k).assignments
+            assert np.array_equal(labels, cluster_queries(tpch_batch, gains.copy(), num_clusters=k).assignments)
+            assert sorted(set(labels.tolist())) == list(range(labels.max() + 1)) and labels.max() < k
+            within = [len(set(labels[leaves].tolist())) == 1 for leaves in tree_leaves]
+            assert sum(within) == n - (labels.max() + 1)
+            assert heights[within].max() <= heights[np.logical_not(within)].min(initial=np.inf)
+        for k, expected in ((2, np.zeros(n, dtype=int)), (5, group), (6, block)):  # the partition, in any numbering
+            labels = cluster_queries(tpch_batch, gains, num_clusters=k).assignments
+            assert len(set(zip(labels.tolist(), expected.tolist()))) == labels.max() + 1 == expected.max() + 1
+
+    def test_asymmetric_gains_cluster_as_their_symmetrisation(self, tpch_batch):
+        n = len(tpch_batch)
+        gains = np.random.default_rng(3).normal(size=(n, n))
+        symmetric = (gains + gains.T) / 2.0
+        for k in (3, 14):
+            assert np.array_equal(
+                cluster_queries(tpch_batch, gains, num_clusters=k).assignments,
+                cluster_queries(tpch_batch, symmetric, num_clusters=k).assignments,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_is_a_scheduling_error(self, tpch_batch, bad):
+        n = len(tpch_batch)
+        gains = np.random.default_rng(0).normal(size=(n, n))
+        gains[4, 9] = gains[11, 2] = bad
+        with pytest.raises(SchedulingError, match=rf"\(4, 9\) is {bad}"):
+            cluster_queries(tpch_batch, gains, num_clusters=5)
+
+    def test_label_vector_pin_at_158_queries(self, large_batch):
+        """Parity with SciPy on a machine without it: pinned while ``TestSciPyOracle`` agreed."""
+        labels = cluster_queries(large_batch, _seeded_gains(158, seed=158), num_clusters=100).assignments
+        assert labels.max() == 99
+        digest = hashlib.sha256(labels.tobytes()).hexdigest()
+        assert digest == "d4ddca25252880b9140aff27fac2365230b39a682a352a442879f497a9531521"
+
+
+@pytest.fixture(scope="module")
+def large_batch():
+    return make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0).batch_query_set()
+
+
+def _seeded_gains(n, seed):
+    """A continuous (tie-free) asymmetric gain matrix."""
+    return np.random.default_rng(seed).normal(size=(n, n))
+
+
+def _distance(gains):
+    """The distance ``cluster_queries`` derives from a gain matrix."""
+    symmetric = (gains + gains.T) / 2.0
+    distance = symmetric.max() - symmetric
+    np.fill_diagonal(distance, 0.0)
+    return distance
+
+
+def _leaf_sets(children, n):
+    """Leaf ids under each merge of an ``_average_linkage`` tree."""
+    leaves = [[leaf] for leaf in range(n)]
+    for left, right in children:
+        leaves.append(leaves[left] + leaves[right])
+    return leaves[n:]
+
+
+class TestSciPyOracle:
+    """SciPy is the reference the in-repo linkage kernel must match label for label, number for number."""
+
+    @staticmethod
+    def _oracle(gains, k):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        squareform = pytest.importorskip("scipy.spatial.distance").squareform
+        tree = hierarchy.linkage(squareform(_distance(gains), checks=False), method="average")
+        return hierarchy.fcluster(tree, t=k, criterion="maxclust") - 1
+
+    @pytest.mark.parametrize("n", [3, 22, 99, 158])
+    def test_labels_and_numbering_match_scipy(self, large_batch, n):
+        batch = large_batch.subset(range(n))
+        for seed in range(3):
+            gains = _seeded_gains(n, seed=1000 * n + seed)
+            for k in sorted({1, 2, max(1, n // 3), round(0.63 * n), n - 1}):
+                labels = cluster_queries(batch, gains, num_clusters=k).assignments
+                assert np.array_equal(labels, self._oracle(gains, k)), (n, seed, k)
+
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_small_matrices_match_scipy(self, large_batch, n, seed, data):
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        gains = _seeded_gains(n, seed)
+        labels = cluster_queries(large_batch.subset(range(n)), gains, num_clusters=k).assignments
+        assert np.array_equal(labels, self._oracle(gains, k))
 
 
 @pytest.fixture(scope="module")

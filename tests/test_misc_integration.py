@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,6 +53,38 @@ class TestPublicApi:
 
         for name in nn.__all__:
             assert hasattr(nn, name), name
+
+    def test_docstring_quickstart_runs(self, capsys):
+        """The package docstring's quickstart is executed, at TPC-H / ``small`` size, so it cannot rot."""
+        block = textwrap.dedent(repro.__doc__.split("Quickstart::")[1])
+        small = block.replace('"tpcds"', '"tpch"').replace("BQSchedConfig(seed=0)", "BQSchedConfig.small(seed=0)")
+        assert small.count('"tpch"') == 1 and small.count("BQSchedConfig.small(seed=0)") == 1
+        exec(compile(small, "repro.__doc__", "exec"), {})
+        assert float(capsys.readouterr().out) > 0.0
+
+    def test_runtime_imports_numpy_only(self):
+        """A fresh interpreter that clusters 158 queries loads no SciPy and none of NumPy's test / f2py tooling."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import repro
+            workload = repro.make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0)
+            engine = repro.DatabaseEngine(repro.DBMSProfile.dbms_x(), seed=0)
+            scheduler = repro.BQSched(workload, engine, repro.BQSchedConfig(seed=0))
+            assert scheduler.use_clustering and len(scheduler.batch) == 158
+            gains = np.random.default_rng(0).normal(size=(158, 158))
+            assert repro.core.clustering.cluster_queries(scheduler.batch, gains, 100).num_clusters == 100
+            heavy = ("scipy", "numpy.testing", "numpy.f2py")
+            print(sorted(name for name in sys.modules if name.startswith(heavy)))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestReprs:
