@@ -162,11 +162,13 @@ class ActorCriticNetwork(Module):
         The head code of the decision kernel; in cluster mode the per-query
         rows are mean-pooled into cluster tokens first.
         """
+        heads = (self.policy_head, self.value_head)
+        policy_head, value_head = fastinfer.packed(self, lambda pack: [pack.mlp(head) for head in heads])
         batch = per_query.shape[0]
         if clusters is not None:
             per_query = clusters.pool(per_query, clusters.pending_flags(snapshots))
-        logits = fastinfer.mlp_forward(self.policy_head, per_query).reshape(batch, -1)
-        values = fastinfer.mlp_forward(self.value_head, global_state).reshape(batch)
+        logits = fastinfer.mlp32(policy_head, per_query).reshape(batch, -1)
+        values = fastinfer.mlp32(value_head, global_state).reshape(batch)
         return logits, values
 
     def act(

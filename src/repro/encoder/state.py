@@ -261,10 +261,10 @@ class StateEncoder(Module):
         rollouts with one snapshot, lock-step rollouts with a stack), where
         no gradient is ever needed and the autograd tensor overhead dominates
         the arithmetic.  Sampling also tolerates reduced precision, so the
-        whole forward runs in float32 (the optimizer and every learning-path
-        forward stay float64).  BatchNorm running statistics are updated as
-        in the tensor forward (see :mod:`repro.nn.fastinfer`).
+        whole forward is the float32 decision program of :mod:`repro.nn.fastinfer`
+        (learning-path forwards stay float64); it writes no BatchNorm statistics.
         """
+        query_mlp, global_mlp, query_out_mlp, super_query, blocks = fastinfer.packed(self, self._float32_weights)
         inputs, run_features, pooled_all, pooled_running = self._batch_inputs(
             plan_embeddings, snapshots, input_dtype=np.float32
         )
@@ -274,22 +274,27 @@ class StateEncoder(Module):
         # (the casts happen on assignment): no broadcast views, no
         # concatenate temporaries, same values.
         sequence = np.empty((batch, num_queries + 1, state_dim), dtype=np.float32)
-        sequence[:, :num_queries] = fastinfer.mlp_forward(self.query_mlp, inputs)
-        sequence[:, num_queries] = self.super_query.data
-        encoded = fastinfer.attention_encoder_forward_batched(self.attention, sequence) if self.use_attention else sequence
+        sequence[:, :num_queries] = fastinfer.mlp32(query_mlp, inputs)
+        sequence[:, num_queries] = super_query
+        encoded = fastinfer.encoder32(blocks, sequence)
         encoded_super = encoded[:, num_queries]
 
         global_in = np.empty((batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
         global_in[:, :state_dim] = encoded_super
         global_in[:, state_dim:] = pooled_all
-        global_state = fastinfer.mlp_forward(self.global_mlp, global_in)
+        global_state = fastinfer.mlp32(global_mlp, global_in)
 
         query_in = np.empty((batch, num_queries, 2 * state_dim + pooled_running.shape[1]), dtype=np.float32)
         query_in[:, :, :state_dim] = encoded[:, :num_queries]
         query_in[:, :, state_dim : 2 * state_dim] = encoded_super[:, None, :]
         query_in[:, :, 2 * state_dim :] = pooled_running[:, None, :]
-        per_query = fastinfer.mlp_forward(self.query_out_mlp, query_in)
+        per_query = fastinfer.mlp32(query_out_mlp, query_in)
         return per_query, global_state
+
+    def _float32_weights(self, pack: fastinfer.Float32Pack) -> tuple:
+        blocks = pack.encoder(self.attention) if self.use_attention else []
+        mlps = [pack.mlp(mlp) for mlp in (self.query_mlp, self.global_mlp, self.query_out_mlp)]
+        return (*mlps, pack(self.super_query), blocks)
 
     @staticmethod
     def _pool(features: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
 """The decision kernel: the one tape-free forward behind action sampling.
 
 Action *sampling* (rollout collection, validation, greedy serving) never
-differentiates, so every ``act`` / ``act_batch`` runs the batched float32
-NumPy forward of :mod:`repro.nn.fastinfer` — one snapshot is the stack at
-``B=1``.  The *learning* path (PPO/PPG updates, auxiliary phases) runs the
-autograd tape or the fused :mod:`repro.nn.fastgrad` kernels and never comes
-through here.
+differentiates, so every ``act`` / ``act_batch`` runs the float32 decision
+program of :mod:`repro.nn.fastinfer` — one snapshot is the stack at ``B=1``.
+The *learning* path (PPO/PPG updates, auxiliary phases) runs the fused
+:mod:`repro.nn.fastgrad` kernels and never comes through here.
 
 Sampling proper — masked log-softmax, greedy argmax, the inverse-CDF draw —
 lives in :mod:`repro.core.policy`.

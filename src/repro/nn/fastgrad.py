@@ -511,11 +511,7 @@ def masked_log_softmax_forward(
     logits: np.ndarray, mask: np.ndarray, mask_value: float = -1e8
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Returns ``(log_probs, softmax)``; ``softmax`` is the backward ctx."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    if not np.all(mask.any(axis=-1)):
-        raise ValueError("masked_log_softmax requires at least one unmasked entry")
+    mask = fastinfer._checked_mask(logits, mask)
     offset = np.where(mask, 0.0, mask_value)
     data = logits + offset
     shifted = data - data.max(axis=-1, keepdims=True)

@@ -1,85 +1,57 @@
-"""Tape-free NumPy inference for small modules (the rollout hot path).
+"""Tape-free NumPy forwards: the simulator's float64 path and the float32 decision program.
 
-Building even a ``no_grad`` forward through :mod:`repro.nn.tensor` allocates
-one :class:`Tensor` per operation, and for the tiny inputs of the rollout hot
-path (a handful of concurrent queries) that Python overhead dwarfs the
-arithmetic.  These helpers evaluate the same modules with raw NumPy, reading
-parameter arrays directly, and are written to be bit-identical to the tensor
-forward: same operation order, same shift-by-max softmax, same ``x * (x > 0)``
-ReLU.
+A ``no_grad`` forward through :mod:`repro.nn.tensor` allocates one
+:class:`Tensor` per operation, which dwarfs the arithmetic at hot-path sizes.
 
-BatchNorm is supported too: its forward mutates running statistics, so
-:func:`batch_norm_forward` replicates that side effect with the exact same
-update expressions as the tensor path — skipping it would silently change
-training behaviour.
+The **float64 path** (:func:`linear_forward` to :func:`attention_encoder_forward`)
+is the simulator's ``predict`` / ``predict_batched``: bit-identical to the
+tensor forward (same operation order, shift-by-max softmax, ``x * (x > 0)``
+ReLU), LayerNorm only (:func:`fast_inference_reason`).
+
+The **float32 decision program** (:func:`packed`, :func:`mlp32`,
+:func:`encoder32`) is every action-sampling forward, over weights copied once
+per parameter version (:class:`Float32Pack`).  It normalises attention after
+``P·V`` and writes no BatchNorm running statistics (the fused training step is
+their one writer); it agrees with the tape to float32 rounding.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from typing import Any, Callable
+
 import numpy as np
 
 from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
-from .layers import MLP, Activation, BatchNorm, LayerNorm, Linear
+from .layers import MLP, Activation, BatchNorm, LayerNorm, Linear, Module, Parameter
 
 __all__ = [
     "linear_forward",
     "mlp_forward",
     "layer_norm_forward",
-    "batch_norm_forward",
     "attention_forward",
     "attention_forward_batched",
     "attention_encoder_forward",
-    "attention_encoder_forward_batched",
+    "Float32Pack",
+    "packed",
+    "mlp32",
+    "encoder32",
     "masked_log_softmax_array",
     "fast_inference_reason",
 ]
 
 
-_F32_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _float32(array: np.ndarray) -> np.ndarray:
-    """Cached ``float32`` copy of a parameter array.
-
-    Keyed by the array's identity and holding a reference to it, so an
-    optimizer step (which installs fresh arrays) can never alias a stale
-    entry; the cache is rebuilt lazily after each update.
-    """
-    entry = _F32_CACHE.get(id(array))
-    if entry is not None and entry[0] is array:
-        return entry[1]
-    copy = array.astype(np.float32)
-    if len(_F32_CACHE) > 4096:
-        _F32_CACHE.clear()
-    _F32_CACHE[id(array)] = (array, copy)
-    return copy
-
-
-def _param(array: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Parameter array in the working dtype of ``like`` (float32 fast path)."""
-    return _float32(array) if like.dtype == np.float32 else array
-
-
 def linear_forward(layer: Linear, x: np.ndarray) -> np.ndarray:
-    """``y = x W + b`` without tape bookkeeping (dtype follows ``x``).
+    """``y = x W + b`` without tape bookkeeping.
 
-    Batched ``(batch, tokens, dim)`` inputs in the float32 *sampling* path
-    are flattened to one ``(batch*tokens, dim)`` GEMM: NumPy would otherwise
-    loop ``batch`` tiny BLAS calls, and for rollout-sized tensors the
-    per-call overhead dwarfs the arithmetic.  The float64 path keeps the
-    strided form untouched — BLAS may pick a different kernel for the merged
-    shape, and the simulator's ``predict_batched`` promises bit-identical
-    rows to the sequential forward.  Sampling only promises tolerance-level
-    agreement with the scalar tensor path, so the relayout is safe there.
+    A batched ``(batch, tokens, dim)`` input keeps the strided form: BLAS may
+    pick a different kernel for a merged shape, and ``predict_batched``
+    promises rows bit-identical to the sequential forward.
     """
-    weight = _param(layer.weight.data, x)
-    if x.ndim == 3 and x.dtype == np.float32:
-        batch, tokens, dim = x.shape
-        out = (x.reshape(batch * tokens, dim) @ weight).reshape(batch, tokens, weight.shape[1])
-    else:
-        out = x @ weight
+    out = x @ layer.weight.data
     if layer.bias is not None:
-        out += _param(layer.bias.data, x)
+        out += layer.bias.data
     return out
 
 
@@ -114,88 +86,21 @@ def layer_norm_forward(norm: LayerNorm, x: np.ndarray) -> np.ndarray:
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
     normed = centered / ((var + norm.eps) ** 0.5)
-    np.multiply(normed, _param(norm.gamma.data, x), out=normed)
-    normed += _param(norm.beta.data, x)
+    np.multiply(normed, norm.gamma.data, out=normed)
+    normed += norm.beta.data
     return normed
 
 
-def batch_norm_forward(norm: BatchNorm, x: np.ndarray) -> np.ndarray:
-    """BatchNorm forward, replicating the tensor path *including* the
-    running-statistics update (``Tensor.mean`` = ``sum * (1/n)``).
-
-    Running statistics are always accumulated in float64, even when the
-    working dtype is float32 (the vectorized sampling path).
-    """
-    centered = None
-    if x.ndim == 3:
-        if norm.training and x.shape[1] > 1:
-            inv_count = 1.0 / x.shape[1]
-            mu = x.sum(axis=1, keepdims=True) * inv_count
-            centered = x - mu
-            var = (centered * centered).sum(axis=1, keepdims=True) * inv_count
-            # ``sum / count`` is what ``ndarray.mean`` evaluates (same float64
-            # accumulation, same divide), minus its Python-level wrapper.
-            batch_mean = np.add.reduce(mu.reshape(x.shape[0], -1), axis=0, dtype=np.float64) / x.shape[0]
-            batch_var = np.add.reduce(var.reshape(x.shape[0], -1), axis=0, dtype=np.float64) / x.shape[0]
-            norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * batch_mean
-            norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * batch_var
-        else:
-            mu = _param(norm.running_mean, x).reshape(1, 1, -1)
-            var = _param(norm.running_var, x).reshape(1, 1, -1)
-    else:
-        if norm.training and x.shape[0] > 1:
-            inv_count = 1.0 / x.shape[0]
-            mu = x.sum(axis=0, keepdims=True) * inv_count
-            centered = x - mu
-            var = (centered * centered).sum(axis=0, keepdims=True) * inv_count
-            norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * mu.reshape(-1).astype(np.float64)
-            norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * var.reshape(-1).astype(np.float64)
-        else:
-            mu = _param(norm.running_mean, x).reshape(1, -1)
-            var = _param(norm.running_var, x).reshape(1, -1)
-    if x.dtype == np.float32:
-        # Sampling path: fold 1/denom and gamma into one per-feature scale so
-        # the big tensor sees two passes (multiply, add) instead of four.  The
-        # reassociation is float32-rounding-level different from the tensor
-        # forward, which the sampling path tolerates; float64 callers (the
-        # simulator's bit-parity path) keep the exact op order below.
-        scale = _param(norm.gamma.data, x) / ((var + norm.eps) ** 0.5)
-        if centered is not None:
-            normed = centered * scale
-            normed += _param(norm.beta.data, x)
-        else:
-            normed = x * scale
-            normed += _param(norm.beta.data, x) - mu * scale
-        return normed
-    # ``centered`` already holds x - mu in the training branches; reusing it
-    # (and applying the affine in place on the fresh quotient) skips two
-    # full-tensor temporaries without changing a single arithmetic op.
-    normed = (centered if centered is not None else x - mu) / ((var + norm.eps) ** 0.5)
-    np.multiply(normed, _param(norm.gamma.data, x), out=normed)
-    normed += _param(norm.beta.data, x)
-    return normed
-
-
-def _norm_forward(norm, x: np.ndarray) -> np.ndarray:
-    if isinstance(norm, LayerNorm):
-        return layer_norm_forward(norm, x)
-    if isinstance(norm, BatchNorm):
-        return batch_norm_forward(norm, x)
-    raise TypeError(f"unsupported norm in fast path: {type(norm).__name__}")
-
-
-def attention_forward(attention: MultiHeadAttention, x: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def attention_forward(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
     """Multi-head self-attention over one ``(tokens, model_dim)`` sequence."""
     tokens = x.shape[0]
     heads, head_dim = attention.num_heads, attention.head_dim
     qkv_weight, qkv_bias = _fused_qkv(attention)
-    qkv = (x @ _param(qkv_weight, x) + _param(qkv_bias, x)).reshape(tokens, 3, heads, head_dim)
+    qkv = (x @ qkv_weight + qkv_bias).reshape(tokens, 3, heads, head_dim)
     queries = qkv[:, 0].transpose(1, 0, 2)
     keys = qkv[:, 1].transpose(1, 0, 2)
     values = qkv[:, 2].transpose(1, 0, 2)
     scores = (queries @ keys.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(head_dim)))
-    if bias is not None:
-        scores = scores + np.asarray(bias, dtype=np.float64)[None, :, :]
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     weights = exp / exp.sum(axis=-1, keepdims=True)
@@ -222,27 +127,17 @@ def _fused_qkv(attention: MultiHeadAttention) -> tuple[np.ndarray, np.ndarray]:
     return weight, bias
 
 
-def attention_forward_batched(
-    attention: MultiHeadAttention, x: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
+def attention_forward_batched(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
     """Multi-head self-attention over ``(batch, tokens, model_dim)`` stacks."""
     batch, tokens = x.shape[0], x.shape[1]
     heads, head_dim = attention.num_heads, attention.head_dim
     qkv_weight, qkv_bias = _fused_qkv(attention)
-    if x.dtype == np.float32:
-        # Same flatten-to-one-GEMM trick as linear_forward (float32 only).
-        qkv = x.reshape(batch * tokens, x.shape[2]) @ _param(qkv_weight, x)
-        qkv += _param(qkv_bias, x)
-        qkv = qkv.reshape(batch, tokens, 3, heads, head_dim)
-    else:
-        qkv = (x @ _param(qkv_weight, x) + _param(qkv_bias, x)).reshape(batch, tokens, 3, heads, head_dim)
+    qkv = (x @ qkv_weight + qkv_bias).reshape(batch, tokens, 3, heads, head_dim)
     queries = qkv[:, :, 0].transpose(0, 2, 1, 3)
     keys = qkv[:, :, 1].transpose(0, 2, 1, 3)
     values = qkv[:, :, 2].transpose(0, 2, 1, 3)
     scores = queries @ keys.transpose(0, 1, 3, 2)
     scores *= 1.0 / float(np.sqrt(head_dim))
-    if bias is not None:
-        scores += np.asarray(bias, dtype=x.dtype)[None, None, :, :]
     # Softmax reductions over a 2-D view of the same contiguous rows: the
     # last-axis max/sum see identical element sequences, so results match the
     # 4-D form bit for bit while skipping the high-rank reduce overhead.
@@ -254,31 +149,170 @@ def attention_forward_batched(
     return linear_forward(attention.out_proj, mixed)
 
 
-def _block_forward(block: AttentionBlock, x: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+def _block_forward(block: AttentionBlock, x: np.ndarray) -> np.ndarray:
     mha = attention_forward_batched if x.ndim == 3 else attention_forward
-    attended = _norm_forward(block.norm1, x + mha(block.attention, x, bias))
-    return _norm_forward(block.norm2, attended + mlp_forward(block.feedforward, attended))
+    attended = layer_norm_forward(block.norm1, x + mha(block.attention, x))
+    return layer_norm_forward(block.norm2, attended + mlp_forward(block.feedforward, attended))
 
 
-def attention_encoder_forward(
-    encoder: AttentionEncoder, x: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate an :class:`AttentionEncoder` stack with raw NumPy."""
+def attention_encoder_forward(encoder: AttentionEncoder, x: np.ndarray) -> np.ndarray:
+    """Evaluate a LayerNorm :class:`AttentionEncoder` over one sequence or a ``(batch, ...)`` stack."""
     for index in range(encoder.num_layers):
-        x = _block_forward(encoder._modules[f"block_{index}"], x, bias)
+        x = _block_forward(encoder._modules[f"block_{index}"], x)
     return x
 
 
-attention_encoder_forward_batched = attention_encoder_forward
+# --------------------------------------------------------------------------- #
+# The float32 decision program
+# --------------------------------------------------------------------------- #
+
+class Float32Pack:
+    """float32 copies of the parameters one decision forward reads, laid out by ``build(pack)``.
+
+    Each copy records its :class:`Parameter` and the array it held, and
+    :meth:`current` is an identity walk over that flat list: ``Adam.step``,
+    ``SGD.step`` and ``load_state_dict`` (so the keep-best restore) replace
+    ``param.data`` and never write into it.  Writing into one in place
+    requires dropping the owner's pack.
+    """
+
+    def __init__(self, build: Callable[["Float32Pack"], Any]) -> None:
+        self._params: list[Parameter] = []
+        self._arrays: list[np.ndarray] = []
+        self.weights = build(self)
+
+    def current(self) -> bool:
+        return all(map(operator.is_, map(operator.attrgetter("data"), self._params), self._arrays))
+
+    def __call__(self, param: Parameter) -> np.ndarray:
+        self._params.append(param)
+        self._arrays.append(param.data)
+        return param.data.astype(np.float32)
+
+    def mlp(self, mlp: MLP) -> list:
+        """``[weight, bias, activation or None]`` per Linear."""
+        layers: list = []
+        for module in mlp.net:
+            if isinstance(module, Linear):
+                layers.append([self(module.weight), self(module.bias), None])
+            else:
+                layers[-1][2] = _ACTIVATIONS[module.name]
+        return layers
+
+    def encoder(self, encoder: AttentionEncoder) -> list:
+        """``(qkv_weight, qkv_bias, out_weight, out_bias, heads, norm1, feedforward, norm2)`` per block; Q
+        is pre-scaled by ``1/sqrt(head_dim)``, each head's V gets a ones column (zero weights, unit bias)."""
+        blocks = []
+        for index in range(encoder.num_layers):
+            block = encoder._modules[f"block_{index}"]
+            mha = block.attention
+            heads, head_dim, width = mha.num_heads, mha.head_dim, mha.model_dim
+            scale = np.float32(1.0 / np.sqrt(head_dim))
+            v_weight = np.pad(self(mha.value_proj.weight).reshape(width, heads, head_dim), ((0, 0), (0, 0), (0, 1)))
+            v_bias = np.pad(self(mha.value_proj.bias).reshape(heads, head_dim), ((0, 0), (0, 1)), constant_values=1)
+            q_proj, k_proj = mha.query_proj, mha.key_proj
+            blocks.append((
+                np.concatenate([self(q_proj.weight) * scale, self(k_proj.weight), v_weight.reshape(width, -1)], axis=1),
+                np.concatenate([self(q_proj.bias) * scale, self(k_proj.bias), v_bias.reshape(-1)]),
+                self(mha.out_proj.weight), self(mha.out_proj.bias), heads,
+                self.norm(block.norm1), self.mlp(block.feedforward), self.norm(block.norm2),
+            ))  # fmt: skip
+        return blocks
+
+    def norm(self, norm: "BatchNorm | LayerNorm") -> Callable[[np.ndarray], np.ndarray]:
+        axis = 1 if isinstance(norm, BatchNorm) else -1
+        return functools.partial(_norm32, norm=norm, gamma=self(norm.gamma), beta=self(norm.beta), axis=axis)
+
+
+def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
+    """``owner``'s :class:`Float32Pack` weights, rebuilt only when a parameter was replaced."""
+    pack = getattr(owner, "_float32_pack", None)
+    if pack is None or not pack.current():
+        pack = owner._float32_pack = Float32Pack(build)
+    return pack.weights
+
+
+def mlp32(layers: list, x: np.ndarray) -> np.ndarray:
+    """A packed MLP over the last axis: one 2-D GEMM per layer whatever the leading shape."""
+    lead = x.shape[:-1]
+    x = x.reshape(-1, x.shape[-1])
+    for weight, bias, activation in layers:
+        x = x @ weight
+        x += bias
+        if activation is not None:
+            x = activation(x)
+    return x.reshape(*lead, x.shape[-1])
+
+
+def _norm32(x: np.ndarray, norm: "BatchNorm | LayerNorm", gamma: np.ndarray, beta: np.ndarray, axis: int) -> np.ndarray:
+    """LayerNorm (``axis=-1``) or BatchNorm over each state's own tokens (``axis=1``), in place on ``x``;
+    eval-mode BatchNorm reads its running statistics, and nothing here writes them."""
+    if axis == -1 or norm.training:
+        inv_count = 1.0 / x.shape[axis]
+        x -= x.sum(axis=axis, keepdims=True) * inv_count
+        var = (x * x).sum(axis=axis, keepdims=True) * inv_count
+    else:
+        x -= norm.running_mean.astype(np.float32)
+        var = norm.running_var.astype(np.float32)
+    x *= gamma / ((var + norm.eps) ** 0.5)
+    x += beta
+    return x
+
+
+def _attention32(qkv: np.ndarray, heads: int, batch: int, tokens: int, width: int) -> np.ndarray:
+    """Attention over packed ``(batch*tokens, [Q | K | V,1 per head])`` rows, out as ``(batch*tokens, width)``.
+
+    Key-major scores make the per-query max a column reduce; one ``Eᵀ·[V | 1]``
+    GEMM yields each numerator with its softmax denominator (≥ 1, from the
+    max's ``exp(0)``).  Its own function so a block's scores die before the
+    next block's: two alive at once let glibc trim and re-fault them per call.
+    """
+    head_dim = width // heads
+    queries, keys, values = (
+        qkv[:, columns].reshape(batch, tokens, heads, -1).transpose(0, 2, 1, 3)
+        for columns in (slice(0, width), slice(width, 2 * width), slice(2 * width, None))
+    )
+    scores = keys @ queries.transpose(0, 1, 3, 2)
+    scores -= scores.max(axis=2, keepdims=True)
+    np.exp(scores, out=scores)
+    mixed = scores.transpose(0, 1, 3, 2) @ values
+    normalised = np.empty((batch, tokens, heads, head_dim), dtype=np.float32)
+    np.divide(mixed[..., :head_dim], mixed[..., head_dim:], out=normalised.transpose(0, 2, 1, 3))
+    return normalised.reshape(batch * tokens, width)
+
+
+def encoder32(blocks: list, x: np.ndarray) -> np.ndarray:
+    """The packed attention stack over ``(batch, tokens, width)``; no blocks returns ``x``."""
+    for qkv_weight, qkv_bias, out_weight, out_bias, heads, norm1, feedforward, norm2 in blocks:
+        batch, tokens, width = x.shape
+        qkv = x.reshape(batch * tokens, width) @ qkv_weight
+        qkv += qkv_bias
+        attended = _attention32(qkv, heads, batch, tokens, width) @ out_weight
+        attended += out_bias
+        attended = attended.reshape(batch, tokens, width)
+        attended += x
+        attended = norm1(attended)
+        x = mlp32(feedforward, attended)
+        x += attended
+        x = norm2(x)
+    return x
+
+
+def _checked_mask(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``mask`` as booleans, after checking its shape and that every row allows something."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != logits.shape:
+        raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+    empty = ~mask.any(axis=-1).reshape(-1)
+    if empty.any():
+        row = int(np.argmax(empty))
+        raise ValueError(f"masked_log_softmax requires at least one unmasked entry; row {row} of {empty.size} has none")
+    return mask
 
 
 def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: float = -1e8) -> np.ndarray:
     """NumPy twin of :func:`repro.nn.masked_log_softmax` (last-axis rows)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    if not np.all(mask.any(axis=-1)):
-        raise ValueError("masked_log_softmax requires at least one unmasked entry")
+    mask = _checked_mask(logits, mask)
     zero = logits.dtype.type(0.0)
     shifted = logits + np.where(mask, zero, logits.dtype.type(mask_value))
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
@@ -286,18 +320,18 @@ def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: f
 
 
 def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
-    """Why ``encoder`` cannot run on the tape-free fast path, or ``None``.
+    """Why ``encoder`` cannot run on the float64 fast path, or ``None``.
 
-    Each attention block's norms must be one of the kinds the fast forwards
-    replicate bit-for-bit; ``ConcurrentPredictionModel.__init__`` names the
+    Each attention block's norms must be LayerNorm, the one norm that path
+    replicates bit for bit; ``ConcurrentPredictionModel.__init__`` names the
     reason in the ``ConfigurationError`` it raises.
     """
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
         for which, norm in (("norm1", block.norm1), ("norm2", block.norm2)):
-            if not isinstance(norm, (LayerNorm, BatchNorm)):
+            if not isinstance(norm, LayerNorm):
                 return (
-                    f"block {index} {which} is {type(norm).__name__}; the fast "
-                    "path only replicates LayerNorm and BatchNorm"
+                    f"block {index} {which} is {type(norm).__name__}; the float64 fast "
+                    "path only replicates LayerNorm"
                 )
     return None

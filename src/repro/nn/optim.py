@@ -3,8 +3,9 @@
 ``Adam.step`` gathers every ``param.grad`` into one flat slab, runs the update
 as fourteen in-place ufunc passes over flat moment and scratch slabs, and
 installs ``param.data`` as reshaped views of **one fresh result slab per
-step**.  Fresh on purpose: the inference fast paths (``fastinfer._F32_CACHE``,
-the fused QKV cache) detect updates by array *identity*, so ``param.data`` is
+step**.  Fresh on purpose: the inference fast paths (the decision program's
+``fastinfer.Float32Pack``, the fused QKV cache) detect updates by array
+*identity*, so ``param.data`` is
 replaced, never mutated, and no slab aliases it across steps — it is
 re-gathered whenever a caller rebinds it (``Module.load_state_dict``, the
 keep-best restore).  Every pass mirrors the historical per-parameter

@@ -89,7 +89,7 @@ class ConcurrentPredictionModel(Module):
         groups, k = features.shape[0], features.shape[1]
         tokens = np.tanh(fastinfer.linear_forward(self.input_proj, features))
         if self.use_attention:
-            tokens = fastinfer.attention_encoder_forward_batched(self.encoder, tokens)
+            tokens = fastinfer.attention_encoder_forward(self.encoder, tokens)
         logits = fastinfer.mlp_forward(self.classifier, tokens).reshape(groups, k)
         times = fastinfer.mlp_forward(self.regressor, tokens).reshape(groups, k)
         return logits, times

@@ -16,16 +16,18 @@ import pytest
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import EncoderConfig
 from repro.core.clustering import cluster_queries
-from repro.core.policy import ActorCriticNetwork, _cluster_member_indices
+from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_member_indices
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.encoder.run_state import SnapshotArrays
-from repro.nn import Adam, no_grad
+from repro.nn import Adam, BatchNorm, fastgrad, fastinfer, no_grad
 
 
-def build_scheduler(workload_name: str, norm: str, num_clusters: int | None) -> tuple[BQSched, object]:
+def build_scheduler(
+    workload_name: str, norm: str, num_clusters: int | None, query_scale: float = 1.0
+) -> tuple[BQSched, object]:
     config = BQSchedConfig(seed=0)
     config.encoder.norm = norm
-    workload = make_workload(workload_name, scale_factor=1.0, seed=0)
+    workload = make_workload(workload_name, scale_factor=1.0, query_scale=query_scale, seed=0)
     scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config)
     if num_clusters is not None:
         n = len(scheduler.batch)
@@ -58,10 +60,11 @@ class Case(NamedTuple):
     stacks: list
 
 
-def facade_case(workload_name: str, num_clusters: int | None, norm: str) -> Case:
+def facade_case(workload_name: str, num_clusters: int | None, norm: str, query_scale: float = 1.0) -> Case:
     """Mid-episode snapshots of a full-size workload, each as SoA and as its AoS view."""
-    scheduler, env = build_scheduler(workload_name, norm, num_clusters)
-    assert len(scheduler.batch) == {"tpch": 22, "tpcds": 99}[workload_name]
+    scheduler, env = build_scheduler(workload_name, norm, num_clusters, query_scale)
+    sizes = {("tpch", 1.0): 22, ("tpcds", 1.0): 99, ("tpcds", 1.6): 158}
+    assert len(scheduler.batch) == sizes[workload_name, query_scale]
     pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
     stacks = [
         ([view], mask[None, :]) for soa, mask in pairs[len(pairs) // 3 :: 3] for view in (soa, soa.to_snapshot())
@@ -121,31 +124,63 @@ EDGE_SHAPES = {
 }
 
 
+def kernel_logits(policy: ActorCriticNetwork, plan: np.ndarray, snapshots: list, clusters) -> np.ndarray:
+    """``(B, action_dim)`` logits of the decision kernel over one stack."""
+    per_query, global_state = DECISION_KERNEL.encode_batch(policy.state_encoder, plan, snapshots)
+    return DECISION_KERNEL.heads_batch(policy, per_query, global_state, snapshots, clusters=clusters)[0]
+
+
 class TestTapeParity:
     @pytest.mark.parametrize(
         "build_case",
         [
-            pytest.param(partial(facade_case, workload, num_clusters, norm), id=f"{workload}-{num_clusters}-{norm}")
+            pytest.param(
+                partial(facade_case, workload, num_clusters, norm, query_scale),
+                id=f"{workload}{'' if query_scale == 1.0 else f'@{query_scale}'}-{num_clusters}-{norm}",
+            )
             for norm in ("batch", "layer")
-            for workload, num_clusters in (("tpch", None), ("tpch", 8), ("tpcds", None), ("tpcds", 40))
+            for workload, num_clusters, query_scale in (
+                ("tpch", None, 1.0), ("tpch", 8, 1.0), ("tpcds", None, 1.0), ("tpcds", 40, 1.0), ("tpcds", 100, 1.6)
+            )
         ]
         + [pytest.param(build, id=name) for name, build in EDGE_SHAPES.items()],
     )
     def test_act_matches_the_tape_oracle(self, build_case):
-        """``act`` (B=1) and ``act_batch`` (the whole stack) both decide what the tape decides."""
+        """``act`` (B=1) and ``act_batch`` (the whole stack) both decide what the tape decides,
+        from logits within 1e-5 of the tape's, relative to the largest."""
         policy, plan, clusters, stacks = build_case()
         for snapshots, masks in stacks:
             stacked = policy.act_batch(plan, snapshots, masks, np.random.default_rng(0), greedy=True, clusters=clusters)
-            for snapshot, mask, from_stack in zip(snapshots, masks, stacked):
+            stacked_logits = kernel_logits(policy, plan, snapshots, clusters)
+            for snapshot, mask, from_stack, row_logits in zip(snapshots, masks, stacked, stacked_logits):
                 single = policy.act(plan, snapshot, mask, np.random.default_rng(0), greedy=True, clusters=clusters)
                 with no_grad():
                     log_prob, _, value, full = policy.evaluate_action(
                         plan, snapshot, single.action, mask, clusters=clusters
                     )
+                    tape_logits = policy.action_logits(policy.representation(plan, snapshot), snapshot, clusters).data
+                for logits in (kernel_logits(policy, plan, [snapshot], clusters)[0], row_logits):
+                    assert np.max(np.abs(logits - tape_logits)) <= 1e-5 * np.max(np.abs(tape_logits))
                 for decision in (single, from_stack):
                     assert decision.action == int(np.argmax(full.data))
                     assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
                     assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+
+    def test_deciding_writes_no_batch_norm_statistics(self):
+        """Running statistics belong to the training step: ``act`` and ``act_batch`` leave them alone."""
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        policy, plan = scheduler.policy, scheduler.plan_embeddings
+        blocks = policy.state_encoder.attention._modules.values()
+        norms = [norm for block in blocks for norm in (block.norm1, block.norm2)]
+        assert norms and all(isinstance(norm, BatchNorm) for norm in norms)
+        before = [(n.running_mean, n.running_var, n.running_mean.copy(), n.running_var.copy()) for n in norms]
+        pairs = mid_episode(env, steps=6)
+        for snapshot, mask in pairs:
+            policy.act(plan, snapshot, mask, np.random.default_rng(0))
+        policy.act_batch(plan, [s for s, _ in pairs], np.stack([m for _, m in pairs]), np.random.default_rng(0))
+        for norm, (mean, var, mean_values, var_values) in zip(norms, before):
+            assert norm.running_mean is mean and norm.running_var is var
+            assert np.array_equal(mean, mean_values) and np.array_equal(var, var_values)
 
     def test_sampled_act_is_a_one_row_act_batch(self):
         """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""
@@ -232,6 +267,38 @@ class TestParameterRefresh:
         after = self.assert_tracks_tape(scheduler, snapshot, mask)
         assert abs(after.value - before.value) > 1e-3
 
+    def test_refreshes_after_the_keep_best_restore(self):
+        """``train`` ends by loading the best validated weights; ``act`` must then decide
+        exactly what a fresh network loaded with those weights decides."""
+
+        def small_scheduler() -> BQSched:
+            workload = make_workload("tpch", scale_factor=1.0, seed=0)
+            return BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), BQSchedConfig.small(seed=0))
+
+        scheduler = small_scheduler()
+        validate, states = scheduler.evaluate, []
+        scores = iter([3.0, 1.0, 2.0, 2.0])  # initial, then after each of three fine-tune chunks
+
+        def scripted_validation(*args, **kwargs):
+            validate(*args, **kwargs)  # the real greedy round: acts with the weights of the moment
+            states.append(scheduler.policy.state_dict())
+            return SimpleNamespace(mean=next(scores))
+
+        scheduler.evaluate = scripted_validation
+        scheduler.train(num_updates=3, pretrain_updates=0, history_rounds=2)
+        assert len(states) == 4
+        best, last = states[1], states[-1]
+        assert any(not np.array_equal(best[name], last[name]) for name in best)
+
+        fresh = small_scheduler()
+        fresh.policy.load_state_dict(best)
+        plan = scheduler.plan_embeddings
+        for snapshot, mask in mid_episode(scheduler._build_env(backend=scheduler.engine), steps=6):
+            rng = np.random.default_rng(0)
+            assert scheduler.policy.act(plan, snapshot, mask, rng, greedy=True) == fresh.policy.act(
+                plan, snapshot, mask, rng, greedy=True
+            )
+
 
 class TestDegenerateInputsAreLoud:
     def test_all_false_mask_raises(self):
@@ -243,6 +310,14 @@ class TestDegenerateInputsAreLoud:
                 scheduler.policy.act(
                     scheduler.plan_embeddings, snapshot, nothing_allowed, np.random.default_rng(0), greedy=greedy
                 )
+
+    def test_all_false_mask_row_is_named(self):
+        logits = np.zeros((3, 4), dtype=np.float32)
+        mask = np.ones((3, 4), dtype=bool)
+        mask[1] = False
+        for masked_log_softmax in (fastinfer.masked_log_softmax_array, fastgrad.masked_log_softmax_forward):
+            with pytest.raises(ValueError, match="at least one unmasked entry; row 1 of 3 has none"):
+                masked_log_softmax(logits, mask)
 
     def test_plan_embedding_row_mismatch_raises(self):
         scheduler, env = build_scheduler("tpch", "batch", None)

@@ -836,11 +836,17 @@ class TestEndToEndFusedTraining:
         are untouched.  Previous pins, captured when the tensor inference
         forward was deleted: ppo ``d54a15be…``, ppg ``9bf06d61…``, iq-ppo
         ``65cf0425…``.
+
+        Re-pinned again when the float32 decision program started normalising
+        attention after ``P·V``: the rollouts store the sampler's log-probs,
+        which moved by float32 rounding, and the PPO ratio trains against
+        them.  ppo ``ca5fc663…`` → ``99c9861e…``, ppg ``4de6be4c…`` →
+        ``6d98bfc0…``, iq-ppo ``2d57a89a…`` → ``829f2ee8…``.
         """
         pinned = {
-            "ppo": "ca5fc6638dd79c9a20f335f9943e9a4fa575c715eed4f6bbe739bd8cb3476f23",
-            "ppg": "4de6be4cea224e4eed38e570bedb13db359b711763a36fffee7d22199d090ae4",
-            "iq-ppo": "2d57a89aae604b2c06282ffed318816d8c381c52ea2aaf56a1aee1a4c256b252",
+            "ppo": "99c9861e74ee09906e38e870f29b10a7f14388dfc9d60fe281b71cc958430dc3",
+            "ppg": "6d98bfc08e089051488b4883d7f8d54258fdce5026a6939c7804314399a7ebda",
+            "iq-ppo": "829f2ee8c94dcd35b0d9660a8c93b7117a4f258c74c0755a31d49bb337a42a38",
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)

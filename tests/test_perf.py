@@ -30,7 +30,7 @@ from repro.core import (
     cluster_instance_count,
 )
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.nn import Activation, AttentionEncoder, no_grad
+from repro.nn import Activation, AttentionEncoder, BatchNorm, no_grad
 from repro.perf import (
     ConcurrentPredictionModel,
     PerformanceEstimator,
@@ -222,16 +222,17 @@ class TestPredictionParity:
         np.testing.assert_array_equal(times[0], ref_times)
 
     def test_encoder_without_a_tape_free_forward_is_refused(self, monkeypatch):
-        """``predict`` has no tape fallback, so construction names what the kernels lack."""
+        """``predict`` has no tape fallback, so construction names what the float64 path lacks."""
+        for name, foreign in (("Activation", lambda dim: Activation("identity")), ("BatchNorm", BatchNorm)):
 
-        def encoder_with_foreign_norm(*args, **kwargs):
-            encoder = AttentionEncoder(*args, **kwargs)
-            encoder._modules["block_0"].norm2 = Activation("identity")
-            return encoder
+            def encoder_with_foreign_norm(*args, **kwargs):
+                encoder = AttentionEncoder(*args, **kwargs)
+                encoder._modules["block_0"].norm2 = foreign(args[0])
+                return encoder
 
-        monkeypatch.setattr("repro.perf.model.AttentionEncoder", encoder_with_foreign_norm)
-        with pytest.raises(ConfigurationError, match="block 0 norm2 is Activation"):
-            ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0))
+            monkeypatch.setattr("repro.perf.model.AttentionEncoder", encoder_with_foreign_norm)
+            with pytest.raises(ConfigurationError, match=f"block 0 norm2 is {name}; the float64 fast path only"):
+                ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0))
         ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0), use_attention=False)
 
 
