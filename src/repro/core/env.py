@@ -72,16 +72,28 @@ def drive_service(runtime: ExecutionRuntime, envs: "Sequence[SchedulingEnv]", se
     action) before the clock moves again; submissions free up decisions for
     peers, so the inner sweep repeats until no tenant can act, then the
     runtime advances to the next event.  Callers must have ``reset`` every
-    environment into the shared round first.
+    environment into the shared round first, and every environment must be
+    a tenant of ``runtime`` (else :class:`SchedulingError` names its index):
+    one on another runtime would never advance and be left half done.
+    Sharing one fleet is also why its idle-connection half of
+    :meth:`SchedulingEnv.can_decide` is asked once per tenant visit and per
+    decision, and a sweep ends as soon as the fleet is saturated.
     """
+    for index, env in enumerate(envs):
+        if env.runtime is not runtime:
+            raise SchedulingError(f"environment {index} is not a tenant of the runtime being driven")
+        env._require_session()
+    shared = runtime.shared_session
     while True:
-        progressed = True
-        while progressed:
+        progressed = idle = True
+        while progressed and idle:
             progressed = False
             for env in envs:
-                while env.can_decide():
+                while (idle := shared.has_idle_connection) and env._has_selectable_slot():
                     env.begin_step(select_action(env))
                     progressed = True
+                if not idle:
+                    break
         if runtime.is_done:
             break
         runtime.advance()
@@ -495,8 +507,10 @@ class SchedulingEnv:
         clock moves again.
         """
         self._require_session()
-        if not self._session.has_idle_connection:
-            return False
+        return self._session.has_idle_connection and self._has_selectable_slot()
+
+    def _has_selectable_slot(self) -> bool:
+        """Whether a slot is left to choose: a pending query, or a cluster with members left."""
         if self.cluster_mode:
             return any(self._cluster_remaining)
         return self._session.has_pending

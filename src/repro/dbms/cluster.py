@@ -364,6 +364,9 @@ class ClusterSession:
         materialised.  Instance index breaks exact-time ties, and
         simultaneous completions on other instances are buffered per
         instance and drained (in instance order) before time moves again.
+        Each instance computes its next finish once per state: the winner's
+        ``advance()`` and the peers' ``advance(limit=…)`` reuse the pass
+        their ``next_completion_time()`` made.
         """
         buffered = self._pop_buffered()
         if buffered is not None:

@@ -25,6 +25,7 @@ contention, data sharing, and long-tail queries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,9 +162,12 @@ class ExecutionSession:
         # Progress rates depend only on the running set (which queries, with
         # which parameters) and the buffer contents — never on remaining work
         # or the clock — so next_completion_time/advance pairs reuse one
-        # computation.  Version counters invalidate the memo.
+        # computation.  Version counters invalidate the memos (the next-finish
+        # one also keys on remaining work, through the work version).
         self._running_version = 0
+        self._work_version = 0
         self._rates_cache: tuple[tuple[int, int], dict[int, float]] | None = None
+        self._finish_cache: tuple[tuple[int, int, int], tuple[int, float]] | None = None
         # Per-query noise factors drawn once per round: the same query can be
         # faster or slower in different rounds regardless of the schedule.
         self._noise = {
@@ -410,7 +414,7 @@ class ExecutionSession:
 
         ``None`` when nothing is running.  The returned instant is exactly
         the finish time :meth:`advance` would produce from the current state
-        (same float arithmetic), which is what lets a
+        (both read one memoized :meth:`_next_finish`), which is what lets a
         :class:`~repro.dbms.cluster.ClusterSession` pick the globally
         earliest event across per-instance clocks without perturbing them.
         """
@@ -418,12 +422,7 @@ class ExecutionSession:
             return self.current_time
         if not self.running:
             return None
-        rates = self._progress_rates()
-        delta = min(
-            state.remaining_work / max(rates[query_id], _EPSILON)
-            for query_id, state in self.running.items()
-        )
-        finish_time = self.current_time + delta
+        finish_time = self.current_time + self._next_finish()[1]
         kill_at = self._outage_kill_instant(finish_time)
         return kill_at if kill_at is not None else finish_time
 
@@ -444,31 +443,23 @@ class ExecutionSession:
             self.current_time = max(self.current_time, limit)
             return None
         rates = self._progress_rates()
-        time_to_finish = {
-            query_id: state.remaining_work / max(rates[query_id], _EPSILON)
-            for query_id, state in self.running.items()
-        }
-        finishing_id = min(time_to_finish, key=lambda query_id: time_to_finish[query_id])
-        delta = time_to_finish[finishing_id]
+        finishing_id, delta = self._next_finish()
         kill_at = self._outage_kill_instant(self.current_time + delta)
         if kill_at is not None and (limit is None or kill_at <= limit):
             partial = kill_at - self.current_time
             if partial > 0:
-                for query_id, state in self.running.items():
-                    state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * partial)
+                self._progress(rates, partial)
             self.current_time = kill_at
             self._kill_running(FAILURE_OUTAGE)
             return self._fault_events.pop(0)
         if limit is not None and self.current_time + delta > limit:
             partial = limit - self.current_time
             if partial > 0:
-                for query_id, state in self.running.items():
-                    state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * partial)
+                self._progress(rates, partial)
             self.current_time = limit
             return None
         self.current_time += delta
-        for query_id, state in self.running.items():
-            state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * delta)
+        self._progress(rates, delta)
 
         state = self.running.pop(finishing_id)
         self._idle_connections.append(state.connection)
@@ -520,7 +511,8 @@ class ExecutionSession:
         on *which* queries run with *which* parameters and on the buffer
         contents — never on remaining work or the clock — so the
         ``next_completion_time``/``advance`` double-compute (and every
-        idle-forward peer advance in cluster merging) reuses one computation.
+        idle-forward peer advance in cluster merging) reuses one computation;
+        :meth:`_next_finish` adds the work version on top of these two.
         The exact per-call float arithmetic is unchanged.
         """
         key = (self._running_version, self.buffer.version)
@@ -529,6 +521,32 @@ class ExecutionSession:
         rates = self._compute_progress_rates()
         self._rates_cache = (key, rates)
         return rates
+
+    def _next_finish(self) -> tuple[int, float]:
+        """``(finishing id, delta)`` of the first running query to finish (first minimum in running order).
+
+        Memoized on (running version, buffer version, work version), the
+        last bumped by every write of ``remaining_work`` (:meth:`_progress`),
+        so a ``next_completion_time`` and the ``advance`` that follows share
+        one pass over the (non-empty) running set.
+        """
+        key = (self._running_version, self.buffer.version, self._work_version)
+        if self._finish_cache is not None and self._finish_cache[0] == key:
+            return self._finish_cache[1]
+        rates = self._progress_rates()
+        time_to_finish = {
+            query_id: state.remaining_work / max(rates[query_id], _EPSILON)
+            for query_id, state in self.running.items()
+        }
+        finishing_id = min(time_to_finish, key=time_to_finish.__getitem__)
+        self._finish_cache = (key, (finishing_id, time_to_finish[finishing_id]))
+        return self._finish_cache[1]
+
+    def _progress(self, rates: dict[int, float], seconds: float) -> None:
+        """Run every running query ``seconds`` forward at its rate."""
+        for query_id, state in self.running.items():
+            state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * seconds)
+        self._work_version += 1
 
     def _compute_progress_rates(self) -> dict[int, float]:
         states = list(self.running.values())
@@ -551,13 +569,16 @@ class ExecutionSession:
         memory_granted = sum(min(s.parameters.memory_mb, s.query.memory_demand_mb) for s in states)
         global_pressure = max(0.0, memory_granted / self.profile.memory_capacity_mb - 1.0)
 
+        # How many running queries scan each table, counted once per call: a
+        # table is scanned concurrently with a query iff another one counts it.
+        table_counts = Counter(table for s in states for table in s.query.tables)
         rates: dict[int, float] = {}
         for state in states:
             query = state.query
             cpu_rate = amdahl[query.query_id] * cpu_scale
             spill = self._spill_factor(state, global_pressure)
             cpu_rate /= 1.0 + spill
-            io_rate = io_scale * (1.0 + self._sharing_boost(state, states))
+            io_rate = io_scale * (1.0 + self._sharing_boost(state, table_counts))
             blended = query.cpu_fraction * cpu_rate + query.io_fraction * io_rate
             rates[query.query_id] = max(_EPSILON, blended * self.profile.speed)
         return rates
@@ -578,23 +599,18 @@ class ExecutionSession:
         shortfall = max(0.0, query.memory_demand_mb - state.parameters.memory_mb) / query.memory_demand_mb
         return _SPILL_PENALTY * query.memory_sensitivity * (shortfall + 0.5 * global_pressure)
 
-    def _sharing_boost(self, state: RunningQueryState, states: list[RunningQueryState]) -> float:
-        """I/O acceleration from concurrent scans of shared tables and warm buffer."""
+    def _sharing_boost(self, state: RunningQueryState, table_counts: "Counter[str]") -> float:
+        """I/O acceleration from concurrent scans (a table count above one) and warm buffer."""
         query = state.query
         if not query.tables:
             return 0.0
         total_rows = sum(query.tables.values())
         if total_rows <= 0:
             return 0.0
-        concurrent_tables: set[str] = set()
-        for other in states:
-            if other.query.query_id == query.query_id:
-                continue
-            concurrent_tables.update(other.query.tables)
         shared = 0.0
         for table, rows in query.tables.items():
             table_rows = rows
-            concurrent_share = 0.8 if table in concurrent_tables else 0.0
+            concurrent_share = 0.8 if table_counts[table] > 1 else 0.0
             cached_share = self.buffer.cached_fraction(table, table_rows)
             shared += rows * max(concurrent_share, cached_share)
         return self.profile.sharing_strength * (shared / total_rows)

@@ -89,8 +89,13 @@ class PlanEmbeddingCache:
         return self._cache[query_id]
 
     def embeddings_for(self, queries) -> np.ndarray:
-        """Stacked embeddings for an iterable of :class:`repro.workloads.Query`."""
-        return np.stack([self.embedding(q.query_id, q.plan) for q in queries], axis=0)
+        """Stacked, read-only embeddings for an iterable of :class:`repro.workloads.Query`.
+
+        The decision kernel caches a float32 cast by identity: a write must raise, not go stale.
+        """
+        matrix = np.stack([self.embedding(q.query_id, q.plan) for q in queries], axis=0)
+        matrix.flags.writeable = False
+        return matrix
 
     def clear(self) -> None:
         self._cache.clear()

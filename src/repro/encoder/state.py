@@ -111,6 +111,7 @@ class StateEncoder(Module):
         self.query_out_mlp = MLP(
             [2 * state_dim + pooled_dim, state_dim, state_dim], rng, activation="tanh", final_activation=True
         )
+        self._plan_cast: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -164,56 +165,63 @@ class StateEncoder(Module):
 
         Returns ``(inputs, run_features, pooled_all, pooled_running)`` where
         ``inputs`` is the ``(batch, n, plan+feature)`` token input and the
-        pooled arrays are the fixed-width running-state summaries.  Both
-        tensors are preallocated and filled in place — array-backed snapshots
+        pooled arrays are the fixed-width running-state summaries.  Every
+        output is preallocated and filled in place — array-backed snapshots
         featurize straight into the stacked buffer, and ``input_dtype``
         (e.g. ``np.float32`` for the sampling path) casts token inputs during
         assembly instead of through a separate ``astype`` copy; per-element
         rounding is identical either way.
+
+        A stack of one (every serving, greedy, validation and fine-tune
+        decision) does no stacking work: it featurizes into plane 0, the
+        sampling path reads the running mask from the status one-hot already
+        in the features, and read-only float32 plan embeddings are cast once
+        per embeddings array (cached by identity;
+        :meth:`PlanEmbeddingCache.embeddings_for` returns them read-only).
         """
         if not snapshots:
             raise ValueError("encode_batch needs at least one snapshot")
         featurizer = self.run_state_featurizer
-        batch = len(snapshots)
-        first = snapshots[0]
-        num_queries = first.num_queries if isinstance(first, SnapshotArrays) else len(first.infos)
+        batch, num_queries, width = len(snapshots), snapshots[0].num_queries, featurizer.feature_dim
         if plan_embeddings.shape[0] != num_queries:
             raise ValueError("plan embeddings and snapshots must cover the same queries")
-        run_features = np.empty((batch, num_queries, featurizer.feature_dim), dtype=np.float64)
+        run_features = np.empty((batch, num_queries, width), dtype=np.float64)
         all_arrays = all(isinstance(snapshot, SnapshotArrays) for snapshot in snapshots)
         if all_arrays and batch > 1:
             featurizer.featurize_arrays_stack(snapshots, out=run_features)
         else:
-            # One snapshot (every serving decision) skips the stacking copies:
-            # each plane of the stacked featurizer is bit-identical to this.
+            # Each plane of the stacked featurizer is bit-identical to this.
             for index, snapshot in enumerate(snapshots):
                 if isinstance(snapshot, SnapshotArrays):
                     featurizer.featurize_arrays(snapshot, out=run_features[index])
                 else:
                     run_features[index] = featurizer.featurize_snapshot(snapshot)
         plan_dim = plan_embeddings.shape[1]
-        inputs = np.empty(
-            (batch, num_queries, plan_dim + featurizer.feature_dim),
-            dtype=input_dtype if input_dtype is not None else np.float64,
-        )
-        inputs[:, :, :plan_dim] = plan_embeddings
+        sampling = input_dtype is np.float32
+        inputs = np.empty((batch, num_queries, plan_dim + width), dtype=input_dtype or np.float64)
+        inputs[:, :, :plan_dim] = self._plan_embeddings32(plan_embeddings) if sampling else plan_embeddings
         inputs[:, :, plan_dim:] = run_features
-        pooled_all = np.concatenate([run_features.mean(axis=1), run_features.max(axis=1)], axis=1)
-        if all_arrays and input_dtype is np.float32:
-            # Sampling path: one masked reduction over the (batch, n) stack
-            # instead of a fancy-indexed _pool call per snapshot.  The masked
-            # mean sums over the full row (zeros where not running), which
-            # reorders the float64 accumulation relative to the per-subset
-            # mean — rounding-level differences the sampling path tolerates;
-            # the learning path below keeps the exact per-snapshot pooling.
-            running = np.stack([snapshot.status for snapshot in snapshots]) == 1
-            counts = running.sum(axis=1)
-            weights = running[:, :, None]
-            means = (run_features * weights).sum(axis=1)
-            means /= np.maximum(counts, 1)[:, None]
-            maxes = np.where(weights, run_features, -np.inf).max(axis=1)
-            pooled_running = np.concatenate([means, maxes], axis=1)
-            pooled_running[counts == 0] = 0.0
+        # mean ‖ max over the queries into one buffer (np.mean is this add.reduce / n).
+        pooled_all = np.empty((batch, 2 * width), dtype=np.float64)
+        np.add.reduce(run_features, axis=1, out=pooled_all[:, :width])
+        pooled_all[:, :width] /= num_queries
+        np.maximum.reduce(run_features, axis=1, out=pooled_all[:, width:])
+        if all_arrays and sampling:
+            # Sampling path: masked reductions over full rows instead of a
+            # fancy-indexed _pool call per snapshot.  The masked mean sums
+            # zeros where not running, which reorders the float64
+            # accumulation relative to the per-subset mean — rounding-level
+            # differences the sampling path tolerates; the learning path below
+            # keeps the exact per-snapshot pooling.  The running flags are
+            # column 1 (RUNNING) of the features' 0/1 status one-hot.
+            running = run_features[:, :, 1:2]
+            counts = np.add.reduce(running, axis=1)
+            pooled_running = np.empty_like(pooled_all)
+            means = pooled_running[:, :width]
+            np.add.reduce(run_features * running, axis=1, out=means)
+            means /= np.maximum(counts, 1.0)
+            np.maximum.reduce(np.where(running, run_features, -np.inf), axis=1, out=pooled_running[:, width:])
+            np.copyto(pooled_running, 0.0, where=counts == 0.0)
         else:
             pooled_running = np.empty_like(pooled_all)
             for index, snapshot in enumerate(snapshots):
@@ -290,6 +298,19 @@ class StateEncoder(Module):
         query_in[:, :, 2 * state_dim :] = pooled_running[:, None, :]
         per_query = fastinfer.mlp32(query_out_mlp, query_in)
         return per_query, global_state
+
+    def _plan_embeddings32(self, plan_embeddings: np.ndarray) -> np.ndarray:
+        """float32 copy of read-only ``plan_embeddings``, cast once per array (checked by identity).
+
+        A writable array could change under the cache, so it is returned as
+        is and cast on assignment instead.
+        """
+        if plan_embeddings.flags.writeable:
+            return plan_embeddings
+        cached = self._plan_cast
+        if cached is None or cached[0] is not plan_embeddings:
+            cached = self._plan_cast = (plan_embeddings, plan_embeddings.astype(np.float32))
+        return cached[1]
 
     def _float32_weights(self, pack: fastinfer.Float32Pack) -> tuple:
         blocks = pack.encoder(self.attention) if self.use_attention else []

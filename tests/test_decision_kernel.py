@@ -13,7 +13,19 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro import (
+    BQSched,
+    BQSchedConfig,
+    Cluster,
+    DatabaseEngine,
+    DBMSProfile,
+    FailureProfile,
+    OutageWindow,
+    PoissonArrivals,
+    RetryPolicy,
+    TenantClass,
+    make_workload,
+)
 from repro.config import EncoderConfig
 from repro.core.clustering import cluster_queries
 from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_member_indices
@@ -298,6 +310,108 @@ class TestParameterRefresh:
             assert scheduler.policy.act(plan, snapshot, mask, rng, greedy=True) == fresh.policy.act(
                 plan, snapshot, mask, rng, greedy=True
             )
+
+
+def served_snapshots(engine, **serve_kwargs) -> tuple[BQSched, list]:
+    """The facade and every snapshot one two-tenant ``serve()`` round decides on."""
+    scheduler = BQSched(make_workload("tpch", scale_factor=1.0, seed=0), engine, BQSchedConfig.small(seed=0))
+    seen, decide = [], scheduler.select_action
+
+    def keep(env, snapshot):
+        seen.append(snapshot)
+        return decide(env, snapshot)
+
+    scheduler.select_action = keep
+    scheduler.serve(num_tenants=2, round_id=0, **serve_kwargs)
+    return scheduler, seen
+
+
+SERVED = {
+    "closed": lambda: served_snapshots(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), arrivals="closed"),
+    "streaming": lambda: served_snapshots(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), arrivals=PoissonArrivals(4.0)),
+    "fleet": lambda: served_snapshots(
+        Cluster.from_names(("x", "x", "z"), seed=0),
+        arrivals=PoissonArrivals(4.0),
+        faults=FailureProfile(error_rate=0.15, outages=(OutageWindow(1, 2.0, 3.0),)),
+        retry=RetryPolicy(max_attempts=3),
+        tenant_classes=(TenantClass("interactive", priority=2.0, deadline=30.0), TenantClass("batch")),
+    ),
+}
+
+INPUT_NAMES = ("inputs", "run_features", "pooled_all", "pooled_running")
+
+
+def full_row_pools(features: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pooled_all`` and the sampling path's masked full-row ``pooled_running``, spelled out in NumPy."""
+    pooled_all = np.concatenate([features.mean(axis=1), features.max(axis=1)], axis=1)
+    running = (np.asarray(status) == 1)[None, :, None]
+    counts = running.sum(axis=1)
+    means = (features * running).sum(axis=1) / np.maximum(counts, 1)
+    pooled_running = np.concatenate([means, np.where(running, features, -np.inf).max(axis=1)], axis=1)
+    pooled_running[counts[:, 0] == 0] = 0.0
+    return pooled_all, pooled_running
+
+
+class TestSamplingInputs:
+    """``_batch_inputs`` at B=1 is plane 0 of the same snapshot stacked twice, byte for byte."""
+
+    @pytest.mark.parametrize("kind", sorted(SERVED))
+    def test_single_snapshot_is_a_plane_of_the_stack(self, kind):
+        scheduler, snapshots = SERVED[kind]()
+        context = snapshots[0].instance_context_array
+        featurizer = RunStateFeaturizer(
+            num_configs=scheduler.num_instances * len(scheduler.config_space),
+            arrival_channel=True,
+            failure_channel=True,
+            slo_channel=True,
+            instance_context_dim=0 if context is None else context.size,
+        )
+        encoder = StateEncoder(
+            scheduler.plan_embeddings.shape[1],
+            featurizer,
+            EncoderConfig(state_dim=24, state_heads=2, state_layers=1),
+            np.random.default_rng(3),
+        )
+        plan = scheduler.plan_embeddings
+        for snapshot in snapshots:
+            single = encoder._batch_inputs(plan, [snapshot], input_dtype=np.float32)
+            stacked = encoder._batch_inputs(plan, [snapshot, snapshot], input_dtype=np.float32)
+            for name, one, two in zip(INPUT_NAMES, single, stacked):
+                assert one.shape == (1, *two.shape[1:]), name
+                assert one[0].tobytes() == two[0].tobytes() == two[1].tobytes(), name
+            inputs, features, pooled_all, pooled_running = single
+            expected_inputs = np.concatenate([plan[None], features], axis=2).astype(np.float32)
+            expected_all, expected_running = full_row_pools(features, snapshot.status)
+            assert inputs.tobytes() == expected_inputs.tobytes()
+            assert pooled_all.tobytes() == expected_all.tobytes()
+            assert pooled_running.tobytes() == expected_running.tobytes()
+        # Every branch and channel the kind is meant to reach was reached.
+        assert any(not snapshot.running_ids for snapshot in snapshots)
+        if kind == "streaming":
+            assert any(snapshot.time_to_available.any() for snapshot in snapshots)
+        if kind == "fleet":
+            assert any(snapshot.attempts.any() for snapshot in snapshots)
+            assert {snapshot.priority for snapshot in snapshots} == {0.0, 2.0}
+
+    def test_plan_embeddings_cast_once_per_read_only_array(self):
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        plan, encoder = scheduler.plan_embeddings, scheduler.state_encoder
+        with pytest.raises(ValueError, match="read-only"):
+            plan[0, 0] = 1.0
+        snapshot = env.reset(round_id=0)
+
+        def plan_columns(embeddings):
+            return encoder._batch_inputs(embeddings, [snapshot], input_dtype=np.float32)[0][0, :, : plan.shape[1]]
+
+        assert plan_columns(plan).tobytes() == plan.astype(np.float32).tobytes()
+        assert encoder._plan_embeddings32(plan) is encoder._plan_embeddings32(plan)
+        shifted = plan + 1.0  # another read-only array is cast afresh
+        shifted.flags.writeable = False
+        assert plan_columns(shifted).tobytes() == shifted.astype(np.float32).tobytes()
+        writable = plan.copy()  # never cached: an in-place write shows up in the next decision
+        before = plan_columns(writable).copy()
+        writable += 1.0
+        assert plan_columns(writable).tobytes() == writable.astype(np.float32).tobytes() != before.tobytes()
 
 
 class TestDegenerateInputsAreLoud:

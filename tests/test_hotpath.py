@@ -21,13 +21,19 @@ from typing import Callable, Iterator
 import numpy as np
 import pytest
 
+import repro.core.bqsched as facade_module
 from repro import (
+    AdmissionPolicy,
+    AutoscalePolicy,
+    BQSched,
     BQSchedConfig,
     DatabaseEngine,
     DBMSProfile,
     FailureProfile,
     OutageWindow,
+    PoissonArrivals,
     RetryPolicy,
+    TenantClass,
     make_workload,
 )
 from repro.core import (
@@ -247,6 +253,57 @@ def test_pinned_digests(scenario: str) -> None:
         assert (step_digest, log_digest) == _PINNED[(scenario, round_id)], (
             f"{scenario} round {round_id} diverged from the pinned pre-refactor digest"
         )
+
+
+# --------------------------------------------------------------------------- #
+# Multi-tenant fleet serve() pin — peers, faults, retries, admission and
+# autoscale all meet in ``drive_service``.  Per round: the shared round log's
+# digest and per-tenant (completed, failed, shed).  Captured before the serve
+# loop's fleet idle check, input-pass and next-event-memo changes.
+# --------------------------------------------------------------------------- #
+
+_FLEET_SERVE_PINNED: dict[int, tuple[str, list[tuple[int, int, int]]]] = {
+    0: (
+        "5c3f84da3cbcf741be3840a3f8b1674d64445d39b643b1e343afe0588da86f85",
+        [(22, 0, 0), (18, 4, 4), (22, 0, 0), (18, 4, 3)],
+    ),
+    1: (
+        "69875441c683e43f83a8dea71cc30ebc7c436d76d9802f7efd2cb726c20ea7d5",
+        [(22, 0, 0), (21, 1, 1), (22, 0, 0), (21, 1, 0)],
+    ),
+}
+
+
+def test_pinned_multi_tenant_fleet_serve(monkeypatch) -> None:
+    runtimes = []
+    drive = facade_module.drive_service
+
+    def keep_runtime(runtime, envs, select_action):
+        runtimes.append(runtime)
+        drive(runtime, envs, select_action)
+
+    monkeypatch.setattr(facade_module, "drive_service", keep_runtime)
+    workload = make_workload("tpch", scale_factor=1.0, seed=0)
+    scheduler = BQSched(workload, Cluster.from_names(("x", "x", "z"), seed=0), BQSchedConfig.small(seed=0))
+    for round_id, (log_digest, counts) in _FLEET_SERVE_PINNED.items():
+        report = scheduler.serve(
+            num_tenants=4,
+            arrivals=PoissonArrivals(4.0),
+            round_id=round_id,
+            faults=FailureProfile(error_rate=0.05, hang_rate=0.03, outages=(OutageWindow(1, 5.0, 4.0),)),
+            retry=RetryPolicy(max_attempts=3, timeout=6.0),
+            tenant_classes=(
+                TenantClass("interactive", priority=2.0, latency_slo=15.0, deadline=60.0),
+                TenantClass("batch", priority=0.0, latency_slo=60.0),
+            ),
+            admission=AdmissionPolicy(rate=6.0, burst=6.0, exempt_priority=1.0),
+            autoscale=AutoscalePolicy(initial_instances=2),
+        )
+        observed = [(t.num_queries, t.num_failed, t.num_shed) for t in report.tenants]
+        assert (_digest_records(runtimes[-1].shared_session.log), observed) == (log_digest, counts), (
+            f"fleet serve round {round_id} diverged from the pinned digest"
+        )
+    assert report.total_timeouts > 0 and report.total_shed > 0
 
 
 # --------------------------------------------------------------------------- #

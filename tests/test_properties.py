@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbms import BufferPool, QueryExecutionRecord, RoundLog, RunningParameters
+from repro import BQSchedConfig
+from repro.dbms import (
+    BufferPool,
+    ConfigurationSpace,
+    DatabaseEngine,
+    DBMSProfile,
+    FailureProfile,
+    OutageWindow,
+    QueryExecutionRecord,
+    RoundLog,
+    RunningParameters,
+)
+from repro.dbms.engine import _EPSILON
 from repro.core import AdaptiveMask
 from repro.nn import Tensor, masked_log_softmax
 from repro.workloads import make_workload
@@ -138,3 +152,78 @@ class TestWorkloadProperties:
             assert scaled.batch_query_set().total_work() >= base.batch_query_set().total_work() * 0.99
         else:
             assert scaled.batch_query_set().total_work() <= base.batch_query_set().total_work() * 1.01
+
+
+@lru_cache(maxsize=1)
+def _tpch_round_inputs():
+    batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
+    tables = tuple(sorted({table for query in batch for table in query.tables}))
+    return batch, ConfigurationSpace(BQSchedConfig.small(seed=0).scheduler), tables
+
+
+def _first_finish_without_memo(session):
+    """``(finishing id, delta)`` from fresh rates: the first minimum in running order."""
+    rates = session._compute_progress_rates()
+    best = None
+    for query_id, state in session.running.items():
+        delta = state.remaining_work / max(rates[query_id], _EPSILON)
+        if best is None or delta < best[1]:
+            best = (query_id, delta)
+    return best
+
+
+class TestNextEventMemo:
+    """``ExecutionSession`` computes its next finish once per state, and that state is every input."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("submit", "advance", "advance_limit", "cancel", "park", "unpark", "touch")),
+                st.integers(min_value=0, max_value=999),
+                st.floats(min_value=0.0, max_value=1.5),
+            ),
+            max_size=60,
+        ),
+        outage=st.none() | st.tuples(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.5, max_value=6.0)),
+        faulty=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memo_is_a_recomputation_and_predicts_advance(self, ops, outage, faulty):
+        batch, space, tables = _tpch_round_inputs()
+        faults = FailureProfile(
+            error_rate=0.3 if faulty else 0.0,
+            hang_rate=0.2 if faulty else 0.0,
+            outages=() if outage is None else (OutageWindow(0, *outage),),
+        )
+        session = DatabaseEngine(DBMSProfile.dbms_x(), seed=0).new_session(
+            batch, num_connections=3, round_id=0, faults=faults
+        )
+        # Every connection busy to start with; an ``amount`` is a fraction of
+        # the way to the predicted event, so limits often land before it.
+        for op, pick, amount in [("submit", 0, 0.0)] * 3 + ops + [("advance", 0, 0.0)] * 8:
+            if session.running:
+                memo = session._next_finish()
+                fresh = _first_finish_without_memo(session)
+                assert (memo[0], memo[1].hex()) == (fresh[0], fresh[1].hex())
+            predicted = session.next_completion_time()
+            if op == "submit" and session.pending and session.has_idle_connection:
+                session.submit(session.pending[pick % len(session.pending)], space[pick % len(space)])
+            elif op == "advance" and session.num_running:
+                event = session.advance()
+                assert event.finish_time == predicted == session.current_time
+            elif op == "advance_limit":
+                before = session.current_time
+                limit = before + amount * (1.0 if predicted is None else predicted - before)
+                event = session.advance(limit=limit)
+                if predicted is not None and predicted <= limit:
+                    assert event is not None and event.finish_time == predicted == session.current_time
+                else:
+                    assert event is None and session.current_time == limit
+            elif op == "cancel" and session.running:
+                session.cancel(sorted(session.running)[pick % len(session.running)])
+            elif op == "park" and not session.is_parked:
+                session.park()
+            elif op == "unpark" and session.is_parked:
+                session.unpark()
+            elif op == "touch":
+                session.buffer.touch(tables[pick % len(tables)], rows=amount * 1e5, now=session.current_time)

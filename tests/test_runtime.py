@@ -16,6 +16,7 @@ from repro.core import (
     MCFScheduler,
     RandomScheduler,
     SchedulingEnv,
+    drive_service,
 )
 from repro.dbms import ConfigurationSpace
 from repro.exceptions import SchedulingError, WorkloadError
@@ -184,19 +185,8 @@ class _FirstPendingPolicy:
 
 
 def _drive_shared_round(runtime, envs):
-    """Serve-style event loop: at every event, every tenant that can decides."""
-    policy = _FirstPendingPolicy()
-    while True:
-        progressed = True
-        while progressed:
-            progressed = False
-            for env in envs:
-                while env.can_decide():
-                    env.begin_step(policy.act(env))
-                    progressed = True
-        if runtime.is_done:
-            break
-        runtime.advance()
+    """The serve loop: at every event, every tenant that can decide does."""
+    drive_service(runtime, envs, _FirstPendingPolicy().act)
 
 
 def _make_env(batch, tenant, config, space, knowledge):
@@ -306,6 +296,28 @@ class TestMultiTenantIntegration:
         # registration after the round opened is rejected
         with pytest.raises(SchedulingError):
             runtime.register("late", batch)
+
+    def test_drive_service_refuses_an_env_of_another_runtime(self):
+        """An env on its own runtime would never advance: the loop used to return with it half done."""
+        workload = make_workload("tpch", scale_factor=1.0, seed=0)
+        batch = workload.batch_query_set()
+        config = BQSchedConfig.small(seed=0)
+        config.scheduler.num_connections = 4
+        space = ConfigurationSpace(config.scheduler)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        knowledge = ExternalKnowledge.from_probes(engine, batch, space)
+        runtime = ExecutionRuntime(engine)
+        bound = _make_env(batch, runtime.register("a", batch), config, space, knowledge)
+        stray = _make_env(batch, DatabaseEngine(DBMSProfile.dbms_x(), seed=1), config, space, knowledge)
+        for env in (bound, stray):
+            env.reset(round_id=0)
+        with pytest.raises(SchedulingError, match="environment 1 is not a tenant"):
+            _drive_shared_round(runtime, [bound, stray])
+        # Refused on entry: neither round has moved.
+        assert bound.session.current_time == stray.session.current_time == 0.0
+        assert len(bound.session.pending) == len(stray.session.pending) == len(batch)
+        _drive_shared_round(stray.runtime, [stray])
+        assert stray.session.is_done and len(stray.session.finished) == len(batch)
 
     def test_advance_without_work_raises(self):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
