@@ -162,10 +162,7 @@ class ClusterSchedulingEnv(SchedulingEnv):
         available = np.zeros(self.num_instances, dtype=bool)
         available[self._idle_instances()] = True
         if self.cluster_mode:
-            per_slot = np.zeros((self.num_action_slots, self.num_configs), dtype=bool)
-            for cluster_id, remaining in enumerate(self._cluster_remaining):
-                if remaining:
-                    per_slot[cluster_id, self._cluster_allowed_configs(cluster_id)] = True
+            per_slot = self._cluster_slot_mask()
         else:
             per_slot = self.mask.action_mask(self._session.pending).reshape(len(self.batch), self.num_configs)
         joint = per_slot[:, None, :] & available[None, :, None]

@@ -219,6 +219,7 @@ class SchedulingEnv:
         self._last_failures = 0
         self._last_slo_misses = 0
         self._cluster_remaining: list[list[int]] = []
+        self._cluster_union: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._round_counter = 0
         self._static_infos: dict[tuple[int, QueryStatus], QueryRuntimeInfo] = {}
         # Fast-snapshot columns (rebuilt per reset, when knowledge may have
@@ -304,22 +305,24 @@ class SchedulingEnv:
         self._require_session()
         if not self.cluster_mode:
             return self.mask.action_mask(self._session.pending)
-        mask = np.zeros(self.action_dim, dtype=bool)
-        for cluster_id, remaining in enumerate(self._cluster_remaining):
-            if not remaining:
-                continue
-            allowed = self._cluster_allowed_configs(cluster_id)
-            for config_index in allowed:
-                mask[cluster_id * self.num_configs + config_index] = True
-        return mask
+        return self._cluster_slot_mask().reshape(self.action_dim)
 
-    def _cluster_allowed_configs(self, cluster_id: int) -> list[int]:
-        """A configuration is allowed at cluster level unless every member masks it."""
-        members = self.clusters.members(cluster_id)
-        allowed: set[int] = set()
-        for query_id in members:
-            allowed.update(self.mask.allowed_configs(query_id))
-        return sorted(allowed) if allowed else list(range(self.num_configs))
+    def _cluster_slot_mask(self) -> np.ndarray:
+        """``(clusters, configs)`` mask: a cluster with members left allows a configuration
+        iff some member does; a drained cluster allows none.
+
+        The member union depends only on ``clusters.membership`` and the
+        mask's ``allowed_matrix``, so it is built once per clustering (cached
+        by the identity of both) and each decision only ANDs in the live column.
+        """
+        membership, allowed = self.clusters.membership, self.mask.allowed_matrix
+        cached = self._cluster_union
+        if cached is None or cached[0] is not membership or cached[1] is not allowed:
+            union = (membership[:, :, None] & allowed[None, : membership.shape[1]]).any(axis=1)
+            cached = self._cluster_union = (membership, allowed, union)
+        remaining = self._cluster_remaining
+        live = np.fromiter(map(bool, remaining), dtype=bool, count=len(remaining))
+        return cached[2] & live[:, None]
 
     # ------------------------------------------------------------------ #
     # Episode control

@@ -35,19 +35,21 @@ class AdaptiveMask:
         if num_queries < 1 or num_configs < 1:
             raise SchedulingError("mask dimensions must be positive")
         for query_id, configs in allowed.items():
+            if not 0 <= query_id < num_queries:
+                raise SchedulingError(f"query {query_id} is outside the mask's {num_queries} queries")
             if not configs:
                 raise SchedulingError(f"query {query_id} has no allowed configuration")
         self.num_queries = num_queries
         self.num_configs = num_configs
         self.mask_value = mask_value
         self._allowed = {query_id: sorted(set(configs)) for query_id, configs in allowed.items()}
-        # Dense (num_queries, num_configs) view of the allowed sets; queries
-        # absent from ``allowed`` default to every configuration.
-        self._allowed_matrix = np.ones((num_queries, num_configs), dtype=bool)
+        #: Dense ``(num_queries, num_configs)`` view of the allowed sets;
+        #: queries absent from ``allowed`` default to every configuration.
+        #: Never written after construction.
+        self.allowed_matrix = np.ones((num_queries, num_configs), dtype=bool)
         for query_id, configs in self._allowed.items():
-            if 0 <= query_id < num_queries:
-                self._allowed_matrix[query_id] = False
-                self._allowed_matrix[query_id, configs] = True
+            self.allowed_matrix[query_id] = False
+            self.allowed_matrix[query_id, configs] = True
 
     # ------------------------------------------------------------------ #
     # Builders
@@ -145,5 +147,5 @@ class AdaptiveMask:
         mask = np.zeros((self.num_queries, self.num_configs), dtype=bool)
         ids = np.fromiter(selectable_ids, dtype=np.int64)
         if ids.size:
-            mask[ids] = self._allowed_matrix[ids]
+            mask[ids] = self.allowed_matrix[ids]
         return mask.reshape(self.num_queries * self.num_configs)

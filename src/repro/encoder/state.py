@@ -111,7 +111,7 @@ class StateEncoder(Module):
         self.query_out_mlp = MLP(
             [2 * state_dim + pooled_dim, state_dim, state_dim], rng, activation="tanh", final_activation=True
         )
-        self._plan_cast: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._plan_term_cache: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -155,29 +155,14 @@ class StateEncoder(Module):
         )
         return StateRepresentation(per_query=per_query, global_state=global_state)
 
-    def _batch_inputs(
-        self,
-        plan_embeddings: np.ndarray,
-        snapshots: "list[SchedulingSnapshot]",
-        input_dtype: "type | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Shared featurisation for the batched paths.
+    def _featurize_stack(
+        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(run_features, pooled_all)`` of a stack: the float64 ``(batch, n, feature)``
+        running-state features and their ``(batch, 2*feature)`` mean ‖ max over every query.
 
-        Returns ``(inputs, run_features, pooled_all, pooled_running)`` where
-        ``inputs`` is the ``(batch, n, plan+feature)`` token input and the
-        pooled arrays are the fixed-width running-state summaries.  Every
-        output is preallocated and filled in place — array-backed snapshots
-        featurize straight into the stacked buffer, and ``input_dtype``
-        (e.g. ``np.float32`` for the sampling path) casts token inputs during
-        assembly instead of through a separate ``astype`` copy; per-element
-        rounding is identical either way.
-
-        A stack of one (every serving, greedy, validation and fine-tune
-        decision) does no stacking work: it featurizes into plane 0, the
-        sampling path reads the running mask from the status one-hot already
-        in the features, and read-only float32 plan embeddings are cast once
-        per embeddings array (cached by identity;
-        :meth:`PlanEmbeddingCache.embeddings_for` returns them read-only).
+        Array-backed snapshots featurize straight into the stacked buffer; a
+        stack of one featurizes into plane 0 and does no stacking work.
         """
         if not snapshots:
             raise ValueError("encode_batch needs at least one snapshot")
@@ -186,8 +171,7 @@ class StateEncoder(Module):
         if plan_embeddings.shape[0] != num_queries:
             raise ValueError("plan embeddings and snapshots must cover the same queries")
         run_features = np.empty((batch, num_queries, width), dtype=np.float64)
-        all_arrays = all(isinstance(snapshot, SnapshotArrays) for snapshot in snapshots)
-        if all_arrays and batch > 1:
+        if batch > 1 and all(isinstance(snapshot, SnapshotArrays) for snapshot in snapshots):
             featurizer.featurize_arrays_stack(snapshots, out=run_features)
         else:
             # Each plane of the stacked featurizer is bit-identical to this.
@@ -196,41 +180,59 @@ class StateEncoder(Module):
                     featurizer.featurize_arrays(snapshot, out=run_features[index])
                 else:
                     run_features[index] = featurizer.featurize_snapshot(snapshot)
-        plan_dim = plan_embeddings.shape[1]
-        sampling = input_dtype is np.float32
-        inputs = np.empty((batch, num_queries, plan_dim + width), dtype=input_dtype or np.float64)
-        inputs[:, :, :plan_dim] = self._plan_embeddings32(plan_embeddings) if sampling else plan_embeddings
-        inputs[:, :, plan_dim:] = run_features
         # mean ‖ max over the queries into one buffer (np.mean is this add.reduce / n).
         pooled_all = np.empty((batch, 2 * width), dtype=np.float64)
         np.add.reduce(run_features, axis=1, out=pooled_all[:, :width])
         pooled_all[:, :width] /= num_queries
         np.maximum.reduce(run_features, axis=1, out=pooled_all[:, width:])
-        if all_arrays and sampling:
-            # Sampling path: masked reductions over full rows instead of a
-            # fancy-indexed _pool call per snapshot.  The masked mean sums
-            # zeros where not running, which reorders the float64
-            # accumulation relative to the per-subset mean — rounding-level
-            # differences the sampling path tolerates; the learning path below
-            # keeps the exact per-snapshot pooling.  The running flags are
-            # column 1 (RUNNING) of the features' 0/1 status one-hot.
-            running = run_features[:, :, 1:2]
-            counts = np.add.reduce(running, axis=1)
-            pooled_running = np.empty_like(pooled_all)
-            means = pooled_running[:, :width]
-            np.add.reduce(run_features * running, axis=1, out=means)
-            means /= np.maximum(counts, 1.0)
-            np.maximum.reduce(np.where(running, run_features, -np.inf), axis=1, out=pooled_running[:, width:])
-            np.copyto(pooled_running, 0.0, where=counts == 0.0)
-        else:
-            pooled_running = np.empty_like(pooled_all)
-            for index, snapshot in enumerate(snapshots):
-                running_ids = snapshot.running_ids
-                if running_ids:
-                    pooled_running[index] = self._pool(run_features[index][running_ids])
-                else:
-                    pooled_running[index] = 0.0
+        return run_features, pooled_all
+
+    def _batch_inputs(
+        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The learning path's float64 featurisation.
+
+        Returns ``(inputs, run_features, pooled_all, pooled_running)`` where
+        ``inputs`` is the ``(batch, n, plan+feature)`` token input and the
+        pooled arrays are the fixed-width running-state summaries, the
+        running ones pooled exactly per snapshot.
+        """
+        run_features, pooled_all = self._featurize_stack(plan_embeddings, snapshots)
+        batch, num_queries, width = run_features.shape
+        plan_dim = plan_embeddings.shape[1]
+        inputs = np.empty((batch, num_queries, plan_dim + width), dtype=np.float64)
+        inputs[:, :, :plan_dim] = plan_embeddings
+        inputs[:, :, plan_dim:] = run_features
+        pooled_running = np.empty_like(pooled_all)
+        for index, snapshot in enumerate(snapshots):
+            running_ids = snapshot.running_ids
+            if running_ids:
+                pooled_running[index] = self._pool(run_features[index][running_ids])
+            else:
+                pooled_running[index] = 0.0
         return inputs, run_features, pooled_all, pooled_running
+
+    def _sampling_inputs(
+        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The decision program's featurisation: ``(run32, pooled_all, pooled_running)``.
+
+        ``run32`` is the run-state features cast to float32 once; the plan
+        columns never enter it (the plan half of query-MLP layer 1 is
+        :meth:`_plan_term`).  The running rows are pooled by reductions
+        masked with the RUNNING column of the features' 0/1 status one-hot:
+        one pass for any stack size and no per-snapshot indexing.
+        """
+        run_features, pooled_all = self._featurize_stack(plan_embeddings, snapshots)
+        width = run_features.shape[2]
+        running = run_features[:, :, 1:2] > 0.0
+        counts = running.sum(axis=1)
+        pooled_running = np.empty_like(pooled_all)
+        np.add.reduce(run_features, axis=1, where=running, out=pooled_running[:, :width])
+        pooled_running[:, :width] /= np.maximum(counts, 1)
+        np.maximum.reduce(run_features, axis=1, where=running, initial=-np.inf, out=pooled_running[:, width:])
+        pooled_running[counts[:, 0] == 0] = 0.0
+        return run_features.astype(np.float32), pooled_all, pooled_running
 
     def encode_batch(
         self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
@@ -271,51 +273,69 @@ class StateEncoder(Module):
         the arithmetic.  Sampling also tolerates reduced precision, so the
         whole forward is the float32 decision program of :mod:`repro.nn.fastinfer`
         (learning-path forwards stay float64); it writes no BatchNorm statistics.
+
+        Each layer-1 input that rows share is multiplied once: the plan half
+        of the query MLP once per round (:meth:`_plan_term`), and the
+        ``[encoded_super ‖ pooled_running]`` half of the query-out MLP once
+        per state, as one row that every query's layer 1 adds
+        (:func:`~repro.nn.fastinfer.mlp32_shared`).
         """
-        query_mlp, global_mlp, query_out_mlp, super_query, blocks = fastinfer.packed(self, self._float32_weights)
-        inputs, run_features, pooled_all, pooled_running = self._batch_inputs(
-            plan_embeddings, snapshots, input_dtype=np.float32
+        plan_weight, query_mlp, global_mlp, row_weight, query_out_mlp, super_query, blocks = fastinfer.packed(
+            self, self._float32_weights
         )
-        batch, num_queries = run_features.shape[0], run_features.shape[1]
+        run32, pooled_all, pooled_running = self._sampling_inputs(plan_embeddings, snapshots)
+        batch, num_queries = run32.shape[0], run32.shape[1]
         state_dim = self.config.state_dim
-        # Assembled by slice assignment into preallocated float32 buffers
-        # (the casts happen on assignment): no broadcast views, no
-        # concatenate temporaries, same values.
+        plan_term = self._plan_term(plan_embeddings, plan_weight, query_mlp[0][1])
         sequence = np.empty((batch, num_queries + 1, state_dim), dtype=np.float32)
-        sequence[:, :num_queries] = fastinfer.mlp32(query_mlp, inputs)
+        sequence[:, :num_queries] = fastinfer.mlp32_shared(query_mlp, run32, plan_term)
         sequence[:, num_queries] = super_query
         encoded = fastinfer.encoder32(blocks, sequence)
-        encoded_super = encoded[:, num_queries]
 
-        global_in = np.empty((batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
-        global_in[:, :state_dim] = encoded_super
-        global_in[:, state_dim:] = pooled_all
-        global_state = fastinfer.mlp32(global_mlp, global_in)
-
-        query_in = np.empty((batch, num_queries, 2 * state_dim + pooled_running.shape[1]), dtype=np.float32)
-        query_in[:, :, :state_dim] = encoded[:, :num_queries]
-        query_in[:, :, state_dim : 2 * state_dim] = encoded_super[:, None, :]
-        query_in[:, :, 2 * state_dim :] = pooled_running[:, None, :]
-        per_query = fastinfer.mlp32(query_out_mlp, query_in)
+        # [encoded_super ‖ pool]: the global MLP's input with every query's
+        # pool, then the broadcast row's input with the running queries' pool.
+        super_pool = np.empty((batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
+        super_pool[:, :state_dim] = encoded[:, num_queries]
+        super_pool[:, state_dim:] = pooled_all
+        global_state = fastinfer.mlp32(global_mlp, super_pool)
+        super_pool[:, state_dim:] = pooled_running
+        row = super_pool @ row_weight
+        row += query_out_mlp[0][1]
+        per_query = fastinfer.mlp32_shared(query_out_mlp, encoded[:, :num_queries], row[:, None, :])
         return per_query, global_state
 
-    def _plan_embeddings32(self, plan_embeddings: np.ndarray) -> np.ndarray:
-        """float32 copy of read-only ``plan_embeddings``, cast once per array (checked by identity).
+    def _plan_term(self, plan_embeddings: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """``plan32 @ W_plan + b1``, the ``(n, state_dim)`` plan half of query-MLP layer 1.
 
-        A writable array could change under the cache, so it is returned as
-        is and cast on assignment instead.
+        Computed once per (read-only embeddings array, weight pack), both
+        checked by identity: :meth:`PlanEmbeddingCache.embeddings_for`
+        returns read-only embeddings, and a rebuilt pack has a new ``weight``.
+        A writable array could change under the cache, so it is never cached.
         """
-        if plan_embeddings.flags.writeable:
-            return plan_embeddings
-        cached = self._plan_cast
-        if cached is None or cached[0] is not plan_embeddings:
-            cached = self._plan_cast = (plan_embeddings, plan_embeddings.astype(np.float32))
-        return cached[1]
+        cached = self._plan_term_cache
+        if cached is not None and cached[0] is plan_embeddings and cached[1] is weight:
+            return cached[2]
+        term = plan_embeddings.astype(np.float32) @ weight
+        term += bias
+        if not plan_embeddings.flags.writeable:
+            self._plan_term_cache = (plan_embeddings, weight, term)
+        return term
 
     def _float32_weights(self, pack: fastinfer.Float32Pack) -> tuple:
+        """The packed program, layer 1 of the query and query-out MLPs split by input rows.
+
+        ``query_mlp[0]`` keeps the run-state rows (its plan rows are
+        ``plan_weight``) and ``query_out_mlp[0]`` the encoded-query rows (its
+        ``[encoded_super ‖ pooled_running]`` rows are ``row_weight``).
+        """
         blocks = pack.encoder(self.attention) if self.use_attention else []
-        mlps = [pack.mlp(mlp) for mlp in (self.query_mlp, self.global_mlp, self.query_out_mlp)]
-        return (*mlps, pack(self.super_query), blocks)
+        query_mlp, global_mlp, query_out_mlp = (
+            pack.mlp(mlp) for mlp in (self.query_mlp, self.global_mlp, self.query_out_mlp)
+        )
+        plan_rows = query_mlp[0][0].shape[0] - self.run_state_featurizer.feature_dim
+        plan_weight, query_mlp[0][0] = np.split(query_mlp[0][0], [plan_rows])
+        query_out_mlp[0][0], row_weight = np.split(query_out_mlp[0][0], [self.config.state_dim])
+        return plan_weight, query_mlp, global_mlp, row_weight, query_out_mlp, pack(self.super_query), blocks
 
     @staticmethod
     def _pool(features: np.ndarray) -> np.ndarray:

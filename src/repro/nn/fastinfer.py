@@ -36,6 +36,7 @@ __all__ = [
     "Float32Pack",
     "packed",
     "mlp32",
+    "mlp32_shared",
     "encoder32",
     "masked_log_softmax_array",
     "fast_inference_reason",
@@ -190,13 +191,13 @@ class Float32Pack:
         return param.data.astype(np.float32)
 
     def mlp(self, mlp: MLP) -> list:
-        """``[weight, bias, activation or None]`` per Linear."""
+        """``[weight, bias, in-place activation or None]`` per Linear."""
         layers: list = []
         for module in mlp.net:
             if isinstance(module, Linear):
                 layers.append([self(module.weight), self(module.bias), None])
             else:
-                layers[-1][2] = _ACTIVATIONS[module.name]
+                layers[-1][2] = _IN_PLACE[module.name]
         return layers
 
     def encoder(self, encoder: AttentionEncoder) -> list:
@@ -232,6 +233,16 @@ def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
     return pack.weights
 
 
+#: The float32 program's activations, each in place on the fresh GEMM output it follows
+#: (no policy MLP uses sigmoid, so it keeps its out-of-place form).
+_IN_PLACE = {
+    "tanh": lambda x: np.tanh(x, out=x),
+    "relu": lambda x: np.maximum(x, 0, out=x),
+    "sigmoid": lambda x: np.copyto(x, _ACTIVATIONS["sigmoid"](x)),
+    "identity": lambda x: x,
+}
+
+
 def mlp32(layers: list, x: np.ndarray) -> np.ndarray:
     """A packed MLP over the last axis: one 2-D GEMM per layer whatever the leading shape."""
     lead = x.shape[:-1]
@@ -240,21 +251,42 @@ def mlp32(layers: list, x: np.ndarray) -> np.ndarray:
         x = x @ weight
         x += bias
         if activation is not None:
-            x = activation(x)
+            activation(x)
     return x.reshape(*lead, x.shape[-1])
+
+
+def mlp32_shared(layers: list, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """:func:`mlp32` whose layer 1 adds ``shared`` (bias included) in ``x``'s leading shape instead of its bias.
+
+    ``shared`` is the part of layer 1 that rows have in common (it broadcasts
+    over them), computed once by the caller: ``x`` carries only the columns
+    that differ per row.
+    """
+    (weight, _, activation), *rest = layers
+    hidden = x @ weight
+    hidden += shared
+    if activation is not None:
+        activation(hidden)
+    return mlp32(rest, hidden)
 
 
 def _norm32(x: np.ndarray, norm: "BatchNorm | LayerNorm", gamma: np.ndarray, beta: np.ndarray, axis: int) -> np.ndarray:
     """LayerNorm (``axis=-1``) or BatchNorm over each state's own tokens (``axis=1``), in place on ``x``;
-    eval-mode BatchNorm reads its running statistics, and nothing here writes them."""
+    eval-mode BatchNorm reads its running statistics, and nothing here writes them.  The mean and
+    variance are scaled and rooted in place, equal bit for bit to ``gamma / (var + eps) ** 0.5``."""
     if axis == -1 or norm.training:
         inv_count = 1.0 / x.shape[axis]
-        x -= x.sum(axis=axis, keepdims=True) * inv_count
-        var = (x * x).sum(axis=axis, keepdims=True) * inv_count
+        mean = x.sum(axis=axis, keepdims=True)
+        mean *= inv_count
+        x -= mean
+        var = (x * x).sum(axis=axis, keepdims=True)
+        var *= inv_count
     else:
         x -= norm.running_mean.astype(np.float32)
         var = norm.running_var.astype(np.float32)
-    x *= gamma / ((var + norm.eps) ** 0.5)
+    var += norm.eps
+    np.sqrt(var, out=var)
+    x *= gamma / var
     x += beta
     return x
 

@@ -90,6 +90,13 @@ class TestAdaptiveMask:
         with pytest.raises(SchedulingError):
             AdaptiveMask(num_queries=1, num_configs=2, allowed={0: []})
 
+    @pytest.mark.parametrize("allowed, bad", [({5: [0]}, 5), ({-1: [0], 0: [0]}, -1)])
+    def test_query_ids_outside_the_mask_rejected(self, allowed, bad):
+        """An id ``action_mask`` would drop must not be counted by ``masked_fraction`` either."""
+        with pytest.raises(SchedulingError, match=f"query {bad} is outside the mask's 2 queries"):
+            AdaptiveMask(num_queries=2, num_configs=2, allowed=allowed)
+        assert AdaptiveMask(num_queries=2, num_configs=2, allowed={0: [0]}).masked_fraction() == 0.25
+
 
 class TestSchedulingEnv:
     def test_reset_returns_all_pending(self, tpch_env, tpch_batch):

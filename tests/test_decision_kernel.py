@@ -257,27 +257,29 @@ class TestParameterRefresh:
             log_prob, _, value, _ = policy.evaluate_action(plan, snapshot, decision.action, mask)
         assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
         assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
-        return decision
+        return decision, assert_plan_term_current(scheduler.state_encoder, plan)
 
     def test_refreshes_after_adam_step(self):
         scheduler, snapshot, mask = self.setup_case()
         policy, plan = scheduler.policy, scheduler.plan_embeddings
-        before = self.assert_tracks_tape(scheduler, snapshot, mask)
+        before, term = self.assert_tracks_tape(scheduler, snapshot, mask)
         optimizer = Adam(policy.parameters(), lr=0.05)
         log_prob, _, value, _ = policy.evaluate_action(plan, snapshot, before.action, mask)
         optimizer.zero_grad()
         ((value * value).sum() - log_prob).backward()
         optimizer.step()
-        after = self.assert_tracks_tape(scheduler, snapshot, mask)
+        after, new_term = self.assert_tracks_tape(scheduler, snapshot, mask)
         assert abs(after.value - before.value) > 1e-3
+        assert not np.array_equal(new_term, term)
 
     def test_refreshes_after_load_state_dict(self):
         scheduler, snapshot, mask = self.setup_case()
-        before = self.assert_tracks_tape(scheduler, snapshot, mask)
+        before, term = self.assert_tracks_tape(scheduler, snapshot, mask)
         state = {name: value * 1.5 for name, value in scheduler.policy.state_dict().items()}
         scheduler.policy.load_state_dict(state)
-        after = self.assert_tracks_tape(scheduler, snapshot, mask)
+        after, new_term = self.assert_tracks_tape(scheduler, snapshot, mask)
         assert abs(after.value - before.value) > 1e-3
+        assert not np.array_equal(new_term, term)
 
     def test_refreshes_after_the_keep_best_restore(self):
         """``train`` ends by loading the best validated weights; ``act`` must then decide
@@ -310,6 +312,8 @@ class TestParameterRefresh:
             assert scheduler.policy.act(plan, snapshot, mask, rng, greedy=True) == fresh.policy.act(
                 plan, snapshot, mask, rng, greedy=True
             )
+            assert_plan_term_current(scheduler.state_encoder, plan)
+            assert scheduler.state_encoder._plan_term_cache[2].tobytes() == fresh.state_encoder._plan_term_cache[2].tobytes()
 
 
 def served_snapshots(engine, **serve_kwargs) -> tuple[BQSched, list]:
@@ -338,7 +342,7 @@ SERVED = {
     ),
 }
 
-INPUT_NAMES = ("inputs", "run_features", "pooled_all", "pooled_running")
+INPUT_NAMES = ("run32", "pooled_all", "pooled_running")
 
 
 def full_row_pools(features: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,66 +356,133 @@ def full_row_pools(features: np.ndarray, status: np.ndarray) -> tuple[np.ndarray
     return pooled_all, pooled_running
 
 
+def all_channel_encoder(scheduler: BQSched, snapshots: list, norm: str = "batch") -> StateEncoder:
+    """A fresh encoder whose featurizer reads every channel the served snapshots carry."""
+    context = snapshots[0].instance_context_array
+    featurizer = RunStateFeaturizer(
+        num_configs=scheduler.num_instances * len(scheduler.config_space),
+        arrival_channel=True,
+        failure_channel=True,
+        slo_channel=True,
+        instance_context_dim=0 if context is None else context.size,
+    )
+    return StateEncoder(
+        scheduler.plan_embeddings.shape[1],
+        featurizer,
+        EncoderConfig(state_dim=24, state_heads=2, state_layers=1, norm=norm),
+        np.random.default_rng(3),
+    )
+
+
+def assert_reaches_every_channel(kind: str, snapshots: list) -> None:
+    """Every branch and channel the kind is meant to reach was reached."""
+    assert any(not snapshot.running_ids for snapshot in snapshots)
+    assert any(snapshot.running_ids for snapshot in snapshots)
+    if kind == "streaming":
+        assert any(snapshot.time_to_available.any() for snapshot in snapshots)
+    if kind == "fleet":
+        assert any(snapshot.attempts.any() for snapshot in snapshots)
+        assert {snapshot.priority for snapshot in snapshots} == {0.0, 2.0}
+
+
 class TestSamplingInputs:
-    """``_batch_inputs`` at B=1 is plane 0 of the same snapshot stacked twice, byte for byte."""
+    """``_sampling_inputs``: float32 run-state features with no plan columns, plus the two pools."""
 
     @pytest.mark.parametrize("kind", sorted(SERVED))
     def test_single_snapshot_is_a_plane_of_the_stack(self, kind):
+        """At B=1 each output is plane 0 of the same snapshot stacked twice, byte for byte,
+        and equals the features and pools spelled out in NumPy."""
         scheduler, snapshots = SERVED[kind]()
-        context = snapshots[0].instance_context_array
-        featurizer = RunStateFeaturizer(
-            num_configs=scheduler.num_instances * len(scheduler.config_space),
-            arrival_channel=True,
-            failure_channel=True,
-            slo_channel=True,
-            instance_context_dim=0 if context is None else context.size,
-        )
-        encoder = StateEncoder(
-            scheduler.plan_embeddings.shape[1],
-            featurizer,
-            EncoderConfig(state_dim=24, state_heads=2, state_layers=1),
-            np.random.default_rng(3),
-        )
+        encoder = all_channel_encoder(scheduler, snapshots)
         plan = scheduler.plan_embeddings
         for snapshot in snapshots:
-            single = encoder._batch_inputs(plan, [snapshot], input_dtype=np.float32)
-            stacked = encoder._batch_inputs(plan, [snapshot, snapshot], input_dtype=np.float32)
+            single = encoder._sampling_inputs(plan, [snapshot])
+            stacked = encoder._sampling_inputs(plan, [snapshot, snapshot])
             for name, one, two in zip(INPUT_NAMES, single, stacked):
                 assert one.shape == (1, *two.shape[1:]), name
                 assert one[0].tobytes() == two[0].tobytes() == two[1].tobytes(), name
-            inputs, features, pooled_all, pooled_running = single
-            expected_inputs = np.concatenate([plan[None], features], axis=2).astype(np.float32)
+            run32, pooled_all, pooled_running = single
+            features = encoder.run_state_featurizer.featurize_snapshot(snapshot)[None]
+            assert run32.dtype == np.float32 and run32.shape == features.shape
+            assert run32.tobytes() == features.astype(np.float32).tobytes()
             expected_all, expected_running = full_row_pools(features, snapshot.status)
-            assert inputs.tobytes() == expected_inputs.tobytes()
             assert pooled_all.tobytes() == expected_all.tobytes()
             assert pooled_running.tobytes() == expected_running.tobytes()
-        # Every branch and channel the kind is meant to reach was reached.
-        assert any(not snapshot.running_ids for snapshot in snapshots)
-        if kind == "streaming":
-            assert any(snapshot.time_to_available.any() for snapshot in snapshots)
-        if kind == "fleet":
-            assert any(snapshot.attempts.any() for snapshot in snapshots)
-            assert {snapshot.priority for snapshot in snapshots} == {0.0, 2.0}
+        assert_reaches_every_channel(kind, snapshots)
 
-    def test_plan_embeddings_cast_once_per_read_only_array(self):
+    def test_plan_row_mismatch_raises(self):
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        snapshot = env.reset(round_id=0)
+        for inputs in (scheduler.state_encoder._sampling_inputs, scheduler.state_encoder._batch_inputs):
+            with pytest.raises(ValueError, match="cover the same queries"):
+                inputs(scheduler.plan_embeddings[:-1], [snapshot])
+
+
+class TestDecisionProgram:
+    """The float32 program that shares layer-1 terms across rows, against the tape and itself."""
+
+    @pytest.mark.parametrize("norm", ["batch", "layer"])
+    @pytest.mark.parametrize("kind", sorted(SERVED))
+    def test_matches_the_tape_encoder(self, kind, norm):
+        """``per_query`` and ``global_state`` within 1e-5 of the tape ``encode_batch``, relative to the largest."""
+        scheduler, snapshots = SERVED[kind]()
+        encoder = all_channel_encoder(scheduler, snapshots, norm)
+        plan = scheduler.plan_embeddings
+        for snapshot in snapshots:
+            per_query, global_state = encoder.encode_batch_arrays(plan, [snapshot])
+            with no_grad():
+                tape = encoder.encode_batch(plan, [snapshot])
+            for fast, slow in ((per_query, tape.per_query.data), (global_state, tape.global_state.data)):
+                assert fast.dtype == np.float32 and fast.shape == slow.shape
+                assert np.max(np.abs(fast - slow)) <= 1e-5 * np.max(np.abs(slow))
+        assert_reaches_every_channel(kind, snapshots)
+
+    @pytest.mark.parametrize("kind", sorted(SERVED))
+    def test_a_stack_of_two_is_two_single_decisions(self, kind):
+        scheduler, snapshots = SERVED[kind]()
+        encoder = all_channel_encoder(scheduler, snapshots)
+        plan = scheduler.plan_embeddings
+        for first, second in zip(snapshots[::2], snapshots[1::2]):
+            stacked = encoder.encode_batch_arrays(plan, [first, second])
+            for plane, snapshot in enumerate((first, second)):
+                for both, one in zip(stacked, encoder.encode_batch_arrays(plan, [snapshot])):
+                    np.testing.assert_allclose(both[plane], one[0], rtol=1e-6, atol=1e-6 * np.max(np.abs(one)))
+
+
+def assert_plan_term_current(encoder: StateEncoder, plan: np.ndarray) -> np.ndarray:
+    """The cached plan term is ``plan @ W_plan + b1`` for ``plan`` and the weights installed now."""
+    embeddings, _, term = encoder._plan_term_cache
+    assert embeddings is plan
+    first = next(iter(encoder.query_mlp.net))
+    expected = plan @ first.weight.data[: plan.shape[1]] + first.bias.data
+    np.testing.assert_allclose(term, expected, rtol=1e-5, atol=1e-5)
+    return term
+
+
+class TestPlanTerm:
+    def test_computed_once_per_read_only_array(self):
         scheduler, env = build_scheduler("tpch", "batch", None)
         plan, encoder = scheduler.plan_embeddings, scheduler.state_encoder
         with pytest.raises(ValueError, match="read-only"):
             plan[0, 0] = 1.0
         snapshot = env.reset(round_id=0)
+        encoder.encode_batch_arrays(plan, [snapshot])
+        term = assert_plan_term_current(encoder, plan)
+        encoder.encode_batch_arrays(plan, [snapshot, snapshot])
+        assert encoder._plan_term_cache[2] is term
 
-        def plan_columns(embeddings):
-            return encoder._batch_inputs(embeddings, [snapshot], input_dtype=np.float32)[0][0, :, : plan.shape[1]]
-
-        assert plan_columns(plan).tobytes() == plan.astype(np.float32).tobytes()
-        assert encoder._plan_embeddings32(plan) is encoder._plan_embeddings32(plan)
-        shifted = plan + 1.0  # another read-only array is cast afresh
+        shifted = plan + 1.0  # another read-only array gets its own term
         shifted.flags.writeable = False
-        assert plan_columns(shifted).tobytes() == shifted.astype(np.float32).tobytes()
+        encoder.encode_batch_arrays(shifted, [snapshot])
+        assert_plan_term_current(encoder, shifted)
+
         writable = plan.copy()  # never cached: an in-place write shows up in the next decision
-        before = plan_columns(writable).copy()
+        before = encoder.encode_batch_arrays(writable, [snapshot])[0]
+        assert encoder._plan_term_cache[0] is shifted
         writable += 1.0
-        assert plan_columns(writable).tobytes() == writable.astype(np.float32).tobytes() != before.tobytes()
+        after = encoder.encode_batch_arrays(writable, [snapshot])[0]
+        assert encoder._plan_term_cache[0] is shifted
+        assert after.tobytes() == encoder.encode_batch_arrays(shifted, [snapshot])[0].tobytes() != before.tobytes()
 
 
 class TestDegenerateInputsAreLoud:

@@ -842,11 +842,18 @@ class TestEndToEndFusedTraining:
         which moved by float32 rounding, and the PPO ratio trains against
         them.  ppo ``ca5fc663…`` → ``99c9861e…``, ppg ``4de6be4c…`` →
         ``6d98bfc0…``, iq-ppo ``2d57a89a…`` → ``829f2ee8…``.
+
+        Re-pinned again when the decision program started computing shared
+        layer-1 terms once (the plan term, the broadcast row): the sampled
+        actions are unchanged, the stored log-probs and values moved by
+        float32 rounding.
+        ppo ``99c9861e…`` → ``f55e4cc5…``, ppg ``6d98bfc0…`` → ``003f7c6c…``,
+        iq-ppo ``829f2ee8…`` → ``e3faf881…``.
         """
         pinned = {
-            "ppo": "99c9861e74ee09906e38e870f29b10a7f14388dfc9d60fe281b71cc958430dc3",
-            "ppg": "6d98bfc08e089051488b4883d7f8d54258fdce5026a6939c7804314399a7ebda",
-            "iq-ppo": "829f2ee8c94dcd35b0d9660a8c93b7117a4f258c74c0755a31d49bb337a42a38",
+            "ppo": "f55e4cc53609a94d8aa10486cec17a263448dbe5b470072be58f4eb1d027a315",
+            "ppg": "003f7c6cd715adec5b8367b1082de114510242a523814887be5d1500e40dff60",
+            "iq-ppo": "e3faf8815f6d596f423c9ec9081e15832ee3eb4646959a4b3947e630906085b4",
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)
