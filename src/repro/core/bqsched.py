@@ -349,16 +349,7 @@ class RLSchedulerBase(BaseScheduler):
     # ------------------------------------------------------------------ #
     def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
         """Greedy action from the learned policy (BaseScheduler interface)."""
-        mask = env.action_mask()
-        decision = self.policy.act(
-            self.plan_embeddings,
-            snapshot,
-            mask,
-            self.rng,
-            greedy=True,
-            clusters=env.clusters,
-        )
-        return decision.action
+        return self.policy.greedy_action(self.plan_embeddings, snapshot, env.action_mask(), clusters=env.clusters)
 
     def schedule(self, round_id: int | None = None) -> SchedulingResult:
         """Run one greedy scheduling round on the real DBMS."""
@@ -418,15 +409,7 @@ class RLSchedulerBase(BaseScheduler):
             snapshot = env.reset(round_id=base_round_id + offset)
             done = False
             while not done:
-                action_mask = env.action_mask()
-                decision = self.policy.act(
-                    plan_embeddings,
-                    snapshot,
-                    action_mask,
-                    self.rng,
-                    greedy=True,
-                )
-                step = env.step(decision.action)
+                step = env.step(self.policy.greedy_action(plan_embeddings, snapshot, env.action_mask()))
                 snapshot, done = step.snapshot, step.done
             evaluation.add(env.result().makespan)
         return evaluation

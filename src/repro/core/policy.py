@@ -21,8 +21,9 @@ from ..nn.backend import DecisionKernel
 
 __all__ = ["ActorCriticNetwork", "PolicyDecision", "DECISION_KERNEL"]
 
-#: The one (stateless) tape-free forward behind :meth:`ActorCriticNetwork.act`
-#: and :meth:`~ActorCriticNetwork.act_batch`.
+#: The one (stateless) tape-free forward behind :meth:`ActorCriticNetwork.act`,
+#: :meth:`~ActorCriticNetwork.act_batch` and (its encoder half)
+#: :meth:`~ActorCriticNetwork.greedy_action`.
 DECISION_KERNEL = DecisionKernel()
 
 
@@ -150,26 +151,56 @@ class ActorCriticNetwork(Module):
     # ------------------------------------------------------------------ #
     # Acting and evaluation
     # ------------------------------------------------------------------ #
+    def _head_weights(self, pack: fastinfer.Float32Pack) -> list:
+        """The packed policy head, global MLP and value head (the last two are the value path)."""
+        return [pack.mlp(mlp) for mlp in (self.policy_head, self.state_encoder.global_mlp, self.value_head)]
+
+    @staticmethod
+    def _logits_arrays(
+        policy_head: list, per_query: np.ndarray, snapshots: list[SchedulingSnapshot], clusters
+    ) -> np.ndarray:
+        """``(batch, action_dim)`` logits; in cluster mode the per-query rows are mean-pooled into cluster tokens first."""
+        batch = per_query.shape[0]
+        if clusters is not None:
+            per_query = clusters.pool(per_query, clusters.pending_flags(snapshots))
+        return fastinfer.mlp32(policy_head, per_query).reshape(batch, -1)
+
     def heads_arrays(
         self,
         per_query: np.ndarray,
-        global_state: np.ndarray,
+        global_input: np.ndarray,
         snapshots: list[SchedulingSnapshot],
         clusters=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free ``(logits, values)`` of shapes ``(batch, action_dim)`` and ``(batch,)``.
 
-        The head code of the decision kernel; in cluster mode the per-query
-        rows are mean-pooled into cluster tokens first.
+        The head code of the decision kernel: the policy head over the
+        per-query rows, and the value path (the state encoder's global MLP,
+        then the value head) over ``global_input``.
         """
-        heads = (self.policy_head, self.value_head)
-        policy_head, value_head = fastinfer.packed(self, lambda pack: [pack.mlp(head) for head in heads])
-        batch = per_query.shape[0]
-        if clusters is not None:
-            per_query = clusters.pool(per_query, clusters.pending_flags(snapshots))
-        logits = fastinfer.mlp32(policy_head, per_query).reshape(batch, -1)
-        values = fastinfer.mlp32(value_head, global_state).reshape(batch)
+        policy_head, global_mlp, value_head = fastinfer.packed(self, self._head_weights)
+        logits = self._logits_arrays(policy_head, per_query, snapshots, clusters)
+        values = fastinfer.mlp32(value_head, fastinfer.mlp32(global_mlp, global_input)).reshape(-1)
         return logits, values
+
+    def greedy_action(
+        self,
+        plan_embeddings: np.ndarray,
+        snapshot: SchedulingSnapshot,
+        mask: np.ndarray,
+        clusters=None,
+    ) -> int:
+        """The allowed action with the largest logit (the first one on a tie).
+
+        What serving, ``schedule()``, validation and ``evaluate_on`` decide.
+        It encodes and runs the policy head only: no value path, no
+        log-softmax, no :class:`PolicyDecision`.  An all-``False`` mask or a
+        mask of the wrong shape raises, as when sampling.
+        """
+        per_query, _ = DECISION_KERNEL.encode_batch(self.state_encoder, plan_embeddings, [snapshot])
+        policy_head = fastinfer.packed(self, self._head_weights)[0]
+        logits = self._logits_arrays(policy_head, per_query, [snapshot], clusters)
+        return int(fastinfer.masked_argmax(logits, np.asarray(mask, dtype=bool)[None, :])[0])
 
     def act(
         self,
@@ -177,17 +208,16 @@ class ActorCriticNetwork(Module):
         snapshot: SchedulingSnapshot,
         mask: np.ndarray,
         rng: np.random.Generator,
-        greedy: bool = False,
         clusters=None,
     ) -> PolicyDecision:
-        """Sample (or greedily pick) one action: :meth:`act_batch` with B=1.
+        """Sample one action: :meth:`act_batch` with B=1.
 
         The forward is the tape-free float32 decision kernel
         (:meth:`~repro.nn.backend.DecisionKernel.scalar_forward`).  The draw
         consumes ``rng`` exactly as a one-row :meth:`act_batch` does.
         """
         logits, values = DECISION_KERNEL.scalar_forward(self, plan_embeddings, snapshot, clusters=clusters)
-        return self._sample(logits, values, np.asarray(mask, dtype=bool)[None, :], rng, greedy)[0]
+        return self._sample(logits, values, np.asarray(mask, dtype=bool)[None, :], rng)[0]
 
     def evaluate_action(
         self,
@@ -216,7 +246,6 @@ class ActorCriticNetwork(Module):
         snapshots: list[SchedulingSnapshot],
         masks: np.ndarray,
         rng: np.random.Generator,
-        greedy: bool = False,
         clusters=None,
     ) -> list[PolicyDecision]:
         """Sample one action per snapshot from a single stacked forward pass.
@@ -227,33 +256,30 @@ class ActorCriticNetwork(Module):
         kernel (:class:`~repro.nn.backend.DecisionKernel`) — sampling never
         differentiates.
         """
-        per_query, global_state = DECISION_KERNEL.encode_batch(self.state_encoder, plan_embeddings, snapshots)
-        logits, values = DECISION_KERNEL.heads_batch(self, per_query, global_state, snapshots, clusters=clusters)
-        return self._sample(logits, values, np.asarray(masks, dtype=bool), rng, greedy)
+        per_query, global_input = DECISION_KERNEL.encode_batch(self.state_encoder, plan_embeddings, snapshots)
+        logits, values = DECISION_KERNEL.heads_batch(self, per_query, global_input, snapshots, clusters=clusters)
+        return self._sample(logits, values, np.asarray(masks, dtype=bool), rng)
 
     @staticmethod
     def _sample(
-        logits: np.ndarray, values: np.ndarray, masks: np.ndarray, rng: np.random.Generator, greedy: bool
+        logits: np.ndarray, values: np.ndarray, masks: np.ndarray, rng: np.random.Generator
     ) -> list[PolicyDecision]:
-        """Masked log-softmax, then greedy argmax or one inverse-CDF draw per row.
+        """Masked log-softmax, then one inverse-CDF draw per row.
 
-        A row whose mask allows nothing raises (never an argmax over masked logits).
+        A row whose mask allows nothing raises.
         """
         log_probs = fastinfer.masked_log_softmax_array(logits, masks)
-        if greedy:
-            actions = np.argmax(log_probs, axis=1)
-        else:
-            probs = np.exp(log_probs)
-            probs = probs / probs.sum(axis=1, keepdims=True)
-            cdf = np.cumsum(probs, axis=1)
-            uniforms = rng.random(len(logits))
-            # Clamp the inverse-CDF count into each row's unmasked range:
-            # float32 rounding can leave cdf[-1] slightly below 1 (count
-            # overflows into the masked zero-probability tail), and a uniform
-            # draw of exactly 0.0 would select a masked leading action.
-            first_allowed = np.argmax(masks, axis=1)
-            last_allowed = masks.shape[1] - 1 - np.argmax(masks[:, ::-1], axis=1)
-            actions = np.clip((cdf < uniforms[:, None]).sum(axis=1), first_allowed, last_allowed)
+        probs = np.exp(log_probs)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        uniforms = rng.random(len(logits))
+        # Clamp the inverse-CDF count into each row's unmasked range:
+        # float32 rounding can leave cdf[-1] slightly below 1 (count
+        # overflows into the masked zero-probability tail), and a uniform
+        # draw of exactly 0.0 would select a masked leading action.
+        first_allowed = np.argmax(masks, axis=1)
+        last_allowed = masks.shape[1] - 1 - np.argmax(masks[:, ::-1], axis=1)
+        actions = np.clip((cdf < uniforms[:, None]).sum(axis=1), first_allowed, last_allowed)
         return [
             PolicyDecision(action=int(action), log_prob=float(log_probs[row, action]), value=float(value))
             for row, (action, value) in enumerate(zip(actions, values))

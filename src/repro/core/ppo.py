@@ -115,14 +115,7 @@ class PPOTrainer:
         while active:
             masks = vec.masks_for(active)
             batch_snapshots = [snapshots[i] for i in active]
-            decisions = self.policy.act_batch(
-                self.plan_embeddings,
-                batch_snapshots,
-                masks,
-                self.rng,
-                greedy=False,
-                clusters=clusters,
-            )
+            decisions = self.policy.act_batch(self.plan_embeddings, batch_snapshots, masks, self.rng, clusters=clusters)
             steps = vec.step_many(active, [d.action for d in decisions])
             still_active: list[int] = []
             for slot, index in enumerate(active):
@@ -267,12 +260,12 @@ class PPOTrainer:
             self.history.value_losses.append(losses["value_loss"])
             self.history.aux_losses.append(aux_loss)
             if eval_every and (update_index + 1) % eval_every == 0:
-                evaluation = self.evaluate(rounds=eval_rounds, greedy=True)
+                evaluation = self.evaluate(rounds=eval_rounds)
                 self.history.eval_makespans.append(evaluation.mean)
         return self.history
 
-    def evaluate(self, rounds: int = 5, greedy: bool = True, base_round_id: int = 10_000) -> StrategyEvaluation:
-        """Run the current policy for ``rounds`` evaluation rounds."""
+    def evaluate(self, rounds: int = 5, base_round_id: int = 10_000) -> StrategyEvaluation:
+        """Run the current policy greedily for ``rounds`` evaluation rounds."""
         clusters = self.eval_env.clusters
         evaluation = StrategyEvaluation(strategy=self.algorithm)
         for offset in range(rounds):
@@ -280,15 +273,7 @@ class PPOTrainer:
             done = False
             while not done:
                 mask = self.eval_env.action_mask()
-                decision = self.policy.act(
-                    self.plan_embeddings,
-                    snapshot,
-                    mask,
-                    self.rng,
-                    greedy=greedy,
-                    clusters=clusters,
-                )
-                step = self.eval_env.step(decision.action)
+                step = self.eval_env.step(self.policy.greedy_action(self.plan_embeddings, snapshot, mask, clusters))
                 snapshot = step.snapshot
                 done = step.done
             evaluation.add(self.eval_env.result().makespan)

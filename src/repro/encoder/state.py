@@ -265,14 +265,19 @@ class StateEncoder(Module):
     def encode_batch_arrays(
         self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free twin of :meth:`encode_batch` returning plain arrays.
+        """Tape-free twin of :meth:`encode_batch`: float32 ``(per_query, global_input)``.
 
-        Used by every action-*sampling* forward (serving and sequential
+        Used by every decision forward (serving, validation and sequential
         rollouts with one snapshot, lock-step rollouts with a stack), where
         no gradient is ever needed and the autograd tensor overhead dominates
-        the arithmetic.  Sampling also tolerates reduced precision, so the
+        the arithmetic.  Deciding also tolerates reduced precision, so the
         whole forward is the float32 decision program of :mod:`repro.nn.fastinfer`
         (learning-path forwards stay float64); it writes no BatchNorm statistics.
+
+        ``global_input`` is the ``(batch, state_dim + 2*feature)`` row
+        ``[encoded_super ‖ pooled_all]``: the global MLP runs on the value
+        side (:meth:`~repro.core.policy.ActorCriticNetwork.heads_arrays`), so
+        a greedy decision, which reads no value, never runs it.
 
         Each layer-1 input that rows share is multiplied once: the plan half
         of the query MLP once per round (:meth:`_plan_term`), and the
@@ -280,7 +285,7 @@ class StateEncoder(Module):
         per state, as one row that every query's layer 1 adds
         (:func:`~repro.nn.fastinfer.mlp32_shared`).
         """
-        plan_weight, query_mlp, global_mlp, row_weight, query_out_mlp, super_query, blocks = fastinfer.packed(
+        plan_weight, query_mlp, row_weight, query_out_mlp, super_query, blocks = fastinfer.packed(
             self, self._float32_weights
         )
         run32, pooled_all, pooled_running = self._sampling_inputs(plan_embeddings, snapshots)
@@ -293,16 +298,16 @@ class StateEncoder(Module):
         encoded = fastinfer.encoder32(blocks, sequence)
 
         # [encoded_super ‖ pool]: the global MLP's input with every query's
-        # pool, then the broadcast row's input with the running queries' pool.
-        super_pool = np.empty((batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
-        super_pool[:, :state_dim] = encoded[:, num_queries]
-        super_pool[:, state_dim:] = pooled_all
-        global_state = fastinfer.mlp32(global_mlp, super_pool)
-        super_pool[:, state_dim:] = pooled_running
-        row = super_pool @ row_weight
+        # pool, and the broadcast row's input with the running queries' pool.
+        super_pool = np.empty((2, batch, state_dim + pooled_all.shape[1]), dtype=np.float32)
+        global_input, row_input = super_pool
+        super_pool[:, :, :state_dim] = encoded[:, num_queries]
+        global_input[:, state_dim:] = pooled_all
+        row_input[:, state_dim:] = pooled_running
+        row = row_input @ row_weight
         row += query_out_mlp[0][1]
         per_query = fastinfer.mlp32_shared(query_out_mlp, encoded[:, :num_queries], row[:, None, :])
-        return per_query, global_state
+        return per_query, global_input
 
     def _plan_term(self, plan_embeddings: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """``plan32 @ W_plan + b1``, the ``(n, state_dim)`` plan half of query-MLP layer 1.
@@ -326,16 +331,15 @@ class StateEncoder(Module):
 
         ``query_mlp[0]`` keeps the run-state rows (its plan rows are
         ``plan_weight``) and ``query_out_mlp[0]`` the encoded-query rows (its
-        ``[encoded_super ‖ pooled_running]`` rows are ``row_weight``).
+        ``[encoded_super ‖ pooled_running]`` rows are ``row_weight``).  The
+        global MLP is packed with the value head, on the policy.
         """
         blocks = pack.encoder(self.attention) if self.use_attention else []
-        query_mlp, global_mlp, query_out_mlp = (
-            pack.mlp(mlp) for mlp in (self.query_mlp, self.global_mlp, self.query_out_mlp)
-        )
+        query_mlp, query_out_mlp = pack.mlp(self.query_mlp), pack.mlp(self.query_out_mlp)
         plan_rows = query_mlp[0][0].shape[0] - self.run_state_featurizer.feature_dim
         plan_weight, query_mlp[0][0] = np.split(query_mlp[0][0], [plan_rows])
         query_out_mlp[0][0], row_weight = np.split(query_out_mlp[0][0], [self.config.state_dim])
-        return plan_weight, query_mlp, global_mlp, row_weight, query_out_mlp, pack(self.super_query), blocks
+        return plan_weight, query_mlp, row_weight, query_out_mlp, pack(self.super_query), blocks
 
     @staticmethod
     def _pool(features: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
-"""The decision kernel: the one tape-free forward behind action sampling.
+"""The decision kernel: the one tape-free forward behind every decision.
 
-Action *sampling* (rollout collection, validation, greedy serving) never
-differentiates, so every ``act`` / ``act_batch`` runs the float32 decision
-program of :mod:`repro.nn.fastinfer` — one snapshot is the stack at ``B=1``.
-The *learning* path (PPO/PPG updates, auxiliary phases) runs the fused
-:mod:`repro.nn.fastgrad` kernels and never comes through here.
+Deciding (rollout collection, validation, greedy serving) never
+differentiates, so ``act`` / ``act_batch`` and ``greedy_action`` run the
+float32 decision program of :mod:`repro.nn.fastinfer` — one snapshot is the
+stack at ``B=1``.  The *learning* path (PPO/PPG updates, auxiliary phases)
+runs the fused :mod:`repro.nn.fastgrad` kernels and never comes through here.
 
-Sampling proper — masked log-softmax, greedy argmax, the inverse-CDF draw —
-lives in :mod:`repro.core.policy`.
+What follows the forward lives in :mod:`repro.core.policy`: sampling (masked
+log-softmax and the inverse-CDF draw, in ``_sample``) and the greedy
+decision (``greedy_action``: the encoder here, then the policy head and a
+masked argmax, with no value path and no log-softmax).
 """
 
 from __future__ import annotations
@@ -39,19 +41,19 @@ class DecisionKernel:
         plan_embeddings: np.ndarray,
         snapshots: list[Any],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(per_query, global_state)`` float32 representations."""
+        """Stacked float32 ``(per_query, global_input)``: the representations and the value path's input rows."""
         return encoder.encode_batch_arrays(plan_embeddings, snapshots)
 
     def heads_batch(
         self,
         policy: Any,
         per_query: np.ndarray,
-        global_state: np.ndarray,
+        global_input: np.ndarray,
         snapshots: list[Any],
         clusters: Any = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(logits, values)`` from the stacked representations (cluster pooling included)."""
-        return policy.heads_arrays(per_query, global_state, snapshots, clusters=clusters)
+        """``(logits, values)`` from the stacked encoder outputs (cluster pooling included)."""
+        return policy.heads_arrays(per_query, global_input, snapshots, clusters=clusters)
 
     def scalar_forward(
         self,
@@ -61,5 +63,5 @@ class DecisionKernel:
         clusters: Any = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(logits, values)`` of shapes ``(1, action_dim)`` and ``(1,)``: the two above at ``B=1``."""
-        per_query, global_state = self.encode_batch(policy.state_encoder, plan_embeddings, [snapshot])
-        return self.heads_batch(policy, per_query, global_state, [snapshot], clusters=clusters)
+        per_query, global_input = self.encode_batch(policy.state_encoder, plan_embeddings, [snapshot])
+        return self.heads_batch(policy, per_query, global_input, [snapshot], clusters=clusters)

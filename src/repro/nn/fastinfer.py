@@ -11,8 +11,9 @@ ReLU), LayerNorm only (:func:`fast_inference_reason`).
 The **float32 decision program** (:func:`packed`, :func:`mlp32`,
 :func:`encoder32`) is every action-sampling forward, over weights copied once
 per parameter version (:class:`Float32Pack`).  It normalises attention after
-``P·V`` and writes no BatchNorm running statistics (the fused training step is
-their one writer); it agrees with the tape to float32 rounding.
+``P·V``, shifts scores by their max only when they could overflow ``exp``, and
+writes no BatchNorm running statistics (the fused training step is their one
+writer); it agrees with the tape to float32 rounding.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "mlp32",
     "mlp32_shared",
     "encoder32",
+    "masked_argmax",
     "masked_log_softmax_array",
     "fast_inference_reason",
 ]
@@ -291,13 +293,28 @@ def _norm32(x: np.ndarray, norm: "BatchNorm | LayerNorm", gamma: np.ndarray, bet
     return x
 
 
+#: Largest score magnitude the float32 softmax exponentiates without the shift
+#: by max.  e^±60 is a normal float32 (1.1e26 and 8.8e-27, against the 3.4e38
+#: maximum and the 1.2e-38 smallest normal), so with every score inside ±60
+#: each denominator is > 0 without the ``exp(0)`` the max used to contribute,
+#: and a sum of n terms, each at most e^60 times |v|, stays far below overflow.
+_EXP_SAFE = 60.0
+
+
+def _needs_shift(scores: np.ndarray) -> bool:
+    """Whether some score lies outside ±:data:`_EXP_SAFE` (two read-only reductions)."""
+    return bool(scores.max() > _EXP_SAFE or scores.min() < -_EXP_SAFE)
+
+
 def _attention32(qkv: np.ndarray, heads: int, batch: int, tokens: int, width: int) -> np.ndarray:
     """Attention over packed ``(batch*tokens, [Q | K | V,1 per head])`` rows, out as ``(batch*tokens, width)``.
 
-    Key-major scores make the per-query max a column reduce; one ``Eᵀ·[V | 1]``
-    GEMM yields each numerator with its softmax denominator (≥ 1, from the
-    max's ``exp(0)``).  Its own function so a block's scores die before the
-    next block's: two alive at once let glibc trim and re-fault them per call.
+    Key-major scores make the per-query max a column reduce, taken only when
+    a score lies outside ±:data:`_EXP_SAFE` (both forms compute the same
+    softmax); one ``Eᵀ·[V | 1]`` GEMM yields each numerator with its softmax
+    denominator (> 0 either way).  Its own function so a block's scores die
+    before the next block's: two alive at once let glibc trim and re-fault
+    them per call.
     """
     head_dim = width // heads
     queries, keys, values = (
@@ -305,7 +322,8 @@ def _attention32(qkv: np.ndarray, heads: int, batch: int, tokens: int, width: in
         for columns in (slice(0, width), slice(width, 2 * width), slice(2 * width, None))
     )
     scores = keys @ queries.transpose(0, 1, 3, 2)
-    scores -= scores.max(axis=2, keepdims=True)
+    if _needs_shift(scores):
+        scores -= scores.max(axis=2, keepdims=True)
     np.exp(scores, out=scores)
     mixed = scores.transpose(0, 1, 3, 2) @ values
     normalised = np.empty((batch, tokens, heads, head_dim), dtype=np.float32)
@@ -340,6 +358,12 @@ def _checked_mask(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         row = int(np.argmax(empty))
         raise ValueError(f"masked_log_softmax requires at least one unmasked entry; row {row} of {empty.size} has none")
     return mask
+
+
+def masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row index of the largest allowed logit (the first one on a tie), under the same mask checks."""
+    mask = _checked_mask(logits, mask)
+    return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
 
 def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: float = -1e8) -> np.ndarray:

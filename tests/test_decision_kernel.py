@@ -27,6 +27,7 @@ from repro import (
     make_workload,
 )
 from repro.config import EncoderConfig
+from repro.core import policy as policy_module
 from repro.core.clustering import cluster_queries
 from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_member_indices
 from repro.encoder import RunStateFeaturizer, StateEncoder
@@ -119,6 +120,20 @@ def edge_case(
     return Case(policy, plan, None, [(stack, np.stack([mask] * len(stack))) for stack in stacks])
 
 
+#: Factor on the packed Q columns (the query projections) that pushes the second block's real
+#: attention scores to ~+105..+118, past ``fastinfer._EXP_SAFE`` and past float32 ``exp``'s overflow.
+HOT_Q_SCALE = 25.0
+
+
+def hot_attention_case() -> Case:
+    """An edge case whose attention scores cross the softmax gate's limit in a real forward."""
+    case = edge_case([[toy_arrays([1, 0, 2, 0, 1], 2.0)], [toy_arrays([0, 0, 0, 0, 0], 0.0)]])
+    for block in case.policy.state_encoder.attention._modules.values():
+        for param in (block.attention.query_proj.weight, block.attention.query_proj.bias):
+            param.data = param.data * HOT_Q_SCALE
+    return case
+
+
 #: Shapes the full-size episodes never reach; each is one ``edge_case(...)`` call.
 EDGE_SHAPES = {
     "single-query-batch": lambda: edge_case([[toy_arrays([0], 0.0)], [toy_arrays([1], 1.0)], [toy_arrays([2], 2.5)]]),
@@ -133,13 +148,14 @@ EDGE_SHAPES = {
     "fresh-and-mid-episode-stack": lambda: edge_case(
         [[toy_arrays([1, 0, 0], 1.0), toy_arrays([1, 1, 2], 4.0), toy_arrays([0, 0, 0], 0.0)]]
     ),
+    "hot-attention": hot_attention_case,
 }
 
 
 def kernel_logits(policy: ActorCriticNetwork, plan: np.ndarray, snapshots: list, clusters) -> np.ndarray:
     """``(B, action_dim)`` logits of the decision kernel over one stack."""
-    per_query, global_state = DECISION_KERNEL.encode_batch(policy.state_encoder, plan, snapshots)
-    return DECISION_KERNEL.heads_batch(policy, per_query, global_state, snapshots, clusters=clusters)[0]
+    per_query, global_input = DECISION_KERNEL.encode_batch(policy.state_encoder, plan, snapshots)
+    return DECISION_KERNEL.heads_batch(policy, per_query, global_input, snapshots, clusters=clusters)[0]
 
 
 class TestTapeParity:
@@ -158,25 +174,28 @@ class TestTapeParity:
         + [pytest.param(build, id=name) for name, build in EDGE_SHAPES.items()],
     )
     def test_act_matches_the_tape_oracle(self, build_case):
-        """``act`` (B=1) and ``act_batch`` (the whole stack) both decide what the tape decides,
-        from logits within 1e-5 of the tape's, relative to the largest."""
+        """From logits within 1e-5 of the tape's, relative to the largest: ``greedy_action`` picks
+        the tape's argmax, and ``act`` (B=1) and ``act_batch`` (the whole stack) sample an allowed
+        action with the tape's log-probability and value."""
         policy, plan, clusters, stacks = build_case()
         for snapshots, masks in stacks:
-            stacked = policy.act_batch(plan, snapshots, masks, np.random.default_rng(0), greedy=True, clusters=clusters)
+            stacked = policy.act_batch(plan, snapshots, masks, np.random.default_rng(0), clusters=clusters)
             stacked_logits = kernel_logits(policy, plan, snapshots, clusters)
             for snapshot, mask, from_stack, row_logits in zip(snapshots, masks, stacked, stacked_logits):
-                single = policy.act(plan, snapshot, mask, np.random.default_rng(0), greedy=True, clusters=clusters)
+                single = policy.act(plan, snapshot, mask, np.random.default_rng(0), clusters=clusters)
                 with no_grad():
-                    log_prob, _, value, full = policy.evaluate_action(
-                        plan, snapshot, single.action, mask, clusters=clusters
-                    )
                     tape_logits = policy.action_logits(policy.representation(plan, snapshot), snapshot, clusters).data
                 for logits in (kernel_logits(policy, plan, [snapshot], clusters)[0], row_logits):
                     assert np.max(np.abs(logits - tape_logits)) <= 1e-5 * np.max(np.abs(tape_logits))
                 for decision in (single, from_stack):
-                    assert decision.action == int(np.argmax(full.data))
+                    assert mask[decision.action]
+                    with no_grad():
+                        log_prob, _, value, full = policy.evaluate_action(
+                            plan, snapshot, decision.action, mask, clusters=clusters
+                        )
                     assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
                     assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+                assert policy.greedy_action(plan, snapshot, mask, clusters=clusters) == int(np.argmax(full.data))
 
     def test_deciding_writes_no_batch_norm_statistics(self):
         """Running statistics belong to the training step: ``act`` and ``act_batch`` leave them alone."""
@@ -252,11 +271,12 @@ class TestParameterRefresh:
 
     def assert_tracks_tape(self, scheduler, snapshot, mask):
         policy, plan = scheduler.policy, scheduler.plan_embeddings
-        decision = policy.act(plan, snapshot, mask, np.random.default_rng(0), greedy=True)
+        decision = policy.act(plan, snapshot, mask, np.random.default_rng(0))
         with no_grad():
-            log_prob, _, value, _ = policy.evaluate_action(plan, snapshot, decision.action, mask)
+            log_prob, _, value, full = policy.evaluate_action(plan, snapshot, decision.action, mask)
         assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
         assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
+        assert policy.greedy_action(plan, snapshot, mask) == int(np.argmax(full.data))
         return decision, assert_plan_term_current(scheduler.state_encoder, plan)
 
     def test_refreshes_after_adam_step(self):
@@ -308,9 +328,9 @@ class TestParameterRefresh:
         fresh.policy.load_state_dict(best)
         plan = scheduler.plan_embeddings
         for snapshot, mask in mid_episode(scheduler._build_env(backend=scheduler.engine), steps=6):
-            rng = np.random.default_rng(0)
-            assert scheduler.policy.act(plan, snapshot, mask, rng, greedy=True) == fresh.policy.act(
-                plan, snapshot, mask, rng, greedy=True
+            assert scheduler.policy.greedy_action(plan, snapshot, mask) == fresh.policy.greedy_action(plan, snapshot, mask)
+            assert scheduler.policy.act(plan, snapshot, mask, np.random.default_rng(0)) == fresh.policy.act(
+                plan, snapshot, mask, np.random.default_rng(0)
             )
             assert_plan_term_current(scheduler.state_encoder, plan)
             assert scheduler.state_encoder._plan_term_cache[2].tobytes() == fresh.state_encoder._plan_term_cache[2].tobytes()
@@ -424,12 +444,15 @@ class TestDecisionProgram:
     @pytest.mark.parametrize("norm", ["batch", "layer"])
     @pytest.mark.parametrize("kind", sorted(SERVED))
     def test_matches_the_tape_encoder(self, kind, norm):
-        """``per_query`` and ``global_state`` within 1e-5 of the tape ``encode_batch``, relative to the largest."""
+        """``per_query`` and ``global_state`` (the packed global MLP over ``global_input``) within 1e-5
+        of the tape ``encode_batch``, relative to the largest."""
         scheduler, snapshots = SERVED[kind]()
         encoder = all_channel_encoder(scheduler, snapshots, norm)
         plan = scheduler.plan_embeddings
+        global_mlp = fastinfer.Float32Pack(lambda pack: pack.mlp(encoder.global_mlp)).weights
         for snapshot in snapshots:
-            per_query, global_state = encoder.encode_batch_arrays(plan, [snapshot])
+            per_query, global_input = encoder.encode_batch_arrays(plan, [snapshot])
+            global_state = fastinfer.mlp32(global_mlp, global_input)
             with no_grad():
                 tape = encoder.encode_batch(plan, [snapshot])
             for fast, slow in ((per_query, tape.per_query.data), (global_state, tape.global_state.data)):
@@ -485,29 +508,187 @@ class TestPlanTerm:
         assert after.tobytes() == encoder.encode_batch_arrays(shifted, [snapshot])[0].tobytes() != before.tobytes()
 
 
+def deciders(policy: ActorCriticNetwork) -> tuple:
+    """The sampling and the greedy decision, each as ``decide(plan, snapshot, mask)``."""
+    return (
+        lambda plan, snapshot, mask: policy.act(plan, snapshot, mask, np.random.default_rng(0)),
+        policy.greedy_action,
+    )
+
+
 class TestDegenerateInputsAreLoud:
     def test_all_false_mask_raises(self):
         scheduler, env = build_scheduler("tpch", "batch", None)
         snapshot = env.reset(round_id=0)
         nothing_allowed = np.zeros(env.action_dim, dtype=bool)
-        for greedy in (True, False):
-            with pytest.raises(ValueError, match="at least one unmasked"):
-                scheduler.policy.act(
-                    scheduler.plan_embeddings, snapshot, nothing_allowed, np.random.default_rng(0), greedy=greedy
-                )
+        for decide in deciders(scheduler.policy):
+            with pytest.raises(ValueError, match="at least one unmasked entry; row 0 of 1 has none"):
+                decide(scheduler.plan_embeddings, snapshot, nothing_allowed)
+
+    def test_mask_shape_mismatch_raises(self):
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        snapshot = env.reset(round_id=0)
+        for decide in deciders(scheduler.policy):
+            with pytest.raises(ValueError, match="mask shape"):
+                decide(scheduler.plan_embeddings, snapshot, env.action_mask()[:-1])
 
     def test_all_false_mask_row_is_named(self):
         logits = np.zeros((3, 4), dtype=np.float32)
         mask = np.ones((3, 4), dtype=bool)
         mask[1] = False
-        for masked_log_softmax in (fastinfer.masked_log_softmax_array, fastgrad.masked_log_softmax_forward):
+        for masked in (fastinfer.masked_log_softmax_array, fastgrad.masked_log_softmax_forward, fastinfer.masked_argmax):
             with pytest.raises(ValueError, match="at least one unmasked entry; row 1 of 3 has none"):
-                masked_log_softmax(logits, mask)
+                masked(logits, mask)
 
     def test_plan_embedding_row_mismatch_raises(self):
         scheduler, env = build_scheduler("tpch", "batch", None)
         snapshot = env.reset(round_id=0)
-        with pytest.raises(ValueError, match="cover the same queries"):
-            scheduler.policy.act(
-                scheduler.plan_embeddings[:-1], snapshot, env.action_mask(), np.random.default_rng(0), greedy=True
-            )
+        for decide in deciders(scheduler.policy):
+            with pytest.raises(ValueError, match="cover the same queries"):
+                decide(scheduler.plan_embeddings[:-1], snapshot, env.action_mask())
+
+
+class TestGreedyAction:
+    """``greedy_action``: the tape's argmax on every decision of a round, and nothing but the action."""
+
+    @staticmethod
+    def check_against_the_tape(monkeypatch) -> list:
+        """Check every facade decision against the tape's masked log-probs; returns the checked actions."""
+        decide, checked = BQSched.select_action, []
+
+        def checked_decide(scheduler, env, snapshot):
+            action = decide(scheduler, env, snapshot)
+            with no_grad():
+                *_, full = scheduler.policy.evaluate_action(
+                    scheduler.plan_embeddings, snapshot, action, env.action_mask(), clusters=env.clusters
+                )
+            assert action == int(np.argmax(full.data))
+            checked.append(action)
+            return action
+
+        monkeypatch.setattr(BQSched, "select_action", checked_decide)
+        return checked
+
+    @pytest.mark.parametrize("kind", sorted(SERVED))
+    def test_every_served_decision_is_the_tape_argmax(self, monkeypatch, kind):
+        checked = self.check_against_the_tape(monkeypatch)
+        _, snapshots = SERVED[kind]()
+        assert len(checked) == len(snapshots) > 0
+
+    def test_every_clustered_decision_is_the_tape_argmax(self, monkeypatch):
+        scheduler, env = build_scheduler("tpch", "batch", 8)
+        assert env.clusters is not None
+        checked = self.check_against_the_tape(monkeypatch)
+        scheduler.env = env
+        scheduler.schedule(round_id=0)
+        assert len(checked) == env.clusters.num_clusters  # each decision drains one cluster
+
+    def test_greedy_decisions_run_no_value_path(self, monkeypatch):
+        """``schedule()``, ``serve()`` and a keep-best validation never run the global MLP, the value
+        head, the masked log-softmax or a ``PolicyDecision``."""
+        scheduler = BQSched(
+            make_workload("tpch", scale_factor=1.0, seed=0),
+            DatabaseEngine(DBMSProfile.dbms_x(), seed=0),
+            BQSchedConfig.small(seed=0),
+        )
+        policy, mlp32, policy_head_runs = scheduler.policy, fastinfer.mlp32, []
+
+        def guarded_mlp32(layers, x):
+            pack = getattr(policy, "_float32_pack", None)
+            if pack is not None:  # the live pack: [policy head, global MLP, value head]
+                policy_head, *value_path = pack.weights
+                if any(layers is path for path in value_path):
+                    raise AssertionError("a greedy decision ran the value path")
+                policy_head_runs.append(layers is policy_head)
+            return mlp32(layers, x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a greedy decision built log-probabilities or a PolicyDecision")
+
+        monkeypatch.setattr(fastinfer, "mlp32", guarded_mlp32)
+        monkeypatch.setattr(fastinfer, "masked_log_softmax_array", forbidden)
+        monkeypatch.setattr(policy_module, "PolicyDecision", forbidden)
+        scheduler.schedule(round_id=0)
+        scheduler.serve(num_tenants=2, round_id=0)
+        validations = []
+        validate = scheduler._validate_and_keep_best
+        monkeypatch.setattr(scheduler, "_validate_and_keep_best", lambda: validations.append(validate()))
+        scheduler.train(num_updates=0, pretrain_updates=0, history_rounds=2)  # one keep-best validation
+        assert len(validations) == 1 and sum(policy_head_runs) >= 3 * len(scheduler.batch)
+
+
+def packed_qkv(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``(tokens, [Q | K | V,1 per head])`` float32 rows from ``(heads, tokens, head_dim)`` blocks."""
+    heads, tokens, _ = queries.shape
+    ones = np.ones((heads, tokens, 1))
+    columns = [block.transpose(1, 0, 2).reshape(tokens, -1) for block in (queries, keys)]
+    columns.append(np.concatenate([values, ones], axis=2).transpose(1, 0, 2).reshape(tokens, -1))
+    return np.concatenate(columns, axis=1).astype(np.float32)
+
+
+def shifted_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """float64 shift-by-max reference, out as ``(tokens, heads * head_dim)``."""
+    scores = queries.astype(np.float64) @ keys.astype(np.float64).transpose(0, 2, 1)
+    weights = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights /= weights.sum(axis=2, keepdims=True)
+    mixed = weights @ values.astype(np.float64)
+    return mixed.transpose(1, 0, 2).reshape(queries.shape[1], -1)
+
+
+def gate_case(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(queries, keys, values)`` as float32-exact ``(heads, tokens, head_dim)`` blocks."""
+    rng = np.random.default_rng(5)
+    heads, tokens, head_dim = 2, 7, 4
+    queries, keys, values = (rng.normal(size=(heads, tokens, head_dim)).astype(np.float32) for _ in range(3))
+    direction = np.array([1.0, 2.0, -1.0, 0.5], dtype=np.float32)
+    if name == "a-score-above-the-limit":  # one query-key pair scores +135
+        queries[1, 3], keys[1, 5] = 6.0 * direction, 3.6 * direction
+    elif name == "a-column-below-the-limit":  # every key scores about -150 for head 0, query 2
+        keys[0] = direction + 0.1 * keys[0]
+        queries[0, 2] = -24.0 * direction
+    return queries, keys, values
+
+
+def record_gate(monkeypatch) -> list:
+    """Every verdict of the softmax gate, in call order (one per attention block)."""
+    taken, needs_shift = [], fastinfer._needs_shift
+
+    def recording(scores):
+        taken.append(needs_shift(scores))
+        return taken[-1]
+
+    monkeypatch.setattr(fastinfer, "_needs_shift", recording)
+    return taken
+
+
+class TestSoftmaxGate:
+    """``_attention32`` shifts scores by their column max only when one lies outside ±``_EXP_SAFE``."""
+
+    @pytest.mark.parametrize(
+        ("name", "shifted"),
+        [("every-score-inside", False), ("a-score-above-the-limit", True), ("a-column-below-the-limit", True)],
+    )
+    def test_matches_the_float64_shifted_softmax(self, monkeypatch, name, shifted):
+        queries, keys, values = gate_case(name)
+        heads, tokens, head_dim = queries.shape
+        scores = queries.astype(np.float64) @ keys.astype(np.float64).transpose(0, 2, 1)
+        if name == "every-score-inside":
+            assert np.abs(scores).max() < fastinfer._EXP_SAFE
+        elif name == "a-score-above-the-limit":
+            assert scores.max() > 100.0  # float32 exp overflows past ~88.7
+        else:
+            assert scores[0, 2].max() < -120.0  # the whole column underflows float32 exp
+        taken = record_gate(monkeypatch)
+        out =fastinfer._attention32(packed_qkv(queries, keys, values), heads, 1, tokens, heads * head_dim)
+        assert taken == [shifted]
+        assert out.dtype == np.float32 and np.isfinite(out).all()
+        expected = shifted_softmax_attention(queries, keys, values)
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+
+    def test_hot_attention_case_takes_both_branches(self, monkeypatch):
+        """The ``hot-attention`` edge case crosses the limit in a real decision forward."""
+        policy, plan, _, stacks = hot_attention_case()
+        taken = record_gate(monkeypatch)
+        snapshots, masks = stacks[0]
+        policy.greedy_action(plan, snapshots[0], masks[0])
+        assert taken == [False, True]

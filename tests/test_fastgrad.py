@@ -618,18 +618,16 @@ def policy_digest(policy) -> str:
 def behavior_digest(trainer, rounds=2) -> str:
     """Digest of the policy's greedy decisions + makespans on the eval env."""
     digest = hashlib.sha256()
-    rng = np.random.default_rng(123)
     for offset in range(rounds):
         snapshot = trainer.eval_env.reset(round_id=50_000 + offset)
         done = False
         while not done:
             mask = trainer.eval_env.action_mask()
-            decision = trainer.policy.act(
-                trainer.plan_embeddings, snapshot, mask, rng, greedy=True,
-                clusters=trainer.eval_env.clusters,
+            action = trainer.policy.greedy_action(
+                trainer.plan_embeddings, snapshot, mask, clusters=trainer.eval_env.clusters
             )
-            digest.update(int(decision.action).to_bytes(4, "little"))
-            step = trainer.eval_env.step(decision.action)
+            digest.update(int(action).to_bytes(4, "little"))
+            step = trainer.eval_env.step(action)
             snapshot = step.snapshot
             done = step.done
         digest.update(np.float64(trainer.eval_env.result().makespan).tobytes())
@@ -849,11 +847,18 @@ class TestEndToEndFusedTraining:
         float32 rounding.
         ppo ``99c9861e…`` → ``f55e4cc5…``, ppg ``6d98bfc0…`` → ``003f7c6c…``,
         iq-ppo ``829f2ee8…`` → ``e3faf881…``.
+
+        Re-pinned again when attention stopped shifting scores that cannot
+        overflow ``exp`` (every score within ±60): the sampled actions are
+        unchanged, the stored log-probs and values moved by float32 rounding
+        (≤ 1.2e-6 here).  With the shift forced on, the previous pins hold.
+        ppo ``f55e4cc5…`` → ``fe52929e…``, ppg ``003f7c6c…`` → ``450412f8…``,
+        iq-ppo ``e3faf881…`` → ``63f7a074…``.
         """
         pinned = {
-            "ppo": "f55e4cc53609a94d8aa10486cec17a263448dbe5b470072be58f4eb1d027a315",
-            "ppg": "003f7c6cd715adec5b8367b1082de114510242a523814887be5d1500e40dff60",
-            "iq-ppo": "e3faf8815f6d596f423c9ec9081e15832ee3eb4646959a4b3947e630906085b4",
+            "ppo": "fe52929ebd1b17c10adb08b113a9d40dac61260509aa54d32b5e56f0bc014204",
+            "ppg": "450412f8d70c6572b84269a98976f35e13214840c1a5db6df3b582837189d4c6",
+            "iq-ppo": "63f7a07493324ca9a5b6e9bec65723efb7583e5f8eedb8d8b72a5bd2946a2b29",
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)

@@ -69,15 +69,12 @@ class TestActorCritic:
             decision = policy.act(np.zeros((n, PLAN_DIM)), snapshot, mask, rng)
             assert decision.action == 7
 
-    def test_greedy_act_is_deterministic(self, policy):
+    def test_greedy_action_is_deterministic(self, policy):
         n = 4
         snapshot = make_snapshot(n)
         mask = np.ones(n * NUM_CONFIGS, dtype=bool)
         plan = np.random.default_rng(0).normal(size=(n, PLAN_DIM))
-        rng = np.random.default_rng(0)
-        a = policy.act(plan, snapshot, mask, rng, greedy=True).action
-        b = policy.act(plan, snapshot, mask, rng, greedy=True).action
-        assert a == b
+        assert policy.greedy_action(plan, snapshot, mask) == policy.greedy_action(plan, snapshot, mask)
 
     def test_evaluate_action_gradients_flow(self, policy):
         n = 4
@@ -210,7 +207,7 @@ def test_iq_ppo_auxiliary_uses_aux_targets(rl_setup):
 def test_trainer_evaluation_matches_heuristic_interface(rl_setup):
     policy, plan_embeddings, env, config = rl_setup
     trainer = PPOTrainer(policy, plan_embeddings, env, config.ppo, seed=0)
-    evaluation = trainer.evaluate(rounds=2, greedy=True)
+    evaluation = trainer.evaluate(rounds=2)
     assert len(evaluation.makespans) == 2
     fifo = FIFOScheduler().evaluate(env, rounds=2)
     # an untrained policy should still complete rounds within a sane factor

@@ -31,8 +31,9 @@ from repro.core import (
 )
 from repro.dbms import Cluster, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.encoder import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot
+from repro.core.policy import DECISION_KERNEL
 from repro.exceptions import SchedulingError
-from repro.nn import no_grad
+from repro.nn import fastinfer, no_grad
 from repro.runtime import ExecutionRuntime
 
 
@@ -192,17 +193,18 @@ class TestBatchedPolicyForwards:
                 np.testing.assert_allclose(full.data[index], row.data, atol=1e-10)
 
     def test_act_batch_matches_scalar_act(self, sim_setup, sim_env):
-        """Stacked rows must agree with the same kernel run one snapshot at a time."""
+        """Stacked rows must agree with the same kernel run one snapshot at a time: one draw per row
+        from the same uniforms, and the same greedy action."""
         rng = np.random.default_rng(3)
         snapshots, masks = self._snapshots(sim_env, rng)
         policy = sim_setup.policy
-        batched = policy.act_batch(
-            sim_setup.plan_embeddings, snapshots, masks, np.random.default_rng(0), greedy=True
-        )
+        batched = policy.act_batch(sim_setup.plan_embeddings, snapshots, masks, np.random.default_rng(0))
+        per_query, global_input = DECISION_KERNEL.encode_batch(policy.state_encoder, sim_setup.plan_embeddings, snapshots)
+        greedy = fastinfer.masked_argmax(policy.heads_arrays(per_query, global_input, snapshots)[0], masks)
+        scalar_rng = np.random.default_rng(0)  # B one-row draws consume what one B-row draw does
         for index, snapshot in enumerate(snapshots):
-            scalar = policy.act(
-                sim_setup.plan_embeddings, snapshot, masks[index], np.random.default_rng(0), greedy=True
-            )
+            scalar = policy.act(sim_setup.plan_embeddings, snapshot, masks[index], scalar_rng)
+            assert policy.greedy_action(sim_setup.plan_embeddings, snapshot, masks[index]) == greedy[index]
             assert batched[index].action == scalar.action
             assert batched[index].log_prob == pytest.approx(scalar.log_prob, abs=1e-4)
             assert batched[index].value == pytest.approx(scalar.value, abs=1e-3)
@@ -330,7 +332,7 @@ class TestTrainerParity:
             while not done:
                 mask = trainer.env.action_mask()
                 decision = trainer.policy.act(
-                    trainer.plan_embeddings, snapshot, mask, trainer.rng, greedy=False, clusters=clusters
+                    trainer.plan_embeddings, snapshot, mask, trainer.rng, clusters=clusters
                 )
                 step = trainer.env.step(decision.action)
                 buffer.add(
