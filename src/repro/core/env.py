@@ -101,11 +101,17 @@ def drive_service(runtime: ExecutionRuntime, envs: "Sequence[SchedulingEnv]", se
 
 @runtime_checkable
 class SchedulingSession(Protocol):
-    """One live scheduling round, as the environment observes and drives it.
+    """One live scheduling round: what a ``SessionBackend`` opens.
 
-    Implemented by the fluid-engine :class:`~repro.dbms.engine.ExecutionSession`,
-    the learned-simulator :class:`~repro.core.simulator.SimulatedSession`, and
-    the multi-tenant :class:`~repro.runtime.TenantSession`.
+    Implemented by the four backend sessions, which share the base
+    :class:`~repro.dbms.soa.BackendSession` (the fluid-engine
+    :class:`~repro.dbms.engine.ExecutionSession`, the learned-simulator
+    :class:`~repro.core.simulator.SimulatedSession` and their fleet
+    counterparts :class:`~repro.dbms.ClusterSession` and
+    :class:`~repro.perf.SimulatedClusterSession`), and by the runtime's
+    :class:`~repro.runtime.TenantSession`.  The environment itself only ever
+    holds a :class:`~repro.runtime.TenantSession`: it wraps every raw backend
+    in an :class:`~repro.runtime.ExecutionRuntime`.
     """
 
     current_time: float
@@ -144,7 +150,9 @@ class SessionBackend(Protocol):
     """Anything that can open scheduling rounds.
 
     Satisfied by :class:`repro.dbms.DatabaseEngine`,
-    :class:`repro.core.simulator.LearnedSimulator` and
+    :class:`repro.dbms.Cluster`,
+    :class:`repro.core.simulator.LearnedSimulator`,
+    :class:`repro.perf.SimulatedCluster` and
     :class:`repro.runtime.RuntimeTenant` (conformance is asserted in
     ``tests/test_session_protocol.py``).
     """
@@ -413,14 +421,14 @@ class SchedulingEnv:
         """
         elapsed = self._session.current_time - time_before
         reward = -elapsed * self.scheduler_config.reward_scale - self.scheduler_config.step_penalty
-        failures = getattr(self._session, "num_failed_attempts", 0)
+        failures = self._session.num_failed_attempts
         if failures:
             new_failures = failures - self._last_failures
             self._last_failures = failures
             if new_failures > 0 and self.scheduler_config.failure_penalty:
                 reward -= new_failures * self.scheduler_config.failure_penalty
         if self.scheduler_config.slo_penalty:
-            misses = getattr(self._session, "num_slo_misses", 0)
+            misses = self._session.num_slo_misses
             new_misses = misses - self._last_slo_misses
             self._last_slo_misses = misses
             if new_misses > 0:
@@ -530,7 +538,7 @@ class SchedulingEnv:
         as the round ages and goes negative once exhausted, giving
         SLO-channel featurizers a bounded time-pressure signal.
         """
-        tenant_class = getattr(self._session, "tenant_class", None)
+        tenant_class = self._session.tenant_class
         if tenant_class is None:
             return 0.0, 0.0
         deadline = tenant_class.deadline
@@ -552,24 +560,15 @@ class SchedulingEnv:
         tells them apart), and per-instance health while any instance is
         down.
 
-        When the session maintains SoA state arrays the snapshot is a
-        :class:`~repro.encoder.SnapshotArrays` built with a handful of
-        whole-array ops — bit-identical to the AoS path (verified by digest
-        in ``tests/test_hotpath.py``) and duck-typing its read API; sessions
-        without state arrays fall back to :meth:`snapshot_aos`.
+        The snapshot is a :class:`~repro.encoder.SnapshotArrays` built from
+        the tenant session's incrementally-maintained state columns with a
+        handful of whole-array ops — bit-identical to :meth:`snapshot_aos`
+        (verified by digest in ``tests/test_hotpath.py``) and duck-typing its
+        read API.
         """
         self._require_session()
-        arrays = self._snapshot_arrays()
-        if arrays is not None:
-            return arrays  # type: ignore[return-value]
-        return self.snapshot_aos()
-
-    def _snapshot_arrays(self) -> "SnapshotArrays | None":
-        """Assemble the SoA snapshot from incrementally-maintained columns."""
         session = self._session
-        status_raw = getattr(session, "soa_status", None)
-        if status_raw is None or self._soa_config_slots is None:
-            return None
+        status_raw = session.soa_status
         now = session.current_time
         running = _SOA_IS_RUNNING[status_raw]
         config_index = np.where(running, self._soa_config_slots, _SOA_CONFIG_BASE[status_raw])
@@ -586,7 +585,7 @@ class SchedulingEnv:
             wait[wait <= 0.0] = 0.0
             time_to_available[deferred] = wait
         priority, deadline_slack = self._slo_context()
-        return SnapshotArrays(
+        return SnapshotArrays(  # type: ignore[return-value]
             time=now,
             status=_SOA_STATUS_OBS[status_raw],
             config_index=config_index,
@@ -604,22 +603,20 @@ class SchedulingEnv:
     def snapshot_aos(self) -> SchedulingSnapshot:
         """Reference AoS snapshot (one frozen info per query).
 
-        Kept as the fallback for sessions without SoA state arrays and as
-        the parity reference the digest tests compare the fast path against.
+        The parity reference the digest tests compare :meth:`snapshot`
+        against.
         """
         self._require_session()
         session = self._session
         now = session.current_time
         running = {state.query.query_id: state for state in session.running_states()}
         finished = session.finished
-        failed = getattr(session, "failed", None)
+        failed = session.failed
         unarrived = frozenset(session.unarrived_ids())
-        counts_fn = getattr(session, "failure_counts", None)
-        counts: dict[int, int] = counts_fn() if counts_fn is not None else {}
+        counts = session.failure_counts()
         # A query awaiting its scheduled retry re-arrival is reported like a
         # streaming not-yet-arrived query: pending but unavailable.
-        retrying_fn = getattr(session, "retrying_ids", None)
-        retrying = frozenset(retrying_fn()) if retrying_fn is not None else frozenset()
+        retrying = frozenset(session.retrying_ids())
         infos = []
         for query in self.batch:
             query_id = query.query_id
@@ -719,10 +716,7 @@ class SchedulingEnv:
         bit-compatible with the pre-fault tree (and with trained policies
         that never saw a health channel).
         """
-        health_fn = getattr(self._session, "instance_health", None)
-        if health_fn is None:
-            return ()
-        health = health_fn()
+        health = self._session.instance_health()
         if all(health):
             return ()
         return tuple(bool(up) for up in health)

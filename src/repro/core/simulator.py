@@ -22,15 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from ..config import SimulatorConfig
-from ..dbms import ConfigurationSpace, ExecutionLog, QueryExecutionRecord, RoundLog, RunningParameters
+from ..dbms import ConfigurationSpace, ExecutionLog, QueryExecutionRecord, RunningParameters
 from ..dbms.engine import CompletionEvent, RunningQueryState
-from ..dbms.soa import SessionStateArrays
+from ..dbms.soa import BackendSession
 from ..exceptions import SimulationError
 from ..nn import Adam
 from ..perf import ConcurrentPredictionModel, PerformanceModel, SimulatorMetrics
 from ..perf.features import MIN_REMAINING as _MIN_REMAINING
 from ..perf.features import TIME_SCALE as _TIME_SCALE
-from ..workloads import BatchQuerySet, Query
+from ..workloads import BatchQuerySet
 from .knowledge import ExternalKnowledge
 
 __all__ = ["ConcurrentPredictionModel", "LearnedSimulator", "SimulatedSession", "SimulatorMetrics"]
@@ -156,7 +156,7 @@ class LearnedSimulator:
         )
 
 
-class SimulatedSession:
+class SimulatedSession(BackendSession):
     """A scheduling round served entirely by the learned simulator.
 
     Speaks the same session dialect as the fluid-engine
@@ -166,7 +166,9 @@ class SimulatedSession:
     host multi-tenant rounds on either backend.
     """
 
+    error = SimulationError
     supports_lockstep = True
+    running: dict[int, RunningQueryState]
 
     def __init__(
         self,
@@ -178,19 +180,12 @@ class SimulatedSession:
     ) -> None:
         if num_connections < 1:
             raise SimulationError("num_connections must be >= 1")
+        super().__init__(batch, round_id, strategy or "simulated")
         self.simulator = simulator
-        self.batch = batch
         self.num_connections = num_connections
-        self.current_time = 0.0
-        self.pending: list[int] = [q.query_id for q in batch]
-        self.deferred: list[int] = []
-        self.running: dict[int, RunningQueryState] = {}
-        self.finished: dict[int, float] = {}
-        self.log = RoundLog(round_id=round_id, strategy=strategy or "simulated")
+        self.running = {}
         self._idle = num_connections
         self._feature_rows: dict[int, np.ndarray] = {}
-        #: SoA mirror of the observable per-query state (fast snapshot path).
-        self.state_arrays = SessionStateArrays(len(batch))
         # Live-query model input, maintained incrementally: row i of
         # ``_live_matrix`` is the feature row of the i-th entry of
         # ``running`` (submission order), with only the elapsed column
@@ -201,58 +196,14 @@ class SimulatedSession:
         )
         self._live_submit = np.zeros(num_connections, dtype=np.float64)
 
-    # -- protocol properties ------------------------------------------- #
-    @property
-    def is_done(self) -> bool:
-        return not self.pending and not self.deferred and not self.running
-
+    # -- protocol ------------------------------------------------------- #
     @property
     def has_idle_connection(self) -> bool:
         return self._idle > 0
 
     @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    @property
     def num_running(self) -> int:
         return len(self.running)
-
-    @property
-    def makespan(self) -> float:
-        return max(self.finished.values(), default=0.0)
-
-    def running_states(self) -> list[RunningQueryState]:
-        return list(self.running.values())
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
-
-    # -- protocol methods ----------------------------------------------- #
-    def defer(self, query_ids: "list[int]") -> None:
-        """Move pending queries into the deferred (not yet arrived) state."""
-        for query_id in query_ids:
-            if query_id not in self.pending:
-                raise SimulationError(f"query {query_id} is not pending and cannot be deferred")
-            self.pending.remove(query_id)
-            self.deferred.append(query_id)
-            self.state_arrays.mark_deferred(query_id)
-
-    def release(self, query_id: int) -> None:
-        """Mark a deferred query as arrived: it becomes pending at the current time."""
-        if query_id not in self.deferred:
-            raise SimulationError(f"query {query_id} is not deferred")
-        self.deferred.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-
-    def unarrived_ids(self) -> "tuple[int, ...]":
-        """Query ids present in the round but not yet arrived (deferred)."""
-        return tuple(self.deferred)
-
-    def arrival_time(self, query_id: int) -> float:
-        """Raw sessions have no arrival schedule; everything arrives at zero."""
-        return 0.0
 
     def submit(self, query_id: int, parameters: RunningParameters) -> int:
         if query_id not in self.pending:
@@ -277,6 +228,32 @@ class SimulatedSession:
         self._live_states.append(state)
         self.state_arrays.mark_running(query_id, self.current_time)
         return connection
+
+    def cancel(self, query_id: int) -> int:
+        """Kill a running query: free its connection, return it to pending.
+
+        Returns the freed connection id.
+        """
+        state = self.running.pop(query_id, None)
+        if state is None:
+            raise SimulationError(f"query {query_id} is not running and cannot be cancelled")
+        self._drop_live(query_id)
+        self._feature_rows.pop(query_id, None)
+        self._idle += 1
+        self.pending.append(query_id)
+        self.state_arrays.mark_pending(query_id)
+        return state.connection
+
+    def _drop_live(self, query_id: int) -> None:
+        """Splice a query's row out of the live-query model input."""
+        for slot, live in enumerate(self._live_states):
+            if live.query.query_id == query_id:
+                del self._live_states[slot]
+                k = len(self._live_states)
+                if slot < k:
+                    self._live_matrix[slot:k] = self._live_matrix[slot + 1 : k + 1]
+                    self._live_submit[slot:k] = self._live_submit[slot + 1 : k + 1]
+                break
 
     def _feature_row(self, state: RunningQueryState) -> np.ndarray:
         """Per-query feature row with everything but the elapsed slot filled in.
@@ -341,14 +318,7 @@ class SimulatedSession:
         state = states[index]
         query_id = state.query.query_id
         del self.running[query_id]
-        for slot, live in enumerate(self._live_states):
-            if live.query.query_id == query_id:
-                del self._live_states[slot]
-                k = len(self._live_states)
-                if slot < k:
-                    self._live_matrix[slot:k] = self._live_matrix[slot + 1 : k + 1]
-                    self._live_submit[slot:k] = self._live_submit[slot + 1 : k + 1]
-                break
+        self._drop_live(query_id)
         self._idle += 1
         self.finished[query_id] = self.current_time
         self.state_arrays.mark_finished(query_id)

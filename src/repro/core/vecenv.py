@@ -109,9 +109,7 @@ class VectorSchedulingEnv:
         # via ``supports_lockstep``: simulator-backed single-tenant closed
         # rounds only — a shared multi-tenant clock or scheduled arrivals
         # cannot be batched across environments.
-        if self.clusters is None and all(
-            getattr(self.envs[i].session, "supports_lockstep", False) for i in indices
-        ):
+        if self.clusters is None and all(self.envs[i].session.supports_lockstep for i in indices):
             return self._step_many_simulated(indices, actions)
         return [self.envs[i].step(action) for i, action in zip(indices, actions)]
 

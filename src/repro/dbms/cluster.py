@@ -39,12 +39,18 @@ import numpy as np
 from ..exceptions import ConfigurationError, SchedulingError, SimulationError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
-from .engine import CompletionEvent, DatabaseEngine, ExecutionSession, RunningQueryState
+from .engine import (
+    CompletionEvent,
+    DatabaseEngine,
+    ExecutionSession,
+    RunningQueryState,
+    collect_fixed_order_logs,
+)
 from .faults import FailureProfile
-from .logs import ExecutionLog, QueryExecutionRecord, RoundLog
+from .logs import QueryExecutionRecord, RoundLog
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import SessionStateArrays
+from .soa import BackendSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ServiceConfig
@@ -76,7 +82,7 @@ def next_instance_in_rotation(available: Sequence[int], cursor: int, num_instanc
     raise SchedulingError("no instance has an idle connection")
 
 
-class ClusterSession:
+class ClusterSession(BackendSession):
     """One scheduling round across every instance of a cluster.
 
     Speaks the same session protocol as
@@ -88,8 +94,6 @@ class ClusterSession:
     globalised (instance offsets), so per-round logs stay unambiguous.
     """
 
-    supports_lockstep = False
-
     def __init__(
         self,
         cluster: "Cluster",
@@ -98,18 +102,10 @@ class ClusterSession:
         round_id: int,
         strategy: str,
     ) -> None:
+        super().__init__(batch, round_id, strategy)
         self.cluster = cluster
-        self.batch = batch
         self.sessions = list(sessions)
-        self.round_id = round_id
-        self.current_time = 0.0
-        self.pending: list[int] = [query.query_id for query in batch]
-        self.deferred: list[int] = []
-        self.finished: dict[int, float] = {}
-        self.log = RoundLog(round_id=round_id, strategy=strategy)
         self._placement: dict[int, int] = {}
-        #: Terminally failed queries (retries exhausted / never retried).
-        self.failed: dict[int, float] = {}
         # Per-instance buffers of completions that tied with the winning
         # instant, each captured with its execution record at materialisation
         # time (two ties on one instance would otherwise both resolve to that
@@ -125,11 +121,10 @@ class ClusterSession:
             self._connection_offsets.append(offset)
             offset += session.num_connections
         self.num_connections = offset
-        #: Cluster-level SoA mirror of the observable per-query state.  Kept
-        #: separate from the per-instance session arrays: a tied completion
-        #: buffered in ``_instance_events`` has already left its instance's
-        #: running set but is still observably RUNNING here until delivered.
-        self.state_arrays = SessionStateArrays(len(batch))
+        # ``state_arrays`` is kept separate from the per-instance session
+        # arrays: a tied completion buffered in ``_instance_events`` has
+        # already left its instance's running set but is still observably
+        # RUNNING here until delivered.
 
     # ------------------------------------------------------------------ #
     # Cluster topology
@@ -199,17 +194,6 @@ class ClusterSession:
         self.state_arrays.mark_pending(query_id)
         return self._connection_offsets[instance] + connection
 
-    def mark_failed(self, query_id: int) -> None:
-        """Terminally fail a pending/deferred query (retries exhausted)."""
-        if query_id in self.pending:
-            self.pending.remove(query_id)
-        elif query_id in self.deferred:
-            self.deferred.remove(query_id)
-        else:
-            raise SchedulingError(f"query {query_id} is not pending/deferred and cannot be failed")
-        self.failed[query_id] = self.current_time
-        self.state_arrays.mark_failed(query_id)
-
     def instance_num_running(self) -> list[int]:
         """Fleet-wide running-query count per instance (all tenants).
 
@@ -247,10 +231,6 @@ class ClusterSession:
     # Session protocol: state
     # ------------------------------------------------------------------ #
     @property
-    def is_done(self) -> bool:
-        return not self.pending and not self.deferred and self.num_running == 0
-
-    @property
     def running(self) -> dict[int, RunningQueryState]:
         """Aggregated running-state view across every instance.
 
@@ -283,10 +263,6 @@ class ClusterSession:
         return any(session.has_idle_connection for session in self.sessions)
 
     @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    @property
     def num_running(self) -> int:
         """In-flight queries, including tied completions not yet delivered.
 
@@ -298,40 +274,6 @@ class ClusterSession:
         """
         buffered = sum(len(events) for events in self._instance_events)
         return sum(session.num_running for session in self.sessions) + buffered
-
-    @property
-    def makespan(self) -> float:
-        return max(self.finished.values(), default=0.0)
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
-
-    def running_states(self) -> list[RunningQueryState]:
-        return list(self.running.values())
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: streaming arrivals
-    # ------------------------------------------------------------------ #
-    def defer(self, query_ids: "list[int]") -> None:
-        for query_id in query_ids:
-            if query_id not in self.pending:
-                raise SchedulingError(f"query {query_id} is not pending and cannot be deferred")
-            self.pending.remove(query_id)
-            self.deferred.append(query_id)
-            self.state_arrays.mark_deferred(query_id)
-
-    def release(self, query_id: int) -> None:
-        if query_id not in self.deferred:
-            raise SchedulingError(f"query {query_id} is not deferred")
-        self.deferred.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-
-    def unarrived_ids(self) -> "tuple[int, ...]":
-        return tuple(self.deferred)
-
-    def arrival_time(self, query_id: int) -> float:
-        return 0.0
 
     # ------------------------------------------------------------------ #
     # Session protocol: scheduling
@@ -674,27 +616,7 @@ class Cluster:
                 session.advance(limit=wakeup)
         return session.log
 
-    def collect_logs(
-        self,
-        batch: BatchQuerySet,
-        orders: "list[list[int]]",
-        parameters: RunningParameters,
-        num_connections: int | None = None,
-        strategy: str = "history",
-    ) -> ExecutionLog:
-        """Run several fixed-order rounds and return the combined log."""
-        log = ExecutionLog()
-        for round_index, order in enumerate(orders):
-            round_log = self.execute_order(
-                batch,
-                order,
-                parameters,
-                num_connections=num_connections,
-                strategy=strategy,
-                round_id=round_index,
-            )
-            log.add_round(round_log)
-        return log
+    collect_logs = collect_fixed_order_logs
 
     def __repr__(self) -> str:
         names = ", ".join(profile.name for profile in self.profiles)

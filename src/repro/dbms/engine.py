@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +39,10 @@ from .faults import FAILURE_ERROR, FAILURE_OUTAGE, FAULT_STREAM, FailureProfile,
 from .logs import ExecutionLog, QueryExecutionRecord, RoundLog
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import SessionStateArrays
+from .soa import BackendSession
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cluster import Cluster
 
 __all__ = ["DatabaseEngine", "ExecutionSession", "RunningQueryState", "CompletionEvent"]
 
@@ -88,7 +92,7 @@ class CompletionEvent:
     failure: str = ""
 
 
-class ExecutionSession:
+class ExecutionSession(BackendSession):
     """One scheduling round against the engine.
 
     The session owns the clock: queries are submitted to idle connections at
@@ -104,9 +108,7 @@ class ExecutionSession:
     to the next completion.
     """
 
-    #: Whether the vectorized engine may interleave this session's advances
-    #: with batched model predictions (only the learned simulator can).
-    supports_lockstep = False
+    running: dict[int, RunningQueryState]
 
     def __init__(
         self,
@@ -125,21 +127,13 @@ class ExecutionSession:
             raise SimulationError("num_connections must be >= 1")
         if faults is not None and faults.has_random_faults and fault_rng is None:
             raise SimulationError("a FailureProfile with random faults needs a fault_rng stream")
+        super().__init__(batch, round_id, strategy)
         self.profile = profile
-        self.batch = batch
         self.num_connections = num_connections
-        self.round_id = round_id
         self._rng = rng
-        self.current_time = 0.0
-        self.pending: list[int] = [q.query_id for q in batch]
-        self.deferred: list[int] = []
-        self.running: dict[int, RunningQueryState] = {}
-        self.finished: dict[int, float] = {}
-        #: Terminally failed queries (retries exhausted / never retried).
-        self.failed: dict[int, float] = {}
+        self.running = {}
         self._idle_connections: list[int] = list(range(num_connections))
         self.buffer = warm_buffer if warm_buffer is not None else BufferPool(profile.buffer_pool_rows)
-        self.log = RoundLog(round_id=round_id, strategy=strategy)
         # Fault injection: fates are drawn from the dedicated fault stream at
         # submit time; a session without a profile performs zero extra draws
         # and stays bit-identical to the fault-free tree.
@@ -156,9 +150,6 @@ class ExecutionSession:
         self._park_window: OutageWindow | None = None
         self._fates: dict[int, QueryFate] = {}
         self._fault_events: list[CompletionEvent] = []
-        #: SoA mirror of the observable per-query state, updated O(1) per
-        #: transition; the environment's fast snapshot path reads it.
-        self.state_arrays = SessionStateArrays(len(batch))
         # Progress rates depend only on the running set (which queries, with
         # which parameters) and the buffer contents — never on remaining work
         # or the clock — so next_completion_time/advance pairs reuse one
@@ -178,21 +169,8 @@ class ExecutionSession:
     # Scheduler-facing API
     # ------------------------------------------------------------------ #
     @property
-    def is_done(self) -> bool:
-        return (
-            not self.pending
-            and not self.deferred
-            and not self.running
-            and not self._fault_events
-        )
-
-    @property
     def has_idle_connection(self) -> bool:
         return bool(self._idle_connections) and not self.is_down
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
 
     @property
     def num_running(self) -> int:
@@ -285,17 +263,6 @@ class ExecutionSession:
         self._running_version += 1
         return state.connection
 
-    def mark_failed(self, query_id: int) -> None:
-        """Terminally fail a pending/deferred query (retries exhausted)."""
-        if query_id in self.pending:
-            self.pending.remove(query_id)
-        elif query_id in self.deferred:
-            self.deferred.remove(query_id)
-        else:
-            raise SchedulingError(f"query {query_id} is not pending/deferred and cannot be failed")
-        self.failed[query_id] = self.current_time
-        self.state_arrays.mark_failed(query_id)
-
     def _outage_kill_instant(self, until: float) -> float | None:
         """Earliest instant in ``(now, until]`` at which running work must die."""
         if not self._windows or not self.running:
@@ -336,43 +303,6 @@ class ExecutionSession:
         own observable-state arrays for victims beyond the first.
         """
         return [event.query_id for event in self._fault_events]
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
-
-    def running_states(self) -> list[RunningQueryState]:
-        return list(self.running.values())
-
-    def defer(self, query_ids: "list[int]") -> None:
-        """Move pending queries into the deferred (not yet arrived) state.
-
-        Deferred queries belong to the round — their per-round noise is drawn
-        at session construction like everyone else's — but they cannot be
-        submitted until :meth:`release` marks them as arrived, and the round
-        does not finish while any remain.
-        """
-        for query_id in query_ids:
-            if query_id not in self.pending:
-                raise SchedulingError(f"query {query_id} is not pending and cannot be deferred")
-            self.pending.remove(query_id)
-            self.deferred.append(query_id)
-            self.state_arrays.mark_deferred(query_id)
-
-    def release(self, query_id: int) -> None:
-        """Mark a deferred query as arrived: it becomes pending at the current time."""
-        if query_id not in self.deferred:
-            raise SchedulingError(f"query {query_id} is not deferred")
-        self.deferred.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-
-    def unarrived_ids(self) -> "tuple[int, ...]":
-        """Query ids present in the round but not yet arrived (deferred)."""
-        return tuple(self.deferred)
-
-    def arrival_time(self, query_id: int) -> float:
-        """Raw sessions have no arrival schedule; everything arrives at zero."""
-        return 0.0
 
     def submit(self, query_id: int, parameters: RunningParameters) -> int:
         """Submit a pending query to an idle connection at the current time.
@@ -496,11 +426,6 @@ class ExecutionSession:
         )
         return CompletionEvent(query_id=finishing_id, finish_time=self.current_time, connection=state.connection)
 
-    @property
-    def makespan(self) -> float:
-        """Latest finish time observed so far."""
-        return max(self.finished.values(), default=0.0)
-
     # ------------------------------------------------------------------ #
     # Fluid model internals
     # ------------------------------------------------------------------ #
@@ -614,6 +539,34 @@ class ExecutionSession:
             cached_share = self.buffer.cached_fraction(table, table_rows)
             shared += rows * max(concurrent_share, cached_share)
         return self.profile.sharing_strength * (shared / total_rows)
+
+
+def collect_fixed_order_logs(
+    self: "DatabaseEngine | Cluster",
+    batch: BatchQuerySet,
+    orders: "list[list[int]]",
+    parameters: RunningParameters,
+    num_connections: int | None = None,
+    strategy: str = "history",
+) -> ExecutionLog:
+    """Run several fixed-order rounds and return the combined log.
+
+    Used to build the "historical logs" that adaptive masking, scheduling
+    gain clustering and the learned simulator are trained from.  Bound as
+    both ``DatabaseEngine.collect_logs`` and ``Cluster.collect_logs``.
+    """
+    log = ExecutionLog()
+    for round_index, order in enumerate(orders):
+        round_log = self.execute_order(
+            batch,
+            order,
+            parameters,
+            num_connections=num_connections,
+            strategy=strategy,
+            round_id=round_index,
+        )
+        log.add_round(round_log)
+    return log
 
 
 class DatabaseEngine:
@@ -738,28 +691,4 @@ class DatabaseEngine:
         assert event is not None
         return event.finish_time
 
-    def collect_logs(
-        self,
-        batch: BatchQuerySet,
-        orders: "list[list[int]]",
-        parameters: RunningParameters,
-        num_connections: int | None = None,
-        strategy: str = "history",
-    ) -> ExecutionLog:
-        """Run several fixed-order rounds and return the combined log.
-
-        Used to build the "historical logs" that adaptive masking, scheduling
-        gain clustering and the learned simulator are trained from.
-        """
-        log = ExecutionLog()
-        for round_index, order in enumerate(orders):
-            round_log = self.execute_order(
-                batch,
-                order,
-                parameters,
-                num_connections=num_connections,
-                strategy=strategy,
-                round_id=round_index,
-            )
-            log.add_round(round_log)
-        return log
+    collect_logs = collect_fixed_order_logs

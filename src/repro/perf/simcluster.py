@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..dbms import INSTANCE_FEATURE_DIM, QueryExecutionRecord, RoundLog, RunningParameters
+from ..dbms import INSTANCE_FEATURE_DIM, QueryExecutionRecord, RunningParameters
 from ..dbms.engine import CompletionEvent, RunningQueryState
-from ..dbms.soa import SessionStateArrays
+from ..dbms.soa import BackendSession
 from ..dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE, FAULT_STREAM, FailureProfile, QueryFate
 from ..exceptions import SimulationError
 from ..seeding import SeedSpawner
-from ..workloads import BatchQuerySet, Query
+from ..workloads import BatchQuerySet
 from .features import MIN_REMAINING, TIME_SCALE
 from .perfmodel import PerformanceModel
 
@@ -161,10 +161,10 @@ class SimulatedCluster:
         return f"SimulatedCluster({self.name!r}, instances={self.num_instances})"
 
 
-class SimulatedClusterSession:
+class SimulatedClusterSession(BackendSession):
     """One simulated scheduling round across a fleet of engine instances."""
 
-    supports_lockstep = False
+    error = SimulationError
 
     def __init__(
         self,
@@ -178,21 +178,13 @@ class SimulatedClusterSession:
     ) -> None:
         if faults is not None and faults.has_random_faults and fault_rng is None:
             raise SimulationError("a FailureProfile with random faults needs a fault_rng stream")
+        super().__init__(batch, round_id, strategy or "simulated")
         self.cluster = cluster
         self.perf = cluster.perf
-        self.batch = batch
-        self.round_id = round_id
-        self.current_time = 0.0
-        self.pending: list[int] = [query.query_id for query in batch]
-        self.deferred: list[int] = []
-        self.finished: dict[int, float] = {}
-        #: Terminally failed queries (retries exhausted / never retried).
-        self.failed: dict[int, float] = {}
         self._faults = faults
         self._fault_rng = fault_rng
         self._fates: dict[int, QueryFate] = {}
         self._fault_events: list[CompletionEvent] = []
-        self.log = RoundLog(round_id=round_id, strategy=strategy or "simulated")
         self.instances = [
             _SimulatedInstance(index, count) for index, count in enumerate(instance_connections)
         ]
@@ -203,8 +195,6 @@ class SimulatedClusterSession:
             self._connection_offsets.append(offset)
             offset += int(count)
         self.num_connections = offset
-        #: SoA mirror of the observable per-query state (fast snapshot path).
-        self.state_arrays = SessionStateArrays(len(batch))
 
     # ------------------------------------------------------------------ #
     # Cluster topology
@@ -263,17 +253,6 @@ class SimulatedClusterSession:
         self.state_arrays.mark_pending(query_id)
         return self._connection_offsets[placed] + state.connection
 
-    def mark_failed(self, query_id: int) -> None:
-        """Terminally fail a pending/deferred query (retries exhausted)."""
-        if query_id in self.pending:
-            self.pending.remove(query_id)
-        elif query_id in self.deferred:
-            self.deferred.remove(query_id)
-        else:
-            raise SimulationError(f"query {query_id} is not pending/deferred and cannot be failed")
-        self.failed[query_id] = self.current_time
-        self.state_arrays.mark_failed(query_id)
-
     def _kill_instant(self, instance: int, until: float) -> float | None:
         """Earliest instant in ``(now, until]`` at which the instance's work dies."""
         if self._faults is None:
@@ -331,10 +310,6 @@ class SimulatedClusterSession:
     # Session protocol: state
     # ------------------------------------------------------------------ #
     @property
-    def is_done(self) -> bool:
-        return not self.pending and not self.deferred and self.num_running == 0
-
-    @property
     def running(self) -> dict[int, RunningQueryState]:
         """Aggregated running-state view across every instance."""
         merged: dict[int, RunningQueryState] = {}
@@ -347,47 +322,9 @@ class SimulatedClusterSession:
         return bool(self.idle_instances())
 
     @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    @property
     def num_running(self) -> int:
         """In-flight queries, including failures buffered but not yet delivered."""
         return sum(len(instance.running) for instance in self.instances) + len(self._fault_events)
-
-    @property
-    def makespan(self) -> float:
-        return max(self.finished.values(), default=0.0)
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
-
-    def running_states(self) -> list[RunningQueryState]:
-        return list(self.running.values())
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: streaming arrivals
-    # ------------------------------------------------------------------ #
-    def defer(self, query_ids: "list[int]") -> None:
-        for query_id in query_ids:
-            if query_id not in self.pending:
-                raise SimulationError(f"query {query_id} is not pending and cannot be deferred")
-            self.pending.remove(query_id)
-            self.deferred.append(query_id)
-            self.state_arrays.mark_deferred(query_id)
-
-    def release(self, query_id: int) -> None:
-        if query_id not in self.deferred:
-            raise SimulationError(f"query {query_id} is not deferred")
-        self.deferred.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-
-    def unarrived_ids(self) -> "tuple[int, ...]":
-        return tuple(self.deferred)
-
-    def arrival_time(self, query_id: int) -> float:
-        return 0.0
 
     # ------------------------------------------------------------------ #
     # Session protocol: scheduling

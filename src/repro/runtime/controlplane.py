@@ -199,7 +199,7 @@ class FleetController:
         ``initial_instances=None`` starts with ``max_instances`` up (the
         whole fleet when that is 0 too).
         """
-        fleet = int(getattr(shared, "num_instances", 1))
+        fleet = int(shared.num_instances)
         upper = self._resolved_max(fleet)
         start = self.policy.initial_instances if self.policy.initial_instances is not None else upper
         start = max(self.policy.min_instances, min(start, upper))

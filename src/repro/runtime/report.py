@@ -175,10 +175,10 @@ class ServiceReport:
             else:
                 mean_latency = p50 = p90 = p99 = 0.0
             completed = len(session.finished)
-            tenant_class = getattr(session, "tenant_class", None)
-            num_shed = getattr(session, "num_shed", 0)
-            slo_met = getattr(session, "num_slo_met", 0)
-            slo_misses = getattr(session, "num_slo_misses", 0)
+            tenant_class = session.tenant_class
+            num_shed = session.num_shed
+            slo_met = session.num_slo_met
+            slo_misses = session.num_slo_misses
             if tenant_class is not None and tenant_class.latency_slo is not None:
                 slo_eligible = slo_met + slo_misses + num_shed
             else:
@@ -193,10 +193,10 @@ class ServiceReport:
                     p50_latency=p50,
                     p90_latency=p90,
                     p99_latency=p99,
-                    num_failed=len(getattr(session, "failed", ())),
-                    num_failed_attempts=getattr(session, "num_failed_attempts", 0),
-                    num_retries=getattr(session, "num_retries", 0),
-                    num_timeouts=getattr(session, "num_timeouts", 0),
+                    num_failed=len(session.failed),
+                    num_failed_attempts=session.num_failed_attempts,
+                    num_retries=session.num_retries,
+                    num_timeouts=session.num_timeouts,
                     goodput=completed / total_time if total_time > 0 else 0.0,
                     tenant_class=tenant_class.name if tenant_class is not None else "",
                     priority=tenant_class.priority if tenant_class is not None else 0.0,

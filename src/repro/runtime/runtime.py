@@ -362,8 +362,7 @@ class ExecutionRuntime:
         shared = self.shared_session
         while True:
             next_scheduled = self.events.peek_time()
-            wakeup_fn = getattr(shared, "next_fault_wakeup", None)
-            wakeup = wakeup_fn() if wakeup_fn is not None else None
+            wakeup = shared.next_fault_wakeup()
             limits = [value for value in (next_scheduled, wakeup) if value is not None]
             limit = min(limits) if limits else None
             if shared.num_running:
@@ -455,15 +454,14 @@ class ExecutionRuntime:
         global_id = state.offset + event.query_id
         if self._attempts.get(global_id, 0) != event.attempt or global_id not in shared.running:
             return None
-        instance_of = getattr(shared, "instance_of", None)
-        instance = instance_of(global_id) if instance_of is not None else 0
+        instance = shared.instance_of(global_id)
         connection = shared.cancel(global_id)
         return self._register_failure(
             state,
             event.query_id,
             time=shared.current_time,
             connection=connection,
-            instance=max(0, instance),
+            instance=instance,
             reason=FAILURE_TIMEOUT,
         )
 
@@ -669,28 +667,19 @@ class TenantSession:
         #: ``latency_slo``): completions at or under the target vs over it.
         self.num_slo_met = 0
         self.num_slo_misses = 0
-        # SoA fast-snapshot view: live slices of the shared session's state
+        # SoA snapshot view: live slices of the shared session's state
         # arrays scoped to this tenant's global-id range, plus the two
         # columns only the tenant knows (failed attempts and when a
-        # deferred/retrying query becomes available again).  Backends
-        # without state arrays (e.g. test doubles) leave these ``None`` and
-        # the environment falls back to the AoS snapshot path.
-        shared_arrays = getattr(shared, "state_arrays", None)
-        if shared_arrays is not None:
-            offset = state.offset
-            count = len(state.batch)
-            self.soa_status: "np.ndarray | None" = shared_arrays.status[offset : offset + count]
-            self.soa_submit_time: "np.ndarray | None" = shared_arrays.submit_time[offset : offset + count]
-            self.soa_attempts: "np.ndarray | None" = np.zeros(count, dtype=np.int64)
-            if arrival_times is None:
-                self.soa_available_at: "np.ndarray | None" = np.zeros(count, dtype=np.float64)
-            else:
-                self.soa_available_at = np.asarray(arrival_times, dtype=np.float64).copy()
+        # deferred/retrying query becomes available again).
+        offset = state.offset
+        count = len(state.batch)
+        self.soa_status: np.ndarray = shared.state_arrays.status[offset : offset + count]
+        self.soa_submit_time: np.ndarray = shared.state_arrays.submit_time[offset : offset + count]
+        self.soa_attempts = np.zeros(count, dtype=np.int64)
+        if arrival_times is None:
+            self.soa_available_at = np.zeros(count, dtype=np.float64)
         else:
-            self.soa_status = None
-            self.soa_submit_time = None
-            self.soa_attempts = None
-            self.soa_available_at = None
+            self.soa_available_at = np.asarray(arrival_times, dtype=np.float64).copy()
 
     # -- identity ------------------------------------------------------- #
     @property
@@ -709,7 +698,7 @@ class TenantSession:
             self._runtime.num_tenants == 1
             and not self._unarrived
             and not self._runtime.events
-            and getattr(self._shared, "supports_lockstep", False)
+            and self._shared.supports_lockstep
         )
 
     # -- protocol properties -------------------------------------------- #
@@ -773,10 +762,7 @@ class TenantSession:
 
     def instance_health(self) -> list[bool]:
         """Per-instance up/down health of the shared backend."""
-        health_fn = getattr(self._shared, "instance_health", None)
-        if health_fn is not None:
-            return list(health_fn())
-        return [True] * self.num_instances
+        return self._shared.instance_health()
 
     def arrival_time(self, query_id: int) -> float:
         """When the query arrives (0.0 in the closed scenario)."""
@@ -808,43 +794,28 @@ class TenantSession:
                     )
         return states
 
-    # -- cluster topology (delegated; single-backend defaults) ----------- #
+    # -- cluster topology (delegated to the shared session) -------------- #
     @property
     def num_instances(self) -> int:
         """Engine instances behind the shared session (1 on plain backends)."""
-        return getattr(self._shared, "num_instances", 1)
+        return self._shared.num_instances
 
     def idle_instances(self) -> list[int]:
-        shared = self._shared
-        if hasattr(shared, "idle_instances"):
-            return shared.idle_instances()
-        return [0] if shared.has_idle_connection else []
+        return self._shared.idle_instances()
 
     def instance_of(self, query_id: int) -> int:
         """The instance a tenant-local query was placed on (-1 if never)."""
-        shared = self._shared
-        if hasattr(shared, "instance_of"):
-            return shared.instance_of(self._state.offset + query_id)
-        return 0 if query_id in self._running or query_id in self.finished else -1
+        return self._shared.instance_of(self._state.offset + query_id)
 
     def instance_context(self) -> "np.ndarray | None":
-        shared = self._shared
-        if hasattr(shared, "instance_context"):
-            return shared.instance_context()
-        return None
+        return self._shared.instance_context()
 
     def instance_num_running(self) -> list[int]:
         """Fleet-wide per-instance occupancy (every tenant's queries)."""
-        shared = self._shared
-        if hasattr(shared, "instance_num_running"):
-            return shared.instance_num_running()
-        return [shared.num_running]
+        return self._shared.instance_num_running()
 
     def speed_factors(self) -> tuple[float, ...]:
-        shared = self._shared
-        if hasattr(shared, "speed_factors"):
-            return shared.speed_factors()
-        return (1.0,)
+        return self._shared.speed_factors()
 
     # -- protocol methods ------------------------------------------------ #
     def submit(self, query_id: int, parameters: "RunningParameters", instance: "int | None" = None) -> int:
@@ -913,9 +884,8 @@ class TenantSession:
         self._running.discard(event.query_id)
         self.num_failed_attempts += 1
         self._failure_counts[event.query_id] = self._failure_counts.get(event.query_id, 0) + 1
-        if self.soa_attempts is not None:
-            self.soa_attempts[event.query_id] += 1
-        if self.soa_available_at is not None and event.will_retry:
+        self.soa_attempts[event.query_id] += 1
+        if event.will_retry:
             self.soa_available_at[event.query_id] = event.retry_at if event.retry_at is not None else 0.0
         if event.reason == FAILURE_TIMEOUT:
             self.num_timeouts += 1

@@ -37,10 +37,12 @@ from repro.core import (
     SchedulingEnv,
     VectorSchedulingEnv,
 )
+from repro.core.simulator import LearnedSimulator
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE
-from repro.encoder import RunStateFeaturizer, SchedulingSnapshot
+from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot
 from repro.exceptions import ConfigurationError, SchedulingError, WorkloadError
+from repro.plans import PlanFeaturizer
 from repro.runtime import (
     AdmissionController,
     ControlPlane,
@@ -362,6 +364,42 @@ class TestShedBehaviour:
         assert {e.query_id for e in shed} <= set(session.shed)
         assert set(session.shed) <= set(session.failed)
         assert session.num_shed == len(session.shed)
+
+
+class TestSimulatorBackedRuntime:
+    """Shedding and timeouts on a runtime over the learned simulator."""
+
+    def _simulator(self, batch, small_config):
+        workload = make_workload("tpch", scale_factor=1.0, seed=0)
+        space = ConfigurationSpace(small_config.scheduler)
+        knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), batch, space)
+        queryformer = QueryFormer(PlanFeaturizer(workload.catalog), small_config.encoder, np.random.default_rng(0))
+        embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
+        simulator = LearnedSimulator(batch, embeddings, knowledge, space, small_config.simulator, seed=0)
+        return simulator, space
+
+    def _drain(self, runtime, batch, space, arrivals=None):
+        session = runtime.register("t", batch, arrivals=arrivals).new_session(
+            batch, num_connections=2, round_id=0
+        )
+        while not runtime.is_done:
+            while session.pending and session.has_idle_connection:
+                session.submit(session.pending[0], space[0])
+            if runtime.is_done:
+                break
+            runtime.advance()
+        assert len(session.finished) + len(session.failed) == len(batch)
+        return session
+
+    def test_shed_and_timeout_rounds_drain(self, fixture_batch, small_config):
+        simulator, space = self._simulator(fixture_batch, small_config)
+        control = ControlPlane(admission=AdmissionPolicy(rate=1.0, burst=1.0))
+        arrivals = [0.01 * i for i in range(len(fixture_batch))]
+        shedding = self._drain(ExecutionRuntime(simulator, control=control), fixture_batch, space, arrivals)
+        assert shedding.shed and set(shedding.shed) <= set(shedding.failed)
+        retry = RetryPolicy(timeout=1e-3, max_attempts=2)
+        timing_out = self._drain(ExecutionRuntime(simulator, retry=retry), fixture_batch, space)
+        assert timing_out.num_timeouts > 0
 
 
 class TestAutoscaledServing:

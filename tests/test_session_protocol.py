@@ -4,7 +4,9 @@ The environment is backend-agnostic through two typed protocols in
 ``repro.core.env``: ``SessionBackend`` (things that open rounds) and
 ``SchedulingSession`` (the live rounds themselves).  These tests pin the
 signature and assert that every production implementation — the real engine,
-the learned simulator, and the runtime tenant — actually satisfies both.
+the learned simulator, their fleet counterparts and the runtime tenant —
+actually satisfies both, and that the four backend sessions share the
+``BackendSession`` transitions and single-instance answers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core import ExternalKnowledge, SchedulingSession, SessionBackend
 from repro.core.simulator import LearnedSimulator, SimulatedSession
 from repro.dbms import Cluster, ClusterSession, ConfigurationSpace, RunningParameters
 from repro.dbms.engine import ExecutionSession
+from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, BackendSession
 from repro.encoder import PlanEmbeddingCache, QueryFormer
 from repro.perf import PerformanceModel, SimulatedCluster, SimulatedClusterSession
 from repro.plans import PlanFeaturizer
@@ -135,9 +138,11 @@ class TestSessionBehaviouralParity:
         elif kind == "simulated-cluster":
             session = sim_cluster.new_session(batch, num_connections=3, round_id=5)
         else:
-            session = ExecutionRuntime(engine).register("t", batch).new_session(
-                batch, num_connections=3, round_id=5
-            )
+            runtime = ExecutionRuntime(engine)
+            session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=5)
+        # The backend session under test: a tenant's is the runtime's shared one.
+        backend = runtime.shared_session if kind == "tenant" else session
+        assert isinstance(backend, BackendSession)
         assert session.log.round_id == 5
         assert not session.is_done and session.has_pending and session.has_idle_connection
         assert session.unarrived_ids() == ()
@@ -151,3 +156,33 @@ class TestSessionBehaviouralParity:
         session.advance()
         assert session.finished and session.current_time > 0
         assert session.makespan == max(session.finished.values())
+
+        # The shared transitions: defer -> release -> mark_failed.
+        status = backend.state_arrays.status
+        backend.defer([1])
+        assert 1 in backend.deferred and 1 not in backend.pending and status[1] == SOA_DEFERRED
+        assert backend.unarrived_ids() == (1,)
+        backend.release(1)
+        assert 1 in backend.pending and not backend.deferred and status[1] == SOA_PENDING
+        backend.mark_failed(1)
+        assert 1 in backend.failed and 1 not in backend.pending and status[1] == SOA_FAILED
+        with pytest.raises(backend.error):
+            backend.release(1)
+
+        # Cancelling a running query frees its connection and requeues it;
+        # the resubmission then runs to completion.
+        connection = backend.submit(2, parameters)
+        assert backend.cancel(2) == connection
+        assert 2 in backend.pending and 2 not in backend.running and status[2] == SOA_PENDING
+        assert backend.num_running == 0 and backend.has_idle_connection
+        backend.submit(2, parameters)
+        while 2 not in backend.finished:
+            backend.advance()
+
+        if kind in ("engine", "simulator", "tenant"):
+            for view in (session, backend):
+                assert view.num_instances == 1
+                assert view.idle_instances() == [0]
+                assert view.instance_of(0) == 0 and view.instance_of(3) == -1
+                assert view.instance_health() == [True]
+            assert backend.next_fault_wakeup() is None
