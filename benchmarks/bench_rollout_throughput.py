@@ -81,14 +81,14 @@ def seed_equivalent_feature_rows(scheduler: BQSched) -> Iterator[None]:
     """Bypass the cross-session feature-row cache (absent in the seed tree)."""
     simulator = scheduler.simulator
 
-    def uncached(query_id, parameters):
-        return simulator._features([query_id], [parameters], [0.0])[0]
+    def uncached(instance, query_id, parameters):
+        return simulator.perf.featurizer.rows([query_id], [parameters], [0.0], instance=instance)[0]
 
-    simulator.cached_feature_row = uncached
+    simulator.feature_row = uncached
     try:
         yield
     finally:
-        del simulator.__dict__["cached_feature_row"]
+        del simulator.__dict__["feature_row"]
 
 
 def build_trainer(scheduler: BQSched, num_envs: int, legacy: bool = False):

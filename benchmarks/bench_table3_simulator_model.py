@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 from repro.bench import Scenario, paper_values, print_table, write_json_report
 from repro.config import SimulatorConfig
-from repro.core import LearnedSimulator
 from repro.core.knowledge import ExternalKnowledge
 from repro.dbms import ConfigurationSpace
 from repro.encoder import PlanEmbeddingCache, QueryFormer
+from repro.perf import PerformanceModel
 from repro.plans import PlanFeaturizer
 
 
@@ -45,8 +45,8 @@ def _run(profile):
     }
     rows, measured = [], {}
     for name, sim_config in variants.items():
-        simulator = LearnedSimulator(batch, plan_embeddings, knowledge, config_space, sim_config, seed=0)
-        metrics = simulator.train_from_log(log)
+        perf = PerformanceModel(batch, plan_embeddings, knowledge, config_space, sim_config, seed=0)
+        metrics = perf.train_from_log(log)
         measured[name] = metrics
         paper = paper_values.TABLE3_SIMULATOR[name]
         rows.append(

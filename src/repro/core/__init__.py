@@ -23,7 +23,7 @@ from .ppg import PPGTrainer
 from .iq_ppo import IQPPOTrainer
 from .gain import GainModel, build_gain_matrix, compute_scheduling_gains
 from .clustering import QueryClusters, cluster_queries
-from .simulator import ConcurrentPredictionModel, LearnedSimulator, SimulatedSession, SimulatorMetrics
+from ..perf import ConcurrentPredictionModel, SimulatorMetrics
 from .bqsched import BQSched, LSchedScheduler, RLSchedulerBase
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "QueryClusters",
     "cluster_queries",
     "ConcurrentPredictionModel",
-    "LearnedSimulator",
-    "SimulatedSession",
     "SimulatorMetrics",
     "BQSched",
     "LSchedScheduler",

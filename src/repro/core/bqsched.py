@@ -57,7 +57,6 @@ from .masking import AdaptiveMask
 from .policy import DECISION_KERNEL, ActorCriticNetwork
 from .ppg import PPGTrainer
 from .ppo import PPOTrainer, TrainingHistory
-from .simulator import LearnedSimulator
 from .types import SchedulingResult, StrategyEvaluation
 
 __all__ = ["RLSchedulerBase", "BQSched", "LSchedScheduler"]
@@ -114,11 +113,11 @@ class RLSchedulerBase(BaseScheduler):
             else AdaptiveMask.unmasked(len(self.batch), len(self.config_space))
         )
         self.clusters: QueryClusters | None = None
-        #: The pre-training backend: a single-engine LearnedSimulator or, on
-        #: fleets, a SimulatedCluster over the shared performance model.
-        self.simulator: "LearnedSimulator | SimulatedCluster | None" = None
-        #: The unified prediction stack behind the simulator (and the learned
-        #: cost estimates); on single engines this is ``simulator.perf``.
+        #: The pre-training backend: the simulated twin of the engine (a fleet
+        #: of one) or of the fleet, over :attr:`perf_model`.
+        self.simulator: SimulatedCluster | None = None
+        #: The prediction stack behind the simulator (and the learned cost
+        #: estimates): ``simulator.perf``.
         self.perf_model: PerformanceModel | None = None
         self.history_log = ExecutionLog()
 
@@ -173,8 +172,11 @@ class RLSchedulerBase(BaseScheduler):
         """The one place an environment is built: a fleet backend gets the
         placement-aware env.  ``overrides`` replace the scheduler's own
         components (another batch with its knowledge and mask, another
-        connection count, a strategy label)."""
-        env_cls = ClusterSchedulingEnv if self._cluster_backend(backend) else SchedulingEnv
+        connection count, a strategy label).  The simulator stands in for the
+        scheduler's own engine, so its env follows the engine's kind (a
+        single engine pre-trains through the plain env over a fleet of one)."""
+        fleet = self._cluster_backend(self.engine if backend is self.simulator else backend)
+        env_cls = ClusterSchedulingEnv if fleet else SchedulingEnv
         components = dict(
             batch=self.batch,
             scheduler_config=self.config.scheduler,
@@ -249,33 +251,26 @@ class RLSchedulerBase(BaseScheduler):
             self.env = self._build_env(backend=self.engine)
 
         if self.use_simulator:
-            if isinstance(self.engine, Cluster):
-                # One performance model covers the whole fleet: examples are
-                # reconstructed per instance from the instance-tagged history
-                # log and every row carries the instance-context channel.
-                self.perf_model = PerformanceModel(
-                    batch=self.batch,
-                    plan_embeddings=self.plan_embeddings,
-                    knowledge=self.knowledge,
-                    config_space=self.config_space,
-                    config=self.config.simulator,
-                    seed=self.config.seed,
-                    instance_speeds=self.engine.speed_factors(),
-                )
-                self.perf_model.train_from_log(self.history_log)
-                self.simulator = SimulatedCluster.for_cluster(self.perf_model, self.engine)
-            else:
-                simulator = LearnedSimulator(
-                    batch=self.batch,
-                    plan_embeddings=self.plan_embeddings,
-                    knowledge=self.knowledge,
-                    config_space=self.config_space,
-                    config=self.config.simulator,
-                    seed=self.config.seed,
-                )
-                simulator.train_from_log(self.history_log)
-                self.simulator = simulator
-                self.perf_model = simulator.perf
+            # One performance model covers the engine or the whole fleet: on a
+            # fleet, examples are reconstructed per instance from the
+            # instance-tagged history log and every row carries the
+            # instance-context channel.  A single engine is a fleet of one.
+            fleet = isinstance(self.engine, Cluster)
+            self.perf_model = PerformanceModel(
+                batch=self.batch,
+                plan_embeddings=self.plan_embeddings,
+                knowledge=self.knowledge,
+                config_space=self.config_space,
+                config=self.config.simulator,
+                seed=self.config.seed,
+                instance_speeds=self.engine.speed_factors() if fleet else (),
+            )
+            self.perf_model.train_from_log(self.history_log)
+            self.simulator = (
+                SimulatedCluster.for_cluster(self.perf_model, self.engine)
+                if fleet
+                else SimulatedCluster(self.perf_model, [self.engine.profile.default_connections])
+            )
 
         self.timings["prepare"] = time.perf_counter() - started
         self._prepared = True

@@ -15,7 +15,7 @@ process BQSched learns on:
 
 The environment is backend-agnostic: it drives either the real DBMS
 substrate (:class:`repro.dbms.DatabaseEngine`), the learned incremental
-simulator (:class:`repro.core.simulator.LearnedSimulator`), or a tenant of
+simulator (:class:`repro.perf.SimulatedCluster`), or a tenant of
 the event-driven :class:`repro.runtime.ExecutionRuntime` — which is exactly
 the non-intrusive interface the paper requires.  The environment itself is a
 thin runtime client: every round runs through an
@@ -103,11 +103,10 @@ def drive_service(runtime: ExecutionRuntime, envs: "Sequence[SchedulingEnv]", se
 class SchedulingSession(Protocol):
     """One live scheduling round: what a ``SessionBackend`` opens.
 
-    Implemented by the four backend sessions, which share the base
+    Implemented by the three backend sessions, which share the base
     :class:`~repro.dbms.soa.BackendSession` (the fluid-engine
-    :class:`~repro.dbms.engine.ExecutionSession`, the learned-simulator
-    :class:`~repro.core.simulator.SimulatedSession` and their fleet
-    counterparts :class:`~repro.dbms.ClusterSession` and
+    :class:`~repro.dbms.engine.ExecutionSession`, its fleet counterpart
+    :class:`~repro.dbms.ClusterSession` and the learned simulator's
     :class:`~repro.perf.SimulatedClusterSession`), and by the runtime's
     :class:`~repro.runtime.TenantSession`.  The environment itself only ever
     holds a :class:`~repro.runtime.TenantSession`: it wraps every raw backend
@@ -151,8 +150,7 @@ class SessionBackend(Protocol):
 
     Satisfied by :class:`repro.dbms.DatabaseEngine`,
     :class:`repro.dbms.Cluster`,
-    :class:`repro.core.simulator.LearnedSimulator`,
-    :class:`repro.perf.SimulatedCluster` and
+    :class:`repro.perf.SimulatedCluster` (the learned simulator) and
     :class:`repro.runtime.RuntimeTenant` (conformance is asserted in
     ``tests/test_session_protocol.py``).
     """

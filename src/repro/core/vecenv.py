@@ -48,7 +48,8 @@ class VectorSchedulingEnv:
 
         The backend is shared too: every session it opens is an independent
         object, so concurrent rounds do not interfere (this holds for both the
-        real :class:`~repro.dbms.DatabaseEngine` and the learned simulator).
+        real :class:`~repro.dbms.DatabaseEngine` and the simulated
+        :class:`~repro.perf.SimulatedCluster`).
         Width 1 needs no clone, so an environment bound to a shared-runtime
         tenant (which cannot be cloned) still makes a vector env of one.
         """
@@ -92,13 +93,14 @@ class VectorSchedulingEnv:
     def step_many(self, indices: Sequence[int], actions: Sequence[int]) -> list[StepResult]:
         """Apply one decision per listed sub-env (aligned by position).
 
-        Simulator-backed, non-cluster sessions take the lockstep path: the
-        clock advances of all sub-envs are interleaved, and simulator
-        predictions needed in the same round are grouped by concurrency
-        degree and served by ONE batched model forward
-        (:meth:`ConcurrentPredictionModel.predict_batched`) — the scalar
-        engine necessarily runs them one at a time.  Other backends (the
-        real DBMS engine) and cluster mode fall back to per-env steps.
+        Sessions on a simulated backend take the lockstep path: the clock
+        advances of all sub-envs are interleaved, and the simulator
+        predictions needed in the same round — one per busy engine instance
+        of every session — are grouped by model and concurrency degree and
+        served by ONE batched model forward
+        (:meth:`ConcurrentPredictionModel.predict_batched`).  Other backends
+        (the real DBMS engine or cluster) and cluster mode fall back to
+        per-env steps.
         """
         if len(indices) != len(actions):
             raise SchedulingError("indices and actions must align")
@@ -106,9 +108,9 @@ class VectorSchedulingEnv:
         # session's dynamics never depend on how many peer episodes happen to
         # still be running (batched predictions preserve the input dtype and
         # match the sequential path bit-for-bit).  Sessions opt in
-        # via ``supports_lockstep``: simulator-backed single-tenant closed
-        # rounds only — a shared multi-tenant clock or scheduled arrivals
-        # cannot be batched across environments.
+        # via ``supports_lockstep``: fault-free simulated single-tenant closed
+        # rounds only — a shared multi-tenant clock, scheduled arrivals or
+        # fault fates cannot be batched across environments.
         if self.clusters is None and all(self.envs[i].session.supports_lockstep for i in indices):
             return self._step_many_simulated(indices, actions)
         return [self.envs[i].step(action) for i, action in zip(indices, actions)]
@@ -118,21 +120,22 @@ class VectorSchedulingEnv:
         time_before = [envs[i].begin_step(action) for i, action in zip(indices, actions)]
         advancing = [i for i in indices if envs[i].needs_advance()]
         while advancing:
-            groups: dict[tuple[int, int], list] = {}
-            for i in advancing:
-                session = envs[i].session
-                states, features = session.advance_features()
-                key = (id(session.simulator.model), features.shape[0])
-                groups.setdefault(key, []).append((i, states, features))
-            for items in groups.values():
-                model = envs[items[0][0]].session.simulator.model
-                # Singleton groups go through predict_batched too, so a
+            sessions = [envs[i].session for i in advancing]
+            groups = [session.advance_features() for session in sessions]
+            batches: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            for s, session in enumerate(sessions):
+                for g, (_, _, features) in enumerate(groups[s]):
+                    batches.setdefault((id(session.perf.model), features.shape[0]), []).append((s, g))
+            predicted = {}
+            for members in batches.values():
+                # Singleton batches go through predict_batched too, so a
                 # session's dynamics never depend on how many other sessions
                 # happened to share its concurrency degree this round.
-                stacked = np.stack([features for _, _, features in items], axis=0)
-                logits, times = model.predict_batched(stacked)
-                for (index, states, _), logit_row, time_row in zip(items, logits, times):
-                    envs[index].session.apply_advance(states, logit_row, time_row)
+                stacked = np.stack([groups[s][g][2] for s, g in members], axis=0)
+                logits, times = sessions[members[0][0]].perf.model.predict_batched(stacked)
+                predicted.update(zip(members, zip(logits, times)))
+            for s, session in enumerate(sessions):
+                session.apply_advance(groups[s], [predicted[s, g] for g in range(len(groups[s]))])
             advancing = [i for i in advancing if envs[i].needs_advance()]
         return [envs[i].finish_step(before) for i, before in zip(indices, time_before)]
 

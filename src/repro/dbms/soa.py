@@ -1,8 +1,8 @@
 """The state every backend session shares.
 
 :class:`SessionStateArrays` keeps the observable per-query state as flat
-NumPy columns that every session backend (engine, cluster, simulator,
-simulated cluster) updates in O(1) as transitions land — submit, completion,
+NumPy columns that every session backend (engine, cluster, simulated
+fleet) updates in O(1) as transitions land — submit, completion,
 failure, deferral.  The environment then assembles a
 :class:`~repro.encoder.run_state.SnapshotArrays` view with a handful of
 whole-array ops and zero per-query Python work.
@@ -11,7 +11,7 @@ Status codes are *backend-observable* states; the environment maps them onto
 the three scheduler-visible ``QueryStatus`` values (FAILED reads as FINISHED,
 DEFERRED as PENDING-but-unavailable) with one table lookup.
 
-:class:`BackendSession` is the base of those four sessions: the round's query
+:class:`BackendSession` is the base of those three sessions: the round's query
 lists, the state arrays and the transitions that do not touch the clock are
 written there once.
 """
@@ -96,9 +96,12 @@ class BackendSession:
 
     #: Raised when a transition does not apply to the query's current state.
     error: ClassVar[type[BQSchedError]] = SchedulingError
-    #: Whether the vectorized engine may interleave this session's advances
-    #: with batched model predictions (only the learned simulator can).
-    supports_lockstep: ClassVar[bool] = False
+
+    @property
+    def supports_lockstep(self) -> bool:
+        """Whether the vectorized engine may interleave this session's advances
+        with batched model predictions (only a fault-free simulated round can)."""
+        return False
 
     if TYPE_CHECKING:
         # Defined by every subclass: ``running`` is a dict on the single-engine

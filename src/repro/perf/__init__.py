@@ -10,14 +10,12 @@
 * :class:`PerformanceModel` — training from (instance-tagged) logs,
   continual fine-tuning from online logs, per-instance fidelity metrics and
   learned cost estimates;
-* :class:`SimulatedCluster` / :class:`SimulatedClusterSession` — the
-  simulated fleet the RL policy pre-trains against;
+* :class:`SimulatedCluster` / :class:`SimulatedClusterSession` — the learned
+  incremental simulator the RL policy pre-trains against: a simulated fleet,
+  of one on a single engine;
 * :class:`PerformanceEstimator` — the protocol adaptive masking and the
   greedy-cost placement baseline type against (satisfied by both the
   log-derived external knowledge and the learned model).
-
-The single-engine ``LearnedSimulator`` in :mod:`repro.core.simulator` is a
-thin wrapper over this layer.
 """
 
 from .features import MIN_REMAINING, PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE

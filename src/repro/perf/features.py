@@ -48,6 +48,10 @@ class PerformanceEstimator(Protocol):
     instead of private engine internals.
     """
 
+    #: Bumped whenever the estimates change, so caches of rows that bake them
+    #: in (the simulator's feature rows) can tell when they went stale.
+    version: int
+
     def expected_time(self, query_id: int, config_index: int) -> float:
         """Expected execution time of ``query_id`` under a configuration."""
         ...  # pragma: no cover - protocol

@@ -14,8 +14,7 @@ rows carry the instance-context channel, so the same network learns the
 dynamics of a fast and a slow instance side by side (fine-grained
 performance prediction on concurrent queries, arXiv:2501.16256).  At
 ``num_instances == 1`` the entire pipeline — rng stream, feature layout,
-fit order — is bit-identical to the historical single-engine
-``LearnedSimulator`` internals.
+fit order — is the historical single-engine simulator's, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +87,8 @@ class PerformanceModel:
         self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
         self._rng = rng
         self._arena = fastgrad.Arena()
+        #: Estimate version (:class:`PerformanceEstimator`): bumped per fit.
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -156,6 +157,7 @@ class PerformanceModel:
 
     def fit(self, examples: list[PredictionExample], epochs: int) -> None:
         """Per-example Adam steps over shuffled ``examples`` (tape-free kernels)."""
+        self.version += 1
         multitask, gamma = self.config.use_multitask, self.config.gamma_regression
         targets = [example.earliest_remaining / TIME_SCALE if multitask else None for example in examples]
         order = list(range(len(examples)))

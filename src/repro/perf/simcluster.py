@@ -1,23 +1,26 @@
-"""A learned-simulator stand-in for a whole heterogeneous fleet.
+"""The learned incremental simulator: a simulated fleet of engine instances.
 
-:class:`SimulatedCluster` mirrors :class:`~repro.dbms.Cluster` the way the
-single-engine ``LearnedSimulator`` mirrors a
-:class:`~repro.dbms.DatabaseEngine`: it opens
+Sampling scheduling episodes against a real DBMS is slow, so BQSched trains a
+:class:`~repro.perf.PerformanceModel` from historical logs and pre-trains the
+RL policy against it (Section IV-C).  :class:`SimulatedCluster` is that
+simulator as a backend.  It mirrors a :class:`~repro.dbms.Cluster` — a single
+:class:`~repro.dbms.DatabaseEngine` is a simulated fleet of one — and opens
 :class:`SimulatedClusterSession` rounds that speak the cluster session
-protocol — placement-aware ``submit(query_id, params, instance=)``,
-per-instance logical clocks unified behind one round clock, deterministic
-completion merging (earliest predicted finish wins, instance index breaks
-ties), bounded ``advance(limit)`` and ``defer``/``release`` for streaming
-arrivals — so the :class:`~repro.runtime.ExecutionRuntime`, the
-:class:`~repro.core.cluster_env.ClusterSchedulingEnv` and the vectorized
-rollout engine run against a simulated fleet unchanged.
+protocol: placement-aware ``submit(query_id, params, instance=)``, one round
+clock, deterministic completion merging (earliest predicted finish wins,
+instance index breaks ties), bounded ``advance(limit)`` and
+``defer``/``release`` for streaming arrivals.  So the
+:class:`~repro.runtime.ExecutionRuntime`, both scheduling environments and the
+vectorized rollout engine run against it unchanged.
 
-Every advance asks the shared :class:`~repro.perf.PerformanceModel` one
-question per busy instance: *of the queries running on this instance, which
-finishes first and when?*  At ``num_instances == 1`` the arithmetic —
-feature rows, prediction, clock updates, connection allocation — is
-bit-for-bit the single-engine ``SimulatedSession``'s (digest-pinned in
-``tests/test_perf.py``).
+Every advance asks the shared model one question per busy instance: *of the
+queries running on this instance, which finishes first and when?*  The
+question comes in three steps — :meth:`SimulatedClusterSession.advance_features`,
+the model's prediction, :meth:`SimulatedClusterSession.apply_advance` — so the
+vectorized engine can answer the questions of many sessions with one batched
+forward.  Online logs fed back through
+:meth:`~repro.perf.PerformanceModel.update_from_log` fine-tune the model
+incrementally (hence *incremental* simulator).
 """
 
 from __future__ import annotations
@@ -41,23 +44,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SimulatedCluster", "SimulatedClusterSession"]
 
+#: One instance's share of a prediction round: its index, its running states
+#: and their ``(k, feature_dim)`` model input (row ``i`` belongs to state ``i``).
+AdvanceGroup = tuple[int, list[RunningQueryState], np.ndarray]
+
 
 class _SimulatedInstance:
-    """Per-instance execution state behind one simulated fleet round."""
+    """Per-instance execution state behind one simulated fleet round.
 
-    def __init__(self, index: int, num_connections: int) -> None:
+    The model input of the running queries is kept incrementally: row ``i``
+    of ``features`` / ``submit_times`` belongs to the ``i``-th entry of
+    ``running`` (submission order), and an advance only rewrites the dynamic
+    columns.  Capacity is bounded by the connection pool.
+    """
+
+    def __init__(self, index: int, num_connections: int, feature_dim: int) -> None:
         if num_connections < 1:
             raise SimulationError("num_connections must be >= 1")
         self.index = index
         self.num_connections = num_connections
         self.idle = num_connections
-        self.clock = 0.0
         self.running: dict[int, RunningQueryState] = {}
-        self.feature_rows: dict[int, np.ndarray] = {}
+        self.features = np.zeros((num_connections, feature_dim), dtype=np.float64)
+        self.submit_times = np.zeros(num_connections, dtype=np.float64)
 
     @property
     def has_idle_connection(self) -> bool:
         return self.idle > 0
+
+    def add(self, state: RunningQueryState, row: np.ndarray) -> None:
+        slot = len(self.running)
+        self.features[slot] = row
+        self.submit_times[slot] = state.submit_time
+        self.running[state.query.query_id] = state
+        self.idle -= 1
+
+    def remove(self, query_id: int) -> RunningQueryState:
+        """Free a running query's connection and splice its row out."""
+        slot = list(self.running).index(query_id)
+        k = len(self.running) - 1
+        self.features[slot:k] = self.features[slot + 1 : k + 1]
+        self.submit_times[slot:k] = self.submit_times[slot + 1 : k + 1]
+        self.idle += 1
+        return self.running.pop(query_id)
 
 
 class SimulatedCluster:
@@ -84,6 +113,12 @@ class SimulatedCluster:
         self.faults = faults
         self.seeds = SeedSpawner(seed)
         self._round_counter = 0
+        # Fresh-submission feature rows keyed (instance, query_id,
+        # config_index), shared by the sessions of every round.  A row bakes
+        # in the estimated expected time, so the entries are dropped whenever
+        # the estimates' version moves.
+        self._row_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._row_cache_version = -1
 
     @classmethod
     def for_cluster(
@@ -117,6 +152,25 @@ class SimulatedCluster:
     def speed_factors(self) -> tuple[float, ...]:
         speeds = self.perf.featurizer.instance_speeds
         return speeds if speeds else (1.0,) * self.num_instances
+
+    def feature_row(self, instance: int, query_id: int, parameters: RunningParameters) -> np.ndarray:
+        """Feature row of a fresh submission (``elapsed = 0``), cached.
+
+        A row depends only on the frozen plan embedding, the configuration
+        one-hot, the estimated expected time and the instance's speed, so it
+        stays valid across rounds until the estimates are refreshed from new
+        logs.  The returned array is shared: callers copy before writing.
+        """
+        version = self.perf.knowledge.version
+        if version != self._row_cache_version:
+            self._row_cache.clear()
+            self._row_cache_version = version
+        key = (instance, query_id, self.perf.config_space.index_of(parameters))
+        row = self._row_cache.get(key)
+        if row is None:
+            row = self.perf.featurizer.rows([query_id], [parameters], [0.0], instance=instance)[0]
+            self._row_cache[key] = row
+        return row
 
     # ------------------------------------------------------------------ #
     # Backend protocol
@@ -185,8 +239,9 @@ class SimulatedClusterSession(BackendSession):
         self._fault_rng = fault_rng
         self._fates: dict[int, QueryFate] = {}
         self._fault_events: list[CompletionEvent] = []
+        feature_dim = self.perf.featurizer.feature_dim
         self.instances = [
-            _SimulatedInstance(index, count) for index, count in enumerate(instance_connections)
+            _SimulatedInstance(index, count, feature_dim) for index, count in enumerate(instance_connections)
         ]
         self._placement: dict[int, int] = {}
         self._connection_offsets: list[int] = []
@@ -195,6 +250,11 @@ class SimulatedClusterSession(BackendSession):
             self._connection_offsets.append(offset)
             offset += int(count)
         self.num_connections = offset
+
+    @property
+    def supports_lockstep(self) -> bool:
+        """Fault-free rounds only: fates and outage kills are not batched."""
+        return self._faults is None
 
     # ------------------------------------------------------------------ #
     # Cluster topology
@@ -244,10 +304,7 @@ class SimulatedClusterSession(BackendSession):
         placed = self._placement.get(query_id, -1)
         if placed < 0 or query_id not in self.instances[placed].running:
             raise SimulationError(f"query {query_id} is not running and cannot be cancelled")
-        instance = self.instances[placed]
-        state = instance.running.pop(query_id)
-        instance.feature_rows.pop(query_id, None)
-        instance.idle += 1
+        state = self.instances[placed].remove(query_id)
         self._fates.pop(query_id, None)
         self.pending.append(query_id)
         self.state_arrays.mark_pending(query_id)
@@ -267,9 +324,7 @@ class SimulatedClusterSession(BackendSession):
     def _kill_instance(self, instance: _SimulatedInstance) -> None:
         """Kill every running query of one instance at the current instant."""
         for query_id in sorted(instance.running):
-            state = instance.running.pop(query_id)
-            instance.feature_rows.pop(query_id, None)
-            instance.idle += 1
+            state = instance.remove(query_id)
             self._fates.pop(query_id, None)
             self.pending.append(query_id)
             self.state_arrays.mark_pending(query_id)
@@ -349,11 +404,10 @@ class SimulatedClusterSession(BackendSession):
             fate = self._faults.draw_fate(self._fault_rng)
             if not fate.clean:
                 self._fates[query_id] = fate
-        target.idle -= 1
-        connection = target.num_connections - target.idle - 1
+        connection = target.num_connections - target.idle
         self.pending.remove(query_id)
         self._placement[query_id] = instance
-        target.running[query_id] = RunningQueryState(
+        state = RunningQueryState(
             query=self.batch[query_id],
             parameters=parameters,
             connection=connection,
@@ -361,51 +415,35 @@ class SimulatedClusterSession(BackendSession):
             remaining_work=1.0,
             total_work=1.0,
         )
+        target.add(state, self.cluster.feature_row(instance, query_id, parameters))
         self.state_arrays.mark_running(query_id, self.current_time)
         return self._connection_offsets[instance] + connection
 
-    def _feature_row(self, instance: _SimulatedInstance, state: RunningQueryState) -> np.ndarray:
-        """Cached per-query feature row (dynamic slots rewritten per advance)."""
-        query_id = state.query.query_id
-        row = instance.feature_rows.get(query_id)
-        if row is None:
-            row = self.perf.featurizer.rows(
-                [query_id], [state.parameters], [0.0], instance=instance.index
-            )[0]
-            instance.feature_rows[query_id] = row
-        return row
+    def advance_features(self) -> list[AdvanceGroup]:
+        """One ``(instance, states, features)`` group per busy instance.
 
-    def _instance_prediction(
-        self, instance: _SimulatedInstance
-    ) -> tuple[float, list[RunningQueryState], int]:
-        """Predicted (finish_time, states, earliest index) for one instance."""
-        states = list(instance.running.values())
-        features = np.stack([self._feature_row(instance, state) for state in states], axis=0)
-        elapsed = np.array([self.current_time - state.submit_time for state in states])
-        self.perf.featurizer.rewrite_dynamic_columns(features, elapsed)
-        logits, times = self.perf.model.predict(features)
-        index = int(np.argmax(logits))
-        remaining = max(MIN_REMAINING, float(times[index]) * TIME_SCALE)
-        if self._fates:
-            # Mirror the fluid engine's fate semantics on predicted times: a
-            # straggler runs ``hang_factor`` times longer, an errored attempt
-            # dies after ``error_work_fraction`` of its predicted remainder.
-            fate = self._fates.get(states[index].query.query_id)
-            if fate is not None:
-                assert self._faults is not None
-                if fate.hang:
-                    remaining *= self._faults.hang_factor
-                if fate.error:
-                    remaining *= self._faults.error_work_fraction
-        return self.current_time + remaining, states, index
+        ``features`` is a view of the instance's live model input with the
+        dynamic columns brought up to the current time, valid until the next
+        ``submit``/``cancel``/``apply_advance`` on this session.  Exposed
+        apart from :meth:`advance` so the vectorized engine can stack the
+        groups of many sessions into one batched prediction.
+        """
+        groups = []
+        for instance in self.instances:
+            k = len(instance.running)
+            if k:
+                features = instance.features[:k]
+                elapsed = self.current_time - instance.submit_times[:k]
+                self.perf.featurizer.rewrite_dynamic_columns(features, elapsed)
+                groups.append((instance.index, list(instance.running.values()), features))
+        return groups
 
     def advance(self, limit: float | None = None) -> CompletionEvent | None:
-        """Advance the unified clock to the earliest predicted completion.
+        """Advance the unified clock to the earliest predicted event.
 
         Semantics mirror :meth:`~repro.dbms.cluster.ClusterSession.advance`:
-        each busy instance predicts its earliest finisher, the globally
-        earliest one is materialised (instance index breaks exact ties), and
-        with a ``limit`` the clock never moves past it (``None`` returned).
+        with a ``limit`` the clock never moves past it (``None`` returned),
+        and with nothing running a ``limit`` idles the clock forward to it.
         """
         if self._fault_events:
             return self._fault_events.pop(0)
@@ -413,34 +451,57 @@ class SimulatedClusterSession(BackendSession):
             if limit is None:
                 raise SimulationError("cannot advance: no query running in the simulator")
             self.current_time = max(self.current_time, limit)
-            for instance in self.instances:
-                instance.clock = self.current_time
             return None
-        candidates: list[tuple[float, int, "list[RunningQueryState] | None", int]] = []
-        for instance in self.instances:
-            if not instance.running:
-                continue
-            finish_time, states, index = self._instance_prediction(instance)
-            kill_at = self._kill_instant(instance.index, finish_time)
-            if kill_at is not None:
-                # The instance dies before (or as) its earliest predicted
-                # completion: the event at this instant is an outage kill.
-                candidates.append((kill_at, instance.index, None, -1))
-            else:
-                candidates.append((finish_time, instance.index, states, index))
-        finish_time, winner, states, index = min(candidates, key=lambda entry: (entry[0], entry[1]))
+        groups = self.advance_features()
+        predictions = [self.perf.model.predict(features) for _, _, features in groups]
+        return self.apply_advance(groups, predictions, limit=limit)
+
+    def apply_advance(
+        self,
+        groups: Sequence[AdvanceGroup],
+        predictions: Sequence[tuple[np.ndarray, np.ndarray]],
+        limit: float | None = None,
+    ) -> CompletionEvent | None:
+        """Materialise the earliest event the per-group ``(logits, times)`` imply.
+
+        Each group's predicted earliest finisher ends after its predicted
+        remaining time, stretched or cut by its fault fate; an instance whose
+        outage starts first loses its work instead.  The earliest event wins
+        and the instance index breaks exact ties.
+        """
+        best: tuple[float, int, RunningQueryState | None] | None = None
+        for (index, states, _), (logits, times) in zip(groups, predictions):
+            earliest = int(np.argmax(logits))
+            remaining = max(MIN_REMAINING, float(times[earliest]) * TIME_SCALE)
+            if self._fates:
+                # Mirror the fluid engine's fate semantics on predicted times: a
+                # straggler runs ``hang_factor`` times longer, an errored attempt
+                # dies after ``error_work_fraction`` of its predicted remainder.
+                fate = self._fates.get(states[earliest].query.query_id)
+                if fate is not None:
+                    assert self._faults is not None
+                    if fate.hang:
+                        remaining *= self._faults.hang_factor
+                    if fate.error:
+                        remaining *= self._faults.error_work_fraction
+            finish_time = self.current_time + remaining
+            kill_at = self._kill_instant(index, finish_time)
+            # An instance that dies before (or as) its earliest predicted
+            # completion yields an outage kill at that instant.
+            candidate: tuple[float, int, RunningQueryState | None] = (
+                (finish_time, index, states[earliest]) if kill_at is None else (kill_at, index, None)
+            )
+            if best is None or candidate[:2] < best[:2]:
+                best = candidate
+        assert best is not None, "apply_advance needs at least one group"
+        finish_time, winner, state = best
         if limit is not None and finish_time > limit:
             self.current_time = limit
-            for instance in self.instances:
-                instance.clock = self.current_time
             return None
         self.current_time = finish_time
-        for instance in self.instances:
-            instance.clock = self.current_time
-        if states is None:
+        if state is None:
             self._kill_instance(self.instances[winner])
             return self._fault_events.pop(0)
-        state = states[index]
         fate = self._fates.pop(state.query.query_id, None)
         if fate is not None and fate.error:
             return self._fail(self.instances[winner], state)
@@ -449,9 +510,7 @@ class SimulatedClusterSession(BackendSession):
     def _fail(self, instance: _SimulatedInstance, state: RunningQueryState) -> CompletionEvent:
         """Materialise one predicted *errored* attempt: wasted work, no log."""
         query_id = state.query.query_id
-        del instance.running[query_id]
-        instance.feature_rows.pop(query_id, None)
-        instance.idle += 1
+        instance.remove(query_id)
         self.pending.append(query_id)
         self.state_arrays.mark_pending(query_id)
         return CompletionEvent(
@@ -466,9 +525,7 @@ class SimulatedClusterSession(BackendSession):
     def _finish(self, instance: _SimulatedInstance, state: RunningQueryState) -> CompletionEvent:
         """Materialise one predicted completion into log, state and event."""
         query_id = state.query.query_id
-        del instance.running[query_id]
-        instance.feature_rows.pop(query_id, None)
-        instance.idle += 1
+        instance.remove(query_id)
         self.finished[query_id] = self.current_time
         self.state_arrays.mark_finished(query_id)
         connection = self._connection_offsets[instance.index] + state.connection

@@ -690,8 +690,8 @@ class TenantSession:
     def supports_lockstep(self) -> bool:
         """Whether the vectorized lockstep fast path may drive this session.
 
-        Only single-tenant closed rounds on a lockstep-capable backend (the
-        learned simulator) qualify: with peers or scheduled arrivals the
+        Only single-tenant closed rounds on a lockstep-capable backend (a
+        fault-free learned simulator) qualify: with peers or scheduled arrivals the
         shared clock is not this tenant's to batch.
         """
         return (
@@ -857,14 +857,14 @@ class TenantSession:
 
     # -- lockstep delegation (vectorized simulator rollouts) ------------- #
     @property
-    def simulator(self) -> Any:
-        return self._shared.simulator
+    def perf(self) -> Any:
+        return self._shared.perf
 
     def advance_features(self) -> Any:
         return self._shared.advance_features()
 
-    def apply_advance(self, states: Any, logits: Any, times: Any) -> None:
-        completion = self._shared.apply_advance(states, logits, times)
+    def apply_advance(self, groups: Any, predictions: Any) -> None:
+        completion = self._shared.apply_advance(groups, predictions)
         self._runtime._dispatch_completion(completion)
 
     # -- event sinks ------------------------------------------------------ #

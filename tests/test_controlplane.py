@@ -37,11 +37,11 @@ from repro.core import (
     SchedulingEnv,
     VectorSchedulingEnv,
 )
-from repro.core.simulator import LearnedSimulator
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE
 from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot
 from repro.exceptions import ConfigurationError, SchedulingError, WorkloadError
+from repro.perf import PerformanceModel, SimulatedCluster
 from repro.plans import PlanFeaturizer
 from repro.runtime import (
     AdmissionController,
@@ -367,7 +367,7 @@ class TestShedBehaviour:
 
 
 class TestSimulatorBackedRuntime:
-    """Shedding and timeouts on a runtime over the learned simulator."""
+    """Shedding and timeouts on a runtime over the single-engine simulator (a fleet of one)."""
 
     def _simulator(self, batch, small_config):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
@@ -375,8 +375,11 @@ class TestSimulatorBackedRuntime:
         knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), batch, space)
         queryformer = QueryFormer(PlanFeaturizer(workload.catalog), small_config.encoder, np.random.default_rng(0))
         embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
-        simulator = LearnedSimulator(batch, embeddings, knowledge, space, small_config.simulator, seed=0)
-        return simulator, space
+        perf = PerformanceModel(
+            batch=batch, plan_embeddings=embeddings, knowledge=knowledge,
+            config_space=space, config=small_config.simulator, seed=0,
+        )
+        return SimulatedCluster(perf, [DBMSProfile.dbms_x().default_connections]), space
 
     def _drain(self, runtime, batch, space, arrivals=None):
         session = runtime.register("t", batch, arrivals=arrivals).new_session(

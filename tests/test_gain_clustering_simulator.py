@@ -14,7 +14,6 @@ from repro.core import (
     AdaptiveMask,
     FIFOScheduler,
     GainModel,
-    LearnedSimulator,
     SchedulingEnv,
     build_gain_matrix,
     cluster_queries,
@@ -25,6 +24,7 @@ from repro.core.gain import GAIN_BATCH_SIZE
 from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
 from repro.nn import Adam, fastgrad, mse_loss
+from repro.perf import PerformanceModel, SimulatedCluster
 
 
 @pytest.fixture(scope="module")
@@ -311,24 +311,25 @@ class TestSciPyOracle:
         assert np.array_equal(labels, self._oracle(gains, k))
 
 
+def _perf_model(batch, plan_embeddings, knowledge, config_space, config, seed):
+    return PerformanceModel(
+        batch=batch, plan_embeddings=plan_embeddings, knowledge=knowledge,
+        config_space=config_space, config=config, seed=seed,
+    )
+
+
 @pytest.fixture(scope="module")
 def simulator(tpch_batch, plan_embeddings, tpch_knowledge, config_space, history_log):
-    sim = LearnedSimulator(
-        batch=tpch_batch,
-        plan_embeddings=plan_embeddings,
-        knowledge=tpch_knowledge,
-        config_space=config_space,
-        config=SimulatorConfig(hidden_dim=24, epochs=3),
-        seed=0,
-    )
-    sim.train_from_log(history_log)
-    return sim
+    """The single-engine simulator the facade builds: a simulated fleet of one."""
+    perf = _perf_model(tpch_batch, plan_embeddings, tpch_knowledge, config_space, SimulatorConfig(hidden_dim=24, epochs=3), 0)
+    perf.train_from_log(history_log)
+    return SimulatedCluster(perf, [6])
 
 
-class TestLearnedSimulator:
+class TestSingleEngineSimulator:
     def test_training_reports_metrics(self, tpch_batch, plan_embeddings, tpch_knowledge, config_space, history_log):
-        sim = LearnedSimulator(tpch_batch, plan_embeddings, tpch_knowledge, config_space, SimulatorConfig(hidden_dim=16, epochs=2), seed=1)
-        metrics = sim.train_from_log(history_log)
+        perf = _perf_model(tpch_batch, plan_embeddings, tpch_knowledge, config_space, SimulatorConfig(hidden_dim=16, epochs=2), 1)
+        metrics = perf.train_from_log(history_log)
         assert 0.0 <= metrics.accuracy <= 1.0
         assert metrics.mse >= 0.0
         assert metrics.num_examples > 0
@@ -336,22 +337,39 @@ class TestLearnedSimulator:
     def test_attention_and_multitask_flags_change_model(self, tpch_batch, plan_embeddings, tpch_knowledge, config_space, history_log):
         base = SimulatorConfig(hidden_dim=16, epochs=2)
         no_attention = SimulatorConfig(hidden_dim=16, epochs=2, use_attention=False)
-        sim_a = LearnedSimulator(tpch_batch, plan_embeddings, tpch_knowledge, config_space, base, seed=2)
-        sim_b = LearnedSimulator(tpch_batch, plan_embeddings, tpch_knowledge, config_space, no_attention, seed=2)
-        metrics_a = sim_a.train_from_log(history_log)
-        metrics_b = sim_b.train_from_log(history_log)
+        perf_a = _perf_model(tpch_batch, plan_embeddings, tpch_knowledge, config_space, base, 2)
+        perf_b = _perf_model(tpch_batch, plan_embeddings, tpch_knowledge, config_space, no_attention, 2)
+        metrics_a = perf_a.train_from_log(history_log)
+        metrics_b = perf_b.train_from_log(history_log)
         assert metrics_a.num_examples == metrics_b.num_examples
 
     def test_update_from_log_runs(self, simulator, history_log):
-        metrics = simulator.update_from_log(history_log)
+        metrics = simulator.perf.update_from_log(history_log)
         assert metrics.num_examples > 0
 
     def test_untrained_simulator_rejects_empty_log(self, tpch_batch, plan_embeddings, tpch_knowledge, config_space):
         from repro.dbms import ExecutionLog
 
-        sim = LearnedSimulator(tpch_batch, plan_embeddings, tpch_knowledge, config_space, SimulatorConfig(hidden_dim=16), seed=0)
+        perf = _perf_model(tpch_batch, plan_embeddings, tpch_knowledge, config_space, SimulatorConfig(hidden_dim=16), 0)
         with pytest.raises(SimulationError):
-            sim.train_from_log(ExecutionLog())
+            perf.train_from_log(ExecutionLog())
+
+    def test_feature_rows_are_cached_until_the_estimates_move(self, simulator, config_space):
+        knowledge = simulator.perf.knowledge
+        params = config_space[1]
+        row = simulator.feature_row(0, 3, params)
+        assert simulator.feature_row(0, 3, params) is row
+        np.testing.assert_array_equal(row, simulator.perf.featurizer.rows([3], [params], [0.0])[0])
+        assert simulator.feature_row(0, 3, config_space[0]) is not row
+        knowledge.config_times[3][1] *= 2.0
+        knowledge.version += 1
+        try:
+            fresh = simulator.feature_row(0, 3, params)
+            assert fresh is not row and not np.array_equal(fresh, row)
+            np.testing.assert_array_equal(fresh, simulator.perf.featurizer.rows([3], [params], [0.0])[0])
+        finally:
+            knowledge.config_times[3][1] /= 2.0
+            knowledge.version += 1
 
     def test_simulated_session_protocol(self, simulator, tpch_batch):
         session = simulator.new_session(tpch_batch, num_connections=3, round_id=0)

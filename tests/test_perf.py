@@ -22,7 +22,6 @@ from repro.core import (
     ExternalKnowledge,
     FIFOScheduler,
     GreedyCostPlacementScheduler,
-    LearnedSimulator,
     MCFScheduler,
     RandomScheduler,
     RoundRobinPlacementScheduler,
@@ -40,8 +39,9 @@ from repro.perf import (
 )
 from repro.runtime import ExecutionRuntime
 
-# Digests of the single-engine LearnedSimulator tree: the num_instances=1
-# SimulatedCluster path must reproduce it bit-for-bit — same model weights,
+# Digests of the single-engine simulator tree, pinned while it was a class of
+# its own: a one-instance SimulatedCluster must reproduce it bit-for-bit through
+# either environment — same model weights,
 # same features, same predicted completions, same connection allocation,
 # same float arithmetic on the clock.  Re-pinned when ``PerformanceModel.fit``
 # became the fused per-example step (the commit 117efd6 pins were tape-fitted
@@ -134,7 +134,7 @@ class TestPerformanceFeaturizer:
     def test_single_engine_rows_match_legacy_layout(
         self, tpch_batch, plan_embeddings, probe_knowledge, config_space
     ):
-        """Bit-for-bit the historical LearnedSimulator._features formula."""
+        """Bit-for-bit the historical single-engine simulator feature formula."""
         featurizer = PerformanceFeaturizer(plan_embeddings, config_space, probe_knowledge)
         query_ids = [0, 3, 7]
         params = [config_space[1]] * 3
@@ -266,23 +266,23 @@ class TestPerformanceModel:
         assert metrics.num_examples > 0
         assert not np.array_equal(before, fleet_perf.model.input_proj.weight.data)
 
-    def test_single_engine_model_is_bit_identical_to_learned_simulator(
+    def test_default_and_one_instance_speeds_fit_bit_identically(
         self, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log
     ):
-        simulator = LearnedSimulator(
-            tpch_batch, plan_embeddings, probe_knowledge, config_space,
-            SimulatorConfig(hidden_dim=24, epochs=3), seed=0,
-        )
-        standalone = PerformanceModel(
-            batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=probe_knowledge,
-            config_space=config_space, config=SimulatorConfig(hidden_dim=24, epochs=3),
-            seed=0, instance_speeds=(1.0,),
-        )
-        sim_metrics = simulator.train_from_log(history_log)
-        standalone_metrics = standalone.train_from_log(history_log)
-        assert sim_metrics == standalone_metrics
+        """A single engine's model (default speeds) is a one-instance fleet's."""
+        models = [
+            PerformanceModel(
+                batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=probe_knowledge,
+                config_space=config_space, config=SimulatorConfig(hidden_dim=24, epochs=3),
+                seed=0, instance_speeds=speeds,
+            )
+            for speeds in ((), (1.0,))
+        ]
+        metrics = [model.train_from_log(history_log) for model in models]
+        assert metrics[0] == metrics[1]
+        assert models[0].version == models[1].version == 1
         for (name_a, param_a), (name_b, param_b) in zip(
-            sorted(simulator.model.named_parameters()), sorted(standalone.model.named_parameters())
+            sorted(models[0].model.named_parameters()), sorted(models[1].model.named_parameters())
         ):
             assert name_a == name_b
             np.testing.assert_array_equal(param_a.data, param_b.data)
@@ -292,25 +292,27 @@ class TestPerformanceModel:
 # SimulatedCluster sessions
 # --------------------------------------------------------------------- #
 def _single_engine_sim_cluster(tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log):
+    """The simulator the facade builds for a single engine: a fleet of one."""
     perf = PerformanceModel(
         batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=probe_knowledge,
-        config_space=config_space, config=SimulatorConfig(hidden_dim=24, epochs=3),
-        seed=0, instance_speeds=(1.0,),
+        config_space=config_space, config=SimulatorConfig(hidden_dim=24, epochs=3), seed=0,
     )
     perf.train_from_log(history_log)
     return SimulatedCluster(perf, [4])
 
 
 class TestSimulatedClusterDigest:
-    def test_one_instance_simulated_fleet_matches_learned_simulator_tree(
-        self, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log, small_config
+    @pytest.mark.parametrize("env_cls", [SchedulingEnv, ClusterSchedulingEnv])
+    def test_one_instance_simulated_fleet_matches_single_engine_tree(
+        self, env_cls, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log, small_config
     ):
-        """The tentpole acceptance bar: num_instances=1 is bit-for-bit pinned."""
+        """A fleet of one is bit-for-bit pinned, through the plain env (which
+        single-engine pre-training uses) and the placement-aware env alike."""
         sim_cluster = _single_engine_sim_cluster(
             tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log
         )
         assert cluster_instance_count(sim_cluster) == 1
-        env = ClusterSchedulingEnv(
+        env = env_cls(
             batch=tpch_batch,
             backend=sim_cluster,
             scheduler_config=small_config.scheduler,
@@ -326,31 +328,6 @@ class TestSimulatedClusterDigest:
         for (name, round_id), scheduler in schedulers.items():
             result = scheduler.run_round(env, round_id=round_id)
             assert _digest(result.round_log) == _SINGLE_ENGINE_SIM_DIGESTS[(name, round_id)], name
-
-    def test_one_instance_equals_direct_simulated_session(
-        self, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log, small_config
-    ):
-        sim_cluster = _single_engine_sim_cluster(
-            tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log
-        )
-        simulator = LearnedSimulator(
-            tpch_batch, plan_embeddings, probe_knowledge, config_space,
-            SimulatorConfig(hidden_dim=24, epochs=3), seed=0,
-        )
-        simulator.train_from_log(history_log)
-        single_env = SchedulingEnv(
-            batch=tpch_batch, backend=simulator, scheduler_config=small_config.scheduler,
-            config_space=config_space, knowledge=probe_knowledge,
-            mask=AdaptiveMask.unmasked(len(tpch_batch), len(config_space)),
-        )
-        fleet_env = ClusterSchedulingEnv(
-            batch=tpch_batch, backend=sim_cluster, scheduler_config=small_config.scheduler,
-            config_space=config_space, knowledge=probe_knowledge,
-            mask=AdaptiveMask.unmasked(len(tpch_batch), len(config_space)),
-        )
-        a = FIFOScheduler().run_round(single_env, round_id=9)
-        b = FIFOScheduler().run_round(fleet_env, round_id=9)
-        assert _digest(a.round_log) == _digest(b.round_log)
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +366,15 @@ class TestSimulatedClusterSession:
         assert context.shape == (3, 4)
         assert context[0, 1] == 1.0 and context[1, 1] == 0.0  # busy fractions
 
+    def test_feature_rows_are_cached_per_instance(self, sim_fleet, config_space):
+        params = config_space[0]
+        rows = [sim_fleet.feature_row(instance, 5, params) for instance in range(3)]
+        for instance, row in enumerate(rows):
+            assert sim_fleet.feature_row(instance, 5, params) is row
+            expected = sim_fleet.perf.featurizer.rows([5], [params], [0.0], instance=instance)[0]
+            np.testing.assert_array_equal(row, expected)
+        assert len({row[-2] for row in rows}) == 3  # each instance's own speed
+
     def test_unified_clock_and_instance_tagged_log(self, sim_fleet, tpch_batch, config_space):
         session = sim_fleet.new_session(tpch_batch, num_connections=2, round_id=1)
         order = [q.query_id for q in tpch_batch]
@@ -403,8 +389,6 @@ class TestSimulatedClusterSession:
             event = session.advance()
             assert event.finish_time >= last
             last = event.finish_time
-            for inst in session.instances:
-                assert inst.clock <= session.current_time + 1e-12
         assert len(session.log) == len(tpch_batch)
         assert len(session.finished) == len(tpch_batch)
         instances = {record.instance for record in session.log.records}
@@ -457,10 +441,10 @@ class TestSimulatedClusterSession:
     def test_single_tenant_runtime_round_trip(self, sim_fleet, tpch_batch, config_space, small_config):
         """The env's private runtime drives the simulated fleet like any backend.
 
-        (Multi-tenant rounds re-id queries into a union batch; like the
-        single-engine ``LearnedSimulator``, the performance model's feature
-        table is keyed by the training batch's query ids, so simulated
-        backends serve single-tenant pre-training rounds only.)
+        (Multi-tenant rounds re-id queries into a union batch; the
+        performance model's feature table is keyed by the training batch's
+        query ids, so simulated backends serve single-tenant pre-training
+        rounds only.)
         """
         runtime = ExecutionRuntime(sim_fleet)
         tenant = runtime.register("solo", tpch_batch)

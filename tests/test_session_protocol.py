@@ -4,9 +4,10 @@ The environment is backend-agnostic through two typed protocols in
 ``repro.core.env``: ``SessionBackend`` (things that open rounds) and
 ``SchedulingSession`` (the live rounds themselves).  These tests pin the
 signature and assert that every production implementation — the real engine,
-the learned simulator, their fleet counterparts and the runtime tenant —
-actually satisfies both, and that the four backend sessions share the
-``BackendSession`` transitions and single-instance answers.
+the real cluster, the learned simulator (a simulated fleet, of one on a single
+engine) and the runtime tenant — actually satisfies both, and that the three
+backend sessions share the ``BackendSession`` transitions and single-instance
+answers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.core import ExternalKnowledge, SchedulingSession, SessionBackend
-from repro.core.simulator import LearnedSimulator, SimulatedSession
 from repro.dbms import Cluster, ClusterSession, ConfigurationSpace, RunningParameters
 from repro.dbms.engine import ExecutionSession
 from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, BackendSession
@@ -46,7 +46,13 @@ def parts():
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)
     embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
-    simulator = LearnedSimulator(batch, embeddings, knowledge, space, config.simulator, seed=0)
+    simulator = SimulatedCluster(
+        PerformanceModel(
+            batch=batch, plan_embeddings=embeddings, knowledge=knowledge,
+            config_space=space, config=config.simulator, seed=0,
+        ),
+        [engine.profile.default_connections],
+    )
     sim_cluster = SimulatedCluster(
         PerformanceModel(
             batch=batch, plan_embeddings=embeddings, knowledge=knowledge,
@@ -79,7 +85,7 @@ def _check_new_session_signature(backend_cls) -> None:
 
 class TestBackendConformance:
     def test_signatures(self):
-        for backend_cls in (DatabaseEngine, LearnedSimulator, RuntimeTenant, Cluster, SimulatedCluster):
+        for backend_cls in (DatabaseEngine, RuntimeTenant, Cluster, SimulatedCluster):
             _check_new_session_signature(backend_cls)
 
     def test_engine_satisfies_protocol(self, parts):
@@ -93,7 +99,7 @@ class TestBackendConformance:
         batch, _, simulator, _, _ = parts
         assert isinstance(simulator, SessionBackend)
         session = simulator.new_session(batch, num_connections=4, strategy="probe", round_id=0)
-        assert isinstance(session, SimulatedSession)
+        assert isinstance(session, SimulatedClusterSession) and session.num_instances == 1
         assert isinstance(session, SchedulingSession)
 
     def test_runtime_tenant_satisfies_protocol(self, parts):

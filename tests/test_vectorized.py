@@ -123,23 +123,43 @@ class TestVectorSchedulingEnv:
         np.testing.assert_array_equal(subset[1], vec.envs[3].action_mask())
         assert not np.array_equal(subset[0], masks[1])
 
-    def test_lockstep_steps_match_sequential_steps(self, sim_setup, sim_env):
-        """The batched-advance lockstep path must reproduce per-env stepping."""
-        vec = VectorSchedulingEnv.from_template(sim_env, 2)
-        seq = VectorSchedulingEnv.from_template(sim_env.clone(), 2)  # shares no env with ``vec``
+    @pytest.mark.parametrize("fleet", [False, True], ids=["engine", "fleet3"])
+    def test_lockstep_steps_match_sequential_steps(self, sim_setup, parity_scheduler, monkeypatch, fleet):
+        """The batched-advance lockstep path reproduces per-env stepping exactly,
+        on the single-engine simulator and on a fault-free three-instance one."""
+        scheduler = parity_scheduler("fleet") if fleet else sim_setup
+        assert scheduler.simulator.num_instances == (3 if fleet else 1)
+        env = scheduler._build_env(backend=scheduler.simulator)
+        model = scheduler.simulator.perf.model
+        batched_calls = []
+
+        def counting(features, _predict=model.predict_batched):
+            batched_calls.append(features.shape)
+            return _predict(features)
+
+        monkeypatch.setattr(model, "predict_batched", counting)
+        vec = VectorSchedulingEnv.from_template(env, 2)
+        seq = VectorSchedulingEnv.from_template(env.clone(), 2)  # shares no env with ``vec``
         for index, round_id in enumerate([7, 8]):
             vec.reset_at(index, round_id=round_id)
             seq.reset_at(index, round_id=round_id)
+        assert all(sub.session.supports_lockstep for sub in vec.envs)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            masks = vec.masks_for()
-            actions = [int(rng.choice(np.flatnonzero(masks[i]))) for i in range(2)]
-            batched = vec.step_many([0, 1], actions)
-            sequential = [seq.envs[i].step(a) for i, a in zip([0, 1], actions)]
+        active = [0, 1]
+        while active:
+            masks = vec.masks_for(active)
+            actions = [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
+            batched = vec.step_many(active, actions)
+            sequential = [seq.envs[i].step(a) for i, a in zip(active, actions)]
             for b, s in zip(batched, sequential):
-                assert b.done == s.done
-                assert b.reward == pytest.approx(s.reward, abs=1e-4)
-                assert b.snapshot.time == pytest.approx(s.snapshot.time, abs=1e-4)
+                assert (b.reward, b.snapshot.time, b.done) == (s.reward, s.snapshot.time, s.done)
+            active = [i for i, step in zip(active, batched) if not step.done]
+        assert batched_calls, "the lockstep path never ran a batched prediction"
+        for index in range(2):
+            assert vec.result_at(index).makespan == seq.result_at(index).makespan
+        if fleet:
+            placed = {record.instance for record in vec.result_at(0).round_log.records}
+            assert len(placed) > 1
 
     def test_step_many_validates_alignment(self, sim_env):
         vec = VectorSchedulingEnv.from_template(sim_env, 2)
@@ -457,29 +477,29 @@ class TestTrainerParity:
 # --------------------------------------------------------------------- #
 class TestSimulatorFastInference:
     def test_predict_bit_identical_to_forward(self, sim_setup):
-        simulator = sim_setup.simulator
-        features = simulator._features(
+        perf = sim_setup.simulator.perf
+        features = perf.featurizer.rows(
             [0, 1, 2], [sim_setup.config_space.default] * 3, [0.1, 0.7, 1.3]
         )
         with no_grad():
-            logits, times = simulator.model(features)
-        fast_logits, fast_times = simulator.model.predict(features)
+            logits, times = perf.model(features)
+        fast_logits, fast_times = perf.model.predict(features)
         np.testing.assert_array_equal(fast_logits, logits.data)
         np.testing.assert_array_equal(fast_times, times.data)
 
     def test_predict_batched_matches_predict(self, sim_setup):
-        simulator = sim_setup.simulator
-        features = simulator._features(
+        perf = sim_setup.simulator.perf
+        features = perf.featurizer.rows(
             [0, 1, 2, 3], [sim_setup.config_space.default] * 4, [0.2, 0.4, 0.6, 0.8]
         )
-        other = simulator._features(
+        other = perf.featurizer.rows(
             [4, 5, 6, 7], [sim_setup.config_space.default] * 4, [1.2, 1.4, 1.6, 1.8]
         )
-        logits, times = simulator.model.predict_batched(np.stack([features, other], axis=0))
+        logits, times = perf.model.predict_batched(np.stack([features, other], axis=0))
         for row, feats in enumerate((features, other)):
-            ref_logits, ref_times = simulator.model.predict(feats)
-            np.testing.assert_allclose(logits[row], ref_logits, atol=1e-4)
-            np.testing.assert_allclose(times[row], ref_times, atol=1e-4)
+            ref_logits, ref_times = perf.model.predict(feats)
+            np.testing.assert_array_equal(logits[row], ref_logits)
+            np.testing.assert_array_equal(times[row], ref_times)
 
 
 # --------------------------------------------------------------------- #
