@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BQSched, BQSchedConfig, Cluster, make_workload
-from repro.bench import cluster_env, print_table, write_json_report
+from repro.bench import heuristic_env, print_table, write_json_report
 from repro.core import GreedyCostPlacementScheduler
 from repro.core.knowledge import ExternalKnowledge
 from repro.dbms import ConfigurationSpace
@@ -110,7 +110,7 @@ def _run(profile):
 
     overall, per_instance = _fidelity(profile, workload, fleet, config)
 
-    target_env = cluster_env(workload, fleet, config)
+    target_env = heuristic_env(workload, fleet, config)
     target = GreedyCostPlacementScheduler().evaluate(target_env, rounds=2, base_round_id=60_000).mean
 
     pretrain_updates = profile.pretrain_updates * _PRETRAIN_MULTIPLIER

@@ -12,7 +12,7 @@ answers for).
 from __future__ import annotations
 
 from repro import BQSchedConfig, Cluster, LSchedScheduler, make_workload
-from repro.bench import cluster_env, print_table, write_json_report
+from repro.bench import heuristic_env, print_table, write_json_report
 from repro.core import RoundRobinPlacementScheduler
 from repro.core.env import drive_service
 from repro.runtime import ExecutionRuntime, ServiceReport
@@ -25,7 +25,7 @@ _ARRIVAL_RATE = 3.0
 def _baseline_service(workload, config, seed: int) -> ServiceReport:
     """Round-robin placement service over the declared fleet."""
     cluster = Cluster.from_service_config(config.service, seed=seed)
-    template = cluster_env(workload, cluster, config)
+    template = heuristic_env(workload, cluster, config)
     runtime = ExecutionRuntime(cluster)
     envs = []
     for index in range(_NUM_TENANTS):

@@ -14,7 +14,7 @@ Run with::
 from __future__ import annotations
 
 from repro import BQSchedConfig, Cluster, LSchedScheduler, make_workload
-from repro.bench import cluster_env
+from repro.bench import heuristic_env
 from repro.core import (
     GreedyCostPlacementScheduler,
     LeastOutstandingWorkScheduler,
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"fleet: {fleet}")
     print(f"relative speeds: {[round(s, 2) for s in fleet.speed_factors()]}")
 
-    env = cluster_env(workload, fleet, config)
+    env = heuristic_env(workload, fleet, config)
     print("\nPlacement heuristics (3 rounds each):")
     for scheduler in (
         RoundRobinPlacementScheduler(),

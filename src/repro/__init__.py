@@ -74,7 +74,6 @@ from .runtime import (
 from .seeding import SeedSpawner
 from .core import (
     BQSched,
-    ClusterSchedulingEnv,
     FIFOScheduler,
     GreedyCostPlacementScheduler,
     LeastOutstandingWorkScheduler,
@@ -129,7 +128,6 @@ __all__ = [
     "RunningParameters",
     "SeedSpawner",
     "BQSched",
-    "ClusterSchedulingEnv",
     "FIFOScheduler",
     "GreedyCostPlacementScheduler",
     "LeastOutstandingWorkScheduler",

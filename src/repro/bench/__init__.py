@@ -4,12 +4,12 @@ from .harness import (
     BenchProfile,
     HEURISTICS,
     Scenario,
-    cluster_env,
     evaluate_heuristics,
     evaluate_placement_baselines,
     evaluate_rl,
     evaluate_service,
     get_profile,
+    heuristic_env,
     run_strategy_comparison,
 )
 from .profiling import (
@@ -26,12 +26,12 @@ __all__ = [
     "BenchProfile",
     "HEURISTICS",
     "Scenario",
-    "cluster_env",
     "evaluate_heuristics",
     "evaluate_placement_baselines",
     "evaluate_rl",
     "evaluate_service",
     "get_profile",
+    "heuristic_env",
     "run_strategy_comparison",
     "PROFILING_ENV",
     "SectionTimers",

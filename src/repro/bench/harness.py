@@ -18,7 +18,6 @@ from ..core import (
     AdaptiveMask,
     BQSched,
     BaseScheduler,
-    ClusterSchedulingEnv,
     FIFOScheduler,
     GreedyCostPlacementScheduler,
     LeastOutstandingWorkScheduler,
@@ -38,6 +37,7 @@ from ..workloads import Workload, make_arrival_process, make_workload
 __all__ = [
     "BenchProfile",
     "Scenario",
+    "heuristic_env",
     "get_profile",
     "evaluate_heuristics",
     "evaluate_placement_baselines",
@@ -115,13 +115,18 @@ class Scenario:
         return f"{self.benchmark}/{self.dbms} (data {self.data_scale}x, query {self.query_scale}x)"
 
 
-def _heuristic_env(workload: Workload, engine: DatabaseEngine, config: BQSchedConfig) -> SchedulingEnv:
+def heuristic_env(workload: Workload, backend: "DatabaseEngine | Cluster", config: BQSchedConfig) -> SchedulingEnv:
+    """An unmasked environment over ``backend`` (probed knowledge) for the heuristic baselines.
+
+    On a :class:`~repro.dbms.Cluster` its actions place queries across the
+    fleet (the placement baselines); on a single engine, the one instance.
+    """
     batch = workload.batch_query_set()
     config_space = ConfigurationSpace(config.scheduler)
-    knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)
+    knowledge = ExternalKnowledge.from_probes(backend, batch, config_space)
     return SchedulingEnv(
         batch=batch,
-        backend=engine,
+        backend=backend,
         scheduler_config=config.scheduler,
         config_space=config_space,
         knowledge=knowledge,
@@ -138,25 +143,9 @@ def evaluate_heuristics(
     seed: int = 0,
 ) -> dict[str, StrategyEvaluation]:
     """Evaluate Random / FIFO / MCF on one scenario."""
-    env = _heuristic_env(workload, engine, config)
+    env = heuristic_env(workload, engine, config)
     schedulers: list[BaseScheduler] = [RandomScheduler(seed=seed), FIFOScheduler(), MCFScheduler()]
     return {scheduler.name: scheduler.evaluate(env, rounds=rounds) for scheduler in schedulers}
-
-
-def cluster_env(workload: Workload, cluster: Cluster, config: BQSchedConfig) -> ClusterSchedulingEnv:
-    """An unmasked placement environment over ``cluster`` (probed knowledge)."""
-    batch = workload.batch_query_set()
-    config_space = ConfigurationSpace(config.scheduler)
-    knowledge = ExternalKnowledge.from_probes(cluster, batch, config_space)
-    return ClusterSchedulingEnv(
-        batch=batch,
-        backend=cluster,
-        scheduler_config=config.scheduler,
-        config_space=config_space,
-        knowledge=knowledge,
-        mask=AdaptiveMask.unmasked(len(batch), len(config_space)),
-        strategy_name="placement-heuristic",
-    )
 
 
 def evaluate_placement_baselines(
@@ -166,7 +155,7 @@ def evaluate_placement_baselines(
     rounds: int,
 ) -> dict[str, StrategyEvaluation]:
     """Evaluate the placement heuristics (RR / LOW / greedy-cost) on a fleet."""
-    env = cluster_env(workload, cluster, config)
+    env = heuristic_env(workload, cluster, config)
     schedulers: list[BaseScheduler] = [
         RoundRobinPlacementScheduler(),
         LeastOutstandingWorkScheduler(),

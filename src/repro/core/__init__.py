@@ -3,8 +3,7 @@
 from .types import SchedulingResult, StrategyEvaluation
 from .knowledge import ExternalKnowledge
 from .masking import AdaptiveMask
-from .env import SchedulingEnv, SchedulingSession, SessionBackend, StepResult, drive_service
-from .cluster_env import ClusterSchedulingEnv, cluster_instance_count
+from .env import SchedulingEnv, SchedulingSession, SessionBackend, StepResult, cluster_instance_count, drive_service
 from .vecenv import VectorSchedulingEnv
 from .baselines import (
     BaseScheduler,
@@ -32,7 +31,6 @@ __all__ = [
     "ExternalKnowledge",
     "AdaptiveMask",
     "SchedulingEnv",
-    "ClusterSchedulingEnv",
     "cluster_instance_count",
     "drive_service",
     "SchedulingSession",

@@ -12,12 +12,11 @@ import abc
 
 import numpy as np
 
-from ..dbms.cluster import next_instance_in_rotation
+from ..dbms.engine import next_instance_in_rotation
 from ..encoder import SchedulingSnapshot
 from ..exceptions import SchedulingError
 from ..perf import PerformanceEstimator
-from .cluster_env import ClusterSchedulingEnv, greedy_cost_instance
-from .env import SchedulingEnv
+from .env import SchedulingEnv, greedy_cost_instance
 from .types import SchedulingResult, StrategyEvaluation
 
 __all__ = [
@@ -83,7 +82,7 @@ class _HeuristicScheduler(BaseScheduler):
     def _pending_slots(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> list[int]:
         if env.cluster_mode:
             raise SchedulingError(f"{self.name} operates on query-level environments only")
-        if isinstance(env, ClusterSchedulingEnv) and env.num_instances > 1:
+        if env.num_instances > 1:
             raise SchedulingError(
                 f"{self.name} is placement-oblivious; use a placement-aware scheduler "
                 "(RoundRobinPlacementScheduler & friends) on multi-instance fleets"
@@ -139,12 +138,14 @@ class MCFScheduler(_HeuristicScheduler):
 
 
 class _PlacementScheduler(_HeuristicScheduler):
-    """Shared machinery of the cluster placement baselines.
+    """Shared machinery of the placement baselines.
 
     Query *ordering* follows the pipeline default (FIFO, or MCF when
     ``order = "mcf"``); the subclass decides the *placement* among the
     instances that currently have an idle connection.  This is exactly how a
-    placement heuristic bolts onto a parameter-oblivious pipeline runner.
+    placement heuristic bolts onto a parameter-oblivious pipeline runner.  On
+    a single engine (a fleet of one) every placement is instance 0, so each
+    baseline schedules exactly as its query order does.
 
     Cost estimates resolve through :meth:`_estimator`: the environment's
     log/probe-derived knowledge by default, or any
@@ -156,20 +157,10 @@ class _PlacementScheduler(_HeuristicScheduler):
     #: Optional estimator overriding the environment's external knowledge.
     perf: "PerformanceEstimator | None" = None
 
-    def _require_cluster(self, env: SchedulingEnv) -> ClusterSchedulingEnv:
-        if not isinstance(env, ClusterSchedulingEnv):
-            raise SchedulingError(f"{self.name} schedules over a ClusterSchedulingEnv")
-        if env.cluster_mode:
-            raise SchedulingError(
-                f"{self.name} places individual queries; a gain-clustered fleet environment "
-                "schedules (cluster, instance, configuration) actions"
-            )
-        return env
-
     def _estimator(self, env: SchedulingEnv) -> PerformanceEstimator:
         return self.perf if self.perf is not None else env.knowledge
 
-    def _pick_query(self, env: ClusterSchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def _pick_query(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
         pending = snapshot.pending_ids
         if not pending:
             raise SchedulingError("no pending query to schedule")
@@ -178,17 +169,21 @@ class _PlacementScheduler(_HeuristicScheduler):
             return max(pending, key=lambda qid: estimator.average_time(qid))
         return min(pending)
 
-    def _pick_instance(self, env: ClusterSchedulingEnv, query_id: int, available: list[int]) -> int:
+    def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         raise NotImplementedError
 
     def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
-        cluster_env = self._require_cluster(env)
-        available = cluster_env.available_instances()
+        if env.cluster_mode:
+            raise SchedulingError(
+                f"{self.name} places individual queries; a gain-clustered environment "
+                "schedules (cluster, instance, configuration) actions"
+            )
+        available = env.available_instances()
         if not available:
             raise SchedulingError("no instance has an idle connection")
-        query_id = self._pick_query(cluster_env, snapshot)
-        instance = self._pick_instance(cluster_env, query_id, available)
-        return cluster_env.encode_placement(query_id, instance, self._default_config(env, query_id))
+        query_id = self._pick_query(env, snapshot)
+        instance = self._pick_instance(env, query_id, available)
+        return env.encode_placement(query_id, instance, self._default_config(env, query_id))
 
 
 class RoundRobinPlacementScheduler(_PlacementScheduler):
@@ -202,7 +197,7 @@ class RoundRobinPlacementScheduler(_PlacementScheduler):
     def on_round_start(self, env: SchedulingEnv) -> None:
         self._cursor = 0
 
-    def _pick_instance(self, env: ClusterSchedulingEnv, query_id: int, available: list[int]) -> int:
+    def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         instance = next_instance_in_rotation(available, self._cursor, env.num_instances)
         self._cursor = (instance + 1) % env.num_instances
         return instance
@@ -219,7 +214,7 @@ class LeastOutstandingWorkScheduler(_PlacementScheduler):
 
     name = "LOW-placement"
 
-    def _pick_instance(self, env: ClusterSchedulingEnv, query_id: int, available: list[int]) -> int:
+    def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         outstanding = env.instance_outstanding_work()
         return min(available, key=lambda index: (outstanding[index], index))
 
@@ -243,7 +238,7 @@ class GreedyCostPlacementScheduler(_PlacementScheduler):
     def __init__(self, perf: "PerformanceEstimator | None" = None) -> None:
         self.perf = perf
 
-    def _pick_instance(self, env: ClusterSchedulingEnv, query_id: int, available: list[int]) -> int:
+    def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         return greedy_cost_instance(
             available,
             env.instance_outstanding_work(),

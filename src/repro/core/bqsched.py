@@ -17,8 +17,8 @@ API:
 The facade accepts either a single :class:`~repro.dbms.DatabaseEngine` or a
 :class:`~repro.dbms.Cluster` of heterogeneous instances: on a cluster the
 action space (and the policy's placement-aware head) widens to joint
-(query, instance, configuration) choices and every environment becomes a
-:class:`~repro.core.cluster_env.ClusterSchedulingEnv`.  Simulator
+(query, instance, configuration) choices (a single engine is the fleet of one
+instance every :class:`~repro.core.env.SchedulingEnv` reduces to).  Simulator
 pre-training and gain clustering work on fleets too: :meth:`prepare` fits
 one :class:`~repro.perf.PerformanceModel` from instance-tagged logs and
 :meth:`train` pre-trains against its
@@ -47,9 +47,8 @@ from ..plans import PlanFeaturizer
 from ..runtime import ControlPlane, ExecutionRuntime, ServiceReport, TenantClass
 from ..workloads import ArrivalProcess, BatchQuerySet, ClosedArrivals, Workload, make_arrival_process
 from .baselines import BaseScheduler
-from .cluster_env import ClusterSchedulingEnv, cluster_instance_count
 from .clustering import QueryClusters, cluster_queries
-from .env import SchedulingEnv, drive_service
+from .env import SchedulingEnv, cluster_instance_count, drive_service
 from .gain import build_gain_matrix
 from .iq_ppo import IQPPOTrainer
 from .knowledge import ExternalKnowledge
@@ -94,7 +93,7 @@ class RLSchedulerBase(BaseScheduler):
 
         # A Cluster backend switches the action space to joint
         # (query, instance, configuration) choices; the policy heads widen
-        # accordingly and every environment becomes a ClusterSchedulingEnv.
+        # accordingly, as does every environment's action space.
         # The learned simulator and gain clustering work on fleets too: the
         # performance model trains per instance from instance-tagged logs and
         # pre-training runs against a SimulatedCluster twin of the fleet.
@@ -169,14 +168,9 @@ class RLSchedulerBase(BaseScheduler):
         return cls(workload, engine, config)
 
     def _build_env(self, backend, **overrides) -> SchedulingEnv:
-        """The one place an environment is built: a fleet backend gets the
-        placement-aware env.  ``overrides`` replace the scheduler's own
-        components (another batch with its knowledge and mask, another
-        connection count, a strategy label).  The simulator stands in for the
-        scheduler's own engine, so its env follows the engine's kind (a
-        single engine pre-trains through the plain env over a fleet of one)."""
-        fleet = self._cluster_backend(self.engine if backend is self.simulator else backend)
-        env_cls = ClusterSchedulingEnv if fleet else SchedulingEnv
+        """The one place an environment is built.  ``overrides`` replace the
+        scheduler's own components (another batch with its knowledge and
+        mask, another connection count, a strategy label)."""
         components = dict(
             batch=self.batch,
             scheduler_config=self.config.scheduler,
@@ -187,12 +181,7 @@ class RLSchedulerBase(BaseScheduler):
             strategy_name=self.name,
         )
         components.update(overrides)
-        return env_cls(backend=backend, **components)
-
-    @staticmethod
-    def _cluster_backend(backend) -> bool:
-        """Whether a backend routes to a fleet (directly or through a tenant)."""
-        return cluster_instance_count(backend) is not None
+        return SchedulingEnv(backend=backend, **components)
 
     def _make_trainer(self, env: SchedulingEnv, num_envs: int | None = None) -> PPOTrainer:
         trainer_cls = _ALGORITHMS[self.algorithm]
@@ -381,15 +370,12 @@ class RLSchedulerBase(BaseScheduler):
                 "probe-capable backend (DatabaseEngine or Cluster), not "
                 f"{type(engine).__name__}"
             )
-        instances = cluster_instance_count(engine)
-        if instances is not None:
-            if instances != self.num_instances:
-                raise SchedulingError(
-                    f"policy places across {self.num_instances} instances but the evaluation "
-                    f"fleet has {instances}"
-                )
-        elif self.num_instances > 1:
-            raise SchedulingError("a cluster-trained policy needs a Cluster evaluation backend")
+        instances = cluster_instance_count(engine) or 1
+        if instances != self.num_instances:
+            raise SchedulingError(
+                f"policy places across {self.num_instances} instances but the evaluation "
+                f"backend has {instances}"
+            )
         batch = workload.batch_query_set()
         plan_embeddings = PlanEmbeddingCache(self.queryformer).embeddings_for(batch)
         knowledge = ExternalKnowledge.from_probes(engine, batch, self.config_space)
@@ -483,7 +469,7 @@ class RLSchedulerBase(BaseScheduler):
             admission = service.admission
         if autoscale is None:
             autoscale = service.autoscale
-        if autoscale is not None and not self._cluster_backend(self.engine):
+        if autoscale is not None and cluster_instance_count(self.engine) is None:
             raise SchedulingError(
                 "autoscaling parks and unparks engine instances, which needs a "
                 "Cluster backend; a single engine has nothing to scale"

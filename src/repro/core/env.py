@@ -5,19 +5,33 @@ process BQSched learns on:
 
 * a *state* is the observable runtime snapshot of every query
   (:class:`repro.encoder.SchedulingSnapshot`);
-* an *action* selects the next pending query together with its running
-  parameters (or, in cluster mode, the next query cluster and the cluster's
-  shared configuration);
+* an *action* selects the next pending query together with the instance it
+  runs on and its running parameters (or, in cluster mode, the next query
+  cluster, the instance of its first submission and the cluster's shared
+  configuration);
 * after each submission the clock only advances when no further decision can
   be made (no idle connection or nothing pending), and the per-step *reward*
   is the negative wall-clock time that elapsed, so the episode return is the
   negative makespan the paper optimises.
 
-The environment is backend-agnostic: it drives either the real DBMS
-substrate (:class:`repro.dbms.DatabaseEngine`), the learned incremental
-simulator (:class:`repro.perf.SimulatedCluster`), or a tenant of
-the event-driven :class:`repro.runtime.ExecutionRuntime` — which is exactly
-the non-intrusive interface the paper requires.  The environment itself is a
+The action space is flat: each slot fans out into ``num_instances *
+num_configs`` joint choices, laid out as::
+
+    action = slot * (num_instances * num_configs)
+           + instance * num_configs
+           + config_index
+
+A single engine is a fleet of one instance, where every formula collapses to
+"pick the next (query, configuration)"; ``tests/test_env_parity.py`` pins an
+engine and a :class:`~repro.dbms.Cluster` of that engine to the same
+decisions, masks and round logs.
+
+The environment is backend-agnostic: it drives the real DBMS substrate
+(:class:`repro.dbms.DatabaseEngine` or a :class:`repro.dbms.Cluster` of
+them), the learned incremental simulator
+(:class:`repro.perf.SimulatedCluster`), or a tenant of the event-driven
+:class:`repro.runtime.ExecutionRuntime` — which is exactly the
+non-intrusive interface the paper requires.  The environment itself is a
 thin runtime client: every round runs through an
 :class:`~repro.runtime.ExecutionRuntime` (a private single-tenant one when
 the backend is a raw engine/simulator), so closed batches, multi-tenant
@@ -32,11 +46,12 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..config import SchedulerConfig
-from ..dbms import ConfigurationSpace, RunningParameters
+from ..dbms import Cluster, ConfigurationSpace, RunningParameters
 from ..dbms.logs import RoundLog
 from ..dbms.soa import SOA_DEFERRED
 from ..encoder import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot, SnapshotArrays
 from ..exceptions import SchedulingError
+from ..perf import SimulatedCluster
 from ..runtime import ExecutionRuntime, RuntimeTenant
 from ..workloads import ArrivalProcess, BatchQuerySet
 from .knowledge import ExternalKnowledge
@@ -46,7 +61,15 @@ from .types import SchedulingResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dbms.engine import RunningQueryState
 
-__all__ = ["SchedulingEnv", "StepResult", "SchedulingSession", "SessionBackend", "drive_service"]
+__all__ = [
+    "SchedulingEnv",
+    "StepResult",
+    "SchedulingSession",
+    "SessionBackend",
+    "cluster_instance_count",
+    "drive_service",
+    "greedy_cost_instance",
+]
 
 #: Maps backend-observable ``SOA_*`` codes onto the three scheduler-visible
 #: status codes (FAILED reads as FINISHED, DEFERRED as PENDING).
@@ -61,6 +84,44 @@ _SOA_IS_RUNNING = np.array([False, True, False, False, False])
 #: AoS path too), pending/deferred report -1.  The running entry is a filler —
 #: running rows take the live config slot instead.
 _SOA_CONFIG_BASE = np.array([-1, 0, 0, 0, -1], dtype=np.int64)
+
+
+def greedy_cost_instance(
+    available: "Sequence[int]",
+    outstanding: np.ndarray,
+    speeds: "Sequence[float]",
+    expected: float,
+) -> int:
+    """Idle instance minimising ``(outstanding + expected) / speed``.
+
+    The single definition of the greedy-cost placement rule, shared by
+    :class:`~repro.core.baselines.GreedyCostPlacementScheduler` and the
+    trailing placements of :class:`SchedulingEnv`'s cluster drain.  Ties
+    break to the lowest instance index.
+    """
+    if not available:
+        raise SchedulingError("no instance has an idle connection")
+    return min(
+        available,
+        key=lambda index: ((outstanding[index] + expected) / max(speeds[index], 1e-9), index),
+    )
+
+
+def cluster_instance_count(backend: object) -> int | None:
+    """Instances behind a fleet backend, or ``None`` for single-engine backends.
+
+    The single definition of "is this backend a fleet": a
+    :class:`~repro.dbms.Cluster` (or its learned twin, a
+    :class:`~repro.perf.SimulatedCluster`) directly, or a
+    :class:`~repro.runtime.RuntimeTenant` routing (possibly through nested
+    tenants) to one.  The environment's instance count, the facade and
+    ``evaluate_on`` resolve through here.
+    """
+    if isinstance(backend, (Cluster, SimulatedCluster)):
+        return backend.num_instances
+    if isinstance(backend, RuntimeTenant):
+        return cluster_instance_count(backend.runtime.backend)
+    return None
 
 
 def drive_service(runtime: ExecutionRuntime, envs: "Sequence[SchedulingEnv]", select_action) -> None:
@@ -110,7 +171,9 @@ class SchedulingSession(Protocol):
     :class:`~repro.perf.SimulatedClusterSession`), and by the runtime's
     :class:`~repro.runtime.TenantSession`.  The environment itself only ever
     holds a :class:`~repro.runtime.TenantSession`: it wraps every raw backend
-    in an :class:`~repro.runtime.ExecutionRuntime`.
+    in an :class:`~repro.runtime.ExecutionRuntime`.  ``submit`` places the
+    query on ``instance``; a session rejects an instance its backend does not
+    have (anything but 0 on a single engine) with the backend's error type.
     """
 
     current_time: float
@@ -139,7 +202,9 @@ class SchedulingSession(Protocol):
 
     def arrival_time(self, query_id: int) -> float: ...  # pragma: no cover - protocol
 
-    def submit(self, query_id: int, parameters: RunningParameters) -> int: ...  # pragma: no cover - protocol
+    def submit(
+        self, query_id: int, parameters: RunningParameters, instance: int = 0
+    ) -> int: ...  # pragma: no cover - protocol
 
     def advance(self, limit: float | None = None) -> object | None: ...  # pragma: no cover - protocol
 
@@ -175,7 +240,12 @@ class StepResult:
 
 
 class SchedulingEnv:
-    """Gym-style environment over one batch query set and one backend."""
+    """Gym-style environment over one batch query set and one backend.
+
+    Actions place queries across the backend's instances: one on a single
+    engine, ``Cluster.num_instances`` on a fleet (see the module docstring for
+    the flat layout).
+    """
 
     def __init__(
         self,
@@ -196,6 +266,9 @@ class SchedulingEnv:
         self.config_space = config_space
         self.knowledge = knowledge
         self.num_configs = len(config_space)
+        self.num_instances = cluster_instance_count(backend) or 1
+        #: Flat choices per slot: each picks a placement and a configuration.
+        self.configs_per_slot = self.num_instances * self.num_configs
         if mask is None:
             mask = AdaptiveMask.unmasked(len(batch), self.num_configs)
         elif mask.num_queries < len(batch):
@@ -278,16 +351,6 @@ class SchedulingEnv:
         return self.clusters.num_clusters if self.cluster_mode else len(self.batch)
 
     @property
-    def configs_per_slot(self) -> int:
-        """Flat choices per slot: the running-parameter configurations here.
-
-        :class:`~repro.core.cluster_env.ClusterSchedulingEnv` widens this to
-        ``num_instances * num_configs`` — each slot choice then jointly picks
-        a placement and a configuration.
-        """
-        return self.num_configs
-
-    @property
     def action_dim(self) -> int:
         """Size of the flat action space ``slots * configs_per_slot``."""
         return self.num_action_slots * self.configs_per_slot
@@ -306,12 +369,46 @@ class SchedulingEnv:
             raise SchedulingError(f"action {action} out of range (dim={self.action_dim})")
         return action // self.configs_per_slot, action % self.configs_per_slot
 
+    def encode_placement(self, slot: int, instance: int, config_index: int) -> int:
+        """Flatten a (slot, instance, configuration) triple into one action."""
+        if not 0 <= instance < self.num_instances:
+            raise SchedulingError(f"instance {instance} out of range")
+        if not 0 <= config_index < self.num_configs:
+            raise SchedulingError(f"config index {config_index} out of range")
+        return self.encode_action(slot, instance * self.num_configs + config_index)
+
+    def decode_placement(self, action: int) -> tuple[int, int, int]:
+        """Inverse of :meth:`encode_placement`."""
+        slot, joint = self.decode_action(action)
+        instance, config_index = divmod(joint, self.num_configs)
+        return slot, instance, config_index
+
     def action_mask(self) -> np.ndarray:
-        """Boolean mask of currently valid actions."""
+        """Valid (slot, instance, configuration) triples as one flat mask.
+
+        A triple is valid when the slot is selectable (a pending-and-arrived
+        query, or a query cluster with members remaining), the configuration
+        is allowed by the adaptive mask, and the instance has an idle
+        connection (saturated instances mask out whole columns — and so do
+        *downed* instances: an instance inside an outage window reports no
+        idle connections, so the policy can never place work on it).  Whenever
+        :meth:`can_decide` is true at least one entry is set: the adaptive
+        mask guarantees every query at least one configuration, and
+        ``can_decide`` requires a selectable slot plus an idle instance — so
+        a policy softmax over this mask can never collapse to all-masked.
+
+        Built in one pass: the selectable slots' allowed configurations are
+        written straight into the idle instances' columns.
+        """
         self._require_session()
-        if not self.cluster_mode:
-            return self.mask.action_mask(self._session.pending)
-        return self._cluster_slot_mask().reshape(self.action_dim)
+        mask = np.zeros((self.num_action_slots, self.num_instances, self.num_configs), dtype=bool)
+        idle = self._session.idle_instances()
+        if self.cluster_mode:
+            mask[:, idle] = self._cluster_slot_mask()[:, None]
+        else:
+            pending = np.fromiter(self._session.pending, dtype=np.int64)
+            mask[pending[:, None], idle] = self.mask.allowed_matrix[pending, None]
+        return mask.reshape(self.action_dim)
 
     def _cluster_slot_mask(self) -> np.ndarray:
         """``(clusters, configs)`` mask: a cluster with members left allows a configuration
@@ -365,12 +462,12 @@ class SchedulingEnv:
     def step(self, action: int) -> StepResult:
         """Apply one scheduling decision and advance the round as far as possible."""
         self._require_session()
-        slot, config_index = self.decode_action(action)
+        slot, instance, config_index = self.decode_placement(action)
         time_before = self._session.current_time
         if self.cluster_mode:
-            self._submit_cluster(slot, config_index)
+            self._submit_cluster(slot, instance, config_index)
         else:
-            self._submit_query(slot, config_index)
+            self._submit_query(slot, instance, config_index)
 
         # Advance the clock until another decision is possible or the round ends.
         while self.needs_advance():
@@ -391,9 +488,9 @@ class SchedulingEnv:
         self._require_session()
         if self.cluster_mode:
             raise SchedulingError("begin_step is not available in cluster mode")
-        slot, config_index = self.decode_action(action)
+        slot, instance, config_index = self.decode_placement(action)
         time_before = self._session.current_time
-        self._submit_query(slot, config_index)
+        self._submit_query(slot, instance, config_index)
         return time_before
 
     def needs_advance(self) -> bool:
@@ -457,30 +554,55 @@ class SchedulingEnv:
     # ------------------------------------------------------------------ #
     # Submission helpers
     # ------------------------------------------------------------------ #
-    def _submit_query(self, query_id: int, config_index: int) -> None:
+    def _submit_query(self, query_id: int, instance: int, config_index: int) -> None:
         if query_id not in self._session.pending:
             raise SchedulingError(f"query {query_id} is not pending")
         if not self.mask.is_allowed(query_id, config_index):
             raise SchedulingError(f"configuration {config_index} is masked for query {query_id}")
-        params = self.config_space[config_index]
-        self._session.submit(query_id, params)
-        self._record_submission(query_id, params)
+        self._submit(query_id, self.config_space[config_index], instance)
 
-    def _submit_cluster(self, cluster_id: int, config_index: int) -> None:
+    def _submit_cluster(self, cluster_id: int, instance: int, config_index: int) -> None:
+        """Drain one query cluster.
+
+        The action fixes the cluster's shared configuration and the placement
+        of its *first* submission; the remaining members follow greedily
+        (:meth:`_drain_instance`), filling idle connections and advancing the
+        clock in between until every member query has been submitted.
+        """
         remaining = self._cluster_remaining[cluster_id]
         if not remaining:
             raise SchedulingError(f"cluster {cluster_id} has no remaining queries")
         cluster_params = self.config_space[config_index]
-        # Drain the selected cluster: fill idle connections, advancing the
-        # clock in between, until every member query has been submitted.
+        preferred: int | None = instance
         while remaining:
             while remaining and self._session.has_idle_connection:
                 query_id = remaining.pop(0)
                 params = self._resolve_cluster_config(query_id, cluster_params, config_index)
-                self._session.submit(query_id, params)
-                self._record_submission(query_id, params)
+                self._submit(query_id, params, self._drain_instance(query_id, preferred))
+                preferred = None
             if remaining:
                 self._session.advance()
+
+    def _drain_instance(self, query_id: int, preferred: int | None) -> int:
+        """Placement of one cluster-drain submission.
+
+        The action's instance while it is idle; otherwise the idle instance
+        :func:`greedy_cost_instance` picks, priced by the environment's
+        external knowledge.  With one idle instance (always, on a single
+        engine) that instance is the answer, so outstanding work is priced
+        only when there is a choice.
+        """
+        idle = self._session.idle_instances()
+        if preferred is not None and preferred in idle:
+            return preferred
+        if len(idle) == 1:
+            return idle[0]
+        return greedy_cost_instance(
+            idle,
+            self.instance_outstanding_work(),
+            self._session.speed_factors(),
+            self.knowledge.average_time(query_id),
+        )
 
     def _resolve_cluster_config(
         self, query_id: int, cluster_params: RunningParameters, config_index: int
@@ -491,20 +613,20 @@ class SchedulingEnv:
         allowed = self.mask.allowed_configs(query_id)
         return self.config_space.closest_to(cluster_params, allowed=allowed)
 
-    def _record_submission(self, query_id: int, parameters: RunningParameters) -> None:
-        """Capture the submitted configuration for the fast snapshot path.
+    def _submit(self, query_id: int, parameters: RunningParameters, instance: int) -> None:
+        """Submit to the session and record the joint index for the fast snapshot.
 
-        The AoS snapshot re-derives ``index_of(state.parameters)`` and the
-        expected time on every step; recording both once at submission keeps
-        the SoA snapshot free of per-query lookups.  ``parameters`` is the
-        *actually submitted* configuration (cluster drains may substitute
-        the closest allowed one), so ``index_of`` matches what the AoS path
-        reads back from the running state.
+        The AoS snapshot re-derives ``index_of(state.parameters)``, the
+        placement and the expected time on every step; recording them once
+        at submission keeps the SoA snapshot free of per-query lookups.
+        ``parameters`` is the *actually submitted* configuration (cluster
+        drains may substitute the closest allowed one), so ``index_of``
+        matches what the AoS path reads back from the running state; the
+        expected time keys on the raw configuration index, as there.
         """
-        if self._soa_config_slots is None or self._soa_expected_slots is None:
-            return
+        self._session.submit(query_id, parameters, instance=instance)
         config_index = self.config_space.index_of(parameters)
-        self._soa_config_slots[query_id] = config_index
+        self._soa_config_slots[query_id] = instance * self.num_configs + config_index
         self._soa_expected_slots[query_id] = self.knowledge.expected_time(query_id, config_index)
 
     def can_decide(self) -> bool:
@@ -523,6 +645,55 @@ class SchedulingEnv:
         if self.cluster_mode:
             return any(self._cluster_remaining)
         return self._session.has_pending
+
+    # ------------------------------------------------------------------ #
+    # Placement (baselines, the cluster drain)
+    # ------------------------------------------------------------------ #
+    def available_instances(self) -> list[int]:
+        """Instances currently able to accept a submission."""
+        self._require_session()
+        return self._session.idle_instances()
+
+    def instance_speed_factors(self) -> tuple[float, ...]:
+        """Per-instance relative hardware speed (fleet mean = 1.0)."""
+        self._require_session()
+        return self._session.speed_factors()
+
+    def instance_outstanding_work(self) -> np.ndarray:
+        """Expected remaining seconds of work per instance, fleet-wide.
+
+        Derived from non-intrusive observables only.  This tenant's own
+        running queries are priced exactly: where each was placed, how long
+        it has run, and its log-derived expected time under the submitted
+        configuration.  Queries placed by *other* tenants sharing the fleet
+        are visible only as occupancy (submissions/completions are events
+        the scheduler sees), so each foreign running query contributes the
+        batch's mean expected time — without this term a load balancer in a
+        shared service would steer straight into instances peers have
+        saturated.  Single-tenant rounds have no foreign queries and keep
+        the exact accounting.
+        """
+        self._require_session()
+        outstanding = np.zeros(self.num_instances, dtype=np.float64)
+        own_counts = np.zeros(self.num_instances, dtype=np.int64)
+        now = self._session.current_time
+        for state in self._session.running_states():
+            query_id = state.query.query_id
+            instance = self._session.instance_of(query_id)
+            if instance < 0:
+                continue
+            config_index = self.config_space.index_of(state.parameters)
+            expected = self.knowledge.expected_time(query_id, config_index)
+            outstanding[instance] += max(0.0, expected - (now - state.submit_time))
+            own_counts[instance] += 1
+        totals = np.asarray(self._session.instance_num_running(), dtype=np.int64)
+        foreign = np.clip(totals - own_counts, 0, None)
+        if foreign.any():
+            mean_expected = float(
+                np.mean([self.knowledge.average_time(query.query_id) for query in self.batch])
+            )
+            outstanding += foreign * mean_expected
+        return outstanding
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -592,7 +763,7 @@ class SchedulingEnv:
             available=available,
             time_to_available=time_to_available,
             attempts=session.soa_attempts.copy(),
-            instance_context_array=self._instance_context_array(),
+            instance_context_array=session.instance_context(),
             instance_health_array=self._instance_health_array(),
             priority=priority,
             deadline_slack=deadline_slack,
@@ -669,10 +840,11 @@ class SchedulingEnv:
             else:
                 infos.append(self._static_info(query_id, QueryStatus.PENDING))
         priority, deadline_slack = self._slo_context()
+        context = session.instance_context()
         return SchedulingSnapshot(
             time=now,
             infos=tuple(infos),
-            instance_context=self._instance_context(),
+            instance_context=() if context is None else tuple(tuple(row) for row in context.tolist()),
             instance_health=self._instance_health(),
             priority=priority,
             deadline_slack=deadline_slack,
@@ -681,24 +853,17 @@ class SchedulingEnv:
     def _running_info(
         self, query_id: int, state: "RunningQueryState", now: float, attempts: int = 0
     ) -> QueryRuntimeInfo:
-        """Observable info of one running query (placement-aware in subclasses)."""
+        """Observable info of one running query: joint (instance, configuration) index."""
         config_index = self.config_space.index_of(state.parameters)
+        instance = max(0, self._session.instance_of(query_id))
         return QueryRuntimeInfo(
             query_id=query_id,
             status=QueryStatus.RUNNING,
-            config_index=config_index,
+            config_index=instance * self.num_configs + config_index,
             elapsed=now - state.submit_time,
             expected_time=self.knowledge.expected_time(query_id, config_index),
             attempts=attempts,
         )
-
-    def _instance_context(self) -> tuple[tuple[float, ...], ...]:
-        """Per-instance context rows for the snapshot (empty off-cluster)."""
-        return ()
-
-    def _instance_context_array(self) -> "np.ndarray | None":
-        """Array form of :meth:`_instance_context` (``None`` off-cluster)."""
-        return None
 
     def _instance_health_array(self) -> "np.ndarray | None":
         """Array form of :meth:`_instance_health` (``None`` when all up)."""

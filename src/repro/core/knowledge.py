@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-from ..dbms import ConfigurationSpace, DatabaseEngine, ExecutionLog
+from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, ExecutionLog
 from ..exceptions import SchedulingError
 from ..workloads import BatchQuerySet
 
@@ -47,7 +47,7 @@ class ExternalKnowledge:
     @classmethod
     def from_probes(
         cls,
-        engine: DatabaseEngine,
+        engine: "DatabaseEngine | Cluster",
         batch: BatchQuerySet,
         config_space: ConfigurationSpace,
     ) -> "ExternalKnowledge":

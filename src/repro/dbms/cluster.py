@@ -45,9 +45,10 @@ from .engine import (
     ExecutionSession,
     RunningQueryState,
     collect_fixed_order_logs,
+    execute_fixed_order,
 )
 from .faults import FailureProfile
-from .logs import QueryExecutionRecord, RoundLog
+from .logs import QueryExecutionRecord
 from .params import RunningParameters
 from .profiles import DBMSProfile
 from .soa import BackendSession
@@ -55,7 +56,7 @@ from .soa import BackendSession
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ServiceConfig
 
-__all__ = ["Cluster", "ClusterSession", "INSTANCE_FEATURE_DIM", "next_instance_in_rotation"]
+__all__ = ["Cluster", "ClusterSession", "INSTANCE_FEATURE_DIM"]
 
 #: Width of the per-instance context feature vector exposed to the encoder:
 #: relative speed, busy-connection fraction, capacity share, buffer fill.
@@ -64,22 +65,6 @@ INSTANCE_FEATURE_DIM = 4
 #: Floor for the reconstructed total work of a buffered tied completion
 #: (keeps ``elapsed_fraction`` well-defined for zero-duration records).
 _MIN_TOTAL_WORK = 1e-9
-
-
-def next_instance_in_rotation(available: Sequence[int], cursor: int, num_instances: int) -> int:
-    """First available instance at or after ``cursor``, wrapping around.
-
-    The single definition of round-robin placement, shared by
-    :meth:`Cluster.execute_order` and the
-    :class:`~repro.core.baselines.RoundRobinPlacementScheduler` baseline so
-    "round-robin" means the same thing in historical logs and evaluations.
-    """
-    idle = set(available)
-    for offset in range(num_instances):
-        candidate = (cursor + offset) % num_instances
-        if candidate in idle:
-            return candidate
-    raise SchedulingError("no instance has an idle connection")
 
 
 class ClusterSession(BackendSession):
@@ -572,50 +557,7 @@ class Cluster:
             raise SchedulingError(f"instance {instance} out of range (cluster has {self.num_instances})")
         return self.engines[instance].estimate_isolated_time(query, parameters)
 
-    # ------------------------------------------------------------------ #
-    # Convenience execution helpers (historical log collection)
-    # ------------------------------------------------------------------ #
-    def execute_order(
-        self,
-        batch: BatchQuerySet,
-        order: "list[int]",
-        parameters: "dict[int, RunningParameters] | RunningParameters",
-        num_connections: int | None = None,
-        strategy: str = "fixed-order",
-        round_id: int | None = None,
-    ) -> RoundLog:
-        """Execute ``batch`` in ``order`` with round-robin placement.
-
-        The cluster equivalent of a parameter-oblivious pipeline runner:
-        queries are submitted in the given order to the next available
-        instance in rotation whenever any connection frees up.
-        """
-        if sorted(order) != sorted(q.query_id for q in batch):
-            raise SchedulingError("order must be a permutation of the batch query ids")
-        session = self.new_session(batch, num_connections, strategy=strategy, round_id=round_id)
-        queue = list(order)
-        cursor = 0
-        while not session.is_done:
-            while queue and session.has_idle_connection:
-                query_id = queue.pop(0)
-                instance = next_instance_in_rotation(
-                    session.idle_instances(), cursor, session.num_instances
-                )
-                cursor = (instance + 1) % session.num_instances
-                params = parameters if isinstance(parameters, RunningParameters) else parameters[query_id]
-                session.submit(query_id, params, instance=instance)
-            if session.num_running:
-                event = session.advance()
-                if event is not None and event.failed:
-                    # Fixed-order history collection never retries.
-                    session.mark_failed(event.query_id)
-            else:
-                wakeup = session.next_fault_wakeup()
-                if wakeup is None:
-                    raise SchedulingError("execute_order stalled: nothing running and no recovery scheduled")
-                session.advance(limit=wakeup)
-        return session.log
-
+    execute_order = execute_fixed_order
     collect_logs = collect_fixed_order_logs
 
     def __repr__(self) -> str:

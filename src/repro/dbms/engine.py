@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .soa import BackendSession
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import Cluster
 
-__all__ = ["DatabaseEngine", "ExecutionSession", "RunningQueryState", "CompletionEvent"]
+__all__ = ["DatabaseEngine", "ExecutionSession", "RunningQueryState", "CompletionEvent", "next_instance_in_rotation"]
 
 _EPSILON = 1e-9
 _SPILL_PENALTY = 0.8
@@ -304,11 +304,15 @@ class ExecutionSession(BackendSession):
         """
         return [event.query_id for event in self._fault_events]
 
-    def submit(self, query_id: int, parameters: RunningParameters) -> int:
+    def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
         """Submit a pending query to an idle connection at the current time.
 
-        Returns the connection id the query was placed on.
+        A single engine is instance 0 of a one-instance backend, the only
+        placement it accepts.  Returns the connection id the query was placed
+        on.
         """
+        if instance != 0:
+            raise SchedulingError(f"instance {instance} out of range (a single engine has instance 0 only)")
         if query_id not in self.pending:
             raise SchedulingError(f"query {query_id} is not pending")
         if self.is_down:
@@ -541,6 +545,66 @@ class ExecutionSession(BackendSession):
         return self.profile.sharing_strength * (shared / total_rows)
 
 
+def next_instance_in_rotation(available: Sequence[int], cursor: int, num_instances: int) -> int:
+    """First available instance at or after ``cursor``, wrapping around.
+
+    The single definition of round-robin placement, shared by
+    :func:`execute_fixed_order` and the
+    :class:`~repro.core.baselines.RoundRobinPlacementScheduler` baseline so
+    "round-robin" means the same thing in historical logs and evaluations.
+    """
+    idle = set(available)
+    for offset in range(num_instances):
+        candidate = (cursor + offset) % num_instances
+        if candidate in idle:
+            return candidate
+    raise SchedulingError("no instance has an idle connection")
+
+
+def execute_fixed_order(
+    self: "DatabaseEngine | Cluster",
+    batch: BatchQuerySet,
+    order: "list[int]",
+    parameters: "dict[int, RunningParameters] | RunningParameters",
+    num_connections: int | None = None,
+    strategy: str = "fixed-order",
+    round_id: int | None = None,
+) -> RoundLog:
+    """Execute ``batch`` submitting queries in ``order`` whenever a connection frees.
+
+    The parameter-oblivious pipeline runner: each query goes to the next
+    instance with an idle connection in round-robin rotation (always
+    instance 0 on a single engine).  Under an attached
+    :class:`~repro.dbms.faults.FailureProfile` it never retries: a failed
+    attempt marks the query terminally failed (history collection records
+    only what actually finished), and an outage idles the loop until an
+    instance recovers.  Bound as both ``DatabaseEngine.execute_order`` and
+    ``Cluster.execute_order``.
+    """
+    if sorted(order) != sorted(q.query_id for q in batch):
+        raise SchedulingError("order must be a permutation of the batch query ids")
+    session = self.new_session(batch, num_connections, strategy=strategy, round_id=round_id)
+    queue = list(order)
+    cursor = 0
+    while not session.is_done:
+        while queue and session.has_idle_connection:
+            query_id = queue.pop(0)
+            instance = next_instance_in_rotation(session.idle_instances(), cursor, session.num_instances)
+            cursor = (instance + 1) % session.num_instances
+            params = parameters if isinstance(parameters, RunningParameters) else parameters[query_id]
+            session.submit(query_id, params, instance=instance)
+        if session.num_running:
+            event = session.advance()
+            if event is not None and event.failed:
+                session.mark_failed(event.query_id)
+        else:
+            wakeup = session.next_fault_wakeup()
+            if wakeup is None:
+                raise SchedulingError("execute_order stalled: nothing running and no recovery scheduled")
+            session.advance(limit=wakeup)
+    return session.log
+
+
 def collect_fixed_order_logs(
     self: "DatabaseEngine | Cluster",
     batch: BatchQuerySet,
@@ -629,45 +693,6 @@ class DatabaseEngine:
             instance=fault_instance,
         )
 
-    # ------------------------------------------------------------------ #
-    # Convenience execution helpers
-    # ------------------------------------------------------------------ #
-    def execute_order(
-        self,
-        batch: BatchQuerySet,
-        order: "list[int]",
-        parameters: "dict[int, RunningParameters] | RunningParameters",
-        num_connections: int | None = None,
-        strategy: str = "fixed-order",
-        round_id: int | None = None,
-    ) -> RoundLog:
-        """Execute ``batch`` submitting queries in ``order`` whenever a connection frees.
-
-        Under an attached :class:`~repro.dbms.faults.FailureProfile` the
-        fixed-order runner never retries: a failed attempt marks the query
-        terminally failed (history collection records only what actually
-        finished), and an outage idles the loop until the instance recovers.
-        """
-        if sorted(order) != sorted(q.query_id for q in batch):
-            raise SchedulingError("order must be a permutation of the batch query ids")
-        session = self.new_session(batch, num_connections, strategy=strategy, round_id=round_id)
-        queue = list(order)
-        while not session.is_done:
-            while queue and session.has_idle_connection:
-                query_id = queue.pop(0)
-                params = parameters if isinstance(parameters, RunningParameters) else parameters[query_id]
-                session.submit(query_id, params)
-            if session.num_running:
-                event = session.advance()
-                if event is not None and event.failed:
-                    session.mark_failed(event.query_id)
-            else:
-                wakeup = session.next_fault_wakeup()
-                if wakeup is None:
-                    raise SchedulingError("execute_order stalled: nothing running and no recovery scheduled")
-                session.advance(limit=wakeup)
-        return session.log
-
     def estimate_isolated_time(self, query: Query, parameters: RunningParameters) -> float:
         """Execute one query alone on an otherwise idle system (no noise).
 
@@ -691,4 +716,5 @@ class DatabaseEngine:
         assert event is not None
         return event.finish_time
 
+    execute_order = execute_fixed_order
     collect_logs = collect_fixed_order_logs

@@ -818,22 +818,15 @@ class TenantSession:
         return self._shared.speed_factors()
 
     # -- protocol methods ------------------------------------------------ #
-    def submit(self, query_id: int, parameters: "RunningParameters", instance: "int | None" = None) -> int:
-        """Submit a pending local query, optionally routed to an instance.
+    def submit(self, query_id: int, parameters: "RunningParameters", instance: int = 0) -> int:
+        """Submit a pending local query to ``instance`` of the shared backend.
 
-        ``instance=None`` keeps the single-backend call shape (and means
-        instance 0 on a cluster backend); a non-zero placement requires a
-        cluster-capable shared session.
+        The shared session rejects an instance its backend does not have
+        (anything but 0 on a single engine) with the backend's error type.
         """
         if query_id not in self.pending:
             raise SchedulingError(f"query {query_id} is not pending for tenant {self.name!r}")
-        global_id = self._state.offset + query_id
-        if instance is None or (instance == 0 and self.num_instances == 1):
-            connection = self._shared.submit(global_id, parameters)
-        elif self.num_instances <= 1 and instance != 0:
-            raise SchedulingError(f"backend has one instance; cannot place on instance {instance}")
-        else:
-            connection = self._shared.submit(global_id, parameters, instance=instance)
+        connection = self._shared.submit(self._state.offset + query_id, parameters, instance=instance)
         self.pending.remove(query_id)
         self._running.add(query_id)
         self._runtime._note_submit(self._state, query_id)

@@ -11,7 +11,6 @@ import pytest
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, LSchedScheduler, make_workload
 from repro.core import (
     AdaptiveMask,
-    ClusterSchedulingEnv,
     ExternalKnowledge,
     FIFOScheduler,
     GreedyCostPlacementScheduler,
@@ -19,6 +18,7 @@ from repro.core import (
     MCFScheduler,
     RandomScheduler,
     RoundRobinPlacementScheduler,
+    SchedulingEnv,
     VectorSchedulingEnv,
 )
 from repro.dbms import Cluster, ConfigurationSpace, INSTANCE_FEATURE_DIM
@@ -54,7 +54,7 @@ def _cluster_env(cluster, num_connections=4, mask=None, arrivals=None):
     config.scheduler.num_connections = num_connections
     space = ConfigurationSpace(config.scheduler)
     knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
-    return ClusterSchedulingEnv(
+    return SchedulingEnv(
         batch=batch,
         backend=cluster,
         scheduler_config=config.scheduler,
@@ -405,7 +405,7 @@ class TestClusterEnv:
         space = ConfigurationSpace(config.scheduler)
         knowledge = ExternalKnowledge.from_probes(hetero_cluster, batch, space)
         clusters = cluster_queries(batch, np.zeros((len(batch), len(batch))), 5, knowledge=knowledge)
-        env = ClusterSchedulingEnv(
+        env = SchedulingEnv(
             batch=batch,
             backend=hetero_cluster,
             scheduler_config=config.scheduler,
@@ -438,21 +438,31 @@ class TestClusterEnv:
         with pytest.raises(SchedulingError, match="gain-clustered"):
             RoundRobinPlacementScheduler().select_action(env, env.snapshot())
 
-    def test_non_cluster_backend_rejected(self):
-        workload = make_workload("tpch", scale_factor=1.0, seed=0)
-        batch = workload.batch_query_set()
-        config = BQSchedConfig.small(seed=0)
-        space = ConfigurationSpace(config.scheduler)
+    def test_single_engine_is_a_fleet_of_one(self):
+        """On a single engine the placement API answers for one instance, and
+        the placement baselines schedule exactly as their query order does."""
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        knowledge = ExternalKnowledge.from_probes(engine, batch, space)
+        env = _cluster_env(engine, num_connections=4)
+        assert env.num_instances == 1 and env.configs_per_slot == env.num_configs
+        for query_id, config_index in ((0, 0), (5, 1), (len(env.batch) - 1, env.num_configs - 1)):
+            action = env.encode_placement(query_id, 0, config_index)
+            assert action == env.encode_action(query_id, config_index)
+            assert env.decode_placement(action) == (query_id, 0, config_index)
         with pytest.raises(SchedulingError):
-            ClusterSchedulingEnv(
-                batch=batch,
-                backend=engine,
-                scheduler_config=config.scheduler,
-                config_space=space,
-                knowledge=knowledge,
-            )
+            env.encode_placement(0, 1, 0)
+        env.reset(round_id=0)
+        assert env.available_instances() == [0]
+        assert env.instance_speed_factors() == (1.0,)
+        pairs = (
+            (RoundRobinPlacementScheduler(), FIFOScheduler()),
+            (LeastOutstandingWorkScheduler(), FIFOScheduler()),
+            (GreedyCostPlacementScheduler(), MCFScheduler()),
+        )
+        for placement, query_order in pairs:
+            for round_id in (0, 1):
+                placed = placement.run_round(env, round_id=round_id)
+                ordered = query_order.run_round(env, round_id=round_id)
+                assert _digest(placed.round_log) == _digest(ordered.round_log), (placement.name, round_id)
 
 
 class TestPlacementBaselines:
@@ -509,7 +519,7 @@ class TestClusterRuntime:
             runtime.register("b", batch, arrivals=PoissonArrivals(rate=4.0)),
         ]
         envs = [
-            ClusterSchedulingEnv(
+            SchedulingEnv(
                 batch=batch,
                 backend=tenant,
                 scheduler_config=config.scheduler,
@@ -561,7 +571,7 @@ class TestClusterRuntime:
         runtime = ExecutionRuntime(fleet)
         tenants = [runtime.register("a", batch), runtime.register("b", batch)]
         envs = [
-            ClusterSchedulingEnv(
+            SchedulingEnv(
                 batch=batch,
                 backend=tenant,
                 scheduler_config=config.scheduler,
@@ -615,7 +625,8 @@ class TestClusterFacade:
     def test_facade_wires_cluster_dimensions(self, trained):
         assert trained.num_instances == 3
         assert trained.policy.num_configs == 3 * len(trained.config_space)
-        assert isinstance(trained.env, ClusterSchedulingEnv)
+        assert trained.env.num_instances == 3
+        assert trained.env.action_dim == len(trained.batch) * trained.policy.num_configs
         assert trained.use_simulator is False and trained.use_clustering is False
 
     def test_policy_schedules_and_serves(self, trained):
@@ -628,7 +639,7 @@ class TestClusterFacade:
 
     def test_vectorized_training_on_cluster(self, trained):
         vec = VectorSchedulingEnv.from_template(trained.env, 2)
-        assert all(isinstance(env, ClusterSchedulingEnv) for env in vec.envs)
+        assert all(env.num_instances == 3 for env in vec.envs)
         snaps = [vec.reset_at(index, round_id=300 + index) for index in range(2)]
         masks = vec.masks_for()
         assert masks.shape == (2, trained.env.action_dim)

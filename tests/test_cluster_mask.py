@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
-from repro.core import AdaptiveMask, ClusterSchedulingEnv, ExternalKnowledge, QueryClusters, SchedulingEnv
+from repro.core import AdaptiveMask, ExternalKnowledge, QueryClusters, SchedulingEnv
 from repro.core.clustering import cluster_queries
 from repro.dbms import Cluster, ConfigurationSpace
 
@@ -31,13 +31,11 @@ def member_loop(clusters, mask: AdaptiveMask, remaining: list, num_configs: int)
 
 
 def legacy_action_mask(env: SchedulingEnv) -> np.ndarray:
-    """The flat cluster-mode mask as the member loop built it, placement columns included on a fleet."""
+    """The flat cluster-mode mask as the member loop built it, placement columns included."""
     per_slot = member_loop(env.clusters, env.mask, env._cluster_remaining, env.num_configs)
-    if isinstance(env, ClusterSchedulingEnv):
-        available = np.zeros(env.num_instances, dtype=bool)
-        available[env.available_instances()] = True
-        per_slot = per_slot[:, None, :] & available[None, :, None]
-    return per_slot.reshape(env.action_dim)
+    available = np.zeros(env.num_instances, dtype=bool)
+    available[env.available_instances()] = True
+    return (per_slot[:, None, :] & available[None, :, None]).reshape(env.action_dim)
 
 
 class TestUnionMatrix:
@@ -97,8 +95,7 @@ def clustered_env(backend: str) -> SchedulingEnv:
     }  # fmt: skip
     if clusters.cluster_of(0) == 0:
         allowed[0] = [0]
-    env_cls = SchedulingEnv if backend == "engine" else ClusterSchedulingEnv
-    return env_cls(
+    return SchedulingEnv(
         batch=batch,
         backend=engine,
         scheduler_config=config.scheduler,

@@ -31,7 +31,6 @@ from repro.config import (
 )
 from repro.core import (
     AdaptiveMask,
-    ClusterSchedulingEnv,
     ExternalKnowledge,
     LSchedScheduler,
     SchedulingEnv,
@@ -617,7 +616,7 @@ class TestRewardShaping:
         batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
         backend = Cluster.from_names(list(fleet), seed=0) if fleet else DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         space = ConfigurationSpace(config)
-        template = (ClusterSchedulingEnv if fleet else SchedulingEnv)(
+        template = SchedulingEnv(
             batch=batch,
             backend=backend,
             scheduler_config=config,

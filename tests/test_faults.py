@@ -23,7 +23,6 @@ from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import RetryPolicy
 from repro.core import (
     AdaptiveMask,
-    ClusterSchedulingEnv,
     ExternalKnowledge,
     FIFOScheduler,
     RoundRobinPlacementScheduler,
@@ -354,7 +353,7 @@ class TestClusterOutage:
         faults = FailureProfile(outages=(OutageWindow(instance=0, start=0.0, duration=5.0),))
         cluster = Cluster.from_names(("x", "x"), seed=0, faults=faults)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
-        env = ClusterSchedulingEnv(
+        env = SchedulingEnv(
             batch=fixture_batch,
             backend=cluster,
             scheduler_config=small_config.scheduler,
@@ -475,7 +474,7 @@ class TestFaultFreeDigestPins:
         space = ConfigurationSpace(small_config.scheduler)
         cluster = Cluster.from_names(("x", "y"), seed=0)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
-        env = ClusterSchedulingEnv(
+        env = SchedulingEnv(
             batch=fixture_batch,
             backend=cluster,
             scheduler_config=small_config.scheduler,

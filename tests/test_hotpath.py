@@ -39,7 +39,6 @@ from repro import (
 from repro.core import (
     AdaptiveMask,
     BaseScheduler,
-    ClusterSchedulingEnv,
     ExternalKnowledge,
     FIFOScheduler,
     RoundRobinPlacementScheduler,
@@ -105,7 +104,7 @@ def _make_cluster() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, t
     batch, config, space = _base()
     cluster = Cluster.from_names(["x", "y", "z"], seed=0)
     knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
-    env = ClusterSchedulingEnv(
+    env = SchedulingEnv(
         batch=batch,
         backend=cluster,
         scheduler_config=config.scheduler,

@@ -18,7 +18,6 @@ from repro import BQSched, BQSchedConfig, Cluster, make_workload
 from repro.config import PPOConfig, SimulatorConfig
 from repro.core import (
     AdaptiveMask,
-    ClusterSchedulingEnv,
     ExternalKnowledge,
     FIFOScheduler,
     GreedyCostPlacementScheduler,
@@ -302,17 +301,16 @@ def _single_engine_sim_cluster(tpch_batch, plan_embeddings, probe_knowledge, con
 
 
 class TestSimulatedClusterDigest:
-    @pytest.mark.parametrize("env_cls", [SchedulingEnv, ClusterSchedulingEnv])
     def test_one_instance_simulated_fleet_matches_single_engine_tree(
-        self, env_cls, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log, small_config
+        self, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log, small_config
     ):
-        """A fleet of one is bit-for-bit pinned, through the plain env (which
-        single-engine pre-training uses) and the placement-aware env alike."""
+        """A fleet of one is bit-for-bit pinned through the one env (which
+        single-engine pre-training uses)."""
         sim_cluster = _single_engine_sim_cluster(
             tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log
         )
         assert cluster_instance_count(sim_cluster) == 1
-        env = env_cls(
+        env = SchedulingEnv(
             batch=tpch_batch,
             backend=sim_cluster,
             scheduler_config=small_config.scheduler,
@@ -422,7 +420,7 @@ class TestSimulatedClusterSession:
             session.release(0)
 
     def test_runtime_and_env_run_on_simulated_fleet(self, sim_fleet, tpch_batch, config_space, small_config):
-        env = ClusterSchedulingEnv(
+        env = SchedulingEnv(
             batch=tpch_batch,
             backend=sim_fleet,
             scheduler_config=small_config.scheduler,
@@ -448,7 +446,7 @@ class TestSimulatedClusterSession:
         """
         runtime = ExecutionRuntime(sim_fleet)
         tenant = runtime.register("solo", tpch_batch)
-        env = ClusterSchedulingEnv(
+        env = SchedulingEnv(
             batch=tpch_batch,
             backend=tenant,
             scheduler_config=small_config.scheduler,

@@ -192,3 +192,47 @@ class TestSessionBehaviouralParity:
                 assert view.instance_of(0) == 0 and view.instance_of(3) == -1
                 assert view.instance_health() == [True]
             assert backend.next_fault_wakeup() is None
+
+
+class TestSubmitPlacementContract:
+    """One ``submit`` signature across every backend session: ``instance``
+    defaults to 0, and an instance the backend does not have is rejected
+    with the backend's error type before the round changes."""
+
+    def test_every_session_submit_takes_an_instance(self):
+        for session_cls in (ExecutionSession, ClusterSession, SimulatedClusterSession, TenantSession):
+            parameter = inspect.signature(session_cls.submit).parameters.get("instance")
+            assert parameter is not None, session_cls.__name__
+            assert parameter.default == 0, session_cls.__name__
+        parameter = inspect.signature(SchedulingSession.submit).parameters["instance"]
+        assert parameter.default == 0
+
+    @pytest.mark.parametrize(
+        "kind", ["engine", "cluster-of-one", "cluster", "simulated-fleet-of-one", "simulated-fleet", "tenant"]
+    )
+    def test_accepts_instance_zero_and_rejects_out_of_range(self, parts, kind):
+        batch, engine, simulator, space, sim_cluster = parts
+        if kind == "tenant":
+            session = ExecutionRuntime(engine).register("t", batch).new_session(batch, num_connections=3, round_id=7)
+            error = engine.new_session(batch, round_id=7).error
+        else:
+            backend = {
+                "engine": engine,
+                "cluster-of-one": Cluster([DatabaseEngine(DBMSProfile.dbms_x(), seed=0)]),
+                "cluster": Cluster.from_names(["x", "y"], seed=0),
+                "simulated-fleet-of-one": simulator,
+                "simulated-fleet": sim_cluster,
+            }[kind]
+            session = backend.new_session(batch, num_connections=3, round_id=7)
+            error = session.error
+        parameters = RunningParameters(1, 64)
+        out_of_range = [-1, session.num_instances]
+        if session.num_instances == 1:
+            assert out_of_range == [-1, 1]
+        for instance in out_of_range:
+            with pytest.raises(error, match="instance"):
+                session.submit(0, parameters, instance=instance)
+            assert 0 in session.pending and session.num_running == 0
+        session.submit(0, parameters, instance=0)
+        assert 0 not in session.pending and session.num_running == 1
+        assert session.instance_of(0) == 0
