@@ -13,7 +13,7 @@ import abc
 import numpy as np
 
 from ..dbms.engine import next_instance_in_rotation
-from ..encoder import SchedulingSnapshot
+from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
 from ..perf import PerformanceEstimator
 from .env import SchedulingEnv, greedy_cost_instance
@@ -37,7 +37,7 @@ class BaseScheduler(abc.ABC):
     name: str = "base"
 
     @abc.abstractmethod
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         """Return the flat action to take in ``env`` given the current ``snapshot``."""
 
     def on_round_start(self, env: SchedulingEnv) -> None:
@@ -79,7 +79,7 @@ def run_episode(env: SchedulingEnv, scheduler: BaseScheduler, round_id: int | No
 class _HeuristicScheduler(BaseScheduler):
     """Shared machinery: pick a pending query by some key, default configuration."""
 
-    def _pending_slots(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> list[int]:
+    def _pending_slots(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> list[int]:
         if env.cluster_mode:
             raise SchedulingError(f"{self.name} operates on query-level environments only")
         if env.num_instances > 1:
@@ -105,7 +105,7 @@ class RandomScheduler(_HeuristicScheduler):
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         pending = self._pending_slots(env, snapshot)
         query_id = int(self._rng.choice(pending))
         return env.encode_action(query_id, self._default_config(env, query_id))
@@ -116,7 +116,7 @@ class FIFOScheduler(_HeuristicScheduler):
 
     name = "FIFO"
 
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         pending = self._pending_slots(env, snapshot)
         query_id = min(pending)
         return env.encode_action(query_id, self._default_config(env, query_id))
@@ -131,7 +131,7 @@ class MCFScheduler(_HeuristicScheduler):
 
     name = "MCF"
 
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         pending = self._pending_slots(env, snapshot)
         query_id = max(pending, key=lambda qid: env.knowledge.average_time(qid))
         return env.encode_action(query_id, self._default_config(env, query_id))
@@ -160,7 +160,7 @@ class _PlacementScheduler(_HeuristicScheduler):
     def _estimator(self, env: SchedulingEnv) -> PerformanceEstimator:
         return self.perf if self.perf is not None else env.knowledge
 
-    def _pick_query(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def _pick_query(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         pending = snapshot.pending_ids
         if not pending:
             raise SchedulingError("no pending query to schedule")
@@ -172,7 +172,7 @@ class _PlacementScheduler(_HeuristicScheduler):
     def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         raise NotImplementedError
 
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         if env.cluster_mode:
             raise SchedulingError(
                 f"{self.name} places individual queries; a gain-clustered environment "

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..config import AdmissionPolicy, AutoscalePolicy, BQSchedConfig, RetryPolicy
 from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, ExecutionLog, FailureProfile, INSTANCE_FEATURE_DIM
-from ..encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot, StateEncoder
+from ..encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SnapshotArrays, StateEncoder
 from ..exceptions import SchedulingError
 from ..nn import fastgrad
 from ..perf import PerformanceModel, SimulatedCluster
@@ -331,7 +331,7 @@ class RLSchedulerBase(BaseScheduler):
     # ------------------------------------------------------------------ #
     # Scheduling with the learned policy
     # ------------------------------------------------------------------ #
-    def select_action(self, env: SchedulingEnv, snapshot: SchedulingSnapshot) -> int:
+    def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         """Greedy action from the learned policy (BaseScheduler interface)."""
         return self.policy.greedy_action(self.plan_embeddings, snapshot, env.action_mask(), clusters=env.clusters)
 

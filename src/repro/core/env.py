@@ -4,7 +4,7 @@ The environment turns the scheduling problem into the sequential decision
 process BQSched learns on:
 
 * a *state* is the observable runtime snapshot of every query
-  (:class:`repro.encoder.SchedulingSnapshot`);
+  (:class:`repro.encoder.SnapshotArrays`);
 * an *action* selects the next pending query together with the instance it
   runs on and its running parameters (or, in cluster mode, the next query
   cluster, the instance of its first submission and the cluster's shared
@@ -49,7 +49,7 @@ from ..config import SchedulerConfig
 from ..dbms import Cluster, ConfigurationSpace, RunningParameters
 from ..dbms.logs import RoundLog
 from ..dbms.soa import SOA_DEFERRED
-from ..encoder import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot, SnapshotArrays
+from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
 from ..perf import SimulatedCluster
 from ..runtime import ExecutionRuntime, RuntimeTenant
@@ -80,8 +80,8 @@ _SOA_STATUS_OBS = np.array([0, 1, 2, 2, 0], dtype=np.int8)
 _SOA_IS_RUNNING = np.array([False, True, False, False, False])
 
 #: Observable config index per status when the query is *not* running:
-#: finished/failed queries report slot 0 (their config one-hot is kept by the
-#: AoS path too), pending/deferred report -1.  The running entry is a filler —
+#: finished/failed queries report slot 0 (their config one-hot is kept),
+#: pending/deferred report -1.  The running entry is a filler —
 #: running rows take the live config slot instead.
 _SOA_CONFIG_BASE = np.array([-1, 0, 0, 0, -1], dtype=np.int64)
 
@@ -233,7 +233,7 @@ class SessionBackend(Protocol):
 class StepResult:
     """Returned by :meth:`SchedulingEnv.step`."""
 
-    snapshot: SchedulingSnapshot
+    snapshot: SnapshotArrays
     reward: float
     done: bool
     info: dict
@@ -300,7 +300,6 @@ class SchedulingEnv:
         self._cluster_remaining: list[list[int]] = []
         self._cluster_union: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._round_counter = 0
-        self._static_infos: dict[tuple[int, QueryStatus], QueryRuntimeInfo] = {}
         # Fast-snapshot columns (rebuilt per reset, when knowledge may have
         # been refreshed): per-query average expected time, and the config
         # index / expected time recorded at each submission so the snapshot
@@ -430,7 +429,7 @@ class SchedulingEnv:
     # ------------------------------------------------------------------ #
     # Episode control
     # ------------------------------------------------------------------ #
-    def reset(self, round_id: int | None = None, strategy: str | None = None) -> SchedulingSnapshot:
+    def reset(self, round_id: int | None = None, strategy: str | None = None) -> SnapshotArrays:
         """Start a new scheduling round and return the initial snapshot.
 
         An explicit ``round_id`` (e.g. an evaluation round at 10_000+) leaves
@@ -449,7 +448,6 @@ class SchedulingEnv:
         self._last_time = 0.0
         self._last_failures = 0
         self._last_slo_misses = 0
-        self._static_infos.clear()
         self._soa_avg_expected = np.array(
             [self.knowledge.average_time(query.query_id) for query in self.batch], dtype=np.float64
         )
@@ -616,13 +614,11 @@ class SchedulingEnv:
     def _submit(self, query_id: int, parameters: RunningParameters, instance: int) -> None:
         """Submit to the session and record the joint index for the fast snapshot.
 
-        The AoS snapshot re-derives ``index_of(state.parameters)``, the
-        placement and the expected time on every step; recording them once
-        at submission keeps the SoA snapshot free of per-query lookups.
-        ``parameters`` is the *actually submitted* configuration (cluster
-        drains may substitute the closest allowed one), so ``index_of``
-        matches what the AoS path reads back from the running state; the
-        expected time keys on the raw configuration index, as there.
+        Recording the joint index and the expected time once at submission
+        keeps the snapshot free of per-query lookups.  ``parameters`` is the
+        *actually submitted* configuration (cluster drains may substitute the
+        closest allowed one), so ``index_of`` matches the running state's
+        parameters; the expected time keys on the raw configuration index.
         """
         self._session.submit(query_id, parameters, instance=instance)
         config_index = self.config_space.index_of(parameters)
@@ -714,7 +710,7 @@ class SchedulingEnv:
         slack = (deadline - self._session.current_time) if deadline is not None else 0.0
         return tenant_class.priority, slack
 
-    def snapshot(self) -> SchedulingSnapshot:
+    def snapshot(self) -> SnapshotArrays:
         """Build the observable state of every query at the current instant.
 
         Queries that have not yet arrived (streaming scenario) are reported
@@ -731,9 +727,8 @@ class SchedulingEnv:
 
         The snapshot is a :class:`~repro.encoder.SnapshotArrays` built from
         the tenant session's incrementally-maintained state columns with a
-        handful of whole-array ops — bit-identical to :meth:`snapshot_aos`
-        (verified by digest in ``tests/test_hotpath.py``) and duck-typing its
-        read API.
+        handful of whole-array ops.  ``tests/test_hotpath.py`` checks it
+        against a per-query reference builder at every decision step.
         """
         self._require_session()
         session = self._session
@@ -747,14 +742,13 @@ class SchedulingEnv:
         time_to_available = np.zeros(status_raw.shape[0], dtype=np.float64)
         if not available.all():
             deferred = ~available
-            # Mirrors the AoS ``max(0.0, available_at - now)`` exactly:
-            # positive waits pass through bit-identically, the rest become
-            # positive zero.
+            # ``max(0.0, available_at - now)``: positive waits pass through
+            # bit-identically, the rest become positive zero.
             wait = session.soa_available_at[deferred] - now
             wait[wait <= 0.0] = 0.0
             time_to_available[deferred] = wait
         priority, deadline_slack = self._slo_context()
-        return SnapshotArrays(  # type: ignore[return-value]
+        return SnapshotArrays(
             time=now,
             status=_SOA_STATUS_OBS[status_raw],
             config_index=config_index,
@@ -769,141 +763,17 @@ class SchedulingEnv:
             deadline_slack=deadline_slack,
         )
 
-    def snapshot_aos(self) -> SchedulingSnapshot:
-        """Reference AoS snapshot (one frozen info per query).
-
-        The parity reference the digest tests compare :meth:`snapshot`
-        against.
-        """
-        self._require_session()
-        session = self._session
-        now = session.current_time
-        running = {state.query.query_id: state for state in session.running_states()}
-        finished = session.finished
-        failed = session.failed
-        unarrived = frozenset(session.unarrived_ids())
-        counts = session.failure_counts()
-        # A query awaiting its scheduled retry re-arrival is reported like a
-        # streaming not-yet-arrived query: pending but unavailable.
-        retrying = frozenset(session.retrying_ids())
-        infos = []
-        for query in self.batch:
-            query_id = query.query_id
-            attempts = counts.get(query_id, 0) if counts else 0
-            if query_id in running:
-                infos.append(self._running_info(query_id, running[query_id], now, attempts=attempts))
-            elif (query_id in finished) or (failed and query_id in failed):
-                if attempts:
-                    infos.append(
-                        QueryRuntimeInfo(
-                            query_id=query_id,
-                            status=QueryStatus.FINISHED,
-                            config_index=0,
-                            elapsed=0.0,
-                            expected_time=self.knowledge.average_time(query_id),
-                            attempts=attempts,
-                        )
-                    )
-                else:
-                    infos.append(self._static_info(query_id, QueryStatus.FINISHED))
-            elif (unarrived and query_id in unarrived) or (retrying and query_id in retrying):
-                # An unarrived query becomes available at its arrival time; a
-                # query backing off after a failed attempt becomes available
-                # at its scheduled retry re-arrival.
-                if retrying and query_id in retrying:
-                    available_at = self._session.retry_time(query_id)
-                else:
-                    available_at = self._session.arrival_time(query_id)
-                infos.append(
-                    QueryRuntimeInfo(
-                        query_id=query_id,
-                        status=QueryStatus.PENDING,
-                        config_index=-1,
-                        elapsed=0.0,
-                        expected_time=self.knowledge.average_time(query_id),
-                        available=False,
-                        time_to_available=max(0.0, available_at - now),
-                        attempts=attempts,
-                    )
-                )
-            elif attempts:
-                infos.append(
-                    QueryRuntimeInfo(
-                        query_id=query_id,
-                        status=QueryStatus.PENDING,
-                        config_index=-1,
-                        elapsed=0.0,
-                        expected_time=self.knowledge.average_time(query_id),
-                        attempts=attempts,
-                    )
-                )
-            else:
-                infos.append(self._static_info(query_id, QueryStatus.PENDING))
-        priority, deadline_slack = self._slo_context()
-        context = session.instance_context()
-        return SchedulingSnapshot(
-            time=now,
-            infos=tuple(infos),
-            instance_context=() if context is None else tuple(tuple(row) for row in context.tolist()),
-            instance_health=self._instance_health(),
-            priority=priority,
-            deadline_slack=deadline_slack,
-        )
-
-    def _running_info(
-        self, query_id: int, state: "RunningQueryState", now: float, attempts: int = 0
-    ) -> QueryRuntimeInfo:
-        """Observable info of one running query: joint (instance, configuration) index."""
-        config_index = self.config_space.index_of(state.parameters)
-        instance = max(0, self._session.instance_of(query_id))
-        return QueryRuntimeInfo(
-            query_id=query_id,
-            status=QueryStatus.RUNNING,
-            config_index=instance * self.num_configs + config_index,
-            elapsed=now - state.submit_time,
-            expected_time=self.knowledge.expected_time(query_id, config_index),
-            attempts=attempts,
-        )
-
     def _instance_health_array(self) -> "np.ndarray | None":
-        """Array form of :meth:`_instance_health` (``None`` when all up)."""
-        health = self._instance_health()
-        if not health:
-            return None
-        return np.array(health, dtype=bool)
+        """Per-instance health for the snapshot; ``None`` means everything is up.
 
-    def _instance_health(self) -> tuple[bool, ...]:
-        """Per-instance health for the snapshot; empty means everything is up.
-
-        The empty-when-healthy convention keeps fault-free snapshots
+        The none-when-healthy convention keeps fault-free snapshots
         bit-compatible with the pre-fault tree (and with trained policies
         that never saw a health channel).
         """
         health = self._session.instance_health()
         if all(health):
-            return ()
-        return tuple(bool(up) for up in health)
-
-    def _static_info(self, query_id: int, status: QueryStatus) -> QueryRuntimeInfo:
-        """Cached pending/finished info (immutable within a round).
-
-        Only running queries have step-dependent features; the pending and
-        finished entries repeat identically at every decision instant of a
-        round, so each is built once per round (the cache clears on reset,
-        when knowledge may have been refreshed between rounds).
-        """
-        key = (query_id, status)
-        info = self._static_infos.get(key)
-        if info is None:
-            info = QueryRuntimeInfo(
-                query_id=query_id,
-                status=status,
-                config_index=0 if status is QueryStatus.FINISHED else -1,
-                elapsed=0.0,
-                expected_time=self.knowledge.average_time(query_id),
-            )
-            self._static_infos[key] = info
-        return info
+            return None
+        return np.array(health, dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Misc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoder import BatchedStateRepresentation, SchedulingSnapshot, StateEncoder, StateRepresentation
+from ..encoder import BatchedStateRepresentation, SnapshotArrays, StateEncoder, StateRepresentation
 from ..exceptions import SchedulingError
 from ..nn import MLP, Module, Tensor, fastinfer, masked_log_softmax, stack
 from ..nn.backend import DecisionKernel
@@ -36,7 +36,7 @@ class PolicyDecision:
     value: float
 
 
-def _cluster_member_indices(clusters, snapshot: SchedulingSnapshot) -> list[np.ndarray]:
+def _cluster_member_indices(clusters, snapshot: SnapshotArrays) -> list[np.ndarray]:
     """Per-cluster member index arrays to pool, one entry per cluster.
 
     Pending members are pooled when any remain; a fully drained cluster
@@ -75,14 +75,14 @@ class ActorCriticNetwork(Module):
     # ------------------------------------------------------------------ #
     # Forward passes
     # ------------------------------------------------------------------ #
-    def representation(self, plan_embeddings: np.ndarray, snapshot: SchedulingSnapshot) -> StateRepresentation:
+    def representation(self, plan_embeddings: np.ndarray, snapshot: SnapshotArrays) -> StateRepresentation:
         """Shared state representation for one snapshot."""
         return self.state_encoder(plan_embeddings, snapshot)
 
     def action_logits(
         self,
         representation: StateRepresentation,
-        snapshot: SchedulingSnapshot,
+        snapshot: SnapshotArrays,
         clusters=None,
     ) -> Tensor:
         """Flat action logits (query- or cluster-level) of shape ``(action_dim,)``."""
@@ -109,7 +109,7 @@ class ActorCriticNetwork(Module):
     # Batched forward passes (the vectorized hot path)
     # ------------------------------------------------------------------ #
     def encode_batch(
-        self, plan_embeddings: np.ndarray, snapshots: list[SchedulingSnapshot]
+        self, plan_embeddings: np.ndarray, snapshots: list[SnapshotArrays]
     ) -> BatchedStateRepresentation:
         """Shared state representations for B snapshots in one stacked forward."""
         return self.state_encoder.encode_batch(plan_embeddings, snapshots)
@@ -117,7 +117,7 @@ class ActorCriticNetwork(Module):
     def action_logits_batch(
         self,
         representation: BatchedStateRepresentation,
-        snapshots: list[SchedulingSnapshot],
+        snapshots: list[SnapshotArrays],
         clusters=None,
     ) -> Tensor:
         """Flat action logits of shape ``(batch, action_dim)``."""
@@ -157,7 +157,7 @@ class ActorCriticNetwork(Module):
 
     @staticmethod
     def _logits_arrays(
-        policy_head: list, per_query: np.ndarray, snapshots: list[SchedulingSnapshot], clusters
+        policy_head: list, per_query: np.ndarray, snapshots: list[SnapshotArrays], clusters
     ) -> np.ndarray:
         """``(batch, action_dim)`` logits; in cluster mode the per-query rows are mean-pooled into cluster tokens first."""
         batch = per_query.shape[0]
@@ -169,7 +169,7 @@ class ActorCriticNetwork(Module):
         self,
         per_query: np.ndarray,
         global_input: np.ndarray,
-        snapshots: list[SchedulingSnapshot],
+        snapshots: list[SnapshotArrays],
         clusters=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free ``(logits, values)`` of shapes ``(batch, action_dim)`` and ``(batch,)``.
@@ -186,7 +186,7 @@ class ActorCriticNetwork(Module):
     def greedy_action(
         self,
         plan_embeddings: np.ndarray,
-        snapshot: SchedulingSnapshot,
+        snapshot: SnapshotArrays,
         mask: np.ndarray,
         clusters=None,
     ) -> int:
@@ -205,7 +205,7 @@ class ActorCriticNetwork(Module):
     def act(
         self,
         plan_embeddings: np.ndarray,
-        snapshot: SchedulingSnapshot,
+        snapshot: SnapshotArrays,
         mask: np.ndarray,
         rng: np.random.Generator,
         clusters=None,
@@ -222,7 +222,7 @@ class ActorCriticNetwork(Module):
     def evaluate_action(
         self,
         plan_embeddings: np.ndarray,
-        snapshot: SchedulingSnapshot,
+        snapshot: SnapshotArrays,
         action: int,
         mask: np.ndarray,
         clusters=None,
@@ -243,7 +243,7 @@ class ActorCriticNetwork(Module):
     def act_batch(
         self,
         plan_embeddings: np.ndarray,
-        snapshots: list[SchedulingSnapshot],
+        snapshots: list[SnapshotArrays],
         masks: np.ndarray,
         rng: np.random.Generator,
         clusters=None,
@@ -288,7 +288,7 @@ class ActorCriticNetwork(Module):
     def evaluate_actions_batch(
         self,
         plan_embeddings: np.ndarray,
-        snapshots: list[SchedulingSnapshot],
+        snapshots: list[SnapshotArrays],
         actions: np.ndarray,
         masks: np.ndarray,
         clusters=None,
@@ -311,7 +311,7 @@ class ActorCriticNetwork(Module):
     def evaluate_auxiliary_batch(
         self,
         plan_embeddings: np.ndarray,
-        snapshots: list[SchedulingSnapshot],
+        snapshots: list[SnapshotArrays],
         query_ids: np.ndarray,
         masks: np.ndarray,
         clusters=None,
@@ -332,7 +332,7 @@ class ActorCriticNetwork(Module):
     def evaluate_auxiliary(
         self,
         plan_embeddings: np.ndarray,
-        snapshot: SchedulingSnapshot,
+        snapshot: SnapshotArrays,
         query_id: int,
         mask: np.ndarray,
         clusters=None,

@@ -47,9 +47,6 @@ class TrainingHistory:
     value_losses: list[float] = field(default_factory=list)
     aux_losses: list[float] = field(default_factory=list)
 
-    def best_eval(self) -> float:
-        return float(np.min(self.eval_makespans)) if self.eval_makespans else float("nan")
-
 
 class PPOTrainer:
     """Plain PPO over the scheduling environment."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dbms import RoundLog
-from ..encoder import SchedulingSnapshot
+from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
 
 __all__ = ["Transition", "RolloutBuffer"]
@@ -27,7 +27,7 @@ __all__ = ["Transition", "RolloutBuffer"]
 class Transition:
     """One decision step of one episode."""
 
-    snapshot: SchedulingSnapshot
+    snapshot: SnapshotArrays
     action: int
     log_prob: float
     value: float

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..encoder import SchedulingSnapshot
+from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
 from .env import SchedulingEnv, StepResult
 from .types import SchedulingResult
@@ -78,7 +78,7 @@ class VectorSchedulingEnv:
     # ------------------------------------------------------------------ #
     # Lockstep episode control
     # ------------------------------------------------------------------ #
-    def reset_at(self, index: int, round_id: int | None = None, strategy: str | None = None) -> SchedulingSnapshot:
+    def reset_at(self, index: int, round_id: int | None = None, strategy: str | None = None) -> SnapshotArrays:
         """Start a new round in sub-env ``index`` and return its snapshot."""
         return self.envs[index].reset(round_id=round_id, strategy=strategy)
 

@@ -332,7 +332,7 @@ class ClusterSession(BackendSession):
             # first failure is delivered now, but every victim is already
             # back in the instance's pending set — demote them in the
             # observable-state arrays so snapshots taken before their events
-            # drain report them as pending, matching the AoS view.
+            # drain report them as pending, matching the session's object view.
             for victim in self.sessions[winner].buffered_failure_ids():
                 self.state_arrays.mark_pending(victim)
         for index, session in enumerate(self.sessions):

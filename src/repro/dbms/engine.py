@@ -177,9 +177,6 @@ class ExecutionSession(BackendSession):
         """In-flight queries, including failures buffered but not yet delivered."""
         return len(self.running) + len(self._fault_events)
 
-    def idle_connections(self) -> list[int]:
-        return [] if self.is_down else list(self._idle_connections)
-
     # ------------------------------------------------------------------ #
     # Fault-injection API
     # ------------------------------------------------------------------ #

@@ -4,6 +4,12 @@ The non-intrusive scheduler observes, for every query in the batch, only its
 execution status (pending / running / finished), the running parameters it
 was submitted with, how long it has been running, and the average execution
 time extracted from logs.  These are the features ``f_i`` of Section III-A.
+
+The scheduler sees that state as one :class:`SnapshotArrays` (a column per
+field) and :class:`RunStateFeaturizer` turns a stack of them into feature
+rows.  :class:`QueryRuntimeInfo` / :class:`SchedulingSnapshot` are the
+object-per-query debug view of the same state (``SnapshotArrays.infos`` /
+``.to_snapshot()``).
 """
 
 from __future__ import annotations
@@ -74,11 +80,10 @@ class QueryRuntimeInfo:
 
 @dataclass(frozen=True)
 class SchedulingSnapshot:
-    """The full observable state at one decision instant.
+    """Object-per-query debug view of one :class:`SnapshotArrays`.
 
     ``infos`` is aligned with the batch query ids (index ``i`` describes
-    query ``i``).  This object is what the attention-based state encoder and
-    the learned simulator consume.
+    query ``i``).
 
     ``instance_context`` carries per-engine-instance context rows when the
     round runs on a :class:`~repro.dbms.Cluster` (one tuple per instance:
@@ -144,25 +149,23 @@ class SchedulingSnapshot:
         return self.ids_with_status(QueryStatus.FINISHED)
 
 
-_STATUS_ORDER = {QueryStatus.PENDING: 0, QueryStatus.RUNNING: 1, QueryStatus.FINISHED: 2}
+#: Status of each observable code (0 = pending, 1 = running, 2 = finished).
 _STATUS_FROM_CODE = (QueryStatus.PENDING, QueryStatus.RUNNING, QueryStatus.FINISHED)
 
 
 class SnapshotArrays:
-    """Structure-of-arrays twin of :class:`SchedulingSnapshot`.
+    """The observable state at one decision instant, one array per field.
 
-    Hot loops (vectorized rollouts, the serving runtime) build one of these
-    per decision step from incrementally-maintained session arrays instead of
-    materializing ``n`` frozen :class:`QueryRuntimeInfo` objects; the
-    featurizer consumes the columns directly (:meth:`RunStateFeaturizer.
-    featurize_arrays`) with zero per-query Python work.
+    The environment builds one of these per decision step from the session's
+    incrementally-maintained columns, and the featurizer consumes the
+    columns directly (:meth:`RunStateFeaturizer.featurize_arrays_stack`)
+    with zero per-query Python work.
 
-    The class duck-types the read API of :class:`SchedulingSnapshot`
-    (``time`` / ``infos`` / ``pending_ids`` / ``running_ids`` / …), so
-    schedulers, policies and tests written against the AoS snapshot work
-    unchanged — the object-level view is built lazily and cached on first
-    access.  Array columns use the observable status codes of
-    ``_STATUS_ORDER`` (0 = pending, 1 = running, 2 = finished).
+    It also carries the read API of :class:`SchedulingSnapshot` (``time`` /
+    ``infos`` / ``pending_ids`` / ``running_ids`` / …); the object-level
+    view is built lazily and cached on first access.  ``status`` holds the
+    observable codes of ``_STATUS_FROM_CODE`` (0 = pending, 1 = running,
+    2 = finished).
     """
 
     __slots__ = (
@@ -257,11 +260,6 @@ class SnapshotArrays:
             return ()
         return tuple(bool(flag) for flag in self.instance_health_array.tolist())
 
-    def ids_with_status(self, status: QueryStatus) -> list[int]:
-        code = _STATUS_ORDER[status]
-        result: list[int] = np.nonzero(self.status == code)[0].tolist()
-        return result
-
     @property
     def pending_ids(self) -> list[int]:
         if self._pending_ids is None:
@@ -287,7 +285,7 @@ class SnapshotArrays:
         return self._finished_ids
 
     def to_snapshot(self) -> SchedulingSnapshot:
-        """The equivalent AoS :class:`SchedulingSnapshot` (built once, cached)."""
+        """The object-per-query :class:`SchedulingSnapshot` view (built once, cached)."""
         if self._snapshot is None:
             self._snapshot = SchedulingSnapshot(
                 time=self.time,
@@ -300,12 +298,24 @@ class SnapshotArrays:
         return self._snapshot
 
 
+def _column(stack: "list[SnapshotArrays]", name: str) -> np.ndarray:
+    """Column ``name`` of a stack as one ``(batch * n,)`` vector, snapshot-major.
+
+    A stack of one is its snapshot's own array, so the decision path's single
+    snapshot pays for no gather copy.
+    """
+    if len(stack) == 1:
+        return getattr(stack[0], name)
+    return np.concatenate([getattr(arrays, name) for arrays in stack])
+
+
 class RunStateFeaturizer:
-    """Encodes :class:`QueryRuntimeInfo` into the dense feature vector ``f_i``.
+    """Encodes a stack of :class:`SnapshotArrays` into the dense feature rows ``f_i``.
 
     Layout: status one-hot (3) ‖ configuration one-hot (``num_configs``) ‖
     normalised elapsed time ‖ normalised expected execution time
-    [‖ normalised time-to-arrival].
+    [‖ arrival] [‖ failure] [‖ SLO pair] [‖ instance context]; ``layout``
+    maps each switched-on channel to its first column.
 
     The optional arrival channel (``arrival_channel=True``) supports the
     streaming scenario, where the pending set grows as queries arrive: the
@@ -314,21 +324,24 @@ class RunStateFeaturizer:
     off by default to keep the feature layout (and trained policies)
     bit-compatible with the paper's closed-batch encoder.
 
-    The optional instance-context channel (``instance_context_dim > 0``)
-    supports cluster scheduling: the snapshot's flattened per-instance
-    context rows (load, buffer warmth, profile speed) are appended to every
-    query token, so the batch-level attention sees placement state alongside
-    query state.  In cluster mode the (instance, configuration) pair is
-    one-hot encoded jointly through ``num_configs = instances * configs``,
-    which degenerates to the paper's layout at one instance.
+    The optional failure channel (``failure_channel=True``) carries
+    ``tanh(attempts / 3)``, the query's failed attempts so far.
 
     The optional SLO channel (``slo_channel=True``) supports control-plane
     serving with tenant classes: two extra entries broadcast the observing
     tenant's ``tanh(priority / 4.0)`` and ``tanh(deadline_slack /
     time_scale)`` to every query token, letting one shared policy condition
     on which service tier it is scheduling for and how much deadline head
-    room is left.  Like the other channels it is off by default, keeping the
-    layout bit-compatible with classless policies.
+    room is left.
+
+    The optional instance-context channel (``instance_context_dim > 0``)
+    supports cluster scheduling: the snapshot's flattened per-instance
+    context rows (load, buffer warmth, profile speed) are appended to every
+    query token, so the batch-level attention sees placement state alongside
+    query state; a snapshot without context leaves them zero.  In cluster
+    mode the (instance, configuration) pair is one-hot encoded jointly
+    through ``num_configs = instances * configs``, which degenerates to the
+    paper's layout at one instance.
     """
 
     def __init__(
@@ -352,196 +365,85 @@ class RunStateFeaturizer:
         self.instance_context_dim = instance_context_dim
         self.failure_channel = failure_channel
         self.slo_channel = slo_channel
+        widths = {
+            "status": 3,
+            "config": num_configs,
+            "elapsed": 1,
+            "expected": 1,
+            "arrival": int(arrival_channel),
+            "failure": int(failure_channel),
+            "slo": 2 * int(slo_channel),
+            "context": instance_context_dim,
+        }
+        #: First column of every switched-on channel, in layout order.
+        self.layout: dict[str, int] = {}
+        self.feature_dim = 0
+        for channel, width in widths.items():
+            if width:
+                self.layout[channel] = self.feature_dim
+                self.feature_dim += width
+        #: ``arange`` over the rows of the last stack featurized, reused while the size repeats.
+        self._row_index = np.arange(0)
 
-    @property
-    def feature_dim(self) -> int:
-        return (
-            3
-            + self.num_configs
-            + 2
-            + (1 if self.arrival_channel else 0)
-            + (1 if self.failure_channel else 0)
-            + (2 if self.slo_channel else 0)
-            + self.instance_context_dim
-        )
+    def featurize_arrays_stack(
+        self, stack: "list[SnapshotArrays]", out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """The float64 ``(len(stack), n, feature_dim)`` running-state features of a stack.
 
-    @property
-    def _failure_slot(self) -> int:
-        """Column of the failure channel (valid only when enabled)."""
-        return 3 + self.num_configs + 2 + (1 if self.arrival_channel else 0)
-
-    @property
-    def _slo_slot(self) -> int:
-        """First column of the SLO channel pair (valid only when enabled)."""
-        return self._failure_slot + (1 if self.failure_channel else 0)
-
-    def featurize(self, info: QueryRuntimeInfo) -> np.ndarray:
-        vector = np.zeros(self.feature_dim, dtype=np.float64)
-        vector[_STATUS_ORDER[info.status]] = 1.0
-        if info.config_index >= 0:
-            if info.config_index >= self.num_configs:
-                raise SchedulingError(
-                    f"config index {info.config_index} out of range (num_configs={self.num_configs})"
-                )
-            vector[3 + info.config_index] = 1.0
-        vector[3 + self.num_configs] = np.tanh(info.elapsed / self.time_scale)
-        vector[3 + self.num_configs + 1] = np.tanh(info.expected_time / self.time_scale)
-        if self.arrival_channel:
-            vector[3 + self.num_configs + 2] = np.tanh(info.time_to_available / self.time_scale)
-        if self.failure_channel:
-            vector[self._failure_slot] = np.tanh(info.attempts / 3.0)
-        # Instance-context and SLO slots stay zero here: the per-info
-        # featurizer has no snapshot to read them from (featurize_snapshot
-        # fills them in).
-        return vector
-
-    def _context_row(self, snapshot: SchedulingSnapshot) -> np.ndarray:
-        """Flattened instance-context row shared by every query token."""
-        row = np.zeros(self.instance_context_dim, dtype=np.float64)
-        if snapshot.instance_context:
-            flat = np.concatenate([np.asarray(entry, dtype=np.float64) for entry in snapshot.instance_context])
-            if flat.shape[0] != self.instance_context_dim:
-                raise SchedulingError(
-                    f"snapshot instance context has {flat.shape[0]} entries, "
-                    f"featurizer expects {self.instance_context_dim}"
-                )
-            row = flat
-        return row
-
-    def featurize_snapshot(self, snapshot: "SchedulingSnapshot | SnapshotArrays") -> np.ndarray:
-        """Return the ``(n, feature_dim)`` matrix of running-state features.
-
-        Vectorized over the whole snapshot (one array op per feature channel
-        instead of one Python call per query); produces bit-identical rows to
-        :meth:`featurize`.  :class:`SnapshotArrays` snapshots dispatch to the
-        zero-extraction :meth:`featurize_arrays` fast path.
+        Every per-query channel is one array op over the stack's columns
+        (:func:`_column`), so a stack of one is the single-snapshot case.  The
+        SLO pair and the instance context are written per snapshot.  ``out``,
+        when given, is a C-contiguous float64 buffer of that shape; it is
+        zeroed and filled in place.
         """
-        if isinstance(snapshot, SnapshotArrays):
-            return self.featurize_arrays(snapshot)
-        infos = snapshot.infos
-        n = len(infos)
-        features = np.zeros((n, self.feature_dim), dtype=np.float64)
-        status_index = np.fromiter((_STATUS_ORDER[info.status] for info in infos), dtype=np.int64, count=n)
-        features[np.arange(n), status_index] = 1.0
-        config_index = np.fromiter((info.config_index for info in infos), dtype=np.int64, count=n)
-        if (config_index >= self.num_configs).any():
-            bad = int(config_index[config_index >= self.num_configs][0])
-            raise SchedulingError(f"config index {bad} out of range (num_configs={self.num_configs})")
-        has_config = config_index >= 0
-        features[np.nonzero(has_config)[0], 3 + config_index[has_config]] = 1.0
-        elapsed = np.fromiter((info.elapsed for info in infos), dtype=np.float64, count=n)
-        expected = np.fromiter((info.expected_time for info in infos), dtype=np.float64, count=n)
-        features[:, 3 + self.num_configs] = np.tanh(elapsed / self.time_scale)
-        features[:, 3 + self.num_configs + 1] = np.tanh(expected / self.time_scale)
-        if self.arrival_channel:
-            to_available = np.fromiter((info.time_to_available for info in infos), dtype=np.float64, count=n)
-            features[:, 3 + self.num_configs + 2] = np.tanh(to_available / self.time_scale)
-        if self.failure_channel:
-            attempts = np.fromiter((info.attempts for info in infos), dtype=np.float64, count=n)
-            features[:, self._failure_slot] = np.tanh(attempts / 3.0)
-        if self.slo_channel:
-            features[:, self._slo_slot] = np.tanh(getattr(snapshot, "priority", 0.0) / 4.0)
-            features[:, self._slo_slot + 1] = np.tanh(
-                getattr(snapshot, "deadline_slack", 0.0) / self.time_scale
-            )
-        if self.instance_context_dim:
-            features[:, self.feature_dim - self.instance_context_dim :] = self._context_row(snapshot)
-        return features
-
-    def featurize_arrays(self, arrays: SnapshotArrays, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Vectorized featurization straight from :class:`SnapshotArrays`.
-
-        No per-query extraction at all: every feature channel is one array op
-        over the incrementally-maintained session columns.  Bit-identical to
-        :meth:`featurize_snapshot` on the equivalent AoS snapshot (the same
-        float64 ops run on the same values).  ``out``, when given, must be a
-        float64 ``(n, feature_dim)`` buffer; it is zeroed and filled in place
-        so batched callers can featurize straight into a stacked tensor.
-        """
-        n = arrays.num_queries
+        batch, num_queries = len(stack), stack[0].num_queries
         if out is None:
-            features = np.zeros((n, self.feature_dim), dtype=np.float64)
+            out = np.zeros((batch, num_queries, self.feature_dim), dtype=np.float64)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous buffer")
         else:
-            features = out
-            features[:] = 0.0
-        features[np.arange(n), arrays.status.astype(np.int64, copy=False)] = 1.0
-        config_index = arrays.config_index
-        if (config_index >= self.num_configs).any():
+            out.fill(0.0)
+        layout, scale = self.layout, self.time_scale
+        # One row per (snapshot, query): every channel is one op over the stack.
+        rows = out.reshape(batch * num_queries, self.feature_dim)
+        if self._row_index.shape[0] != rows.shape[0]:
+            self._row_index = np.arange(rows.shape[0])
+        rows[self._row_index, _column(stack, "status")] = 1.0
+        config_index = _column(stack, "config_index")
+        if config_index.max(initial=-1) >= self.num_configs:
             bad = int(config_index[config_index >= self.num_configs][0])
             raise SchedulingError(f"config index {bad} out of range (num_configs={self.num_configs})")
         has_config = config_index >= 0
-        features[np.nonzero(has_config)[0], 3 + config_index[has_config]] = 1.0
-        features[:, 3 + self.num_configs] = np.tanh(arrays.elapsed / self.time_scale)
-        features[:, 3 + self.num_configs + 1] = np.tanh(arrays.expected_time / self.time_scale)
+        rows[np.nonzero(has_config)[0], layout["config"] + config_index[has_config]] = 1.0
+        rows[:, layout["elapsed"]] = np.tanh(_column(stack, "elapsed") / scale)
+        rows[:, layout["expected"]] = np.tanh(_column(stack, "expected_time") / scale)
         if self.arrival_channel:
-            features[:, 3 + self.num_configs + 2] = np.tanh(arrays.time_to_available / self.time_scale)
+            rows[:, layout["arrival"]] = np.tanh(_column(stack, "time_to_available") / scale)
         if self.failure_channel:
-            attempts = arrays.attempts.astype(np.float64, copy=False)
-            features[:, self._failure_slot] = np.tanh(attempts / 3.0)
-        if self.slo_channel:
-            features[:, self._slo_slot] = np.tanh(arrays.priority / 4.0)
-            features[:, self._slo_slot + 1] = np.tanh(arrays.deadline_slack / self.time_scale)
-        if self.instance_context_dim:
-            context = arrays.instance_context_array
-            row = np.zeros(self.instance_context_dim, dtype=np.float64)
-            if context is not None and context.size:
-                flat = np.ascontiguousarray(context, dtype=np.float64).reshape(-1)
-                if flat.shape[0] != self.instance_context_dim:
-                    raise SchedulingError(
-                        f"snapshot instance context has {flat.shape[0]} entries, "
-                        f"featurizer expects {self.instance_context_dim}"
-                    )
-                row = flat
-            features[:, self.feature_dim - self.instance_context_dim :] = row
-        return features
-
-    def featurize_arrays_stack(self, stack: "list[SnapshotArrays]", out: np.ndarray) -> np.ndarray:
-        """Featurize a whole stack of :class:`SnapshotArrays` in one pass.
-
-        ``out`` is a float64 ``(len(stack), n, feature_dim)`` buffer.  Every
-        channel runs one array op over the ``(batch, n)`` stack instead of
-        one per snapshot; each plane is bit-identical to
-        :meth:`featurize_arrays` on the corresponding snapshot (the same
-        elementwise ufuncs on the same values, just stacked).
-        """
-        batch = len(stack)
-        out[:] = 0.0
-        rows = np.arange(batch)[:, None]
-        cols = np.arange(stack[0].num_queries)[None, :]
-        status = np.stack([arrays.status for arrays in stack]).astype(np.int64, copy=False)
-        out[rows, cols, status] = 1.0
-        config_index = np.stack([arrays.config_index for arrays in stack])
-        if (config_index >= self.num_configs).any():
-            bad = int(config_index[config_index >= self.num_configs][0])
-            raise SchedulingError(f"config index {bad} out of range (num_configs={self.num_configs})")
-        has_config = config_index >= 0
-        bi, qi = np.nonzero(has_config)
-        out[bi, qi, 3 + config_index[bi, qi]] = 1.0
-        elapsed = np.stack([arrays.elapsed for arrays in stack])
-        expected = np.stack([arrays.expected_time for arrays in stack])
-        out[:, :, 3 + self.num_configs] = np.tanh(elapsed / self.time_scale)
-        out[:, :, 3 + self.num_configs + 1] = np.tanh(expected / self.time_scale)
-        if self.arrival_channel:
-            to_available = np.stack([arrays.time_to_available for arrays in stack])
-            out[:, :, 3 + self.num_configs + 2] = np.tanh(to_available / self.time_scale)
-        if self.failure_channel:
-            attempts = np.stack([arrays.attempts for arrays in stack]).astype(np.float64, copy=False)
-            out[:, :, self._failure_slot] = np.tanh(attempts / 3.0)
-        if self.slo_channel:
-            priority = np.array([arrays.priority for arrays in stack], dtype=np.float64)
-            slack = np.array([arrays.deadline_slack for arrays in stack], dtype=np.float64)
-            out[:, :, self._slo_slot] = np.tanh(priority / 4.0)[:, None]
-            out[:, :, self._slo_slot + 1] = np.tanh(slack / self.time_scale)[:, None]
-        if self.instance_context_dim:
-            offset = self.feature_dim - self.instance_context_dim
+            rows[:, layout["failure"]] = np.tanh(_column(stack, "attempts") / 3.0)
+        # The SLO pair and the instance context are shared by a snapshot's queries.
+        if self.slo_channel or self.instance_context_dim:
             for index, arrays in enumerate(stack):
+                plane = out[index]
+                if self.slo_channel:
+                    plane[:, layout["slo"]] = np.tanh(arrays.priority / 4.0)
+                    plane[:, layout["slo"] + 1] = np.tanh(arrays.deadline_slack / scale)
                 context = arrays.instance_context_array
-                if context is not None and context.size:
-                    flat = np.ascontiguousarray(context, dtype=np.float64).reshape(-1)
-                    if flat.shape[0] != self.instance_context_dim:
+                if self.instance_context_dim and context is not None and context.size:
+                    if context.size != self.instance_context_dim:
                         raise SchedulingError(
-                            f"snapshot instance context has {flat.shape[0]} entries, "
+                            f"snapshot instance context has {context.size} entries, "
                             f"featurizer expects {self.instance_context_dim}"
                         )
-                    out[index, :, offset:] = flat
+                    plane[:, layout["context"] :] = context.reshape(-1)
         return out
+
+    def featurize_arrays(self, arrays: SnapshotArrays) -> np.ndarray:
+        """One snapshot's ``(n, feature_dim)`` features: plane 0 of a stack of one.
+
+        Nothing in the library calls it; it and its alias ``featurize_snapshot``
+        remain as names that ``benchmarks/ledger/spans.py`` wraps.
+        """
+        return self.featurize_arrays_stack([arrays])[0]
+
+    featurize_snapshot = featurize_arrays

@@ -28,7 +28,7 @@ import numpy as np
 from ..config import EncoderConfig
 from ..nn import AttentionEncoder, MLP, Module, Parameter, Tensor, concatenate, fastinfer
 from ..nn import init as weight_init
-from .run_state import RunStateFeaturizer, SchedulingSnapshot, SnapshotArrays
+from .run_state import RunStateFeaturizer, SnapshotArrays
 
 __all__ = ["StateRepresentation", "BatchedStateRepresentation", "StateEncoder"]
 
@@ -116,7 +116,7 @@ class StateEncoder(Module):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def forward(self, plan_embeddings: np.ndarray, snapshot: SchedulingSnapshot) -> StateRepresentation:
+    def forward(self, plan_embeddings: np.ndarray, snapshot: SnapshotArrays) -> StateRepresentation:
         """Encode one scheduling state.
 
         Parameters
@@ -127,7 +127,7 @@ class StateEncoder(Module):
         snapshot:
             The observable runtime state of every query.
         """
-        run_features = self.run_state_featurizer.featurize_snapshot(snapshot)
+        run_features = self.run_state_featurizer.featurize_arrays_stack([snapshot])[0]
         if plan_embeddings.shape[0] != run_features.shape[0]:
             raise ValueError("plan embeddings and snapshot must cover the same queries")
 
@@ -156,30 +156,19 @@ class StateEncoder(Module):
         return StateRepresentation(per_query=per_query, global_state=global_state)
 
     def _featurize_stack(
-        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+        self, plan_embeddings: np.ndarray, snapshots: "list[SnapshotArrays]"
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(run_features, pooled_all)`` of a stack: the float64 ``(batch, n, feature)``
         running-state features and their ``(batch, 2*feature)`` mean ‖ max over every query.
 
-        Array-backed snapshots featurize straight into the stacked buffer; a
-        stack of one featurizes into plane 0 and does no stacking work.
+        A stack of one is the single-snapshot case of the one stacked kernel.
         """
         if not snapshots:
             raise ValueError("encode_batch needs at least one snapshot")
-        featurizer = self.run_state_featurizer
-        batch, num_queries, width = len(snapshots), snapshots[0].num_queries, featurizer.feature_dim
-        if plan_embeddings.shape[0] != num_queries:
+        if plan_embeddings.shape[0] != snapshots[0].num_queries:
             raise ValueError("plan embeddings and snapshots must cover the same queries")
-        run_features = np.empty((batch, num_queries, width), dtype=np.float64)
-        if batch > 1 and all(isinstance(snapshot, SnapshotArrays) for snapshot in snapshots):
-            featurizer.featurize_arrays_stack(snapshots, out=run_features)
-        else:
-            # Each plane of the stacked featurizer is bit-identical to this.
-            for index, snapshot in enumerate(snapshots):
-                if isinstance(snapshot, SnapshotArrays):
-                    featurizer.featurize_arrays(snapshot, out=run_features[index])
-                else:
-                    run_features[index] = featurizer.featurize_snapshot(snapshot)
+        run_features = self.run_state_featurizer.featurize_arrays_stack(snapshots)
+        batch, num_queries, width = run_features.shape
         # mean ‖ max over the queries into one buffer (np.mean is this add.reduce / n).
         pooled_all = np.empty((batch, 2 * width), dtype=np.float64)
         np.add.reduce(run_features, axis=1, out=pooled_all[:, :width])
@@ -188,7 +177,7 @@ class StateEncoder(Module):
         return run_features, pooled_all
 
     def _batch_inputs(
-        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+        self, plan_embeddings: np.ndarray, snapshots: "list[SnapshotArrays]"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The learning path's float64 featurisation.
 
@@ -213,7 +202,7 @@ class StateEncoder(Module):
         return inputs, run_features, pooled_all, pooled_running
 
     def _sampling_inputs(
-        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+        self, plan_embeddings: np.ndarray, snapshots: "list[SnapshotArrays]"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The decision program's featurisation: ``(run32, pooled_all, pooled_running)``.
 
@@ -235,7 +224,7 @@ class StateEncoder(Module):
         return run_features.astype(np.float32), pooled_all, pooled_running
 
     def encode_batch(
-        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+        self, plan_embeddings: np.ndarray, snapshots: "list[SnapshotArrays]"
     ) -> BatchedStateRepresentation:
         """Encode B scheduling states with one stacked forward pass.
 
@@ -263,7 +252,7 @@ class StateEncoder(Module):
         return BatchedStateRepresentation(per_query=per_query, global_state=global_state)
 
     def encode_batch_arrays(
-        self, plan_embeddings: np.ndarray, snapshots: "list[SchedulingSnapshot]"
+        self, plan_embeddings: np.ndarray, snapshots: "list[SnapshotArrays]"
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free twin of :meth:`encode_batch`: float32 ``(per_query, global_input)``.
 

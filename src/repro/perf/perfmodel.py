@@ -193,10 +193,6 @@ class PerformanceModel:
             num_examples=len(examples),
         )
 
-    def evaluate_on_log(self, log: ExecutionLog) -> SimulatorMetrics:
-        """Evaluate on all snapshots of ``log`` without training."""
-        return self.evaluate_examples(self.examples_from_log(log))
-
     def metrics_by_instance(self, log: ExecutionLog) -> dict[int, SimulatorMetrics]:
         """Per-engine-instance fidelity of the model on ``log``.
 

@@ -195,10 +195,6 @@ class ExecutionRuntime:
         return len(self._tenants)
 
     @property
-    def tenant_names(self) -> list[str]:
-        return list(self._order)
-
-    @property
     def shared_session(self) -> Any:
         """The backend session of the current round (read-only access)."""
         if self._shared is None:

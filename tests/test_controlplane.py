@@ -38,7 +38,7 @@ from repro.core import (
 )
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE
-from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, SchedulingSnapshot
+from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer
 from repro.exceptions import ConfigurationError, SchedulingError, WorkloadError
 from repro.perf import PerformanceModel, SimulatedCluster
 from repro.plans import PlanFeaturizer
@@ -58,6 +58,7 @@ from repro.workloads import (
     TraceArrivals,
     make_arrival_process,
 )
+from snapshot_oracle import featurize_aos, snapshot_aos, snapshot_arrays
 
 
 @pytest.fixture(scope="module")
@@ -493,33 +494,31 @@ class TestDefaultPathEquivalence:
 
 class TestSloChannel:
     def _snapshot(self, priority=0.0, deadline_slack=0.0):
-        from repro.encoder import QueryRuntimeInfo, QueryStatus
-
-        infos = (
-            QueryRuntimeInfo(query_id=0, status=QueryStatus.PENDING, expected_time=4.0),
-            QueryRuntimeInfo(
-                query_id=1, status=QueryStatus.RUNNING, config_index=1, elapsed=2.0, expected_time=3.0
-            ),
-        )
-        return SchedulingSnapshot(
-            time=1.0, infos=infos, priority=priority, deadline_slack=deadline_slack
+        return snapshot_arrays(
+            [0, 1],
+            time=1.0,
+            config_index=[-1, 1],
+            elapsed=[0.0, 2.0],
+            expected_time=[4.0, 3.0],
+            priority=priority,
+            deadline_slack=deadline_slack,
         )
 
     def test_disabled_channel_keeps_layout(self):
         base = RunStateFeaturizer(num_configs=4)
         assert RunStateFeaturizer(num_configs=4, slo_channel=True).feature_dim == base.feature_dim + 2
-        features = base.featurize_snapshot(self._snapshot(priority=3.0, deadline_slack=5.0))
-        assert features.shape[1] == base.feature_dim
+        features = base.featurize_arrays_stack([self._snapshot(priority=3.0, deadline_slack=5.0)])
+        assert features.shape[2] == base.feature_dim
 
     def test_channel_broadcasts_priority_and_slack(self):
         featurizer = RunStateFeaturizer(num_configs=4, time_scale=10.0, slo_channel=True)
         snapshot = self._snapshot(priority=2.0, deadline_slack=5.0)
-        features = featurizer.featurize_snapshot(snapshot)
-        slot = featurizer._slo_slot
+        features = featurizer.featurize_arrays_stack([snapshot])[0]
+        slot = featurizer.layout["slo"]
         assert np.allclose(features[:, slot], np.tanh(2.0 / 4.0))
         assert np.allclose(features[:, slot + 1], np.tanh(5.0 / 10.0))
         # Classless snapshots leave the channel at zero.
-        neutral = featurizer.featurize_snapshot(self._snapshot())
+        neutral = featurizer.featurize_arrays_stack([self._snapshot()])[0]
         assert (neutral[:, slot:] == 0.0).all()
 
     def test_channel_parity_between_aos_and_soa(self, fixture_batch, small_config):
@@ -542,10 +541,10 @@ class TestSloChannel:
         )
         env.reset(round_id=0)
         featurizer = RunStateFeaturizer(num_configs=len(space), slo_channel=True)
-        fast = featurizer.featurize_snapshot(env.snapshot())
-        slow = featurizer.featurize_snapshot(env.snapshot_aos())
+        fast = featurizer.featurize_arrays_stack([env.snapshot()])[0]
+        slow = featurize_aos(featurizer, snapshot_aos(env))
         np.testing.assert_array_equal(fast, slow)
-        slot = featurizer._slo_slot
+        slot = featurizer.layout["slo"]
         assert np.allclose(fast[:, slot], np.tanh(2.0 / 4.0))
         assert np.allclose(fast[:, slot + 1], np.tanh(30.0 / 10.0))
 

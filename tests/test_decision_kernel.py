@@ -33,6 +33,7 @@ from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_memb
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.encoder.run_state import SnapshotArrays
 from repro.nn import Adam, BatchNorm, fastgrad, fastinfer, no_grad
+from snapshot_oracle import snapshot_arrays
 
 
 def build_scheduler(
@@ -74,14 +75,12 @@ class Case(NamedTuple):
 
 
 def facade_case(workload_name: str, num_clusters: int | None, norm: str, query_scale: float = 1.0) -> Case:
-    """Mid-episode snapshots of a full-size workload, each as SoA and as its AoS view."""
+    """Mid-episode snapshots of a full-size workload, each a stack of one."""
     scheduler, env = build_scheduler(workload_name, norm, num_clusters, query_scale)
     sizes = {("tpch", 1.0): 22, ("tpcds", 1.0): 99, ("tpcds", 1.6): 158}
     assert len(scheduler.batch) == sizes[workload_name, query_scale]
     pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
-    stacks = [
-        ([view], mask[None, :]) for soa, mask in pairs[len(pairs) // 3 :: 3] for view in (soa, soa.to_snapshot())
-    ]
+    stacks = [([snapshot], mask[None, :]) for snapshot, mask in pairs[len(pairs) // 3 :: 3]]
     return Case(scheduler.policy, scheduler.plan_embeddings, env.clusters, stacks)
 
 
@@ -90,18 +89,14 @@ TOY_CONFIGS = 3
 
 def toy_arrays(status: list[int], time: float) -> SnapshotArrays:
     """A hand-built SoA snapshot (status codes: 0 pending, 1 running, 2 finished)."""
-    codes = np.asarray(status, dtype=np.int64)
-    n = codes.shape[0]
-    running = codes == 1
-    return SnapshotArrays(
+    running = np.asarray(status) == 1
+    n = running.shape[0]
+    return snapshot_arrays(
+        status,
         time=time,
-        status=codes,
         config_index=np.where(running, np.arange(n) % TOY_CONFIGS, -1),
         elapsed=np.where(running, 0.5 * time, 0.0),
-        expected_time=1.0 + np.arange(n, dtype=np.float64),
-        available=np.ones(n, dtype=bool),
-        time_to_available=np.zeros(n, dtype=np.float64),
-        attempts=np.zeros(n, dtype=np.int64),
+        expected_time=1.0 + np.arange(n),
     )
 
 
@@ -422,7 +417,7 @@ class TestSamplingInputs:
                 assert one.shape == (1, *two.shape[1:]), name
                 assert one[0].tobytes() == two[0].tobytes() == two[1].tobytes(), name
             run32, pooled_all, pooled_running = single
-            features = encoder.run_state_featurizer.featurize_snapshot(snapshot)[None]
+            features = encoder.run_state_featurizer.featurize_arrays_stack([snapshot])
             assert run32.dtype == np.float32 and run32.shape == features.shape
             assert run32.tobytes() == features.astype(np.float32).tobytes()
             expected_all, expected_running = full_row_pools(features, snapshot.status)

@@ -12,11 +12,12 @@ from repro.encoder import (
     QueryRuntimeInfo,
     QueryStatus,
     RunStateFeaturizer,
-    SchedulingSnapshot,
+    SnapshotArrays,
     StateEncoder,
 )
 from repro.exceptions import SchedulingError
 from repro.plans import PlanFeaturizer
+from snapshot_oracle import snapshot_arrays
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +41,26 @@ class TestRunStateFeatures:
 
     def test_status_one_hot(self):
         featurizer = RunStateFeaturizer(num_configs=2)
-        pending = featurizer.featurize(QueryRuntimeInfo(0, QueryStatus.PENDING))
-        running = featurizer.featurize(QueryRuntimeInfo(0, QueryStatus.RUNNING, config_index=1, elapsed=2.0))
+        pending, running = featurizer.featurize_arrays_stack(
+            [snapshot_arrays([0, 1], config_index=[-1, 1], elapsed=[0.0, 2.0])]
+        )[0]
         assert pending[0] == 1.0 and running[1] == 1.0
         assert running[3 + 1] == 1.0  # configuration one-hot
 
     def test_pending_has_no_config(self):
         featurizer = RunStateFeaturizer(num_configs=2)
-        vector = featurizer.featurize(QueryRuntimeInfo(0, QueryStatus.PENDING))
+        vector = featurizer.featurize_arrays_stack([snapshot_arrays([0])])[0, 0]
         assert vector[3:5].sum() == 0.0
 
     def test_elapsed_normalised_bounded(self):
         featurizer = RunStateFeaturizer(num_configs=2)
-        vector = featurizer.featurize(
-            QueryRuntimeInfo(0, QueryStatus.RUNNING, config_index=0, elapsed=1e6, expected_time=1e6)
-        )
+        vector = featurizer.featurize_arrays_stack([snapshot_arrays([1], elapsed=1e6, expected_time=1e6)])[0, 0]
         assert np.all(np.abs(vector) <= 1.0)
+
+    def test_layout_follows_the_switched_on_channels(self):
+        featurizer = RunStateFeaturizer(num_configs=4, failure_channel=True, instance_context_dim=6)
+        assert featurizer.layout == {"status": 0, "config": 3, "elapsed": 7, "expected": 8, "failure": 9, "context": 10}
+        assert featurizer.feature_dim == 16
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(SchedulingError):
@@ -65,20 +70,17 @@ class TestRunStateFeatures:
         with pytest.raises(SchedulingError):
             RunStateFeaturizer(num_configs=0)
         featurizer = RunStateFeaturizer(num_configs=2)
-        with pytest.raises(SchedulingError):
-            featurizer.featurize(QueryRuntimeInfo(0, QueryStatus.RUNNING, config_index=5))
+        with pytest.raises(SchedulingError, match="config index 5"):
+            featurizer.featurize_arrays_stack([snapshot_arrays([1], config_index=5)])
 
     def test_snapshot_helpers(self):
-        infos = (
-            QueryRuntimeInfo(0, QueryStatus.PENDING),
-            QueryRuntimeInfo(1, QueryStatus.RUNNING, config_index=0, elapsed=1.0),
-            QueryRuntimeInfo(2, QueryStatus.FINISHED, config_index=0),
-        )
-        snapshot = SchedulingSnapshot(time=3.0, infos=infos)
-        assert snapshot.pending_ids == [0]
-        assert snapshot.running_ids == [1]
-        assert snapshot.finished_ids == [2]
-        assert snapshot.num_queries == 3
+        arrays = snapshot_arrays([0, 1, 2], time=3.0, elapsed=[0.0, 1.0, 0.0])
+        for snapshot in (arrays, arrays.to_snapshot()):
+            assert snapshot.pending_ids == [0]
+            assert snapshot.running_ids == [1]
+            assert snapshot.finished_ids == [2]
+            assert snapshot.num_queries == 3
+        assert arrays.infos[1] == QueryRuntimeInfo(1, QueryStatus.RUNNING, config_index=0, elapsed=1.0)
 
 
 class TestQueryFormer:
@@ -108,16 +110,9 @@ class TestQueryFormer:
 
 
 class TestStateEncoder:
-    def _snapshot(self, n: int) -> SchedulingSnapshot:
-        infos = []
-        for i in range(n):
-            if i % 3 == 0:
-                infos.append(QueryRuntimeInfo(i, QueryStatus.PENDING, expected_time=1.0))
-            elif i % 3 == 1:
-                infos.append(QueryRuntimeInfo(i, QueryStatus.RUNNING, config_index=0, elapsed=0.5, expected_time=1.0))
-            else:
-                infos.append(QueryRuntimeInfo(i, QueryStatus.FINISHED, config_index=0, expected_time=1.0))
-        return SchedulingSnapshot(time=1.0, infos=tuple(infos))
+    def _snapshot(self, n: int) -> SnapshotArrays:
+        status = np.arange(n) % 3  # pending, running, finished, pending, ...
+        return snapshot_arrays(status, time=1.0, elapsed=np.where(status == 1, 0.5, 0.0), expected_time=1.0)
 
     def _build(self, encoder_config, use_attention=True):
         featurizer = RunStateFeaturizer(num_configs=4)

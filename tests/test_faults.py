@@ -44,6 +44,7 @@ from repro.runtime import (
     ServiceReport,
 )
 from repro.workloads import PoissonArrivals
+from snapshot_oracle import featurize_aos, snapshot_arrays
 
 # SHA-256 of fault-free round logs produced by the PR-4 tree (commit c1b0f24)
 # for the fixture scenarios below.  With no FailureProfile/RetryPolicy
@@ -651,20 +652,15 @@ class TestFailurePenaltyReward:
 class TestFailureChannelFeaturizer:
     def test_failure_channel_adds_one_column(self):
         from repro.encoder import RunStateFeaturizer
-        from repro.encoder.run_state import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot
 
         base = RunStateFeaturizer(num_configs=4)
         channel = RunStateFeaturizer(num_configs=4, failure_channel=True)
         assert channel.feature_dim == base.feature_dim + 1
-        info = QueryRuntimeInfo(query_id=0, status=QueryStatus.PENDING, attempts=2)
-        row = channel.featurize(info)
-        assert row[channel._failure_slot] == pytest.approx(np.tanh(2 / 3.0))
-        assert base.featurize(QueryRuntimeInfo(query_id=0, status=QueryStatus.PENDING)).shape == (
-            base.feature_dim,
-        )
-        snapshot = SchedulingSnapshot(time=0.0, infos=(info,))
-        matrix = channel.featurize_snapshot(snapshot)
-        np.testing.assert_array_equal(matrix[0], row)
+        snapshot = snapshot_arrays([0], attempts=2)
+        row = channel.featurize_arrays_stack([snapshot])[0, 0]
+        assert row[channel.layout["failure"]] == pytest.approx(np.tanh(2 / 3.0))
+        assert base.featurize_arrays_stack([snapshot_arrays([0])]).shape == (1, 1, base.feature_dim)
+        np.testing.assert_array_equal(row, featurize_aos(channel, snapshot.to_snapshot())[0])
 
     def test_attempts_validation(self):
         from repro.encoder.run_state import QueryRuntimeInfo, QueryStatus

@@ -47,6 +47,7 @@ from repro.core import (
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
 from repro.runtime import EventQueue, ExecutionRuntime, QueryArrival
+from snapshot_oracle import featurize_aos, snapshot_aos
 
 # --------------------------------------------------------------------------- #
 # Reference scenarios
@@ -170,7 +171,7 @@ def _digest_records(log) -> str:
 
 def _absorb(sha, env: SchedulingEnv, featurizer: RunStateFeaturizer, snapshot, reward: float) -> None:
     sha.update(f"{snapshot.time!r}|{reward!r}|".encode())
-    sha.update(featurizer.featurize_snapshot(snapshot).tobytes())
+    sha.update(featurizer.featurize_arrays_stack([snapshot])[0].tobytes())
     sha.update(np.asarray(env.action_mask(), dtype=np.uint8).tobytes())
     sha.update(repr(tuple(tuple(row) for row in snapshot.instance_context)).encode())
     sha.update(repr(tuple(bool(flag) for flag in snapshot.instance_health)).encode())
@@ -321,14 +322,14 @@ def test_soa_snapshot_matches_aos(scenario: str) -> None:
             assert isinstance(snapshot, SnapshotArrays), (
                 f"{scenario}: expected the SoA fast path, got {type(snapshot).__name__}"
             )
-            reference = env.snapshot_aos()
+            reference = snapshot_aos(env)
             assert snapshot.to_snapshot() == reference
             assert snapshot.pending_ids == reference.pending_ids
             assert snapshot.running_ids == reference.running_ids
             assert snapshot.finished_ids == reference.finished_ids
             assert snapshot.unarrived_ids == reference.unarrived_ids
-            fast = featurizer.featurize_arrays(snapshot)
-            assert fast.tobytes() == featurizer.featurize_snapshot(reference).tobytes()
+            fast = featurizer.featurize_arrays_stack([snapshot])[0]
+            assert fast.tobytes() == featurize_aos(featurizer, reference).tobytes()
             steps += 1
     assert steps > 2 * len(env.batch)  # at least one decision per query per round
 

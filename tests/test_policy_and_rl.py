@@ -21,8 +21,9 @@ from repro.core import (
     Transition,
 )
 from repro.dbms import QueryExecutionRecord, RoundLog, RunningParameters
-from repro.encoder import QueryRuntimeInfo, QueryStatus, RunStateFeaturizer, SchedulingSnapshot, StateEncoder
+from repro.encoder import RunStateFeaturizer, SnapshotArrays, StateEncoder
 from repro.exceptions import SchedulingError
+from snapshot_oracle import snapshot_arrays
 
 
 NUM_CONFIGS = 4
@@ -39,14 +40,9 @@ def policy():
     return ActorCriticNetwork(encoder, NUM_CONFIGS, np.random.default_rng(1), head_hidden=16)
 
 
-def make_snapshot(n: int, running: int = 0) -> SchedulingSnapshot:
-    infos = []
-    for i in range(n):
-        if i < running:
-            infos.append(QueryRuntimeInfo(i, QueryStatus.RUNNING, config_index=0, elapsed=0.3, expected_time=1.0))
-        else:
-            infos.append(QueryRuntimeInfo(i, QueryStatus.PENDING, expected_time=1.0))
-    return SchedulingSnapshot(time=0.5, infos=tuple(infos))
+def make_snapshot(n: int, running: int = 0) -> SnapshotArrays:
+    status = (np.arange(n) < running).astype(np.int64)  # the first ``running`` queries run
+    return snapshot_arrays(status, time=0.5, elapsed=0.3 * status, expected_time=1.0)
 
 
 class TestActorCritic:

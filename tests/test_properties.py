@@ -22,8 +22,11 @@ from repro.dbms import (
 )
 from repro.dbms.engine import _EPSILON
 from repro.core import AdaptiveMask
+from repro.encoder import RunStateFeaturizer
+from repro.exceptions import SchedulingError
 from repro.nn import Tensor, masked_log_softmax
 from repro.workloads import make_workload
+from snapshot_oracle import featurize_aos, snapshot_arrays
 
 
 small_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -227,3 +230,84 @@ class TestNextEventMemo:
                 session.unpark()
             elif op == "touch":
                 session.buffer.touch(tables[pick % len(tables)], rows=amount * 1e5, now=session.current_time)
+
+
+# Per-instance context rows are this wide in the featurizer property tests.
+CONTEXT_WIDTH = 4
+
+
+@st.composite
+def featurizer_and_stack(draw):
+    """A featurizer with a random channel set and a stack of 1-4 snapshots it can read.
+
+    When the context channel is on, each snapshot independently carries its
+    instance context or none.
+    """
+    num_configs = draw(st.integers(min_value=1, max_value=6))
+    instances = draw(st.integers(min_value=0, max_value=3))
+    featurizer = RunStateFeaturizer(
+        num_configs,
+        time_scale=draw(st.floats(min_value=0.5, max_value=20.0)),
+        arrival_channel=draw(st.booleans()),
+        instance_context_dim=instances * CONTEXT_WIDTH,
+        failure_channel=draw(st.booleans()),
+        slo_channel=draw(st.booleans()),
+    )
+    n = draw(st.integers(min_value=1, max_value=8))
+    seconds = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+    stack = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        status = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+        configs = draw(st.lists(st.integers(min_value=0, max_value=num_configs - 1), min_size=n, max_size=n))
+        waits = draw(st.lists(st.one_of(st.none(), seconds), min_size=n, max_size=n))
+        # Only a pending query may be waiting for its arrival.
+        waits = [wait if code == 0 else None for code, wait in zip(status, waits)]
+        context = None
+        if instances and draw(st.booleans()):
+            context = draw(
+                st.lists(small_floats, min_size=instances * CONTEXT_WIDTH, max_size=instances * CONTEXT_WIDTH)
+            )
+            context = np.reshape(context, (instances, CONTEXT_WIDTH))
+        stack.append(
+            snapshot_arrays(
+                status,
+                config_index=[config if code else -1 for code, config in zip(status, configs)],
+                elapsed=draw(st.lists(seconds, min_size=n, max_size=n)),
+                expected_time=draw(st.lists(seconds, min_size=n, max_size=n)),
+                available=[wait is None for wait in waits],
+                time_to_available=[wait or 0.0 for wait in waits],
+                attempts=draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)),
+                instance_context=context,
+                priority=draw(small_floats),
+                deadline_slack=draw(st.floats(min_value=-100.0, max_value=100.0)),
+            )
+        )
+    return featurizer, stack
+
+
+class TestFeaturizerProperties:
+    """The stacked featurization kernel against the per-query oracle of ``tests/snapshot_oracle.py``."""
+
+    @given(featurizer_and_stack())
+    @settings(max_examples=60, deadline=None)
+    def test_every_plane_is_the_per_query_oracle(self, case):
+        featurizer, stack = case
+        features = featurizer.featurize_arrays_stack(stack)
+        assert features.shape == (len(stack), stack[0].num_queries, featurizer.feature_dim)
+        for plane, arrays in zip(features, stack):
+            assert plane.tobytes() == featurize_aos(featurizer, arrays.to_snapshot()).tobytes()
+        # A reused buffer is overwritten completely.
+        buffer = np.full_like(features, np.nan)
+        assert featurizer.featurize_arrays_stack(stack, out=buffer) is buffer
+        assert buffer.tobytes() == features.tobytes()
+
+    @given(featurizer_and_stack(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_out_of_range_config_index_is_named(self, case, data):
+        featurizer, stack = case
+        arrays = stack[data.draw(st.integers(min_value=0, max_value=len(stack) - 1))]
+        query = data.draw(st.integers(min_value=0, max_value=arrays.num_queries - 1))
+        bad = featurizer.num_configs + data.draw(st.integers(min_value=0, max_value=5))
+        arrays.status[query], arrays.config_index[query] = 1, bad
+        with pytest.raises(SchedulingError, match=f"config index {bad} out of range"):
+            featurizer.featurize_arrays_stack(stack)

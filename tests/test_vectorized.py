@@ -30,11 +30,11 @@ from repro.core import (
     VectorSchedulingEnv,
 )
 from repro.dbms import Cluster, QueryExecutionRecord, RoundLog, RunningParameters
-from repro.encoder import QueryRuntimeInfo, QueryStatus, SchedulingSnapshot
 from repro.core.policy import DECISION_KERNEL
 from repro.exceptions import SchedulingError
 from repro.nn import fastinfer, no_grad
 from repro.runtime import ExecutionRuntime
+from snapshot_oracle import snapshot_arrays
 
 
 @pytest.fixture(scope="module")
@@ -260,12 +260,8 @@ class TestBatchedPolicyForwards:
 # --------------------------------------------------------------------- #
 class TestInterleavedRolloutBuffer:
     def _transition(self, step, done):
-        infos = tuple(
-            QueryRuntimeInfo(i, QueryStatus.RUNNING, config_index=0, elapsed=0.1, expected_time=1.0)
-            for i in range(3)
-        )
         return Transition(
-            snapshot=SchedulingSnapshot(time=float(step), infos=infos),
+            snapshot=snapshot_arrays([1, 1, 1], time=float(step), elapsed=0.1, expected_time=1.0),
             action=step,
             log_prob=-1.0,
             value=0.25 * step,
