@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import BQSched, BQSchedConfig, Cluster, make_workload
+from repro import BQSched, BQSchedConfig, Cluster, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import PPOConfig, SimulatorConfig
 from repro.core import (
     AdaptiveMask,
@@ -285,6 +285,63 @@ class TestPerformanceModel:
         ):
             assert name_a == name_b
             np.testing.assert_array_equal(param_a.data, param_b.data)
+
+
+# Fitted weights, pinned while ``PerformanceModel.fit`` was a per-example loop
+# of ``Adam.step`` calls: the fit program must reproduce them bit for bit.
+_FITTED_WEIGHT_DIGESTS = {
+    ("engine", True, True): "ffca138d12a5e8156155972069e2b02bf66f399eb103b79baadc43144d0ce58a",
+    ("engine", True, False): "6619c1ebe0979f2d2cf888a7f5e81c550e8054ec036154a0b04ac880e6b1abd4",
+    ("engine", False, True): "0490b07bae709665d1a7fde4d292902bdc296004ebb2d6f8abeabea1a6beda63",
+    ("engine", False, False): "a92d0f1945df3280c717661e66d83f8af7fc3f03dde7a97c28e825014c03ab05",
+    ("fleet", True, True): "3f0adf2a6887b0c2daa2eb3a6d934bd9242adf6bd76753b86e7719e47dd66fe4",
+    ("fleet", True, False): "d02a3a1087f03ae924d3fcd60e453c2db62cfd6cc1bc191f4aee886f1a350d4b",
+    ("fleet", False, True): "6a37a7d52adc6ac131d71f4a288cec3b0e8853c14553c0a76f6d1d48c3618d9a",
+    ("fleet", False, False): "466fe32669441622d38c97cad78a0f2f2bd973d6e68bee102211bf4631e22305",
+}
+
+
+def _state_digest(model) -> str:
+    sha = hashlib.sha256()
+    for name, array in sorted(model.state_dict().items()):
+        sha.update(f"{name}{array.shape}".encode())
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+class TestFittedWeightsPinned:
+    """``train_from_log`` then ``update_from_log``: weights, moments and step
+    count carry from the first fit into the second."""
+
+    @pytest.mark.parametrize("use_multitask", [True, False])
+    @pytest.mark.parametrize("use_attention", [True, False])
+    @pytest.mark.parametrize("topology", ["engine", "fleet"])
+    def test_fitted_weights_are_pinned(
+        self, topology, use_attention, use_multitask, tpch_batch, plan_embeddings, config_space
+    ):
+        # Fresh backends: the shared fixtures' engines advance their noise streams.
+        if topology == "engine":
+            backend, speeds, connections = DatabaseEngine(DBMSProfile.dbms_x(), seed=0), (), 4
+        else:
+            backend = Cluster.from_names(["x", "y", "z"], seed=0)
+            speeds, connections = backend.speed_factors(), 2
+        knowledge = ExternalKnowledge.from_probes(backend, tpch_batch, config_space)
+        log = backend.collect_logs(tpch_batch, _orders(tpch_batch, 3), config_space.default, num_connections=connections)
+        perf = PerformanceModel(
+            batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=knowledge,
+            config_space=config_space,
+            config=SimulatorConfig(
+                hidden_dim=16, epochs=2, incremental_epochs=2,
+                use_attention=use_attention, use_multitask=use_multitask,
+            ),
+            seed=3, instance_speeds=speeds,
+        )
+        perf.train_from_log(log)
+        online = backend.collect_logs(
+            tpch_batch, _orders(tpch_batch, 1, start_seed=60), config_space.default, num_connections=connections
+        )
+        perf.update_from_log(online)
+        assert _state_digest(perf.model) == _FITTED_WEIGHT_DIGESTS[(topology, use_attention, use_multitask)]
 
 
 # --------------------------------------------------------------------- #
