@@ -24,14 +24,15 @@ Layered like ``fastinfer``:
   fused-QKV multi-head attention, masked log-softmax;
 * the encoder kernel — :func:`encode_state_batch` mirrors
   ``StateEncoder.encode_batch``;
-* trainer steps — :func:`ppo_minibatch_step`, :func:`ppg_aux_step`,
-  :func:`iq_ppo_aux_step` and :func:`perfmodel_example_step` fuse the loss
-  forward + backward of one optimizer step (query- or cluster-level
-  actions); :func:`policy_log_probs` is the policy steps' forward alone;
+* trainer steps — :func:`ppo_minibatch_step`, :func:`ppg_aux_step` and
+  :func:`iq_ppo_aux_step` fuse the loss forward + backward of one optimizer
+  step (query- or cluster-level actions); :func:`policy_log_probs` is the
+  policy steps' forward alone;
 * a ``why_slow``-style gate — :func:`fused_training_reason` /
   :func:`perfmodel_training_reason` return a human-readable reason when a
-  module configuration is not covered.  These kernels are the only update
-  path, so callers raise on a reason instead of falling back.
+  module configuration is not covered.  These kernels (and, for the
+  simulator's prediction model, the fit program ``repro.perf.fit``) are the
+  only update paths, so callers raise on a reason instead of falling back.
 
 Gradient-ownership contract: gradients written into ``Parameter.grad`` are
 always freshly-owned arrays (or disjoint views of one), never arena buffers,
@@ -76,7 +77,6 @@ __all__ = [
     "ppo_minibatch_step",
     "ppg_aux_step",
     "iq_ppo_aux_step",
-    "perfmodel_example_step",
 ]
 
 
@@ -88,9 +88,9 @@ class Arena:
     buffer to the pool.  Saved activations live in arena buffers, parameter
     gradients never do (see the module docstring contract).  The policy
     steps reset the arena themselves, after the backward of every slab, so
-    their callers hold no arena buffer when a step returns; callers of the
-    bare kernels (the gain-model and simulator fits) reset once per optimizer
-    step, after the gradients have been taken.
+    their callers hold no arena buffer when a step returns; the caller of the
+    bare MLP kernels (the gain-model fit) resets once per optimizer step,
+    after the gradients have been taken.
     ``release(buf)`` hands one buffer back before the reset: backward-only
     scratch, and a saved activation whose backward has run, are dead within
     the slab, so the next layer's backward reuses them and the pool holds one
@@ -525,14 +525,6 @@ def masked_log_softmax_backward(softmax: np.ndarray, g: np.ndarray) -> np.ndarra
     return g - softmax * g.sum(axis=-1, keepdims=True)
 
 
-def log_softmax_forward(logits: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Plain log-softmax over the last axis; returns ``(log_probs, softmax)``."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_sum
-    return log_probs, np.exp(log_probs)
-
-
 # --------------------------------------------------------------------------- #
 # State-encoder kernel (mirrors StateEncoder.encode_batch)
 # --------------------------------------------------------------------------- #
@@ -674,17 +666,23 @@ def fused_training_reason(policy: Any) -> "str | None":
 
 
 def perfmodel_training_reason(model: Any) -> "str | None":
-    """Why fused fitting cannot run for a ``ConcurrentPredictionModel``."""
+    """Why the simulator fit (``repro.perf.fit.FitProgram``) cannot train a
+    ``ConcurrentPredictionModel`` (None = it can); the program raises on a reason."""
     if model.input_proj.bias is None:
         return "input_proj has no bias"
+    mlps = [("classifier", model.classifier), ("regressor", model.regressor)]
     if getattr(model, "use_attention", False):
-        reason = _encoder_reason(model.encoder)
+        reason = _encoder_reason(model.encoder) or fastinfer.fast_inference_reason(model.encoder)
         if reason:
             return reason
-    for name in ("classifier", "regressor"):
-        reason = _mlp_reason(getattr(model, name), name)
+        for index in range(model.encoder.num_layers):
+            mlps.append((f"block_{index}.feedforward", model.encoder._modules[f"block_{index}"].feedforward))
+    for name, mlp in mlps:
+        reason = _mlp_reason(mlp, name)
         if reason:
             return reason
+        if any(act == "sigmoid" for _, act in _mlp_blocks(mlp)):
+            return f"{name} uses sigmoid; the simulator fit supports tanh and relu"
     return None
 
 
@@ -958,52 +956,3 @@ def iq_ppo_aux_step(
         g_per_query += mlp_backward(policy.aux_head, ah_ctx, g_times.reshape(size, num_queries, 1), arena)
         encode_state_batch_backward(encoder, enc_ctx, g_per_query, None, arena)
     return 0.5 * (squared_error / batch) + beta_clone * (divergence / batch)
-
-
-def perfmodel_example_step(
-    model: Any,
-    features: np.ndarray,
-    earliest_index: int,
-    regression_target: "float | None",
-    gamma_regression: float,
-    arena: Arena,
-) -> float:
-    """One fused training example for ``ConcurrentPredictionModel``.
-
-    Cross-entropy over the earliest-finish classification plus (optionally)
-    the remaining-time regression on the labelled query.  Accumulates
-    gradients into the model parameters and returns the total loss.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    num_tokens = features.shape[0]
-    pre = _linear_forward(model.input_proj, features, arena)
-    tokens0 = np.tanh(pre)
-    if model.use_attention:
-        # Canonicalize the (k, hidden) token matrix to a batch of one so the
-        # shared 3-D attention kernels apply; values match the 2-D tape path.
-        encoded3, enc_ctx = attention_encoder_forward(model.encoder, tokens0[None], arena)
-        tokens = encoded3[0]
-    else:
-        tokens, enc_ctx = tokens0, None
-    logits3, cls_ctx = mlp_forward(model.classifier, tokens, arena)
-    logits = logits3.reshape(num_tokens)
-    log_probs, softmax = log_softmax_forward(logits)
-    loss = -float(log_probs[earliest_index])
-
-    g_logits = softmax.copy()
-    g_logits[earliest_index] -= 1.0
-    g_tokens = mlp_backward(model.classifier, cls_ctx, g_logits.reshape(num_tokens, 1), arena)
-    if regression_target is not None:
-        times3, reg_ctx = mlp_forward(model.regressor, tokens, arena)
-        times = times3.reshape(num_tokens)
-        residual = times[earliest_index] - regression_target
-        loss += gamma_regression * float(residual * residual)
-        g_times = np.zeros(num_tokens)
-        g_times[earliest_index] = gamma_regression * 2.0 * residual
-        g_tokens += mlp_backward(model.regressor, reg_ctx, g_times.reshape(num_tokens, 1), arena)
-    if enc_ctx is not None:
-        g_tokens = attention_encoder_backward(model.encoder, enc_ctx, g_tokens[None], arena)[0]
-    g_pre = g_tokens * (1.0 - tokens0 * tokens0)
-    _accum(model.input_proj.weight, features.T @ g_pre)
-    _accum(model.input_proj.bias, g_pre.sum(axis=0))
-    return loss

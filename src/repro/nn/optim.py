@@ -13,6 +13,12 @@ arithmetic operation for operation (scalar multiplies commute, ``a + b`` is
 IEEE-commutative, elementwise operations do not care how elements are
 partitioned into arrays), so results are bit-identical — pinned by
 ``tests/test_optim_inplace.py``.  ``SGD`` still updates one array at a time.
+
+``Adam`` serves the policy and gain-model updates, a few steps over large
+parameter sets.  The simulator fit takes thousands of tiny steps, so it runs
+the same fourteen passes inside its own program (``repro.perf.fit``), over
+slabs it keeps for the whole fit instead of gathering and installing every
+step.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@
   remaining-time network;
 * :class:`PerformanceModel` — training from (instance-tagged) logs,
   continual fine-tuning from online logs, per-instance fidelity metrics and
-  learned cost estimates;
+  learned cost estimates; its fits run :class:`~repro.perf.fit.FitProgram`,
+  per-example Adam over flat parameter slabs;
 * :class:`SimulatedCluster` / :class:`SimulatedClusterSession` — the learned
   incremental simulator the RL policy pre-trains against: a simulated fleet,
   of one on a single engine;

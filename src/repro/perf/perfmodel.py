@@ -27,9 +27,9 @@ import numpy as np
 from ..config import SimulatorConfig
 from ..dbms import ConfigurationSpace, ExecutionLog
 from ..exceptions import SimulationError
-from ..nn import Adam, fastgrad
 from ..workloads import BatchQuerySet
 from .features import MIN_REMAINING, PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE
+from .fit import FitProgram
 from .model import ConcurrentPredictionModel, SimulatorMetrics
 
 __all__ = ["PerformanceModel", "PredictionExample"]
@@ -84,9 +84,8 @@ class PerformanceModel:
             rng=rng,
             use_attention=config.use_attention,
         )
-        self.optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
         self._rng = rng
-        self._arena = fastgrad.Arena()
+        self._program = FitProgram(self.model, lr=config.learning_rate)
         #: Estimate version (:class:`PerformanceEstimator`): bumped per fit.
         self.version = 0
 
@@ -156,21 +155,22 @@ class PerformanceModel:
         return self.evaluate_examples(examples)
 
     def fit(self, examples: list[PredictionExample], epochs: int) -> None:
-        """Per-example Adam steps over shuffled ``examples`` (tape-free kernels)."""
+        """``epochs`` shuffled passes over ``examples``, one Adam step each.
+
+        The fit program (:class:`~repro.perf.fit.FitProgram`) keeps the
+        weights, gradients and Adam moments in flat slabs for the length of
+        the fit; the moments and step count carry over to the next fit.
+        """
         self.version += 1
-        multitask, gamma = self.config.use_multitask, self.config.gamma_regression
-        targets = [example.earliest_remaining / TIME_SCALE if multitask else None for example in examples]
-        order = list(range(len(examples)))
-        for _ in range(epochs):
-            self._rng.shuffle(order)
-            for index in order:
-                example = examples[index]
-                self.optimizer.zero_grad()
-                fastgrad.perfmodel_example_step(
-                    self.model, example.features, example.earliest_index, targets[index], gamma, self._arena
-                )
-                self.optimizer.step()
-                self._arena.reset()
+        multitask = self.config.use_multitask
+        self._program.fit(
+            [example.features for example in examples],
+            [example.earliest_index for example in examples],
+            [example.earliest_remaining / TIME_SCALE if multitask else None for example in examples],
+            self.config.gamma_regression,
+            epochs,
+            self._rng,
+        )
 
     # ------------------------------------------------------------------ #
     # Evaluation

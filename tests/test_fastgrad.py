@@ -45,6 +45,7 @@ from repro.dbms import ConfigurationSpace
 from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, StateEncoder
 from repro.nn import (
     MLP,
+    Adam,
     AttentionEncoder,
     BatchNorm,
     LayerNorm,
@@ -766,11 +767,13 @@ class TestFusedTrainerSteps:
         assert_grads_match(expected, policy)
 
     @pytest.mark.parametrize("multitask", [True, False])
-    def test_perfmodel_example_step_matches_tape(self, rng, arena, multitask):
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_fit_program_gradient_matches_tape(self, rng, attention, multitask):
+        from repro.perf.fit import FitProgram
         from repro.perf.model import ConcurrentPredictionModel
 
         model = ConcurrentPredictionModel(
-            feature_dim=13, hidden_dim=16, rng=rng, use_attention=True
+            feature_dim=13, hidden_dim=16, rng=rng, use_attention=attention
         )
         features = rng.normal(size=(4, 13))
         index, gamma, target = 2, 0.4, 0.73
@@ -781,17 +784,21 @@ class TestFusedTrainerSteps:
         if multitask:
             loss = loss + gamma * (times[index] - target) ** 2
         loss.backward()
-        expected = tape_grads(model)
 
-        model.zero_grad()
-        assert fastgrad.perfmodel_training_reason(model) is None
-        fused_loss = fastgrad.perfmodel_example_step(
-            model, features, index, target if multitask else None, gamma, arena
-        )
-        assert abs(fused_loss - float(loss.data)) <= ATOL
-        assert_grads_match(expected, model)
+        program = FitProgram(model, lr=1e-3)
+        fused = program.gradient(features, index, target if multitask else None, gamma)
+        expected = np.zeros_like(fused)
+        for param, view in program.parameter_views(expected):
+            if param.grad is not None:
+                view[...] = param.grad
+        names = {id(param): name for name, param in model.named_parameters()}
+        for (param, want), (_, got) in zip(program.parameter_views(expected), program.parameter_views(fused)):
+            worst = float(np.max(np.abs(want - got)))
+            assert worst <= ATOL, f"{names[id(param)]}: grads differ by {worst:.3e}"
         if not multitask:
             assert all(p.grad is None for p in model.regressor.parameters())
+            regressor = {id(p) for p in model.regressor.parameters()}
+            assert not any(view.any() for param, view in program.parameter_views(fused) if id(param) in regressor)
 
 
 # ------------------------------------------------------------------ #
@@ -897,8 +904,9 @@ class TestEndToEndFusedTraining:
         from repro.perf.features import TIME_SCALE
         from repro.perf.perfmodel import PerformanceModel, PredictionExample
 
-        def build():
+        def build(multitask):
             config = BQSchedConfig.small(seed=0)
+            config.simulator.use_multitask = multitask
             config.scheduler.num_connections = 3
             workload = make_workload("tpch", scale_factor=1.0, seed=0)
             batch = workload.batch_query_set().subset(range(8))
@@ -934,6 +942,7 @@ class TestEndToEndFusedTraining:
 
         def tape_fit(perf, examples, epochs):
             """The per-example autograd loop ``PerformanceModel.fit`` replaced."""
+            optimizer = Adam(perf.model.parameters(), lr=perf.config.learning_rate)
             order = list(range(len(examples)))
             for _ in range(epochs):
                 perf._rng.shuffle(order)
@@ -944,21 +953,32 @@ class TestEndToEndFusedTraining:
                     if perf.config.use_multitask:
                         residual = times[example.earliest_index] - example.earliest_remaining / TIME_SCALE
                         loss = loss + perf.config.gamma_regression * residual**2
-                    perf.optimizer.zero_grad()
+                    optimizer.zero_grad()
                     loss.backward()
-                    perf.optimizer.step()
+                    optimizer.step()
 
-        tape = build()
-        fused = build()
-        tape_fit(tape, fake_examples(tape), epochs=2)
-        fused.fit(fake_examples(fused), epochs=2)
-        for (name, a), (_, b) in zip(
-            sorted(tape.model.state_dict().items()), sorted(fused.model.state_dict().items())
-        ):
-            worst = float(np.max(np.abs(a - b)))
-            assert worst <= ATOL, f"{name}: fitted weights differ by {worst:.3e}"
-        # Identical rng consumption: the two fit orders drew the same shuffles.
-        assert tape._rng.integers(1 << 30) == fused._rng.integers(1 << 30)
+        for multitask in (True, False):
+            tape = build(multitask)
+            fused = build(multitask)
+            initial = fused.model.state_dict()
+            tape_fit(tape, fake_examples(tape), epochs=2)
+            fused.fit(fake_examples(fused), epochs=2)
+            for (name, a), (_, b) in zip(
+                sorted(tape.model.state_dict().items()), sorted(fused.model.state_dict().items())
+            ):
+                worst = float(np.max(np.abs(a - b)))
+                assert worst <= ATOL, f"{name}: fitted weights differ by {worst:.3e}"
+            # Identical rng consumption: the two fit orders drew the same shuffles.
+            assert tape._rng.integers(1 << 30) == fused._rng.integers(1 << 30)
+            if not multitask:
+                # A classification-only fit leaves the regressor's weights and moments untouched.
+                program = fused._program
+                regressor = {id(p) for p in fused.model.regressor.parameters()}
+                for name, param in fused.model.named_parameters():
+                    if name.startswith("regressor."):
+                        np.testing.assert_array_equal(param.data, initial[name])
+                for slab in (program.m, program.v):
+                    assert not any(view.any() for param, view in program.parameter_views(slab) if id(param) in regressor)
 
 
 # ------------------------------------------------------------------ #
@@ -977,12 +997,31 @@ class TestFusedFallbacks:
             PPOTrainer(trainer.policy, trainer.plan_embeddings, trainer.env, trainer.config)
 
     def test_perfmodel_gate_rejects_missing_bias(self, rng):
+        from repro.perf.fit import FitProgram
         from repro.perf.model import ConcurrentPredictionModel
 
         model = ConcurrentPredictionModel(feature_dim=5, hidden_dim=8, rng=rng)
         assert fastgrad.perfmodel_training_reason(model) is None
         model.input_proj.bias = None
         assert fastgrad.perfmodel_training_reason(model) == "input_proj has no bias"
+        with pytest.raises(ConfigurationError, match="simulator fit cannot train this model: input_proj has no bias"):
+            FitProgram(model, lr=1e-3)
+
+    @pytest.mark.parametrize(
+        "knock_out, reason",
+        [
+            (lambda model: setattr(model.encoder._modules["block_0"], "norm2", BatchNorm(8)), "block 0 norm2 is BatchNorm"),
+            (lambda model: setattr(list(model.classifier.net)[1], "name", "sigmoid"), "classifier uses sigmoid"),
+        ],
+    )
+    def test_fit_program_refuses_what_it_cannot_train(self, rng, knock_out, reason):
+        from repro.perf.fit import FitProgram
+        from repro.perf.model import ConcurrentPredictionModel
+
+        model = ConcurrentPredictionModel(feature_dim=5, hidden_dim=8, rng=rng)
+        knock_out(model)
+        with pytest.raises(ConfigurationError, match=reason):
+            FitProgram(model, lr=1e-3)
 
     def test_trainer_timers_record_phases(self):
         trainer = build_trainer(PPOTrainer, num_envs=2)
