@@ -51,6 +51,11 @@ _Layer = tuple[_Affine, str | None]
 _Norm = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
 
 
+def _bias(linear: Linear) -> Parameter:
+    assert linear.bias is not None  # the training gate refuses bias-free layers
+    return linear.bias
+
+
 class _Block:
     """Slab views of one attention block (fused-QKV attention, feed-forward, two norms)."""
 
@@ -109,7 +114,7 @@ class FitProgram:
                 assert isinstance(block.norm1, LayerNorm) and isinstance(block.norm2, LayerNorm)
                 attention = block.attention
                 projections = (attention.query_proj, attention.key_proj, attention.value_proj)
-                qkv = self._carve([p.weight for p in projections]) + self._carve([p.bias for p in projections])
+                qkv = self._carve([p.weight for p in projections]) + self._carve([_bias(p) for p in projections])
                 self._blocks.append(
                     _Block(
                         (qkv[0], qkv[2], qkv[1], qkv[3]),
@@ -149,9 +154,8 @@ class FitProgram:
         return self._theta[start : start + size].reshape(shape), self._grad[start : start + size].reshape(shape)
 
     def _affine(self, linear: Linear) -> _Affine:
-        assert linear.bias is not None  # the training gate refuses bias-free layers
         weight, grad_weight = self._carve([linear.weight])
-        bias, grad_bias = self._carve([linear.bias])
+        bias, grad_bias = self._carve([_bias(linear)])
         return weight, bias, grad_weight, grad_bias
 
     def _mlp(self, mlp: MLP) -> list[_Layer]:
