@@ -30,7 +30,7 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam", "adam_passes", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -47,6 +47,41 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
         for param in params:
             np.multiply(param.grad, scale, out=param.grad)
     return total
+
+
+def adam_passes(
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    buf: np.ndarray,
+    lr: float,
+    betas: tuple[float, float],
+    eps: float,
+    bias1: float,
+    bias2: float,
+) -> None:
+    """Adam's in-place passes over flat slabs, short of applying the step.
+
+    Updates the moments ``m`` and ``v`` from ``grad``, then leaves the step
+    ``lr * m_hat / (sqrt(v_hat) + eps)`` in ``buf``; ``grad`` is clobbered.
+    The caller subtracts ``buf`` from the weights.
+    """
+    beta1, beta2 = betas
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=buf)
+    m += buf
+    v *= beta2
+    np.square(grad, out=buf)
+    buf *= 1.0 - beta2
+    v += buf
+    # buf <- lr * m_hat, grad <- sqrt(v_hat) + eps; same op-for-op
+    # arithmetic as `lr * (m / bias1) / (sqrt(v / bias2) + eps)`.
+    np.divide(m, bias1, out=buf)
+    buf *= lr
+    np.divide(v, bias2, out=grad)
+    np.sqrt(grad, out=grad)
+    grad += eps
+    buf /= grad
 
 
 class Optimizer:
@@ -151,21 +186,7 @@ class Adam(Optimizer):
             if self.weight_decay:
                 np.multiply(data, self.weight_decay, out=buf)
                 grad += buf
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=buf)
-            m += buf
-            v *= self.beta2
-            np.square(grad, out=buf)
-            buf *= 1.0 - self.beta2
-            v += buf
-            # buf <- lr * m_hat, grad <- sqrt(v_hat) + eps; same op-for-op
-            # arithmetic as `lr * (m / bias1) / (sqrt(v / bias2) + eps)`.
-            np.divide(m, bias1, out=buf)
-            buf *= self.lr
-            np.divide(v, bias2, out=grad)
-            np.sqrt(grad, out=grad)
-            grad += self.eps
-            buf /= grad
+            adam_passes(grad, m, v, buf, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
             np.subtract(data, buf, out=result[run])
             for i in range(first, last):
                 fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)

@@ -15,7 +15,8 @@ their gradients and the two Adam moments live in flat float64 slabs:
 * every gradient is written once per example, straight into its slab view
   (``np.matmul(..., out=)``, ``np.add.reduce(..., out=)``), and the
   activations reuse one set of buffers per token count;
-* Adam runs as fourteen in-place passes over the slabs.
+* Adam runs as ``Adam.step``'s fourteen in-place passes
+  (``repro.nn.optim.adam_passes``) over the slabs.
 
 Every operation keeps the expression order of the ``repro.nn.fastgrad``
 layer kernels and ``repro.nn.optim.Adam``, and Adam's passes are
@@ -39,9 +40,14 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..nn import MLP, AttentionBlock, LayerNorm, Linear, Parameter, fastgrad
+from ..nn.optim import adam_passes
 from .model import ConcurrentPredictionModel
 
 __all__ = ["FitProgram"]
+
+#: Adam's moment decay rates and denominator epsilon: ``repro.nn.optim.Adam``'s defaults.
+_BETAS = (0.9, 0.999)
+_EPS = 1e-8
 
 #: ``(weight, bias, weight gradient, bias gradient)`` slab views of one affine map.
 _Affine = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -83,18 +89,11 @@ class FitProgram:
     when ``fastgrad.perfmodel_training_reason`` rejects the model.
     """
 
-    def __init__(
-        self,
-        model: ConcurrentPredictionModel,
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, model: ConcurrentPredictionModel, lr: float) -> None:
         reason = fastgrad.perfmodel_training_reason(model)
         if reason is not None:
             raise ConfigurationError(f"the simulator fit cannot train this model: {reason}")
-        self.lr, self.eps = lr, eps
-        self.beta1, self.beta2 = betas
+        self.lr = lr
         #: Adam steps taken over all fits so far.
         self._step_count = 0
         total = sum(param.data.size for param in model.parameters())
@@ -222,26 +221,12 @@ class FitProgram:
         return self._grad.copy()
 
     def _adam(self, end: int) -> None:
-        """Fourteen in-place passes over the first ``end`` slab elements."""
+        """One Adam step over the first ``end`` slab elements."""
         self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
+        bias1 = 1.0 - _BETAS[0] ** self._step_count
+        bias2 = 1.0 - _BETAS[1] ** self._step_count
         theta, grad, m, v, buf = self._spans[end]
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=buf)
-        m += buf
-        v *= self.beta2
-        np.square(grad, out=buf)
-        buf *= 1.0 - self.beta2
-        v += buf
-        # buf <- lr * m_hat, grad <- sqrt(v_hat) + eps; same op-for-op
-        # arithmetic as `lr * (m / bias1) / (sqrt(v / bias2) + eps)`.
-        np.divide(m, bias1, out=buf)
-        buf *= self.lr
-        np.divide(v, bias2, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += self.eps
-        buf /= grad
+        adam_passes(grad, m, v, buf, self.lr, _BETAS, _EPS, bias1, bias2)
         theta -= buf
 
     def _take(self, shape: tuple[int, ...]) -> np.ndarray:
