@@ -344,6 +344,34 @@ class TestFittedWeightsPinned:
         assert _state_digest(perf.model) == _FITTED_WEIGHT_DIGESTS[(topology, use_attention, use_multitask)]
 
 
+class TestFitBoundary:
+    """The fit's slabs stay inside a fit: no parameter aliases them afterwards,
+    and ``predict`` (whose fused Q/K/V block is cached by array identity) reads
+    the fitted weights, not a block concatenated before or during the fit."""
+
+    def test_no_slab_alias_and_no_stale_fused_qkv_after_fits(
+        self, tpch_batch, plan_embeddings, probe_knowledge, config_space, history_log
+    ):
+        perf = PerformanceModel(
+            batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=probe_knowledge,
+            config_space=config_space, config=SimulatorConfig(hidden_dim=16, use_attention=True), seed=0,
+        )
+        examples = perf.examples_from_log(history_log)
+        warm, fresh = (np.random.default_rng(seed).normal(size=(3, perf.featurizer.feature_dim)) for seed in (7, 8))
+        perf.model.predict(warm)  # caches the fused Q/K/V block of the initial weights
+        for _ in range(2):
+            perf.fit(examples, 1)
+            program = perf._program
+            slabs = (program._theta, program._grad, program.m, program.v)
+            for name, param in perf.model.named_parameters():
+                assert not any(np.shares_memory(param.data, slab) for slab in slabs), name
+            logits, times = perf.model.predict(fresh)
+            with no_grad():
+                ref_logits, ref_times = perf.model(fresh)
+            np.testing.assert_array_equal(logits, ref_logits.data)
+            np.testing.assert_array_equal(times, ref_times.data)
+
+
 # --------------------------------------------------------------------- #
 # SimulatedCluster sessions
 # --------------------------------------------------------------------- #
