@@ -4,9 +4,9 @@ The training twin of :mod:`repro.nn.fastinfer`.  Where ``fastinfer`` removes
 the autograd tape from *inference*, this module removes it from *training*:
 each kernel runs the stacked forward as a flat sequence of fused NumPy ops,
 saves only the activations its hand-derived backward needs (in preallocated
-:class:`Arena` buffers), and the matching ``*_backward`` accumulates analytic
-gradients directly into ``Parameter.grad`` — no per-op closures, no tape
-walk, no per-primitive temporaries.  A policy step takes its minibatch as
+:class:`Arena` buffers), and the matching ``*_backward`` puts analytic
+gradients where its arena says (:meth:`Arena.grad`) — no per-op closures, no
+tape walk, no per-primitive temporaries.  A policy step takes its minibatch as
 consecutive *slabs* of samples (forward, loss terms and backward of one slab,
 then the next: :func:`_encoded_slabs`), so what is live at once is one slab's
 activations, not the minibatch's; the whole-minibatch step is the same loop
@@ -30,21 +30,29 @@ Layered like ``fastinfer``:
   policy steps' forward alone;
 * a ``why_slow``-style gate — :func:`fused_training_reason` /
   :func:`perfmodel_training_reason` return a human-readable reason when a
-  module configuration is not covered.  These kernels (and, for the
-  simulator's prediction model, the fit program ``repro.perf.fit``) are the
-  only update paths, so callers raise on a reason instead of falling back.
+  module configuration is not covered.  These kernels are the only update
+  paths (the simulator's fit program ``repro.perf.fit`` runs the layer
+  kernels too), so callers raise on a reason instead of falling back.
 
-Gradient-ownership contract: gradients written into ``Parameter.grad`` are
-always freshly-owned arrays (or disjoint views of one), never arena buffers,
-because the arena recycles its buffers at :meth:`Arena.reset` — after every
-slab — while grads accumulate across slabs and must survive until the
-optimizer step (and are scaled in place by ``clip_grad_norm``).  Parameters
-that receive no gradient flow keep ``grad is None`` — exactly like the tape
-— so ``Adam`` skips them instead of decaying their moments.
+Gradient-ownership contract.  A gradient goes to one of two destinations,
+chosen by the arena the kernel is handed:
+
+* :class:`Arena` accumulates it into ``Parameter.grad`` (the policy updates
+  and the gain-model fit).  These gradients are always freshly owned arrays
+  (or disjoint views of one), never arena buffers, because the arena
+  recycles its buffers at :meth:`Arena.reset` — after every slab — while
+  grads accumulate across slabs and must survive until the optimizer step
+  (and are scaled in place by ``clip_grad_norm``).  Parameters that receive
+  no gradient flow keep ``grad is None`` — exactly like the tape — so
+  ``Adam`` skips them instead of decaying their moments.
+* The simulator fit's arena (``repro.perf.fit``) writes it once, with
+  ``out=``, into the parameter's view of the fit's gradient slab, and never
+  touches ``Parameter.grad``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -58,9 +66,7 @@ __all__ = [
     "mlp_forward",
     "mlp_backward",
     "layer_norm_forward",
-    "layer_norm_backward",
     "batch_norm_forward",
-    "batch_norm_backward",
     "mha_forward",
     "mha_backward",
     "attention_encoder_forward",
@@ -81,20 +87,28 @@ __all__ = [
 
 
 class Arena:
-    """A recycling pool of preallocated float64 buffers, sized by one slab of a step.
+    """Where the kernels take scratch from and put gradients.
 
-    ``empty(shape)`` hands out a buffer (reusing a previously returned one of
-    the same shape when available); ``reset()`` returns every outstanding
-    buffer to the pool.  Saved activations live in arena buffers, parameter
-    gradients never do (see the module docstring contract).  The policy
-    steps reset the arena themselves, after the backward of every slab, so
-    their callers hold no arena buffer when a step returns; the caller of the
-    bare MLP kernels (the gain-model fit) resets once per optimizer step,
-    after the gradients have been taken.
+    This class is a recycling pool of preallocated float64 buffers, sized by
+    one slab of a step.  ``empty(shape)`` hands out a buffer (reusing a
+    previously returned one of the same shape when available); ``reset()``
+    returns every outstanding buffer to the pool.  Saved activations live in
+    arena buffers, parameter gradients never do: :meth:`grad` accumulates
+    them into ``Parameter.grad`` (see the module docstring contract).  The
+    policy steps reset the arena themselves, after the backward of every
+    slab, so their callers hold no arena buffer when a step returns; the
+    caller of the bare MLP kernels (the gain-model fit) resets once per
+    optimizer step, after the gradients have been taken.
     ``release(buf)`` hands one buffer back before the reset: backward-only
     scratch, and a saved activation whose backward has run, are dead within
     the slab, so the next layer's backward reuses them and the pool holds one
-    attention gradient instead of one per layer.
+    attention gradient instead of one per layer.  ``owned(shape)`` is a fresh
+    array, never pooled: a kernel result its caller may keep past the reset
+    (an input gradient).
+
+    The simulator fit (``repro.perf.fit``) runs the same kernels with a
+    subclass that hands out every buffer, owned ones included, in call order
+    and writes each gradient into its slab view instead.
     """
 
     def __init__(self) -> None:
@@ -108,6 +122,9 @@ class Arena:
         self._used[id(buf)] = buf
         return buf
 
+    def owned(self, shape: Sequence[int]) -> np.ndarray:
+        return np.empty(shape)
+
     def release(self, buf: np.ndarray) -> None:
         """Return ``buf`` (exactly as :meth:`empty` handed it out) to the pool now."""
         self._free.setdefault(buf.shape, []).append(self._used.pop(id(buf)))
@@ -116,6 +133,23 @@ class Arena:
         for buf in self._used.values():
             self._free.setdefault(buf.shape, []).append(buf)
         self._used.clear()
+
+    def grad(self, params: "tuple[Parameter, ...]", op: Any, a: Any, b: Any) -> None:
+        """Put ``op(a, b)``, the gradient of ``params`` side by side on its last axis.
+
+        Each parameter gets its column block of the result accumulated into
+        ``Parameter.grad`` as a freshly owned array (a disjoint view of it).
+        ``op`` is ``np.matmul`` or ``np.add.reduce`` (``b`` the axes), which
+        take ``out=``, so a subclass can write the gradient into a buffer of
+        its own instead.
+        """
+        value = op(a, b)
+        if len(params) == 1:
+            _accum(params[0], value)
+            return
+        width = value.shape[-1] // len(params)
+        for index, param in enumerate(params):
+            _accum(param, value[..., index * width : (index + 1) * width])
 
     @property
     def num_buffers(self) -> int:
@@ -172,14 +206,6 @@ def _mlp_blocks(mlp: MLP) -> "list[tuple[Linear, str | None]]":
     return blocks
 
 
-def _linear_forward(linear: Linear, x: np.ndarray, arena: Arena) -> np.ndarray:
-    out = arena.empty(x.shape[:-1] + (linear.weight.data.shape[1],))
-    np.matmul(x, linear.weight.data, out=out)
-    if linear.bias is not None:
-        out += linear.bias.data
-    return out
-
-
 def mlp_forward(mlp: MLP, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, list]":
     """Stacked MLP forward; returns ``(output, ctx)`` for :func:`mlp_backward`.
 
@@ -189,7 +215,10 @@ def mlp_forward(mlp: MLP, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, lis
     """
     ctx = []
     for linear, act in _mlp_blocks(mlp):
-        pre = _linear_forward(linear, x, arena)
+        weight = linear.weight.data
+        pre = np.matmul(x, weight, out=arena.empty(x.shape[:-1] + (weight.shape[1],)))
+        if linear.bias is not None:
+            pre += linear.bias.data
         if act == "tanh":
             y = np.tanh(pre, out=pre)
         elif act == "relu":
@@ -213,7 +242,7 @@ def mlp_backward(
     arena: Arena,
     need_input_grad: bool = True,
 ) -> "np.ndarray | None":
-    """Analytic MLP backward; accumulates weight/bias grads, returns ``g_x``.
+    """Analytic MLP backward; puts weight/bias grads through ``arena``, returns ``g_x``.
 
     Never mutates ``g`` (callers reuse it for residual branches).
     """
@@ -237,11 +266,11 @@ def mlp_backward(
             xf = x.reshape(-1, x.shape[-1])
         else:
             gf, xf = g, x
-        _accum(linear.weight, xf.T @ gf)
+        arena.grad((linear.weight,), np.matmul, xf.T, gf)
         if linear.bias is not None:
-            _accum(linear.bias, gf.sum(axis=0))
+            arena.grad((linear.bias,), np.add.reduce, gf, 0)
         if index > 0 or need_input_grad:
-            g = (gf @ linear.weight.data.T).reshape(x.shape)
+            g = np.matmul(gf, linear.weight.data.T, out=arena.owned(xf.shape)).reshape(x.shape)
         if scratch is not None:
             arena.release(scratch)
     return g if need_input_grad else None
@@ -313,13 +342,12 @@ def _update_running_stats(norm: BatchNorm, mean_rows: np.ndarray, var_rows: np.n
     norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * var_rows.mean(axis=0)
 
 
-def _norm_backward_common(
-    norm: "LayerNorm | BatchNorm", ctx: tuple, g: np.ndarray
-) -> np.ndarray:
+def _norm_backward(norm: "LayerNorm | BatchNorm", ctx: tuple, g: np.ndarray, arena: Arena) -> np.ndarray:
+    """Backward of :func:`layer_norm_forward` and :func:`batch_norm_forward`."""
     x_hat, inv_std, inv_count, axis, train = ctx
     reduce_axes = tuple(range(g.ndim - 1))
-    _accum(norm.gamma, (g * x_hat).sum(axis=reduce_axes))
-    _accum(norm.beta, g.sum(axis=reduce_axes))
+    arena.grad((norm.gamma,), np.add.reduce, g * x_hat, reduce_axes)
+    arena.grad((norm.beta,), np.add.reduce, g, reduce_axes)
     g_xhat = g * norm.gamma.data
     if not train:
         # Eval / single-row mode: mu and var are constants, the map is affine.
@@ -331,14 +359,6 @@ def _norm_backward_common(
     return np.multiply(g_xhat, inv_std, out=g_xhat)
 
 
-def layer_norm_backward(norm: LayerNorm, ctx: tuple, g: np.ndarray) -> np.ndarray:
-    return _norm_backward_common(norm, ctx, g)
-
-
-def batch_norm_backward(norm: BatchNorm, ctx: tuple, g: np.ndarray) -> np.ndarray:
-    return _norm_backward_common(norm, ctx, g)
-
-
 def _norm_forward(
     norm: Any, x: np.ndarray, arena: Arena, stats: "dict | None" = None
 ) -> "tuple[np.ndarray, tuple]":
@@ -347,10 +367,6 @@ def _norm_forward(
     if isinstance(norm, BatchNorm):
         return batch_norm_forward(norm, x, arena, stats)
     raise TypeError(f"unsupported norm {type(norm).__name__}")
-
-
-def _norm_backward(norm: Any, ctx: tuple, g: np.ndarray) -> np.ndarray:
-    return _norm_backward_common(norm, ctx, g)
 
 
 # --------------------------------------------------------------------------- #
@@ -364,12 +380,7 @@ def _split_heads(qkv: np.ndarray, heads: int) -> "tuple[np.ndarray, np.ndarray, 
     return split[0], split[1], split[2]
 
 
-def mha_forward(
-    attention: MultiHeadAttention,
-    x: np.ndarray,
-    arena: Arena,
-    bias: "np.ndarray | None" = None,
-) -> "tuple[np.ndarray, tuple]":
+def mha_forward(attention: MultiHeadAttention, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
     """Batched ``(B, tokens, D)`` self-attention with one fused QKV GEMM."""
     batch, tokens, model_dim = x.shape
     heads, head_dim = attention.num_heads, attention.head_dim
@@ -381,14 +392,12 @@ def mha_forward(
     np.matmul(x, qkv_weight, out=qkv)
     qkv += qkv_bias
     queries, keys, values = _split_heads(qkv, heads)
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
     # The (B, H, T, T) softmax is the slab's largest tensor: built in place in
     # one arena buffer instead of three temporaries.
     weights = arena.empty((batch, heads, tokens, tokens))
     np.matmul(queries, keys.transpose(0, 1, 3, 2), out=weights)
     weights *= scale
-    if bias is not None:
-        weights += np.asarray(bias, dtype=np.float64)[None, None, :, :]
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -396,28 +405,26 @@ def mha_forward(
     out = arena.empty(x.shape)
     np.matmul(mixed, attention.out_proj.weight.data, out=out)
     out += attention.out_proj.bias.data
-    return out, (x2, qkv, weights, mixed, scale)
+    return out, (x2, qkv_weight, qkv, weights, mixed, scale)
 
 
 def mha_backward(
     attention: MultiHeadAttention, ctx: tuple, g: np.ndarray, arena: Arena
 ) -> np.ndarray:
-    x2, qkv, weights, mixed, scale = ctx
+    x2, qkv_weight, qkv, weights, mixed, scale = ctx
     batch, tokens, model_dim = g.shape
     heads = attention.num_heads
     queries, keys, values = _split_heads(qkv, heads)
     g2 = g.reshape(batch * tokens, model_dim)
     mixed2 = mixed.reshape(batch * tokens, model_dim)
-    _accum(attention.out_proj.weight, mixed2.T @ g2)
-    _accum(attention.out_proj.bias, g2.sum(axis=0))
-    g_mixed = (g2 @ attention.out_proj.weight.data.T).reshape(
-        batch, tokens, heads, attention.head_dim
-    ).transpose(0, 2, 1, 3)
+    arena.grad((attention.out_proj.weight,), np.matmul, mixed2.T, g2)
+    arena.grad((attention.out_proj.bias,), np.add.reduce, g2, 0)
+    g_mixed = np.matmul(g2, attention.out_proj.weight.data.T, out=arena.owned(g2.shape))
+    g_mixed = g_mixed.reshape(batch, tokens, heads, attention.head_dim).transpose(0, 2, 1, 3)
     g_scores = np.matmul(g_mixed, values.swapaxes(-1, -2), out=arena.empty(weights.shape))
     g_values = weights.swapaxes(-1, -2) @ g_mixed
     # Softmax backward: P * (g - <g, P>), in place over the incoming gradient
-    # with one sample of scratch for <g, P>; the additive bias (if any) is a
-    # constant, so g_scores flows straight through to the QKV projections.
+    # with one sample of scratch for <g, P>.
     product = arena.empty(weights.shape[1:])
     for g_row, p_row in zip(g_scores, weights):
         np.multiply(g_row, p_row, out=product)
@@ -435,15 +442,10 @@ def mha_backward(
     for part, grad in zip(_split_heads(g_qkv, heads), (g_queries, g_keys, g_values)):
         part[...] = grad
     gf = g_qkv.reshape(batch * tokens, 3 * model_dim)
-    g_weight = x2.T @ gf
-    g_bias = gf.sum(axis=0)
-    projections = (attention.query_proj, attention.key_proj, attention.value_proj)
-    for index, proj in enumerate(projections):
-        sl = slice(index * model_dim, (index + 1) * model_dim)
-        _accum(proj.weight, g_weight[:, sl])
-        _accum(proj.bias, g_bias[sl])
-    qkv_weight, _ = fastinfer._fused_qkv(attention)
-    g_x = (gf @ qkv_weight.T).reshape(batch, tokens, model_dim)
+    query, key, value = attention.query_proj, attention.key_proj, attention.value_proj
+    arena.grad((query.weight, key.weight, value.weight), np.matmul, x2.T, gf)
+    arena.grad((query.bias, key.bias, value.bias), np.add.reduce, gf, 0)
+    g_x = np.matmul(gf, qkv_weight.T, out=arena.owned(x2.shape)).reshape(batch, tokens, model_dim)
     arena.release(g_qkv)
     return g_x
 
@@ -453,17 +455,13 @@ def mha_backward(
 # --------------------------------------------------------------------------- #
 
 def _attention_block_forward(
-    block: AttentionBlock,
-    x: np.ndarray,
-    arena: Arena,
-    bias: "np.ndarray | None" = None,
-    stats: "dict | None" = None,
+    block: AttentionBlock, x: np.ndarray, arena: Arena, stats: "dict | None" = None
 ) -> "tuple[np.ndarray, tuple]":
-    att_out, mha_ctx = mha_forward(block.attention, x, arena, bias=bias)
-    pre1 = x + att_out
+    pre1, mha_ctx = mha_forward(block.attention, x, arena)
+    pre1 += x
     normed1, n1_ctx = _norm_forward(block.norm1, pre1, arena, stats)
     ff_out, ff_ctx = mlp_forward(block.feedforward, normed1, arena)
-    pre2 = normed1 + ff_out
+    pre2 = np.add(normed1, ff_out, out=arena.owned(ff_out.shape))
     out, n2_ctx = _norm_forward(block.norm2, pre2, arena, stats)
     return out, (mha_ctx, n1_ctx, ff_ctx, n2_ctx)
 
@@ -472,24 +470,24 @@ def _attention_block_backward(
     block: AttentionBlock, ctx: tuple, g: np.ndarray, arena: Arena
 ) -> np.ndarray:
     mha_ctx, n1_ctx, ff_ctx, n2_ctx = ctx
-    g_pre2 = _norm_backward(block.norm2, n2_ctx, g)
-    g_normed1 = g_pre2 + mlp_backward(block.feedforward, ff_ctx, g_pre2, arena)
-    g_pre1 = _norm_backward(block.norm1, n1_ctx, g_normed1)
-    return g_pre1 + mha_backward(block.attention, mha_ctx, g_pre1, arena)
+    g_pre2 = _norm_backward(block.norm2, n2_ctx, g, arena)
+    # Both kernels return freshly owned input gradients, so the residual adds in place.
+    g_normed1 = mlp_backward(block.feedforward, ff_ctx, g_pre2, arena)
+    g_normed1 += g_pre2
+    g_pre1 = _norm_backward(block.norm1, n1_ctx, g_normed1, arena)
+    g_x = mha_backward(block.attention, mha_ctx, g_pre1, arena)
+    g_x += g_pre1
+    return g_x
 
 
 def attention_encoder_forward(
-    encoder: AttentionEncoder,
-    x: np.ndarray,
-    arena: Arena,
-    bias: "np.ndarray | None" = None,
-    stats: "dict | None" = None,
+    encoder: AttentionEncoder, x: np.ndarray, arena: Arena, stats: "dict | None" = None
 ) -> "tuple[np.ndarray, list]":
     """``stats`` defers the BatchNorm running statistics, see :func:`batch_norm_forward`."""
     ctx = []
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
-        x, block_ctx = _attention_block_forward(block, x, arena, bias=bias, stats=stats)
+        x, block_ctx = _attention_block_forward(block, x, arena, stats=stats)
         ctx.append(block_ctx)
     return x, ctx
 
@@ -595,7 +593,7 @@ def encode_state_batch_backward(
         g_sequence = attention_encoder_backward(encoder.attention, att_ctx, g_encoded, arena)
     else:
         g_sequence = g_encoded
-    _accum(encoder.super_query, g_sequence[:, num_queries].sum(axis=0).reshape(1, -1))
+    arena.grad((encoder.super_query,), np.add.reduce, g_sequence[:, num_queries : num_queries + 1], 0)
     mlp_backward(
         encoder.query_mlp, qm_ctx, g_sequence[:, :num_queries], arena, need_input_grad=False
     )
@@ -681,8 +679,6 @@ def perfmodel_training_reason(model: Any) -> "str | None":
         reason = _mlp_reason(mlp, name)
         if reason:
             return reason
-        if any(act == "sigmoid" for _, act in _mlp_blocks(mlp)):
-            return f"{name} uses sigmoid; the simulator fit supports tanh and relu"
     return None
 
 
@@ -758,7 +754,7 @@ def _encoded_slabs(policy: Any, plan_embeddings: np.ndarray, snapshots: list, ar
     to take through loss terms and backward, and :func:`encode_state_batch`
     of their snapshots.  Samples are independent in the forward; what couples
     them is kept whole: callers weigh every slab by the whole-batch
-    ``1 / batch`` so the gradients ``_accum`` adds up are the minibatch
+    ``1 / batch`` so the gradients the arena adds up are the minibatch
     gradient (ragged last slab included), and each norm's running statistics
     get ONE update, after the last slab, from all ``batch`` per-sample rows.
     The arena is reset after every slab, so it grows to one slab and the

@@ -111,6 +111,11 @@ def attention_forward(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarra
     return linear_forward(attention.out_proj, mixed)
 
 
+def _qkv_sources(attention: MultiHeadAttention) -> tuple[np.ndarray, ...]:
+    query, key, value = attention.query_proj, attention.key_proj, attention.value_proj
+    return query.weight.data, key.weight.data, value.weight.data, query.bias.data, key.bias.data, value.bias.data
+
+
 def _fused_qkv(attention: MultiHeadAttention) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated ``(model_dim, 3*model_dim)`` Q/K/V projection.
 
@@ -118,16 +123,23 @@ def _fused_qkv(attention: MultiHeadAttention) -> tuple[np.ndarray, np.ndarray]:
     cache holds references to them, so after an optimizer step (which
     installs fresh arrays) the ids cannot be reused and the fusion rebuilds.
     """
-    projections = (attention.query_proj, attention.key_proj, attention.value_proj)
-    sources = tuple(p.weight.data for p in projections) + tuple(p.bias.data for p in projections)
-    key = tuple(id(array) for array in sources)
+    sources = _qkv_sources(attention)
     cached = getattr(attention, "_fastinfer_qkv", None)
-    if cached is not None and cached[0] == key:
-        return cached[1], cached[2]
-    weight = np.concatenate([p.weight.data for p in projections], axis=1)
-    bias = np.concatenate([p.bias.data for p in projections], axis=0)
-    attention._fastinfer_qkv = (key, weight, bias, sources)
-    return weight, bias
+    if cached is None or cached[0] != tuple(map(id, sources)):
+        cached = _pin_fused_qkv(attention, np.concatenate(sources[:3], axis=1), np.concatenate(sources[3:]))
+    return cached[1], cached[2]
+
+
+def _pin_fused_qkv(attention: MultiHeadAttention, weight: np.ndarray, bias: np.ndarray) -> tuple:
+    """Have :func:`_fused_qkv` return ``weight`` / ``bias`` until a projection array is rebound.
+
+    The simulator fit points the projections at column views of a fused
+    block that it updates in place, and pins that block: a concatenated copy
+    would go stale at the fit's first Adam step.
+    """
+    sources = _qkv_sources(attention)
+    attention._fastinfer_qkv = cached = (tuple(map(id, sources)), weight, bias, sources)
+    return cached
 
 
 def attention_forward_batched(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarray:

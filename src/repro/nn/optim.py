@@ -16,9 +16,11 @@ partitioned into arrays), so results are bit-identical — pinned by
 
 ``Adam`` serves the policy and gain-model updates, a few steps over large
 parameter sets.  The simulator fit takes thousands of tiny steps, so it runs
-the same fourteen passes inside its own program (``repro.perf.fit``), over
-slabs it keeps for the whole fit instead of gathering and installing every
-step.
+the same fourteen passes (:func:`adam_passes`) inside its own program
+(``repro.perf.fit``), over slabs it keeps for the whole fit instead of
+gathering and installing every step; there the ``param.data`` arrays are
+views of the weight slab, updated in place, until the fit installs fresh
+copies at its end.
 """
 
 from __future__ import annotations
