@@ -103,8 +103,9 @@ class Arena:
     scratch, and a saved activation whose backward has run, are dead within
     the slab, so the next layer's backward reuses them and the pool holds one
     attention gradient instead of one per layer.  ``owned(shape)`` is a fresh
-    array, never pooled: a kernel result its caller may keep past the reset
-    (an input gradient).
+    array the pool never holds: an input gradient a kernel returns (its
+    caller may keep it past the reset), or a transient that dies within the
+    layer, so the pool does not grow by it.
 
     The simulator fit (``repro.perf.fit``) runs the same kernels with a
     subclass that hands out every buffer, owned ones included, in call order
