@@ -114,7 +114,7 @@ class FitProgram:
         def each(module: Module) -> list[tuple[Parameter, ...]]:
             return [(param,) for param in module.parameters()]
 
-        #: Slab blocks in order, each the parameters it holds side by side on its last axis.
+        # Slab blocks in order, each the parameters it holds side by side on its last axis.
         layout = each(model.input_proj)
         fused: list[tuple[MultiHeadAttention, tuple[Parameter, ...], tuple[Parameter, ...]]] = []
         if model.use_attention:
