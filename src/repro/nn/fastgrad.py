@@ -107,6 +107,8 @@ class Arena:
     caller may keep it past the reset), or a transient that dies within the
     layer, so the pool does not grow by it.
 
+    The kernels call only ``empty``, ``owned``, ``release`` and ``grad``;
+    ``reset`` and the pool sizes are for the callers that own this pool.
     The simulator fit (``repro.perf.fit``) runs the same kernels with a
     subclass that hands out every buffer, owned ones included, in call order
     and writes each gradient into its slab view instead.

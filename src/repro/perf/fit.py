@@ -61,11 +61,13 @@ class _SlabArena(fastgrad.Arena):
     Buffers are handed out in call order from one sequence per ``(token
     count, has regression target)``, so an example reuses the buffers of the
     last example of its kind without a pool lookup.  Each gradient is written
-    once, with ``out=``, into the slab view kept for its parameters.
+    once, with ``out=``, into the slab view kept for its parameters.  It
+    replaces all four members the kernels call and keeps no pool, so it
+    does not run ``Arena.__init__``; ``reset`` and the pool sizes are not
+    for it.
     """
 
     def __init__(self, grads: dict[tuple[Parameter, ...], np.ndarray]) -> None:
-        super().__init__()
         self._grads = grads
         self._sequences: dict[tuple[int, bool], list[np.ndarray]] = {}
         self._buffers: list[np.ndarray] = []
