@@ -55,7 +55,8 @@ class _SimulatedInstance:
     The model input of the running queries is kept incrementally: row ``i``
     of ``features`` / ``submit_times`` belongs to the ``i``-th entry of
     ``running`` (submission order), and an advance only rewrites the dynamic
-    columns.  Capacity is bounded by the connection pool.
+    columns.  Capacity is bounded by the connection pool, and a submission
+    takes the lowest idle connection, as the engine does.
     """
 
     def __init__(self, index: int, num_connections: int, feature_dim: int) -> None:
@@ -63,21 +64,20 @@ class _SimulatedInstance:
             raise SimulationError("num_connections must be >= 1")
         self.index = index
         self.num_connections = num_connections
-        self.idle = num_connections
+        self.idle_connections: list[int] = list(range(num_connections))
         self.running: dict[int, RunningQueryState] = {}
         self.features = np.zeros((num_connections, feature_dim), dtype=np.float64)
         self.submit_times = np.zeros(num_connections, dtype=np.float64)
 
     @property
     def has_idle_connection(self) -> bool:
-        return self.idle > 0
+        return bool(self.idle_connections)
 
     def add(self, state: RunningQueryState, row: np.ndarray) -> None:
         slot = len(self.running)
         self.features[slot] = row
         self.submit_times[slot] = state.submit_time
         self.running[state.query.query_id] = state
-        self.idle -= 1
 
     def remove(self, query_id: int) -> RunningQueryState:
         """Free a running query's connection and splice its row out."""
@@ -85,8 +85,10 @@ class _SimulatedInstance:
         k = len(self.running) - 1
         self.features[slot:k] = self.features[slot + 1 : k + 1]
         self.submit_times[slot:k] = self.submit_times[slot + 1 : k + 1]
-        self.idle += 1
-        return self.running.pop(query_id)
+        state = self.running.pop(query_id)
+        self.idle_connections.append(state.connection)
+        self.idle_connections.sort()
+        return state
 
 
 class SimulatedCluster:
@@ -397,14 +399,14 @@ class SimulatedClusterSession(BackendSession):
         if self.instance_is_down(instance):
             raise SimulationError(f"instance {instance} is down and accepts no submissions")
         target = self.instances[instance]
-        if target.idle <= 0:
+        if not target.idle_connections:
             raise SimulationError(f"instance {instance} has no idle connection in the simulated session")
         if self._faults is not None and self._faults.has_random_faults:
             assert self._fault_rng is not None
             fate = self._faults.draw_fate(self._fault_rng)
             if not fate.clean:
                 self._fates[query_id] = fate
-        connection = target.num_connections - target.idle
+        connection = target.idle_connections.pop(0)
         self.pending.remove(query_id)
         self._placement[query_id] = instance
         state = RunningQueryState(

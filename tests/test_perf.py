@@ -44,11 +44,14 @@ from repro.runtime import ExecutionRuntime
 # same features, same predicted completions, same connection allocation,
 # same float arithmetic on the clock.  Re-pinned when ``PerformanceModel.fit``
 # became the fused per-example step (the commit 117efd6 pins were tape-fitted
-# weights; the fused kernels differ from the tape at rounding level).
+# weights; the fused kernels differ from the tape at rounding level).  Re-pinned
+# again when a simulated submission started taking the lowest idle connection
+# (it used to reuse a busy one); the digests without the connection field did
+# not move.
 _SINGLE_ENGINE_SIM_DIGESTS = {
-    ("FIFO", 0): "0d630f3e2fcd995e98f11d9c53380c0efcdd81d4eb80d7d0c443e00806daaf2a",
-    ("MCF", 1): "c802badfd004af3b6dab5c1cbfd6c0324203623f0d8599ae933a7bcfd5b9d600",
-    ("Random", 2): "b15f5a01928cf71d8e5120fa40fc72ef42ed00b63b15438fa534d99dc6489980",
+    ("FIFO", 0): "8ed64845fe15c7ee406725a588222320efdc046b9e2e8ef1d6358652628f35f9",
+    ("MCF", 1): "3ba00840c9ae85786775dc5b90372da85a409f781d7351223300219b65a6f5a2",
+    ("Random", 2): "a0bb49e4038d9dfbe66cf729586dbaac660bfbeab7decd6a512e6e3401818a99",
 }
 
 

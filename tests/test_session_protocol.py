@@ -236,3 +236,28 @@ class TestSubmitPlacementContract:
         session.submit(0, parameters, instance=0)
         assert 0 not in session.pending and session.num_running == 1
         assert session.instance_of(0) == 0
+
+
+class TestConnectionOccupancy:
+    """A submission takes an idle connection: no two running queries ever
+    share an ``(instance, connection)`` on any backend session."""
+
+    @pytest.mark.parametrize("kind", ["engine", "cluster", "simulated-fleet"])
+    def test_fifo_round_never_shares_a_connection(self, parts, kind):
+        batch, engine, _, _, sim_cluster = parts
+        backend = {
+            "engine": engine,
+            "cluster": Cluster.from_names(["x", "y"], seed=0),
+            "simulated-fleet": sim_cluster,
+        }[kind]
+        session = backend.new_session(batch, num_connections=3, round_id=0)
+        parameters = RunningParameters(1, 64)
+        states = 0
+        while not session.is_done:
+            while session.pending and session.has_idle_connection:
+                session.submit(session.pending[0], parameters, instance=session.idle_instances()[0])
+                held = [(session.instance_of(q), s.connection) for q, s in session.running.items()]
+                assert len(held) == len(set(held)), held
+                states += 1
+            session.advance()
+        assert states == len(batch) and len(session.finished) == len(batch)
