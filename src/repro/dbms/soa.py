@@ -229,3 +229,14 @@ class BackendSession:
     def next_fault_wakeup(self) -> float | None:
         """Earliest recovery instant of a downed instance (``None``: nothing is down)."""
         return None
+
+    def parked_instances(self) -> list[int]:
+        """Instances the elastic-fleet control plane has parked."""
+        return []
+
+    def park_instance(self, instance: int) -> None:
+        """Autoscale never parks the last instance (``min_instances >= 1``)."""
+        raise self.error("autoscale parks fleet instances; a single engine has none to spare")
+
+    def unpark_instance(self, instance: int) -> None:
+        raise self.error(f"instance {instance} is not parked")

@@ -246,6 +246,7 @@ class SimulatedClusterSession(BackendSession):
             _SimulatedInstance(index, count, feature_dim) for index, count in enumerate(instance_connections)
         ]
         self._placement: dict[int, int] = {}
+        self._parked: set[int] = set()
         self._connection_offsets: list[int] = []
         offset = 0
         for count in instance_connections:
@@ -280,8 +281,28 @@ class SimulatedClusterSession(BackendSession):
     # Fault-injection API
     # ------------------------------------------------------------------ #
     def instance_is_down(self, instance: int) -> bool:
-        """Whether ``instance`` is inside an outage window right now."""
-        return self._faults is not None and self._faults.is_down(instance, self.current_time)
+        """Whether ``instance`` is parked or inside an outage window right now."""
+        return instance in self._parked or (
+            self._faults is not None and self._faults.is_down(instance, self.current_time)
+        )
+
+    def park_instance(self, instance: int) -> None:
+        """Scale-down: in-flight queries die as outage kills on the next advance."""
+        if not 0 <= instance < self.num_instances:
+            raise SimulationError(f"instance {instance} out of range (fleet has {self.num_instances})")
+        if instance in self._parked:
+            raise SimulationError(f"instance {instance} is already parked")
+        self._parked.add(instance)
+
+    def unpark_instance(self, instance: int) -> None:
+        """Scale-up: a parked instance's connections rejoin the idle pool."""
+        if instance not in self._parked:
+            raise SimulationError(f"instance {instance} is not parked")
+        self._parked.discard(instance)
+
+    def parked_instances(self) -> list[int]:
+        """Instances currently parked by the elastic-fleet control plane."""
+        return sorted(self._parked)
 
     def instance_health(self) -> list[bool]:
         """Per-instance up/down health (``False`` while inside an outage window)."""
@@ -314,10 +335,10 @@ class SimulatedClusterSession(BackendSession):
 
     def _kill_instant(self, instance: int, until: float) -> float | None:
         """Earliest instant in ``(now, until]`` at which the instance's work dies."""
+        if self.instance_is_down(instance):
+            return self.current_time
         if self._faults is None:
             return None
-        if self._faults.is_down(instance, self.current_time):
-            return self.current_time
         start = self._faults.next_outage_start(instance, self.current_time)
         if start is not None and start <= until:
             return start

@@ -73,6 +73,27 @@ def small_config():
     return config
 
 
+@pytest.fixture(scope="module")
+def fleet_of(fixture_batch, small_config):
+    """``fleet_of(kind, size)``: a ``size``-instance fleet of engines or of the learned simulator."""
+    workload = make_workload("tpch", scale_factor=1.0, seed=0)
+    space = ConfigurationSpace(small_config.scheduler)
+    knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), fixture_batch, space)
+    queryformer = QueryFormer(PlanFeaturizer(workload.catalog), small_config.encoder, np.random.default_rng(0))
+    embeddings = PlanEmbeddingCache(queryformer).embeddings_for(fixture_batch)
+
+    def build(kind, size):
+        if kind == "cluster":
+            return Cluster.from_names(("x",) * size, seed=0)
+        perf = PerformanceModel(
+            batch=fixture_batch, plan_embeddings=embeddings, knowledge=knowledge,
+            config_space=space, config=small_config.simulator, seed=0, instance_speeds=(1.0,) * size,
+        )
+        return SimulatedCluster(perf, [DBMSProfile.dbms_x().default_connections] * size)
+
+    return build
+
+
 def _digest(round_log) -> str:
     sha = hashlib.sha256()
     for r in round_log.records:
@@ -243,21 +264,21 @@ class TestParkUnpark:
         with pytest.raises(SchedulingError):
             session.unpark()
 
-    def test_cluster_park_excludes_instance(self, fixture_batch):
-        cluster = Cluster.from_names(("x", "x"), seed=0)
-        session = cluster.new_session(fixture_batch, num_connections=4)
+    @pytest.mark.parametrize("kind", ["cluster", "simulated"])
+    def test_cluster_park_excludes_instance(self, fixture_batch, fleet_of, kind):
+        session = fleet_of(kind, 2).new_session(fixture_batch, num_connections=4)
         assert session.parked_instances() == []
         session.park_instance(1)
         assert session.parked_instances() == [1]
         assert not session.instance_health()[1]
         session.unpark_instance(1)
         assert session.parked_instances() == []
-        with pytest.raises(SchedulingError):
+        with pytest.raises(session.error):
             session.park_instance(5)
 
-    def test_fleet_controller_initial_size_and_scaling(self, fixture_batch):
-        cluster = Cluster.from_names(("x", "x", "x"), seed=0)
-        session = cluster.new_session(fixture_batch, num_connections=2)
+    @pytest.mark.parametrize("kind", ["cluster", "simulated"])
+    def test_fleet_controller_initial_size_and_scaling(self, fixture_batch, fleet_of, kind):
+        session = fleet_of(kind, 3).new_session(fixture_batch, num_connections=2)
         fleet = FleetController(
             AutoscalePolicy(
                 min_instances=1, target_backlog=4.0, low_water=1.0, cooldown=0.0, initial_instances=1
@@ -275,9 +296,9 @@ class TestParkUnpark:
         assert event.action == "park" and event.instance == 1
         assert fleet.tick(session, backlog=0, now=3.0) is None  # already at min
 
-    def test_cooldown_holds_scaling(self, fixture_batch):
-        cluster = Cluster.from_names(("x", "x"), seed=0)
-        session = cluster.new_session(fixture_batch, num_connections=2)
+    @pytest.mark.parametrize("kind", ["cluster", "simulated"])
+    def test_cooldown_holds_scaling(self, fixture_batch, fleet_of, kind):
+        session = fleet_of(kind, 2).new_session(fixture_batch, num_connections=2)
         fleet = FleetController(
             AutoscalePolicy(
                 min_instances=1, target_backlog=2.0, low_water=0.5, cooldown=10.0, initial_instances=1

@@ -13,19 +13,24 @@ answers.
 from __future__ import annotations
 
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro.config import AutoscalePolicy
 from repro.core import ExternalKnowledge, SchedulingSession, SessionBackend
-from repro.dbms import Cluster, ClusterSession, ConfigurationSpace, RunningParameters
+from repro.dbms import INSTANCE_FEATURE_DIM, Cluster, ClusterSession, ConfigurationSpace, RunningParameters
 from repro.dbms.engine import ExecutionSession
 from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, BackendSession
 from repro.encoder import PlanEmbeddingCache, QueryFormer
 from repro.perf import PerformanceModel, SimulatedCluster, SimulatedClusterSession
 from repro.plans import PlanFeaturizer
-from repro.runtime import ExecutionRuntime, RuntimeTenant, TenantSession
+from repro.dbms.faults import FAILURE_OUTAGE
+from repro.runtime import ControlPlane, ExecutionRuntime, RuntimeTenant, TenantSession
+from repro.runtime import controlplane as controlplane_module
+from repro.runtime import runtime as runtime_module
 
 _PROTOCOL_PARAMETERS = {
     "batch": inspect.Parameter.empty,
@@ -261,3 +266,83 @@ class TestConnectionOccupancy:
                 states += 1
             session.advance()
         assert states == len(batch) and len(session.finished) == len(batch)
+
+
+#: Members the runtime calls only while the shared session ``supports_lockstep``.
+_LOCKSTEP_MEMBERS = {"advance_features", "apply_advance", "perf"}
+
+
+def _members_called_on_the_shared_session() -> set[str]:
+    """Every attribute the runtime and the control plane read off the shared session."""
+    source = inspect.getsource(runtime_module) + inspect.getsource(controlplane_module)
+    pattern = r"(?:self\._shared_session|self\._shared|self\.shared_session|\bshared)\.([a-z_]+)"
+    return set(re.findall(pattern, source))
+
+
+class TestMemberCheck:
+    """Every backend session answers every member the runtime and the control plane call."""
+
+    def test_the_member_list_is_read_from_the_callers(self):
+        members = _members_called_on_the_shared_session()
+        assert {"park_instance", "unpark_instance", "parked_instances", "instance_context"} <= members
+        assert {"submit", "advance", "cancel", "instance_of", "next_fault_wakeup"} <= members
+        assert _LOCKSTEP_MEMBERS <= members
+
+    @pytest.mark.parametrize("kind", ["engine", "cluster", "simulated-fleet"])
+    def test_every_session_answers_every_member(self, parts, kind):
+        batch, engine, _, _, sim_cluster = parts
+        backend = {
+            "engine": engine,
+            "cluster": Cluster.from_names(["x", "y"], seed=0),
+            "simulated-fleet": sim_cluster,
+        }[kind]
+        session = backend.new_session(batch, num_connections=3, round_id=0)
+        for name in sorted(_members_called_on_the_shared_session()):
+            if name in _LOCKSTEP_MEMBERS and not session.supports_lockstep:
+                continue
+            assert hasattr(session, name), f"{type(session).__name__} does not answer {name!r}"
+        n = session.num_instances
+        assert session.idle_instances() == list(range(n))
+        assert session.instance_health() == [True] * n
+        assert session.instance_num_running() == [0] * n
+        assert len(session.speed_factors()) == n
+        context = session.instance_context()
+        assert context is None if n == 1 else context.shape == (n, INSTANCE_FEATURE_DIM)
+        assert session.next_fault_wakeup() is None and session.parked_instances() == []
+        parameters = RunningParameters(1, 64)
+        if n == 1:
+            with pytest.raises(session.error):
+                session.park_instance(0)
+            return
+        last = n - 1
+        session.submit(0, parameters, instance=last)
+        session.park_instance(last)
+        assert session.parked_instances() == [last]
+        assert not session.instance_health()[last] and last not in session.idle_instances()
+        assert session.next_fault_wakeup() is None  # a park has no scheduled end
+        with pytest.raises(session.error):
+            session.park_instance(last)
+        with pytest.raises(session.error):
+            session.submit(1, parameters, instance=last)
+        event = session.advance()  # the parked instance's work dies as an outage kill
+        assert event.failed and event.failure == FAILURE_OUTAGE and event.instance == last
+        assert event.query_id == 0 and 0 in session.pending
+        session.unpark_instance(last)
+        assert session.parked_instances() == [] and last in session.idle_instances()
+        with pytest.raises(session.error):
+            session.unpark_instance(last)
+
+    def test_autoscaled_runtime_over_simulated_fleet_drains(self, parts):
+        batch, _, _, space, sim_cluster = parts
+        control = ControlPlane(autoscale=AutoscalePolicy(initial_instances=1))
+        runtime = ExecutionRuntime(sim_cluster, control=control)
+        session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=0)
+        while not runtime.is_done:
+            while session.pending and session.has_idle_connection:
+                session.submit(session.pending[0], space[0], instance=session.idle_instances()[0])
+            if runtime.is_done:
+                break
+            runtime.advance()
+        actions = [event.action for event in control.scale_events()]
+        assert actions[0] == "park" and "unpark" in actions
+        assert session.is_done and len(session.finished) == len(batch)
