@@ -1,20 +1,21 @@
 """Black-box DBMS substrate: profiles, buffer pool, fluid engine, clusters, logs."""
 
 from .buffer import BufferPool
-from .cluster import Cluster, ClusterSession, INSTANCE_FEATURE_DIM
+from .cluster import Cluster, ClusterSession
 from .engine import CompletionEvent, DatabaseEngine, ExecutionSession, RunningQueryState
 from .faults import (
     FAILURE_ERROR,
     FAILURE_OUTAGE,
     FAILURE_TIMEOUT,
     FailureProfile,
+    InstanceWindows,
     OutageWindow,
     QueryFate,
 )
 from .logs import ConcurrencySnapshot, ExecutionLog, QueryExecutionRecord, RoundLog
 from .params import ConfigurationSpace, RunningParameters
 from .profiles import DBMSProfile
-from .soa import SessionStateArrays
+from .soa import INSTANCE_FEATURE_DIM, FleetSession, SessionStateArrays
 
 __all__ = [
     "BufferPool",
@@ -29,6 +30,7 @@ __all__ = [
     "FAILURE_OUTAGE",
     "FAILURE_TIMEOUT",
     "FailureProfile",
+    "InstanceWindows",
     "OutageWindow",
     "QueryFate",
     "ConcurrencySnapshot",
@@ -38,5 +40,6 @@ __all__ = [
     "ConfigurationSpace",
     "RunningParameters",
     "DBMSProfile",
+    "FleetSession",
     "SessionStateArrays",
 ]

@@ -14,11 +14,15 @@ Design:
   (mixed X/Y/Z fleets are first-class) and its own seed derived from the
   cluster seed through :class:`repro.seeding.SeedSpawner`;
 * a :class:`ClusterSession` opens one per-instance
-  :class:`~repro.dbms.engine.ExecutionSession` per round.  Every instance
-  keeps its *own* buffer pool, contention state and clock; the cluster
-  session unifies them behind one logical time by always advancing to the
-  globally earliest completion and idling the other instances forward to
-  that instant;
+  :class:`~repro.dbms.engine.ExecutionSession` per round.  The fleet
+  mechanics — placement, connection offsets, park, cancel, health and the
+  instance context — are :class:`~repro.dbms.soa.FleetSession`'s, shared with
+  the learned simulator's :class:`~repro.perf.SimulatedClusterSession`; the
+  two differ only in how an instance predicts its next event;
+* here that is the engine's own: every instance keeps its *own* buffer pool,
+  contention state and clock, and the cluster session unifies them behind
+  one logical time by always advancing to the globally earliest completion
+  and idling the other instances forward to that instant;
 * completions that tie on the same instant land in per-instance event
   buffers and are drained in instance order before the clock moves again —
   the same deterministic merge the runtime's global
@@ -39,248 +43,36 @@ import numpy as np
 from ..exceptions import ConfigurationError, SchedulingError, SimulationError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
-from .engine import (
-    CompletionEvent,
-    DatabaseEngine,
-    ExecutionSession,
-    RunningQueryState,
-    collect_fixed_order_logs,
-    execute_fixed_order,
-)
+from .engine import DatabaseEngine, ExecutionSession, collect_fixed_order_logs, execute_fixed_order
 from .faults import FailureProfile
-from .logs import QueryExecutionRecord
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import BackendSession
+from .soa import CompletionEvent, FleetSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ServiceConfig
 
-__all__ = ["Cluster", "ClusterSession", "INSTANCE_FEATURE_DIM"]
-
-#: Width of the per-instance context feature vector exposed to the encoder:
-#: relative speed, busy-connection fraction, capacity share, buffer fill.
-INSTANCE_FEATURE_DIM = 4
-
-#: Floor for the reconstructed total work of a buffered tied completion
-#: (keeps ``elapsed_fraction`` well-defined for zero-duration records).
-_MIN_TOTAL_WORK = 1e-9
+__all__ = ["Cluster", "ClusterSession"]
 
 
-class ClusterSession(BackendSession):
-    """One scheduling round across every instance of a cluster.
+class ClusterSession(FleetSession[ExecutionSession]):
+    """One scheduling round across every instance of an engine fleet.
 
-    Speaks the same session protocol as
-    :class:`~repro.dbms.engine.ExecutionSession` (pending/deferred/running/
-    finished bookkeeping, ``submit``/``advance``/``defer``/``release``, a
-    merged :class:`~repro.dbms.logs.RoundLog`), extended with placement:
-    ``submit`` takes the target ``instance`` and completions report the
-    instance they happened on.  Connection ids in the merged log are
-    globalised (instance offsets), so per-round logs stay unambiguous.
+    Each instance is the engine's own
+    :class:`~repro.dbms.engine.ExecutionSession`, with its own clock, and
+    :meth:`advance` merges their events behind the round's clock.
+    Placement, park, cancel and the instance context are
+    :class:`~repro.dbms.soa.FleetSession`'s.
     """
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        batch: BatchQuerySet,
-        sessions: Sequence[ExecutionSession],
-        round_id: int,
-        strategy: str,
-    ) -> None:
-        super().__init__(batch, round_id, strategy)
-        self.cluster = cluster
-        self.sessions = list(sessions)
-        self._placement: dict[int, int] = {}
-        # Per-instance buffers of completions that tied with the winning
-        # instant, each captured with its execution record at materialisation
-        # time (two ties on one instance would otherwise both resolve to that
-        # instance's *last* log record); drained in instance order before the
-        # clock moves again.  Failed completions carry no record (nothing was
-        # logged), hence the ``QueryExecutionRecord | None``.
-        self._instance_events: list[list[tuple[CompletionEvent, QueryExecutionRecord | None]]] = [
-            [] for _ in self.sessions
-        ]
-        self._connection_offsets: list[int] = []
-        offset = 0
-        for session in self.sessions:
-            self._connection_offsets.append(offset)
-            offset += session.num_connections
-        self.num_connections = offset
-        # ``state_arrays`` is kept separate from the per-instance session
-        # arrays: a tied completion buffered in ``_instance_events`` has
-        # already left its instance's running set but is still observably
-        # RUNNING here until delivered.
-
-    # ------------------------------------------------------------------ #
-    # Cluster topology
-    # ------------------------------------------------------------------ #
-    @property
-    def num_instances(self) -> int:
-        return len(self.sessions)
-
-    def instance_of(self, query_id: int) -> int:
-        """The instance a running/finished query was placed on (-1 if never)."""
-        return self._placement.get(query_id, -1)
-
-    def idle_instances(self) -> list[int]:
-        """Instances with at least one idle connection (downed instances excluded)."""
-        return [index for index, session in enumerate(self.sessions) if session.has_idle_connection]
-
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health (``False`` while inside an outage window)."""
-        return [not session.is_down for session in self.sessions]
-
-    def next_fault_wakeup(self) -> float | None:
-        """Earliest recovery instant among currently-downed instances.
-
-        Parked instances (autoscale scale-down) report no recovery — the
-        fleet controller unparks them explicitly — so they never appear here.
-        """
-        wakeups = [
-            wakeup
-            for session in self.sessions
-            if (wakeup := session.next_fault_wakeup()) is not None
-        ]
-        return min(wakeups) if wakeups else None
-
-    def park_instance(self, instance: int) -> None:
-        """Scale-down: administratively take one instance out of the fleet.
-
-        In-flight queries on the instance die through the normal outage-kill
-        path on the next advance and the runtime requeues them on surviving
-        capacity; the instance accepts no submissions until
-        :meth:`unpark_instance`.
-        """
-        if not 0 <= instance < self.num_instances:
-            raise SchedulingError(f"instance {instance} out of range (cluster has {self.num_instances})")
-        self.sessions[instance].park()
-
-    def unpark_instance(self, instance: int) -> None:
-        """Scale-up: a parked instance's connections rejoin the idle pool."""
-        if not 0 <= instance < self.num_instances:
-            raise SchedulingError(f"instance {instance} out of range (cluster has {self.num_instances})")
-        self.sessions[instance].unpark()
-
-    def parked_instances(self) -> list[int]:
-        """Instances currently parked by the elastic-fleet control plane."""
-        return [index for index, session in enumerate(self.sessions) if session.is_parked]
-
-    def cancel(self, query_id: int) -> int:
-        """Kill a running query on whatever instance it was placed on.
-
-        Returns the freed *global* connection id (instance offsets applied),
-        matching the ids completion and failure events report.
-        """
-        instance = self._placement.get(query_id, -1)
-        if instance < 0 or query_id not in self.sessions[instance].running:
-            raise SchedulingError(f"query {query_id} is not running and cannot be cancelled")
-        connection = self.sessions[instance].cancel(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-        return self._connection_offsets[instance] + connection
-
-    def instance_num_running(self) -> list[int]:
-        """Fleet-wide running-query count per instance (all tenants).
-
-        Observable non-intrusively: every submission and completion is an
-        event the scheduler sees, so per-instance occupancy is known even
-        for queries other tenants placed.
-        """
-        return [session.num_running for session in self.sessions]
-
-    def speed_factors(self) -> tuple[float, ...]:
-        """Per-instance hardware speed relative to the fleet mean."""
-        return self.cluster.speed_factors()
-
-    def instance_context(self) -> np.ndarray:
-        """Observable per-instance context, shape ``(num_instances, 4)``.
-
-        Columns: relative speed (profile, known to the operator), busy
-        connection fraction, capacity share of the fleet's connections, and
-        buffer-pool fill fraction — the load/warmth signals a placement
-        policy needs.  Everything here is non-intrusively observable: the
-        scheduler knows where it submitted queries and what the fleet looks
-        like; it never reads engine internals.
-        """
-        context = np.zeros((self.num_instances, INSTANCE_FEATURE_DIM), dtype=np.float64)
-        speeds = self.speed_factors()
-        total_connections = max(1, self.num_connections)
-        for index, session in enumerate(self.sessions):
-            context[index, 0] = speeds[index]
-            context[index, 1] = session.num_running / session.num_connections
-            context[index, 2] = session.num_connections / total_connections
-            context[index, 3] = min(1.0, session.buffer.used_rows / session.buffer.capacity_rows)
-        return context
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: state
-    # ------------------------------------------------------------------ #
-    @property
-    def running(self) -> dict[int, RunningQueryState]:
-        """Aggregated running-state view across every instance.
-
-        Includes queries whose tied completion is buffered but not yet
-        delivered: they have left their instance session's running dict, but
-        until :meth:`advance` dispatches the event they are still in flight
-        from the scheduler's point of view — dropping them here would make
-        observers (the env snapshot) misreport a finished query as pending.
-        Their reconstructed state carries zero remaining work.
-        """
-        merged: dict[int, RunningQueryState] = {}
-        for session in self.sessions:
-            merged.update(session.running)
-        for events in self._instance_events:
-            for event, record in events:
-                if record is None:  # failed attempt: no record, nothing to reconstruct
-                    continue
-                merged[event.query_id] = RunningQueryState(
-                    query=self.batch[event.query_id],
-                    parameters=record.parameters,
-                    connection=record.connection,
-                    submit_time=record.submit_time,
-                    remaining_work=0.0,
-                    total_work=max(record.finish_time - record.submit_time, _MIN_TOTAL_WORK),
-                )
-        return merged
-
-    @property
-    def has_idle_connection(self) -> bool:
-        return any(session.has_idle_connection for session in self.sessions)
-
-    @property
-    def num_running(self) -> int:
-        """In-flight queries, including tied completions not yet delivered.
-
-        A buffered tied completion has left its instance session's running
-        set, but from the scheduler's point of view the query is still in
-        flight until :meth:`advance` delivers its event — counting it here
-        keeps ``is_done`` false (the round cannot end with undrained events)
-        and keeps the runtime's event loop advancing to deliver it.
-        """
-        buffered = sum(len(events) for events in self._instance_events)
-        return sum(session.num_running for session in self.sessions) + buffered
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: scheduling
-    # ------------------------------------------------------------------ #
     def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
         """Submit a pending query to ``instance`` at the current logical time.
 
         Returns the *global* connection id (instance connection offsets), so
         log records across the fleet stay disjoint.
         """
-        if not 0 <= instance < self.num_instances:
-            raise SchedulingError(f"instance {instance} out of range (cluster has {self.num_instances})")
-        if query_id not in self.pending:
-            raise SchedulingError(f"query {query_id} is not pending")
-        session = self.sessions[instance]
-        if not session.has_idle_connection:
-            raise SchedulingError(f"instance {instance} has no idle connection")
-        local_connection = session.submit(query_id, parameters)
-        self.pending.remove(query_id)
-        self._placement[query_id] = instance
-        self.state_arrays.mark_running(query_id, self.current_time)
-        return self._connection_offsets[instance] + local_connection
+        unit = self._check_submit(query_id, instance)
+        return self._record_submit(query_id, instance, unit.submit(query_id, parameters))
 
     def advance(self, limit: float | None = None) -> CompletionEvent | None:
         """Advance the unified clock to the next completion and return it.
@@ -298,15 +90,12 @@ class ClusterSession(BackendSession):
         buffered = self._pop_buffered()
         if buffered is not None:
             return buffered
-        # Vectorized completion merging: one argmin over the per-instance
-        # next-completion instants (idle instances report +inf).  np.argmin
-        # returns the first minimum, which is exactly the lowest-instance
-        # tie-breaking of the former ``min((time, index))`` Python loop —
-        # pure comparisons, no arithmetic, so the pick is bit-identical.
+        # One argmin over the per-instance next-event instants (idle
+        # instances report +inf); the first minimum is the lowest instance.
         next_times = np.array(
             [
                 time if (time := session.next_completion_time()) is not None else np.inf
-                for session in self.sessions
+                for session in self.instances
             ],
             dtype=np.float64,
         )
@@ -315,27 +104,23 @@ class ClusterSession(BackendSession):
         if not np.isfinite(winner_time):
             if limit is None:
                 raise SimulationError("cannot advance: no query is running")
-            for session in self.sessions:
+            for session in self.instances:
                 session.advance(limit=limit)
             self.current_time = max(self.current_time, limit)
             return None
         if limit is not None and winner_time > limit:
-            for session in self.sessions:
+            for session in self.instances:
                 session.advance(limit=limit)
             self.current_time = limit
             return None
-        event = self.sessions[winner].advance()
+        event = self.instances[winner].advance()
         assert event is not None
-        winner_record = None if event.failed else self.sessions[winner].log.records[-1]
+        winner_record = None if event.failed else self.instances[winner].log.records[-1]
         if event.failed:
             # An outage can kill several in-flight queries at once; only the
-            # first failure is delivered now, but every victim is already
-            # back in the instance's pending set — demote them in the
-            # observable-state arrays so snapshots taken before their events
-            # drain report them as pending, matching the session's object view.
-            for victim in self.sessions[winner].buffered_failure_ids():
-                self.state_arrays.mark_pending(victim)
-        for index, session in enumerate(self.sessions):
+            # first failure is delivered now.
+            self._demote_buffered_failures(self.instances[winner])
+        for index, session in enumerate(self.instances):
             if index == winner:
                 continue
             # Idle the peers forward to the winning instant; completions that
@@ -352,54 +137,6 @@ class ClusterSession(BackendSession):
                 self._instance_events[index].append((tied, tied_record))
         self.current_time = winner_time
         return self._record(event, winner_record, winner)
-
-    def _pop_buffered(self) -> CompletionEvent | None:
-        for index, events in enumerate(self._instance_events):
-            if events:
-                tied, record = events.pop(0)
-                return self._record(tied, record, index)
-        return None
-
-    def _record(
-        self, event: CompletionEvent, local: QueryExecutionRecord | None, instance: int
-    ) -> CompletionEvent:
-        """Globalise one instance completion into the cluster log and state."""
-        connection = self._connection_offsets[instance] + event.connection
-        if event.failed:
-            # Nothing was logged or finished: the query returns to the
-            # cluster-level pending set (the instance session already holds
-            # it pending) and the failure propagates with globalised ids.
-            self.pending.append(event.query_id)
-            self.state_arrays.mark_pending(event.query_id)
-            return CompletionEvent(
-                query_id=event.query_id,
-                finish_time=event.finish_time,
-                connection=connection,
-                instance=instance,
-                failed=True,
-                failure=event.failure,
-            )
-        assert local is not None
-        self.finished[event.query_id] = event.finish_time
-        self.state_arrays.mark_finished(event.query_id)
-        self.log.add(
-            QueryExecutionRecord(
-                query_id=local.query_id,
-                query_name=local.query_name,
-                template_id=local.template_id,
-                connection=connection,
-                parameters=local.parameters,
-                submit_time=local.submit_time,
-                finish_time=local.finish_time,
-                instance=instance,
-            )
-        )
-        return CompletionEvent(
-            query_id=event.query_id,
-            finish_time=event.finish_time,
-            connection=connection,
-            instance=instance,
-        )
 
 
 class Cluster:
@@ -544,7 +281,7 @@ class Cluster:
             )
             for index, engine in enumerate(self.engines)
         ]
-        return ClusterSession(self, batch, sessions, round_id=round_id, strategy=strategy)
+        return ClusterSession(batch, round_id, strategy, sessions, self.speed_factors())
 
     def estimate_isolated_time(
         self,

@@ -24,9 +24,7 @@ contention, data sharing, and long-tail queries.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -35,11 +33,11 @@ from ..exceptions import SchedulingError, SimulationError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
 from .buffer import BufferPool
-from .faults import FAILURE_ERROR, FAILURE_OUTAGE, FAULT_STREAM, FailureProfile, OutageWindow, QueryFate
+from .faults import FAILURE_ERROR, FAULT_STREAM, FailureProfile, InstanceWindows, QueryFate
 from .logs import ExecutionLog, QueryExecutionRecord, RoundLog
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import BackendSession
+from .soa import BackendSession, CompletionEvent, RunningQueryState, kill_running
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import Cluster
@@ -48,48 +46,6 @@ __all__ = ["DatabaseEngine", "ExecutionSession", "RunningQueryState", "Completio
 
 _EPSILON = 1e-9
 _SPILL_PENALTY = 0.8
-
-
-@dataclass
-class RunningQueryState:
-    """Mutable execution state of one in-flight query."""
-
-    query: Query
-    parameters: RunningParameters
-    connection: int
-    submit_time: float
-    remaining_work: float
-    total_work: float
-
-    @property
-    def elapsed_fraction(self) -> float:
-        """Fraction of the (noisy) work already completed."""
-        return 1.0 - self.remaining_work / self.total_work if self.total_work > 0 else 1.0
-
-
-@dataclass(frozen=True)
-class CompletionEvent:
-    """Returned by :meth:`ExecutionSession.advance`: one query finished.
-
-    ``instance`` identifies the engine instance the query ran on; plain
-    single-engine sessions always report instance 0, a
-    :class:`~repro.dbms.cluster.ClusterSession` reports the placement chosen
-    at submit time.
-
-    ``failed`` marks an attempt that did *not* complete — the query errored
-    out (``failure == "error"``) or its instance went down mid-flight
-    (``failure == "outage"``).  Failed attempts are never logged or counted
-    as finished; the query returns to the pending set and the caller (the
-    runtime's retry machinery, or a history-collection loop) decides whether
-    to resubmit or mark it terminally failed.
-    """
-
-    query_id: int
-    finish_time: float
-    connection: int
-    instance: int = 0
-    failed: bool = False
-    failure: str = ""
 
 
 class ExecutionSession(BackendSession):
@@ -132,24 +88,19 @@ class ExecutionSession(BackendSession):
         self.num_connections = num_connections
         self._rng = rng
         self.running = {}
-        self._idle_connections: list[int] = list(range(num_connections))
+        self.idle_connections: list[int] = list(range(num_connections))
         self.buffer = warm_buffer if warm_buffer is not None else BufferPool(profile.buffer_pool_rows)
         # Fault injection: fates are drawn from the dedicated fault stream at
         # submit time; a session without a profile performs zero extra draws
         # and stays bit-identical to the fault-free tree.
         self._faults = faults
         self._fault_rng = fault_rng
-        self._instance = instance
-        #: Outage windows governing this instance: the static profile windows
-        #: plus at most one dynamic administrative window (autoscale park),
-        #: kept sorted by start.  Rebuilt on park/unpark — scaling events are
-        #: rare, window scans are hot.
-        self._windows: tuple[OutageWindow, ...] = (
-            faults.windows_for(instance) if faults is not None else ()
-        )
-        self._park_window: OutageWindow | None = None
+        #: When this instance is down: the profile's outage windows for it
+        #: plus, while parked, the open-ended park window.
+        self.windows = InstanceWindows(instance, faults)
         self._fates: dict[int, QueryFate] = {}
-        self._fault_events: list[CompletionEvent] = []
+        #: Failures of killed queries, in kill order, not yet delivered.
+        self.fault_events: list[CompletionEvent] = []
         # Progress rates depend only on the running set (which queries, with
         # which parameters) and the buffer contents — never on remaining work
         # or the clock — so next_completion_time/advance pairs reuse one
@@ -170,12 +121,17 @@ class ExecutionSession(BackendSession):
     # ------------------------------------------------------------------ #
     @property
     def has_idle_connection(self) -> bool:
-        return bool(self._idle_connections) and not self.is_down
+        return bool(self.idle_connections) and not self.windows.is_down(self.current_time)
 
     @property
     def num_running(self) -> int:
         """In-flight queries, including failures buffered but not yet delivered."""
-        return len(self.running) + len(self._fault_events)
+        return len(self.running) + len(self.fault_events)
+
+    @property
+    def buffer_fill(self) -> float:
+        """Fraction of the buffer pool in use (an observable warmth signal)."""
+        return min(1.0, self.buffer.used_rows / self.buffer.capacity_rows)
 
     # ------------------------------------------------------------------ #
     # Fault-injection API
@@ -183,10 +139,7 @@ class ExecutionSession(BackendSession):
     @property
     def is_down(self) -> bool:
         """Whether this instance is inside an outage window (or parked) right now."""
-        if not self._windows:
-            return False
-        now = self.current_time
-        return any(window.covers(now) for window in self._windows)
+        return self.windows.is_down(self.current_time)
 
     def instance_health(self) -> list[bool]:
         """Per-instance up/down health (single-engine sessions have one entry)."""
@@ -195,51 +148,33 @@ class ExecutionSession(BackendSession):
     def next_fault_wakeup(self) -> float | None:
         """Recovery instant of the current outage, if the instance is down.
 
-        The event-driven runtime uses this as an extra clock limit so a round
-        stalled on a fleet-wide outage wakes up when capacity returns instead
-        of deadlocking.  A *parked* instance (autoscale scale-down) has no
-        scheduled recovery — its window never ends — so it reports none; the
-        fleet controller brings it back explicitly.
+        The runtime uses it as a clock limit, so a round stalled on an outage
+        wakes when capacity returns.  A parked instance has no scheduled
+        recovery and reports none: the fleet controller unparks it.
         """
-        if not self._windows:
-            return None
-        now = self.current_time
-        ends = [
-            window.end
-            for window in self._windows
-            if window.covers(now) and math.isfinite(window.end)
-        ]
-        return max(ends) if ends else None
+        return self.windows.recovers_at(self.current_time)
 
     @property
     def is_parked(self) -> bool:
         """Whether the instance is administratively down (autoscale park)."""
-        return self._park_window is not None
+        return self.windows.parked
 
     def park(self) -> None:
         """Administratively take the instance down: a planned, open-ended outage.
 
-        The elastic-fleet control plane uses this for scale-down.  A park is
-        an :class:`~repro.dbms.faults.OutageWindow` with no scheduled end, so
-        in-flight queries die through the normal outage-kill path on the next
+        In-flight queries die through the normal outage-kill path on the next
         advance (the runtime requeues them without consuming retry budget)
         and the instance accepts no submissions until :meth:`unpark`.
         """
-        if self._park_window is not None:
-            raise SchedulingError(f"instance {self._instance} is already parked")
-        window = OutageWindow(
-            instance=self._instance, start=self.current_time, duration=math.inf
-        )
-        self._park_window = window
-        self._windows = tuple(sorted((*self._windows, window), key=lambda w: w.start))
+        if self.windows.parked:
+            raise SchedulingError(f"instance {self.windows.instance} is already parked")
+        self.windows.park(self.current_time)
 
     def unpark(self) -> None:
         """Bring a parked instance back: its connections rejoin the idle pool."""
-        window = self._park_window
-        if window is None:
-            raise SchedulingError(f"instance {self._instance} is not parked")
-        self._park_window = None
-        self._windows = tuple(w for w in self._windows if w is not window)
+        if not self.windows.parked:
+            raise SchedulingError(f"instance {self.windows.instance} is not parked")
+        self.windows.unpark()
 
     def cancel(self, query_id: int) -> int:
         """Kill a running query: free its connection, return it to pending.
@@ -252,54 +187,23 @@ class ExecutionSession(BackendSession):
         state = self.running.pop(query_id, None)
         if state is None:
             raise SchedulingError(f"query {query_id} is not running and cannot be cancelled")
-        self._idle_connections.append(state.connection)
-        self._idle_connections.sort()
+        self.idle_connections.append(state.connection)
+        self.idle_connections.sort()
         self._fates.pop(query_id, None)
         self.pending.append(query_id)
         self.state_arrays.mark_pending(query_id)
         self._running_version += 1
         return state.connection
 
+    #: As a fleet instance, the fleet takes a query off this engine by cancelling it.
+    withdraw = cancel
+
     def _outage_kill_instant(self, until: float) -> float | None:
-        """Earliest instant in ``(now, until]`` at which running work must die."""
-        if not self._windows or not self.running:
+        """When running work must die: now if the instance is down, else the
+        first outage start in ``(now, until]``."""
+        if not self.running:
             return None
-        for window in self._windows:
-            if window.covers(self.current_time):
-                return self.current_time
-            if self.current_time < window.start <= until:
-                return window.start
-        return None
-
-    def _kill_running(self, reason: str) -> None:
-        """Kill every running query at the current instant (instance outage)."""
-        for query_id in sorted(self.running):
-            state = self.running.pop(query_id)
-            self._idle_connections.append(state.connection)
-            self._fates.pop(query_id, None)
-            self.pending.append(query_id)
-            self.state_arrays.mark_pending(query_id)
-            self._fault_events.append(
-                CompletionEvent(
-                    query_id=query_id,
-                    finish_time=self.current_time,
-                    connection=state.connection,
-                    failed=True,
-                    failure=reason,
-                )
-            )
-        self._idle_connections.sort()
-        self._running_version += 1
-
-    def buffered_failure_ids(self) -> list[int]:
-        """Ids of killed queries whose failure events are still undelivered.
-
-        After an outage kill, :meth:`advance` returns the buffered failures
-        one at a time; until delivery the victims sit in the pending set.  A
-        :class:`~repro.dbms.cluster.ClusterSession` reads this to demote its
-        own observable-state arrays for victims beyond the first.
-        """
-        return [event.query_id for event in self._fault_events]
+        return self.windows.kill_instant(self.current_time, until)
 
     def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
         """Submit a pending query to an idle connection at the current time.
@@ -313,10 +217,10 @@ class ExecutionSession(BackendSession):
         if query_id not in self.pending:
             raise SchedulingError(f"query {query_id} is not pending")
         if self.is_down:
-            raise SchedulingError(f"instance {self._instance} is down and accepts no submissions")
-        if not self._idle_connections:
+            raise SchedulingError(f"instance {self.windows.instance} is down and accepts no submissions")
+        if not self.idle_connections:
             raise SchedulingError("no idle connection available")
-        connection = self._idle_connections.pop(0)
+        connection = self.idle_connections.pop(0)
         query = self.batch[query_id]
         noisy_work = query.total_work * self._noise[query_id]
         if self._faults is not None and self._faults.has_random_faults:
@@ -349,7 +253,7 @@ class ExecutionSession(BackendSession):
         :class:`~repro.dbms.cluster.ClusterSession` pick the globally
         earliest event across per-instance clocks without perturbing them.
         """
-        if self._fault_events:
+        if self.fault_events:
             return self.current_time
         if not self.running:
             return None
@@ -366,8 +270,8 @@ class ExecutionSession(BackendSession):
         to stop at query arrivals).  With nothing running, a ``limit`` simply
         idles the clock forward to it.
         """
-        if self._fault_events:
-            return self._fault_events.pop(0)
+        if self.fault_events:
+            return self.fault_events.pop(0)
         if not self.running:
             if limit is None:
                 raise SimulationError("cannot advance: no query is running")
@@ -381,8 +285,8 @@ class ExecutionSession(BackendSession):
             if partial > 0:
                 self._progress(rates, partial)
             self.current_time = kill_at
-            self._kill_running(FAILURE_OUTAGE)
-            return self._fault_events.pop(0)
+            kill_running(self, kill_at)
+            return self.fault_events.pop(0)
         if limit is not None and self.current_time + delta > limit:
             partial = limit - self.current_time
             if partial > 0:
@@ -393,8 +297,8 @@ class ExecutionSession(BackendSession):
         self._progress(rates, delta)
 
         state = self.running.pop(finishing_id)
-        self._idle_connections.append(state.connection)
-        self._idle_connections.sort()
+        self.idle_connections.append(state.connection)
+        self.idle_connections.sort()
         self._running_version += 1
         fate = self._fates.pop(finishing_id, None)
         if fate is not None and fate.error:

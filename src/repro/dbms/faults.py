@@ -18,10 +18,16 @@ session with one reproduces the same failure sequence seed-for-seed.
 Failure *fates* are drawn at submission time, in submission order — two
 draws per submit (error, then hang) — so a retried query re-rolls its fate:
 transient errors really are transient.
+
+When an instance is down is answered in one place, :class:`InstanceWindows`:
+one per instance of every backend session, holding the profile's outage
+windows for that instance plus the open-ended window of an autoscale park.
+The engine's sessions and the simulated fleet's instances both ask it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +36,7 @@ from ..exceptions import ConfigurationError
 
 __all__ = [
     "FailureProfile",
+    "InstanceWindows",
     "OutageWindow",
     "QueryFate",
     "FAILURE_ERROR",
@@ -159,24 +166,53 @@ class FailureProfile:
             )
         )
 
-    def is_down(self, instance: int, time: float) -> bool:
-        """Whether ``instance`` is inside one of its outage windows at ``time``."""
-        return any(window.covers(time) for window in self.outages if window.instance == instance)
 
-    def next_outage_start(self, instance: int, after: float) -> float | None:
-        """Earliest outage start for ``instance`` strictly after ``after``."""
-        starts = [
-            window.start
-            for window in self.outages
-            if window.instance == instance and window.start > after
-        ]
-        return min(starts) if starts else None
+class InstanceWindows:
+    """When one instance is down: the profile's outage windows for it, in
+    start order, plus while parked an :class:`OutageWindow` from the park
+    instant with no end — so a park kills in-flight work at the same kill
+    instant as an outage.  Callers check :attr:`parked` before (un)parking.
+    """
 
-    def recovery_time(self, instance: int, time: float) -> float | None:
-        """End of the outage covering ``instance`` at ``time`` (``None`` if up)."""
-        ends = [
-            window.end
-            for window in self.outages
-            if window.instance == instance and window.covers(time)
-        ]
+    __slots__ = ("instance", "windows", "_park")
+
+    def __init__(self, instance: int, faults: FailureProfile | None = None) -> None:
+        self.instance = instance
+        self.windows: tuple[OutageWindow, ...] = faults.windows_for(instance) if faults is not None else ()
+        self._park: OutageWindow | None = None
+
+    @property
+    def parked(self) -> bool:
+        return self._park is not None
+
+    def is_down(self, time: float) -> bool:
+        """Whether a window covers ``time``."""
+        if not self.windows:
+            return False
+        return any(window.covers(time) for window in self.windows)
+
+    def recovers_at(self, time: float) -> float | None:
+        """End of the outage covering ``time`` (``None`` when up or only parked: a park has no end)."""
+        ends = [window.end for window in self.windows if window.covers(time) and math.isfinite(window.end)]
         return max(ends) if ends else None
+
+    def kill_instant(self, now: float, until: float) -> float | None:
+        """When work on the instance dies: ``now`` if a window covers it, else
+        the first window start in ``(now, until]`` (``None``: none does)."""
+        for window in self.windows:
+            if window.covers(now):
+                return now
+            if now < window.start <= until:
+                return window.start
+        return None
+
+    def park(self, time: float) -> None:
+        """Open the park window at ``time``."""
+        self._park = OutageWindow(instance=self.instance, start=time, duration=math.inf)
+        self.windows = tuple(sorted((*self.windows, self._park), key=lambda window: window.start))
+
+    def unpark(self) -> None:
+        """Close the park window."""
+        window = self._park
+        self._park = None
+        self.windows = tuple(other for other in self.windows if other is not window)

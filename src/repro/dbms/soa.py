@@ -11,26 +11,37 @@ Status codes are *backend-observable* states; the environment maps them onto
 the three scheduler-visible ``QueryStatus`` values (FAILED reads as FINISHED,
 DEFERRED as PENDING-but-unavailable) with one table lookup.
 
-:class:`BackendSession` is the base of those three sessions: the round's query
-lists, the state arrays and the transitions that do not touch the clock are
-written there once.
+:class:`BackendSession` is the base of every backend session: the round's
+query lists, the state arrays and the transitions that do not touch the clock
+are written there once.  :class:`FleetSession` is the base of the two fleet
+sessions — the engine fleet's :class:`~repro.dbms.cluster.ClusterSession` and
+the learned simulator's :class:`~repro.perf.SimulatedClusterSession` — and
+owns the fleet mechanics both share: placement, connection offsets, park,
+cancel, instance context and delivery of an instance's events.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, Generic, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from ..exceptions import BQSchedError, SchedulingError
-from .logs import RoundLog
+from .faults import FAILURE_OUTAGE
+from .logs import QueryExecutionRecord, RoundLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads import BatchQuerySet, Query
-    from .engine import RunningQueryState
+    from .faults import InstanceWindows
+    from .params import RunningParameters
 
 __all__ = [
     "BackendSession",
+    "CompletionEvent",
+    "FleetSession",
+    "INSTANCE_FEATURE_DIM",
+    "RunningQueryState",
     "SessionStateArrays",
     "SOA_PENDING",
     "SOA_RUNNING",
@@ -44,6 +55,55 @@ SOA_RUNNING = 1
 SOA_FINISHED = 2
 SOA_FAILED = 3
 SOA_DEFERRED = 4
+
+#: Width of the per-instance context feature vector exposed to the encoder:
+#: relative speed, busy-connection fraction, capacity share, buffer fill.
+INSTANCE_FEATURE_DIM = 4
+
+#: Floor for the reconstructed total work of a buffered tied completion
+#: (keeps ``elapsed_fraction`` well-defined for zero-duration records).
+_MIN_TOTAL_WORK = 1e-9
+
+
+@dataclass
+class RunningQueryState:
+    """Mutable execution state of one in-flight query."""
+
+    query: Query
+    parameters: RunningParameters
+    connection: int
+    submit_time: float
+    remaining_work: float
+    total_work: float
+
+    @property
+    def elapsed_fraction(self) -> float:
+        """Fraction of the (noisy) work already completed."""
+        return 1.0 - self.remaining_work / self.total_work if self.total_work > 0 else 1.0
+
+
+@dataclass(frozen=True)
+class CompletionEvent:
+    """Returned by a session's ``advance``: one query finished.
+
+    ``instance`` identifies the engine instance the query ran on; plain
+    single-engine sessions always report instance 0, a fleet session
+    reports the placement chosen at submit time.
+
+    ``failed`` marks an attempt that did *not* complete — the query errored
+    out (``failure == "error"``) or its instance went down mid-flight
+    (``failure == "outage"``).  Failed attempts are never logged or counted
+    as finished; the query returns to the pending set and the caller (the
+    runtime's retry machinery, or a history-collection loop) decides whether
+    to resubmit or mark it terminally failed.
+    """
+
+    query_id: int
+    finish_time: float
+    connection: int
+    instance: int = 0
+    failed: bool = False
+    failure: str = ""
 
 
 class SessionStateArrays:
@@ -90,8 +150,9 @@ class BackendSession:
     *failed*.  Subclasses own the running set and the clock (``submit``,
     ``advance``, ``cancel``); this base owns the lists around them and keeps
     :attr:`state_arrays` in step with every transition it makes.  The fleet
-    questions get the answers of a one-instance backend here; the fleet
-    sessions override them.
+    questions get the answers of a one-instance backend here (the engine's
+    :class:`~repro.dbms.engine.ExecutionSession`); :class:`FleetSession`
+    answers them for every fleet.
     """
 
     #: Raised when a transition does not apply to the query's current state.
@@ -104,8 +165,8 @@ class BackendSession:
         return False
 
     if TYPE_CHECKING:
-        # Defined by every subclass: ``running`` is a dict on the single-engine
-        # sessions and a merged per-instance view on the fleet sessions.
+        # Defined by every subclass: ``running`` is a dict on the engine's
+        # session and a merged per-instance view on the fleet sessions.
         @property
         def running(self) -> Mapping[int, RunningQueryState]: ...
 
@@ -222,14 +283,6 @@ class BackendSession:
         """Per-instance hardware speed relative to the fleet mean."""
         return (1.0,)
 
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health."""
-        return [True]
-
-    def next_fault_wakeup(self) -> float | None:
-        """Earliest recovery instant of a downed instance (``None``: nothing is down)."""
-        return None
-
     def parked_instances(self) -> list[int]:
         """Instances the elastic-fleet control plane has parked."""
         return []
@@ -240,3 +293,292 @@ class BackendSession:
 
     def unpark_instance(self, instance: int) -> None:
         raise self.error(f"instance {instance} is not parked")
+
+
+class InstanceUnit(Protocol):
+    """One instance of a fleet round, as :class:`FleetSession` sees it.
+
+    On an engine fleet the unit is the engine's own
+    :class:`~repro.dbms.engine.ExecutionSession`; on a simulated fleet it is
+    the simulator's per-instance state.  Connection ids are local to the
+    unit; the fleet adds the instance's offset.
+    """
+
+    num_connections: int
+    running: dict[int, RunningQueryState]
+    #: Idle connections, lowest first: a submission takes the first.
+    idle_connections: list[int]
+    #: Failures of killed queries, in kill order, not yet delivered.
+    fault_events: list[CompletionEvent]
+    windows: InstanceWindows
+
+    @property
+    def num_running(self) -> int: ...
+
+    @property
+    def buffer_fill(self) -> float: ...
+
+    def withdraw(self, query_id: int) -> int:
+        """Take a running query off the instance: its connection frees and its
+        attempt is forgotten.  Returns the local connection id."""
+        ...
+
+
+UnitT = TypeVar("UnitT", bound=InstanceUnit)
+
+
+def kill_running(unit: InstanceUnit, time: float) -> None:
+    """``unit`` went down at ``time``: every running query dies, lowest id
+    first, and its outage failure waits in ``unit.fault_events``."""
+    for query_id in sorted(unit.running):
+        connection = unit.withdraw(query_id)
+        unit.fault_events.append(CompletionEvent(query_id, time, connection, failed=True, failure=FAILURE_OUTAGE))
+
+
+class FleetSession(BackendSession, Generic[UnitT]):
+    """One scheduling round across a fleet of instances behind one clock.
+
+    Placement (``submit`` returns a *global* connection id: the instance's
+    offset plus the local one), ``cancel``, park/unpark, health and the
+    instance context are written here once; a subclass differs only in how
+    an instance predicts its next event (its ``advance``).  An event an
+    instance has materialised but the fleet has not delivered — a tie, a
+    failure buffered after a kill — counts as running until delivered.
+    """
+
+    def __init__(
+        self,
+        batch: BatchQuerySet,
+        round_id: int,
+        strategy: str,
+        units: Sequence[UnitT],
+        speeds: tuple[float, ...],
+    ) -> None:
+        super().__init__(batch, round_id, strategy)
+        self.instances = list(units)
+        self._speeds = speeds
+        self._placement: dict[int, int] = {}
+        # Per-instance completions that tied with a delivered one, each with
+        # the execution record captured when it was materialised (``None``
+        # for a failure: nothing was logged); drained in instance order
+        # before the clock moves again.
+        self._instance_events: list[list[tuple[CompletionEvent, QueryExecutionRecord | None]]] = [
+            [] for _ in self.instances
+        ]
+        counts = [unit.num_connections for unit in self.instances]
+        self._connection_offsets = [sum(counts[:index]) for index in range(len(counts))]
+        self.num_connections = sum(counts)
+
+    # ------------------------------------------------------------------ #
+    # Fleet questions
+    # ------------------------------------------------------------------ #
+    @property
+    def num_instances(self) -> int:
+        return len(self.instances)
+
+    def _unit(self, instance: int) -> UnitT:
+        if not 0 <= instance < len(self.instances):
+            raise self.error(f"instance {instance} out of range (fleet has {len(self.instances)})")
+        return self.instances[instance]
+
+    def instance_of(self, query_id: int) -> int:
+        return self._placement.get(query_id, -1)
+
+    def idle_instances(self) -> list[int]:
+        """Instances that are up and have an idle connection."""
+        now = self.current_time
+        return [
+            index
+            for index, unit in enumerate(self.instances)
+            if unit.idle_connections and not unit.windows.is_down(now)
+        ]
+
+    def instance_health(self) -> list[bool]:
+        """Per-instance up/down health (``False`` inside an outage window or parked)."""
+        now = self.current_time
+        return [not unit.windows.is_down(now) for unit in self.instances]
+
+    def next_fault_wakeup(self) -> float | None:
+        """Earliest recovery instant among downed instances.
+
+        A parked instance has no scheduled recovery (the control plane
+        unparks it), so it never appears here.
+        """
+        now = self.current_time
+        wakeups = [wakeup for unit in self.instances if (wakeup := unit.windows.recovers_at(now)) is not None]
+        return min(wakeups) if wakeups else None
+
+    def park_instance(self, instance: int) -> None:
+        """Scale-down: take one instance out of the fleet.
+
+        In-flight queries on the instance die as outage kills on the next
+        advance, and the runtime requeues them on the capacity left; the
+        instance takes no submissions until :meth:`unpark_instance`.
+        """
+        windows = self._unit(instance).windows
+        if windows.parked:
+            raise self.error(f"instance {instance} is already parked")
+        windows.park(self.current_time)
+
+    def unpark_instance(self, instance: int) -> None:
+        """Scale-up: a parked instance's connections rejoin the idle pool."""
+        windows = self._unit(instance).windows
+        if not windows.parked:
+            raise self.error(f"instance {instance} is not parked")
+        windows.unpark()
+
+    def parked_instances(self) -> list[int]:
+        return [index for index, unit in enumerate(self.instances) if unit.windows.parked]
+
+    def cancel(self, query_id: int) -> int:
+        """Kill a running query wherever it was placed and requeue it.
+
+        Returns the freed *global* connection id, as events report it.
+        """
+        instance = self._placement.get(query_id, -1)
+        if instance < 0 or query_id not in self.instances[instance].running:
+            raise self.error(f"query {query_id} is not running and cannot be cancelled")
+        connection = self.instances[instance].withdraw(query_id)
+        self.pending.append(query_id)
+        self.state_arrays.mark_pending(query_id)
+        return self._connection_offsets[instance] + connection
+
+    def instance_num_running(self) -> list[int]:
+        """Running queries per instance, killed ones with undelivered failures included.
+
+        Observable non-intrusively: every submission and completion is an
+        event the scheduler sees, whichever tenant placed the query.
+        """
+        return [unit.num_running for unit in self.instances]
+
+    def speed_factors(self) -> tuple[float, ...]:
+        return self._speeds
+
+    def instance_context(self) -> np.ndarray:
+        """Observable per-instance context, shape ``(num_instances, 4)``.
+
+        Columns: relative speed (the profile, known to the operator), busy
+        connection fraction, capacity share of the fleet's connections and
+        buffer-pool fill (zero on the simulator, which has no buffer pool).
+        The scheduler knows where it placed queries and what the fleet looks
+        like; it never reads engine internals.
+        """
+        context = np.zeros((len(self.instances), INSTANCE_FEATURE_DIM), dtype=np.float64)
+        total_connections = max(1, self.num_connections)
+        for index, unit in enumerate(self.instances):
+            context[index, 0] = self._speeds[index]
+            context[index, 1] = unit.num_running / unit.num_connections
+            context[index, 2] = unit.num_connections / total_connections
+            context[index, 3] = unit.buffer_fill
+        return context
+
+    # ------------------------------------------------------------------ #
+    # Session protocol: state
+    # ------------------------------------------------------------------ #
+    @property
+    def running(self) -> dict[int, RunningQueryState]:
+        """Running queries across every instance, undelivered ties included.
+
+        A buffered tie has left its instance's running set, but until it is
+        delivered the query is in flight for the scheduler (dropping it
+        would make a snapshot report a finished query as pending); its
+        reconstructed state has zero remaining work.
+        """
+        merged: dict[int, RunningQueryState] = {}
+        for unit in self.instances:
+            merged.update(unit.running)
+        for events in self._instance_events:
+            for event, record in events:
+                if record is None:  # failed attempt: no record, nothing to reconstruct
+                    continue
+                merged[event.query_id] = RunningQueryState(
+                    query=self.batch[event.query_id],
+                    parameters=record.parameters,
+                    connection=record.connection,
+                    submit_time=record.submit_time,
+                    remaining_work=0.0,
+                    total_work=max(record.finish_time - record.submit_time, _MIN_TOTAL_WORK),
+                )
+        return merged
+
+    @property
+    def has_idle_connection(self) -> bool:
+        now = self.current_time
+        return any(unit.idle_connections and not unit.windows.is_down(now) for unit in self.instances)
+
+    @property
+    def num_running(self) -> int:
+        """In-flight queries, undelivered ties and failures included."""
+        buffered = sum(len(events) for events in self._instance_events)
+        return sum(unit.num_running for unit in self.instances) + buffered
+
+    # ------------------------------------------------------------------ #
+    # Placement and delivery
+    # ------------------------------------------------------------------ #
+    def _check_submit(self, query_id: int, instance: int) -> UnitT:
+        """The unit a pending query may be placed on now (raises otherwise)."""
+        unit = self._unit(instance)
+        if query_id not in self.pending:
+            raise self.error(f"query {query_id} is not pending")
+        if unit.windows.is_down(self.current_time):
+            raise self.error(f"instance {instance} is down and accepts no submissions")
+        if not unit.idle_connections:
+            raise self.error(f"instance {instance} has no idle connection")
+        return unit
+
+    def _record_submit(self, query_id: int, instance: int, connection: int) -> int:
+        """Record a query placed on ``instance``; returns its global connection id."""
+        self.pending.remove(query_id)
+        self._placement[query_id] = instance
+        self.state_arrays.mark_running(query_id, self.current_time)
+        return self._connection_offsets[instance] + connection
+
+    def _demote_buffered_failures(self, unit: UnitT) -> None:
+        """Killed queries whose failures wait on ``unit`` are already requeued: they read as pending."""
+        for event in unit.fault_events:
+            self.state_arrays.mark_pending(event.query_id)
+
+    def _pop_buffered(self) -> CompletionEvent | None:
+        for index, events in enumerate(self._instance_events):
+            if events:
+                event, record = events.pop(0)
+                return self._record(event, record, index)
+        return None
+
+    def _record(self, event: CompletionEvent, local: QueryExecutionRecord | None, instance: int) -> CompletionEvent:
+        """Deliver one instance event: global connection id, log record, state arrays."""
+        connection = self._connection_offsets[instance] + event.connection
+        if event.failed:
+            # Nothing was logged or finished: the query returns to pending and
+            # the failure propagates with global ids.
+            self.pending.append(event.query_id)
+            self.state_arrays.mark_pending(event.query_id)
+            return CompletionEvent(
+                query_id=event.query_id,
+                finish_time=event.finish_time,
+                connection=connection,
+                instance=instance,
+                failed=True,
+                failure=event.failure,
+            )
+        assert local is not None
+        self.finished[event.query_id] = event.finish_time
+        self.state_arrays.mark_finished(event.query_id)
+        self.log.add(
+            QueryExecutionRecord(
+                query_id=local.query_id,
+                query_name=local.query_name,
+                template_id=local.template_id,
+                connection=connection,
+                parameters=local.parameters,
+                submit_time=local.submit_time,
+                finish_time=local.finish_time,
+                instance=instance,
+            )
+        )
+        return CompletionEvent(
+            query_id=event.query_id,
+            finish_time=event.finish_time,
+            connection=connection,
+            instance=instance,
+        )

@@ -5,13 +5,14 @@ Sampling scheduling episodes against a real DBMS is slow, so BQSched trains a
 RL policy against it (Section IV-C).  :class:`SimulatedCluster` is that
 simulator as a backend.  It mirrors a :class:`~repro.dbms.Cluster` — a single
 :class:`~repro.dbms.DatabaseEngine` is a simulated fleet of one — and opens
-:class:`SimulatedClusterSession` rounds that speak the cluster session
-protocol: placement-aware ``submit(query_id, params, instance=)``, one round
-clock, deterministic completion merging (earliest predicted finish wins,
-instance index breaks ties), bounded ``advance(limit)`` and
-``defer``/``release`` for streaming arrivals.  So the
-:class:`~repro.runtime.ExecutionRuntime`, both scheduling environments and the
-vectorized rollout engine run against it unchanged.
+:class:`SimulatedClusterSession` rounds.  Those are
+:class:`~repro.dbms.soa.FleetSession` rounds like the engine fleet's: the same
+placement, connection offsets, outage and park windows, cancel and instance
+context, written once.  They differ from the engine fleet's only in how an
+instance predicts its next event, so the
+:class:`~repro.runtime.ExecutionRuntime`, its control plane (autoscale parks a
+simulated fleet too), both scheduling environments and the vectorized
+rollout engine run against it unchanged.
 
 Every advance asks the shared model one question per busy instance: *of the
 queries running on this instance, which finishes first and when?*  The
@@ -29,10 +30,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..dbms import INSTANCE_FEATURE_DIM, QueryExecutionRecord, RunningParameters
-from ..dbms.engine import CompletionEvent, RunningQueryState
-from ..dbms.soa import BackendSession
-from ..dbms.faults import FAILURE_ERROR, FAILURE_OUTAGE, FAULT_STREAM, FailureProfile, QueryFate
+from ..dbms import QueryExecutionRecord, RunningParameters
+from ..dbms.faults import FAILURE_ERROR, FAULT_STREAM, FailureProfile, InstanceWindows, QueryFate
+from ..dbms.soa import CompletionEvent, FleetSession, RunningQueryState, kill_running
 from ..exceptions import SimulationError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet
@@ -50,28 +50,35 @@ AdvanceGroup = tuple[int, list[RunningQueryState], np.ndarray]
 
 
 class _SimulatedInstance:
-    """Per-instance execution state behind one simulated fleet round.
+    """One instance of a simulated fleet round.
 
-    The model input of the running queries is kept incrementally: row ``i``
-    of ``features`` / ``submit_times`` belongs to the ``i``-th entry of
+    Holds what the fleet session asks of an instance — running set, idle
+    connections (lowest first), outage and park windows, fates and buffered
+    failures — and the model input of its running queries: row ``i`` of
+    ``features`` / ``submit_times`` belongs to the ``i``-th entry of
     ``running`` (submission order), and an advance only rewrites the dynamic
-    columns.  Capacity is bounded by the connection pool, and a submission
-    takes the lowest idle connection, as the engine does.
+    columns.
     """
 
-    def __init__(self, index: int, num_connections: int, feature_dim: int) -> None:
+    #: The simulator has no buffer pool.
+    buffer_fill = 0.0
+
+    def __init__(self, index: int, num_connections: int, feature_dim: int, windows: InstanceWindows) -> None:
         if num_connections < 1:
             raise SimulationError("num_connections must be >= 1")
         self.index = index
         self.num_connections = num_connections
         self.idle_connections: list[int] = list(range(num_connections))
         self.running: dict[int, RunningQueryState] = {}
+        self.windows = windows
+        self.fates: dict[int, QueryFate] = {}
+        self.fault_events: list[CompletionEvent] = []
         self.features = np.zeros((num_connections, feature_dim), dtype=np.float64)
         self.submit_times = np.zeros(num_connections, dtype=np.float64)
 
     @property
-    def has_idle_connection(self) -> bool:
-        return bool(self.idle_connections)
+    def num_running(self) -> int:
+        return len(self.running) + len(self.fault_events)
 
     def add(self, state: RunningQueryState, row: np.ndarray) -> None:
         slot = len(self.running)
@@ -79,16 +86,18 @@ class _SimulatedInstance:
         self.submit_times[slot] = state.submit_time
         self.running[state.query.query_id] = state
 
-    def remove(self, query_id: int) -> RunningQueryState:
-        """Free a running query's connection and splice its row out."""
+    def withdraw(self, query_id: int) -> int:
+        """Take a running query off the instance: free its connection, forget
+        its fate and splice its row out.  Returns the freed connection."""
         slot = list(self.running).index(query_id)
         k = len(self.running) - 1
         self.features[slot:k] = self.features[slot + 1 : k + 1]
         self.submit_times[slot:k] = self.submit_times[slot + 1 : k + 1]
+        self.fates.pop(query_id, None)
         state = self.running.pop(query_id)
         self.idle_connections.append(state.connection)
         self.idle_connections.sort()
-        return state
+        return state.connection
 
 
 class SimulatedCluster:
@@ -217,8 +226,13 @@ class SimulatedCluster:
         return f"SimulatedCluster({self.name!r}, instances={self.num_instances})"
 
 
-class SimulatedClusterSession(BackendSession):
-    """One simulated scheduling round across a fleet of engine instances."""
+class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
+    """One simulated scheduling round across a fleet of engine instances.
+
+    Placement, park, cancel and the instance context are
+    :class:`~repro.dbms.soa.FleetSession`'s; an instance predicts its next
+    event by asking the performance model.
+    """
 
     error = SimulationError
 
@@ -234,213 +248,44 @@ class SimulatedClusterSession(BackendSession):
     ) -> None:
         if faults is not None and faults.has_random_faults and fault_rng is None:
             raise SimulationError("a FailureProfile with random faults needs a fault_rng stream")
-        super().__init__(batch, round_id, strategy or "simulated")
+        feature_dim = cluster.perf.featurizer.feature_dim
+        units = [
+            _SimulatedInstance(index, int(count), feature_dim, InstanceWindows(index, faults))
+            for index, count in enumerate(instance_connections)
+        ]
+        super().__init__(batch, round_id, strategy or "simulated", units, cluster.speed_factors())
         self.cluster = cluster
         self.perf = cluster.perf
         self._faults = faults
         self._fault_rng = fault_rng
-        self._fates: dict[int, QueryFate] = {}
-        self._fault_events: list[CompletionEvent] = []
-        feature_dim = self.perf.featurizer.feature_dim
-        self.instances = [
-            _SimulatedInstance(index, count, feature_dim) for index, count in enumerate(instance_connections)
-        ]
-        self._placement: dict[int, int] = {}
-        self._parked: set[int] = set()
-        self._connection_offsets: list[int] = []
-        offset = 0
-        for count in instance_connections:
-            self._connection_offsets.append(offset)
-            offset += int(count)
-        self.num_connections = offset
 
     @property
     def supports_lockstep(self) -> bool:
         """Fault-free rounds only: fates and outage kills are not batched."""
         return self._faults is None
 
-    # ------------------------------------------------------------------ #
-    # Cluster topology
-    # ------------------------------------------------------------------ #
-    @property
-    def num_instances(self) -> int:
-        return len(self.instances)
-
-    def instance_of(self, query_id: int) -> int:
-        """The instance a running/finished query was placed on (-1 if never)."""
-        return self._placement.get(query_id, -1)
-
-    def idle_instances(self) -> list[int]:
-        return [
-            instance.index
-            for instance in self.instances
-            if instance.has_idle_connection and not self.instance_is_down(instance.index)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Fault-injection API
-    # ------------------------------------------------------------------ #
-    def instance_is_down(self, instance: int) -> bool:
-        """Whether ``instance`` is parked or inside an outage window right now."""
-        return instance in self._parked or (
-            self._faults is not None and self._faults.is_down(instance, self.current_time)
-        )
-
-    def park_instance(self, instance: int) -> None:
-        """Scale-down: in-flight queries die as outage kills on the next advance."""
-        if not 0 <= instance < self.num_instances:
-            raise SimulationError(f"instance {instance} out of range (fleet has {self.num_instances})")
-        if instance in self._parked:
-            raise SimulationError(f"instance {instance} is already parked")
-        self._parked.add(instance)
-
-    def unpark_instance(self, instance: int) -> None:
-        """Scale-up: a parked instance's connections rejoin the idle pool."""
-        if instance not in self._parked:
-            raise SimulationError(f"instance {instance} is not parked")
-        self._parked.discard(instance)
-
-    def parked_instances(self) -> list[int]:
-        """Instances currently parked by the elastic-fleet control plane."""
-        return sorted(self._parked)
-
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health (``False`` while inside an outage window)."""
-        return [not self.instance_is_down(instance.index) for instance in self.instances]
-
-    def next_fault_wakeup(self) -> float | None:
-        """Earliest recovery instant among currently-downed instances."""
-        if self._faults is None:
-            return None
-        wakeups = [
-            recovery
-            for instance in self.instances
-            if (recovery := self._faults.recovery_time(instance.index, self.current_time)) is not None
-        ]
-        return min(wakeups) if wakeups else None
-
-    def cancel(self, query_id: int) -> int:
-        """Kill a running query: free its connection, return it to pending.
-
-        Returns the freed *global* connection id (instance offsets applied).
-        """
-        placed = self._placement.get(query_id, -1)
-        if placed < 0 or query_id not in self.instances[placed].running:
-            raise SimulationError(f"query {query_id} is not running and cannot be cancelled")
-        state = self.instances[placed].remove(query_id)
-        self._fates.pop(query_id, None)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-        return self._connection_offsets[placed] + state.connection
-
-    def _kill_instant(self, instance: int, until: float) -> float | None:
-        """Earliest instant in ``(now, until]`` at which the instance's work dies."""
-        if self.instance_is_down(instance):
-            return self.current_time
-        if self._faults is None:
-            return None
-        start = self._faults.next_outage_start(instance, self.current_time)
-        if start is not None and start <= until:
-            return start
-        return None
-
-    def _kill_instance(self, instance: _SimulatedInstance) -> None:
-        """Kill every running query of one instance at the current instant."""
-        for query_id in sorted(instance.running):
-            state = instance.remove(query_id)
-            self._fates.pop(query_id, None)
-            self.pending.append(query_id)
-            self.state_arrays.mark_pending(query_id)
-            self._fault_events.append(
-                CompletionEvent(
-                    query_id=query_id,
-                    finish_time=self.current_time,
-                    connection=self._connection_offsets[instance.index] + state.connection,
-                    instance=instance.index,
-                    failed=True,
-                    failure=FAILURE_OUTAGE,
-                )
-            )
-
-    def instance_num_running(self) -> list[int]:
-        return [len(instance.running) for instance in self.instances]
-
-    def speed_factors(self) -> tuple[float, ...]:
-        return self.cluster.speed_factors()
-
-    def instance_context(self) -> np.ndarray:
-        """Observable per-instance context, mirroring the real cluster's.
-
-        The simulator has no buffer pool, so the buffer-fill column stays
-        zero; speed, busy fraction and capacity share match the layout of
-        :meth:`~repro.dbms.cluster.ClusterSession.instance_context`.
-        """
-        context = np.zeros((self.num_instances, INSTANCE_FEATURE_DIM), dtype=np.float64)
-        speeds = self.speed_factors()
-        total_connections = max(1, self.num_connections)
-        for index, instance in enumerate(self.instances):
-            context[index, 0] = speeds[index]
-            context[index, 1] = len(instance.running) / instance.num_connections
-            context[index, 2] = instance.num_connections / total_connections
-        return context
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: state
-    # ------------------------------------------------------------------ #
-    @property
-    def running(self) -> dict[int, RunningQueryState]:
-        """Aggregated running-state view across every instance."""
-        merged: dict[int, RunningQueryState] = {}
-        for instance in self.instances:
-            merged.update(instance.running)
-        return merged
-
-    @property
-    def has_idle_connection(self) -> bool:
-        return bool(self.idle_instances())
-
-    @property
-    def num_running(self) -> int:
-        """In-flight queries, including failures buffered but not yet delivered."""
-        return sum(len(instance.running) for instance in self.instances) + len(self._fault_events)
-
-    # ------------------------------------------------------------------ #
-    # Session protocol: scheduling
-    # ------------------------------------------------------------------ #
     def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
         """Submit a pending query to ``instance`` at the current logical time.
 
         Returns the *global* connection id (instance connection offsets),
         matching :meth:`~repro.dbms.cluster.ClusterSession.submit`.
         """
-        if not 0 <= instance < self.num_instances:
-            raise SimulationError(f"instance {instance} out of range (fleet has {self.num_instances})")
-        if query_id not in self.pending:
-            raise SimulationError(f"query {query_id} is not pending in the simulator")
-        if self.instance_is_down(instance):
-            raise SimulationError(f"instance {instance} is down and accepts no submissions")
-        target = self.instances[instance]
-        if not target.idle_connections:
-            raise SimulationError(f"instance {instance} has no idle connection in the simulated session")
+        unit = self._check_submit(query_id, instance)
         if self._faults is not None and self._faults.has_random_faults:
             assert self._fault_rng is not None
             fate = self._faults.draw_fate(self._fault_rng)
             if not fate.clean:
-                self._fates[query_id] = fate
-        connection = target.idle_connections.pop(0)
-        self.pending.remove(query_id)
-        self._placement[query_id] = instance
+                unit.fates[query_id] = fate
         state = RunningQueryState(
             query=self.batch[query_id],
             parameters=parameters,
-            connection=connection,
+            connection=unit.idle_connections.pop(0),
             submit_time=self.current_time,
             remaining_work=1.0,
             total_work=1.0,
         )
-        target.add(state, self.cluster.feature_row(instance, query_id, parameters))
-        self.state_arrays.mark_running(query_id, self.current_time)
-        return self._connection_offsets[instance] + connection
+        unit.add(state, self.cluster.feature_row(instance, query_id, parameters))
+        return self._record_submit(query_id, instance, state.connection)
 
     def advance_features(self) -> list[AdvanceGroup]:
         """One ``(instance, states, features)`` group per busy instance.
@@ -464,12 +309,13 @@ class SimulatedClusterSession(BackendSession):
     def advance(self, limit: float | None = None) -> CompletionEvent | None:
         """Advance the unified clock to the earliest predicted event.
 
-        Semantics mirror :meth:`~repro.dbms.cluster.ClusterSession.advance`:
-        with a ``limit`` the clock never moves past it (``None`` returned),
+        Failures buffered by a kill are delivered first, in instance order.
+        With a ``limit`` the clock never moves past it (``None`` returned),
         and with nothing running a ``limit`` idles the clock forward to it.
         """
-        if self._fault_events:
-            return self._fault_events.pop(0)
+        for unit in self.instances:
+            if unit.fault_events:
+                return self._record(unit.fault_events.pop(0), None, unit.index)
         if self.num_running == 0:
             if limit is None:
                 raise SimulationError("cannot advance: no query running in the simulator")
@@ -488,27 +334,29 @@ class SimulatedClusterSession(BackendSession):
         """Materialise the earliest event the per-group ``(logits, times)`` imply.
 
         Each group's predicted earliest finisher ends after its predicted
-        remaining time, stretched or cut by its fault fate; an instance whose
-        outage starts first loses its work instead.  The earliest event wins
-        and the instance index breaks exact ties.
+        remaining time, stretched or cut by its fault fate; an instance that
+        is down, or whose outage starts first, loses its work instead.  The
+        earliest event wins and the instance index breaks exact ties.
         """
+        now = self.current_time
         best: tuple[float, int, RunningQueryState | None] | None = None
         for (index, states, _), (logits, times) in zip(groups, predictions):
+            unit = self.instances[index]
             earliest = int(np.argmax(logits))
             remaining = max(MIN_REMAINING, float(times[earliest]) * TIME_SCALE)
-            if self._fates:
+            if unit.fates:
                 # Mirror the fluid engine's fate semantics on predicted times: a
                 # straggler runs ``hang_factor`` times longer, an errored attempt
                 # dies after ``error_work_fraction`` of its predicted remainder.
-                fate = self._fates.get(states[earliest].query.query_id)
+                fate = unit.fates.get(states[earliest].query.query_id)
                 if fate is not None:
                     assert self._faults is not None
                     if fate.hang:
                         remaining *= self._faults.hang_factor
                     if fate.error:
                         remaining *= self._faults.error_work_fraction
-            finish_time = self.current_time + remaining
-            kill_at = self._kill_instant(index, finish_time)
+            finish_time = now + remaining
+            kill_at = unit.windows.kill_instant(now, finish_time)
             # An instance that dies before (or as) its earliest predicted
             # completion yields an outage kill at that instant.
             candidate: tuple[float, int, RunningQueryState | None] = (
@@ -522,51 +370,25 @@ class SimulatedClusterSession(BackendSession):
             self.current_time = limit
             return None
         self.current_time = finish_time
+        unit = self.instances[winner]
         if state is None:
-            self._kill_instance(self.instances[winner])
-            return self._fault_events.pop(0)
-        fate = self._fates.pop(state.query.query_id, None)
+            kill_running(unit, finish_time)
+            self._demote_buffered_failures(unit)
+            return self._record(unit.fault_events.pop(0), None, winner)
+        query_id = state.query.query_id
+        fate = unit.fates.get(query_id)
+        unit.withdraw(query_id)
         if fate is not None and fate.error:
-            return self._fail(self.instances[winner], state)
-        return self._finish(self.instances[winner], state)
-
-    def _fail(self, instance: _SimulatedInstance, state: RunningQueryState) -> CompletionEvent:
-        """Materialise one predicted *errored* attempt: wasted work, no log."""
-        query_id = state.query.query_id
-        instance.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-        return CompletionEvent(
+            # An errored attempt wasted its work: nothing is logged.
+            failure = CompletionEvent(query_id, finish_time, state.connection, failed=True, failure=FAILURE_ERROR)
+            return self._record(failure, None, winner)
+        record = QueryExecutionRecord(
             query_id=query_id,
-            finish_time=self.current_time,
-            connection=self._connection_offsets[instance.index] + state.connection,
-            instance=instance.index,
-            failed=True,
-            failure=FAILURE_ERROR,
+            query_name=state.query.name,
+            template_id=state.query.template_id,
+            connection=state.connection,
+            parameters=state.parameters,
+            submit_time=state.submit_time,
+            finish_time=finish_time,
         )
-
-    def _finish(self, instance: _SimulatedInstance, state: RunningQueryState) -> CompletionEvent:
-        """Materialise one predicted completion into log, state and event."""
-        query_id = state.query.query_id
-        instance.remove(query_id)
-        self.finished[query_id] = self.current_time
-        self.state_arrays.mark_finished(query_id)
-        connection = self._connection_offsets[instance.index] + state.connection
-        self.log.add(
-            QueryExecutionRecord(
-                query_id=query_id,
-                query_name=state.query.name,
-                template_id=state.query.template_id,
-                connection=connection,
-                parameters=state.parameters,
-                submit_time=state.submit_time,
-                finish_time=self.current_time,
-                instance=instance.index,
-            )
-        )
-        return CompletionEvent(
-            query_id=query_id,
-            finish_time=self.current_time,
-            connection=connection,
-            instance=instance.index,
-        )
+        return self._record(CompletionEvent(query_id, finish_time, state.connection), record, winner)

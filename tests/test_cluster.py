@@ -157,7 +157,7 @@ class TestClusterSession:
             assert event.finish_time >= last
             last = event.finish_time
             # instance clocks never run ahead of the unified logical clock
-            for inst in session.sessions:
+            for inst in session.instances:
                 assert inst.current_time <= session.current_time + 1e-12
         assert len(session.log) == len(batch)
         assert len(session.finished) == len(batch)
@@ -165,7 +165,7 @@ class TestClusterSession:
         placements = {session.instance_of(q.query_id) for q in batch}
         assert placements == {0, 1, 2}
         # per-instance buffer pools warmed independently
-        fills = [inst.buffer.used_rows for inst in session.sessions]
+        fills = [inst.buffer.used_rows for inst in session.instances]
         assert all(fill > 0 for fill in fills)
 
     def test_buffered_tie_events_drain_in_instance_order(self, hetero_cluster):
@@ -200,7 +200,7 @@ class TestClusterSession:
         session.pending = [0, 1]  # shrink the round to the two tied queries
         session.submit(0, space[0], instance=0)
         session.submit(1, space[0], instance=1)
-        s0, s1 = session.sessions
+        s0, s1 = session.instances
         target = s0.next_completion_time()
         # equalise instance 1's remaining work so both finish at one instant
         rate = s1._progress_rates()[1]
@@ -236,7 +236,7 @@ class TestClusterSession:
         env.begin_step(env.encode_placement(0, 0, 0))
         env.begin_step(env.encode_placement(1, 1, 0))
         shared = env.runtime.shared_session
-        s0, s1 = shared.sessions
+        s0, s1 = shared.instances
         target = s0.next_completion_time()
         s1.running[1].remaining_work = s1._progress_rates()[1] * (target - s1.current_time)
         if s1.next_completion_time() != target:
@@ -274,7 +274,7 @@ class TestClusterSession:
         session.submit(0, space[0], instance=0)
         session.submit(1, space[0], instance=1)
         session.submit(2, space[0], instance=1)
-        s0, s1 = session.sessions
+        s0, s1 = session.instances
         target = s0.next_completion_time()
         rates = s1._progress_rates()
         for qid in (1, 2):
@@ -302,7 +302,7 @@ class TestClusterSession:
             session.advance()
         assert session.advance(limit=3.0) is None
         assert session.current_time == 3.0
-        for inst in session.sessions:
+        for inst in session.instances:
             assert inst.current_time == 3.0
 
     def test_heterogeneous_speed_shows_in_finish_times(self):
@@ -733,7 +733,7 @@ class TestFactoredMaskingEdgeCases:
         space = ConfigurationSpace(config.scheduler)
         knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
         session = cluster.new_session(batch, num_connections=None, round_id=0)
-        assert session.sessions[1].num_connections == 1
+        assert session.instances[1].num_connections == 1
         env = _cluster_env(cluster, num_connections=1)
         self._assert_decidable_mask_nonempty(env, RoundRobinPlacementScheduler())
         assert knowledge.average_time(0) > 0

@@ -467,7 +467,7 @@ class TestAutoscaledServing:
         shared = runtime.shared_session
 
         def idle_instance():
-            for index, sub in enumerate(shared.sessions):
+            for index, sub in enumerate(shared.instances):
                 if sub.has_idle_connection:
                     return index
             return None

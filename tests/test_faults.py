@@ -32,6 +32,7 @@ from repro.dbms import (
     Cluster,
     ConfigurationSpace,
     FailureProfile,
+    InstanceWindows,
     OutageWindow,
 )
 from repro.exceptions import ConfigurationError, SchedulingError
@@ -109,12 +110,32 @@ class TestFailureProfile:
             outages=(OutageWindow(1, 5.0, 2.0), OutageWindow(0, 1.0, 1.0), OutageWindow(1, 1.0, 1.0))
         )
         assert profile.windows_for(1) == (OutageWindow(1, 1.0, 1.0), OutageWindow(1, 5.0, 2.0))
-        assert profile.is_down(1, 5.0) and not profile.is_down(1, 7.0)
-        assert profile.is_down(0, 1.5) and not profile.is_down(0, 2.0)
-        assert profile.next_outage_start(1, 2.0) == 5.0
-        assert profile.next_outage_start(0, 2.0) is None
-        assert profile.recovery_time(1, 5.5) == 7.0
-        assert profile.recovery_time(1, 4.0) is None
+        zero, one = InstanceWindows(0, profile), InstanceWindows(1, profile)
+        assert one.windows == profile.windows_for(1)
+        assert one.is_down(5.0) and not one.is_down(7.0)
+        assert zero.is_down(1.5) and not zero.is_down(2.0)
+        # The next outage start after 2.0 is where work running at 2.0 dies.
+        assert one.kill_instant(2.0, math.inf) == 5.0 and one.kill_instant(2.0, 4.9) is None
+        assert zero.kill_instant(2.0, math.inf) is None
+        assert one.kill_instant(5.5, 6.0) == 5.5  # down now: work dies now
+        assert one.recovers_at(5.5) == 7.0
+        assert one.recovers_at(4.0) is None
+        assert not InstanceWindows(0).windows and not InstanceWindows(0).is_down(0.0)
+
+    def test_park_window(self):
+        windows = InstanceWindows(1, FailureProfile(outages=(OutageWindow(1, 5.0, 2.0),)))
+        assert not windows.parked
+        windows.park(5.5)  # parked inside an outage window
+        assert windows.parked and windows.is_down(5.5) and windows.is_down(1e9)
+        assert windows.recovers_at(5.5) == 7.0  # finite ends only: the outage's
+        assert windows.recovers_at(7.5) is None  # a park has no scheduled end
+        assert windows.kill_instant(7.5, 8.0) == 7.5
+        assert not windows.is_down(4.0) and windows.kill_instant(4.0, 5.2) == 5.0
+        windows.unpark()
+        assert not windows.parked and not windows.is_down(7.5)
+        assert windows.windows == (OutageWindow(1, 5.0, 2.0),)
+        windows.park(0.0)
+        assert windows.kill_instant(0.0, 1.0) == 0.0 and windows.recovers_at(3.0) is None
 
     def test_fate_draws_only_with_random_faults(self):
         rng = np.random.default_rng(0)

@@ -27,7 +27,7 @@ from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, BackendSession
 from repro.encoder import PlanEmbeddingCache, QueryFormer
 from repro.perf import PerformanceModel, SimulatedCluster, SimulatedClusterSession
 from repro.plans import PlanFeaturizer
-from repro.dbms.faults import FAILURE_OUTAGE
+from repro.dbms.faults import FAILURE_OUTAGE, FailureProfile, OutageWindow
 from repro.runtime import ControlPlane, ExecutionRuntime, RuntimeTenant, TenantSession
 from repro.runtime import controlplane as controlplane_module
 from repro.runtime import runtime as runtime_module
@@ -346,3 +346,29 @@ class TestMemberCheck:
         actions = [event.action for event in control.scale_events()]
         assert actions[0] == "park" and "unpark" in actions
         assert session.is_done and len(session.finished) == len(batch)
+
+
+class TestOneBusyCountPerInstance:
+    """A killed query whose failure is still buffered counts as running on its
+    instance, on the engine fleet and the simulated fleet alike."""
+
+    @pytest.mark.parametrize("kind", ["cluster", "simulated-fleet"])
+    def test_outage_victims_count_on_their_instance_until_delivered(self, parts, kind):
+        batch, _, _, _, sim_cluster = parts
+        backend = Cluster.from_names(["x", "y"], seed=0) if kind == "cluster" else sim_cluster
+        faults = FailureProfile(outages=(OutageWindow(1, 1e-3, 10.0),))
+        session = backend.new_session(batch, num_connections=3, round_id=0, faults=faults)
+        parameters = RunningParameters(1, 64)
+        session.submit(0, parameters, instance=0)
+        for query_id in (1, 2, 3):
+            session.submit(query_id, parameters, instance=1)
+        first = session.advance()
+        assert first.failed and first.failure == FAILURE_OUTAGE and first.instance == 1
+        assert session.instance_num_running() == [1, 2] and session.num_running == 3
+        assert session.instance_context()[1, 1] == 2 / 3
+        victims = [query_id for query_id in (1, 2, 3) if query_id != first.query_id]
+        assert all(session.state_arrays.status[v] == SOA_PENDING for v in victims)
+        delivered = [session.advance(), session.advance()]
+        assert sorted(event.query_id for event in delivered) == victims
+        assert session.instance_num_running() == [1, 0] and session.num_running == 1
+        assert sorted(session.pending)[:3] == [1, 2, 3]
