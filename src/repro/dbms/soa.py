@@ -28,12 +28,11 @@ from typing import TYPE_CHECKING, ClassVar, Generic, Mapping, Protocol, Sequence
 import numpy as np
 
 from ..exceptions import BQSchedError, SchedulingError
-from .faults import FAILURE_OUTAGE
+from .faults import FAILURE_OUTAGE, InstanceWindows
 from .logs import QueryExecutionRecord, RoundLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads import BatchQuerySet, Query
-    from .faults import InstanceWindows
     from .params import RunningParameters
 
 __all__ = [

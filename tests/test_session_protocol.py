@@ -371,4 +371,4 @@ class TestOneBusyCountPerInstance:
         delivered = [session.advance(), session.advance()]
         assert sorted(event.query_id for event in delivered) == victims
         assert session.instance_num_running() == [1, 0] and session.num_running == 1
-        assert sorted(session.pending)[:3] == [1, 2, 3]
+        assert {1, 2, 3} <= set(session.pending)
