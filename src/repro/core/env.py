@@ -164,11 +164,11 @@ def drive_service(runtime: ExecutionRuntime, envs: "Sequence[SchedulingEnv]", se
 class SchedulingSession(Protocol):
     """One live scheduling round: what a ``SessionBackend`` opens.
 
-    Implemented by the three backend sessions, which share the base
-    :class:`~repro.dbms.soa.BackendSession` (the fluid-engine
-    :class:`~repro.dbms.engine.ExecutionSession`, its fleet counterpart
-    :class:`~repro.dbms.ClusterSession` and the learned simulator's
-    :class:`~repro.perf.SimulatedClusterSession`), and by the runtime's
+    Implemented by the one backend session class,
+    :class:`~repro.dbms.soa.FleetSession` — the engine fleet's
+    :class:`~repro.dbms.ClusterSession` (a single engine opens it over one
+    instance) and the learned simulator's
+    :class:`~repro.perf.SimulatedClusterSession` — and by the runtime's
     :class:`~repro.runtime.TenantSession`.  The environment itself only ever
     holds a :class:`~repro.runtime.TenantSession`: it wraps every raw backend
     in an :class:`~repro.runtime.ExecutionRuntime`.  ``submit`` places the
@@ -266,7 +266,11 @@ class SchedulingEnv:
         self.config_space = config_space
         self.knowledge = knowledge
         self.num_configs = len(config_space)
-        self.num_instances = cluster_instance_count(backend) or 1
+        fleet_size = cluster_instance_count(backend)
+        self.num_instances = fleet_size or 1
+        # A single engine's session is a fleet of one with a context row, but
+        # only a fleet backend has the instance-context channel.
+        self._reads_context = fleet_size is not None
         #: Flat choices per slot: each picks a placement and a configuration.
         self.configs_per_slot = self.num_instances * self.num_configs
         if mask is None:
@@ -757,7 +761,7 @@ class SchedulingEnv:
             available=available,
             time_to_available=time_to_available,
             attempts=session.soa_attempts.copy(),
-            instance_context_array=session.instance_context(),
+            instance_context_array=session.instance_context() if self._reads_context else None,
             instance_health_array=self._instance_health_array(),
             priority=priority,
             deadline_slack=deadline_slack,

@@ -13,12 +13,14 @@ Design:
   instances, each with its own :class:`~repro.dbms.profiles.DBMSProfile`
   (mixed X/Y/Z fleets are first-class) and its own seed derived from the
   cluster seed through :class:`repro.seeding.SeedSpawner`;
-* a :class:`ClusterSession` opens one per-instance
-  :class:`~repro.dbms.engine.ExecutionSession` per round.  The fleet
-  mechanics — placement, connection offsets, park, cancel, health and the
-  instance context — are :class:`~repro.dbms.soa.FleetSession`'s, shared with
-  the learned simulator's :class:`~repro.perf.SimulatedClusterSession`; the
-  two differ only in how an instance predicts its next event;
+* a round is the engine fleet's
+  :class:`~repro.dbms.engine.ClusterSession` (defined next to the engine and
+  re-exported here) over one :class:`~repro.dbms.engine.ExecutionSession`
+  unit per instance — the session a single engine opens over one unit.  The
+  fleet mechanics — placement, connection offsets, park, cancel, health and
+  the instance context — are :class:`~repro.dbms.soa.FleetSession`'s, shared
+  with the learned simulator's :class:`~repro.perf.SimulatedClusterSession`;
+  the two differ only in how an instance predicts its next event;
 * here that is the engine's own: every instance keeps its *own* buffer pool,
   contention state and clock, and the cluster session unifies them behind
   one logical time by always advancing to the globally earliest completion
@@ -29,114 +31,26 @@ Design:
   :class:`~repro.runtime.EventQueue` applies to arrivals.
 
 A single-instance cluster is bit-for-bit identical to driving the engine
-directly (digest-pinned in ``tests/test_cluster.py``): instance 0 derives
-the same per-round noise stream, allocates the same connections and emits
-the same log records.
+directly (digest-pinned in ``tests/test_cluster.py``): both open the same
+session over the same unit, with the same per-round noise stream.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
-from ..exceptions import ConfigurationError, SchedulingError, SimulationError
+from ..exceptions import ConfigurationError, SchedulingError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
-from .engine import DatabaseEngine, ExecutionSession, collect_fixed_order_logs, execute_fixed_order
+from .engine import ClusterSession, DatabaseEngine, collect_fixed_order_logs, execute_fixed_order
 from .faults import FailureProfile
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import CompletionEvent, FleetSession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import ServiceConfig
 
 __all__ = ["Cluster", "ClusterSession"]
-
-
-class ClusterSession(FleetSession[ExecutionSession]):
-    """One scheduling round across every instance of an engine fleet.
-
-    Each instance is the engine's own
-    :class:`~repro.dbms.engine.ExecutionSession`, with its own clock, and
-    :meth:`advance` merges their events behind the round's clock.
-    Placement, park, cancel and the instance context are
-    :class:`~repro.dbms.soa.FleetSession`'s.
-    """
-
-    def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
-        """Submit a pending query to ``instance`` at the current logical time.
-
-        Returns the *global* connection id (instance connection offsets), so
-        log records across the fleet stay disjoint.
-        """
-        unit = self._check_submit(query_id, instance)
-        return self._record_submit(query_id, instance, unit.submit(query_id, parameters))
-
-    def advance(self, limit: float | None = None) -> CompletionEvent | None:
-        """Advance the unified clock to the next completion and return it.
-
-        Semantics mirror :meth:`ExecutionSession.advance`: with a ``limit``
-        the clock never moves past it (partial progress on every instance,
-        ``None`` returned); without one the globally earliest completion is
-        materialised.  Instance index breaks exact-time ties, and
-        simultaneous completions on other instances are buffered per
-        instance and drained (in instance order) before time moves again.
-        Each instance computes its next finish once per state: the winner's
-        ``advance()`` and the peers' ``advance(limit=…)`` reuse the pass
-        their ``next_completion_time()`` made.
-        """
-        buffered = self._pop_buffered()
-        if buffered is not None:
-            return buffered
-        # One argmin over the per-instance next-event instants (idle
-        # instances report +inf); the first minimum is the lowest instance.
-        next_times = np.array(
-            [
-                time if (time := session.next_completion_time()) is not None else np.inf
-                for session in self.instances
-            ],
-            dtype=np.float64,
-        )
-        winner = int(np.argmin(next_times))
-        winner_time = float(next_times[winner])
-        if not np.isfinite(winner_time):
-            if limit is None:
-                raise SimulationError("cannot advance: no query is running")
-            for session in self.instances:
-                session.advance(limit=limit)
-            self.current_time = max(self.current_time, limit)
-            return None
-        if limit is not None and winner_time > limit:
-            for session in self.instances:
-                session.advance(limit=limit)
-            self.current_time = limit
-            return None
-        event = self.instances[winner].advance()
-        assert event is not None
-        winner_record = None if event.failed else self.instances[winner].log.records[-1]
-        if event.failed:
-            # An outage can kill several in-flight queries at once; only the
-            # first failure is delivered now.
-            self._demote_buffered_failures(self.instances[winner])
-        for index, session in enumerate(self.instances):
-            if index == winner:
-                continue
-            # Idle the peers forward to the winning instant; completions that
-            # tie with it land in the per-instance buffers.
-            while True:
-                tied = session.advance(limit=winner_time)
-                if tied is None:
-                    break
-                tied_record = None if tied.failed else session.log.records[-1]
-                if tied.failed:
-                    # Failed attempts carry no record: the query is back in
-                    # the instance's pending set and observably pending now.
-                    self.state_arrays.mark_pending(tied.query_id)
-                self._instance_events[index].append((tied, tied_record))
-        self.current_time = winner_time
-        return self._record(event, winner_record, winner)
 
 
 class Cluster:
@@ -254,7 +168,7 @@ class Cluster:
         round_id: int | None = None,
         faults: FailureProfile | None = None,
     ) -> ClusterSession:
-        """Open one unified round: one per-instance engine session each.
+        """Open one unified round: one engine unit per instance.
 
         ``num_connections`` is *per instance* (matching the single-engine
         meaning of ``SchedulerConfig.num_connections``); ``None`` uses each
@@ -262,7 +176,7 @@ class Cluster:
         the full batch so any query can be placed anywhere, and all share
         the same ``round_id`` so per-instance noise streams are aligned with
         the single-engine case.  ``faults`` (or the cluster-level profile)
-        threads into every instance session; each instance draws fault fates
+        threads into every instance unit; each instance draws fault fates
         from its own engine's dedicated stream and honours only its own
         outage windows.
         """
@@ -270,18 +184,11 @@ class Cluster:
             round_id = self._round_counter
         self._round_counter = max(self._round_counter, round_id) + 1
         session_faults = faults if faults is not None else self.faults
-        sessions = [
-            engine.new_session(
-                batch,
-                num_connections=num_connections,
-                strategy=strategy,
-                round_id=round_id,
-                faults=session_faults,
-                fault_instance=index,
-            )
+        units = [
+            engine.open_instance(batch, num_connections, round_id, session_faults, index)
             for index, engine in enumerate(self.engines)
         ]
-        return ClusterSession(batch, round_id, strategy, sessions, self.speed_factors())
+        return ClusterSession(batch, round_id, strategy, units, self.speed_factors())
 
     def estimate_isolated_time(
         self,

@@ -20,10 +20,18 @@ between events:
 The model intentionally reproduces the three phenomena the paper's
 introduction identifies as the sources of scheduling head-room: resource
 contention, data sharing, and long-tail queries.
+
+One engine instance of a round is an :class:`ExecutionSession` unit: its
+clock, connections, buffer pool, fates and the fluid model.  The round
+itself is the engine fleet's :class:`ClusterSession`, which merges the
+events of its units behind one clock; a :class:`DatabaseEngine` opens it
+over one unit (a fleet of one), a :class:`~repro.dbms.cluster.Cluster` over
+one unit per engine.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,34 +45,39 @@ from .faults import FAILURE_ERROR, FAULT_STREAM, FailureProfile, InstanceWindows
 from .logs import ExecutionLog, QueryExecutionRecord, RoundLog
 from .params import RunningParameters
 from .profiles import DBMSProfile
-from .soa import BackendSession, CompletionEvent, RunningQueryState, kill_running
+from .soa import CompletionEvent, FleetSession, InstanceEvent, RunningQueryState, kill_running
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import Cluster
 
-__all__ = ["DatabaseEngine", "ExecutionSession", "RunningQueryState", "CompletionEvent", "next_instance_in_rotation"]
+__all__ = [
+    "ClusterSession",
+    "CompletionEvent",
+    "DatabaseEngine",
+    "ExecutionSession",
+    "RunningQueryState",
+    "next_instance_in_rotation",
+]
 
 _EPSILON = 1e-9
 _SPILL_PENALTY = 0.8
 
 
-class ExecutionSession(BackendSession):
-    """One scheduling round against the engine.
+class ExecutionSession:
+    """One engine instance of a scheduling round: the fluid model's unit.
 
-    The session owns the clock: queries are submitted to idle connections at
-    the current time, and :meth:`advance` moves the clock to the next query
-    completion, returning the corresponding event.
+    The unit owns the instance's clock, its running set, its idle
+    connections (lowest first), its buffer pool, its outage and park
+    windows and its fault fates.  It knows nothing of the round's query
+    lists: a :class:`ClusterSession` places queries on it, checks that a
+    submission may land, and delivers what :meth:`advance` materialises.
+    A single engine's round is a fleet of one such unit.
 
-    Sessions also speak the event-driven dialect used by
-    :class:`repro.runtime.ExecutionRuntime`: queries can be *deferred* at the
-    start of a round (they exist in the batch but cannot be submitted until
-    :meth:`release`, which is how streaming arrivals enter a live round), and
-    :meth:`advance` accepts a ``limit`` so the runtime can stop the clock at
-    the next external event (e.g. a query arrival) instead of running through
-    to the next completion.
+    :meth:`advance` moves the clock to the instance's next event and
+    returns it with the execution record of a finished query; with a
+    ``limit`` the clock stops there instead, so the fleet can idle the
+    instance forward to another instance's event or to a query arrival.
     """
-
-    running: dict[int, RunningQueryState]
 
     def __init__(
         self,
@@ -72,9 +85,6 @@ class ExecutionSession(BackendSession):
         batch: BatchQuerySet,
         num_connections: int,
         rng: np.random.Generator,
-        round_id: int = 0,
-        strategy: str = "",
-        warm_buffer: BufferPool | None = None,
         faults: FailureProfile | None = None,
         fault_rng: np.random.Generator | None = None,
         instance: int = 0,
@@ -83,13 +93,13 @@ class ExecutionSession(BackendSession):
             raise SimulationError("num_connections must be >= 1")
         if faults is not None and faults.has_random_faults and fault_rng is None:
             raise SimulationError("a FailureProfile with random faults needs a fault_rng stream")
-        super().__init__(batch, round_id, strategy)
         self.profile = profile
+        self.batch = batch
+        self.current_time = 0.0
         self.num_connections = num_connections
-        self._rng = rng
-        self.running = {}
+        self.running: dict[int, RunningQueryState] = {}
         self.idle_connections: list[int] = list(range(num_connections))
-        self.buffer = warm_buffer if warm_buffer is not None else BufferPool(profile.buffer_pool_rows)
+        self.buffer = BufferPool(profile.buffer_pool_rows)
         # Fault injection: fates are drawn from the dedicated fault stream at
         # submit time; a session without a profile performs zero extra draws
         # and stays bit-identical to the fault-free tree.
@@ -116,13 +126,6 @@ class ExecutionSession(BackendSession):
             q.query_id: float(np.exp(rng.normal(0.0, profile.noise))) for q in batch
         }
 
-    # ------------------------------------------------------------------ #
-    # Scheduler-facing API
-    # ------------------------------------------------------------------ #
-    @property
-    def has_idle_connection(self) -> bool:
-        return bool(self.idle_connections) and not self.windows.is_down(self.current_time)
-
     @property
     def num_running(self) -> int:
         """In-flight queries, including failures buffered but not yet delivered."""
@@ -133,70 +136,15 @@ class ExecutionSession(BackendSession):
         """Fraction of the buffer pool in use (an observable warmth signal)."""
         return min(1.0, self.buffer.used_rows / self.buffer.capacity_rows)
 
-    # ------------------------------------------------------------------ #
-    # Fault-injection API
-    # ------------------------------------------------------------------ #
-    @property
-    def is_down(self) -> bool:
-        """Whether this instance is inside an outage window (or parked) right now."""
-        return self.windows.is_down(self.current_time)
-
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health (single-engine sessions have one entry)."""
-        return [not self.is_down]
-
-    def next_fault_wakeup(self) -> float | None:
-        """Recovery instant of the current outage, if the instance is down.
-
-        The runtime uses it as a clock limit, so a round stalled on an outage
-        wakes when capacity returns.  A parked instance has no scheduled
-        recovery and reports none: the fleet controller unparks it.
-        """
-        return self.windows.recovers_at(self.current_time)
-
-    @property
-    def is_parked(self) -> bool:
-        """Whether the instance is administratively down (autoscale park)."""
-        return self.windows.parked
-
-    def park(self) -> None:
-        """Administratively take the instance down: a planned, open-ended outage.
-
-        In-flight queries die through the normal outage-kill path on the next
-        advance (the runtime requeues them without consuming retry budget)
-        and the instance accepts no submissions until :meth:`unpark`.
-        """
-        if self.windows.parked:
-            raise SchedulingError(f"instance {self.windows.instance} is already parked")
-        self.windows.park(self.current_time)
-
-    def unpark(self) -> None:
-        """Bring a parked instance back: its connections rejoin the idle pool."""
-        if not self.windows.parked:
-            raise SchedulingError(f"instance {self.windows.instance} is not parked")
-        self.windows.unpark()
-
-    def cancel(self, query_id: int) -> int:
-        """Kill a running query: free its connection, return it to pending.
-
-        The attempt's work is wasted — nothing is logged and nothing counts
-        as finished.  This is the engine half of the runtime's
-        timeout-kill-and-requeue policy for stragglers.  Returns the freed
-        connection id (globalised on cluster sessions).
-        """
-        state = self.running.pop(query_id, None)
-        if state is None:
-            raise SchedulingError(f"query {query_id} is not running and cannot be cancelled")
+    def withdraw(self, query_id: int) -> int:
+        """Take a running query off the instance: free its connection, forget
+        its fate.  The attempt's work is wasted.  Returns the freed connection."""
+        state = self.running.pop(query_id)
         self.idle_connections.append(state.connection)
         self.idle_connections.sort()
         self._fates.pop(query_id, None)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
         self._running_version += 1
         return state.connection
-
-    #: As a fleet instance, the fleet takes a query off this engine by cancelling it.
-    withdraw = cancel
 
     def _outage_kill_instant(self, until: float) -> float | None:
         """When running work must die: now if the instance is down, else the
@@ -205,21 +153,12 @@ class ExecutionSession(BackendSession):
             return None
         return self.windows.kill_instant(self.current_time, until)
 
-    def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
-        """Submit a pending query to an idle connection at the current time.
+    def submit(self, query_id: int, parameters: RunningParameters) -> int:
+        """Start a query on the lowest idle connection at the current time.
 
-        A single engine is instance 0 of a one-instance backend, the only
-        placement it accepts.  Returns the connection id the query was placed
-        on.
+        The fleet has checked that the query is pending and the instance up
+        with an idle connection.  Returns the local connection id.
         """
-        if instance != 0:
-            raise SchedulingError(f"instance {instance} out of range (a single engine has instance 0 only)")
-        if query_id not in self.pending:
-            raise SchedulingError(f"query {query_id} is not pending")
-        if self.is_down:
-            raise SchedulingError(f"instance {self.windows.instance} is down and accepts no submissions")
-        if not self.idle_connections:
-            raise SchedulingError("no idle connection available")
         connection = self.idle_connections.pop(0)
         query = self.batch[query_id]
         noisy_work = query.total_work * self._noise[query_id]
@@ -231,7 +170,6 @@ class ExecutionSession(BackendSession):
             if fate.error:
                 noisy_work *= self._faults.error_work_fraction
                 self._fates[query_id] = fate
-        self.pending.remove(query_id)
         self.running[query_id] = RunningQueryState(
             query=query,
             parameters=parameters,
@@ -240,18 +178,17 @@ class ExecutionSession(BackendSession):
             remaining_work=noisy_work,
             total_work=noisy_work,
         )
-        self.state_arrays.mark_running(query_id, self.current_time)
         self._running_version += 1
         return connection
 
     def next_completion_time(self) -> float | None:
-        """Absolute time of the next completion, without advancing the clock.
+        """Absolute time of the next event, without advancing the clock.
 
         ``None`` when nothing is running.  The returned instant is exactly
-        the finish time :meth:`advance` would produce from the current state
+        the event time :meth:`advance` would produce from the current state
         (both read one memoized :meth:`_next_finish`), which is what lets a
-        :class:`~repro.dbms.cluster.ClusterSession` pick the globally
-        earliest event across per-instance clocks without perturbing them.
+        :class:`ClusterSession` pick the globally earliest event across
+        per-instance clocks without perturbing them.
         """
         if self.fault_events:
             return self.current_time
@@ -261,17 +198,18 @@ class ExecutionSession(BackendSession):
         kill_at = self._outage_kill_instant(finish_time)
         return kill_at if kill_at is not None else finish_time
 
-    def advance(self, limit: float | None = None) -> CompletionEvent | None:
-        """Advance the clock to the next query completion and return it.
+    def advance(self, limit: float | None = None) -> InstanceEvent | None:
+        """Advance the clock to the next event and return it with its record.
 
-        With a ``limit``, the clock never moves past that instant: if the next
-        completion falls beyond it, all running queries progress up to
-        ``limit`` and ``None`` is returned (the event-driven runtime uses this
-        to stop at query arrivals).  With nothing running, a ``limit`` simply
-        idles the clock forward to it.
+        A finished query comes with its execution record (local connection
+        id); a failed attempt — an error, or an outage kill — with ``None``.
+        With a ``limit``, the clock never moves past that instant: if the
+        next event falls beyond it, all running queries progress up to
+        ``limit`` and ``None`` is returned.  With nothing running, a
+        ``limit`` simply idles the clock forward to it.
         """
         if self.fault_events:
-            return self.fault_events.pop(0)
+            return self.fault_events.pop(0), None
         if not self.running:
             if limit is None:
                 raise SimulationError("cannot advance: no query is running")
@@ -286,7 +224,7 @@ class ExecutionSession(BackendSession):
                 self._progress(rates, partial)
             self.current_time = kill_at
             kill_running(self, kill_at)
-            return self.fault_events.pop(0)
+            return self.fault_events.pop(0), None
         if limit is not None and self.current_time + delta > limit:
             partial = limit - self.current_time
             if partial > 0:
@@ -296,40 +234,27 @@ class ExecutionSession(BackendSession):
         self.current_time += delta
         self._progress(rates, delta)
 
-        state = self.running.pop(finishing_id)
-        self.idle_connections.append(state.connection)
-        self.idle_connections.sort()
-        self._running_version += 1
-        fate = self._fates.pop(finishing_id, None)
+        state = self.running[finishing_id]
+        fate = self._fates.get(finishing_id)
+        self.withdraw(finishing_id)
         if fate is not None and fate.error:
             # The attempt errored out after consuming its (truncated) work:
-            # the connection frees, nothing is logged, and the query returns
-            # to pending for the caller's retry machinery to resubmit.
-            self.pending.append(finishing_id)
-            self.state_arrays.mark_pending(finishing_id)
-            return CompletionEvent(
-                query_id=finishing_id,
-                finish_time=self.current_time,
-                connection=state.connection,
-                failed=True,
-                failure=FAILURE_ERROR,
-            )
-        self.finished[finishing_id] = self.current_time
-        self.state_arrays.mark_finished(finishing_id)
+            # the connection frees, nothing is logged, and the fleet returns
+            # the query to pending for the caller's retry machinery.
+            now = self.current_time
+            return CompletionEvent(finishing_id, now, state.connection, failed=True, failure=FAILURE_ERROR), None
         for table, rows in state.query.tables.items():
             self.buffer.touch(table, rows, self.current_time)
-        self.log.add(
-            QueryExecutionRecord(
-                query_id=finishing_id,
-                query_name=state.query.name,
-                template_id=state.query.template_id,
-                connection=state.connection,
-                parameters=state.parameters,
-                submit_time=state.submit_time,
-                finish_time=self.current_time,
-            )
+        record = QueryExecutionRecord(
+            query_id=finishing_id,
+            query_name=state.query.name,
+            template_id=state.query.template_id,
+            connection=state.connection,
+            parameters=state.parameters,
+            submit_time=state.submit_time,
+            finish_time=self.current_time,
         )
-        return CompletionEvent(query_id=finishing_id, finish_time=self.current_time, connection=state.connection)
+        return CompletionEvent(finishing_id, self.current_time, state.connection), record
 
     # ------------------------------------------------------------------ #
     # Fluid model internals
@@ -446,6 +371,79 @@ class ExecutionSession(BackendSession):
         return self.profile.sharing_strength * (shared / total_rows)
 
 
+class ClusterSession(FleetSession[ExecutionSession]):
+    """One scheduling round across every instance of an engine fleet.
+
+    Each instance is an :class:`ExecutionSession` unit with its own clock,
+    buffer pool and contention state, and :meth:`advance` merges their
+    events behind the round's clock.  A single engine's round is this
+    session over one unit.  Placement, park, cancel and the instance context
+    are :class:`~repro.dbms.soa.FleetSession`'s.
+    """
+
+    def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
+        """Submit a pending query to ``instance`` at the current logical time.
+
+        Returns the *global* connection id (instance connection offsets), so
+        log records across the fleet stay disjoint.
+        """
+        unit = self._check_submit(query_id, instance)
+        return self._record_submit(query_id, instance, unit.submit(query_id, parameters))
+
+    def advance(self, limit: float | None = None) -> CompletionEvent | None:
+        """Advance the unified clock to the next completion and return it.
+
+        With a ``limit`` the clock never moves past it (partial progress on
+        every instance, ``None`` returned), and with nothing running a
+        ``limit`` idles the clock forward to it; without one the globally
+        earliest event is materialised.  Instance index breaks exact-time
+        ties, and simultaneous events on other instances are buffered per
+        instance and drained (in instance order) before time moves again.
+        Each instance computes its next finish once per state: the winner's
+        ``advance()`` and the peers' ``advance(limit=…)`` reuse the pass
+        their ``next_completion_time()`` made.
+        """
+        buffered = self._pop_buffered()
+        if buffered is not None:
+            return buffered
+        # The earliest next-event instant (idle instances report +inf); the
+        # lowest instance wins a tie.
+        winner_time, winner = min(
+            (time if (time := unit.next_completion_time()) is not None else math.inf, index)
+            for index, unit in enumerate(self.instances)
+        )
+        if winner_time == math.inf:
+            if limit is None:
+                raise SimulationError("cannot advance: no query is running")
+            for unit in self.instances:
+                unit.advance(limit=limit)
+            self.current_time = max(self.current_time, limit)
+            return None
+        if limit is not None and winner_time > limit:
+            for unit in self.instances:
+                unit.advance(limit=limit)
+            self.current_time = limit
+            return None
+        delivered = self.instances[winner].advance()
+        assert delivered is not None
+        if delivered[0].failed:
+            # An outage can kill several in-flight queries at once; only the
+            # first failure is delivered now.
+            self._demote_buffered_failures(self.instances[winner])
+        for index, unit in enumerate(self.instances):
+            if index == winner:
+                continue
+            # Idle the peers forward to the winning instant; events that tie
+            # with it land in the per-instance buffers.
+            while (tied := unit.advance(limit=winner_time)) is not None:
+                if tied[0].failed:
+                    # A failed attempt is observably pending already.
+                    self.state_arrays.mark_pending(tied[0].query_id)
+                self._instance_events[index].append(tied)
+        self.current_time = winner_time
+        return self._record(*delivered, winner)
+
+
 def next_instance_in_rotation(available: Sequence[int], cursor: int, num_instances: int) -> int:
     """First available instance at or after ``cursor``, wrapping around.
 
@@ -535,12 +533,15 @@ def collect_fixed_order_logs(
 
 
 class DatabaseEngine:
-    """Factory for :class:`ExecutionSession` rounds against one DBMS profile.
+    """One DBMS profile opening scheduling rounds: a fleet of one instance.
 
-    ``faults`` attaches a :class:`~repro.dbms.faults.FailureProfile` to every
-    round the engine opens (a per-round ``faults`` argument to
-    :meth:`new_session` overrides it).  ``None`` — the default — keeps the
-    engine perfectly reliable and bit-identical to the fault-free tree.
+    :meth:`new_session` returns the engine fleet's :class:`ClusterSession`
+    over one :class:`ExecutionSession` unit, the same session a
+    :class:`~repro.dbms.cluster.Cluster` opens over many.  ``faults``
+    attaches a :class:`~repro.dbms.faults.FailureProfile` to every round the
+    engine opens (a per-round ``faults`` argument to :meth:`new_session`
+    overrides it).  ``None`` — the default — keeps the engine perfectly
+    reliable and bit-identical to the fault-free tree.
     """
 
     def __init__(self, profile: DBMSProfile, seed: int = 0, faults: FailureProfile | None = None) -> None:
@@ -556,27 +557,35 @@ class DatabaseEngine:
         num_connections: int | None = None,
         strategy: str = "",
         round_id: int | None = None,
-        keep_buffer_warm: bool = False,
-        warm_buffer: BufferPool | None = None,
         faults: FailureProfile | None = None,
-        fault_instance: int = 0,
+    ) -> ClusterSession:
+        """Open a fresh scheduling round on this engine, a fleet of one."""
+        if round_id is None:
+            round_id = self._round_counter
+        unit = self.open_instance(batch, num_connections, round_id, faults, instance=0)
+        return ClusterSession(batch, round_id, strategy, [unit], (1.0,))
+
+    def open_instance(
+        self,
+        batch: BatchQuerySet,
+        num_connections: int | None,
+        round_id: int,
+        faults: FailureProfile | None,
+        instance: int,
     ) -> ExecutionSession:
-        """Open a fresh scheduling round.
+        """This engine's unit for round ``round_id``, as fleet instance ``instance``.
 
         Each round gets its own RNG stream derived from the engine seed and
         the round id, so the per-round execution noise is reproducible yet
         different across rounds.  Fault fates draw from a *separate* stream
         (``(seed, round_id, FAULT_STREAM)``), so injecting faults never
-        perturbs the execution-noise draws.
+        perturbs the execution-noise draws; the unit honours the outage
+        windows of ``instance`` only.
         """
-        if round_id is None:
-            round_id = self._round_counter
         self._round_counter = max(self._round_counter, round_id) + 1
         # Entropy (seed, round_id, 0x5EED): the historical per-round stream,
         # now derived through the central SeedSpawner (bit-identical).
         rng = self.seeds.derive(round_id, 0x5EED)
-        connections = num_connections or self.profile.default_connections
-        buffer = warm_buffer if keep_buffer_warm else None
         session_faults = faults if faults is not None else self.faults
         fault_rng = (
             self.seeds.derive(round_id, FAULT_STREAM) if session_faults is not None else None
@@ -584,14 +593,11 @@ class DatabaseEngine:
         return ExecutionSession(
             profile=self.profile,
             batch=batch,
-            num_connections=connections,
+            num_connections=num_connections or self.profile.default_connections,
             rng=rng,
-            round_id=round_id,
-            strategy=strategy,
-            warm_buffer=buffer,
             faults=session_faults,
             fault_rng=fault_rng,
-            instance=fault_instance,
+            instance=instance,
         )
 
     def estimate_isolated_time(self, query: Query, parameters: RunningParameters) -> float:
@@ -604,18 +610,12 @@ class DatabaseEngine:
         batch = BatchQuerySet([query])
         probe = batch[0]
         rng = self.seeds.derive(0xC0FFEE)
-        session = ExecutionSession(
-            profile=self.profile,
-            batch=batch,
-            num_connections=1,
-            rng=rng,
-            strategy="isolated-probe",
-        )
-        session._noise = {probe.query_id: 1.0}
-        session.submit(probe.query_id, parameters)
-        event = session.advance()
-        assert event is not None
-        return event.finish_time
+        unit = ExecutionSession(profile=self.profile, batch=batch, num_connections=1, rng=rng)
+        unit._noise = {probe.query_id: 1.0}
+        unit.submit(probe.query_id, parameters)
+        delivered = unit.advance()
+        assert delivered is not None
+        return delivered[0].finish_time
 
     execute_order = execute_fixed_order
     collect_logs = collect_fixed_order_logs

@@ -1,9 +1,8 @@
-"""The state every backend session shares.
+"""The one backend session and the state it keeps.
 
 :class:`SessionStateArrays` keeps the observable per-query state as flat
-NumPy columns that every session backend (engine, cluster, simulated
-fleet) updates in O(1) as transitions land — submit, completion,
-failure, deferral.  The environment then assembles a
+NumPy columns that the session updates in O(1) as transitions land —
+submit, completion, failure, deferral.  The environment then assembles a
 :class:`~repro.encoder.run_state.SnapshotArrays` view with a handful of
 whole-array ops and zero per-query Python work.
 
@@ -11,19 +10,21 @@ Status codes are *backend-observable* states; the environment maps them onto
 the three scheduler-visible ``QueryStatus`` values (FAILED reads as FINISHED,
 DEFERRED as PENDING-but-unavailable) with one table lookup.
 
-:class:`BackendSession` is the base of every backend session: the round's
-query lists, the state arrays and the transitions that do not touch the clock
-are written there once.  :class:`FleetSession` is the base of the two fleet
-sessions — the engine fleet's :class:`~repro.dbms.cluster.ClusterSession` and
-the learned simulator's :class:`~repro.perf.SimulatedClusterSession` — and
-owns the fleet mechanics both share: placement, connection offsets, park,
-cancel, instance context and delivery of an instance's events.
+:class:`FleetSession` is the one backend session class: a round across a
+fleet of instance units behind one clock.  A single engine is a fleet of one.
+It owns the round's query lists, the state arrays, every round transition and
+every fleet answer — placement, connection offsets, park, cancel, health,
+instance context and delivery of an instance's events.  Its two subclasses
+differ only in how an instance predicts its next event (their ``advance``):
+the engine fleet's :class:`~repro.dbms.engine.ClusterSession` over
+:class:`~repro.dbms.engine.ExecutionSession` units, and the learned
+simulator's :class:`~repro.perf.SimulatedClusterSession`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Generic, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, ClassVar, Generic, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .params import RunningParameters
 
 __all__ = [
-    "BackendSession",
     "CompletionEvent",
     "FleetSession",
     "INSTANCE_FEATURE_DIM",
@@ -85,9 +85,8 @@ class RunningQueryState:
 class CompletionEvent:
     """Returned by a session's ``advance``: one query finished.
 
-    ``instance`` identifies the engine instance the query ran on; plain
-    single-engine sessions always report instance 0, a fleet session
-    reports the placement chosen at submit time.
+    ``instance`` identifies the instance the query ran on: the placement
+    chosen at submit time (always 0 on a single engine, a fleet of one).
 
     ``failed`` marks an attempt that did *not* complete — the query errored
     out (``failure == "error"``) or its instance went down mid-flight
@@ -141,163 +140,10 @@ class SessionStateArrays:
         self.status[query_id] = SOA_DEFERRED
 
 
-class BackendSession:
-    """One scheduling round on a backend: the bookkeeping all sessions share.
-
-    A query of the round is *pending* (submittable), *deferred* (not arrived
-    yet, or backing off before a retry), running, *finished* or terminally
-    *failed*.  Subclasses own the running set and the clock (``submit``,
-    ``advance``, ``cancel``); this base owns the lists around them and keeps
-    :attr:`state_arrays` in step with every transition it makes.  The fleet
-    questions get the answers of a one-instance backend here (the engine's
-    :class:`~repro.dbms.engine.ExecutionSession`); :class:`FleetSession`
-    answers them for every fleet.
-    """
-
-    #: Raised when a transition does not apply to the query's current state.
-    error: ClassVar[type[BQSchedError]] = SchedulingError
-
-    @property
-    def supports_lockstep(self) -> bool:
-        """Whether the vectorized engine may interleave this session's advances
-        with batched model predictions (only a fault-free simulated round can)."""
-        return False
-
-    if TYPE_CHECKING:
-        # Defined by every subclass: ``running`` is a dict on the engine's
-        # session and a merged per-instance view on the fleet sessions.
-        @property
-        def running(self) -> Mapping[int, RunningQueryState]: ...
-
-        @property
-        def num_running(self) -> int: ...
-
-        @property
-        def has_idle_connection(self) -> bool: ...
-
-    def __init__(self, batch: BatchQuerySet, round_id: int, strategy: str) -> None:
-        self.batch = batch
-        self.round_id = round_id
-        self.current_time = 0.0
-        self.pending: list[int] = [query.query_id for query in batch]
-        self.deferred: list[int] = []
-        self.finished: dict[int, float] = {}
-        #: Terminally failed queries (retries exhausted / never retried).
-        self.failed: dict[int, float] = {}
-        self.log = RoundLog(round_id=round_id, strategy=strategy)
-        #: SoA mirror of the observable per-query state, updated O(1) per
-        #: transition; the environment's snapshot reads it.
-        self.state_arrays = SessionStateArrays(len(batch))
-
-    # ------------------------------------------------------------------ #
-    # Round state
-    # ------------------------------------------------------------------ #
-    @property
-    def is_done(self) -> bool:
-        return not self.pending and not self.deferred and self.num_running == 0
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    @property
-    def makespan(self) -> float:
-        """Latest finish time observed so far."""
-        return max(self.finished.values(), default=0.0)
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
-
-    def running_states(self) -> list[RunningQueryState]:
-        return list(self.running.values())
-
-    def unarrived_ids(self) -> tuple[int, ...]:
-        """Query ids present in the round but not yet arrived (deferred)."""
-        return tuple(self.deferred)
-
-    def arrival_time(self, query_id: int) -> float:
-        """Backend sessions have no arrival schedule; everything arrives at zero."""
-        return 0.0
-
-    # ------------------------------------------------------------------ #
-    # Transitions that leave the clock alone
-    # ------------------------------------------------------------------ #
-    def defer(self, query_ids: list[int]) -> None:
-        """Move pending queries into the deferred (not yet arrived) state.
-
-        Deferred queries belong to the round, but they cannot be submitted
-        until :meth:`release` marks them as arrived, and the round does not
-        finish while any remain.
-        """
-        for query_id in query_ids:
-            if query_id not in self.pending:
-                raise self.error(f"query {query_id} is not pending and cannot be deferred")
-            self.pending.remove(query_id)
-            self.deferred.append(query_id)
-            self.state_arrays.mark_deferred(query_id)
-
-    def release(self, query_id: int) -> None:
-        """Mark a deferred query as arrived: it becomes pending at the current time."""
-        if query_id not in self.deferred:
-            raise self.error(f"query {query_id} is not deferred")
-        self.deferred.remove(query_id)
-        self.pending.append(query_id)
-        self.state_arrays.mark_pending(query_id)
-
-    def mark_failed(self, query_id: int) -> None:
-        """Terminally fail a pending/deferred query (retries exhausted)."""
-        if query_id in self.pending:
-            self.pending.remove(query_id)
-        elif query_id in self.deferred:
-            self.deferred.remove(query_id)
-        else:
-            raise self.error(f"query {query_id} is not pending/deferred and cannot be failed")
-        self.failed[query_id] = self.current_time
-        self.state_arrays.mark_failed(query_id)
-
-    # ------------------------------------------------------------------ #
-    # Fleet questions, answered for one instance
-    # ------------------------------------------------------------------ #
-    @property
-    def num_instances(self) -> int:
-        return 1
-
-    def idle_instances(self) -> list[int]:
-        """Instances with at least one idle connection."""
-        return [0] if self.has_idle_connection else []
-
-    def instance_of(self, query_id: int) -> int:
-        """The instance a running/finished query was placed on (-1 if never)."""
-        return 0 if query_id in self.running or query_id in self.finished else -1
-
-    def instance_context(self) -> np.ndarray | None:
-        """Observable per-instance context rows (``None`` off-fleet)."""
-        return None
-
-    def instance_num_running(self) -> list[int]:
-        """Running-query count per instance (all tenants)."""
-        return [self.num_running]
-
-    def speed_factors(self) -> tuple[float, ...]:
-        """Per-instance hardware speed relative to the fleet mean."""
-        return (1.0,)
-
-    def parked_instances(self) -> list[int]:
-        """Instances the elastic-fleet control plane has parked."""
-        return []
-
-    def park_instance(self, instance: int) -> None:
-        """Autoscale never parks the last instance (``min_instances >= 1``)."""
-        raise self.error("autoscale parks fleet instances; a single engine has none to spare")
-
-    def unpark_instance(self, instance: int) -> None:
-        raise self.error(f"instance {instance} is not parked")
-
-
 class InstanceUnit(Protocol):
     """One instance of a fleet round, as :class:`FleetSession` sees it.
 
-    On an engine fleet the unit is the engine's own
+    On an engine fleet the unit is the engine's
     :class:`~repro.dbms.engine.ExecutionSession`; on a simulated fleet it is
     the simulator's per-instance state.  Connection ids are local to the
     unit; the fleet adds the instance's offset.
@@ -325,6 +171,10 @@ class InstanceUnit(Protocol):
 
 UnitT = TypeVar("UnitT", bound=InstanceUnit)
 
+#: One event an instance materialised, with the execution record it captured
+#: (``None`` for a failed attempt: nothing was logged).
+InstanceEvent = tuple[CompletionEvent, QueryExecutionRecord | None]
+
 
 def kill_running(unit: InstanceUnit, time: float) -> None:
     """``unit`` went down at ``time``: every running query dies, lowest id
@@ -334,16 +184,22 @@ def kill_running(unit: InstanceUnit, time: float) -> None:
         unit.fault_events.append(CompletionEvent(query_id, time, connection, failed=True, failure=FAILURE_OUTAGE))
 
 
-class FleetSession(BackendSession, Generic[UnitT]):
+class FleetSession(Generic[UnitT]):
     """One scheduling round across a fleet of instances behind one clock.
 
-    Placement (``submit`` returns a *global* connection id: the instance's
-    offset plus the local one), ``cancel``, park/unpark, health and the
-    instance context are written here once; a subclass differs only in how
-    an instance predicts its next event (its ``advance``).  An event an
-    instance has materialised but the fleet has not delivered — a tie, a
-    failure buffered after a kill — counts as running until delivered.
+    A query of the round is *pending* (submittable), *deferred* (not arrived
+    yet, or backing off before a retry), running, *finished* or terminally
+    *failed*; :attr:`state_arrays` follows every transition.  Placement
+    (``submit`` returns a *global* connection id: the instance's offset plus
+    the local one), ``cancel``, park/unpark, health and the instance context
+    are written here once; a subclass differs only in how an instance
+    predicts its next event (its ``advance``).  An event an instance has
+    materialised but the fleet has not delivered — a tie, a failure buffered
+    after a kill — counts as running until delivered.
     """
+
+    #: Raised when a transition does not apply to the query's current state.
+    error: ClassVar[type[BQSchedError]] = SchedulingError
 
     def __init__(
         self,
@@ -353,20 +209,34 @@ class FleetSession(BackendSession, Generic[UnitT]):
         units: Sequence[UnitT],
         speeds: tuple[float, ...],
     ) -> None:
-        super().__init__(batch, round_id, strategy)
+        self.batch = batch
+        self.round_id = round_id
+        self.current_time = 0.0
+        self.pending: list[int] = [query.query_id for query in batch]
+        self.deferred: list[int] = []
+        self.finished: dict[int, float] = {}
+        #: Terminally failed queries (retries exhausted / never retried).
+        self.failed: dict[int, float] = {}
+        self.log = RoundLog(round_id=round_id, strategy=strategy)
+        #: SoA mirror of the observable per-query state, updated O(1) per
+        #: transition; the environment's snapshot reads it.
+        self.state_arrays = SessionStateArrays(len(batch))
         self.instances = list(units)
         self._speeds = speeds
         self._placement: dict[int, int] = {}
         # Per-instance completions that tied with a delivered one, each with
-        # the execution record captured when it was materialised (``None``
-        # for a failure: nothing was logged); drained in instance order
-        # before the clock moves again.
-        self._instance_events: list[list[tuple[CompletionEvent, QueryExecutionRecord | None]]] = [
-            [] for _ in self.instances
-        ]
+        # the execution record captured when it was materialised; drained in
+        # instance order before the clock moves again.
+        self._instance_events: list[list[InstanceEvent]] = [[] for _ in self.instances]
         counts = [unit.num_connections for unit in self.instances]
         self._connection_offsets = [sum(counts[:index]) for index in range(len(counts))]
         self.num_connections = sum(counts)
+
+    @property
+    def supports_lockstep(self) -> bool:
+        """Whether the vectorized engine may interleave this session's advances
+        with batched model predictions (only a fault-free simulated round can)."""
+        return False
 
     # ------------------------------------------------------------------ #
     # Fleet questions
@@ -472,6 +342,72 @@ class FleetSession(BackendSession, Generic[UnitT]):
         return context
 
     # ------------------------------------------------------------------ #
+    # Round state
+    # ------------------------------------------------------------------ #
+    @property
+    def is_done(self) -> bool:
+        return not self.pending and not self.deferred and self.num_running == 0
+
+    @property
+    def has_pending(self) -> bool:
+        return bool(self.pending)
+
+    @property
+    def makespan(self) -> float:
+        """Latest finish time observed so far."""
+        return max(self.finished.values(), default=0.0)
+
+    def pending_queries(self) -> list[Query]:
+        return [self.batch[i] for i in self.pending]
+
+    def running_states(self) -> list[RunningQueryState]:
+        return list(self.running.values())
+
+    def unarrived_ids(self) -> tuple[int, ...]:
+        """Query ids present in the round but not yet arrived (deferred)."""
+        return tuple(self.deferred)
+
+    def arrival_time(self, query_id: int) -> float:
+        """Backend sessions have no arrival schedule; everything arrives at zero."""
+        return 0.0
+
+    # ------------------------------------------------------------------ #
+    # Transitions that leave the clock alone
+    # ------------------------------------------------------------------ #
+    def defer(self, query_ids: list[int]) -> None:
+        """Move pending queries into the deferred (not yet arrived) state.
+
+        Deferred queries belong to the round, but they cannot be submitted
+        until :meth:`release` marks them as arrived, and the round does not
+        finish while any remain.
+        """
+        for query_id in query_ids:
+            if query_id not in self.pending:
+                raise self.error(f"query {query_id} is not pending and cannot be deferred")
+            self.pending.remove(query_id)
+            self.deferred.append(query_id)
+            self.state_arrays.mark_deferred(query_id)
+
+    def release(self, query_id: int) -> None:
+        """Mark a deferred query as arrived: it becomes pending at the current time."""
+        if query_id not in self.deferred:
+            raise self.error(f"query {query_id} is not deferred")
+        self.deferred.remove(query_id)
+        self.pending.append(query_id)
+        self.state_arrays.mark_pending(query_id)
+
+    def mark_failed(self, query_id: int) -> None:
+        """Terminally fail a pending/deferred query (retries exhausted)."""
+        if query_id in self.pending:
+            self.pending.remove(query_id)
+        elif query_id in self.deferred:
+            self.deferred.remove(query_id)
+        else:
+            raise self.error(f"query {query_id} is not pending/deferred and cannot be failed")
+        self.failed[query_id] = self.current_time
+        self.state_arrays.mark_failed(query_id)
+
+    # ------------------------------------------------------------------ #
     # Session protocol: state
     # ------------------------------------------------------------------ #
     @property
@@ -540,8 +476,7 @@ class FleetSession(BackendSession, Generic[UnitT]):
     def _pop_buffered(self) -> CompletionEvent | None:
         for index, events in enumerate(self._instance_events):
             if events:
-                event, record = events.pop(0)
-                return self._record(event, record, index)
+                return self._record(*events.pop(0), index)
         return None
 
     def _record(self, event: CompletionEvent, local: QueryExecutionRecord | None, instance: int) -> CompletionEvent:

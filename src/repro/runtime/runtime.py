@@ -2,9 +2,10 @@
 
 BQSched is non-intrusive: the scheduler only submits queries to connections
 and observes completion events.  :class:`ExecutionRuntime` makes that
-interface literal.  It owns ONE backend session per round — the fluid-model
-engine, the learned simulator, or a :class:`~repro.dbms.Cluster` session
-that itself spans N engine instances — and multiplexes it between N *tenants*:
+interface literal.  It owns ONE backend session per round — a
+:class:`~repro.dbms.soa.FleetSession` over the instances of the backend: one
+for a single engine, N for a :class:`~repro.dbms.Cluster`, and those of the
+learned simulator's fleet — and multiplexes it between N *tenants*:
 independent batch query sets that share the engine's connections, buffer
 pool and contention model while keeping their own pending sets, logs and
 metrics.  The runtime advances the engine to the next event (a query
@@ -22,11 +23,11 @@ order into one union batch, so tenant ``t`` with offset ``o`` owns global
 ids ``[o, o + len(batch))``; every event a tenant sees carries its *local*
 id, which is what keeps per-tenant logs disjoint and self-consistent.
 
-Cluster routing: when the backend is a :class:`~repro.dbms.Cluster`, the
-shared session routes submissions to engine *instances* (``submit`` takes a
-placement) and each instance keeps its own completion buffer; the cluster
-session merges those per-instance event streams into the single time-ordered
-stream the runtime consumes, alongside the scheduled arrivals of the global
+Instance routing: the shared session routes submissions to engine
+*instances* (``submit`` takes a placement; a single engine has instance 0
+only) and each instance keeps its own completion buffer; the session merges
+those per-instance event streams into the single time-ordered stream the
+runtime consumes, alongside the scheduled arrivals of the global
 :class:`~repro.runtime.EventQueue`.  Completion events then carry the
 instance they happened on, so tenants can attribute latency to placement.
 """
@@ -793,7 +794,7 @@ class TenantSession:
     # -- cluster topology (delegated to the shared session) -------------- #
     @property
     def num_instances(self) -> int:
-        """Engine instances behind the shared session (1 on plain backends)."""
+        """Engine instances behind the shared session (1 on a single engine)."""
         return self._shared.num_instances
 
     def idle_instances(self) -> list[int]:
@@ -803,7 +804,7 @@ class TenantSession:
         """The instance a tenant-local query was placed on (-1 if never)."""
         return self._shared.instance_of(self._state.offset + query_id)
 
-    def instance_context(self) -> "np.ndarray | None":
+    def instance_context(self) -> np.ndarray:
         return self._shared.instance_context()
 
     def instance_num_running(self) -> list[int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.env import cluster_instance_count
 from repro.encoder import QueryRuntimeInfo, QueryStatus, RunStateFeaturizer, SchedulingSnapshot, SnapshotArrays
 from repro.exceptions import SchedulingError
 
@@ -191,7 +192,8 @@ def snapshot_aos(env) -> SchedulingSnapshot:
                 )
             )
     priority, deadline_slack = env._slo_context()
-    context = session.instance_context()
+    # Only a fleet backend has the instance-context channel.
+    context = session.instance_context() if cluster_instance_count(env.backend) is not None else None
     health = session.instance_health()
     return SchedulingSnapshot(
         time=now,

@@ -603,7 +603,7 @@ class TestClusterRuntime:
         session = tenant.new_session(batch, num_connections=4, round_id=0)
         space = ConfigurationSpace(BQSchedConfig.small().scheduler)
         assert session.num_instances == 1
-        assert session.instance_context() is None
+        assert session.instance_context().shape == (1, INSTANCE_FEATURE_DIM)
         assert session.speed_factors() == (1.0,)
         with pytest.raises(SchedulingError):
             session.submit(0, space[0], instance=2)

@@ -75,7 +75,8 @@ def small_config():
 
 @pytest.fixture(scope="module")
 def fleet_of(fixture_batch, small_config):
-    """``fleet_of(kind, size)``: a ``size``-instance fleet of engines or of the learned simulator."""
+    """``fleet_of(kind, size)``: a ``size``-instance fleet of engines or of the learned simulator,
+    or (``"engine"``) a single engine, a fleet of one."""
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
     space = ConfigurationSpace(small_config.scheduler)
     knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), fixture_batch, space)
@@ -83,6 +84,9 @@ def fleet_of(fixture_batch, small_config):
     embeddings = PlanEmbeddingCache(queryformer).embeddings_for(fixture_batch)
 
     def build(kind, size):
+        if kind == "engine":
+            assert size == 1, "a single engine is a fleet of one"
+            return DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         if kind == "cluster":
             return Cluster.from_names(("x",) * size, seed=0)
         perf = PerformanceModel(
@@ -245,34 +249,25 @@ class TestRetryDecisions:
 
 
 class TestParkUnpark:
-    def test_engine_park_reports_down_without_recovery(self, fixture_batch, small_config):
-        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        session = engine.new_session(fixture_batch, num_connections=4)
-        assert not session.is_down
-        session.park()
-        assert session.is_parked
-        assert session.is_down
-        assert not session.has_idle_connection
+    @pytest.mark.parametrize("kind, size", [("engine", 1), ("cluster", 2), ("simulated", 2)])
+    def test_cluster_park_excludes_instance(self, fixture_batch, fleet_of, kind, size):
+        session = fleet_of(kind, size).new_session(fixture_batch, num_connections=4)
+        last = size - 1
+        assert session.parked_instances() == []
+        session.park_instance(last)
+        assert session.parked_instances() == [last]
+        assert not session.instance_health()[last]
+        assert session.idle_instances() == list(range(last))
+        assert session.has_idle_connection == (size > 1)
         # Parked is not an outage with a known end: no autonomous recovery.
         assert session.next_fault_wakeup() is None
-        with pytest.raises(SchedulingError):
-            session.park()
-        session.unpark()
-        assert not session.is_parked
-        assert not session.is_down
-        assert session.has_idle_connection
-        with pytest.raises(SchedulingError):
-            session.unpark()
-
-    @pytest.mark.parametrize("kind", ["cluster", "simulated"])
-    def test_cluster_park_excludes_instance(self, fixture_batch, fleet_of, kind):
-        session = fleet_of(kind, 2).new_session(fixture_batch, num_connections=4)
+        with pytest.raises(session.error):
+            session.park_instance(last)
+        session.unpark_instance(last)
         assert session.parked_instances() == []
-        session.park_instance(1)
-        assert session.parked_instances() == [1]
-        assert not session.instance_health()[1]
-        session.unpark_instance(1)
-        assert session.parked_instances() == []
+        assert all(session.instance_health()) and session.has_idle_connection
+        with pytest.raises(session.error):
+            session.unpark_instance(last)
         with pytest.raises(session.error):
             session.park_instance(5)
 
@@ -466,15 +461,9 @@ class TestAutoscaledServing:
         session = tenant.new_session(fixture_batch, num_connections=6, round_id=0)
         shared = runtime.shared_session
 
-        def idle_instance():
-            for index, sub in enumerate(shared.instances):
-                if sub.has_idle_connection:
-                    return index
-            return None
-
         while not runtime.is_done:
             while session.pending and session.has_idle_connection:
-                session.submit(session.pending[0], space[0], instance=idle_instance())
+                session.submit(session.pending[0], space[0], instance=shared.idle_instances()[0])
             if runtime.is_done:
                 break
             runtime.advance()

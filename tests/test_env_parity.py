@@ -5,7 +5,9 @@
 decision process: at every decision the action masks and the observable
 snapshot columns agree, and the finished rounds hash to the same log
 digest.  The strategies cover query-level heuristics (FIFO, MCF, Random)
-and a gain-clustered drain driven by random valid actions.
+and a gain-clustered drain driven by random valid actions.  Under faults
+(errors, hangs, an outage, retries with a timeout) the runtime over the
+engine and over the fleet of one must see the same state after every event.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from repro.core import (
     SchedulingEnv,
     cluster_queries,
 )
-from repro.dbms import Cluster, ConfigurationSpace
+from repro.config import RetryPolicy
+from repro.dbms import Cluster, ConfigurationSpace, FailureProfile, OutageWindow
+from repro.runtime import ExecutionRuntime, QueryFailure
 
 #: The observable per-query columns the policy featurizes.
 _COLUMNS = ("status", "config_index", "elapsed", "expected_time", "available", "attempts")
@@ -134,3 +138,46 @@ def test_gain_clustered_random_drain_matches_on_a_fleet_of_one(parts):
         return lambda env, snapshot, mask: int(rng.choice(np.flatnonzero(mask)))
 
     _assert_same_process(engine_env, fleet_env, make_chooser, round_id=3)
+
+
+#: Errors, stragglers and an outage of the (only) instance while work runs.
+_FAULTS = FailureProfile(error_rate=0.2, hang_rate=0.1, outages=(OutageWindow(0, 1.0, 2.5),))
+
+
+def _faulty_fifo_trace(backend, batch, space):
+    """FIFO through the runtime; the observable state after every runtime event."""
+    runtime = ExecutionRuntime(backend, retry=RetryPolicy(3, timeout=8.0))
+    session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=0)
+    shared = runtime.shared_session
+    trace = []
+    while not runtime.is_done:
+        while session.pending and session.has_idle_connection:
+            session.submit(session.pending[0], space[0])
+        if runtime.is_done:
+            break
+        event = runtime.advance()
+        trace.append(
+            (
+                event,
+                list(session.pending),
+                list(shared.pending),
+                session.soa_status.tobytes(),
+                shared.num_running,
+                shared.instance_num_running(),
+                shared.instance_health(),
+            )
+        )
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_faulty_runtime_matches_on_a_fleet_of_one(parts, seed):
+    batch, _, space = parts[:3]
+    engine_trace = _faulty_fifo_trace(DatabaseEngine(DBMSProfile.dbms_x(), seed=seed, faults=_FAULTS), batch, space)
+    fleet_trace = _faulty_fifo_trace(
+        Cluster([DatabaseEngine(DBMSProfile.dbms_x(), seed=seed, faults=_FAULTS)]), batch, space
+    )
+    assert any(isinstance(entry[0], QueryFailure) for entry in engine_trace)
+    assert len(engine_trace) == len(fleet_trace)
+    for index, (engine_entry, fleet_entry) in enumerate(zip(engine_trace, fleet_trace)):
+        assert engine_entry == fleet_entry, f"runtime state differs after event {index}"

@@ -200,13 +200,13 @@ class TestEngineFaults:
         assert killed[0].finish_time == 1.0
         assert session.current_time == 1.0
         assert killed[0].query_id in session.pending
-        assert session.is_down and not session.has_idle_connection
+        assert not session.instance_health()[0] and not session.has_idle_connection
         assert session.instance_health() == [False]
         with pytest.raises(SchedulingError):
             session.submit(ids[0], space[0])
         assert session.next_fault_wakeup() == 3.0
         session.advance(limit=3.0)
-        assert not session.is_down and session.has_idle_connection
+        assert session.instance_health()[0] and session.has_idle_connection
 
     def test_execute_order_marks_failures_terminal(self, fixture_batch, small_config):
         engine = DatabaseEngine(

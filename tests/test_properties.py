@@ -176,7 +176,7 @@ def _first_finish_without_memo(session):
 
 
 class TestNextEventMemo:
-    """``ExecutionSession`` computes its next finish once per state, and that state is every input."""
+    """An ``ExecutionSession`` unit computes its next finish once per state, and that state is every input."""
 
     @given(
         ops=st.lists(
@@ -201,14 +201,15 @@ class TestNextEventMemo:
         session = DatabaseEngine(DBMSProfile.dbms_x(), seed=0).new_session(
             batch, num_connections=3, round_id=0, faults=faults
         )
+        unit = session.instances[0]
         # Every connection busy to start with; an ``amount`` is a fraction of
         # the way to the predicted event, so limits often land before it.
         for op, pick, amount in [("submit", 0, 0.0)] * 3 + ops + [("advance", 0, 0.0)] * 8:
-            if session.running:
-                memo = session._next_finish()
-                fresh = _first_finish_without_memo(session)
+            if unit.running:
+                memo = unit._next_finish()
+                fresh = _first_finish_without_memo(unit)
                 assert (memo[0], memo[1].hex()) == (fresh[0], fresh[1].hex())
-            predicted = session.next_completion_time()
+            predicted = unit.next_completion_time()
             if op == "submit" and session.pending and session.has_idle_connection:
                 session.submit(session.pending[pick % len(session.pending)], space[pick % len(space)])
             elif op == "advance" and session.num_running:
@@ -222,14 +223,14 @@ class TestNextEventMemo:
                     assert event is not None and event.finish_time == predicted == session.current_time
                 else:
                     assert event is None and session.current_time == limit
-            elif op == "cancel" and session.running:
-                session.cancel(sorted(session.running)[pick % len(session.running)])
-            elif op == "park" and not session.is_parked:
-                session.park()
-            elif op == "unpark" and session.is_parked:
-                session.unpark()
+            elif op == "cancel" and unit.running:
+                session.cancel(sorted(unit.running)[pick % len(unit.running)])
+            elif op == "park" and not session.parked_instances():
+                session.park_instance(0)
+            elif op == "unpark" and session.parked_instances():
+                session.unpark_instance(0)
             elif op == "touch":
-                session.buffer.touch(tables[pick % len(tables)], rows=amount * 1e5, now=session.current_time)
+                unit.buffer.touch(tables[pick % len(tables)], rows=amount * 1e5, now=session.current_time)
 
 
 # Per-instance context rows are this wide in the featurizer property tests.

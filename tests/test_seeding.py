@@ -65,7 +65,7 @@ class TestSeedSpawner:
         expected = {
             q.query_id: float(np.exp(reference.normal(0.0, engine.profile.noise))) for q in batch
         }
-        assert session._noise == expected
+        assert session.instances[0]._noise == expected
 
     def test_config_exposes_the_root_spawner(self):
         config = BQSchedConfig.small(seed=13)

@@ -5,9 +5,9 @@ The environment is backend-agnostic through two typed protocols in
 ``SchedulingSession`` (the live rounds themselves).  These tests pin the
 signature and assert that every production implementation — the real engine,
 the real cluster, the learned simulator (a simulated fleet, of one on a single
-engine) and the runtime tenant — actually satisfies both, and that the three
-backend sessions share the ``BackendSession`` transitions and single-instance
-answers.
+engine) and the runtime tenant — actually satisfies both, and that every
+backend session is a ``FleetSession`` (a single engine's is a fleet of one)
+with one copy of the round transitions and fleet answers.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import AutoscalePolicy
 from repro.core import ExternalKnowledge, SchedulingSession, SessionBackend
 from repro.dbms import INSTANCE_FEATURE_DIM, Cluster, ClusterSession, ConfigurationSpace, RunningParameters
-from repro.dbms.engine import ExecutionSession
-from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, BackendSession
+from repro.dbms.soa import SOA_DEFERRED, SOA_FAILED, SOA_PENDING, FleetSession
 from repro.encoder import PlanEmbeddingCache, QueryFormer
 from repro.perf import PerformanceModel, SimulatedCluster, SimulatedClusterSession
 from repro.plans import PlanFeaturizer
@@ -97,7 +96,7 @@ class TestBackendConformance:
         batch, engine, _, _, _ = parts
         assert isinstance(engine, SessionBackend)
         session = engine.new_session(batch, num_connections=4, strategy="probe", round_id=0)
-        assert isinstance(session, ExecutionSession)
+        assert isinstance(session, ClusterSession) and session.num_instances == 1
         assert isinstance(session, SchedulingSession)
 
     def test_simulator_satisfies_protocol(self, parts):
@@ -153,7 +152,7 @@ class TestSessionBehaviouralParity:
             session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=5)
         # The backend session under test: a tenant's is the runtime's shared one.
         backend = runtime.shared_session if kind == "tenant" else session
-        assert isinstance(backend, BackendSession)
+        assert isinstance(backend, FleetSession)
         assert session.log.round_id == 5
         assert not session.is_done and session.has_pending and session.has_idle_connection
         assert session.unarrived_ids() == ()
@@ -205,7 +204,7 @@ class TestSubmitPlacementContract:
     with the backend's error type before the round changes."""
 
     def test_every_session_submit_takes_an_instance(self):
-        for session_cls in (ExecutionSession, ClusterSession, SimulatedClusterSession, TenantSession):
+        for session_cls in (ClusterSession, SimulatedClusterSession, TenantSession):
             parameter = inspect.signature(session_cls.submit).parameters.get("instance")
             assert parameter is not None, session_cls.__name__
             assert parameter.default == 0, session_cls.__name__
@@ -306,14 +305,9 @@ class TestMemberCheck:
         assert session.instance_health() == [True] * n
         assert session.instance_num_running() == [0] * n
         assert len(session.speed_factors()) == n
-        context = session.instance_context()
-        assert context is None if n == 1 else context.shape == (n, INSTANCE_FEATURE_DIM)
+        assert session.instance_context().shape == (n, INSTANCE_FEATURE_DIM)
         assert session.next_fault_wakeup() is None and session.parked_instances() == []
         parameters = RunningParameters(1, 64)
-        if n == 1:
-            with pytest.raises(session.error):
-                session.park_instance(0)
-            return
         last = n - 1
         session.submit(0, parameters, instance=last)
         session.park_instance(last)
