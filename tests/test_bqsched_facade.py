@@ -116,3 +116,44 @@ class TestClusteringIntegration:
         assert scheduler.env.cluster_mode
         result = scheduler.schedule(round_id=0)
         assert result.num_queries == workload.num_queries
+
+
+class TestNoTapeAtRunTime:
+    """The library builds no autograd tape node outside tests: set-up, prepare, train, schedule and serve."""
+
+    @staticmethod
+    def _count_tape_nodes(monkeypatch) -> list[int]:
+        from repro.nn.tensor import Tensor
+
+        made = [0]
+        make_child = Tensor._make_child
+
+        def counting(self, *args, **kwargs):
+            made[0] += 1
+            return make_child(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_make_child", counting)
+        return made
+
+    @pytest.mark.parametrize("fleet", [None, ("x", "z")])
+    def test_construct_prepare_train_schedule_serve(self, monkeypatch, fleet):
+        from repro import Cluster
+
+        made = self._count_tape_nodes(monkeypatch)
+        workload = make_workload("tpch", scale_factor=1.0, seed=0)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0) if fleet is None else Cluster.from_names(fleet, seed=0)
+        scheduler = BQSched(workload, engine, BQSchedConfig.small(seed=0))
+        assert made[0] == 0, "construction"
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        assert scheduler.schedule(round_id=0).makespan > 0
+        assert len(scheduler.serve(num_tenants=2).tenants) == 2
+        assert made[0] == 0
+
+    def test_large_clustered_construct_and_prepare(self, monkeypatch):
+        made = self._count_tape_nodes(monkeypatch)
+        workload = make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0)
+        scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), BQSchedConfig(seed=0))
+        scheduler.prepare(history_rounds=2)
+        assert scheduler.clusters is not None and len(scheduler.batch) == 158
+        assert made[0] == 0
