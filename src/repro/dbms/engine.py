@@ -57,6 +57,7 @@ __all__ = [
     "ExecutionSession",
     "RunningQueryState",
     "next_instance_in_rotation",
+    "progress_rates",
 ]
 
 _EPSILON = 1e-9
@@ -268,12 +269,12 @@ class ExecutionSession:
         ``next_completion_time``/``advance`` double-compute (and every
         idle-forward peer advance in cluster merging) reuses one computation;
         :meth:`_next_finish` adds the work version on top of these two.
-        The exact per-call float arithmetic is unchanged.
+        The rates are :func:`progress_rates` of the running set and buffer.
         """
         key = (self._running_version, self.buffer.version)
         if self._rates_cache is not None and self._rates_cache[0] == key:
             return self._rates_cache[1]
-        rates = self._compute_progress_rates()
+        rates = progress_rates(self.profile, list(self.running.values()), self.buffer)
         self._rates_cache = (key, rates)
         return rates
 
@@ -303,72 +304,85 @@ class ExecutionSession:
             state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * seconds)
         self._work_version += 1
 
-    def _compute_progress_rates(self) -> dict[int, float]:
-        states = list(self.running.values())
-        if not states:
-            return {}
+def progress_rates(
+    profile: DBMSProfile, states: Sequence[RunningQueryState], buffer: BufferPool
+) -> dict[int, float]:
+    """The fluid model: work-per-second rate of every query in ``states`` running together.
 
-        amdahl = {}
-        for state in states:
-            p = state.query.parallel_fraction
-            workers = state.parameters.workers
-            amdahl[state.query.query_id] = 1.0 / ((1.0 - p) + p / workers)
+    A function of the profile, the running set (which queries, with which
+    parameters) and the buffer's residency only.  An :class:`ExecutionSession`
+    calls it through its memo; :meth:`DatabaseEngine.estimate_isolated_time`
+    with one state and an empty buffer.
+    """
+    if not states:
+        return {}
 
-        cpu_demand = sum(
-            amdahl[s.query.query_id] * s.query.cpu_fraction for s in states
-        )
-        io_demand = sum(s.query.io_fraction for s in states)
-        cpu_scale = self._contention_scale(cpu_demand, self.profile.cpu_capacity)
-        io_scale = self._contention_scale(io_demand, self.profile.io_capacity)
+    amdahl = {}
+    for state in states:
+        p = state.query.parallel_fraction
+        workers = state.parameters.workers
+        amdahl[state.query.query_id] = 1.0 / ((1.0 - p) + p / workers)
 
-        memory_granted = sum(min(s.parameters.memory_mb, s.query.memory_demand_mb) for s in states)
-        global_pressure = max(0.0, memory_granted / self.profile.memory_capacity_mb - 1.0)
+    cpu_demand = sum(
+        amdahl[s.query.query_id] * s.query.cpu_fraction for s in states
+    )
+    io_demand = sum(s.query.io_fraction for s in states)
+    cpu_scale = _contention_scale(profile, cpu_demand, profile.cpu_capacity)
+    io_scale = _contention_scale(profile, io_demand, profile.io_capacity)
 
-        # How many running queries scan each table, counted once per call: a
-        # table is scanned concurrently with a query iff another one counts it.
-        table_counts = Counter(table for s in states for table in s.query.tables)
-        rates: dict[int, float] = {}
-        for state in states:
-            query = state.query
-            cpu_rate = amdahl[query.query_id] * cpu_scale
-            spill = self._spill_factor(state, global_pressure)
-            cpu_rate /= 1.0 + spill
-            io_rate = io_scale * (1.0 + self._sharing_boost(state, table_counts))
-            blended = query.cpu_fraction * cpu_rate + query.io_fraction * io_rate
-            rates[query.query_id] = max(_EPSILON, blended * self.profile.speed)
-        return rates
+    memory_granted = sum(min(s.parameters.memory_mb, s.query.memory_demand_mb) for s in states)
+    global_pressure = max(0.0, memory_granted / profile.memory_capacity_mb - 1.0)
 
-    def _contention_scale(self, demand: float, capacity: float) -> float:
-        """Proportional-share contention, softened by the internal resource manager."""
-        if demand <= capacity:
-            return 1.0
-        raw = capacity / demand
-        smoothing = self.profile.contention_smoothing
-        return (1.0 - smoothing) * raw + smoothing * np.sqrt(raw)
-
-    def _spill_factor(self, state: RunningQueryState, global_pressure: float) -> float:
-        """Slowdown from undersized working memory (spilling sorts/hashes)."""
+    # How many running queries scan each table, counted once per call: a
+    # table is scanned concurrently with a query iff another one counts it.
+    table_counts = Counter(table for s in states for table in s.query.tables)
+    rates: dict[int, float] = {}
+    for state in states:
         query = state.query
-        if query.memory_demand_mb <= 0:
-            return 0.0
-        shortfall = max(0.0, query.memory_demand_mb - state.parameters.memory_mb) / query.memory_demand_mb
-        return _SPILL_PENALTY * query.memory_sensitivity * (shortfall + 0.5 * global_pressure)
+        cpu_rate = amdahl[query.query_id] * cpu_scale
+        spill = _spill_factor(state, global_pressure)
+        cpu_rate /= 1.0 + spill
+        io_rate = io_scale * (1.0 + _sharing_boost(profile, state, table_counts, buffer))
+        blended = query.cpu_fraction * cpu_rate + query.io_fraction * io_rate
+        rates[query.query_id] = max(_EPSILON, blended * profile.speed)
+    return rates
 
-    def _sharing_boost(self, state: RunningQueryState, table_counts: "Counter[str]") -> float:
-        """I/O acceleration from concurrent scans (a table count above one) and warm buffer."""
-        query = state.query
-        if not query.tables:
-            return 0.0
-        total_rows = sum(query.tables.values())
-        if total_rows <= 0:
-            return 0.0
-        shared = 0.0
-        for table, rows in query.tables.items():
-            table_rows = rows
-            concurrent_share = 0.8 if table_counts[table] > 1 else 0.0
-            cached_share = self.buffer.cached_fraction(table, table_rows)
-            shared += rows * max(concurrent_share, cached_share)
-        return self.profile.sharing_strength * (shared / total_rows)
+
+def _contention_scale(profile: DBMSProfile, demand: float, capacity: float) -> float:
+    """Proportional-share contention, softened by the internal resource manager."""
+    if demand <= capacity:
+        return 1.0
+    raw = capacity / demand
+    smoothing = profile.contention_smoothing
+    return (1.0 - smoothing) * raw + smoothing * np.sqrt(raw)
+
+
+def _spill_factor(state: RunningQueryState, global_pressure: float) -> float:
+    """Slowdown from undersized working memory (spilling sorts/hashes)."""
+    query = state.query
+    if query.memory_demand_mb <= 0:
+        return 0.0
+    shortfall = max(0.0, query.memory_demand_mb - state.parameters.memory_mb) / query.memory_demand_mb
+    return _SPILL_PENALTY * query.memory_sensitivity * (shortfall + 0.5 * global_pressure)
+
+
+def _sharing_boost(
+    profile: DBMSProfile, state: RunningQueryState, table_counts: "Counter[str]", buffer: BufferPool
+) -> float:
+    """I/O acceleration from concurrent scans (a table count above one) and warm buffer."""
+    query = state.query
+    if not query.tables:
+        return 0.0
+    total_rows = sum(query.tables.values())
+    if total_rows <= 0:
+        return 0.0
+    shared = 0.0
+    for table, rows in query.tables.items():
+        table_rows = rows
+        concurrent_share = 0.8 if table_counts[table] > 1 else 0.0
+        cached_share = buffer.cached_fraction(table, table_rows)
+        shared += rows * max(concurrent_share, cached_share)
+    return profile.sharing_strength * (shared / total_rows)
 
 
 class ClusterSession(FleetSession[ExecutionSession]):
@@ -601,21 +615,18 @@ class DatabaseEngine:
         )
 
     def estimate_isolated_time(self, query: Query, parameters: RunningParameters) -> float:
-        """Execute one query alone on an otherwise idle system (no noise).
+        """Time for one query alone on an otherwise idle instance with a cold buffer (no noise).
 
         This is the "external knowledge" collection step of adaptive masking:
         the periodic nature of batch workloads lets the operator profile each
-        query under every configuration.
+        query under every configuration.  It reads the fluid model's rate
+        for the query as the only running state (:func:`progress_rates`) and
+        opens no session: the finish time a one-query round would reach.
         """
-        batch = BatchQuerySet([query])
-        probe = batch[0]
-        rng = self.seeds.derive(0xC0FFEE)
-        unit = ExecutionSession(profile=self.profile, batch=batch, num_connections=1, rng=rng)
-        unit._noise = {probe.query_id: 1.0}
-        unit.submit(probe.query_id, parameters)
-        delivered = unit.advance()
-        assert delivered is not None
-        return delivered[0].finish_time
+        work = query.total_work
+        state = RunningQueryState(query, parameters, 0, 0.0, work, work)
+        rate = progress_rates(self.profile, (state,), BufferPool(self.profile.buffer_pool_rows))[query.query_id]
+        return 0.0 + work / max(rate, _EPSILON)
 
     execute_order = execute_fixed_order
     collect_logs = collect_fixed_order_logs

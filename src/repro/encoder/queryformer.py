@@ -8,11 +8,12 @@ added to the attention scores (closer nodes attend more strongly), and the
 super node's output embedding is the plan embedding ``e_i``.
 
 The paper uses a QueryFormer pre-trained on query logs; in this reproduction
-the encoder is initialised randomly and kept frozen during RL (its role is to
-provide a structure-preserving projection of the plan into a dense vector),
-while the downstream MLPs and attention layers learn on top of it.  The
-encoder is still a fully trainable module, so the simulator's prediction
-model and the gain model can fine-tune it when desired.
+the encoder is initialised randomly and kept frozen (its role is to provide a
+structure-preserving projection of the plan into a dense vector), while the
+downstream MLPs and attention layers learn on top of it.  Its forward is
+therefore inference only: the float64 program of :mod:`repro.nn.fastinfer`
+over the module's parameters, bit-identical to the autograd forward and
+recording no tape.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import EncoderConfig
-from ..nn import AttentionEncoder, Embedding, Linear, MLP, Module, Tensor, concatenate, no_grad
+from ..nn import AttentionEncoder, Embedding, Linear, MLP, Module, fastinfer
 from ..plans import PhysicalPlan, PlanFeaturizer
 
 __all__ = ["QueryFormer", "PlanEmbeddingCache"]
@@ -48,17 +49,20 @@ class QueryFormer(Module):
         #: additive attention bias per unit of tree distance
         self.distance_penalty = 0.5
 
-    def forward(self, plan: PhysicalPlan) -> Tensor:
-        """Encode one plan into its ``plan_embedding_dim`` vector."""
+    def forward(self, plan: PhysicalPlan) -> np.ndarray:
+        """Encode one plan into its ``plan_embedding_dim`` vector (a fresh array)."""
         features = self.featurizer.featurize(plan)
+        num_nodes = features.num_nodes
         heights = np.clip(features.heights, 0, self.config.max_height)
-        node_tokens = self.input_proj(Tensor(features.node_features)) + self.height_embedding(heights)
-        super_token = self.super_token(np.array([0]))
-        tokens = concatenate([node_tokens, super_token], axis=0)
-        bias = self._tree_bias(features.distances)
-        encoded = self.encoder(tokens, bias=bias)
-        plan_embedding = encoded[features.num_nodes]
-        return self.output_proj(plan_embedding)
+        tokens = np.empty((num_nodes + 1, self.config.node_hidden_dim))
+        np.add(
+            fastinfer.linear_forward(self.input_proj, features.node_features),
+            self.height_embedding.weight.data[heights],
+            out=tokens[:num_nodes],
+        )
+        tokens[num_nodes] = self.super_token.weight.data[0]
+        encoded = fastinfer.attention_encoder_forward(self.encoder, tokens, self._tree_bias(features.distances))
+        return fastinfer.mlp_forward(self.output_proj, encoded[num_nodes])
 
     def _tree_bias(self, distances: np.ndarray) -> np.ndarray:
         """Attention bias: ``-penalty * tree distance``; the super node sits at distance 1."""
@@ -73,8 +77,8 @@ class PlanEmbeddingCache:
     """Caches frozen plan embeddings for a batch query set.
 
     Plan trees never change during scheduling, so the embeddings are computed
-    once (without building autograd tapes) and reused at every decision step,
-    exactly like serving a pre-trained QueryFormer.
+    once, by the encoder's float64 inference program, and reused at every
+    decision step, exactly like serving a pre-trained QueryFormer.
     """
 
     def __init__(self, queryformer: QueryFormer) -> None:
@@ -84,8 +88,7 @@ class PlanEmbeddingCache:
     def embedding(self, query_id: int, plan: PhysicalPlan) -> np.ndarray:
         """Return (and memoise) the plan embedding for ``query_id``."""
         if query_id not in self._cache:
-            with no_grad():
-                self._cache[query_id] = np.array(self.queryformer(plan).data, copy=True)
+            self._cache[query_id] = self.queryformer(plan)
         return self._cache[query_id]
 
     def embeddings_for(self, queries) -> np.ndarray:

@@ -4,9 +4,12 @@ A ``no_grad`` forward through :mod:`repro.nn.tensor` allocates one
 :class:`Tensor` per operation, which dwarfs the arithmetic at hot-path sizes.
 
 The **float64 path** (:func:`linear_forward` to :func:`attention_encoder_forward`)
-is the simulator's ``predict`` / ``predict_batched``: bit-identical to the
-tensor forward (same operation order, shift-by-max softmax, ``x * (x > 0)``
-ReLU), LayerNorm only (:func:`fast_inference_reason`).
+is the simulator's ``predict`` / ``predict_batched`` and QueryFormer's plan
+embedding: bit-identical to the tensor forward (same operation order,
+shift-by-max softmax, ``x * (x > 0)`` ReLU, an optional additive score bias).
+One ``(tokens, dim)`` sequence takes LayerNorm or BatchNorm's per-state token
+norm over batch statistics; a ``(batch, tokens, dim)`` stack takes LayerNorm
+only (:func:`fast_inference_reason`).  What it does not replicate raises.
 
 The **float32 decision program** (:func:`packed`, :func:`mlp32`,
 :func:`encoder32`) is every action-sampling forward, over weights copied once
@@ -30,7 +33,7 @@ from .layers import MLP, Activation, BatchNorm, LayerNorm, Linear, Module, Param
 __all__ = [
     "linear_forward",
     "mlp_forward",
-    "layer_norm_forward",
+    "norm_forward",
     "attention_forward",
     "attention_forward_batched",
     "attention_encoder_forward",
@@ -78,24 +81,42 @@ def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def layer_norm_forward(norm: LayerNorm, x: np.ndarray) -> np.ndarray:
-    """Layer normalisation over the last axis, matching the tensor forward.
+def norm_forward(norm: "LayerNorm | BatchNorm", x: np.ndarray) -> np.ndarray:
+    """LayerNorm over the last axis, or BatchNorm over one sequence's tokens, matching the tensor forward.
 
     ``Tensor.mean`` evaluates ``sum * (1/n)``, so the same expression is used
-    here (rather than ``np.mean``) to stay bit-identical.
+    here (rather than ``np.mean``) to stay bit-identical.  The tensor
+    BatchNorm reads its running statistics in eval mode and on a one-token
+    sequence, and normalises a ``(batch, ...)`` stack per element; this path
+    replicates none of those and raises instead.  It writes no running
+    statistics.
     """
-    inv_count = 1.0 / x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * inv_count
+    axis = -1
+    if not isinstance(norm, (LayerNorm, BatchNorm)):
+        raise TypeError(f"the float64 fast path has no norm {type(norm).__name__}")
+    if isinstance(norm, BatchNorm):
+        if x.ndim != 2 or x.shape[0] < 2 or not norm.training:
+            raise ValueError(
+                f"the float64 fast path replicates BatchNorm only on batch statistics over one sequence of "
+                f"at least two tokens, not shape {x.shape} in {'training' if norm.training else 'eval'} mode"
+            )
+        axis = 0
+    inv_count = 1.0 / x.shape[axis]
+    mu = x.sum(axis=axis, keepdims=True) * inv_count
     centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
     normed = centered / ((var + norm.eps) ** 0.5)
     np.multiply(normed, norm.gamma.data, out=normed)
     normed += norm.beta.data
     return normed
 
 
-def attention_forward(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
-    """Multi-head self-attention over one ``(tokens, model_dim)`` sequence."""
+def attention_forward(attention: MultiHeadAttention, x: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Multi-head self-attention over one ``(tokens, model_dim)`` sequence.
+
+    ``bias`` is a ``(tokens, tokens)`` matrix added to every head's scores
+    before the softmax (QueryFormer's tree bias).
+    """
     tokens = x.shape[0]
     heads, head_dim = attention.num_heads, attention.head_dim
     qkv_weight, qkv_bias = _fused_qkv(attention)
@@ -104,6 +125,10 @@ def attention_forward(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarra
     keys = qkv[:, 1].transpose(1, 0, 2)
     values = qkv[:, 2].transpose(1, 0, 2)
     scores = (queries @ keys.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(head_dim)))
+    if bias is not None:
+        if bias.shape != (tokens, tokens):
+            raise ValueError(f"attention bias shape {bias.shape} != ({tokens}, {tokens})")
+        scores = scores + bias[None]
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     weights = exp / exp.sum(axis=-1, keepdims=True)
@@ -164,16 +189,21 @@ def attention_forward_batched(attention: MultiHeadAttention, x: np.ndarray) -> n
     return linear_forward(attention.out_proj, mixed)
 
 
-def _block_forward(block: AttentionBlock, x: np.ndarray) -> np.ndarray:
-    mha = attention_forward_batched if x.ndim == 3 else attention_forward
-    attended = layer_norm_forward(block.norm1, x + mha(block.attention, x))
-    return layer_norm_forward(block.norm2, attended + mlp_forward(block.feedforward, attended))
+def _block_forward(block: AttentionBlock, x: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    if x.ndim == 3:
+        attended = attention_forward_batched(block.attention, x)
+    else:
+        attended = attention_forward(block.attention, x, bias)
+    attended = norm_forward(block.norm1, x + attended)
+    return norm_forward(block.norm2, attended + mlp_forward(block.feedforward, attended))
 
 
-def attention_encoder_forward(encoder: AttentionEncoder, x: np.ndarray) -> np.ndarray:
-    """Evaluate a LayerNorm :class:`AttentionEncoder` over one sequence or a ``(batch, ...)`` stack."""
+def attention_encoder_forward(encoder: AttentionEncoder, x: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate an :class:`AttentionEncoder` over one sequence (optionally score-biased) or a ``(batch, ...)`` stack."""
+    if bias is not None and x.ndim != 2:
+        raise ValueError("the float64 fast path takes an attention bias over one sequence only")
     for index in range(encoder.num_layers):
-        x = _block_forward(encoder._modules[f"block_{index}"], x)
+        x = _block_forward(encoder._modules[f"block_{index}"], x, bias)
     return x
 
 
@@ -388,18 +418,21 @@ def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: f
 
 
 def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
-    """Why ``encoder`` cannot run on the float64 fast path, or ``None``.
+    """Why ``encoder`` cannot run on both float64 fast paths, or ``None``.
 
-    Each attention block's norms must be LayerNorm, the one norm that path
-    replicates bit for bit; ``ConcurrentPredictionModel.__init__`` names the
-    reason in the ``ConfigurationError`` it raises.
+    One sequence replicates LayerNorm and BatchNorm's per-state token norm
+    (:func:`norm_forward`); a ``(batch, tokens, dim)`` stack replicates
+    LayerNorm only.  The simulator's ``predict_batched`` runs the stack, so
+    every norm must be LayerNorm; ``ConcurrentPredictionModel.__init__``
+    names the reason in the ``ConfigurationError`` it raises.
     """
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
         for which, norm in (("norm1", block.norm1), ("norm2", block.norm2)):
             if not isinstance(norm, LayerNorm):
                 return (
-                    f"block {index} {which} is {type(norm).__name__}; the float64 fast "
-                    "path only replicates LayerNorm"
+                    f"block {index} {which} is {type(norm).__name__}; the float64 fast path replicates "
+                    "LayerNorm on one sequence and on a (batch, tokens, dim) stack, and BatchNorm on one "
+                    "sequence only"
                 )
     return None

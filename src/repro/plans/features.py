@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import NUM_OPERATORS, OPERATOR_PROFILES
-from .plan import PhysicalPlan, PlanNode
+from .plan import PhysicalPlan
 from .statistics import Catalog, HISTOGRAM_BINS
 
 __all__ = ["PlanFeatures", "PlanFeaturizer"]
@@ -57,6 +57,7 @@ class PlanFeaturizer:
         self.catalog = catalog
         self._table_names = catalog.table_names()
         self._num_tables = len(self._table_names)
+        self._table_index = {name: index for index, name in enumerate(self._table_names)}
 
     @property
     def feature_dim(self) -> int:
@@ -64,45 +65,54 @@ class PlanFeaturizer:
         return NUM_OPERATORS + self._num_tables + HISTOGRAM_BINS + self._NUM_SCALARS
 
     def featurize(self, plan: PhysicalPlan) -> PlanFeatures:
-        """Featurise every node of ``plan``."""
-        features = np.zeros((plan.num_nodes, self.feature_dim), dtype=np.float64)
-        heights = np.zeros(plan.num_nodes, dtype=np.int64)
+        """Featurise every node of ``plan`` into one matrix.
+
+        Each row is the operator one-hot, the table one-hot (scans only),
+        the predicate histogram features (averaged over the node's
+        predicates, like QueryFormer's per-predicate encoding pooled at the
+        node level), then the scalars: log cardinality, the operator's
+        resource weights, mean predicate selectivity and index use.
+        """
+        num_nodes = plan.num_nodes
+        features = np.zeros((num_nodes, self.feature_dim), dtype=np.float64)
+        heights = np.empty(num_nodes, dtype=np.int64)
+        operators = np.empty(num_nodes, dtype=np.int64)
+        rows = np.empty(num_nodes, dtype=np.float64)
+        histogram_offset = NUM_OPERATORS + self._num_tables
+        scalars = features[:, histogram_offset + HISTOGRAM_BINS :]
+        scalars[:, 4] = 1.0  # selectivity of a node without predicates
         for node in plan.nodes():
-            features[node.node_id] = self._node_vector(node)
-            heights[node.node_id] = plan.depth_of(node.node_id)
+            node_id = node.node_id
+            heights[node_id] = plan.depth_of(node_id)
+            operators[node_id] = node.operator.index
+            rows[node_id] = node.estimated_rows
+            table = self._table_index.get(node.table)
+            if table is not None:
+                features[node_id, NUM_OPERATORS + table] = 1.0
+            if node.predicates:
+                if table is not None:
+                    stats = self.catalog.table(node.table)
+                    pooled = np.zeros(HISTOGRAM_BINS)
+                    for predicate in node.predicates:
+                        pooled += stats.column(predicate.column).selectivity_features(predicate.selectivity)
+                    features[node_id, histogram_offset : histogram_offset + HISTOGRAM_BINS] = pooled / len(
+                        node.predicates
+                    )
+                selectivity = 0.0
+                for predicate in node.predicates:
+                    selectivity += predicate.selectivity
+                scalars[node_id, 4] = selectivity / len(node.predicates)
+                scalars[node_id, 5] = float(any(p.uses_index for p in node.predicates))
+        features[np.arange(num_nodes), operators] = 1.0
+        scalars[:, 0] = np.log1p(rows) / 20.0
+        scalars[:, 1:4] = _OPERATOR_WEIGHTS[operators]
         return PlanFeatures(node_features=features, heights=heights, distances=plan.tree_distances())
 
-    # ------------------------------------------------------------------ #
-    # Internal helpers
-    # ------------------------------------------------------------------ #
-    def _node_vector(self, node: PlanNode) -> np.ndarray:
-        vector = np.zeros(self.feature_dim, dtype=np.float64)
-        # Operator one-hot.
-        vector[node.operator.index] = 1.0
-        offset = NUM_OPERATORS
-        # Table one-hot (scans only).
-        if node.table is not None and node.table in self.catalog:
-            vector[offset + self.catalog.table_index(node.table)] = 1.0
-        offset += self._num_tables
-        # Predicate histogram features (sum over predicates, like QueryFormer's
-        # per-predicate encoding pooled at the node level).
-        if node.predicates and node.table is not None and node.table in self.catalog:
-            stats = self.catalog.table(node.table)
-            pooled = np.zeros(HISTOGRAM_BINS)
-            for predicate in node.predicates:
-                pooled += stats.column(predicate.column).selectivity_features(predicate.selectivity)
-            vector[offset : offset + HISTOGRAM_BINS] = pooled / len(node.predicates)
-        offset += HISTOGRAM_BINS
-        # Scalar features: log cardinality, resource weights, predicate stats.
-        profile = OPERATOR_PROFILES[node.operator]
-        selectivity = float(np.mean([p.selectivity for p in node.predicates])) if node.predicates else 1.0
-        uses_index = float(any(p.uses_index for p in node.predicates))
-        vector[offset : offset + self._NUM_SCALARS] = [
-            np.log1p(node.estimated_rows) / 20.0,
-            profile.cpu_per_row,
-            profile.io_per_row,
-            profile.memory_per_row,
-            selectivity,
-            uses_index,
-        ]
-        return vector
+
+#: ``(cpu_per_row, io_per_row, memory_per_row)`` of every operator, by operator index.
+_OPERATOR_WEIGHTS = np.array(
+    [
+        (profile.cpu_per_row, profile.io_per_row, profile.memory_per_row)
+        for _, profile in sorted(OPERATOR_PROFILES.items(), key=lambda item: item[0].index)
+    ]
+)

@@ -142,29 +142,22 @@ class PhysicalPlan:
         return matrix
 
     def tree_distances(self) -> np.ndarray:
-        """All-pairs shortest-path distances along tree edges (BFS per node)."""
+        """All-pairs path lengths along tree edges: ``depth(i) + depth(j) - 2 depth(lca(i, j))``.
+
+        Pre-order ids put every parent before its children, so one pass
+        builds each node's ancestor-or-self row from its parent's; two nodes
+        share ``depth(lca) + 1`` of them.  The counts are small integers, so
+        the float64 arithmetic is exact.
+        """
         n = self.num_nodes
-        adjacency_lists: list[list[int]] = [[] for _ in range(n)]
-        for child_id, parent_id in self._parents.items():
-            adjacency_lists[child_id].append(parent_id)
-            adjacency_lists[parent_id].append(child_id)
-        distances = np.full((n, n), np.inf)
-        for start in range(n):
-            distances[start, start] = 0.0
-            frontier = [start]
-            depth = 0
-            seen = {start}
-            while frontier:
-                depth += 1
-                next_frontier = []
-                for node_id in frontier:
-                    for neighbour in adjacency_lists[node_id]:
-                        if neighbour not in seen:
-                            seen.add(neighbour)
-                            distances[start, neighbour] = depth
-                            next_frontier.append(neighbour)
-                frontier = next_frontier
-        return distances
+        ancestors = np.zeros((n, n))
+        for node_id in range(n):
+            parent_id = self._parents.get(node_id)
+            if parent_id is not None:
+                ancestors[node_id] = ancestors[parent_id]
+            ancestors[node_id, node_id] = 1.0
+        path_lengths = ancestors.sum(axis=1)
+        return path_lengths[:, None] + path_lengths[None, :] - 2.0 * (ancestors @ ancestors.T)
 
     # ------------------------------------------------------------------ #
     # Semantics used by the DBMS substrate and featuriser

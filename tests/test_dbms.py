@@ -178,6 +178,24 @@ class TestExecutionSession:
         b = engine_x.estimate_isolated_time(query, RunningParameters(1, 64))
         assert a == pytest.approx(b)
 
+    @pytest.mark.parametrize("bench_name", ["tpch", "job", "tpcds"])
+    def test_isolated_probe_is_a_one_query_round(self, bench_name):
+        """The probe's float is the finish time of a noise-free, one-connection round of that query alone."""
+        from repro.dbms import DatabaseEngine, ExecutionSession
+        from repro.workloads import BatchQuerySet, make_workload
+
+        space = ConfigurationSpace(SchedulerConfig())
+        batch = make_workload(bench_name, scale_factor=1.0, seed=0).batch_query_set()
+        for name in ("x", "y", "z"):
+            engine = DatabaseEngine(DBMSProfile.by_name(name), seed=0)
+            for query in batch:
+                for parameters in space:
+                    unit = ExecutionSession(engine.profile, BatchQuerySet([query]), 1, np.random.default_rng(0))
+                    unit._noise = {0: 1.0}
+                    unit.submit(0, parameters)
+                    expected = unit.advance()[0].finish_time
+                    assert engine.estimate_isolated_time(query, parameters).hex() == expected.hex()
+
     def test_contention_slows_concurrent_execution_on_average(self, tpch_batch, engine_x):
         # On average, queries under heavy concurrency take longer than in
         # isolation (individual queries may still speed up via data sharing).

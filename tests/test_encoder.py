@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import BQSchedConfig, make_workload
 from repro.config import EncoderConfig
 from repro.encoder import (
     PlanEmbeddingCache,
@@ -16,7 +17,9 @@ from repro.encoder import (
     StateEncoder,
 )
 from repro.exceptions import SchedulingError
+from repro.nn import AttentionEncoder, BatchNorm, Tensor, fastinfer
 from repro.plans import PlanFeaturizer
+from queryformer_oracle import tape_embedding
 from snapshot_oracle import snapshot_arrays
 
 
@@ -89,14 +92,35 @@ class TestQueryFormer:
         assert embedding.shape == (encoder_config.plan_embedding_dim,)
 
     def test_embedding_deterministic(self, queryformer, tpch_batch):
-        a = queryformer(tpch_batch[3].plan).data
-        b = queryformer(tpch_batch[3].plan).data
-        np.testing.assert_allclose(a, b)
+        a = queryformer(tpch_batch[3].plan)
+        b = queryformer(tpch_batch[3].plan)
+        assert a.tobytes() == b.tobytes()
 
     def test_different_plans_embed_differently(self, queryformer, tpch_batch):
-        a = queryformer(tpch_batch[0].plan).data
-        b = queryformer(tpch_batch[8].plan).data
+        a = queryformer(tpch_batch[0].plan)
+        b = queryformer(tpch_batch[8].plan)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize(
+        "bench_name, query_scale", [("tpch", 1.0), ("job", 1.0), ("tpcds", 1.0), ("tpcds", 1.6)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("norm", ["batch", "layer"])
+    def test_embedding_is_the_tape_forward_bit_for_bit(self, bench_name, query_scale, seed, norm):
+        workload = make_workload(bench_name, scale_factor=1.0, query_scale=query_scale, seed=seed)
+        config = BQSchedConfig(seed=seed).encoder
+        config.norm = norm
+        queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config, np.random.default_rng(seed))
+        for query in workload.batch_query_set():
+            assert queryformer(query.plan).tobytes() == tape_embedding(queryformer, query.plan).tobytes()
+
+    def test_embedding_writes_no_running_statistics(self, queryformer, tpch_batch):
+        norms = [norm for block in queryformer.encoder._modules.values() for norm in (block.norm1, block.norm2)]
+        before = [(norm.running_mean, norm.running_var) for norm in norms]
+        queryformer(tpch_batch[0].plan)
+        assert all(isinstance(norm, BatchNorm) for norm in norms) and all(
+            norm.running_mean is mean and norm.running_var is var for norm, (mean, var) in zip(norms, before)
+        )
 
     def test_cache_memoises(self, queryformer, tpch_batch):
         cache = PlanEmbeddingCache(queryformer)
@@ -107,6 +131,38 @@ class TestQueryFormer:
         np.testing.assert_allclose(matrix, again)
         cache.clear()
         assert len(cache) == 0
+
+
+class TestFloat64TokenNorm:
+    """The float64 path's BatchNorm is the tape's per-state token norm, and it refuses what it does not replicate."""
+
+    def test_batch_statistics_match_the_tape(self):
+        norm = BatchNorm(6)
+        norm.gamma.data = np.linspace(0.5, 1.5, 6)
+        norm.beta.data = np.linspace(-0.2, 0.3, 6)
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        assert fastinfer.norm_forward(norm, x).tobytes() == norm(Tensor(x)).data.tobytes()
+
+    def test_one_token_is_refused(self):
+        # The tape normalises a one-token sequence with the running statistics.
+        with pytest.raises(ValueError, match="at least two tokens"):
+            fastinfer.norm_forward(BatchNorm(4), np.ones((1, 4)))
+
+    def test_eval_mode_and_stacks_are_refused(self):
+        norm = BatchNorm(4)
+        with pytest.raises(ValueError, match="one sequence"):
+            fastinfer.norm_forward(norm, np.ones((2, 3, 4)))
+        norm.eval()
+        with pytest.raises(ValueError, match="eval mode"):
+            fastinfer.norm_forward(norm, np.ones((3, 4)))
+
+    def test_reason_names_what_each_path_replicates(self):
+        encoder = AttentionEncoder(8, 2, 1, np.random.default_rng(0), norm="batch")
+        reason = fastinfer.fast_inference_reason(encoder)
+        assert "LayerNorm on one sequence and on a (batch, tokens, dim) stack" in reason
+        assert "BatchNorm on one sequence only" in reason
+        layer_norms = AttentionEncoder(8, 2, 1, np.random.default_rng(0), norm="layer")
+        assert fastinfer.fast_inference_reason(layer_norms) is None
 
 
 class TestStateEncoder:

@@ -233,7 +233,8 @@ class TestPredictionParity:
                 return encoder
 
             monkeypatch.setattr("repro.perf.model.AttentionEncoder", encoder_with_foreign_norm)
-            with pytest.raises(ConfigurationError, match=f"block 0 norm2 is {name}; the float64 fast path only"):
+            refusal = rf"block 0 norm2 is {name}; the float64 fast path replicates LayerNorm on one sequence and on a "
+            with pytest.raises(ConfigurationError, match=refusal):
                 ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0))
         ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0), use_attention=False)
 

@@ -186,6 +186,80 @@ class TestPlanFeaturizer:
         assert root_vector[: NUM_OPERATORS].sum() == 1.0
 
 
+def _bfs_distances(plan: PhysicalPlan) -> np.ndarray:
+    """All-pairs tree distances by one breadth-first search per node."""
+    n = plan.num_nodes
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for node_id in range(n):
+        parent_id = plan.parent_of(node_id)
+        if parent_id is not None:
+            neighbours[node_id].append(parent_id)
+            neighbours[parent_id].append(node_id)
+    distances = np.full((n, n), np.inf)
+    for start in range(n):
+        distances[start, start] = 0.0
+        frontier, depth, seen = [start], 0, {start}
+        while frontier:
+            depth += 1
+            next_frontier = []
+            for node_id in frontier:
+                for neighbour in neighbours[node_id]:
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        distances[start, neighbour] = depth
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+    return distances
+
+
+def _node_vector(featurizer: PlanFeaturizer, node: PlanNode) -> np.ndarray:
+    """One node's feature row, built alone."""
+    catalog = featurizer.catalog
+    vector = np.zeros(featurizer.feature_dim)
+    vector[node.operator.index] = 1.0
+    offset = NUM_OPERATORS
+    if node.table is not None and node.table in catalog:
+        vector[offset + catalog.table_index(node.table)] = 1.0
+    offset += len(catalog)
+    if node.predicates and node.table is not None and node.table in catalog:
+        stats = catalog.table(node.table)
+        pooled = np.zeros(HISTOGRAM_BINS)
+        for predicate in node.predicates:
+            pooled += stats.column(predicate.column).selectivity_features(predicate.selectivity)
+        vector[offset : offset + HISTOGRAM_BINS] = pooled / len(node.predicates)
+    offset += HISTOGRAM_BINS
+    profile = OPERATOR_PROFILES[node.operator]
+    selectivity = float(np.mean([p.selectivity for p in node.predicates])) if node.predicates else 1.0
+    vector[offset:] = [
+        np.log1p(node.estimated_rows) / 20.0,
+        profile.cpu_per_row,
+        profile.io_per_row,
+        profile.memory_per_row,
+        selectivity,
+        float(any(p.uses_index for p in node.predicates)),
+    ]
+    return vector
+
+
+class TestPlanStructureOracles:
+    """The matrix featurizer and the ancestor-closure distances against one-node-at-a-time references."""
+
+    @pytest.mark.parametrize(
+        "bench_name, query_scale", [("tpch", 1.0), ("job", 1.0), ("tpcds", 1.0), ("tpcds", 1.6)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_plan_is_bitwise_equal(self, bench_name, query_scale, seed):
+        workload = make_workload(bench_name, scale_factor=1.0, query_scale=query_scale, seed=seed)
+        featurizer = PlanFeaturizer(workload.catalog)
+        for query in workload.batch_query_set():
+            plan = query.plan
+            features = featurizer.featurize(plan)
+            assert features.distances.tobytes() == _bfs_distances(plan).tobytes()
+            expected = np.stack([_node_vector(featurizer, node) for node in plan.nodes()])
+            assert features.node_features.tobytes() == expected.tobytes()
+            assert features.heights.tolist() == [plan.depth_of(node_id) for node_id in range(plan.num_nodes)]
+
+
 class TestWorkloads:
     @pytest.mark.parametrize(
         "benchmark_name,expected",

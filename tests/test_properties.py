@@ -20,7 +20,7 @@ from repro.dbms import (
     RoundLog,
     RunningParameters,
 )
-from repro.dbms.engine import _EPSILON
+from repro.dbms.engine import _EPSILON, progress_rates
 from repro.core import AdaptiveMask
 from repro.encoder import RunStateFeaturizer
 from repro.exceptions import SchedulingError
@@ -166,7 +166,7 @@ def _tpch_round_inputs():
 
 def _first_finish_without_memo(session):
     """``(finishing id, delta)`` from fresh rates: the first minimum in running order."""
-    rates = session._compute_progress_rates()
+    rates = progress_rates(session.profile, list(session.running.values()), session.buffer)
     best = None
     for query_id, state in session.running.items():
         delta = state.remaining_work / max(rates[query_id], _EPSILON)
