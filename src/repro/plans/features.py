@@ -78,8 +78,8 @@ class PlanFeaturizer:
         heights = np.empty(num_nodes, dtype=np.int64)
         operators = np.empty(num_nodes, dtype=np.int64)
         rows = np.empty(num_nodes, dtype=np.float64)
-        histogram_offset = NUM_OPERATORS + self._num_tables
-        scalars = features[:, histogram_offset + HISTOGRAM_BINS :]
+        histogram = slice(NUM_OPERATORS + self._num_tables, NUM_OPERATORS + self._num_tables + HISTOGRAM_BINS)
+        scalars = features[:, histogram.stop :]
         scalars[:, 4] = 1.0  # selectivity of a node without predicates
         for node in plan.nodes():
             node_id = node.node_id
@@ -95,9 +95,8 @@ class PlanFeaturizer:
                     pooled = np.zeros(HISTOGRAM_BINS)
                     for predicate in node.predicates:
                         pooled += stats.column(predicate.column).selectivity_features(predicate.selectivity)
-                    features[node_id, histogram_offset : histogram_offset + HISTOGRAM_BINS] = pooled / len(
-                        node.predicates
-                    )
+                    features[node_id, histogram] = pooled / len(node.predicates)
+                # Added in predicate order, as ``np.mean`` adds fewer than eight values.
                 selectivity = 0.0
                 for predicate in node.predicates:
                     selectivity += predicate.selectivity
