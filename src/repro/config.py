@@ -144,7 +144,6 @@ class MaskingConfig:
     enabled: bool = True
     min_absolute_gain: float = 0.25
     min_relative_gain: float = 0.05
-    mask_value: float = -1e8
 
     def __post_init__(self) -> None:
         _require(self.min_absolute_gain >= 0, "min_absolute_gain must be >= 0")

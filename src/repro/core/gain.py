@@ -19,7 +19,7 @@ import numpy as np
 
 from ..dbms import ExecutionLog
 from ..exceptions import SchedulingError
-from ..nn import Adam, MLP, Module, Tensor, fastgrad, no_grad
+from ..nn import Adam, MLP, Module, fastgrad
 from ..workloads import BatchQuerySet
 
 __all__ = ["compute_scheduling_gains", "GainModel", "build_gain_matrix"]
@@ -72,8 +72,7 @@ class GainModel(Module):
     """Symmetric MLP predicting the scheduling gain of a query pair.
 
     Symmetry is enforced by evaluating the MLP on both orderings of the pair
-    and summing, exactly as in the paper.  :meth:`forward` / :meth:`predict`
-    score one pair on the autograd tensors; fitting and matrix completion run
+    and summing, exactly as in the paper.  Fitting and matrix completion run
     whole batches of pairs through the tape-free ``fastgrad`` MLP kernels,
     with both orderings of every pair stacked as ``2B`` rows.
     """
@@ -81,11 +80,6 @@ class GainModel(Module):
     def __init__(self, plan_embedding_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.net = MLP([2 * plan_embedding_dim, hidden_dim, 1], rng, activation="tanh")
-
-    def forward(self, embedding_i: np.ndarray, embedding_j: np.ndarray) -> Tensor:
-        forward_pair = Tensor(np.concatenate([embedding_i, embedding_j]))
-        reverse_pair = Tensor(np.concatenate([embedding_j, embedding_i]))
-        return (self.net(forward_pair) + self.net(reverse_pair)).reshape(1)
 
     def _forward_pairs(
         self, embeddings: np.ndarray, rows: np.ndarray, cols: np.ndarray, arena: fastgrad.Arena
@@ -108,8 +102,9 @@ class GainModel(Module):
     ) -> float:
         """Accumulate the gradients of the mean squared error over one minibatch.
 
-        Equals the tape gradient of the mean of ``(self.forward(e_i, e_j) -
-        g_ij) ** 2`` over the same pairs; returns that mean loss.
+        Equals the tape gradient of the mean of ``(net([e_i, e_j]) +
+        net([e_j, e_i]) - g_ij) ** 2`` over the same pairs; returns that mean
+        loss.
         """
         predictions, ctx = self._forward_pairs(embeddings, rows, cols, arena)
         residual = predictions - targets
@@ -149,10 +144,6 @@ class GainModel(Module):
                 arena.reset()
             losses.append(epoch_loss / len(pairs))
         return losses
-
-    def predict(self, embedding_i: np.ndarray, embedding_j: np.ndarray) -> float:
-        with no_grad():
-            return float(self.forward(embedding_i, embedding_j).data[0])
 
     def predict_pairs(self, embeddings: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Predicted gains of the pairs ``(rows[k], cols[k])``, tape-free.

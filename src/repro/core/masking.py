@@ -30,7 +30,6 @@ class AdaptiveMask:
         num_queries: int,
         num_configs: int,
         allowed: dict[int, list[int]],
-        mask_value: float = -1e8,
     ) -> None:
         if num_queries < 1 or num_configs < 1:
             raise SchedulingError("mask dimensions must be positive")
@@ -41,7 +40,6 @@ class AdaptiveMask:
                 raise SchedulingError(f"query {query_id} has no allowed configuration")
         self.num_queries = num_queries
         self.num_configs = num_configs
-        self.mask_value = mask_value
         self._allowed = {query_id: sorted(set(configs)) for query_id, configs in allowed.items()}
         #: Dense ``(num_queries, num_configs)`` view of the allowed sets;
         #: queries absent from ``allowed`` default to every configuration.
@@ -84,12 +82,7 @@ class AdaptiveMask:
                 if absolute >= config.min_absolute_gain and relative >= config.min_relative_gain:
                     keep.append(index)
             allowed[query.query_id] = keep
-        return cls(
-            num_queries=len(batch),
-            num_configs=len(config_space),
-            allowed=allowed,
-            mask_value=config.mask_value,
-        )
+        return cls(num_queries=len(batch), num_configs=len(config_space), allowed=allowed)
 
     @classmethod
     def unmasked(cls, num_queries: int, num_configs: int) -> "AdaptiveMask":
@@ -118,7 +111,6 @@ class AdaptiveMask:
             num_queries=num_queries,
             num_configs=self.num_configs,
             allowed={query_id: list(configs) for query_id, configs in self._allowed.items()},
-            mask_value=self.mask_value,
         )
 
     # ------------------------------------------------------------------ #

@@ -98,7 +98,7 @@ class VectorSchedulingEnv:
         predictions needed in the same round — one per busy engine instance
         of every session — are grouped by model and concurrency degree and
         served by ONE batched model forward
-        (:meth:`ConcurrentPredictionModel.predict_batched`).  Other backends
+        (:meth:`ConcurrentPredictionModel.predict` over a ``(groups, k, f)`` stack).  Other backends
         (the real DBMS engine or cluster) and cluster mode fall back to
         per-env steps.
         """
@@ -128,11 +128,11 @@ class VectorSchedulingEnv:
                     batches.setdefault((id(session.perf.model), features.shape[0]), []).append((s, g))
             predicted = {}
             for members in batches.values():
-                # Singleton batches go through predict_batched too, so a
+                # Singleton batches are stacked too, so a
                 # session's dynamics never depend on how many other sessions
                 # happened to share its concurrency degree this round.
                 stacked = np.stack([groups[s][g][2] for s, g in members], axis=0)
-                logits, times = sessions[members[0][0]].perf.model.predict_batched(stacked)
+                logits, times = sessions[members[0][0]].perf.model.predict(stacked)
                 predicted.update(zip(members, zip(logits, times)))
             for s, session in enumerate(sessions):
                 session.apply_advance(groups[s], [predicted[s, g] for g in range(len(groups[s]))])

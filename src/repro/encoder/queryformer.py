@@ -11,9 +11,9 @@ The paper uses a QueryFormer pre-trained on query logs; in this reproduction
 the encoder is initialised randomly and kept frozen (its role is to provide a
 structure-preserving projection of the plan into a dense vector), while the
 downstream MLPs and attention layers learn on top of it.  Its forward is
-therefore inference only: the float64 program of :mod:`repro.nn.fastinfer`
-over the module's parameters, bit-identical to the autograd forward and
-recording no tape.
+therefore inference only: the float64 layer kernels of :mod:`repro.nn.fastgrad`
+run forward over the module's parameters, bit-identical to the autograd
+forward and recording no tape.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import EncoderConfig
-from ..nn import AttentionEncoder, Embedding, Linear, MLP, Module, fastinfer
+from ..nn import AttentionEncoder, Embedding, Linear, MLP, Module, fastgrad
 from ..plans import PhysicalPlan, PlanFeaturizer
 
 __all__ = ["QueryFormer", "PlanEmbeddingCache"]
@@ -50,19 +50,25 @@ class QueryFormer(Module):
         self.distance_penalty = 0.5
 
     def forward(self, plan: PhysicalPlan) -> np.ndarray:
-        """Encode one plan into its ``plan_embedding_dim`` vector (a fresh array)."""
+        """Encode one plan into its ``plan_embedding_dim`` vector (a fresh array).
+
+        The node tokens and the super token run as a batch of one through a
+        fresh arena that is never reset, so the embedding is no buffer a
+        later call hands out.
+        """
         features = self.featurizer.featurize(plan)
         num_nodes = features.num_nodes
         heights = np.clip(features.heights, 0, self.config.max_height)
+        projected = features.node_features @ self.input_proj.weight.data
+        projected += self.input_proj.bias.data
         tokens = np.empty((num_nodes + 1, self.config.node_hidden_dim))
-        np.add(
-            fastinfer.linear_forward(self.input_proj, features.node_features),
-            self.height_embedding.weight.data[heights],
-            out=tokens[:num_nodes],
-        )
+        np.add(projected, self.height_embedding.weight.data[heights], out=tokens[:num_nodes])
         tokens[num_nodes] = self.super_token.weight.data[0]
-        encoded = fastinfer.attention_encoder_forward(self.encoder, tokens, self._tree_bias(features.distances))
-        return fastinfer.mlp_forward(self.output_proj, encoded[num_nodes])
+        arena = fastgrad.Arena()
+        encoded, _ = fastgrad.attention_encoder_forward(
+            self.encoder, tokens[None], arena, bias=self._tree_bias(features.distances)
+        )
+        return fastgrad.mlp_forward(self.output_proj, encoded[0, num_nodes], arena)[0]
 
     def _tree_bias(self, distances: np.ndarray) -> np.ndarray:
         """Attention bias: ``-penalty * tree distance``; the super node sits at distance 1."""
@@ -77,8 +83,9 @@ class PlanEmbeddingCache:
     """Caches frozen plan embeddings for a batch query set.
 
     Plan trees never change during scheduling, so the embeddings are computed
-    once, by the encoder's float64 inference program, and reused at every
-    decision step, exactly like serving a pre-trained QueryFormer.
+    once, by the encoder's float64 forward (:meth:`QueryFormer.forward`), and
+    reused at every decision step, exactly like serving a pre-trained
+    QueryFormer.
     """
 
     def __init__(self, queryformer: QueryFormer) -> None:

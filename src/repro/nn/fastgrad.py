@@ -1,27 +1,30 @@
-"""Tape-free fused training kernels: stacked forward + analytic backward.
+"""Tape-free float64 layer kernels: stacked forward + analytic backward.
 
-The training twin of :mod:`repro.nn.fastinfer`.  Where ``fastinfer`` removes
-the autograd tape from *inference*, this module removes it from *training*:
-each kernel runs the stacked forward as a flat sequence of fused NumPy ops,
-saves only the activations its hand-derived backward needs (in preallocated
-:class:`Arena` buffers), and the matching ``*_backward`` puts analytic
-gradients where its arena says (:meth:`Arena.grad`) — no per-op closures, no
-tape walk, no per-primitive temporaries.  A policy step takes its minibatch as
-consecutive *slabs* of samples (forward, loss terms and backward of one slab,
-then the next: :func:`_encoded_slabs`), so what is live at once is one slab's
-activations, not the minibatch's; the whole-minibatch step is the same loop
-with one slab.
+Every float64 forward of the library runs here: the policy update, the
+simulator fit (``repro.perf.fit``), and the inference forwards that take no
+backward (QueryFormer's plan embedding, the simulator's ``predict``, the
+gain model's completion, :func:`policy_log_probs`).  Each kernel runs its
+stacked forward as a flat sequence of fused NumPy ops, saves only the
+activations its hand-derived backward needs (in preallocated :class:`Arena`
+buffers), and the matching ``*_backward`` puts analytic gradients where its
+arena says (:meth:`Arena.grad`) — no per-op closures, no tape walk, no
+per-primitive temporaries.  An inference caller runs the forward over a fresh
+arena and never resets it, so what it returns is no buffer a later call
+hands out.  A policy step takes its minibatch as consecutive *slabs* of
+samples (forward, loss terms and backward of one slab, then the next:
+:func:`_encoded_slabs`), so what is live at once is one slab's activations,
+not the minibatch's; the whole-minibatch step is the same loop with one slab.
 
 Every kernel replicates the tape's forward expression order (``sum * (1/n)``
 means, shift-by-max softmax, centered-square variances), so forwards agree
 with the define-by-run path to rounding and gradients match the tape at
 ``atol=1e-9`` in float64 (pinned in ``tests/test_fastgrad.py``, together
-with central-difference gradchecks).
-
-Layered like ``fastinfer``:
+with central-difference gradchecks).  The float32 decision program is the
+one forward that is not here: :mod:`repro.nn.fastinfer`.
 
 * layer kernels — linear+activation MLP blocks, layer/batch norm,
-  fused-QKV multi-head attention, masked log-softmax;
+  fused-QKV multi-head attention (with an optional additive score bias),
+  masked log-softmax;
 * the encoder kernel — :func:`encode_state_batch` mirrors
   ``StateEncoder.encode_batch``;
 * trainer steps — :func:`ppo_minibatch_step`, :func:`ppg_aux_step` and
@@ -31,8 +34,7 @@ Layered like ``fastinfer``:
 * a ``why_slow``-style gate — :func:`fused_training_reason` /
   :func:`perfmodel_training_reason` return a human-readable reason when a
   module configuration is not covered.  These kernels are the only update
-  paths (the simulator's fit program ``repro.perf.fit`` runs the layer
-  kernels too), so callers raise on a reason instead of falling back.
+  paths, so callers raise on a reason instead of falling back.
 
 Gradient-ownership contract.  A gradient goes to one of two destinations,
 chosen by the arena the kernel is handed:
@@ -283,78 +285,44 @@ def mlp_backward(
 # Normalisation layers
 # --------------------------------------------------------------------------- #
 
-def layer_norm_forward(norm: LayerNorm, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
-    """LayerNorm over the last axis; tape-identical expression order."""
-    inv_n = 1.0 / x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * inv_n
+def _normalise(norm: "LayerNorm | BatchNorm", x: np.ndarray, arena: Arena, axis: int) -> "tuple[np.ndarray, tuple]":
+    """``(x - mean) / (var + eps) ** 0.5 * gamma + beta`` over ``axis``; tape-identical expression order."""
+    inv_n = 1.0 / x.shape[axis]
+    mu = x.sum(axis=axis, keepdims=True) * inv_n
     centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_n
     denom = (var + norm.eps) ** 0.5
     x_hat = np.divide(centered, denom, out=centered)
     out = arena.empty(x.shape)
     np.multiply(x_hat, norm.gamma.data, out=out)
     out += norm.beta.data
-    return out, (x_hat, 1.0 / denom, inv_n, -1, True)
+    return out, (x_hat, 1.0 / denom, inv_n, axis)
 
 
-def batch_norm_forward(
-    norm: BatchNorm, x: np.ndarray, arena: Arena, stats: "dict | None" = None
-) -> "tuple[np.ndarray, tuple]":
-    """BatchNorm (2-D axis-0 / 3-D per-element token axis-1), train or eval.
+def layer_norm_forward(norm: LayerNorm, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
+    """LayerNorm over the last axis."""
+    return _normalise(norm, x, arena, -1)
 
-    Replicates the tape forward including the running-statistics side
-    effects, so a fused training run drifts the running stats exactly like
-    the tape path does.  A caller that runs one minibatch as several slabs
-    passes ``stats``: the per-sample ``(mu, var)`` rows are collected under
-    ``norm`` and the caller makes the ONE update of the optimizer step from
-    all of them (:func:`_update_running_stats`).
+
+def batch_norm_forward(norm: BatchNorm, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
+    """BatchNorm over each state's own tokens: axis 0 of a ``(tokens, dim)`` sequence, axis 1 of a stack.
+
+    Statistics come from the tokens alone, so a sequence needs two of them
+    (every state has its queries plus the super token); one raises.
     """
     axis = 1 if x.ndim == 3 else 0
-    train = norm.training and x.shape[axis] > 1
-    if train:
-        inv_n = 1.0 / x.shape[axis]
-        mu = x.sum(axis=axis, keepdims=True) * inv_n
-        centered = x - mu
-        var = (centered * centered).sum(axis=axis, keepdims=True) * inv_n
-        rows = (mu.reshape(-1, x.shape[-1]), var.reshape(-1, x.shape[-1]))
-        if stats is None:
-            _update_running_stats(norm, *rows)
-        else:
-            stats.setdefault(norm, []).append(rows)
-        inv_count: "float | None" = inv_n
-    else:
-        shape = (1, 1, -1) if x.ndim == 3 else (1, -1)
-        mu = norm.running_mean.reshape(shape)
-        var = norm.running_var.reshape(shape)
-        centered = x - mu
-        inv_count = None
-    denom = (var + norm.eps) ** 0.5
-    x_hat = np.divide(centered, denom, out=centered)
-    out = arena.empty(x.shape)
-    np.multiply(x_hat, norm.gamma.data, out=out)
-    out += norm.beta.data
-    return out, (x_hat, 1.0 / denom, inv_count, axis, train)
-
-
-def _update_running_stats(norm: BatchNorm, mean_rows: np.ndarray, var_rows: np.ndarray) -> None:
-    """One running-statistics update from the mean of the per-sample ``(mu, var)`` rows.
-
-    A 2-D input has one row: the batch statistic itself.
-    """
-    norm.running_mean = (1 - norm.momentum) * norm.running_mean + norm.momentum * mean_rows.mean(axis=0)
-    norm.running_var = (1 - norm.momentum) * norm.running_var + norm.momentum * var_rows.mean(axis=0)
+    if x.shape[axis] < 2:
+        raise ValueError(f"BatchNorm normalises over at least two tokens, not shape {x.shape}")
+    return _normalise(norm, x, arena, axis)
 
 
 def _norm_backward(norm: "LayerNorm | BatchNorm", ctx: tuple, g: np.ndarray, arena: Arena) -> np.ndarray:
     """Backward of :func:`layer_norm_forward` and :func:`batch_norm_forward`."""
-    x_hat, inv_std, inv_count, axis, train = ctx
+    x_hat, inv_std, inv_count, axis = ctx
     reduce_axes = tuple(range(g.ndim - 1))
     arena.grad((norm.gamma,), np.add.reduce, g * x_hat, reduce_axes)
     arena.grad((norm.beta,), np.add.reduce, g, reduce_axes)
     g_xhat = g * norm.gamma.data
-    if not train:
-        # Eval / single-row mode: mu and var are constants, the map is affine.
-        return np.multiply(g_xhat, inv_std, out=g_xhat)
     mean_g = g_xhat.sum(axis=axis, keepdims=True) * inv_count
     mean_gx = (g_xhat * x_hat).sum(axis=axis, keepdims=True) * inv_count
     g_xhat -= mean_g
@@ -362,13 +330,11 @@ def _norm_backward(norm: "LayerNorm | BatchNorm", ctx: tuple, g: np.ndarray, are
     return np.multiply(g_xhat, inv_std, out=g_xhat)
 
 
-def _norm_forward(
-    norm: Any, x: np.ndarray, arena: Arena, stats: "dict | None" = None
-) -> "tuple[np.ndarray, tuple]":
+def _norm_forward(norm: Any, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
     if isinstance(norm, LayerNorm):
         return layer_norm_forward(norm, x, arena)
     if isinstance(norm, BatchNorm):
-        return batch_norm_forward(norm, x, arena, stats)
+        return batch_norm_forward(norm, x, arena)
     raise TypeError(f"unsupported norm {type(norm).__name__}")
 
 
@@ -383,14 +349,51 @@ def _split_heads(qkv: np.ndarray, heads: int) -> "tuple[np.ndarray, np.ndarray, 
     return split[0], split[1], split[2]
 
 
-def mha_forward(attention: MultiHeadAttention, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, tuple]":
-    """Batched ``(B, tokens, D)`` self-attention with one fused QKV GEMM."""
+def _qkv_sources(attention: MultiHeadAttention) -> tuple[np.ndarray, ...]:
+    query, key, value = attention.query_proj, attention.key_proj, attention.value_proj
+    return query.weight.data, key.weight.data, value.weight.data, query.bias.data, key.bias.data, value.bias.data
+
+
+def _fused_qkv(attention: MultiHeadAttention) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``(model_dim, 3*model_dim)`` Q/K/V projection.
+
+    Cached on the module keyed by the identity of the source arrays; the
+    cache holds references to them, so after an optimizer step (which
+    installs fresh arrays) the ids cannot be reused and the fusion rebuilds.
+    """
+    sources = _qkv_sources(attention)
+    cached = getattr(attention, "_fastgrad_qkv", None)
+    if cached is None or cached[0] != tuple(map(id, sources)):
+        cached = _pin_fused_qkv(attention, np.concatenate(sources[:3], axis=1), np.concatenate(sources[3:]))
+    return cached[1], cached[2]
+
+
+def _pin_fused_qkv(attention: MultiHeadAttention, weight: np.ndarray, bias: np.ndarray) -> tuple:
+    """Have :func:`_fused_qkv` return ``weight`` / ``bias`` until a projection array is rebound.
+
+    The simulator fit points the projections at column views of a fused
+    block that it updates in place, and pins that block: a concatenated copy
+    would go stale at the fit's first Adam step.
+    """
+    sources = _qkv_sources(attention)
+    attention._fastgrad_qkv = cached = (tuple(map(id, sources)), weight, bias, sources)
+    return cached
+
+
+def mha_forward(
+    attention: MultiHeadAttention, x: np.ndarray, arena: Arena, bias: "np.ndarray | None" = None
+) -> "tuple[np.ndarray, tuple]":
+    """Batched ``(B, tokens, D)`` self-attention with one fused QKV GEMM.
+
+    ``bias`` is a ``(tokens, tokens)`` matrix added to every head's scaled
+    scores before the softmax (QueryFormer's tree bias); a constant, so the
+    backward does not see it.
+    """
     batch, tokens, model_dim = x.shape
     heads, head_dim = attention.num_heads, attention.head_dim
-    qkv_weight, qkv_bias = fastinfer._fused_qkv(attention)
+    qkv_weight, qkv_bias = _fused_qkv(attention)
     x2 = x.reshape(batch * tokens, model_dim)
-    # Strided (not flattened) float64 GEMM, matching the tape's `x @ W`
-    # dispatch exactly; fastinfer keeps the same form for bit-parity.
+    # Strided (not flattened) float64 GEMM, matching the tape's `x @ W` dispatch exactly.
     qkv = arena.empty((batch, tokens, 3 * model_dim))
     np.matmul(x, qkv_weight, out=qkv)
     qkv += qkv_bias
@@ -401,6 +404,8 @@ def mha_forward(attention: MultiHeadAttention, x: np.ndarray, arena: Arena) -> "
     weights = arena.empty((batch, heads, tokens, tokens))
     np.matmul(queries, keys.transpose(0, 1, 3, 2), out=weights)
     weights *= scale
+    if bias is not None:
+        weights += bias
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -458,14 +463,14 @@ def mha_backward(
 # --------------------------------------------------------------------------- #
 
 def _attention_block_forward(
-    block: AttentionBlock, x: np.ndarray, arena: Arena, stats: "dict | None" = None
+    block: AttentionBlock, x: np.ndarray, arena: Arena, bias: "np.ndarray | None" = None
 ) -> "tuple[np.ndarray, tuple]":
-    pre1, mha_ctx = mha_forward(block.attention, x, arena)
+    pre1, mha_ctx = mha_forward(block.attention, x, arena, bias)
     pre1 += x
-    normed1, n1_ctx = _norm_forward(block.norm1, pre1, arena, stats)
+    normed1, n1_ctx = _norm_forward(block.norm1, pre1, arena)
     ff_out, ff_ctx = mlp_forward(block.feedforward, normed1, arena)
     pre2 = np.add(normed1, ff_out, out=arena.owned(ff_out.shape))
-    out, n2_ctx = _norm_forward(block.norm2, pre2, arena, stats)
+    out, n2_ctx = _norm_forward(block.norm2, pre2, arena)
     return out, (mha_ctx, n1_ctx, ff_ctx, n2_ctx)
 
 
@@ -484,13 +489,13 @@ def _attention_block_backward(
 
 
 def attention_encoder_forward(
-    encoder: AttentionEncoder, x: np.ndarray, arena: Arena, stats: "dict | None" = None
+    encoder: AttentionEncoder, x: np.ndarray, arena: Arena, bias: "np.ndarray | None" = None
 ) -> "tuple[np.ndarray, list]":
-    """``stats`` defers the BatchNorm running statistics, see :func:`batch_norm_forward`."""
+    """Every block over ``(B, tokens, D)``, each adding ``bias`` to its attention scores (see :func:`mha_forward`)."""
     ctx = []
     for index in range(encoder.num_layers):
         block = encoder._modules[f"block_{index}"]
-        x, block_ctx = _attention_block_forward(block, x, arena, stats=stats)
+        x, block_ctx = _attention_block_forward(block, x, arena, bias)
         ctx.append(block_ctx)
     return x, ctx
 
@@ -508,12 +513,10 @@ def attention_encoder_backward(
 # Masked log-softmax
 # --------------------------------------------------------------------------- #
 
-def masked_log_softmax_forward(
-    logits: np.ndarray, mask: np.ndarray, mask_value: float = -1e8
-) -> "tuple[np.ndarray, np.ndarray]":
+def masked_log_softmax_forward(logits: np.ndarray, mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Returns ``(log_probs, softmax)``; ``softmax`` is the backward ctx."""
     mask = fastinfer._checked_mask(logits, mask)
-    offset = np.where(mask, 0.0, mask_value)
+    offset = np.where(mask, 0.0, fastinfer.MASK_VALUE)
     data = logits + offset
     shifted = data - data.max(axis=-1, keepdims=True)
     log_sum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -536,15 +539,13 @@ def encode_state_batch(
     snapshots: list,
     arena: Arena,
     need_global: bool = True,
-    stats: "dict | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray | None, tuple]":
     """Fused twin of ``StateEncoder.encode_batch``.
 
     Returns ``(per_query, global_state, ctx)``.  When ``need_global`` is
     False the global MLP forward is skipped entirely (its output receives no
     gradient in the PPG/IQ-PPO aux phases and the MLP is stateless, so
-    skipping it is unobservable).  ``stats`` defers the BatchNorm running
-    statistics, see :func:`batch_norm_forward`.
+    skipping it is unobservable).
     """
     inputs, run_features, pooled_all, pooled_running = encoder._batch_inputs(
         plan_embeddings, snapshots
@@ -556,7 +557,7 @@ def encode_state_batch(
     sequence[:, :num_queries] = tokens
     sequence[:, num_queries] = encoder.super_query.data.reshape(1, -1)
     if encoder.use_attention:
-        encoded, att_ctx = attention_encoder_forward(encoder.attention, sequence, arena, stats=stats)
+        encoded, att_ctx = attention_encoder_forward(encoder.attention, sequence, arena)
     else:
         encoded, att_ctx = sequence, None
     encoded_queries = encoded[:, :num_queries]
@@ -646,8 +647,7 @@ def _encoder_reason(encoder: Any) -> "str | None":
 def fused_training_reason(policy: Any) -> "str | None":
     """Why the fused update kernels cannot train this policy (None = they can).
 
-    The training counterpart of ``fastinfer.fast_inference_reason``.  There is
-    no other update path, so trainers turn a non-None reason into a
+    There is no other update path, so trainers turn a non-None reason into a
     ``ConfigurationError`` at construction.
     """
     encoder = policy.state_encoder
@@ -673,7 +673,7 @@ def perfmodel_training_reason(model: Any) -> "str | None":
         return "input_proj has no bias"
     mlps = [("classifier", model.classifier), ("regressor", model.regressor)]
     if getattr(model, "use_attention", False):
-        reason = _encoder_reason(model.encoder) or fastinfer.fast_inference_reason(model.encoder)
+        reason = _encoder_reason(model.encoder)
         if reason:
             return reason
         for index in range(model.encoder.num_layers):
@@ -758,22 +758,17 @@ def _encoded_slabs(policy: Any, plan_embeddings: np.ndarray, snapshots: list, ar
     of their snapshots.  Samples are independent in the forward; what couples
     them is kept whole: callers weigh every slab by the whole-batch
     ``1 / batch`` so the gradients the arena adds up are the minibatch
-    gradient (ragged last slab included), and each norm's running statistics
-    get ONE update, after the last slab, from all ``batch`` per-sample rows.
-    The arena is reset after every slab, so it grows to one slab and the
+    gradient (ragged last slab included).  The arena is reset after every slab, so it grows to one slab and the
     caller holds no arena buffer afterwards.
     """
     batch = len(snapshots)
     size = min(batch, max(1, _SLAB_BYTES // _sample_bytes(policy, len(plan_embeddings))))
-    stats: dict = {}
     for start in range(0, batch, size):
         rows = slice(start, start + size)
         yield rows, *encode_state_batch(
-            policy.state_encoder, plan_embeddings, snapshots[rows], arena, need_global=need_global, stats=stats
+            policy.state_encoder, plan_embeddings, snapshots[rows], arena, need_global=need_global
         )
         arena.reset()
-    for norm, slabs in stats.items():
-        _update_running_stats(norm, *(np.concatenate(part) for part in zip(*slabs)))
 
 
 def policy_log_probs(

@@ -1,22 +1,15 @@
-"""Tape-free NumPy forwards: the simulator's float64 path and the float32 decision program.
+"""The float32 decision program: every action-sampling and greedy forward.
 
 A ``no_grad`` forward through :mod:`repro.nn.tensor` allocates one
 :class:`Tensor` per operation, which dwarfs the arithmetic at hot-path sizes.
-
-The **float64 path** (:func:`linear_forward` to :func:`attention_encoder_forward`)
-is the simulator's ``predict`` / ``predict_batched`` and QueryFormer's plan
-embedding: bit-identical to the tensor forward (same operation order,
-shift-by-max softmax, ``x * (x > 0)`` ReLU, an optional additive score bias).
-One ``(tokens, dim)`` sequence takes LayerNorm or BatchNorm's per-state token
-norm over batch statistics; a ``(batch, tokens, dim)`` stack takes LayerNorm
-only (:func:`fast_inference_reason`).  What it does not replicate raises.
-
-The **float32 decision program** (:func:`packed`, :func:`mlp32`,
-:func:`encoder32`) is every action-sampling forward, over weights copied once
-per parameter version (:class:`Float32Pack`).  It normalises attention after
-``P·V``, shifts scores by their max only when they could overflow ``exp``, and
-writes no BatchNorm running statistics (the fused training step is their one
-writer); it agrees with the tape to float32 rounding.
+This program (:func:`packed`, :func:`mlp32`, :func:`encoder32`) runs the
+policy's forward over float32 weights copied once per parameter version
+(:class:`Float32Pack`).  It normalises attention after ``P·V``, shifts
+scores by their max only when they could overflow ``exp``, and takes
+BatchNorm's per-state token norm over batch statistics, like the tape and
+the training kernels; it agrees with the tape to float32 rounding.  Every
+float64 forward (QueryFormer's plan embedding, the simulator's ``predict``,
+the update steps) runs :mod:`repro.nn.fastgrad`'s layer kernels instead.
 """
 
 from __future__ import annotations
@@ -27,16 +20,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
-from .layers import MLP, Activation, BatchNorm, LayerNorm, Linear, Module, Parameter
+from .attention import AttentionEncoder
+from .layers import MLP, BatchNorm, LayerNorm, Linear, Module, Parameter
 
 __all__ = [
-    "linear_forward",
-    "mlp_forward",
-    "norm_forward",
-    "attention_forward",
-    "attention_forward_batched",
-    "attention_encoder_forward",
     "Float32Pack",
     "packed",
     "mlp32",
@@ -44,170 +31,12 @@ __all__ = [
     "encoder32",
     "masked_argmax",
     "masked_log_softmax_array",
-    "fast_inference_reason",
+    "MASK_VALUE",
 ]
 
+#: The logit offset of a masked action in every masked log-softmax: its probability is numerically zero.
+MASK_VALUE = -1e8
 
-def linear_forward(layer: Linear, x: np.ndarray) -> np.ndarray:
-    """``y = x W + b`` without tape bookkeeping.
-
-    A batched ``(batch, tokens, dim)`` input keeps the strided form: BLAS may
-    pick a different kernel for a merged shape, and ``predict_batched``
-    promises rows bit-identical to the sequential forward.
-    """
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out += layer.bias.data
-    return out
-
-
-_ACTIVATIONS = {
-    "tanh": np.tanh,
-    "relu": lambda x: x * (x > 0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "identity": lambda x: x,
-}
-
-
-def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
-    """Evaluate an :class:`MLP` (Linear/Activation stack) with raw NumPy."""
-    for module in mlp.net:
-        if isinstance(module, Linear):
-            x = linear_forward(module, x)
-        elif isinstance(module, Activation):
-            x = _ACTIVATIONS[module.name](x)
-        else:  # pragma: no cover - MLP only builds the two kinds above
-            raise TypeError(f"unsupported module in MLP fast path: {type(module).__name__}")
-    return x
-
-
-def norm_forward(norm: "LayerNorm | BatchNorm", x: np.ndarray) -> np.ndarray:
-    """LayerNorm over the last axis, or BatchNorm over one sequence's tokens, matching the tensor forward.
-
-    ``Tensor.mean`` evaluates ``sum * (1/n)``, so the same expression is used
-    here (rather than ``np.mean``) to stay bit-identical.  The tensor
-    BatchNorm reads its running statistics in eval mode and on a one-token
-    sequence, and normalises a ``(batch, ...)`` stack per element; this path
-    replicates none of those and raises instead.  It writes no running
-    statistics.
-    """
-    axis = -1
-    if isinstance(norm, BatchNorm):
-        if x.ndim != 2 or x.shape[0] < 2 or not norm.training:
-            raise ValueError(
-                f"the float64 fast path replicates BatchNorm only on batch statistics over one sequence of "
-                f"at least two tokens, not shape {x.shape} in {'training' if norm.training else 'eval'} mode"
-            )
-        axis = 0
-    inv_count = 1.0 / x.shape[axis]
-    mu = x.sum(axis=axis, keepdims=True) * inv_count
-    centered = x - mu
-    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
-    normed = centered / ((var + norm.eps) ** 0.5)
-    np.multiply(normed, norm.gamma.data, out=normed)
-    normed += norm.beta.data
-    return normed
-
-
-def attention_forward(attention: MultiHeadAttention, x: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Multi-head self-attention over one ``(tokens, model_dim)`` sequence.
-
-    ``bias`` is a ``(tokens, tokens)`` matrix added to every head's scores
-    before the softmax (QueryFormer's tree bias).
-    """
-    tokens = x.shape[0]
-    heads, head_dim = attention.num_heads, attention.head_dim
-    qkv_weight, qkv_bias = _fused_qkv(attention)
-    qkv = (x @ qkv_weight + qkv_bias).reshape(tokens, 3, heads, head_dim)
-    queries = qkv[:, 0].transpose(1, 0, 2)
-    keys = qkv[:, 1].transpose(1, 0, 2)
-    values = qkv[:, 2].transpose(1, 0, 2)
-    scores = (queries @ keys.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(head_dim)))
-    if bias is not None:
-        if bias.shape != (tokens, tokens):
-            raise ValueError(f"attention bias shape {bias.shape} != ({tokens}, {tokens})")
-        scores = scores + bias[None]
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    weights = exp / exp.sum(axis=-1, keepdims=True)
-    mixed = (weights @ values).transpose(1, 0, 2).reshape(tokens, attention.model_dim)
-    return linear_forward(attention.out_proj, mixed)
-
-
-def _qkv_sources(attention: MultiHeadAttention) -> tuple[np.ndarray, ...]:
-    query, key, value = attention.query_proj, attention.key_proj, attention.value_proj
-    return query.weight.data, key.weight.data, value.weight.data, query.bias.data, key.bias.data, value.bias.data
-
-
-def _fused_qkv(attention: MultiHeadAttention) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``(model_dim, 3*model_dim)`` Q/K/V projection.
-
-    Cached on the module keyed by the identity of the source arrays; the
-    cache holds references to them, so after an optimizer step (which
-    installs fresh arrays) the ids cannot be reused and the fusion rebuilds.
-    """
-    sources = _qkv_sources(attention)
-    cached = getattr(attention, "_fastinfer_qkv", None)
-    if cached is None or cached[0] != tuple(map(id, sources)):
-        cached = _pin_fused_qkv(attention, np.concatenate(sources[:3], axis=1), np.concatenate(sources[3:]))
-    return cached[1], cached[2]
-
-
-def _pin_fused_qkv(attention: MultiHeadAttention, weight: np.ndarray, bias: np.ndarray) -> tuple:
-    """Have :func:`_fused_qkv` return ``weight`` / ``bias`` until a projection array is rebound.
-
-    The simulator fit points the projections at column views of a fused
-    block that it updates in place, and pins that block: a concatenated copy
-    would go stale at the fit's first Adam step.
-    """
-    sources = _qkv_sources(attention)
-    attention._fastinfer_qkv = cached = (tuple(map(id, sources)), weight, bias, sources)
-    return cached
-
-
-def attention_forward_batched(attention: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
-    """Multi-head self-attention over ``(batch, tokens, model_dim)`` stacks."""
-    batch, tokens = x.shape[0], x.shape[1]
-    heads, head_dim = attention.num_heads, attention.head_dim
-    qkv_weight, qkv_bias = _fused_qkv(attention)
-    qkv = (x @ qkv_weight + qkv_bias).reshape(batch, tokens, 3, heads, head_dim)
-    queries = qkv[:, :, 0].transpose(0, 2, 1, 3)
-    keys = qkv[:, :, 1].transpose(0, 2, 1, 3)
-    values = qkv[:, :, 2].transpose(0, 2, 1, 3)
-    scores = queries @ keys.transpose(0, 1, 3, 2)
-    scores *= 1.0 / float(np.sqrt(head_dim))
-    # Softmax reductions over a 2-D view of the same contiguous rows: the
-    # last-axis max/sum see identical element sequences, so results match the
-    # 4-D form bit for bit while skipping the high-rank reduce overhead.
-    flat = scores.reshape(batch * heads * tokens, tokens)
-    flat -= flat.max(axis=-1, keepdims=True)
-    np.exp(flat, out=flat)
-    flat /= flat.sum(axis=-1, keepdims=True)
-    mixed = (scores @ values).transpose(0, 2, 1, 3).reshape(batch, tokens, attention.model_dim)
-    return linear_forward(attention.out_proj, mixed)
-
-
-def _block_forward(block: AttentionBlock, x: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    if x.ndim == 3:
-        attended = attention_forward_batched(block.attention, x)
-    else:
-        attended = attention_forward(block.attention, x, bias)
-    attended = norm_forward(block.norm1, x + attended)
-    return norm_forward(block.norm2, attended + mlp_forward(block.feedforward, attended))
-
-
-def attention_encoder_forward(encoder: AttentionEncoder, x: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate an :class:`AttentionEncoder` over one sequence (optionally score-biased) or a ``(batch, ...)`` stack."""
-    if bias is not None and x.ndim != 2:
-        raise ValueError("the float64 fast path takes an attention bias over one sequence only")
-    for index in range(encoder.num_layers):
-        x = _block_forward(encoder._modules[f"block_{index}"], x, bias)
-    return x
-
-
-# --------------------------------------------------------------------------- #
-# The float32 decision program
-# --------------------------------------------------------------------------- #
 
 class Float32Pack:
     """float32 copies of the parameters one decision forward reads, laid out by ``build(pack)``.
@@ -264,7 +93,7 @@ class Float32Pack:
 
     def norm(self, norm: "BatchNorm | LayerNorm") -> Callable[[np.ndarray], np.ndarray]:
         axis = 1 if isinstance(norm, BatchNorm) else -1
-        return functools.partial(_norm32, norm=norm, gamma=self(norm.gamma), beta=self(norm.beta), axis=axis)
+        return functools.partial(_norm32, eps=norm.eps, gamma=self(norm.gamma), beta=self(norm.beta), axis=axis)
 
 
 def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
@@ -280,7 +109,7 @@ def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
 _IN_PLACE = {
     "tanh": lambda x: np.tanh(x, out=x),
     "relu": lambda x: np.maximum(x, 0, out=x),
-    "sigmoid": lambda x: np.copyto(x, _ACTIVATIONS["sigmoid"](x)),
+    "sigmoid": lambda x: np.copyto(x, 1.0 / (1.0 + np.exp(-x))),
     "identity": lambda x: x,
 }
 
@@ -312,21 +141,19 @@ def mlp32_shared(layers: list, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return mlp32(rest, hidden)
 
 
-def _norm32(x: np.ndarray, norm: "BatchNorm | LayerNorm", gamma: np.ndarray, beta: np.ndarray, axis: int) -> np.ndarray:
-    """LayerNorm (``axis=-1``) or BatchNorm over each state's own tokens (``axis=1``), in place on ``x``;
-    eval-mode BatchNorm reads its running statistics, and nothing here writes them.  The mean and
-    variance are scaled and rooted in place, equal bit for bit to ``gamma / (var + eps) ** 0.5``."""
-    if axis == -1 or norm.training:
-        inv_count = 1.0 / x.shape[axis]
-        mean = x.sum(axis=axis, keepdims=True)
-        mean *= inv_count
-        x -= mean
-        var = (x * x).sum(axis=axis, keepdims=True)
-        var *= inv_count
-    else:
-        x -= norm.running_mean.astype(np.float32)
-        var = norm.running_var.astype(np.float32)
-    var += norm.eps
+def _norm32(x: np.ndarray, eps: float, gamma: np.ndarray, beta: np.ndarray, axis: int) -> np.ndarray:
+    """LayerNorm (``axis=-1``) or BatchNorm over each state's own tokens (``axis=1``), in place on ``x``.
+
+    The mean and variance are scaled and rooted in place, equal bit for bit
+    to ``gamma / (var + eps) ** 0.5``.
+    """
+    inv_count = 1.0 / x.shape[axis]
+    mean = x.sum(axis=axis, keepdims=True)
+    mean *= inv_count
+    x -= mean
+    var = (x * x).sum(axis=axis, keepdims=True)
+    var *= inv_count
+    var += eps
     np.sqrt(var, out=var)
     x *= gamma / var
     x += beta
@@ -406,31 +233,10 @@ def masked_argmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(mask, logits, -np.inf), axis=-1)
 
 
-def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray, mask_value: float = -1e8) -> np.ndarray:
+def masked_log_softmax_array(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """NumPy twin of :func:`repro.nn.masked_log_softmax` (last-axis rows)."""
     mask = _checked_mask(logits, mask)
     zero = logits.dtype.type(0.0)
-    shifted = logits + np.where(mask, zero, logits.dtype.type(mask_value))
+    shifted = logits + np.where(mask, zero, logits.dtype.type(MASK_VALUE))
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def fast_inference_reason(encoder: AttentionEncoder) -> str | None:
-    """Why ``encoder`` cannot run on both float64 fast paths, or ``None``.
-
-    One sequence replicates LayerNorm and BatchNorm's per-state token norm
-    (:func:`norm_forward`); a ``(batch, tokens, dim)`` stack replicates
-    LayerNorm only.  The simulator's ``predict_batched`` runs the stack, so
-    every norm must be LayerNorm; ``ConcurrentPredictionModel.__init__``
-    names the reason in the ``ConfigurationError`` it raises.
-    """
-    for index in range(encoder.num_layers):
-        block = encoder._modules[f"block_{index}"]
-        for which, norm in (("norm1", block.norm1), ("norm2", block.norm2)):
-            if not isinstance(norm, LayerNorm):
-                return (
-                    f"block {index} {which} is {type(norm).__name__}; the float64 fast path replicates "
-                    "LayerNorm on one sequence and on a (batch, tokens, dim) stack, and BatchNorm on one "
-                    "sequence only"
-                )
-    return None

@@ -233,65 +233,31 @@ class LayerNorm(Module):
 
 
 class BatchNorm(Module):
-    """Batch normalisation over the leading (token/batch) dimension.
+    """Batch normalisation over the token dimension of one state.
 
     The paper applies BN after each attention sub-layer.  Because our state
     batches are small (one per scheduling step) we normalise over the token
     dimension of a single state, which plays the same stabilising role.
+    The statistics are always the tokens' own, so a sequence needs at least
+    two tokens (every state has its queries plus the super token).
 
     A 3-D input ``(batch, tokens, features)`` is treated as a stack of
     independent states: each element is normalised over its own token axis,
     so a batched forward over B states matches B single-state forwards.
     """
 
-    def __init__(self, features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
+    def __init__(self, features: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(features), name="gamma")
         self.beta = Parameter(np.zeros(features), name="beta")
-        self.running_mean = np.zeros(features)
-        self.running_var = np.ones(features)
-        self.training = True
-
-    def eval(self) -> None:
-        """Switch to inference mode (use running statistics)."""
-        self.training = False
-
-    def train(self) -> None:
-        """Switch to training mode (use batch statistics)."""
-        self.training = True
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 3:
-            return self._forward_batched(x)
-        if self.training and x.shape[0] > 1:
-            mu = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu.data.reshape(-1)
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var.data.reshape(-1)
-        else:
-            mu = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
-        normed = (x - mu) / ((var + self.eps) ** 0.5)
-        return normed * self.gamma + self.beta
-
-    def _forward_batched(self, x: Tensor) -> Tensor:
-        """Per-element token-axis normalisation for ``(batch, tokens, features)``.
-
-        Running statistics are updated with the mean of the per-element batch
-        statistics, so a batch of one updates them exactly like the 2-D path.
-        """
-        if self.training and x.shape[1] > 1:
-            mu = x.mean(axis=1, keepdims=True)
-            var = x.var(axis=1, keepdims=True)
-            batch_mean = mu.data.reshape(x.shape[0], -1).mean(axis=0)
-            batch_var = var.data.reshape(x.shape[0], -1).mean(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * batch_mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * batch_var
-        else:
-            mu = Tensor(self.running_mean.reshape(1, 1, -1))
-            var = Tensor(self.running_var.reshape(1, 1, -1))
+        axis = 1 if x.ndim == 3 else 0
+        if x.shape[axis] < 2:
+            raise ValueError(f"BatchNorm normalises over at least two tokens, not shape {x.shape}")
+        mu = x.mean(axis=axis, keepdims=True)
+        var = x.var(axis=axis, keepdims=True)
         normed = (x - mu) / ((var + self.eps) ** 0.5)
         return normed * self.gamma + self.beta
 

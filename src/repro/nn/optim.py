@@ -4,7 +4,7 @@
 as fourteen in-place ufunc passes over flat moment and scratch slabs, and
 installs ``param.data`` as reshaped views of **one fresh result slab per
 step**.  Fresh on purpose: the inference fast paths (the decision program's
-``fastinfer.Float32Pack``, the fused QKV cache) detect updates by array
+``fastinfer.Float32Pack``, ``fastgrad``'s fused QKV cache) detect updates by array
 *identity*, so ``param.data`` is
 replaced, never mutated, and no slab aliases it across steps — it is
 re-gathered whenever a caller rebinds it (``Module.load_state_dict``, the

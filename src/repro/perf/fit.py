@@ -13,7 +13,7 @@ slabs:
 * every ``param.data`` is its view of the weight slab, so the kernels read
   the weights Adam updates in place.  The query / key / value projections of
   an attention block are one fused ``(H, 3H)`` weight block and one ``3H``
-  bias block, pinned as the block ``fastinfer._fused_qkv`` hands the
+  bias block, pinned as the block ``fastgrad._fused_qkv`` hands the
   attention kernels;
 * the regressor comes last, so an example without a regression target
   updates a prefix of the slabs and leaves the regressor's weights and
@@ -30,8 +30,8 @@ its bits, so the fitted weights are those of the layer kernels followed by
 match the tape (``tests/test_fastgrad.py``).
 
 When a fit ends every parameter gets a fresh copy of its slab view, so no
-alias outlives a fit and the inference caches keyed by array identity
-(``fastinfer._fused_qkv``) rebuild.  The moments and the step count carry
+alias outlives a fit and the caches keyed by array identity
+(``fastgrad._fused_qkv``, the float32 decision program's pack) rebuild.  The moments and the step count carry
 over from one fit to the next, from ``train_from_log`` into every
 ``update_from_log``.
 """
@@ -44,7 +44,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..nn import AttentionBlock, Module, MultiHeadAttention, Parameter, fastgrad, fastinfer
+from ..nn import AttentionBlock, Module, MultiHeadAttention, Parameter, fastgrad
 from ..nn.optim import adam_passes
 from .model import ConcurrentPredictionModel
 
@@ -174,11 +174,11 @@ class FitProgram:
             view[...] = param.data
             param.data = view
         for attention, weight, bias in self._fused:
-            fastinfer._pin_fused_qkv(attention, weight, bias)
+            fastgrad._pin_fused_qkv(attention, weight, bias)
         try:
             yield
         finally:
-            # Fresh arrays on purpose: the inference caches key off param.data identity.
+            # Fresh arrays on purpose: the fused Q/K/V cache keys off param.data identity.
             for param, view in self.parameter_views(self._theta):
                 param.data = view.copy()
 

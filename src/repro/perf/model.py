@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
-from ..nn import AttentionEncoder, Linear, MLP, Module, Tensor, fastinfer
+from ..nn import AttentionEncoder, Linear, MLP, Module, fastgrad
 
 __all__ = ["ConcurrentPredictionModel", "SimulatorMetrics"]
 
@@ -47,49 +46,27 @@ class ConcurrentPredictionModel(Module):
         self.input_proj = Linear(feature_dim, hidden_dim, rng)
         if use_attention:
             self.encoder = AttentionEncoder(hidden_dim, num_heads, 1, rng, norm="layer")
-            reason = fastinfer.fast_inference_reason(self.encoder)
-            if reason is not None:
-                raise ConfigurationError(f"ConcurrentPredictionModel has no tape-free forward: {reason}")
         self.classifier = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
         self.regressor = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
 
-    def forward(self, features: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Return ``(class_logits, remaining_times)`` for ``(k, feature_dim)`` inputs."""
-        tokens = self.input_proj(Tensor(features)).tanh()
-        if self.use_attention:
-            tokens = self.encoder(tokens)
-        logits = self.classifier(tokens).reshape(features.shape[0])
-        times = self.regressor(tokens).reshape(features.shape[0])
-        return logits, times
-
     def predict(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free inference returning plain arrays (the rollout hot path).
+        """``(class_logits, remaining_times)`` of ``(k, feature_dim)`` rows, or per group of a ``(groups, k, f)`` stack.
 
-        Bit-identical to :meth:`forward` but evaluated with raw NumPy, which
-        is what keeps the simulator's ``advance`` cheap when N vectorized
-        environments each advance their own session every decision round.
+        The rollout hot path: the ``repro.nn.fastgrad`` layer kernels run
+        forward over a fresh arena, the rows as a batch of one.  One stacked
+        forward serves every simulated session that needs an advance in a
+        lock-step round (grouped by equal ``k``), and each group's
+        predictions are bit-identical to predicting it alone, so batched
+        rollouts share the sequential path's dynamics exactly.
         """
-        tokens = np.tanh(fastinfer.linear_forward(self.input_proj, features))
+        weight, bias = self.input_proj.weight, self.input_proj.bias
+        assert bias is not None  # built with one
+        tokens = (features if features.ndim == 3 else features[None]) @ weight.data
+        tokens += bias.data
+        np.tanh(tokens, out=tokens)
+        arena = fastgrad.Arena()
         if self.use_attention:
-            tokens = fastinfer.attention_encoder_forward(self.encoder, tokens)
-        logits = fastinfer.mlp_forward(self.classifier, tokens).reshape(features.shape[0])
-        times = fastinfer.mlp_forward(self.regressor, tokens).reshape(features.shape[0])
-        return logits, times
-
-    def predict_batched(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free inference over a ``(groups, k, feature_dim)`` stack.
-
-        One stacked forward serves every simulated session that needs an
-        advance this lockstep round (grouped by equal ``k``), instead of one
-        model call per session.  The working dtype follows the input, so
-        float64 feature stacks produce predictions bit-identical to
-        :meth:`predict` / :meth:`forward` row by row — batched rollouts share
-        the sequential path's dynamics exactly.
-        """
-        groups, k = features.shape[0], features.shape[1]
-        tokens = np.tanh(fastinfer.linear_forward(self.input_proj, features))
-        if self.use_attention:
-            tokens = fastinfer.attention_encoder_forward(self.encoder, tokens)
-        logits = fastinfer.mlp_forward(self.classifier, tokens).reshape(groups, k)
-        times = fastinfer.mlp_forward(self.regressor, tokens).reshape(groups, k)
-        return logits, times
+            tokens, _ = fastgrad.attention_encoder_forward(self.encoder, tokens, arena)
+        logits, _ = fastgrad.mlp_forward(self.classifier, tokens, arena)
+        times, _ = fastgrad.mlp_forward(self.regressor, tokens, arena)
+        return logits.reshape(features.shape[:-1]), times.reshape(features.shape[:-1])

@@ -6,19 +6,15 @@ loss re-evaluated, so they work for both the autograd tape and the
 tape-free :mod:`repro.nn.fastgrad` kernels.
 
 ``loss_fn`` must be deterministic and side-effect free between calls.
-Modules with mutable non-parameter state (BatchNorm running statistics)
-should be wrapped with :func:`stateless` so each probe evaluation starts
-from the same state.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["numeric_gradient", "assert_gradients_close", "stateless"]
+__all__ = ["numeric_gradient", "assert_gradients_close"]
 
 
 def numeric_gradient(
@@ -55,26 +51,3 @@ def assert_gradients_close(
     if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
         worst = float(np.max(np.abs(analytic - numeric)))
         raise AssertionError(f"{label}: gradcheck failed, worst abs diff {worst:.3e}")
-
-
-@contextlib.contextmanager
-def stateless(module):
-    """Restore a module's non-parameter array state on exit.
-
-    Snapshots every plain ``np.ndarray`` attribute of the module tree
-    (e.g. BatchNorm ``running_mean``/``running_var``) so repeated forward
-    evaluations during finite differencing all see the same statistics.
-    """
-    saved = []
-    stack = [module]
-    while stack:
-        node = stack.pop()
-        for name, value in vars(node).items():
-            if isinstance(value, np.ndarray):
-                saved.append((node, name, value.copy()))
-        stack.extend(getattr(node, "_modules", {}).values())
-    try:
-        yield module
-    finally:
-        for node, name, value in saved:
-            setattr(node, name, value)

@@ -1,10 +1,9 @@
 """Test-side reference for QueryFormer: its plan embedding through the autograd tape.
 
 ``tape_embedding`` is the forward the library ran before the encoder moved
-onto :mod:`repro.nn.fastinfer`'s float64 program: every layer called as a
-:class:`~repro.nn.Module` under ``no_grad``.  ``QueryFormer.forward`` is
-checked against it byte for byte.  Like every tape forward through a
-training-mode ``BatchNorm``, it writes the norm's running statistics.
+onto the float64 layer kernels of :mod:`repro.nn.fastgrad`: every layer
+called as a :class:`~repro.nn.Module` under ``no_grad``.
+``QueryFormer.forward`` is checked against it byte for byte.
 """
 
 from __future__ import annotations

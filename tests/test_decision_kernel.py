@@ -32,7 +32,7 @@ from repro.core.clustering import cluster_queries
 from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_member_indices
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.encoder.run_state import SnapshotArrays
-from repro.nn import Adam, BatchNorm, fastgrad, fastinfer, no_grad
+from repro.nn import Adam, fastgrad, fastinfer, no_grad
 from snapshot_oracle import snapshot_arrays
 
 
@@ -191,22 +191,6 @@ class TestTapeParity:
                     assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
                     assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
                 assert policy.greedy_action(plan, snapshot, mask, clusters=clusters) == int(np.argmax(full.data))
-
-    def test_deciding_writes_no_batch_norm_statistics(self):
-        """Running statistics belong to the training step: ``act`` and ``act_batch`` leave them alone."""
-        scheduler, env = build_scheduler("tpch", "batch", None)
-        policy, plan = scheduler.policy, scheduler.plan_embeddings
-        blocks = policy.state_encoder.attention._modules.values()
-        norms = [norm for block in blocks for norm in (block.norm1, block.norm2)]
-        assert norms and all(isinstance(norm, BatchNorm) for norm in norms)
-        before = [(n.running_mean, n.running_var, n.running_mean.copy(), n.running_var.copy()) for n in norms]
-        pairs = mid_episode(env, steps=6)
-        for snapshot, mask in pairs:
-            policy.act(plan, snapshot, mask, np.random.default_rng(0))
-        policy.act_batch(plan, [s for s, _ in pairs], np.stack([m for _, m in pairs]), np.random.default_rng(0))
-        for norm, (mean, var, mean_values, var_values) in zip(norms, before):
-            assert norm.running_mean is mean and norm.running_var is var
-            assert np.array_equal(mean, mean_values) and np.array_equal(var, var_values)
 
     def test_sampled_act_is_a_one_row_act_batch(self):
         """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""

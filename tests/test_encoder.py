@@ -17,7 +17,7 @@ from repro.encoder import (
     StateEncoder,
 )
 from repro.exceptions import SchedulingError
-from repro.nn import AttentionEncoder, BatchNorm, Tensor, fastinfer
+from repro.nn import BatchNorm, Tensor, fastgrad
 from repro.plans import PlanFeaturizer
 from queryformer_oracle import tape_embedding
 from snapshot_oracle import snapshot_arrays
@@ -114,14 +114,6 @@ class TestQueryFormer:
         for query in workload.batch_query_set():
             assert queryformer(query.plan).tobytes() == tape_embedding(queryformer, query.plan).tobytes()
 
-    def test_embedding_writes_no_running_statistics(self, queryformer, tpch_batch):
-        norms = [norm for block in queryformer.encoder._modules.values() for norm in (block.norm1, block.norm2)]
-        before = [(norm.running_mean, norm.running_var) for norm in norms]
-        queryformer(tpch_batch[0].plan)
-        assert all(isinstance(norm, BatchNorm) for norm in norms) and all(
-            norm.running_mean is mean and norm.running_var is var for norm, (mean, var) in zip(norms, before)
-        )
-
     def test_cache_memoises(self, queryformer, tpch_batch):
         cache = PlanEmbeddingCache(queryformer)
         matrix = cache.embeddings_for(tpch_batch)
@@ -134,35 +126,15 @@ class TestQueryFormer:
 
 
 class TestFloat64TokenNorm:
-    """The float64 path's BatchNorm is the tape's per-state token norm, and it refuses what it does not replicate."""
+    """``fastgrad``'s BatchNorm kernel, which QueryFormer's embedding runs, is the tape's per-state token norm."""
 
     def test_batch_statistics_match_the_tape(self):
         norm = BatchNorm(6)
         norm.gamma.data = np.linspace(0.5, 1.5, 6)
         norm.beta.data = np.linspace(-0.2, 0.3, 6)
         x = np.random.default_rng(0).normal(size=(5, 6))
-        assert fastinfer.norm_forward(norm, x).tobytes() == norm(Tensor(x)).data.tobytes()
-
-    def test_one_token_is_refused(self):
-        # The tape normalises a one-token sequence with the running statistics.
-        with pytest.raises(ValueError, match="at least two tokens"):
-            fastinfer.norm_forward(BatchNorm(4), np.ones((1, 4)))
-
-    def test_eval_mode_and_stacks_are_refused(self):
-        norm = BatchNorm(4)
-        with pytest.raises(ValueError, match="one sequence"):
-            fastinfer.norm_forward(norm, np.ones((2, 3, 4)))
-        norm.eval()
-        with pytest.raises(ValueError, match="eval mode"):
-            fastinfer.norm_forward(norm, np.ones((3, 4)))
-
-    def test_reason_names_what_each_path_replicates(self):
-        encoder = AttentionEncoder(8, 2, 1, np.random.default_rng(0), norm="batch")
-        reason = fastinfer.fast_inference_reason(encoder)
-        assert "LayerNorm on one sequence and on a (batch, tokens, dim) stack" in reason
-        assert "BatchNorm on one sequence only" in reason
-        layer_norms = AttentionEncoder(8, 2, 1, np.random.default_rng(0), norm="layer")
-        assert fastinfer.fast_inference_reason(layer_norms) is None
+        out, _ = fastgrad.batch_norm_forward(norm, x, fastgrad.Arena())
+        assert out.tobytes() == norm(Tensor(x)).data.tobytes()
 
 
 class TestStateEncoder:

@@ -25,6 +25,7 @@ from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
 from repro.nn import Adam, fastgrad, mse_loss
 from repro.perf import PerformanceModel, SimulatedCluster
+from gain_oracle import tape_gain, tape_predict
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +61,15 @@ def _reference_fit(model, embeddings, gains, observed, epochs=30, learning_rate=
     for _ in range(epochs):
         rng.shuffle(pairs)
         for i, j in pairs:
-            loss = mse_loss(model.forward(embeddings[i], embeddings[j]), np.array([gains[i, j]]))
+            loss = mse_loss(tape_gain(model, embeddings[i], embeddings[j]), np.array([gains[i, j]]))
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
 
 
 def _observed_mse(model, embeddings, gains, observed):
-    errors = [model.predict(embeddings[i], embeddings[j]) - gains[i, j] for i, j in _upper_pairs(observed)]
+    rows, cols = np.array(_upper_pairs(observed)).T
+    errors = model.predict_pairs(embeddings, rows, cols) - gains[rows, cols]
     return float(np.mean(np.square(errors)))
 
 
@@ -100,8 +102,7 @@ class TestSchedulingGain:
         observed = np.ones((n, n), dtype=bool)
         losses = model.fit(plan_embeddings, gains, observed, epochs=3)
         assert losses[-1] <= losses[0] * 1.5
-        a = model.predict(plan_embeddings[0], plan_embeddings[1])
-        b = model.predict(plan_embeddings[1], plan_embeddings[0])
+        a, b = model.predict_pairs(plan_embeddings, np.array([0, 1]), np.array([1, 0]))
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_build_gain_matrix_fills_unobserved(self, history_log, tpch_batch, plan_embeddings):
@@ -115,7 +116,7 @@ class TestSchedulingGain:
         np.testing.assert_array_equal(completed[observed], gains[observed])
         np.testing.assert_array_equal(np.diag(completed), 0.0)
         for i, j in _upper_pairs(~observed):
-            assert abs(completed[i, j] - model.predict(plan_embeddings[i], plan_embeddings[j])) <= 1e-12
+            assert abs(completed[i, j] - tape_predict(model, plan_embeddings[i], plan_embeddings[j])) <= 1e-12
 
     @pytest.mark.parametrize("case", ["single", "ragged_tail", "repeated_pair"])
     def test_minibatch_step_gradients_match_tape(self, plan_embeddings, case):
@@ -128,7 +129,7 @@ class TestSchedulingGain:
         model = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
 
         losses = [
-            mse_loss(model.forward(plan_embeddings[i], plan_embeddings[j]), np.array([gains[i, j]])) for i, j in pairs
+            mse_loss(tape_gain(model, plan_embeddings[i], plan_embeddings[j]), np.array([gains[i, j]])) for i, j in pairs
         ]
         mean_loss = sum(losses[1:], losses[0]) * (1.0 / len(pairs))
         model.zero_grad()
@@ -152,7 +153,8 @@ class TestSchedulingGain:
         observed[3, 7] = observed[7, 3] = True
         losses = model.fit(plan_embeddings, gains, observed, epochs=200)
         assert len(losses) == 200 and losses[-1] < losses[0]
-        assert model.predict(plan_embeddings[3], plan_embeddings[7]) == pytest.approx(gains[3, 7], abs=0.01)
+        (predicted,) = model.predict_pairs(plan_embeddings, np.array([3]), np.array([7]))
+        assert predicted == pytest.approx(gains[3, 7], abs=0.01)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_minibatched_fit_is_no_worse_than_per_pair_loop_at_158_queries(self, seed):

@@ -27,8 +27,8 @@ from repro.core import (
     SchedulingEnv,
     cluster_instance_count,
 )
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.nn import Activation, AttentionEncoder, BatchNorm, no_grad
+from repro.exceptions import SimulationError
+from repro.nn import no_grad
 from repro.perf import (
     ConcurrentPredictionModel,
     PerformanceEstimator,
@@ -37,6 +37,7 @@ from repro.perf import (
     SimulatedCluster,
 )
 from repro.runtime import ExecutionRuntime
+from simulator_oracle import tape_forward
 
 # Digests of the single-engine simulator tree, pinned while it was a class of
 # its own: a one-instance SimulatedCluster must reproduce it bit-for-bit through
@@ -191,7 +192,7 @@ class TestPerformanceFeaturizer:
 
 
 # --------------------------------------------------------------------- #
-# Fastpath parity (satellite): predict / predict_batched vs forward
+# Fastpath parity (satellite): predict over rows and over stacks vs the tape
 # --------------------------------------------------------------------- #
 class TestPredictionParity:
     @pytest.mark.parametrize("use_attention", [True, False])
@@ -201,42 +202,30 @@ class TestPredictionParity:
         model = ConcurrentPredictionModel(feature_dim=11, hidden_dim=16, rng=rng, use_attention=use_attention)
         features = np.random.default_rng(5).normal(size=(k, 11))
         with no_grad():
-            ref_logits, ref_times = model.forward(features)
+            ref_logits, ref_times = tape_forward(model, features)
         fast_logits, fast_times = model.predict(features)
         np.testing.assert_array_equal(fast_logits, ref_logits.data)
         np.testing.assert_array_equal(fast_times, ref_times.data)
-        # batched over a stack of groups: every row bit-identical to forward
+        # batched over a stack of groups: every row bit-identical to the tape forward
         other = np.random.default_rng(6).normal(size=(k, 11))
-        batched_logits, batched_times = model.predict_batched(np.stack([features, other], axis=0))
+        batched_logits, batched_times = model.predict(np.stack([features, other], axis=0))
         for row, group in enumerate((features, other)):
             with no_grad():
-                row_logits, row_times = model.forward(group)
+                row_logits, row_times = tape_forward(model, group)
             np.testing.assert_array_equal(batched_logits[row], row_logits.data)
             np.testing.assert_array_equal(batched_times[row], row_times.data)
+        # a later predict hands out no buffer an earlier one returned
+        np.testing.assert_array_equal(fast_logits, ref_logits.data)
 
     def test_singleton_batch_matches_predict(self):
         rng = np.random.default_rng(9)
         model = ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=rng)
         features = np.random.default_rng(1).normal(size=(1, 3, 7))
-        logits, times = model.predict_batched(features)
+        logits, times = model.predict(features)
         ref_logits, ref_times = model.predict(features[0])
+        assert logits.shape == times.shape == (1, 3) and ref_logits.shape == ref_times.shape == (3,)
         np.testing.assert_array_equal(logits[0], ref_logits)
         np.testing.assert_array_equal(times[0], ref_times)
-
-    def test_encoder_without_a_tape_free_forward_is_refused(self, monkeypatch):
-        """``predict`` has no tape fallback, so construction names what the float64 path lacks."""
-        for name, foreign in (("Activation", lambda dim: Activation("identity")), ("BatchNorm", BatchNorm)):
-
-            def encoder_with_foreign_norm(*args, **kwargs):
-                encoder = AttentionEncoder(*args, **kwargs)
-                encoder._modules["block_0"].norm2 = foreign(args[0])
-                return encoder
-
-            monkeypatch.setattr("repro.perf.model.AttentionEncoder", encoder_with_foreign_norm)
-            refusal = rf"block 0 norm2 is {name}; the float64 fast path replicates LayerNorm on one sequence and on a "
-            with pytest.raises(ConfigurationError, match=refusal):
-                ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0))
-        ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(0), use_attention=False)
 
 
 # --------------------------------------------------------------------- #
@@ -371,7 +360,7 @@ class TestFitBoundary:
                 assert not any(np.shares_memory(param.data, slab) for slab in slabs), name
             logits, times = perf.model.predict(fresh)
             with no_grad():
-                ref_logits, ref_times = perf.model(fresh)
+                ref_logits, ref_times = tape_forward(perf.model, fresh)
             np.testing.assert_array_equal(logits, ref_logits.data)
             np.testing.assert_array_equal(times, ref_times.data)
 

@@ -34,6 +34,7 @@ from repro.core.policy import DECISION_KERNEL
 from repro.exceptions import SchedulingError
 from repro.nn import fastinfer, no_grad
 from repro.runtime import ExecutionRuntime
+from simulator_oracle import tape_forward
 from snapshot_oracle import snapshot_arrays
 
 
@@ -133,11 +134,12 @@ class TestVectorSchedulingEnv:
         model = scheduler.simulator.perf.model
         batched_calls = []
 
-        def counting(features, _predict=model.predict_batched):
-            batched_calls.append(features.shape)
+        def counting(features, _predict=model.predict):
+            if features.ndim == 3:
+                batched_calls.append(features.shape)
             return _predict(features)
 
-        monkeypatch.setattr(model, "predict_batched", counting)
+        monkeypatch.setattr(model, "predict", counting)
         vec = VectorSchedulingEnv.from_template(env, 2)
         seq = VectorSchedulingEnv.from_template(env.clone(), 2)  # shares no env with ``vec``
         for index, round_id in enumerate([7, 8]):
@@ -478,7 +480,7 @@ class TestSimulatorFastInference:
             [0, 1, 2], [sim_setup.config_space.default] * 3, [0.1, 0.7, 1.3]
         )
         with no_grad():
-            logits, times = perf.model(features)
+            logits, times = tape_forward(perf.model, features)
         fast_logits, fast_times = perf.model.predict(features)
         np.testing.assert_array_equal(fast_logits, logits.data)
         np.testing.assert_array_equal(fast_times, times.data)
@@ -491,7 +493,7 @@ class TestSimulatorFastInference:
         other = perf.featurizer.rows(
             [4, 5, 6, 7], [sim_setup.config_space.default] * 4, [1.2, 1.4, 1.6, 1.8]
         )
-        logits, times = perf.model.predict_batched(np.stack([features, other], axis=0))
+        logits, times = perf.model.predict(np.stack([features, other], axis=0))
         for row, feats in enumerate((features, other)):
             ref_logits, ref_times = perf.model.predict(feats)
             np.testing.assert_array_equal(logits[row], ref_logits)
