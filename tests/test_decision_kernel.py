@@ -32,7 +32,7 @@ from repro.core.clustering import cluster_queries
 from repro.core.policy import DECISION_KERNEL, ActorCriticNetwork, _cluster_member_indices
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.encoder.run_state import SnapshotArrays
-from repro.nn import Adam, fastgrad, fastinfer, no_grad
+from repro.nn import Adam, BatchNorm, fastgrad, fastinfer, no_grad
 from snapshot_oracle import snapshot_arrays
 
 
@@ -191,6 +191,25 @@ class TestTapeParity:
                     assert decision.log_prob == pytest.approx(float(log_prob.data), abs=1e-4)
                     assert decision.value == pytest.approx(float(value.data[0]), abs=1e-4)
                 assert policy.greedy_action(plan, snapshot, mask, clusters=clusters) == int(np.argmax(full.data))
+
+    def test_deciding_writes_no_batch_norm_statistics(self):
+        """A token norm's statistics are its tokens' own: ``act`` and ``act_batch`` add no attribute to a norm
+        and rebind or change none of its parameters."""
+        scheduler, env = build_scheduler("tpch", "batch", None)
+        policy, plan = scheduler.policy, scheduler.plan_embeddings
+        blocks = policy.state_encoder.attention._modules.values()
+        norms = [norm for block in blocks for norm in (block.norm1, block.norm2)]
+        assert norms and all(isinstance(norm, BatchNorm) for norm in norms)
+        before = [(dict(vars(n)), [(p.data, p.data.copy()) for p in n.parameters()]) for n in norms]
+        pairs = mid_episode(env, steps=6)
+        for snapshot, mask in pairs:
+            policy.act(plan, snapshot, mask, np.random.default_rng(0))
+        policy.act_batch(plan, [s for s, _ in pairs], np.stack([m for _, m in pairs]), np.random.default_rng(0))
+        for norm, (attributes, arrays) in zip(norms, before):
+            assert vars(norm).keys() == attributes.keys()
+            assert all(vars(norm)[name] is value for name, value in attributes.items())
+            for param, (array, values) in zip(norm.parameters(), arrays):
+                assert param.data is array and np.array_equal(array, values)
 
     def test_sampled_act_is_a_one_row_act_batch(self):
         """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""

@@ -114,6 +114,18 @@ class TestQueryFormer:
         for query in workload.batch_query_set():
             assert queryformer(query.plan).tobytes() == tape_embedding(queryformer, query.plan).tobytes()
 
+    def test_embedding_writes_no_running_statistics(self, queryformer, tpch_batch):
+        """Embedding a plan adds no attribute to a token norm and rebinds or changes none of its parameters."""
+        norms = [norm for block in queryformer.encoder._modules.values() for norm in (block.norm1, block.norm2)]
+        before = [(dict(vars(n)), [(p.data, p.data.copy()) for p in n.parameters()]) for n in norms]
+        queryformer(tpch_batch[0].plan)
+        assert all(isinstance(norm, BatchNorm) for norm in norms)
+        for norm, (attributes, arrays) in zip(norms, before):
+            assert vars(norm).keys() == attributes.keys()
+            assert all(vars(norm)[name] is value for name, value in attributes.items())
+            for param, (array, values) in zip(norm.parameters(), arrays):
+                assert param.data is array and np.array_equal(array, values)
+
     def test_cache_memoises(self, queryformer, tpch_batch):
         cache = PlanEmbeddingCache(queryformer)
         matrix = cache.embeddings_for(tpch_batch)
@@ -123,6 +135,13 @@ class TestQueryFormer:
         np.testing.assert_allclose(matrix, again)
         cache.clear()
         assert len(cache) == 0
+
+    def test_embedding_is_no_buffer_a_later_call_hands_out(self, queryformer, tpch_batch):
+        first = queryformer(tpch_batch[0].plan)
+        kept = first.copy()
+        second = queryformer(tpch_batch[8].plan)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestFloat64TokenNorm:
@@ -135,6 +154,23 @@ class TestFloat64TokenNorm:
         x = np.random.default_rng(0).normal(size=(5, 6))
         out, _ = fastgrad.batch_norm_forward(norm, x, fastgrad.Arena())
         assert out.tobytes() == norm(Tensor(x)).data.tobytes()
+
+    def test_one_token_is_refused(self):
+        # One token has no batch statistics; the tape refuses it too.
+        norm, x = BatchNorm(4), np.ones((1, 4))
+        for forward in (lambda: fastgrad.batch_norm_forward(norm, x, fastgrad.Arena()), lambda: norm(Tensor(x))):
+            with pytest.raises(ValueError, match=r"at least two tokens, not shape \(1, 4\)"):
+                forward()
+
+    def test_a_stack_normalises_each_state_alone(self):
+        norm = BatchNorm(6)
+        norm.gamma.data = np.linspace(0.5, 1.5, 6)
+        norm.beta.data = np.linspace(-0.2, 0.3, 6)
+        x = np.random.default_rng(1).normal(size=(3, 5, 6))
+        out, _ = fastgrad.batch_norm_forward(norm, x, fastgrad.Arena())
+        assert out.tobytes() == norm(Tensor(x)).data.tobytes()
+        for state, row in zip(x, out):
+            assert fastgrad.batch_norm_forward(norm, state, fastgrad.Arena())[0].tobytes() == row.tobytes()
 
 
 class TestStateEncoder:

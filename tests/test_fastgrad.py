@@ -55,6 +55,7 @@ from repro.nn import (
     Tensor,
     cross_entropy,
     fastgrad,
+    fastinfer,
     clip_grad_norm,
     kl_divergence,
     masked_log_softmax,
@@ -271,6 +272,85 @@ class TestFusedKernels:
             return value
 
         fused_param_gradcheck(encoder, fused_loss, atol=5e-6)
+
+    def test_mha_score_bias_matches_tape_and_gradcheck(self, rng, arena):
+        """A constant additive score bias (QueryFormer's tree bias) goes in before the softmax; the backward is unchanged."""
+        attention = MultiHeadAttention(model_dim=6, num_heads=2, rng=rng)
+        x = rng.normal(size=(2, 4, 6))
+        w = rng.normal(size=(2, 4, 6))
+        bias = -0.5 * np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        tensor = Tensor(x, requires_grad=True)
+        attention.zero_grad()
+        (attention(tensor, bias=bias) * Tensor(w)).sum().backward()
+        expected = tape_grads(attention)
+        attention.zero_grad()
+        out, ctx = fastgrad.mha_forward(attention, x, arena, bias)
+        assert np.max(np.abs(out - attention(Tensor(x), bias=bias).data)) <= ATOL
+        assert np.max(np.abs(out - fastgrad.mha_forward(attention, x, fastgrad.Arena())[0])) > 1e-3
+        g_x = fastgrad.mha_backward(attention, ctx, w, arena)
+        assert_grads_match(expected, attention)
+        assert np.max(np.abs(g_x - tensor.grad)) <= ATOL
+
+        def fused_loss(backward):
+            out, ctx = fastgrad.mha_forward(attention, x, arena, bias)
+            if backward:
+                fastgrad.mha_backward(attention, ctx, w, arena)
+            value = float((out * w).sum())
+            arena.reset()
+            return value
+
+        fused_param_gradcheck(attention, fused_loss, atol=5e-6)
+
+    @pytest.mark.parametrize("norm", ["layer", "batch"])
+    def test_attention_encoder_score_bias_matches_tape(self, rng, arena, norm):
+        """Every block adds the same bias, as the tape encoder does for QueryFormer's plan tree."""
+        encoder = AttentionEncoder(model_dim=4, num_heads=2, num_layers=2, rng=rng, norm=norm)
+        x = rng.normal(size=(1, 5, 4))
+        w = rng.normal(size=(1, 5, 4))
+        bias = rng.uniform(-1.0, 0.0, size=(5, 5))
+        tensor = Tensor(x, requires_grad=True)
+        encoder.zero_grad()
+        (encoder(tensor, bias=bias) * Tensor(w)).sum().backward()
+        expected = tape_grads(encoder)
+        expected_out = encoder(Tensor(x), bias=bias).data
+        encoder.zero_grad()
+        out, ctx = fastgrad.attention_encoder_forward(encoder, x, arena, bias)
+        assert np.max(np.abs(out - expected_out)) <= ATOL
+        g_x = fastgrad.attention_encoder_backward(encoder, ctx, w, arena)
+        assert_grads_match(expected, encoder)
+        assert np.max(np.abs(g_x - tensor.grad)) <= ATOL
+
+    def test_fused_qkv_follows_the_projection_arrays(self, rng):
+        """The fused block is cached until a projection array is rebound; a pinned block likewise."""
+        attention = MultiHeadAttention(model_dim=4, num_heads=2, rng=rng)
+        projections = (attention.query_proj, attention.key_proj, attention.value_proj)
+        weight, bias = fastgrad._fused_qkv(attention)
+        assert np.array_equal(weight, np.concatenate([proj.weight.data for proj in projections], axis=1))
+        assert np.array_equal(bias, np.concatenate([proj.bias.data for proj in projections]))
+        assert fastgrad._fused_qkv(attention)[0] is weight
+        # An optimizer step installs fresh arrays, so the fusion rebuilds.
+        attention.key_proj.weight.data = attention.key_proj.weight.data * 2.0
+        rebuilt, _ = fastgrad._fused_qkv(attention)
+        assert rebuilt is not weight and np.array_equal(rebuilt[:, 4:8], attention.key_proj.weight.data)
+        block_weight, block_bias = np.zeros((4, 12)), np.zeros(12)
+        fastgrad._pin_fused_qkv(attention, block_weight, block_bias)
+        pinned = fastgrad._fused_qkv(attention)
+        assert pinned[0] is block_weight and pinned[1] is block_bias
+        attention.value_proj.bias.data = attention.value_proj.bias.data + 1.0
+        assert fastgrad._fused_qkv(attention)[0] is not block_weight
+
+    def test_masked_log_softmax_kernels_share_one_mask_offset(self, rng):
+        """Both kernels shift a masked logit by ``fastinfer.MASK_VALUE``, so its probability is exactly zero."""
+        logits = rng.normal(size=(2, 5))
+        mask = np.array([[True, False, True, True, False], [False, True, True, True, True]])
+        log_probs, softmax = fastgrad.masked_log_softmax_forward(logits, mask)
+        allowed = logits - np.log(np.exp(np.where(mask, logits, -np.inf)).sum(axis=-1, keepdims=True))
+        expected = np.where(mask, allowed, allowed + fastinfer.MASK_VALUE)
+        np.testing.assert_allclose(log_probs, expected, rtol=1e-12, atol=1e-9)
+        assert np.all(softmax[~mask] == 0.0)
+        log_probs32 = fastinfer.masked_log_softmax_array(logits.astype(np.float32), mask)
+        assert log_probs32.dtype == np.float32
+        np.testing.assert_allclose(log_probs32, log_probs, rtol=1e-6, atol=1e-5)
 
     def test_masked_log_softmax_matches_tape_and_gradcheck(self, rng):
         logits = rng.normal(size=(3, 6))

@@ -227,6 +227,18 @@ class TestPredictionParity:
         np.testing.assert_array_equal(logits[0], ref_logits)
         np.testing.assert_array_equal(times[0], ref_times)
 
+    def test_a_later_predict_hands_out_no_earlier_result(self):
+        """Each call runs a fresh arena, so returned rows survive the next call of the same shape."""
+        model = ConcurrentPredictionModel(feature_dim=7, hidden_dim=8, rng=np.random.default_rng(3))
+        draw = np.random.default_rng(4)
+        for shape in ((4, 7), (2, 4, 7)):
+            first = model.predict(draw.normal(size=shape))
+            kept = [array.copy() for array in first]
+            second = model.predict(draw.normal(size=shape))
+            for array, copy, later in zip(first, kept, second):
+                assert array.shape == shape[:-1] and not np.shares_memory(array, later)
+                np.testing.assert_array_equal(array, copy)
+
 
 # --------------------------------------------------------------------- #
 # PerformanceModel on fleets
