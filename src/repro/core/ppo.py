@@ -196,7 +196,7 @@ class PPOTrainer:
         return [t.snapshot for t in transitions], masks
 
     def _apply_gradients(self, loss: float) -> None:
-        """Clip and apply the gradients one fused step accumulated, then recycle the arena.
+        """Clip and apply the gradients one fused step accumulated.
 
         A non-finite loss or gradient norm raises before the optimizer can
         write it into the weights.
@@ -217,7 +217,6 @@ class PPOTrainer:
                     f"first parameter with a non-finite gradient: {culprit}"
                 )
             self.optimizer.step()
-        self.arena.reset()
 
     def auxiliary_phase(self, buffer: RolloutBuffer) -> float:
         """Hook overridden by PPG / IQ-PPO; plain PPO has no auxiliary phase."""
@@ -286,8 +285,6 @@ class PPOTrainer:
         term ``KL(π_old || π_new)``; π_old is the policy at the moment the
         auxiliary phase begins (Algorithm 1, line 6).
         """
-        log_probs = fastgrad.policy_log_probs(
+        return fastgrad.policy_log_probs(
             self.policy, self.plan_embeddings, snapshots, masks, self.arena, clusters=self.env.clusters
         )
-        self.arena.reset()
-        return log_probs

@@ -718,39 +718,67 @@ def action_logits_backward(policy: Any, ctx: tuple, g_logits: np.ndarray, arena:
 
 
 #: Arena bytes one slab of a policy step may keep live.  The steps below run a
-#: minibatch as consecutive slabs of ``_SLAB_BYTES // _sample_bytes(...)``
-#: samples: 8 at paper size (n=99, minibatch 64), the whole minibatch when
-#: the inputs are small.
-_SLAB_BYTES = 16 * 2**20
+#: minibatch as consecutive slabs of as many samples as :func:`_slab_bytes`
+#: fits in this budget: 2 at paper size (n=99, 4.7 MB held), 1 at n=158 with
+#: 100 clusters (5.3 MB), the whole minibatch when the inputs are small.  It is
+#: the smallest budget at which the step time is flat: one ``ppo_minibatch_step``
+#: (B=64) at n=99 takes no less CPU time at 4 or 8 samples a slab than at 2, and
+#: ~16% more at 1, while the pool, and with it the process's peak RSS, grows
+#: with every sample (8 samples held 17.9 MB).
+_SLAB_BYTES = 5 * 2**20
 
 
-def _sample_bytes(policy: Any, num_queries: int) -> int:
+def _sample_bytes(policy: Any, num_queries: int, clusters: Any) -> int:
     """Arena bytes one sample of a policy step keeps live, read off the model's shape.
 
     Per token, the float64 rows the forward saves (MLP block outputs, the
     sequence and its gradient, per layer the fused QKV, the attention output
-    and the two norm outputs); per layer one ``(heads, tokens, tokens)``
-    softmax, plus the one gradient of that shape the backward holds at a time.
+    and the two norm outputs), and per row shape one backward scratch of each
+    activated width; per layer one ``(heads, tokens, tokens)`` softmax, plus
+    the one gradient of that shape the backward holds at a time.  Both heads
+    count, since the PPO and auxiliary steps share one arena.  With
+    ``clusters`` the policy head runs over cluster rows, each with its
+    pooling-matrix row and pooled token.
     """
     encoder = policy.state_encoder
     width = encoder.super_query.data.shape[1]
 
-    def saved(mlp: MLP) -> int:
-        return sum(linear.weight.data.shape[1] for linear, _ in _mlp_blocks(mlp))
+    def saved(*mlps: MLP) -> int:
+        blocks = [block for mlp in mlps for block in _mlp_blocks(mlp)]
+        outputs = sum(linear.weight.data.shape[1] for linear, _ in blocks)
+        return outputs + sum({linear.weight.data.shape[1] for linear, act in blocks if act is not None})
 
+    query_mlps = [encoder.query_mlp, encoder.query_out_mlp, policy.aux_head]
+    if clusters is None:
+        query_mlps.append(policy.policy_head)
+        per_sample = 0
+    else:
+        per_sample = clusters.num_clusters * (saved(policy.policy_head) + num_queries + width)
     query_out_in = _mlp_blocks(encoder.query_out_mlp)[0][0].weight.data.shape[0]
-    row = saved(encoder.query_mlp) + 2 * width + query_out_in + saved(encoder.query_out_mlp)
-    row += saved(policy.policy_head) + saved(policy.aux_head)
-    maps = 0
+    per_sample += num_queries * (saved(*query_mlps) + query_out_in) + saved(encoder.global_mlp, policy.value_head)
+    tokens = num_queries + 1
+    token_row = 2 * width
     if encoder.use_attention:
         blocks = [encoder.attention._modules[f"block_{index}"] for index in range(encoder.attention.num_layers)]
-        row += sum(6 * width + saved(block.feedforward) for block in blocks)
-        maps = (len(blocks) + 1) * blocks[0].attention.num_heads
-    tokens = num_queries + 1
-    return 8 * tokens * (row + maps * tokens)
+        token_row += 6 * width * len(blocks) + saved(*(block.feedforward for block in blocks))
+        per_sample += (len(blocks) + 1) * blocks[0].attention.num_heads * tokens * tokens
+    return 8 * (per_sample + tokens * token_row)
 
 
-def _encoded_slabs(policy: Any, plan_embeddings: np.ndarray, snapshots: list, arena: Arena, need_global: bool):
+def _slab_bytes(policy: Any, num_queries: int, samples: int, clusters: Any) -> int:
+    """Arena bytes a slab of ``samples`` samples keeps live: :func:`_sample_bytes` each,
+    plus the one sample of ``(heads, tokens, tokens)`` scratch of the softmax backward."""
+    encoder = policy.state_encoder
+    fixed = 0
+    if encoder.use_attention:
+        tokens = num_queries + 1
+        fixed = 8 * encoder.attention._modules["block_0"].attention.num_heads * tokens * tokens
+    return fixed + samples * _sample_bytes(policy, num_queries, clusters)
+
+
+def _encoded_slabs(
+    policy: Any, plan_embeddings: np.ndarray, snapshots: list, arena: Arena, need_global: bool, clusters: Any
+):
     """Cut the samples of one policy step into consecutive slabs and encode each.
 
     Yields ``(rows, per_query, global_state, enc_ctx)``: the slice of samples
@@ -761,8 +789,9 @@ def _encoded_slabs(policy: Any, plan_embeddings: np.ndarray, snapshots: list, ar
     gradient (ragged last slab included).  The arena is reset after every slab, so it grows to one slab and the
     caller holds no arena buffer afterwards.
     """
-    batch = len(snapshots)
-    size = min(batch, max(1, _SLAB_BYTES // _sample_bytes(policy, len(plan_embeddings))))
+    batch, num_queries = len(snapshots), len(plan_embeddings)
+    spare = _SLAB_BYTES - _slab_bytes(policy, num_queries, 0, clusters)
+    size = min(batch, max(1, spare // _sample_bytes(policy, num_queries, clusters)))
     for start in range(0, batch, size):
         rows = slice(start, start + size)
         yield rows, *encode_state_batch(
@@ -785,7 +814,9 @@ def policy_log_probs(
     what the auxiliary phases snapshot as ``pi_old`` before they start.
     """
     log_probs = []
-    for rows, per_query, _, _ in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+    for rows, per_query, _, _ in _encoded_slabs(
+        policy, plan_embeddings, snapshots, arena, need_global=False, clusters=clusters
+    ):
         logits, _ = action_logits_forward(policy, per_query, snapshots[rows], clusters, arena)
         log_probs.append(masked_log_softmax_forward(logits, masks[rows])[0])
     return np.concatenate(log_probs)
@@ -819,7 +850,7 @@ def ppo_minibatch_step(
     inv_b = 1.0 / batch
     surrogate = squared_error = 0.0
     for rows, per_query, global_state, enc_ctx in _encoded_slabs(
-        policy, plan_embeddings, snapshots, arena, need_global=True
+        policy, plan_embeddings, snapshots, arena, need_global=True, clusters=clusters
     ):
         slab_actions, slab_advantages = actions[rows], advantages[rows]
         index = np.arange(len(slab_actions))
@@ -898,7 +929,9 @@ def ppg_aux_step(
     batch = len(snapshots)
     encoder = policy.state_encoder
     squared_error = divergence = 0.0
-    for rows, per_query, _, enc_ctx in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+    for rows, per_query, _, enc_ctx in _encoded_slabs(
+        policy, plan_embeddings, snapshots, arena, need_global=False, clusters=clusters
+    ):
         size, num_queries = per_query.shape[:2]
         predicted3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)
         inv_n = 1.0 / num_queries
@@ -934,7 +967,9 @@ def iq_ppo_aux_step(
     query_ids = np.asarray(query_ids, dtype=np.int64)
     encoder = policy.state_encoder
     squared_error = divergence = 0.0
-    for rows, per_query, _, enc_ctx in _encoded_slabs(policy, plan_embeddings, snapshots, arena, need_global=False):
+    for rows, per_query, _, enc_ctx in _encoded_slabs(
+        policy, plan_embeddings, snapshots, arena, need_global=False, clusters=clusters
+    ):
         size, num_queries = per_query.shape[:2]
         index = np.arange(size)
         times3, ah_ctx = mlp_forward(policy.aux_head, per_query, arena)

@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .attention import AttentionEncoder
+from .functional import MASK_VALUE
 from .layers import MLP, BatchNorm, LayerNorm, Linear, Module, Parameter
 
 __all__ = [
@@ -33,9 +34,6 @@ __all__ = [
     "masked_log_softmax_array",
     "MASK_VALUE",
 ]
-
-#: The logit offset of a masked action in every masked log-softmax: its probability is numerically zero.
-MASK_VALUE = -1e8
 
 
 class Float32Pack:

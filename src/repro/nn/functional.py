@@ -6,6 +6,11 @@ import numpy as np
 
 from .tensor import Tensor
 
+#: The logit offset of a masked action in every masked log-softmax (this tape
+#: primitive and the two kernels, ``fastgrad`` and ``fastinfer``): its
+#: probability is numerically zero.
+MASK_VALUE = -1e8
+
 __all__ = [
     "mse_loss",
     "huber_loss",
@@ -81,11 +86,11 @@ def entropy(log_probs: Tensor) -> Tensor:
     return -(probs * log_probs).sum(axis=-1).mean()
 
 
-def masked_log_softmax(logits: Tensor, mask: np.ndarray, mask_value: float = -1e8) -> Tensor:
+def masked_log_softmax(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Log-softmax where entries with ``mask == False`` are effectively removed.
 
     This is the adaptive-masking primitive from the paper: masked action
-    logits are replaced by a large negative constant so their post-softmax
+    logits are shifted by :data:`MASK_VALUE` so their post-softmax
     probability is numerically zero while gradients still flow to unmasked
     entries.
     """
@@ -94,5 +99,5 @@ def masked_log_softmax(logits: Tensor, mask: np.ndarray, mask_value: float = -1e
         raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
     if not np.all(mask.any(axis=-1)):
         raise ValueError("masked_log_softmax requires at least one unmasked entry")
-    offset = np.where(mask, 0.0, mask_value)
+    offset = np.where(mask, 0.0, MASK_VALUE)
     return (logits + Tensor(offset)).log_softmax(axis=-1)

@@ -340,7 +340,7 @@ class TestFusedKernels:
         assert fastgrad._fused_qkv(attention)[0] is not block_weight
 
     def test_masked_log_softmax_kernels_share_one_mask_offset(self, rng):
-        """Both kernels shift a masked logit by ``fastinfer.MASK_VALUE``, so its probability is exactly zero."""
+        """Both kernels and the tape shift a masked logit by ``fastinfer.MASK_VALUE``, so its probability is exactly zero."""
         logits = rng.normal(size=(2, 5))
         mask = np.array([[True, False, True, True, False], [False, True, True, True, True]])
         log_probs, softmax = fastgrad.masked_log_softmax_forward(logits, mask)
@@ -348,6 +348,7 @@ class TestFusedKernels:
         expected = np.where(mask, allowed, allowed + fastinfer.MASK_VALUE)
         np.testing.assert_allclose(log_probs, expected, rtol=1e-12, atol=1e-9)
         assert np.all(softmax[~mask] == 0.0)
+        np.testing.assert_allclose(masked_log_softmax(Tensor(logits), mask).data, expected, rtol=1e-12, atol=1e-9)
         log_probs32 = fastinfer.masked_log_softmax_array(logits.astype(np.float32), mask)
         assert log_probs32.dtype == np.float32
         np.testing.assert_allclose(log_probs32, log_probs, rtol=1e-6, atol=1e-5)
@@ -512,12 +513,16 @@ def collect(trainer):
     return buffer
 
 
+def slab_bytes(samples, trainer):
+    """fastgrad's estimate of the arena bytes a slab of ``samples`` of the trainer's policy steps keeps live."""
+    return fastgrad._slab_bytes(trainer.policy, len(trainer.plan_embeddings), samples, trainer.env.clusters)
+
+
 @contextlib.contextmanager
 def slabs_of(samples, trainer):
-    """Shrink fastgrad's byte budget so the trainer's policy steps run ``samples`` at a time."""
-    sample_bytes = fastgrad._sample_bytes(trainer.policy, len(trainer.plan_embeddings))
+    """Set fastgrad's byte budget so the trainer's policy steps run ``samples`` at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastgrad, "_SLAB_BYTES", samples * sample_bytes)
+        patch.setattr(fastgrad, "_SLAB_BYTES", slab_bytes(samples, trainer))
         yield
 
 
@@ -729,21 +734,26 @@ class TestFusedTrainerSteps:
         """B=8 as slabs of 3 + 3 + 2 (ragged last slab) against the one-slab step and the tape."""
         getattr(self, f"check_{step}")(arena, slab=3, clustered=clustered, norm=norm)
 
-    def test_arena_is_sized_by_the_slab_not_the_minibatch(self, rng):
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("slab", [1, 2])
+    def test_arena_is_sized_by_the_slab_not_the_minibatch(self, rng, slab, clustered):
         held = []
         for minibatch in (4, 8):
-            trainer = build_trainer(PPOTrainer)
+            trainer = build_trainer(PPOTrainer, clustered=clustered)
             batch = collect(trainer).sample(minibatch, rng)
             arena = fastgrad.Arena()
-            with slabs_of(2, trainer):
+            with slabs_of(slab, trainer):
                 ppo_step(trainer, batch, arena)
             held.append((arena.nbytes, arena.num_buffers))
             # Per slab, as in test_attention_backward_hands_its_buffers_back:
             # one softmax per layer plus ONE gradient, whatever the minibatch.
             encoder = trainer.policy.state_encoder.config
             tokens = len(trainer.plan_embeddings) + 1
-            assert len(arena._free[(2, encoder.state_heads, tokens, tokens)]) == encoder.state_layers + 1
+            assert len(arena._free[(slab, encoder.state_heads, tokens, tokens)]) == encoder.state_layers + 1
             assert not arena._used
+            # The budget's estimate is what the pool holds.
+            estimate = slab_bytes(slab, trainer)
+            assert abs(arena.nbytes - estimate) <= 0.1 * estimate, (arena.nbytes, estimate)
         assert held[0] == held[1]
 
     @staticmethod
