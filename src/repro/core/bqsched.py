@@ -145,7 +145,7 @@ class RLSchedulerBase(BaseScheduler):
         self.trainer: PPOTrainer | None = None
         #: One pool for the update temporaries of every trainer this scheduler
         #: builds: the pre-trainer and the fine-tune trainer run one after the
-        #: other over the same minibatch shapes.
+        #: other over the same minibatch shapes.  ``train()`` empties it.
         self._update_arena = fastgrad.Arena()
         self.timings: dict[str, float] = {}
         self._prepared = False
@@ -298,8 +298,10 @@ class RLSchedulerBase(BaseScheduler):
                 self.config.ppo.num_envs,
                 min(_PRETRAIN_NUM_ENVS, self.config.ppo.rollouts_per_update),
             )
-            pretrainer = self._make_trainer(sim_env, num_envs=pretrain_envs)
-            pretrainer.train(pretrain_updates, eval_every=0)
+            # No name holds the pre-trainer: with the env deleted, its optimizer
+            # slabs, simulated envs and rollouts are freed before fine-tuning.
+            self._make_trainer(sim_env, num_envs=pretrain_envs).train(pretrain_updates, eval_every=0)
+            del sim_env
             self.timings["pretrain"] = time.perf_counter() - started
             if keep_best:
                 self._validate_and_keep_best()
@@ -317,7 +319,11 @@ class RLSchedulerBase(BaseScheduler):
         self.timings["train_total"] = self.timings.get("pretrain", 0.0) + self.timings["finetune"]
 
         if keep_best and self._best_state is not None:
+            # load_state_dict copies, so the snapshot is only a second copy now.
             self.policy.load_state_dict(self._best_state)
+            self._best_state = None
+        # The update buffers are sized for training; a later update refills them.
+        self._update_arena.clear()
         return history
 
     def _validate_and_keep_best(self, rounds: int = 1) -> float:

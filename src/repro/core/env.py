@@ -311,6 +311,9 @@ class SchedulingEnv:
         self._soa_avg_expected: np.ndarray | None = None
         self._soa_config_slots: np.ndarray | None = None
         self._soa_expected_slots: np.ndarray | None = None
+        #: Every snapshot's ``time_to_available`` while nothing is deferred.
+        self._no_wait = np.zeros(len(self.batch), dtype=np.float64)
+        self._no_wait.flags.writeable = False
 
     @property
     def runtime(self) -> ExecutionRuntime:
@@ -733,6 +736,9 @@ class SchedulingEnv:
         the tenant session's incrementally-maintained state columns with a
         handful of whole-array ops.  ``tests/test_hotpath.py`` checks it
         against a per-query reference builder at every decision step.
+        ``attempts`` and ``time_to_available`` are read-only and shared: the
+        session's copy-on-write attempt counts, and one zero column per env
+        while nothing is deferred.
         """
         self._require_session()
         session = self._session
@@ -743,14 +749,17 @@ class SchedulingEnv:
         elapsed = np.where(running, now - session.soa_submit_time, 0.0)
         expected = np.where(running, self._soa_expected_slots, self._soa_avg_expected)
         available = status_raw != SOA_DEFERRED
-        time_to_available = np.zeros(status_raw.shape[0], dtype=np.float64)
-        if not available.all():
+        if available.all():
+            time_to_available = self._no_wait
+        else:
             deferred = ~available
             # ``max(0.0, available_at - now)``: positive waits pass through
             # bit-identically, the rest become positive zero.
             wait = session.soa_available_at[deferred] - now
             wait[wait <= 0.0] = 0.0
+            time_to_available = np.zeros(status_raw.shape[0], dtype=np.float64)
             time_to_available[deferred] = wait
+            time_to_available.flags.writeable = False
         priority, deadline_slack = self._slo_context()
         return SnapshotArrays(
             time=now,
@@ -760,7 +769,7 @@ class SchedulingEnv:
             expected_time=expected,
             available=available,
             time_to_available=time_to_available,
-            attempts=session.soa_attempts.copy(),
+            attempts=session.soa_attempts,
             instance_context_array=session.instance_context() if self._reads_context else None,
             instance_health_array=self._instance_health_array(),
             priority=priority,

@@ -93,8 +93,10 @@ class Arena:
 
     This class is a recycling pool of preallocated float64 buffers, sized by
     one slab of a step.  ``empty(shape)`` hands out a buffer (reusing a
-    previously returned one of the same shape when available); ``reset()``
-    returns every outstanding buffer to the pool.  Saved activations live in
+    previously returned one of the same shape when available, else the
+    leading rows of a longer one, which is how a minibatch's short last slab
+    runs in the full slab's buffers); ``reset()`` returns every outstanding
+    buffer to the pool.  Saved activations live in
     arena buffers, parameter gradients never do: :meth:`grad` accumulates
     them into ``Parameter.grad`` (see the module docstring contract).  The
     policy steps reset the arena themselves, after the backward of every
@@ -110,7 +112,7 @@ class Arena:
     layer, so the pool does not grow by it.
 
     The kernels call only ``empty``, ``owned``, ``release`` and ``grad``;
-    ``reset`` and the pool sizes are for the callers that own this pool.
+    ``reset``, ``clear`` and the pool sizes are for the callers that own this pool.
     The simulator fit (``repro.perf.fit``) runs the same kernels with a
     subclass that hands out every buffer, owned ones included, in call order
     and writes each gradient into its slab view instead.
@@ -123,20 +125,40 @@ class Arena:
     def empty(self, shape: Sequence[int]) -> np.ndarray:
         shape = tuple(shape)
         pool = self._free.get(shape)
-        buf = pool.pop() if pool else np.empty(shape)
+        buf = pool.pop() if pool else self._leading_rows(shape)
         self._used[id(buf)] = buf
         return buf
+
+    def _leading_rows(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The first ``shape[0]`` rows of the shortest free buffer that has them, else a new buffer.
+
+        A short last slab asks for the full slab's shapes with fewer leading
+        rows; taking them from the full slab's buffers keeps the pool at one
+        slab.  A view goes back to the pool as its base.
+        """
+        fits = [
+            key
+            for key, pool in self._free.items()
+            if pool and len(key) == len(shape) > 0 and key[0] > shape[0] and key[1:] == shape[1:]
+        ]
+        if not fits:
+            return np.empty(shape)
+        return self._free[min(fits)].pop()[: shape[0]]
 
     def owned(self, shape: Sequence[int]) -> np.ndarray:
         return np.empty(shape)
 
+    def _give_back(self, buf: np.ndarray) -> None:
+        whole = _whole(buf)
+        self._free.setdefault(whole.shape, []).append(whole)
+
     def release(self, buf: np.ndarray) -> None:
         """Return ``buf`` (exactly as :meth:`empty` handed it out) to the pool now."""
-        self._free.setdefault(buf.shape, []).append(self._used.pop(id(buf)))
+        self._give_back(self._used.pop(id(buf)))
 
     def reset(self) -> None:
         for buf in self._used.values():
-            self._free.setdefault(buf.shape, []).append(buf)
+            self._give_back(buf)
         self._used.clear()
 
     def grad(self, params: "tuple[Parameter, ...]", op: Any, a: Any, b: Any) -> None:
@@ -156,6 +178,11 @@ class Arena:
         for index, param in enumerate(params):
             _accum(param, value[..., index * width : (index + 1) * width])
 
+    def clear(self) -> None:
+        """Drop every buffer, outstanding and free: the pool holds nothing until it is used again."""
+        self._free.clear()
+        self._used.clear()
+
     @property
     def num_buffers(self) -> int:
         return len(self._used) + sum(len(pool) for pool in self._free.values())
@@ -163,8 +190,13 @@ class Arena:
     @property
     def nbytes(self) -> int:
         """Bytes held by the pool, outstanding and free."""
-        outstanding = sum(buf.nbytes for buf in self._used.values())
+        outstanding = sum(_whole(buf).nbytes for buf in self._used.values())
         return outstanding + sum(buf.nbytes for pool in self._free.values() for buf in pool)
+
+
+def _whole(buf: np.ndarray) -> np.ndarray:
+    """The pool buffer behind what :meth:`Arena.empty` handed out: itself, or the base of its leading rows."""
+    return buf if buf.base is None else buf.base
 
 
 def _accum(param: Parameter, grad: np.ndarray) -> None:

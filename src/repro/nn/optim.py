@@ -1,9 +1,10 @@
 """Gradient-descent optimisers for :class:`repro.nn.layers.Module` parameters.
 
 ``Adam.step`` gathers every ``param.grad`` into one flat slab, runs the update
-as fourteen in-place ufunc passes over flat moment and scratch slabs, and
-installs ``param.data`` as reshaped views of **one fresh result slab per
-step**.  Fresh on purpose: the inference fast paths (the decision program's
+as fourteen in-place ufunc passes over the flat moment slabs, taking the step
+in **one fresh result slab per step**, turns the step into the new weights in
+place and installs ``param.data`` as reshaped views of that slab.  Fresh on
+purpose: the inference fast paths (the decision program's
 ``fastinfer.Float32Pack``, ``fastgrad``'s fused QKV cache) detect updates by array
 *identity*, so ``param.data`` is
 replaced, never mutated, and no slab aliases it across steps — it is
@@ -152,7 +153,7 @@ class Adam(Optimizer):
         self._offsets = [0, *np.cumsum([p.data.size for p in self.parameters]).tolist()]
         total = self._offsets[-1]
         self._m, self._v = np.zeros(total), np.zeros(total)
-        self._grad, self._scratch = np.empty(total), np.empty(total)
+        self._grad = np.empty(total)
         # Last step's result slab and the views of it that step installed as
         # ``param.data`` (``None`` for a parameter it skipped).
         self._data = np.empty(0)
@@ -173,12 +174,13 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
         params, offsets, installed = self.parameters, self._offsets, self._installed
-        # Fresh slab on purpose: the inference caches key off param.data identity.
+        # Fresh slab on purpose: the inference caches key off param.data
+        # identity.  Each run's slice holds the step, then the new weights.
         result = np.empty(offsets[-1])
         fresh: "list[np.ndarray | None]" = [None] * len(params)
         for first, last in self._runs():
             run = slice(offsets[first], offsets[last])
-            grad, buf, m, v = self._grad[run], self._scratch[run], self._m[run], self._v[run]
+            grad, step, m, v = self._grad[run], result[run], self._m[run], self._v[run]
             np.concatenate([p.grad.ravel() for p in params[first:last]], out=grad)
             if all(params[i].data is installed[i] for i in range(first, last)):
                 data = self._data[run]
@@ -186,10 +188,10 @@ class Adam(Optimizer):
                 # First step, or the caller rebound param.data since the last one.
                 data = np.concatenate([p.data.ravel() for p in params[first:last]])
             if self.weight_decay:
-                np.multiply(data, self.weight_decay, out=buf)
-                grad += buf
-            adam_passes(grad, m, v, buf, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
-            np.subtract(data, buf, out=result[run])
+                np.multiply(data, self.weight_decay, out=step)
+                grad += step
+            adam_passes(grad, m, v, step, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
+            np.subtract(data, step, out=step)
             for i in range(first, last):
                 fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)
         self._data = result

@@ -26,6 +26,26 @@ from .runtime import ExecutionRuntime
 __all__ = ["TenantReport", "ClassReport", "ServiceReport"]
 
 
+def _linear_percentile(ascending: np.ndarray, q: float) -> float:
+    """``np.percentile(ascending, q, method="linear")`` of a sorted non-empty array, bit for bit.
+
+    NumPy's percentile imports ``numpy.ma`` on its first call, which a
+    serving process would keep resident for three numbers.  This is the same
+    arithmetic: the virtual index ``(n - 1) * (q / 100)`` and NumPy's
+    ``_lerp`` between its two neighbours, which counts down from the upper
+    one when the fraction is at least one half.
+    """
+    last = ascending.shape[0] - 1
+    index = last * (q / 100)
+    if index >= last:
+        return float(ascending[last])
+    below = int(index)
+    fraction = index - below
+    low, high = float(ascending[below]), float(ascending[below + 1])
+    diff = high - low
+    return high - diff * (1 - fraction) if fraction >= 0.5 else low + diff * fraction
+
+
 @dataclass(frozen=True)
 class TenantReport:
     """Completion metrics of one tenant's round.
@@ -155,8 +175,7 @@ class ServiceReport:
 
         Well-formed for *every* tenant, including one with zero completed
         queries (all failed, or an empty stream): latency fields are zeroed
-        instead of the NaN mean / ``IndexError`` percentile that
-        ``np.percentile([])`` would produce.
+        instead of the NaN mean and the percentile of no latencies.
         """
         if not runtime.is_done:
             raise SchedulingError("the runtime round has not finished yet")
@@ -166,12 +185,9 @@ class ServiceReport:
             latencies = np.array(sorted(session.latencies().values()), dtype=np.float64)
             if latencies.size:
                 mean_latency = float(latencies.mean())
-                # Pin the interpolation method: NumPy changed the default
-                # name ("linear" == the historical default) and baselines
-                # depend on bit-stable percentiles across NumPy versions.
-                p50, p90, p99 = (
-                    float(np.percentile(latencies, q, method="linear")) for q in (50, 90, 99)
-                )
+                # NumPy's "linear" (its historical default) interpolation:
+                # baselines depend on bit-stable percentiles.
+                p50, p90, p99 = (_linear_percentile(latencies, q) for q in (50, 90, 99))
             else:
                 mean_latency = p50 = p90 = p99 = 0.0
             completed = len(session.finished)

@@ -672,7 +672,10 @@ class TenantSession:
         count = len(state.batch)
         self.soa_status: np.ndarray = shared.state_arrays.status[offset : offset + count]
         self.soa_submit_time: np.ndarray = shared.state_arrays.submit_time[offset : offset + count]
+        #: Read-only and copy-on-write: a failure installs a fresh array, so
+        #: a snapshot holds this one instead of copying it.
         self.soa_attempts = np.zeros(count, dtype=np.int64)
+        self.soa_attempts.flags.writeable = False
         if arrival_times is None:
             self.soa_available_at = np.zeros(count, dtype=np.float64)
         else:
@@ -874,7 +877,10 @@ class TenantSession:
         self._running.discard(event.query_id)
         self.num_failed_attempts += 1
         self._failure_counts[event.query_id] = self._failure_counts.get(event.query_id, 0) + 1
-        self.soa_attempts[event.query_id] += 1
+        attempts = self.soa_attempts.copy()
+        attempts[event.query_id] += 1
+        attempts.flags.writeable = False
+        self.soa_attempts = attempts
         if event.will_retry:
             self.soa_available_at[event.query_id] = event.retry_at if event.retry_at is not None else 0.0
         if event.reason == FAILURE_TIMEOUT:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import PPOConfig
 from repro.core import LSchedScheduler, FIFOScheduler
+from repro.core.ppo import PPOTrainer
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,45 @@ class TestBQSchedFacade:
         workload, engine, config = tiny_setup
         scheduler = LSchedScheduler.from_workload(workload, engine, config, seed=3)
         assert scheduler.config.seed == 3
+
+
+class TestTrainingMemory:
+    def test_pretrainer_is_unreachable_when_fine_tuning_starts(self, monkeypatch, tiny_setup):
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        built, seen = [], []
+        make_trainer, update = BQSched._make_trainer, PPOTrainer.update
+
+        def recording_make_trainer(self, env, num_envs=None):
+            trainer = make_trainer(self, env, num_envs)
+            built.append((weakref.ref(trainer), weakref.ref(trainer.optimizer), weakref.ref(trainer.vec_env)))
+            return trainer
+
+        def checking_update(self, buffer):
+            if self is scheduler.trainer and not seen:
+                seen.append([ref() is None for ref in built[0]])
+            return update(self, buffer)
+
+        monkeypatch.setattr(BQSched, "_make_trainer", recording_make_trainer)
+        monkeypatch.setattr(PPOTrainer, "update", checking_update)
+        gc.disable()  # freed by reference counting, not by a collection
+        try:
+            scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        finally:
+            gc.enable()
+        assert len(built) == 2 and built[1][0]() is scheduler.trainer
+        assert seen == [[True, True, True]]
+
+    def test_train_keeps_no_training_only_copy(self, tiny_setup):
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        assert scheduler._best_state is None
+        assert scheduler._update_arena.nbytes == 0 and scheduler._update_arena.num_buffers == 0
+        # The fine-tuner keeps the emptied pool: a further update refills it.
+        assert scheduler.trainer.arena is scheduler._update_arena
+        scheduler.trainer.train(1, eval_every=0)
+        assert scheduler._update_arena.nbytes > 0
 
 
 class TestLSched:

@@ -401,6 +401,22 @@ class TestFusedKernels:
         assert arena.empty((4, 3)) is third
         assert arena.num_buffers == 2
 
+    def test_arena_hands_a_short_shape_the_leading_rows_of_a_free_buffer(self):
+        arena = fastgrad.Arena()
+        long, longer = arena.empty((4, 3)), arena.empty((6, 3))
+        arena.reset()
+        short = arena.empty((2, 3))
+        assert short.base is long and short.shape == (2, 3)
+        assert arena.empty((5, 3)).base is longer
+        assert arena.empty((3, 2)).base is None  # another row shape: a new buffer
+        assert arena.nbytes == (4 + 6) * 3 * 8 + 3 * 2 * 8
+        arena.release(short)
+        assert arena.empty((4, 3)) is long
+        arena.reset()
+        assert arena.num_buffers == 3
+        arena.clear()
+        assert (arena.nbytes, arena.num_buffers) == (0, 0)
+
     def test_attention_backward_hands_its_buffers_back(self, rng, arena):
         """The pool holds one softmax per layer plus ONE gradient (not one per
         layer), and a second step allocates nothing."""
@@ -735,8 +751,10 @@ class TestFusedTrainerSteps:
         getattr(self, f"check_{step}")(arena, slab=3, clustered=clustered, norm=norm)
 
     @pytest.mark.parametrize("clustered", [False, True])
-    @pytest.mark.parametrize("slab", [1, 2])
+    @pytest.mark.parametrize("slab", [1, 2, 3])
     def test_arena_is_sized_by_the_slab_not_the_minibatch(self, rng, slab, clustered):
+        """Slabs of 3 end short (4 = 3 + 1, 8 = 3 + 3 + 2): the short slab
+        takes leading rows of the full slab's buffers, so the pool stays one slab."""
         held = []
         for minibatch in (4, 8):
             trainer = build_trainer(PPOTrainer, clustered=clustered)

@@ -334,6 +334,34 @@ def test_soa_snapshot_matches_aos(scenario: str) -> None:
     assert steps > 2 * len(env.batch)  # at least one decision per query per round
 
 
+def test_snapshot_attempts_and_waits_are_shared_read_only_columns() -> None:
+    """A closed round's snapshots all hold the session's one attempts array and
+    the env's one zero wait column; a failure installs fresh attempts, and every
+    snapshot kept since still reads the per-query oracle's counts of its step."""
+    env, scheduler, _, rounds = _make_closed()
+    snapshots = [snapshot for snapshot, _reward in _round_steps(env, scheduler, rounds[0])]
+    for column in ("attempts", "time_to_available"):
+        arrays = {id(getattr(snapshot, column)) for snapshot in snapshots}
+        assert len(arrays) == 1, column
+        shared = getattr(snapshots[0], column)
+        assert not shared.flags.writeable and not shared.any()
+        with pytest.raises(ValueError):
+            shared[0] = 1
+
+    env, scheduler, _, rounds = _make_faulted()
+    kept, fresh = [], 0
+    for snapshot, _reward in _round_steps(env, scheduler, rounds[0]):
+        expected = [info.attempts for info in snapshot_aos(env).infos]
+        assert snapshot.attempts.tolist() == expected
+        assert not snapshot.attempts.flags.writeable
+        if kept and kept[-1][0].attempts is not snapshot.attempts:
+            assert not np.shares_memory(kept[-1][0].attempts, snapshot.attempts)
+            fresh += 1
+        kept.append((snapshot, expected))
+    assert fresh > 0
+    assert all(snapshot.attempts.tolist() == expected for snapshot, expected in kept)
+
+
 # --------------------------------------------------------------------------- #
 # Event-queue parity — bulk extend and pop_due must reproduce the exact
 # (time, insertion order) pop sequence of repeated push/pop.

@@ -17,6 +17,7 @@ from repro.config import EncoderConfig
 from repro.core.policy import ActorCriticNetwork
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.nn import SGD, Adam, clip_grad_norm
+from repro.nn.optim import adam_passes
 from repro.nn.layers import Parameter
 from repro.perf.model import ConcurrentPredictionModel
 
@@ -82,6 +83,44 @@ class ReferenceAdam:
             m_hat = m / bias1
             v_hat = v / bias2
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class ScratchSlabAdam(Adam):
+    """The flat-slab step as it ran with a scratch slab of its own, verbatim.
+
+    It kept a fourth slab beside ``m``/``v``/``_grad`` for the step and
+    subtracted it into the fresh result slab; ``Adam`` now takes the step in
+    the result slab itself.  Kept as the oracle of that change.
+    """
+
+    def __init__(self, parameters, **kwargs):
+        super().__init__(parameters, **kwargs)
+        self._scratch = np.empty(self._offsets[-1])
+
+    def step(self):
+        self._step_count += 1
+        bias1 = 1.0 - self.beta1**self._step_count
+        bias2 = 1.0 - self.beta2**self._step_count
+        params, offsets, installed = self.parameters, self._offsets, self._installed
+        result = np.empty(offsets[-1])
+        fresh = [None] * len(params)
+        for first, last in self._runs():
+            run = slice(offsets[first], offsets[last])
+            grad, buf, m, v = self._grad[run], self._scratch[run], self._m[run], self._v[run]
+            np.concatenate([p.grad.ravel() for p in params[first:last]], out=grad)
+            if all(params[i].data is installed[i] for i in range(first, last)):
+                data = self._data[run]
+            else:
+                data = np.concatenate([p.data.ravel() for p in params[first:last]])
+            if self.weight_decay:
+                np.multiply(data, self.weight_decay, out=buf)
+                grad += buf
+            adam_passes(grad, m, v, buf, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
+            np.subtract(data, buf, out=result[run])
+            for i in range(first, last):
+                fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)
+        self._data = result
+        self._installed = fresh
 
 
 def make_params(rng, shapes=((4, 3), (3,), (5, 5), (2,))):
@@ -255,6 +294,35 @@ def test_adam_none_grad_in_the_middle_splits_the_slab_into_two_runs():
     ref.step()
     assert params_new[2].data is not frozen
     assert_adam_matches_reference(new, ref, "rejoined")
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_takes_the_step_in_its_result_slab_bit_identically(weight_decay):
+    """No scratch slab: three flat slabs of state, and the weights and moments
+    of the scratch-slab step after skips, a rebind and weight decay."""
+    rng = np.random.default_rng(17)
+    params_new = make_params(rng)
+    params_old = clone_params(params_new)
+    new = Adam(params_new, lr=3e-3, weight_decay=weight_decay)
+    old = ScratchSlabAdam(params_old, lr=3e-3, weight_decay=weight_decay)
+    assert not hasattr(new, "_scratch")
+    total = new._offsets[-1]
+    assert [slab.size for slab in (new._m, new._v, new._grad)] == [total] * 3
+    grad_rng_a, grad_rng_b = np.random.default_rng(18), np.random.default_rng(18)
+    for step in range(8):
+        if step == 5:
+            # A rebind between steps takes the gather path on both sides.
+            for p_new, p_old in zip(params_new, params_old):
+                p_new.data, p_old.data = p_new.data.copy(), p_old.data.copy()
+        skip = 2 if step in (1, 3) else None
+        set_grads(params_new, grad_rng_a, skip_index=skip)
+        set_grads(params_old, grad_rng_b, skip_index=skip)
+        new.step()
+        old.step()
+        for p_new, p_old in zip(params_new, params_old):
+            assert_bitwise_equal(p_new.data, p_old.data, f"step {step} {p_new.name}")
+        assert_bitwise_equal(new._m, old._m, f"step {step} first moment")
+        assert_bitwise_equal(new._v, old._v, f"step {step} second moment")
 
 
 def test_adam_gathers_non_contiguous_grads():

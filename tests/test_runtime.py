@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.core import (
     AdaptiveMask,
@@ -20,6 +26,7 @@ from repro.core import (
 )
 from repro.dbms import ConfigurationSpace
 from repro.exceptions import SchedulingError, WorkloadError
+from repro.runtime.report import _linear_percentile
 from repro.runtime import (
     EventQueue,
     ExecutionRuntime,
@@ -404,6 +411,37 @@ class TestServeFacade:
         assert streamed.total_time > 0
         as_dict = streamed.as_dict()
         assert {t["tenant"] for t in as_dict["tenants"]} == {"tenant-0", "tenant-1"}
+
+    def test_latency_percentiles_are_numpys_linear_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        arrays = [np.array([3.25]), np.array([1.0, 1.0]), np.array([0.5, 7.0])]
+        arrays += [np.sort(rng.exponential(30.0, size)) for size in rng.integers(3, 400, size=200)]
+        arrays += [np.sort(rng.integers(0, 4, size).astype(float)) for size in rng.integers(2, 50, size=50)]
+        for latencies in arrays:
+            for q in (0, 25, 50, 90, 99, 100, float(rng.uniform(0, 100))):
+                expected = float(np.percentile(latencies, q, method="linear"))
+                assert _linear_percentile(latencies, q).hex() == expected.hex(), (latencies.size, q)
+
+    def test_serve_leaves_numpy_ma_unimported(self):
+        """The report's percentiles do not pull in numpy.ma (np.percentile's first call does)."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro
+            workload = repro.make_workload("tpch", scale_factor=1.0, seed=0)
+            engine = repro.DatabaseEngine(repro.DBMSProfile.dbms_x(), seed=0)
+            scheduler = repro.BQSched(workload, engine, repro.BQSchedConfig.small(seed=0))
+            report = scheduler.serve(num_tenants=2, arrivals="poisson", num_connections=8)
+            assert report.tenants[0].p99_latency > 0
+            print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_serve_rejects_bad_tenant_count(self):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
