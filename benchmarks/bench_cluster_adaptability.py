@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import BQSchedConfig, Cluster, DBMSProfile, LSchedScheduler, make_workload
-from repro.bench import evaluate_placement_baselines, print_table, write_json_report
+from harness.harness import evaluate_placement_baselines
+from harness.reporting import print_table, write_json_report
 
 _SKEW_SPEEDS = {"X-fast": 1.6, "X-stock": 1.0, "X-slow": 0.45}
 

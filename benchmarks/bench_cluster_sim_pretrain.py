@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BQSched, BQSchedConfig, Cluster, make_workload
-from repro.bench import heuristic_env, print_table, write_json_report
+from harness.harness import heuristic_env
+from harness.reporting import print_table, write_json_report
 from repro.core import GreedyCostPlacementScheduler
 from repro.core.knowledge import ExternalKnowledge
 from repro.dbms import ConfigurationSpace

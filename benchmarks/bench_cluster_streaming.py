@@ -12,7 +12,8 @@ answers for).
 from __future__ import annotations
 
 from repro import BQSchedConfig, Cluster, LSchedScheduler, make_workload
-from repro.bench import heuristic_env, print_table, write_json_report
+from harness.harness import heuristic_env
+from harness.reporting import print_table, write_json_report
 from repro.core import RoundRobinPlacementScheduler
 from repro.core.env import drive_service
 from repro.runtime import ExecutionRuntime, ServiceReport

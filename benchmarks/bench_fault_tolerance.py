@@ -32,7 +32,7 @@ from repro import (
     RetryPolicy,
     make_workload,
 )
-from repro.bench import print_table, write_json_report
+from harness.reporting import print_table, write_json_report
 from repro.core import LSchedScheduler
 
 #: Transient errors, heavy stragglers and a mid-round outage: the regime in

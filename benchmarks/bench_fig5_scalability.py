@@ -7,7 +7,8 @@ runs a reduced grid (RL only at the smallest point of each axis).
 
 from __future__ import annotations
 
-from repro.bench import Scenario, evaluate_heuristics, evaluate_rl, print_table, write_json_report
+from harness.harness import Scenario, evaluate_heuristics, evaluate_rl
+from harness.reporting import print_table, write_json_report
 from repro.core import BQSched
 
 

@@ -7,7 +7,9 @@ less than training LSched.  We measure wall-clock seconds of each phase.
 
 from __future__ import annotations
 
-from repro.bench import Scenario, paper_values, print_table, write_json_report
+from harness import paper_values
+from harness.harness import Scenario
+from harness.reporting import print_table, write_json_report
 from repro.core import BQSched, LSchedScheduler
 
 

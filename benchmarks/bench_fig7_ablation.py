@@ -8,7 +8,9 @@ attention and PPG.
 
 from __future__ import annotations
 
-from repro.bench import Scenario, paper_values, print_table, write_json_report
+from harness import paper_values
+from harness.harness import Scenario
+from harness.reporting import print_table, write_json_report
 from repro.core import BQSched
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Scenario, print_table, render_gantt, write_json_report
+from harness.harness import Scenario
+from harness.reporting import print_table, render_gantt, write_json_report
 from repro.core import BQSched, FIFOScheduler
 
 

@@ -39,7 +39,7 @@ from repro import (
     TenantClass,
     make_workload,
 )
-from repro.bench import print_table, write_json_report
+from harness.reporting import print_table, write_json_report
 from repro.core import LSchedScheduler
 
 #: Two interactive tenants with a hard latency SLO and two best-effort batch

@@ -10,7 +10,8 @@ Reported per tenant: makespan and latency percentiles.
 
 from __future__ import annotations
 
-from repro.bench import Scenario, evaluate_service, print_table, write_json_report
+from harness.harness import Scenario, evaluate_service
+from harness.reporting import print_table, write_json_report
 from repro.core import LSchedScheduler
 
 

@@ -8,7 +8,9 @@ whole grid.
 
 from __future__ import annotations
 
-from repro.bench import Scenario, paper_values, print_table, run_strategy_comparison, write_json_report
+from harness import paper_values
+from harness.harness import Scenario, run_strategy_comparison
+from harness.reporting import print_table, write_json_report
 
 
 def _run(profile, dbms_list, include_rl):

@@ -7,7 +7,9 @@ heuristics are evaluated directly on each perturbed workload.
 
 from __future__ import annotations
 
-from repro.bench import Scenario, evaluate_heuristics, evaluate_rl, paper_values, print_table, write_json_report
+from harness import paper_values
+from harness.harness import Scenario, evaluate_heuristics, evaluate_rl
+from harness.reporting import print_table, write_json_report
 from repro.core import BQSched, LSchedScheduler
 from repro.workloads import perturb_workload
 

@@ -8,7 +8,9 @@ classification accuracy and remaining-time regression MSE.
 from __future__ import annotations
 
 import numpy as np
-from repro.bench import Scenario, paper_values, print_table, write_json_report
+from harness import paper_values
+from harness.harness import Scenario
+from harness.reporting import print_table, write_json_report
 from repro.config import SimulatorConfig
 from repro.core.knowledge import ExternalKnowledge
 from repro.dbms import ConfigurationSpace

@@ -1,7 +1,7 @@
 """Diff ``run_all.py`` JSON summaries against committed baselines.
 
 Every benchmark emits a machine-readable JSON result via
-:func:`repro.bench.write_json_report`; ``benchmarks/baselines/`` commits a
+:func:`harness.reporting.write_json_report`; ``benchmarks/baselines/`` commits a
 snapshot of the fast subset so regressions show up as a diff instead of a
 shrug.  This tool flattens the numeric leaves of each payload and compares
 them with per-metric relative tolerances.
@@ -12,9 +12,9 @@ Usage::
         --results-dir /tmp/bench-results
     PYTHONPATH=src python benchmarks/compare.py --results /tmp/bench-results
 
-Timing-like metrics (wall-clock seconds, throughput rates) are skipped —
-they measure the machine, not the reproduction.  Exit code 1 means a metric
-moved outside its tolerance or a baselined benchmark produced no result.
+Timing-like metrics (wall-clock seconds) are skipped — they measure the
+machine, not the reproduction.  Exit code 1 means a metric moved outside
+its tolerance or a baselined benchmark produced no result.
 """
 
 from __future__ import annotations
@@ -42,18 +42,12 @@ TOLERANCE_OVERRIDES: dict[str, float] = {
 }
 
 #: Flattened-key substrings that name machine-dependent measurements
-#: (wall-clock rates) or RL-training outcomes whose discrete value can flip
+#: (wall-clock times) or RL-training outcomes whose discrete value can flip
 #: on a tiny cross-platform float drift (episode counts, per-chunk eval
 #: curves of variable length) — the benchmark's own assertions gate those.
 SKIP_SUBSTRINGS = (
     "seconds",
-    "steps_per_sec",
-    "ms_per_update",
-    "updates_per_sec",
-    "throughput",
     "wall",
-    "speedup",
-    "time_total",
     "episodes_to_target",
     "eval_curve",
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import get_profile
+from harness.harness import get_profile
 
 
 @pytest.fixture(scope="session")

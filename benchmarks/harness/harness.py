@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..config import BQSchedConfig
-from ..core import (
+from repro.config import BQSchedConfig
+from repro.core import (
     AdaptiveMask,
     BQSched,
     BaseScheduler,
@@ -29,10 +29,10 @@ from ..core import (
     SchedulingEnv,
     StrategyEvaluation,
 )
-from ..core.knowledge import ExternalKnowledge
-from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, DBMSProfile
-from ..runtime import ServiceReport
-from ..workloads import Workload, make_arrival_process, make_workload
+from repro.core.knowledge import ExternalKnowledge
+from repro.dbms import Cluster, ConfigurationSpace, DatabaseEngine, DBMSProfile
+from repro.runtime import ServiceReport
+from repro.workloads import Workload, make_arrival_process, make_workload
 
 __all__ = [
     "BenchProfile",

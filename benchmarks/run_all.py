@@ -1,7 +1,7 @@
 """Run every paper-reproduction benchmark and aggregate the JSON results.
 
 Each ``bench_*.py`` file emits a machine-readable result via
-:func:`repro.bench.write_json_report`; this entry point runs them all (as
+:func:`harness.reporting.write_json_report`; this entry point runs them all (as
 pytest sessions, one per file, so a failure in one benchmark does not stop
 the rest), then prints a summary of the collected JSON files.  The JSON
 results are the cross-PR perf trajectory: commit or archive the results
@@ -9,8 +9,7 @@ directory to compare runs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--profile quick|full] [--profiling]
-                                                [--results-dir DIR]
+    PYTHONPATH=src python benchmarks/run_all.py [--profile quick|full] [--results-dir DIR]
                                                 [--only PATTERN] [--skip PATTERN]
 
 ``--only`` / ``--skip`` select benchmark files by name: plain substrings
@@ -55,15 +54,10 @@ def discover(
     return files
 
 
-_PYTEST_NO_TESTS_COLLECTED = 5
-
-
 def run_benchmark(path: Path, env: dict) -> tuple[bool, float]:
-    """Run one benchmark file; returns (passed, seconds).
+    """Run one benchmark file as a pytest session; returns (passed, seconds).
 
-    Benchmarks are pytest files, except the plain-CLI ones (e.g.
-    ``bench_rollout_throughput.py``): when pytest collects no tests, the file
-    is re-run as a script and its own exit code decides.
+    A file that collects no tests fails (pytest exits 5).
     """
     started = time.perf_counter()
     proc = subprocess.run(
@@ -71,8 +65,6 @@ def run_benchmark(path: Path, env: dict) -> tuple[bool, float]:
         cwd=REPO_ROOT,
         env=env,
     )
-    if proc.returncode == _PYTEST_NO_TESTS_COLLECTED:
-        proc = subprocess.run([sys.executable, str(path)], cwd=REPO_ROOT, env=env)
     return proc.returncode == 0, time.perf_counter() - started
 
 
@@ -89,21 +81,6 @@ def summarise(results_dir: Path) -> list[list[str]]:
         size = len(payload) if isinstance(payload, (dict, list)) else 1
         schema = document.get("schema_version", "missing")
         rows.append([path.name, str(schema), document.get("profile", "?"), f"{size} payload entries"])
-        cells = payload.get("cells") if isinstance(payload, dict) else None
-        if isinstance(cells, dict):
-            # Scaling benchmarks report one steps/sec entry per num_envs cell;
-            # surface them in the aggregate so the curve is visible at a glance.
-            for cell_name, cell in cells.items():
-                if isinstance(cell, dict) and "steps_per_sec" in cell:
-                    rows.append(
-                        [
-                            f"  · {cell_name}",
-                            "",
-                            "",
-                            f"num_envs={cell.get('num_envs', '?')}: "
-                            f"{cell['steps_per_sec']:.0f} steps/sec",
-                        ]
-                    )
         if isinstance(payload, dict):
             # Serving benchmarks report SLO attainment, shed counts and
             # goodput per control-plane scenario; surface the overload story
@@ -126,10 +103,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--profile", choices=("quick", "full"), default=None,
                         help="effort profile (default: REPRO_BENCH_PROFILE or quick)")
-    parser.add_argument("--profiling", action="store_true",
-                        help="collect cProfile + section-timer JSON alongside the measurements "
-                             "(sets REPRO_BENCH_PROFILING=1 for every benchmark; distinct from "
-                             "--profile, which picks the effort level)")
     parser.add_argument("--results-dir", default=None,
                         help="where JSON results land (default: REPRO_BENCH_RESULTS or benchmarks/results)")
     parser.add_argument("--only", action="append", default=None, metavar="PATTERN",
@@ -141,8 +114,6 @@ def main() -> int:
     env = dict(os.environ)
     if args.profile:
         env["REPRO_BENCH_PROFILE"] = args.profile
-    if args.profiling:
-        env["REPRO_BENCH_PROFILING"] = "1"
     if args.results_dir:
         env["REPRO_BENCH_RESULTS"] = args.results_dir
     src = str(REPO_ROOT / "src")

@@ -13,13 +13,18 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 from repro import BQSchedConfig, Cluster, LSchedScheduler, make_workload
-from repro.bench import heuristic_env
 from repro.core import (
     GreedyCostPlacementScheduler,
     LeastOutstandingWorkScheduler,
     RoundRobinPlacementScheduler,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from harness.harness import heuristic_env  # noqa: E402
 
 
 def main() -> None:

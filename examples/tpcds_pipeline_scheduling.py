@@ -12,11 +12,15 @@ Run with::
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
-from repro.bench import render_gantt
 from repro.core import FIFOScheduler, MCFScheduler
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from harness.reporting import render_gantt  # noqa: E402
 
 
 def main() -> None:

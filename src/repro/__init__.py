@@ -6,8 +6,9 @@ batch query set end-to-end:
 * :mod:`repro.workloads` — synthetic TPC-DS / TPC-H / JOB query catalogues.
 * :mod:`repro.dbms` — the black-box concurrent execution substrate.
 * :mod:`repro.core` — BQSched itself plus heuristic and LSched baselines.
-* :mod:`repro.bench` — the experiment harness reproducing the paper's tables
-  and figures.
+
+The experiment harness reproducing the paper's tables and figures is not
+part of the package; it lives in ``benchmarks/harness/``.
 
 Quickstart::
 

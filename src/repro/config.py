@@ -193,8 +193,6 @@ class SchedulerConfig:
     num_connections: int = 6
     worker_options: tuple[int, ...] = (1, 2)
     memory_options: tuple[int, ...] = (64, 256)
-    reward_scale: float = 1.0
-    step_penalty: float = 0.0
     #: Extra negative reward per failed/killed attempt observed during a
     #: step: wasted work the makespan alone under-penalises (a killed attempt
     #: freed its connection, but the time it burned helped nobody).  0 keeps

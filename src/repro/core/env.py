@@ -520,7 +520,7 @@ class SchedulingEnv:
         for existing trained policies.
         """
         elapsed = self._session.current_time - time_before
-        reward = -elapsed * self.scheduler_config.reward_scale - self.scheduler_config.step_penalty
+        reward = -elapsed
         failures = self._session.num_failed_attempts
         if failures:
             new_failures = failures - self._last_failures

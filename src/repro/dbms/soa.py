@@ -60,7 +60,7 @@ SOA_DEFERRED = 4
 INSTANCE_FEATURE_DIM = 4
 
 #: Floor for the reconstructed total work of a buffered tied completion
-#: (keeps ``elapsed_fraction`` well-defined for zero-duration records).
+#: (keeps it positive for zero-duration records).
 _MIN_TOTAL_WORK = 1e-9
 
 
@@ -74,11 +74,6 @@ class RunningQueryState:
     submit_time: float
     remaining_work: float
     total_work: float
-
-    @property
-    def elapsed_fraction(self) -> float:
-        """Fraction of the (noisy) work already completed."""
-        return 1.0 - self.remaining_work / self.total_work if self.total_work > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -356,9 +351,6 @@ class FleetSession(Generic[UnitT]):
     def makespan(self) -> float:
         """Latest finish time observed so far."""
         return max(self.finished.values(), default=0.0)
-
-    def pending_queries(self) -> list[Query]:
-        return [self.batch[i] for i in self.pending]
 
     def running_states(self) -> list[RunningQueryState]:
         return list(self.running.values())

@@ -57,10 +57,6 @@ class PlanNode:
             raise WorkloadError(f"scan operator {self.operator} requires a table")
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def is_scan(self) -> bool:
         return self.operator in SCAN_OPERATORS
 
@@ -75,10 +71,6 @@ class PlanNode:
     def io_work(self) -> float:
         """I/O work contributed by this node."""
         return OPERATOR_PROFILES[self.operator].io_per_row * self.estimated_rows
-
-    def memory_demand(self) -> float:
-        """Working-memory demand of this node."""
-        return OPERATOR_PROFILES[self.operator].memory_per_row * self.estimated_rows
 
 
 class PhysicalPlan:
@@ -176,9 +168,6 @@ class PhysicalPlan:
     def total_io_work(self) -> float:
         return sum(node.io_work() for node in self._nodes)
 
-    def total_memory_demand(self) -> float:
-        return sum(node.memory_demand() for node in self._nodes)
-
     def parallel_fraction(self) -> float:
         """Work-weighted fraction of the plan that parallel workers can speed up."""
         total = 0.0
@@ -206,12 +195,6 @@ class PhysicalPlan:
 
     def num_scans(self) -> int:
         return sum(1 for node in self._nodes if node.is_scan)
-
-    def operator_counts(self) -> dict[Operator, int]:
-        counts: dict[Operator, int] = {}
-        for node in self._nodes:
-            counts[node.operator] = counts.get(node.operator, 0) + 1
-        return counts
 
     def to_dict(self) -> dict:
         """Serialise the plan to a nested dictionary (for logs / debugging)."""

@@ -655,8 +655,6 @@ class TenantSession:
         #: Queries awaiting a scheduled retry re-arrival, and when it fires.
         self._retrying: set[int] = set()
         self._retry_times: dict[int, float] = {}
-        #: Failed attempts per query (errors, timeout kills, outage kills).
-        self._failure_counts: dict[int, int] = {}
         self.num_failed_attempts = 0
         self.num_timeouts = 0
         self.num_retries = 0
@@ -672,6 +670,7 @@ class TenantSession:
         count = len(state.batch)
         self.soa_status: np.ndarray = shared.state_arrays.status[offset : offset + count]
         self.soa_submit_time: np.ndarray = shared.state_arrays.submit_time[offset : offset + count]
+        #: Failed attempts per query (errors, timeout kills, outage kills).
         #: Read-only and copy-on-write: a failure installs a fresh array, so
         #: a snapshot holds this one instead of copying it.
         self.soa_attempts = np.zeros(count, dtype=np.int64)
@@ -758,7 +757,7 @@ class TenantSession:
 
     def failure_counts(self) -> dict[int, int]:
         """Failed attempts per tenant-local query id (empty when fault-free)."""
-        return dict(self._failure_counts)
+        return {int(query_id): int(self.soa_attempts[query_id]) for query_id in np.flatnonzero(self.soa_attempts)}
 
     def instance_health(self) -> list[bool]:
         """Per-instance up/down health of the shared backend."""
@@ -769,9 +768,6 @@ class TenantSession:
         if self._arrival_times is None:
             return 0.0
         return float(self._arrival_times[query_id])
-
-    def pending_queries(self) -> list:
-        return [self.batch[i] for i in self.pending]
 
     def running_states(self) -> list[RunningQueryState]:
         offset = self._state.offset
@@ -876,7 +872,6 @@ class TenantSession:
     def _on_failure(self, event: QueryFailure) -> None:
         self._running.discard(event.query_id)
         self.num_failed_attempts += 1
-        self._failure_counts[event.query_id] = self._failure_counts.get(event.query_id, 0) + 1
         attempts = self.soa_attempts.copy()
         attempts[event.query_id] += 1
         attempts.flags.writeable = False

@@ -62,11 +62,6 @@ class Query:
         """Fraction of the query's work that is CPU."""
         return self.cpu_work / self.total_work
 
-    @property
-    def is_io_intensive(self) -> bool:
-        """Whether the query is predominantly I/O bound (paper Section IV-A)."""
-        return self.io_fraction >= 0.5
-
     def __repr__(self) -> str:
         return (
             f"Query({self.name}, cpu={self.cpu_work:.2f}, io={self.io_work:.2f}, "
@@ -258,18 +253,6 @@ class Workload:
             seed=self.seed,
             data_scale=self.data_scale,
             query_scale=query_scale,
-            work_normalizer=self.work_normalizer,
-        )
-
-    def with_seed(self, seed: int) -> "Workload":
-        """Return a new workload re-generated from a different seed."""
-        return Workload(
-            name=self.name,
-            catalog=self.base_catalog,
-            specs=self.specs,
-            seed=seed,
-            data_scale=self.data_scale,
-            query_scale=self.query_scale,
             work_normalizer=self.work_normalizer,
         )
 

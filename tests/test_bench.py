@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.bench import (
+from repro.core import FIFOScheduler
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))
+from harness import paper_values  # noqa: E402
+from harness.harness import (  # noqa: E402
     BenchProfile,
-    ComparisonRow,
     HEURISTICS,
     Scenario,
     evaluate_heuristics,
-    format_table,
+    evaluate_service,
     get_profile,
-    paper_values,
-    render_gantt,
 )
-from repro.core import FIFOScheduler
+from harness.reporting import (  # noqa: E402
+    SCHEMA_VERSION,
+    ComparisonRow,
+    format_table,
+    render_gantt,
+    results_dir,
+    write_json_report,
+)
 
 
 class TestProfiles:
@@ -100,9 +112,6 @@ class TestJsonReporting:
 
         import numpy as np
 
-        from repro.bench import write_json_report
-        from repro.bench.reporting import SCHEMA_VERSION
-
         payload = {
             "rows": [["FIFO", "1.00"]],
             "mean": np.float64(2.5),
@@ -129,8 +138,6 @@ class TestJsonReporting:
 
         import numpy as np
 
-        from repro.bench import write_json_report
-
         payload = {
             "metrics": {"accuracy": float("nan"), "mse": np.float64("nan"), "num_examples": 0},
             "series": np.array([1.0, float("inf"), -float("inf")]),
@@ -151,7 +158,6 @@ class TestJsonReporting:
         import json
         import math
 
-        from repro.bench import write_json_report
         from repro.perf import PerformanceModel
 
         # evaluate_examples returns before touching self on an empty set.
@@ -167,8 +173,6 @@ class TestJsonReporting:
         assert document["payload"] == {"accuracy": None, "mse": None, "num_examples": 0}
 
     def test_results_dir_env_override(self, tmp_path, monkeypatch):
-        from repro.bench import results_dir, write_json_report
-
         monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path / "out"))
         assert results_dir() == tmp_path / "out"
         path = write_json_report("env_test", {"ok": 1})
@@ -177,7 +181,6 @@ class TestJsonReporting:
 
     def test_evaluate_service_runs_end_to_end(self):
         from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
-        from repro.bench import evaluate_service
         from repro.core import LSchedScheduler
 
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
@@ -191,9 +194,8 @@ class TestJsonReporting:
 
 def _load_run_all():
     import importlib.util
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "run_all.py"
+    path = BENCH_DIR / "run_all.py"
     spec = importlib.util.spec_from_file_location("run_all", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -202,9 +204,8 @@ def _load_run_all():
 
 def _load_compare():
     import importlib.util
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "compare.py"
+    path = BENCH_DIR / "compare.py"
     spec = importlib.util.spec_from_file_location("bench_compare", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -215,8 +216,6 @@ class TestCompareBaselines:
     """Satellite: benchmarks/compare.py diffs results against baselines."""
 
     def _write(self, directory, name, payload):
-        from repro.bench import write_json_report
-
         return write_json_report(name, payload, directory=directory)
 
     def test_flatten_extracts_numeric_leaves_only(self):
@@ -279,14 +278,12 @@ class TestCompareBaselines:
         assert failures and "num_examples" in failures[0]
 
     def test_committed_baselines_cover_the_smoke_subset(self):
-        from pathlib import Path
-
-        baselines = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
-        names = {path.name for path in baselines.glob("*.json")}
+        names = {path.name for path in (BENCH_DIR / "baselines").glob("*.json")}
         assert {
             "table3_simulator_model.json",
             "cluster_sim_pretrain.json",
             "fault_tolerance.json",
+            "overload_serving.json",
         } <= names
 
 
@@ -316,9 +313,6 @@ class TestRunAllFilters:
         assert len(run_all.discover(skip="table1")) == len(everything) - 1
 
     def test_summarise_reports_schema_version(self, tmp_path):
-        from repro.bench import write_json_report
-        from repro.bench.reporting import SCHEMA_VERSION
-
         run_all = _load_run_all()
         write_json_report("alpha", {"rows": []}, directory=tmp_path)
         (tmp_path / "broken.json").write_text("not json", encoding="utf-8")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from repro.core import (
     SchedulingEnv,
 )
 from repro.dbms import (
+    FAILURE_ERROR,
+    FAILURE_OUTAGE,
     Cluster,
     ConfigurationSpace,
     FailureProfile,
@@ -45,7 +48,7 @@ from repro.runtime import (
     ServiceReport,
 )
 from repro.workloads import PoissonArrivals
-from snapshot_oracle import featurize_aos, snapshot_arrays
+from snapshot_oracle import featurize_aos, snapshot_aos, snapshot_arrays
 
 # SHA-256 of fault-free round logs produced by the PR-4 tree (commit c1b0f24)
 # for the fixture scenarios below.  With no FailureProfile/RetryPolicy
@@ -328,13 +331,17 @@ class TestRetrySemantics:
 
     def test_attempts_are_exposed_per_query(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
-        session, _ = _drive(
-            fixture_batch, space, FailureProfile(error_rate=0.3), RetryPolicy(max_attempts=4, backoff=0.1)
-        )
+        faults = FailureProfile(error_rate=0.3, outages=(OutageWindow(0, 1.0, 1.0),))
+        session, events = _drive(fixture_batch, space, faults, RetryPolicy(max_attempts=4, backoff=0.1))
         attempts = [session.attempts(q.query_id) for q in fixture_batch]
         assert all(a >= 1 for a in attempts)
         assert max(attempts) > 1  # something retried
-        assert session.failure_counts()  # and the counts say which
+        failures = [event for event in events if isinstance(event, QueryFailure)]
+        assert {event.reason for event in failures} == {FAILURE_ERROR, FAILURE_OUTAGE}
+        # one count per failed attempt, read off the snapshot's attempts column
+        counts = session.failure_counts()
+        assert counts == Counter(event.query_id for event in failures)
+        assert counts == {q: int(n) for q, n in enumerate(session.soa_attempts) if n}
 
 
 class TestClusterOutage:
@@ -642,7 +649,7 @@ class TestFailurePenaltyReward:
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
         engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.5)
+            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.5, outages=(OutageWindow(0, 1.0, 1.0),))
         )
         knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
         runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1))
@@ -668,6 +675,9 @@ class TestFailurePenaltyReward:
         counts = env.session.failure_counts()
         for info in final.infos:
             assert info.attempts == counts.get(info.query_id, 0)
+        assert counts == {q: int(n) for q, n in enumerate(final.attempts) if n}
+        assert [info.attempts for info in snapshot_aos(env).infos] == final.attempts.tolist()
+        assert env.session.num_failed_attempts == sum(counts.values())
 
 
 class TestFailureChannelFeaturizer:
