@@ -16,12 +16,10 @@ from repro.core import BQSched
 
 def _train_and_eval(scenario, profile, num_clusters):
     workload, engine, config = scenario.build()
-    config.clustering.enabled = num_clusters is not None
     if num_clusters is not None:
         config.clustering.num_clusters = num_clusters
     scheduler = BQSched(workload, engine, config)
     scheduler.use_clustering = num_clusters is not None
-    scheduler.config.clustering.enabled = num_clusters is not None
     scheduler.train(
         num_updates=max(1, profile.train_updates // 2),
         pretrain_updates=max(1, profile.pretrain_updates // 2),

@@ -24,7 +24,6 @@ def main() -> None:
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 12
-    config.clustering.enabled = True
     config.clustering.num_clusters = 25
 
     scheduler = BQSched(workload, engine, config)

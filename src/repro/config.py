@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .seeding import SeedSpawner
 
 __all__ = [
+    "TIME_SCALE",
     "EncoderConfig",
     "PPOConfig",
     "SchedulerConfig",
@@ -29,6 +30,12 @@ __all__ = [
     "ServiceConfig",
     "BQSchedConfig",
 ]
+
+
+#: Normalisation scale (seconds) of every time-valued feature and prediction:
+#: the run-state rows' ``tanh(t / TIME_SCALE)``, the simulator's rows and
+#: targets, and IQ-PPO's auxiliary completion-time targets.
+TIME_SCALE = 10.0
 
 
 def _require(condition: bool, message: str) -> None:
@@ -141,7 +148,6 @@ class MaskingConfig:
     the cheapest configuration fall below these thresholds.
     """
 
-    enabled: bool = True
     min_absolute_gain: float = 0.25
     min_relative_gain: float = 0.05
 
@@ -152,9 +158,13 @@ class MaskingConfig:
 
 @dataclass
 class ClusteringConfig:
-    """Scheduling-gain based query clustering (Section IV-B)."""
+    """Scheduling-gain based query clustering (Section IV-B).
 
-    enabled: bool = False
+    Whether a scheduler clusters at all is its ``use_clustering`` arm, not a
+    field here: ``BQSched`` switches it on for batches of more than 150
+    queries.
+    """
+
     num_clusters: int = 100
     intra_cluster_order: str = "mcf"
     gain_model_hidden: int = 32
@@ -193,22 +203,6 @@ class SchedulerConfig:
     num_connections: int = 6
     worker_options: tuple[int, ...] = (1, 2)
     memory_options: tuple[int, ...] = (64, 256)
-    #: Extra negative reward per failed/killed attempt observed during a
-    #: step: wasted work the makespan alone under-penalises (a killed attempt
-    #: freed its connection, but the time it burned helped nobody).  0 keeps
-    #: rewards bit-identical to the fault-free tree.
-    failure_penalty: float = 0.0
-    #: Extra negative reward per completion that misses its tenant class's
-    #: latency SLO (see :class:`~repro.runtime.controlplane.TenantClass`).
-    #: Only bites when the tenant carries a class with a latency target; 0
-    #: (the default) keeps rewards bit-identical to the class-free tree.
-    slo_penalty: float = 0.0
-    #: Fairness-aware backlog shaping: an extra cost of
-    #: ``fairness_weight * priority * elapsed * backlog`` per step charges
-    #: the policy for letting high-priority work queue up, discouraging
-    #: starvation of important tenants (RLScheduler-style shaping).  0 (the
-    #: default) disables the term entirely.
-    fairness_weight: float = 0.0
     evaluation_rounds: int = 5
 
     def __post_init__(self) -> None:
@@ -217,9 +211,6 @@ class SchedulerConfig:
         _require(len(self.memory_options) >= 1, "memory_options must not be empty")
         _require(all(w >= 1 for w in self.worker_options), "worker counts must be >= 1")
         _require(all(m > 0 for m in self.memory_options), "memory options must be positive")
-        _require(self.failure_penalty >= 0, "failure_penalty must be >= 0")
-        _require(self.slo_penalty >= 0, "slo_penalty must be >= 0")
-        _require(self.fairness_weight >= 0, "fairness_weight must be >= 0")
         _require(self.evaluation_rounds >= 1, "evaluation_rounds must be >= 1")
 
     @property

@@ -221,7 +221,7 @@ class RLSchedulerBase(BaseScheduler):
         self.history_log.extend(log)
         self.knowledge.update_from_log(self.history_log)
 
-        if self.use_clustering and self.config.clustering.enabled:
+        if self.use_clustering:
             gain_matrix = build_gain_matrix(
                 self.history_log,
                 self.batch,
@@ -453,8 +453,8 @@ class RLSchedulerBase(BaseScheduler):
         if self.clusters is not None:
             raise SchedulingError(
                 "serve() schedules at query level, but this policy was trained over "
-                "gain-clustered (cluster, configuration) actions; rebuild with "
-                "config.clustering.enabled = False (and a batch of <= 150 queries) to serve"
+                "gain-clustered (cluster, configuration) actions; set use_clustering = False "
+                "before prepare() to serve"
             )
         service = self.config.service
         num_tenants = num_tenants if num_tenants is not None else service.num_tenants
@@ -541,12 +541,10 @@ class BQSched(RLSchedulerBase):
         engine: "DatabaseEngine | Cluster",
         config: BQSchedConfig | None = None,
     ) -> None:
-        config = config or BQSchedConfig()
-        # Cluster-level scheduling is only worthwhile for large query sets;
-        # honour an explicit setting, otherwise enable it automatically.
-        self.use_clustering = config.clustering.enabled or len(workload.batch_query_set()) > 150
-        if self.use_clustering:
-            config.clustering.enabled = True
+        # Cluster-level scheduling is only worthwhile for large query sets.
+        # Like every ablation arm it is an attribute, so the caller's config
+        # is left as it was passed.
+        self.use_clustering = workload.num_queries > 150
         super().__init__(workload, engine, config)
 
 

@@ -4,15 +4,17 @@ The environment turns the scheduling problem into the sequential decision
 process BQSched learns on:
 
 * a *state* is the observable runtime snapshot of every query
-  (:class:`repro.encoder.SnapshotArrays`);
+  (:class:`repro.encoder.SnapshotArrays`): its status, running parameters,
+  elapsed time and logged average time (Section III-A), plus the fleet's
+  instance context on a :class:`~repro.dbms.Cluster`;
 * an *action* selects the next pending query together with the instance it
   runs on and its running parameters (or, in cluster mode, the next query
   cluster, the instance of its first submission and the cluster's shared
   configuration);
 * after each submission the clock only advances when no further decision can
   be made (no idle connection or nothing pending), and the per-step *reward*
-  is the negative wall-clock time that elapsed, so the episode return is the
-  negative makespan the paper optimises.
+  is the negative wall-clock time that elapsed (``-elapsed``, nothing else),
+  so the episode return is the negative makespan the paper optimises.
 
 The action space is flat: each slot fans out into ``num_instances *
 num_configs`` joint choices, laid out as::
@@ -258,7 +260,6 @@ class SchedulingEnv:
         clusters=None,
         strategy_name: str = "rl",
         arrivals: "ArrivalProcess | Sequence[float] | None" = None,
-        tenant_class=None,
     ) -> None:
         self.batch = batch
         self.backend = backend
@@ -284,23 +285,13 @@ class SchedulingEnv:
         self.clusters = clusters
         self.strategy_name = strategy_name
         self.arrivals = arrivals
-        self.tenant_class = tenant_class
         if isinstance(backend, RuntimeTenant):
             if arrivals is not None:
                 raise SchedulingError("arrivals are configured when registering the runtime tenant")
-            if tenant_class is not None:
-                raise SchedulingError(
-                    "the tenant class is configured when registering the runtime tenant"
-                )
             self._tenant = backend
         else:
-            self._tenant = ExecutionRuntime(backend).register(
-                "env", self.batch, arrivals=arrivals, tenant_class=tenant_class
-            )
+            self._tenant = ExecutionRuntime(backend).register("env", self.batch, arrivals=arrivals)
         self._session = None
-        self._last_time = 0.0
-        self._last_failures = 0
-        self._last_slo_misses = 0
         self._cluster_remaining: list[list[int]] = []
         self._cluster_union: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._round_counter = 0
@@ -311,9 +302,6 @@ class SchedulingEnv:
         self._soa_avg_expected: np.ndarray | None = None
         self._soa_config_slots: np.ndarray | None = None
         self._soa_expected_slots: np.ndarray | None = None
-        #: Every snapshot's ``time_to_available`` while nothing is deferred.
-        self._no_wait = np.zeros(len(self.batch), dtype=np.float64)
-        self._no_wait.flags.writeable = False
 
     @property
     def runtime(self) -> ExecutionRuntime:
@@ -323,8 +311,8 @@ class SchedulingEnv:
     def clone(self) -> "SchedulingEnv":
         """A fresh environment built from everything this one was built with.
 
-        The components (batch, backend, knowledge, mask, clusters, arrivals,
-        tenant class) are shared; the clone registers its own single-tenant
+        The components (batch, backend, knowledge, mask, clusters, arrivals)
+        are shared; the clone registers its own single-tenant
         runtime, so its rounds are independent of this environment's.  An
         environment bound to a shared-runtime tenant cannot be cloned: the
         clones would fight over one tenant's round.
@@ -341,7 +329,6 @@ class SchedulingEnv:
             clusters=self.clusters,
             strategy_name=self.strategy_name,
             arrivals=self.arrivals,
-            tenant_class=self.tenant_class,
         )
 
     # ------------------------------------------------------------------ #
@@ -452,9 +439,6 @@ class SchedulingEnv:
             strategy=strategy or self.strategy_name,
             round_id=round_id,
         )
-        self._last_time = 0.0
-        self._last_failures = 0
-        self._last_slo_misses = 0
         self._soa_avg_expected = np.array(
             [self.knowledge.average_time(query.query_id) for query in self.batch], dtype=np.float64
         )
@@ -505,45 +489,13 @@ class SchedulingEnv:
     def finish_step(self, time_before: float) -> StepResult:
         """Build the :class:`StepResult` once the advance loop has converged.
 
-        Failed/killed attempts observed since the previous step charge
-        ``SchedulerConfig.failure_penalty`` each on top of the elapsed-time
-        reward: the makespan alone under-prices wasted work, because a killed
-        attempt freed its connection while the time it burned helped nobody.
-
-        SLO-aware serving (opt-in via ``SchedulerConfig.slo_penalty`` /
-        ``fairness_weight``) shapes further: each completion that missed the
-        tenant class's latency SLO since the previous step charges
-        ``slo_penalty``, and a fairness term charges
-        ``fairness_weight * priority * elapsed * backlog`` so letting a
-        high-priority tenant's pending work age is priced higher than letting
-        a batch tenant's.  Both default to zero, leaving rewards bit-identical
-        for existing trained policies.
+        The reward is ``-elapsed``: the wall-clock time the step spent, so a
+        round's return is its negative makespan.  Failed attempts and SLO
+        misses cost exactly the time they took.
         """
-        elapsed = self._session.current_time - time_before
-        reward = -elapsed
-        failures = self._session.num_failed_attempts
-        if failures:
-            new_failures = failures - self._last_failures
-            self._last_failures = failures
-            if new_failures > 0 and self.scheduler_config.failure_penalty:
-                reward -= new_failures * self.scheduler_config.failure_penalty
-        if self.scheduler_config.slo_penalty:
-            misses = self._session.num_slo_misses
-            new_misses = misses - self._last_slo_misses
-            self._last_slo_misses = misses
-            if new_misses > 0:
-                reward -= new_misses * self.scheduler_config.slo_penalty
-        if self.scheduler_config.fairness_weight and elapsed > 0:
-            priority, _ = self._slo_context()
-            if priority > 0:
-                backlog = len(self._session.pending)
-                reward -= self.scheduler_config.fairness_weight * priority * elapsed * backlog
-        done = self._session.is_done
-        snapshot = self.snapshot()
-        info = {"time": self._session.current_time, "makespan": self._session.makespan if done else None}
-        if failures:
-            info["failed_attempts"] = failures
-        return StepResult(snapshot=snapshot, reward=reward, done=done, info=info)
+        now, done = self._session.current_time, self._session.is_done
+        info = {"time": now, "makespan": self._session.makespan if done else None}
+        return StepResult(snapshot=self.snapshot(), reward=-(now - time_before), done=done, info=info)
 
     def result(self) -> SchedulingResult:
         """Return the finished round as a :class:`SchedulingResult`."""
@@ -701,92 +653,34 @@ class SchedulingEnv:
     # ------------------------------------------------------------------ #
     # Observation
     # ------------------------------------------------------------------ #
-    def _slo_context(self) -> tuple[float, float]:
-        """The observing tenant's (priority, deadline slack) at this instant.
-
-        Both are 0.0 unless the session belongs to a runtime tenant with a
-        :class:`~repro.runtime.TenantClass` — which keeps classless snapshots
-        bit-compatible.  Slack counts down from the class's deadline budget
-        as the round ages and goes negative once exhausted, giving
-        SLO-channel featurizers a bounded time-pressure signal.
-        """
-        tenant_class = self._session.tenant_class
-        if tenant_class is None:
-            return 0.0, 0.0
-        deadline = tenant_class.deadline
-        slack = (deadline - self._session.current_time) if deadline is not None else 0.0
-        return tenant_class.priority, slack
-
     def snapshot(self) -> SnapshotArrays:
         """Build the observable state of every query at the current instant.
 
-        Queries that have not yet arrived (streaming scenario) are reported
-        as pending-but-unavailable: the adaptive mask already excludes them
-        from the action space, and ``available``/``time_to_available`` let an
-        arrival-aware featurizer expose the distinction.
-
-        Fault-tolerant serving adds two read-outs that stay empty/zero on
-        fault-free rounds (keeping those snapshots bit-compatible): per-query
-        failed-attempt counts (terminally failed queries report as finished —
-        they are as unselectable as completed ones, and their attempt count
-        tells them apart), and per-instance health while any instance is
-        down.
+        Queries that have not yet arrived (streaming scenario), or that await
+        a retry after a failed attempt, are reported as
+        pending-but-unavailable: the adaptive mask already excludes them from
+        the action space.  Terminally failed queries report as finished: they
+        are as unselectable as completed ones.
 
         The snapshot is a :class:`~repro.encoder.SnapshotArrays` built from
         the tenant session's incrementally-maintained state columns with a
         handful of whole-array ops.  ``tests/test_hotpath.py`` checks it
         against a per-query reference builder at every decision step.
-        ``attempts`` and ``time_to_available`` are read-only and shared: the
-        session's copy-on-write attempt counts, and one zero column per env
-        while nothing is deferred.
         """
         self._require_session()
         session = self._session
         status_raw = session.soa_status
         now = session.current_time
         running = _SOA_IS_RUNNING[status_raw]
-        config_index = np.where(running, self._soa_config_slots, _SOA_CONFIG_BASE[status_raw])
-        elapsed = np.where(running, now - session.soa_submit_time, 0.0)
-        expected = np.where(running, self._soa_expected_slots, self._soa_avg_expected)
-        available = status_raw != SOA_DEFERRED
-        if available.all():
-            time_to_available = self._no_wait
-        else:
-            deferred = ~available
-            # ``max(0.0, available_at - now)``: positive waits pass through
-            # bit-identically, the rest become positive zero.
-            wait = session.soa_available_at[deferred] - now
-            wait[wait <= 0.0] = 0.0
-            time_to_available = np.zeros(status_raw.shape[0], dtype=np.float64)
-            time_to_available[deferred] = wait
-            time_to_available.flags.writeable = False
-        priority, deadline_slack = self._slo_context()
         return SnapshotArrays(
             time=now,
             status=_SOA_STATUS_OBS[status_raw],
-            config_index=config_index,
-            elapsed=elapsed,
-            expected_time=expected,
-            available=available,
-            time_to_available=time_to_available,
-            attempts=session.soa_attempts,
+            config_index=np.where(running, self._soa_config_slots, _SOA_CONFIG_BASE[status_raw]),
+            elapsed=np.where(running, now - session.soa_submit_time, 0.0),
+            expected_time=np.where(running, self._soa_expected_slots, self._soa_avg_expected),
+            available=status_raw != SOA_DEFERRED,
             instance_context_array=session.instance_context() if self._reads_context else None,
-            instance_health_array=self._instance_health_array(),
-            priority=priority,
-            deadline_slack=deadline_slack,
         )
-
-    def _instance_health_array(self) -> "np.ndarray | None":
-        """Per-instance health for the snapshot; ``None`` means everything is up.
-
-        The none-when-healthy convention keeps fault-free snapshots
-        bit-compatible with the pre-fault tree (and with trained policies
-        that never saw a health channel).
-        """
-        health = self._session.instance_health()
-        if all(health):
-            return None
-        return np.array(health, dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Misc

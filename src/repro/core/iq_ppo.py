@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import TIME_SCALE
 from ..nn import fastgrad
 from .ppo import PPOTrainer
 from .rollout import RolloutBuffer
@@ -32,9 +33,8 @@ class IQPPOTrainer(PPOTrainer):
             return 0.0
         snapshots, masks = self._stack(transitions)
         old_log_probs = self._snapshot_old_policy(snapshots, masks)
-        time_scale = self.policy.state_encoder.run_state_featurizer.time_scale
         query_ids = np.array([t.aux_query_id for t in transitions], dtype=np.int64)
-        time_targets = np.array([t.aux_target / time_scale for t in transitions])
+        time_targets = np.array([t.aux_target / TIME_SCALE for t in transitions])
         return self._auxiliary_epochs(
             lambda: fastgrad.iq_ppo_aux_step(
                 self.policy,

@@ -72,9 +72,6 @@ class AdaptiveMask:
         """
         allowed: dict[int, list[int]] = {}
         for query in batch:
-            if not config.enabled:
-                allowed[query.query_id] = list(range(len(config_space)))
-                continue
             profile = knowledge.improvement_profile(query.query_id)
             keep = [0]
             for index in range(1, len(config_space)):

@@ -7,7 +7,7 @@ submit, completion, failure, deferral.  The environment then assembles a
 whole-array ops and zero per-query Python work.
 
 Status codes are *backend-observable* states; the environment maps them onto
-the three scheduler-visible ``QueryStatus`` values (FAILED reads as FINISHED,
+the three scheduler-visible status codes (FAILED reads as FINISHED,
 DEFERRED as PENDING-but-unavailable) with one table lookup.
 
 :class:`FleetSession` is the one backend session class: a round across a

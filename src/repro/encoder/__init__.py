@@ -1,22 +1,13 @@
 """Query and state encoders: QueryFormer plan encoder + attention-based state."""
 
 from .queryformer import PlanEmbeddingCache, QueryFormer
-from .run_state import (
-    QueryRuntimeInfo,
-    QueryStatus,
-    RunStateFeaturizer,
-    SchedulingSnapshot,
-    SnapshotArrays,
-)
+from .run_state import RunStateFeaturizer, SnapshotArrays
 from .state import BatchedStateRepresentation, StateEncoder, StateRepresentation
 
 __all__ = [
     "PlanEmbeddingCache",
     "QueryFormer",
-    "QueryRuntimeInfo",
-    "QueryStatus",
     "RunStateFeaturizer",
-    "SchedulingSnapshot",
     "SnapshotArrays",
     "StateEncoder",
     "StateRepresentation",

@@ -22,13 +22,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ..config import TIME_SCALE
 from ..dbms import ConfigurationSpace, RunningParameters
 from ..exceptions import SimulationError
 
 __all__ = ["PerformanceEstimator", "PerformanceFeaturizer", "TIME_SCALE", "MIN_REMAINING"]
 
-#: Normalisation scale of every time-valued feature / prediction (seconds).
-TIME_SCALE = 10.0
 #: Floor on a predicted remaining time (keeps the simulated clock moving).
 MIN_REMAINING = 0.05
 #: Soft scale of the per-instance concurrency feature.
@@ -80,13 +79,11 @@ class PerformanceFeaturizer:
         config_space: ConfigurationSpace,
         estimator: PerformanceEstimator,
         instance_speeds: Sequence[float] = (),
-        time_scale: float = TIME_SCALE,
     ) -> None:
         self.plan_embeddings = plan_embeddings
         self.config_space = config_space
         self.estimator = estimator
         self.instance_speeds = tuple(float(speed) for speed in instance_speeds)
-        self.time_scale = time_scale
 
     @property
     def num_instances(self) -> int:
@@ -143,7 +140,7 @@ class PerformanceFeaturizer:
             parts = [
                 self.plan_embeddings[query_id],
                 config_onehot,
-                [np.tanh(elapsed_time / self.time_scale), np.tanh(expected / self.time_scale)],
+                [np.tanh(elapsed_time / TIME_SCALE), np.tanh(expected / TIME_SCALE)],
             ]
             if channel_dim:
                 parts.append([speed, concurrency])
@@ -158,6 +155,6 @@ class PerformanceFeaturizer:
         elapsed time (and, on fleets, the instance's concurrency level)
         change between advances.
         """
-        features[:, self.elapsed_column] = np.tanh(elapsed / self.time_scale)
+        features[:, self.elapsed_column] = np.tanh(elapsed / TIME_SCALE)
         if self.instance_channel_dim:
             features[:, self.concurrency_column] = np.tanh(features.shape[0] / _CONCURRENCY_SCALE)

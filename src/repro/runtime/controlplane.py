@@ -55,12 +55,10 @@ class TenantClass:
     """A tenant's service tier: priority, latency SLO, retry deadline.
 
     ``priority`` orders tenants for admission exemption
-    (:attr:`~repro.config.AdmissionPolicy.exempt_priority`) and scales the
-    fairness-shaping term (:attr:`~repro.config.SchedulerConfig.fairness_weight`);
-    higher is more important.  ``latency_slo`` (seconds, per query) grades
-    completions: a query whose arrival-to-finish latency exceeds it counts
-    as an SLO miss in the :class:`~repro.runtime.ServiceReport` and triggers
-    ``SchedulerConfig.slo_penalty`` reward shaping.  ``deadline`` (seconds
+    (:attr:`~repro.config.AdmissionPolicy.exempt_priority`); higher is more
+    important.  ``latency_slo`` (seconds, per query) grades completions: a
+    query whose arrival-to-finish latency exceeds it counts as an SLO miss
+    in the :class:`~repro.runtime.ServiceReport`.  ``deadline`` (seconds
     after arrival) caps retries: once a query's deadline has passed, a
     failed attempt is not resubmitted — the answer would be useless anyway.
     Both targets default to ``None`` (ungraded / retry forever).

@@ -663,22 +663,13 @@ class TenantSession:
         self.num_slo_met = 0
         self.num_slo_misses = 0
         # SoA snapshot view: live slices of the shared session's state
-        # arrays scoped to this tenant's global-id range, plus the two
-        # columns only the tenant knows (failed attempts and when a
-        # deferred/retrying query becomes available again).
+        # arrays scoped to this tenant's global-id range.
         offset = state.offset
         count = len(state.batch)
         self.soa_status: np.ndarray = shared.state_arrays.status[offset : offset + count]
         self.soa_submit_time: np.ndarray = shared.state_arrays.submit_time[offset : offset + count]
         #: Failed attempts per query (errors, timeout kills, outage kills).
-        #: Read-only and copy-on-write: a failure installs a fresh array, so
-        #: a snapshot holds this one instead of copying it.
         self.soa_attempts = np.zeros(count, dtype=np.int64)
-        self.soa_attempts.flags.writeable = False
-        if arrival_times is None:
-            self.soa_available_at = np.zeros(count, dtype=np.float64)
-        else:
-            self.soa_available_at = np.asarray(arrival_times, dtype=np.float64).copy()
 
     # -- identity ------------------------------------------------------- #
     @property
@@ -872,12 +863,7 @@ class TenantSession:
     def _on_failure(self, event: QueryFailure) -> None:
         self._running.discard(event.query_id)
         self.num_failed_attempts += 1
-        attempts = self.soa_attempts.copy()
-        attempts[event.query_id] += 1
-        attempts.flags.writeable = False
-        self.soa_attempts = attempts
-        if event.will_retry:
-            self.soa_available_at[event.query_id] = event.retry_at if event.retry_at is not None else 0.0
+        self.soa_attempts[event.query_id] += 1
         if event.reason == FAILURE_TIMEOUT:
             self.num_timeouts += 1
         if event.will_retry:

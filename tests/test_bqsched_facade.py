@@ -145,15 +145,31 @@ class TestClusteringIntegration:
         scheduler = BQSched(workload, engine, config)
         assert scheduler.use_clustering
 
+    def test_clustering_arm_leaves_the_config_alone(self):
+        """Switching clustering on for a large batch is the scheduler's own arm: a later
+        scheduler built from the same config clusters only if its own batch is large."""
+        config = BQSchedConfig.small(seed=0)
+        before = config.to_dict()
+        large = BQSched(
+            make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0),
+            DatabaseEngine(DBMSProfile.dbms_x(), seed=0),
+            config,
+        )
+        assert len(large.batch) == 158 and large.use_clustering
+        assert config.to_dict() == before
+        small = BQSched(
+            make_workload("tpcds", scale_factor=1.0, seed=0), DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config
+        )
+        assert len(small.batch) == 99 and not small.use_clustering
+
     def test_cluster_level_scheduling_completes(self, tiny_setup):
         workload, engine, config_base = tiny_setup
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
         config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1)
-        config.clustering.enabled = True
         config.clustering.num_clusters = 6
         scheduler = BQSched(workload, engine, config)
-        assert scheduler.use_clustering
+        scheduler.use_clustering = True
         scheduler.prepare(history_rounds=2)
         assert scheduler.clusters is not None
         assert scheduler.env.cluster_mode

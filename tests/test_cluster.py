@@ -26,6 +26,7 @@ from repro.dbms.engine import CompletionEvent
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.runtime import ExecutionRuntime
 from repro.workloads import PoissonArrivals
+from snapshot_oracle import to_snapshot
 
 # Same pre-refactor digests as tests/test_runtime.py (commit 5173d00): the
 # num_instances=1 cluster path must reproduce the single-engine tree
@@ -245,7 +246,7 @@ class TestClusterSession:
         assert s0.next_completion_time() == s1.next_completion_time() == target
         env.session.advance()  # delivers the tie winner, buffers the peer
         snapshot = env.snapshot()
-        statuses = {info.query_id: info.status.value for info in snapshot.infos[:2]}
+        statuses = {info.query_id: info.status.value for info in to_snapshot(snapshot).infos[:2]}
         assert "pending" not in statuses.values(), statuses
         assert 0 not in snapshot.pending_ids and 1 not in snapshot.pending_ids
         # the round must still drain cleanly under a FIFO placement baseline
@@ -370,7 +371,7 @@ class TestClusterEnv:
         env.reset(round_id=0)
         R = env.num_configs
         env.step(env.encode_placement(3, 2, 1))
-        snapshot = env.snapshot()
+        snapshot = to_snapshot(env.snapshot())
         info = snapshot.infos[3]
         assert info.config_index == 2 * R + 1
         assert len(snapshot.instance_context) == 3

@@ -9,7 +9,9 @@ Covers the PR-10 acceptance bars:
 * park/unpark elastic sizing reuses the outage kill/recovery machinery,
 * the legacy retry arithmetic reproduces bit-for-bit through the control
   plane, and a default control plane leaves round logs bit-identical,
-* SLO feature channels and reward shaping stay strictly opt-in,
+* a tenant class steers admission only: the policy observes the same rows and
+  is rewarded the same ``-elapsed`` with or without one, and a clone observes
+  and is rewarded like its template,
 * arrival-process edge cases (empty trace, zero rate, degenerate burst
   windows) fail loudly or behave sanely.
 """
@@ -17,6 +19,7 @@ Covers the PR-10 acceptance bars:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,7 +61,7 @@ from repro.workloads import (
     TraceArrivals,
     make_arrival_process,
 )
-from snapshot_oracle import featurize_aos, snapshot_aos, snapshot_arrays
+from snapshot_oracle import featurize_aos, kept_columns, snapshot_aos
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +147,16 @@ class TestPolicyValidation:
         assert AutoscalePolicy(max_instances=0).max_instances == 0
 
     def test_scheduler_shaping_knobs(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(slo_penalty=-0.1)
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(fairness_weight=-0.1)
-        assert SchedulerConfig().slo_penalty == 0.0
+        """The reward is ``-elapsed`` alone: the scheduler config has no shaping knob."""
+        for knob in ("failure_penalty", "slo_penalty", "fairness_weight"):
+            with pytest.raises(TypeError):
+                SchedulerConfig(**{knob: 0.1})
+        assert [f.name for f in fields(SchedulerConfig)] == [
+            "num_connections",
+            "worker_options",
+            "memory_options",
+            "evaluation_rounds",
+        ]
 
     def test_service_config_control_knobs(self):
         with pytest.raises(ConfigurationError):
@@ -502,126 +510,86 @@ class TestDefaultPathEquivalence:
         assert runtime.retry is retry
 
 
-class TestSloChannel:
-    def _snapshot(self, priority=0.0, deadline_slack=0.0):
-        return snapshot_arrays(
-            [0, 1],
-            time=1.0,
-            config_index=[-1, 1],
-            elapsed=[0.0, 2.0],
-            expected_time=[4.0, 3.0],
-            priority=priority,
-            deadline_slack=deadline_slack,
-        )
+class TestTenantClassStaysOutOfThePolicy:
+    """A tenant class (priority, latency SLO, deadline) steers the control plane only:
+    the policy's rows are the paper's features and its reward is ``-elapsed``."""
 
-    def test_disabled_channel_keeps_layout(self):
-        base = RunStateFeaturizer(num_configs=4)
-        assert RunStateFeaturizer(num_configs=4, slo_channel=True).feature_dim == base.feature_dim + 2
-        features = base.featurize_arrays_stack([self._snapshot(priority=3.0, deadline_slack=5.0)])
-        assert features.shape[2] == base.feature_dim
-
-    def test_channel_broadcasts_priority_and_slack(self):
-        featurizer = RunStateFeaturizer(num_configs=4, time_scale=10.0, slo_channel=True)
-        snapshot = self._snapshot(priority=2.0, deadline_slack=5.0)
-        features = featurizer.featurize_arrays_stack([snapshot])[0]
-        slot = featurizer.layout["slo"]
-        assert np.allclose(features[:, slot], np.tanh(2.0 / 4.0))
-        assert np.allclose(features[:, slot + 1], np.tanh(5.0 / 10.0))
-        # Classless snapshots leave the channel at zero.
-        neutral = featurizer.featurize_arrays_stack([self._snapshot()])[0]
-        assert (neutral[:, slot:] == 0.0).all()
-
-    def test_channel_parity_between_aos_and_soa(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
-        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
-        runtime = ExecutionRuntime(engine)
-        tenant = runtime.register(
-            "t",
-            fixture_batch,
-            tenant_class=TenantClass("vip", priority=2.0, latency_slo=10.0, deadline=30.0),
-        )
-        env = SchedulingEnv(
-            batch=fixture_batch,
-            backend=tenant,
-            scheduler_config=small_config.scheduler,
-            config_space=space,
-            knowledge=knowledge,
-            mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
-        )
-        env.reset(round_id=0)
-        featurizer = RunStateFeaturizer(num_configs=len(space), slo_channel=True)
-        fast = featurizer.featurize_arrays_stack([env.snapshot()])[0]
-        slow = featurize_aos(featurizer, snapshot_aos(env))
-        np.testing.assert_array_equal(fast, slow)
-        slot = featurizer.layout["slo"]
-        assert np.allclose(fast[:, slot], np.tanh(2.0 / 4.0))
-        assert np.allclose(fast[:, slot + 1], np.tanh(30.0 / 10.0))
-
-
-class TestRewardShaping:
-    def _run_round(self, scheduler_config, tenant_class):
-        batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
+    @staticmethod
+    def _env(batch, scheduler_config, tenant_class):
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         space = ConfigurationSpace(scheduler_config)
-        knowledge = ExternalKnowledge.from_probes(engine, batch, space)
-        runtime = ExecutionRuntime(engine)
-        tenant = runtime.register("t", batch, tenant_class=tenant_class)
-        env = SchedulingEnv(
+        return SchedulingEnv(
             batch=batch,
-            backend=tenant,
+            backend=ExecutionRuntime(engine).register("t", batch, tenant_class=tenant_class),
             scheduler_config=scheduler_config,
             config_space=space,
-            knowledge=knowledge,
+            knowledge=ExternalKnowledge.from_probes(engine, batch, space),
             mask=AdaptiveMask.unmasked(len(batch), len(space)),
         )
-        env.reset(round_id=0)
-        total = 0.0
-        done = False
-        while not done:
-            mask = env.action_mask()
-            action = int(np.flatnonzero(mask)[0])
-            step = env.step(action)
-            total += step.reward
-            done = step.done
-        return total
 
-    def test_slo_penalty_charges_misses(self):
-        config = BQSchedConfig.small(seed=0)
-        config.scheduler.num_connections = 4
+    @staticmethod
+    def _drive(env) -> tuple[list[bytes], list[float]]:
+        """One round on the first allowed action: per decision the feature rows' bytes,
+        and per step the reward."""
+        snapshot, done = env.reset(round_id=0), False
+        context = snapshot.instance_context_array
+        featurizer = RunStateFeaturizer(
+            num_configs=env.configs_per_slot, instance_context_dim=0 if context is None else context.size
+        )
+        rows, rewards = [], []
+        while not done:
+            rows.append(featurizer.featurize_arrays_stack([snapshot])[0].tobytes())
+            step = env.step(int(np.flatnonzero(env.action_mask())[0]))
+            snapshot, done = step.snapshot, step.done
+            rewards.append(step.reward)
+        return rows, rewards
+
+    def test_class_leaves_the_rows_unchanged(self, fixture_batch, small_config):
+        vip = TenantClass("vip", priority=2.0, latency_slo=10.0, deadline=30.0)
+        classed = self._drive(self._env(fixture_batch, small_config.scheduler, vip))
+        plain = self._drive(self._env(fixture_batch, small_config.scheduler, None))
+        assert len(classed[0]) >= len(fixture_batch)
+        assert classed[0] == plain[0]
+
+    def test_classed_rows_are_the_oracles_kept_columns(self, fixture_batch, small_config):
+        """On a classed round the library's rows are exactly the per-query oracle's
+        rows without its priority and deadline-slack columns, at every decision."""
+        vip = TenantClass("vip", priority=2.0, latency_slo=10.0, deadline=30.0)
+        env = self._env(fixture_batch, small_config.scheduler, vip)
+        featurizer = RunStateFeaturizer(num_configs=env.num_configs)
+        kept = kept_columns(featurizer, slo=True)
+        snapshot, done, decisions = env.reset(round_id=0), False, 0
+        while not done:
+            reference = featurize_aos(featurizer, snapshot_aos(env), slo=True)
+            assert reference.shape[1] == featurizer.feature_dim + 2
+            library = featurizer.featurize_arrays_stack([snapshot])[0]
+            assert library.tobytes() == np.ascontiguousarray(reference[:, kept]).tobytes()
+            step = env.step(int(np.flatnonzero(env.action_mask())[0]))
+            snapshot, done, decisions = step.snapshot, step.done, decisions + 1
+        assert decisions >= len(fixture_batch)
+
+    def test_slo_misses_cost_only_their_time(self, fixture_batch, small_config):
         # An impossible SLO makes every completion a miss.
         vip = TenantClass("vip", priority=1.0, latency_slo=1e-6)
-        base = self._run_round(config.scheduler, vip)
-        from dataclasses import replace
+        env = self._env(fixture_batch, small_config.scheduler, vip)
+        _, missed = self._drive(env)
+        assert env.session.num_slo_misses == len(fixture_batch)
+        _, plain = self._drive(self._env(fixture_batch, small_config.scheduler, None))
+        assert missed == plain
+        assert sum(missed) == pytest.approx(-env.result().makespan)
 
-        shaped_config = replace(config.scheduler, slo_penalty=5.0)
-        shaped = self._run_round(shaped_config, vip)
-        num_queries = 22
-        assert shaped == pytest.approx(base - 5.0 * num_queries)
-
-    def test_fairness_term_charges_priority_backlog(self):
-        config = BQSchedConfig.small(seed=0)
-        config.scheduler.num_connections = 4
-        vip = TenantClass("vip", priority=2.0)
-        base = self._run_round(config.scheduler, vip)
-        from dataclasses import replace
-
-        shaped = self._run_round(replace(config.scheduler, fairness_weight=0.1), vip)
-        assert shaped < base
-        # Zero-priority tenants are never charged.
-        plain = TenantClass("batch", priority=0.0)
-        assert self._run_round(replace(config.scheduler, fairness_weight=0.1), plain) == (
-            self._run_round(config.scheduler, plain)
-        )
-
+    def test_priority_backlog_costs_nothing(self, fixture_batch, small_config):
+        rewards = [
+            self._drive(self._env(fixture_batch, small_config.scheduler, tenant_class))[1]
+            for tenant_class in (TenantClass("vip", priority=2.0), TenantClass("batch", priority=0.0), None)
+        ]
+        assert rewards[0] == rewards[1] == rewards[2]
 
     @pytest.mark.parametrize("fleet", [None, ("x", "y")])
-    def test_clone_carries_the_tenant_class(self, fleet):
-        """A clone observes and is charged like its template (lock-step sub-envs
-        of one trainer must not disagree on the SLO channel or the shaping)."""
-        from dataclasses import replace
-
-        config = replace(BQSchedConfig.small(seed=0).scheduler, slo_penalty=5.0)
+    def test_clone_observes_and_is_rewarded_like_its_template(self, fleet):
+        """Lock-step sub-envs of one trainer must not disagree on what the policy
+        sees or on what a round costs."""
+        config = BQSchedConfig.small(seed=0).scheduler
         batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
         backend = Cluster.from_names(list(fleet), seed=0) if fleet else DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         space = ConfigurationSpace(config)
@@ -631,22 +599,13 @@ class TestRewardShaping:
             scheduler_config=config,
             config_space=space,
             knowledge=ExternalKnowledge.from_probes(backend, batch, space),
-            # An impossible SLO makes every completion a miss.
-            tenant_class=TenantClass("interactive", priority=2.0, latency_slo=1e-6, deadline=60.0),
         )
         first, clone = VectorSchedulingEnv.from_template(template, 2).envs
         assert first is template and type(clone) is type(template) and clone is not template
-        rewards = []
-        for env in (template, clone):
-            snapshot = env.reset(round_id=0)
-            assert (snapshot.priority, snapshot.deadline_slack) == (2.0, 60.0)
-            total, done = 0.0, False
-            while not done:
-                step = env.step(int(np.flatnonzero(env.action_mask())[0]))
-                total, done = total + step.reward, step.done
-            rewards.append(total)
-            assert total < -5.0 * len(batch)  # every miss was charged
-        assert rewards[0] == rewards[1]
+        runs = [self._drive(env) for env in (template, clone)]
+        assert runs[0] == runs[1]
+        for env, (_, rewards) in zip((template, clone), runs):
+            assert sum(rewards) == pytest.approx(-env.result().makespan)
 
 
 class TestArrivalEdges:

@@ -69,8 +69,10 @@ class TestAdaptiveMask:
         assert 0.0 < mask.masked_fraction() < 1.0
 
     def test_disabled_masking_allows_everything(self, tpch_batch, tpch_knowledge, config_space):
-        mask = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space, MaskingConfig(enabled=False))
+        """Masking off is the ``use_masking = False`` arm, which builds the unmasked mask."""
+        mask = AdaptiveMask.unmasked(len(tpch_batch), len(config_space))
         assert mask.masked_fraction() == 0.0
+        assert mask.allowed_matrix.all()
 
     def test_strict_thresholds_mask_more(self, tpch_batch, tpch_knowledge, config_space):
         lenient = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space, MaskingConfig(min_absolute_gain=0.0, min_relative_gain=0.0))

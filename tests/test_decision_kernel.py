@@ -334,18 +334,20 @@ class TestParameterRefresh:
             assert scheduler.state_encoder._plan_term_cache[2].tobytes() == fresh.state_encoder._plan_term_cache[2].tobytes()
 
 
-def served_snapshots(engine, **serve_kwargs) -> tuple[BQSched, list]:
-    """The facade and every snapshot one two-tenant ``serve()`` round decides on."""
+def served_snapshots(engine, **serve_kwargs) -> tuple[BQSched, list, list]:
+    """The facade, every snapshot one two-tenant ``serve()`` round decides on, and per
+    decision the deciding session's unarrived ids and failed attempts."""
     scheduler = BQSched(make_workload("tpch", scale_factor=1.0, seed=0), engine, BQSchedConfig.small(seed=0))
-    seen, decide = [], scheduler.select_action
+    seen, sessions, decide = [], [], scheduler.select_action
 
     def keep(env, snapshot):
         seen.append(snapshot)
+        sessions.append((env.session.unarrived_ids(), env.session.failure_counts()))
         return decide(env, snapshot)
 
     scheduler.select_action = keep
     scheduler.serve(num_tenants=2, round_id=0, **serve_kwargs)
-    return scheduler, seen
+    return scheduler, seen, sessions
 
 
 SERVED = {
@@ -379,9 +381,6 @@ def all_channel_encoder(scheduler: BQSched, snapshots: list, norm: str = "batch"
     context = snapshots[0].instance_context_array
     featurizer = RunStateFeaturizer(
         num_configs=scheduler.num_instances * len(scheduler.config_space),
-        arrival_channel=True,
-        failure_channel=True,
-        slo_channel=True,
         instance_context_dim=0 if context is None else context.size,
     )
     return StateEncoder(
@@ -392,15 +391,18 @@ def all_channel_encoder(scheduler: BQSched, snapshots: list, norm: str = "batch"
     )
 
 
-def assert_reaches_every_channel(kind: str, snapshots: list) -> None:
-    """Every branch and channel the kind is meant to reach was reached."""
+def assert_reaches_every_channel(kind: str, snapshots: list, sessions: list) -> None:
+    """Every branch and channel the kind is meant to reach was reached: decisions with and
+    without running queries, and (read off the deciding session) arrivals still to come on
+    the streaming kinds and failed attempts on the fleet."""
     assert any(not snapshot.running_ids for snapshot in snapshots)
     assert any(snapshot.running_ids for snapshot in snapshots)
-    if kind == "streaming":
-        assert any(snapshot.time_to_available.any() for snapshot in snapshots)
+    if kind != "closed":
+        assert any(unarrived for unarrived, _ in sessions)
+        assert any(snapshot.unarrived_ids for snapshot in snapshots)
     if kind == "fleet":
-        assert any(snapshot.attempts.any() for snapshot in snapshots)
-        assert {snapshot.priority for snapshot in snapshots} == {0.0, 2.0}
+        assert any(failures for _, failures in sessions)
+        assert any(snapshot.instance_context_array is not None for snapshot in snapshots)
 
 
 class TestSamplingInputs:
@@ -410,7 +412,7 @@ class TestSamplingInputs:
     def test_single_snapshot_is_a_plane_of_the_stack(self, kind):
         """At B=1 each output is plane 0 of the same snapshot stacked twice, byte for byte,
         and equals the features and pools spelled out in NumPy."""
-        scheduler, snapshots = SERVED[kind]()
+        scheduler, snapshots, sessions = SERVED[kind]()
         encoder = all_channel_encoder(scheduler, snapshots)
         plan = scheduler.plan_embeddings
         for snapshot in snapshots:
@@ -426,7 +428,7 @@ class TestSamplingInputs:
             expected_all, expected_running = full_row_pools(features, snapshot.status)
             assert pooled_all.tobytes() == expected_all.tobytes()
             assert pooled_running.tobytes() == expected_running.tobytes()
-        assert_reaches_every_channel(kind, snapshots)
+        assert_reaches_every_channel(kind, snapshots, sessions)
 
     def test_plan_row_mismatch_raises(self):
         scheduler, env = build_scheduler("tpch", "batch", None)
@@ -444,7 +446,7 @@ class TestDecisionProgram:
     def test_matches_the_tape_encoder(self, kind, norm):
         """``per_query`` and ``global_state`` (the packed global MLP over ``global_input``) within 1e-5
         of the tape ``encode_batch``, relative to the largest."""
-        scheduler, snapshots = SERVED[kind]()
+        scheduler, snapshots, sessions = SERVED[kind]()
         encoder = all_channel_encoder(scheduler, snapshots, norm)
         plan = scheduler.plan_embeddings
         global_mlp = fastinfer.Float32Pack(lambda pack: pack.mlp(encoder.global_mlp)).weights
@@ -456,11 +458,11 @@ class TestDecisionProgram:
             for fast, slow in ((per_query, tape.per_query.data), (global_state, tape.global_state.data)):
                 assert fast.dtype == np.float32 and fast.shape == slow.shape
                 assert np.max(np.abs(fast - slow)) <= 1e-5 * np.max(np.abs(slow))
-        assert_reaches_every_channel(kind, snapshots)
+        assert_reaches_every_channel(kind, snapshots, sessions)
 
     @pytest.mark.parametrize("kind", sorted(SERVED))
     def test_a_stack_of_two_is_two_single_decisions(self, kind):
-        scheduler, snapshots = SERVED[kind]()
+        scheduler, snapshots, _ = SERVED[kind]()
         encoder = all_channel_encoder(scheduler, snapshots)
         plan = scheduler.plan_embeddings
         for first, second in zip(snapshots[::2], snapshots[1::2]):
@@ -570,7 +572,7 @@ class TestGreedyAction:
     @pytest.mark.parametrize("kind", sorted(SERVED))
     def test_every_served_decision_is_the_tape_argmax(self, monkeypatch, kind):
         checked = self.check_against_the_tape(monkeypatch)
-        _, snapshots = SERVED[kind]()
+        _, snapshots, _ = SERVED[kind]()
         assert len(checked) == len(snapshots) > 0
 
     def test_every_clustered_decision_is_the_tape_argmax(self, monkeypatch):

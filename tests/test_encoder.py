@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from repro import BQSchedConfig, make_workload
-from repro.config import EncoderConfig
+from repro.config import TIME_SCALE, EncoderConfig
+from repro.dbms import ConfigurationSpace
 from repro.encoder import (
     PlanEmbeddingCache,
     QueryFormer,
-    QueryRuntimeInfo,
-    QueryStatus,
     RunStateFeaturizer,
     SnapshotArrays,
     StateEncoder,
 )
 from repro.exceptions import SchedulingError
 from repro.nn import BatchNorm, Tensor, fastgrad
+from repro.perf import PerformanceFeaturizer
+from repro.perf import TIME_SCALE as perf_time_scale
 from repro.plans import PlanFeaturizer
 from queryformer_oracle import tape_embedding
-from snapshot_oracle import snapshot_arrays
+from snapshot_oracle import QueryRuntimeInfo, QueryStatus, snapshot_arrays, to_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,27 @@ class TestRunStateFeatures:
         assert np.all(np.abs(vector) <= 1.0)
 
     def test_layout_follows_the_switched_on_channels(self):
-        featurizer = RunStateFeaturizer(num_configs=4, failure_channel=True, instance_context_dim=6)
-        assert featurizer.layout == {"status": 0, "config": 3, "elapsed": 7, "expected": 8, "failure": 9, "context": 10}
-        assert featurizer.feature_dim == 16
+        featurizer = RunStateFeaturizer(num_configs=4, instance_context_dim=6)
+        assert featurizer.layout == {"status": 0, "config": 3, "elapsed": 7, "expected": 8, "context": 9}
+        assert featurizer.feature_dim == 15
+        assert "context" not in RunStateFeaturizer(num_configs=4).layout
+
+    def test_one_time_scale_for_the_policy_and_the_simulator(self):
+        """The run-state rows and the simulator's rows squash seconds by the same
+        ``TIME_SCALE``, so a query's elapsed time reads the same to both."""
+        assert perf_time_scale is TIME_SCALE
+        seconds = np.array([0.0, 3.0, 25.0, 400.0])
+        featurizer = RunStateFeaturizer(num_configs=2)
+        rows = featurizer.featurize_arrays_stack(
+            [snapshot_arrays([1, 1, 1, 1], config_index=0, elapsed=seconds, expected_time=seconds[::-1])]
+        )[0]
+        np.testing.assert_array_equal(rows[:, featurizer.layout["elapsed"]], np.tanh(seconds / TIME_SCALE))
+        np.testing.assert_array_equal(rows[:, featurizer.layout["expected"]], np.tanh(seconds[::-1] / TIME_SCALE))
+        space = ConfigurationSpace(BQSchedConfig.small(seed=0).scheduler)
+        simulator = PerformanceFeaturizer(np.zeros((4, 3)), space, estimator=None)
+        features = np.zeros((4, simulator.feature_dim))
+        simulator.rewrite_dynamic_columns(features, seconds)
+        np.testing.assert_array_equal(features[:, simulator.elapsed_column], rows[:, featurizer.layout["elapsed"]])
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(SchedulingError):
@@ -78,12 +97,13 @@ class TestRunStateFeatures:
 
     def test_snapshot_helpers(self):
         arrays = snapshot_arrays([0, 1, 2], time=3.0, elapsed=[0.0, 1.0, 0.0])
-        for snapshot in (arrays, arrays.to_snapshot()):
+        view = to_snapshot(arrays)
+        for snapshot in (arrays, view):
             assert snapshot.pending_ids == [0]
             assert snapshot.running_ids == [1]
-            assert snapshot.finished_ids == [2]
             assert snapshot.num_queries == 3
-        assert arrays.infos[1] == QueryRuntimeInfo(1, QueryStatus.RUNNING, config_index=0, elapsed=1.0)
+        assert view.finished_ids == [2]
+        assert view.infos[1] == QueryRuntimeInfo(1, QueryStatus.RUNNING, config_index=0, elapsed=1.0)
 
 
 class TestQueryFormer:

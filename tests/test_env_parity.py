@@ -32,7 +32,7 @@ from repro.dbms import Cluster, ConfigurationSpace, FailureProfile, OutageWindow
 from repro.runtime import ExecutionRuntime, QueryFailure
 
 #: The observable per-query columns the policy featurizes.
-_COLUMNS = ("status", "config_index", "elapsed", "expected_time", "available", "attempts")
+_COLUMNS = ("status", "config_index", "elapsed", "expected_time", "available")
 
 
 def _digest(round_log) -> str:
@@ -84,7 +84,9 @@ def _drive(env: SchedulingEnv, choose, round_id: int):
     while not done:
         assert env.can_decide()
         mask = env.action_mask()
-        decisions.append((mask.copy(), {name: np.array(getattr(snapshot, name)) for name in _COLUMNS}))
+        columns = {name: np.array(getattr(snapshot, name)) for name in _COLUMNS}
+        columns["attempts"] = env.session.soa_attempts.copy()
+        decisions.append((mask.copy(), columns))
         step = env.step(choose(env, snapshot, mask))
         snapshot, done = step.snapshot, step.done
     return decisions, _digest(env.result().round_log)
@@ -101,7 +103,7 @@ def _assert_same_process(engine_env: SchedulingEnv, fleet_env: SchedulingEnv, ma
         zip(engine_decisions, fleet_decisions)
     ):
         assert engine_mask.tobytes() == fleet_mask.tobytes(), f"mask differs at decision {index}"
-        for name in _COLUMNS:
+        for name in (*_COLUMNS, "attempts"):
             assert engine_cols[name].dtype == fleet_cols[name].dtype, (index, name)
             assert engine_cols[name].tobytes() == fleet_cols[name].tobytes(), (index, name)
     assert engine_digest == fleet_digest

@@ -29,7 +29,7 @@ import pytest
 
 from gradcheck import assert_gradients_close, numeric_gradient
 from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
-from repro.config import PPOConfig
+from repro.config import TIME_SCALE, PPOConfig
 from repro.core import (
     ActorCriticNetwork,
     AdaptiveMask,
@@ -630,7 +630,6 @@ def tape_ppg_aux_loss(trainer, transitions, old_log_probs):
 
 
 def tape_iq_aux_loss(trainer, transitions, old_log_probs):
-    time_scale = trainer.policy.state_encoder.run_state_featurizer.time_scale
     predicted, new_log_probs = trainer.policy.evaluate_auxiliary_batch(
         trainer.plan_embeddings,
         [t.snapshot for t in transitions],
@@ -638,7 +637,7 @@ def tape_iq_aux_loss(trainer, transitions, old_log_probs):
         np.stack([t.mask for t in transitions], axis=0),
         clusters=trainer.env.clusters,
     )
-    targets = Tensor(np.array([t.aux_target / time_scale for t in transitions]))
+    targets = Tensor(np.array([t.aux_target / TIME_SCALE for t in transitions]))
     aux_loss = ((predicted - targets) ** 2).mean() * 0.5
     return aux_loss + trainer.config.beta_clone * kl_divergence(old_log_probs, new_log_probs)
 
@@ -831,7 +830,6 @@ class TestFusedTrainerSteps:
         snapshots, masks = trainer._stack(transitions)
         policy = trainer.policy
         old = trainer._snapshot_old_policy(snapshots, masks)
-        time_scale = policy.state_encoder.run_state_featurizer.time_scale
 
         policy.zero_grad()
         total = tape_iq_aux_loss(trainer, transitions, old)
@@ -843,7 +841,7 @@ class TestFusedTrainerSteps:
                 policy, trainer.plan_embeddings, snapshots,
                 np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
                 old_log_probs=old,
-                time_targets=np.array([t.aux_target / time_scale for t in transitions]),
+                time_targets=np.array([t.aux_target / TIME_SCALE for t in transitions]),
                 beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
             )
 
@@ -976,11 +974,11 @@ class TestEndToEndFusedTraining:
         forbid_tape_backward(monkeypatch)
         config = BQSchedConfig.small(seed=0)
         config.ppo.aux_every = 1
-        config.clustering.enabled = clustered
         config.clustering.num_clusters = 8
         scheduler = BQSched(
             make_workload("tpch", scale_factor=1.0, seed=0), DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config
         )
+        scheduler.use_clustering = clustered
         history = scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
         assert (scheduler.clusters is not None) == clustered
         assert scheduler.trainer.arena is scheduler._update_arena

@@ -46,9 +46,10 @@ from repro.runtime import (
     QueryFailure,
     QueryRetry,
     ServiceReport,
+    TenantClass,
 )
 from repro.workloads import PoissonArrivals
-from snapshot_oracle import featurize_aos, snapshot_aos, snapshot_arrays
+from snapshot_oracle import snapshot_aos
 
 # SHA-256 of fault-free round logs produced by the PR-4 tree (commit c1b0f24)
 # for the fixture scenarios below.  With no FailureProfile/RetryPolicy
@@ -391,7 +392,7 @@ class TestClusterOutage:
             mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
         )
         snapshot = env.reset(round_id=0)
-        assert snapshot.instance_health == (False, True)
+        assert env.session.instance_health() == [False, True]
         assert env.available_instances() == [1]
         mask = env.action_mask()
         assert mask.any()
@@ -582,67 +583,52 @@ class TestRuntimeDiagnostics:
         assert f"pending={len(fixture_batch)}" in message
 
 
-class TestFailurePenaltyReward:
-    def test_failed_attempts_charge_failure_penalty(self, fixture_batch, small_config):
+class TestRewardAndAttempts:
+    @staticmethod
+    def _rewards_and_elapsed(env) -> list[tuple[float, float]]:
+        """Drive one FIFO round; per step, the reward and ``-(Δ info["time"])``."""
+        env.reset(round_id=0)
+        steps, last_time, done = [], 0.0, False
+        while not done:
+            step = env.step(env.encode_action(env.session.pending[0], 0))
+            steps.append((step.reward, -(step.info["time"] - last_time)))
+            last_time, done = step.info["time"], step.done
+        return steps
+
+    def test_every_step_is_rewarded_minus_elapsed(self, fixture_batch, small_config):
+        """Failed attempts and SLO misses cost exactly the time they took: on a faulty
+        engine round and on a classed round with an impossible SLO, every step's
+        reward is ``-(Δ info["time"])``, bit for bit."""
         space = ConfigurationSpace(small_config.scheduler)
-
-        def total_reward(penalty):
-            config = BQSchedConfig.small(seed=0)
-            config.scheduler.num_connections = 4
-            config.scheduler.failure_penalty = penalty
-            engine = DatabaseEngine(
-                DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4)
-            )
-            knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
-            runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1))
-            env = SchedulingEnv(
-                batch=fixture_batch,
-                backend=runtime.register("env", fixture_batch),
-                scheduler_config=config.scheduler,
-                config_space=space,
-                knowledge=knowledge,
-                mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
-            )
-            result = FIFOScheduler().run_round(env, round_id=0)
-            failures = env.session.num_failed_attempts
-            return result, failures
-
-        base_result, base_failures = total_reward(0.0)
-        penalised_result, failures = total_reward(1.0)
-        assert failures == base_failures > 0
-        assert penalised_result.makespan == base_result.makespan  # same execution
-        # the per-step rewards differ only by the failure charges
-        # (run_round does not expose rewards, so re-check through the env API)
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
-        config.scheduler.failure_penalty = 2.0
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4)
-        )
-        knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
-        runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1))
-        env = SchedulingEnv(
-            batch=fixture_batch,
-            backend=runtime.register("env", fixture_batch),
-            scheduler_config=config.scheduler,
-            config_space=space,
-            knowledge=knowledge,
-            mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
-        )
-        env.reset(round_id=0)
-        rewards = []
-        elapsed = []
-        last_time = 0.0
-        done = False
-        while not done:
-            pending = env.session.pending
-            step = env.step(env.encode_action(pending[0], 0))
-            rewards.append(step.reward)
-            elapsed.append(step.info["time"] - last_time)
-            last_time = step.info["time"]
-            done = step.done
-        total_penalty = -sum(rewards) - sum(elapsed)
-        assert total_penalty == pytest.approx(2.0 * env.session.num_failed_attempts)
+        faulty = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
+        classed = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        rounds = {
+            "faulty": ExecutionRuntime(faulty, retry=RetryPolicy(max_attempts=3, backoff=0.1)).register(
+                "env", fixture_batch
+            ),
+            # An impossible SLO makes every completion a miss.
+            "classed": ExecutionRuntime(classed).register(
+                "env", fixture_batch, tenant_class=TenantClass("vip", priority=2.0, latency_slo=1e-6, deadline=60.0)
+            ),
+        }
+        for name, tenant in rounds.items():
+            env = SchedulingEnv(
+                batch=fixture_batch,
+                backend=tenant,
+                scheduler_config=config.scheduler,
+                config_space=space,
+                knowledge=ExternalKnowledge.from_probes(tenant.runtime.backend, fixture_batch, space),
+                mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
+            )
+            steps = self._rewards_and_elapsed(env)
+            assert len(steps) >= len(fixture_batch), name
+            assert [reward for reward, _ in steps] == [elapsed for _, elapsed in steps], name
+            if name == "faulty":
+                assert env.session.num_failed_attempts > 0
+            else:
+                assert env.session.num_slo_misses == len(fixture_batch)
 
     def test_snapshot_exposes_attempts(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
@@ -667,34 +653,48 @@ class TestFailurePenaltyReward:
         while not done:
             pending = env.session.pending
             step = env.step(env.encode_action(pending[0], 0))
-            if any(info.attempts > 0 for info in step.snapshot.infos):
+            if any(info.attempts > 0 for info in snapshot_aos(env).infos):
                 saw_attempts = True
             done = step.done
         assert saw_attempts
-        final = env.snapshot()
         counts = env.session.failure_counts()
-        for info in final.infos:
+        for info in snapshot_aos(env).infos:
             assert info.attempts == counts.get(info.query_id, 0)
-        assert counts == {q: int(n) for q, n in enumerate(final.attempts) if n}
-        assert [info.attempts for info in snapshot_aos(env).infos] == final.attempts.tolist()
+        assert counts == {q: int(n) for q, n in enumerate(env.session.soa_attempts) if n}
         assert env.session.num_failed_attempts == sum(counts.values())
 
 
-class TestFailureChannelFeaturizer:
-    def test_failure_channel_adds_one_column(self):
-        from repro.encoder import RunStateFeaturizer
-
-        base = RunStateFeaturizer(num_configs=4)
-        channel = RunStateFeaturizer(num_configs=4, failure_channel=True)
-        assert channel.feature_dim == base.feature_dim + 1
-        snapshot = snapshot_arrays([0], attempts=2)
-        row = channel.featurize_arrays_stack([snapshot])[0, 0]
-        assert row[channel.layout["failure"]] == pytest.approx(np.tanh(2 / 3.0))
-        assert base.featurize_arrays_stack([snapshot_arrays([0])]).shape == (1, 1, base.feature_dim)
-        np.testing.assert_array_equal(row, featurize_aos(channel, snapshot.to_snapshot())[0])
+class TestAttemptCounts:
+    def test_attempts_are_one_in_place_counter(self, fixture_batch, small_config):
+        """A round's failed attempts live in one session array, counted up in place:
+        after every step it is the same array, it never counts down, and
+        ``failure_counts()`` and the per-query oracle read exactly it."""
+        space = ConfigurationSpace(small_config.scheduler)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
+        env = SchedulingEnv(
+            batch=fixture_batch,
+            backend=ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1)).register(
+                "env", fixture_batch
+            ),
+            scheduler_config=small_config.scheduler,
+            config_space=space,
+            knowledge=ExternalKnowledge.from_probes(engine, fixture_batch, space),
+            mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
+        )
+        env.reset(round_id=0)
+        counter = env.session.soa_attempts
+        previous, done = counter.copy(), False
+        while not done:
+            done = env.step(env.encode_action(env.session.pending[0], 0)).done
+            assert env.session.soa_attempts is counter
+            assert (counter >= previous).all()
+            assert env.session.failure_counts() == {q: int(n) for q, n in enumerate(counter) if n}
+            assert [info.attempts for info in snapshot_aos(env).infos] == counter.tolist()
+            previous = counter.copy()
+        assert counter.sum() == env.session.num_failed_attempts > 0
 
     def test_attempts_validation(self):
-        from repro.encoder.run_state import QueryRuntimeInfo, QueryStatus
+        from snapshot_oracle import QueryRuntimeInfo, QueryStatus
 
         with pytest.raises(SchedulingError):
             QueryRuntimeInfo(query_id=0, status=QueryStatus.PENDING, attempts=-1)

@@ -8,6 +8,11 @@ captured from the pre-refactor tree: each digest hashes, per decision step,
 the snapshot time, the reward, the full feature matrix bytes, the action
 mask bytes and the instance context/health — plus the final round log.
 
+The feature matrix hashed is the per-query oracle's (``tests/snapshot_oracle.py``)
+in the PR 5/6 layout, which also carried each query's arrival wait and failed
+attempts; every step asserts that the library's rows are exactly the oracle's
+columns the policy still observes, so the pins keep checking the library.
+
 Run ``PYTHONPATH=src python tests/test_hotpath.py`` to (re)print the digests
 from whatever tree is checked out; the constants below were captured from the
 PR 5/6 tree and must never change.
@@ -47,7 +52,7 @@ from repro.core import (
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
 from repro.runtime import EventQueue, ExecutionRuntime, QueryArrival
-from snapshot_oracle import featurize_aos, snapshot_aos
+from snapshot_oracle import featurize_aos, kept, kept_columns, snapshot_aos, to_snapshot
 
 # --------------------------------------------------------------------------- #
 # Reference scenarios
@@ -75,9 +80,7 @@ def _make_closed() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, tu
         knowledge=knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(space)),
     )
-    featurizer = RunStateFeaturizer(
-        num_configs=len(space), arrival_channel=True, failure_channel=True
-    )
+    featurizer = RunStateFeaturizer(num_configs=len(space))
     return env, FIFOScheduler(), featurizer, (0, 1)
 
 
@@ -95,9 +98,7 @@ def _make_streaming() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer,
         mask=AdaptiveMask.unmasked(len(batch), len(space)),
         arrivals=arrivals,
     )
-    featurizer = RunStateFeaturizer(
-        num_configs=len(space), arrival_channel=True, failure_channel=True
-    )
+    featurizer = RunStateFeaturizer(num_configs=len(space))
     return env, FIFOScheduler(), featurizer, (0, 1)
 
 
@@ -113,12 +114,7 @@ def _make_cluster() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, t
         knowledge=knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(space)),
     )
-    featurizer = RunStateFeaturizer(
-        num_configs=3 * len(space),
-        arrival_channel=True,
-        failure_channel=True,
-        instance_context_dim=3 * 4,
-    )
+    featurizer = RunStateFeaturizer(num_configs=3 * len(space), instance_context_dim=3 * 4)
     return env, RoundRobinPlacementScheduler(), featurizer, (0, 1)
 
 
@@ -140,9 +136,7 @@ def _make_faulted() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, t
         knowledge=knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(space)),
     )
-    featurizer = RunStateFeaturizer(
-        num_configs=len(space), arrival_channel=True, failure_channel=True
-    )
+    featurizer = RunStateFeaturizer(num_configs=len(space))
     return env, FIFOScheduler(), featurizer, (0, 1)
 
 
@@ -169,12 +163,21 @@ def _digest_records(log) -> str:
     return sha.hexdigest()
 
 
+#: The PR 5/6 layout's extra channels, which the pinned digests hash.
+_PINNED_CHANNELS = {"arrival": True, "failure": True}
+
+
 def _absorb(sha, env: SchedulingEnv, featurizer: RunStateFeaturizer, snapshot, reward: float) -> None:
+    reference = snapshot_aos(env)
+    rows = featurize_aos(featurizer, reference, **_PINNED_CHANNELS)
+    library = featurizer.featurize_arrays_stack([snapshot])[0]
+    assert library.tobytes() == np.ascontiguousarray(rows[:, kept_columns(featurizer, **_PINNED_CHANNELS)]).tobytes()
     sha.update(f"{snapshot.time!r}|{reward!r}|".encode())
-    sha.update(featurizer.featurize_arrays_stack([snapshot])[0].tobytes())
+    sha.update(rows.tobytes())
     sha.update(np.asarray(env.action_mask(), dtype=np.uint8).tobytes())
-    sha.update(repr(tuple(tuple(row) for row in snapshot.instance_context)).encode())
-    sha.update(repr(tuple(bool(flag) for flag in snapshot.instance_health)).encode())
+    sha.update(repr(to_snapshot(snapshot).instance_context).encode())
+    health = env.session.instance_health()
+    sha.update(repr(() if all(health) else tuple(bool(up) for up in health)).encode())
 
 
 def _round_steps(env: SchedulingEnv, scheduler: BaseScheduler, round_id: int) -> Iterator[tuple]:
@@ -323,43 +326,15 @@ def test_soa_snapshot_matches_aos(scenario: str) -> None:
                 f"{scenario}: expected the SoA fast path, got {type(snapshot).__name__}"
             )
             reference = snapshot_aos(env)
-            assert snapshot.to_snapshot() == reference
+            assert to_snapshot(snapshot) == kept(reference)
             assert snapshot.pending_ids == reference.pending_ids
             assert snapshot.running_ids == reference.running_ids
-            assert snapshot.finished_ids == reference.finished_ids
+            assert np.flatnonzero(snapshot.status == 2).tolist() == reference.finished_ids
             assert snapshot.unarrived_ids == reference.unarrived_ids
             fast = featurizer.featurize_arrays_stack([snapshot])[0]
             assert fast.tobytes() == featurize_aos(featurizer, reference).tobytes()
             steps += 1
     assert steps > 2 * len(env.batch)  # at least one decision per query per round
-
-
-def test_snapshot_attempts_and_waits_are_shared_read_only_columns() -> None:
-    """A closed round's snapshots all hold the session's one attempts array and
-    the env's one zero wait column; a failure installs fresh attempts, and every
-    snapshot kept since still reads the per-query oracle's counts of its step."""
-    env, scheduler, _, rounds = _make_closed()
-    snapshots = [snapshot for snapshot, _reward in _round_steps(env, scheduler, rounds[0])]
-    for column in ("attempts", "time_to_available"):
-        arrays = {id(getattr(snapshot, column)) for snapshot in snapshots}
-        assert len(arrays) == 1, column
-        shared = getattr(snapshots[0], column)
-        assert not shared.flags.writeable and not shared.any()
-        with pytest.raises(ValueError):
-            shared[0] = 1
-
-    env, scheduler, _, rounds = _make_faulted()
-    kept, fresh = [], 0
-    for snapshot, _reward in _round_steps(env, scheduler, rounds[0]):
-        expected = [info.attempts for info in snapshot_aos(env).infos]
-        assert snapshot.attempts.tolist() == expected
-        assert not snapshot.attempts.flags.writeable
-        if kept and kept[-1][0].attempts is not snapshot.attempts:
-            assert not np.shares_memory(kept[-1][0].attempts, snapshot.attempts)
-            fresh += 1
-        kept.append((snapshot, expected))
-    assert fresh > 0
-    assert all(snapshot.attempts.tolist() == expected for snapshot, expected in kept)
 
 
 # --------------------------------------------------------------------------- #

@@ -135,7 +135,7 @@ class TestClusterModeDetails:
         env.reset(round_id=0)
         members = set(clusters.members(0))
         step = env.step(env.encode_action(0, 0))
-        submitted = set(step.snapshot.running_ids) | set(step.snapshot.finished_ids)
+        submitted = set(step.snapshot.running_ids) | set(np.flatnonzero(step.snapshot.status == 2).tolist())
         assert members <= submitted
 
     def test_cluster_mask_excludes_drained_clusters(self, cluster_env, config_space):

@@ -604,10 +604,9 @@ class TestClusterFacadeSimulation:
         config.ppo = PPOConfig(
             rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1
         )
-        config.clustering.enabled = True
         config.clustering.num_clusters = 6
         scheduler = BQSched(workload, fleet, config)
-        assert scheduler.use_clustering
+        scheduler.use_clustering = True
         scheduler.prepare(history_rounds=2)
         assert scheduler.clusters is not None
         assert scheduler.env.cluster_mode

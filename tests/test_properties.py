@@ -26,7 +26,7 @@ from repro.encoder import RunStateFeaturizer
 from repro.exceptions import SchedulingError
 from repro.nn import Tensor, masked_log_softmax
 from repro.workloads import make_workload
-from snapshot_oracle import featurize_aos, snapshot_arrays
+from snapshot_oracle import featurize_aos, snapshot_arrays, to_snapshot
 
 
 small_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -239,30 +239,21 @@ CONTEXT_WIDTH = 4
 
 @st.composite
 def featurizer_and_stack(draw):
-    """A featurizer with a random channel set and a stack of 1-4 snapshots it can read.
+    """A featurizer with or without the context channel and a stack of 1-4 snapshots it can read.
 
     When the context channel is on, each snapshot independently carries its
     instance context or none.
     """
     num_configs = draw(st.integers(min_value=1, max_value=6))
     instances = draw(st.integers(min_value=0, max_value=3))
-    featurizer = RunStateFeaturizer(
-        num_configs,
-        time_scale=draw(st.floats(min_value=0.5, max_value=20.0)),
-        arrival_channel=draw(st.booleans()),
-        instance_context_dim=instances * CONTEXT_WIDTH,
-        failure_channel=draw(st.booleans()),
-        slo_channel=draw(st.booleans()),
-    )
+    featurizer = RunStateFeaturizer(num_configs, instance_context_dim=instances * CONTEXT_WIDTH)
     n = draw(st.integers(min_value=1, max_value=8))
     seconds = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
     stack = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         status = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
         configs = draw(st.lists(st.integers(min_value=0, max_value=num_configs - 1), min_size=n, max_size=n))
-        waits = draw(st.lists(st.one_of(st.none(), seconds), min_size=n, max_size=n))
-        # Only a pending query may be waiting for its arrival.
-        waits = [wait if code == 0 else None for code, wait in zip(status, waits)]
+        waiting = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         context = None
         if instances and draw(st.booleans()):
             context = draw(
@@ -275,12 +266,9 @@ def featurizer_and_stack(draw):
                 config_index=[config if code else -1 for code, config in zip(status, configs)],
                 elapsed=draw(st.lists(seconds, min_size=n, max_size=n)),
                 expected_time=draw(st.lists(seconds, min_size=n, max_size=n)),
-                available=[wait is None for wait in waits],
-                time_to_available=[wait or 0.0 for wait in waits],
-                attempts=draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)),
+                # Only a pending query may be waiting for its arrival.
+                available=[not (code == 0 and wait) for code, wait in zip(status, waiting)],
                 instance_context=context,
-                priority=draw(small_floats),
-                deadline_slack=draw(st.floats(min_value=-100.0, max_value=100.0)),
             )
         )
     return featurizer, stack
@@ -296,7 +284,7 @@ class TestFeaturizerProperties:
         features = featurizer.featurize_arrays_stack(stack)
         assert features.shape == (len(stack), stack[0].num_queries, featurizer.feature_dim)
         for plane, arrays in zip(features, stack):
-            assert plane.tobytes() == featurize_aos(featurizer, arrays.to_snapshot()).tobytes()
+            assert plane.tobytes() == featurize_aos(featurizer, to_snapshot(arrays)).tobytes()
         # A reused buffer is overwritten completely.
         buffer = np.full_like(features, np.nan)
         assert featurizer.featurize_arrays_stack(stack, out=buffer) is buffer

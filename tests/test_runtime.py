@@ -358,8 +358,7 @@ class TestStreamingEnv:
         snapshot = env.reset(round_id=0)
         assert len(snapshot.pending_ids) + len(snapshot.unarrived_ids) == len(batch)
         assert snapshot.unarrived_ids, "a Poisson stream must defer most arrivals"
-        unavailable = [info for info in snapshot.infos if not info.available]
-        assert all(info.time_to_available > 0 for info in unavailable)
+        assert all(env.session.arrival_time(query_id) > snapshot.time for query_id in snapshot.unarrived_ids)
         # the action mask only exposes arrived queries
         mask = env.action_mask()
         exposed = {action // env.num_configs for action in np.nonzero(mask)[0]}
