@@ -61,7 +61,7 @@ def main() -> None:
     print(f"\nFIFO    : {fifo.mean:6.2f} s ± {fifo.std:.2f}")
     print(f"BQSched : {learned.mean:6.2f} s ± {learned.std:.2f} (cluster-level scheduling)")
     print(f"Training wall-clock: {scheduler.timings['train_total']:.1f} s "
-          f"({scheduler.timings.get('pretrain', 0.0):.1f} s of which on the simulator)")
+          f"({scheduler.timings.get('pretrain', 0.0):.1f} s of which fitting and pre-training on the simulator)")
 
 
 if __name__ == "__main__":

@@ -644,10 +644,7 @@ class SchedulingEnv:
         totals = np.asarray(self._session.instance_num_running(), dtype=np.int64)
         foreign = np.clip(totals - own_counts, 0, None)
         if foreign.any():
-            mean_expected = float(
-                np.mean([self.knowledge.average_time(query.query_id) for query in self.batch])
-            )
-            outstanding += foreign * mean_expected
+            outstanding += foreign * float(np.mean(self._soa_avg_expected))
         return outstanding
 
     # ------------------------------------------------------------------ #

@@ -7,10 +7,11 @@ import weakref
 
 import pytest
 
-from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro import BQSched, BQSchedConfig, Cluster, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import PPOConfig
 from repro.core import LSchedScheduler, FIFOScheduler
 from repro.core.ppo import PPOTrainer
+from repro.perf import PerformanceModel, SimulatedCluster
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,138 @@ class TestBQSchedFacade:
         workload, engine, config = tiny_setup
         scheduler = LSchedScheduler.from_workload(workload, engine, config, seed=3)
         assert scheduler.config.seed == 3
+
+
+def _eager_perf_model(scheduler) -> PerformanceModel:
+    """The model an eager ``prepare()`` fitted: the facade's arguments, fitted on its log now."""
+    fleet = isinstance(scheduler.engine, Cluster)
+    model = PerformanceModel(
+        batch=scheduler.batch,
+        plan_embeddings=scheduler.plan_embeddings,
+        knowledge=scheduler.knowledge,
+        config_space=scheduler.config_space,
+        config=scheduler.config.simulator,
+        seed=scheduler.config.seed,
+        instance_speeds=scheduler.engine.speed_factors() if fleet else (),
+    )
+    model.train_from_log(scheduler.history_log)
+    return model
+
+
+def _assert_same_weights(expected: PerformanceModel, actual: PerformanceModel) -> None:
+    want, got = dict(expected.model.named_parameters()), dict(actual.model.named_parameters())
+    assert want.keys() == got.keys() and want
+    for name, param in want.items():
+        assert param.data.dtype == got[name].data.dtype and param.data.shape == got[name].data.shape, name
+        assert param.data.tobytes() == got[name].data.tobytes(), name
+
+
+class TestLazySimulatorFit:
+    """``prepare()`` fits no simulator; the first read of ``simulator`` fits the eager model."""
+
+    @staticmethod
+    def _count_fits(monkeypatch) -> list[int]:
+        fits = [0]
+        train_from_log = PerformanceModel.train_from_log
+
+        def counting(self, *args, **kwargs):
+            fits[0] += 1
+            return train_from_log(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerformanceModel, "train_from_log", counting)
+        return fits
+
+    @staticmethod
+    def _fleet_setup(tiny_setup):
+        workload, _, config = tiny_setup
+        return workload, Cluster.from_names(["x", "y", "z"], seed=0), config
+
+    def test_only_pretraining_fits(self, monkeypatch, tiny_setup):
+        fits = self._count_fits(monkeypatch)
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        assert scheduler.simulator is None and scheduler.perf_model is None  # nothing to fit on yet
+        scheduler.prepare(history_rounds=2)
+        assert fits[0] == 0, "prepare"
+        scheduler.train(num_updates=0, pretrain_updates=0, keep_best=False)
+        assert fits[0] == 0, "train(0, 0)"
+        assert scheduler.schedule(round_id=0).makespan > 0
+        assert len(scheduler.serve(num_tenants=2).tenants) == 2
+        assert fits[0] == 0, "schedule / serve"
+        scheduler.train(num_updates=1, pretrain_updates=1)
+        assert fits[0] == 1 and "pretrain" in scheduler.timings
+        assert isinstance(scheduler.simulator, SimulatedCluster)
+        assert scheduler.perf_model is scheduler.simulator.perf
+        assert fits[0] == 1
+
+    def test_lsched_never_fits(self, monkeypatch, tiny_setup):
+        fits = self._count_fits(monkeypatch)
+        workload, engine, config = tiny_setup
+        scheduler = LSchedScheduler(workload, engine, config)
+        assert scheduler.simulator is None
+        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        assert scheduler.simulator is None and scheduler.perf_model is None
+        assert fits[0] == 0
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["engine", "fleet3"])
+    def test_first_read_equals_eager_fit(self, tiny_setup, fleet):
+        workload, engine, config = self._fleet_setup(tiny_setup) if fleet else tiny_setup
+        scheduler = BQSched(workload, engine, config).prepare(history_rounds=2)
+        expected = _eager_perf_model(scheduler)
+        assert scheduler.simulator.num_instances == (3 if fleet else 1)
+        _assert_same_weights(expected, scheduler.perf_model)
+        assert scheduler.perf_model.version == expected.version
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["engine", "fleet3"])
+    def test_ingest_before_first_read_equals_eager_fit_then_update(self, tiny_setup, fleet):
+        workload, engine, config = self._fleet_setup(tiny_setup) if fleet else tiny_setup
+        scheduler = BQSched(workload, engine, config).prepare(history_rounds=2)
+        expected = _eager_perf_model(scheduler)
+        batch = scheduler.batch
+        log = engine.collect_logs(
+            batch, [[q.query_id for q in batch]], scheduler.config_space.default, num_connections=2
+        )
+        scheduler.ingest_online_log(log)
+        expected.update_from_log(log)
+        _assert_same_weights(expected, scheduler.perf_model)
+
+    def test_prepare_twice_then_read_fits_once_after_the_second(self, monkeypatch, tiny_setup):
+        fits = self._count_fits(monkeypatch)
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        scheduler.prepare(history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        assert fits[0] == 0 and len(scheduler.history_log) == 4
+        model = scheduler.perf_model
+        assert fits[0] == 1
+        _assert_same_weights(_eager_perf_model(scheduler), model)
+
+    def test_prepare_drops_a_fitted_model(self, tiny_setup):
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        scheduler.prepare(history_rounds=2)
+        first = scheduler.perf_model
+        scheduler.prepare(history_rounds=2)
+        assert scheduler.perf_model is not first
+        _assert_same_weights(_eager_perf_model(scheduler), scheduler.perf_model)
+
+
+class TestValidationRounds:
+    def test_train_validates_on_pinned_round_ids(self, monkeypatch, tiny_setup):
+        """Keep-best round ids come from ``90_000 + len(timings)``: a ``timings`` key added
+        before a validation would move every validation round, and with it the policy kept."""
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config)
+        seen = []
+        evaluate = scheduler.evaluate
+
+        def recording(env, rounds=1, base_round_id=0):
+            seen.append(base_round_id)
+            return evaluate(env, rounds=rounds, base_round_id=base_round_id)
+
+        monkeypatch.setattr(scheduler, "evaluate", recording)
+        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        assert seen == [90_001, 90_002, 90_002]
 
 
 class TestTrainingMemory:

@@ -595,6 +595,69 @@ class TestClusterRuntime:
         _, instance, _ = env_b.decode_placement(scheduler.select_action(env_b, env_b.snapshot()))
         assert instance == 1
 
+    @staticmethod
+    def _outstanding_oracle(env) -> np.ndarray:
+        """Outstanding work with the batch mean re-read from the knowledge per call."""
+        session = env._session
+        outstanding = np.zeros(env.num_instances, dtype=np.float64)
+        own_counts = np.zeros(env.num_instances, dtype=np.int64)
+        for state in session.running_states():
+            query_id = state.query.query_id
+            instance = session.instance_of(query_id)
+            if instance < 0:
+                continue
+            expected = env.knowledge.expected_time(query_id, env.config_space.index_of(state.parameters))
+            outstanding[instance] += max(0.0, expected - (session.current_time - state.submit_time))
+            own_counts[instance] += 1
+        foreign = np.clip(np.asarray(session.instance_num_running(), dtype=np.int64) - own_counts, 0, None)
+        if foreign.any():
+            mean_expected = float(np.mean([env.knowledge.average_time(query.query_id) for query in env.batch]))
+            outstanding += foreign * mean_expected
+        return outstanding
+
+    @pytest.mark.parametrize("scheduler_cls", [LeastOutstandingWorkScheduler, GreedyCostPlacementScheduler])
+    def test_outstanding_work_equals_per_call_mean_on_shared_fleet(self, monkeypatch, scheduler_cls):
+        """The foreign term reads the batch mean ``reset`` cached; at every placement of
+        a shared 3-instance fleet it equals the per-call mean bit for bit."""
+        from repro.core.env import drive_service
+
+        fleet = Cluster.from_names(["x", "y", "z"], seed=0)
+        batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
+        config = BQSchedConfig.small(seed=0)
+        config.scheduler.num_connections = 2
+        space = ConfigurationSpace(config.scheduler)
+        knowledge = ExternalKnowledge.from_probes(fleet, batch, space)
+        runtime = ExecutionRuntime(fleet)
+        envs = [
+            SchedulingEnv(
+                batch=batch,
+                backend=runtime.register(name, batch),
+                scheduler_config=config.scheduler,
+                config_space=space,
+                knowledge=knowledge,
+                mask=AdaptiveMask.unmasked(len(batch), len(space)),
+            )
+            for name in ("a", "b", "c")
+        ]
+        checked, with_foreign = [0], [0]
+        outstanding_work = SchedulingEnv.instance_outstanding_work
+
+        def checking(env):
+            outstanding = outstanding_work(env)
+            expected = self._outstanding_oracle(env)
+            assert outstanding.tobytes() == expected.tobytes()
+            checked[0] += 1
+            with_foreign[0] += int(sum(env._session.instance_num_running()) > len(env._session.running_states()))
+            return outstanding
+
+        monkeypatch.setattr(SchedulingEnv, "instance_outstanding_work", checking)
+        for env in envs:
+            env.reset(round_id=0)
+        scheduler = scheduler_cls()
+        drive_service(runtime, envs, lambda env: scheduler.select_action(env, env.snapshot()))
+        assert all(len(env._session.finished) == len(batch) for env in envs)
+        assert checked[0] >= 3 * len(batch) and with_foreign[0] > 0
+
     def test_tenant_rejects_placement_on_single_backend(self):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
