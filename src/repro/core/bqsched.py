@@ -9,8 +9,9 @@ API:
    the knowledge and derive the scheduling-gain clusters (for large query
    sets) from their logs;
 3. :meth:`train` — fit the learned simulator on those logs and pre-train the
-   IQ-PPO policy against it, then fine-tune it against the real DBMS (with
-   no pre-training updates nothing is fitted);
+   IQ-PPO policy against it, then fine-tune it against the real DBMS,
+   validating candidates on it (with no pre-training updates nothing is
+   fitted; with no updates at all nothing is validated either);
 4. :meth:`schedule` / :meth:`evaluate` — run the learned policy greedily;
 5. :meth:`serve` — run the policy as a continuous event-driven scheduler
    over multi-tenant, streaming-arrival rounds on a shared engine.
@@ -299,18 +300,24 @@ class RLSchedulerBase(BaseScheduler):
     ) -> TrainingHistory:
         """Train the policy (optionally pre-training against the simulator first).
 
-        Pre-training (``pretrain_updates`` not 0 on an arm with the simulator)
-        reads :attr:`simulator`, so the simulator fit, if not done yet, runs
-        here and counts toward ``timings["pretrain"]``.
+        ``pretrain_updates=None`` pre-trains for ``num_updates``.
+        Pre-training (``pretrain_updates`` above 0 on an arm with the
+        simulator) reads :attr:`simulator`, so the simulator fit, if not done
+        yet, runs here and counts toward ``timings["pretrain"]``.
 
         Following Section IV-C, intermediate models are validated against the
         real DBMS and the best one is kept (``keep_best``), which is also what
-        protects deployment from a late policy collapse.
+        protects deployment from a late policy collapse.  A validation round
+        exists only to choose between policies: the initialisation is
+        validated only when pre-training or at least one fine-tuning update
+        follows, so a start that trains nothing runs no DBMS round and leaves
+        every parameter array as it was.
         """
         if not self._prepared:
             self.prepare(history_rounds=history_rounds)
 
-        pretrain = self.use_simulator and (pretrain_updates is None or pretrain_updates > 0)
+        pretrain_updates = num_updates if pretrain_updates is None else pretrain_updates
+        pretrain = self.use_simulator and pretrain_updates > 0
         if pretrain:
             # The first read of ``simulator`` fits the model.  Fitting after the
             # first validation instead left the trained policy's decisions ~5%
@@ -322,11 +329,11 @@ class RLSchedulerBase(BaseScheduler):
 
         self._best_score = float("inf")
         self._best_state = None
+        keep_best = keep_best and (pretrain or num_updates > 0)
         if keep_best:
             self._validate_and_keep_best()
 
         if pretrain:
-            pretrain_updates = pretrain_updates if pretrain_updates is not None else num_updates
             started = time.perf_counter()
             sim_env = self._build_env(backend=simulator)
             pretrain_envs = max(

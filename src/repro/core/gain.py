@@ -10,7 +10,11 @@ executions yields a symmetric gain.
 
 Not every pair appears in the logs, so a small MLP over pairs of QueryFormer
 plan embeddings is fitted to the observed gains and used to fill in the
-missing entries, which is what lets the clustering generalise.
+missing entries, which is what lets the clustering generalise.  The fit runs
+the small-fit optimizer :class:`~repro.nn.optim.AdamSlabs` (the simulator
+fit's too): the MLP's weights, gradients and moments live in flat slabs for
+the whole fit, and each minibatch's gradients are written straight into
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from ..dbms import ExecutionLog
 from ..exceptions import SchedulingError
-from ..nn import Adam, MLP, Module, fastgrad
+from ..nn import AdamSlabs, MLP, Module, fastgrad
 from ..workloads import BatchQuerySet
 
 __all__ = ["compute_scheduling_gains", "GainModel", "build_gain_matrix"]
@@ -36,35 +40,42 @@ def compute_scheduling_gains(log: ExecutionLog, batch: BatchQuerySet) -> tuple[n
 
     Returns ``(gains, observed)``: an ``(n, n)`` symmetric gain matrix and a
     boolean matrix marking which pairs were actually observed concurrently.
-    Unobserved pairs hold 0.
+    Unobserved pairs hold 0.  Every concurrent execution's term is computed
+    elementwise over :meth:`~repro.dbms.ExecutionLog.overlapping_pairs`, and
+    a pair's gain is ``np.mean`` of its terms in log order (pairs with the
+    same number of terms share one row-wise ``np.mean``).
     """
     n = len(batch)
-    averages = log.average_execution_times()
     gains = np.zeros((n, n), dtype=np.float64)
     observed = np.zeros((n, n), dtype=bool)
-    for (query_i, query_j), executions in log.pairwise_overlaps().items():
-        avg_i = averages.get(query_i)
-        avg_j = averages.get(query_j)
-        if not avg_i or not avg_j:
-            continue
-        weight_i, weight_j = np.sqrt(avg_i), np.sqrt(avg_j)
-        terms = []
-        for overlap, time_i, time_j in executions:
-            if time_i <= 0 or time_j <= 0:
-                continue
-            acceleration_i = 1.0 - time_i / avg_i
-            acceleration_j = 1.0 - time_j / avg_j
-            overlap_i = overlap / time_i
-            overlap_j = overlap / time_j
-            terms.append(
-                (overlap_i * acceleration_i * weight_i + overlap_j * acceleration_j * weight_j)
-                / (weight_i + weight_j)
-            )
-        if not terms:
-            continue
-        value = float(np.mean(terms))
-        gains[query_i, query_j] = gains[query_j, query_i] = value
-        observed[query_i, query_j] = observed[query_j, query_i] = True
+    # A positive overlap implies positive execution times, so both times and
+    # both average times are positive: no execution or pair is skipped.
+    query_i, query_j, overlap, time_i, time_j = log.overlapping_pairs()
+    averages = log.average_execution_times()
+    average = np.zeros(max(averages, default=-1) + 1)
+    average[list(averages)] = list(averages.values())
+    avg_i, avg_j = average[query_i], average[query_j]
+    weight_i, weight_j = np.sqrt(avg_i), np.sqrt(avg_j)
+    acceleration_i = 1.0 - time_i / avg_i
+    acceleration_j = 1.0 - time_j / avg_j
+    overlap_i = overlap / time_i
+    overlap_j = overlap / time_j
+    terms = (overlap_i * acceleration_i * weight_i + overlap_j * acceleration_j * weight_j) / (weight_i + weight_j)
+
+    # Group each pair's terms, keeping their log order (a stable sort).
+    order = np.argsort(query_i * len(average) + query_j, kind="stable")
+    query_i, query_j, terms = query_i[order], query_j[order], terms[order]
+    first = np.ones(len(terms), dtype=bool)
+    first[1:] = (query_i[1:] != query_i[:-1]) | (query_j[1:] != query_j[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(terms)))
+    values = np.empty(len(starts))
+    for count in set(counts.tolist()):
+        same = counts == count
+        values[same] = np.mean(terms[starts[same, None] + np.arange(count)], axis=1)
+    rows, cols = query_i[starts], query_j[starts]
+    gains[rows, cols] = gains[cols, rows] = values
+    observed[rows, cols] = observed[cols, rows] = True
     return gains, observed
 
 
@@ -100,7 +111,7 @@ class GainModel(Module):
         targets: np.ndarray,
         arena: fastgrad.Arena,
     ) -> float:
-        """Accumulate the gradients of the mean squared error over one minibatch.
+        """Put the gradients of the mean squared error over one minibatch through ``arena``.
 
         Equals the tape gradient of the mean of ``(net([e_i, e_j]) +
         net([e_j, e_i]) - g_ij) ** 2`` over the same pairs; returns that mean
@@ -124,25 +135,27 @@ class GainModel(Module):
         """Fit the model to the observed entries of the gain matrix.
 
         Shuffled minibatches of :data:`GAIN_BATCH_SIZE` pairs, one Adam step
-        each; returns the mean per-pair loss of every epoch.
+        each, over slabs (:class:`~repro.nn.optim.AdamSlabs`); returns the
+        mean per-pair loss of every epoch.
         """
         pairs = np.argwhere(np.triu(observed, k=1))
         if not len(pairs):
             raise SchedulingError("gain model needs at least one observed pair to fit")
-        optimizer = Adam(self.parameters(), lr=learning_rate)
+        optimizer = AdamSlabs([(param,) for param in self.parameters()], lr=learning_rate)
+        arena = optimizer.arena
         rng = np.random.default_rng(seed)
-        arena = fastgrad.Arena()
         losses = []
-        for _ in range(epochs):
-            rng.shuffle(pairs)
-            epoch_loss = 0.0
-            for start in range(0, len(pairs), GAIN_BATCH_SIZE):
-                rows, cols = pairs[start : start + GAIN_BATCH_SIZE].T
-                optimizer.zero_grad()
-                epoch_loss += len(rows) * self.minibatch_step(embeddings, rows, cols, gains[rows, cols], arena)
-                optimizer.step()
-                arena.reset()
-            losses.append(epoch_loss / len(pairs))
+        with optimizer.bound():
+            for _ in range(epochs):
+                rng.shuffle(pairs)
+                epoch_loss = 0.0
+                for start in range(0, len(pairs), GAIN_BATCH_SIZE):
+                    rows, cols = pairs[start : start + GAIN_BATCH_SIZE].T
+                    # The ragged last minibatch asks for its own buffer shapes.
+                    arena.begin(len(rows))
+                    epoch_loss += len(rows) * self.minibatch_step(embeddings, rows, cols, gains[rows, cols], arena)
+                    optimizer.step(optimizer.size)
+                losses.append(epoch_loss / len(pairs))
         return losses
 
     def predict_pairs(self, embeddings: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -197,28 +197,43 @@ class ExecutionLog:
             for query_id, by_params in buckets.items()
         }
 
+    def overlapping_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every concurrent execution of two records of one round, as arrays.
+
+        Returns ``(query_i, query_j, overlap, time_i, time_j)``, one entry per
+        record pair that overlapped in wall-clock time, in log order (rounds
+        in turn, record pairs ``a < b`` of a round row by row): the lower and
+        the higher query id (the earlier record first on a tie), the
+        overlap, and the two execution times in the same order.
+        """
+        parts: list[tuple[np.ndarray, ...]] = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 3]
+        for round_log in self._rounds:
+            records = round_log.records
+            ids = np.array([record.query_id for record in records], dtype=np.int64)
+            submit = np.array([record.submit_time for record in records], dtype=np.float64)
+            finish = np.array([record.finish_time for record in records], dtype=np.float64)
+            times = finish - submit
+            first, second = np.triu_indices(len(records), k=1)
+            overlap = np.minimum(finish[first], finish[second]) - np.maximum(submit[first], submit[second])
+            kept = overlap > 0
+            first, second = first[kept], second[kept]
+            swapped = ids[first] > ids[second]
+            low, high = np.where(swapped, second, first), np.where(swapped, first, second)
+            parts.append((ids[low], ids[high], overlap[kept], times[low], times[high]))
+        query_i, query_j, overlap, time_i, time_j = (np.concatenate(column) for column in zip(*parts))
+        return query_i, query_j, overlap, time_i, time_j
+
     def pairwise_overlaps(self) -> dict[tuple[int, int], list[tuple[float, float, float]]]:
         """For each unordered query pair, the list of concurrent executions.
 
         Each entry is ``(overlap, time_i, time_j)``: the wall-clock overlap and
         the two execution times observed in that round.  Only pairs that
-        actually overlapped are included.
+        actually overlapped are included (:meth:`overlapping_pairs`, grouped).
         """
         result: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
-        for round_log in self._rounds:
-            records = round_log.records
-            for a in range(len(records)):
-                for b in range(a + 1, len(records)):
-                    rec_a, rec_b = records[a], records[b]
-                    overlap = rec_a.overlap_with(rec_b)
-                    if overlap <= 0:
-                        continue
-                    key = (min(rec_a.query_id, rec_b.query_id), max(rec_a.query_id, rec_b.query_id))
-                    if rec_a.query_id <= rec_b.query_id:
-                        entry = (overlap, rec_a.execution_time, rec_b.execution_time)
-                    else:
-                        entry = (overlap, rec_b.execution_time, rec_a.execution_time)
-                    result.setdefault(key, []).append(entry)
+        query_i, query_j, overlap, time_i, time_j = (column.tolist() for column in self.overlapping_pairs())
+        for key_i, key_j, entry in zip(query_i, query_j, zip(overlap, time_i, time_j)):
+            result.setdefault((key_i, key_j), []).append(entry)
         return result
 
     def makespans(self) -> list[float]:

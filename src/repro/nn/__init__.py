@@ -30,7 +30,7 @@ from .layers import (
 from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
 from . import fastinfer
 from . import fastgrad
-from .optim import Adam, Optimizer, SGD, clip_grad_norm
+from .optim import Adam, AdamSlabs, Optimizer, SGD, clip_grad_norm
 from .serialization import Checkpoint, load_module, save_module
 from . import backend
 
@@ -64,6 +64,7 @@ __all__ = [
     "AttentionEncoder",
     "MultiHeadAttention",
     "Adam",
+    "AdamSlabs",
     "Optimizer",
     "SGD",
     "clip_grad_norm",

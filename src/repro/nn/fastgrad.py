@@ -101,8 +101,8 @@ class Arena:
     them into ``Parameter.grad`` (see the module docstring contract).  The
     policy steps reset the arena themselves, after the backward of every
     slab, so their callers hold no arena buffer when a step returns; the
-    caller of the bare MLP kernels (the gain-model fit) resets once per
-    optimizer step, after the gradients have been taken.
+    caller of the bare MLP kernels (the gain model's completion) resets once
+    per block.
     ``release(buf)`` hands one buffer back before the reset: backward-only
     scratch, and a saved activation whose backward has run, are dead within
     the slab, so the next layer's backward reuses them and the pool holds one
@@ -113,9 +113,10 @@ class Arena:
 
     The kernels call only ``empty``, ``owned``, ``release`` and ``grad``;
     ``reset``, ``clear`` and the pool sizes are for the callers that own this pool.
-    The simulator fit (``repro.perf.fit``) runs the same kernels with a
-    subclass that hands out every buffer, owned ones included, in call order
-    and writes each gradient into its slab view instead.
+    The small fits (the simulator's and the gain model's, through
+    ``repro.nn.optim.AdamSlabs``) run the same kernels with a subclass that
+    hands out every buffer, owned ones included, in call order and writes
+    each gradient into its slab view instead.
     """
 
     def __init__(self) -> None:

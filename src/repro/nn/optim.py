@@ -15,25 +15,33 @@ IEEE-commutative, elementwise operations do not care how elements are
 partitioned into arrays), so results are bit-identical — pinned by
 ``tests/test_optim_inplace.py``.  ``SGD`` still updates one array at a time.
 
-``Adam`` serves the policy and gain-model updates, a few steps over large
-parameter sets.  The simulator fit takes thousands of tiny steps, so it runs
-the same fourteen passes (:func:`adam_passes`) inside its own program
-(``repro.perf.fit``), over slabs it keeps for the whole fit instead of
-gathering and installing every step; there the ``param.data`` arrays are
-views of the weight slab, updated in place, until the fit installs fresh
-copies at its end.
+``Adam`` serves only the policy update, a few steps over large parameter
+sets.  The small fits — the simulator fit (``repro.perf.fit``) and the
+scheduling-gain model (``repro.core.gain``) — take hundreds to thousands of
+tiny steps, so they run :class:`AdamSlabs`: the same fourteen passes
+(:func:`adam_passes`) over weight, gradient and moment slabs kept for the
+whole fit instead of gathered and installed every step.  For the length of
+a fit the ``param.data`` arrays are views of the weight slab, updated in
+place, the layer kernels write every gradient straight into its slab view,
+and the fit installs fresh copies at its end.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import groupby
-from typing import Any, Iterable
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import fastgrad
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "adam_passes", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam", "AdamSlabs", "adam_passes", "clip_grad_norm"]
+
+#: :class:`AdamSlabs`' moment decay rates and denominator epsilon: ``Adam``'s defaults.
+_BETAS = (0.9, 0.999)
+_EPS = 1e-8
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -207,3 +215,115 @@ class Adam(Optimizer):
         if m.shape != self._m.shape or v.shape != self._v.shape:
             raise ValueError(f"Adam state holds {m.size} and {v.size} moment elements, the parameters {self._m.size}")
         self._step_count, self._m[:], self._v[:] = int(state["step"]), m, v
+
+
+class _SlabArena(fastgrad.Arena):
+    """A small fit's arena for the ``fastgrad`` layer kernels.
+
+    Buffers are handed out in call order from one sequence per step key (a
+    fit's steps of one kind ask for the same shapes in the same order), so a
+    step reuses the buffers of the last step of its kind without a pool
+    lookup.  Each gradient is written once, with ``out=``, into the slab view
+    kept for its parameters.  It replaces all four members the kernels call
+    and keeps no pool, so it does not run ``Arena.__init__``; ``reset`` and
+    the pool sizes are not for it.
+    """
+
+    def __init__(self, grads: dict[tuple[Parameter, ...], np.ndarray]) -> None:
+        self._grads = grads
+        self._sequences: dict[Hashable, list[np.ndarray]] = {}
+        self._buffers: list[np.ndarray] = []
+        self._taken = 0
+
+    def begin(self, key: Hashable) -> None:
+        """Start a step: hand out ``key``'s buffers again from the first."""
+        self._buffers = self._sequences.setdefault(key, [])
+        self._taken = 0
+
+    def empty(self, shape: Sequence[int]) -> np.ndarray:
+        buffers, taken = self._buffers, self._taken
+        if taken == len(buffers):
+            buffers.append(np.empty(shape))
+        self._taken = taken + 1
+        return buffers[taken]
+
+    owned = empty
+
+    def release(self, buf: np.ndarray) -> None:
+        """Nothing to do: a buffer is the step's until the next :meth:`begin`."""
+
+    def grad(self, params: tuple[Parameter, ...], op: Any, a: Any, b: Any) -> None:
+        op(a, b, out=self._grads[params])
+
+
+class AdamSlabs:
+    """Adam over flat float64 slabs kept for the length of a fit: the small-fit optimizer.
+
+    ``layout`` lists the slab's blocks in order, each the parameters it
+    holds side by side on their last axis (one parameter, or the fused
+    query / key / value projections of an attention block).  The weights,
+    gradients, both moments and the step's scratch are one flat slab each.
+    Inside :meth:`bound` every ``param.data`` is its view of the weight
+    slab; a step runs the layer kernels through :attr:`arena` (which writes
+    each gradient into its view of the gradient slab) and then
+    :meth:`step`, which is ``Adam.step``'s arithmetic in place.  A step over
+    a prefix of the slabs (``prefixes``) leaves the rest, weights and
+    moments, untouched, as ``Adam`` skips a parameter that got no gradient.
+    The moments and the step count carry over from one fit to the next.
+    """
+
+    def __init__(self, layout: Sequence[tuple[Parameter, ...]], lr: float, prefixes: Sequence[int] = ()) -> None:
+        self.lr = lr
+        #: Steps taken over all fits so far.
+        self._step_count = 0
+        #: ``(offset, block shape, parameters)`` of every slab block.
+        self._entries: list[tuple[int, tuple[int, ...], tuple[Parameter, ...]]] = []
+        start = 0
+        for params in layout:
+            first = params[0].data.shape
+            shape = first[:-1] + (first[-1] * len(params),)
+            self._entries.append((start, shape, params))
+            start += int(np.prod(shape))
+        #: Slab elements.
+        self.size = start
+        self._theta, self._grad, self._buf = np.empty(start), np.zeros(start), np.empty(start)
+        self.m, self.v = np.zeros(start), np.zeros(start)
+        self.arena = _SlabArena(dict(self.block_views(self._grad)))
+        self._spans = {
+            end: (self._theta[:end], self._grad[:end], self.m[:end], self.v[:end], self._buf[:end])
+            for end in (*prefixes, start)
+        }
+
+    def block_views(self, slab: np.ndarray) -> Iterator[tuple[tuple[Parameter, ...], np.ndarray]]:
+        """Each layout block's parameters and its view into a slab laid out like this one."""
+        for start, shape, params in self._entries:
+            yield params, slab[start : start + int(np.prod(shape))].reshape(shape)
+
+    def parameter_views(self, slab: np.ndarray) -> Iterator[tuple[Parameter, np.ndarray]]:
+        """Each parameter's view into a slab laid out like this one."""
+        for params, block in self.block_views(slab):
+            width = block.shape[-1] // len(params)
+            for index, param in enumerate(params):
+                yield param, block[..., index * width : (index + 1) * width]
+
+    @contextmanager
+    def bound(self) -> Iterator[None]:
+        """Point every parameter at its weight-slab view (its weights copied in) while the block runs."""
+        for param, view in self.parameter_views(self._theta):
+            view[...] = param.data
+            param.data = view
+        try:
+            yield
+        finally:
+            # Fresh arrays on purpose: the caches keyed by param.data identity rebuild.
+            for param, view in self.parameter_views(self._theta):
+                param.data = view.copy()
+
+    def step(self, end: int) -> None:
+        """One Adam step over the first ``end`` slab elements (:attr:`size`, or one of ``prefixes``)."""
+        self._step_count += 1
+        bias1 = 1.0 - _BETAS[0] ** self._step_count
+        bias2 = 1.0 - _BETAS[1] ** self._step_count
+        theta, grad, m, v, buf = self._spans[end]
+        adam_passes(grad, m, v, buf, self.lr, _BETAS, _EPS, bias1, bias2)
+        theta -= buf

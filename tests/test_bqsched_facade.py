@@ -9,8 +9,9 @@ import pytest
 
 from repro import BQSched, BQSchedConfig, Cluster, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import PPOConfig
-from repro.core import LSchedScheduler, FIFOScheduler
+from repro.core import BaseScheduler, LSchedScheduler, FIFOScheduler
 from repro.core.ppo import PPOTrainer
+from repro.nn import Adam, AdamSlabs
 from repro.perf import PerformanceModel, SimulatedCluster
 
 
@@ -211,6 +212,55 @@ class TestValidationRounds:
         monkeypatch.setattr(scheduler, "evaluate", recording)
         scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
         assert seen == [90_001, 90_002, 90_002]
+
+    @pytest.mark.parametrize(
+        "updates, expected",
+        [((1, 0), [90_001, 90_001]), ((0, 1), [90_001, 90_002]), ((1, 1), [90_001, 90_002, 90_002])],
+        ids=["finetune", "pretrain", "both"],
+    )
+    def test_a_start_that_trains_validates_the_initialisation_first(self, monkeypatch, tiny_setup, updates, expected):
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config).prepare(history_rounds=2)
+        seen = []
+        evaluate = scheduler.evaluate
+
+        def recording(env, rounds=1, base_round_id=0):
+            seen.append((base_round_id, [param.data for param in scheduler.policy.parameters()]))
+            return evaluate(env, rounds=rounds, base_round_id=base_round_id)
+
+        initial = [param.data for param in scheduler.policy.parameters()]
+        monkeypatch.setattr(scheduler, "evaluate", recording)
+        scheduler.train(*updates)
+        assert [round_id for round_id, _ in seen] == expected
+        assert all(a is b for a, b in zip(seen[0][1], initial))
+
+    @pytest.mark.parametrize("updates", [(0, 0), (0,)], ids=["train(0, 0)", "train(0)"])
+    def test_a_start_that_trains_nothing_runs_no_round_and_fits_nothing(self, monkeypatch, tiny_setup, updates):
+        """No validation round, no engine session, no simulator fit, no optimizer step: every
+        policy parameter is still the array it was (no snapshot was loaded back)."""
+        workload, engine, config = tiny_setup
+        scheduler = BQSched(workload, engine, config).prepare(history_rounds=2)
+        calls = []
+
+        def forbid(owner, name):
+            original = getattr(owner, name)
+
+            def record(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, record)
+
+        forbid(BaseScheduler, "evaluate")
+        forbid(DatabaseEngine, "new_session")
+        forbid(PerformanceModel, "train_from_log")
+        forbid(Adam, "step")
+        forbid(AdamSlabs, "step")
+        initial = [param.data for param in scheduler.policy.parameters()]
+        history = scheduler.train(*updates)
+        assert calls == [] and history.policy_losses == []
+        assert all(param.data is data for param, data in zip(scheduler.policy.parameters(), initial))
+        assert scheduler.timings.keys() == {"prepare", "finetune", "train_total"}
 
 
 class TestTrainingMemory:

@@ -610,11 +610,15 @@ class TestGreedyAction:
         monkeypatch.setattr(policy_module, "PolicyDecision", forbidden)
         scheduler.schedule(round_id=0)
         scheduler.serve(num_tenants=2, round_id=0)
+        scheduler.prepare(history_rounds=2)
+        before = len(policy_head_runs)
+        scheduler.evaluate(scheduler.env, rounds=1, base_round_id=90_001)  # a keep-best validation's own call
+        assert sum(policy_head_runs[before:]) >= len(scheduler.batch)
         validations = []
         validate = scheduler._validate_and_keep_best
         monkeypatch.setattr(scheduler, "_validate_and_keep_best", lambda: validations.append(validate()))
-        scheduler.train(num_updates=0, pretrain_updates=0, history_rounds=2)  # one keep-best validation
-        assert len(validations) == 1 and sum(policy_head_runs) >= 3 * len(scheduler.batch)
+        scheduler.train(num_updates=0, pretrain_updates=0)  # a start that trains nothing validates nothing
+        assert validations == [] and sum(policy_head_runs) >= 3 * len(scheduler.batch)
 
 
 def packed_qkv(queries: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:

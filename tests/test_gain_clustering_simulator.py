@@ -21,11 +21,12 @@ from repro.core import (
 )
 from repro.core.clustering import _average_linkage
 from repro.core.gain import GAIN_BATCH_SIZE
-from repro.dbms import RunningParameters
+from repro.dbms import ExecutionLog, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
-from repro.nn import Adam, fastgrad, mse_loss
+from repro.nn import Adam, AdamSlabs, fastgrad, mse_loss
 from repro.perf import PerformanceModel, SimulatedCluster
-from gain_oracle import tape_gain, tape_predict
+from repro.core import gain as gain_module
+from gain_oracle import adam_fit, loop_overlaps, loop_scheduling_gains, tape_gain, tape_predict
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,112 @@ class TestSchedulingGain:
         _reference_fit(reference, embeddings, gains, observed, seed=seed)
         fitted_mse = _observed_mse(fitted, embeddings, gains, observed)
         assert fitted_mse <= _observed_mse(reference, embeddings, gains, observed)
+
+
+@pytest.fixture(scope="module")
+def large_prepared():
+    """The large-query-set path's ``prepare(2)`` inputs on seed 0: the 158-query batch, its plan
+    embeddings and history log (clustering off: the gain fit under test runs in the tests)."""
+    workload = make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0)
+    scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), BQSchedConfig(seed=0))
+    scheduler.use_clustering = False
+    scheduler.prepare(history_rounds=2)
+    assert len(scheduler.batch) == 158
+    return scheduler
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+class TestByteIdenticalToTheLoops:
+    """The array gain inputs equal the Python pair loops, and the slab gain fit equals the
+    ``Adam`` loop, byte for byte (``gain_oracle``)."""
+
+    @pytest.mark.parametrize("rounds", [2, 3, 10])
+    def test_gains_and_overlaps_equal_the_pair_loops(self, large_prepared, rounds):
+        batch, engine = large_prepared.batch, large_prepared.engine
+        base = [query.query_id for query in batch]
+        orders = []
+        for index in range(rounds):
+            order = list(base)
+            np.random.default_rng((7, index)).shuffle(order)
+            orders.append(order)
+        connections = large_prepared.config.scheduler.num_connections
+        log = engine.collect_logs(batch, orders, large_prepared.config_space.default, num_connections=connections)
+        expected = loop_overlaps(log)
+        assert log.pairwise_overlaps() == expected
+        # Ten rounds put 8 or more terms under one np.mean: its pairwise sum, not a running sum.
+        assert max(len(executions) for executions in expected.values()) >= (8 if rounds == 10 else rounds)
+        gains, observed = compute_scheduling_gains(log, batch)
+        want_gains, want_observed = loop_scheduling_gains(log, batch)
+        assert gains.tobytes() == want_gains.tobytes() and observed.tobytes() == want_observed.tobytes()
+
+    def test_repeated_queries_in_a_round_equal_the_pair_loops(self, tpch_batch):
+        """A round may run a query twice (a pair of a query with itself) and hold zero-length runs."""
+        log = ExecutionLog()
+        rng = np.random.default_rng(4)
+        for round_id in range(12):
+            round_log = RoundLog(round_id=round_id)
+            for query_id in rng.integers(0, 6, size=9).tolist():
+                submit = float(rng.uniform(0.0, 5.0))
+                length = float(rng.choice([0.0, rng.uniform(0.5, 4.0)], p=[0.1, 0.9]))
+                record = QueryExecutionRecord(
+                    query_id, f"q{query_id}", 0, 0, RunningParameters(1, 64), submit, submit + length
+                )
+                round_log.add(record)
+            log.add_round(round_log)
+        assert log.pairwise_overlaps() == loop_overlaps(log)
+        gains, observed = compute_scheduling_gains(log, tpch_batch)
+        want_gains, want_observed = loop_scheduling_gains(log, tpch_batch)
+        assert observed.diagonal().any()
+        assert gains.tobytes() == want_gains.tobytes() and observed.tobytes() == want_observed.tobytes()
+
+    def test_an_empty_log_observes_nothing(self, tpch_batch):
+        gains, observed = compute_scheduling_gains(ExecutionLog(), tpch_batch)
+        assert not gains.any() and not observed.any()
+
+    def test_slab_fit_equals_the_adam_loop_on_the_tpch_fixture(
+        self, monkeypatch, history_log, tpch_batch, plan_embeddings
+    ):
+        gains, observed = compute_scheduling_gains(history_log, tpch_batch)
+        assert np.triu(observed, k=1).sum() % GAIN_BATCH_SIZE  # a ragged last minibatch
+        made = []
+
+        class RecordingSlabs(AdamSlabs):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(gain_module, "AdamSlabs", RecordingSlabs)
+        fitted = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
+        reference = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
+        losses = fitted.fit(plan_embeddings, gains, observed, epochs=5, seed=3)
+        assert _hex(losses) == _hex(adam_fit(reference, plan_embeddings, gains, observed, epochs=5, seed=3))
+        for (name, param), want in zip(fitted.named_parameters(), reference.parameters()):
+            assert param.data.tobytes() == want.data.tobytes(), name
+        (optimizer,) = made
+        slabs = (optimizer._theta, optimizer._grad, optimizer._buf, optimizer.m, optimizer.v)
+        for name, param in fitted.named_parameters():
+            assert not any(np.shares_memory(param.data, slab) for slab in slabs), name
+
+    def test_slab_fit_and_gain_matrix_equal_the_loops_at_158_queries(self, large_prepared):
+        scheduler = large_prepared
+        embeddings, log, batch = scheduler.plan_embeddings, scheduler.history_log, scheduler.batch
+        hidden = scheduler.config.clustering.gain_model_hidden
+        gains, observed = loop_scheduling_gains(log, batch)
+        fitted = GainModel(embeddings.shape[1], hidden, np.random.default_rng(0))
+        reference = GainModel(embeddings.shape[1], hidden, np.random.default_rng(0))
+        losses = fitted.fit(embeddings, gains, observed, seed=0)
+        assert _hex(losses) == _hex(adam_fit(reference, embeddings, gains, observed, seed=0))
+        for (name, param), want in zip(fitted.named_parameters(), reference.parameters()):
+            assert param.data.tobytes() == want.data.tobytes(), name
+
+        rows, cols = np.nonzero(np.triu(~observed, k=1))
+        expected = gains.copy()
+        expected[rows, cols] = expected[cols, rows] = reference.predict_pairs(embeddings, rows, cols)
+        completed = build_gain_matrix(log, batch, plan_embeddings=embeddings, hidden_dim=hidden, seed=0)
+        assert completed.tobytes() == expected.tobytes()
 
 
 class TestClustering:
