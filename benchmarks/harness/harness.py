@@ -107,7 +107,6 @@ class Scenario:
         engine = DatabaseEngine(DBMSProfile.by_name(self.dbms), seed=self.seed)
         config = BQSchedConfig.small(seed=self.seed)
         config.scheduler.num_connections = self.profile.num_connections
-        config.scheduler.evaluation_rounds = self.profile.evaluation_rounds
         return workload, engine, config
 
     @property

@@ -203,7 +203,6 @@ class SchedulerConfig:
     num_connections: int = 6
     worker_options: tuple[int, ...] = (1, 2)
     memory_options: tuple[int, ...] = (64, 256)
-    evaluation_rounds: int = 5
 
     def __post_init__(self) -> None:
         _require(self.num_connections >= 1, "num_connections must be >= 1")
@@ -211,7 +210,6 @@ class SchedulerConfig:
         _require(len(self.memory_options) >= 1, "memory_options must not be empty")
         _require(all(w >= 1 for w in self.worker_options), "worker counts must be >= 1")
         _require(all(m > 0 for m in self.memory_options), "memory options must be positive")
-        _require(self.evaluation_rounds >= 1, "evaluation_rounds must be >= 1")
 
     @property
     def num_configurations(self) -> int:

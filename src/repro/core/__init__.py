@@ -13,7 +13,6 @@ from .baselines import (
     MCFScheduler,
     RandomScheduler,
     RoundRobinPlacementScheduler,
-    run_episode,
 )
 from .policy import ActorCriticNetwork, PolicyDecision
 from .rollout import RolloutBuffer, Transition
@@ -44,7 +43,6 @@ __all__ = [
     "RoundRobinPlacementScheduler",
     "LeastOutstandingWorkScheduler",
     "GreedyCostPlacementScheduler",
-    "run_episode",
     "ActorCriticNetwork",
     "PolicyDecision",
     "RolloutBuffer",

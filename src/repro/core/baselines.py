@@ -27,7 +27,6 @@ __all__ = [
     "RoundRobinPlacementScheduler",
     "LeastOutstandingWorkScheduler",
     "GreedyCostPlacementScheduler",
-    "run_episode",
 ]
 
 
@@ -69,11 +68,6 @@ class BaseScheduler(abc.ABC):
             result = self.run_round(env, round_id=base_round_id + offset)
             evaluation.add(result.makespan)
         return evaluation
-
-
-def run_episode(env: SchedulingEnv, scheduler: BaseScheduler, round_id: int | None = None) -> SchedulingResult:
-    """Convenience wrapper mirroring :meth:`BaseScheduler.run_round`."""
-    return scheduler.run_round(env, round_id=round_id)
 
 
 class _HeuristicScheduler(BaseScheduler):

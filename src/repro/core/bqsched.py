@@ -12,7 +12,9 @@ API:
    IQ-PPO policy against it, then fine-tune it against the real DBMS,
    validating candidates on it (with no pre-training updates nothing is
    fitted; with no updates at all nothing is validated either);
-4. :meth:`schedule` / :meth:`evaluate` — run the learned policy greedily;
+4. :meth:`schedule` / :meth:`evaluate` — run the learned policy greedily
+   (:meth:`evaluate_on` does so on another workload or fleet: one env built
+   from that batch's context, then :meth:`evaluate`);
 5. :meth:`serve` — run the policy as a continuous event-driven scheduler
    over multi-tenant, streaming-arrival rounds on a shared engine.
 
@@ -103,15 +105,7 @@ class RLSchedulerBase(BaseScheduler):
         self.config_space = ConfigurationSpace(self.config.scheduler)
         featurizer = PlanFeaturizer(workload.catalog)
         self.queryformer = QueryFormer(featurizer, self.config.encoder, self.rng)
-        self.plan_cache = PlanEmbeddingCache(self.queryformer)
-        self.plan_embeddings = self.plan_cache.embeddings_for(self.batch)
-
-        self.knowledge = ExternalKnowledge.from_probes(engine, self.batch, self.config_space)
-        self.mask = (
-            AdaptiveMask.build(self.batch, self.knowledge, self.config_space, self.config.masking)
-            if self.use_masking
-            else AdaptiveMask.unmasked(len(self.batch), len(self.config_space))
-        )
+        self.plan_embeddings, self.knowledge, self.mask = self._batch_context(self.batch, engine)
         self.clusters: QueryClusters | None = None
         #: The fitted simulator behind :attr:`simulator` / :attr:`perf_model`,
         #: built on first read after :meth:`prepare` (which clears it).
@@ -151,26 +145,26 @@ class RLSchedulerBase(BaseScheduler):
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_workload(
-        cls,
-        workload: Workload,
-        engine: DatabaseEngine,
-        config: BQSchedConfig | None = None,
-        seed: int | None = None,
-    ) -> "RLSchedulerBase":
-        """Build a scheduler for ``workload`` executing on ``engine``."""
-        config = config or BQSchedConfig()
-        if seed is not None:
-            config.seed = seed
-        return cls(workload, engine, config)
+    def _batch_context(
+        self, batch: BatchQuerySet, engine: "DatabaseEngine | Cluster"
+    ) -> tuple[np.ndarray, ExternalKnowledge, AdaptiveMask]:
+        """A batch's plan embeddings, probe knowledge and adaptive mask on ``engine``."""
+        plan_embeddings = PlanEmbeddingCache(self.queryformer).embeddings_for(batch)
+        knowledge = ExternalKnowledge.from_probes(engine, batch, self.config_space)
+        mask = (
+            AdaptiveMask.build(batch, knowledge, self.config_space, self.config.masking)
+            if self.use_masking
+            else AdaptiveMask.unmasked(len(batch), len(self.config_space))
+        )
+        return plan_embeddings, knowledge, mask
 
     def _build_env(self, backend, **overrides) -> SchedulingEnv:
         """The one place an environment is built.  ``overrides`` replace the
-        scheduler's own components (another batch with its knowledge and
-        mask, another connection count, a strategy label)."""
+        scheduler's own components (another batch with its plan embeddings,
+        knowledge and mask, another connection count, a strategy label)."""
         components = dict(
             batch=self.batch,
+            plan_embeddings=self.plan_embeddings,
             scheduler_config=self.config.scheduler,
             config_space=self.config_space,
             knowledge=self.knowledge,
@@ -188,11 +182,9 @@ class RLSchedulerBase(BaseScheduler):
             ppo_config = replace(ppo_config, num_envs=num_envs)
         return trainer_cls(
             policy=self.policy,
-            plan_embeddings=self.plan_embeddings,
             env=env,
             config=ppo_config,
             seed=self.config.seed,
-            eval_env=self.env,
             arena=self._update_arena,
         )
 
@@ -294,7 +286,6 @@ class RLSchedulerBase(BaseScheduler):
         self,
         num_updates: int = 10,
         pretrain_updates: int | None = None,
-        eval_every: int = 0,
         history_rounds: int = 3,
         keep_best: bool = True,
     ) -> TrainingHistory:
@@ -342,7 +333,7 @@ class RLSchedulerBase(BaseScheduler):
             )
             # No name holds the pre-trainer: with the env deleted, its optimizer
             # slabs, simulated envs and rollouts are freed before fine-tuning.
-            self._make_trainer(sim_env, num_envs=pretrain_envs).train(pretrain_updates, eval_every=0)
+            self._make_trainer(sim_env, num_envs=pretrain_envs).train(pretrain_updates)
             del sim_env
             self.timings["pretrain"] = fit_s + time.perf_counter() - started
             if keep_best:
@@ -354,7 +345,7 @@ class RLSchedulerBase(BaseScheduler):
         history = self.trainer.history
         for start in range(0, num_updates, checkpoint_every):
             chunk = min(checkpoint_every, num_updates - start)
-            history = self.trainer.train(chunk, eval_every=eval_every)
+            history = self.trainer.train(chunk)
             if keep_best:
                 self._validate_and_keep_best()
         self.timings["finetune"] = time.perf_counter() - started
@@ -381,15 +372,14 @@ class RLSchedulerBase(BaseScheduler):
     # ------------------------------------------------------------------ #
     def select_action(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         """Greedy action from the learned policy (BaseScheduler interface)."""
-        return self.policy.greedy_action(self.plan_embeddings, snapshot, env.action_mask(), clusters=env.clusters)
+        return self.policy.greedy_action(env.plan_embeddings, snapshot, env.action_mask(), clusters=env.clusters)
 
     def schedule(self, round_id: int | None = None) -> SchedulingResult:
         """Run one greedy scheduling round on the real DBMS."""
         return self.run_round(self.env, round_id=round_id)
 
-    def evaluate_policy(self, rounds: int | None = None, base_round_id: int = 50_000) -> StrategyEvaluation:
+    def evaluate_policy(self, rounds: int = 5, base_round_id: int = 50_000) -> StrategyEvaluation:
         """Efficiency / stability of the learned policy over ``rounds`` rounds."""
-        rounds = rounds or self.config.scheduler.evaluation_rounds
         return self.evaluate(self.env, rounds=rounds, base_round_id=base_round_id)
 
     def evaluate_on(
@@ -404,7 +394,8 @@ class RLSchedulerBase(BaseScheduler):
         This is the paper's adaptability experiment (Table II): the policy is
         trained on one data/query scale and evaluated, without retraining, on
         a perturbed workload.  Plan embeddings, external knowledge and the
-        adaptive mask are rebuilt for the new batch; the policy network is
+        adaptive mask are rebuilt for the new batch (:meth:`_batch_context`)
+        into one env, which :meth:`evaluate` runs; the policy network is
         reused as-is (the attention-based state supports variable batch
         sizes).  In the cluster setting ``engine`` may be a *different*
         fleet — the cross-configuration scenario: trained on a homogeneous
@@ -425,23 +416,11 @@ class RLSchedulerBase(BaseScheduler):
                 f"backend has {instances}"
             )
         batch = workload.batch_query_set()
-        plan_embeddings = PlanEmbeddingCache(self.queryformer).embeddings_for(batch)
-        knowledge = ExternalKnowledge.from_probes(engine, batch, self.config_space)
-        mask = (
-            AdaptiveMask.build(batch, knowledge, self.config_space, self.config.masking)
-            if self.use_masking
-            else AdaptiveMask.unmasked(len(batch), len(self.config_space))
+        plan_embeddings, knowledge, mask = self._batch_context(batch, engine)
+        env = self._build_env(
+            engine, batch=batch, plan_embeddings=plan_embeddings, knowledge=knowledge, mask=mask, clusters=None
         )
-        env = self._build_env(engine, batch=batch, knowledge=knowledge, mask=mask, clusters=None)
-        evaluation = StrategyEvaluation(strategy=self.name)
-        for offset in range(rounds):
-            snapshot = env.reset(round_id=base_round_id + offset)
-            done = False
-            while not done:
-                step = env.step(self.policy.greedy_action(plan_embeddings, snapshot, env.action_mask()))
-                snapshot, done = step.snapshot, step.done
-            evaluation.add(env.result().makespan)
-        return evaluation
+        return self.evaluate(env, rounds=rounds, base_round_id=base_round_id)
 
     # ------------------------------------------------------------------ #
     # Event-driven serving

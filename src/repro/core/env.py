@@ -260,8 +260,18 @@ class SchedulingEnv:
         clusters=None,
         strategy_name: str = "rl",
         arrivals: "ArrivalProcess | Sequence[float] | None" = None,
+        plan_embeddings: np.ndarray | None = None,
     ) -> None:
+        if mask is not None and mask.num_queries != len(batch):
+            raise SchedulingError(f"the mask covers {mask.num_queries} queries but the batch has {len(batch)}")
+        if plan_embeddings is not None and len(plan_embeddings) != len(batch):
+            raise SchedulingError(
+                f"plan_embeddings has {len(plan_embeddings)} rows but the batch has {len(batch)} queries"
+            )
         self.batch = batch
+        #: The batch's plan-embedding rows: what a learned policy decides over
+        #: (``None`` for an env only heuristics drive).
+        self.plan_embeddings = plan_embeddings
         self.backend = backend
         self.scheduler_config = scheduler_config
         self.config_space = config_space
@@ -274,14 +284,7 @@ class SchedulingEnv:
         self._reads_context = fleet_size is not None
         #: Flat choices per slot: each picks a placement and a configuration.
         self.configs_per_slot = self.num_instances * self.num_configs
-        if mask is None:
-            mask = AdaptiveMask.unmasked(len(batch), self.num_configs)
-        elif mask.num_queries < len(batch):
-            # A mask built from a smaller probed set (e.g. before extra trace
-            # queries were appended) grows to cover the full batch; the new
-            # queries default to every configuration.
-            mask = mask.extended(len(batch))
-        self.mask = mask
+        self.mask = mask if mask is not None else AdaptiveMask.unmasked(len(batch), self.num_configs)
         self.clusters = clusters
         self.strategy_name = strategy_name
         self.arrivals = arrivals
@@ -311,8 +314,8 @@ class SchedulingEnv:
     def clone(self) -> "SchedulingEnv":
         """A fresh environment built from everything this one was built with.
 
-        The components (batch, backend, knowledge, mask, clusters, arrivals)
-        are shared; the clone registers its own single-tenant
+        The components (batch, backend, knowledge, mask, clusters, arrivals,
+        plan embeddings) are shared; the clone registers its own single-tenant
         runtime, so its rounds are independent of this environment's.  An
         environment bound to a shared-runtime tenant cannot be cloned: the
         clones would fight over one tenant's round.
@@ -329,6 +332,7 @@ class SchedulingEnv:
             clusters=self.clusters,
             strategy_name=self.strategy_name,
             arrivals=self.arrivals,
+            plan_embeddings=self.plan_embeddings,
         )
 
     # ------------------------------------------------------------------ #

@@ -38,7 +38,7 @@ class IQPPOTrainer(PPOTrainer):
         return self._auxiliary_epochs(
             lambda: fastgrad.iq_ppo_aux_step(
                 self.policy,
-                self.plan_embeddings,
+                self.env.plan_embeddings,
                 snapshots,
                 query_ids,
                 masks,

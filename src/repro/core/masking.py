@@ -90,26 +90,6 @@ class AdaptiveMask:
             allowed={i: list(range(num_configs)) for i in range(num_queries)},
         )
 
-    def extended(self, num_queries: int) -> "AdaptiveMask":
-        """Grow the mask to a larger query set (streaming scenario).
-
-        Queries beyond the ones the mask was built from — e.g. late arrivals
-        that were never probed in isolation — default to every configuration,
-        exactly like queries absent from ``allowed``.  The known queries keep
-        their pruned sets.  Shrinking is not allowed.
-        """
-        if num_queries < self.num_queries:
-            raise SchedulingError(
-                f"cannot shrink mask from {self.num_queries} to {num_queries} queries"
-            )
-        if num_queries == self.num_queries:
-            return self
-        return AdaptiveMask(
-            num_queries=num_queries,
-            num_configs=self.num_configs,
-            allowed={query_id: list(configs) for query_id, configs in self._allowed.items()},
-        )
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

@@ -39,7 +39,7 @@ class PPGTrainer(PPOTrainer):
         return self._auxiliary_epochs(
             lambda: fastgrad.ppg_aux_step(
                 self.policy,
-                self.plan_embeddings,
+                self.env.plan_embeddings,
                 snapshots,
                 masks,
                 old_log_probs=old_log_probs,

@@ -4,7 +4,10 @@
 scheduling episodes from a :class:`repro.core.env.SchedulingEnv`, computes
 GAE advantages, and optimises the clipped surrogate objective plus a value
 loss and an entropy bonus.  PPG and IQ-PPO subclass it and add their
-respective auxiliary phases.
+respective auxiliary phases.  The env is the batch context: the trainer
+reads its plan embeddings and clusters from ``env``, and every clone carries
+them.  The trainer evaluates nothing; greedy evaluation is the scheduler's
+:meth:`~repro.core.baselines.BaseScheduler.evaluate`.
 
 ``PPOConfig.num_envs`` is the width of the one rollout engine: ``env`` plus
 ``num_envs - 1`` clones step in lockstep as a
@@ -29,7 +32,6 @@ from ..timing import SectionTimers
 from .env import SchedulingEnv
 from .policy import ActorCriticNetwork
 from .rollout import RolloutBuffer, Transition
-from .types import StrategyEvaluation
 from .vecenv import VectorSchedulingEnv
 
 __all__ = ["PPOTrainer", "TrainingHistory"]
@@ -42,7 +44,6 @@ class TrainingHistory:
     steps: list[int] = field(default_factory=list)
     train_rewards: list[float] = field(default_factory=list)
     train_makespans: list[float] = field(default_factory=list)
-    eval_makespans: list[float] = field(default_factory=list)
     policy_losses: list[float] = field(default_factory=list)
     value_losses: list[float] = field(default_factory=list)
     aux_losses: list[float] = field(default_factory=list)
@@ -56,20 +57,18 @@ class PPOTrainer:
     def __init__(
         self,
         policy: ActorCriticNetwork,
-        plan_embeddings: np.ndarray,
         env: SchedulingEnv,
         config: PPOConfig,
         seed: int = 0,
-        eval_env: SchedulingEnv | None = None,
         arena: fastgrad.Arena | None = None,
     ) -> None:
         reason = fastgrad.fused_training_reason(policy)
         if reason is not None:
             raise ConfigurationError(f"the fused update kernels cannot train this policy: {reason}")
+        if env.plan_embeddings is None:
+            raise ConfigurationError("the training env carries no plan_embeddings for the policy to decide over")
         self.policy = policy
-        self.plan_embeddings = plan_embeddings
         self.env = env
-        self.eval_env = eval_env or env
         self.config = config
         #: Pool behind every minibatch-sized temporary of the updates.  Trainers
         #: that never update at the same time (pre-training, then fine-tuning)
@@ -100,7 +99,7 @@ class PPOTrainer:
         """
         buffer = RolloutBuffer(gamma=self.config.gamma, gae_lambda=self.config.gae_lambda)
         vec = self.vec_env
-        clusters = vec.clusters
+        plan_embeddings, clusters = self.env.plan_embeddings, vec.clusters
         snapshots: dict[int, object] = {}
         active: list[int] = []
         episodes_started = 0
@@ -112,7 +111,7 @@ class PPOTrainer:
         while active:
             masks = vec.masks_for(active)
             batch_snapshots = [snapshots[i] for i in active]
-            decisions = self.policy.act_batch(self.plan_embeddings, batch_snapshots, masks, self.rng, clusters=clusters)
+            decisions = self.policy.act_batch(plan_embeddings, batch_snapshots, masks, self.rng, clusters=clusters)
             steps = vec.step_many(active, [d.action for d in decisions])
             still_active: list[int] = []
             for slot, index in enumerate(active):
@@ -159,7 +158,7 @@ class PPOTrainer:
             self.optimizer.zero_grad()
             policy_loss, value_loss = fastgrad.ppo_minibatch_step(
                 self.policy,
-                self.plan_embeddings,
+                self.env.plan_embeddings,
                 snapshots,
                 np.array([t.action for t in batch], dtype=np.int64),
                 masks,
@@ -236,9 +235,9 @@ class PPOTrainer:
     # ------------------------------------------------------------------ #
     # Training loop
     # ------------------------------------------------------------------ #
-    def train(self, num_updates: int, eval_every: int = 2, eval_rounds: int = 1) -> TrainingHistory:
+    def train(self, num_updates: int) -> TrainingHistory:
         """Alternate rollout collection and optimisation for ``num_updates`` rounds."""
-        for update_index in range(num_updates):
+        for _ in range(num_updates):
             with self.timers.section("rollout"):
                 buffer = self.collect_rollouts(self.config.rollouts_per_update)
             with self.timers.section("update"):
@@ -255,25 +254,7 @@ class PPOTrainer:
             self.history.policy_losses.append(losses["policy_loss"])
             self.history.value_losses.append(losses["value_loss"])
             self.history.aux_losses.append(aux_loss)
-            if eval_every and (update_index + 1) % eval_every == 0:
-                evaluation = self.evaluate(rounds=eval_rounds)
-                self.history.eval_makespans.append(evaluation.mean)
         return self.history
-
-    def evaluate(self, rounds: int = 5, base_round_id: int = 10_000) -> StrategyEvaluation:
-        """Run the current policy greedily for ``rounds`` evaluation rounds."""
-        clusters = self.eval_env.clusters
-        evaluation = StrategyEvaluation(strategy=self.algorithm)
-        for offset in range(rounds):
-            snapshot = self.eval_env.reset(round_id=base_round_id + offset)
-            done = False
-            while not done:
-                mask = self.eval_env.action_mask()
-                step = self.eval_env.step(self.policy.greedy_action(self.plan_embeddings, snapshot, mask, clusters))
-                snapshot = step.snapshot
-                done = step.done
-            evaluation.add(self.eval_env.result().makespan)
-        return evaluation
 
     # ------------------------------------------------------------------ #
     # Shared auxiliary utilities
@@ -286,5 +267,5 @@ class PPOTrainer:
         auxiliary phase begins (Algorithm 1, line 6).
         """
         return fastgrad.policy_log_probs(
-            self.policy, self.plan_embeddings, snapshots, masks, self.arena, clusters=self.env.clusters
+            self.policy, self.env.plan_embeddings, snapshots, masks, self.arena, clusters=self.env.clusters
         )

@@ -14,7 +14,6 @@ from repro.dbms import ConfigurationSpace
 def small_config() -> BQSchedConfig:
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 4
-    config.scheduler.evaluation_rounds = 2
     return config
 
 

@@ -76,11 +76,6 @@ class TestBQSchedFacade:
         trained_bqsched.ingest_online_log(log)
         assert len(trained_bqsched.history_log) >= 3
 
-    def test_from_workload_constructor(self, tiny_setup):
-        workload, engine, config = tiny_setup
-        scheduler = LSchedScheduler.from_workload(workload, engine, config, seed=3)
-        assert scheduler.config.seed == 3
-
 
 def _eager_perf_model(scheduler) -> PerformanceModel:
     """The model an eager ``prepare()`` fitted: the facade's arguments, fitted on its log now."""
@@ -298,7 +293,7 @@ class TestTrainingMemory:
         assert scheduler._update_arena.nbytes == 0 and scheduler._update_arena.num_buffers == 0
         # The fine-tuner keeps the emptied pool: a further update refills it.
         assert scheduler.trainer.arena is scheduler._update_arena
-        scheduler.trainer.train(1, eval_every=0)
+        scheduler.trainer.train(1)
         assert scheduler._update_arena.nbytes > 0
 
 

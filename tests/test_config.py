@@ -70,7 +70,6 @@ class TestSchedulerConfig:
             {"memory_options": ()},
             {"worker_options": (0,)},
             {"memory_options": (-64,)},
-            {"evaluation_rounds": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -155,7 +155,6 @@ class TestPolicyValidation:
             "num_connections",
             "worker_options",
             "memory_options",
-            "evaluation_rounds",
         ]
 
     def test_service_config_control_knobs(self):

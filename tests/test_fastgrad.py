@@ -504,8 +504,9 @@ def build_trainer(trainer_cls, num_envs=2, clustered=False, norm="batch"):
         knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(config_space)),
         clusters=clusters,
+        plan_embeddings=plan_embeddings,
     )
-    return trainer_cls(policy, plan_embeddings, env, config.ppo, seed=0)
+    return trainer_cls(policy, env, config.ppo, seed=0)
 
 
 #: The update inputs the facade can produce beyond ``build_trainer``'s default
@@ -531,7 +532,7 @@ def collect(trainer):
 
 def slab_bytes(samples, trainer):
     """fastgrad's estimate of the arena bytes a slab of ``samples`` of the trainer's policy steps keeps live."""
-    return fastgrad._slab_bytes(trainer.policy, len(trainer.plan_embeddings), samples, trainer.env.clusters)
+    return fastgrad._slab_bytes(trainer.policy, len(trainer.env.plan_embeddings), samples, trainer.env.clusters)
 
 
 @contextlib.contextmanager
@@ -587,7 +588,7 @@ def tape_ppo_losses(trainer, batch):
     """The clipped-surrogate objective on the autograd tape: ``(loss, policy_loss, value_loss)``."""
     config = trainer.config
     log_probs, entropies, values, _ = trainer.policy.evaluate_actions_batch(
-        trainer.plan_embeddings,
+        trainer.env.plan_embeddings,
         [t.snapshot for t in batch],
         np.array([t.action for t in batch], dtype=np.int64),
         np.stack([t.mask for t in batch], axis=0),
@@ -608,7 +609,7 @@ def tape_ppo_losses(trainer, batch):
 def tape_old_log_probs(trainer, transitions):
     with no_grad():
         _, _, _, log_probs = trainer.policy.evaluate_actions_batch(
-            trainer.plan_embeddings,
+            trainer.env.plan_embeddings,
             [t.snapshot for t in transitions],
             np.array([t.action for t in transitions], dtype=np.int64),
             np.stack([t.mask for t in transitions], axis=0),
@@ -620,7 +621,7 @@ def tape_old_log_probs(trainer, transitions):
 def tape_ppg_aux_loss(trainer, transitions, old_log_probs):
     policy = trainer.policy
     snapshots = [t.snapshot for t in transitions]
-    representation = policy.encode_batch(trainer.plan_embeddings, snapshots)
+    representation = policy.encode_batch(trainer.env.plan_embeddings, snapshots)
     value_predictions = policy.auxiliary_times_batch(representation).mean(axis=-1)
     targets = Tensor(np.array([t.value_target for t in transitions]))
     aux_loss = ((value_predictions - targets) ** 2).mean() * 0.5
@@ -631,7 +632,7 @@ def tape_ppg_aux_loss(trainer, transitions, old_log_probs):
 
 def tape_iq_aux_loss(trainer, transitions, old_log_probs):
     predicted, new_log_probs = trainer.policy.evaluate_auxiliary_batch(
-        trainer.plan_embeddings,
+        trainer.env.plan_embeddings,
         [t.snapshot for t in transitions],
         np.array([t.aux_query_id for t in transitions], dtype=np.int64),
         np.stack([t.mask for t in transitions], axis=0),
@@ -694,28 +695,28 @@ def policy_digest(policy) -> str:
 
 
 def behavior_digest(trainer, rounds=2) -> str:
-    """Digest of the policy's greedy decisions + makespans on the eval env."""
+    """Digest of the policy's greedy decisions + makespans on the trainer's env."""
     digest = hashlib.sha256()
     for offset in range(rounds):
-        snapshot = trainer.eval_env.reset(round_id=50_000 + offset)
+        snapshot = trainer.env.reset(round_id=50_000 + offset)
         done = False
         while not done:
-            mask = trainer.eval_env.action_mask()
+            mask = trainer.env.action_mask()
             action = trainer.policy.greedy_action(
-                trainer.plan_embeddings, snapshot, mask, clusters=trainer.eval_env.clusters
+                trainer.env.plan_embeddings, snapshot, mask, clusters=trainer.env.clusters
             )
             digest.update(int(action).to_bytes(4, "little"))
-            step = trainer.eval_env.step(action)
+            step = trainer.env.step(action)
             snapshot = step.snapshot
             done = step.done
-        digest.update(np.float64(trainer.eval_env.result().makespan).tobytes())
+        digest.update(np.float64(trainer.env.result().makespan).tobytes())
     return digest.hexdigest()
 
 
 def ppo_step(trainer, batch, arena):
     snapshots, masks = trainer._stack(batch)
     return fastgrad.ppo_minibatch_step(
-        trainer.policy, trainer.plan_embeddings, snapshots,
+        trainer.policy, trainer.env.plan_embeddings, snapshots,
         np.array([t.action for t in batch], dtype=np.int64), masks,
         old_log_probs=np.array([t.log_prob for t in batch]),
         advantages=np.array([t.advantage for t in batch]),
@@ -765,7 +766,7 @@ class TestFusedTrainerSteps:
             # Per slab, as in test_attention_backward_hands_its_buffers_back:
             # one softmax per layer plus ONE gradient, whatever the minibatch.
             encoder = trainer.policy.state_encoder.config
-            tokens = len(trainer.plan_embeddings) + 1
+            tokens = len(trainer.env.plan_embeddings) + 1
             assert len(arena._free[(slab, encoder.state_heads, tokens, tokens)]) == encoder.state_layers + 1
             assert not arena._used
             # The budget's estimate is what the pool holds.
@@ -810,7 +811,7 @@ class TestFusedTrainerSteps:
 
         def step():
             return fastgrad.ppg_aux_step(
-                policy, trainer.plan_embeddings, snapshots, masks,
+                policy, trainer.env.plan_embeddings, snapshots, masks,
                 old_log_probs=old, value_targets=np.array([t.value_target for t in transitions]),
                 beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
             )
@@ -838,7 +839,7 @@ class TestFusedTrainerSteps:
 
         def step():
             return fastgrad.iq_ppo_aux_step(
-                policy, trainer.plan_embeddings, snapshots,
+                policy, trainer.env.plan_embeddings, snapshots,
                 np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
                 old_log_probs=old,
                 time_targets=np.array([t.aux_target / TIME_SCALE for t in transitions]),
@@ -902,8 +903,8 @@ class TestEndToEndFusedTraining:
     def test_fused_training_behaviorally_matches_tape(self, trainer_cls):
         tape = use_tape_updates(build_trainer(trainer_cls, num_envs=2))
         fused = build_trainer(trainer_cls, num_envs=2)
-        tape.train(num_updates=2, eval_every=0)
-        fused.train(num_updates=2, eval_every=0)
+        tape.train(num_updates=2)
+        fused.train(num_updates=2)
 
         tape_state = tape.policy.state_dict()
         fused_state = fused.policy.state_dict()
@@ -955,7 +956,7 @@ class TestEndToEndFusedTraining:
         }
         for trainer_cls in (PPOTrainer, PPGTrainer, IQPPOTrainer):
             trainer = build_trainer(trainer_cls, num_envs=1)
-            trainer.train(num_updates=2, eval_every=0)
+            trainer.train(num_updates=2)
             assert policy_digest(trainer.policy) == pinned[trainer_cls.algorithm], (
                 f"{trainer_cls.algorithm}: sequential training digest drifted"
             )
@@ -965,7 +966,7 @@ class TestEndToEndFusedTraining:
     def test_update_and_aux_phase_never_touch_the_tape(self, monkeypatch, trainer_cls, mode):
         forbid_tape_backward(monkeypatch)
         trainer = build_trainer(trainer_cls, **TRAINER_MODES[mode])
-        history = trainer.train(num_updates=1, eval_every=0)  # aux_every=1: update + aux phase
+        history = trainer.train(num_updates=1)  # aux_every=1: update + aux phase
         assert np.isfinite(history.policy_losses[0]) and np.isfinite(history.value_losses[0])
         assert np.isfinite(history.aux_losses[0]) and history.aux_losses[0] != 0.0
 
@@ -1080,7 +1081,7 @@ class TestFusedFallbacks:
         reason = fastgrad.fused_training_reason(trainer.policy)
         assert reason is not None and "bias" in reason
         with pytest.raises(ConfigurationError, match="policy_head has a bias-free linear layer"):
-            PPOTrainer(trainer.policy, trainer.plan_embeddings, trainer.env, trainer.config)
+            PPOTrainer(trainer.policy, trainer.env, trainer.config)
 
     def test_perfmodel_gate_rejects_missing_bias(self, rng):
         from repro.perf.fit import FitProgram
@@ -1113,7 +1114,7 @@ class TestFusedFallbacks:
 
     def test_trainer_timers_record_phases(self):
         trainer = build_trainer(PPOTrainer, num_envs=2)
-        trainer.train(num_updates=1, eval_every=0)
+        trainer.train(num_updates=1)
         timings = trainer.timers.as_dict()
         assert {"rollout", "update", "optimizer"} <= set(timings)
 

@@ -450,32 +450,26 @@ class TestServeFacade:
             scheduler.serve(num_tenants=0)
 
 
-class TestMaskExtension:
-    def test_extended_allows_everything_for_new_queries(self):
-        mask = AdaptiveMask(num_queries=2, num_configs=3, allowed={0: [0], 1: [0, 2]})
-        grown = mask.extended(4)
-        assert grown.num_queries == 4
-        assert grown.allowed_configs(0) == [0]
-        assert grown.allowed_configs(1) == [0, 2]
-        assert grown.allowed_configs(2) == [0, 1, 2]
-        assert grown.allowed_configs(3) == [0, 1, 2]
-        assert mask.extended(2) is mask
-        with pytest.raises(SchedulingError):
-            mask.extended(1)
-
-    def test_env_grows_undersized_mask_to_batch(self, digest_env):
+class TestBatchContextRows:
+    def test_env_rejects_a_mask_or_embeddings_of_another_size(self, digest_env):
+        """The mask and the plan embeddings are the batch's rows: any other count raises."""
         batch = digest_env.batch
-        small_mask = AdaptiveMask(num_queries=2, num_configs=digest_env.num_configs, allowed={0: [0]})
-        env = SchedulingEnv(
+        components = dict(
             batch=batch,
             backend=DatabaseEngine(DBMSProfile.dbms_x(), seed=0),
             scheduler_config=digest_env.scheduler_config,
             config_space=digest_env.config_space,
             knowledge=digest_env.knowledge,
-            mask=small_mask,
         )
-        assert env.mask.num_queries == len(batch)
-        assert env.mask.allowed_configs(0) == [0]
-        assert env.mask.allowed_configs(len(batch) - 1) == list(range(env.num_configs))
-        result = FIFOScheduler().run_round(env, round_id=0)
-        assert len(result.round_log) == len(batch)
+        num_configs = digest_env.num_configs
+        for rows in (2, len(batch) + 1):
+            with pytest.raises(SchedulingError, match=f"mask covers {rows} queries but the batch has {len(batch)}"):
+                SchedulingEnv(**components, mask=AdaptiveMask.unmasked(rows, num_configs))
+            with pytest.raises(SchedulingError, match=f"plan_embeddings has {rows} rows"):
+                SchedulingEnv(**components, plan_embeddings=np.zeros((rows, 4)))
+        env = SchedulingEnv(
+            **components,
+            mask=AdaptiveMask.unmasked(len(batch), num_configs),
+            plan_embeddings=np.zeros((len(batch), 4)),
+        )
+        assert env.clone().plan_embeddings is env.plan_embeddings

@@ -350,7 +350,7 @@ class TestTrainerParity:
             while not done:
                 mask = trainer.env.action_mask()
                 decision = trainer.policy.act(
-                    trainer.plan_embeddings, snapshot, mask, trainer.rng, clusters=clusters
+                    trainer.env.plan_embeddings, snapshot, mask, trainer.rng, clusters=clusters
                 )
                 step = trainer.env.step(decision.action)
                 buffer.add(
@@ -371,7 +371,6 @@ class TestTrainerParity:
         config.num_envs = num_envs
         return PPOTrainer(
             policy=scheduler.policy,
-            plan_embeddings=scheduler.plan_embeddings,
             env=env,
             config=config,
             seed=scheduler.config.seed,
@@ -454,7 +453,6 @@ class TestTrainerParity:
             config.num_envs = 3
             trainer = cls(
                 policy=sim_setup.policy,
-                plan_embeddings=sim_setup.plan_embeddings,
                 env=sim_setup._build_env(backend=sim_setup.simulator),
                 config=config,
                 seed=0,
@@ -465,7 +463,7 @@ class TestTrainerParity:
 
     def test_vectorized_training_improves_or_completes(self, sim_setup, sim_env):
         trainer = self._make_trainer(sim_setup, sim_env, num_envs=4)
-        history = trainer.train(num_updates=2, eval_every=0)
+        history = trainer.train(num_updates=2)
         assert len(history.train_makespans) >= 2
         assert all(np.isfinite(m) for m in history.train_makespans)
 
