@@ -49,7 +49,6 @@ from .workloads import (
     FlashCrowdArrivals,
     PoissonArrivals,
     Query,
-    TraceArrivals,
     Workload,
     make_arrival_process,
     make_workload,
@@ -109,7 +108,6 @@ __all__ = [
     "FlashCrowdArrivals",
     "PoissonArrivals",
     "Query",
-    "TraceArrivals",
     "Workload",
     "make_arrival_process",
     "make_workload",

@@ -8,7 +8,7 @@ presets).  Each dataclass validates itself on construction and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .exceptions import ConfigurationError
@@ -64,8 +64,9 @@ class EncoderConfig:
         state features.
     max_height:
         Maximum plan-tree height supported by the height encoding.
-    norm:
-        ``"batch"`` (paper default) or ``"layer"`` normalisation.
+
+    Both attention stacks normalise with the paper's per-state batch norm;
+    layer norm is the learned simulator's, not a policy option.
     """
 
     plan_embedding_dim: int = 32
@@ -77,7 +78,6 @@ class EncoderConfig:
     state_layers: int = 2
     mlp_layers: int = 2
     max_height: int = 16
-    norm: str = "batch"
 
     def __post_init__(self) -> None:
         _require(self.plan_embedding_dim > 0, "plan_embedding_dim must be positive")
@@ -85,7 +85,6 @@ class EncoderConfig:
         _require(self.state_dim % self.state_heads == 0, "state_dim must divide state_heads")
         _require(self.tree_layers >= 1 and self.state_layers >= 1, "attention stacks need >= 1 layer")
         _require(self.mlp_layers >= 1, "mlp_layers must be >= 1")
-        _require(self.norm in ("batch", "layer"), "norm must be 'batch' or 'layer'")
 
 
 @dataclass
@@ -162,16 +161,16 @@ class ClusteringConfig:
 
     Whether a scheduler clusters at all is its ``use_clustering`` arm, not a
     field here: ``BQSched`` switches it on for batches of more than 150
-    queries.
+    queries.  Members within a cluster are always released
+    most-costly-first (MCF) by the knowledge base's average times; there is
+    no intra-cluster order to choose.
     """
 
     num_clusters: int = 100
-    intra_cluster_order: str = "mcf"
     gain_model_hidden: int = 32
 
     def __post_init__(self) -> None:
         _require(self.num_clusters >= 1, "num_clusters must be >= 1")
-        _require(self.intra_cluster_order in ("fifo", "mcf"), "intra_cluster_order must be 'fifo' or 'mcf'")
 
 
 @dataclass
@@ -210,11 +209,6 @@ class SchedulerConfig:
         _require(len(self.memory_options) >= 1, "memory_options must not be empty")
         _require(all(w >= 1 for w in self.worker_options), "worker counts must be >= 1")
         _require(all(m > 0 for m in self.memory_options), "memory options must be positive")
-
-    @property
-    def num_configurations(self) -> int:
-        """Number of running-parameter configurations per query."""
-        return len(self.worker_options) * len(self.memory_options)
 
 
 @dataclass(frozen=True)
@@ -413,10 +407,6 @@ class BQSchedConfig:
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        """Return a plain-dict snapshot (for logging and EXPERIMENTS.md)."""
-        return asdict(self)
 
     def seed_spawner(self) -> "SeedSpawner":
         """Root of the experiment's deterministic entropy tree.

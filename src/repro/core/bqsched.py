@@ -225,13 +225,7 @@ class RLSchedulerBase(BaseScheduler):
                 seed=self.config.seed,
             )
             num_clusters = min(self.config.clustering.num_clusters, len(self.batch))
-            self.clusters = cluster_queries(
-                self.batch,
-                gain_matrix,
-                num_clusters,
-                knowledge=self.knowledge,
-                intra_cluster_order=self.config.clustering.intra_cluster_order,
-            )
+            self.clusters = cluster_queries(self.batch, gain_matrix, num_clusters, knowledge=self.knowledge)
             self.env = self._build_env(backend=self.engine)
 
         # The log changed: the next read of ``simulator`` fits a fresh model.
@@ -507,11 +501,8 @@ class RLSchedulerBase(BaseScheduler):
             if num_connections is None
             else replace(self.config.scheduler, num_connections=num_connections)
         )
-        if admission is not None or autoscale is not None:
-            control = ControlPlane(retry=retry, admission=admission, autoscale=autoscale)
-            runtime = ExecutionRuntime(self.engine, faults=faults, control=control)
-        else:
-            runtime = ExecutionRuntime(self.engine, retry=retry, faults=faults)
+        control = ControlPlane(retry=retry, admission=admission, autoscale=autoscale)
+        runtime = ExecutionRuntime(self.engine, faults=faults, control=control)
         envs = []
         classes = tuple(tenant_classes) if tenant_classes else ()
         for index in range(num_tenants):

@@ -58,9 +58,6 @@ class QueryClusters:
         """Submission order of the cluster's queries."""
         return list(self._members[cluster_id])
 
-    def cluster_of(self, query_id: int) -> int:
-        return int(self.assignments[query_id])
-
     def sizes(self) -> list[int]:
         return [len(members) for members in self._members]
 
@@ -113,13 +110,14 @@ def cluster_queries(
     gain_matrix: np.ndarray,
     num_clusters: int,
     knowledge: ExternalKnowledge | None = None,
-    intra_cluster_order: str = "mcf",
 ) -> QueryClusters:
     """Agglomerative average-linkage clustering on the scheduling-gain matrix.
 
     The gain is a *similarity*; it is converted into a distance by
     subtracting from the maximum observed gain.  ``num_clusters`` trades
-    scheduling granularity against training cost (Figure 8).
+    scheduling granularity against training cost (Figure 8).  Each cluster's
+    members are ordered most-costly-first (MCF) by ``knowledge``'s average
+    times, or by batch order without knowledge.
     """
     n = len(batch)
     if gain_matrix.shape != (n, n):
@@ -144,11 +142,9 @@ def cluster_queries(
     for query in batch:
         members[assignments[query.query_id]].append(query.query_id)
 
-    intra_orders = []
-    for cluster_members in members:
-        ordered = _order_members(cluster_members, knowledge, intra_cluster_order)
-        intra_orders.append(ordered)
-    return QueryClusters(assignments=assignments, intra_orders=intra_orders)
+    if knowledge is not None:
+        members = [sorted(group, key=knowledge.average_time, reverse=True) for group in members]
+    return QueryClusters(assignments=assignments, intra_orders=members)
 
 
 def _average_linkage(distance: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -221,11 +217,3 @@ def _cut(children: list[tuple[int, int]], heights: np.ndarray, num_clusters: int
             leader = -1
         stack.pop()
     return labels - 1
-
-
-def _order_members(members: list[int], knowledge: ExternalKnowledge | None, order: str) -> list[int]:
-    if order == "fifo" or knowledge is None:
-        return sorted(members)
-    if order == "mcf":
-        return sorted(members, key=lambda qid: knowledge.average_time(qid), reverse=True)
-    raise SchedulingError(f"unknown intra-cluster order {order!r}")

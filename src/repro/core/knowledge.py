@@ -92,21 +92,6 @@ class ExternalKnowledge:
             return self.average_times[query_id]
         return self.expected_time(query_id, 0)
 
-    def mcf_order(self, batch: BatchQuerySet) -> list[int]:
-        """Query ids ordered by decreasing average execution time."""
-        return sorted(
-            (q.query_id for q in batch),
-            key=lambda query_id: self.average_time(query_id),
-            reverse=True,
-        )
-
-    def best_configuration(self, query_id: int) -> int:
-        """Configuration index with the lowest expected time for ``query_id``."""
-        per_config = self.config_times.get(query_id)
-        if not per_config:
-            return 0
-        return min(per_config, key=per_config.get)
-
     def improvement_profile(self, query_id: int) -> dict[int, tuple[float, float]]:
         """Absolute / relative gain of each configuration over the cheapest one.
 

@@ -167,10 +167,6 @@ class RolloutBuffer:
         indices = rng.choice(len(transitions), size=count, replace=False)
         return [transitions[i] for i in indices]
 
-    def num_in_flight(self) -> int:
-        """Number of episodes currently being collected (vectorized rollouts)."""
-        return sum(1 for transitions in self._current.values() if transitions)
-
     def clear(self) -> None:
         self._episodes.clear()
         self._current.clear()

@@ -63,9 +63,5 @@ class StrategyEvaluation:
     def best(self) -> float:
         return float(np.min(self.makespans)) if self.makespans else float("nan")
 
-    @property
-    def worst(self) -> float:
-        return float(np.max(self.makespans)) if self.makespans else float("nan")
-
     def __repr__(self) -> str:
         return f"StrategyEvaluation({self.strategy}: {self.mean:.2f} ± {self.std:.2f} over {len(self.makespans)} rounds)"

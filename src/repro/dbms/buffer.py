@@ -65,7 +65,3 @@ class BufferPool:
         self._resident.clear()
         self._last_touch.clear()
         self.version += 1
-
-    def resident_tables(self) -> dict[str, float]:
-        """Snapshot of resident rows per table."""
-        return dict(self._resident)

@@ -52,12 +52,6 @@ class QueryExecutionRecord:
     def execution_time(self) -> float:
         return self.finish_time - self.submit_time
 
-    def overlap_with(self, other: "QueryExecutionRecord") -> float:
-        """Wall-clock overlap between this execution and ``other``."""
-        start = max(self.submit_time, other.submit_time)
-        end = min(self.finish_time, other.finish_time)
-        return max(0.0, end - start)
-
 
 @dataclass(frozen=True)
 class ConcurrencySnapshot:
@@ -222,19 +216,6 @@ class ExecutionLog:
             parts.append((ids[low], ids[high], overlap[kept], times[low], times[high]))
         query_i, query_j, overlap, time_i, time_j = (np.concatenate(column) for column in zip(*parts))
         return query_i, query_j, overlap, time_i, time_j
-
-    def pairwise_overlaps(self) -> dict[tuple[int, int], list[tuple[float, float, float]]]:
-        """For each unordered query pair, the list of concurrent executions.
-
-        Each entry is ``(overlap, time_i, time_j)``: the wall-clock overlap and
-        the two execution times observed in that round.  Only pairs that
-        actually overlapped are included (:meth:`overlapping_pairs`, grouped).
-        """
-        result: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
-        query_i, query_j, overlap, time_i, time_j = (column.tolist() for column in self.overlapping_pairs())
-        for key_i, key_j, entry in zip(query_i, query_j, zip(overlap, time_i, time_j)):
-            result.setdefault((key_i, key_j), []).append(entry)
-        return result
 
     def makespans(self) -> list[float]:
         return [round_log.makespan for round_log in self._rounds]

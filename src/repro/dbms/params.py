@@ -69,11 +69,6 @@ class ConfigurationSpace:
         """The cheapest configuration (fewest workers, least memory)."""
         return self._configs[0]
 
-    @property
-    def max_resources(self) -> RunningParameters:
-        """The most resource-hungry configuration."""
-        return self._configs[-1]
-
     def closest_to(self, target: RunningParameters, allowed: "list[int] | None" = None) -> RunningParameters:
         """Return the allowed configuration closest to ``target``.
 

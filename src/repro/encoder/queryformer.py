@@ -43,7 +43,6 @@ class QueryFormer(Module):
             num_heads=config.tree_heads,
             num_layers=config.tree_layers,
             rng=rng,
-            norm=config.norm,
         )
         self.output_proj = MLP([hidden, config.plan_embedding_dim], rng, activation="tanh", final_activation=True)
         #: additive attention bias per unit of tree distance

@@ -104,7 +104,6 @@ class StateEncoder(Module):
                 num_heads=config.state_heads,
                 num_layers=config.state_layers,
                 rng=rng,
-                norm=config.norm,
             )
         pooled_dim = 2 * run_state_featurizer.feature_dim
         self.global_mlp = MLP([state_dim + pooled_dim, state_dim, state_dim], rng, activation="tanh", final_activation=True)

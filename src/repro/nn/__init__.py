@@ -6,16 +6,7 @@ binary dependencies.
 """
 
 from .tensor import Tensor, concatenate, no_grad, stack, where
-from .functional import (
-    cross_entropy,
-    entropy,
-    huber_loss,
-    kl_divergence,
-    masked_log_softmax,
-    mse_loss,
-    nll_loss,
-    one_hot,
-)
+from .functional import entropy, masked_log_softmax
 from .layers import (
     Activation,
     BatchNorm,
@@ -31,7 +22,7 @@ from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
 from . import fastinfer
 from . import fastgrad
 from .optim import Adam, AdamSlabs, Optimizer, SGD, clip_grad_norm
-from .serialization import Checkpoint, load_module, save_module
+from .serialization import Checkpoint
 from . import backend
 
 __all__ = [
@@ -43,14 +34,8 @@ __all__ = [
     "fastinfer",
     "fastgrad",
     "backend",
-    "cross_entropy",
     "entropy",
-    "huber_loss",
-    "kl_divergence",
     "masked_log_softmax",
-    "mse_loss",
-    "nll_loss",
-    "one_hot",
     "Activation",
     "BatchNorm",
     "Embedding",
@@ -69,6 +54,4 @@ __all__ = [
     "SGD",
     "clip_grad_norm",
     "Checkpoint",
-    "load_module",
-    "save_module",
 ]

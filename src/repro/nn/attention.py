@@ -84,17 +84,6 @@ class MultiHeadAttention(Module):
         mixed = (weights @ values).transpose(0, 2, 1, 3).reshape(batch, tokens, self.model_dim)
         return self.out_proj(mixed)
 
-    def attention_weights(self, x: Tensor, bias: np.ndarray | None = None) -> np.ndarray:
-        """Return softmax attention weights ``(heads, tokens, tokens)`` for inspection."""
-        tokens = x.shape[0]
-        queries = self.query_proj(x).reshape(tokens, self.num_heads, self.head_dim).transpose(1, 0, 2)
-        keys = self.key_proj(x).reshape(tokens, self.num_heads, self.head_dim).transpose(1, 0, 2)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (queries @ keys.transpose(0, 2, 1)) * scale
-        if bias is not None:
-            scores = scores + Tensor(np.asarray(bias)[None, :, :])
-        return scores.softmax(axis=-1).data
-
 
 class AttentionBlock(Module):
     """One encoder layer: MHA + feed-forward, each with skip connection + norm.

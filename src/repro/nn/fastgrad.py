@@ -185,10 +185,6 @@ class Arena:
         self._used.clear()
 
     @property
-    def num_buffers(self) -> int:
-        return len(self._used) + sum(len(pool) for pool in self._free.values())
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the pool, outstanding and free."""
         outstanding = sum(_whole(buf).nbytes for buf in self._used.values())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .attention import AttentionEncoder
 from .functional import MASK_VALUE
-from .layers import MLP, BatchNorm, LayerNorm, Linear, Module, Parameter
+from .layers import MLP, BatchNorm, Linear, Module, Parameter
 
 __all__ = [
     "Float32Pack",
@@ -89,9 +89,8 @@ class Float32Pack:
             ))  # fmt: skip
         return blocks
 
-    def norm(self, norm: "BatchNorm | LayerNorm") -> Callable[[np.ndarray], np.ndarray]:
-        axis = 1 if isinstance(norm, BatchNorm) else -1
-        return functools.partial(_norm32, eps=norm.eps, gamma=self(norm.gamma), beta=self(norm.beta), axis=axis)
+    def norm(self, norm: BatchNorm) -> Callable[[np.ndarray], np.ndarray]:
+        return functools.partial(_norm32, eps=norm.eps, gamma=self(norm.gamma), beta=self(norm.beta))
 
 
 def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
@@ -139,17 +138,17 @@ def mlp32_shared(layers: list, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return mlp32(rest, hidden)
 
 
-def _norm32(x: np.ndarray, eps: float, gamma: np.ndarray, beta: np.ndarray, axis: int) -> np.ndarray:
-    """LayerNorm (``axis=-1``) or BatchNorm over each state's own tokens (``axis=1``), in place on ``x``.
+def _norm32(x: np.ndarray, eps: float, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """BatchNorm over each state's own tokens (axis 1 of ``(B, tokens, width)``), in place on ``x``.
 
     The mean and variance are scaled and rooted in place, equal bit for bit
     to ``gamma / (var + eps) ** 0.5``.
     """
-    inv_count = 1.0 / x.shape[axis]
-    mean = x.sum(axis=axis, keepdims=True)
+    inv_count = 1.0 / x.shape[1]
+    mean = x.sum(axis=1, keepdims=True)
     mean *= inv_count
     x -= mean
-    var = (x * x).sum(axis=axis, keepdims=True)
+    var = (x * x).sum(axis=1, keepdims=True)
     var *= inv_count
     var += eps
     np.sqrt(var, out=var)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "orthogonal", "zeros", "normal"]
+__all__ = ["xavier_uniform", "zeros", "normal"]
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -12,23 +12,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float
     fan_in, fan_out = shape[-2], shape[-1]
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation for a weight matrix."""
-    fan_in, fan_out = shape[-2], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def orthogonal(shape: tuple[int, int], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal initialisation, commonly used for policy network layers."""
-    rows, cols = shape
-    flat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q = q * np.sign(np.diag(r))
-    q = q[:rows, :cols] if rows >= cols else q.T[:rows, :cols]
-    return gain * q
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

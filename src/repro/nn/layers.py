@@ -73,10 +73,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Return a flat mapping from parameter names to arrays (copies)."""
         return {name: np.array(param.data, copy=True) for name, param in self.named_parameters()}

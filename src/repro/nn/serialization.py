@@ -1,52 +1,15 @@
-"""Checkpoint save / load helpers for modules.
+"""In-memory module checkpoints.
 
-The pre-train / fine-tune paradigm in Section IV-C saves intermediate
+The pre-train / fine-tune paradigm in Section IV-C keeps intermediate
 scheduler models during pre-training on the simulator and later restores the
-best of them before fine-tuning on the real DBMS.  These helpers implement
-that checkpointing using ``numpy.savez``.
+best of them before fine-tuning on the real DBMS.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import numpy as np
-
 from .layers import Module
 
-__all__ = ["save_module", "load_module", "Checkpoint"]
-
-
-def save_module(module: Module, path: "str | Path", metadata: dict | None = None) -> Path:
-    """Serialise ``module`` parameters (and optional metadata) to ``path``.
-
-    The file is a ``.npz`` archive whose keys are qualified parameter names;
-    metadata is stored as a JSON string under ``__metadata__``.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = dict(module.state_dict())
-    arrays["__metadata__"] = np.frombuffer(
-        json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_module(module: Module, path: "str | Path") -> dict:
-    """Load parameters saved by :func:`save_module` into ``module``.
-
-    Returns the metadata dictionary stored alongside the parameters.
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as archive:
-        metadata_raw = archive["__metadata__"].tobytes().decode("utf-8")
-        state = {key: archive[key] for key in archive.files if key != "__metadata__"}
-    module.load_state_dict(state)
-    return json.loads(metadata_raw)
+__all__ = ["Checkpoint"]
 
 
 class Checkpoint:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "concatenate", "stack", "where"]
+__all__ = ["Tensor", "no_grad", "concatenate", "stack", "where"]
 
 
 _GRAD_ENABLED = True
@@ -39,11 +39,6 @@ class no_grad:
     def __exit__(self, *exc_info: object) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
 
 
 def _as_array(value: "Tensor | np.ndarray | float | int | Sequence") -> np.ndarray:
@@ -123,10 +118,6 @@ class Tensor:
     def item(self) -> float:
         """Return the scalar value of a single-element tensor."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but detached from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""

@@ -118,20 +118,8 @@ class PhysicalPlan:
     def node(self, node_id: int) -> PlanNode:
         return self._nodes[node_id]
 
-    def parent_of(self, node_id: int) -> int | None:
-        """Return the parent node id, or ``None`` for the root."""
-        return self._parents.get(node_id)
-
     def depth_of(self, node_id: int) -> int:
         return self._heights[node_id]
-
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (parent-child edges)."""
-        matrix = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        for child_id, parent_id in self._parents.items():
-            matrix[child_id, parent_id] = 1.0
-            matrix[parent_id, child_id] = 1.0
-        return matrix
 
     def tree_distances(self) -> np.ndarray:
         """All-pairs path lengths along tree edges: ``depth(i) + depth(j) - 2 depth(lca(i, j))``.
@@ -195,23 +183,6 @@ class PhysicalPlan:
 
     def num_scans(self) -> int:
         return sum(1 for node in self._nodes if node.is_scan)
-
-    def to_dict(self) -> dict:
-        """Serialise the plan to a nested dictionary (for logs / debugging)."""
-
-        def encode(node: PlanNode) -> dict:
-            return {
-                "operator": node.operator.value,
-                "table": node.table,
-                "rows": node.estimated_rows,
-                "predicates": [
-                    {"column": p.column, "selectivity": p.selectivity, "uses_index": p.uses_index}
-                    for p in node.predicates
-                ],
-                "children": [encode(child) for child in node.children],
-            }
-
-        return encode(self.root)
 
     def __repr__(self) -> str:
         return (

@@ -128,10 +128,6 @@ class Catalog:
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    def table_index(self, name: str) -> int:
-        """Stable integer id of a table, used for one-hot featurisation."""
-        return self.table_names().index(name)
-
     def __len__(self) -> int:
         return len(self._tables)
 

@@ -241,10 +241,11 @@ class RetryDecision(NamedTuple):
 class ControlPlane:
     """Admission, retry and fleet-sizing decisions behind one interface.
 
-    The runtime constructs a default control plane
-    (``ControlPlane(retry=...)``) when none is supplied, which admits every
-    arrival, never scales, and reproduces the legacy retry arithmetic
-    bit-for-bit — the opt-in controllers only exist when their policies do.
+    It is the one owner of each decision: the runtime reads its retry policy
+    from here and nowhere else.  The runtime constructs a default control
+    plane (``ControlPlane()``: no retry policy) when none is supplied, which
+    admits every arrival and never scales — the opt-in controllers only
+    exist when their policies do.
     """
 
     def __init__(
@@ -333,9 +334,3 @@ class ControlPlane:
         if self.fleet is None:
             return None
         return self.fleet.tick(shared, backlog, now)
-
-    def scale_events(self) -> tuple[ScaleEvent, ...]:
-        """The round's scaling ledger (empty without an autoscale policy)."""
-        if self.fleet is None:
-            return ()
-        return tuple(self.fleet.events)

@@ -48,10 +48,6 @@ class EventQueue:
         if appended:
             heapq.heapify(self._heap)
 
-    def peek(self) -> RuntimeEvent | None:
-        """The earliest event without removing it (``None`` when empty)."""
-        return self._heap[0][2] if self._heap else None
-
     def peek_time(self) -> float | None:
         """Time of the earliest event (``None`` when empty)."""
         return self._heap[0][0] if self._heap else None

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..config import RetryPolicy
 from ..dbms.engine import CompletionEvent, RunningQueryState
 from ..dbms.faults import FAILURE_OUTAGE, FAILURE_TIMEOUT
 from ..dbms.logs import QueryExecutionRecord, RoundLog
@@ -89,40 +88,30 @@ class ExecutionRuntime:
 
     ``faults`` injects a :class:`~repro.dbms.faults.FailureProfile` into
     every round the runtime opens (passed through to the backend's
-    ``new_session``); ``retry`` governs how failed attempts are handled —
-    backoff re-arrivals through the event queue, straggler timeout kills,
-    and the terminal-failure fallback once the attempt budget is exhausted.
-    Instance-outage kills are *always* requeued (retry policy or not): an
-    outage is the fleet's fault, not the query's.  Both default to ``None``,
-    which keeps every code path bit-identical to the fault-free tree.
+    ``new_session``).
 
     Arrival handling, retry decisions and elastic fleet sizing all flow
-    through one :class:`~repro.runtime.controlplane.ControlPlane`.  Pass
-    ``control`` to turn on admission control (arrivals can be *shed* under
-    overload) and autoscaling (instances park/unpark with the backlog); the
-    default control plane admits everything, never scales, and reproduces
-    the legacy retry arithmetic exactly.  ``retry`` and a ``control`` that
-    carries its own policy are mutually exclusive — one owner per decision.
+    through one :class:`~repro.runtime.controlplane.ControlPlane`, the one
+    owner of each decision.  Its ``retry`` policy governs how failed attempts
+    are handled — backoff re-arrivals through the event queue, straggler
+    timeout kills, and the terminal-failure fallback once the attempt budget
+    is exhausted; its admission controller can *shed* arrivals under
+    overload, and its autoscaler parks and unparks instances with the
+    backlog.  Instance-outage kills are *always* requeued (retry policy or
+    not): an outage is the fleet's fault, not the query's.  The default
+    control plane has no retry policy, admits everything and never scales;
+    with ``faults`` unset too, every code path is bit-identical to the
+    fault-free tree.
     """
 
     def __init__(
         self,
         backend: Any,
-        retry: RetryPolicy | None = None,
         faults: "FailureProfile | None" = None,
         control: "ControlPlane | None" = None,
     ) -> None:
         self.backend = backend
-        if control is None:
-            control = ControlPlane(retry=retry)
-        elif retry is not None:
-            if control.retry is not None and control.retry is not retry:
-                raise SchedulingError(
-                    "pass the retry policy through the control plane (or as retry=), not both"
-                )
-            control.retry = retry
-        self.control = control
-        self.retry = control.retry
+        self.control = control if control is not None else ControlPlane()
         self.faults = faults
         self._tenants: dict[str, _TenantState] = {}
         self._offsets: list[int] = []
@@ -262,21 +251,13 @@ class ExecutionRuntime:
 
     def _open_round(self, num_connections: int | None, strategy: str, round_id: int | None) -> None:
         union = BatchQuerySet([query for name in self._order for query in self._tenants[name].batch])
-        if self.faults is None:
-            self._shared = self.backend.new_session(
-                union,
-                num_connections=num_connections,
-                strategy=strategy,
-                round_id=round_id,
-            )
-        else:
-            self._shared = self.backend.new_session(
-                union,
-                num_connections=num_connections,
-                strategy=strategy,
-                round_id=round_id,
-                faults=self.faults,
-            )
+        self._shared = self.backend.new_session(
+            union,
+            num_connections=num_connections,
+            strategy=strategy,
+            round_id=round_id,
+            faults=self.faults,
+        )
         self.events.clear()
         self._attempts.clear()
         self._outage_kills.clear()
@@ -528,10 +509,11 @@ class ExecutionRuntime:
         global_id = state.offset + local_id
         attempt = self._attempts.get(global_id, 0) + 1
         self._attempts[global_id] = attempt
-        if self.retry is not None and self.retry.timeout is not None:
+        retry = self.control.retry
+        if retry is not None and retry.timeout is not None:
             self.events.push(
                 QueryTimeout(
-                    time=self.shared_session.current_time + self.retry.timeout,
+                    time=self.shared_session.current_time + retry.timeout,
                     tenant=state.name,
                     query_id=local_id,
                     attempt=attempt,
@@ -652,9 +634,8 @@ class TenantSession:
         #: they would have arrived) — this ledger distinguishes load shedding
         #: from exhausted retries.
         self.shed: dict[int, float] = {}
-        #: Queries awaiting a scheduled retry re-arrival, and when it fires.
+        #: Queries awaiting a scheduled retry re-arrival.
         self._retrying: set[int] = set()
-        self._retry_times: dict[int, float] = {}
         self.num_failed_attempts = 0
         self.num_timeouts = 0
         self.num_retries = 0
@@ -737,10 +718,6 @@ class TenantSession:
     def retrying_ids(self) -> tuple[int, ...]:
         """Queries whose failed attempt awaits its scheduled retry re-arrival."""
         return tuple(sorted(self._retrying))
-
-    def retry_time(self, query_id: int) -> float:
-        """When the query's scheduled retry re-arrives (0.0 if not retrying)."""
-        return self._retry_times.get(query_id, 0.0)
 
     def attempts(self, query_id: int) -> int:
         """Submission attempts so far for one of this tenant's queries."""
@@ -869,14 +846,11 @@ class TenantSession:
         if event.will_retry:
             self.num_retries += 1
             self._retrying.add(event.query_id)
-            if event.retry_at is not None:
-                self._retry_times[event.query_id] = event.retry_at
         else:
             self.failed[event.query_id] = event.time
 
     def _on_retry(self, event: QueryRetry) -> None:
         self._retrying.discard(event.query_id)
-        self._retry_times.pop(event.query_id, None)
         self.pending.append(event.query_id)
 
     def _on_completion(self, event: QueryCompletion, record: QueryExecutionRecord) -> None:

@@ -6,7 +6,6 @@ from .arrivals import (
     ClosedArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
-    TraceArrivals,
     make_arrival_process,
 )
 from .base import BatchQuerySet, Query, Workload
@@ -27,7 +26,6 @@ __all__ = [
     "ClosedArrivals",
     "FlashCrowdArrivals",
     "PoissonArrivals",
-    "TraceArrivals",
     "make_arrival_process",
     "BatchQuerySet",
     "Query",

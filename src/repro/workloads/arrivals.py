@@ -8,18 +8,17 @@ time; the event-driven runtime (:mod:`repro.runtime`) releases each query
 into its tenant's pending set when the clock reaches that time, and the
 scheduler keeps deciding over the growing pending set.
 
-Four processes cover the scenarios the related open-stream schedulers train
+Three processes cover the scenarios the related open-stream schedulers train
 on: Poisson arrivals (memoryless steady load), bursty arrivals (queries land
-in clumps, the hard case for contention), flash-crowd arrivals (a steady
+in clumps, the hard case for contention) and flash-crowd arrivals (a steady
 stream with one overload window where the rate multiplies — the admission
-control stress test), and trace arrivals (replay of a recorded submission
-log).
+control stress test).  A recorded submission log replays through
+``ExecutionRuntime.register(arrivals=<times>)``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "FlashCrowdArrivals",
-    "TraceArrivals",
     "make_arrival_process",
 ]
 
@@ -158,26 +156,6 @@ class FlashCrowdArrivals(ArrivalProcess):
             intensity < at_start, before, np.where(intensity < at_end, inside, after)
         )
         return result
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replay of recorded arrival times (e.g. from a production submit log)."""
-
-    def __init__(self, trace: Sequence[float]) -> None:
-        times = np.asarray(list(trace), dtype=np.float64)
-        if times.size == 0:
-            raise WorkloadError("arrival trace must not be empty")
-        if (times < 0).any():
-            raise WorkloadError("arrival times must be >= 0")
-        self.trace = times
-
-    def times(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
-        self._validate(num_queries)
-        if num_queries > self.trace.size:
-            raise WorkloadError(
-                f"trace has {self.trace.size} arrivals but the batch needs {num_queries}"
-            )
-        return self.trace[:num_queries].copy()
 
 
 def make_arrival_process(

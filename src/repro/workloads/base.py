@@ -99,22 +99,6 @@ class BatchQuerySet:
         """Sum of all queries' abstract work; a lower bound proxy on makespan."""
         return sum(q.total_work for q in self._queries)
 
-    def table_footprint(self) -> dict[str, float]:
-        """Aggregate rows scanned per table across the whole batch."""
-        footprint: dict[str, float] = {}
-        for query in self._queries:
-            for table, rows in query.tables.items():
-                footprint[table] = footprint.get(table, 0.0) + rows
-        return footprint
-
-    def subset(self, indices: Sequence[int]) -> "BatchQuerySet":
-        """Return a new batch containing only the queries at ``indices``."""
-        return BatchQuerySet([self._queries[i] for i in indices])
-
-    def sorted_by_cost(self, descending: bool = True) -> list[Query]:
-        """Queries ordered by total work (the MCF heuristic's ordering)."""
-        return sorted(self._queries, key=lambda q: q.total_work, reverse=descending)
-
 
 class Workload:
     """A benchmark instance: catalogue + template specs + generated queries."""

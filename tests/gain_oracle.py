@@ -10,7 +10,9 @@ summed.  The batched kernels are checked against it.
 ``param.grad`` and installing fresh weights every step.  ``loop_overlaps``
 and ``loop_scheduling_gains`` are the Python pair loops that
 ``ExecutionLog.overlapping_pairs`` and ``compute_scheduling_gains`` replaced
-with arrays.  The library must match all three byte for byte.
+with arrays, over the pairwise ``overlap`` of two executions;
+``grouped_overlaps`` groups the library's pair arrays the way the loop does.
+The library must match all three byte for byte.
 """
 
 from __future__ import annotations
@@ -63,6 +65,20 @@ def adam_fit(
     return losses
 
 
+def overlap(rec_a, rec_b) -> float:
+    """Wall-clock overlap between two executions (0.0 when they did not overlap)."""
+    return max(0.0, min(rec_a.finish_time, rec_b.finish_time) - max(rec_a.submit_time, rec_b.submit_time))
+
+
+def grouped_overlaps(log) -> dict:
+    """``log.overlapping_pairs()`` grouped per unordered query pair, in ``loop_overlaps``' shape."""
+    result: dict = {}
+    query_i, query_j, overlaps, time_i, time_j = (column.tolist() for column in log.overlapping_pairs())
+    for key_i, key_j, entry in zip(query_i, query_j, zip(overlaps, time_i, time_j)):
+        result.setdefault((key_i, key_j), []).append(entry)
+    return result
+
+
 def loop_overlaps(log) -> dict:
     """For each unordered query pair, its ``(overlap, time_i, time_j)`` executions in log order."""
     result: dict = {}
@@ -71,14 +87,14 @@ def loop_overlaps(log) -> dict:
         for a in range(len(records)):
             for b in range(a + 1, len(records)):
                 rec_a, rec_b = records[a], records[b]
-                overlap = rec_a.overlap_with(rec_b)
-                if overlap <= 0:
+                pair_overlap = overlap(rec_a, rec_b)
+                if pair_overlap <= 0:
                     continue
                 key = (min(rec_a.query_id, rec_b.query_id), max(rec_a.query_id, rec_b.query_id))
                 if rec_a.query_id <= rec_b.query_id:
-                    entry = (overlap, rec_a.execution_time, rec_b.execution_time)
+                    entry = (pair_overlap, rec_a.execution_time, rec_b.execution_time)
                 else:
-                    entry = (overlap, rec_b.execution_time, rec_a.execution_time)
+                    entry = (pair_overlap, rec_b.execution_time, rec_a.execution_time)
                 result.setdefault(key, []).append(entry)
     return result
 

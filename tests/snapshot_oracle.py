@@ -31,6 +31,7 @@ from repro.config import TIME_SCALE
 from repro.core.env import cluster_instance_count
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
 from repro.exceptions import SchedulingError
+from repro.runtime import QueryRetry
 
 
 class QueryStatus(str, Enum):
@@ -262,6 +263,14 @@ def featurize_aos(
 # --------------------------------------------------------------------------- #
 
 
+def retry_time(session, query_id: int) -> float:
+    """When ``query_id``'s scheduled retry re-arrives: the time of its ``QueryRetry`` on the runtime's queue."""
+    for _, _, event in session._runtime.events._heap:
+        if isinstance(event, QueryRetry) and event.tenant == session.name and event.query_id == query_id:
+            return event.time
+    raise AssertionError(f"query {query_id} of tenant {session.name!r} has no scheduled retry")
+
+
 def snapshot_aos(env) -> SchedulingSnapshot:
     """The env's current state, one frozen info per query from the session's object API."""
     session = env.session
@@ -308,7 +317,7 @@ def snapshot_aos(env) -> SchedulingSnapshot:
             # query backing off after a failed attempt becomes available at
             # its scheduled retry re-arrival.
             if query_id in retrying:
-                available_at = session.retry_time(query_id)
+                available_at = retry_time(session, query_id)
             else:
                 available_at = session.arrival_time(query_id)
             infos.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import weakref
 
@@ -290,7 +291,8 @@ class TestTrainingMemory:
         scheduler = BQSched(workload, engine, config)
         scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
         assert scheduler._best_state is None
-        assert scheduler._update_arena.nbytes == 0 and scheduler._update_arena.num_buffers == 0
+        arena = scheduler._update_arena
+        assert arena.nbytes == 0 and not arena._used and not any(arena._free.values())
         # The fine-tuner keeps the emptied pool: a further update refills it.
         assert scheduler.trainer.arena is scheduler._update_arena
         scheduler.trainer.train(1)
@@ -327,14 +329,14 @@ class TestClusteringIntegration:
         """Switching clustering on for a large batch is the scheduler's own arm: a later
         scheduler built from the same config clusters only if its own batch is large."""
         config = BQSchedConfig.small(seed=0)
-        before = config.to_dict()
+        before = copy.deepcopy(config)
         large = BQSched(
             make_workload("tpcds", scale_factor=1.0, query_scale=1.6, seed=0),
             DatabaseEngine(DBMSProfile.dbms_x(), seed=0),
             config,
         )
         assert len(large.batch) == 158 and large.use_clustering
-        assert config.to_dict() == before
+        assert config == before
         small = BQSched(
             make_workload("tpcds", scale_factor=1.0, seed=0), DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config
         )

@@ -89,11 +89,11 @@ def clustered_env(backend: str) -> SchedulingEnv:
     clusters = cluster_queries(batch, np.random.default_rng(5).random((n, n)), 6, knowledge=knowledge)
     rng = np.random.default_rng(9)
     allowed = {
-        query_id: [0] if clusters.cluster_of(query_id) == 0 else
+        query_id: [0] if clusters.assignments[query_id] == 0 else
         sorted(rng.choice(num_configs, size=int(rng.integers(1, num_configs + 1)), replace=False).tolist())
         for query_id in range(1, n)
     }  # fmt: skip
-    if clusters.cluster_of(0) == 0:
+    if clusters.assignments[0] == 0:
         allowed[0] = [0]
     return SchedulingEnv(
         batch=batch,

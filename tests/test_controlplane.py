@@ -58,7 +58,6 @@ from repro.runtime import (
 from repro.workloads import (
     FlashCrowdArrivals,
     PoissonArrivals,
-    TraceArrivals,
     make_arrival_process,
 )
 from snapshot_oracle import featurize_aos, kept_columns, snapshot_aos
@@ -424,7 +423,7 @@ class TestSimulatorBackedRuntime:
         shedding = self._drain(ExecutionRuntime(simulator, control=control), fixture_batch, space, arrivals)
         assert shedding.shed and set(shedding.shed) <= set(shedding.failed)
         retry = RetryPolicy(timeout=1e-3, max_attempts=2)
-        timing_out = self._drain(ExecutionRuntime(simulator, retry=retry), fixture_batch, space)
+        timing_out = self._drain(ExecutionRuntime(simulator, control=ControlPlane(retry=retry)), fixture_batch, space)
         assert timing_out.num_timeouts > 0
 
 
@@ -474,7 +473,7 @@ class TestAutoscaledServing:
             if runtime.is_done:
                 break
             runtime.advance()
-        events = control.scale_events()
+        events = control.fleet.events
         assert [e.action for e in events[:2]] == ["park", "park"]  # initial sizing
         assert any(e.action == "unpark" for e in events), "the burst must trigger a scale-up"
         assert session.is_done and len(session.finished) == 22
@@ -498,15 +497,15 @@ class TestDefaultPathEquivalence:
             logs.append(_digest(session.log))
         assert logs[0] == logs[1]
 
-    def test_conflicting_retry_ownership_rejected(self):
+    def test_the_control_plane_is_the_one_owner_of_the_retry_policy(self):
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        control = ControlPlane(retry=RetryPolicy(max_attempts=2))
-        with pytest.raises(SchedulingError):
-            ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3), control=control)
-        # Same object through both doors is fine.
+        with pytest.raises(TypeError):
+            ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3))
         retry = RetryPolicy(max_attempts=2)
-        runtime = ExecutionRuntime(engine, retry=retry, control=ControlPlane(retry=retry))
-        assert runtime.retry is retry
+        control = ControlPlane(retry=retry)
+        runtime = ExecutionRuntime(engine, control=control)
+        assert runtime.control is control and control.retry is retry
+        assert ExecutionRuntime(engine).control.retry is None
 
 
 class TestTenantClassStaysOutOfThePolicy:
@@ -608,10 +607,6 @@ class TestTenantClassStaysOutOfThePolicy:
 
 
 class TestArrivalEdges:
-    def test_empty_trace_rejected(self):
-        with pytest.raises(WorkloadError, match="must not be empty"):
-            TraceArrivals([])
-
     def test_zero_rate_poisson_rejected(self):
         with pytest.raises(WorkloadError, match="must be positive"):
             PoissonArrivals(0.0)

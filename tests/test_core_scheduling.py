@@ -23,14 +23,9 @@ class TestExternalKnowledge:
             for index in range(len(config_space)):
                 assert tpch_knowledge.expected_time(query.query_id, index) > 0
 
-    def test_mcf_order_is_descending(self, tpch_knowledge, tpch_batch):
-        order = tpch_knowledge.mcf_order(tpch_batch)
-        times = [tpch_knowledge.average_time(qid) for qid in order]
-        assert times == sorted(times, reverse=True)
-
     def test_more_resources_never_hurt_isolated_probes(self, tpch_knowledge, tpch_batch, config_space):
         default = config_space.index_of(config_space.default)
-        best = config_space.index_of(config_space.max_resources)
+        best = len(config_space) - 1  # the most resource-hungry configuration
         for query in tpch_batch:
             assert tpch_knowledge.expected_time(query.query_id, best) <= tpch_knowledge.expected_time(
                 query.query_id, default
@@ -52,10 +47,6 @@ class TestExternalKnowledge:
     def test_improvement_profile_baseline_zero(self, tpch_knowledge, tpch_batch):
         profile = tpch_knowledge.improvement_profile(tpch_batch[0].query_id)
         assert profile[0] == (0.0, 0.0)
-
-    def test_best_configuration_in_range(self, tpch_knowledge, tpch_batch, config_space):
-        for query in tpch_batch:
-            assert 0 <= tpch_knowledge.best_configuration(query.query_id) < len(config_space)
 
 
 class TestAdaptiveMask:
@@ -184,7 +175,8 @@ class TestHeuristics:
         result = MCFScheduler().run_round(tpch_env, round_id=5)
         records = sorted(result.round_log, key=lambda r: (r.submit_time, -tpch_knowledge.average_time(r.query_id)))
         first_submitted = [r.query_id for r in records if r.submit_time == 0.0]
-        heaviest = set(tpch_knowledge.mcf_order(tpch_env.batch)[: len(first_submitted)])
+        mcf_order = sorted((q.query_id for q in tpch_env.batch), key=tpch_knowledge.average_time, reverse=True)
+        heaviest = set(mcf_order[: len(first_submitted)])
         assert set(first_submitted) == heaviest
 
     def test_evaluate_collects_requested_rounds(self, tpch_env):
@@ -192,7 +184,7 @@ class TestHeuristics:
         assert len(evaluation.makespans) == 3
         assert evaluation.mean > 0
         assert evaluation.std >= 0
-        assert evaluation.worst >= evaluation.best
+        assert max(evaluation.makespans) >= evaluation.best
 
     def test_evaluate_rejects_zero_rounds(self, tpch_env):
         with pytest.raises(SchedulingError):

@@ -37,10 +37,9 @@ from snapshot_oracle import snapshot_arrays
 
 
 def build_scheduler(
-    workload_name: str, norm: str, num_clusters: int | None, query_scale: float = 1.0
+    workload_name: str, num_clusters: int | None, query_scale: float = 1.0
 ) -> tuple[BQSched, object]:
     config = BQSchedConfig(seed=0)
-    config.encoder.norm = norm
     workload = make_workload(workload_name, scale_factor=1.0, query_scale=query_scale, seed=0)
     scheduler = BQSched(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config)
     if num_clusters is not None:
@@ -74,9 +73,9 @@ class Case(NamedTuple):
     stacks: list
 
 
-def facade_case(workload_name: str, num_clusters: int | None, norm: str, query_scale: float = 1.0) -> Case:
+def facade_case(workload_name: str, num_clusters: int | None, query_scale: float = 1.0) -> Case:
     """Mid-episode snapshots of a full-size workload, each a stack of one."""
-    scheduler, env = build_scheduler(workload_name, norm, num_clusters, query_scale)
+    scheduler, env = build_scheduler(workload_name, num_clusters, query_scale)
     sizes = {("tpch", 1.0): 22, ("tpcds", 1.0): 99, ("tpcds", 1.6): 158}
     assert len(scheduler.batch) == sizes[workload_name, query_scale]
     pairs = mid_episode(env, steps=len(scheduler.batch) // 2)
@@ -158,10 +157,9 @@ class TestTapeParity:
         "build_case",
         [
             pytest.param(
-                partial(facade_case, workload, num_clusters, norm, query_scale),
-                id=f"{workload}{'' if query_scale == 1.0 else f'@{query_scale}'}-{num_clusters}-{norm}",
+                partial(facade_case, workload, num_clusters, query_scale),
+                id=f"{workload}{'' if query_scale == 1.0 else f'@{query_scale}'}-{num_clusters}",
             )
-            for norm in ("batch", "layer")
             for workload, num_clusters, query_scale in (
                 ("tpch", None, 1.0), ("tpch", 8, 1.0), ("tpcds", None, 1.0), ("tpcds", 40, 1.0), ("tpcds", 100, 1.6)
             )
@@ -195,7 +193,7 @@ class TestTapeParity:
     def test_deciding_writes_no_batch_norm_statistics(self):
         """A token norm's statistics are its tokens' own: ``act`` and ``act_batch`` add no attribute to a norm
         and rebind or change none of its parameters."""
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         policy, plan = scheduler.policy, scheduler.plan_embeddings
         blocks = policy.state_encoder.attention._modules.values()
         norms = [norm for block in blocks for norm in (block.norm1, block.norm2)]
@@ -213,7 +211,7 @@ class TestTapeParity:
 
     def test_sampled_act_is_a_one_row_act_batch(self):
         """Same forward, same draw: ``act`` consumes the RNG like ``act_batch`` with B=1."""
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         policy, plan = scheduler.policy, scheduler.plan_embeddings
         for snapshot, mask in mid_episode(env, steps=6):
             single = policy.act(plan, snapshot, mask, np.random.default_rng(11))
@@ -228,7 +226,7 @@ class TestClusterPooling:
         return np.stack([per_query[members].mean(axis=0) for members in _cluster_member_indices(clusters, snapshot)])
 
     def test_vectorised_pooling_matches_the_per_cluster_loop(self):
-        _, env = build_scheduler("tpcds", "batch", 40)
+        _, env = build_scheduler("tpcds", 40)
         clusters = env.clusters
         assert max(clusters.sizes()) > 1
         per_query = np.random.default_rng(1).normal(size=(99, 48)).astype(np.float32)
@@ -243,7 +241,7 @@ class TestClusterPooling:
             np.testing.assert_allclose(pooled[index], self.reference(clusters, per_query, snapshot), atol=1e-5)
 
     def test_drained_and_single_pending_clusters(self):
-        _, env = build_scheduler("tpch", "batch", 8)
+        _, env = build_scheduler("tpch", 8)
         clusters = env.clusters
         big = int(np.argmax(clusters.sizes()))
         other = next(c for c in range(clusters.num_clusters) if c != big and len(clusters.members(c)) > 1)
@@ -263,7 +261,7 @@ class TestParameterRefresh:
     """The float32 parameter casts follow the installed arrays; a stale cast fails these."""
 
     def setup_case(self):
-        scheduler, env = build_scheduler("tpch", "layer", None)
+        scheduler, env = build_scheduler("tpch", None)
         snapshot, mask = mid_episode(env, steps=5)[-1]
         return scheduler, snapshot, mask
 
@@ -376,7 +374,7 @@ def full_row_pools(features: np.ndarray, status: np.ndarray) -> tuple[np.ndarray
     return pooled_all, pooled_running
 
 
-def all_channel_encoder(scheduler: BQSched, snapshots: list, norm: str = "batch") -> StateEncoder:
+def all_channel_encoder(scheduler: BQSched, snapshots: list) -> StateEncoder:
     """A fresh encoder whose featurizer reads every channel the served snapshots carry."""
     context = snapshots[0].instance_context_array
     featurizer = RunStateFeaturizer(
@@ -386,7 +384,7 @@ def all_channel_encoder(scheduler: BQSched, snapshots: list, norm: str = "batch"
     return StateEncoder(
         scheduler.plan_embeddings.shape[1],
         featurizer,
-        EncoderConfig(state_dim=24, state_heads=2, state_layers=1, norm=norm),
+        EncoderConfig(state_dim=24, state_heads=2, state_layers=1),
         np.random.default_rng(3),
     )
 
@@ -431,7 +429,7 @@ class TestSamplingInputs:
         assert_reaches_every_channel(kind, snapshots, sessions)
 
     def test_plan_row_mismatch_raises(self):
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         snapshot = env.reset(round_id=0)
         for inputs in (scheduler.state_encoder._sampling_inputs, scheduler.state_encoder._batch_inputs):
             with pytest.raises(ValueError, match="cover the same queries"):
@@ -441,13 +439,12 @@ class TestSamplingInputs:
 class TestDecisionProgram:
     """The float32 program that shares layer-1 terms across rows, against the tape and itself."""
 
-    @pytest.mark.parametrize("norm", ["batch", "layer"])
     @pytest.mark.parametrize("kind", sorted(SERVED))
-    def test_matches_the_tape_encoder(self, kind, norm):
+    def test_matches_the_tape_encoder(self, kind):
         """``per_query`` and ``global_state`` (the packed global MLP over ``global_input``) within 1e-5
         of the tape ``encode_batch``, relative to the largest."""
         scheduler, snapshots, sessions = SERVED[kind]()
-        encoder = all_channel_encoder(scheduler, snapshots, norm)
+        encoder = all_channel_encoder(scheduler, snapshots)
         plan = scheduler.plan_embeddings
         global_mlp = fastinfer.Float32Pack(lambda pack: pack.mlp(encoder.global_mlp)).weights
         for snapshot in snapshots:
@@ -484,7 +481,7 @@ def assert_plan_term_current(encoder: StateEncoder, plan: np.ndarray) -> np.ndar
 
 class TestPlanTerm:
     def test_computed_once_per_read_only_array(self):
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         plan, encoder = scheduler.plan_embeddings, scheduler.state_encoder
         with pytest.raises(ValueError, match="read-only"):
             plan[0, 0] = 1.0
@@ -518,7 +515,7 @@ def deciders(policy: ActorCriticNetwork) -> tuple:
 
 class TestDegenerateInputsAreLoud:
     def test_all_false_mask_raises(self):
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         snapshot = env.reset(round_id=0)
         nothing_allowed = np.zeros(env.action_dim, dtype=bool)
         for decide in deciders(scheduler.policy):
@@ -526,7 +523,7 @@ class TestDegenerateInputsAreLoud:
                 decide(scheduler.plan_embeddings, snapshot, nothing_allowed)
 
     def test_mask_shape_mismatch_raises(self):
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         snapshot = env.reset(round_id=0)
         for decide in deciders(scheduler.policy):
             with pytest.raises(ValueError, match="mask shape"):
@@ -541,7 +538,7 @@ class TestDegenerateInputsAreLoud:
                 masked(logits, mask)
 
     def test_plan_embedding_row_mismatch_raises(self):
-        scheduler, env = build_scheduler("tpch", "batch", None)
+        scheduler, env = build_scheduler("tpch", None)
         snapshot = env.reset(round_id=0)
         for decide in deciders(scheduler.policy):
             with pytest.raises(ValueError, match="cover the same queries"):
@@ -576,7 +573,7 @@ class TestGreedyAction:
         assert len(checked) == len(snapshots) > 0
 
     def test_every_clustered_decision_is_the_tape_argmax(self, monkeypatch):
-        scheduler, env = build_scheduler("tpch", "batch", 8)
+        scheduler, env = build_scheduler("tpch", 8)
         assert env.clusters is not None
         checked = self.check_against_the_tape(monkeypatch)
         scheduler.env = env

@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.config import RetryPolicy
 from repro.dbms import Cluster, ConfigurationSpace, FailureProfile, OutageWindow
-from repro.runtime import ExecutionRuntime, QueryFailure
+from repro.runtime import ControlPlane, ExecutionRuntime, QueryFailure
 
 #: The observable per-query columns the policy featurizes.
 _COLUMNS = ("status", "config_index", "elapsed", "expected_time", "available")
@@ -148,7 +148,7 @@ _FAULTS = FailureProfile(error_rate=0.2, hang_rate=0.1, outages=(OutageWindow(0,
 
 def _faulty_fifo_trace(backend, batch, space):
     """FIFO through the runtime; the observable state after every runtime event."""
-    runtime = ExecutionRuntime(backend, retry=RetryPolicy(3, timeout=8.0))
+    runtime = ExecutionRuntime(backend, control=ControlPlane(retry=RetryPolicy(3, timeout=8.0)))
     session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=0)
     shared = runtime.shared_session
     trace = []

@@ -43,6 +43,7 @@ from repro.core import (
 from repro.exceptions import ConfigurationError
 from repro.core.rollout import RolloutBuffer
 from repro.dbms import ConfigurationSpace
+from repro.workloads import BatchQuerySet
 from repro.encoder import PlanEmbeddingCache, QueryFormer, RunStateFeaturizer, StateEncoder
 from repro.nn import (
     MLP,
@@ -53,19 +54,23 @@ from repro.nn import (
     LayerNorm,
     MultiHeadAttention,
     Tensor,
-    cross_entropy,
     fastgrad,
     fastinfer,
     clip_grad_norm,
-    kl_divergence,
     masked_log_softmax,
     no_grad,
     where,
 )
 from repro.plans import PlanFeaturizer
 from simulator_oracle import tape_forward
+from tape_losses import cross_entropy, kl_divergence
 
 ATOL = 1e-9
+
+
+def num_buffers(arena: fastgrad.Arena) -> int:
+    """Buffers the pool holds, outstanding and free."""
+    return len(arena._used) + sum(len(pool) for pool in arena._free.values())
 
 
 @pytest.fixture()
@@ -395,11 +400,11 @@ class TestFusedKernels:
         assert second is first
         third = arena.empty((4, 3))
         assert third is not first
-        assert arena.num_buffers == 2
+        assert num_buffers(arena) == 2
         # Scratch handed back inside a step is reused before the reset.
         arena.release(third)
         assert arena.empty((4, 3)) is third
-        assert arena.num_buffers == 2
+        assert num_buffers(arena) == 2
 
     def test_arena_hands_a_short_shape_the_leading_rows_of_a_free_buffer(self):
         arena = fastgrad.Arena()
@@ -413,9 +418,9 @@ class TestFusedKernels:
         arena.release(short)
         assert arena.empty((4, 3)) is long
         arena.reset()
-        assert arena.num_buffers == 3
+        assert num_buffers(arena) == 3
         arena.clear()
-        assert (arena.nbytes, arena.num_buffers) == (0, 0)
+        assert (arena.nbytes, num_buffers(arena)) == (0, 0)
 
     def test_attention_backward_hands_its_buffers_back(self, rng, arena):
         """The pool holds one softmax per layer plus ONE gradient (not one per
@@ -430,9 +435,9 @@ class TestFusedKernels:
 
         step()
         assert len(arena._free[(2, 2, 5, 5)]) == 3 + 1
-        held, count = arena.nbytes, arena.num_buffers
+        held, count = arena.nbytes, num_buffers(arena)
         step()
-        assert (arena.nbytes, arena.num_buffers) == (held, count)
+        assert (arena.nbytes, num_buffers(arena)) == (held, count)
 
     def test_cluster_pooling_matches_pool_and_gradcheck(self, rng, arena):
         """Pooling forward == ``QueryClusters.pool``; its backward passes a
@@ -464,10 +469,9 @@ class TestFusedKernels:
 # ------------------------------------------------------------------ #
 # Trainer-level: fused steps vs the tape expressions they replaced
 # ------------------------------------------------------------------ #
-def build_trainer(trainer_cls, num_envs=2, clustered=False, norm="batch"):
+def build_trainer(trainer_cls, num_envs=2, clustered=False):
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 3
-    config.encoder.norm = norm
     config.ppo = PPOConfig(
         rollouts_per_update=2 if num_envs > 1 else 1,
         epochs_per_update=2,
@@ -477,7 +481,7 @@ def build_trainer(trainer_cls, num_envs=2, clustered=False, norm="batch"):
         aux_epochs=1,
     )
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
-    batch = workload.batch_query_set().subset(range(10))
+    batch = BatchQuerySet(workload.batch_query_set().queries[:10])
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     config_space = ConfigurationSpace(config.scheduler)
     knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)
@@ -743,12 +747,11 @@ class TestFusedTrainerSteps:
     def test_step_matches_tape_on_every_update_input(self, arena, step, mode):
         getattr(self, f"check_{step}")(arena, **TRAINER_MODES[mode])
 
-    @pytest.mark.parametrize("norm", ["batch", "layer"])
     @pytest.mark.parametrize("clustered", [False, True])
     @pytest.mark.parametrize("step", ["ppo_minibatch_step", "ppg_aux_step", "iq_ppo_aux_step"])
-    def test_slabs_match_the_whole_minibatch_step(self, arena, step, clustered, norm):
+    def test_slabs_match_the_whole_minibatch_step(self, arena, step, clustered):
         """B=8 as slabs of 3 + 3 + 2 (ragged last slab) against the one-slab step and the tape."""
-        getattr(self, f"check_{step}")(arena, slab=3, clustered=clustered, norm=norm)
+        getattr(self, f"check_{step}")(arena, slab=3, clustered=clustered)
 
     @pytest.mark.parametrize("clustered", [False, True])
     @pytest.mark.parametrize("slab", [1, 2, 3])
@@ -762,7 +765,7 @@ class TestFusedTrainerSteps:
             arena = fastgrad.Arena()
             with slabs_of(slab, trainer):
                 ppo_step(trainer, batch, arena)
-            held.append((arena.nbytes, arena.num_buffers))
+            held.append((arena.nbytes, num_buffers(arena)))
             # Per slab, as in test_attention_backward_hands_its_buffers_back:
             # one softmax per layer plus ONE gradient, whatever the minibatch.
             encoder = trainer.policy.state_encoder.config
@@ -987,7 +990,6 @@ class TestEndToEndFusedTraining:
         assert scheduler.schedule(round_id=0).makespan > 0
 
     def test_perfmodel_fused_fit_matches_tape(self):
-        from repro.nn import cross_entropy
         from repro.perf.features import TIME_SCALE
         from repro.perf.perfmodel import PerformanceModel, PredictionExample
 
@@ -996,7 +998,7 @@ class TestEndToEndFusedTraining:
             config.simulator.use_multitask = multitask
             config.scheduler.num_connections = 3
             workload = make_workload("tpch", scale_factor=1.0, seed=0)
-            batch = workload.batch_query_set().subset(range(8))
+            batch = BatchQuerySet(workload.batch_query_set().queries[:8])
             engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
             config_space = ConfigurationSpace(config.scheduler)
             knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)

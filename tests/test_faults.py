@@ -41,6 +41,7 @@ from repro.dbms import (
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.perf import PerformanceModel, SimulatedCluster
 from repro.runtime import (
+    ControlPlane,
     ExecutionRuntime,
     InstanceRecovery,
     QueryFailure,
@@ -48,8 +49,8 @@ from repro.runtime import (
     ServiceReport,
     TenantClass,
 )
-from repro.workloads import PoissonArrivals
-from snapshot_oracle import snapshot_aos
+from repro.workloads import BatchQuerySet, PoissonArrivals
+from snapshot_oracle import retry_time, snapshot_aos
 
 # SHA-256 of fault-free round logs produced by the PR-4 tree (commit c1b0f24)
 # for the fixture scenarios below.  With no FailureProfile/RetryPolicy
@@ -83,7 +84,7 @@ def small_config():
 def _drive(batch, space, faults, retry, num_connections=4, round_id=0, seed=0):
     """FIFO-drive one single-tenant round through the runtime; return the session."""
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=seed)
-    runtime = ExecutionRuntime(engine, retry=retry, faults=faults)
+    runtime = ExecutionRuntime(engine, faults=faults, control=ControlPlane(retry=retry))
     tenant = runtime.register("t", batch)
     session = tenant.new_session(batch, num_connections=num_connections, round_id=round_id)
     events = []
@@ -298,7 +299,7 @@ class TestRetrySemantics:
         submission reused the attempt number, the timer would pass the
         staleness guard and kill a perfectly healthy attempt."""
         space = ConfigurationSpace(small_config.scheduler)
-        batch = fixture_batch.subset([0])
+        batch = BatchQuerySet([fixture_batch[0]])
         clean, _ = _drive(batch, space, None, None, num_connections=1)
         duration = clean.makespan
         faults = FailureProfile(
@@ -319,14 +320,14 @@ class TestRetrySemantics:
         faults = FailureProfile(error_rate=1.0)
         retry = RetryPolicy(max_attempts=2, backoff=5.0)
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=faults)
-        runtime = ExecutionRuntime(engine, retry=retry)
+        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=4, round_id=0)
         session.submit(session.pending[0], space[0])
         failure = runtime.advance()
         assert isinstance(failure, QueryFailure) and failure.will_retry
         assert failure.retry_at == pytest.approx(failure.time + 5.0)
-        assert session.retry_time(failure.query_id) == failure.retry_at
+        assert retry_time(session, failure.query_id) == failure.retry_at
         # a backing-off query is pending-but-unavailable until its retry
         assert failure.query_id in session.retrying_ids()
 
@@ -349,7 +350,7 @@ class TestClusterOutage:
     def _cluster_round(self, fixture_batch, small_config, faults, retry=None):
         space = ConfigurationSpace(small_config.scheduler)
         cluster = Cluster.from_names(("x", "x"), seed=0, faults=faults)
-        runtime = ExecutionRuntime(cluster, retry=retry)
+        runtime = ExecutionRuntime(cluster, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=2, round_id=0)
         scheduler_cursor = 0
@@ -447,7 +448,7 @@ class TestSimulatedClusterFaults:
         return perf, cluster
 
     def _drive_sim(self, sim_cluster, batch, space, retry):
-        runtime = ExecutionRuntime(sim_cluster, retry=retry)
+        runtime = ExecutionRuntime(sim_cluster, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", batch)
         session = tenant.new_session(batch, num_connections=2, round_id=0)
         while not runtime.is_done:
@@ -552,7 +553,7 @@ class TestServiceReportFaults:
         engine = DatabaseEngine(
             DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.3)
         )
-        runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=4, backoff=0.1))
+        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=4, backoff=0.1)))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=4, round_id=0)
         while not runtime.is_done:
@@ -605,9 +606,9 @@ class TestRewardAndAttempts:
         faulty = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
         classed = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         rounds = {
-            "faulty": ExecutionRuntime(faulty, retry=RetryPolicy(max_attempts=3, backoff=0.1)).register(
-                "env", fixture_batch
-            ),
+            "faulty": ExecutionRuntime(
+                faulty, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1))
+            ).register("env", fixture_batch),
             # An impossible SLO makes every completion a miss.
             "classed": ExecutionRuntime(classed).register(
                 "env", fixture_batch, tenant_class=TenantClass("vip", priority=2.0, latency_slo=1e-6, deadline=60.0)
@@ -638,7 +639,7 @@ class TestRewardAndAttempts:
             DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.5, outages=(OutageWindow(0, 1.0, 1.0),))
         )
         knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
-        runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1))
+        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1)))
         env = SchedulingEnv(
             batch=fixture_batch,
             backend=runtime.register("env", fixture_batch),
@@ -673,9 +674,9 @@ class TestAttemptCounts:
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
         env = SchedulingEnv(
             batch=fixture_batch,
-            backend=ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.1)).register(
-                "env", fixture_batch
-            ),
+            backend=ExecutionRuntime(
+                engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1))
+            ).register("env", fixture_batch),
             scheduler_config=small_config.scheduler,
             config_space=space,
             knowledge=ExternalKnowledge.from_probes(engine, fixture_batch, space),

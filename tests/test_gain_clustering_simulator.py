@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
+from repro import BatchQuerySet, BQSched, BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.config import SimulatorConfig
 from repro.core import (
     AdaptiveMask,
@@ -23,10 +23,11 @@ from repro.core.clustering import _average_linkage
 from repro.core.gain import GAIN_BATCH_SIZE
 from repro.dbms import ExecutionLog, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
-from repro.nn import Adam, AdamSlabs, fastgrad, mse_loss
+from repro.nn import Adam, AdamSlabs, fastgrad
 from repro.perf import PerformanceModel, SimulatedCluster
 from repro.core import gain as gain_module
-from gain_oracle import adam_fit, loop_overlaps, loop_scheduling_gains, tape_gain, tape_predict
+from gain_oracle import adam_fit, grouped_overlaps, loop_overlaps, loop_scheduling_gains, tape_gain, tape_predict
+from tape_losses import mse_loss
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +210,7 @@ class TestByteIdenticalToTheLoops:
         connections = large_prepared.config.scheduler.num_connections
         log = engine.collect_logs(batch, orders, large_prepared.config_space.default, num_connections=connections)
         expected = loop_overlaps(log)
-        assert log.pairwise_overlaps() == expected
+        assert grouped_overlaps(log) == expected
         # Ten rounds put 8 or more terms under one np.mean: its pairwise sum, not a running sum.
         assert max(len(executions) for executions in expected.values()) >= (8 if rounds == 10 else rounds)
         gains, observed = compute_scheduling_gains(log, batch)
@@ -230,7 +231,7 @@ class TestByteIdenticalToTheLoops:
                 )
                 round_log.add(record)
             log.add_round(round_log)
-        assert log.pairwise_overlaps() == loop_overlaps(log)
+        assert grouped_overlaps(log) == loop_overlaps(log)
         gains, observed = compute_scheduling_gains(log, tpch_batch)
         want_gains, want_observed = loop_scheduling_gains(log, tpch_batch)
         assert observed.diagonal().any()
@@ -293,7 +294,7 @@ class TestClustering:
 
     def test_intra_order_mcf_is_descending(self, history_log, tpch_batch, tpch_knowledge):
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
-        clusters = cluster_queries(tpch_batch, gains, num_clusters=4, knowledge=tpch_knowledge, intra_cluster_order="mcf")
+        clusters = cluster_queries(tpch_batch, gains, num_clusters=4, knowledge=tpch_knowledge)
         for cluster_id in range(clusters.num_clusters):
             times = [tpch_knowledge.average_time(qid) for qid in clusters.intra_order(cluster_id)]
             assert times == sorted(times, reverse=True)
@@ -311,12 +312,12 @@ class TestClustering:
         with pytest.raises(SchedulingError):
             cluster_queries(tpch_batch, np.zeros((n, n)), num_clusters=0)
 
-    def test_cluster_of_matches_members(self, history_log, tpch_batch):
+    def test_assignments_match_members(self, history_log, tpch_batch):
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
         clusters = cluster_queries(tpch_batch, gains, num_clusters=3)
         for cluster_id in range(clusters.num_clusters):
             for qid in clusters.members(cluster_id):
-                assert clusters.cluster_of(qid) == cluster_id
+                assert clusters.assignments[qid] == cluster_id
 
     def test_all_equal_gains_give_one_cluster(self, tpch_batch):
         n = len(tpch_batch)
@@ -404,7 +405,7 @@ class TestSciPyOracle:
 
     @pytest.mark.parametrize("n", [3, 22, 99, 158])
     def test_labels_and_numbering_match_scipy(self, large_batch, n):
-        batch = large_batch.subset(range(n))
+        batch = BatchQuerySet(large_batch.queries[:n])
         for seed in range(3):
             gains = _seeded_gains(n, seed=1000 * n + seed)
             for k in sorted({1, 2, max(1, n // 3), round(0.63 * n), n - 1}):
@@ -416,7 +417,7 @@ class TestSciPyOracle:
     def test_property_small_matrices_match_scipy(self, large_batch, n, seed, data):
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
         gains = _seeded_gains(n, seed)
-        labels = cluster_queries(large_batch.subset(range(n)), gains, num_clusters=k).assignments
+        labels = cluster_queries(BatchQuerySet(large_batch.queries[:n]), gains, num_clusters=k).assignments
         assert np.array_equal(labels, self._oracle(gains, k))
 
 

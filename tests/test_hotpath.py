@@ -51,7 +51,7 @@ from repro.core import (
 )
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
-from repro.runtime import EventQueue, ExecutionRuntime, QueryArrival
+from repro.runtime import ControlPlane, EventQueue, ExecutionRuntime, QueryArrival
 from snapshot_oracle import featurize_aos, kept, kept_columns, snapshot_aos, to_snapshot
 
 # --------------------------------------------------------------------------- #
@@ -127,7 +127,7 @@ def _make_faulted() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, t
         seed=0,
         faults=FailureProfile(error_rate=0.25, outages=(OutageWindow(0, 4.0, 2.0),)),
     )
-    runtime = ExecutionRuntime(engine, retry=RetryPolicy(max_attempts=3, backoff=0.5))
+    runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.5)))
     env = SchedulingEnv(
         batch=batch,
         backend=runtime.register("env", batch),

@@ -47,9 +47,6 @@ class TestKnowledgeEdges:
         knowledge = _knowledge(space, config_times={7: {0: 1.25}})
         assert knowledge.average_time(7) == 1.25
 
-    def test_best_configuration_unseen_query_defaults_to_zero(self, space):
-        assert _knowledge(space).best_configuration(123) == 0
-
     def test_improvement_profile_without_baseline_is_empty(self, space):
         knowledge = _knowledge(space, config_times={1: {2: 4.0}})  # no config 0 probe
         assert knowledge.improvement_profile(1) == {}
@@ -58,20 +55,6 @@ class TestKnowledgeEdges:
         knowledge = _knowledge(space, config_times={1: {0: 0.0, 1: 0.0}})
         profile = knowledge.improvement_profile(1)
         assert profile[1] == (0.0, 0.0)
-
-    def test_mcf_order_tie_breaking_is_deterministic(self, space, tpch_batch):
-        n = len(tpch_batch)
-        knowledge = _knowledge(space, average_times={q.query_id: 5.0 for q in tpch_batch})
-        order = knowledge.mcf_order(tpch_batch)
-        # all-equal costs: Python's stable sort must keep ascending id order,
-        # every time.
-        assert order == list(range(n))
-        assert knowledge.mcf_order(tpch_batch) == order
-        # a single slower query jumps to the front; ties behind it stay stable
-        knowledge.average_times[7] = 9.0
-        order = knowledge.mcf_order(tpch_batch)
-        assert order[0] == 7
-        assert order[1:] == [i for i in range(n) if i != 7]
 
 
 class TestClusteringEdges:
@@ -84,7 +67,7 @@ class TestClusteringEdges:
         clusters = cluster_queries(batch, np.zeros((1, 1)), 1)
         assert clusters.num_clusters == 1
         assert clusters.members(0) == [0]
-        assert clusters.cluster_of(0) == 0
+        assert clusters.assignments[0] == 0
         assert clusters.sizes() == [1]
 
     def test_num_clusters_equals_batch_size_gives_singletons(self, tpch_batch):
@@ -94,7 +77,7 @@ class TestClusteringEdges:
         assert clusters.num_clusters == n
         assert clusters.sizes() == [1] * n
         for query in tpch_batch:
-            assert clusters.members(clusters.cluster_of(query.query_id)) == [query.query_id]
+            assert clusters.members(clusters.assignments[query.query_id]) == [query.query_id]
 
     def test_all_in_one_cluster(self, tpch_batch):
         n = len(tpch_batch)
@@ -116,21 +99,16 @@ class TestClusteringEdges:
     def test_mcf_intra_order_ties_deterministic(self, space, tpch_batch):
         n = len(tpch_batch)
         knowledge = _knowledge(space, average_times={q.query_id: 1.0 for q in tpch_batch})
-        clusters = cluster_queries(
-            tpch_batch, np.ones((n, n)), 1, knowledge=knowledge, intra_cluster_order="mcf"
-        )
-        # equal costs: stable sort keeps ascending id order inside the cluster
+        # equal costs: stable sort keeps ascending id order inside the cluster,
+        # every time
+        for _ in range(2):
+            assert cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).intra_order(0) == list(range(n))
+        # a single slower query jumps to the front; ties behind it stay stable
+        knowledge.average_times[7] = 9.0
+        order = cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).intra_order(0)
+        assert order == [7] + [i for i in range(n) if i != 7]
+
+    def test_batch_intra_order_without_knowledge(self, tpch_batch):
+        n = len(tpch_batch)
+        clusters = cluster_queries(tpch_batch, np.ones((n, n)), 1)
         assert clusters.intra_order(0) == list(range(n))
-
-    def test_fifo_intra_order_without_knowledge(self, tpch_batch):
-        n = len(tpch_batch)
-        clusters = cluster_queries(tpch_batch, np.ones((n, n)), 1, intra_cluster_order="fifo")
-        assert clusters.intra_order(0) == sorted(clusters.members(0))
-
-    def test_unknown_intra_order_raises(self, space, tpch_batch):
-        n = len(tpch_batch)
-        knowledge = _knowledge(space, average_times={q.query_id: 1.0 for q in tpch_batch})
-        with pytest.raises(SchedulingError):
-            cluster_queries(
-                tpch_batch, np.ones((n, n)), 1, knowledge=knowledge, intra_cluster_order="lifo"
-            )

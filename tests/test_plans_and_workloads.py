@@ -82,9 +82,6 @@ class TestPhysicalPlan:
         assert simple_plan.num_nodes == 4
         assert simple_plan.height == 2
 
-    def test_root_has_no_parent(self, simple_plan):
-        assert simple_plan.parent_of(0) is None
-
     def test_tables_collects_scans(self, simple_plan):
         tables = simple_plan.tables()
         assert set(tables) == {"a", "b"}
@@ -96,21 +93,12 @@ class TestPhysicalPlan:
         assert np.allclose(np.diag(distances), 0.0)
         assert distances.max() <= simple_plan.num_nodes
 
-    def test_adjacency_matches_edges(self, simple_plan):
-        adjacency = simple_plan.adjacency()
-        assert adjacency.sum() == pytest.approx(2 * (simple_plan.num_nodes - 1))
-
     def test_counts(self, simple_plan):
         assert simple_plan.num_joins() == 1
         assert simple_plan.num_scans() == 2
 
     def test_parallel_fraction_in_unit_interval(self, simple_plan):
         assert 0.0 <= simple_plan.parallel_fraction() <= 1.0
-
-    def test_to_dict_roundtrips_structure(self, simple_plan):
-        payload = simple_plan.to_dict()
-        assert payload["operator"] == Operator.HASH_AGGREGATE.value
-        assert len(payload["children"]) == 1
 
 
 class TestStatisticsAndCatalog:
@@ -136,7 +124,6 @@ class TestStatisticsAndCatalog:
     def test_catalog_lookup_and_errors(self):
         catalog = build_tpcds_catalog(seed=0)
         assert "store_sales" in catalog
-        assert catalog.table_index("customer") == catalog.table_names().index("customer")
         with pytest.raises(WorkloadError):
             catalog.table("not_a_table")
 
@@ -152,7 +139,7 @@ class TestPlanBuilder:
         spec = build_tpcds_specs(seed=0)[13]
         plan_a = PlanBuilder(catalog, seed=0).build(spec)
         plan_b = PlanBuilder(catalog, seed=0).build(spec)
-        assert plan_a.to_dict() == plan_b.to_dict()
+        assert _plan_dict(plan_a.root) == _plan_dict(plan_b.root)
 
     def test_plan_covers_all_template_tables(self):
         catalog = build_tpcds_catalog(seed=0)
@@ -186,15 +173,25 @@ class TestPlanFeaturizer:
         assert root_vector[: NUM_OPERATORS].sum() == 1.0
 
 
+def _plan_dict(node: PlanNode) -> dict:
+    """The plan under ``node`` as a nested dictionary: what two equal builds must share."""
+    return {
+        "operator": node.operator.value,
+        "table": node.table,
+        "rows": node.estimated_rows,
+        "predicates": [(p.column, p.selectivity, p.uses_index) for p in node.predicates],
+        "children": [_plan_dict(child) for child in node.children],
+    }
+
+
 def _bfs_distances(plan: PhysicalPlan) -> np.ndarray:
     """All-pairs tree distances by one breadth-first search per node."""
     n = plan.num_nodes
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for node_id in range(n):
-        parent_id = plan.parent_of(node_id)
-        if parent_id is not None:
-            neighbours[node_id].append(parent_id)
-            neighbours[parent_id].append(node_id)
+        for child in plan.node(node_id).children:
+            neighbours[node_id].append(child.node_id)
+            neighbours[child.node_id].append(node_id)
     distances = np.full((n, n), np.inf)
     for start in range(n):
         distances[start, start] = 0.0
@@ -219,7 +216,7 @@ def _node_vector(featurizer: PlanFeaturizer, node: PlanNode) -> np.ndarray:
     vector[node.operator.index] = 1.0
     offset = NUM_OPERATORS
     if node.table is not None and node.table in catalog:
-        vector[offset + catalog.table_index(node.table)] = 1.0
+        vector[offset + catalog.table_names().index(node.table)] = 1.0
     offset += len(catalog)
     if node.predicates and node.table is not None and node.table in catalog:
         stats = catalog.table(node.table)
@@ -334,15 +331,6 @@ class TestBatchQuerySet:
 
     def test_reindexing_does_not_mutate_original(self, tpch_batch):
         original_ids = [q.query_id for q in tpch_batch]
-        subset = tpch_batch.subset([5, 7, 9])
+        subset = BatchQuerySet([tpch_batch[index] for index in (5, 7, 9)])
         assert [q.query_id for q in subset] == [0, 1, 2]
         assert [q.query_id for q in tpch_batch] == original_ids
-
-    def test_sorted_by_cost_descending(self, tpch_batch):
-        ordered = tpch_batch.sorted_by_cost()
-        works = [q.total_work for q in ordered]
-        assert works == sorted(works, reverse=True)
-
-    def test_table_footprint_aggregates(self, tpch_batch):
-        footprint = tpch_batch.table_footprint()
-        assert footprint["lineitem"] > 0

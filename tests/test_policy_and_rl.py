@@ -24,6 +24,7 @@ from repro.core import (
 from repro.dbms import QueryExecutionRecord, RoundLog, RunningParameters
 from repro.encoder import RunStateFeaturizer, SnapshotArrays, StateEncoder
 from repro.exceptions import ConfigurationError, SchedulingError
+from repro.workloads import BatchQuerySet
 from snapshot_oracle import snapshot_arrays
 
 
@@ -166,7 +167,7 @@ def rl_setup(tpch_workload, engine_x):
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 3
     config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=1, aux_epochs=1)
-    batch = tpch_workload.batch_query_set().subset(range(10))
+    batch = BatchQuerySet(tpch_workload.batch_query_set().queries[:10])
     config_space = ConfigurationSpace(config.scheduler)
     knowledge = ExternalKnowledge.from_probes(engine_x, batch, config_space)
     rng = np.random.default_rng(0)

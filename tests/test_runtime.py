@@ -39,7 +39,6 @@ from repro.workloads import (
     BurstyArrivals,
     ClosedArrivals,
     PoissonArrivals,
-    TraceArrivals,
     make_arrival_process,
 )
 
@@ -94,7 +93,7 @@ class TestEventQueue:
         assert queue.pop().tenant == "c"
         assert queue.pop().tenant == "a"
         assert not queue
-        assert queue.peek() is None and queue.peek_time() is None
+        assert queue.peek_time() is None
 
     def test_pop_empty_raises(self):
         with pytest.raises(SchedulingError):
@@ -136,15 +135,18 @@ class TestArrivalProcesses:
         assert times[0] == times[1] == times[2] == 0.0
         assert len(set(times.tolist())) == 3
 
-    def test_trace_truncates_and_validates(self):
-        process = TraceArrivals([0.0, 1.0, 2.5, 4.0])
-        np.testing.assert_array_equal(process.times(3, np.random.default_rng(0)), [0.0, 1.0, 2.5])
-        with pytest.raises(WorkloadError):
-            process.times(5, np.random.default_rng(0))
-        with pytest.raises(WorkloadError):
-            TraceArrivals([-1.0])
-        with pytest.raises(WorkloadError):
-            TraceArrivals([])
+    def test_recorded_arrival_times_replay_through_register(self, tpch_batch):
+        """A recorded submission log is a tenant's explicit arrival times, one per query and none negative."""
+        times = np.linspace(0.0, 4.0, len(tpch_batch))
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        tenant = ExecutionRuntime(engine).register("t", tpch_batch, arrivals=times)
+        session = tenant.new_session(tpch_batch, num_connections=2)
+        assert [session.arrival_time(query.query_id) for query in tpch_batch] == times.tolist()
+        assert session.pending == [0] and session.unarrived_ids()
+        with pytest.raises(SchedulingError, match="one time per query"):
+            ExecutionRuntime(engine).register("t", tpch_batch, arrivals=times[:-1])
+        with pytest.raises(SchedulingError, match=">= 0"):
+            ExecutionRuntime(engine).register("t", tpch_batch, arrivals=-times)
 
     def test_factory(self):
         assert isinstance(make_arrival_process("closed"), ClosedArrivals)

@@ -337,7 +337,7 @@ class TestMemberCheck:
             if runtime.is_done:
                 break
             runtime.advance()
-        actions = [event.action for event in control.scale_events()]
+        actions = [event.action for event in control.fleet.events]
         assert actions[0] == "park" and "unpark" in actions
         assert session.is_done and len(session.finished) == len(batch)
 
