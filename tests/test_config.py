@@ -13,6 +13,7 @@ from repro.config import (
     SchedulerConfig,
     SimulatorConfig,
 )
+from repro.dbms import ConfigurationSpace
 from repro.exceptions import ConfigurationError
 
 
@@ -28,6 +29,7 @@ class TestEncoderConfig:
             {"state_dim": 30, "state_heads": 4},
             {"tree_layers": 0},
             {"mlp_layers": 0},
+            {"state_layers": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -49,6 +51,7 @@ class TestPPOConfig:
             {"epochs_per_update": 0},
             {"rollouts_per_update": 0},
             {"aux_every": 0},
+            {"num_envs": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -57,6 +60,11 @@ class TestPPOConfig:
 
 
 class TestSchedulerConfig:
+    def test_num_configurations(self):
+        space = ConfigurationSpace(SchedulerConfig(worker_options=(1, 2, 4), memory_options=(64, 256)))
+        assert len(space) == 6
+        assert len({(config.workers, config.memory_mb) for config in space}) == 6
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -607,6 +607,11 @@ class TestTenantClassStaysOutOfThePolicy:
 
 
 class TestArrivalEdges:
+    def test_empty_trace_rejected(self, tpch_batch):
+        runtime = ExecutionRuntime(DatabaseEngine(DBMSProfile.dbms_x(), seed=0))
+        with pytest.raises(SchedulingError, match="one time per query"):
+            runtime.register("t", tpch_batch, arrivals=[])
+
     def test_zero_rate_poisson_rejected(self):
         with pytest.raises(WorkloadError, match="must be positive"):
             PoissonArrivals(0.0)

@@ -16,6 +16,11 @@ established, as regular expressions over the ``*.py`` files under some paths
 (``:!`` excludes a file; the pathspecs CI's ``git grep`` steps used); any
 matching line fails it.  The one counted rule, one ``greedy_action(`` call
 outside the policy, has its own test.
+
+*The checks check something.*  Each gate pattern must catch a planted line in a
+file its pathspecs cover (``PLANTED``), and the scan's rules run on small
+synthetic trees: a regex that lost an escape, a pathspec that names a moved
+file or a rule that stopped counting would otherwise pass on any tree.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import functools
 import re
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import pytest
 
@@ -127,6 +132,35 @@ GATES = {
     ),
 }
 
+#: One ``(path, line)`` per check of each gate, in the gate's order: a violation the check must catch.
+PLANTED = {
+    "no-warn-and-fall-back": (("src/repro/config.py", "warnings.warn('falling back')"),),
+    "numpy-only": (("examples/quickstart.py", "import scipy"),),
+    "session-contract": (("src/repro/core/env.py", "getattr(self._shared, 'state_arrays', None)"),),
+    "one-scheduling-env": (("src/repro/core/env.py", "ClusterSchedulingEnv = SchedulingEnv"),),
+    "one-snapshot-builder": (("src/repro/core/env.py", "rows = snapshot_aos(session)"),),
+    "paper-features-and-reward": (("src/repro/config.py", "failure_channel: bool = False"),),
+    "one-small-fit-path": (
+        ("src/repro/core/gain.py", "optimizer = Adam(parameters)"),
+        ("src/repro/perf/model.py", "def _gain_forward(x):"),
+    ),
+    "one-fleet-session": (
+        ("src/repro/dbms/engine.py", "    def park(self, instance):"),
+        ("src/repro/dbms/faults.py", "    def recovery_time(self, now):"),
+        ("src/repro/runtime/runtime.py", "class BackendSession:"),
+    ),
+    "no-tape-when-building": (
+        ("src/repro/encoder/queryformer.py", "with no_grad():"),
+        ("src/repro/core/env.py", "rng = np.random.default_rng(0xC0FFEE)"),
+    ),
+    "one-float64-forward": (
+        ("src/repro/nn/fastinfer.py", "def mlp_forward(pack, x):"),
+        ("src/repro/nn/layers.py", "self.running_mean = np.zeros(dim)"),
+        ("src/repro/perf/model.py", "x = Tensor(features)"),
+    ),
+    "one-greedy-loop": (("src/repro/core/ppo.py", "eval_every: int = 10"),),
+}
+
 
 @functools.cache
 def python_files(*pathspecs: str) -> tuple[str, ...]:
@@ -144,15 +178,26 @@ def source(path: str) -> str:
     return (ROOT / path).read_text(encoding="utf-8")
 
 
-def matching_lines(pattern: str, pathspecs: tuple[str, ...]) -> list[str]:
+def matching_lines(pattern: str, pathspecs: tuple[str, ...], read: Callable[[str], str] = source) -> list[str]:
     """``path:line: text`` of every line matching ``pattern``, like ``git grep -n``."""
     regex = re.compile(pattern)
     return [
         f"{path}:{number}: {line.strip()}"
         for path in python_files(*pathspecs)
-        for number, line in enumerate(source(path).splitlines(), start=1)
+        for number, line in enumerate(read(path).splitlines(), start=1)
         if regex.search(line)
     ]
+
+
+def planted(path: str, text: str) -> Callable[[str], str]:
+    """Read the tree with ``text`` appended to ``path``."""
+    return lambda p: source(p) + f"\n{text}\n" if p == path else source(p)
+
+
+def greedy_call_files(read: Callable[[str], str] = source) -> Counter:
+    """How many ``greedy_action(`` calls each file outside the policy makes."""
+    hits = matching_lines(r"greedy_action\(", ("src", ":!src/repro/core/policy.py"), read)
+    return Counter(hit.split(":")[0] for hit in hits)
 
 
 def _not_callers(tree: ast.Module) -> set[int]:
@@ -170,13 +215,13 @@ def _not_callers(tree: ast.Module) -> set[int]:
     return ignored
 
 
-@functools.cache
-def scan() -> tuple[dict[str, list[str]], frozenset[str]]:
-    """``(definitions, names)``: where each non-dunder name is defined in ``src/repro``, and every name used."""
+def definitions_and_names(files: Iterable[tuple[str, str]]) -> tuple[dict[str, list[str]], frozenset[str]]:
+    """``(definitions, names)`` of ``(path, text)`` files: where each non-dunder name is defined in
+    ``src/repro``, and every name used."""
     definitions: dict[str, list[str]] = {}
     names: set[str] = set()
-    for path in python_files("src", "benchmarks", "examples"):
-        tree = ast.parse(source(path), filename=path)
+    for path, text in files:
+        tree = ast.parse(text, filename=path)
         ignored = _not_callers(tree)
         reexports = path.endswith("__init__.py")
         for node in ast.walk(tree):
@@ -195,13 +240,23 @@ def scan() -> tuple[dict[str, list[str]], frozenset[str]]:
     return definitions, frozenset(names)
 
 
-def test_every_definition_has_a_caller_outside_tests():
-    definitions, names = scan()
+@functools.cache
+def scan() -> tuple[dict[str, list[str]], frozenset[str]]:
+    """:func:`definitions_and_names` of the tree's ``src/``, ``benchmarks/`` and ``examples/``."""
+    return definitions_and_names((path, source(path)) for path in python_files("src", "benchmarks", "examples"))
+
+
+def uncalled(definitions: dict[str, list[str]], names: frozenset[str]) -> list[str]:
+    """``name (path:line, ...)`` of every definition that no name and no ``ALLOWED`` entry covers."""
     known = names | ALLOWED
-    uncalled = sorted(f"{name} ({', '.join(where)})" for name, where in definitions.items() if name not in known)
-    assert not uncalled, (
+    return sorted(f"{name} ({', '.join(where)})" for name, where in definitions.items() if name not in known)
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    uncalled_definitions = uncalled(*scan())
+    assert not uncalled_definitions, (
         "defined in src/repro but called from nowhere outside tests/ (delete it, or move a test's reference "
-        "into tests/): " + "; ".join(uncalled)
+        "into tests/): " + "; ".join(uncalled_definitions)
     )
 
 
@@ -224,5 +279,63 @@ def test_architecture_gate(gate):
 
 def test_one_greedy_call_outside_the_policy():
     """The greedy loop's one decision call is ``RLSchedulerBase.select_action``'s."""
-    hits = matching_lines(r"greedy_action\(", ("src", ":!src/repro/core/policy.py"))
-    assert Counter(hit.split(":")[0] for hit in hits) == {"src/repro/core/bqsched.py": 1}, "\n".join(hits)
+    assert greedy_call_files() == {"src/repro/core/bqsched.py": 1}, "\n".join(
+        matching_lines(r"greedy_action\(", ("src", ":!src/repro/core/policy.py"))
+    )
+
+
+def test_a_second_greedy_call_breaks_the_count():
+    call = "action = self.policy.greedy_action(state)"
+    assert greedy_call_files(planted("src/repro/core/env.py", call)) == {
+        "src/repro/core/bqsched.py": 1,
+        "src/repro/core/env.py": 1,
+    }
+    assert greedy_call_files(planted("src/repro/core/policy.py", call)) == {"src/repro/core/bqsched.py": 1}
+
+
+@pytest.mark.parametrize("gate", list(GATES))
+def test_each_gate_check_catches_its_planted_violation(gate):
+    checks = GATES[gate].checks
+    assert len(PLANTED[gate]) == len(checks), f"{gate}: plant one violation per check"
+    for (pattern, pathspecs), (path, line) in zip(checks, PLANTED[gate]):
+        assert path in python_files(*pathspecs), f"{gate}: {pathspecs} does not cover {path}"
+        hits = matching_lines(pattern, pathspecs, planted(path, line))
+        assert [hit.split(":")[0] for hit in hits] == [path], f"{gate}: {pattern!r} missed {line!r}: {hits}"
+
+
+def test_a_planted_uncalled_definition_fails_the_scan():
+    path = "src/repro/core/types.py"
+    definitions, names = scan()
+    text = planted(path, "def planted_unused():\n    return 0")(path)
+    planted_definitions, planted_names = definitions_and_names([(path, text)])
+    found = uncalled({**definitions, **planted_definitions}, names | planted_names)
+    assert [entry.split(" (")[0] for entry in found] == ["planted_unused"], found
+    assert found[0].startswith(f"planted_unused ({path}:")
+
+
+#: ``src/repro/pkg/mod.py`` defines ``helper``; does this one more file count as its caller?
+SCAN_RULES = {
+    "attribute-in-src": (("src/repro/pkg/user.py", "from . import mod\n\nmod.helper()\n"), True),
+    "import-in-an-example": (("examples/demo.py", "from repro.pkg.mod import helper\n"), True),
+    "string-in-benchmarks": (("benchmarks/ledger/targets.py", 'SPANS = ["repro.pkg.mod:helper"]\n'), True),
+    "docstring": (("src/repro/pkg/user.py", '"""Call helper() one day."""\n'), False),
+    "comment": (("src/repro/pkg/user.py", "# helper() is not called here\n"), False),
+    "all-list": (("src/repro/pkg/user.py", '__all__ = ["helper"]\n'), False),
+    "package-reexport": (("src/repro/pkg/__init__.py", "from .mod import helper\n"), False),
+}
+
+
+@pytest.mark.parametrize("rule", list(SCAN_RULES))
+def test_scan_rule(rule):
+    (path, text), counts = SCAN_RULES[rule]
+    module = ("src/repro/pkg/mod.py", 'def helper():\n    """Return one; helper names itself here."""\n    return 1\n')
+    definitions, names = definitions_and_names([module, (path, text)])
+    assert definitions == {"helper": ["src/repro/pkg/mod.py:1"]}
+    assert ("helper" in names) is counts
+
+
+def test_dunder_definitions_need_no_caller():
+    text = "class Pool:\n    def __len__(self):\n        return 0\n\n\nPOOLS = [Pool()]\n"
+    definitions, names = definitions_and_names([("src/repro/pkg/pool.py", text)])
+    assert definitions == {"Pool": ["src/repro/pkg/pool.py:1"]}
+    assert not uncalled(definitions, names)

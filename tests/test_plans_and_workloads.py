@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,11 @@ class TestPhysicalPlan:
         assert simple_plan.num_nodes == 4
         assert simple_plan.height == 2
 
+    def test_root_has_no_parent(self, simple_plan):
+        children = Counter(child.node_id for node in simple_plan.nodes() for child in node.children)
+        assert simple_plan.depth_of(0) == 0 and 0 not in children
+        assert children == {node_id: 1 for node_id in range(1, simple_plan.num_nodes)}
+
     def test_tables_collects_scans(self, simple_plan):
         tables = simple_plan.tables()
         assert set(tables) == {"a", "b"}
@@ -92,6 +99,12 @@ class TestPhysicalPlan:
         assert np.allclose(distances, distances.T)
         assert np.allclose(np.diag(distances), 0.0)
         assert distances.max() <= simple_plan.num_nodes
+
+    def test_adjacency_matches_edges(self, simple_plan):
+        adjacent = {tuple(pair) for pair in np.argwhere(simple_plan.tree_distances() == 1)}
+        edges = {(node.node_id, child.node_id) for node in simple_plan.nodes() for child in node.children}
+        assert adjacent == edges | {(child, parent) for parent, child in edges}
+        assert len(adjacent) == 2 * (simple_plan.num_nodes - 1)
 
     def test_counts(self, simple_plan):
         assert simple_plan.num_joins() == 1
