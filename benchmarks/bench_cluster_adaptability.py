@@ -52,12 +52,14 @@ def _run(profile):
     results = evaluate_placement_baselines(workload, skewed, config, rounds=rounds)
 
     trained = LSchedScheduler(workload, homogeneous, config)
-    trained.train(num_updates=train_updates, history_rounds=profile.history_rounds)
+    trained.prepare(history_rounds=profile.history_rounds)
+    trained.train(num_updates=train_updates)
     results["LSched (zero-shot)"] = trained.evaluate_on(workload, skewed, rounds=rounds)
 
     adapted = LSchedScheduler(workload, skewed, config)
     adapted.policy.load_state_dict(trained.policy.state_dict())
-    adapted.train(num_updates=train_updates, history_rounds=profile.history_rounds)
+    adapted.prepare(history_rounds=profile.history_rounds)
+    adapted.train(num_updates=train_updates)
     results["LSched (adapted)"] = adapted.evaluate_policy(rounds=rounds)
 
     rows = [

@@ -2,7 +2,7 @@
 
 The event-driven serving scenario of PR 2, scaled out: two tenants stream
 Poisson arrivals into one shared *fleet* of mixed-profile engine instances
-declared through ``ServiceConfig.cluster_instances``.  A briefly trained
+built with ``Cluster.from_names``.  A briefly trained
 policy serves placements and orderings jointly; a round-robin placement
 service over the same fleet provides the reference point.  Reported per
 tenant: makespan and latency percentiles (what a shared-cluster operator
@@ -21,11 +21,13 @@ from repro.workloads import PoissonArrivals
 
 _NUM_TENANTS = 2
 _ARRIVAL_RATE = 3.0
+_FLEET = ("x", "y", "z")
+_ROUND_ID = 80_000
 
 
 def _baseline_service(workload, config, seed: int) -> ServiceReport:
-    """Round-robin placement service over the declared fleet."""
-    cluster = Cluster.from_service_config(config.service, seed=seed)
+    """Round-robin placement service over the same fleet."""
+    cluster = Cluster.from_names(_FLEET, seed=seed)
     template = heuristic_env(workload, cluster, config)
     runtime = ExecutionRuntime(cluster)
     envs = []
@@ -43,7 +45,7 @@ def _baseline_service(workload, config, seed: int) -> ServiceReport:
             )
         )
     for env in envs:
-        env.reset(round_id=config.service.base_round_id)
+        env.reset(round_id=_ROUND_ID)
     schedulers = {id(env): RoundRobinPlacementScheduler() for env in envs}
     drive_service(
         runtime, envs, lambda env: schedulers[id(env)].select_action(env, env.snapshot())
@@ -56,14 +58,14 @@ def _run(profile):
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
     config = BQSchedConfig.small(seed=seed)
     config.scheduler.num_connections = 2
-    config.service.cluster_instances = ("x", "y", "z")
-    config.service.arrival_process = "poisson"
-    config.service.arrival_rate = _ARRIVAL_RATE
 
-    fleet = Cluster.from_service_config(config.service, seed=seed)
+    fleet = Cluster.from_names(_FLEET, seed=seed)
     scheduler = LSchedScheduler(workload, fleet, config)
-    scheduler.train(num_updates=max(2, profile.train_updates // 2), history_rounds=profile.history_rounds)
-    policy_report = scheduler.serve(num_tenants=_NUM_TENANTS)
+    scheduler.prepare(history_rounds=profile.history_rounds)
+    scheduler.train(num_updates=max(2, profile.train_updates // 2))
+    policy_report = scheduler.serve(
+        num_tenants=_NUM_TENANTS, arrivals=PoissonArrivals(_ARRIVAL_RATE), round_id=_ROUND_ID
+    )
     baseline_report = _baseline_service(workload, config, seed)
 
     rows = []
@@ -82,12 +84,12 @@ def _run(profile):
     print_table(
         ["strategy", "tenant", "makespan (s)", "p50 (s)", "p90 (s)", "p99 (s)"],
         rows,
-        title=f"Streaming service on fleet {config.service.cluster_instances} — Poisson {_ARRIVAL_RATE}/s",
+        title=f"Streaming service on fleet {_FLEET} — Poisson {_ARRIVAL_RATE}/s",
     )
     write_json_report(
         "cluster_streaming",
         {
-            "fleet": list(config.service.cluster_instances),
+            "fleet": list(_FLEET),
             "arrival_rate": _ARRIVAL_RATE,
             "num_tenants": _NUM_TENANTS,
             "policy": policy_report.as_dict(),

@@ -44,8 +44,8 @@ def _run(profile):
         workload, engine, config = scenario.build()
         scheduler = cls(workload, engine, config)
         pretrain = profile.pretrain_updates if scheduler.use_simulator else 0
-        scheduler.train(num_updates=profile.train_updates, pretrain_updates=pretrain,
-                        history_rounds=profile.history_rounds)
+        scheduler.prepare(history_rounds=profile.history_rounds)
+        scheduler.train(num_updates=profile.train_updates, pretrain_updates=pretrain)
         measured[scheduler.name] = scheduler.evaluate_policy(rounds=rounds).mean
 
     base = measured["BQSched"]

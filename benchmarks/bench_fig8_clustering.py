@@ -20,10 +20,10 @@ def _train_and_eval(scenario, profile, num_clusters):
         config.clustering.num_clusters = num_clusters
     scheduler = BQSched(workload, engine, config)
     scheduler.use_clustering = num_clusters is not None
+    scheduler.prepare(history_rounds=profile.history_rounds)
     scheduler.train(
         num_updates=max(1, profile.train_updates // 2),
         pretrain_updates=max(1, profile.pretrain_updates // 2),
-        history_rounds=profile.history_rounds,
     )
     return scheduler.evaluate_policy(rounds=max(2, profile.evaluation_rounds - 1)).mean
 

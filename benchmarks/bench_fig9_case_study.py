@@ -20,10 +20,10 @@ def _run(profile):
     scenario = Scenario(benchmark="tpcds", dbms="x", profile=profile)
     workload, engine, config = scenario.build()
     scheduler = BQSched(workload, engine, config)
+    scheduler.prepare(history_rounds=profile.history_rounds)
     scheduler.train(
         num_updates=max(1, profile.train_updates // 2),
         pretrain_updates=max(1, profile.pretrain_updates // 2),
-        history_rounds=profile.history_rounds,
     )
     result = scheduler.schedule(round_id=0)
     print()

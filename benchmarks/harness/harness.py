@@ -174,11 +174,8 @@ def evaluate_rl(
     """Train and evaluate an RL scheduler (BQSched or LSched) on one scenario."""
     scheduler = scheduler_cls(workload, engine, config)
     pretrain = profile.pretrain_updates if scheduler.use_simulator else 0
-    scheduler.train(
-        num_updates=profile.train_updates,
-        pretrain_updates=pretrain,
-        history_rounds=profile.history_rounds,
-    )
+    scheduler.prepare(history_rounds=profile.history_rounds)
+    scheduler.train(num_updates=profile.train_updates, pretrain_updates=pretrain)
     evaluation = scheduler.evaluate_policy(rounds=rounds)
     evaluation.strategy = scheduler.name
     return evaluation, scheduler

@@ -31,9 +31,8 @@ def main() -> None:
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 2  # per instance
-    config.service.cluster_instances = ("x", "y", "z")
 
-    fleet = Cluster.from_service_config(config.service, seed=0)
+    fleet = Cluster.from_names(("x", "y", "z"), seed=0)
     print(f"fleet: {fleet}")
     print(f"relative speeds: {[round(s, 2) for s in fleet.speed_factors()]}")
 
@@ -49,7 +48,8 @@ def main() -> None:
 
     print("\nTraining LSched on the fleet (joint placement + ordering)...")
     scheduler = LSchedScheduler(workload, fleet, config)
-    scheduler.train(num_updates=3, history_rounds=2)
+    scheduler.prepare(history_rounds=2)
+    scheduler.train(num_updates=3)
     evaluation = scheduler.evaluate_policy(rounds=3)
     print(f"  {scheduler.name:24s} makespan {evaluation.mean:6.2f} ± {evaluation.std:.2f} s")
 

@@ -31,7 +31,6 @@ from .config import (
     PPOConfig,
     RetryPolicy,
     SchedulerConfig,
-    ServiceConfig,
     SimulatorConfig,
 )
 from .exceptions import (
@@ -94,7 +93,6 @@ __all__ = [
     "PPOConfig",
     "RetryPolicy",
     "SchedulerConfig",
-    "ServiceConfig",
     "SimulatorConfig",
     "BQSchedError",
     "ConfigurationError",

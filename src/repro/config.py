@@ -27,7 +27,6 @@ __all__ = [
     "RetryPolicy",
     "AdmissionPolicy",
     "AutoscalePolicy",
-    "ServiceConfig",
     "BQSchedConfig",
 ]
 
@@ -326,76 +325,6 @@ class AutoscalePolicy:
 
 
 @dataclass
-class ServiceConfig:
-    """Event-driven serving: multi-tenant rounds and streaming arrivals.
-
-    Used by :meth:`repro.core.bqsched.RLSchedulerBase.serve`, which runs the
-    trained policy as a continuous scheduler over an
-    :class:`~repro.runtime.ExecutionRuntime`.  ``num_tenants`` independent
-    copies of the batch share one engine's connections and buffer pool;
-    ``arrival_process`` opens each tenant's batch into a stream
-    (``closed`` / ``poisson`` / ``bursty`` / ``flash-crowd``) at ``arrival_rate`` queries per
-    second, with ``burst_size`` queries per burst in the bursty case.
-
-    ``cluster_instances`` declares the engine fleet the service runs on, as
-    per-instance profile short-names (e.g. ``("x", "x", "z")`` — a mixed
-    fleet of two DBMS-X servers and one DBMS-Z system).  Empty (the default)
-    means a single engine; :meth:`repro.dbms.Cluster.from_service_config`
-    materialises a declared fleet with per-instance seeds derived from the
-    experiment seed.
-
-    The control-plane knobs are all opt-in and default off:
-    ``tenant_classes`` assigns each tenant a
-    :class:`~repro.runtime.controlplane.TenantClass` (tenant ``i`` gets
-    ``tenant_classes[i % len(tenant_classes)]``), ``admission`` turns on
-    token-bucket admission control / load shedding, and ``autoscale``
-    lets the fleet grow and shrink with the backlog.  Left at their
-    defaults, serving behaves bit-for-bit like the class-free tree.
-    """
-
-    num_tenants: int = 2
-    arrival_process: str = "closed"
-    arrival_rate: float = 2.0
-    burst_size: int = 4
-    base_round_id: int = 80_000
-    cluster_instances: tuple[str, ...] = ()
-    tenant_classes: tuple = ()
-    admission: AdmissionPolicy | None = None
-    autoscale: AutoscalePolicy | None = None
-
-    def __post_init__(self) -> None:
-        _require(self.num_tenants >= 1, "num_tenants must be >= 1")
-        _require(
-            self.arrival_process in ("closed", "poisson", "bursty", "flash-crowd"),
-            "arrival_process must be 'closed', 'poisson', 'bursty' or 'flash-crowd'",
-        )
-        _require(self.arrival_rate > 0, "arrival_rate must be positive")
-        _require(self.burst_size >= 1, "burst_size must be >= 1")
-        _require(self.base_round_id >= 0, "base_round_id must be >= 0")
-        _require(
-            all(isinstance(name, str) and name for name in self.cluster_instances),
-            "cluster_instances must be non-empty profile names",
-        )
-        # TenantClass lives in repro.runtime.controlplane (the config layer
-        # must not import the runtime), so validate by shape instead of type.
-        _require(
-            all(
-                hasattr(cls, "name") and hasattr(cls, "priority")
-                for cls in self.tenant_classes
-            ),
-            "tenant_classes must be TenantClass instances",
-        )
-        _require(
-            self.admission is None or isinstance(self.admission, AdmissionPolicy),
-            "admission must be an AdmissionPolicy (or None)",
-        )
-        _require(
-            self.autoscale is None or isinstance(self.autoscale, AutoscalePolicy),
-            "autoscale must be an AutoscalePolicy (or None)",
-        )
-
-
-@dataclass
 class BQSchedConfig:
     """Top-level configuration aggregating every component."""
 
@@ -405,7 +334,6 @@ class BQSchedConfig:
     masking: MaskingConfig = field(default_factory=MaskingConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
-    service: ServiceConfig = field(default_factory=ServiceConfig)
     seed: int = 0
 
     def seed_spawner(self) -> "SeedSpawner":

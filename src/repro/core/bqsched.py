@@ -5,9 +5,10 @@ API:
 
 1. build the QueryFormer plan embeddings and the external knowledge
    (isolated-probe execution times per configuration);
-2. :meth:`prepare` — run a few historical rounds against the DBMS, refresh
-   the knowledge and derive the scheduling-gain clusters (for large query
-   sets) from their logs;
+2. :meth:`prepare` — run ``history_rounds`` fault-free historical rounds
+   against the DBMS (the one place that count is set; :meth:`train` prepares
+   with the default when nothing did), refresh the knowledge and derive the
+   scheduling-gain clusters (for large query sets) from their logs;
 3. :meth:`train` — fit the learned simulator on those logs and pre-train the
    IQ-PPO policy against it, then fine-tune it against the real DBMS,
    validating candidates on it (with no pre-training updates nothing is
@@ -16,7 +17,10 @@ API:
    (:meth:`evaluate_on` does so on another workload or fleet: one env built
    from that batch's context, then :meth:`evaluate`);
 5. :meth:`serve` — run the policy as a continuous event-driven scheduler
-   over multi-tenant, streaming-arrival rounds on a shared engine.
+   over multi-tenant, streaming-arrival rounds on a shared engine.  Its
+   arguments are the service's only settings: arrivals and faults enter the
+   round through the :class:`~repro.runtime.ExecutionRuntime` it opens,
+   never through the config or the engine.
 
 The facade accepts either a single :class:`~repro.dbms.DatabaseEngine` or a
 :class:`~repro.dbms.Cluster` of heterogeneous instances: on a cluster the
@@ -25,8 +29,9 @@ action space (and the policy's placement-aware head) widens to joint
 instance every :class:`~repro.core.env.SchedulingEnv` reduces to).  Simulator
 pre-training and gain clustering work on fleets too: :meth:`train` fits
 one :class:`~repro.perf.PerformanceModel` from instance-tagged logs and
-pre-trains against its :class:`~repro.perf.SimulatedCluster` twin, so fleet
-policies reach a target makespan with far fewer real-cluster episodes.
+pre-trains against its fault-free :class:`~repro.perf.SimulatedCluster` twin,
+so fleet policies reach a target makespan with far fewer real-cluster
+episodes.
 
 :class:`LSchedScheduler` is the paper's adapted baseline: the same state
 representation but plain PPO, no adaptive masking, no clustering and no
@@ -237,7 +242,8 @@ class RLSchedulerBase(BaseScheduler):
     @property
     def simulator(self) -> SimulatedCluster | None:
         """The pre-training backend: the simulated twin of the engine (a fleet
-        of one) or of the fleet, over :attr:`perf_model`.
+        of one) or of the fleet, over :attr:`perf_model`.  Its rounds open
+        fault-free, like the history rounds the model is fitted on.
 
         ``None`` before :meth:`prepare` and on arms without the simulator.
         The first read after :meth:`prepare` fits the performance model on
@@ -280,11 +286,12 @@ class RLSchedulerBase(BaseScheduler):
         self,
         num_updates: int = 10,
         pretrain_updates: int | None = None,
-        history_rounds: int = 3,
         keep_best: bool = True,
     ) -> TrainingHistory:
         """Train the policy (optionally pre-training against the simulator first).
 
+        A scheduler not yet prepared runs :meth:`prepare` with its default
+        history first; call :meth:`prepare` before to choose the history.
         ``pretrain_updates=None`` pre-trains for ``num_updates``.
         Pre-training (``pretrain_updates`` above 0 on an arm with the
         simulator) reads :attr:`simulator`, so the simulator fit, if not done
@@ -299,7 +306,7 @@ class RLSchedulerBase(BaseScheduler):
         every parameter array as it was.
         """
         if not self._prepared:
-            self.prepare(history_rounds=history_rounds)
+            self.prepare()
 
         pretrain_updates = num_updates if pretrain_updates is None else pretrain_updates
         pretrain = self.use_simulator and pretrain_updates > 0
@@ -421,10 +428,10 @@ class RLSchedulerBase(BaseScheduler):
     # ------------------------------------------------------------------ #
     def serve(
         self,
-        num_tenants: int | None = None,
+        num_tenants: int = 2,
         arrivals: "ArrivalProcess | str | None" = None,
         num_connections: int | None = None,
-        round_id: int | None = None,
+        round_id: int = 80_000,
         faults: "FailureProfile | None" = None,
         retry: "RetryPolicy | None" = None,
         tenant_classes: "tuple[TenantClass, ...] | list[TenantClass] | None" = None,
@@ -433,27 +440,30 @@ class RLSchedulerBase(BaseScheduler):
     ) -> ServiceReport:
         """Run the trained policy as a continuous scheduler over a shared round.
 
-        ``num_tenants`` independent instances of the batch (defaulting to
-        ``config.service.num_tenants``) are registered as tenants of one
-        :class:`~repro.runtime.ExecutionRuntime` on the real engine, each
-        optionally opened into a stream by ``arrivals`` (an
-        :class:`~repro.workloads.ArrivalProcess`, a process name from
-        :func:`~repro.workloads.make_arrival_process`, or ``None`` to use
-        ``config.service.arrival_process``).  The loop is event-driven: at
-        every completion or arrival event, every tenant that can decide
-        submits its next query (policy runs greedily) before the clock moves
-        again.  Returns per-tenant makespans and latency percentiles.
+        ``num_tenants`` independent instances of the batch are registered as
+        tenants of one :class:`~repro.runtime.ExecutionRuntime` on the real
+        engine, each optionally opened into a stream by ``arrivals`` (an
+        :class:`~repro.workloads.ArrivalProcess`, or a process name that
+        :func:`~repro.workloads.make_arrival_process` builds at its default
+        rate and burst size; ``None`` keeps every batch closed).  The round
+        opens as ``round_id``.  The loop is event-driven: at every completion
+        or arrival event, every tenant that can decide submits its next query
+        (policy runs greedily) before the clock moves again.  Returns
+        per-tenant makespans and latency percentiles.
 
-        ``faults`` injects a :class:`~repro.dbms.FailureProfile` into the
-        served round (on top of any profile already attached to the engine),
-        and ``retry`` turns on the runtime's failure handling — exponential
+        ``faults`` is the served round's :class:`~repro.dbms.FailureProfile`
+        (the runtime passes it to the engine's ``new_session``; engines and
+        fleets hold none of their own), and ``retry`` turns on the runtime's
+        failure handling — exponential
         backoff re-arrivals, straggler timeout kills, terminal failure once
         the attempt budget is spent.  Instance outages are always requeued,
         retry policy or not.  The report then carries the failure ledger
         (``num_failed`` / ``num_retries`` / ``num_timeouts`` / goodput).
 
-        The production control plane is opt-in through three further knobs
-        (each falling back to ``config.service``): ``tenant_classes`` assigns
+        The production control plane is opt-in through three further knobs,
+        each checked where it lands (:meth:`ExecutionRuntime.register
+        <repro.runtime.ExecutionRuntime.register>` and
+        :class:`~repro.runtime.ControlPlane`): ``tenant_classes`` assigns
         tenant ``i`` the class ``tenant_classes[i % len(tenant_classes)]``
         (priority, latency SLO, retry deadline — the report then rolls SLO
         attainment up per class); ``admission`` puts a token-bucket
@@ -471,25 +481,12 @@ class RLSchedulerBase(BaseScheduler):
                 "gain-clustered (cluster, configuration) actions; set use_clustering = False "
                 "before prepare() to serve"
             )
-        service = self.config.service
-        num_tenants = num_tenants if num_tenants is not None else service.num_tenants
         if num_tenants < 1:
             raise SchedulingError("num_tenants must be >= 1")
-        if arrivals is None:
-            arrivals = service.arrival_process
         if isinstance(arrivals, str):
-            arrivals = make_arrival_process(
-                arrivals, rate=service.arrival_rate, burst_size=service.burst_size
-            )
+            arrivals = make_arrival_process(arrivals)
         if isinstance(arrivals, ClosedArrivals):
             arrivals = None
-
-        if tenant_classes is None:
-            tenant_classes = service.tenant_classes
-        if admission is None:
-            admission = service.admission
-        if autoscale is None:
-            autoscale = service.autoscale
         if autoscale is not None and cluster_instance_count(self.engine) is None:
             raise SchedulingError(
                 "autoscaling parks and unparks engine instances, which needs a "
@@ -513,7 +510,6 @@ class RLSchedulerBase(BaseScheduler):
             envs.append(
                 self._build_env(tenant, scheduler_config=scheduler_config, strategy_name=f"{self.name}/serve")
             )
-        round_id = round_id if round_id is not None else service.base_round_id
         for env in envs:
             env.reset(round_id=round_id)
         drive_service(runtime, envs, lambda env: self.select_action(env, env.snapshot()))

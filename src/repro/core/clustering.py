@@ -54,10 +54,6 @@ class QueryClusters:
         """Query ids belonging to ``cluster_id`` (in intra-cluster order)."""
         return list(self._members[cluster_id])
 
-    def intra_order(self, cluster_id: int) -> list[int]:
-        """Submission order of the cluster's queries."""
-        return list(self._members[cluster_id])
-
     def sizes(self) -> list[int]:
         return [len(members) for members in self._members]
 

@@ -55,12 +55,13 @@ from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
 from ..perf import SimulatedCluster
 from ..runtime import ExecutionRuntime, RuntimeTenant
-from ..workloads import ArrivalProcess, BatchQuerySet
+from ..workloads import BatchQuerySet
 from .knowledge import ExternalKnowledge
 from .masking import AdaptiveMask
 from .types import SchedulingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dbms import FailureProfile
     from ..dbms.engine import RunningQueryState
 
 __all__ = [
@@ -115,14 +116,14 @@ def cluster_instance_count(backend: object) -> int | None:
     The single definition of "is this backend a fleet": a
     :class:`~repro.dbms.Cluster` (or its learned twin, a
     :class:`~repro.perf.SimulatedCluster`) directly, or a
-    :class:`~repro.runtime.RuntimeTenant` routing (possibly through nested
-    tenants) to one.  The environment's instance count, the facade and
-    ``evaluate_on`` resolve through here.
+    :class:`~repro.runtime.RuntimeTenant` of a runtime over one (a runtime's
+    backend is never another runtime's tenant).  The environment's instance
+    count, the facade and ``evaluate_on`` resolve through here.
     """
+    if isinstance(backend, RuntimeTenant):
+        backend = backend.runtime.backend
     if isinstance(backend, (Cluster, SimulatedCluster)):
         return backend.num_instances
-    if isinstance(backend, RuntimeTenant):
-        return cluster_instance_count(backend.runtime.backend)
     return None
 
 
@@ -213,13 +214,15 @@ class SchedulingSession(Protocol):
 
 @runtime_checkable
 class SessionBackend(Protocol):
-    """Anything that can open scheduling rounds.
+    """What an :class:`~repro.runtime.ExecutionRuntime` opens its rounds on.
 
     Satisfied by :class:`repro.dbms.DatabaseEngine`,
-    :class:`repro.dbms.Cluster`,
-    :class:`repro.perf.SimulatedCluster` (the learned simulator) and
-    :class:`repro.runtime.RuntimeTenant` (conformance is asserted in
-    ``tests/test_session_protocol.py``).
+    :class:`repro.dbms.Cluster` and :class:`repro.perf.SimulatedCluster` (the
+    learned simulator), whose ``new_session`` opens a
+    :class:`~repro.dbms.soa.FleetSession` with the round's ``faults``
+    (conformance is asserted in ``tests/test_session_protocol.py``).  A
+    :class:`~repro.runtime.RuntimeTenant` is not one: it joins a runtime's
+    round, and an environment takes it in place of a backend.
     """
 
     def new_session(
@@ -228,6 +231,7 @@ class SessionBackend(Protocol):
         num_connections: int | None = None,
         strategy: str = "",
         round_id: int | None = None,
+        faults: "FailureProfile | None" = None,
     ) -> SchedulingSession: ...  # pragma: no cover - protocol
 
 
@@ -246,20 +250,22 @@ class SchedulingEnv:
 
     Actions place queries across the backend's instances: one on a single
     engine, ``Cluster.num_instances`` on a fleet (see the module docstring for
-    the flat layout).
+    the flat layout).  ``backend`` is a raw backend, which the environment
+    wraps in a private single-tenant runtime, or a tenant of a shared
+    runtime; a streaming tenant's arrivals are set where it registers
+    (:meth:`ExecutionRuntime.register <repro.runtime.ExecutionRuntime.register>`).
     """
 
     def __init__(
         self,
         batch: BatchQuerySet,
-        backend: SessionBackend,
+        backend: "SessionBackend | RuntimeTenant",
         scheduler_config: SchedulerConfig,
         config_space: ConfigurationSpace,
         knowledge: ExternalKnowledge,
         mask: AdaptiveMask | None = None,
         clusters=None,
         strategy_name: str = "rl",
-        arrivals: "ArrivalProcess | Sequence[float] | None" = None,
         plan_embeddings: np.ndarray | None = None,
     ) -> None:
         if mask is not None and mask.num_queries != len(batch):
@@ -287,13 +293,10 @@ class SchedulingEnv:
         self.mask = mask if mask is not None else AdaptiveMask.unmasked(len(batch), self.num_configs)
         self.clusters = clusters
         self.strategy_name = strategy_name
-        self.arrivals = arrivals
         if isinstance(backend, RuntimeTenant):
-            if arrivals is not None:
-                raise SchedulingError("arrivals are configured when registering the runtime tenant")
             self._tenant = backend
         else:
-            self._tenant = ExecutionRuntime(backend).register("env", self.batch, arrivals=arrivals)
+            self._tenant = ExecutionRuntime(backend).register("env", self.batch)
         self._session = None
         self._cluster_remaining: list[list[int]] = []
         self._cluster_union: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
@@ -314,8 +317,8 @@ class SchedulingEnv:
     def clone(self) -> "SchedulingEnv":
         """A fresh environment built from everything this one was built with.
 
-        The components (batch, backend, knowledge, mask, clusters, arrivals,
-        plan embeddings) are shared; the clone registers its own single-tenant
+        The components (batch, backend, knowledge, mask, clusters, plan
+        embeddings) are shared; the clone registers its own single-tenant
         runtime, so its rounds are independent of this environment's.  An
         environment bound to a shared-runtime tenant cannot be cloned: the
         clones would fight over one tenant's round.
@@ -331,7 +334,6 @@ class SchedulingEnv:
             mask=self.mask,
             clusters=self.clusters,
             strategy_name=self.strategy_name,
-            arrivals=self.arrivals,
             plan_embeddings=self.plan_embeddings,
         )
 
@@ -449,7 +451,7 @@ class SchedulingEnv:
         self._soa_config_slots = np.zeros(len(self.batch), dtype=np.int64)
         self._soa_expected_slots = np.zeros(len(self.batch), dtype=np.float64)
         if self.cluster_mode:
-            self._cluster_remaining = [list(self.clusters.intra_order(c)) for c in range(self.clusters.num_clusters)]
+            self._cluster_remaining = [self.clusters.members(c) for c in range(self.clusters.num_clusters)]
         return self.snapshot()
 
     def step(self, action: int) -> StepResult:

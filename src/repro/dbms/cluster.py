@@ -37,7 +37,7 @@ session over the same unit, with the same per-round noise stream.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..exceptions import ConfigurationError, SchedulingError
 from ..seeding import SeedSpawner
@@ -46,9 +46,6 @@ from .engine import ClusterSession, DatabaseEngine, collect_fixed_order_logs, ex
 from .faults import FailureProfile
 from .params import RunningParameters
 from .profiles import DBMSProfile
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import ServiceConfig
 
 __all__ = ["Cluster", "ClusterSession"]
 
@@ -60,33 +57,22 @@ class Cluster:
     :class:`~repro.dbms.engine.DatabaseEngine` (``new_session`` /
     ``estimate_isolated_time`` / ``execute_order`` / ``collect_logs``), so
     every layer above — the runtime, the environments, the facade — can take
-    either interchangeably.
+    either interchangeably.  Like an engine it holds no failure profile: faults
+    enter a round through :meth:`new_session`.
     """
 
-    def __init__(
-        self,
-        engines: Sequence[DatabaseEngine],
-        name: str = "cluster",
-        faults: FailureProfile | None = None,
-    ) -> None:
+    def __init__(self, engines: Sequence[DatabaseEngine], name: str = "cluster") -> None:
         if not engines:
             raise ConfigurationError("a cluster needs at least one engine instance")
         self.engines = list(engines)
         self.name = name
-        self.faults = faults
         self._round_counter = 0
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_profiles(
-        cls,
-        profiles: Sequence[DBMSProfile],
-        seed: int = 0,
-        name: str = "cluster",
-        faults: FailureProfile | None = None,
-    ) -> "Cluster":
+    def from_profiles(cls, profiles: Sequence[DBMSProfile], seed: int = 0, name: str = "cluster") -> "Cluster":
         """Build a (possibly mixed-profile) fleet from per-instance profiles.
 
         Per-instance engine seeds descend from ``seed`` through the central
@@ -98,41 +84,19 @@ class Cluster:
             DatabaseEngine(profile, seed=spawner.integer_seed("instance", index))
             for index, profile in enumerate(profiles)
         ]
-        return cls(engines, name=name, faults=faults)
+        return cls(engines, name=name)
 
     @classmethod
-    def homogeneous(
-        cls,
-        profile: DBMSProfile,
-        num_instances: int,
-        seed: int = 0,
-        name: str = "cluster",
-        faults: FailureProfile | None = None,
-    ) -> "Cluster":
+    def homogeneous(cls, profile: DBMSProfile, num_instances: int, seed: int = 0, name: str = "cluster") -> "Cluster":
         """A fleet of ``num_instances`` identical-profile engines."""
         if num_instances < 1:
             raise ConfigurationError("num_instances must be >= 1")
-        return cls.from_profiles([profile] * num_instances, seed=seed, name=name, faults=faults)
+        return cls.from_profiles([profile] * num_instances, seed=seed, name=name)
 
     @classmethod
-    def from_names(
-        cls,
-        names: Sequence[str],
-        seed: int = 0,
-        name: str = "cluster",
-        faults: FailureProfile | None = None,
-    ) -> "Cluster":
+    def from_names(cls, names: Sequence[str], seed: int = 0, name: str = "cluster") -> "Cluster":
         """Build a fleet from profile short-names (``("x", "x", "z")``)."""
-        return cls.from_profiles(
-            [DBMSProfile.by_name(n) for n in names], seed=seed, name=name, faults=faults
-        )
-
-    @classmethod
-    def from_service_config(cls, service: "ServiceConfig", seed: int = 0) -> "Cluster":
-        """Materialise the fleet declared in ``ServiceConfig.cluster_instances``."""
-        if not service.cluster_instances:
-            raise ConfigurationError("ServiceConfig.cluster_instances declares no fleet")
-        return cls.from_names(service.cluster_instances, seed=seed, name="service-cluster")
+        return cls.from_profiles([DBMSProfile.by_name(n) for n in names], seed=seed, name=name)
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -175,17 +139,15 @@ class Cluster:
         instance profile's default.  Every instance session is built over
         the full batch so any query can be placed anywhere, and all share
         the same ``round_id`` so per-instance noise streams are aligned with
-        the single-engine case.  ``faults`` (or the cluster-level profile)
-        threads into every instance unit; each instance draws fault fates
-        from its own engine's dedicated stream and honours only its own
-        outage windows.
+        the single-engine case.  ``faults`` threads into every instance unit;
+        each instance draws fault fates from its own engine's dedicated stream
+        and honours only its own outage windows.
         """
         if round_id is None:
             round_id = self._round_counter
         self._round_counter = max(self._round_counter, round_id) + 1
-        session_faults = faults if faults is not None else self.faults
         units = [
-            engine.open_instance(batch, num_connections, round_id, session_faults, index)
+            engine.open_instance(batch, num_connections, round_id, faults, index)
             for index, engine in enumerate(self.engines)
         ]
         return ClusterSession(batch, round_id, strategy, units, self.speed_factors())

@@ -487,11 +487,8 @@ def execute_fixed_order(
 
     The parameter-oblivious pipeline runner: each query goes to the next
     instance with an idle connection in round-robin rotation (always
-    instance 0 on a single engine).  Under an attached
-    :class:`~repro.dbms.faults.FailureProfile` it never retries: a failed
-    attempt marks the query terminally failed (history collection records
-    only what actually finished), and an outage idles the loop until an
-    instance recovers.  Bound as both ``DatabaseEngine.execute_order`` and
+    instance 0 on a single engine).  Its rounds open fault-free, so every
+    query finishes.  Bound as both ``DatabaseEngine.execute_order`` and
     ``Cluster.execute_order``.
     """
     if sorted(order) != sorted(q.query_id for q in batch):
@@ -506,15 +503,7 @@ def execute_fixed_order(
             cursor = (instance + 1) % session.num_instances
             params = parameters if isinstance(parameters, RunningParameters) else parameters[query_id]
             session.submit(query_id, params, instance=instance)
-        if session.num_running:
-            event = session.advance()
-            if event is not None and event.failed:
-                session.mark_failed(event.query_id)
-        else:
-            wakeup = session.next_fault_wakeup()
-            if wakeup is None:
-                raise SchedulingError("execute_order stalled: nothing running and no recovery scheduled")
-            session.advance(limit=wakeup)
+        session.advance()
     return session.log
 
 
@@ -551,18 +540,17 @@ class DatabaseEngine:
 
     :meth:`new_session` returns the engine fleet's :class:`ClusterSession`
     over one :class:`ExecutionSession` unit, the same session a
-    :class:`~repro.dbms.cluster.Cluster` opens over many.  ``faults``
-    attaches a :class:`~repro.dbms.faults.FailureProfile` to every round the
-    engine opens (a per-round ``faults`` argument to :meth:`new_session`
-    overrides it).  ``None`` — the default — keeps the engine perfectly
-    reliable and bit-identical to the fault-free tree.
+    :class:`~repro.dbms.cluster.Cluster` opens over many.  The engine holds
+    no failure profile: a :class:`~repro.dbms.faults.FailureProfile` enters
+    one round through :meth:`new_session`'s ``faults`` (which the
+    :class:`~repro.runtime.ExecutionRuntime` passes), and a round opened
+    without one is perfectly reliable.
     """
 
-    def __init__(self, profile: DBMSProfile, seed: int = 0, faults: FailureProfile | None = None) -> None:
+    def __init__(self, profile: DBMSProfile, seed: int = 0) -> None:
         self.profile = profile
         self.seed = seed
         self.seeds = SeedSpawner(seed)
-        self.faults = faults
         self._round_counter = 0
 
     def new_session(
@@ -600,16 +588,13 @@ class DatabaseEngine:
         # Entropy (seed, round_id, 0x5EED): the historical per-round stream,
         # now derived through the central SeedSpawner (bit-identical).
         rng = self.seeds.derive(round_id, 0x5EED)
-        session_faults = faults if faults is not None else self.faults
-        fault_rng = (
-            self.seeds.derive(round_id, FAULT_STREAM) if session_faults is not None else None
-        )
+        fault_rng = self.seeds.derive(round_id, FAULT_STREAM) if faults is not None else None
         return ExecutionSession(
             profile=self.profile,
             batch=batch,
             num_connections=num_connections or self.profile.default_connections,
             rng=rng,
-            faults=session_faults,
+            faults=faults,
             fault_rng=fault_rng,
             instance=instance,
         )

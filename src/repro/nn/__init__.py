@@ -22,7 +22,6 @@ from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
 from . import fastinfer
 from . import fastgrad
 from .optim import Adam, AdamSlabs, Optimizer, SGD, clip_grad_norm
-from .serialization import Checkpoint
 from . import backend
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "Optimizer",
     "SGD",
     "clip_grad_norm",
-    "Checkpoint",
 ]

@@ -101,14 +101,18 @@ class _SimulatedInstance:
 
 
 class SimulatedCluster:
-    """Opens simulated fleet rounds served by one :class:`PerformanceModel`."""
+    """Opens simulated fleet rounds served by one :class:`PerformanceModel`.
+
+    Like the engine and the engine fleet it holds no failure profile: a
+    round's faults enter through :meth:`new_session`, which the
+    :class:`~repro.runtime.ExecutionRuntime` passes.
+    """
 
     def __init__(
         self,
         perf: PerformanceModel,
         instance_connections: Sequence[int],
         name: str = "simulated-cluster",
-        faults: FailureProfile | None = None,
         seed: int = 0,
     ) -> None:
         if not instance_connections:
@@ -121,7 +125,6 @@ class SimulatedCluster:
         self.perf = perf
         self.instance_connections = tuple(int(count) for count in instance_connections)
         self.name = name
-        self.faults = faults
         self.seeds = SeedSpawner(seed)
         self._round_counter = 0
         # Fresh-submission feature rows keyed (instance, query_id,
@@ -132,26 +135,10 @@ class SimulatedCluster:
         self._row_cache_version = -1
 
     @classmethod
-    def for_cluster(
-        cls,
-        perf: PerformanceModel,
-        cluster: "Cluster",
-        name: str | None = None,
-        faults: FailureProfile | None = None,
-    ) -> "SimulatedCluster":
-        """A simulated twin of ``cluster`` (same topology, defaults and faults).
-
-        The twin inherits the real cluster's :class:`FailureProfile` unless an
-        explicit ``faults`` overrides it, so simulator pre-training exposes
-        the policy to the same failure behaviour the serving fleet exhibits.
-        """
+    def for_cluster(cls, perf: PerformanceModel, cluster: "Cluster", name: str | None = None) -> "SimulatedCluster":
+        """A simulated twin of ``cluster``: the same topology and connection defaults."""
         connections = [engine.profile.default_connections for engine in cluster.engines]
-        return cls(
-            perf,
-            connections,
-            name=name or f"simulated-{cluster.name}",
-            faults=faults if faults is not None else cluster.faults,
-        )
+        return cls(perf, connections, name=name or f"simulated-{cluster.name}")
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -197,9 +184,10 @@ class SimulatedCluster:
         """Open one simulated round across every instance.
 
         ``num_connections`` is *per instance* (the cluster convention);
-        ``None`` uses each instance's default connection count.  Fault fates
-        draw from a dedicated per-round stream mirroring the real engine's
-        derivation, so the fault-free path stays bit-identical.
+        ``None`` uses each instance's default connection count.  ``faults``
+        is the round's failure profile; its fates draw from a dedicated
+        per-round stream mirroring the real engine's derivation, so the
+        fault-free path stays bit-identical.
         """
         if round_id is None:
             round_id = self._round_counter
@@ -208,17 +196,14 @@ class SimulatedCluster:
             num_connections if num_connections is not None else default
             for default in self.instance_connections
         ]
-        session_faults = faults if faults is not None else self.faults
-        fault_rng = (
-            self.seeds.derive(round_id, FAULT_STREAM) if session_faults is not None else None
-        )
+        fault_rng = self.seeds.derive(round_id, FAULT_STREAM) if faults is not None else None
         return SimulatedClusterSession(
             cluster=self,
             batch=batch,
             instance_connections=connections,
             strategy=strategy,
             round_id=round_id,
-            faults=session_faults,
+            faults=faults,
             fault_rng=fault_rng,
         )
 

@@ -254,6 +254,9 @@ class ControlPlane:
         admission: AdmissionPolicy | None = None,
         autoscale: AutoscalePolicy | None = None,
     ) -> None:
+        for value, kind in ((retry, RetryPolicy), (admission, AdmissionPolicy), (autoscale, AutoscalePolicy)):
+            if value is not None and not isinstance(value, kind):
+                raise ConfigurationError(f"expected a {kind.__name__} (or None), got {value!r}")
         self.retry = retry
         self.admission: AdmissionController | None = (
             AdmissionController(admission) if admission is not None else None

@@ -86,9 +86,12 @@ class _TenantState:
 class ExecutionRuntime:
     """Advances one shared backend session and dispatches events to tenants.
 
-    ``faults`` injects a :class:`~repro.dbms.faults.FailureProfile` into
-    every round the runtime opens (passed through to the backend's
-    ``new_session``).
+    ``backend`` opens the rounds: a :class:`~repro.dbms.DatabaseEngine`, a
+    :class:`~repro.dbms.Cluster` or a :class:`~repro.perf.SimulatedCluster`,
+    whose ``new_session`` returns a :class:`~repro.dbms.soa.FleetSession` —
+    not another runtime's :class:`RuntimeTenant`.  ``faults`` is the one way
+    a :class:`~repro.dbms.faults.FailureProfile` enters a round: the runtime
+    passes it to the backend's ``new_session`` for every round it opens.
 
     Arrival handling, retry decisions and elastic fleet sizing all flow
     through one :class:`~repro.runtime.controlplane.ControlPlane`, the one
@@ -110,6 +113,11 @@ class ExecutionRuntime:
         faults: "FailureProfile | None" = None,
         control: "ControlPlane | None" = None,
     ) -> None:
+        if isinstance(backend, RuntimeTenant):
+            raise SchedulingError(
+                "an ExecutionRuntime needs a backend that opens fleet sessions (an engine, a cluster or a "
+                "simulator), not another runtime's tenant: register the tenant on that runtime instead"
+            )
         self.backend = backend
         self.control = control if control is not None else ControlPlane()
         self.faults = faults
@@ -225,6 +233,8 @@ class ExecutionRuntime:
         """
         if name not in self._tenants:
             raise SchedulingError(f"unknown tenant {name!r}")
+        if round_id is not None and round_id < 0:
+            raise SchedulingError(f"round_id must be >= 0 (it seeds the round's streams), got {round_id}")
         state = self._tenants[name]
         if len(batch) != len(state.batch):
             raise SchedulingError(
@@ -726,10 +736,6 @@ class TenantSession:
     def failure_counts(self) -> dict[int, int]:
         """Failed attempts per tenant-local query id (empty when fault-free)."""
         return {int(query_id): int(self.soa_attempts[query_id]) for query_id in np.flatnonzero(self.soa_attempts)}
-
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health of the shared backend."""
-        return self._shared.instance_health()
 
     def arrival_time(self, query_id: int) -> float:
         """When the query arrives (0.0 in the closed scenario)."""

@@ -346,7 +346,7 @@ def snapshot_aos(env) -> SchedulingSnapshot:
             deadline_slack = tenant_class.deadline - now
     # Only a fleet backend has the instance-context channel.
     context = session.instance_context() if cluster_instance_count(env.backend) is not None else None
-    health = session.instance_health()
+    health = env.runtime.shared_session.instance_health()
     return SchedulingSnapshot(
         time=now,
         infos=tuple(infos),

@@ -32,7 +32,7 @@ def trained_bqsched(tiny_setup):
     workload, engine, config = tiny_setup
     scheduler = BQSched(workload, engine, config)
     scheduler.prepare(history_rounds=2)
-    scheduler.train(num_updates=2, pretrain_updates=1, history_rounds=2)
+    scheduler.train(num_updates=2, pretrain_updates=1)
     return scheduler
 
 
@@ -145,7 +145,8 @@ class TestLazySimulatorFit:
         workload, engine, config = tiny_setup
         scheduler = LSchedScheduler(workload, engine, config)
         assert scheduler.simulator is None
-        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1)
         assert scheduler.simulator is None and scheduler.perf_model is None
         assert fits[0] == 0
 
@@ -206,7 +207,8 @@ class TestValidationRounds:
             return evaluate(env, rounds=rounds, base_round_id=base_round_id)
 
         monkeypatch.setattr(scheduler, "evaluate", recording)
-        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1)
         assert seen == [90_001, 90_002, 90_002]
 
     @pytest.mark.parametrize(
@@ -278,9 +280,10 @@ class TestTrainingMemory:
 
         monkeypatch.setattr(BQSched, "_make_trainer", recording_make_trainer)
         monkeypatch.setattr(PPOTrainer, "update", checking_update)
+        scheduler.prepare(history_rounds=2)
         gc.disable()  # freed by reference counting, not by a collection
         try:
-            scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+            scheduler.train(num_updates=1, pretrain_updates=1)
         finally:
             gc.enable()
         assert len(built) == 2 and built[1][0]() is scheduler.trainer
@@ -289,7 +292,8 @@ class TestTrainingMemory:
     def test_train_keeps_no_training_only_copy(self, tiny_setup):
         workload, engine, config = tiny_setup
         scheduler = BQSched(workload, engine, config)
-        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1)
         assert scheduler._best_state is None
         arena = scheduler._update_arena
         assert arena.nbytes == 0 and not arena._used and not any(arena._free.values())
@@ -311,7 +315,8 @@ class TestLSched:
     def test_lsched_trains_and_schedules(self, tiny_setup):
         workload, engine, config = tiny_setup
         scheduler = LSchedScheduler(workload, engine, config)
-        scheduler.train(num_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1)
         result = scheduler.schedule(round_id=5)
         assert result.num_queries == workload.num_queries
 
@@ -384,7 +389,7 @@ class TestNoTapeAtRunTime:
         scheduler = BQSched(workload, engine, BQSchedConfig.small(seed=0))
         assert made[0] == 0, "construction"
         scheduler.prepare(history_rounds=2)
-        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1)
         assert scheduler.schedule(round_id=0).makespan > 0
         assert len(scheduler.serve(num_tenants=2).tenants) == 2
         assert made[0] == 0

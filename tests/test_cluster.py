@@ -57,12 +57,11 @@ def _cluster_env(cluster, num_connections=4, mask=None, arrivals=None):
     knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
     return SchedulingEnv(
         batch=batch,
-        backend=cluster,
+        backend=cluster if arrivals is None else ExecutionRuntime(cluster).register("env", batch, arrivals=arrivals),
         scheduler_config=config.scheduler,
         config_space=space,
         knowledge=knowledge,
         mask=mask if mask is not None else AdaptiveMask.unmasked(len(batch), len(space)),
-        arrivals=arrivals,
     )
 
 
@@ -683,7 +682,8 @@ class TestClusterFacade:
         config.scheduler.num_connections = 2
         cluster = Cluster.from_names(["x", "y", "z"], seed=0)
         scheduler = LSchedScheduler(workload, cluster, config)
-        scheduler.train(num_updates=1, history_rounds=1)
+        scheduler.prepare(history_rounds=1)
+        scheduler.train(num_updates=1)
         return scheduler
 
     def test_facade_wires_cluster_dimensions(self, trained):

@@ -30,7 +30,6 @@ from repro.config import (
     AutoscalePolicy,
     RetryPolicy,
     SchedulerConfig,
-    ServiceConfig,
 )
 from repro.core import (
     AdaptiveMask,
@@ -156,20 +155,28 @@ class TestPolicyValidation:
             "memory_options",
         ]
 
-    def test_service_config_control_knobs(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(tenant_classes=("not-a-class",))
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(admission="nope")
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(autoscale="nope")
-        service = ServiceConfig(
-            tenant_classes=(TenantClass("a", priority=1.0),),
-            admission=AdmissionPolicy(),
-            autoscale=AutoscalePolicy(),
-            arrival_process="flash-crowd",
-        )
-        assert service.tenant_classes[0].name == "a"
+    def test_service_config_control_knobs(self, fixture_batch):
+        """Each serving knob is checked where it lands: a policy of the wrong type in
+        ``ControlPlane`` (and so in ``serve()``), a tenant class in ``register``, a
+        negative round id where the runtime opens the round."""
+        for knob in ("retry", "admission", "autoscale"):
+            with pytest.raises(ConfigurationError, match="expected a"):
+                ControlPlane(**{knob: "nope"})
+        workload = make_workload("tpch", scale_factor=1.0, seed=0)
+        scheduler = LSchedScheduler(workload, Cluster.from_names(("x", "x"), seed=0), BQSchedConfig.small(seed=0))
+        for knob in ("admission", "autoscale"):
+            with pytest.raises(ConfigurationError, match="expected a"):
+                scheduler.serve(**{knob: "nope"})
+        with pytest.raises(SchedulingError, match="TenantClass"):
+            scheduler.serve(tenant_classes=("not-a-class",))
+        with pytest.raises(SchedulingError, match="round_id must be >= 0"):
+            scheduler.serve(round_id=-1)
+        with pytest.raises(SchedulingError, match="TenantClass"):
+            ExecutionRuntime(DatabaseEngine(DBMSProfile.dbms_x(), seed=0)).register(
+                "t", fixture_batch, tenant_class="not-a-class"
+            )
+        plane = ControlPlane(retry=RetryPolicy(), admission=AdmissionPolicy(), autoscale=AutoscalePolicy())
+        assert plane.admission is not None and plane.fleet is not None
 
 
 class TestTokenBucket:

@@ -315,7 +315,8 @@ class TestParameterRefresh:
             return SimpleNamespace(mean=next(scores))
 
         scheduler.evaluate = scripted_validation
-        scheduler.train(num_updates=3, pretrain_updates=0, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=3, pretrain_updates=0)
         assert len(states) == 4
         best, last = states[1], states[-1]
         assert any(not np.array_equal(best[name], last[name]) for name in best)

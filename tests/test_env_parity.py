@@ -147,8 +147,9 @@ _FAULTS = FailureProfile(error_rate=0.2, hang_rate=0.1, outages=(OutageWindow(0,
 
 
 def _faulty_fifo_trace(backend, batch, space):
-    """FIFO through the runtime; the observable state after every runtime event."""
-    runtime = ExecutionRuntime(backend, control=ControlPlane(retry=RetryPolicy(3, timeout=8.0)))
+    """FIFO through the runtime, which opens the round with ``_FAULTS``; the observable state after every
+    runtime event."""
+    runtime = ExecutionRuntime(backend, faults=_FAULTS, control=ControlPlane(retry=RetryPolicy(3, timeout=8.0)))
     session = runtime.register("t", batch).new_session(batch, num_connections=3, round_id=0)
     shared = runtime.shared_session
     trace = []
@@ -175,10 +176,8 @@ def _faulty_fifo_trace(backend, batch, space):
 @pytest.mark.parametrize("seed", range(6))
 def test_faulty_runtime_matches_on_a_fleet_of_one(parts, seed):
     batch, _, space = parts[:3]
-    engine_trace = _faulty_fifo_trace(DatabaseEngine(DBMSProfile.dbms_x(), seed=seed, faults=_FAULTS), batch, space)
-    fleet_trace = _faulty_fifo_trace(
-        Cluster([DatabaseEngine(DBMSProfile.dbms_x(), seed=seed, faults=_FAULTS)]), batch, space
-    )
+    engine_trace = _faulty_fifo_trace(DatabaseEngine(DBMSProfile.dbms_x(), seed=seed), batch, space)
+    fleet_trace = _faulty_fifo_trace(Cluster([DatabaseEngine(DBMSProfile.dbms_x(), seed=seed)]), batch, space)
     assert any(isinstance(entry[0], QueryFailure) for entry in engine_trace)
     assert len(engine_trace) == len(fleet_trace)
     for index, (engine_entry, fleet_entry) in enumerate(zip(engine_trace, fleet_trace)):

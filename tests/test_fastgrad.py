@@ -983,7 +983,8 @@ class TestEndToEndFusedTraining:
             make_workload("tpch", scale_factor=1.0, seed=0), DatabaseEngine(DBMSProfile.dbms_x(), seed=0), config
         )
         scheduler.use_clustering = clustered
-        history = scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        history = scheduler.train(num_updates=1, pretrain_updates=1)
         assert (scheduler.clusters is not None) == clustered
         assert scheduler.trainer.arena is scheduler._update_arena
         assert np.isfinite(history.policy_losses[-1]) and np.isfinite(history.aux_losses[-1])

@@ -162,10 +162,10 @@ class TestFailureProfile:
 class TestEngineFaults:
     def test_error_fate_fails_without_logging(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=1.0)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        session = engine.new_session(
+            fixture_batch, num_connections=4, round_id=0, faults=FailureProfile(error_rate=1.0)
         )
-        session = engine.new_session(fixture_batch, num_connections=4, round_id=0)
         session.submit(fixture_batch[0].query_id, space[0])
         event = session.advance()
         assert event.failed and event.failure == "error"
@@ -192,8 +192,8 @@ class TestEngineFaults:
     def test_outage_kills_running_and_blocks_submissions(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
         faults = FailureProfile(outages=(OutageWindow(0, 1.0, 2.0),))
-        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=faults)
-        session = engine.new_session(fixture_batch, num_connections=2, round_id=0)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        session = engine.new_session(fixture_batch, num_connections=2, round_id=0, faults=faults)
         ids = [q.query_id for q in fixture_batch[:2]]
         for qid in ids:
             session.submit(qid, space[0])
@@ -212,17 +212,6 @@ class TestEngineFaults:
         assert session.next_fault_wakeup() == 3.0
         session.advance(limit=3.0)
         assert session.instance_health()[0] and session.has_idle_connection
-
-    def test_execute_order_marks_failures_terminal(self, fixture_batch, small_config):
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.3)
-        )
-        space = ConfigurationSpace(small_config.scheduler)
-        order = [q.query_id for q in fixture_batch]
-        log = engine.execute_order(fixture_batch, order, space[0], num_connections=4, round_id=0)
-        assert 0 < len(log.records) < len(fixture_batch)
-        logged = {r.query_id for r in log.records}
-        assert len(logged) == len(log.records)  # nothing executed twice
 
 
 class TestDeterminism:
@@ -319,8 +308,8 @@ class TestRetrySemantics:
         space = ConfigurationSpace(small_config.scheduler)
         faults = FailureProfile(error_rate=1.0)
         retry = RetryPolicy(max_attempts=2, backoff=5.0)
-        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=faults)
-        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=retry))
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        runtime = ExecutionRuntime(engine, faults=faults, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=4, round_id=0)
         session.submit(session.pending[0], space[0])
@@ -349,8 +338,8 @@ class TestRetrySemantics:
 class TestClusterOutage:
     def _cluster_round(self, fixture_batch, small_config, faults, retry=None):
         space = ConfigurationSpace(small_config.scheduler)
-        cluster = Cluster.from_names(("x", "x"), seed=0, faults=faults)
-        runtime = ExecutionRuntime(cluster, control=ControlPlane(retry=retry))
+        cluster = Cluster.from_names(("x", "x"), seed=0)
+        runtime = ExecutionRuntime(cluster, faults=faults, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=2, round_id=0)
         scheduler_cursor = 0
@@ -382,18 +371,18 @@ class TestClusterOutage:
     def test_downed_instance_is_never_selectable(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
         faults = FailureProfile(outages=(OutageWindow(instance=0, start=0.0, duration=5.0),))
-        cluster = Cluster.from_names(("x", "x"), seed=0, faults=faults)
+        cluster = Cluster.from_names(("x", "x"), seed=0)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
         env = SchedulingEnv(
             batch=fixture_batch,
-            backend=cluster,
+            backend=ExecutionRuntime(cluster, faults=faults).register("env", fixture_batch),
             scheduler_config=small_config.scheduler,
             config_space=space,
             knowledge=knowledge,
             mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
         )
         snapshot = env.reset(round_id=0)
-        assert env.session.instance_health() == [False, True]
+        assert env.runtime.shared_session.instance_health() == [False, True]
         assert env.available_instances() == [1]
         mask = env.action_mask()
         assert mask.any()
@@ -447,8 +436,8 @@ class TestSimulatedClusterFaults:
         perf.train_from_log(log)
         return perf, cluster
 
-    def _drive_sim(self, sim_cluster, batch, space, retry):
-        runtime = ExecutionRuntime(sim_cluster, control=ControlPlane(retry=retry))
+    def _drive_sim(self, sim_cluster, batch, space, faults, retry):
+        runtime = ExecutionRuntime(sim_cluster, faults=faults, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", batch)
         session = tenant.new_session(batch, num_connections=2, round_id=0)
         while not runtime.is_done:
@@ -466,22 +455,14 @@ class TestSimulatedClusterFaults:
         faults = FailureProfile(
             error_rate=0.3, outages=(OutageWindow(instance=1, start=2.0, duration=2.0),)
         )
-        sim_cluster = SimulatedCluster.for_cluster(perf, cluster, faults=faults)
+        sim_cluster = SimulatedCluster.for_cluster(perf, cluster)
         retry = RetryPolicy(max_attempts=4, backoff=0.1)
-        session = self._drive_sim(sim_cluster, fixture_batch, space, retry)
+        session = self._drive_sim(sim_cluster, fixture_batch, space, faults, retry)
         assert session.is_done
         assert len(session.finished) == len(fixture_batch)
         assert session.num_failed_attempts > 0
-        rerun = self._drive_sim(
-            SimulatedCluster.for_cluster(perf, cluster, faults=faults), fixture_batch, space, retry
-        )
+        rerun = self._drive_sim(SimulatedCluster.for_cluster(perf, cluster), fixture_batch, space, faults, retry)
         assert rerun.finished == session.finished  # seed-for-seed deterministic
-
-    def test_for_cluster_inherits_real_fleet_faults(self, sim, fixture_batch):
-        perf, _ = sim
-        faulty = Cluster.from_names(("x", "x"), seed=0, faults=FailureProfile(error_rate=0.5))
-        twin = SimulatedCluster.for_cluster(perf, faulty)
-        assert twin.faults is faulty.faults
 
 
 class TestFaultFreeDigestPins:
@@ -491,12 +472,11 @@ class TestFaultFreeDigestPins:
         knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
         env = SchedulingEnv(
             batch=fixture_batch,
-            backend=engine,
+            backend=ExecutionRuntime(engine).register("env", fixture_batch, arrivals=PoissonArrivals(rate=3.0)),
             scheduler_config=small_config.scheduler,
             config_space=space,
             knowledge=knowledge,
             mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
-            arrivals=PoissonArrivals(rate=3.0),
         )
         result = FIFOScheduler().run_round(env, round_id=0)
         assert _digest(result.round_log) == _PR4_STREAMING_FIFO
@@ -522,10 +502,8 @@ class TestServiceReportFaults:
         """Regression: ``np.percentile([])`` raised IndexError and the mean
         emitted NaN for any tenant that completed no queries."""
         space = ConfigurationSpace(small_config.scheduler)
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=1.0)
-        )
-        runtime = ExecutionRuntime(engine)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        runtime = ExecutionRuntime(engine, faults=FailureProfile(error_rate=1.0))
         tenant = runtime.register("doomed", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=4, round_id=0)
         while not runtime.is_done:
@@ -550,10 +528,12 @@ class TestServiceReportFaults:
 
     def test_failure_ledger_in_report_and_str(self, fixture_batch, small_config):
         space = ConfigurationSpace(small_config.scheduler)
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.3)
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        runtime = ExecutionRuntime(
+            engine,
+            faults=FailureProfile(error_rate=0.3),
+            control=ControlPlane(retry=RetryPolicy(max_attempts=4, backoff=0.1)),
         )
-        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=4, backoff=0.1)))
         tenant = runtime.register("t", fixture_batch)
         session = tenant.new_session(fixture_batch, num_connections=4, round_id=0)
         while not runtime.is_done:
@@ -603,11 +583,13 @@ class TestRewardAndAttempts:
         space = ConfigurationSpace(small_config.scheduler)
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
-        faulty = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
+        faulty = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         classed = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         rounds = {
             "faulty": ExecutionRuntime(
-                faulty, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1))
+                faulty,
+                faults=FailureProfile(error_rate=0.4),
+                control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1)),
             ).register("env", fixture_batch),
             # An impossible SLO makes every completion a miss.
             "classed": ExecutionRuntime(classed).register(
@@ -635,11 +617,13 @@ class TestRewardAndAttempts:
         space = ConfigurationSpace(small_config.scheduler)
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
-        engine = DatabaseEngine(
-            DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.5, outages=(OutageWindow(0, 1.0, 1.0),))
-        )
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
-        runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1)))
+        runtime = ExecutionRuntime(
+            engine,
+            faults=FailureProfile(error_rate=0.5, outages=(OutageWindow(0, 1.0, 1.0),)),
+            control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1)),
+        )
         env = SchedulingEnv(
             batch=fixture_batch,
             backend=runtime.register("env", fixture_batch),
@@ -671,11 +655,13 @@ class TestAttemptCounts:
         after every step it is the same array, it never counts down, and
         ``failure_counts()`` and the per-query oracle read exactly it."""
         space = ConfigurationSpace(small_config.scheduler)
-        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0, faults=FailureProfile(error_rate=0.4))
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         env = SchedulingEnv(
             batch=fixture_batch,
             backend=ExecutionRuntime(
-                engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1))
+                engine,
+                faults=FailureProfile(error_rate=0.4),
+                control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.1)),
             ).register("env", fixture_batch),
             scheduler_config=small_config.scheduler,
             config_space=space,

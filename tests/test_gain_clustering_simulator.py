@@ -296,7 +296,7 @@ class TestClustering:
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
         clusters = cluster_queries(tpch_batch, gains, num_clusters=4, knowledge=tpch_knowledge)
         for cluster_id in range(clusters.num_clusters):
-            times = [tpch_knowledge.average_time(qid) for qid in clusters.intra_order(cluster_id)]
+            times = [tpch_knowledge.average_time(qid) for qid in clusters.members(cluster_id)]
             assert times == sorted(times, reverse=True)
 
     def test_one_cluster_per_query_is_identity(self, tpch_batch):

@@ -91,12 +91,11 @@ def _make_streaming() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer,
     arrivals = [(i % 7) * 0.9 for i in range(len(batch))]
     env = SchedulingEnv(
         batch=batch,
-        backend=engine,
+        backend=ExecutionRuntime(engine).register("env", batch, arrivals=arrivals),
         scheduler_config=config.scheduler,
         config_space=space,
         knowledge=knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(space)),
-        arrivals=arrivals,
     )
     featurizer = RunStateFeaturizer(num_configs=len(space))
     return env, FIFOScheduler(), featurizer, (0, 1)
@@ -120,14 +119,13 @@ def _make_cluster() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, t
 
 def _make_faulted() -> tuple[SchedulingEnv, BaseScheduler, RunStateFeaturizer, tuple[int, ...]]:
     batch, config, space = _base()
-    probe_engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    knowledge = ExternalKnowledge.from_probes(probe_engine, batch, space)
-    engine = DatabaseEngine(
-        DBMSProfile.dbms_x(),
-        seed=0,
+    engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+    knowledge = ExternalKnowledge.from_probes(engine, batch, space)
+    runtime = ExecutionRuntime(
+        engine,
         faults=FailureProfile(error_rate=0.25, outages=(OutageWindow(0, 4.0, 2.0),)),
+        control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.5)),
     )
-    runtime = ExecutionRuntime(engine, control=ControlPlane(retry=RetryPolicy(max_attempts=3, backoff=0.5)))
     env = SchedulingEnv(
         batch=batch,
         backend=runtime.register("env", batch),
@@ -176,7 +174,7 @@ def _absorb(sha, env: SchedulingEnv, featurizer: RunStateFeaturizer, snapshot, r
     sha.update(rows.tobytes())
     sha.update(np.asarray(env.action_mask(), dtype=np.uint8).tobytes())
     sha.update(repr(to_snapshot(snapshot).instance_context).encode())
-    health = env.session.instance_health()
+    health = env.runtime.shared_session.instance_health()
     sha.update(repr(() if all(health) else tuple(bool(up) for up in health)).encode())
 
 

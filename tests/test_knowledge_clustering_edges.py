@@ -102,13 +102,13 @@ class TestClusteringEdges:
         # equal costs: stable sort keeps ascending id order inside the cluster,
         # every time
         for _ in range(2):
-            assert cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).intra_order(0) == list(range(n))
+            assert cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).members(0) == list(range(n))
         # a single slower query jumps to the front; ties behind it stay stable
         knowledge.average_times[7] = 9.0
-        order = cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).intra_order(0)
+        order = cluster_queries(tpch_batch, np.ones((n, n)), 1, knowledge=knowledge).members(0)
         assert order == [7] + [i for i in range(n) if i != 7]
 
     def test_batch_intra_order_without_knowledge(self, tpch_batch):
         n = len(tpch_batch)
         clusters = cluster_queries(tpch_batch, np.ones((n, n)), 1)
-        assert clusters.intra_order(0) == list(range(n))
+        assert clusters.members(0) == list(range(n))

@@ -41,6 +41,7 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ALLOWED = frozenset({
     "ingest_online_log",  # BQSched: the continual-adaptation entry point
     "failure_counts",  # TenantSession: failed attempts per query
+    "instance_health",  # FleetSession: per-instance health, read through ExecutionRuntime.shared_session
 })
 
 
@@ -130,6 +131,14 @@ GATES = {
         "and evaluation rounds are an argument, not a config field)",
         ((r"eval_every|eval_env|eval_makespans|evaluation_rounds", ("src",)),),
     ),
+    "one-place-per-round-setting": Gate(
+        "One place per round setting (serve()'s arguments are the service settings; faults enter a round through "
+        "new_session(faults=), never a backend attribute)",
+        (
+            (r"ServiceConfig|config\.service|from_service_config", ("src", "benchmarks", "examples")),
+            (r"self\.faults\b", ("src/repro/dbms", "src/repro/perf")),
+        ),
+    ),
 }
 
 #: One ``(path, line)`` per check of each gate, in the gate's order: a violation the check must catch.
@@ -159,6 +168,10 @@ PLANTED = {
         ("src/repro/perf/model.py", "x = Tensor(features)"),
     ),
     "one-greedy-loop": (("src/repro/core/ppo.py", "eval_every: int = 10"),),
+    "one-place-per-round-setting": (
+        ("examples/cluster_scheduling.py", "fleet = Cluster.from_service_config(config.service, seed=0)"),
+        ("src/repro/perf/simcluster.py", "        self.faults = faults"),
+    ),
 }
 
 

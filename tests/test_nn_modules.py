@@ -11,7 +11,6 @@ from repro.nn import (
     AttentionBlock,
     AttentionEncoder,
     BatchNorm,
-    Checkpoint,
     Embedding,
     LayerNorm,
     Linear,
@@ -250,15 +249,3 @@ class TestOptimizers:
         layer = Linear(2, 2, rng)
         assert clip_grad_norm(layer.parameters(), 1.0) == 0.0
 
-
-class TestCheckpoint:
-    def test_checkpoint_restore(self, rng):
-        mlp = MLP([2, 2], rng)
-        checkpoint = Checkpoint(mlp, score=1.23, tag="best")
-        for param in mlp.parameters():
-            param.data = param.data + 10.0
-        checkpoint.restore(mlp)
-        x = Tensor(np.ones((1, 2)))
-        fresh = MLP([2, 2], np.random.default_rng(0))
-        np.testing.assert_allclose(mlp(x).data, fresh(x).data)
-        assert "best" in repr(checkpoint)

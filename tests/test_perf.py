@@ -563,7 +563,8 @@ class TestClusterFacadeSimulation:
             rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1
         )
         scheduler = BQSched(workload, fleet, config)
-        scheduler.train(num_updates=1, pretrain_updates=1, history_rounds=2)
+        scheduler.prepare(history_rounds=2)
+        scheduler.train(num_updates=1, pretrain_updates=1)
         return scheduler
 
     def test_simulator_and_clustering_enabled_by_default_on_fleets(self, fleet_bqsched):

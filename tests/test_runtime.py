@@ -52,6 +52,12 @@ _PRE_REFACTOR_DIGESTS = {
     ("Random", 2): "53fc6f72815f3e4cfc181557a35a0f180209465b6467be0eed077ba88f922b8a",
 }
 
+# SHA-256 of ``repr(serve().as_dict())`` for an untrained LSched on TPC-H sf1
+# seed 0 over DBMS-X seed 0 (small config), as the tree that read serve()'s
+# defaults from a service config section produced it: two closed tenants,
+# round 80000.
+_DEFAULT_SERVE_REPORT = "11b28f8433d7a1f82446071698c49c22adb7528a5ee4ced3981ce470b5ece409"
+
 
 def _digest(round_log) -> str:
     sha = hashlib.sha256()
@@ -350,12 +356,11 @@ class TestStreamingEnv:
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
         env = SchedulingEnv(
             batch=batch,
-            backend=engine,
+            backend=ExecutionRuntime(engine).register("env", batch, arrivals=PoissonArrivals(rate=3.0)),
             scheduler_config=config.scheduler,
             config_space=space,
             knowledge=knowledge,
             mask=AdaptiveMask.unmasked(len(batch), len(space)),
-            arrivals=PoissonArrivals(rate=3.0),
         )
         snapshot = env.reset(round_id=0)
         assert len(snapshot.pending_ids) + len(snapshot.unarrived_ids) == len(batch)
@@ -381,11 +386,10 @@ class TestStreamingEnv:
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
         env = SchedulingEnv(
             batch=batch,
-            backend=engine,
+            backend=ExecutionRuntime(engine).register("env", batch, arrivals=PoissonArrivals(rate=3.0)),
             scheduler_config=config.scheduler,
             config_space=space,
             knowledge=knowledge,
-            arrivals=PoissonArrivals(rate=3.0),
         )
         env.reset(round_id=0)
         first = [env.session.arrival_time(q.query_id) for q in batch]
@@ -412,6 +416,25 @@ class TestServeFacade:
         assert streamed.total_time > 0
         as_dict = streamed.as_dict()
         assert {t["tenant"] for t in as_dict["tenants"]} == {"tenant-0", "tenant-1"}
+
+    @staticmethod
+    def _untrained_lsched():
+        workload = make_workload("tpch", scale_factor=1.0, seed=0)
+        return LSchedScheduler(workload, DatabaseEngine(DBMSProfile.dbms_x(), seed=0), BQSchedConfig.small(seed=0))
+
+    def test_serve_defaults_reproduce_the_service_config_report(self):
+        """``serve()``'s own defaults are the settings its config section held, byte for byte."""
+        report = self._untrained_lsched().serve()
+        assert [tenant.tenant for tenant in report.tenants] == ["tenant-0", "tenant-1"]
+        assert hashlib.sha256(repr(report.as_dict()).encode()).hexdigest() == _DEFAULT_SERVE_REPORT
+
+    def test_a_process_name_builds_the_default_process(self):
+        """A process name is ``make_arrival_process`` at its defaults: 2 queries/s, bursts of 4."""
+        scheduler = self._untrained_lsched()
+        for name, process in (("poisson", PoissonArrivals(2.0)), ("bursty", BurstyArrivals(2.0, burst_size=4))):
+            by_name = scheduler.serve(arrivals=name)
+            assert by_name.total_time > 0
+            assert repr(by_name.as_dict()) == repr(scheduler.serve(arrivals=process).as_dict()), name
 
     def test_latency_percentiles_are_numpys_linear_bit_for_bit(self):
         rng = np.random.default_rng(0)

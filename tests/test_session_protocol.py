@@ -3,11 +3,13 @@
 The environment is backend-agnostic through two typed protocols in
 ``repro.core.env``: ``SessionBackend`` (things that open rounds) and
 ``SchedulingSession`` (the live rounds themselves).  These tests pin the
-signature and assert that every production implementation — the real engine,
-the real cluster, the learned simulator (a simulated fleet, of one on a single
-engine) and the runtime tenant — actually satisfies both, and that every
-backend session is a ``FleetSession`` (a single engine's is a fleet of one)
-with one copy of the round transitions and fleet answers.
+signature and assert that every production backend — the real engine, the
+real cluster and the learned simulator (a simulated fleet, of one on a single
+engine) — actually satisfies both, that every backend session is a
+``FleetSession`` (a single engine's is a fleet of one) with one copy of the
+round transitions and fleet answers, and that the runtime tenant, which an
+environment takes in place of a backend, opens ``SchedulingSession`` rounds but
+backs no runtime.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.encoder import PlanEmbeddingCache, QueryFormer
 from repro.perf import PerformanceModel, SimulatedCluster, SimulatedClusterSession
 from repro.plans import PlanFeaturizer
 from repro.dbms.faults import FAILURE_OUTAGE, FailureProfile, OutageWindow
+from repro.exceptions import SchedulingError
 from repro.runtime import ControlPlane, ExecutionRuntime, RuntimeTenant, TenantSession
 from repro.runtime import controlplane as controlplane_module
 from repro.runtime import runtime as runtime_module
@@ -36,6 +39,7 @@ _PROTOCOL_PARAMETERS = {
     "num_connections": None,
     "strategy": "",
     "round_id": None,
+    "faults": None,
 }
 
 
@@ -89,7 +93,7 @@ def _check_new_session_signature(backend_cls) -> None:
 
 class TestBackendConformance:
     def test_signatures(self):
-        for backend_cls in (DatabaseEngine, RuntimeTenant, Cluster, SimulatedCluster):
+        for backend_cls in (DatabaseEngine, Cluster, SimulatedCluster):
             _check_new_session_signature(backend_cls)
 
     def test_engine_satisfies_protocol(self, parts):
@@ -106,10 +110,15 @@ class TestBackendConformance:
         assert isinstance(session, SimulatedClusterSession) and session.num_instances == 1
         assert isinstance(session, SchedulingSession)
 
-    def test_runtime_tenant_satisfies_protocol(self, parts):
+    def test_runtime_tenant_opens_tenant_sessions_but_backs_no_runtime(self, parts):
+        """A tenant joins its runtime's round, which the runtime's ``faults`` set: it
+        takes no ``faults`` of its own, and a runtime over it fails at construction,
+        naming the problem, instead of at its first round."""
         batch, engine, _, _, _ = parts
         tenant = ExecutionRuntime(engine).register("t", batch)
-        assert isinstance(tenant, SessionBackend)
+        assert "faults" not in inspect.signature(RuntimeTenant.new_session).parameters
+        with pytest.raises(SchedulingError, match="not another runtime's tenant"):
+            ExecutionRuntime(tenant)
         session = tenant.new_session(batch, num_connections=4, strategy="probe", round_id=0)
         assert isinstance(session, TenantSession)
         assert isinstance(session, SchedulingSession)
@@ -194,7 +203,7 @@ class TestSessionBehaviouralParity:
                 assert view.num_instances == 1
                 assert view.idle_instances() == [0]
                 assert view.instance_of(0) == 0 and view.instance_of(3) == -1
-                assert view.instance_health() == [True]
+            assert backend.instance_health() == [True]
             assert backend.next_fault_wakeup() is None
 
 
