@@ -3,11 +3,10 @@
 Engines the scheduler does not control fail: queries error out mid-flight,
 turn into stragglers that hang far past their expected runtime, and whole
 instances drop out of the fleet for maintenance windows or crashes.  A
-:class:`FailureProfile` describes those behaviours declaratively so the same
-fault semantics can be injected into the fluid-model engine, a heterogeneous
-:class:`~repro.dbms.Cluster` and the learned
-:class:`~repro.perf.SimulatedCluster` (pre-training sees the failures the
-serving fleet will exhibit).
+:class:`FailureProfile` describes those behaviours declaratively.  A profile
+enters a round only through the backend's ``new_session(faults=)``, which
+:class:`~repro.runtime.ExecutionRuntime` passes; history and pre-training
+rounds open fault-free.
 
 Everything is drawn from a *dedicated* per-round RNG stream
 (``SeedSpawner(...).derive(round_id, FAULT_STREAM)``), never from the

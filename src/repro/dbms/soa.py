@@ -257,11 +257,6 @@ class FleetSession(Generic[UnitT]):
             if unit.idle_connections and not unit.windows.is_down(now)
         ]
 
-    def instance_health(self) -> list[bool]:
-        """Per-instance up/down health (``False`` inside an outage window or parked)."""
-        now = self.current_time
-        return [not unit.windows.is_down(now) for unit in self.instances]
-
     def next_fault_wakeup(self) -> float | None:
         """Earliest recovery instant among downed instances.
 

@@ -569,12 +569,14 @@ class ExecutionRuntime:
 
 
 class RuntimeTenant:
-    """Per-tenant backend facade satisfying the ``SessionBackend`` protocol.
+    """A tenant that an environment takes in place of a backend.
 
-    Handing a :class:`RuntimeTenant` to :class:`~repro.core.env.SchedulingEnv`
-    as its backend makes the environment a client of the shared runtime:
-    ``new_session`` opens (or joins) the runtime's shared round and returns
-    the tenant's :class:`TenantSession`.
+    It is not a ``SessionBackend``: its ``new_session`` takes no ``faults``
+    (the runtime's own profile applies), and no runtime accepts it as a
+    backend.  Handing a :class:`RuntimeTenant` to
+    :class:`~repro.core.env.SchedulingEnv` makes the environment a client of
+    the shared runtime: ``new_session`` opens (or joins) the runtime's shared
+    round and returns the tenant's :class:`TenantSession`.
     """
 
     def __init__(self, runtime: ExecutionRuntime, name: str) -> None:

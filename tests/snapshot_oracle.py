@@ -16,7 +16,7 @@ The oracle also keeps three channels the policy does not observe, so the
 step digests pinned before they left the library still reproduce: each
 query's wait until it becomes available (``arrival``), its failed attempts
 (``failure``), and the tenant class's priority and deadline slack (``slo``),
-with the per-instance health beside them.
+with the per-instance health beside them (``instance_health``).
 """
 
 from __future__ import annotations
@@ -263,6 +263,12 @@ def featurize_aos(
 # --------------------------------------------------------------------------- #
 
 
+def instance_health(shared) -> list[bool]:
+    """Per-instance up/down health of a fleet session (``False`` inside an outage window or parked)."""
+    now = shared.current_time
+    return [not unit.windows.is_down(now) for unit in shared.instances]
+
+
 def retry_time(session, query_id: int) -> float:
     """When ``query_id``'s scheduled retry re-arrives: the time of its ``QueryRetry`` on the runtime's queue."""
     for _, _, event in session._runtime.events._heap:
@@ -346,7 +352,7 @@ def snapshot_aos(env) -> SchedulingSnapshot:
             deadline_slack = tenant_class.deadline - now
     # Only a fleet backend has the instance-context channel.
     context = session.instance_context() if cluster_instance_count(env.backend) is not None else None
-    health = env.runtime.shared_session.instance_health()
+    health = instance_health(env.runtime.shared_session)
     return SchedulingSnapshot(
         time=now,
         infos=tuple(infos),

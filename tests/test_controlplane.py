@@ -59,7 +59,7 @@ from repro.workloads import (
     PoissonArrivals,
     make_arrival_process,
 )
-from snapshot_oracle import featurize_aos, kept_columns, snapshot_aos
+from snapshot_oracle import featurize_aos, instance_health, kept_columns, snapshot_aos
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,7 @@ class TestParkUnpark:
         assert session.parked_instances() == []
         session.park_instance(last)
         assert session.parked_instances() == [last]
-        assert not session.instance_health()[last]
+        assert not instance_health(session)[last]
         assert session.idle_instances() == list(range(last))
         assert session.has_idle_connection == (size > 1)
         # Parked is not an outage with a known end: no autonomous recovery.
@@ -278,7 +278,7 @@ class TestParkUnpark:
             session.park_instance(last)
         session.unpark_instance(last)
         assert session.parked_instances() == []
-        assert all(session.instance_health()) and session.has_idle_connection
+        assert all(instance_health(session)) and session.has_idle_connection
         with pytest.raises(session.error):
             session.unpark_instance(last)
         with pytest.raises(session.error):

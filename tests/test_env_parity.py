@@ -31,6 +31,8 @@ from repro.config import RetryPolicy
 from repro.dbms import Cluster, ConfigurationSpace, FailureProfile, OutageWindow
 from repro.runtime import ControlPlane, ExecutionRuntime, QueryFailure
 
+from snapshot_oracle import instance_health
+
 #: The observable per-query columns the policy featurizes.
 _COLUMNS = ("status", "config_index", "elapsed", "expected_time", "available")
 
@@ -167,7 +169,7 @@ def _faulty_fifo_trace(backend, batch, space):
                 session.soa_status.tobytes(),
                 shared.num_running,
                 shared.instance_num_running(),
-                shared.instance_health(),
+                instance_health(shared),
             )
         )
     return trace

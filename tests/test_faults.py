@@ -50,7 +50,7 @@ from repro.runtime import (
     TenantClass,
 )
 from repro.workloads import BatchQuerySet, PoissonArrivals
-from snapshot_oracle import retry_time, snapshot_aos
+from snapshot_oracle import instance_health, retry_time, snapshot_aos
 
 # SHA-256 of fault-free round logs produced by the PR-4 tree (commit c1b0f24)
 # for the fixture scenarios below.  With no FailureProfile/RetryPolicy
@@ -205,13 +205,13 @@ class TestEngineFaults:
         assert killed[0].finish_time == 1.0
         assert session.current_time == 1.0
         assert killed[0].query_id in session.pending
-        assert not session.instance_health()[0] and not session.has_idle_connection
-        assert session.instance_health() == [False]
+        assert not instance_health(session)[0] and not session.has_idle_connection
+        assert instance_health(session) == [False]
         with pytest.raises(SchedulingError):
             session.submit(ids[0], space[0])
         assert session.next_fault_wakeup() == 3.0
         session.advance(limit=3.0)
-        assert session.instance_health()[0] and session.has_idle_connection
+        assert instance_health(session)[0] and session.has_idle_connection
 
 
 class TestDeterminism:
@@ -382,7 +382,7 @@ class TestClusterOutage:
             mask=AdaptiveMask.unmasked(len(fixture_batch), len(space)),
         )
         snapshot = env.reset(round_id=0)
-        assert env.runtime.shared_session.instance_health() == [False, True]
+        assert instance_health(env.runtime.shared_session) == [False, True]
         assert env.available_instances() == [1]
         mask = env.action_mask()
         assert mask.any()

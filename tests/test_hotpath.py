@@ -52,7 +52,7 @@ from repro.core import (
 from repro.dbms import Cluster, ConfigurationSpace
 from repro.encoder import RunStateFeaturizer, SnapshotArrays
 from repro.runtime import ControlPlane, EventQueue, ExecutionRuntime, QueryArrival
-from snapshot_oracle import featurize_aos, kept, kept_columns, snapshot_aos, to_snapshot
+from snapshot_oracle import featurize_aos, instance_health, kept, kept_columns, snapshot_aos, to_snapshot
 
 # --------------------------------------------------------------------------- #
 # Reference scenarios
@@ -174,7 +174,7 @@ def _absorb(sha, env: SchedulingEnv, featurizer: RunStateFeaturizer, snapshot, r
     sha.update(rows.tobytes())
     sha.update(np.asarray(env.action_mask(), dtype=np.uint8).tobytes())
     sha.update(repr(to_snapshot(snapshot).instance_context).encode())
-    health = env.runtime.shared_session.instance_health()
+    health = instance_health(env.runtime.shared_session)
     sha.update(repr(() if all(health) else tuple(bool(up) for up in health)).encode())
 
 

@@ -41,7 +41,6 @@ IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ALLOWED = frozenset({
     "ingest_online_log",  # BQSched: the continual-adaptation entry point
     "failure_counts",  # TenantSession: failed attempts per query
-    "instance_health",  # FleetSession: per-instance health, read through ExecutionRuntime.shared_session
 })
 
 

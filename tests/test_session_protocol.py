@@ -34,6 +34,8 @@ from repro.runtime import ControlPlane, ExecutionRuntime, RuntimeTenant, TenantS
 from repro.runtime import controlplane as controlplane_module
 from repro.runtime import runtime as runtime_module
 
+from snapshot_oracle import instance_health
+
 _PROTOCOL_PARAMETERS = {
     "batch": inspect.Parameter.empty,
     "num_connections": None,
@@ -203,7 +205,7 @@ class TestSessionBehaviouralParity:
                 assert view.num_instances == 1
                 assert view.idle_instances() == [0]
                 assert view.instance_of(0) == 0 and view.instance_of(3) == -1
-            assert backend.instance_health() == [True]
+            assert instance_health(backend) == [True]
             assert backend.next_fault_wakeup() is None
 
 
@@ -311,7 +313,7 @@ class TestMemberCheck:
             assert hasattr(session, name), f"{type(session).__name__} does not answer {name!r}"
         n = session.num_instances
         assert session.idle_instances() == list(range(n))
-        assert session.instance_health() == [True] * n
+        assert instance_health(session) == [True] * n
         assert session.instance_num_running() == [0] * n
         assert len(session.speed_factors()) == n
         assert session.instance_context().shape == (n, INSTANCE_FEATURE_DIM)
@@ -321,7 +323,7 @@ class TestMemberCheck:
         session.submit(0, parameters, instance=last)
         session.park_instance(last)
         assert session.parked_instances() == [last]
-        assert not session.instance_health()[last] and last not in session.idle_instances()
+        assert not instance_health(session)[last] and last not in session.idle_instances()
         assert session.next_fault_wakeup() is None  # a park has no scheduled end
         with pytest.raises(session.error):
             session.park_instance(last)
