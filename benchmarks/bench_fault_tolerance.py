@@ -49,17 +49,19 @@ RETRY = RetryPolicy(max_attempts=5, backoff=0.25, backoff_factor=2.0)
 RETRY_TIMEOUT = RetryPolicy(max_attempts=5, backoff=0.25, backoff_factor=2.0, timeout=6.0)
 
 
-def _build_scheduler(engine):
+def _build_scheduler(engine, num_connections):
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
+    config = BQSchedConfig.small(seed=0)
+    config.scheduler.num_connections = num_connections
     # The policy runs greedily but untrained: the benchmark measures the
     # runtime's failure handling, not policy quality, and an untrained
     # network keeps the quick profile fast and fully deterministic.
-    return LSchedScheduler(workload, engine, BQSchedConfig.small(seed=0))
+    return LSchedScheduler(workload, engine, config)
 
 
 def _serve_engine_scenarios():
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    scheduler = _build_scheduler(engine)
+    scheduler = _build_scheduler(engine, num_connections=8)
     policies = [
         ("no-retry", None),
         ("retry", RETRY),
@@ -67,21 +69,16 @@ def _serve_engine_scenarios():
     ]
     reports = {}
     for label, retry in policies:
-        report = scheduler.serve(
-            num_tenants=2, arrivals=None, num_connections=8, faults=FAULTS, retry=retry
-        )
-        reports[label] = report
+        reports[label] = scheduler.serve(num_tenants=2, arrivals=None, faults=FAULTS, retry=retry)
     return scheduler, reports
 
 
 def _serve_cluster_outage():
     """A fleet loses one instance mid-round; outage requeue needs no policy."""
     cluster = Cluster.from_names(("x", "x"), seed=0)
-    scheduler = _build_scheduler(cluster)
+    scheduler = _build_scheduler(cluster, num_connections=4)
     faults = FailureProfile(outages=(OutageWindow(instance=1, start=4.0, duration=4.0),))
-    return scheduler, scheduler.serve(
-        num_tenants=2, arrivals=None, num_connections=4, faults=faults, retry=None
-    )
+    return scheduler, scheduler.serve(num_tenants=2, arrivals=None, faults=faults, retry=None)
 
 
 def _run(profile):

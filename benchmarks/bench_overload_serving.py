@@ -70,10 +70,12 @@ NUM_CONNECTIONS = 4
 
 def _build_scheduler(engine):
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
+    config = BQSchedConfig.small(seed=0)
+    config.scheduler.num_connections = NUM_CONNECTIONS
     # The policy runs greedily but untrained: the benchmark measures the
     # control plane's overload behaviour, not policy quality, and an
     # untrained network keeps the quick profile fast and fully deterministic.
-    return LSchedScheduler(workload, engine, BQSchedConfig.small(seed=0))
+    return LSchedScheduler(workload, engine, config)
 
 
 def _serve_engine(admission):
@@ -82,7 +84,6 @@ def _serve_engine(admission):
     report = scheduler.serve(
         num_tenants=NUM_TENANTS,
         arrivals=ARRIVALS,
-        num_connections=NUM_CONNECTIONS,
         tenant_classes=CLASSES,
         admission=admission,
     )
@@ -95,7 +96,6 @@ def _serve_fleet(names, autoscale):
     report = scheduler.serve(
         num_tenants=NUM_TENANTS,
         arrivals=ARRIVALS,
-        num_connections=NUM_CONNECTIONS,
         tenant_classes=CLASSES,
         autoscale=autoscale,
     )

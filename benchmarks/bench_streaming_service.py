@@ -40,7 +40,6 @@ def _run(profile):
             num_tenants=tenants,
             arrival_process=process,
             arrival_rate=3.0,
-            num_connections=profile.num_connections,
         )
         reports[f"{process}/{tenants}"] = report.as_dict()
         for tenant in report.tenants:

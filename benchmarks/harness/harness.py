@@ -187,7 +187,6 @@ def evaluate_service(
     arrival_process: str = "poisson",
     arrival_rate: float = 2.0,
     burst_size: int = 4,
-    num_connections: int | None = None,
     round_id: int = 80_000,
 ) -> ServiceReport:
     """Serve a (trained) RL scheduler over a multi-tenant streaming round.
@@ -200,7 +199,6 @@ def evaluate_service(
     return scheduler.serve(
         num_tenants=num_tenants,
         arrivals=arrivals,
-        num_connections=num_connections,
         round_id=round_id,
     )
 

@@ -166,7 +166,7 @@ class RLSchedulerBase(BaseScheduler):
     def _build_env(self, backend, **overrides) -> SchedulingEnv:
         """The one place an environment is built.  ``overrides`` replace the
         scheduler's own components (another batch with its plan embeddings,
-        knowledge and mask, another connection count, a strategy label)."""
+        knowledge and mask, a strategy label)."""
         components = dict(
             batch=self.batch,
             plan_embeddings=self.plan_embeddings,
@@ -430,7 +430,6 @@ class RLSchedulerBase(BaseScheduler):
         self,
         num_tenants: int = 2,
         arrivals: "ArrivalProcess | str | None" = None,
-        num_connections: int | None = None,
         round_id: int = 80_000,
         faults: "FailureProfile | None" = None,
         retry: "RetryPolicy | None" = None,
@@ -445,8 +444,10 @@ class RLSchedulerBase(BaseScheduler):
         engine, each optionally opened into a stream by ``arrivals`` (an
         :class:`~repro.workloads.ArrivalProcess`, or a process name that
         :func:`~repro.workloads.make_arrival_process` builds at its default
-        rate and burst size; ``None`` keeps every batch closed).  The round
-        opens as ``round_id``.  The loop is event-driven: at every completion
+        rate and burst size; ``None`` keeps every batch closed).  Each tenant
+        runs ``config.scheduler.num_connections`` connections (per instance
+        on a fleet), the width :meth:`schedule` and training use too.  The
+        round opens as ``round_id``.  The loop is event-driven: at every completion
         or arrival event, every tenant that can decide submits its next query
         (policy runs greedily) before the clock moves again.  Returns
         per-tenant makespans and latency percentiles.
@@ -493,11 +494,6 @@ class RLSchedulerBase(BaseScheduler):
                 "Cluster backend; a single engine has nothing to scale"
             )
 
-        scheduler_config = (
-            self.config.scheduler
-            if num_connections is None
-            else replace(self.config.scheduler, num_connections=num_connections)
-        )
         control = ControlPlane(retry=retry, admission=admission, autoscale=autoscale)
         runtime = ExecutionRuntime(self.engine, faults=faults, control=control)
         envs = []
@@ -507,9 +503,7 @@ class RLSchedulerBase(BaseScheduler):
             tenant = runtime.register(
                 f"tenant-{index}", self.batch, arrivals=arrivals, tenant_class=tenant_class
             )
-            envs.append(
-                self._build_env(tenant, scheduler_config=scheduler_config, strategy_name=f"{self.name}/serve")
-            )
+            envs.append(self._build_env(tenant, strategy_name=f"{self.name}/serve"))
         for env in envs:
             env.reset(round_id=round_id)
         drive_service(runtime, envs, lambda env: self.select_action(env, env.snapshot()))

@@ -219,7 +219,8 @@ class SessionBackend(Protocol):
     Satisfied by :class:`repro.dbms.DatabaseEngine`,
     :class:`repro.dbms.Cluster` and :class:`repro.perf.SimulatedCluster` (the
     learned simulator), whose ``new_session`` opens a
-    :class:`~repro.dbms.soa.FleetSession` with the round's ``faults``
+    :class:`~repro.dbms.soa.FleetSession` with the round's ``faults``; the
+    simulator's rounds are fault-free and it refuses any profile
     (conformance is asserted in ``tests/test_session_protocol.py``).  A
     :class:`~repro.runtime.RuntimeTenant` is not one: it joins a runtime's
     round, and an environment takes it in place of a backend.

@@ -93,24 +93,24 @@ class VectorSchedulingEnv:
     def step_many(self, indices: Sequence[int], actions: Sequence[int]) -> list[StepResult]:
         """Apply one decision per listed sub-env (aligned by position).
 
-        Sessions on a simulated backend take the lockstep path: the clock
-        advances of all sub-envs are interleaved, and the simulator
-        predictions needed in the same round — one per busy engine instance
-        of every session — are grouped by model and concurrency degree and
-        served by ONE batched model forward
-        (:meth:`ConcurrentPredictionModel.predict` over a ``(groups, k, f)`` stack).  Other backends
-        (the real DBMS engine or cluster) and cluster mode fall back to
-        per-env steps.
+        Single-tenant closed rounds on the learned simulator (fault-free by
+        construction) take the lockstep path: the clock advances of all
+        sub-envs are interleaved, and the simulator predictions needed in the
+        same round — one per busy engine instance of every session — are
+        grouped by model and concurrency degree and served by ONE batched
+        model forward (:meth:`ConcurrentPredictionModel.predict` over a
+        ``(groups, k, f)`` stack).  Other backends (the real DBMS engine or
+        cluster) and cluster mode fall back to per-env steps.
         """
         if len(indices) != len(actions):
             raise SchedulingError("indices and actions must align")
         # Even a single remaining active env stays on the lockstep path, so a
         # session's dynamics never depend on how many peer episodes happen to
         # still be running (batched predictions preserve the input dtype and
-        # match the sequential path bit-for-bit).  Sessions opt in
-        # via ``supports_lockstep``: fault-free simulated single-tenant closed
-        # rounds only — a shared multi-tenant clock, scheduled arrivals or
-        # fault fates cannot be batched across environments.
+        # match the sequential path bit-for-bit).  Sessions opt in via
+        # ``supports_lockstep``: simulated single-tenant closed rounds only —
+        # a shared multi-tenant clock or scheduled arrivals cannot be batched
+        # across environments.
         if self.clusters is None and all(self.envs[i].session.supports_lockstep for i in indices):
             return self._step_many_simulated(indices, actions)
         return [self.envs[i].step(action) for i, action in zip(indices, actions)]

@@ -6,7 +6,7 @@ instances drop out of the fleet for maintenance windows or crashes.  A
 :class:`FailureProfile` describes those behaviours declaratively.  A profile
 enters a round only through the backend's ``new_session(faults=)``, which
 :class:`~repro.runtime.ExecutionRuntime` passes; history and pre-training
-rounds open fault-free.
+rounds open fault-free, and the learned simulator refuses a profile.
 
 Everything is drawn from a *dedicated* per-round RNG stream
 (``SeedSpawner(...).derive(round_id, FAULT_STREAM)``), never from the
@@ -21,7 +21,8 @@ transient errors really are transient.
 When an instance is down is answered in one place, :class:`InstanceWindows`:
 one per instance of every backend session, holding the profile's outage
 windows for that instance plus the open-ended window of an autoscale park.
-The engine's sessions and the simulated fleet's instances both ask it.
+The engine's sessions ask it about both; a simulated instance, whose rounds
+are fault-free, asks it only about parks.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class QueryFate:
 
     error: bool = False
     hang: bool = False
-
-    @property
-    def clean(self) -> bool:
-        return not self.error and not self.hang
 
 
 @dataclass(frozen=True)

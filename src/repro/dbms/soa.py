@@ -195,6 +195,10 @@ class FleetSession(Generic[UnitT]):
 
     #: Raised when a transition does not apply to the query's current state.
     error: ClassVar[type[BQSchedError]] = SchedulingError
+    #: Whether the vectorized engine may interleave this session's advances
+    #: with batched model predictions (only a simulated round, fault-free by
+    #: construction, can).
+    supports_lockstep: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -226,12 +230,6 @@ class FleetSession(Generic[UnitT]):
         counts = [unit.num_connections for unit in self.instances]
         self._connection_offsets = [sum(counts[:index]) for index in range(len(counts))]
         self.num_connections = sum(counts)
-
-    @property
-    def supports_lockstep(self) -> bool:
-        """Whether the vectorized engine may interleave this session's advances
-        with batched model predictions (only a fault-free simulated round can)."""
-        return False
 
     # ------------------------------------------------------------------ #
     # Fleet questions

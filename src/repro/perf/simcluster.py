@@ -14,6 +14,12 @@ instance predicts its next event, so the
 simulated fleet too), both scheduling environments and the vectorized
 rollout engine run against it unchanged.
 
+A simulated round is fault-free by construction: history and pre-training
+rounds open without a :class:`~repro.dbms.FailureProfile`, and
+:meth:`SimulatedCluster.new_session` refuses one.  Faults have one model, the
+engine's; an instance's windows hold only autoscale parks, which kill
+in-flight work the way an outage does.
+
 Every advance asks the shared model one question per busy instance: *of the
 queries running on this instance, which finishes first and when?*  The
 question comes in three steps — :meth:`SimulatedClusterSession.advance_features`,
@@ -31,10 +37,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..dbms import QueryExecutionRecord, RunningParameters
-from ..dbms.faults import FAILURE_ERROR, FAULT_STREAM, FailureProfile, InstanceWindows, QueryFate
+from ..dbms.faults import FailureProfile, InstanceWindows
 from ..dbms.soa import CompletionEvent, FleetSession, RunningQueryState, kill_running
 from ..exceptions import SimulationError
-from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet
 from .features import MIN_REMAINING, TIME_SCALE
 from .perfmodel import PerformanceModel
@@ -53,8 +58,8 @@ class _SimulatedInstance:
     """One instance of a simulated fleet round.
 
     Holds what the fleet session asks of an instance — running set, idle
-    connections (lowest first), outage and park windows, fates and buffered
-    failures — and the model input of its running queries: row ``i`` of
+    connections (lowest first), park windows and buffered failures — and the
+    model input of its running queries: row ``i`` of
     ``features`` / ``submit_times`` belongs to the ``i``-th entry of
     ``running`` (submission order), and an advance only rewrites the dynamic
     columns.
@@ -63,15 +68,14 @@ class _SimulatedInstance:
     #: The simulator has no buffer pool.
     buffer_fill = 0.0
 
-    def __init__(self, index: int, num_connections: int, feature_dim: int, windows: InstanceWindows) -> None:
+    def __init__(self, index: int, num_connections: int, feature_dim: int) -> None:
         if num_connections < 1:
             raise SimulationError("num_connections must be >= 1")
         self.index = index
         self.num_connections = num_connections
         self.idle_connections: list[int] = list(range(num_connections))
         self.running: dict[int, RunningQueryState] = {}
-        self.windows = windows
-        self.fates: dict[int, QueryFate] = {}
+        self.windows = InstanceWindows(index)
         self.fault_events: list[CompletionEvent] = []
         self.features = np.zeros((num_connections, feature_dim), dtype=np.float64)
         self.submit_times = np.zeros(num_connections, dtype=np.float64)
@@ -87,13 +91,12 @@ class _SimulatedInstance:
         self.running[state.query.query_id] = state
 
     def withdraw(self, query_id: int) -> int:
-        """Take a running query off the instance: free its connection, forget
-        its fate and splice its row out.  Returns the freed connection."""
+        """Take a running query off the instance: free its connection and
+        splice its row out.  Returns the freed connection."""
         slot = list(self.running).index(query_id)
         k = len(self.running) - 1
         self.features[slot:k] = self.features[slot + 1 : k + 1]
         self.submit_times[slot:k] = self.submit_times[slot + 1 : k + 1]
-        self.fates.pop(query_id, None)
         state = self.running.pop(query_id)
         self.idle_connections.append(state.connection)
         self.idle_connections.sort()
@@ -103,9 +106,9 @@ class _SimulatedInstance:
 class SimulatedCluster:
     """Opens simulated fleet rounds served by one :class:`PerformanceModel`.
 
-    Like the engine and the engine fleet it holds no failure profile: a
-    round's faults enter through :meth:`new_session`, which the
-    :class:`~repro.runtime.ExecutionRuntime` passes.
+    Its rounds are fault-free: :meth:`new_session` refuses a failure
+    profile (inject faults into a :class:`~repro.dbms.DatabaseEngine` or a
+    :class:`~repro.dbms.Cluster` round instead).
     """
 
     def __init__(
@@ -113,7 +116,6 @@ class SimulatedCluster:
         perf: PerformanceModel,
         instance_connections: Sequence[int],
         name: str = "simulated-cluster",
-        seed: int = 0,
     ) -> None:
         if not instance_connections:
             raise SimulationError("a simulated cluster needs at least one instance")
@@ -125,7 +127,6 @@ class SimulatedCluster:
         self.perf = perf
         self.instance_connections = tuple(int(count) for count in instance_connections)
         self.name = name
-        self.seeds = SeedSpawner(seed)
         self._round_counter = 0
         # Fresh-submission feature rows keyed (instance, query_id,
         # config_index), shared by the sessions of every round.  A row bakes
@@ -135,10 +136,10 @@ class SimulatedCluster:
         self._row_cache_version = -1
 
     @classmethod
-    def for_cluster(cls, perf: PerformanceModel, cluster: "Cluster", name: str | None = None) -> "SimulatedCluster":
+    def for_cluster(cls, perf: PerformanceModel, cluster: "Cluster") -> "SimulatedCluster":
         """A simulated twin of ``cluster``: the same topology and connection defaults."""
         connections = [engine.profile.default_connections for engine in cluster.engines]
-        return cls(perf, connections, name=name or f"simulated-{cluster.name}")
+        return cls(perf, connections, name=f"simulated-{cluster.name}")
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -185,10 +186,14 @@ class SimulatedCluster:
 
         ``num_connections`` is *per instance* (the cluster convention);
         ``None`` uses each instance's default connection count.  ``faults``
-        is the round's failure profile; its fates draw from a dedicated
-        per-round stream mirroring the real engine's derivation, so the
-        fault-free path stays bit-identical.
+        is in the backend protocol's signature only: a simulated round is
+        fault-free, so any profile raises :class:`SimulationError`.
         """
+        if faults is not None:
+            raise SimulationError(
+                "the learned simulator opens fault-free rounds only; inject faults into a "
+                "DatabaseEngine or a Cluster round instead"
+            )
         if round_id is None:
             round_id = self._round_counter
         self._round_counter = max(self._round_counter, round_id) + 1
@@ -196,15 +201,12 @@ class SimulatedCluster:
             num_connections if num_connections is not None else default
             for default in self.instance_connections
         ]
-        fault_rng = self.seeds.derive(round_id, FAULT_STREAM) if faults is not None else None
         return SimulatedClusterSession(
             cluster=self,
             batch=batch,
             instance_connections=connections,
             strategy=strategy,
             round_id=round_id,
-            faults=faults,
-            fault_rng=fault_rng,
         )
 
     def __repr__(self) -> str:
@@ -220,6 +222,7 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
     """
 
     error = SimulationError
+    supports_lockstep = True
 
     def __init__(
         self,
@@ -228,26 +231,14 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
         instance_connections: Sequence[int],
         strategy: str = "",
         round_id: int = 0,
-        faults: FailureProfile | None = None,
-        fault_rng: np.random.Generator | None = None,
     ) -> None:
-        if faults is not None and faults.has_random_faults and fault_rng is None:
-            raise SimulationError("a FailureProfile with random faults needs a fault_rng stream")
         feature_dim = cluster.perf.featurizer.feature_dim
         units = [
-            _SimulatedInstance(index, int(count), feature_dim, InstanceWindows(index, faults))
-            for index, count in enumerate(instance_connections)
+            _SimulatedInstance(index, int(count), feature_dim) for index, count in enumerate(instance_connections)
         ]
         super().__init__(batch, round_id, strategy or "simulated", units, cluster.speed_factors())
         self.cluster = cluster
         self.perf = cluster.perf
-        self._faults = faults
-        self._fault_rng = fault_rng
-
-    @property
-    def supports_lockstep(self) -> bool:
-        """Fault-free rounds only: fates and outage kills are not batched."""
-        return self._faults is None
 
     def submit(self, query_id: int, parameters: RunningParameters, instance: int = 0) -> int:
         """Submit a pending query to ``instance`` at the current logical time.
@@ -256,11 +247,6 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
         matching :meth:`~repro.dbms.cluster.ClusterSession.submit`.
         """
         unit = self._check_submit(query_id, instance)
-        if self._faults is not None and self._faults.has_random_faults:
-            assert self._fault_rng is not None
-            fate = self._faults.draw_fate(self._fault_rng)
-            if not fate.clean:
-                unit.fates[query_id] = fate
         state = RunningQueryState(
             query=self.batch[query_id],
             parameters=parameters,
@@ -319,31 +305,18 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
         """Materialise the earliest event the per-group ``(logits, times)`` imply.
 
         Each group's predicted earliest finisher ends after its predicted
-        remaining time, stretched or cut by its fault fate; an instance that
-        is down, or whose outage starts first, loses its work instead.  The
-        earliest event wins and the instance index breaks exact ties.
+        remaining time; a parked instance loses its work instead, at the park
+        instant.  The earliest event wins and the instance index breaks exact
+        ties.
         """
         now = self.current_time
         best: tuple[float, int, RunningQueryState | None] | None = None
         for (index, states, _), (logits, times) in zip(groups, predictions):
             unit = self.instances[index]
             earliest = int(np.argmax(logits))
-            remaining = max(MIN_REMAINING, float(times[earliest]) * TIME_SCALE)
-            if unit.fates:
-                # Mirror the fluid engine's fate semantics on predicted times: a
-                # straggler runs ``hang_factor`` times longer, an errored attempt
-                # dies after ``error_work_fraction`` of its predicted remainder.
-                fate = unit.fates.get(states[earliest].query.query_id)
-                if fate is not None:
-                    assert self._faults is not None
-                    if fate.hang:
-                        remaining *= self._faults.hang_factor
-                    if fate.error:
-                        remaining *= self._faults.error_work_fraction
-            finish_time = now + remaining
+            finish_time = now + max(MIN_REMAINING, float(times[earliest]) * TIME_SCALE)
             kill_at = unit.windows.kill_instant(now, finish_time)
-            # An instance that dies before (or as) its earliest predicted
-            # completion yields an outage kill at that instant.
+            # A parked instance's work dies at the park instant, as an outage kill.
             candidate: tuple[float, int, RunningQueryState | None] = (
                 (finish_time, index, states[earliest]) if kill_at is None else (kill_at, index, None)
             )
@@ -361,12 +334,7 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
             self._demote_buffered_failures(unit)
             return self._record(unit.fault_events.pop(0), None, winner)
         query_id = state.query.query_id
-        fate = unit.fates.get(query_id)
         unit.withdraw(query_id)
-        if fate is not None and fate.error:
-            # An errored attempt wasted its work: nothing is logged.
-            failure = CompletionEvent(query_id, finish_time, state.connection, failed=True, failure=FAILURE_ERROR)
-            return self._record(failure, None, winner)
         record = QueryExecutionRecord(
             query_id=query_id,
             query_name=state.query.name,

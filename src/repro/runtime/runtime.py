@@ -673,8 +673,8 @@ class TenantSession:
     def supports_lockstep(self) -> bool:
         """Whether the vectorized lockstep fast path may drive this session.
 
-        Only single-tenant closed rounds on a lockstep-capable backend (a
-        fault-free learned simulator) qualify: with peers or scheduled arrivals the
+        Only single-tenant closed rounds on a lockstep-capable backend (the
+        learned simulator) qualify: with peers or scheduled arrivals the
         shared clock is not this tenant's to batch.
         """
         return (

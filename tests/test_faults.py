@@ -38,7 +38,7 @@ from repro.dbms import (
     InstanceWindows,
     OutageWindow,
 )
-from repro.exceptions import ConfigurationError, SchedulingError
+from repro.exceptions import ConfigurationError, SchedulingError, SimulationError
 from repro.perf import PerformanceModel, SimulatedCluster
 from repro.runtime import (
     ControlPlane,
@@ -145,9 +145,10 @@ class TestFailureProfile:
     def test_fate_draws_only_with_random_faults(self):
         rng = np.random.default_rng(0)
         assert not FailureProfile().has_random_faults
-        assert FailureProfile().draw_fate(rng).clean
+        fate = FailureProfile().draw_fate(rng)
+        assert not fate.error and not fate.hang
         fate = FailureProfile(error_rate=1.0, hang_rate=1.0).draw_fate(rng)
-        assert fate.error and fate.hang and not fate.clean
+        assert fate.error and fate.hang
 
     def test_retry_policy_validation_and_backoff(self):
         with pytest.raises(ConfigurationError):
@@ -427,42 +428,21 @@ class TestSimulatedClusterFaults:
             seed=0,
             instance_speeds=cluster.speed_factors(),
         )
-        log = cluster.collect_logs(
-            fixture_batch,
-            [[q.query_id for q in fixture_batch]],
-            space.default,
-            num_connections=4,
-        )
-        perf.train_from_log(log)
         return perf, cluster
 
-    def _drive_sim(self, sim_cluster, batch, space, faults, retry):
-        runtime = ExecutionRuntime(sim_cluster, faults=faults, control=ControlPlane(retry=retry))
-        tenant = runtime.register("t", batch)
-        session = tenant.new_session(batch, num_connections=2, round_id=0)
-        while not runtime.is_done:
-            while session.pending and session.has_idle_connection:
-                instance = session.idle_instances()[0]
-                session.submit(session.pending[0], space[0], instance=instance)
-            if runtime.is_done:
-                break
-            runtime.advance()
-        return session
-
-    def test_simulated_fleet_mirrors_failures(self, sim, fixture_batch, small_config):
+    def test_simulated_fleet_mirrors_failures(self, sim, fixture_batch):
+        """The simulated fleet is fault-free by construction: it refuses a failure
+        profile, opened directly or through a faulty runtime's first round."""
         perf, cluster = sim
-        space = ConfigurationSpace(small_config.scheduler)
-        faults = FailureProfile(
-            error_rate=0.3, outages=(OutageWindow(instance=1, start=2.0, duration=2.0),)
-        )
+        faults = FailureProfile(error_rate=0.3)
         sim_cluster = SimulatedCluster.for_cluster(perf, cluster)
-        retry = RetryPolicy(max_attempts=4, backoff=0.1)
-        session = self._drive_sim(sim_cluster, fixture_batch, space, faults, retry)
-        assert session.is_done
-        assert len(session.finished) == len(fixture_batch)
-        assert session.num_failed_attempts > 0
-        rerun = self._drive_sim(SimulatedCluster.for_cluster(perf, cluster), fixture_batch, space, faults, retry)
-        assert rerun.finished == session.finished  # seed-for-seed deterministic
+        with pytest.raises(SimulationError, match="fault-free"):
+            sim_cluster.new_session(fixture_batch, num_connections=2, round_id=0, faults=faults)
+        runtime = ExecutionRuntime(sim_cluster, faults=faults)
+        tenant = runtime.register("t", fixture_batch)
+        with pytest.raises(SimulationError, match="fault-free"):
+            tenant.new_session(fixture_batch, num_connections=2, round_id=0)
+        assert sim_cluster.new_session(fixture_batch, num_connections=2, round_id=0).supports_lockstep
 
 
 class TestFaultFreeDigestPins:

@@ -132,11 +132,17 @@ GATES = {
     ),
     "one-place-per-round-setting": Gate(
         "One place per round setting (serve()'s arguments are the service settings; faults enter a round through "
-        "new_session(faults=), never a backend attribute)",
+        "new_session(faults=), never a backend attribute; the serving width is config.scheduler.num_connections)",
         (
             (r"ServiceConfig|config\.service|from_service_config", ("src", "benchmarks", "examples")),
             (r"self\.faults\b", ("src/repro/dbms", "src/repro/perf")),
+            (r"replace\(self\.config\.scheduler", ("src/repro/core",)),
         ),
+    ),
+    "fault-free-simulator": Gate(
+        "The learned simulator is fault-free by construction (faults have one model, the engine's: no fate draws, "
+        "fault stream, hang or error stretching in the simulator)",
+        ((r"draw_fate|FAULT_STREAM|\bfault_rng\b|\bfates\b|hang_factor|error_work_fraction", ("src/repro/perf",)),),
     ),
 }
 
@@ -170,7 +176,9 @@ PLANTED = {
     "one-place-per-round-setting": (
         ("examples/cluster_scheduling.py", "fleet = Cluster.from_service_config(config.service, seed=0)"),
         ("src/repro/perf/simcluster.py", "        self.faults = faults"),
+        ("src/repro/core/bqsched.py", "        config = replace(self.config.scheduler, num_connections=8)"),
     ),
+    "fault-free-simulator": (("src/repro/perf/simcluster.py", "        fate = faults.draw_fate(self._fault_rng)"),),
 }
 
 

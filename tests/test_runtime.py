@@ -405,13 +405,15 @@ class TestServeFacade:
     def test_serve_closed_and_streaming(self):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        scheduler = LSchedScheduler(workload, engine, BQSchedConfig.small(seed=0))
-        report = scheduler.serve(num_tenants=2, arrivals=None, num_connections=8)
+        config = BQSchedConfig.small(seed=0)
+        config.scheduler.num_connections = 8
+        scheduler = LSchedScheduler(workload, engine, config)
+        report = scheduler.serve(num_tenants=2, arrivals=None)
         assert len(report.tenants) == 2
         for tenant in report.tenants:
             assert tenant.num_queries == len(scheduler.batch)
             assert tenant.p50_latency <= tenant.p90_latency <= tenant.p99_latency
-        streamed = scheduler.serve(num_tenants=2, arrivals="poisson", num_connections=8)
+        streamed = scheduler.serve(num_tenants=2, arrivals="poisson")
         assert len(streamed.tenants) == 2
         assert streamed.total_time > 0
         as_dict = streamed.as_dict()
@@ -454,8 +456,10 @@ class TestServeFacade:
             import repro
             workload = repro.make_workload("tpch", scale_factor=1.0, seed=0)
             engine = repro.DatabaseEngine(repro.DBMSProfile.dbms_x(), seed=0)
-            scheduler = repro.BQSched(workload, engine, repro.BQSchedConfig.small(seed=0))
-            report = scheduler.serve(num_tenants=2, arrivals="poisson", num_connections=8)
+            config = repro.BQSchedConfig.small(seed=0)
+            config.scheduler.num_connections = 8
+            scheduler = repro.BQSched(workload, engine, config)
+            report = scheduler.serve(num_tenants=2, arrivals="poisson")
             assert report.tenants[0].p99_latency > 0
             print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
             """

@@ -355,18 +355,26 @@ class TestMemberCheck:
 
 class TestOneBusyCountPerInstance:
     """A killed query whose failure is still buffered counts as running on its
-    instance, on the engine fleet and the simulated fleet alike."""
+    instance, on the engine fleet and the simulated fleet alike.  The engine
+    fleet's instance 1 dies in an outage; the simulated fleet, whose rounds
+    are fault-free, parks it (a park kills in-flight work as an outage does)."""
 
     @pytest.mark.parametrize("kind", ["cluster", "simulated-fleet"])
     def test_outage_victims_count_on_their_instance_until_delivered(self, parts, kind):
         batch, _, _, _, sim_cluster = parts
-        backend = Cluster.from_names(["x", "y"], seed=0) if kind == "cluster" else sim_cluster
-        faults = FailureProfile(outages=(OutageWindow(1, 1e-3, 10.0),))
-        session = backend.new_session(batch, num_connections=3, round_id=0, faults=faults)
+        if kind == "cluster":
+            faults = FailureProfile(outages=(OutageWindow(1, 1e-3, 10.0),))
+            session = Cluster.from_names(["x", "y"], seed=0).new_session(
+                batch, num_connections=3, round_id=0, faults=faults
+            )
+        else:
+            session = sim_cluster.new_session(batch, num_connections=3, round_id=0)
         parameters = RunningParameters(1, 64)
         session.submit(0, parameters, instance=0)
         for query_id in (1, 2, 3):
             session.submit(query_id, parameters, instance=1)
+        if kind == "simulated-fleet":
+            session.park_instance(1)
         first = session.advance()
         assert first.failed and first.failure == FAILURE_OUTAGE and first.instance == 1
         assert session.instance_num_running() == [1, 2] and session.num_running == 3
