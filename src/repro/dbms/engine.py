@@ -32,8 +32,9 @@ one unit per engine.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
 from .buffer import BufferPool
 from .faults import FAILURE_ERROR, FAULT_STREAM, FailureProfile, InstanceWindows, QueryFate
-from .logs import ExecutionLog, QueryExecutionRecord, RoundLog
+from .logs import ExecutionLog, RoundLog
 from .params import RunningParameters
 from .profiles import DBMSProfile
 from .soa import CompletionEvent, FleetSession, InstanceEvent, RunningQueryState, kill_running
@@ -64,6 +65,47 @@ _EPSILON = 1e-9
 _SPILL_PENALTY = 0.8
 
 
+class _RateTerms(NamedTuple):
+    """The query- and parameter-only terms of one attempt's progress rate.
+
+    A unit computes them once at submit; :func:`progress_rates` per call.
+    ``memory_granted`` is the object ``min(memory_mb, memory_demand_mb)``
+    returns (an ``int`` when the grant binds), so the memory sum adds the
+    same types.  The spill slowdown is ``spill_coefficient * (shortfall +
+    pressure / 2)``, both 0.0 for a query that demands no memory.
+    ``boost_tables`` holds the query's ``(table, rows)`` items, empty when it
+    scans no rows.
+    """
+
+    query_id: int
+    amdahl: float
+    cpu_demand: float
+    cpu_fraction: float
+    io_fraction: float
+    memory_granted: float
+    spill_coefficient: float
+    shortfall: float
+    boost_tables: tuple[tuple[str, float], ...]
+    total_rows: float
+
+
+def _rate_terms(query: Query, parameters: RunningParameters) -> _RateTerms:
+    p = query.parallel_fraction
+    amdahl = 1.0 / ((1.0 - p) + p / parameters.workers)
+    demand = query.memory_demand_mb
+    if demand <= 0:
+        spill_coefficient = shortfall = 0.0
+    else:
+        spill_coefficient = _SPILL_PENALTY * query.memory_sensitivity
+        shortfall = max(0.0, demand - parameters.memory_mb) / demand
+    total_rows = sum(query.tables.values()) if query.tables else 0.0
+    boost_tables = tuple(query.tables.items()) if total_rows > 0 else ()
+    return _RateTerms(
+        query.query_id, amdahl, amdahl * query.cpu_fraction, query.cpu_fraction, query.io_fraction,
+        min(parameters.memory_mb, demand), spill_coefficient, shortfall, boost_tables, total_rows,
+    )
+
+
 class ExecutionSession:
     """One engine instance of a scheduling round: the fluid model's unit.
 
@@ -75,9 +117,13 @@ class ExecutionSession:
     A single engine's round is a fleet of one such unit.
 
     :meth:`advance` moves the clock to the instance's next event and
-    returns it with the execution record of a finished query; with a
-    ``limit`` the clock stops there instead, so the fleet can idle the
-    instance forward to another instance's event or to a query arrival.
+    returns it with the state of a finished query; with a ``limit`` the
+    clock stops there instead, so the fleet can idle the instance forward
+    to another instance's event or to a query arrival.
+
+    Each attempt's rate terms (:class:`_RateTerms`) live from :meth:`submit`
+    to :meth:`withdraw`.  The rates memo keys on (running-set version, buffer
+    version), the next-finish memo on those and the remaining-work version.
     """
 
     def __init__(
@@ -112,6 +158,10 @@ class ExecutionSession:
         self._fates: dict[int, QueryFate] = {}
         #: Failures of killed queries, in kill order, not yet delivered.
         self.fault_events: list[CompletionEvent] = []
+        #: Rate terms of every running attempt, keyed and ordered like ``running``,
+        #: and how many running attempts scan each table (zero counts stay).
+        self._terms: dict[int, _RateTerms] = {}
+        self._scans: dict[str, int] = {}
         # Progress rates depend only on the running set (which queries, with
         # which parameters) and the buffer contents — never on remaining work
         # or the clock — so next_completion_time/advance pairs reuse one
@@ -123,9 +173,9 @@ class ExecutionSession:
         self._finish_cache: tuple[tuple[int, int, int], tuple[int, float]] | None = None
         # Per-query noise factors drawn once per round: the same query can be
         # faster or slower in different rounds regardless of the schedule.
-        self._noise = {
-            q.query_id: float(np.exp(rng.normal(0.0, profile.noise))) for q in batch
-        }
+        # One draw and one exp of the whole column equal one of each per query.
+        factors = np.exp(rng.normal(0.0, profile.noise, size=len(batch))).tolist()
+        self._noise = {q.query_id: factor for q, factor in zip(batch, factors)}
 
     @property
     def num_running(self) -> int:
@@ -139,10 +189,13 @@ class ExecutionSession:
 
     def withdraw(self, query_id: int) -> int:
         """Take a running query off the instance: free its connection, forget
-        its fate.  The attempt's work is wasted.  Returns the freed connection."""
+        its fate and rate terms.  The attempt's work is wasted.  Returns the
+        freed connection."""
         state = self.running.pop(query_id)
-        self.idle_connections.append(state.connection)
-        self.idle_connections.sort()
+        del self._terms[query_id]
+        for table in state.query.tables:
+            self._scans[table] -= 1
+        insort(self.idle_connections, state.connection)
         self._fates.pop(query_id, None)
         self._running_version += 1
         return state.connection
@@ -150,7 +203,7 @@ class ExecutionSession:
     def _outage_kill_instant(self, until: float) -> float | None:
         """When running work must die: now if the instance is down, else the
         first outage start in ``(now, until]``."""
-        if not self.running:
+        if not self.running or not self.windows.windows:
             return None
         return self.windows.kill_instant(self.current_time, until)
 
@@ -179,6 +232,9 @@ class ExecutionSession:
             remaining_work=noisy_work,
             total_work=noisy_work,
         )
+        self._terms[query_id] = _rate_terms(query, parameters)
+        for table in query.tables:
+            self._scans[table] = self._scans.get(table, 0) + 1
         self._running_version += 1
         return connection
 
@@ -200,12 +256,12 @@ class ExecutionSession:
         return kill_at if kill_at is not None else finish_time
 
     def advance(self, limit: float | None = None) -> InstanceEvent | None:
-        """Advance the clock to the next event and return it with its record.
+        """Advance the clock to the next event and return it with its state.
 
-        A finished query comes with its execution record (local connection
-        id); a failed attempt — an error, or an outage kill — with ``None``.
-        With a ``limit``, the clock never moves past that instant: if the
-        next event falls beyond it, all running queries progress up to
+        A finished query comes with its withdrawn running state (local
+        connection id); a failed attempt — an error, or an outage kill — with
+        ``None``.  With a ``limit``, the clock never moves past that instant:
+        if the next event falls beyond it, all running queries progress up to
         ``limit`` and ``None`` is returned.  With nothing running, a
         ``limit`` simply idles the clock forward to it.
         """
@@ -218,7 +274,8 @@ class ExecutionSession:
             return None
         rates = self._progress_rates()
         finishing_id, delta = self._next_finish()
-        kill_at = self._outage_kill_instant(self.current_time + delta)
+        finish_time = self.current_time + delta
+        kill_at = self._outage_kill_instant(finish_time)
         if kill_at is not None and (limit is None or kill_at <= limit):
             partial = kill_at - self.current_time
             if partial > 0:
@@ -226,13 +283,13 @@ class ExecutionSession:
             self.current_time = kill_at
             kill_running(self, kill_at)
             return self.fault_events.pop(0), None
-        if limit is not None and self.current_time + delta > limit:
+        if limit is not None and finish_time > limit:
             partial = limit - self.current_time
             if partial > 0:
                 self._progress(rates, partial)
             self.current_time = limit
             return None
-        self.current_time += delta
+        self.current_time = finish_time
         self._progress(rates, delta)
 
         state = self.running[finishing_id]
@@ -242,26 +299,17 @@ class ExecutionSession:
             # The attempt errored out after consuming its (truncated) work:
             # the connection frees, nothing is logged, and the fleet returns
             # the query to pending for the caller's retry machinery.
-            now = self.current_time
-            return CompletionEvent(finishing_id, now, state.connection, failed=True, failure=FAILURE_ERROR), None
+            event = CompletionEvent(finishing_id, finish_time, state.connection, failed=True, failure=FAILURE_ERROR)
+            return event, None
         for table, rows in state.query.tables.items():
-            self.buffer.touch(table, rows, self.current_time)
-        record = QueryExecutionRecord(
-            query_id=finishing_id,
-            query_name=state.query.name,
-            template_id=state.query.template_id,
-            connection=state.connection,
-            parameters=state.parameters,
-            submit_time=state.submit_time,
-            finish_time=self.current_time,
-        )
-        return CompletionEvent(finishing_id, self.current_time, state.connection), record
+            self.buffer.touch(table, rows, finish_time)
+        return CompletionEvent(finishing_id, finish_time, state.connection), state
 
     # ------------------------------------------------------------------ #
     # Fluid model internals
     # ------------------------------------------------------------------ #
     def _progress_rates(self) -> dict[int, float]:
-        """Work-per-second rate of every running query under current load.
+        """Work-per-second rate of every running query under current load, in running order.
 
         Memoized on (running-set version, buffer version): rates depend only
         on *which* queries run with *which* parameters and on the buffer
@@ -269,12 +317,13 @@ class ExecutionSession:
         ``next_completion_time``/``advance`` double-compute (and every
         idle-forward peer advance in cluster merging) reuses one computation;
         :meth:`_next_finish` adds the work version on top of these two.
-        The rates are :func:`progress_rates` of the running set and buffer.
+        The rates are :func:`progress_rates` of the running set and buffer,
+        evaluated from the attempts' stored terms.
         """
         key = (self._running_version, self.buffer.version)
         if self._rates_cache is not None and self._rates_cache[0] == key:
             return self._rates_cache[1]
-        rates = progress_rates(self.profile, list(self.running.values()), self.buffer)
+        rates = _rates_from_terms(self.profile, list(self._terms.values()), self._scans, self.buffer)
         self._rates_cache = (key, rates)
         return rates
 
@@ -284,25 +333,27 @@ class ExecutionSession:
         Memoized on (running version, buffer version, work version), the
         last bumped by every write of ``remaining_work`` (:meth:`_progress`),
         so a ``next_completion_time`` and the ``advance`` that follows share
-        one pass over the (non-empty) running set.
+        one pass over the (non-empty) running set.  A rate is never below
+        ``_EPSILON``, so the division needs no floor.
         """
         key = (self._running_version, self.buffer.version, self._work_version)
         if self._finish_cache is not None and self._finish_cache[0] == key:
             return self._finish_cache[1]
-        rates = self._progress_rates()
-        time_to_finish = {
-            query_id: state.remaining_work / max(rates[query_id], _EPSILON)
-            for query_id, state in self.running.items()
-        }
-        finishing_id = min(time_to_finish, key=time_to_finish.__getitem__)
-        self._finish_cache = (key, (finishing_id, time_to_finish[finishing_id]))
+        finishing_id, best = -1, math.inf
+        for (query_id, rate), state in zip(self._progress_rates().items(), self.running.values()):
+            delta = state.remaining_work / rate
+            if delta < best:
+                finishing_id, best = query_id, delta
+        self._finish_cache = (key, (finishing_id, best))
         return self._finish_cache[1]
 
     def _progress(self, rates: dict[int, float], seconds: float) -> None:
         """Run every running query ``seconds`` forward at its rate."""
-        for query_id, state in self.running.items():
-            state.remaining_work = max(0.0, state.remaining_work - rates[query_id] * seconds)
+        for state, rate in zip(self.running.values(), rates.values()):
+            remaining = state.remaining_work - rate * seconds
+            state.remaining_work = remaining if remaining > 0.0 else 0.0
         self._work_version += 1
+
 
 def progress_rates(
     profile: DBMSProfile, states: Sequence[RunningQueryState], buffer: BufferPool
@@ -310,41 +361,48 @@ def progress_rates(
     """The fluid model: work-per-second rate of every query in ``states`` running together.
 
     A function of the profile, the running set (which queries, with which
-    parameters) and the buffer's residency only.  An :class:`ExecutionSession`
-    calls it through its memo; :meth:`DatabaseEngine.estimate_isolated_time`
-    with one state and an empty buffer.
+    parameters) and the buffer's residency only: the states' terms feed
+    :func:`_rates_from_terms`, which an :class:`ExecutionSession` calls with
+    the terms it stored at submit.
     """
-    if not states:
+    terms = [_rate_terms(state.query, state.parameters) for state in states]
+    scans = Counter(table for state in states for table in state.query.tables)
+    return _rates_from_terms(profile, terms, scans, buffer)
+
+
+def _rates_from_terms(
+    profile: DBMSProfile, terms: Sequence[_RateTerms], scans: dict[str, int], buffer: BufferPool
+) -> dict[int, float]:
+    """The rates of :func:`progress_rates`, keyed in ``terms`` order; ``scans``
+    counts the running attempts that scan each table.  Demands are ``sum()``
+    in running order: CPython 3.12 compensates a float ``sum``, a ``+=`` loop not.
+    """
+    if not terms:
         return {}
+    _, _, cpu_demands, _, io_fractions, memory_granted, *_ = zip(*terms)
+    cpu_scale = _contention_scale(profile, sum(cpu_demands), profile.cpu_capacity)
+    io_scale = _contention_scale(profile, sum(io_fractions), profile.io_capacity)
+    half_pressure = 0.5 * max(0.0, sum(memory_granted) / profile.memory_capacity_mb - 1.0)
 
-    amdahl = {}
-    for state in states:
-        p = state.query.parallel_fraction
-        workers = state.parameters.workers
-        amdahl[state.query.query_id] = 1.0 / ((1.0 - p) + p / workers)
-
-    cpu_demand = sum(
-        amdahl[s.query.query_id] * s.query.cpu_fraction for s in states
-    )
-    io_demand = sum(s.query.io_fraction for s in states)
-    cpu_scale = _contention_scale(profile, cpu_demand, profile.cpu_capacity)
-    io_scale = _contention_scale(profile, io_demand, profile.io_capacity)
-
-    memory_granted = sum(min(s.parameters.memory_mb, s.query.memory_demand_mb) for s in states)
-    global_pressure = max(0.0, memory_granted / profile.memory_capacity_mb - 1.0)
-
-    # How many running queries scan each table, counted once per call: a
-    # table is scanned concurrently with a query iff another one counts it.
-    table_counts = Counter(table for s in states for table in s.query.tables)
+    resident = buffer._resident
+    strength, speed = profile.sharing_strength, profile.speed
     rates: dict[int, float] = {}
-    for state in states:
-        query = state.query
-        cpu_rate = amdahl[query.query_id] * cpu_scale
-        spill = _spill_factor(state, global_pressure)
-        cpu_rate /= 1.0 + spill
-        io_rate = io_scale * (1.0 + _sharing_boost(profile, state, table_counts, buffer))
-        blended = query.cpu_fraction * cpu_rate + query.io_fraction * io_rate
-        rates[query.query_id] = max(_EPSILON, blended * profile.speed)
+    for query_id, amdahl, _, cpu_fraction, io_fraction, _, spill_coefficient, shortfall, tables, total_rows in terms:
+        cpu_rate = amdahl * cpu_scale / (1.0 + spill_coefficient * (shortfall + half_pressure))
+        io_rate = io_scale
+        if tables:
+            shared = 0.0
+            for table, rows in tables:
+                # max(concurrent share, min(1.0, cached fraction)), written out.
+                share = 0.8 if scans[table] > 1 else 0.0
+                if rows > 0:
+                    cached = resident.get(table, 0.0) / rows
+                    if cached > share:
+                        share = cached if cached < 1.0 else 1.0
+                shared += rows * share
+            io_rate = io_scale * (1.0 + strength * (shared / total_rows))
+        rate = (cpu_fraction * cpu_rate + io_fraction * io_rate) * speed
+        rates[query_id] = rate if rate > _EPSILON else _EPSILON
     return rates
 
 
@@ -354,35 +412,7 @@ def _contention_scale(profile: DBMSProfile, demand: float, capacity: float) -> f
         return 1.0
     raw = capacity / demand
     smoothing = profile.contention_smoothing
-    return (1.0 - smoothing) * raw + smoothing * np.sqrt(raw)
-
-
-def _spill_factor(state: RunningQueryState, global_pressure: float) -> float:
-    """Slowdown from undersized working memory (spilling sorts/hashes)."""
-    query = state.query
-    if query.memory_demand_mb <= 0:
-        return 0.0
-    shortfall = max(0.0, query.memory_demand_mb - state.parameters.memory_mb) / query.memory_demand_mb
-    return _SPILL_PENALTY * query.memory_sensitivity * (shortfall + 0.5 * global_pressure)
-
-
-def _sharing_boost(
-    profile: DBMSProfile, state: RunningQueryState, table_counts: "Counter[str]", buffer: BufferPool
-) -> float:
-    """I/O acceleration from concurrent scans (a table count above one) and warm buffer."""
-    query = state.query
-    if not query.tables:
-        return 0.0
-    total_rows = sum(query.tables.values())
-    if total_rows <= 0:
-        return 0.0
-    shared = 0.0
-    for table, rows in query.tables.items():
-        table_rows = rows
-        concurrent_share = 0.8 if table_counts[table] > 1 else 0.0
-        cached_share = buffer.cached_fraction(table, table_rows)
-        shared += rows * max(concurrent_share, cached_share)
-    return profile.sharing_strength * (shared / total_rows)
+    return (1.0 - smoothing) * raw + smoothing * math.sqrt(raw)
 
 
 class ClusterSession(FleetSession[ExecutionSession]):
@@ -420,12 +450,13 @@ class ClusterSession(FleetSession[ExecutionSession]):
         buffered = self._pop_buffered()
         if buffered is not None:
             return buffered
-        # The earliest next-event instant (idle instances report +inf); the
+        # The earliest next-event instant (idle instances report none); the
         # lowest instance wins a tie.
-        winner_time, winner = min(
-            (time if (time := unit.next_completion_time()) is not None else math.inf, index)
-            for index, unit in enumerate(self.instances)
-        )
+        winner_time, winner = math.inf, 0
+        for index, unit in enumerate(self.instances):
+            time = unit.next_completion_time()
+            if time is not None and time < winner_time:
+                winner_time, winner = time, index
         if winner_time == math.inf:
             if limit is None:
                 raise SimulationError("cannot advance: no query is running")
@@ -494,15 +525,16 @@ def execute_fixed_order(
     if sorted(order) != sorted(q.query_id for q in batch):
         raise SchedulingError("order must be a permutation of the batch query ids")
     session = self.new_session(batch, num_connections, strategy=strategy, round_id=round_id)
-    queue = list(order)
-    cursor = 0
-    while not session.is_done:
-        while queue and session.has_idle_connection:
-            query_id = queue.pop(0)
-            instance = next_instance_in_rotation(session.idle_instances(), cursor, session.num_instances)
+    fixed = isinstance(parameters, RunningParameters)
+    position, cursor = 0, 0
+    # A fault-free round delivers one completion per advance: one advance per query.
+    for _ in order:
+        while position < len(order) and (idle := session.idle_instances()):
+            query_id = order[position]
+            position += 1
+            instance = next_instance_in_rotation(idle, cursor, session.num_instances)
             cursor = (instance + 1) % session.num_instances
-            params = parameters if isinstance(parameters, RunningParameters) else parameters[query_id]
-            session.submit(query_id, params, instance=instance)
+            session.submit(query_id, parameters if fixed else parameters[query_id], instance=instance)
         session.advance()
     return session.log
 

@@ -166,9 +166,10 @@ class InstanceUnit(Protocol):
 
 UnitT = TypeVar("UnitT", bound=InstanceUnit)
 
-#: One event an instance materialised, with the execution record it captured
-#: (``None`` for a failed attempt: nothing was logged).
-InstanceEvent = tuple[CompletionEvent, QueryExecutionRecord | None]
+#: One event an instance materialised, with the running state of the query
+#: it finished (``None`` for a failed attempt: nothing is logged).  The fleet
+#: builds the one execution record from it when it delivers the event.
+InstanceEvent = tuple[CompletionEvent, RunningQueryState | None]
 
 
 def kill_running(unit: InstanceUnit, time: float) -> None:
@@ -224,8 +225,8 @@ class FleetSession(Generic[UnitT]):
         self._speeds = speeds
         self._placement: dict[int, int] = {}
         # Per-instance completions that tied with a delivered one, each with
-        # the execution record captured when it was materialised; drained in
-        # instance order before the clock moves again.
+        # the running state it finished; drained in instance order before the
+        # clock moves again.
         self._instance_events: list[list[InstanceEvent]] = [[] for _ in self.instances]
         counts = [unit.num_connections for unit in self.instances]
         self._connection_offsets = [sum(counts[:index]) for index in range(len(counts))]
@@ -408,16 +409,16 @@ class FleetSession(Generic[UnitT]):
         for unit in self.instances:
             merged.update(unit.running)
         for events in self._instance_events:
-            for event, record in events:
-                if record is None:  # failed attempt: no record, nothing to reconstruct
+            for event, state in events:
+                if state is None:  # failed attempt: nothing to reconstruct
                     continue
                 merged[event.query_id] = RunningQueryState(
-                    query=self.batch[event.query_id],
-                    parameters=record.parameters,
-                    connection=record.connection,
-                    submit_time=record.submit_time,
+                    query=state.query,
+                    parameters=state.parameters,
+                    connection=state.connection,
+                    submit_time=state.submit_time,
                     remaining_work=0.0,
-                    total_work=max(record.finish_time - record.submit_time, _MIN_TOTAL_WORK),
+                    total_work=max(event.finish_time - state.submit_time, _MIN_TOTAL_WORK),
                 )
         return merged
 
@@ -464,7 +465,7 @@ class FleetSession(Generic[UnitT]):
                 return self._record(*events.pop(0), index)
         return None
 
-    def _record(self, event: CompletionEvent, local: QueryExecutionRecord | None, instance: int) -> CompletionEvent:
+    def _record(self, event: CompletionEvent, state: RunningQueryState | None, instance: int) -> CompletionEvent:
         """Deliver one instance event: global connection id, log record, state arrays."""
         connection = self._connection_offsets[instance] + event.connection
         if event.failed:
@@ -480,18 +481,18 @@ class FleetSession(Generic[UnitT]):
                 failed=True,
                 failure=event.failure,
             )
-        assert local is not None
+        assert state is not None
         self.finished[event.query_id] = event.finish_time
         self.state_arrays.mark_finished(event.query_id)
         self.log.add(
             QueryExecutionRecord(
-                query_id=local.query_id,
-                query_name=local.query_name,
-                template_id=local.template_id,
+                query_id=event.query_id,
+                query_name=state.query.name,
+                template_id=state.query.template_id,
                 connection=connection,
-                parameters=local.parameters,
-                submit_time=local.submit_time,
-                finish_time=local.finish_time,
+                parameters=state.parameters,
+                submit_time=state.submit_time,
+                finish_time=event.finish_time,
                 instance=instance,
             )
         )

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..dbms import QueryExecutionRecord, RunningParameters
+from ..dbms import RunningParameters
 from ..dbms.faults import FailureProfile, InstanceWindows
 from ..dbms.soa import CompletionEvent, FleetSession, RunningQueryState, kill_running
 from ..exceptions import SimulationError
@@ -335,13 +335,4 @@ class SimulatedClusterSession(FleetSession[_SimulatedInstance]):
             return self._record(unit.fault_events.pop(0), None, winner)
         query_id = state.query.query_id
         unit.withdraw(query_id)
-        record = QueryExecutionRecord(
-            query_id=query_id,
-            query_name=state.query.name,
-            template_id=state.query.template_id,
-            connection=state.connection,
-            parameters=state.parameters,
-            submit_time=state.submit_time,
-            finish_time=finish_time,
-        )
-        return self._record(CompletionEvent(query_id, finish_time, state.connection), record, winner)
+        return self._record(CompletionEvent(query_id, finish_time, state.connection), state, winner)

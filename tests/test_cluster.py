@@ -179,7 +179,7 @@ class TestClusterSession:
             event = CompletionEvent(
                 query_id=qid, finish_time=session.current_time, connection=0, instance=instance
             )
-            session._instance_events[instance].append((event, _fake_record(batch, qid)))
+            session._instance_events[instance].append((event, _fake_finished_state(batch, qid)))
         assert session.num_running == 2  # undelivered completions count as in flight
         first = session.advance()
         second = session.advance()
@@ -322,18 +322,18 @@ class TestClusterSession:
         assert times[0] / times[1] == pytest.approx(4.0, rel=0.05)
 
 
-def _fake_record(batch, qid):
-    from repro.dbms.logs import QueryExecutionRecord
+def _fake_finished_state(batch, qid):
+    """The running state an instance hands the fleet with a finished query's event."""
+    from repro.dbms import RunningQueryState
     from repro.dbms.params import RunningParameters
 
-    return QueryExecutionRecord(
-        query_id=qid,
-        query_name=batch[qid].name,
-        template_id=batch[qid].template_id,
-        connection=0,
+    return RunningQueryState(
+        query=batch[qid],
         parameters=RunningParameters(workers=1, memory_mb=64),
+        connection=0,
         submit_time=0.0,
-        finish_time=0.0,
+        remaining_work=0.0,
+        total_work=1.0,
     )
 
 

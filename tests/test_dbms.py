@@ -16,6 +16,7 @@ from repro.dbms import (
     RunningParameters,
 )
 from repro.exceptions import ConfigurationError, SchedulingError, SimulationError
+from engine_oracle import cached_fraction
 from gain_oracle import grouped_overlaps, overlap
 
 
@@ -80,9 +81,9 @@ class TestBufferPool:
 
     def test_cached_fraction_grows_with_touch(self):
         pool = BufferPool(1000)
-        assert pool.cached_fraction("t", 100) == 0.0
+        assert cached_fraction(pool, "t", 100) == 0.0
         pool.touch("t", 50, now=1.0)
-        assert pool.cached_fraction("t", 100) == pytest.approx(0.5)
+        assert cached_fraction(pool, "t", 100) == pytest.approx(0.5)
 
     def test_eviction_respects_capacity(self):
         pool = BufferPool(100)
@@ -90,7 +91,7 @@ class TestBufferPool:
         pool.touch("b", 80, now=2.0)
         assert pool.used_rows <= 100 + 1e-9
         # the older table was evicted first
-        assert pool.cached_fraction("b", 80) > pool.cached_fraction("a", 80)
+        assert cached_fraction(pool, "b", 80) > cached_fraction(pool, "a", 80)
 
     def test_negative_touch_rejected(self):
         with pytest.raises(SimulationError):

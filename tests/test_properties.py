@@ -26,6 +26,7 @@ from repro.encoder import RunStateFeaturizer
 from repro.exceptions import SchedulingError
 from repro.nn import Tensor, masked_log_softmax
 from repro.workloads import make_workload
+from engine_oracle import cached_fraction
 from gain_oracle import overlap
 from snapshot_oracle import featurize_aos, snapshot_arrays, to_snapshot
 
@@ -92,7 +93,7 @@ class TestBufferProperties:
     def test_cached_fraction_bounded(self, capacity, rows):
         pool = BufferPool(capacity)
         pool.touch("t", rows, now=0.0)
-        assert 0.0 <= pool.cached_fraction("t", max(rows, 1.0)) <= 1.0
+        assert 0.0 <= cached_fraction(pool, "t", max(rows, 1.0)) <= 1.0
 
 
 class TestLogProperties:
