@@ -1,9 +1,11 @@
 """Configuration dataclasses for every component of the reproduction.
 
-All tunables are grouped into small dataclasses so experiments can be
-described declaratively (the benchmark harness builds these from per-figure
-presets).  Each dataclass validates itself on construction and raises
-:class:`repro.exceptions.ConfigurationError` for out-of-range values.
+Every setting a caller may choose is grouped into small dataclasses so
+experiments can be described declaratively (the benchmark harness builds
+these from per-figure presets); a value the paper fixes is a constant where
+it is used, not a field.  Each dataclass validates itself on construction
+and raises :class:`repro.exceptions.ConfigurationError` for out-of-range
+values.
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ class EncoderConfig:
         Width of per-query tokens ``x_i`` fed to the batch-level attention.
     state_heads / state_layers:
         Multi-head attention configuration of the batch-level encoder.
-    mlp_layers:
-        Depth ``m`` of the per-query MLP combining plan embedding and running
-        state features.
-    max_height:
-        Maximum plan-tree height supported by the height encoding.
 
     Both attention stacks normalise with the paper's per-state batch norm;
-    layer norm is the learned simulator's, not a policy option.
+    layer norm is the learned simulator's, not a policy option.  The depth
+    ``m`` of the per-query MLP is ``repro.encoder.state.MLP_LAYERS`` and the
+    deepest plan tree the height encoding tells apart is
+    ``repro.encoder.queryformer.MAX_HEIGHT``: the paper fixes both.
     """
 
     plan_embedding_dim: int = 32
@@ -75,15 +75,12 @@ class EncoderConfig:
     state_dim: int = 48
     state_heads: int = 4
     state_layers: int = 2
-    mlp_layers: int = 2
-    max_height: int = 16
 
     def __post_init__(self) -> None:
         _require(self.plan_embedding_dim > 0, "plan_embedding_dim must be positive")
         _require(self.node_hidden_dim % self.tree_heads == 0, "node_hidden_dim must divide tree_heads")
         _require(self.state_dim % self.state_heads == 0, "state_dim must divide state_heads")
         _require(self.tree_layers >= 1 and self.state_layers >= 1, "attention stacks need >= 1 layer")
-        _require(self.mlp_layers >= 1, "mlp_layers must be >= 1")
 
 
 @dataclass
@@ -91,8 +88,12 @@ class PPOConfig:
     """Hyper-parameters shared by PPO, PPG and IQ-PPO.
 
     ``aux_every`` is the number of PPO iterations between auxiliary phases
-    (``N_ppo`` in Algorithm 1); ``beta_clone`` weighs the behaviour-cloning KL
-    term of the IQ-PPO auxiliary objective.
+    (``N_ppo`` in Algorithm 1).  The settings the paper fixes are constants
+    where they are used: the clipped objective's ``CLIP_EPSILON``,
+    ``VALUE_COEF``, ``ENTROPY_COEF``, ``MAX_GRAD_NORM`` and ``LEARNING_RATE``
+    and the auxiliary phases' behaviour-cloning weight ``BETA_CLONE`` in
+    :mod:`repro.core.ppo`, and GAE's gamma and lambda as
+    :class:`~repro.core.rollout.RolloutBuffer`'s defaults.
 
     ``epochs_per_update`` is the number of optimizer steps of one ``update()``,
     each on *one* freshly sampled minibatch of at most ``minibatch_size``
@@ -111,26 +112,14 @@ class PPOConfig:
     honours ``num_envs`` exactly.
     """
 
-    learning_rate: float = 3e-4
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_epsilon: float = 0.2
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
     epochs_per_update: int = 4
     minibatch_size: int = 64
-    max_grad_norm: float = 0.5
     rollouts_per_update: int = 4
     num_envs: int = 1
     aux_every: int = 10
     aux_epochs: int = 3
-    beta_clone: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.learning_rate > 0, "learning_rate must be positive")
-        _require(0 < self.gamma <= 1, "gamma must be in (0, 1]")
-        _require(0 <= self.gae_lambda <= 1, "gae_lambda must be in [0, 1]")
-        _require(0 < self.clip_epsilon < 1, "clip_epsilon must be in (0, 1)")
         _require(self.epochs_per_update >= 1, "epochs_per_update must be >= 1")
         _require(self.rollouts_per_update >= 1, "rollouts_per_update must be >= 1")
         _require(self.num_envs >= 1, "num_envs must be >= 1")
@@ -162,11 +151,11 @@ class ClusteringConfig:
     field here: ``BQSched`` switches it on for batches of more than 150
     queries.  Members within a cluster are always released
     most-costly-first (MCF) by the knowledge base's average times; there is
-    no intra-cluster order to choose.
+    no intra-cluster order to choose.  The gain model's width is
+    :func:`~repro.core.gain.build_gain_matrix`'s ``hidden_dim`` default.
     """
 
     num_clusters: int = 100
-    gain_model_hidden: int = 32
 
     def __post_init__(self) -> None:
         _require(self.num_clusters >= 1, "num_clusters must be >= 1")
@@ -174,10 +163,12 @@ class ClusteringConfig:
 
 @dataclass
 class SimulatorConfig:
-    """Learned incremental simulator (Section IV-C)."""
+    """Learned incremental simulator (Section IV-C).
+
+    Every fit steps Adam at ``repro.perf.fit.LEARNING_RATE``.
+    """
 
     hidden_dim: int = 48
-    learning_rate: float = 1e-3
     epochs: int = 20
     gamma_regression: float = 0.1
     use_attention: bool = True

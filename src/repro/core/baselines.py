@@ -15,7 +15,6 @@ import numpy as np
 from ..dbms.engine import next_instance_in_rotation
 from ..encoder import SnapshotArrays
 from ..exceptions import SchedulingError
-from ..perf import PerformanceEstimator
 from .env import SchedulingEnv, greedy_cost_instance
 from .types import SchedulingResult, StrategyEvaluation
 
@@ -139,28 +138,18 @@ class _PlacementScheduler(_HeuristicScheduler):
     instances that currently have an idle connection.  This is exactly how a
     placement heuristic bolts onto a parameter-oblivious pipeline runner.  On
     a single engine (a fleet of one) every placement is instance 0, so each
-    baseline schedules exactly as its query order does.
-
-    Cost estimates resolve through :meth:`_estimator`: the environment's
-    log/probe-derived knowledge by default, or any
-    :class:`~repro.perf.PerformanceEstimator` (e.g. a learned
-    :class:`~repro.perf.PerformanceModel`) supplied by the subclass.
+    baseline schedules exactly as its query order does.  Costs come from
+    the environment's log/probe-derived knowledge (``env.knowledge``).
     """
 
     order = "fifo"
-    #: Optional estimator overriding the environment's external knowledge.
-    perf: "PerformanceEstimator | None" = None
-
-    def _estimator(self, env: SchedulingEnv) -> PerformanceEstimator:
-        return self.perf if self.perf is not None else env.knowledge
 
     def _pick_query(self, env: SchedulingEnv, snapshot: SnapshotArrays) -> int:
         pending = snapshot.pending_ids
         if not pending:
             raise SchedulingError("no pending query to schedule")
         if self.order == "mcf":
-            estimator = self._estimator(env)
-            return max(pending, key=lambda qid: estimator.average_time(qid))
+            return max(pending, key=env.knowledge.average_time)
         return min(pending)
 
     def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
@@ -219,23 +208,15 @@ class GreedyCostPlacementScheduler(_PlacementScheduler):
     Picks the instance minimising ``(outstanding + expected) / speed`` — the
     strongest myopic heuristic: speed-aware, load-aware, but blind to data
     sharing, buffer warmth and long-tail interactions.
-
-    Costs come from the :class:`~repro.perf.PerformanceEstimator` interface:
-    by default the environment's log/probe knowledge, or pass a learned
-    :class:`~repro.perf.PerformanceModel` as ``perf`` to price queries from
-    the trained prediction model instead of private engine estimates.
     """
 
     name = "GreedyCost-placement"
     order = "mcf"
-
-    def __init__(self, perf: "PerformanceEstimator | None" = None) -> None:
-        self.perf = perf
 
     def _pick_instance(self, env: SchedulingEnv, query_id: int, available: list[int]) -> int:
         return greedy_cost_instance(
             available,
             env.instance_outstanding_work(),
             env.instance_speed_factors(),
-            self._estimator(env).average_time(query_id),
+            env.knowledge.average_time(query_id),
         )

@@ -226,7 +226,6 @@ class RLSchedulerBase(BaseScheduler):
                 self.history_log,
                 self.batch,
                 plan_embeddings=self.plan_embeddings,
-                hidden_dim=self.config.clustering.gain_model_hidden,
                 seed=self.config.seed,
             )
             num_clusters = min(self.config.clustering.num_clusters, len(self.batch))

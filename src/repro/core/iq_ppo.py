@@ -14,7 +14,7 @@ import numpy as np
 
 from ..config import TIME_SCALE
 from ..nn import fastgrad
-from .ppo import PPOTrainer
+from .ppo import BETA_CLONE, PPOTrainer
 from .rollout import RolloutBuffer
 
 __all__ = ["IQPPOTrainer"]
@@ -26,7 +26,7 @@ class IQPPOTrainer(PPOTrainer):
     algorithm = "iq-ppo"
 
     def auxiliary_phase(self, buffer: RolloutBuffer) -> float:
-        """Optimise L_joint = L_aux + beta_clone * KL(pi_old || pi_new), one stacked step per epoch."""
+        """Optimise L_joint = L_aux + BETA_CLONE * KL(pi_old || pi_new), one stacked step per epoch."""
         self._require_transitions(buffer, "auxiliary_phase()")
         transitions = buffer.sample_with_aux(self.config.minibatch_size, self.rng)
         if not transitions:
@@ -44,7 +44,7 @@ class IQPPOTrainer(PPOTrainer):
                 masks,
                 old_log_probs=old_log_probs,
                 time_targets=time_targets,
-                beta_clone=self.config.beta_clone,
+                beta_clone=BETA_CLONE,
                 arena=self.arena,
                 clusters=self.env.clusters,
             )

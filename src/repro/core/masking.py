@@ -62,10 +62,10 @@ class AdaptiveMask:
     ) -> "AdaptiveMask":
         """Derive the mask from a performance estimator.
 
-        ``knowledge`` is any :class:`~repro.perf.PerformanceEstimator` — the
-        probe/log-derived :class:`~repro.core.knowledge.ExternalKnowledge` or
-        a learned :class:`~repro.perf.PerformanceModel` — so masking gains
-        come from the same interface as every other cost estimate.
+        ``knowledge`` is a :class:`~repro.perf.PerformanceEstimator` (the
+        probe/log-derived :class:`~repro.core.knowledge.ExternalKnowledge`),
+        so masking gains come from the same interface as every other cost
+        estimate.
         Configuration 0 (fewest resources) is always allowed; a richer
         configuration stays allowed only if it improves the query's isolated
         execution time by at least the absolute *and* relative thresholds.
@@ -106,15 +106,3 @@ class AdaptiveMask:
         kept = sum(len(configs) for configs in self._allowed.values())
         kept += (self.num_queries - len(self._allowed)) * self.num_configs
         return 1.0 - kept / total
-
-    def action_mask(self, selectable_ids: "list[int]") -> np.ndarray:
-        """Boolean mask over the flat action space ``query_id * num_configs + config``.
-
-        Only queries in ``selectable_ids`` (the pending ones) are unmasked,
-        and only at their allowed configurations.
-        """
-        mask = np.zeros((self.num_queries, self.num_configs), dtype=bool)
-        ids = np.fromiter(selectable_ids, dtype=np.int64)
-        if ids.size:
-            mask[ids] = self.allowed_matrix[ids]
-        return mask.reshape(self.num_queries * self.num_configs)

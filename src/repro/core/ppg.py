@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import fastgrad
-from .ppo import PPOTrainer
+from .ppo import BETA_CLONE, PPOTrainer
 from .rollout import RolloutBuffer
 
 __all__ = ["PPGTrainer"]
@@ -29,7 +29,7 @@ class PPGTrainer(PPOTrainer):
 
         PPG's auxiliary target is the state value, predicted as the mean of
         the per-query head; each epoch is one stacked step on the per-sample
-        mean of ``aux + beta_clone * KL(pi_old || pi_new)``.
+        mean of ``aux + BETA_CLONE * KL(pi_old || pi_new)``.
         """
         self._require_transitions(buffer, "auxiliary_phase()")
         transitions = buffer.sample(self.config.minibatch_size, self.rng)
@@ -44,7 +44,7 @@ class PPGTrainer(PPOTrainer):
                 masks,
                 old_log_probs=old_log_probs,
                 value_targets=value_targets,
-                beta_clone=self.config.beta_clone,
+                beta_clone=BETA_CLONE,
                 arena=self.arena,
                 clusters=self.env.clusters,
             )

@@ -34,7 +34,29 @@ from .policy import ActorCriticNetwork
 from .rollout import RolloutBuffer, Transition
 from .vecenv import VectorSchedulingEnv
 
-__all__ = ["PPOTrainer", "TrainingHistory"]
+__all__ = [
+    "BETA_CLONE",
+    "CLIP_EPSILON",
+    "ENTROPY_COEF",
+    "LEARNING_RATE",
+    "MAX_GRAD_NORM",
+    "PPOTrainer",
+    "TrainingHistory",
+    "VALUE_COEF",
+]
+
+#: Adam step size of every policy update.
+LEARNING_RATE = 3e-4
+#: Half-width of the clipped surrogate's probability-ratio interval.
+CLIP_EPSILON = 0.2
+#: Weight of the value loss in the PPO objective.
+VALUE_COEF = 0.5
+#: Weight of the entropy bonus in the PPO objective.
+ENTROPY_COEF = 0.01
+#: Global L2 norm every update's gradient is clipped to.
+MAX_GRAD_NORM = 0.5
+#: Weight of the behaviour-cloning KL term of the PPG and IQ-PPO auxiliary phases.
+BETA_CLONE = 1.0
 
 
 @dataclass
@@ -75,7 +97,7 @@ class PPOTrainer:
         #: share one, so its buffers are paid for once.
         self.arena = arena if arena is not None else fastgrad.Arena()
         self.rng = np.random.default_rng(seed)
-        self.optimizer = Adam(policy.parameters(), lr=config.learning_rate)
+        self.optimizer = Adam(policy.parameters(), lr=LEARNING_RATE)
         self.history = TrainingHistory()
         #: ``env`` itself plus ``num_envs - 1`` clones: the width of every rollout.
         self.vec_env = VectorSchedulingEnv.from_template(env, config.num_envs)
@@ -97,7 +119,7 @@ class PPOTrainer:
         re-seeded with the next episode until the budget is exhausted, then
         drop out of the lockstep batch.
         """
-        buffer = RolloutBuffer(gamma=self.config.gamma, gae_lambda=self.config.gae_lambda)
+        buffer = RolloutBuffer()
         vec = self.vec_env
         plan_embeddings, clusters = self.env.plan_embeddings, vec.clusters
         snapshots: dict[int, object] = {}
@@ -165,9 +187,9 @@ class PPOTrainer:
                 old_log_probs=np.array([t.log_prob for t in batch]),
                 advantages=np.array([t.advantage for t in batch]),
                 value_targets=np.array([t.value_target for t in batch]),
-                clip_epsilon=self.config.clip_epsilon,
-                value_coef=self.config.value_coef,
-                entropy_coef=self.config.entropy_coef,
+                clip_epsilon=CLIP_EPSILON,
+                value_coef=VALUE_COEF,
+                entropy_coef=ENTROPY_COEF,
                 arena=self.arena,
                 clusters=self.env.clusters,
             )
@@ -201,7 +223,7 @@ class PPOTrainer:
         write it into the weights.
         """
         with self.timers.section("optimizer"):
-            grad_norm = clip_grad_norm(self.policy.parameters(), self.config.max_grad_norm)
+            grad_norm = clip_grad_norm(self.policy.parameters(), MAX_GRAD_NORM)
             if not (np.isfinite(loss) and np.isfinite(grad_norm)):
                 culprit = next(
                     (

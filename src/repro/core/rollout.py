@@ -62,6 +62,9 @@ class RolloutBuffer:
     interleave steps from N lockstep envs and still get per-episode GAE and
     auxiliary annotation when each episode closes.  The default
     ``env_index=0`` preserves the original single-env interface.
+
+    ``gamma`` and ``gae_lambda`` default to the discount and GAE lambda every
+    trainer uses.
     """
 
     def __init__(self, gamma: float = 0.99, gae_lambda: float = 0.95) -> None:

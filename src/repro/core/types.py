@@ -59,9 +59,5 @@ class StrategyEvaluation:
     def std(self) -> float:
         return float(np.std(self.makespans)) if self.makespans else float("nan")
 
-    @property
-    def best(self) -> float:
-        return float(np.min(self.makespans)) if self.makespans else float("nan")
-
     def __repr__(self) -> str:
         return f"StrategyEvaluation({self.strategy}: {self.mean:.2f} ± {self.std:.2f} over {len(self.makespans)} rounds)"

@@ -24,7 +24,10 @@ from ..config import EncoderConfig
 from ..nn import AttentionEncoder, Embedding, Linear, MLP, Module, fastgrad
 from ..plans import PhysicalPlan, PlanFeaturizer
 
-__all__ = ["QueryFormer", "PlanEmbeddingCache"]
+__all__ = ["MAX_HEIGHT", "QueryFormer", "PlanEmbeddingCache"]
+
+#: Deepest plan-tree height the height encoding tells apart (deeper nodes share its embedding).
+MAX_HEIGHT = 16
 
 
 class QueryFormer(Module):
@@ -36,7 +39,7 @@ class QueryFormer(Module):
         self.config = config
         hidden = config.node_hidden_dim
         self.input_proj = Linear(featurizer.feature_dim, hidden, rng)
-        self.height_embedding = Embedding(config.max_height + 1, hidden, rng)
+        self.height_embedding = Embedding(MAX_HEIGHT + 1, hidden, rng)
         self.super_token = Embedding(1, hidden, rng)
         self.encoder = AttentionEncoder(
             model_dim=hidden,
@@ -57,7 +60,7 @@ class QueryFormer(Module):
         """
         features = self.featurizer.featurize(plan)
         num_nodes = features.num_nodes
-        heights = np.clip(features.heights, 0, self.config.max_height)
+        heights = np.clip(features.heights, 0, MAX_HEIGHT)
         projected = features.node_features @ self.input_proj.weight.data
         projected += self.input_proj.bias.data
         tokens = np.empty((num_nodes + 1, self.config.node_hidden_dim))

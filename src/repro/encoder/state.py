@@ -30,7 +30,10 @@ from ..nn import AttentionEncoder, MLP, Module, Parameter, Tensor, concatenate, 
 from ..nn import init as weight_init
 from .run_state import RunStateFeaturizer, SnapshotArrays
 
-__all__ = ["StateRepresentation", "BatchedStateRepresentation", "StateEncoder"]
+__all__ = ["MLP_LAYERS", "StateRepresentation", "BatchedStateRepresentation", "StateEncoder"]
+
+#: Depth ``m`` of the per-query MLP combining plan embedding and running-state features.
+MLP_LAYERS = 2
 
 
 @dataclass
@@ -95,7 +98,7 @@ class StateEncoder(Module):
         state_dim = config.state_dim
         input_dim = plan_embedding_dim + run_state_featurizer.feature_dim
 
-        per_query_sizes = [input_dim] + [state_dim] * config.mlp_layers
+        per_query_sizes = [input_dim] + [state_dim] * MLP_LAYERS
         self.query_mlp = MLP(per_query_sizes, rng, activation="tanh", final_activation=True)
         self.super_query = Parameter(weight_init.normal((1, state_dim), rng, std=0.1), name="super_query")
         if use_attention:

@@ -142,12 +142,12 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba), the default for all BQSched networks."""
+    """Adam optimiser (Kingma & Ba): the policy update's, stepped at ``repro.core.ppo.LEARNING_RATE``."""
 
     def __init__(
         self,
         parameters: Iterable[Parameter],
-        lr: float = 3e-4,
+        lr: float,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,

@@ -8,15 +8,15 @@
 * :class:`ConcurrentPredictionModel` — the multitask earliest-finisher /
   remaining-time network;
 * :class:`PerformanceModel` — training from (instance-tagged) logs,
-  continual fine-tuning from online logs, per-instance fidelity metrics and
-  learned cost estimates; its fits run :class:`~repro.perf.fit.FitProgram`,
-  per-example Adam over flat parameter slabs;
+  continual fine-tuning from online logs and per-instance fidelity
+  metrics; its fits run :class:`~repro.perf.fit.FitProgram`, per-example
+  Adam over flat parameter slabs;
 * :class:`SimulatedCluster` / :class:`SimulatedClusterSession` — the learned
   incremental simulator the RL policy pre-trains against: a simulated fleet,
   of one on a single engine;
-* :class:`PerformanceEstimator` — the protocol adaptive masking and the
-  greedy-cost placement baseline type against (satisfied by both the
-  log-derived external knowledge and the learned model).
+* :class:`PerformanceEstimator` — the cost-estimate protocol adaptive
+  masking, the placement baselines and the feature rows type against
+  (implemented by the log-derived external knowledge).
 """
 
 from .features import MIN_REMAINING, PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE

@@ -40,11 +40,10 @@ INSTANCE_CHANNEL_DIM = 2
 class PerformanceEstimator(Protocol):
     """Per-query execution-cost estimates every consumer types against.
 
-    Satisfied by the log/probe-derived
-    :class:`~repro.core.knowledge.ExternalKnowledge` and by the learned
-    :class:`~repro.perf.PerformanceModel`, so adaptive masking and the
-    greedy-cost placement baseline can run from either source of estimates
-    instead of private engine internals.
+    Its one implementation is the log/probe-derived
+    :class:`~repro.core.knowledge.ExternalKnowledge`: adaptive masking, the
+    placement baselines and the simulator's feature rows read estimates
+    through this protocol instead of private engine internals.
     """
 
     #: Bumped whenever the estimates change, so caches of rows that bake them

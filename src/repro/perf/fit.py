@@ -49,7 +49,10 @@ from ..exceptions import ConfigurationError
 from ..nn import AdamSlabs, AttentionBlock, Module, MultiHeadAttention, Parameter, fastgrad
 from .model import ConcurrentPredictionModel
 
-__all__ = ["FitProgram"]
+__all__ = ["FitProgram", "LEARNING_RATE"]
+
+#: Adam step size of every simulator fit (``train_from_log`` and each ``update_from_log``).
+LEARNING_RATE = 1e-3
 
 
 class FitProgram(AdamSlabs):

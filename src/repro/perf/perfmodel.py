@@ -3,9 +3,10 @@
 :class:`PerformanceModel` owns the whole prediction stack: the feature
 pipeline (:class:`~repro.perf.features.PerformanceFeaturizer`), the
 multitask :class:`~repro.perf.model.ConcurrentPredictionModel`, training
-from historical logs, continual fine-tuning from online logs, and the
-isolated-cost estimates the masking / placement layers consume through the
-:class:`~repro.perf.features.PerformanceEstimator` protocol.
+from historical logs and continual fine-tuning from online logs.  Its
+inputs read the cost estimates of a
+:class:`~repro.perf.features.PerformanceEstimator` (the log/probe-derived
+knowledge); the model is no estimator itself.
 
 One model serves a whole fleet: training examples are reconstructed *per
 engine instance* from instance-tagged
@@ -28,8 +29,8 @@ from ..config import SimulatorConfig
 from ..dbms import ConfigurationSpace, ExecutionLog
 from ..exceptions import SimulationError
 from ..workloads import BatchQuerySet
-from .features import MIN_REMAINING, PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE
-from .fit import FitProgram
+from .features import PerformanceEstimator, PerformanceFeaturizer, TIME_SCALE
+from .fit import FitProgram, LEARNING_RATE
 from .model import ConcurrentPredictionModel, SimulatorMetrics
 
 __all__ = ["PerformanceModel", "PredictionExample"]
@@ -49,11 +50,7 @@ class PerformanceModel:
     """Learned concurrent-query performance prediction over logs.
 
     ``instance_speeds`` declares the fleet the model predicts for (empty or
-    length-1 keeps the single-engine pipeline).  The model also satisfies the
-    :class:`~repro.perf.features.PerformanceEstimator` protocol: isolated
-    expected times are read off the regressor at zero elapsed time, so
-    consumers like the greedy-cost placement baseline can price queries from
-    the learned model instead of private engine estimates.
+    length-1 keeps the single-engine pipeline).
     """
 
     def __init__(
@@ -85,9 +82,7 @@ class PerformanceModel:
             use_attention=config.use_attention,
         )
         self._rng = rng
-        self._program = FitProgram(self.model, lr=config.learning_rate)
-        #: Estimate version (:class:`PerformanceEstimator`): bumped per fit.
-        self.version = 0
+        self._program = FitProgram(self.model, lr=LEARNING_RATE)
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -161,7 +156,6 @@ class PerformanceModel:
         weights, gradients and Adam moments in flat slabs for the length of
         the fit; the moments and step count carry over to the next fit.
         """
-        self.version += 1
         multitask = self.config.use_multitask
         self._program.fit(
             [example.features for example in examples],
@@ -207,32 +201,3 @@ class PerformanceModel:
             instance: self.evaluate_examples(examples)
             for instance, examples in sorted(by_instance.items())
         }
-
-    # ------------------------------------------------------------------ #
-    # PerformanceEstimator protocol (learned cost estimates)
-    # ------------------------------------------------------------------ #
-    def isolated_estimate(self, query_id: int, config_index: int, instance: int = 0) -> float:
-        """Model-predicted isolated execution time on ``instance`` (seconds)."""
-        features = self.featurizer.rows(
-            [query_id], [self.config_space[config_index]], [0.0], instance=instance
-        )
-        _, times = self.model.predict(features)
-        return max(MIN_REMAINING, float(times[0]) * TIME_SCALE)
-
-    def expected_time(self, query_id: int, config_index: int) -> float:
-        """Learned expected execution time (reference instance 0)."""
-        return self.isolated_estimate(query_id, config_index)
-
-    def average_time(self, query_id: int) -> float:
-        """Learned expected time under the default configuration."""
-        return self.expected_time(query_id, 0)
-
-    def improvement_profile(self, query_id: int) -> dict[int, tuple[float, float]]:
-        """Absolute / relative gain of each configuration over the cheapest one."""
-        baseline = self.expected_time(query_id, 0)
-        profile: dict[int, tuple[float, float]] = {}
-        for index in range(len(self.config_space)):
-            absolute = baseline - self.expected_time(query_id, index)
-            relative = absolute / baseline if baseline > 0 else 0.0
-            profile[index] = (absolute, relative)
-        return profile

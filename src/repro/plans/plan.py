@@ -115,9 +115,6 @@ class PhysicalPlan:
         """Iterate nodes in pre-order."""
         return iter(self._nodes)
 
-    def node(self, node_id: int) -> PlanNode:
-        return self._nodes[node_id]
-
     def depth_of(self, node_id: int) -> int:
         return self._heights[node_id]
 

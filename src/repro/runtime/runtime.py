@@ -182,12 +182,6 @@ class ExecutionRuntime:
         self._order.append(name)
         return RuntimeTenant(self, name)
 
-    def tenant(self, name: str) -> "RuntimeTenant":
-        """Handle for an already-registered tenant."""
-        if name not in self._tenants:
-            raise SchedulingError(f"unknown tenant {name!r}")
-        return RuntimeTenant(self, name)
-
     @property
     def num_tenants(self) -> int:
         return len(self._tenants)
@@ -530,10 +524,6 @@ class ExecutionRuntime:
                 )
             )
 
-    def attempts_of(self, state: "_TenantState", local_id: int) -> int:
-        """Submission attempts so far for a tenant-local query id."""
-        return self._attempts.get(state.offset + local_id, 0)
-
     def _dispatch_completion(self, completion: CompletionEvent) -> "QueryCompletion | QueryFailure":
         state, local_id = self._locate(completion.query_id)
         if completion.failed:
@@ -655,14 +645,14 @@ class TenantSession:
         #: ``latency_slo``): completions at or under the target vs over it.
         self.num_slo_met = 0
         self.num_slo_misses = 0
-        # SoA snapshot view: live slices of the shared session's state
-        # arrays scoped to this tenant's global-id range.
         offset = state.offset
         count = len(state.batch)
+        #: Failed attempts per query (errors, timeout kills, outage kills).
+        self.failed_attempts = np.zeros(count, dtype=np.int64)
+        # SoA snapshot view: live slices of the shared session's state
+        # arrays scoped to this tenant's global-id range.
         self.soa_status: np.ndarray = shared.state_arrays.status[offset : offset + count]
         self.soa_submit_time: np.ndarray = shared.state_arrays.submit_time[offset : offset + count]
-        #: Failed attempts per query (errors, timeout kills, outage kills).
-        self.soa_attempts = np.zeros(count, dtype=np.int64)
 
     # -- identity ------------------------------------------------------- #
     @property
@@ -731,13 +721,10 @@ class TenantSession:
         """Queries whose failed attempt awaits its scheduled retry re-arrival."""
         return tuple(sorted(self._retrying))
 
-    def attempts(self, query_id: int) -> int:
-        """Submission attempts so far for one of this tenant's queries."""
-        return self._runtime.attempts_of(self._state, query_id)
-
     def failure_counts(self) -> dict[int, int]:
         """Failed attempts per tenant-local query id (empty when fault-free)."""
-        return {int(query_id): int(self.soa_attempts[query_id]) for query_id in np.flatnonzero(self.soa_attempts)}
+        failed = self.failed_attempts
+        return {int(query_id): int(failed[query_id]) for query_id in np.flatnonzero(failed)}
 
     def arrival_time(self, query_id: int) -> float:
         """When the query arrives (0.0 in the closed scenario)."""
@@ -848,7 +835,7 @@ class TenantSession:
     def _on_failure(self, event: QueryFailure) -> None:
         self._running.discard(event.query_id)
         self.num_failed_attempts += 1
-        self.soa_attempts[event.query_id] += 1
+        self.failed_attempts[event.query_id] += 1
         if event.reason == FAILURE_TIMEOUT:
             self.num_timeouts += 1
         if event.will_retry:

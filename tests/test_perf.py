@@ -181,14 +181,8 @@ class TestPerformanceFeaturizer:
         with pytest.raises(SimulationError):
             featurizer.speed_of(3)
 
-    def test_estimator_protocol(self, probe_knowledge, fleet_perf):
+    def test_estimator_protocol(self, probe_knowledge):
         assert isinstance(probe_knowledge, PerformanceEstimator)
-        assert isinstance(fleet_perf, PerformanceEstimator)
-        assert fleet_perf.average_time(0) > 0
-        assert fleet_perf.expected_time(0, 1) > 0
-        profile = fleet_perf.improvement_profile(0)
-        assert set(profile) == set(range(4))
-        assert profile[0] == (0.0, 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +278,6 @@ class TestPerformanceModel:
         ]
         metrics = [model.train_from_log(history_log) for model in models]
         assert metrics[0] == metrics[1]
-        assert models[0].version == models[1].version == 1
         for (name_a, param_a), (name_b, param_b) in zip(
             sorted(models[0].model.named_parameters()), sorted(models[1].model.named_parameters())
         ):
@@ -521,9 +514,7 @@ class TestSimulatedClusterSession:
         result = RoundRobinPlacementScheduler().run_round(env, round_id=4)
         assert len(result.round_log) == len(tpch_batch)
         assert {r.instance for r in result.round_log.records} == {0, 1, 2}
-        # greedy-cost placement priced by the learned model
-        learned = GreedyCostPlacementScheduler(perf=sim_fleet.perf)
-        result = learned.run_round(env, round_id=5)
+        result = GreedyCostPlacementScheduler().run_round(env, round_id=5)
         assert len(result.round_log) == len(tpch_batch)
 
     def test_single_tenant_runtime_round_trip(self, sim_fleet, tpch_batch, config_space, small_config):

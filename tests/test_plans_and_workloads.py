@@ -201,8 +201,8 @@ def _bfs_distances(plan: PhysicalPlan) -> np.ndarray:
     """All-pairs tree distances by one breadth-first search per node."""
     n = plan.num_nodes
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for node_id in range(n):
-        for child in plan.node(node_id).children:
+    for node_id, node in enumerate(plan.nodes()):
+        for child in node.children:
             neighbours[node_id].append(child.node_id)
             neighbours[child.node_id].append(node_id)
     distances = np.full((n, n), np.inf)

@@ -346,7 +346,7 @@ class TestTrainerParity:
     def _legacy_collect(self, trainer, num_episodes):
         """The sequential one-snapshot-at-a-time collector, kept as the oracle
         the lock-step collector at width 1 is compared against."""
-        buffer = RolloutBuffer(gamma=trainer.config.gamma, gae_lambda=trainer.config.gae_lambda)
+        buffer = RolloutBuffer()
         clusters = trainer.env.clusters
         for _ in range(num_episodes):
             snapshot = trainer.env.reset(round_id=trainer._round_counter)
