@@ -152,7 +152,7 @@ class ClusteringConfig:
     queries.  Members within a cluster are always released
     most-costly-first (MCF) by the knowledge base's average times; there is
     no intra-cluster order to choose.  The gain model's width is
-    :func:`~repro.core.gain.build_gain_matrix`'s ``hidden_dim`` default.
+    :data:`repro.core.gain.GAIN_HIDDEN`.
     """
 
     num_clusters: int = 100

@@ -75,6 +75,9 @@ _ALGORITHMS = {"ppo": PPOTrainer, "ppg": PPGTrainer, "iq-ppo": IQPPOTrainer}
 #: budget: extra envs beyond that would never start an episode).
 _PRETRAIN_NUM_ENVS = 4
 
+#: First round id of :meth:`RLSchedulerBase.evaluate_on`'s rounds.
+EVALUATE_ON_BASE_ROUND_ID = 70_000
+
 
 class RLSchedulerBase(BaseScheduler):
     """Shared machinery of the RL-based schedulers (BQSched and LSched)."""
@@ -359,9 +362,9 @@ class RLSchedulerBase(BaseScheduler):
         self._update_arena.clear()
         return history
 
-    def _validate_and_keep_best(self, rounds: int = 1) -> float:
+    def _validate_and_keep_best(self) -> float:
         """Run a greedy validation round on the real DBMS and snapshot the best policy."""
-        evaluation = self.evaluate(self.env, rounds=rounds, base_round_id=90_000 + len(self.timings))
+        evaluation = self.evaluate(self.env, rounds=1, base_round_id=90_000 + len(self.timings))
         if evaluation.mean < self._best_score:
             self._best_score = evaluation.mean
             self._best_state = self.policy.state_dict()
@@ -387,7 +390,6 @@ class RLSchedulerBase(BaseScheduler):
         workload: Workload,
         engine: "DatabaseEngine | Cluster | None" = None,
         rounds: int = 3,
-        base_round_id: int = 70_000,
     ) -> StrategyEvaluation:
         """Apply the already-trained policy to a *different* workload or fleet.
 
@@ -420,7 +422,7 @@ class RLSchedulerBase(BaseScheduler):
         env = self._build_env(
             engine, batch=batch, plan_embeddings=plan_embeddings, knowledge=knowledge, mask=mask, clusters=None
         )
-        return self.evaluate(env, rounds=rounds, base_round_id=base_round_id)
+        return self.evaluate(env, rounds=rounds, base_round_id=EVALUATE_ON_BASE_ROUND_ID)
 
     # ------------------------------------------------------------------ #
     # Event-driven serving

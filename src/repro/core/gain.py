@@ -28,6 +28,13 @@ from ..workloads import BatchQuerySet
 
 __all__ = ["compute_scheduling_gains", "GainModel", "build_gain_matrix"]
 
+#: Hidden width of the gain model :func:`build_gain_matrix` fits.
+GAIN_HIDDEN = 32
+
+#: Epochs and Adam step size of :meth:`GainModel.fit`.
+GAIN_EPOCHS = 30
+GAIN_LEARNING_RATE = 1e-2
+
 #: Observed pairs per Adam step of :meth:`GainModel.fit`.
 GAIN_BATCH_SIZE = 32
 
@@ -128,25 +135,24 @@ class GainModel(Module):
         embeddings: np.ndarray,
         gains: np.ndarray,
         observed: np.ndarray,
-        epochs: int = 30,
-        learning_rate: float = 1e-2,
         seed: int = 0,
     ) -> list[float]:
         """Fit the model to the observed entries of the gain matrix.
 
-        Shuffled minibatches of :data:`GAIN_BATCH_SIZE` pairs, one Adam step
-        each, over slabs (:class:`~repro.nn.optim.AdamSlabs`); returns the
-        mean per-pair loss of every epoch.
+        :data:`GAIN_EPOCHS` epochs of shuffled minibatches of
+        :data:`GAIN_BATCH_SIZE` pairs, one Adam step each, over slabs
+        (:class:`~repro.nn.optim.AdamSlabs`); returns the mean per-pair loss
+        of every epoch.
         """
         pairs = np.argwhere(np.triu(observed, k=1))
         if not len(pairs):
             raise SchedulingError("gain model needs at least one observed pair to fit")
-        optimizer = AdamSlabs([(param,) for param in self.parameters()], lr=learning_rate)
+        optimizer = AdamSlabs([(param,) for param in self.parameters()], lr=GAIN_LEARNING_RATE)
         arena = optimizer.arena
         rng = np.random.default_rng(seed)
         losses = []
         with optimizer.bound():
-            for _ in range(epochs):
+            for _ in range(GAIN_EPOCHS):
                 rng.shuffle(pairs)
                 epoch_loss = 0.0
                 for start in range(0, len(pairs), GAIN_BATCH_SIZE):
@@ -178,8 +184,6 @@ def build_gain_matrix(
     log: ExecutionLog,
     batch: BatchQuerySet,
     plan_embeddings: np.ndarray | None = None,
-    hidden_dim: int = 32,
-    epochs: int = 30,
     seed: int = 0,
 ) -> np.ndarray:
     """Observed gains completed with model predictions for unobserved pairs.
@@ -190,8 +194,8 @@ def build_gain_matrix(
     gains, observed = compute_scheduling_gains(log, batch)
     if plan_embeddings is None or not observed.any():
         return gains
-    model = GainModel(plan_embeddings.shape[1], hidden_dim, np.random.default_rng(seed))
-    model.fit(plan_embeddings, gains, observed, epochs=epochs, seed=seed)
+    model = GainModel(plan_embeddings.shape[1], GAIN_HIDDEN, np.random.default_rng(seed))
+    model.fit(plan_embeddings, gains, observed, seed=seed)
     rows, cols = np.nonzero(np.triu(~observed, k=1))
     completed = gains.copy()
     completed[rows, cols] = completed[cols, rows] = model.predict_pairs(plan_embeddings, rows, cols)

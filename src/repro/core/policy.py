@@ -26,6 +26,9 @@ __all__ = ["ActorCriticNetwork", "PolicyDecision", "DECISION_KERNEL"]
 #: :meth:`~ActorCriticNetwork.greedy_action`.
 DECISION_KERNEL = DecisionKernel()
 
+#: Hidden width of the policy, value and auxiliary heads.
+HEAD_HIDDEN = 64
+
 
 @dataclass(frozen=True)
 class PolicyDecision:
@@ -60,7 +63,6 @@ class ActorCriticNetwork(Module):
         state_encoder: StateEncoder,
         num_configs: int,
         rng: np.random.Generator,
-        head_hidden: int = 64,
     ) -> None:
         super().__init__()
         if num_configs < 1:
@@ -68,9 +70,9 @@ class ActorCriticNetwork(Module):
         self.state_encoder = state_encoder
         self.num_configs = num_configs
         state_dim = state_encoder.config.state_dim
-        self.policy_head = MLP([state_dim, head_hidden, num_configs], rng, activation="tanh")
-        self.value_head = MLP([state_dim, head_hidden, 1], rng, activation="tanh")
-        self.aux_head = MLP([state_dim, head_hidden, 1], rng, activation="tanh")
+        self.policy_head = MLP([state_dim, HEAD_HIDDEN, num_configs], rng, activation="tanh")
+        self.value_head = MLP([state_dim, HEAD_HIDDEN, 1], rng, activation="tanh")
+        self.aux_head = MLP([state_dim, HEAD_HIDDEN, 1], rng, activation="tanh")
 
     # ------------------------------------------------------------------ #
     # Forward passes
@@ -335,7 +337,6 @@ class ActorCriticNetwork(Module):
         snapshot: SnapshotArrays,
         query_id: int,
         mask: np.ndarray,
-        clusters=None,
     ) -> tuple[Tensor, Tensor]:
         """Differentiable auxiliary prediction for the earliest-finishing query.
 
@@ -344,6 +345,6 @@ class ActorCriticNetwork(Module):
         """
         representation = self.representation(plan_embeddings, snapshot)
         times = self.auxiliary_times(representation)
-        logits = self.action_logits(representation, snapshot, clusters=clusters)
+        logits = self.action_logits(representation, snapshot)
         log_probs = masked_log_softmax(logits, mask)
         return times[query_id], log_probs

@@ -22,6 +22,10 @@ from ..exceptions import SchedulingError
 
 __all__ = ["Transition", "RolloutBuffer"]
 
+#: The discount and the GAE lambda of every trainer's advantages.
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+
 
 @dataclass
 class Transition:
@@ -61,15 +65,12 @@ class RolloutBuffer:
     in-flight episode is keyed by ``env_index``, so a vectorized rollout can
     interleave steps from N lockstep envs and still get per-episode GAE and
     auxiliary annotation when each episode closes.  The default
-    ``env_index=0`` preserves the original single-env interface.
-
-    ``gamma`` and ``gae_lambda`` default to the discount and GAE lambda every
-    trainer uses.
+    ``env_index=0`` preserves the original single-env interface.  Every
+    episode's advantages use the discount :data:`GAMMA` and the GAE lambda
+    :data:`GAE_LAMBDA`.
     """
 
-    def __init__(self, gamma: float = 0.99, gae_lambda: float = 0.95) -> None:
-        self.gamma = gamma
-        self.gae_lambda = gae_lambda
+    def __init__(self) -> None:
         self._episodes: list[EpisodeRecord] = []
         self._current: dict[int, list[Transition]] = {}
 
@@ -99,8 +100,8 @@ class RolloutBuffer:
         for index in reversed(range(len(transitions))):
             transition = transitions[index]
             next_value = 0.0 if transition.done or index == len(transitions) - 1 else transitions[index + 1].value
-            delta = transition.reward + self.gamma * next_value - transition.value
-            advantage = delta + self.gamma * self.gae_lambda * (0.0 if transition.done else advantage)
+            delta = transition.reward + GAMMA * next_value - transition.value
+            advantage = delta + GAMMA * GAE_LAMBDA * (0.0 if transition.done else advantage)
             transition.advantage = advantage
             transition.value_target = advantage + transition.value
 

@@ -78,9 +78,9 @@ class VectorSchedulingEnv:
     # ------------------------------------------------------------------ #
     # Lockstep episode control
     # ------------------------------------------------------------------ #
-    def reset_at(self, index: int, round_id: int | None = None, strategy: str | None = None) -> SnapshotArrays:
+    def reset_at(self, index: int, round_id: int | None = None) -> SnapshotArrays:
         """Start a new round in sub-env ``index`` and return its snapshot."""
-        return self.envs[index].reset(round_id=round_id, strategy=strategy)
+        return self.envs[index].reset(round_id=round_id)
 
     def masks_for(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Stacked boolean action masks ``(k, action_dim)`` for ``indices``.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..exceptions import ConfigurationError, SchedulingError
+from ..exceptions import ConfigurationError
 from ..seeding import SeedSpawner
 from ..workloads import BatchQuerySet, Query
 from .engine import ClusterSession, DatabaseEngine, collect_fixed_order_logs, execute_fixed_order
@@ -94,9 +94,9 @@ class Cluster:
         return cls.from_profiles([profile] * num_instances, seed=seed, name=name)
 
     @classmethod
-    def from_names(cls, names: Sequence[str], seed: int = 0, name: str = "cluster") -> "Cluster":
+    def from_names(cls, names: Sequence[str], seed: int = 0) -> "Cluster":
         """Build a fleet from profile short-names (``("x", "x", "z")``)."""
-        return cls.from_profiles([DBMSProfile.by_name(n) for n in names], seed=seed, name=name)
+        return cls.from_profiles([DBMSProfile.by_name(n) for n in names], seed=seed)
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -152,16 +152,9 @@ class Cluster:
         ]
         return ClusterSession(batch, round_id, strategy, units, self.speed_factors())
 
-    def estimate_isolated_time(
-        self,
-        query: Query,
-        parameters: RunningParameters,
-        instance: int = 0,
-    ) -> float:
-        """Isolated probe on one instance (instance 0 = the reference)."""
-        if not 0 <= instance < self.num_instances:
-            raise SchedulingError(f"instance {instance} out of range (cluster has {self.num_instances})")
-        return self.engines[instance].estimate_isolated_time(query, parameters)
+    def estimate_isolated_time(self, query: Query, parameters: RunningParameters) -> float:
+        """Isolated probe on instance 0, the fleet's reference."""
+        return self.engines[0].estimate_isolated_time(query, parameters)
 
     execute_order = execute_fixed_order
     collect_logs = collect_fixed_order_logs

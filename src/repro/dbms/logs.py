@@ -14,7 +14,7 @@ paper derives from logs is implemented on top of :class:`ExecutionLog`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -146,8 +146,8 @@ class RoundLog:
 class ExecutionLog:
     """A collection of :class:`RoundLog` entries across scheduling rounds."""
 
-    def __init__(self, rounds: Iterable[RoundLog] | None = None) -> None:
-        self._rounds: list[RoundLog] = list(rounds or [])
+    def __init__(self) -> None:
+        self._rounds: list[RoundLog] = []
 
     def add_round(self, round_log: RoundLog) -> None:
         self._rounds.append(round_log)

@@ -140,24 +140,15 @@ class RunStateFeaturizer:
         #: ``arange`` over the rows of the last stack featurized, reused while the size repeats.
         self._row_index = np.arange(0)
 
-    def featurize_arrays_stack(
-        self, stack: "list[SnapshotArrays]", out: "np.ndarray | None" = None
-    ) -> np.ndarray:
+    def featurize_arrays_stack(self, stack: "list[SnapshotArrays]") -> np.ndarray:
         """The float64 ``(len(stack), n, feature_dim)`` running-state features of a stack.
 
         Every per-query channel is one array op over the stack's columns
         (:func:`_column`), so a stack of one is the single-snapshot case.  The
-        instance context is written per snapshot.  ``out``, when given, is a
-        C-contiguous float64 buffer of that shape; it is zeroed and filled in
-        place.
+        instance context is written per snapshot.
         """
         batch, num_queries = len(stack), stack[0].num_queries
-        if out is None:
-            out = np.zeros((batch, num_queries, self.feature_dim), dtype=np.float64)
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous buffer")
-        else:
-            out.fill(0.0)
+        out = np.zeros((batch, num_queries, self.feature_dim), dtype=np.float64)
         layout = self.layout
         # One row per (snapshot, query): every channel is one op over the stack.
         rows = out.reshape(batch * num_queries, self.feature_dim)

@@ -98,13 +98,11 @@ class AttentionBlock(Module):
         model_dim: int,
         num_heads: int,
         rng: np.random.Generator,
-        feedforward_dim: int | None = None,
         norm: str = "batch",
     ) -> None:
         super().__init__()
-        feedforward_dim = feedforward_dim or 2 * model_dim
         self.attention = MultiHeadAttention(model_dim, num_heads, rng)
-        self.feedforward = MLP([model_dim, feedforward_dim, model_dim], rng, activation="relu")
+        self.feedforward = MLP([model_dim, 2 * model_dim, model_dim], rng, activation="relu")
         if norm == "batch":
             self.norm1: Module = BatchNorm(model_dim)
             self.norm2: Module = BatchNorm(model_dim)
@@ -128,13 +126,12 @@ class AttentionEncoder(Module):
         num_heads: int,
         num_layers: int,
         rng: np.random.Generator,
-        feedforward_dim: int | None = None,
         norm: str = "batch",
     ) -> None:
         super().__init__()
         self.num_layers = num_layers
         for index in range(num_layers):
-            block = AttentionBlock(model_dim, num_heads, rng, feedforward_dim=feedforward_dim, norm=norm)
+            block = AttentionBlock(model_dim, num_heads, rng, norm=norm)
             self.register_module(f"block_{index}", block)
 
     def forward(self, x: Tensor, bias: np.ndarray | None = None) -> Tensor:

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import fastinfer
 from .attention import AttentionBlock, AttentionEncoder, MultiHeadAttention
-from .layers import MLP, Activation, BatchNorm, LayerNorm, Linear, Parameter
+from .layers import MLP, NORM_EPS, Activation, BatchNorm, LayerNorm, Linear, Parameter
 
 __all__ = [
     "Arena",
@@ -251,8 +251,7 @@ def mlp_forward(mlp: MLP, x: np.ndarray, arena: Arena) -> "tuple[np.ndarray, lis
     for linear, act in _mlp_blocks(mlp):
         weight = linear.weight.data
         pre = np.matmul(x, weight, out=arena.empty(x.shape[:-1] + (weight.shape[1],)))
-        if linear.bias is not None:
-            pre += linear.bias.data
+        pre += linear.bias.data
         if act == "tanh":
             y = np.tanh(pre, out=pre)
         elif act == "relu":
@@ -301,8 +300,7 @@ def mlp_backward(
         else:
             gf, xf = g, x
         arena.grad((linear.weight,), np.matmul, xf.T, gf)
-        if linear.bias is not None:
-            arena.grad((linear.bias,), np.add.reduce, gf, 0)
+        arena.grad((linear.bias,), np.add.reduce, gf, 0)
         if index > 0 or need_input_grad:
             g = np.matmul(gf, linear.weight.data.T, out=arena.owned(xf.shape)).reshape(x.shape)
         if scratch is not None:
@@ -320,7 +318,7 @@ def _normalise(norm: "LayerNorm | BatchNorm", x: np.ndarray, arena: Arena, axis:
     mu = x.sum(axis=axis, keepdims=True) * inv_n
     centered = x - mu
     var = (centered * centered).sum(axis=axis, keepdims=True) * inv_n
-    denom = (var + norm.eps) ** 0.5
+    denom = (var + NORM_EPS) ** 0.5
     x_hat = np.divide(centered, denom, out=centered)
     out = arena.empty(x.shape)
     np.multiply(x_hat, norm.gamma.data, out=out)
@@ -646,9 +644,6 @@ def _mlp_reason(mlp: Any, name: str) -> "str | None":
     for _, act in blocks:
         if act is not None and act not in ("tanh", "relu", "sigmoid"):
             return f"{name} uses unsupported activation {act!r}"
-    for linear, _ in blocks:
-        if linear.bias is None:
-            return f"{name} has a bias-free linear layer"
     return None
 
 
@@ -666,10 +661,6 @@ def _encoder_reason(encoder: Any) -> "str | None":
         reason = _mlp_reason(block.feedforward, f"block_{index}.feedforward")
         if reason:
             return reason
-        for proj_name in ("query_proj", "key_proj", "value_proj", "out_proj"):
-            proj = getattr(block.attention, proj_name)
-            if proj.bias is None:
-                return f"block_{index}.attention.{proj_name} has no bias"
     return None
 
 
@@ -698,8 +689,6 @@ def fused_training_reason(policy: Any) -> "str | None":
 def perfmodel_training_reason(model: Any) -> "str | None":
     """Why the simulator fit (``repro.perf.fit.FitProgram``) cannot train a
     ``ConcurrentPredictionModel`` (None = it can); the program raises on a reason."""
-    if model.input_proj.bias is None:
-        return "input_proj has no bias"
     mlps = [("classifier", model.classifier), ("regressor", model.regressor)]
     if getattr(model, "use_attention", False):
         reason = _encoder_reason(model.encoder)

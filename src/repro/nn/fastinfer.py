@@ -22,7 +22,7 @@ import numpy as np
 
 from .attention import AttentionEncoder
 from .functional import MASK_VALUE
-from .layers import MLP, BatchNorm, Linear, Module, Parameter
+from .layers import MLP, NORM_EPS, BatchNorm, Linear, Module, Parameter
 
 __all__ = [
     "Float32Pack",
@@ -90,7 +90,7 @@ class Float32Pack:
         return blocks
 
     def norm(self, norm: BatchNorm) -> Callable[[np.ndarray], np.ndarray]:
-        return functools.partial(_norm32, eps=norm.eps, gamma=self(norm.gamma), beta=self(norm.beta))
+        return functools.partial(_norm32, gamma=self(norm.gamma), beta=self(norm.beta))
 
 
 def packed(owner: Module, build: Callable[[Float32Pack], Any]) -> Any:
@@ -138,11 +138,11 @@ def mlp32_shared(layers: list, x: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return mlp32(rest, hidden)
 
 
-def _norm32(x: np.ndarray, eps: float, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _norm32(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """BatchNorm over each state's own tokens (axis 1 of ``(B, tokens, width)``), in place on ``x``.
 
     The mean and variance are scaled and rooted in place, equal bit for bit
-    to ``gamma / (var + eps) ** 0.5``.
+    to ``gamma / (var + NORM_EPS) ** 0.5``.
     """
     inv_count = 1.0 / x.shape[1]
     mean = x.sum(axis=1, keepdims=True)
@@ -150,7 +150,7 @@ def _norm32(x: np.ndarray, eps: float, gamma: np.ndarray, beta: np.ndarray) -> n
     x -= mean
     var = (x * x).sum(axis=1, keepdims=True)
     var *= inv_count
-    var += eps
+    var += NORM_EPS
     np.sqrt(var, out=var)
     x *= gamma / var
     x += beta

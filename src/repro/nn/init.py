@@ -7,10 +7,10 @@ import numpy as np
 __all__ = ["xavier_uniform", "zeros", "normal"]
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialisation for a weight matrix."""
     fan_in, fan_out = shape[-2], shape[-1]
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 

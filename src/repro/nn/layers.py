@@ -22,6 +22,9 @@ __all__ = [
     "ACTIVATIONS",
 ]
 
+#: The variance epsilon of :class:`LayerNorm` and :class:`BatchNorm` (and of the kernels that run them).
+NORM_EPS = 1e-5
+
 
 class Parameter(Tensor):
     """A tensor that is registered as a learnable parameter of a module."""
@@ -138,18 +141,15 @@ class Activation(Module):
 class Linear(Module):
     """Affine transform ``y = x W + b``."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(weight_init.xavier_uniform((in_features, out_features), rng), name="weight")
-        self.bias = Parameter(weight_init.zeros((out_features,)), name="bias") if bias else None
+        self.bias = Parameter(weight_init.zeros((out_features,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class Sequential(Module):
@@ -215,16 +215,15 @@ class MLP(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""
 
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
+    def __init__(self, features: int) -> None:
         super().__init__()
-        self.eps = eps
         self.gamma = Parameter(np.ones(features), name="gamma")
         self.beta = Parameter(np.zeros(features), name="beta")
 
     def forward(self, x: Tensor) -> Tensor:
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        normed = (x - mu) / ((var + self.eps) ** 0.5)
+        normed = (x - mu) / ((var + NORM_EPS) ** 0.5)
         return normed * self.gamma + self.beta
 
 
@@ -242,9 +241,8 @@ class BatchNorm(Module):
     so a batched forward over B states matches B single-state forwards.
     """
 
-    def __init__(self, features: int, eps: float = 1e-5) -> None:
+    def __init__(self, features: int) -> None:
         super().__init__()
-        self.eps = eps
         self.gamma = Parameter(np.ones(features), name="gamma")
         self.beta = Parameter(np.zeros(features), name="beta")
 
@@ -254,7 +252,7 @@ class BatchNorm(Module):
             raise ValueError(f"BatchNorm normalises over at least two tokens, not shape {x.shape}")
         mu = x.mean(axis=axis, keepdims=True)
         var = x.var(axis=axis, keepdims=True)
-        normed = (x - mu) / ((var + self.eps) ** 0.5)
+        normed = (x - mu) / ((var + NORM_EPS) ** 0.5)
         return normed * self.gamma + self.beta
 
 

@@ -39,7 +39,7 @@ from .layers import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamSlabs", "adam_passes", "clip_grad_norm"]
 
-#: :class:`AdamSlabs`' moment decay rates and denominator epsilon: ``Adam``'s defaults.
+#: Adam's moment decay rates and denominator epsilon, in :class:`Adam` and :class:`AdamSlabs` alike.
 _BETAS = (0.9, 0.999)
 _EPS = 1e-8
 
@@ -115,47 +115,21 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        self._scratch: "list[np.ndarray] | None" = None
-
-    def _scratch_buffers(self) -> "list[np.ndarray]":
-        if self._scratch is None:
-            self._scratch = [np.empty_like(p.data) for p in self.parameters]
-        return self._scratch
+    """Plain stochastic gradient descent."""
 
     def step(self) -> None:
-        scratch = self._scratch_buffers()
-        for param, velocity, buf in zip(self.parameters, self._velocity, scratch):
-            if param.grad is None:
-                continue
-            velocity *= self.momentum
-            np.multiply(param.grad, self.lr, out=buf)
-            velocity -= buf
-            # Fresh array on purpose — identity-keyed inference caches key
-            # off param.data, so it must be replaced rather than mutated.
-            param.data = param.data + velocity
+        for param in self.parameters:
+            if param.grad is not None:
+                # Fresh array on purpose — identity-keyed inference caches key
+                # off param.data, so it must be replaced rather than mutated.
+                param.data = param.data - self.lr * param.grad
 
 
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba): the policy update's, stepped at ``repro.core.ppo.LEARNING_RATE``."""
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         # Parameter i owns elements [_offsets[i], _offsets[i + 1]) of every slab.
         self._offsets = [0, *np.cumsum([p.data.size for p in self.parameters]).tolist()]
@@ -179,8 +153,8 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
+        bias1 = 1.0 - _BETAS[0] ** self._step_count
+        bias2 = 1.0 - _BETAS[1] ** self._step_count
         params, offsets, installed = self.parameters, self._offsets, self._installed
         # Fresh slab on purpose: the inference caches key off param.data
         # identity.  Each run's slice holds the step, then the new weights.
@@ -195,10 +169,7 @@ class Adam(Optimizer):
             else:
                 # First step, or the caller rebound param.data since the last one.
                 data = np.concatenate([p.data.ravel() for p in params[first:last]])
-            if self.weight_decay:
-                np.multiply(data, self.weight_decay, out=step)
-                grad += step
-            adam_passes(grad, m, v, step, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
+            adam_passes(grad, m, v, step, self.lr, _BETAS, _EPS, bias1, bias2)
             np.subtract(data, step, out=step)
             for i in range(first, last):
                 fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)

@@ -17,6 +17,9 @@ from ..nn import AttentionEncoder, Linear, MLP, Module, fastgrad
 
 __all__ = ["ConcurrentPredictionModel", "SimulatorMetrics"]
 
+#: Attention heads of the simulator's one encoder layer.
+NUM_HEADS = 2
+
 
 @dataclass
 class SimulatorMetrics:
@@ -39,13 +42,12 @@ class ConcurrentPredictionModel(Module):
         hidden_dim: int,
         rng: np.random.Generator,
         use_attention: bool = True,
-        num_heads: int = 2,
     ) -> None:
         super().__init__()
         self.use_attention = use_attention
         self.input_proj = Linear(feature_dim, hidden_dim, rng)
         if use_attention:
-            self.encoder = AttentionEncoder(hidden_dim, num_heads, 1, rng, norm="layer")
+            self.encoder = AttentionEncoder(hidden_dim, NUM_HEADS, 1, rng, norm="layer")
         self.classifier = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
         self.regressor = MLP([hidden_dim, hidden_dim, 1], rng, activation="tanh")
 

@@ -35,6 +35,9 @@ from .model import ConcurrentPredictionModel, SimulatorMetrics
 
 __all__ = ["PerformanceModel", "PredictionExample"]
 
+#: Share of a history log's snapshots :meth:`PerformanceModel.train_from_log` holds out for its metrics.
+VALIDATION_FRACTION = 0.2
+
 
 @dataclass
 class PredictionExample:
@@ -124,21 +127,19 @@ class PerformanceModel:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def train_from_log(
-        self, log: ExecutionLog, epochs: int | None = None, validation_fraction: float = 0.2
-    ) -> SimulatorMetrics:
-        """Train the prediction model from historical logs.
+    def train_from_log(self, log: ExecutionLog) -> SimulatorMetrics:
+        """Train the prediction model from historical logs for ``config.epochs`` epochs.
 
-        A held-out fraction of the snapshots is used to report the
-        classification accuracy and regression MSE of Table III.
+        A held-out :data:`VALIDATION_FRACTION` of the snapshots is used to
+        report the classification accuracy and regression MSE of Table III.
         """
         examples = self.examples_from_log(log)
         if len(examples) < 4:
             raise SimulationError("not enough concurrency snapshots in the log to train the simulator")
         self._rng.shuffle(examples)  # type: ignore[arg-type]
-        split = max(1, int(len(examples) * validation_fraction))
+        split = max(1, int(len(examples) * VALIDATION_FRACTION))
         validation, training = examples[:split], examples[split:]
-        self.fit(training, epochs or self.config.epochs)
+        self.fit(training, self.config.epochs)
         return self.evaluate_examples(validation)
 
     def update_from_log(self, log: ExecutionLog) -> SimulatorMetrics:

@@ -18,6 +18,9 @@ __all__ = ["ColumnStats", "TableStats", "Catalog", "HISTOGRAM_BINS"]
 
 HISTOGRAM_BINS = 8
 
+#: Columns of every generated table (:meth:`Catalog.generate`).
+COLUMNS_PER_TABLE = 6
+
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -96,14 +99,13 @@ class Catalog:
         fact_tables: "set[str]",
         base_rows: dict[str, float],
         seed: int,
-        columns_per_table: int = 6,
     ) -> "Catalog":
         """Build a catalogue with random but seed-deterministic histograms."""
         rng = np.random.default_rng(seed)
         tables: dict[str, TableStats] = {}
         for name in table_names:
             columns = []
-            for col_index in range(columns_per_table):
+            for col_index in range(COLUMNS_PER_TABLE):
                 raw = rng.dirichlet(np.ones(HISTOGRAM_BINS) * 0.8)
                 columns.append(
                     ColumnStats(

@@ -32,6 +32,7 @@ keeping the class-free tree bit-for-bit identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -72,9 +73,11 @@ class TenantClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant class name must not be empty")
-        if self.latency_slo is not None and self.latency_slo <= 0:
+        if not math.isfinite(self.priority):
+            raise ConfigurationError("priority must be finite")
+        if self.latency_slo is not None and not self.latency_slo > 0:
             raise ConfigurationError("latency_slo must be positive (or None)")
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise ConfigurationError("deadline must be positive (or None)")
 
 
@@ -108,37 +111,21 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """Token-bucket admission with per-tenant shed/admitted ledgers."""
+    """Token-bucket admission; each tenant session keeps its own shed ledger."""
 
     def __init__(self, policy: AdmissionPolicy) -> None:
         self.policy = policy
         self._bucket = TokenBucket(policy.rate, policy.burst)
-        #: Arrivals admitted / shed per tenant name (current round).
-        self.admitted: dict[str, int] = {}
-        self.shed: dict[str, int] = {}
 
     def reset(self) -> None:
-        """Forget the previous round: fresh bucket, empty ledgers."""
+        """Forget the previous round: a fresh bucket."""
         self._bucket = TokenBucket(self.policy.rate, self.policy.burst)
-        self.admitted = {}
-        self.shed = {}
 
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
-    def admit(
-        self,
-        tenant: str,
-        tenant_class: TenantClass | None,
-        now: float,
-        backlog: int,
-    ) -> bool:
+    def admit(self, tenant_class: TenantClass | None, now: float, backlog: int) -> bool:
         """Decide one open arrival: token, backlog cap, priority exemption.
 
         ``backlog`` is the runtime-wide count of pending-but-unsubmitted
-        queries at the arrival instant.  The decision is recorded in the
-        per-tenant ledgers either way.
+        queries at the arrival instant.
         """
         policy = self.policy
         if (
@@ -146,16 +133,10 @@ class AdmissionController:
             and tenant_class is not None
             and tenant_class.priority >= policy.exempt_priority
         ):
-            self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
             return True
         if policy.max_pending is not None and backlog >= policy.max_pending:
-            self.shed[tenant] = self.shed.get(tenant, 0) + 1
             return False
-        if self._bucket.try_take(now):
-            self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-            return True
-        self.shed[tenant] = self.shed.get(tenant, 0) + 1
-        return False
+        return self._bucket.try_take(now)
 
 
 @dataclass(frozen=True)
@@ -284,22 +265,10 @@ class ControlPlane:
         """Fast-path check: no admission policy means every arrival enters."""
         return self.admission is None
 
-    def admit(
-        self,
-        tenant: str,
-        tenant_class: TenantClass | None,
-        now: float,
-        backlog: int,
-    ) -> bool:
+    def admit(self, tenant_class: TenantClass | None, now: float, backlog: int) -> bool:
         if self.admission is None:
             return True
-        return self.admission.admit(tenant, tenant_class, now, backlog)
-
-    def shed_counts(self) -> dict[str, int]:
-        """Arrivals shed per tenant this round (empty without admission)."""
-        if self.admission is None:
-            return {}
-        return dict(self.admission.shed)
+        return self.admission.admit(tenant_class, now, backlog)
 
     # -- retry ----------------------------------------------------------- #
     def decide_retry(

@@ -168,8 +168,8 @@ class ExecutionRuntime:
             times = np.asarray(list(arrivals), dtype=np.float64)
             if times.shape != (len(batch),):
                 raise SchedulingError("explicit arrival times must provide one time per query")
-            if (times < 0).any():
-                raise SchedulingError("arrival times must be >= 0")
+            if not (times >= 0).all() or not np.isfinite(times).all():
+                raise SchedulingError("arrival times must be finite and >= 0")
         else:
             times = arrivals
         if tenant_class is not None and not isinstance(tenant_class, TenantClass):
@@ -391,9 +391,13 @@ class ExecutionRuntime:
             )
         undrained = "; ".join(details) if details else "none (shared session holds orphaned work)"
         shed_note = ""
-        shed_counts = self.control.shed_counts()
-        if any(shed_counts.values()):
-            per_tenant = ", ".join(f"{name!r}: {count}" for name, count in sorted(shed_counts.items()))
+        shed_counts = {
+            name: state.session.num_shed
+            for name, state in sorted(self._tenants.items())
+            if state.session is not None and state.session.num_shed
+        }
+        if shed_counts:
+            per_tenant = ", ".join(f"{name!r}: {count}" for name, count in shed_counts.items())
             shed_note = (
                 f" Admission control shed {sum(shed_counts.values())} arrival(s) this round "
                 f"({per_tenant}) — shed queries never become pending, so an over-aggressive "
@@ -410,7 +414,7 @@ class ExecutionRuntime:
         assert state.session is not None
         if isinstance(event, QueryArrival):
             if not self.control.admits_all and not self.control.admit(
-                state.name, state.tenant_class, event.time, self._total_backlog()
+                state.tenant_class, event.time, self._total_backlog()
             ):
                 # Shed: the arrival is refused under overload.  The query is
                 # terminally failed straight from deferred — it never becomes
@@ -638,7 +642,6 @@ class TenantSession:
         self.shed: dict[int, float] = {}
         #: Queries awaiting a scheduled retry re-arrival.
         self._retrying: set[int] = set()
-        self.num_failed_attempts = 0
         self.num_timeouts = 0
         self.num_retries = 0
         #: SLO grading (only counted when the tenant's class sets a
@@ -708,6 +711,11 @@ class TenantSession:
     def tenant_class(self) -> "TenantClass | None":
         """The tenant's service tier (``None`` when classless)."""
         return self._state.tenant_class
+
+    @property
+    def num_failed_attempts(self) -> int:
+        """Failed attempts this round, over every query."""
+        return int(self.failed_attempts.sum())
 
     @property
     def num_shed(self) -> int:
@@ -834,7 +842,6 @@ class TenantSession:
 
     def _on_failure(self, event: QueryFailure) -> None:
         self._running.discard(event.query_id)
-        self.num_failed_attempts += 1
         self.failed_attempts[event.query_id] += 1
         if event.reason == FAILURE_TIMEOUT:
             self.num_timeouts += 1

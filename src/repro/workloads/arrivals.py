@@ -162,11 +162,12 @@ def make_arrival_process(
     name: str,
     rate: float = 2.0,
     burst_size: int = 4,
-    burst_factor: float = 10.0,
-    burst_start: float = 0.0,
-    burst_duration: float = 1.0,
 ) -> ArrivalProcess:
-    """Build an arrival process from its configuration name."""
+    """Build an arrival process from its configuration name.
+
+    ``"flash-crowd"`` is :class:`FlashCrowdArrivals` at its default window;
+    to shape a crowd, build :class:`FlashCrowdArrivals` directly.
+    """
     name = name.lower()
     if name == "closed":
         return ClosedArrivals()
@@ -175,9 +176,7 @@ def make_arrival_process(
     if name == "bursty":
         return BurstyArrivals(rate, burst_size=burst_size)
     if name in ("flash-crowd", "flash_crowd", "flashcrowd"):
-        return FlashCrowdArrivals(
-            rate, burst_factor=burst_factor, burst_start=burst_start, burst_duration=burst_duration
-        )
+        return FlashCrowdArrivals(rate)
     raise WorkloadError(
         f"unknown arrival process {name!r}; expected closed, poisson, bursty or flash-crowd"
     )

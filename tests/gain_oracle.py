@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import GainModel
-from repro.core.gain import GAIN_BATCH_SIZE
+from repro.core.gain import GAIN_BATCH_SIZE, GAIN_EPOCHS, GAIN_LEARNING_RATE
 from repro.nn import Adam, Tensor, fastgrad, no_grad
 
 
@@ -42,13 +42,12 @@ def adam_fit(
     embeddings: np.ndarray,
     gains: np.ndarray,
     observed: np.ndarray,
-    epochs: int = 30,
-    learning_rate: float = 1e-2,
+    epochs: int = GAIN_EPOCHS,
     seed: int = 0,
 ) -> list[float]:
     """The ``Adam``-loop fit: same minibatches, losses and update arithmetic as ``GainModel.fit``."""
     pairs = np.argwhere(np.triu(observed, k=1))
-    optimizer = Adam(model.parameters(), lr=learning_rate)
+    optimizer = Adam(model.parameters(), lr=GAIN_LEARNING_RATE)
     rng = np.random.default_rng(seed)
     arena = fastgrad.Arena()
     losses = []

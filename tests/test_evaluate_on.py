@@ -13,6 +13,7 @@ import pytest
 
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
 from repro.core import AdaptiveMask, BQSched, ExternalKnowledge, LSchedScheduler, SchedulingEnv, StrategyEvaluation
+from repro.core.bqsched import EVALUATE_ON_BASE_ROUND_ID
 from repro.dbms import Cluster
 from repro.encoder import PlanEmbeddingCache
 from repro.workloads import perturb_workload
@@ -55,8 +56,8 @@ def workloads():
 
 
 def _assert_same(scheduler, perturbed, backend):
-    expected = legacy_evaluate_on(scheduler, perturbed, backend, rounds=2, base_round_id=70_000)
-    evaluation = scheduler.evaluate_on(perturbed, backend, rounds=2, base_round_id=70_000)
+    expected = legacy_evaluate_on(scheduler, perturbed, backend, rounds=2, base_round_id=EVALUATE_ON_BASE_ROUND_ID)
+    evaluation = scheduler.evaluate_on(perturbed, backend, rounds=2)
     assert evaluation.strategy == expected.strategy == scheduler.name
     assert [m.hex() for m in evaluation.makespans] == [m.hex() for m in expected.makespans]
 

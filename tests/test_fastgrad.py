@@ -42,6 +42,7 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError
 from repro.core.ppo import BETA_CLONE, CLIP_EPSILON, ENTROPY_COEF, MAX_GRAD_NORM, VALUE_COEF
+from repro.core import policy as policy_module
 from repro.core.rollout import RolloutBuffer
 from repro.dbms import ConfigurationSpace
 from repro.workloads import BatchQuerySet
@@ -496,7 +497,10 @@ def build_trainer(trainer_cls, num_envs=2, clustered=False):
         config.encoder,
         rng,
     )
-    policy = ActorCriticNetwork(encoder, len(config_space), rng, head_hidden=16)
+    with pytest.MonkeyPatch.context() as patch:
+        # The narrow heads the pinned training digests were taken with.
+        patch.setattr(policy_module, "HEAD_HIDDEN", 16)
+        policy = ActorCriticNetwork(encoder, len(config_space), rng)
     clusters = (
         QueryClusters(np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3]), [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9]])
         if clustered
@@ -1080,23 +1084,11 @@ class TestFusedFallbacks:
 
     def test_unsupported_policy_raises_configuration_error(self):
         trainer = build_trainer(PPOTrainer)
-        # Knock out a bias so the support gate rejects the policy head.
-        list(trainer.policy.policy_head.net)[0].bias = None
-        reason = fastgrad.fused_training_reason(trainer.policy)
-        assert reason is not None and "bias" in reason
-        with pytest.raises(ConfigurationError, match="policy_head has a bias-free linear layer"):
+        # Swap the policy head for a module the kernels do not parse.
+        trainer.policy.policy_head = trainer.policy.policy_head.net
+        assert fastgrad.fused_training_reason(trainer.policy) == "policy_head is Sequential, not MLP"
+        with pytest.raises(ConfigurationError, match="policy_head is Sequential, not MLP"):
             PPOTrainer(trainer.policy, trainer.env, trainer.config)
-
-    def test_perfmodel_gate_rejects_missing_bias(self, rng):
-        from repro.perf.fit import FitProgram
-        from repro.perf.model import ConcurrentPredictionModel
-
-        model = ConcurrentPredictionModel(feature_dim=5, hidden_dim=8, rng=rng)
-        assert fastgrad.perfmodel_training_reason(model) is None
-        model.input_proj.bias = None
-        assert fastgrad.perfmodel_training_reason(model) == "input_proj has no bias"
-        with pytest.raises(ConfigurationError, match="simulator fit cannot train this model: input_proj has no bias"):
-            FitProgram(model, lr=1e-3)
 
     @pytest.mark.parametrize(
         "knock_out, reason",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import inspect
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from repro.core import (
     compute_scheduling_gains,
 )
 from repro.core.clustering import _average_linkage
-from repro.core.gain import GAIN_BATCH_SIZE
+from repro.core.gain import GAIN_BATCH_SIZE, GAIN_EPOCHS, GAIN_HIDDEN, GAIN_LEARNING_RATE
 from repro.dbms import ExecutionLog, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
 from repro.nn import Adam, AdamSlabs, fastgrad
@@ -29,10 +28,6 @@ from repro.perf import PerformanceModel, SimulatedCluster
 from repro.core import gain as gain_module
 from gain_oracle import adam_fit, grouped_overlaps, loop_overlaps, loop_scheduling_gains, tape_gain, tape_predict
 from tape_losses import mse_loss
-
-#: The gain model width ``BQSched.prepare`` clusters with: ``build_gain_matrix``'s default.
-GAIN_HIDDEN = inspect.signature(build_gain_matrix).parameters["hidden_dim"].default
-
 
 @pytest.fixture(scope="module")
 def history_log(tpch_batch, engine_x, config_space):
@@ -59,12 +54,12 @@ def _upper_pairs(observed):
     return [(i, j) for i in range(n) for j in range(i + 1, n) if observed[i, j]]
 
 
-def _reference_fit(model, embeddings, gains, observed, epochs=30, learning_rate=1e-2, seed=0):
+def _reference_fit(model, embeddings, gains, observed, seed=0):
     """The per-pair autograd loop ``GainModel.fit`` replaced: one Adam step per observed pair."""
     pairs = _upper_pairs(observed)
-    optimizer = Adam(model.parameters(), lr=learning_rate)
+    optimizer = Adam(model.parameters(), lr=GAIN_LEARNING_RATE)
     rng = np.random.default_rng(seed)
-    for _ in range(epochs):
+    for _ in range(GAIN_EPOCHS):
         rng.shuffle(pairs)
         for i, j in pairs:
             loss = mse_loss(tape_gain(model, embeddings[i], embeddings[j]), np.array([gains[i, j]]))
@@ -99,25 +94,28 @@ class TestSchedulingGain:
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
         assert np.all(gains <= 1.0 + 1e-9)
 
-    def test_gain_model_fits_and_predicts_symmetrically(self, plan_embeddings):
+    def test_gain_model_fits_and_predicts_symmetrically(self, monkeypatch, plan_embeddings):
+        monkeypatch.setattr(gain_module, "GAIN_EPOCHS", 3)
         rng = np.random.default_rng(0)
         model = GainModel(plan_embeddings.shape[1], 16, rng)
         n = plan_embeddings.shape[0]
         gains = rng.normal(0, 0.1, size=(n, n))
         gains = (gains + gains.T) / 2
         observed = np.ones((n, n), dtype=bool)
-        losses = model.fit(plan_embeddings, gains, observed, epochs=3)
+        losses = model.fit(plan_embeddings, gains, observed)
         assert losses[-1] <= losses[0] * 1.5
         a, b = model.predict_pairs(plan_embeddings, np.array([0, 1]), np.array([1, 0]))
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_build_gain_matrix_fills_unobserved(self, history_log, tpch_batch, plan_embeddings):
+    def test_build_gain_matrix_fills_unobserved(self, monkeypatch, history_log, tpch_batch, plan_embeddings):
         """One batched completion == the per-pair ``predict`` loop it replaced."""
-        completed = build_gain_matrix(history_log, tpch_batch, plan_embeddings, hidden_dim=16, epochs=2)
+        monkeypatch.setattr(gain_module, "GAIN_HIDDEN", 16)
+        monkeypatch.setattr(gain_module, "GAIN_EPOCHS", 2)
+        completed = build_gain_matrix(history_log, tpch_batch, plan_embeddings)
         gains, observed = compute_scheduling_gains(history_log, tpch_batch)
         assert observed.any() and not observed[np.triu_indices(len(tpch_batch), k=1)].all()
         model = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
-        model.fit(plan_embeddings, gains, observed, epochs=2, seed=0)
+        model.fit(plan_embeddings, gains, observed, seed=0)
         np.testing.assert_array_equal(completed, completed.T)
         np.testing.assert_array_equal(completed[observed], gains[observed])
         np.testing.assert_array_equal(np.diag(completed), 0.0)
@@ -149,7 +147,7 @@ class TestSchedulingGain:
         for parameter, expected in zip(model.parameters(), tape_grads):
             assert np.max(np.abs(parameter.grad - expected)) <= 1e-12
 
-    def test_fit_needs_an_observed_pair_and_handles_exactly_one(self, plan_embeddings):
+    def test_fit_needs_an_observed_pair_and_handles_exactly_one(self, monkeypatch, plan_embeddings):
         n = plan_embeddings.shape[0]
         gains = _random_gains(n, np.random.default_rng(2))
         observed = np.zeros((n, n), dtype=bool)
@@ -157,7 +155,8 @@ class TestSchedulingGain:
         with pytest.raises(SchedulingError):
             model.fit(plan_embeddings, gains, observed)
         observed[3, 7] = observed[7, 3] = True
-        losses = model.fit(plan_embeddings, gains, observed, epochs=200)
+        monkeypatch.setattr(gain_module, "GAIN_EPOCHS", 200)
+        losses = model.fit(plan_embeddings, gains, observed)
         assert len(losses) == 200 and losses[-1] < losses[0]
         (predicted,) = model.predict_pairs(plan_embeddings, np.array([3]), np.array([7]))
         assert predicted == pytest.approx(gains[3, 7], abs=0.01)
@@ -257,9 +256,10 @@ class TestByteIdenticalToTheLoops:
                 made.append(self)
 
         monkeypatch.setattr(gain_module, "AdamSlabs", RecordingSlabs)
+        monkeypatch.setattr(gain_module, "GAIN_EPOCHS", 5)
         fitted = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
         reference = GainModel(plan_embeddings.shape[1], 16, np.random.default_rng(0))
-        losses = fitted.fit(plan_embeddings, gains, observed, epochs=5, seed=3)
+        losses = fitted.fit(plan_embeddings, gains, observed, seed=3)
         assert _hex(losses) == _hex(adam_fit(reference, plan_embeddings, gains, observed, epochs=5, seed=3))
         for (name, param), want in zip(fitted.named_parameters(), reference.parameters()):
             assert param.data.tobytes() == want.data.tobytes(), name

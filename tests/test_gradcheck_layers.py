@@ -64,11 +64,6 @@ class TestLayerGradcheck:
         check_module(layer, lambda: (layer(Tensor(x)) ** 2).sum())
         check_input(lambda t: (layer(t) ** 2).sum(), x)
 
-    def test_linear_without_bias(self, rng):
-        layer = Linear(3, 2, rng, bias=False)
-        x = rng.normal(size=(4, 3))
-        check_module(layer, lambda: layer(Tensor(x)).tanh().sum())
-
     def test_activation_layers(self, rng):
         x = rng.normal(size=(3, 4))
         for name in ("relu", "tanh", "sigmoid", "identity"):

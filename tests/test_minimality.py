@@ -66,6 +66,18 @@ ALLOWED_KNOBS = frozenset({
     "AutoscalePolicy.max_instances",
 })
 
+#: ``Owner.function.parameter`` defaults that no call outside tests passes: ``PPOTrainer`` is built through
+#: ``_ALGORITHMS[...]``, which the scan cannot follow, and the tape methods leave ``src/`` with the tape.
+ALLOWED_DEFAULTS = frozenset({
+    "PPOTrainer.__init__.seed",
+    "PPOTrainer.__init__.arena",
+    "ActorCriticNetwork.act.clusters",
+    "ActorCriticNetwork.evaluate_action.clusters",
+    "ActorCriticNetwork.evaluate_actions_batch.clusters",
+    "ActorCriticNetwork.evaluate_auxiliary_batch.clusters",
+    "Tensor.backward.grad",
+})
+
 CONFIG = "src/repro/config.py"
 
 
@@ -223,6 +235,12 @@ def source(path: str) -> str:
     return (ROOT / path).read_text(encoding="utf-8")
 
 
+@functools.cache
+def parse(path: str, text: str) -> ast.Module:
+    """``text``'s syntax tree, parsed once for every scan that reads it (no scan writes to a tree)."""
+    return ast.parse(text, filename=path)
+
+
 def matching_lines(pattern: str, pathspecs: tuple[str, ...], read: Callable[[str], str] = source) -> list[str]:
     """``path:line: text`` of every line matching ``pattern``, like ``git grep -n``."""
     regex = re.compile(pattern)
@@ -266,7 +284,7 @@ def definitions_and_names(files: Iterable[tuple[str, str]]) -> tuple[dict[str, l
     definitions: dict[str, list[str]] = {}
     names: set[str] = set()
     for path, text in files:
-        tree = ast.parse(text, filename=path)
+        tree = parse(path, text)
         ignored = _not_callers(tree)
         reexports = path.endswith("__init__.py")
         for node in ast.walk(tree):
@@ -410,7 +428,7 @@ def knob_setters(
     owner = {name: holder for holder, names in fields.items() for name in names}
     found = set()
     for path, text in files:
-        tree = ast.parse(text, filename=path)
+        tree = parse(path, text)
         skipped = {
             id(node)
             for holder in tree.body
@@ -523,3 +541,229 @@ def test_knob_rule(rule):
     fields, sections = config_fields(files[CONFIG])
     assert fields == {"TinyConfig": ("depth",)} and sections == {"tiny": "TinyConfig"}
     assert ("TinyConfig.depth" in knob_setters(files.items(), fields, sections)) is counts
+
+
+class Defaulted(NamedTuple):
+    """A module- or class-level function of ``src/repro`` that has parameter defaults."""
+
+    owner: "str | None"  # the class it is defined in
+    name: str
+    positional: tuple[str, ...]  # the parameters a positional argument fills, in order (no ``self``/``cls``)
+    defaulted: tuple[str, ...]
+    where: str
+
+
+def defaulted_functions(path: str, tree: ast.Module) -> list[Defaulted]:
+    """The functions of one module with at least one parameter default."""
+    found = []
+    bodies = [(None, tree.body)] + [(node.name, node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+    for owner, body in bodies:
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            bound = owner is not None and not static
+            if defaulted:
+                found.append(Defaulted(owner, node.name, tuple(positional[bound:]), tuple(defaulted),
+                                       f"{path}:{node.lineno}"))
+    return found
+
+
+class Call(NamedTuple):
+    """One call site: ``(kind, callee)`` is ``("name", <name or attribute>)`` or, for ``cls(...)``,
+    ``type(self)(...)`` and ``super().__init__(...)``, ``("init", <class whose __init__ runs>)``."""
+
+    kind: str
+    callee: str
+    positional: int
+    keywords: frozenset[str]
+    splat: bool
+
+
+def calls_of(tree: ast.Module, bases: dict[str, tuple[str, ...]]) -> list[Call]:
+    """Every call in one module; ``bases`` gives the base class names of each class."""
+    found = []
+
+    def visit(node: ast.AST, owner: "str | None") -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                keywords = frozenset(keyword.arg for keyword in child.keywords if keyword.arg)
+                splat = any(isinstance(arg, ast.Starred) for arg in child.args) or any(
+                    keyword.arg is None for keyword in child.keywords
+                )
+                targets: list[tuple[str, str]] = []
+                if isinstance(func, ast.Name):
+                    targets = [("init", owner)] if func.id == "cls" and owner else [("name", func.id)]
+                elif isinstance(func, ast.Attribute):
+                    value = func.value
+                    if (func.attr == "__init__" and isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                            and value.func.id == "super" and owner):
+                        targets = [("init", base) for base in bases.get(owner, ())]
+                    else:
+                        targets = [("name", func.attr)]
+                elif isinstance(func, ast.Call) and isinstance(func.func, ast.Name) and func.func.id == "type" and owner:
+                    targets = [("init", owner)]
+                found.extend(Call(kind, callee, len(child.args), keywords, splat) for kind, callee in targets)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def default_passes(files: Iterable[tuple[str, str]]) -> tuple[dict[str, str], set[str]]:
+    """``(defaults, passed)`` of ``(path, text)`` files: ``Owner.function.parameter`` (or ``function.parameter``)
+    of every parameter default of a ``src/repro`` function with where it is defined, and the ones some call passes.
+
+    A call passes a default when its callee is the function's name or a class-level alias of it (``alias =
+    function`` in a class body) and it gives the parameter by keyword or by position, or splats ``*args`` /
+    ``**kwargs``.  An ``__init__`` is called by its class's name, the name of a subclass with no ``__init__`` of
+    its own, ``cls(...)`` / ``type(self)(...)`` inside such a class, and ``super().__init__(...)`` in a subclass."""
+    trees = {path: parse(path, text) for path, text in files}
+    bases: dict[str, tuple[str, ...]] = {}
+    has_init: set[str] = set()
+    aliases: dict[str, set[str]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = tuple(base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                                         for base in node.bases)
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                        has_init.add(node.name)
+                    elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name):
+                        aliases.setdefault(stmt.value.id, set()).update(
+                            target.id for target in stmt.targets if isinstance(target, ast.Name)
+                        )
+    calls: dict[tuple[str, str], list[Call]] = {}
+    for tree in trees.values():
+        for call in calls_of(tree, bases):
+            calls.setdefault((call.kind, call.callee), []).append(call)
+
+    def callers(function: Defaulted) -> set[tuple[str, str]]:
+        if function.name != "__init__" or function.owner is None:
+            return {("name", name) for name in {function.name} | aliases.get(function.name, set())}
+        classes = {function.owner}
+        while more := {
+            name for name, parents in bases.items() if name not in has_init and classes & set(parents)
+        } - classes:
+            classes |= more
+        return {(kind, name) for name in classes for kind in ("name", "init")}
+
+    defaults: dict[str, str] = {}
+    passed = set()
+    for path, tree in trees.items():
+        if not path.startswith("src/repro/"):
+            continue
+        for function in defaulted_functions(path, tree):
+            prefix = f"{function.owner}.{function.name}" if function.owner else function.name
+            sites = [call for caller in callers(function) for call in calls.get(caller, ())]
+            for parameter in function.defaulted:
+                key = f"{prefix}.{parameter}"
+                defaults[key] = function.where
+                index = function.positional.index(parameter) if parameter in function.positional else None
+                if any(
+                    call.splat or parameter in call.keywords or (index is not None and index < call.positional)
+                    for call in sites
+                ):
+                    passed.add(key)
+    return defaults, passed
+
+
+@functools.cache
+def default_scan(read: Callable[[str], str] = source) -> tuple[dict[str, str], set[str]]:
+    """:func:`default_passes` of the tree's ``src/``, ``benchmarks/`` and ``examples/``."""
+    return default_passes((path, read(path)) for path in python_files("src", "benchmarks", "examples"))
+
+
+def unpassed_defaults(defaults: dict[str, str], passed: set[str]) -> list[str]:
+    """``key (path:line)`` of every default that no call and no ``ALLOWED_DEFAULTS`` entry covers."""
+    known = passed | ALLOWED_DEFAULTS
+    return sorted(f"{key} ({where})" for key, where in defaults.items() if key not in known)
+
+
+def test_every_keyword_default_has_a_caller_outside_tests():
+    unpassed = unpassed_defaults(*default_scan())
+    assert not unpassed, (
+        "parameter defaults that no call outside tests/ passes (make each a constant where it is used, and delete "
+        "the branch only tests take): " + "; ".join(unpassed)
+    )
+
+
+@pytest.mark.parametrize("entry", sorted(ALLOWED_DEFAULTS))
+def test_the_default_allow_list_only_shrinks(entry):
+    defaults, passed = default_scan()
+    assert entry in defaults, f"{entry} is no longer a parameter default in src/repro: drop it from ALLOWED_DEFAULTS"
+    assert entry not in passed, f"{entry} is passed outside tests/ now: drop it from ALLOWED_DEFAULTS"
+
+
+def test_a_planted_default_with_no_setter_fails_the_gate():
+    path = "src/repro/core/types.py"
+    read = planted(path, "def planted_scale(x, factor=2.0):\n    return x * factor\n\n\nSCALED = planted_scale(1.0)")
+    assert [entry.split(" (")[0] for entry in unpassed_defaults(*default_scan(read))] == ["planted_scale.factor"]
+
+
+#: A module whose functions have three defaults: ``build.depth``, ``Pool.__init__.width`` and ``Pool.grow.step``.
+TINY_MODULE = """
+def build(size, depth=2):
+    return size * depth
+
+
+class Pool:
+    def __init__(self, width=4):
+        self.width = width
+
+    def grow(self, step=1):
+        return self.width + step
+
+    bigger = grow
+"""
+
+#: Does this one more ``(path, text)`` pass the default ``key`` of ``TINY_MODULE``?
+DEFAULT_RULES = {
+    "keyword": (("examples/demo.py", "build(3, depth=4)\n"), "build.depth", True),
+    "positional": (("src/repro/pkg/user.py", "build(3, 4)\n"), "build.depth", True),
+    "too-few-positionals": (("src/repro/pkg/user.py", "build(3)\n"), "build.depth", False),
+    "kwargs-splat": (("benchmarks/bench_demo.py", "build(3, **options)\n"), "build.depth", True),
+    "args-splat": (("benchmarks/bench_demo.py", "build(*sizes)\n"), "build.depth", True),
+    "other-callee": (("src/repro/pkg/user.py", "rebuild(3, depth=4)\n"), "build.depth", False),
+    "method-positional": (("src/repro/pkg/user.py", "pool.grow(2)\n"), "Pool.grow.step", True),
+    "class-level-alias": (("src/repro/pkg/user.py", "pool.bigger(step=2)\n"), "Pool.grow.step", True),
+    "class-call": (("examples/demo.py", "pool = repro.Pool(width=8)\n"), "Pool.__init__.width", True),
+    "subclass-call": (
+        ("src/repro/pkg/user.py", "class Deep(Pool):\n    pass\n\n\nDeep(8)\n"), "Pool.__init__.width", True
+    ),
+    "subclass-with-its-own-init": (
+        ("src/repro/pkg/user.py", "class Deep(Pool):\n    def __init__(self, depth):\n        super().__init__()\n\n\n"
+         "Deep(8)\n"),
+        "Pool.__init__.width",
+        False,
+    ),
+    "super-init": (
+        ("src/repro/pkg/user.py", "class Deep(Pool):\n    def __init__(self):\n        super().__init__(width=8)\n"),
+        "Pool.__init__.width",
+        True,
+    ),
+    "cls-call": (
+        ("src/repro/pkg/user.py", "class Deep(Pool):\n    @classmethod\n    def wide(cls):\n        return cls(16)\n"),
+        "Pool.__init__.width",
+        True,
+    ),
+    "type-self-call": (
+        ("src/repro/pkg/user.py", "class Deep(Pool):\n    def copy(self):\n        return type(self)(self.width)\n"),
+        "Pool.__init__.width",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(DEFAULT_RULES))
+def test_default_rule(rule):
+    (path, text), key, counts = DEFAULT_RULES[rule]
+    defaults, passed = default_passes([("src/repro/pkg/mod.py", TINY_MODULE), (path, text)])
+    assert sorted(defaults) == ["Pool.__init__.width", "Pool.grow.step", "build.depth"]
+    assert (key in passed) is counts

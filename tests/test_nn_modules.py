@@ -37,11 +37,6 @@ class TestLayers:
         out = layer(Tensor(np.ones((5, 4))))
         assert out.shape == (5, 3)
 
-    def test_linear_without_bias(self, rng):
-        layer = Linear(4, 3, rng, bias=False)
-        assert layer.bias is None
-        assert sum(p.size for p in layer.parameters()) == 12
-
     def test_mlp_shapes_and_depth(self, rng):
         mlp = MLP([4, 8, 8, 2], rng)
         out = mlp(Tensor(np.ones((3, 4))))
@@ -223,7 +218,7 @@ class TestOptimizers:
         return loss_value
 
     def test_sgd_converges_on_linear_regression(self):
-        assert self._fit_line(SGD, lr=0.1, momentum=0.9) < 1e-3
+        assert self._fit_line(SGD, lr=0.1) < 1e-3
 
     def test_adam_converges_on_linear_regression(self):
         assert self._fit_line(Adam, lr=0.05) < 1e-3

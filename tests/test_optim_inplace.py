@@ -17,7 +17,7 @@ from repro.config import EncoderConfig
 from repro.core.policy import ActorCriticNetwork
 from repro.encoder import RunStateFeaturizer, StateEncoder
 from repro.nn import SGD, Adam, clip_grad_norm
-from repro.nn.optim import adam_passes
+from repro.nn.optim import _BETAS, _EPS, adam_passes
 from repro.nn.layers import Parameter
 from repro.perf.model import ConcurrentPredictionModel
 
@@ -36,19 +36,18 @@ def reference_clip_grad_norm(parameters, max_norm):
 
 
 class ReferenceSGD:
-    """The pre-rewrite SGD step, verbatim."""
+    """The pre-rewrite SGD step at zero momentum (``SGD`` has no momentum now)."""
 
-    def __init__(self, parameters, lr=1e-2, momentum=0.0):
+    def __init__(self, parameters, lr):
         self.parameters = list(parameters)
         self.lr = lr
-        self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self):
         for param, velocity in zip(self.parameters, self._velocity):
             if param.grad is None:
                 continue
-            velocity *= self.momentum
+            velocity *= 0.0
             velocity -= self.lr * param.grad
             param.data = param.data + velocity
 
@@ -56,12 +55,11 @@ class ReferenceSGD:
 class ReferenceAdam:
     """The pre-rewrite Adam step, verbatim."""
 
-    def __init__(self, parameters, lr=3e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, parameters, lr):
         self.parameters = list(parameters)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = _BETAS
+        self.eps = _EPS
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -74,8 +72,6 @@ class ReferenceAdam:
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
@@ -93,14 +89,14 @@ class ScratchSlabAdam(Adam):
     the result slab itself.  Kept as the oracle of that change.
     """
 
-    def __init__(self, parameters, **kwargs):
-        super().__init__(parameters, **kwargs)
+    def __init__(self, parameters, lr):
+        super().__init__(parameters, lr)
         self._scratch = np.empty(self._offsets[-1])
 
     def step(self):
         self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
+        bias1 = 1.0 - _BETAS[0] ** self._step_count
+        bias2 = 1.0 - _BETAS[1] ** self._step_count
         params, offsets, installed = self.parameters, self._offsets, self._installed
         result = np.empty(offsets[-1])
         fresh = [None] * len(params)
@@ -112,10 +108,7 @@ class ScratchSlabAdam(Adam):
                 data = self._data[run]
             else:
                 data = np.concatenate([p.data.ravel() for p in params[first:last]])
-            if self.weight_decay:
-                np.multiply(data, self.weight_decay, out=buf)
-                grad += buf
-            adam_passes(grad, m, v, buf, self.lr, (self.beta1, self.beta2), self.eps, bias1, bias2)
+            adam_passes(grad, m, v, buf, self.lr, _BETAS, _EPS, bias1, bias2)
             np.subtract(data, buf, out=result[run])
             for i in range(first, last):
                 fresh[i] = params[i].data = result[offsets[i] : offsets[i + 1]].reshape(params[i].data.shape)
@@ -153,13 +146,12 @@ def assert_adam_matches_reference(new, ref, label):
         assert_bitwise_equal(new._v[span], ref._v[index].ravel(), f"{label} second moment {index}")
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_sgd_bit_parity(momentum):
+def test_sgd_bit_parity():
     rng = np.random.default_rng(0)
     params_new = make_params(rng)
     params_ref = clone_params(params_new)
-    new = SGD(params_new, lr=0.05, momentum=momentum)
-    ref = ReferenceSGD(params_ref, lr=0.05, momentum=momentum)
+    new = SGD(params_new, lr=0.05)
+    ref = ReferenceSGD(params_ref, lr=0.05)
     grad_rng_a, grad_rng_b = np.random.default_rng(1), np.random.default_rng(1)
     for step in range(5):
         skip = 2 if step == 3 else None
@@ -171,13 +163,12 @@ def test_sgd_bit_parity(momentum):
             assert_bitwise_equal(p_new.data, p_ref.data, f"sgd step {step} {p_new.name}")
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adam_bit_parity(weight_decay):
+def test_adam_bit_parity():
     rng = np.random.default_rng(2)
     params_new = make_params(rng)
     params_ref = clone_params(params_new)
-    new = Adam(params_new, lr=3e-3, weight_decay=weight_decay)
-    ref = ReferenceAdam(params_ref, lr=3e-3, weight_decay=weight_decay)
+    new = Adam(params_new, lr=3e-3)
+    ref = ReferenceAdam(params_ref, lr=3e-3)
     grad_rng_a, grad_rng_b = np.random.default_rng(3), np.random.default_rng(3)
     for step in range(6):
         skip = 1 if step in (2, 4) else None
@@ -209,7 +200,7 @@ def test_clip_grad_norm_bit_parity():
 def test_optimizers_install_fresh_param_data():
     """Identity-keyed inference caches require ``param.data`` replacement."""
     rng = np.random.default_rng(6)
-    for optimizer_cls in (lambda ps: SGD(ps, lr=0.1, momentum=0.9), lambda ps: Adam(ps, lr=1e-3)):
+    for optimizer_cls in (lambda ps: SGD(ps, lr=0.1), lambda ps: Adam(ps, lr=1e-3)):
         params = make_params(rng)
         optimizer = optimizer_cls(params)
         for _ in range(3):
@@ -296,15 +287,14 @@ def test_adam_none_grad_in_the_middle_splits_the_slab_into_two_runs():
     assert_adam_matches_reference(new, ref, "rejoined")
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adam_takes_the_step_in_its_result_slab_bit_identically(weight_decay):
+def test_adam_takes_the_step_in_its_result_slab_bit_identically():
     """No scratch slab: three flat slabs of state, and the weights and moments
-    of the scratch-slab step after skips, a rebind and weight decay."""
+    of the scratch-slab step after skips and a rebind."""
     rng = np.random.default_rng(17)
     params_new = make_params(rng)
     params_old = clone_params(params_new)
-    new = Adam(params_new, lr=3e-3, weight_decay=weight_decay)
-    old = ScratchSlabAdam(params_old, lr=3e-3, weight_decay=weight_decay)
+    new = Adam(params_new, lr=3e-3)
+    old = ScratchSlabAdam(params_old, lr=3e-3)
     assert not hasattr(new, "_scratch")
     total = new._offsets[-1]
     assert [slab.size for slab in (new._m, new._v, new._grad)] == [total] * 3
@@ -369,12 +359,12 @@ def test_adam_state_dict_resumes_bit_identically():
                 param.grad = grad.copy()
             optimizer.step()
 
-    whole = Adam(params_whole, lr=3e-3, weight_decay=0.01)
+    whole = Adam(params_whole, lr=3e-3)
     run(whole, grads)
-    first = Adam(params_first, lr=3e-3, weight_decay=0.01)
+    first = Adam(params_first, lr=3e-3)
     run(first, grads[:4])
     state = first.state_dict()
-    resumed = Adam(clone_params(params_first), lr=3e-3, weight_decay=0.01)
+    resumed = Adam(clone_params(params_first), lr=3e-3)
     resumed.load_state_dict(state)
     run(first, grads[4:5])  # the saved state is a copy, not a view of the live moments
     run(resumed, grads[4:])

@@ -39,7 +39,7 @@ def policy():
         state_dim=24, state_heads=2, state_layers=1,
     )
     encoder = StateEncoder(PLAN_DIM, RunStateFeaturizer(NUM_CONFIGS), config, np.random.default_rng(0))
-    return ActorCriticNetwork(encoder, NUM_CONFIGS, np.random.default_rng(1), head_hidden=16)
+    return ActorCriticNetwork(encoder, NUM_CONFIGS, np.random.default_rng(1))
 
 
 def make_snapshot(n: int, running: int = 0) -> SnapshotArrays:
@@ -113,7 +113,7 @@ class TestRolloutBuffer:
         return round_log
 
     def test_gae_targets_computed(self):
-        buffer = RolloutBuffer(gamma=0.9, gae_lambda=0.9)
+        buffer = RolloutBuffer()
         self._fill_episode(buffer)
         transitions = buffer.transitions()
         assert all(t.value_target == pytest.approx(t.advantage + t.value) for t in transitions)
@@ -174,7 +174,7 @@ def rl_setup(tpch_workload, engine_x):
     queryformer = QueryFormer(PlanFeaturizer(tpch_workload.catalog), config.encoder, rng)
     plan_embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
     encoder = StateEncoder(config.encoder.plan_embedding_dim, RunStateFeaturizer(len(config_space)), config.encoder, rng)
-    policy = ActorCriticNetwork(encoder, len(config_space), rng, head_hidden=16)
+    policy = ActorCriticNetwork(encoder, len(config_space), rng)
     env = SchedulingEnv(
         batch, engine_x, config.scheduler, config_space, knowledge,
         mask=AdaptiveMask.unmasked(len(batch), len(config_space)),

@@ -154,6 +154,16 @@ class TestArrivalProcesses:
         with pytest.raises(SchedulingError, match=">= 0"):
             ExecutionRuntime(engine).register("t", tpch_batch, arrivals=-times)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_non_finite_arrival_time_is_refused(self, tpch_batch, bad):
+        """A NaN time put its query in neither the pending nor the unarrived set (the tenant finished
+        without it), and an infinite one deferred it past every event."""
+        times = np.linspace(0.0, 4.0, len(tpch_batch))
+        times[3] = bad
+        engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
+        with pytest.raises(SchedulingError, match="arrival times must be finite"):
+            ExecutionRuntime(engine).register("t", tpch_batch, arrivals=times)
+
     def test_factory(self):
         assert isinstance(make_arrival_process("closed"), ClosedArrivals)
         assert isinstance(make_arrival_process("poisson", rate=1.0), PoissonArrivals)

@@ -293,7 +293,7 @@ class TestInterleavedRolloutBuffer:
         steps_a = [self._transition(s, s == 3) for s in range(4)]
         steps_b = [self._transition(s, s == 2) for s in range(3)]
 
-        interleaved = RolloutBuffer(gamma=0.9, gae_lambda=0.8)
+        interleaved = RolloutBuffer()
         for transition in steps_a[:2]:
             interleaved.add(copy.deepcopy(transition), env_index=0)
         for transition in steps_b[:2]:
@@ -304,7 +304,7 @@ class TestInterleavedRolloutBuffer:
             interleaved.add(copy.deepcopy(transition), env_index=0)
         interleaved.finish_episode(self._round_log(), makespan=13.0, env_index=0)
 
-        sequential = RolloutBuffer(gamma=0.9, gae_lambda=0.8)
+        sequential = RolloutBuffer()
         for transition in steps_b:
             sequential.add(copy.deepcopy(transition))
         sequential.finish_episode(self._round_log(), makespan=12.0)
