@@ -28,6 +28,14 @@ used.  Field names are unique across the classes, so a ``replace`` keyword
 names one field.  ``ALLOWED_KNOBS`` holds the fields only tests set; it can
 only shrink.
 
+*Every keyword default has a caller.*  A parameter default of a module- or
+class-level function in ``src/repro`` must be passed by some call in ``src/``,
+``benchmarks/`` or ``examples/``: by keyword, by position or through a splat
+(:func:`default_passes` says which calls count).  A default no caller passes is
+a constant where it is used, and the branch that only its other values took is
+deleted.  ``ALLOWED_DEFAULTS`` holds the defaults the scan cannot see passed;
+it can only shrink.
+
 *The checks check something.*  Each gate pattern must catch a planted line in a
 file its pathspecs cover (``PLANTED``), and the scans' rules run on small
 synthetic trees: a regex that lost an escape, a pathspec that names a moved
