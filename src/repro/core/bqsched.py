@@ -305,7 +305,8 @@ class RLSchedulerBase(BaseScheduler):
         exists only to choose between policies: the initialisation is
         validated only when pre-training or at least one fine-tuning update
         follows, so a start that trains nothing runs no DBMS round and leaves
-        every parameter array as it was.
+        every parameter array as it was.  Without a fine-tuning update no
+        fine-tune trainer is built either: :attr:`trainer` is then ``None``.
         """
         if not self._prepared:
             self.prepare()
@@ -343,9 +344,9 @@ class RLSchedulerBase(BaseScheduler):
                 self._validate_and_keep_best()
 
         started = time.perf_counter()
-        self.trainer = self._make_trainer(self.env)
+        self.trainer = self._make_trainer(self.env) if num_updates > 0 else None
         checkpoint_every = max(1, num_updates // 3)
-        history = self.trainer.history
+        history = TrainingHistory()
         for start in range(0, num_updates, checkpoint_every):
             chunk = min(checkpoint_every, num_updates - start)
             history = self.trainer.train(chunk)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dbms import ExecutionLog
+from ..dbms.logs import grouped_means
 from ..exceptions import SchedulingError
 from ..nn import AdamSlabs, MLP, Module, fastgrad
 from ..workloads import BatchQuerySet
@@ -49,8 +50,8 @@ def compute_scheduling_gains(log: ExecutionLog, batch: BatchQuerySet) -> tuple[n
     boolean matrix marking which pairs were actually observed concurrently.
     Unobserved pairs hold 0.  Every concurrent execution's term is computed
     elementwise over :meth:`~repro.dbms.ExecutionLog.overlapping_pairs`, and
-    a pair's gain is ``np.mean`` of its terms in log order (pairs with the
-    same number of terms share one row-wise ``np.mean``).
+    a pair's gain is ``np.mean`` of its terms in log order
+    (:func:`~repro.dbms.logs.grouped_means`).
     """
     n = len(batch)
     gains = np.zeros((n, n), dtype=np.float64)
@@ -69,18 +70,8 @@ def compute_scheduling_gains(log: ExecutionLog, batch: BatchQuerySet) -> tuple[n
     overlap_j = overlap / time_j
     terms = (overlap_i * acceleration_i * weight_i + overlap_j * acceleration_j * weight_j) / (weight_i + weight_j)
 
-    # Group each pair's terms, keeping their log order (a stable sort).
-    order = np.argsort(query_i * len(average) + query_j, kind="stable")
-    query_i, query_j, terms = query_i[order], query_j[order], terms[order]
-    first = np.ones(len(terms), dtype=bool)
-    first[1:] = (query_i[1:] != query_i[:-1]) | (query_j[1:] != query_j[:-1])
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(terms)))
-    values = np.empty(len(starts))
-    for count in set(counts.tolist()):
-        same = counts == count
-        values[same] = np.mean(terms[starts[same, None] + np.arange(count)], axis=1)
-    rows, cols = query_i[starts], query_j[starts]
+    first, values = grouped_means(query_i * len(average) + query_j, terms)
+    rows, cols = query_i[first], query_j[first]
     gains[rows, cols] = gains[cols, rows] = values
     observed[rows, cols] = observed[cols, rows] = True
     return gains, observed

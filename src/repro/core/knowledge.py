@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from ..dbms import Cluster, ConfigurationSpace, DatabaseEngine, ExecutionLog
+from ..dbms.logs import grouped_means
 from ..exceptions import SchedulingError
 from ..workloads import BatchQuerySet
 
@@ -66,13 +68,24 @@ class ExternalKnowledge:
         return knowledge
 
     def update_from_log(self, log: ExecutionLog) -> None:
-        """Refresh average times (and per-config times) from execution logs."""
+        """Refresh average times (and per-config times) from execution logs.
+
+        The records become three aligned columns (query id, execution time,
+        configuration index; each distinct configuration is looked up once),
+        and :func:`~repro.dbms.logs.grouped_means` averages them per query and
+        per (query, configuration), both in order of first appearance.
+        """
         self.version += 1
-        self.average_times.update(log.average_execution_times())
-        for query_id, by_config in log.execution_times_by_configuration().items():
-            bucket = self.config_times.setdefault(query_id, {})
-            for params, mean_time in by_config.items():
-                bucket[self.config_space.index_of(params)] = mean_time
+        records = log.all_records()
+        index_of = {params: self.config_space.index_of(params) for params in {record.parameters for record in records}}
+        query_ids = np.array([record.query_id for record in records], dtype=np.int64)
+        times = np.array([record.execution_time for record in records], dtype=np.float64)
+        configs = np.array([index_of[record.parameters] for record in records], dtype=np.int64)
+        first, means = grouped_means(query_ids, times)
+        self.average_times.update(zip(query_ids[first].tolist(), means.tolist()))
+        first, means = grouped_means(query_ids * len(self.config_space) + configs, times)
+        for query_id, config, mean in zip(query_ids[first].tolist(), configs[first].tolist(), means.tolist()):
+            self.config_times.setdefault(query_id, {})[config] = mean
 
     # ------------------------------------------------------------------ #
     # Lookups

@@ -4,8 +4,9 @@ Logs are the only feedback channel a non-intrusive scheduler has: per-query
 submit and finish times across historical scheduling rounds.  Everything the
 paper derives from logs is implemented on top of :class:`ExecutionLog`:
 
-* average execution times (MCF ordering, running-state features ``t_i|R_i``),
-* per-configuration execution times (adaptive masking),
+* average execution times (MCF ordering, running-state features ``t_i|R_i``)
+  and per-configuration execution times (adaptive masking), both averaged
+  per key by :func:`grouped_means`,
 * pairwise concurrency overlaps (scheduling gain),
 * concurrent-state snapshots (training data for the learned simulator and
   the IQ-PPO auxiliary task).
@@ -20,7 +21,34 @@ import numpy as np
 
 from .params import RunningParameters
 
-__all__ = ["QueryExecutionRecord", "RoundLog", "ExecutionLog", "ConcurrencySnapshot"]
+__all__ = ["QueryExecutionRecord", "RoundLog", "ExecutionLog", "ConcurrencySnapshot", "grouped_means"]
+
+
+def grouped_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``values`` per distinct key, each over the key's values in log order.
+
+    ``keys`` and ``values`` are aligned arrays in log order.  Returns
+    ``(first, means)`` with one entry per distinct key, in order of first
+    appearance: the index of the key's first entry and the mean of its
+    values.  One stable sort groups the keys, and the groups of one size
+    share one row-wise ``np.mean``, whose per-row pairwise sum is the 1-D
+    call's: every mean is bit-identical to ``np.mean`` of its group's values.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    boundary = np.ones(len(keys) + 1, dtype=bool)
+    boundary[1:-1] = ordered[1:] != ordered[:-1]
+    edges = np.flatnonzero(boundary)
+    starts, counts = edges[:-1], edges[1:] - edges[:-1]
+    means = np.empty(len(starts))
+    for count in set(counts.tolist()):
+        same = counts == count
+        means[same] = np.mean(values[order[starts[same, None] + np.arange(count)]], axis=1)
+    first_index = order[starts]
+    # The indices are distinct; the stable kind reuses the sort already run
+    # (the first default-kind sort of a process maps another ~0.25 MB).
+    appearance = np.argsort(first_index, kind="stable")
+    return first_index[appearance], means[appearance]
 
 
 @dataclass(frozen=True)
@@ -173,23 +201,11 @@ class ExecutionLog:
     # Aggregations used by heuristics, masking and clustering
     # ------------------------------------------------------------------ #
     def average_execution_times(self) -> dict[int, float]:
-        """Mean execution time per query id over all rounds (MCF's cost table)."""
-        totals: dict[int, list[float]] = {}
-        for record in self.all_records():
-            totals.setdefault(record.query_id, []).append(record.execution_time)
-        return {query_id: float(np.mean(times)) for query_id, times in totals.items()}
-
-    def execution_times_by_configuration(self) -> dict[int, dict[RunningParameters, float]]:
-        """Mean execution time per (query id, configuration) — masking knowledge."""
-        buckets: dict[int, dict[RunningParameters, list[float]]] = {}
-        for record in self.all_records():
-            buckets.setdefault(record.query_id, {}).setdefault(record.parameters, []).append(
-                record.execution_time
-            )
-        return {
-            query_id: {params: float(np.mean(times)) for params, times in by_params.items()}
-            for query_id, by_params in buckets.items()
-        }
+        """Mean execution time per query id over all rounds (MCF's cost table), in order of first appearance."""
+        records = self.all_records()
+        query_ids = np.array([record.query_id for record in records], dtype=np.int64)
+        first, means = grouped_means(query_ids, np.array([record.execution_time for record in records]))
+        return dict(zip(query_ids[first].tolist(), means.tolist()))
 
     def overlapping_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every concurrent execution of two records of one round, as arrays.

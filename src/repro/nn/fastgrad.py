@@ -212,9 +212,6 @@ def _accum(param: Parameter, grad: np.ndarray) -> None:
 # MLP blocks (fused linear + activation)
 # --------------------------------------------------------------------------- #
 
-_SUPPORTED_ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
-
-
 def _mlp_blocks(mlp: MLP) -> "list[tuple[Linear, str | None]]":
     """Parse an MLP's Sequential into ``(linear, activation_name)`` blocks.
 
@@ -638,12 +635,9 @@ def _mlp_reason(mlp: Any, name: str) -> "str | None":
     if not isinstance(mlp, MLP):
         return f"{name} is {type(mlp).__name__}, not MLP"
     try:
-        blocks = _mlp_blocks(mlp)
+        _mlp_blocks(mlp)
     except ValueError as exc:
         return f"{name}: {exc}"
-    for _, act in blocks:
-        if act is not None and act not in ("tanh", "relu", "sigmoid"):
-            return f"{name} uses unsupported activation {act!r}"
     return None
 
 

@@ -257,6 +257,7 @@ class TestValidationRounds:
         initial = [param.data for param in scheduler.policy.parameters()]
         history = scheduler.train(*updates)
         assert calls == [] and history.policy_losses == []
+        assert scheduler.trainer is None
         assert all(param.data is data for param, data in zip(scheduler.policy.parameters(), initial))
         assert scheduler.timings.keys() == {"prepare", "finetune", "train_total"}
 

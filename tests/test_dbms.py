@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SchedulerConfig
+from repro.core import ExternalKnowledge
 from repro.dbms import (
     BufferPool,
     ConfigurationSpace,
@@ -269,8 +270,9 @@ class TestLogs:
             log.add_round(round_log)
         averages = log.average_execution_times()
         assert averages[0] == pytest.approx(4.5)
-        by_config = log.execution_times_by_configuration()
-        assert RunningParameters(2, 64) in by_config[1]
+        knowledge = ExternalKnowledge(config_space=ConfigurationSpace(SchedulerConfig()))
+        knowledge.update_from_log(log)
+        assert knowledge.config_times[1] == {2: pytest.approx(2.0)}  # index 2 is RunningParameters(2, 64)
         assert (0, 1) in grouped_overlaps(log)
         assert log.makespans() == [pytest.approx(4.0), pytest.approx(5.0)]
 

@@ -63,6 +63,7 @@ from repro.nn import (
     no_grad,
     where,
 )
+from repro.nn.layers import ACTIVATIONS
 from repro.perf.fit import LEARNING_RATE as SIMULATOR_LEARNING_RATE
 from repro.plans import PlanFeaturizer
 from simulator_oracle import tape_forward
@@ -145,7 +146,7 @@ def fused_param_gradcheck(module, fused_loss, eps=1e-6, atol=1e-6, rtol=1e-4):
 # Kernel-level: fused vs tape + gradcheck
 # ------------------------------------------------------------------ #
 class TestFusedKernels:
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_mlp_matches_tape_and_gradcheck(self, rng, arena, activation):
         mlp = MLP([4, 6, 3], rng, activation=activation)
         x = rng.normal(size=(5, 4))

@@ -556,4 +556,5 @@ class TestFacadeWiring:
             scheduler.config.ppo.num_envs = num_envs
             widths.clear()
             scheduler.train(num_updates=0, pretrain_updates=1, keep_best=False)
-            assert widths == [expected, num_envs]  # the pre-trainer, then the fine-tune trainer
+            assert widths == [expected]  # the pre-trainer; no update builds no fine-tune trainer
+            assert scheduler._make_trainer(scheduler.env).vec_env.num_envs == num_envs  # fine-tuning's width
