@@ -54,7 +54,7 @@ def _orders(batch, count: int, start_seed: int = 0) -> list[list[int]]:
 def _fidelity(profile, workload, fleet, config):
     """Train the fleet performance model and measure per-instance fidelity."""
     batch = workload.batch_query_set()
-    config_space = ConfigurationSpace(config.scheduler)
+    config_space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(fleet, batch, config_space)
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)

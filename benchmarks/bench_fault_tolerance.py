@@ -45,8 +45,8 @@ FAULTS = FailureProfile(
     outages=(OutageWindow(instance=0, start=6.0, duration=2.0),),
 )
 
-RETRY = RetryPolicy(max_attempts=5, backoff=0.25, backoff_factor=2.0)
-RETRY_TIMEOUT = RetryPolicy(max_attempts=5, backoff=0.25, backoff_factor=2.0, timeout=6.0)
+RETRY = RetryPolicy(max_attempts=5, backoff=0.25)
+RETRY_TIMEOUT = RetryPolicy(max_attempts=5, backoff=0.25, timeout=6.0)
 
 
 def _build_scheduler(engine, num_connections):

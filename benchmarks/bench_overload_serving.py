@@ -60,9 +60,7 @@ ADMISSION = AdmissionPolicy(rate=1.0, burst=3.0, exempt_priority=1.0)
 
 #: The elastic fleet starts with one instance live and two parked, unparking
 #: when the per-instance backlog passes ``target_backlog``.
-AUTOSCALE = AutoscalePolicy(
-    min_instances=1, target_backlog=6.0, low_water=1.0, cooldown=2.0, initial_instances=1
-)
+AUTOSCALE = AutoscalePolicy(target_backlog=6.0, low_water=1.0, initial_instances=1)
 
 NUM_TENANTS = 4
 NUM_CONNECTIONS = 4

@@ -24,7 +24,7 @@ def _run(profile):
     scenario = Scenario(benchmark=benchmark_name, dbms="x", profile=profile)
     workload, engine, config = scenario.build()
     batch = workload.batch_query_set()
-    config_space = ConfigurationSpace(config.scheduler)
+    config_space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)

@@ -121,7 +121,7 @@ def heuristic_env(workload: Workload, backend: "DatabaseEngine | Cluster", confi
     fleet (the placement baselines); on a single engine, the one instance.
     """
     batch = workload.batch_query_set()
-    config_space = ConfigurationSpace(config.scheduler)
+    config_space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(backend, batch, config_space)
     return SchedulingEnv(
         batch=batch,

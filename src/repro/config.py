@@ -25,13 +25,15 @@ __all__ = [
     "SchedulerConfig",
     "SimulatorConfig",
     "ClusteringConfig",
-    "MaskingConfig",
     "RetryPolicy",
     "AdmissionPolicy",
     "AutoscalePolicy",
     "BQSchedConfig",
 ]
 
+
+#: Growth of :class:`RetryPolicy`'s backoff per consumed attempt.
+BACKOFF_FACTOR = 2.0
 
 #: Normalisation scale (seconds) of every time-valued feature and prediction:
 #: the run-state rows' ``tanh(t / TIME_SCALE)``, the simulator's rows and
@@ -78,6 +80,8 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         _require(self.plan_embedding_dim > 0, "plan_embedding_dim must be positive")
+        _require(self.node_hidden_dim > 0 and self.state_dim > 0, "node_hidden_dim and state_dim must be positive")
+        _require(self.tree_heads >= 1 and self.state_heads >= 1, "attention stacks need >= 1 head")
         _require(self.node_hidden_dim % self.tree_heads == 0, "node_hidden_dim must divide tree_heads")
         _require(self.state_dim % self.state_heads == 0, "state_dim must divide state_heads")
         _require(self.tree_layers >= 1 and self.state_layers >= 1, "attention stacks need >= 1 layer")
@@ -91,8 +95,8 @@ class PPOConfig:
     (``N_ppo`` in Algorithm 1).  The settings the paper fixes are constants
     where they are used: the clipped objective's ``CLIP_EPSILON``,
     ``VALUE_COEF``, ``ENTROPY_COEF``, ``MAX_GRAD_NORM`` and ``LEARNING_RATE``
-    and the auxiliary phases' behaviour-cloning weight ``BETA_CLONE`` in
-    :mod:`repro.core.ppo`, and GAE's gamma and lambda as
+    and the auxiliary phases' ``AUX_EPOCHS`` and behaviour-cloning weight
+    ``BETA_CLONE`` in :mod:`repro.core.ppo`, and GAE's gamma and lambda as
     :class:`~repro.core.rollout.RolloutBuffer`'s defaults.
 
     ``epochs_per_update`` is the number of optimizer steps of one ``update()``,
@@ -117,30 +121,13 @@ class PPOConfig:
     rollouts_per_update: int = 4
     num_envs: int = 1
     aux_every: int = 10
-    aux_epochs: int = 3
 
     def __post_init__(self) -> None:
         _require(self.epochs_per_update >= 1, "epochs_per_update must be >= 1")
+        _require(self.minibatch_size >= 1, "minibatch_size must be >= 1")
         _require(self.rollouts_per_update >= 1, "rollouts_per_update must be >= 1")
         _require(self.num_envs >= 1, "num_envs must be >= 1")
         _require(self.aux_every >= 1, "aux_every must be >= 1")
-
-
-@dataclass
-class MaskingConfig:
-    """Adaptive masking thresholds (Section IV-A).
-
-    A configuration that allocates more resources is masked for a query when
-    both the absolute improvement (seconds) and the relative improvement over
-    the cheapest configuration fall below these thresholds.
-    """
-
-    min_absolute_gain: float = 0.25
-    min_relative_gain: float = 0.05
-
-    def __post_init__(self) -> None:
-        _require(self.min_absolute_gain >= 0, "min_absolute_gain must be >= 0")
-        _require(0 <= self.min_relative_gain < 1, "min_relative_gain must be in [0, 1)")
 
 
 @dataclass
@@ -165,7 +152,8 @@ class ClusteringConfig:
 class SimulatorConfig:
     """Learned incremental simulator (Section IV-C).
 
-    Every fit steps Adam at ``repro.perf.fit.LEARNING_RATE``.
+    Every fit steps Adam at ``repro.perf.fit.LEARNING_RATE``; an online
+    update runs ``repro.perf.perfmodel.INCREMENTAL_EPOCHS`` passes.
     """
 
     hidden_dim: int = 48
@@ -173,7 +161,6 @@ class SimulatorConfig:
     gamma_regression: float = 0.1
     use_attention: bool = True
     use_multitask: bool = True
-    incremental_epochs: int = 5
 
     def __post_init__(self) -> None:
         _require(self.hidden_dim > 0, "hidden_dim must be positive")
@@ -185,20 +172,15 @@ class SimulatorConfig:
 class SchedulerConfig:
     """Scheduling-problem level settings.
 
-    ``num_connections`` is ``|C|``; ``worker_options`` and ``memory_options``
-    enumerate the running-parameter configurations ``R``.
+    ``num_connections`` is ``|C|``.  The running-parameter configurations
+    ``R`` are fixed: :class:`~repro.dbms.params.ConfigurationSpace` crosses
+    ``repro.dbms.params.WORKER_OPTIONS`` with ``MEMORY_OPTIONS``.
     """
 
     num_connections: int = 6
-    worker_options: tuple[int, ...] = (1, 2)
-    memory_options: tuple[int, ...] = (64, 256)
 
     def __post_init__(self) -> None:
         _require(self.num_connections >= 1, "num_connections must be >= 1")
-        _require(len(self.worker_options) >= 1, "worker_options must not be empty")
-        _require(len(self.memory_options) >= 1, "memory_options must not be empty")
-        _require(all(w >= 1 for w in self.worker_options), "worker counts must be >= 1")
-        _require(all(m > 0 for m in self.memory_options), "memory options must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,7 +190,7 @@ class RetryPolicy:
     A query attempt can die three ways: the engine errors out, the runtime's
     straggler ``timeout`` kills it, or its instance goes down mid-flight.
     Errors and timeouts consume one of ``max_attempts`` submissions and are
-    retried after an exponential backoff (``backoff * backoff_factor**(k-1)``
+    retried after an exponential backoff (``backoff * BACKOFF_FACTOR**(k-1)``
     seconds after the ``k``-th failure); once the budget is exhausted the
     query is marked terminally failed so the round can still drain.  Outage
     kills are requeued immediately and never consume an attempt — the query
@@ -221,19 +203,17 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff: float = 0.5
-    backoff_factor: float = 2.0
     timeout: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.max_attempts >= 1, "max_attempts must be >= 1")
         _require(self.backoff >= 0, "backoff must be >= 0")
-        _require(self.backoff_factor >= 1, "backoff_factor must be >= 1")
         _require(self.timeout is None or self.timeout > 0, "timeout must be positive (or None)")
 
     def delay_for(self, failed_attempt: int) -> float:
         """Backoff delay after the ``failed_attempt``-th failed submission."""
         _require(failed_attempt >= 1, "failed_attempt must be >= 1")
-        return self.backoff * self.backoff_factor ** (failed_attempt - 1)
+        return self.backoff * BACKOFF_FACTOR ** (failed_attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -247,28 +227,18 @@ class AdmissionPolicy:
     bucket empty is *shed* — marked failed immediately so the round still
     drains, and recorded in the per-tenant shed ledger.
 
-    ``max_pending`` adds a backlog guard on top of the bucket: when the
-    runtime-wide number of pending-but-unsubmitted queries is at or above
-    it, non-exempt arrivals are shed even if tokens remain (the bucket
-    limits *rate*, the backlog cap limits *queue depth*).
-
     ``exempt_priority`` protects important traffic: arrivals from tenant
-    classes with ``priority >= exempt_priority`` bypass both the bucket and
-    the backlog cap and are always admitted.  ``None`` exempts nobody.
+    classes with ``priority >= exempt_priority`` bypass the bucket and are
+    always admitted.  ``None`` exempts nobody.
     """
 
     rate: float = 8.0
     burst: float = 16.0
-    max_pending: int | None = None
     exempt_priority: float | None = None
 
     def __post_init__(self) -> None:
         _require(self.rate > 0, "admission rate must be positive")
         _require(self.burst >= 1, "admission burst must be >= 1")
-        _require(
-            self.max_pending is None or self.max_pending >= 1,
-            "max_pending must be >= 1 (or None)",
-        )
 
 
 @dataclass(frozen=True)
@@ -285,33 +255,25 @@ class AutoscalePolicy:
 
     Scaling triggers on backlog per *up* instance: above
     ``target_backlog`` an instance is unparked, below ``low_water`` one is
-    parked, never leaving fewer than ``min_instances`` or more than
-    ``max_instances`` up (``max_instances=0`` means the whole fleet).
-    ``cooldown`` seconds of simulated time must pass between scale events
-    so the fleet does not thrash; ``initial_instances`` starts the round
-    with only that many instances up (``None`` starts the full fleet).
+    parked, never leaving fewer than
+    :attr:`~repro.runtime.controlplane.FleetController.MIN_INSTANCES` up;
+    :attr:`~repro.runtime.controlplane.FleetController.COOLDOWN` seconds of
+    simulated time pass between scale events so the fleet does not thrash.
+    ``initial_instances`` starts the round with only that many instances up
+    (``None`` starts the full fleet).
     """
 
-    min_instances: int = 1
-    max_instances: int = 0
     target_backlog: float = 8.0
     low_water: float = 2.0
-    cooldown: float = 2.0
     initial_instances: int | None = None
 
     def __post_init__(self) -> None:
-        _require(self.min_instances >= 1, "min_instances must be >= 1")
-        _require(
-            self.max_instances == 0 or self.max_instances >= self.min_instances,
-            "max_instances must be 0 (whole fleet) or >= min_instances",
-        )
         _require(self.target_backlog > 0, "target_backlog must be positive")
         _require(0 <= self.low_water < self.target_backlog,
                  "low_water must be in [0, target_backlog)")
-        _require(self.cooldown >= 0, "cooldown must be >= 0")
         _require(
-            self.initial_instances is None or self.initial_instances >= self.min_instances,
-            "initial_instances must be >= min_instances (or None)",
+            self.initial_instances is None or self.initial_instances >= 1,
+            "initial_instances must be >= 1 (or None)",
         )
 
 
@@ -322,7 +284,6 @@ class BQSchedConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    masking: MaskingConfig = field(default_factory=MaskingConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     seed: int = 0

@@ -110,7 +110,7 @@ class RLSchedulerBase(BaseScheduler):
         # pre-training runs against a SimulatedCluster twin of the fleet.
         self.num_instances = engine.num_instances if isinstance(engine, Cluster) else 1
 
-        self.config_space = ConfigurationSpace(self.config.scheduler)
+        self.config_space = ConfigurationSpace()
         featurizer = PlanFeaturizer(workload.catalog)
         self.queryformer = QueryFormer(featurizer, self.config.encoder, self.rng)
         self.plan_embeddings, self.knowledge, self.mask = self._batch_context(self.batch, engine)
@@ -160,7 +160,7 @@ class RLSchedulerBase(BaseScheduler):
         plan_embeddings = PlanEmbeddingCache(self.queryformer).embeddings_for(batch)
         knowledge = ExternalKnowledge.from_probes(engine, batch, self.config_space)
         mask = (
-            AdaptiveMask.build(batch, knowledge, self.config_space, self.config.masking)
+            AdaptiveMask.build(batch, knowledge, self.config_space)
             if self.use_masking
             else AdaptiveMask.unmasked(len(batch), len(self.config_space))
         )

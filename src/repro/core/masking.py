@@ -4,8 +4,8 @@ Different queries prefer different resources: giving extra parallel workers
 to an I/O-bound query, or extra working memory to a query that never spills,
 wastes exploration on configurations that cannot help.  The mask keeps, for
 every query, only the configurations whose measured improvement over the
-cheapest configuration exceeds the thresholds in
-:class:`repro.config.MaskingConfig`; masked logits are replaced with a large
+cheapest configuration reaches :data:`MIN_ABSOLUTE_GAIN` and
+:data:`MIN_RELATIVE_GAIN`; masked logits are replaced with a large
 negative constant so their softmax probability is numerically zero.
 """
 
@@ -13,13 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import MaskingConfig
 from ..dbms import ConfigurationSpace
 from ..exceptions import SchedulingError
 from ..perf import PerformanceEstimator
 from ..workloads import BatchQuerySet
 
-__all__ = ["AdaptiveMask"]
+__all__ = ["AdaptiveMask", "MIN_ABSOLUTE_GAIN", "MIN_RELATIVE_GAIN"]
+
+#: Seconds of isolated execution time a richer configuration must save to stay allowed.
+MIN_ABSOLUTE_GAIN = 0.25
+#: Share of the cheapest configuration's time a richer configuration must save to stay allowed.
+MIN_RELATIVE_GAIN = 0.05
 
 
 class AdaptiveMask:
@@ -58,7 +62,6 @@ class AdaptiveMask:
         batch: BatchQuerySet,
         knowledge: PerformanceEstimator,
         config_space: ConfigurationSpace,
-        config: MaskingConfig,
     ) -> "AdaptiveMask":
         """Derive the mask from a performance estimator.
 
@@ -76,7 +79,7 @@ class AdaptiveMask:
             keep = [0]
             for index in range(1, len(config_space)):
                 absolute, relative = profile.get(index, (0.0, 0.0))
-                if absolute >= config.min_absolute_gain and relative >= config.min_relative_gain:
+                if absolute >= MIN_ABSOLUTE_GAIN and relative >= MIN_RELATIVE_GAIN:
                     keep.append(index)
             allowed[query.query_id] = keep
         return cls(num_queries=len(batch), num_configs=len(config_space), allowed=allowed)

@@ -35,6 +35,7 @@ from .rollout import RolloutBuffer, Transition
 from .vecenv import VectorSchedulingEnv
 
 __all__ = [
+    "AUX_EPOCHS",
     "BETA_CLONE",
     "CLIP_EPSILON",
     "ENTROPY_COEF",
@@ -57,6 +58,8 @@ ENTROPY_COEF = 0.01
 MAX_GRAD_NORM = 0.5
 #: Weight of the behaviour-cloning KL term of the PPG and IQ-PPO auxiliary phases.
 BETA_CLONE = 1.0
+#: Optimizer steps of one PPG or IQ-PPO auxiliary phase.
+AUX_EPOCHS = 3
 
 
 @dataclass
@@ -81,8 +84,8 @@ class PPOTrainer:
         policy: ActorCriticNetwork,
         env: SchedulingEnv,
         config: PPOConfig,
-        seed: int = 0,
-        arena: fastgrad.Arena | None = None,
+        seed: int,
+        arena: fastgrad.Arena,
     ) -> None:
         reason = fastgrad.fused_training_reason(policy)
         if reason is not None:
@@ -95,7 +98,7 @@ class PPOTrainer:
         #: Pool behind every minibatch-sized temporary of the updates.  Trainers
         #: that never update at the same time (pre-training, then fine-tuning)
         #: share one, so its buffers are paid for once.
-        self.arena = arena if arena is not None else fastgrad.Arena()
+        self.arena = arena
         self.rng = np.random.default_rng(seed)
         self.optimizer = Adam(policy.parameters(), lr=LEARNING_RATE)
         self.history = TrainingHistory()
@@ -244,10 +247,10 @@ class PPOTrainer:
         return 0.0
 
     def _auxiliary_epochs(self, step) -> float:
-        """Run ``aux_epochs`` optimizer steps of ``step()`` (one fused forward + backward
+        """Run ``AUX_EPOCHS`` optimizer steps of ``step()`` (one fused forward + backward
         returning its loss) and return the mean loss."""
         losses = []
-        for _ in range(self.config.aux_epochs):
+        for _ in range(AUX_EPOCHS):
             self.optimizer.zero_grad()
             total = step()
             self._apply_gradients(total)

@@ -1,9 +1,8 @@
 """Query running parameters (degree of parallelism, working memory).
 
 The paper's action space couples *which query to run next* with *which
-running-parameter configuration to run it under*.  A configuration space is
-the cross product of the allowed worker counts and memory limits from
-:class:`repro.config.SchedulerConfig`.
+running-parameter configuration to run it under*.  The configuration space
+is the cross product of :data:`WORKER_OPTIONS` and :data:`MEMORY_OPTIONS`.
 """
 
 from __future__ import annotations
@@ -11,10 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..config import SchedulerConfig
 from ..exceptions import ConfigurationError
 
-__all__ = ["RunningParameters", "ConfigurationSpace"]
+__all__ = ["RunningParameters", "ConfigurationSpace", "WORKER_OPTIONS", "MEMORY_OPTIONS"]
+
+#: Degrees of parallelism a query may run with, ascending.
+WORKER_OPTIONS = (1, 2)
+#: Working-memory limits (MB) a query may run with, ascending.
+MEMORY_OPTIONS = (64, 256)
 
 
 @dataclass(frozen=True)
@@ -41,11 +44,11 @@ class ConfigurationSpace:
     index — the same index the policy network's action logits use.
     """
 
-    def __init__(self, scheduler_config: SchedulerConfig) -> None:
+    def __init__(self) -> None:
         self._configs: list[RunningParameters] = [
             RunningParameters(workers=workers, memory_mb=memory)
-            for workers in sorted(scheduler_config.worker_options)
-            for memory in sorted(scheduler_config.memory_options)
+            for workers in WORKER_OPTIONS
+            for memory in MEMORY_OPTIONS
         ]
         self._index = {config: i for i, config in enumerate(self._configs)}
 

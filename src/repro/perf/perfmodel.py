@@ -37,6 +37,8 @@ __all__ = ["PerformanceModel", "PredictionExample"]
 
 #: Share of a history log's snapshots :meth:`PerformanceModel.train_from_log` holds out for its metrics.
 VALIDATION_FRACTION = 0.2
+#: Passes of one online fine-tune (:meth:`PerformanceModel.update_from_log`).
+INCREMENTAL_EPOCHS = 5
 
 
 @dataclass
@@ -147,7 +149,7 @@ class PerformanceModel:
         examples = self.examples_from_log(log)
         if not examples:
             raise SimulationError("online log contains no concurrency snapshots")
-        self.fit(examples, self.config.incremental_epochs)
+        self.fit(examples, INCREMENTAL_EPOCHS)
         return self.evaluate_examples(examples)
 
     def fit(self, examples: list[PredictionExample], epochs: int) -> None:

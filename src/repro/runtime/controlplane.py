@@ -121,12 +121,8 @@ class AdmissionController:
         """Forget the previous round: a fresh bucket."""
         self._bucket = TokenBucket(self.policy.rate, self.policy.burst)
 
-    def admit(self, tenant_class: TenantClass | None, now: float, backlog: int) -> bool:
-        """Decide one open arrival: token, backlog cap, priority exemption.
-
-        ``backlog`` is the runtime-wide count of pending-but-unsubmitted
-        queries at the arrival instant.
-        """
+    def admit(self, tenant_class: TenantClass | None, now: float) -> bool:
+        """Decide one open arrival: priority exemption, else a token."""
         policy = self.policy
         if (
             policy.exempt_priority is not None
@@ -134,8 +130,6 @@ class AdmissionController:
             and tenant_class.priority >= policy.exempt_priority
         ):
             return True
-        if policy.max_pending is not None and backlog >= policy.max_pending:
-            return False
         return self._bucket.try_take(now)
 
 
@@ -155,9 +149,15 @@ class FleetController:
     :attr:`~repro.config.AutoscalePolicy.target_backlog` the lowest-index
     parked instance is unparked, below
     :attr:`~repro.config.AutoscalePolicy.low_water` the highest-index up
-    instance is parked, with a cooldown between actions so the fleet does
-    not thrash.  Every action lands in the :attr:`events` ledger.
+    instance is parked, never below :attr:`MIN_INSTANCES`, and
+    :attr:`COOLDOWN` seconds pass between actions so the fleet does not
+    thrash.  Every action lands in the :attr:`events` ledger.
     """
+
+    #: Instances that stay up whatever the backlog.
+    MIN_INSTANCES = 1
+    #: Simulated seconds between two scale events.
+    COOLDOWN = 2.0
 
     def __init__(self, policy: AutoscalePolicy) -> None:
         self.policy = policy
@@ -168,20 +168,13 @@ class FleetController:
         self.events = []
         self._last_scale = float("-inf")
 
-    def _resolved_max(self, fleet_size: int) -> int:
-        limit = self.policy.max_instances or fleet_size
-        return min(limit, fleet_size)
-
     def on_round_open(self, shared: Any) -> None:
         """Apply the initial fleet size: park everything beyond it.
 
-        ``initial_instances=None`` starts with ``max_instances`` up (the
-        whole fleet when that is 0 too).
+        ``initial_instances=None`` starts the whole fleet up.
         """
         fleet = int(shared.num_instances)
-        upper = self._resolved_max(fleet)
-        start = self.policy.initial_instances if self.policy.initial_instances is not None else upper
-        start = max(self.policy.min_instances, min(start, upper))
+        start = self.policy.initial_instances if self.policy.initial_instances is not None else fleet
         for instance in range(fleet - 1, start - 1, -1):
             shared.park_instance(instance)
             self.events.append(ScaleEvent(time=0.0, instance=instance, action="park"))
@@ -189,18 +182,17 @@ class FleetController:
     def tick(self, shared: Any, backlog: int, now: float) -> ScaleEvent | None:
         """One scaling decision; returns the action taken (``None`` if held)."""
         policy = self.policy
-        if now - self._last_scale < policy.cooldown:
+        if now - self._last_scale < self.COOLDOWN:
             return None
         fleet = int(shared.num_instances)
         parked = list(shared.parked_instances())
         up = fleet - len(parked)
-        upper = self._resolved_max(fleet)
         per_instance = backlog / up if up > 0 else float("inf")
-        if per_instance > policy.target_backlog and up < upper and parked:
+        if per_instance > policy.target_backlog and parked:
             instance = min(parked)
             shared.unpark_instance(instance)
             event = ScaleEvent(time=now, instance=instance, action="unpark")
-        elif per_instance < policy.low_water and up > policy.min_instances:
+        elif per_instance < policy.low_water and up > self.MIN_INSTANCES:
             parked_set = set(parked)
             instance = max(i for i in range(fleet) if i not in parked_set)
             shared.park_instance(instance)
@@ -265,10 +257,10 @@ class ControlPlane:
         """Fast-path check: no admission policy means every arrival enters."""
         return self.admission is None
 
-    def admit(self, tenant_class: TenantClass | None, now: float, backlog: int) -> bool:
+    def admit(self, tenant_class: TenantClass | None, now: float) -> bool:
         if self.admission is None:
             return True
-        return self.admission.admit(tenant_class, now, backlog)
+        return self.admission.admit(tenant_class, now)
 
     # -- retry ----------------------------------------------------------- #
     def decide_retry(

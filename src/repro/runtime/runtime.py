@@ -413,9 +413,7 @@ class ExecutionRuntime:
         state = self._tenants[event.tenant]
         assert state.session is not None
         if isinstance(event, QueryArrival):
-            if not self.control.admits_all and not self.control.admit(
-                state.tenant_class, event.time, self._total_backlog()
-            ):
+            if not self.control.admits_all and not self.control.admit(state.tenant_class, event.time):
                 # Shed: the arrival is refused under overload.  The query is
                 # terminally failed straight from deferred — it never becomes
                 # pending, consumes no connection and no retry budget — and

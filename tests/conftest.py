@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import BQSchedConfig, DatabaseEngine, DBMSProfile, make_workload
-from repro.core import AdaptiveMask, ExternalKnowledge, SchedulingEnv
+from repro.core import AdaptiveMask, ExternalKnowledge, SchedulingEnv, ppo
 from repro.dbms import ConfigurationSpace
 
 
@@ -48,8 +48,8 @@ def tpch_batch(tpch_workload):
 
 
 @pytest.fixture(scope="session")
-def config_space(small_config):
-    return ConfigurationSpace(small_config.scheduler)
+def config_space():
+    return ConfigurationSpace()
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +72,12 @@ def tpch_env(tpch_batch, engine_x, small_config, config_space, tpch_knowledge):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="module")
+def one_aux_epoch():
+    """One optimizer step per PPG / IQ-PPO auxiliary phase instead of ``AUX_EPOCHS``, for a whole module:
+    its trainers are sized for speed, and the pinned training digests were taken at one step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ppo, "AUX_EPOCHS", 1)
+        yield

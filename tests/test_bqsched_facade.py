@@ -15,6 +15,9 @@ from repro.core.ppo import PPOTrainer
 from repro.nn import Adam, AdamSlabs
 from repro.perf import PerformanceModel, SimulatedCluster
 
+#: The trainers here take one step per auxiliary phase (:data:`repro.core.ppo.AUX_EPOCHS` is 3).
+pytestmark = pytest.mark.usefixtures("one_aux_epoch")
+
 
 @pytest.fixture(scope="module")
 def tiny_setup():
@@ -23,7 +26,7 @@ def tiny_setup():
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 4
-    config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1)
+    config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2)
     return workload, engine, config
 
 
@@ -352,7 +355,7 @@ class TestClusteringIntegration:
         workload, engine, config_base = tiny_setup
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
-        config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1)
+        config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2)
         config.clustering.num_clusters = 6
         scheduler = BQSched(workload, engine, config)
         scheduler.use_clustering = True

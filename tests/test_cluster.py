@@ -53,7 +53,7 @@ def _cluster_env(cluster, num_connections=4, mask=None, arrivals=None):
     batch = workload.batch_query_set()
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = num_connections
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
     return SchedulingEnv(
         batch=batch,
@@ -121,7 +121,7 @@ class TestClusterSession:
         batch = workload.batch_query_set()
         session = hetero_cluster.new_session(batch, num_connections=2, round_id=0)
         assert session.num_connections == 6  # per-instance connections, globalised
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         c0 = session.submit(0, space[0], instance=0)
         c1 = session.submit(1, space[0], instance=2)
         assert 0 <= c0 < 2 and 4 <= c1 < 6
@@ -142,7 +142,7 @@ class TestClusterSession:
     def test_unified_clock_and_merged_log(self, hetero_cluster):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         session = hetero_cluster.new_session(batch, num_connections=2, round_id=0)
         order = [q.query_id for q in batch]
         cursor = 0
@@ -172,7 +172,7 @@ class TestClusterSession:
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
         session = hetero_cluster.new_session(batch, num_connections=2, round_id=0)
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         # Simulate two completions that tied with an earlier winning instant:
         # they must drain before the clock moves, lowest instance first.
         for instance, qid in ((2, 1), (1, 0)):
@@ -195,7 +195,7 @@ class TestClusterSession:
         cluster = Cluster.from_profiles([profile, profile], seed=0)
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         session = cluster.new_session(batch, num_connections=1, round_id=0)
         session.pending = [0, 1]  # shrink the round to the two tied queries
         session.submit(0, space[0], instance=0)
@@ -268,7 +268,7 @@ class TestClusterSession:
         cluster = Cluster.from_profiles([profile, profile], seed=0)
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         session = cluster.new_session(batch, num_connections=2, round_id=0)
         session.pending = [0, 1, 2]
         session.submit(0, space[0], instance=0)
@@ -312,7 +312,7 @@ class TestClusterSession:
         slow = replace(DBMSProfile.dbms_x(), name="slow", speed=0.5, noise=0.0)
         fast = replace(DBMSProfile.dbms_x(), name="fast", speed=2.0, noise=0.0)
         cluster = Cluster.from_profiles([slow, fast], seed=0)
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         times = {}
         for instance in (0, 1):
             session = cluster.new_session(batch, num_connections=2, round_id=0)
@@ -402,7 +402,7 @@ class TestClusterEnv:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(hetero_cluster, batch, space)
         clusters = cluster_queries(batch, np.zeros((len(batch), len(batch))), 5, knowledge=knowledge)
         env = SchedulingEnv(
@@ -496,7 +496,7 @@ class TestPlacementBaselines:
     def test_execute_order_round_robin_covers_fleet(self, hetero_cluster):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         log = hetero_cluster.execute_order(
             batch, [q.query_id for q in batch], space.default, num_connections=2, round_id=0
         )
@@ -511,7 +511,7 @@ class TestClusterRuntime:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(hetero_cluster, batch, space)
         runtime = ExecutionRuntime(hetero_cluster)
         tenants = [
@@ -566,7 +566,7 @@ class TestClusterRuntime:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(fleet, batch, space)
         runtime = ExecutionRuntime(fleet)
         tenants = [runtime.register("a", batch), runtime.register("b", batch)]
@@ -624,7 +624,7 @@ class TestClusterRuntime:
         batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(fleet, batch, space)
         runtime = ExecutionRuntime(fleet)
         envs = [
@@ -664,7 +664,7 @@ class TestClusterRuntime:
         runtime = ExecutionRuntime(engine)
         tenant = runtime.register("solo", batch)
         session = tenant.new_session(batch, num_connections=4, round_id=0)
-        space = ConfigurationSpace(BQSchedConfig.small().scheduler)
+        space = ConfigurationSpace()
         assert session.num_instances == 1
         assert session.instance_context().shape == (1, INSTANCE_FEATURE_DIM)
         assert session.speed_factors() == (1.0,)
@@ -793,8 +793,7 @@ class TestFactoredMaskingEdgeCases:
         # num_connections=None: instance 1 runs with its single default connection
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
         batch = workload.batch_query_set()
-        config = BQSchedConfig.small(seed=0)
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(cluster, batch, space)
         session = cluster.new_session(batch, num_connections=None, round_id=0)
         assert session.instances[1].num_connections == 1
@@ -808,7 +807,7 @@ class TestFactoredMaskingEdgeCases:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         # adaptive mask that pins every query to exactly one configuration
         mask = AdaptiveMask(
             num_queries=len(batch),

@@ -78,7 +78,7 @@ def clustered_env(backend: str) -> SchedulingEnv:
     batch = workload.batch_query_set()
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 2
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     engine = {
         "engine": lambda: DatabaseEngine(DBMSProfile.dbms_x(), seed=0),
         "fleet-1": lambda: Cluster.from_names(["x"], seed=0),

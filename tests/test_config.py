@@ -8,12 +8,10 @@ from repro.config import (
     BQSchedConfig,
     ClusteringConfig,
     EncoderConfig,
-    MaskingConfig,
     PPOConfig,
     SchedulerConfig,
     SimulatorConfig,
 )
-from repro.dbms import ConfigurationSpace
 from repro.exceptions import ConfigurationError
 
 
@@ -29,6 +27,12 @@ class TestEncoderConfig:
             pytest.param({"state_dim": 30, "state_heads": 4}, id="state_dim=30,state_heads=4"),
             pytest.param({"tree_layers": 0}, id="tree_layers=0"),
             pytest.param({"state_layers": 0}, id="state_layers=0"),
+            pytest.param({"state_dim": 0}, id="state_dim=0"),
+            pytest.param({"node_hidden_dim": 0}, id="node_hidden_dim=0"),
+            pytest.param({"state_heads": 0}, id="state_heads=0"),
+            pytest.param({"tree_heads": 0}, id="tree_heads=0"),
+            pytest.param({"state_dim": -4, "state_heads": -2}, id="state_dim=-4,state_heads=-2"),
+            pytest.param({"node_hidden_dim": -4, "tree_heads": -2}, id="node_hidden_dim=-4,tree_heads=-2"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -47,6 +51,8 @@ class TestPPOConfig:
             pytest.param({"rollouts_per_update": 0}, id="rollouts_per_update=0"),
             pytest.param({"aux_every": 0}, id="aux_every=0"),
             pytest.param({"num_envs": 0}, id="num_envs=0"),
+            pytest.param({"minibatch_size": 0}, id="minibatch_size=0"),
+            pytest.param({"minibatch_size": -8}, id="minibatch_size=-8"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -55,19 +61,10 @@ class TestPPOConfig:
 
 
 class TestSchedulerConfig:
-    def test_num_configurations(self):
-        space = ConfigurationSpace(SchedulerConfig(worker_options=(1, 2, 4), memory_options=(64, 256)))
-        assert len(space) == 6
-        assert len({(config.workers, config.memory_mb) for config in space}) == 6
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             pytest.param({"num_connections": 0}, id="num_connections=0"),
-            pytest.param({"worker_options": ()}, id="worker_options=()"),
-            pytest.param({"memory_options": ()}, id="memory_options=()"),
-            pytest.param({"worker_options": (0,)}, id="worker_options=(0,)"),
-            pytest.param({"memory_options": (-64,)}, id="memory_options=(-64,)"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -76,13 +73,6 @@ class TestSchedulerConfig:
 
 
 class TestOtherConfigs:
-    def test_masking_validation(self):
-        MaskingConfig()
-        with pytest.raises(ConfigurationError):
-            MaskingConfig(min_absolute_gain=-1.0)
-        with pytest.raises(ConfigurationError):
-            MaskingConfig(min_relative_gain=1.5)
-
     def test_clustering_validation(self):
         ClusteringConfig()
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 Covers the PR-10 acceptance bars:
 
 * policy/config validation for the new control-plane dataclasses,
-* token-bucket admission with priority exemption and backlog caps,
+* token-bucket admission with priority exemption,
 * shed arrivals drain the round (never deadlock it) and are named by the
   deadlock diagnostic,
 * park/unpark elastic sizing reuses the outage kill/recovery machinery,
@@ -79,7 +79,7 @@ def fleet_of(fixture_batch, small_config):
     """``fleet_of(kind, size)``: a ``size``-instance fleet of engines or of the learned simulator,
     or (``"engine"``) a single engine, a fleet of one."""
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
-    space = ConfigurationSpace(small_config.scheduler)
+    space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), fixture_batch, space)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), small_config.encoder, np.random.default_rng(0))
     embeddings = PlanEmbeddingCache(queryformer).embeddings_for(fixture_batch)
@@ -140,35 +140,21 @@ class TestPolicyValidation:
             AdmissionPolicy(rate=0.0)
         with pytest.raises(ConfigurationError):
             AdmissionPolicy(burst=0.5)
-        with pytest.raises(ConfigurationError):
-            AdmissionPolicy(max_pending=0)
-        assert AdmissionPolicy().max_pending is None
 
     def test_autoscale_policy(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalePolicy(min_instances=0)
-        with pytest.raises(ConfigurationError):
-            AutoscalePolicy(min_instances=3, max_instances=2)
         with pytest.raises(ConfigurationError):
             AutoscalePolicy(target_backlog=0.0)
         with pytest.raises(ConfigurationError):
             AutoscalePolicy(low_water=9.0, target_backlog=8.0)
         with pytest.raises(ConfigurationError):
-            AutoscalePolicy(cooldown=-1.0)
-        with pytest.raises(ConfigurationError):
-            AutoscalePolicy(min_instances=2, initial_instances=1)
-        assert AutoscalePolicy(max_instances=0).max_instances == 0
+            AutoscalePolicy(initial_instances=0)
 
     def test_scheduler_shaping_knobs(self):
         """The reward is ``-elapsed`` alone: the scheduler config has no shaping knob."""
         for knob in ("failure_penalty", "slo_penalty", "fairness_weight"):
             with pytest.raises(TypeError):
                 SchedulerConfig(**{knob: 0.1})
-        assert [f.name for f in fields(SchedulerConfig)] == [
-            "num_connections",
-            "worker_options",
-            "memory_options",
-        ]
+        assert [f.name for f in fields(SchedulerConfig)] == ["num_connections"]
 
     def test_service_config_control_knobs(self, fixture_batch):
         """Each serving knob is checked where it lands: a policy of the wrong type in
@@ -216,28 +202,20 @@ class TestTokenBucket:
 
 
 class TestAdmissionController:
-    def test_priority_exemption_bypasses_bucket_and_backlog(self):
-        controller = AdmissionController(
-            AdmissionPolicy(rate=1.0, burst=1.0, max_pending=1, exempt_priority=2.0)
-        )
+    def test_priority_exemption_bypasses_bucket(self):
+        controller = AdmissionController(AdmissionPolicy(rate=1.0, burst=1.0, exempt_priority=2.0))
         vip = TenantClass("vip", priority=2.0)
-        assert [controller.admit(vip, now=0.0, backlog=10_000) for _ in range(3)] == [True, True, True]
+        assert [controller.admit(vip, now=0.0) for _ in range(3)] == [True, True, True]
         # The exemptions took no token: the bucket still admits one classless arrival.
-        assert [controller.admit(None, now=0.0, backlog=0) for _ in range(2)] == [True, False]
-
-    def test_backlog_cap_sheds_before_bucket(self):
-        controller = AdmissionController(AdmissionPolicy(rate=100.0, burst=100.0, max_pending=2))
-        assert controller.admit(None, now=0.0, backlog=1)
-        assert not controller.admit(None, now=0.0, backlog=2)
-        assert controller.admit(None, now=0.0, backlog=1)
+        assert [controller.admit(None, now=0.0) for _ in range(2)] == [True, False]
 
     def test_bucket_exhaustion_sheds_and_reset_clears(self):
         controller = AdmissionController(AdmissionPolicy(rate=0.001, burst=1.0))
-        assert controller.admit(None, now=0.0, backlog=0)
-        assert not controller.admit(None, now=0.0, backlog=0)
+        assert controller.admit(None, now=0.0)
+        assert not controller.admit(None, now=0.0)
         controller.reset()
-        assert controller.admit(None, now=0.0, backlog=0)
-        assert not controller.admit(None, now=0.0, backlog=0)
+        assert controller.admit(None, now=0.0)
+        assert not controller.admit(None, now=0.0)
 
 
 class TestRetryDecisions:
@@ -247,7 +225,7 @@ class TestRetryDecisions:
         assert decision.will_retry and decision.delay == 0.0
 
     def test_legacy_arithmetic_reproduced(self):
-        retry = RetryPolicy(max_attempts=3, backoff=0.5, backoff_factor=2.0)
+        retry = RetryPolicy(max_attempts=3, backoff=0.5)
         plane = ControlPlane(retry=retry)
         # consumed = attempt - outage_kills; retried while consumed < max.
         assert plane.decide_retry(FAILURE_ERROR, attempt=1, outage_kills=0) == (
@@ -301,11 +279,7 @@ class TestParkUnpark:
     @pytest.mark.parametrize("kind", ["cluster", "simulated"])
     def test_fleet_controller_initial_size_and_scaling(self, fixture_batch, fleet_of, kind):
         session = fleet_of(kind, 3).new_session(fixture_batch, num_connections=2)
-        fleet = FleetController(
-            AutoscalePolicy(
-                min_instances=1, target_backlog=4.0, low_water=1.0, cooldown=0.0, initial_instances=1
-            )
-        )
+        fleet = FleetController(AutoscalePolicy(target_backlog=4.0, low_water=1.0, initial_instances=1))
         fleet.on_round_open(session)
         assert session.parked_instances() == [1, 2]
         assert [e.action for e in fleet.events] == ["park", "park"]
@@ -313,26 +287,22 @@ class TestParkUnpark:
         event = fleet.tick(session, backlog=100, now=1.0)
         assert event.action == "unpark" and event.instance == 1
         assert session.parked_instances() == [2]
-        # ... and an idle fleet parks back down to min_instances.
-        event = fleet.tick(session, backlog=0, now=2.0)
+        # ... and an idle fleet parks back down to MIN_INSTANCES.
+        event = fleet.tick(session, backlog=0, now=1.0 + FleetController.COOLDOWN)
         assert event.action == "park" and event.instance == 1
-        assert fleet.tick(session, backlog=0, now=3.0) is None  # already at min
+        assert fleet.tick(session, backlog=0, now=1.0 + 2 * FleetController.COOLDOWN) is None  # already at min
 
     @pytest.mark.parametrize("kind", ["cluster", "simulated"])
     def test_cooldown_holds_scaling(self, fixture_batch, fleet_of, kind):
         session = fleet_of(kind, 2).new_session(fixture_batch, num_connections=2)
-        fleet = FleetController(
-            AutoscalePolicy(
-                min_instances=1, target_backlog=2.0, low_water=0.5, cooldown=10.0, initial_instances=1
-            )
-        )
+        fleet = FleetController(AutoscalePolicy(target_backlog=2.0, low_water=0.5, initial_instances=1))
         fleet.on_round_open(session)
         # on_round_open does not arm the cooldown: the very first tick may
         # scale, then the cooldown window holds further actions.
         event = fleet.tick(session, backlog=100, now=0.0)
         assert event is not None and event.action == "unpark"
-        assert fleet.tick(session, backlog=0, now=5.0) is None
-        assert fleet.tick(session, backlog=0, now=11.0) is not None
+        assert fleet.tick(session, backlog=0, now=FleetController.COOLDOWN / 2) is None
+        assert fleet.tick(session, backlog=0, now=FleetController.COOLDOWN) is not None
 
 
 class TestShedBehaviour:
@@ -389,7 +359,7 @@ class TestShedBehaviour:
         assert "never become pending" in str(err.value)
 
     def test_shed_event_surfaces_from_advance(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         control = ControlPlane(admission=AdmissionPolicy(rate=0.001, burst=1.0))
         runtime = ExecutionRuntime(engine, control=control)
@@ -414,7 +384,7 @@ class TestSimulatorBackedRuntime:
 
     def _simulator(self, batch, small_config):
         workload = make_workload("tpch", scale_factor=1.0, seed=0)
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(DatabaseEngine(DBMSProfile.dbms_x(), seed=0), batch, space)
         queryformer = QueryFormer(PlanFeaturizer(workload.catalog), small_config.encoder, np.random.default_rng(0))
         embeddings = PlanEmbeddingCache(queryformer).embeddings_for(batch)
@@ -456,13 +426,7 @@ class TestAutoscaledServing:
         report = scheduler.serve(
             num_tenants=2,
             arrivals=PoissonArrivals(rate=4.0),
-            autoscale=AutoscalePolicy(
-                min_instances=1,
-                target_backlog=4.0,
-                low_water=1.0,
-                cooldown=1.0,
-                initial_instances=1,
-            ),
+            autoscale=AutoscalePolicy(target_backlog=4.0, low_water=1.0, initial_instances=1),
         )
         assert all(t.num_queries == 22 for t in report.tenants)
         # Park kills requeue for free: no terminal failures from scaling.
@@ -476,12 +440,10 @@ class TestAutoscaledServing:
             scheduler.serve(num_tenants=2, autoscale=AutoscalePolicy())
 
     def test_scale_events_recorded(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         fleet = Cluster.from_names(("x", "x", "x"), seed=0)
         control = ControlPlane(
-            autoscale=AutoscalePolicy(
-                min_instances=1, target_backlog=2.0, low_water=0.5, cooldown=0.5, initial_instances=1
-            )
+            autoscale=AutoscalePolicy(target_backlog=2.0, low_water=0.5, initial_instances=1)
         )
         runtime = ExecutionRuntime(fleet, control=control)
         tenant = runtime.register("t", fixture_batch, arrivals=PoissonArrivals(rate=8.0))
@@ -502,7 +464,7 @@ class TestAutoscaledServing:
 
 class TestDefaultPathEquivalence:
     def test_default_control_plane_is_bit_identical(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         logs = []
         for control in (None, ControlPlane()):
             engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
@@ -536,7 +498,7 @@ class TestTenantClassStaysOutOfThePolicy:
     @staticmethod
     def _env(batch, scheduler_config, tenant_class):
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        space = ConfigurationSpace(scheduler_config)
+        space = ConfigurationSpace()
         return SchedulingEnv(
             batch=batch,
             backend=ExecutionRuntime(engine).register("t", batch, tenant_class=tenant_class),
@@ -611,7 +573,7 @@ class TestTenantClassStaysOutOfThePolicy:
         config = BQSchedConfig.small(seed=0).scheduler
         batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
         backend = Cluster.from_names(list(fleet), seed=0) if fleet else DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-        space = ConfigurationSpace(config)
+        space = ConfigurationSpace()
         template = SchedulingEnv(
             batch=batch,
             backend=backend,
@@ -683,7 +645,7 @@ class TestArrivalEdges:
 
 class TestReportRollups:
     def test_percentiles_pinned_to_linear(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         runtime = ExecutionRuntime(engine)
         tenant = runtime.register("t", fixture_batch)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import MaskingConfig
 from repro.core import (
     AdaptiveMask,
     FIFOScheduler,
@@ -14,6 +13,7 @@ from repro.core import (
     SchedulingResult,
     StrategyEvaluation,
 )
+from repro.core import masking
 from repro.exceptions import SchedulingError
 
 
@@ -51,12 +51,12 @@ class TestExternalKnowledge:
 
 class TestAdaptiveMask:
     def test_build_keeps_default_config(self, tpch_batch, tpch_knowledge, config_space):
-        mask = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space, MaskingConfig())
+        mask = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space)
         for query in tpch_batch:
             assert 0 in mask.allowed_configs(query.query_id)
 
     def test_build_prunes_some_configs(self, tpch_batch, tpch_knowledge, config_space):
-        mask = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space, MaskingConfig())
+        mask = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space)
         assert 0.0 < mask.masked_fraction() < 1.0
 
     def test_disabled_masking_allows_everything(self, tpch_batch, tpch_knowledge, config_space):
@@ -65,11 +65,13 @@ class TestAdaptiveMask:
         assert mask.masked_fraction() == 0.0
         assert mask.allowed_matrix.all()
 
-    def test_strict_thresholds_mask_more(self, tpch_batch, tpch_knowledge, config_space):
-        lenient = AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space, MaskingConfig(min_absolute_gain=0.0, min_relative_gain=0.0))
-        strict = AdaptiveMask.build(
-            tpch_batch, tpch_knowledge, config_space, MaskingConfig(min_absolute_gain=10.0, min_relative_gain=0.9)
-        )
+    def test_strict_thresholds_mask_more(self, tpch_batch, tpch_knowledge, config_space, monkeypatch):
+        def build(absolute, relative):
+            monkeypatch.setattr(masking, "MIN_ABSOLUTE_GAIN", absolute)
+            monkeypatch.setattr(masking, "MIN_RELATIVE_GAIN", relative)
+            return AdaptiveMask.build(tpch_batch, tpch_knowledge, config_space)
+
+        lenient, strict = build(0.0, 0.0), build(10.0, 0.9)
         assert strict.masked_fraction() >= lenient.masked_fraction()
 
     def test_action_mask_only_selects_pending(self, tpch_batch, config_space):

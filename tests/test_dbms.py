@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import SchedulerConfig
 from repro.core import ExternalKnowledge
 from repro.dbms import (
     BufferPool,
@@ -58,19 +57,19 @@ class TestRunningParameters:
         assert str(RunningParameters(2, 256)) == "2w/256MB"
 
     def test_configuration_space_enumeration(self):
-        space = ConfigurationSpace(SchedulerConfig(worker_options=(1, 2), memory_options=(64, 256)))
+        space = ConfigurationSpace()
         assert len(space) == 4
         assert space.default == RunningParameters(1, 64)
         assert space[len(space) - 1] == RunningParameters(2, 256)
         assert space.index_of(RunningParameters(2, 64)) == 2
 
     def test_configuration_space_unknown_config(self):
-        space = ConfigurationSpace(SchedulerConfig())
+        space = ConfigurationSpace()
         with pytest.raises(ConfigurationError):
             space.index_of(RunningParameters(16, 4096))
 
     def test_closest_to_respects_allowed(self):
-        space = ConfigurationSpace(SchedulerConfig(worker_options=(1, 2), memory_options=(64, 256)))
+        space = ConfigurationSpace()
         closest = space.closest_to(RunningParameters(2, 256), allowed=[0, 1])
         assert closest == RunningParameters(1, 256)
 
@@ -187,7 +186,7 @@ class TestExecutionSession:
         from repro.dbms import DatabaseEngine, ExecutionSession
         from repro.workloads import BatchQuerySet, make_workload
 
-        space = ConfigurationSpace(SchedulerConfig())
+        space = ConfigurationSpace()
         batch = make_workload(bench_name, scale_factor=1.0, seed=0).batch_query_set()
         for name in ("x", "y", "z"):
             engine = DatabaseEngine(DBMSProfile.by_name(name), seed=0)
@@ -270,7 +269,7 @@ class TestLogs:
             log.add_round(round_log)
         averages = log.average_execution_times()
         assert averages[0] == pytest.approx(4.5)
-        knowledge = ExternalKnowledge(config_space=ConfigurationSpace(SchedulerConfig()))
+        knowledge = ExternalKnowledge(config_space=ConfigurationSpace())
         knowledge.update_from_log(log)
         assert knowledge.config_times[1] == {2: pytest.approx(2.0)}  # index 2 is RunningParameters(2, 64)
         assert (0, 1) in grouped_overlaps(log)

@@ -78,7 +78,7 @@ class TestRunStateFeatures:
         )[0]
         np.testing.assert_array_equal(rows[:, featurizer.layout["elapsed"]], np.tanh(seconds / TIME_SCALE))
         np.testing.assert_array_equal(rows[:, featurizer.layout["expected"]], np.tanh(seconds[::-1] / TIME_SCALE))
-        space = ConfigurationSpace(BQSchedConfig.small(seed=0).scheduler)
+        space = ConfigurationSpace()
         simulator = PerformanceFeaturizer(np.zeros((4, 3)), space, estimator=None)
         features = np.zeros((4, simulator.feature_dim))
         simulator.rewrite_dynamic_columns(features, seconds)

@@ -19,11 +19,9 @@ import numpy as np
 import pytest
 
 import engine_oracle as oracle
-from repro.config import SchedulerConfig
 from repro.dbms import (
     BufferPool,
     Cluster,
-    ConfigurationSpace,
     DatabaseEngine,
     DBMSProfile,
     ExecutionSession,
@@ -69,7 +67,7 @@ def _parameters(mix: str, batch) -> "RunningParameters | dict[int, RunningParame
         return RunningParameters()
     if mix == "4w/256MB":
         return RunningParameters(4, 256)
-    space = ConfigurationSpace(SchedulerConfig(worker_options=(1, 2, 4), memory_options=(64, 256, 1024)))
+    space = [RunningParameters(workers, memory) for workers in (1, 2, 4) for memory in (64, 256, 1024)]
     return {query.query_id: space[(7 * query.query_id) % len(space)] for query in batch}
 
 

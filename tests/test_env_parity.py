@@ -53,10 +53,10 @@ def parts():
     batch = workload.batch_query_set()
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 2
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     knowledge = ExternalKnowledge.from_probes(engine, batch, space)
-    mask = AdaptiveMask.build(batch, knowledge, space, config.masking)
+    mask = AdaptiveMask.build(batch, knowledge, space)
     n = len(batch)
     clusters = cluster_queries(batch, np.random.default_rng(3).random((n, n)), 5, knowledge=knowledge)
     return batch, config, space, engine, knowledge, mask, clusters

@@ -25,7 +25,7 @@ def legacy_evaluate_on(scheduler, workload, engine, rounds, base_round_id) -> St
     plan_embeddings = PlanEmbeddingCache(scheduler.queryformer).embeddings_for(batch)
     knowledge = ExternalKnowledge.from_probes(engine, batch, scheduler.config_space)
     mask = (
-        AdaptiveMask.build(batch, knowledge, scheduler.config_space, scheduler.config.masking)
+        AdaptiveMask.build(batch, knowledge, scheduler.config_space)
         if scheduler.use_masking
         else AdaptiveMask.unmasked(len(batch), len(scheduler.config_space))
     )

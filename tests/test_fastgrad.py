@@ -43,6 +43,7 @@ from repro.core import (
 from repro.exceptions import ConfigurationError
 from repro.core.ppo import BETA_CLONE, CLIP_EPSILON, ENTROPY_COEF, MAX_GRAD_NORM, VALUE_COEF
 from repro.core import policy as policy_module
+from repro.core import ppo
 from repro.core.rollout import RolloutBuffer
 from repro.dbms import ConfigurationSpace
 from repro.workloads import BatchQuerySet
@@ -68,6 +69,9 @@ from repro.perf.fit import LEARNING_RATE as SIMULATOR_LEARNING_RATE
 from repro.plans import PlanFeaturizer
 from simulator_oracle import tape_forward
 from tape_losses import cross_entropy, kl_divergence
+
+#: The trainers here take one step per auxiliary phase (:data:`repro.core.ppo.AUX_EPOCHS` is 3).
+pytestmark = pytest.mark.usefixtures("one_aux_epoch")
 
 ATOL = 1e-9
 
@@ -482,12 +486,11 @@ def build_trainer(trainer_cls, num_envs=2, clustered=False):
         minibatch_size=8,
         num_envs=num_envs,
         aux_every=1,
-        aux_epochs=1,
     )
     workload = make_workload("tpch", scale_factor=1.0, seed=0)
     batch = BatchQuerySet(workload.batch_query_set().queries[:10])
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-    config_space = ConfigurationSpace(config.scheduler)
+    config_space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)
@@ -517,7 +520,7 @@ def build_trainer(trainer_cls, num_envs=2, clustered=False):
         clusters=clusters,
         plan_embeddings=plan_embeddings,
     )
-    return trainer_cls(policy, env, config.ppo, seed=0)
+    return trainer_cls(policy, env, config.ppo, seed=0, arena=fastgrad.Arena())
 
 
 #: The update inputs the facade can produce beyond ``build_trainer``'s default
@@ -684,7 +687,7 @@ def use_tape_updates(trainer):
             transitions, aux_loss = buffer.sample(config.minibatch_size, trainer.rng), tape_ppg_aux_loss
         old_log_probs = tape_old_log_probs(trainer, transitions)
         losses = []
-        for _ in range(config.aux_epochs):
+        for _ in range(ppo.AUX_EPOCHS):
             total = aux_loss(trainer, transitions, old_log_probs)
             step(total)
             losses.append(float(total.data))
@@ -1007,7 +1010,7 @@ class TestEndToEndFusedTraining:
             workload = make_workload("tpch", scale_factor=1.0, seed=0)
             batch = BatchQuerySet(workload.batch_query_set().queries[:8])
             engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
-            config_space = ConfigurationSpace(config.scheduler)
+            config_space = ConfigurationSpace()
             knowledge = ExternalKnowledge.from_probes(engine, batch, config_space)
             rng = np.random.default_rng(0)
             queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)
@@ -1089,7 +1092,7 @@ class TestFusedFallbacks:
         trainer.policy.policy_head = trainer.policy.policy_head.net
         assert fastgrad.fused_training_reason(trainer.policy) == "policy_head is Sequential, not MLP"
         with pytest.raises(ConfigurationError, match="policy_head is Sequential, not MLP"):
-            PPOTrainer(trainer.policy, trainer.env, trainer.config)
+            PPOTrainer(trainer.policy, trainer.env, trainer.config, seed=0, arena=trainer.arena)
 
     @pytest.mark.parametrize(
         "knock_out, reason",

@@ -155,14 +155,14 @@ class TestFailureProfile:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout=0.0)
-        policy = RetryPolicy(backoff=0.5, backoff_factor=2.0)
+        policy = RetryPolicy(backoff=0.5)
         assert policy.delay_for(1) == 0.5
         assert policy.delay_for(3) == 2.0
 
 
 class TestEngineFaults:
     def test_error_fate_fails_without_logging(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         session = engine.new_session(
             fixture_batch, num_connections=4, round_id=0, faults=FailureProfile(error_rate=1.0)
@@ -176,7 +176,7 @@ class TestEngineFaults:
         assert session.has_idle_connection
 
     def test_mark_failed_and_cancel(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         session = engine.new_session(fixture_batch, num_connections=4, round_id=0)
         qid = fixture_batch[0].query_id
@@ -191,7 +191,7 @@ class TestEngineFaults:
             session.mark_failed(qid)
 
     def test_outage_kills_running_and_blocks_submissions(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(outages=(OutageWindow(0, 1.0, 2.0),))
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         session = engine.new_session(fixture_batch, num_connections=2, round_id=0, faults=faults)
@@ -217,7 +217,7 @@ class TestEngineFaults:
 
 class TestDeterminism:
     def test_failure_sequences_are_seed_reproducible(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(
             error_rate=0.2,
             hang_rate=0.15,
@@ -241,7 +241,7 @@ class TestDeterminism:
 
     def test_faults_do_not_perturb_noise_stream(self, fixture_batch, small_config):
         """Queries that neither error nor hang keep their fault-free durations."""
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         clean, _ = _drive(fixture_batch, space, None, None)
         outage_only = FailureProfile(outages=(OutageWindow(0, 1e9, 1.0),))
         shadowed, _ = _drive(fixture_batch, space, outage_only, None)
@@ -250,7 +250,7 @@ class TestDeterminism:
 
 class TestRetrySemantics:
     def test_retry_exhaustion_fails_query_without_hanging_round(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(error_rate=1.0)  # every attempt dies
         retry = RetryPolicy(max_attempts=3, backoff=0.1)
         session, events = _drive(fixture_batch, space, faults, retry)
@@ -262,14 +262,14 @@ class TestRetrySemantics:
         assert session.num_retries == 2 * len(fixture_batch)
 
     def test_no_retry_policy_means_terminal_errors(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         session, _ = _drive(fixture_batch, space, FailureProfile(error_rate=1.0), None)
         assert session.is_done and not session.finished
         assert len(session.failed) == len(fixture_batch)
         assert session.num_retries == 0
 
     def test_timeout_kills_and_requeues_stragglers(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(hang_rate=0.4, hang_factor=20.0)
         with_timeout, _ = _drive(
             fixture_batch, space, faults, RetryPolicy(max_attempts=6, backoff=0.1, timeout=8.0)
@@ -288,7 +288,7 @@ class TestRetrySemantics:
         An outage-killed attempt's straggler timer is stale; if the requeued
         submission reused the attempt number, the timer would pass the
         staleness guard and kill a perfectly healthy attempt."""
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         batch = BatchQuerySet([fixture_batch[0]])
         clean, _ = _drive(batch, space, None, None, num_connections=1)
         duration = clean.makespan
@@ -306,7 +306,7 @@ class TestRetrySemantics:
     def test_retry_failure_event_carries_retry_time_and_snapshot_uses_it(
         self, fixture_batch, small_config
     ):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(error_rate=1.0)
         retry = RetryPolicy(max_attempts=2, backoff=5.0)
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
@@ -322,7 +322,7 @@ class TestRetrySemantics:
         assert failure.query_id in session.retrying_ids()
 
     def test_attempts_are_exposed_per_query(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(error_rate=0.3, outages=(OutageWindow(0, 1.0, 1.0),))
         session, events = _drive(fixture_batch, space, faults, RetryPolicy(max_attempts=4, backoff=0.1))
         failures = [event for event in events if isinstance(event, QueryFailure)]
@@ -336,7 +336,7 @@ class TestRetrySemantics:
 
 class TestClusterOutage:
     def _cluster_round(self, fixture_batch, small_config, faults, retry=None):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         cluster = Cluster.from_names(("x", "x"), seed=0)
         runtime = ExecutionRuntime(cluster, faults=faults, control=ControlPlane(retry=retry))
         tenant = runtime.register("t", fixture_batch)
@@ -368,7 +368,7 @@ class TestClusterOutage:
         assert session.num_failed_attempts == requeues
 
     def test_downed_instance_is_never_selectable(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         faults = FailureProfile(outages=(OutageWindow(instance=0, start=0.0, duration=5.0),))
         cluster = Cluster.from_names(("x", "x"), seed=0)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
@@ -406,7 +406,7 @@ class TestClusterOutage:
 class TestSimulatedClusterFaults:
     @pytest.fixture(scope="class")
     def sim(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         cluster = Cluster.from_names(("x", "x"), seed=0)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
         from repro.encoder import PlanEmbeddingCache, QueryFormer
@@ -445,7 +445,7 @@ class TestSimulatedClusterFaults:
 
 class TestFaultFreeDigestPins:
     def test_streaming_round_matches_pr4_tree(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         knowledge = ExternalKnowledge.from_probes(engine, fixture_batch, space)
         env = SchedulingEnv(
@@ -460,7 +460,7 @@ class TestFaultFreeDigestPins:
         assert _digest(result.round_log) == _PR4_STREAMING_FIFO
 
     def test_cluster_round_matches_pr4_tree(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         cluster = Cluster.from_names(("x", "y"), seed=0)
         knowledge = ExternalKnowledge.from_probes(cluster, fixture_batch, space)
         env = SchedulingEnv(
@@ -479,7 +479,7 @@ class TestServiceReportFaults:
     def test_zero_completion_tenant_reports_zeroed_latencies(self, fixture_batch, small_config):
         """Regression: ``np.percentile([])`` raised IndexError and the mean
         emitted NaN for any tenant that completed no queries."""
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         runtime = ExecutionRuntime(engine, faults=FailureProfile(error_rate=1.0))
         tenant = runtime.register("doomed", fixture_batch)
@@ -505,7 +505,7 @@ class TestServiceReportFaults:
         assert report.goodput == 0.0 and report.total_failed == len(fixture_batch)
 
     def test_failure_ledger_in_report_and_str(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         runtime = ExecutionRuntime(
             engine,
@@ -558,7 +558,7 @@ class TestRewardAndAttempts:
         """Failed attempts and SLO misses cost exactly the time they took: on a faulty
         engine round and on a classed round with an impossible SLO, every step's
         reward is ``-(Δ info["time"])``, bit for bit."""
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
         faulty = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
@@ -592,7 +592,7 @@ class TestRewardAndAttempts:
                 assert env.session.num_slo_misses == len(fixture_batch)
 
     def test_snapshot_exposes_attempts(self, fixture_batch, small_config):
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
@@ -632,7 +632,7 @@ class TestAttemptCounts:
         """A round's failed attempts live in one session array, counted up in place:
         after every step it is the same array, it never counts down, and
         ``failure_counts()`` and the per-query oracle read exactly it."""
-        space = ConfigurationSpace(small_config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         env = SchedulingEnv(
             batch=fixture_batch,

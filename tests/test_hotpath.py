@@ -64,7 +64,7 @@ def _base() -> tuple:
     batch = workload.batch_query_set()
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 4
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     return batch, config, space
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import BQSchedConfig
 from repro.core import ExternalKnowledge, QueryClusters, cluster_queries
 from repro.dbms import ConfigurationSpace
 from repro.exceptions import SchedulingError
@@ -14,7 +13,7 @@ from repro.workloads import BatchQuerySet
 
 @pytest.fixture()
 def space():
-    return ConfigurationSpace(BQSchedConfig.small(seed=0).scheduler)
+    return ConfigurationSpace()
 
 
 def _knowledge(space, config_times=None, average_times=None):

@@ -23,10 +23,11 @@ outside the policy, has its own test.
 ``replace(...)`` call, or by an assignment ``<x>.<section>.<field> = ...``
 where ``<section>`` is the ``BQSchedConfig`` field holding its class.  The
 class bodies in ``config.py`` do not count (``BQSchedConfig.small()`` does),
-and neither do tests: a value no caller chooses is a constant where it is
-used.  Field names are unique across the classes, so a ``replace`` keyword
-names one field.  ``ALLOWED_KNOBS`` holds the fields only tests set; it can
-only shrink.
+neither do tests, and neither does a keyword or assignment whose value is a
+literal equal to the field's default literal: a value no caller chooses, or
+that every caller chooses to be the default, is a constant where it is used.
+Field names are unique across the classes, so a ``replace`` keyword names one
+field.  There is no allow-list.
 
 *Every keyword default has a caller.*  A parameter default of a module- or
 class-level function in ``src/repro`` must be passed by some call in ``src/``,
@@ -45,6 +46,7 @@ file or a rule that stopped counting would otherwise pass on any tree.
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import re
 from collections import Counter
@@ -62,23 +64,9 @@ ALLOWED = frozenset({
     "failure_counts",  # TenantSession: failed attempts per query
 })
 
-#: ``Class.field`` config fields that only tests set.
-ALLOWED_KNOBS = frozenset({
-    "PPOConfig.aux_epochs",
-    "MaskingConfig.min_absolute_gain",
-    "MaskingConfig.min_relative_gain",
-    "SimulatorConfig.incremental_epochs",
-    "SchedulerConfig.worker_options",
-    "SchedulerConfig.memory_options",
-    "AdmissionPolicy.max_pending",
-    "AutoscalePolicy.max_instances",
-})
-
-#: ``Owner.function.parameter`` defaults that no call outside tests passes: ``PPOTrainer`` is built through
-#: ``_ALGORITHMS[...]``, which the scan cannot follow, and the tape methods leave ``src/`` with the tape.
+#: ``Owner.function.parameter`` defaults that no call outside tests passes: the tape methods leave ``src/``
+#: with the tape.
 ALLOWED_DEFAULTS = frozenset({
-    "PPOTrainer.__init__.seed",
-    "PPOTrainer.__init__.arena",
     "ActorCriticNetwork.act.clusters",
     "ActorCriticNetwork.evaluate_action.clusters",
     "ActorCriticNetwork.evaluate_actions_batch.clusters",
@@ -429,11 +417,33 @@ def config_fields(text: str) -> tuple[dict[str, tuple[str, ...]], dict[str, str]
     return fields, {section: holder for section, holder in sections.items() if holder in fields}
 
 
+def field_defaults(text: str) -> dict[str, object]:
+    """The default of every field of a ``config.py`` text whose default is a literal, by field name."""
+    defaults = {}
+    for node in ast.parse(text).body:
+        for stmt in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.value is not None:
+                with contextlib.suppress(ValueError, TypeError):
+                    defaults[stmt.target.id] = ast.literal_eval(stmt.value)
+    return defaults
+
+
 def knob_setters(
-    files: Iterable[tuple[str, str]], fields: dict[str, tuple[str, ...]], sections: dict[str, str]
+    files: Iterable[tuple[str, str]],
+    fields: dict[str, tuple[str, ...]],
+    sections: dict[str, str],
+    defaults: dict[str, object],
 ) -> set[str]:
-    """``Class.field`` of every config field that one of the ``(path, text)`` files sets."""
+    """``Class.field`` of every config field that one of the ``(path, text)`` files sets to a value other
+    than its default literal."""
     owner = {name: holder for holder, names in fields.items() for name in names}
+
+    def default(name: str, value: ast.expr) -> bool:
+        try:
+            return name in defaults and ast.literal_eval(value) == defaults[name]
+        except (ValueError, TypeError):
+            return False
+
     found = set()
     for path, text in files:
         tree = parse(path, text)
@@ -449,6 +459,8 @@ def knob_setters(
             if isinstance(node, ast.Call):
                 callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 for keyword in node.keywords:
+                    if keyword.arg is not None and default(keyword.arg, keyword.value):
+                        continue
                     if keyword.arg in fields.get(callee, ()):
                         found.add(f"{callee}.{keyword.arg}")
                     elif callee == "replace" and keyword.arg in owner:
@@ -457,6 +469,8 @@ def knob_setters(
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Attribute):
                         holder = sections.get(target.value.attr, "")
+                        if isinstance(node, ast.Assign) and default(target.attr, node.value):
+                            continue
                         if target.attr in fields.get(holder, ()):
                             found.add(f"{holder}.{target.attr}")
     return found
@@ -467,20 +481,20 @@ def knob_scan(read: Callable[[str], str] = source) -> tuple[dict[str, tuple[str,
     """The config fields and their setters in the tree's ``src/``, ``benchmarks/`` and ``examples/``."""
     fields, sections = config_fields(read(CONFIG))
     files = ((path, read(path)) for path in python_files("src", "benchmarks", "examples"))
-    return fields, knob_setters(files, fields, sections)
+    return fields, knob_setters(files, fields, sections, field_defaults(read(CONFIG)))
 
 
 def unset_knobs(fields: dict[str, tuple[str, ...]], setters: set[str]) -> list[str]:
-    """``Class.field`` of every config field that no setter and no ``ALLOWED_KNOBS`` entry covers."""
-    known = setters | ALLOWED_KNOBS
+    """``Class.field`` of every config field that no setter covers."""
     return sorted(f"{holder}.{name}" for holder, names in fields.items() for name in names
-                  if f"{holder}.{name}" not in known)
+                  if f"{holder}.{name}" not in setters)
 
 
 def test_every_config_field_has_a_setter_outside_tests():
     unset = unset_knobs(*knob_scan())
     assert not unset, (
-        "config fields that nothing outside tests/ sets (make each a constant where it is used): " + ", ".join(unset)
+        "config fields that nothing outside tests/ sets to a value other than the default (make each a constant "
+        "where it is used): " + ", ".join(unset)
     )
 
 
@@ -490,21 +504,17 @@ def test_config_field_names_are_unique():
     assert not [name for name, count in counts.items() if count > 1], counts
 
 
-@pytest.mark.parametrize("knob", sorted(ALLOWED_KNOBS))
-def test_the_knob_allow_list_only_shrinks(knob):
-    fields, setters = knob_scan()
-    holder, name = knob.split(".")
-    assert name in fields.get(holder, ()), f"{knob} is no longer a config field: drop it from ALLOWED_KNOBS"
-    assert knob not in setters, f"{knob} is set outside tests/ now: drop it from ALLOWED_KNOBS"
-
-
-def test_a_planted_unset_field_fails_the_knob_gate():
+@pytest.mark.parametrize("setter", ["", "\nrepro.ClusteringConfig(planted_knob=0)\n"], ids=["unset", "set-to-default"])
+def test_a_planted_unset_field_fails_the_knob_gate(setter):
     field_line = "    num_clusters: int = 100\n"
     assert field_line in source(CONFIG)
+    example = "examples/quickstart.py"
 
     def read(path: str) -> str:
         text = source(path)
-        return text.replace(field_line, field_line + "    planted_knob: int = 0\n") if path == CONFIG else text
+        if path == CONFIG:
+            return text.replace(field_line, field_line + "    planted_knob: int = 0\n")
+        return text + setter if path == example else text
 
     assert unset_knobs(*knob_scan(read)) == ["ClusteringConfig.planted_knob"]
 
@@ -538,6 +548,9 @@ KNOB_RULES = {
     "read": (("src/repro/pkg/user.py", "depth = config.tiny.depth\n"), False),
     "other-section": (("src/repro/pkg/user.py", "config.plan.depth = 3\n"), False),
     "other-class-keyword": (("src/repro/pkg/user.py", "plan = Plan(depth=3)\n"), False),
+    "default-literal-keyword": (("examples/demo.py", "tiny = repro.TinyConfig(depth=2)\n"), False),
+    "default-literal-section-assignment": (("benchmarks/bench_demo.py", "config.tiny.depth = 2\n"), False),
+    "non-literal-keyword": (("examples/demo.py", "tiny = repro.TinyConfig(depth=levels)\n"), True),
 }
 
 
@@ -548,7 +561,8 @@ def test_knob_rule(rule):
     files[path] = files.get(path, "") + text
     fields, sections = config_fields(files[CONFIG])
     assert fields == {"TinyConfig": ("depth",)} and sections == {"tiny": "TinyConfig"}
-    assert ("TinyConfig.depth" in knob_setters(files.items(), fields, sections)) is counts
+    setters = knob_setters(files.items(), fields, sections, field_defaults(files[CONFIG]))
+    assert ("TinyConfig.depth" in setters) is counts
 
 
 class Defaulted(NamedTuple):

@@ -36,6 +36,7 @@ from repro.perf import (
     PerformanceModel,
     SimulatedCluster,
 )
+from repro.perf import perfmodel
 from repro.runtime import ExecutionRuntime
 from simulator_oracle import tape_forward
 
@@ -315,7 +316,7 @@ class TestFittedWeightsPinned:
     @pytest.mark.parametrize("use_attention", [True, False])
     @pytest.mark.parametrize("topology", ["engine", "fleet"])
     def test_fitted_weights_are_pinned(
-        self, topology, use_attention, use_multitask, tpch_batch, plan_embeddings, config_space
+        self, topology, use_attention, use_multitask, tpch_batch, plan_embeddings, config_space, monkeypatch
     ):
         # Fresh backends: the shared fixtures' engines advance their noise streams.
         if topology == "engine":
@@ -329,12 +330,13 @@ class TestFittedWeightsPinned:
             batch=tpch_batch, plan_embeddings=plan_embeddings, knowledge=knowledge,
             config_space=config_space,
             config=SimulatorConfig(
-                hidden_dim=16, epochs=2, incremental_epochs=2,
+                hidden_dim=16, epochs=2,
                 use_attention=use_attention, use_multitask=use_multitask,
             ),
             seed=3, instance_speeds=speeds,
         )
         perf.train_from_log(log)
+        monkeypatch.setattr(perfmodel, "INCREMENTAL_EPOCHS", 2)
         online = backend.collect_logs(
             tpch_batch, _orders(tpch_batch, 1, start_seed=60), config_space.default, num_connections=connections
         )
@@ -551,7 +553,7 @@ class TestClusterFacadeSimulation:
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
         config.ppo = PPOConfig(
-            rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1
+            rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2
         )
         scheduler = BQSched(workload, fleet, config)
         scheduler.prepare(history_rounds=2)
@@ -594,7 +596,7 @@ class TestClusterFacadeSimulation:
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 2
         config.ppo = PPOConfig(
-            rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2, aux_epochs=1
+            rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=2
         )
         config.clustering.num_clusters = 6
         scheduler = BQSched(workload, fleet, config)

@@ -24,6 +24,7 @@ from repro.core import (
 from repro.dbms import QueryExecutionRecord, RoundLog, RunningParameters
 from repro.encoder import RunStateFeaturizer, SnapshotArrays, StateEncoder
 from repro.exceptions import ConfigurationError, SchedulingError
+from repro.nn import fastgrad
 from repro.workloads import BatchQuerySet
 from snapshot_oracle import snapshot_arrays
 
@@ -157,7 +158,7 @@ class TestRolloutBuffer:
 
 
 @pytest.fixture()
-def rl_setup(tpch_workload, engine_x):
+def rl_setup(tpch_workload, engine_x, one_aux_epoch):
     """A tiny RL setup over a 10-query subset so trainer tests stay fast."""
     from repro.core.knowledge import ExternalKnowledge
     from repro.dbms import ConfigurationSpace
@@ -166,9 +167,9 @@ def rl_setup(tpch_workload, engine_x):
 
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 3
-    config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=1, aux_epochs=1)
+    config.ppo = PPOConfig(rollouts_per_update=1, epochs_per_update=1, minibatch_size=8, aux_every=1)
     batch = BatchQuerySet(tpch_workload.batch_query_set().queries[:10])
-    config_space = ConfigurationSpace(config.scheduler)
+    config_space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(engine_x, batch, config_space)
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(tpch_workload.catalog), config.encoder, rng)
@@ -186,7 +187,7 @@ def rl_setup(tpch_workload, engine_x):
 @pytest.mark.parametrize("trainer_cls", [PPOTrainer, PPGTrainer, IQPPOTrainer])
 def test_trainers_run_one_update(rl_setup, trainer_cls):
     policy, env, config = rl_setup
-    trainer = trainer_cls(policy, env, config.ppo, seed=0)
+    trainer = trainer_cls(policy, env, config.ppo, seed=0, arena=fastgrad.Arena())
     history = trainer.train(num_updates=1)
     assert len(history.train_rewards) == 1
     assert history.train_makespans[0] > 0
@@ -196,12 +197,12 @@ def test_trainer_needs_plan_embeddings_on_its_env(rl_setup):
     policy, env, config = rl_setup
     bare = SchedulingEnv(env.batch, env.backend, env.scheduler_config, env.config_space, env.knowledge)
     with pytest.raises(ConfigurationError, match="carries no plan_embeddings"):
-        PPOTrainer(policy, bare, config.ppo)
+        PPOTrainer(policy, bare, config.ppo, seed=0, arena=fastgrad.Arena())
 
 
 def test_iq_ppo_auxiliary_uses_aux_targets(rl_setup):
     policy, env, config = rl_setup
-    trainer = IQPPOTrainer(policy, env, config.ppo, seed=0)
+    trainer = IQPPOTrainer(policy, env, config.ppo, seed=0, arena=fastgrad.Arena())
     buffer = trainer.collect_rollouts(1)
     assert any(t.has_aux_target for t in buffer.transitions())
     loss = trainer.auxiliary_phase(buffer)
@@ -224,7 +225,7 @@ def test_rollout_buffer_does_not_reach_the_live_session(rl_setup):
     """Stored transitions hold arrays only: a buffer (or a PPG/IQ-PPO aux buffer
     that outlives many rollouts) must not keep whole engine sessions alive."""
     policy, env, config = rl_setup
-    buffer = PPOTrainer(policy, env, config.ppo, seed=0).collect_rollouts(1)
+    buffer = PPOTrainer(policy, env, config.ppo, seed=0, arena=fastgrad.Arena()).collect_rollouts(1)
     frontier = [t.snapshot for t in buffer.transitions()]
     assert frontier and env.session is not None
     seen: set[int] = set()

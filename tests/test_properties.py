@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import BQSchedConfig
 from repro.dbms import (
     BufferPool,
     ConfigurationSpace,
@@ -162,7 +161,7 @@ class TestWorkloadProperties:
 def _tpch_round_inputs():
     batch = make_workload("tpch", scale_factor=1.0, seed=0).batch_query_set()
     tables = tuple(sorted({table for query in batch for table in query.tables}))
-    return batch, ConfigurationSpace(BQSchedConfig.small(seed=0).scheduler), tables
+    return batch, ConfigurationSpace(), tables
 
 
 def _first_finish_without_memo(session):

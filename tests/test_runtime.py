@@ -76,7 +76,7 @@ def digest_env():
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 4
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(engine, batch, space)
     return SchedulingEnv(
         batch=batch,
@@ -234,7 +234,7 @@ class TestMultiTenantIntegration:
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 6
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
 
         runtime = ExecutionRuntime(engine)
@@ -289,7 +289,7 @@ class TestMultiTenantIntegration:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 6
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
 
         def run(num_tenants):
             engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
@@ -315,7 +315,7 @@ class TestMultiTenantIntegration:
         session_b = tenant_b.new_session(batch, num_connections=4, round_id=0)
         assert session_a is not session_b
         # a cannot reopen while b is still mid-round
-        session_a.submit(0, ConfigurationSpace(BQSchedConfig.small().scheduler)[0])
+        session_a.submit(0, ConfigurationSpace()[0])
         with pytest.raises(SchedulingError):
             tenant_a.new_session(batch, num_connections=4, round_id=1)
         # registration after the round opened is rejected
@@ -328,7 +328,7 @@ class TestMultiTenantIntegration:
         batch = workload.batch_query_set()
         config = BQSchedConfig.small(seed=0)
         config.scheduler.num_connections = 4
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
         runtime = ExecutionRuntime(engine)
@@ -362,7 +362,7 @@ class TestStreamingEnv:
         batch = workload.batch_query_set()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         config = BQSchedConfig.small(seed=0)
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
         env = SchedulingEnv(
             batch=batch,
@@ -392,7 +392,7 @@ class TestStreamingEnv:
         batch = workload.batch_query_set()
         engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
         config = BQSchedConfig.small(seed=0)
-        space = ConfigurationSpace(config.scheduler)
+        space = ConfigurationSpace()
         knowledge = ExternalKnowledge.from_probes(engine, batch, space)
         env = SchedulingEnv(
             batch=batch,

@@ -77,7 +77,7 @@ def _scenario(seed=0):
     batch = workload.batch_query_set()
     config = BQSchedConfig.small(seed=seed)
     config.scheduler.num_connections = 4
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     return workload, batch, config, space
 
 

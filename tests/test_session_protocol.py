@@ -51,7 +51,7 @@ def parts():
     batch = workload.batch_query_set()
     engine = DatabaseEngine(DBMSProfile.dbms_x(), seed=0)
     config = BQSchedConfig.small(seed=0)
-    space = ConfigurationSpace(config.scheduler)
+    space = ConfigurationSpace()
     knowledge = ExternalKnowledge.from_probes(engine, batch, space)
     rng = np.random.default_rng(0)
     queryformer = QueryFormer(PlanFeaturizer(workload.catalog), config.encoder, rng)

@@ -32,10 +32,13 @@ from repro.core import (
 from repro.dbms import Cluster, QueryExecutionRecord, RoundLog, RunningParameters
 from repro.core.policy import DECISION_KERNEL
 from repro.exceptions import SchedulingError
-from repro.nn import fastinfer, no_grad
+from repro.nn import fastgrad, fastinfer, no_grad
 from repro.runtime import ExecutionRuntime
 from simulator_oracle import tape_forward
 from snapshot_oracle import snapshot_arrays
+
+#: The trainers here take one step per auxiliary phase (:data:`repro.core.ppo.AUX_EPOCHS` is 3).
+pytestmark = pytest.mark.usefixtures("one_aux_epoch")
 
 
 def in_flight(buffer) -> int:
@@ -51,7 +54,7 @@ def sim_setup():
     config = BQSchedConfig.small(seed=0)
     config.scheduler.num_connections = 4
     config.ppo = PPOConfig(
-        rollouts_per_update=4, epochs_per_update=2, minibatch_size=16, aux_every=1, aux_epochs=1
+        rollouts_per_update=4, epochs_per_update=2, minibatch_size=16, aux_every=1
     )
     scheduler = BQSched(workload, engine, config)
     scheduler.prepare(history_rounds=2)
@@ -379,6 +382,7 @@ class TestTrainerParity:
             env=env,
             config=config,
             seed=scheduler.config.seed,
+            arena=fastgrad.Arena(),
         )
 
     @pytest.mark.parametrize("backend", ["engine", "simulator"], ids=["eng", "sim"])
@@ -461,6 +465,7 @@ class TestTrainerParity:
                 env=sim_setup._build_env(backend=sim_setup.simulator),
                 config=config,
                 seed=0,
+                arena=fastgrad.Arena(),
             )
             buffer = trainer.collect_rollouts(3)
             loss = trainer.auxiliary_phase(buffer)
