@@ -12,6 +12,8 @@ from repro.config import (
     SchedulerConfig,
     SimulatorConfig,
 )
+from repro.dbms import ConfigurationSpace
+from repro.dbms.params import MEMORY_OPTIONS, WORKER_OPTIONS
 from repro.exceptions import ConfigurationError
 
 
@@ -61,6 +63,13 @@ class TestPPOConfig:
 
 
 class TestSchedulerConfig:
+    def test_num_configurations(self):
+        space = ConfigurationSpace()
+        assert len(space) == len(WORKER_OPTIONS) * len(MEMORY_OPTIONS) == 4
+        # Ordered by (workers, memory): the engine-parity pins index configurations in this order.
+        assert [(config.workers, config.memory_mb) for config in space] == [(1, 64), (1, 256), (2, 64), (2, 256)]
+        assert space.index_of(space.default) == 0
+
     @pytest.mark.parametrize(
         "kwargs",
         [

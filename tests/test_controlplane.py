@@ -304,6 +304,18 @@ class TestParkUnpark:
         assert fleet.tick(session, backlog=0, now=FleetController.COOLDOWN / 2) is None
         assert fleet.tick(session, backlog=0, now=FleetController.COOLDOWN) is not None
 
+    @pytest.mark.parametrize("kind", ["cluster", "simulated"])
+    def test_fleet_bounds_hold_scaling(self, fixture_batch, fleet_of, kind):
+        """The whole fleet is the most that can be up and ``MIN_INSTANCES`` the least."""
+        session = fleet_of(kind, 2).new_session(fixture_batch, num_connections=2)
+        fleet = FleetController(AutoscalePolicy(target_backlog=2.0, low_water=0.5))
+        fleet.on_round_open(session)
+        assert session.parked_instances() == [] and fleet.events == []
+        assert fleet.tick(session, backlog=100, now=0.0) is None  # nothing parked to unpark
+        assert fleet.tick(session, backlog=0, now=0.0).action == "park"
+        assert fleet.tick(session, backlog=0, now=FleetController.COOLDOWN) is None
+        assert len(session.parked_instances()) == 2 - FleetController.MIN_INSTANCES
+
 
 class TestShedBehaviour:
     def _serve(self, admission, tenant_classes=()):

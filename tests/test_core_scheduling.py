@@ -74,6 +74,25 @@ class TestAdaptiveMask:
         lenient, strict = build(0.0, 0.0), build(10.0, 0.9)
         assert strict.masked_fraction() >= lenient.masked_fraction()
 
+    @pytest.mark.parametrize(
+        "gain, kept",
+        [
+            pytest.param((masking.MIN_ABSOLUTE_GAIN, masking.MIN_RELATIVE_GAIN), True, id="at-both-thresholds"),
+            pytest.param((masking.MIN_ABSOLUTE_GAIN * 0.99, 0.9), False, id="below-absolute"),
+            pytest.param((10.0, masking.MIN_RELATIVE_GAIN * 0.99), False, id="below-relative"),
+        ],
+    )
+    def test_a_config_must_reach_both_thresholds(self, tpch_batch, config_space, gain, kept):
+        """Configuration 1 is kept only when its gain reaches the absolute and the relative threshold."""
+
+        class Gains:
+            def improvement_profile(self, query_id):
+                return {0: (0.0, 0.0), 1: gain}
+
+        mask = AdaptiveMask.build(tpch_batch, Gains(), config_space)
+        expected = [0, 1] if kept else [0]  # configurations 2 and 3 have no profile entry: no gain
+        assert all(mask.allowed_configs(query.query_id) == expected for query in tpch_batch)
+
     def test_action_mask_only_selects_pending(self, tpch_batch, config_space):
         mask = AdaptiveMask.unmasked(len(tpch_batch), len(config_space))
         assert mask.allowed_matrix.shape == (len(tpch_batch), len(config_space))

@@ -504,8 +504,9 @@ def test_config_field_names_are_unique():
     assert not [name for name, count in counts.items() if count > 1], counts
 
 
-@pytest.mark.parametrize("setter", ["", "\nrepro.ClusteringConfig(planted_knob=0)\n"], ids=["unset", "set-to-default"])
-def test_a_planted_unset_field_fails_the_knob_gate(setter):
+def planted_knob_scan(setter: str):
+    """The knob scan of the tree with a ``ClusteringConfig.planted_knob = 0`` field and ``setter``
+    appended to an example."""
     field_line = "    num_clusters: int = 100\n"
     assert field_line in source(CONFIG)
     example = "examples/quickstart.py"
@@ -516,7 +517,17 @@ def test_a_planted_unset_field_fails_the_knob_gate(setter):
             return text.replace(field_line, field_line + "    planted_knob: int = 0\n")
         return text + setter if path == example else text
 
-    assert unset_knobs(*knob_scan(read)) == ["ClusteringConfig.planted_knob"]
+    return knob_scan(read)
+
+
+def test_a_planted_unset_field_fails_the_knob_gate():
+    assert unset_knobs(*planted_knob_scan("")) == ["ClusteringConfig.planted_knob"]
+
+
+def test_a_planted_default_only_field_fails_the_knob_gate():
+    """A setter outside tests that passes the field's default literal is no setter."""
+    setter = "\nrepro.ClusteringConfig(planted_knob=0)\n"
+    assert unset_knobs(*planted_knob_scan(setter)) == ["ClusteringConfig.planted_knob"]
 
 
 #: A config module with one field, ``TinyConfig.depth``; its class body sets nothing that counts.
